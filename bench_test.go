@@ -211,20 +211,6 @@ func BenchmarkComposeOperator(b *testing.B) {
 	}
 }
 
-func BenchmarkComposeJoinAlgorithms(b *testing.B) {
-	m1 := syntheticSame(10000)
-	m2 := syntheticSecond(10000)
-	for _, alg := range []JoinAlgorithm{HashJoin, SortMergeJoin} {
-		b.Run(alg.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ComposeVia(m1, m2, MinCombiner, AggRelative, alg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Large-scale mapping-operator benchmarks ----------------------------
 //
 // The columnar mapping core is sized for correspondence sets far beyond the

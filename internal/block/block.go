@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/index"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -33,13 +34,12 @@ type Pair struct {
 
 // Blocker generates candidate pairs between two object sets.
 type Blocker interface {
-	// Pairs returns deduplicated candidate pairs in deterministic order.
-	Pairs(a, b *model.ObjectSet) []Pair
-	// PairsEach streams the exact sequence Pairs returns to yield, one pair
-	// at a time, without materializing the full candidate set. Iteration
-	// stops early when yield returns false. A candidate set can be orders of
-	// magnitude larger than the kept correspondences, so streaming keeps the
-	// match core's memory proportional to the output, not to the candidates.
+	// PairsEach streams deduplicated candidate pairs in deterministic order
+	// to yield, one pair at a time, without materializing the full candidate
+	// set. Iteration stops early when yield returns false. A candidate set
+	// can be orders of magnitude larger than the kept correspondences, so
+	// streaming keeps the match core's memory proportional to the output,
+	// not to the candidates.
 	PairsEach(a, b *model.ObjectSet, yield func(Pair) bool)
 	// String names the strategy for reports.
 	String() string
@@ -56,11 +56,10 @@ type OrdinalPairer interface {
 	PairsCarryOrdinals() bool
 }
 
-// Collect drains a PairsEach stream into a slice — the Pairs implementation
-// shared by the built-in blockers.
-func Collect(stream func(yield func(Pair) bool)) []Pair {
+// Pairs materializes the candidate sequence bl.PairsEach streams.
+func Pairs(bl Blocker, a, b *model.ObjectSet) []Pair {
 	var out []Pair
-	stream(func(p Pair) bool {
+	bl.PairsEach(a, b, func(p Pair) bool {
 		out = append(out, p)
 		return true
 	})
@@ -69,16 +68,6 @@ func Collect(stream func(yield func(Pair) bool)) []Pair {
 
 // CrossProduct compares every instance of a with every instance of b.
 type CrossProduct struct{}
-
-// Pairs implements Blocker.
-func (c CrossProduct) Pairs(a, b *model.ObjectSet) []Pair {
-	out := make([]Pair, 0, a.Len()*b.Len())
-	c.PairsEach(a, b, func(p Pair) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
-}
 
 // PairsEach implements Blocker.
 func (CrossProduct) PairsEach(a, b *model.ObjectSet, yield func(Pair) bool) {
@@ -112,27 +101,10 @@ type TokenBlocking struct {
 	MinShared int
 }
 
-// TokenStreamer is a Blocker that tokenizes attribute columns while
-// generating candidates and can share that work with callers — the match
-// layer's profile build reuses the columns instead of re-tokenizing the
-// same values. TokenBlocking implements it; decorators wrapping a
-// token-based blocker can forward these methods to keep the reuse path.
-type TokenStreamer interface {
-	Blocker
-	// BlockingAttrs names the attributes tokenized on the two inputs.
-	BlockingAttrs() (attrA, attrB string)
-	// TokenizeColumns tokenizes the blocking attribute of both inputs.
-	TokenizeColumns(a, b *model.ObjectSet) (colA, colB Tokens)
-	// PairsEachTokens streams the PairsEach sequence over pre-tokenized
-	// columns from TokenizeColumns.
-	PairsEachTokens(a, b *model.ObjectSet, colA, colB Tokens, yield func(Pair) bool)
-}
-
-var _ TokenStreamer = TokenBlocking{}
 var _ OrdinalPairer = TokenBlocking{}
 
-// Tokens caches the tokenization of one blocking-attribute column as a
-// dense slice aligned with the producing ObjectSet's insertion ordinals
+// Tokens is the tokenization of one attribute column as a dense slice
+// aligned with the producing ObjectSet's insertion ordinals
 // (model.ObjectSet.IndexOf). Each entry holds the value's sim.Tokens
 // sequence interned in the global sim.Terms dictionary — term IDs in token
 // order, duplicates preserved — so the blocking index, candidate probes and
@@ -141,57 +113,83 @@ var _ OrdinalPairer = TokenBlocking{}
 // not copied; consumers must treat them as read-only.
 type Tokens [][]uint32
 
-// tokenizeColumn builds the dense interned token column of one blocking
-// attribute.
-func tokenizeColumn(set *model.ObjectSet, attr string) Tokens {
-	col := make(Tokens, 0, set.Len())
-	set.Each(func(in *model.Instance) bool {
-		var toks []uint32
-		if v := in.Attr(attr); v != "" {
-			toks = sim.Terms.TokenIDs(v)
-		}
-		col = append(col, toks)
-		return true
-	})
+// colKey keys one of blocking's derivations of one attribute in a set's
+// column store (model.Column).
+type colKey struct {
+	kind colKind
+	attr string
+}
+
+type colKind int
+
+const (
+	colTokens colKind = iota // Tokens: the interned token column
+	colNorm                  // []string: sim.Normalize of every value
+	colIndex                 // *index.Ords over the token column
+)
+
+// Invalidated counts a column the store dropped because its set changed.
+func (colKey) Invalidated() { blockInvalidations.Inc() }
+
+// column fetches one derivation from the set's store, counting hit or miss.
+func column[T any](set *model.ObjectSet, kind colKind, attr string, build func() T) T {
+	col, hit := model.Column(set, colKey{kind, attr}, build)
+	if hit {
+		blockHits[kind].Inc()
+	} else {
+		blockMisses[kind].Inc()
+	}
 	return col
 }
 
-// TokenizeColumns returns the blocking-attribute token columns of both
-// inputs, tokenized with the canonical sim.Tokens at most once per object-set
-// version: columns are served from a process-wide cache keyed by object-set
-// identity (see cache.go), so matchers sharing a blocker — and the online
-// resolution path sharing the same structures — amortize the tokenization
-// across matches. The returned columns drive PairsEachTokens and can be
-// handed to downstream consumers — the similarity-profile build reuses them
-// instead of re-tokenizing the same attribute values.
-func (t TokenBlocking) TokenizeColumns(a, b *model.ObjectSet) (colA, colB Tokens) {
-	return cachedColumn(a, t.AttrA), cachedColumn(b, t.AttrB)
+// tokenColumn returns the set's interned token column of one attribute.
+func tokenColumn(set *model.ObjectSet, attr string) Tokens {
+	return column(set, colTokens, attr, func() Tokens {
+		col := make(Tokens, 0, set.Len())
+		set.Each(func(in *model.Instance) bool {
+			var toks []uint32
+			if v := in.Attr(attr); v != "" {
+				toks = sim.Terms.TokenIDs(v)
+			}
+			col = append(col, toks)
+			return true
+		})
+		return col
+	})
 }
 
-// Pairs implements Blocker.
-func (t TokenBlocking) Pairs(a, b *model.ObjectSet) []Pair {
-	return Collect(func(yield func(Pair) bool) { t.PairsEach(a, b, yield) })
+// LookupTokens returns the attribute's token column if token blocking built
+// one for the set's current version. It never builds: the profile build of a
+// token measure reuses the tokenization where match and blocking attributes
+// coincide, and no measure interns terms it would not have interned itself.
+func LookupTokens(set *model.ObjectSet, attr string) (Tokens, bool) {
+	col, ok := model.LookupColumn[Tokens](set, colKey{colTokens, attr})
+	if ok {
+		blockHits[colTokens].Inc()
+	}
+	return col, ok
 }
 
-// PairsEach implements Blocker.
+// PairsEach implements Blocker, probing an ordinal inverted index over b's
+// token column with a's. Columns and index live in the sets' column stores,
+// so matchers sharing a blocking attribute tokenize and index once per set
+// version, not once per match. Candidates stream in ascending B-ordinal
+// order (the range set's insertion order) within each A instance.
 func (t TokenBlocking) PairsEach(a, b *model.ObjectSet, yield func(Pair) bool) {
-	colA, colB := t.TokenizeColumns(a, b)
-	t.PairsEachTokens(a, b, colA, colB, yield)
-}
-
-// PairsEachTokens streams candidates over pre-tokenized columns from
-// TokenizeColumns, probing an ordinal inverted index over colB with colA.
-// The index is cached per (object set, attribute, version) — see cache.go —
-// so matchers sharing a blocking attribute build it once, not once per
-// match. Candidates stream in ascending B-ordinal order (the range set's
-// insertion order) within each A instance. Both columns must be
-// ordinal-aligned with their sets (TokenizeColumns output).
-func (t TokenBlocking) PairsEachTokens(a, b *model.ObjectSet, colA, colB Tokens, yield func(Pair) bool) {
 	minShared := t.MinShared
 	if minShared < 1 {
 		minShared = 1
 	}
-	ix := cachedOrdIndex(b, t.AttrB, colB)
+	colA, colB := tokenColumn(a, t.AttrA), tokenColumn(b, t.AttrB)
+	ix := column(b, colIndex, t.AttrB, func() *index.Ords {
+		built := index.NewOrds()
+		for ord, toks := range colB {
+			if len(toks) > 0 {
+				built.Add(ord, toks)
+			}
+		}
+		return built
+	})
 	stopped := false
 	for ordA := 0; ordA < len(colA) && !stopped; ordA++ {
 		toks := colA[ordA]
@@ -207,9 +205,6 @@ func (t TokenBlocking) PairsEachTokens(a, b *model.ObjectSet, colA, colB Tokens,
 		})
 	}
 }
-
-// BlockingAttrs implements TokenStreamer.
-func (t TokenBlocking) BlockingAttrs() (string, string) { return t.AttrA, t.AttrB }
 
 // PairsCarryOrdinals implements OrdinalPairer.
 func (TokenBlocking) PairsCarryOrdinals() bool { return true }
@@ -227,22 +222,17 @@ type SortedNeighborhood struct {
 	Window int
 }
 
-// Pairs implements Blocker.
-func (s SortedNeighborhood) Pairs(a, b *model.ObjectSet) []Pair {
-	return Collect(func(yield func(Pair) bool) { s.PairsEach(a, b, yield) })
-}
-
 // PairsEach implements Blocker. Instances whose blocking attribute is
 // missing or normalizes to the empty string are skipped entirely: an empty
 // sort key carries no evidence of similarity, yet it would cluster all
 // attribute-less instances at the front of the sort and pair them with each
 // other inside the window, producing spurious candidates.
 //
-// Sort keys come from the per-set normalized-key columns cached by object
-// set, attribute and version (see cache.go): repeated matches over the same
-// inputs — a workflow running several sorted-neighborhood matchers, or
-// re-matching a stored set — sort precomputed keys instead of
-// re-normalizing every raw attribute value per match.
+// Sort keys come from normalized-key columns kept in the sets' column
+// stores: repeated matches over the same inputs — a workflow running several
+// sorted-neighborhood matchers, or re-matching a stored set — sort
+// precomputed keys instead of re-normalizing every raw attribute value per
+// match.
 func (s SortedNeighborhood) PairsEach(a, b *model.ObjectSet, yield func(Pair) bool) {
 	w := s.Window
 	if w < 2 {
@@ -254,8 +244,8 @@ func (s SortedNeighborhood) PairsEach(a, b *model.ObjectSet, yield func(Pair) bo
 		ord  int // ObjectSet ordinal within its input
 		from int // 0 = a, 1 = b
 	}
-	keysA := cachedNormColumn(a, s.AttrA)
-	keysB := cachedNormColumn(b, s.AttrB)
+	keysA := normColumn(a, s.AttrA)
+	keysB := normColumn(b, s.AttrB)
 	entries := make([]entry, 0, len(keysA)+len(keysB))
 	for ord, key := range keysA {
 		if key != "" {
@@ -298,6 +288,19 @@ func (s SortedNeighborhood) PairsEach(a, b *model.ObjectSet, yield func(Pair) bo
 			}
 		}
 	}
+}
+
+// normColumn returns the set's sort-key column: entry i is sim.Normalize of
+// instance i's attribute value.
+func normColumn(set *model.ObjectSet, attr string) []string {
+	return column(set, colNorm, attr, func() []string {
+		col := make([]string, 0, set.Len())
+		set.Each(func(in *model.Instance) bool {
+			col = append(col, sim.Normalize(in.Attr(attr)))
+			return true
+		})
+		return col
+	})
 }
 
 // PairsCarryOrdinals implements OrdinalPairer.

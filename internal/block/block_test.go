@@ -35,7 +35,7 @@ func pairIDs(pairs []Pair) map[idPair]bool {
 
 func TestCrossProduct(t *testing.T) {
 	a, b := blockFixture()
-	pairs := CrossProduct{}.Pairs(a, b)
+	pairs := Pairs(CrossProduct{}, a, b)
 	if len(pairs) != 9 {
 		t.Fatalf("pairs = %d, want 9", len(pairs))
 	}
@@ -61,7 +61,7 @@ func TestPairOrdinals(t *testing.T) {
 		if !ok || !op.PairsCarryOrdinals() {
 			t.Fatalf("%s must be an OrdinalPairer", bl)
 		}
-		for _, p := range bl.Pairs(a, b) {
+		for _, p := range Pairs(bl, a, b) {
 			if p.OrdA != a.IndexOf(p.A) || p.OrdB != b.IndexOf(p.B) {
 				t.Errorf("%s: pair %+v ordinals disagree with IndexOf (%d, %d)",
 					bl, p, a.IndexOf(p.A), b.IndexOf(p.B))
@@ -72,7 +72,7 @@ func TestPairOrdinals(t *testing.T) {
 
 func TestTokenBlockingFindsSharedTokens(t *testing.T) {
 	a, b := blockFixture()
-	pairs := TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 2}.Pairs(a, b)
+	pairs := Pairs(TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 2}, a, b)
 	set := pairIDs(pairs)
 	if !set[idPair{"a1", "b1"}] {
 		t.Error("identical titles must be candidates")
@@ -90,8 +90,8 @@ func TestTokenBlockingFindsSharedTokens(t *testing.T) {
 
 func TestTokenBlockingMinSharedClamp(t *testing.T) {
 	a, b := blockFixture()
-	got := TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 0}.Pairs(a, b)
-	want := TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 1}.Pairs(a, b)
+	got := Pairs(TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 0}, a, b)
+	want := Pairs(TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 1}, a, b)
 	if !reflect.DeepEqual(got, want) {
 		t.Error("MinShared<1 should behave like 1")
 	}
@@ -102,14 +102,14 @@ func TestTokenBlockingMissingAttr(t *testing.T) {
 	a.AddNew("a1", nil)
 	b := model.NewObjectSet(acmPub)
 	b.AddNew("b1", map[string]string{"title": "x"})
-	if got := (TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 1}).Pairs(a, b); len(got) != 0 {
+	if got := Pairs(TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 1}, a, b); len(got) != 0 {
 		t.Errorf("instances without the attribute yield no candidates, got %v", got)
 	}
 }
 
 func TestSortedNeighborhood(t *testing.T) {
 	a, b := blockFixture()
-	pairs := SortedNeighborhood{AttrA: "title", AttrB: "title", Window: 3}.Pairs(a, b)
+	pairs := Pairs(SortedNeighborhood{AttrA: "title", AttrB: "title", Window: 3}, a, b)
 	for _, p := range pairs {
 		// Orientation: A side must come from set a.
 		if p.A[0] != 'a' || p.B[0] != 'b' {
@@ -123,8 +123,8 @@ func TestSortedNeighborhood(t *testing.T) {
 
 func TestSortedNeighborhoodWindowClamp(t *testing.T) {
 	a, b := blockFixture()
-	got := SortedNeighborhood{AttrA: "title", AttrB: "title", Window: 0}.Pairs(a, b)
-	want := SortedNeighborhood{AttrA: "title", AttrB: "title", Window: 2}.Pairs(a, b)
+	got := Pairs(SortedNeighborhood{AttrA: "title", AttrB: "title", Window: 0}, a, b)
+	want := Pairs(SortedNeighborhood{AttrA: "title", AttrB: "title", Window: 2}, a, b)
 	if !reflect.DeepEqual(got, want) {
 		t.Error("Window<2 should behave like 2")
 	}
@@ -132,7 +132,7 @@ func TestSortedNeighborhoodWindowClamp(t *testing.T) {
 
 func TestSortedNeighborhoodFullWindowIsCrossProduct(t *testing.T) {
 	a, b := blockFixture()
-	pairs := SortedNeighborhood{AttrA: "title", AttrB: "title", Window: 6}.Pairs(a, b)
+	pairs := Pairs(SortedNeighborhood{AttrA: "title", AttrB: "title", Window: 6}, a, b)
 	if len(Dedup(pairs)) != 9 {
 		t.Errorf("window covering everything should produce all 9 pairs, got %d", len(pairs))
 	}
@@ -187,38 +187,9 @@ func TestTokenBlockingRecallVsCross(t *testing.T) {
 	// Token blocking with MinShared=1 must retain every cross-product pair
 	// that shares at least one token — a recall guarantee.
 	a, b := blockFixture()
-	tb := TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 1}.Pairs(a, b)
+	tb := Pairs(TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 1}, a, b)
 	set := pairIDs(tb)
 	if !set[idPair{"a2", "b2"}] || !set[idPair{"a1", "b1"}] {
 		t.Error("token blocking dropped a sharing pair")
-	}
-}
-
-// TestBlockCacheInvalidation proves the per-set token/index cache serves the
-// same column while a set is unchanged and rebuilds it after an Add.
-func TestBlockCacheInvalidation(t *testing.T) {
-	a, b := blockFixture()
-	tb := TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 1}
-	_, col1 := tb.TokenizeColumns(a, b)
-	_, col2 := tb.TokenizeColumns(a, b)
-	if !sameColumn(col1, col2) {
-		t.Fatal("unchanged set must be served the cached column")
-	}
-	before := len(tb.Pairs(a, b))
-
-	b.AddNew("b4", map[string]string{"title": "the view selection problem again"})
-	_, col3 := tb.TokenizeColumns(a, b)
-	if sameColumn(col2, col3) {
-		t.Fatal("Add must invalidate the cached column")
-	}
-	if len(col3) != b.Len() {
-		t.Fatalf("rebuilt column has %d entries, want %d", len(col3), b.Len())
-	}
-	after := tb.Pairs(a, b)
-	if len(after) <= before {
-		t.Fatalf("new instance must produce new candidates: %d -> %d", before, len(after))
-	}
-	if !pairIDs(after)[idPair{"a2", "b4"}] {
-		t.Error("candidates must include the added instance")
 	}
 }

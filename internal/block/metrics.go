@@ -2,33 +2,23 @@ package block
 
 import "repro/internal/obs"
 
-// Engine-side blocking-cache metrics, registered once at package init on
-// the process-global registry. The cache serves three independently-lazy
-// derivations per (set, attribute) entry — the token column, the normalized
-// sort-key column, and the ordinal inverted index — so hits and misses are
-// labeled by which derivation was asked for.
+// Metrics of the columns blocking keeps in the sets' column stores; hits and
+// misses are labeled by derivation and indexed by colKind. The family names
+// predate the set-owned store: the benchmark and the CI smoke read them.
 var (
-	blockTokenHits = obs.Default.Counter("moma_blockcache_hits_total",
-		"Blocking-cache hits by derivation.", `col="tokens"`)
-	blockTokenMisses = obs.Default.Counter("moma_blockcache_misses_total",
-		"Blocking-cache misses (derivation built) by derivation.", `col="tokens"`)
-	blockNormHits = obs.Default.Counter("moma_blockcache_hits_total",
-		"Blocking-cache hits by derivation.", `col="norm"`)
-	blockNormMisses = obs.Default.Counter("moma_blockcache_misses_total",
-		"Blocking-cache misses (derivation built) by derivation.", `col="norm"`)
-	blockIndexHits = obs.Default.Counter("moma_blockcache_hits_total",
-		"Blocking-cache hits by derivation.", `col="index"`)
-	blockIndexMisses = obs.Default.Counter("moma_blockcache_misses_total",
-		"Blocking-cache misses (derivation built) by derivation.", `col="index"`)
+	colNames = [...]string{colTokens: "tokens", colNorm: "norm", colIndex: "index"}
+
+	blockHits, blockMisses [len(colNames)]*obs.Counter
+
 	blockInvalidations = obs.Default.Counter("moma_blockcache_invalidations_total",
-		"Blocking-cache entries found stale because the object set's version moved.")
+		"Blocking columns dropped because the object set's version moved.")
 )
 
 func init() {
-	obs.Default.GaugeFunc("moma_blockcache_entries",
-		"Resident blocking-cache entries.", func() float64 {
-			blockCache.Lock()
-			defer blockCache.Unlock()
-			return float64(len(blockCache.entries))
-		})
+	for kind, name := range colNames {
+		blockHits[kind] = obs.Default.Counter("moma_blockcache_hits_total",
+			"Blocking-column fetches served from the set's store, by derivation.", `col="`+name+`"`)
+		blockMisses[kind] = obs.Default.Counter("moma_blockcache_misses_total",
+			"Blocking-column fetches that built the column, by derivation.", `col="`+name+`"`)
+	}
 }

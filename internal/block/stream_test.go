@@ -56,13 +56,14 @@ func streamBlockers() []Blocker {
 }
 
 // TestPairsEachMatchesPairsSequence is the streaming/slice equivalence
-// property: for every built-in blocker, PairsEach must visit exactly the
-// sequence Pairs returns, in order, over a range of input sizes.
+// property: for every built-in blocker, PairsEach over warm column stores
+// must visit exactly the sequence the cold Pairs pass returned, in order,
+// over a range of input sizes.
 func TestPairsEachMatchesPairsSequence(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 40} {
 		a, b := streamFixture(n)
 		for _, bl := range streamBlockers() {
-			want := bl.Pairs(a, b)
+			want := Pairs(bl, a, b)
 			got := collectEach(bl, a, b)
 			if len(got) == 0 && len(want) == 0 {
 				continue
@@ -80,7 +81,7 @@ func TestPairsEachMatchesPairsSequence(t *testing.T) {
 func TestPairsEachStopsEarly(t *testing.T) {
 	a, b := streamFixture(25)
 	for _, bl := range streamBlockers() {
-		total := len(bl.Pairs(a, b))
+		total := len(Pairs(bl, a, b))
 		if total < 3 {
 			t.Fatalf("%s: fixture too small (%d pairs)", bl, total)
 		}
@@ -93,45 +94,36 @@ func TestPairsEachStopsEarly(t *testing.T) {
 		if len(got) != stopAfter {
 			t.Errorf("%s: visited %d pairs after stopping at %d", bl, len(got), stopAfter)
 		}
-		if want := bl.Pairs(a, b)[:stopAfter]; !reflect.DeepEqual(got, want) {
+		if want := Pairs(bl, a, b)[:stopAfter]; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: early-stopped prefix diverges", bl)
 		}
 	}
 }
 
-// TestTokenBlockingPairsEachTokens asserts the pre-tokenized entry point
-// yields the same stream as PairsEach, and that the columns it consumes are
-// exactly the sim.Tokens output of the non-empty attribute values.
-func TestTokenBlockingPairsEachTokens(t *testing.T) {
-	a, b := streamFixture(20)
-	a.AddNew("a-empty", nil)
-	b.AddNew("b-empty", map[string]string{"title": ""})
-	tb := TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 2}
-	colA, colB := tb.TokenizeColumns(a, b)
-	if len(colA) != a.Len() || len(colB) != b.Len() {
-		t.Fatalf("columns must be ordinal-aligned: %d/%d vs %d/%d", len(colA), a.Len(), len(colB), b.Len())
+// TestTokenColumn asserts the token column token blocking probes with is
+// ordinal-aligned and holds exactly the sim.Tokens output of the non-empty
+// attribute values.
+func TestTokenColumn(t *testing.T) {
+	a, _ := streamFixture(20)
+	a.AddNew("a-missing", nil)
+	a.AddNew("a-empty", map[string]string{"title": ""})
+	col := tokenColumn(a, "title")
+	if len(col) != a.Len() {
+		t.Fatalf("column must be ordinal-aligned: %d entries for %d instances", len(col), a.Len())
 	}
-	if colA[a.IndexOf("a-empty")] != nil {
+	if col[a.IndexOf("a-missing")] != nil {
 		t.Error("attribute-less instance must have a nil token column entry")
 	}
-	if colB[b.IndexOf("b-empty")] != nil {
+	if col[a.IndexOf("a-empty")] != nil {
 		t.Error("empty attribute must have a nil token column entry")
 	}
-	for ord, toks := range colA {
+	for ord, toks := range col {
 		if toks == nil {
 			continue
 		}
 		if want := sim.Terms.InternTokens(sim.Tokens(a.At(ord).Attr("title"))); !reflect.DeepEqual(toks, want) {
 			t.Fatalf("column tokens for ordinal %d = %v, want %v", ord, toks, want)
 		}
-	}
-	var got []Pair
-	tb.PairsEachTokens(a, b, colA, colB, func(p Pair) bool {
-		got = append(got, p)
-		return true
-	})
-	if want := tb.Pairs(a, b); !reflect.DeepEqual(got, want) {
-		t.Errorf("PairsEachTokens diverges from Pairs:\n got %v\nwant %v", got, want)
 	}
 }
 
@@ -147,7 +139,7 @@ func TestSortedNeighborhoodSkipsEmptyKeys(t *testing.T) {
 	b.AddNew("b-miss1", nil)
 	b.AddNew("b-miss2", map[string]string{"title": "!!!"})
 	b.AddNew("b1", map[string]string{"title": "view selection"})
-	pairs := SortedNeighborhood{AttrA: "title", AttrB: "title", Window: 4}.Pairs(a, b)
+	pairs := Pairs(SortedNeighborhood{AttrA: "title", AttrB: "title", Window: 4}, a, b)
 	for _, p := range pairs {
 		if p.A != "a1" || p.B != "b1" {
 			t.Errorf("attribute-less instances must not produce candidates, got %v", p)
@@ -155,19 +147,5 @@ func TestSortedNeighborhoodSkipsEmptyKeys(t *testing.T) {
 	}
 	if len(pairs) != 1 || pairs[0] != (Pair{A: "a1", B: "b1", OrdA: 2, OrdB: 2}) {
 		t.Errorf("pairs = %+v, want exactly [{a1 b1 2 2}]", pairs)
-	}
-}
-
-// TestCollect covers the stream-draining helper shared by the blockers.
-func TestCollect(t *testing.T) {
-	got := Collect(func(yield func(Pair) bool) {
-		yield(Pair{A: "x", B: "y"})
-		yield(Pair{A: "u", B: "v"})
-	})
-	if want := []Pair{{A: "x", B: "y"}, {A: "u", B: "v"}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Collect = %v, want %v", got, want)
-	}
-	if Collect(func(func(Pair) bool) {}) != nil {
-		t.Error("empty stream must collect to nil")
 	}
 }

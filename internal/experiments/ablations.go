@@ -113,7 +113,7 @@ func AblationBlocking(s *Setting) (*TableResult, error) {
 		Metrics: map[string]eval.Result{},
 	}
 	for _, b := range blockers {
-		pairs := b.Pairs(s.D.DBLP.Pubs, s.D.ACM.Pubs)
+		pairs := block.Pairs(b, s.D.DBLP.Pubs, s.D.ACM.Pubs)
 		m := &match.Attribute{
 			AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: titleThreshold, Blocker: b,
 		}

@@ -155,7 +155,7 @@ func ExtensionSelfTuning(s *Setting) (*TableResult, error) {
 	}
 	blocker := block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2}
 	var pairs [][2]model.ID
-	for _, p := range blocker.Pairs(sampleA, sampleB) {
+	for _, p := range block.Pairs(blocker, sampleA, sampleB) {
 		pairs = append(pairs, [2]model.ID{p.A, p.B})
 	}
 	examples := tuning.BuildExamples(fe, sampleA, sampleB, pairs, training)
@@ -166,7 +166,7 @@ func ExtensionSelfTuning(s *Setting) (*TableResult, error) {
 		Tree:        tree,
 		Pairs: func(a, b *model.ObjectSet) [][2]model.ID {
 			var out [][2]model.ID
-			for _, p := range blocker.Pairs(a, b) {
+			for _, p := range block.Pairs(blocker, a, b) {
 				out = append(out, [2]model.ID{p.A, p.B})
 			}
 			return out

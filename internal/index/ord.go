@@ -7,13 +7,13 @@ package index
 // Ords keys postings by dense int ordinals — an ObjectSet's insertion-order
 // ordinals in batch token blocking, a live Resolver's slot numbers online —
 // and supports incremental Add and Remove, so one resident structure serves
-// both the batch blocking path (built once per object-set version, cached)
-// and the online resolution path (updated per arriving instance, never
-// rebuilt). Candidate probes stream ordinals in ascending order, which is
-// the producing set's insertion order.
+// both the batch blocking path (built once per object-set version and kept
+// in the set's column store) and the online resolution path (updated per
+// arriving instance, never rebuilt). Candidate probes stream ordinals in
+// ascending order, which is the producing set's insertion order.
 //
 // Tokens are interned term IDs (sim.Dict): the caller tokenizes and interns
-// once — the blocking cache into the global sim.Terms, a live Resolver into
+// once — batch blocking into the global sim.Terms, a live Resolver into
 // its private dictionary — and every Add, Remove and probe after that hashes
 // uint32s instead of strings.
 

@@ -6,7 +6,7 @@
 // re-score the whole set. A Resolver instead registers an ObjectSet once and
 // keeps its derived structures resident: an incremental ordinal inverted
 // index over the blocking attribute (index.Ords, the same structure the
-// batch blocking cache uses), dense similarity-profile columns keyed by slot
+// batch token blocking keeps), dense similarity-profile columns keyed by slot
 // ordinals, and per-column TF-IDF corpora. Resolve then blocks, scores and
 // thresholds one query record against the set in time proportional to its
 // candidates, not to the set; Add and Remove update the resident structures

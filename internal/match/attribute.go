@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"reflect"
 
 	"repro/internal/block"
 	"repro/internal/mapping"
@@ -63,17 +64,16 @@ func (m *Attribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 	if m.Sim == nil && m.Profiled == nil {
 		return nil, fmt.Errorf("match: %s has no similarity function", m.Name())
 	}
-	stream, colA, colB, ords := candidateStream(m.Blocker, a, b)
+	stream, ords := candidateStream(m.Blocker, a, b)
 	var score func(block.Pair) (float64, bool)
 	if ps := m.profiledSim(); ps != nil {
 		// Profiled path: preprocess each attribute value once (O(n+m)),
-		// then score pairs over read-only dense profile columns, reusing the
-		// blocking layer's token work where the attributes coincide. When the
+		// then score pairs over read-only dense profile columns. When the
 		// blocker carries ObjectSet ordinals in its pairs (all built-ins do),
 		// the columns are read directly by Pair.OrdA/OrdB — no per-pair map
 		// lookup at all.
-		profA := profileColumn(a, m.AttrA, ps, colA)
-		profB := profileColumn(b, m.AttrB, ps, colB)
+		profA := profileColumn(a, m.AttrA, ps)
+		profB := profileColumn(b, m.AttrB, ps)
 		// Blockers may emit IDs absent from the inputs; the string path
 		// scored those as "" (nil-safe Instance.Attr), so mirror that.
 		empty := ps.Profile("")
@@ -140,75 +140,80 @@ func (m *Attribute) profiledSim() sim.ProfiledSim {
 }
 
 // candidateStream resolves the blocker (nil means cross product) into a
-// pair stream plus, for token-streaming blockers (block.TokenStreamer),
-// the tokenized attribute columns keyed by blocking-attribute name, so
-// profile builds can reuse the blocking layer's tokenization. colA/colB
-// are nil for every other blocker. ords reports whether the stream's pairs
-// carry valid ObjectSet ordinals (block.OrdinalPairer): scoring then reads
-// the dense profile columns by Pair.OrdA/OrdB instead of id lookups.
-func candidateStream(blocker block.Blocker, a, b *model.ObjectSet) (stream func(func(block.Pair) bool), colA, colB *attrTokens, ords bool) {
+// pair stream. ords reports whether the stream's pairs carry valid ObjectSet
+// ordinals (block.OrdinalPairer): scoring then reads the dense profile
+// columns by Pair.OrdA/OrdB instead of id lookups.
+func candidateStream(blocker block.Blocker, a, b *model.ObjectSet) (stream func(func(block.Pair) bool), ords bool) {
 	if blocker == nil {
 		blocker = block.CrossProduct{}
 	}
 	if op, ok := blocker.(block.OrdinalPairer); ok {
 		ords = op.PairsCarryOrdinals()
 	}
-	if ts, ok := blocker.(block.TokenStreamer); ok {
-		ca, cb := ts.TokenizeColumns(a, b)
-		attrA, attrB := ts.BlockingAttrs()
-		stream = func(yield func(block.Pair) bool) {
-			ts.PairsEachTokens(a, b, ca, cb, yield)
-		}
-		return stream, &attrTokens{attr: attrA, toks: ca}, &attrTokens{attr: attrB, toks: cb}, ords
-	}
-	return func(yield func(block.Pair) bool) { blocker.PairsEach(a, b, yield) }, nil, nil, ords
+	return func(yield func(block.Pair) bool) { blocker.PairsEach(a, b, yield) }, ords
 }
 
-// attrTokens is one tokenized attribute column produced while blocking.
-type attrTokens struct {
-	attr string
-	toks block.Tokens
+// profilesKey keys a similarity-profile column in a set's column store
+// (model.Column). The measure is part of the key because a profile's content
+// depends on it. Built-in measures are comparable singletons
+// (sim.ProfiledOf) and share columns across matchers; corpus-backed measures
+// compare by corpus pointer and by measureVer, the corpus generation
+// (sim.ProfileVersioner; 0 for pure measures), so a mutated corpus never
+// serves stale vectors and a fresh TFIDFAttribute corpus — rebuilt per match
+// by design — keys a new column that ages out of the store.
+type profilesKey struct {
+	attr       string
+	measure    sim.ProfiledSim
+	measureVer uint64
 }
+
+// Invalidated counts a column the store dropped because its set changed.
+func (profilesKey) Invalidated() { profileCacheInvalidations.Inc() }
 
 // profileColumn returns the per-instance profiles of one attribute column —
 // the O(n+m) preprocessing the profiled scoring path reads from — as a
-// dense array aligned with ObjectSet ordinals (IndexOf). Blockers that
-// carry ordinals in their pairs let scoring read every column by plain
-// array index; for ordinal-less blockers each pair resolves its ordinals
-// once via IndexOf. Columns are served from the process-wide profile cache
-// (profilecache.go) keyed by set identity, attribute, measure and set
-// version, so matchers sharing inputs — and repeated matches against a
-// stored set — build each column once; Touch/Add on the set invalidates.
-func profileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim, cached *attrTokens) []*sim.Profile {
-	return cachedProfileColumn(set, attr, ps, func() []*sim.Profile {
-		return buildProfileColumn(set, attr, ps, cached)
-	})
+// dense array aligned with ObjectSet ordinals (IndexOf), read by Pair.OrdA/
+// OrdB when the blocker carries ordinals and via IndexOf otherwise. Columns
+// are kept in the set's column store, so matchers sharing inputs build each
+// once per set version. Measures whose dynamic type is not comparable
+// (structs holding slices, say) cannot key the store and build per match.
+func profileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim) []*sim.Profile {
+	build := func() []*sim.Profile { return buildProfileColumn(set, attr, ps) }
+	if !reflect.TypeOf(ps).Comparable() {
+		return build()
+	}
+	key := profilesKey{attr: attr, measure: ps}
+	if pv, ok := ps.(sim.ProfileVersioner); ok {
+		key.measureVer = pv.ProfileVersion()
+	}
+	col, hit := model.Column(set, key, build)
+	if hit {
+		profileCacheHits.Inc()
+	} else {
+		profileCacheMisses.Inc()
+	}
+	return col
 }
 
-// buildProfileColumn does the actual profile build. When the blocking layer
-// already tokenized this attribute (cached non-nil, matching attr) and the
-// measure can profile from tokens, the cached slices are reused instead of
-// re-tokenizing. The array is never mutated after this returns, so
-// concurrent scoring workers and cache consumers need no locks.
-func buildProfileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim, cached *attrTokens) []*sim.Profile {
+// buildProfileColumn does the actual profile build. When token blocking
+// already tokenized this attribute of this set and the measure can profile
+// from tokens, the interned slices are reused instead of re-tokenizing. The
+// array is never mutated after this returns, so readers need no locks.
+func buildProfileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim) []*sim.Profile {
 	var toks block.Tokens
 	tp, reuse := ps.(sim.TokenProfiler)
-	if reuse && cached != nil && cached.attr == attr {
-		toks = cached.toks
+	if reuse {
+		toks, _ = block.LookupTokens(set, attr)
 	}
 	out := make([]*sim.Profile, 0, set.Len())
-	ord := 0
 	set.Each(func(in *model.Instance) bool {
-		v := in.Attr(attr)
-		if ord < len(toks) {
-			if ts := toks[ord]; ts != nil {
-				out = append(out, tp.ProfileTokens(v, ts))
-				ord++
-				return true
-			}
+		// toks, when found, is aligned with the set's ordinals; a nil entry
+		// is a value without tokens.
+		if ord := len(out); toks != nil && toks[ord] != nil {
+			out = append(out, tp.ProfileTokens(in.Attr(attr), toks[ord]))
+		} else {
+			out = append(out, ps.Profile(in.Attr(attr)))
 		}
-		out = append(out, ps.Profile(v))
-		ord++
 		return true
 	})
 	return out
@@ -267,7 +272,7 @@ func (m *MultiAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 	if totalWeight == 0 {
 		return nil, fmt.Errorf("match: %s has zero total weight", m.Name())
 	}
-	stream, colTokA, colTokB, ords := candidateStream(m.Blocker, a, b)
+	stream, ords := candidateStream(m.Blocker, a, b)
 	// One profile column per attribute pair whose measure has a profiled
 	// form; pairs without one fall back to the string path in place. The
 	// columns are dense arrays aligned with ObjectSet ordinals, so each
@@ -286,8 +291,8 @@ func (m *MultiAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 		if ps != nil {
 			cols[i] = column{
 				ps:    ps,
-				profA: profileColumn(a, ap.AttrA, ps, colTokA),
-				profB: profileColumn(b, ap.AttrB, ps, colTokB),
+				profA: profileColumn(a, ap.AttrA, ps),
+				profB: profileColumn(b, ap.AttrB, ps),
 				empty: ps.Profile(""),
 			}
 		}

@@ -16,19 +16,11 @@ var (
 	matchQueueWait = obs.Default.Histogram("moma_match_queue_wait_seconds",
 		"Producer wait enqueueing a scoring batch (all workers busy).", nil)
 
+	// Family names predate the set-owned column store (model.Column).
 	profileCacheHits = obs.Default.Counter("moma_profilecache_hits_total",
-		"Profile-column cache hits.")
+		"Profile-column fetches served from the set's store.")
 	profileCacheMisses = obs.Default.Counter("moma_profilecache_misses_total",
-		"Profile-column cache misses (column built).")
+		"Profile-column fetches that built the column.")
 	profileCacheInvalidations = obs.Default.Counter("moma_profilecache_invalidations_total",
-		"Profile-column cache entries found stale because the object set's version moved.")
+		"Profile columns dropped because the object set's version moved.")
 )
-
-func init() {
-	obs.Default.GaugeFunc("moma_profilecache_entries",
-		"Resident profile-column cache entries.", func() float64 {
-			profileCache.Lock()
-			defer profileCache.Unlock()
-			return float64(len(profileCache.entries))
-		})
-}

@@ -130,16 +130,12 @@ func TestMultiAttributeProfiledMatchesFallback(t *testing.T) {
 // of dereferencing a missing profile.
 type alienBlocker struct{}
 
-func (alienBlocker) Pairs(a, b *model.ObjectSet) []block.Pair {
-	pairs := block.CrossProduct{}.Pairs(a, b)
-	return append(pairs,
+func (alienBlocker) PairsEach(a, b *model.ObjectSet, yield func(block.Pair) bool) {
+	pairs := append(block.Pairs(block.CrossProduct{}, a, b),
 		block.Pair{A: "ghost-a", B: b.IDs()[0]},
 		block.Pair{A: a.IDs()[0], B: "ghost-b"},
 		block.Pair{A: "ghost-a", B: "ghost-b"})
-}
-
-func (g alienBlocker) PairsEach(a, b *model.ObjectSet, yield func(block.Pair) bool) {
-	for _, p := range g.Pairs(a, b) {
+	for _, p := range pairs {
 		if !yield(p) {
 			return
 		}

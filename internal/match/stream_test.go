@@ -17,7 +17,7 @@ import (
 // insertion order.
 func materializedReference(a, b *model.ObjectSet, blocker block.Blocker, attrA, attrB string, fn sim.Func, threshold float64) *mapping.Mapping {
 	out := mapping.NewSame(a.LDS(), b.LDS())
-	for _, p := range blocker.Pairs(a, b) {
+	for _, p := range block.Pairs(blocker, a, b) {
 		s := fn(a.Get(p.A).Attr(attrA), b.Get(p.B).Attr(attrB))
 		if s >= threshold {
 			out.AddMax(p.A, p.B, s)
@@ -76,7 +76,7 @@ func TestStreamedMultiAttributeMatchesMaterialized(t *testing.T) {
 		{AttrA: "year", AttrB: "year", Sim: sim.YearSim, Weight: 2},
 	}
 	want := mapping.NewSame(a.LDS(), b.LDS())
-	for _, p := range bl.Pairs(a, b) {
+	for _, p := range block.Pairs(bl, a, b) {
 		ia, ib := a.Get(p.A), b.Get(p.B)
 		var sum float64
 		for _, ap := range pairs {

@@ -106,10 +106,9 @@ func (in *Instance) IntAttr(name string) (v int, ok bool) {
 }
 
 // SetAttr sets an attribute value, allocating the map if needed. When the
-// instance belongs to an ObjectSet that may have cached derivations (the
-// blocking layer caches token columns keyed by ObjectSet.Version), call
-// the set's Touch afterwards — in-place mutation is invisible to the
-// version counter and would otherwise serve stale tokens.
+// instance belongs to an ObjectSet that may hold derived columns (Column),
+// call the set's Touch afterwards — in-place mutation is invisible to the
+// version counter and would otherwise serve stale columns.
 func (in *Instance) SetAttr(name, value string) {
 	if in.Attrs == nil {
 		in.Attrs = make(map[string]string)
@@ -155,6 +154,7 @@ type ObjectSet struct {
 	pos     map[ID]int
 	order   []ID
 	version uint64
+	cols    columns // derived columns, see Column
 }
 
 // NewObjectSet returns an empty object set for the given LDS.
@@ -179,16 +179,15 @@ func (s *ObjectSet) Add(in *Instance) {
 	s.version++
 }
 
-// Version returns a counter that changes on every Add. Derived structures
-// (the blocking layer's per-set token and index cache) key their validity on
-// it: an unchanged (set, version) pair guarantees the set's membership and
-// instances are the ones the structure was built from. Mutating an instance
-// in place (SetAttr) does not bump the version; call Touch afterwards when
-// the instance belongs to a set that may have cached derivations.
+// Version returns a counter that changes on every Add. The set's derived
+// columns (Column) key their validity on it: an unchanged version guarantees
+// the set's membership and instances are the ones a column was built from.
+// Mutating an instance in place (SetAttr) does not bump the version; call
+// Touch afterwards when the set may hold derived columns.
 func (s *ObjectSet) Version() uint64 { return s.version }
 
-// Touch bumps the version without changing membership, invalidating cached
-// derivations after in-place instance mutation.
+// Touch bumps the version without changing membership, invalidating the
+// set's derived columns after in-place instance mutation.
 func (s *ObjectSet) Touch() { s.version++ }
 
 // AddNew is a convenience for Add(NewInstance(id, attrs)).

@@ -1,0 +1,98 @@
+package sources
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"testing"
+
+	"repro/internal/model"
+)
+
+// datasetHash digests everything a seed decides: the ground-truth world and
+// every instance of the three derived publication, author and venue sets.
+func datasetHash(d *Dataset) string {
+	h := sha256.New()
+	for _, a := range d.World.Authors {
+		fmt.Fprintln(h, *a)
+	}
+	for _, v := range d.World.Venues {
+		fmt.Fprintln(h, *v)
+	}
+	for _, p := range d.World.Pubs {
+		fmt.Fprintln(h, p.Idx, p.Title, p.Venue.Idx, p.Year, p.PageFrom, p.PageTo, p.Citations, p.TwinOf, p.Recurring)
+		for _, a := range p.Authors {
+			fmt.Fprintln(h, a.Idx)
+		}
+	}
+	for _, src := range []*Source{d.DBLP, d.ACM, d.GS} {
+		for _, set := range []*model.ObjectSet{src.Pubs, src.Authors, src.Venues} {
+			if set == nil {
+				continue
+			}
+			set.Each(func(in *model.Instance) bool {
+				fmt.Fprintln(h, in)
+				return true
+			})
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+// TestPaperSeedsTerminate covers the title pool running dry: paper-scale
+// seeds 2 and 34 ask for more titles than there are (noun, topic)
+// combinations and used to spin in the rejection loop forever. They must
+// now return a world with the Table 1 counts, and every seed that never
+// exhausted the pool must produce the world it always did — the hashes
+// below were recorded before the loop was bounded, and the benchmark's
+// golden results are for the default seed's world.
+func TestPaperSeedsTerminate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates seven paper-scale worlds")
+	}
+	unchanged := map[int64]string{
+		PaperConfig().Seed: "703bf07110ae9df1",
+		1:                  "51da6f248edb3264",
+		3:                  "95ca61f51522e91e",
+		17:                 "e5fc712c90e7a7ce",
+		33:                 "36f9001eb4d036ab",
+	}
+	for _, seed := range []int64{PaperConfig().Seed, 1, 2, 3, 17, 33, 34} {
+		cfg := PaperConfig()
+		cfg.Seed = seed
+		d := Generate(cfg)
+		if got, want := [...]int{d.DBLP.Venues.Len(), d.DBLP.Pubs.Len(), d.DBLP.Authors.Len(),
+			d.ACM.Venues.Len(), d.ACM.Pubs.Len(), d.ACM.Authors.Len(), d.GS.Pubs.Len()},
+			[...]int{130, 2616, 3319, 128, 2294, 3547, 64263}; got != want {
+			t.Errorf("seed %d: Table 1 counts %v, want %v", seed, got, want)
+		}
+		titles := make(map[string]bool)
+		for _, p := range d.World.Pubs {
+			if p.TwinOf < 0 && !p.Recurring {
+				if titles[p.Title] {
+					t.Errorf("seed %d: title %q drawn twice", seed, p.Title)
+				}
+				titles[p.Title] = true
+			}
+		}
+		if want, ok := unchanged[seed]; ok && datasetHash(d) != want {
+			t.Errorf("seed %d: world hash %s, want %s as before the loop was bounded", seed, datasetHash(d), want)
+		}
+	}
+}
+
+// TestTitleVocabularyDistinct guards titleCombos, the pool size freshTitle
+// compares against to notice exhaustion: a duplicate noun, or a string that
+// is both topic and method, would shrink the real pool below it and bring
+// the endless rejection loop back.
+func TestTitleVocabularyDistinct(t *testing.T) {
+	nouns, seconds := make(map[string]bool), make(map[string]bool)
+	for _, n := range titleNouns {
+		nouns[n] = true
+	}
+	for _, s := range append(append([]string(nil), titleTopics...), titleMethods...) {
+		seconds[s] = true
+	}
+	if got := len(nouns) * len(seconds); got != titleCombos {
+		t.Fatalf("vocabulary yields %d distinct combinations, titleCombos says %d", got, titleCombos)
+	}
+}

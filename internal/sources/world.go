@@ -251,18 +251,23 @@ func (w *World) generatePublications(rng *rand.Rand) {
 	// Title diversity control: at full scale, unconstrained draws from the
 	// pattern grammar produce near-collisions ("Efficient X for Y" vs
 	// "Scalable X for Y") that would make every title matcher look bad.
-	// Real titles collide far less, so a (noun, topic) combination may be
-	// used at most twice and only under different patterns.
+	// Real titles collide far less, so a (noun, topic) combination is used
+	// once. The pool is barely larger than the paper-scale publication
+	// count and some seeds ask for more titles than it holds; once every
+	// combination is taken it may recur, but only under a pattern it has
+	// not appeared in. Seeds that never exhaust the pool draw as before.
 	usedTitles := make(map[string]bool)
-	usedCombos := make(map[string]bool)
+	usedCombos := make(map[string]uint8) // combination -> bit set of the patterns it appeared in
 	freshTitle := func() string {
+		exhausted := len(usedCombos) == titleCombos
 		for {
-			t, _, combo := w.drawTitle(rng)
-			if usedTitles[t] || usedCombos[combo] {
+			t, pattern, combo := w.drawTitle(rng)
+			seen := usedCombos[combo]
+			if usedTitles[t] || seen != 0 && (!exhausted || seen&(1<<pattern) != 0) {
 				continue
 			}
 			usedTitles[t] = true
-			usedCombos[combo] = true
+			usedCombos[combo] |= 1 << pattern
 			return t
 		}
 	}
@@ -414,6 +419,10 @@ func (w *World) drawTitle(rng *rand.Rand) (title string, pattern int, combo stri
 	}
 	return title, pattern, noun + "|" + topic
 }
+
+// titleCombos is the number of distinct combination keys drawTitle reports:
+// every noun with every topic or method (TestTitleVocabularyDistinct).
+var titleCombos = len(titleNouns) * (len(titleTopics) + len(titleMethods))
 
 // randomTitle draws a title without diversity bookkeeping (noise padding).
 func (w *World) randomTitle(rng *rand.Rand) string {

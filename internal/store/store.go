@@ -6,11 +6,6 @@
 // same-mappings derived during a match workflow. Both share the Store type:
 // the repository is typically persistent (write-ahead log plus snapshot),
 // while the cache is an in-memory bounded store.
-//
-// The package also provides hash-join and sort-merge-join implementations
-// over mapping tables; the paper points out that mapping composition "can
-// be computed very efficiently in our implementation by joining the mapping
-// tables" (§5.3).
 package store
 
 import (

@@ -86,12 +86,16 @@
 // (resolve, incremental add/remove with same-mapping deltas in the
 // repository, health and metrics endpoints); cmd/moma-load drives it with
 // synthetic query traffic and reports throughput and latency percentiles.
-// Batch token blocking shares the same structures: its per-set token
-// columns and ordinal inverted indexes are cached by object-set identity
-// and version, so repeated matches over one set stop rebuilding them — and
-// the similarity-profile columns are cached the same way, keyed by set,
-// attribute, measure and version, so matchers sharing inputs build each
-// profile column once (Touch/Add on the set invalidates).
+// Batch token blocking shares the same structures, and keeps them with the
+// data: every ObjectSet owns one small store of derived columns
+// (model.Column) holding its token columns, sort-key columns, ordinal
+// inverted indexes and similarity-profile columns under typed keys. A
+// column is built at most once per set version, so matchers sharing inputs
+// stop rebuilding it, and Add or Touch on the set drops them all. Only the
+// set refers to its store, so a column lives exactly as long as its set and
+// matchers over different sets share no lock. The store is bounded per set,
+// oldest column first — which contains the one key source that never
+// repeats, the fresh corpus a TF-IDF matcher builds per match.
 //
 // # Columnar ordinal mappings
 //
@@ -184,8 +188,10 @@
 //     Recorded once per operator call, never inside the row loops.
 //   - moma_store_*: repository persistence — put/delta/compaction
 //     latencies, WAL bytes/records, fsyncs, last snapshot size.
-//   - moma_blockcache_* / moma_profilecache_*: hits, misses and version
-//     invalidations of the cached token/norm/index and profile columns.
+//   - moma_blockcache_* {col="tokens"|"norm"|"index"} / moma_profilecache_*:
+//     fetches of a set's derived blocking and profile columns served from
+//     its store (hits) or built (misses), and columns dropped because the
+//     set's version moved (invalidations).
 //   - moma_sim_dict_terms / moma_model_dict_ids: sizes of the two
 //     process-global dictionaries — the runtime dial for the dictionary-
 //     ownership invariant that moma-vet's dictgrowth analyzer checks
@@ -549,8 +555,6 @@ var (
 type (
 	// Store is a named mapping collection (repository or cache).
 	Store = store.Store
-	// JoinAlgorithm selects hash vs sort-merge join for compose.
-	JoinAlgorithm = store.JoinAlgorithm
 )
 
 // Store constructors and helpers.
@@ -558,17 +562,10 @@ var (
 	NewRepository     = store.NewRepository
 	NewCache          = store.NewCache
 	OpenRepository    = store.OpenRepository
-	ComposeVia        = store.ComposeVia
 	WriteMappingCSV   = store.WriteMappingCSV
 	ReadMappingCSV    = store.ReadMappingCSV
 	WriteObjectSetCSV = store.WriteObjectSetCSV
 	ReadObjectSetCSV  = store.ReadObjectSetCSV
-)
-
-// Join algorithms.
-const (
-	HashJoin      = store.HashJoin
-	SortMergeJoin = store.SortMergeJoin
 )
 
 // Workflows (package workflow).
