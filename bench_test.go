@@ -359,11 +359,8 @@ func BenchmarkTrigram(b *testing.B) {
 func BenchmarkTrigramProfiled(b *testing.B) {
 	t1 := "A formal perspective on the view selection problem"
 	t2 := "A formal perspective on the view selection problem revisited"
-	ps, ok := ProfiledOf(Trigram)
-	if !ok {
-		b.Fatal("Trigram has no profiled twin")
-	}
-	pa, pb := ps.Profile(t1), ps.Profile(t2)
+	ps := ProfiledOf(Trigram)
+	pa, pb := NewSimProfile(ps, t1), NewSimProfile(ps, t2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,13 +2,14 @@
 // never grows a dictionary. Interning tables (sim.Dict, model.IDDict) are
 // append-only and never reclaimed, so a read path that interns turns an
 // unbounded query stream into unbounded memory growth — the exact failure
-// the lookup-only probe APIs (Dict.Lookup, LookupTokenIDs, QueryProfiler)
+// the lookup-only probe APIs (Dict.Lookup, LookupTokenIDs, sim.QueryInto)
 // exist to prevent.
 //
 // The rule is declared in the code: leaf growth APIs carry //moma:interns
 // (Dict.ID, IDDict.Ord — and interface methods whose contract permits
-// interning, such as sim.ProfiledSim.Profile), and read-side entry points
-// carry //moma:readpath (live.Resolver.Resolve, the serve read handlers).
+// interning, such as sim.ProfiledSim.ProfileInto), and read-side entry
+// points carry //moma:readpath (live.Resolver.Resolve, the serve read
+// handlers).
 // The analyzer propagates "can reach an interning API" backwards through
 // the static call graph — across packages via analyzer facts — and reports
 // every read-path entry point that can reach a leaf, with the call chain.

@@ -27,8 +27,10 @@ func prepare(d *b.Dict, q string) int {
 // ResolveViaInterface reaches the annotated interface method.
 //
 //moma:readpath
-func ResolveViaInterface(p b.Profiler, q string) []int { // want "read path ResolveViaInterface can reach an interning API"
-	return p.Profile(q)
+func ResolveViaInterface(p b.Profiler, q string) []int { // want "read path ResolveViaInterface can reach an interning API: ResolveViaInterface → Profiler.ProfileInto"
+	var prof []int
+	p.ProfileInto(q, &prof)
+	return prof
 }
 
 // ResolveSuppressedEdge excuses a guarded call site with a justification.

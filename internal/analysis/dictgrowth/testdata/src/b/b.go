@@ -26,10 +26,10 @@ func (d *Dict) Lookup(s string) (int, bool) {
 	return id, ok
 }
 
-// Profiler's Profile may intern by contract.
+// Profiler's ProfileInto may intern by contract.
 type Profiler interface {
 	//moma:interns implementations may grow the dictionary
-	Profile(s string) []int
+	ProfileInto(s string, p *[]int)
 }
 
 // Helper interns transitively — reachability must cross into package a via

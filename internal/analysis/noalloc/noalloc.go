@@ -1,11 +1,12 @@
 // Package noalloc machine-checks the repository's "0 allocs warm path"
 // headline claims. The hot functions earn their benchmarks by never
 // touching the heap in steady state — warm live.Resolver.Resolve, the
-// index.Ords candidate probes, the profiled pair measures (ProfiledSim
-// Compare stages), the columnar mapping read probes. Those claims were
-// previously pinned only by benchmarks behind a >20% regression gate; a
-// slowly-introduced allocation ships silently. This analyzer turns the
-// claim into a machine-checked annotation.
+// index.Ords candidate probes, the similarity measures (sim.QueryInto and
+// the ProfiledSim ProfileInto and Compare stages that keep no strings), the
+// columnar mapping read probes. Those claims were previously pinned only by
+// benchmarks behind a >20% regression gate; a slowly-introduced allocation
+// ships silently. This analyzer turns the claim into a machine-checked
+// annotation.
 //
 // A function marked //moma:noalloc in its doc comment must not contain a
 // heap-allocating construct and must not call — through any statically

@@ -107,10 +107,10 @@ var _ OrdinalPairer = TokenBlocking{}
 // aligned with the producing ObjectSet's insertion ordinals
 // (model.ObjectSet.IndexOf). Each entry holds the value's sim.Tokens
 // sequence interned in the global sim.Terms dictionary — term IDs in token
-// order, duplicates preserved — so the blocking index, candidate probes and
-// the similarity-profile build all consume integers. Instances whose
-// attribute is missing or empty have a nil entry. The slices are shared,
-// not copied; consumers must treat them as read-only.
+// order, duplicates preserved — so the blocking index and candidate probes
+// consume integers. Instances whose attribute is missing or empty have a nil
+// entry. The slices are shared, not copied; consumers must treat them as
+// read-only.
 type Tokens [][]uint32
 
 // colKey keys one of blocking's derivations of one attribute in a set's
@@ -156,18 +156,6 @@ func tokenColumn(set *model.ObjectSet, attr string) Tokens {
 		})
 		return col
 	})
-}
-
-// LookupTokens returns the attribute's token column if token blocking built
-// one for the set's current version. It never builds: the profile build of a
-// token measure reuses the tokenization where match and blocking attributes
-// coincide, and no measure interns terms it would not have interned itself.
-func LookupTokens(set *model.ObjectSet, attr string) (Tokens, bool) {
-	col, ok := model.LookupColumn[Tokens](set, colKey{colTokens, attr})
-	if ok {
-		blockHits[colTokens].Inc()
-	}
-	return col, ok
 }
 
 // PairsEach implements Blocker, probing an ordinal inverted index over b's

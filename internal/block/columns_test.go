@@ -60,12 +60,9 @@ func TestNormColumn(t *testing.T) {
 
 // TestTokenBlockingColumnsFollowSet proves token blocking serves the same
 // token column and index while a set is unchanged and rebuilds them after an
-// Add, and that LookupTokens sees the column without ever building it.
+// Add.
 func TestTokenBlockingColumnsFollowSet(t *testing.T) {
 	a, b := blockFixture()
-	if _, ok := LookupTokens(b, "title"); ok {
-		t.Fatal("LookupTokens found a column nobody built")
-	}
 	tb := TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 1}
 	miss, hit := blockMisses[colTokens].Load(), blockHits[colTokens].Load()
 	ixMiss := blockMisses[colIndex].Load()
@@ -73,9 +70,9 @@ func TestTokenBlockingColumnsFollowSet(t *testing.T) {
 	if got := blockMisses[colTokens].Load() - miss; got != 2 {
 		t.Fatalf("cold pass built %d token columns, want one per side", got)
 	}
-	col1, ok := LookupTokens(b, "title")
-	if !ok || len(col1) != b.Len() {
-		t.Fatalf("LookupTokens after blocking = %d entries, %v", len(col1), ok)
+	col1 := tokenColumn(b, "title")
+	if len(col1) != b.Len() {
+		t.Fatalf("token column after blocking has %d entries, want %d", len(col1), b.Len())
 	}
 	Pairs(tb, a, b)
 	if col2 := tokenColumn(b, "title"); &col1[0] != &col2[0] {
@@ -85,13 +82,10 @@ func TestTokenBlockingColumnsFollowSet(t *testing.T) {
 		t.Fatal("warm passes must not rebuild columns or the index")
 	}
 	if got := blockHits[colTokens].Load() - hit; got != 4 {
-		t.Errorf("token hits = %d, want 4 (warm pass both sides, one lookup, one fetch)", got)
+		t.Errorf("token hits = %d, want 4 (warm pass both sides, two fetches)", got)
 	}
 
 	b.AddNew("b4", map[string]string{"title": "the view selection problem again"})
-	if _, ok := LookupTokens(b, "title"); ok {
-		t.Fatal("Add must drop the kept column")
-	}
 	after := Pairs(tb, a, b)
 	if col3 := tokenColumn(b, "title"); len(col3) != b.Len() {
 		t.Fatalf("rebuilt column has %d entries, want %d", len(col3), b.Len())

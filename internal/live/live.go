@@ -36,7 +36,7 @@
 // process-global sim.Terms, which outlives any one resolver — that growth
 // is bounded by the vocabulary of the data actually added. Query records
 // intern nowhere: Resolve probes the blocking index and profiles every
-// scored column lookup-only (sim.QueryProfiler), so an unbounded stream of
+// scored column lookup-only (sim.QueryInto), so an unbounded stream of
 // distinct queries leaves both dictionaries untouched.
 package live
 
@@ -55,9 +55,9 @@ import (
 // QueryAttr is read from query instances, SetAttr from registered instances.
 type Column struct {
 	QueryAttr, SetAttr string
-	// Sim scores the pair; built-ins are upgraded via sim.ProfiledOf.
-	Sim sim.Func
-	// Profiled optionally overrides the upgrade (see match.Attribute).
+	// Sim names the measure; Profiled, when set, is the measure itself (see
+	// match.Attribute).
+	Sim      sim.Func
 	Profiled sim.ProfiledSim
 	// TFIDF scores the column under TF-IDF cosine over a resident corpus of
 	// the registered set's values. Sim and Profiled are then ignored.
@@ -92,14 +92,12 @@ type Match struct {
 //moma:parallel profs raws
 type colState struct {
 	cfg    Column
-	ps     sim.ProfiledSim          // nil means the string fallback via cfg.Sim
-	qp     sim.QueryProfiler        // non-nil when ps can profile queries lookup-only
-	pi     sim.InPlaceQueryProfiler // non-nil when ps can profile queries allocation-free
-	corpus *sim.TFIDF               // non-nil for TFIDF columns
+	ps     sim.ProfiledSim // the column's measure
+	corpus *sim.TFIDF      // non-nil for TFIDF columns
 	w      float64
 
-	profs []*sim.Profile // per slot, profiled columns
-	raws  []string       // per slot, raw values (fallback scoring, corpus removal)
+	profs []*sim.Profile // per slot
+	raws  []string       // per slot, raw values (corpus removal, reprofiling)
 }
 
 // Resolver holds one registered object set in resident, incrementally
@@ -173,15 +171,10 @@ func NewResolver(set *model.ObjectSet, cfg Config) (*Resolver, error) {
 		case c.Profiled != nil:
 			cs.ps = c.Profiled
 		case c.Sim != nil:
-			cs.ps, _ = sim.ProfiledOf(c.Sim)
+			cs.ps = sim.ProfiledOf(c.Sim)
 		default:
 			return nil, fmt.Errorf("live: column %d has no similarity function", i)
 		}
-		// Query records are profiled lookup-only where the measure supports
-		// it, so resolve traffic never grows the term dictionaries — and
-		// in place where it can, so warm resolves allocate nothing.
-		cs.qp, _ = cs.ps.(sim.QueryProfiler)
-		cs.pi, _ = cs.ps.(sim.InPlaceQueryProfiler)
 		r.cols[i] = cs
 		r.totalW += cs.w
 	}
@@ -232,11 +225,12 @@ func (r *Resolver) Resolve(q *model.Instance) []Match {
 }
 
 // ResolveAppend is Resolve appending into dst — the steady-state serving
-// entry point. When dst has capacity and every column's measure supports
-// in-place query profiling (sim.InPlaceQueryProfiler: the equality, n-gram,
-// token-set and year measures), a warm ResolveAppend performs zero heap
-// allocations; TestResolveAppendZeroAllocs pins that. Matches are appended
-// in the set's insertion order; dst[:0] reuse is the intended idiom.
+// entry point. When dst has capacity and every column's measure keeps no
+// string in its profile and allocates nothing in Compare (the equality,
+// n-gram, affix, token-set, TF-IDF and year measures), a warm ResolveAppend
+// performs zero heap allocations; TestResolveAppendZeroAllocs pins that.
+// Matches are appended in the set's insertion order; dst[:0] reuse is the
+// intended idiom.
 //
 //moma:readpath
 func (r *Resolver) ResolveAppend(q *model.Instance, dst []Match) []Match {
@@ -245,20 +239,12 @@ func (r *Resolver) ResolveAppend(q *model.Instance, dst []Match) []Match {
 	return r.resolveLocked(q, false, dst)
 }
 
-// queryCol is one column's profiled query value.
-type queryCol struct {
-	prof *sim.Profile
-	raw  string
-}
-
 // resolveScratch holds the per-resolve working memory: the query's token
-// IDs and normalization buffer, one Profile slot per column (in-place
-// profiling target), and the column view over them. Pooled so concurrent
-// warm resolves neither contend nor allocate.
+// IDs and normalization buffer and one Profile slot per column. Pooled so
+// concurrent warm resolves neither contend nor allocate.
 type resolveScratch struct {
 	norm  []byte
 	toks  []uint32
-	qcols []queryCol
 	profs []sim.Profile
 	sc    sim.Scratch
 	span  obs.Span
@@ -297,33 +283,18 @@ func (r *Resolver) resolveLocked(q *model.Instance, asMember bool, dst []Match) 
 	}
 	sp.Mark(stageBlock)
 	// Profile the query once per column, exactly as a batch profile build
-	// does for every domain instance. Columns with an in-place profiler
-	// reuse the pooled Profile slots; the rest allocate per resolve.
+	// does for every domain instance, into the pooled Profile slots.
 	//moma:cold first resolve through this scratch; the slots are reused afterwards
-	if cap(scratch.qcols) < len(r.cols) {
-		scratch.qcols = make([]queryCol, len(r.cols))
+	if cap(scratch.profs) < len(r.cols) {
 		scratch.profs = make([]sim.Profile, len(r.cols))
 	}
-	qcols := scratch.qcols[:len(r.cols)]
 	profs := scratch.profs[:len(r.cols)]
 	for i := range r.cols {
 		attr := r.cols[i].cfg.QueryAttr
 		if asMember {
 			attr = r.cols[i].cfg.SetAttr
 		}
-		v := q.Attr(attr)
-		switch {
-		case r.cols[i].pi != nil:
-			r.cols[i].pi.ProfileQueryInto(v, &profs[i], &scratch.sc)
-			qcols[i] = queryCol{prof: &profs[i]}
-		case r.cols[i].qp != nil:
-			qcols[i] = queryCol{prof: r.cols[i].qp.ProfileQuery(v)}
-		case r.cols[i].ps != nil:
-			//moma:dictgrowth-ok only measures without ProfileQuery reach this branch, and no built-in non-QueryProfiler measure interns (pinned by TestProfiledFallbacksDoNotIntern)
-			qcols[i] = queryCol{prof: r.cols[i].ps.Profile(v)}
-		default:
-			qcols[i] = queryCol{raw: v}
-		}
+		sim.QueryInto(r.cols[i].ps, q.Attr(attr), &profs[i], &scratch.sc)
 	}
 	sp.Mark(stageProfile)
 	//moma:noalloc-ok the candidate closure is stack-allocated: EachCandidate does not retain it (pinned by TestResolveAppendZeroAllocs)
@@ -332,11 +303,7 @@ func (r *Resolver) resolveLocked(q *model.Instance, asMember bool, dst []Match) 
 		var sum float64
 		for i := range r.cols {
 			c := &r.cols[i]
-			if c.ps != nil {
-				sum += c.w * c.ps.Compare(qcols[i].prof, c.profs[ord])
-			} else {
-				sum += c.w * c.cfg.Sim(qcols[i].raw, c.raws[ord])
-			}
+			sum += c.w * c.ps.Compare(&profs[i], c.profs[ord])
 		}
 		if s := sum / r.totalW; s >= r.cfg.Threshold {
 			sp.Kept++
@@ -471,9 +438,7 @@ func (r *Resolver) addLocked(in *model.Instance, bulk bool) {
 				continue
 			}
 		}
-		if c.ps != nil {
-			c.profs[slot] = c.ps.Profile(v)
-		}
+		c.profs[slot] = sim.NewProfile(c.ps, v)
 	}
 }
 
@@ -589,7 +554,7 @@ func (r *Resolver) dropSlotLocked(slot int, reprofile bool) {
 func (r *Resolver) reprofileLocked(c *colState) {
 	for slot := range c.profs {
 		if r.alive[slot] {
-			c.profs[slot] = c.ps.Profile(c.raws[slot])
+			c.profs[slot] = sim.NewProfile(c.ps, c.raws[slot])
 		}
 	}
 }

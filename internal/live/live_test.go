@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/mapping"
 	"repro/internal/match"
 	"repro/internal/model"
 	"repro/internal/race"
@@ -108,6 +109,33 @@ func TestResolveMatchesBatch(t *testing.T) {
 	}
 	if !reflect.DeepEqual(online.Correspondences(), batch.Correspondences()) {
 		t.Fatalf("online mapping diverges from batch:\nonline %v\nbatch  %v", online, batch)
+	}
+}
+
+// TestResolveAdapterParity pins the one scoring path online: a column
+// configured with a closure around a built-in scores through the adapter and
+// resolves to the exact mapping — similarities and insertion order — the
+// built-in measure resolves to, queries without the attribute included.
+func TestResolveAdapterParity(t *testing.T) {
+	queries, set := syntheticSets(120)
+	queries.AddNew("d-untitled", map[string]string{"authors": "author a thor"})
+	resolve := func(title sim.Func) []mapping.Correspondence {
+		cfg := testConfig()
+		cfg.Columns[0].Sim = title
+		r, err := NewResolver(set, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := r.ResolveSet(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Correspondences()
+	}
+	builtin := resolve(sim.Trigram)
+	adapter := resolve(func(a, b string) float64 { return sim.Trigram(a, b) })
+	if !reflect.DeepEqual(adapter, builtin) {
+		t.Fatalf("adapter column diverges from the built-in:\nadapter %v\nbuiltin %v", adapter, builtin)
 	}
 }
 
@@ -574,8 +602,9 @@ func TestConcurrentResolveAdd(t *testing.T) {
 }
 
 // TestResolveAppendZeroAllocs pins the serving-path contract: with every
-// column on an in-place profiled measure (trigram, token Jaccard, year — as
-// in testConfig) and a reused dst, a warm ResolveAppend performs zero heap
+// column on a measure that keeps no strings and allocates nothing in Compare
+// (trigram, token Jaccard, year — as in testConfig — plus a rune measure,
+// Affix) and a reused dst, a warm ResolveAppend performs zero heap
 // allocations. This is the runtime twin of the //moma:noalloc annotation on
 // resolveLocked.
 func TestResolveAppendZeroAllocs(t *testing.T) {
@@ -583,7 +612,9 @@ func TestResolveAppendZeroAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	queries, set := syntheticSets(120)
-	r, err := NewResolver(set, testConfig())
+	cfg := testConfig()
+	cfg.Columns = append(cfg.Columns, Column{QueryAttr: "title", SetAttr: "name", Sim: sim.Affix, Weight: 1})
+	r, err := NewResolver(set, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,13 +19,12 @@ type Attribute struct {
 	MatcherName string
 	// AttrA and AttrB name the attributes on the two inputs.
 	AttrA, AttrB string
-	// Sim scores an attribute-value pair. Built-in functions are upgraded
-	// automatically to their profiled form (sim.ProfiledOf), which
-	// preprocesses each attribute value once instead of once per pair.
+	// Sim names the measure by its string function; the matcher scores
+	// through sim.ProfiledOf(Sim), which for a built-in preprocesses each
+	// attribute value once instead of once per pair.
 	Sim sim.Func
-	// Profiled, when set, overrides the automatic upgrade with an explicit
-	// profile-based measure (e.g. (*sim.TFIDF).Profiled). Sim may then be
-	// nil.
+	// Profiled, when set, is the measure itself and Sim is ignored — the way
+	// to pass one that no Func names (e.g. (*sim.TFIDF).Profiled).
 	Profiled sim.ProfiledSim
 	// Threshold is the minimum similarity for a correspondence.
 	Threshold float64
@@ -64,47 +63,24 @@ func (m *Attribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 	if m.Sim == nil && m.Profiled == nil {
 		return nil, fmt.Errorf("match: %s has no similarity function", m.Name())
 	}
+	ps := measure(m.Sim, m.Profiled)
 	stream, ords := candidateStream(m.Blocker, a, b)
-	var score func(block.Pair) (float64, bool)
-	if ps := m.profiledSim(); ps != nil {
-		// Profiled path: preprocess each attribute value once (O(n+m)),
-		// then score pairs over read-only dense profile columns. When the
-		// blocker carries ObjectSet ordinals in its pairs (all built-ins do),
-		// the columns are read directly by Pair.OrdA/OrdB — no per-pair map
-		// lookup at all.
-		profA := profileColumn(a, m.AttrA, ps)
-		profB := profileColumn(b, m.AttrB, ps)
-		// Blockers may emit IDs absent from the inputs; the string path
-		// scored those as "" (nil-safe Instance.Attr), so mirror that.
-		empty := ps.Profile("")
-		score = func(p block.Pair) (float64, bool) {
-			pa, pb := empty, empty
-			if ords {
-				pa, pb = profA[p.OrdA], profB[p.OrdB]
-			} else {
-				if i := a.IndexOf(p.A); i >= 0 {
-					pa = profA[i]
-				}
-				if j := b.IndexOf(p.B); j >= 0 {
-					pb = profB[j]
-				}
-			}
-			if m.SkipMissing && (pa.Raw == "" || pb.Raw == "") {
-				return 0, false
-			}
-			s := ps.Compare(pa, pb)
-			return s, s >= m.Threshold
+	// Preprocess each attribute value once (O(n+m)), then score pairs over
+	// read-only dense profile columns. When the blocker carries ObjectSet
+	// ordinals in its pairs (all built-ins do), the columns are read directly
+	// by Pair.OrdA/OrdB — no per-pair map lookup at all.
+	col := newScoreColumn(a, b, m.AttrA, m.AttrB, ps)
+	score := func(p block.Pair) (float64, bool) {
+		ia, ib := p.OrdA, p.OrdB
+		if !ords {
+			ia, ib = a.IndexOf(p.A), b.IndexOf(p.B)
 		}
-	} else {
-		score = func(p block.Pair) (float64, bool) {
-			va := a.Get(p.A).Attr(m.AttrA)
-			vb := b.Get(p.B).Attr(m.AttrB)
-			if m.SkipMissing && (va == "" || vb == "") {
-				return 0, false
-			}
-			s := m.Sim(va, vb)
-			return s, s >= m.Threshold
+		pa, pb := col.at(ia, ib)
+		if m.SkipMissing && (pa.Raw == "" || pb.Raw == "") {
+			return 0, false
 		}
+		s := ps.Compare(pa, pb)
+		return s, s >= m.Threshold
 	}
 	out := mapping.NewSame(a.LDS(), b.LDS())
 	streamScore(stream, m.Workers, score, ordinalEmit(out, a, b, ords))
@@ -128,15 +104,45 @@ func ordinalEmit(out *mapping.Mapping, a, b *model.ObjectSet, ords bool) func(bl
 	}
 }
 
-// profiledSim resolves the profile-based form of the configured measure:
-// the explicit Profiled field if set, otherwise the automatic upgrade of a
-// built-in Sim. Nil means the string-based fallback.
-func (m *Attribute) profiledSim() sim.ProfiledSim {
-	if m.Profiled != nil {
-		return m.Profiled
+// measure resolves a matcher configuration's measure: the explicit Profiled
+// value if set, otherwise the measure behind Sim.
+func measure(fn sim.Func, explicit sim.ProfiledSim) sim.ProfiledSim {
+	if explicit != nil {
+		return explicit
 	}
-	ps, _ := sim.ProfiledOf(m.Sim)
-	return ps
+	return sim.ProfiledOf(fn)
+}
+
+// scoreColumn is one attribute comparison ready to score: the measure's
+// profile columns of both inputs, aligned with ObjectSet ordinals.
+type scoreColumn struct {
+	ps           sim.ProfiledSim
+	profA, profB []*sim.Profile
+	// empty stands in for ids absent from the inputs, which blockers may
+	// emit: they score as the empty value.
+	empty *sim.Profile
+}
+
+func newScoreColumn(a, b *model.ObjectSet, attrA, attrB string, ps sim.ProfiledSim) scoreColumn {
+	return scoreColumn{
+		ps:    ps,
+		profA: profileColumn(a, attrA, ps),
+		profB: profileColumn(b, attrB, ps),
+		empty: sim.NewProfile(ps, ""),
+	}
+}
+
+// at returns the profiles at the two ordinals; a negative ordinal (IndexOf
+// of an id absent from the input) reads as the empty value.
+func (c *scoreColumn) at(ia, ib int) (pa, pb *sim.Profile) {
+	pa, pb = c.empty, c.empty
+	if ia >= 0 {
+		pa = c.profA[ia]
+	}
+	if ib >= 0 {
+		pb = c.profB[ib]
+	}
+	return pa, pb
 }
 
 // candidateStream resolves the blocker (nil means cross product) into a
@@ -195,25 +201,17 @@ func profileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim) []*sim
 	return col
 }
 
-// buildProfileColumn does the actual profile build. When token blocking
-// already tokenized this attribute of this set and the measure can profile
-// from tokens, the interned slices are reused instead of re-tokenizing. The
-// array is never mutated after this returns, so readers need no locks.
+// buildProfileColumn does the actual profile build: one scratch and one
+// backing array of profiles per column. The array is never mutated after
+// this returns, so readers need no locks.
 func buildProfileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim) []*sim.Profile {
-	var toks block.Tokens
-	tp, reuse := ps.(sim.TokenProfiler)
-	if reuse {
-		toks, _ = block.LookupTokens(set, attr)
-	}
-	out := make([]*sim.Profile, 0, set.Len())
+	profs := make([]sim.Profile, set.Len())
+	out := make([]*sim.Profile, 0, len(profs))
+	var sc sim.Scratch
 	set.Each(func(in *model.Instance) bool {
-		// toks, when found, is aligned with the set's ordinals; a nil entry
-		// is a value without tokens.
-		if ord := len(out); toks != nil && toks[ord] != nil {
-			out = append(out, tp.ProfileTokens(in.Attr(attr), toks[ord]))
-		} else {
-			out = append(out, ps.Profile(in.Attr(attr)))
-		}
+		p := &profs[len(out)]
+		ps.ProfileInto(in.Attr(attr), p, &sc)
+		out = append(out, p)
 		return true
 	})
 	return out
@@ -223,9 +221,9 @@ func buildProfileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim) [
 // matcher.
 type AttrPair struct {
 	AttrA, AttrB string
-	// Sim scores the pair; built-ins are upgraded via sim.ProfiledOf.
-	Sim sim.Func
-	// Profiled optionally overrides the upgrade (see Attribute.Profiled).
+	// Sim names the measure; Profiled, when set, is the measure itself (see
+	// Attribute).
+	Sim      sim.Func
 	Profiled sim.ProfiledSim
 	Weight   float64
 }
@@ -272,65 +270,24 @@ func (m *MultiAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 	if totalWeight == 0 {
 		return nil, fmt.Errorf("match: %s has zero total weight", m.Name())
 	}
-	stream, ords := candidateStream(m.Blocker, a, b)
-	// One profile column per attribute pair whose measure has a profiled
-	// form; pairs without one fall back to the string path in place. The
-	// columns are dense arrays aligned with ObjectSet ordinals, so each
-	// scored pair resolves its ordinals once and reads k columns by index.
-	type column struct {
-		ps           sim.ProfiledSim
-		profA, profB []*sim.Profile
-		empty        *sim.Profile
-	}
-	cols := make([]column, len(m.Pairs))
+	// One pair of profile columns per attribute pair: dense arrays aligned
+	// with ObjectSet ordinals, so each scored pair resolves its ordinals once
+	// and reads k columns by index.
+	cols := make([]scoreColumn, len(m.Pairs))
 	for i, ap := range m.Pairs {
-		ps := ap.Profiled
-		if ps == nil {
-			ps, _ = sim.ProfiledOf(ap.Sim)
-		}
-		if ps != nil {
-			cols[i] = column{
-				ps:    ps,
-				profA: profileColumn(a, ap.AttrA, ps),
-				profB: profileColumn(b, ap.AttrB, ps),
-				empty: ps.Profile(""),
-			}
-		}
+		cols[i] = newScoreColumn(a, b, ap.AttrA, ap.AttrB, measure(ap.Sim, ap.Profiled))
 	}
-	hasProfiled := false
-	for i := range cols {
-		if cols[i].ps != nil {
-			hasProfiled = true
-			break
-		}
-	}
+	stream, ords := candidateStream(m.Blocker, a, b)
 	score := func(p block.Pair) (float64, bool) {
-		ia, ib := -1, -1
-		if hasProfiled {
-			if ords {
-				ia, ib = p.OrdA, p.OrdB
-			} else {
-				ia, ib = a.IndexOf(p.A), b.IndexOf(p.B)
-			}
+		ia, ib := p.OrdA, p.OrdB
+		if !ords {
+			ia, ib = a.IndexOf(p.A), b.IndexOf(p.B)
 		}
-		var insA, insB *model.Instance
 		var sum float64
-		for i, ap := range m.Pairs {
-			if c := &cols[i]; c.ps != nil {
-				pa, pb := c.empty, c.empty
-				if ia >= 0 {
-					pa = c.profA[ia]
-				}
-				if ib >= 0 {
-					pb = c.profB[ib]
-				}
-				sum += ap.Weight * c.ps.Compare(pa, pb)
-				continue
-			}
-			if insA == nil {
-				insA, insB = a.Get(p.A), b.Get(p.B)
-			}
-			sum += ap.Weight * ap.Sim(insA.Attr(ap.AttrA), insB.Attr(ap.AttrB))
+		for i := range cols {
+			c := &cols[i]
+			pa, pb := c.at(ia, ib)
+			sum += m.Pairs[i].Weight * c.ps.Compare(pa, pb)
 		}
 		s := sum / totalWeight
 		return s, s >= m.Threshold
@@ -382,7 +339,6 @@ func (m *TFIDFAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 		MatcherName: m.Name(),
 		AttrA:       m.AttrA,
 		AttrB:       m.AttrB,
-		Sim:         corpus.Cosine,
 		Profiled:    corpus.Profiled(),
 		Threshold:   m.Threshold,
 		Blocker:     m.Blocker,

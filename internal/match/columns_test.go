@@ -35,10 +35,7 @@ func (p profileTraffic) since() profileTraffic {
 
 func TestProfileColumnHitsAndInvalidation(t *testing.T) {
 	set := profColumnSet(10)
-	ps, ok := sim.ProfiledOf(sim.Trigram)
-	if !ok {
-		t.Fatal("Trigram has no profiled twin")
-	}
+	ps := sim.ProfiledOf(sim.Trigram)
 	t0 := profileTrafficNow()
 	c1 := profileColumn(set, "title", ps)
 	c2 := profileColumn(set, "title", ps)
@@ -50,7 +47,7 @@ func TestProfileColumnHitsAndInvalidation(t *testing.T) {
 	}
 
 	// A different measure keys a different column.
-	ps2, _ := sim.ProfiledOf(sim.Bigram)
+	ps2 := sim.ProfiledOf(sim.Bigram)
 	profileColumn(set, "title", ps2)
 	if c := profileColumn(set, "title", ps); &c[0] != &c1[0] {
 		t.Fatal("a distinct measure must not displace the first column")
@@ -116,12 +113,14 @@ type uncomparableSim struct {
 	pad   []int
 }
 
-func (u uncomparableSim) Profile(s string) *sim.Profile     { return u.inner.Profile(s) }
+func (u uncomparableSim) ProfileInto(s string, p *sim.Profile, sc *sim.Scratch) {
+	u.inner.ProfileInto(s, p, sc)
+}
 func (u uncomparableSim) Compare(a, b *sim.Profile) float64 { return u.inner.Compare(a, b) }
 
 func TestProfileColumnSkipsUncomparableMeasures(t *testing.T) {
 	set := profColumnSet(5)
-	inner, _ := sim.ProfiledOf(sim.Trigram)
+	inner := sim.ProfiledOf(sim.Trigram)
 	ps := uncomparableSim{inner: inner, pad: []int{1}}
 	t0 := profileTrafficNow()
 	c1 := profileColumn(set, "title", ps)
@@ -158,14 +157,12 @@ func TestMatchersShareProfileColumns(t *testing.T) {
 	}
 }
 
-// TestProfileBuildReusesBlockingTokens pins the one piece of sharing between
-// blocking and scoring: a token measure behind token blocking on the same
-// attribute tokenizes each side once. The token column is built by the
-// blocker (one miss per side, ever) and the profile build only looks it up —
-// so the global term dictionary grows by exactly the fixture's new tokens,
-// as it did when the column was threaded from blocker to profile build by
-// hand.
-func TestProfileBuildReusesBlockingTokens(t *testing.T) {
+// TestTokenMeasureBehindTokenBlocking pins what blocking and scoring share
+// when a token measure sits behind token blocking on the same attribute: the
+// token column is the blocker's (one build per side, ever), the profile
+// build tokenizes for itself, and both intern the same tokens — so the
+// global term dictionary grows by exactly the fixture's new tokens.
+func TestTokenMeasureBehindTokenBlocking(t *testing.T) {
 	a := model.NewObjectSet(model.LDS{Source: "RA", Type: model.Publication})
 	b := model.NewObjectSet(model.LDS{Source: "RB", Type: model.Publication})
 	for i := 0; i < 8; i++ {
@@ -207,18 +204,17 @@ func TestProfileBuildReusesBlockingTokens(t *testing.T) {
 		t.Fatalf("term dictionary grew by %d, want the fixture's %d new tokens", got, distinctTokens)
 	}
 
-	// A second token measure misses on its profile columns and builds them
-	// from the kept token columns: two lookups and the blocker's two fetches
-	// hit, nothing is tokenized again.
+	// A second token measure builds its own profile columns; the blocker's
+	// two token-column fetches hit and nothing new is interned.
 	hits1 := tokHits.Load()
 	dice := &Attribute{AttrA: "title", AttrB: "title", Sim: sim.TokenDice, Threshold: 0.5, Blocker: bl, Workers: 1}
 	if _, err := dice.Match(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := tokHits.Load()-hits1, tokMisses.Load()-misses0; hits != 4 || misses != 2 {
-		t.Fatalf("second token measure: +%d token hits (want 4), %d misses in total (want 2)", hits, misses)
+	if hits, misses := tokHits.Load()-hits1, tokMisses.Load()-misses0; hits != 2 || misses != 2 {
+		t.Fatalf("second token measure: +%d token hits (want 2), %d misses in total (want 2)", hits, misses)
 	}
 	if sim.Terms.Len()-terms != distinctTokens {
-		t.Fatal("reusing the token column must not intern anything")
+		t.Fatal("a second measure over the same values must not intern anything")
 	}
 }

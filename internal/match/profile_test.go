@@ -53,81 +53,96 @@ func mappingsEqual(t *testing.T, got, want *mapping.Mapping, label string) {
 	}
 }
 
-// unprofiledSim wraps a built-in so sim.ProfiledOf cannot recognize it,
-// forcing the string-based fallback path.
+// unprofiledSim hides a built-in behind a closure, so sim.ProfiledOf hands
+// back the opaque-Func adapter instead of the built-in measure.
 func unprofiledSim(fn sim.Func) sim.Func {
 	return func(a, b string) float64 { return fn(a, b) }
 }
 
-// TestAttributeProfiledMatchesFallback asserts the automatically-profiled
-// matcher returns the exact mapping of the string-based path.
-func TestAttributeProfiledMatchesFallback(t *testing.T) {
-	a, b := syntheticPubs(120)
-	blocker := block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2}
-	for _, fn := range []struct {
-		name string
-		sim  sim.Func
-	}{
-		{"Trigram", sim.Trigram},
-		{"TokenJaccard", sim.TokenJaccard},
-		{"Levenshtein", sim.Levenshtein},
-		{"PersonName", sim.PersonName},
+// withMissing adds instances without the matched attributes to both sides,
+// so SkipMissing has something to skip.
+func withMissing(a, b *model.ObjectSet) {
+	a.AddNew("d-untitled", map[string]string{"authors": "A. Thor"})
+	a.AddNew("d-blank", map[string]string{"title": "", "year": "2001"})
+	b.AddNew("a-untitled", map[string]string{"authors": "Andreas Thor"})
+}
+
+// TestAttributeAdapterParity pins the one scoring path: a matcher configured
+// with a closure around a built-in scores through the adapter and must emit
+// the exact mapping — similarities and insertion order — the built-in
+// measure emits, with and without SkipMissing, behind a token blocker and
+// behind a blocker that emits missing values and ids absent from the inputs.
+func TestAttributeAdapterParity(t *testing.T) {
+	a, b := syntheticPubs(40)
+	withMissing(a, b)
+	for _, bl := range []block.Blocker{
+		block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
+		alienBlocker{},
 	} {
-		profiled := &Attribute{
-			MatcherName: fn.name, AttrA: "title", AttrB: "name",
-			Sim: fn.sim, Threshold: 0.3, Blocker: blocker,
+		for _, skip := range []bool{false, true} {
+			for _, fn := range []struct {
+				name string
+				sim  sim.Func
+			}{
+				{"Trigram", sim.Trigram},
+				{"TokenJaccard", sim.TokenJaccard},
+				{"Levenshtein", sim.Levenshtein},
+				{"PersonName", sim.PersonName},
+			} {
+				build := func(f sim.Func) *Attribute {
+					return &Attribute{
+						MatcherName: fn.name, AttrA: "title", AttrB: "name",
+						Sim: f, Threshold: 0.3, Blocker: bl, SkipMissing: skip,
+					}
+				}
+				builtin, err := build(fn.sim).Match(a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				adapter, err := build(unprofiledSim(fn.sim)).Match(a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mappingsIdentical(t, adapter, builtin, fmt.Sprintf("%s behind %s, SkipMissing=%v", fn.name, bl, skip))
+			}
 		}
-		fallback := &Attribute{
-			MatcherName: fn.name, AttrA: "title", AttrB: "name",
-			Sim: unprofiledSim(fn.sim), Threshold: 0.3, Blocker: blocker,
-		}
-		mp, err := profiled.Match(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mf, err := fallback.Match(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mappingsEqual(t, mp, mf, fn.name)
 	}
 }
 
-// TestMultiAttributeProfiledMatchesFallback covers the weighted combination
-// with a mix of profiled and fallback pair measures.
-func TestMultiAttributeProfiledMatchesFallback(t *testing.T) {
-	a, b := syntheticPubs(120)
-	blocker := block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2}
-	pairs := func(wrap bool) []AttrPair {
-		w := func(fn sim.Func) sim.Func {
-			if wrap {
-				return unprofiledSim(fn)
-			}
-			return fn
-		}
+// TestMultiAttributeAdapterParity covers the weighted combination with
+// adapter and built-in pairs mixed, including ids absent from the inputs.
+func TestMultiAttributeAdapterParity(t *testing.T) {
+	a, b := syntheticPubs(40)
+	withMissing(a, b)
+	pairs := func(wrap func(sim.Func) sim.Func) []AttrPair {
 		return []AttrPair{
-			{AttrA: "title", AttrB: "name", Sim: w(sim.Trigram), Weight: 3},
-			{AttrA: "authors", AttrB: "authors", Sim: w(sim.TokenDice), Weight: 1},
-			{AttrA: "year", AttrB: "year", Sim: w(sim.YearSim), Weight: 2},
+			{AttrA: "title", AttrB: "name", Sim: wrap(sim.Trigram), Weight: 3},
+			{AttrA: "authors", AttrB: "authors", Sim: sim.TokenDice, Weight: 1},
+			{AttrA: "year", AttrB: "year", Sim: wrap(sim.YearSim), Weight: 2},
 		}
 	}
-	profiled := &MultiAttribute{MatcherName: "multi", Pairs: pairs(false), Threshold: 0.4, Blocker: blocker}
-	fallback := &MultiAttribute{MatcherName: "multi", Pairs: pairs(true), Threshold: 0.4, Blocker: blocker}
-	mp, err := profiled.Match(a, b)
-	if err != nil {
-		t.Fatal(err)
+	for _, bl := range []block.Blocker{
+		block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
+		alienBlocker{},
+	} {
+		build := func(wrap func(sim.Func) sim.Func) *MultiAttribute {
+			return &MultiAttribute{MatcherName: "multi", Pairs: pairs(wrap), Threshold: 0.4, Blocker: bl}
+		}
+		builtin, err := build(func(f sim.Func) sim.Func { return f }).Match(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adapter, err := build(unprofiledSim).Match(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mappingsIdentical(t, adapter, builtin, fmt.Sprintf("multi behind %s", bl))
 	}
-	mf, err := fallback.Match(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mappingsEqual(t, mp, mf, "multi")
 }
 
 // alienBlocker emits pairs whose IDs are absent from the inputs, the way a
-// stale pair cache would; the string path scored those as "" via the
-// nil-safe Instance.Attr, and the profiled path must mirror that instead
-// of dereferencing a missing profile.
+// stale pair cache would; they score as the empty value instead of
+// dereferencing a missing profile.
 type alienBlocker struct{}
 
 func (alienBlocker) PairsEach(a, b *model.ObjectSet, yield func(block.Pair) bool) {
@@ -143,37 +158,6 @@ func (alienBlocker) PairsEach(a, b *model.ObjectSet, yield func(block.Pair) bool
 }
 
 func (alienBlocker) String() string { return "alien" }
-
-// TestAttributeProfiledAlienBlockerIDs asserts blocker-emitted unknown IDs
-// score like empty values on both the profiled and fallback paths.
-func TestAttributeProfiledAlienBlockerIDs(t *testing.T) {
-	a, b := syntheticPubs(10)
-	build := func(fn sim.Func) *Attribute {
-		return &Attribute{
-			MatcherName: "alien", AttrA: "title", AttrB: "name",
-			Sim: fn, Threshold: 0.3, Blocker: alienBlocker{},
-		}
-	}
-	mp, err := build(sim.Trigram).Match(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mf, err := build(unprofiledSim(sim.Trigram)).Match(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mappingsEqual(t, mp, mf, "alien ids")
-
-	multi := &MultiAttribute{
-		MatcherName: "alien-multi",
-		Pairs:       []AttrPair{{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Weight: 1}},
-		Threshold:   0.3,
-		Blocker:     alienBlocker{},
-	}
-	if _, err := multi.Match(a, b); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestAttributeProfiledParallelRace runs the profiled matchers with many
 // workers over a blocked candidate set; under -race this proves the shared
@@ -232,9 +216,8 @@ func TestMultiAttributeProfiledParallelRace(t *testing.T) {
 	mappingsEqual(t, mpar, ms, "multiattribute workers=8")
 }
 
-// TestTFIDFAttributeParallelRace exercises the TF-IDF matcher whose string
-// path shares a vector cache between workers (mutex-guarded) and whose
-// profiled path shares read-only profiles.
+// TestTFIDFAttributeParallelRace exercises the TF-IDF matcher, whose workers
+// share read-only profiles over one corpus.
 func TestTFIDFAttributeParallelRace(t *testing.T) {
 	a, b := syntheticPubs(150)
 	build := func(workers int) *TFIDFAttribute {

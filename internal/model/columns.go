@@ -37,14 +37,6 @@ func Column[T any](s *ObjectSet, key any, build func() T) (col T, hit bool) {
 	return s.cols.put(key, ver, build()).(T), false
 }
 
-// LookupColumn is Column without the build: ok is false when the store has
-// no column under key for the set's current version.
-func LookupColumn[T any](s *ObjectSet, key any) (col T, ok bool) {
-	v, ok := s.cols.get(key, s.version)
-	col, _ = v.(T)
-	return col, ok
-}
-
 func (c *columns) get(key any, ver uint64) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

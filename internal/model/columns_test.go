@@ -17,6 +17,14 @@ var countedInvalidations int
 
 func (countedKey) Invalidated() { countedInvalidations++ }
 
+// LookupColumn is Column without the build: ok is false when the store has
+// no column under key for the set's current version.
+func LookupColumn[T any](s *ObjectSet, key any) (col T, ok bool) {
+	v, ok := s.cols.get(key, s.version)
+	col, _ = v.(T)
+	return col, ok
+}
+
 func TestColumnBuildsOncePerVersion(t *testing.T) {
 	set := NewObjectSet(LDS{Source: "S", Type: Publication})
 	set.AddNew("x", nil)

@@ -50,26 +50,10 @@ func editDistanceRunes(ra, rb []rune) int {
 
 // Levenshtein is the normalized edit similarity
 // 1 - dist(a', b') / max(len(a'), len(b')) over normalized strings.
-func Levenshtein(a, b string) float64 {
-	ra, rb := []rune(Normalize(a)), []rune(Normalize(b))
-	if len(ra) == 0 && len(rb) == 0 {
-		return 1
-	}
-	maxLen := len(ra)
-	if len(rb) > maxLen {
-		maxLen = len(rb)
-	}
-	if maxLen == 0 {
-		return 1
-	}
-	return clamp01(1 - float64(editDistanceRunes(ra, rb))/float64(maxLen))
-}
+func Levenshtein(a, b string) float64 { return compare(levenshtein, a, b) }
 
 // Jaro computes the Jaro similarity over normalized strings.
-func Jaro(a, b string) float64 {
-	ra, rb := []rune(Normalize(a)), []rune(Normalize(b))
-	return jaroRunes(ra, rb)
-}
+func Jaro(a, b string) float64 { return compare(jaro, a, b) }
 
 func jaroRunes(ra, rb []rune) float64 {
 	la, lb := len(ra), len(rb)
@@ -134,9 +118,7 @@ func jaroRunes(ra, rb []rune) float64 {
 
 // JaroWinkler boosts Jaro similarity for strings sharing a common prefix of
 // up to 4 runes, with the standard scaling factor p = 0.1.
-func JaroWinkler(a, b string) float64 {
-	return jaroWinklerRunes([]rune(Normalize(a)), []rune(Normalize(b)))
-}
+func JaroWinkler(a, b string) float64 { return compare(jaroWinkler, a, b) }
 
 // jaroWinklerRunes is JaroWinkler over pre-normalized rune slices.
 func jaroWinklerRunes(ra, rb []rune) float64 {
@@ -188,6 +170,4 @@ func symMongeElkanTokens(ta, tb []string, inner Func) float64 {
 
 // MongeElkanJaroWinkler is the symmetric Monge-Elkan with Jaro-Winkler as
 // the inner measure, a strong default for multi-token names.
-func MongeElkanJaroWinkler(a, b string) float64 {
-	return SymMongeElkan(a, b, JaroWinkler)
-}
+func MongeElkanJaroWinkler(a, b string) float64 { return compare(mongeElkan, a, b) }

@@ -24,9 +24,9 @@ package sim
 // values still intern into Terms.
 //
 // Only writes intern. Read-side traffic — index probes (LookupTokenIDs)
-// and query-record profiling (QueryProfiler.ProfileQuery) — looks tokens up
-// without assigning IDs, so dictionaries grow with the data stored, never
-// with the queries asked.
+// and query-record profiling (QueryInto) — looks tokens up without
+// assigning IDs, so dictionaries grow with the data stored, never with the
+// queries asked.
 //
 // # ID stability
 //
@@ -232,20 +232,6 @@ func (d *Dict) InternTokens(toks []string) []uint32 {
 	out := make([]uint32, len(toks))
 	for i, tok := range toks {
 		out[i] = d.ID(tok)
-	}
-	return out
-}
-
-// Strs resolves a slice of IDs back to their strings — the boundary from
-// ID-carrying columns to measures that need character access (Monge-Elkan,
-// PersonName token sequences).
-func (d *Dict) Strs(ids []uint32) []string {
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = d.Str(id)
 	}
 	return out
 }

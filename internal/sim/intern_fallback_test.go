@@ -6,33 +6,33 @@ import (
 )
 
 // TestProfiledFallbacksDoNotIntern pins the guarantee the dictgrowth
-// suppression in live.resolveLocked relies on: every built-in profiled
-// measure that does NOT implement QueryProfiler has a Profile stage that
-// never interns into the global Terms dictionary. The live resolver's
-// fallback branch calls Profile directly on query records for exactly
-// these measures, so if one of them started interning, an unbounded query
-// stream would grow Terms without bound.
+// suppression in QueryInto relies on: every built-in measure that does NOT
+// implement QueryProfiler has a ProfileInto that never interns into the
+// global Terms dictionary. QueryInto calls ProfileInto on query records for
+// exactly these measures, so if one of them started interning, an unbounded
+// query stream would grow Terms without bound.
 func TestProfiledFallbacksDoNotIntern(t *testing.T) {
 	if len(profiledByFunc) == 0 {
-		t.Fatal("no built-in profiled measures registered")
+		t.Fatal("no built-in measures registered")
 	}
 	checked := 0
+	var p Profile
+	var sc Scratch
 	for _, ps := range profiledByFunc {
 		if _, ok := ps.(QueryProfiler); ok {
-			continue // read paths profile these via ProfileQuery; covered elsewhere
+			continue // QueryInto profiles these via ProfileQueryInto; covered by the fuzz test
 		}
 		checked++
 		before := Terms.Len()
 		// Values no test or fixture has ever interned: growth is attributable.
 		for i := 0; i < 4; i++ {
-			v := fmt.Sprintf("zz-fallback-probe-%T-%d unseen token", ps, i)
-			_ = ps.Profile(v)
+			QueryInto(ps, fmt.Sprintf("zz-fallback-probe-%T-%d unseen token", ps, i), &p, &sc)
 		}
 		if after := Terms.Len(); after != before {
-			t.Errorf("%T.Profile interned %d term(s); non-QueryProfiler measures must stay dictionary-free or gain a ProfileQuery", ps, after-before)
+			t.Errorf("%T.ProfileInto interned %d term(s); measures without ProfileQueryInto must stay dictionary-free or gain one", ps, after-before)
 		}
 	}
 	if checked == 0 {
-		t.Fatal("every registered measure implements QueryProfiler; the live fallback branch is dead and its //moma:dictgrowth-ok should be removed")
+		t.Fatal("every registered measure implements QueryProfiler; QueryInto's fallback is dead and its //moma:dictgrowth-ok should be removed")
 	}
 }

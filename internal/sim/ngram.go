@@ -1,155 +1,43 @@
 package sim
 
-// Character n-gram measures. The paper's evaluation uses "string (trigram)
-// matching" for publication titles and author names (§5.2); we implement the
-// standard Dice coefficient over padded character n-gram sets, plus a
+// Character n-gram and affix measures. The paper's evaluation uses "string
+// (trigram) matching" for publication titles and author names (§5.2): the
+// Dice coefficient over padded character n-gram sets (ngramProfiled), plus a
 // Jaccard variant.
-
-// paddedRunes returns the rune sequence of an already-normalized string
-// padded with n-1 leading and trailing sentinels so that prefixes and
-// suffixes carry weight. Shared by the string-gram and hashed-gram paths.
-func paddedRunes(norm string, n int) []rune {
-	pad := make([]rune, 0, len(norm)+2*(n-1))
-	for i := 0; i < n-1; i++ {
-		pad = append(pad, '\x01')
-	}
-	pad = append(pad, []rune(norm)...)
-	for i := 0; i < n-1; i++ {
-		pad = append(pad, '\x02')
-	}
-	return pad
-}
-
-// ngrams returns the set (deduplicated) of character n-grams of the
-// normalized string, padded with n-1 leading and trailing sentinels so that
-// prefixes and suffixes carry weight. Returns nil for empty input.
-func ngrams(s string, n int) []string {
-	if n < 1 {
-		return nil
-	}
-	norm := Normalize(s)
-	if norm == "" {
-		return nil
-	}
-	pad := paddedRunes(norm, n)
-	if len(pad) < n {
-		return nil
-	}
-	grams := make([]string, 0, len(pad)-n+1)
-	for i := 0; i+n <= len(pad); i++ {
-		grams = append(grams, string(pad[i:i+n]))
-	}
-	return uniqueSorted(grams)
-}
 
 // NGramDice is the Dice coefficient 2·|A∩B| / (|A|+|B|) over character
 // n-gram sets. Two empty strings are identical (1); one empty string never
 // matches (0).
 func NGramDice(a, b string, n int) float64 {
-	ga, gb := ngrams(a, n), ngrams(b, n)
-	if len(ga) == 0 && len(gb) == 0 {
-		return 1
-	}
-	if len(ga) == 0 || len(gb) == 0 {
-		return 0
-	}
-	return clamp01(2 * float64(overlap(ga, gb)) / float64(len(ga)+len(gb)))
+	return compare(ngramProfiled{n: n, dice: true}, a, b)
 }
 
 // NGramJaccard is |A∩B| / |A∪B| over character n-gram sets.
 func NGramJaccard(a, b string, n int) float64 {
-	ga, gb := ngrams(a, n), ngrams(b, n)
-	if len(ga) == 0 && len(gb) == 0 {
-		return 1
-	}
-	if len(ga) == 0 || len(gb) == 0 {
-		return 0
-	}
-	inter := overlap(ga, gb)
-	union := len(ga) + len(gb) - inter
-	return clamp01(float64(inter) / float64(union))
+	return compare(ngramProfiled{n: n}, a, b)
 }
 
 // Trigram is the Dice coefficient over character trigrams, the measure the
 // paper's evaluation scripts call "Trigram".
-func Trigram(a, b string) float64 { return NGramDice(a, b, 3) }
+func Trigram(a, b string) float64 { return compare(trigram, a, b) }
 
 // Bigram is the Dice coefficient over character bigrams.
-func Bigram(a, b string) float64 { return NGramDice(a, b, 2) }
+func Bigram(a, b string) float64 { return compare(bigram, a, b) }
 
 // TrigramJaccard is the Jaccard coefficient over character trigrams, the
 // registry's "NGramJaccard" measure.
-func TrigramJaccard(a, b string) float64 { return NGramJaccard(a, b, 3) }
+func TrigramJaccard(a, b string) float64 { return compare(trigramJaccard, a, b) }
 
 // Affix scores the longest common prefix and suffix of the normalized
 // strings relative to the shorter length:
 // max(lcp, lcs) / min(len(a), len(b)). It captures abbreviation-style
 // matches like "SIGMOD Rec." vs "SIGMOD Record".
-func Affix(a, b string) float64 {
-	ra, rb := []rune(Normalize(a)), []rune(Normalize(b))
-	if len(ra) == 0 && len(rb) == 0 {
-		return 1
-	}
-	if len(ra) == 0 || len(rb) == 0 {
-		return 0
-	}
-	minLen := len(ra)
-	if len(rb) < minLen {
-		minLen = len(rb)
-	}
-	lcp := 0
-	for lcp < minLen && ra[lcp] == rb[lcp] {
-		lcp++
-	}
-	lcs := 0
-	for lcs < minLen && ra[len(ra)-1-lcs] == rb[len(rb)-1-lcs] {
-		lcs++
-	}
-	best := lcp
-	if lcs > best {
-		best = lcs
-	}
-	return clamp01(float64(best) / float64(minLen))
-}
+func Affix(a, b string) float64 { return compare(affix, a, b) }
 
 // Prefix scores only the longest common prefix relative to the shorter
 // normalized length.
-func Prefix(a, b string) float64 {
-	ra, rb := []rune(Normalize(a)), []rune(Normalize(b))
-	if len(ra) == 0 && len(rb) == 0 {
-		return 1
-	}
-	if len(ra) == 0 || len(rb) == 0 {
-		return 0
-	}
-	minLen := len(ra)
-	if len(rb) < minLen {
-		minLen = len(rb)
-	}
-	lcp := 0
-	for lcp < minLen && ra[lcp] == rb[lcp] {
-		lcp++
-	}
-	return clamp01(float64(lcp) / float64(minLen))
-}
+func Prefix(a, b string) float64 { return compare(prefix, a, b) }
 
 // Suffix scores only the longest common suffix relative to the shorter
 // normalized length.
-func Suffix(a, b string) float64 {
-	ra, rb := []rune(Normalize(a)), []rune(Normalize(b))
-	if len(ra) == 0 && len(rb) == 0 {
-		return 1
-	}
-	if len(ra) == 0 || len(rb) == 0 {
-		return 0
-	}
-	minLen := len(ra)
-	if len(rb) < minLen {
-		minLen = len(rb)
-	}
-	lcs := 0
-	for lcs < minLen && ra[len(ra)-1-lcs] == rb[len(rb)-1-lcs] {
-		lcs++
-	}
-	return clamp01(float64(lcs) / float64(minLen))
-}
+func Suffix(a, b string) float64 { return compare(suffix, a, b) }

@@ -1,39 +1,42 @@
 package sim
 
-// Similarity profiles: the pair-scoring fast path.
+// Similarity profiles: one constructor, one scoring stage.
 //
-// The string-based Func measures re-normalize, re-tokenize and re-sort both
-// inputs on every call. A match workflow evaluates O(n·m) candidate pairs
-// over only n+m distinct attribute values, so almost all of that work is
-// redundant. A Profile caches every derived form of one attribute value
-// (normalized string, rune slice, token multiset, hashed character n-gram
-// set, TF-IDF weight vector, Soundex code, parsed year); a ProfiledSim
-// splits a measure into a per-value profiling stage (run once per instance)
-// and a read-only pair-scoring stage (run once per pair).
+// A match workflow evaluates O(n·m) candidate pairs over only n+m distinct
+// attribute values, so every measure is split in two: ProfileInto derives,
+// once per value, whatever the measure reads (rune slice, token sequence,
+// interned token set, hashed character n-gram set, TF-IDF weight vector,
+// Soundex code, parsed year) into a caller-owned Profile, and Compare scores
+// two profiles read-only — safe for concurrent workers.
 //
-// Every built-in Func has a profiled twin that returns *identical* scores;
-// ProfiledOf maps a Func to its twin so that matchers can upgrade
-// transparently. Compare never mutates its profiles, which makes the
-// pair-scoring stage safe for concurrent workers.
+// ProfileInto is the only way a profile is built. It appends into the slices
+// the Profile already owns and takes its working memory from a Scratch, so a
+// caller that keeps both (the live resolver's pooled query slots, the string
+// forms below) rebuilds a profile of slices and numbers without allocating;
+// NewProfile is the same call over a fresh Profile for build sides that keep
+// the result. Measures whose ProfileInto interns into a dictionary (token
+// sets, TF-IDF) also have a lookup-only ProfileQueryInto; QueryInto picks
+// it, so read paths never grow a dictionary. The string Funcs of the
+// built-in measures are Compare over two profiles (compare), and ProfiledOf
+// is total: a Func it does not know scores through an adapter that profiles
+// nothing.
 
 import (
 	"reflect"
 	"slices"
-	"strconv"
 	"strings"
+	"sync"
 )
 
 // Profile caches the derived forms of one attribute value. Only the fields
-// the producing ProfiledSim needs are populated; all fields are read-only
-// after Profile construction.
+// the producing ProfiledSim reads are populated; a profile is read-only
+// between two ProfileInto calls on it.
 type Profile struct {
 	// Raw is the original attribute value.
 	Raw string
-	// Norm is Normalize(Raw) (character-level measures).
-	Norm string
 	// NormSpace is NormalizeSpace(Raw) (case-folding equality).
 	NormSpace string
-	// Runes is []rune(Norm) (edit-distance and affix measures).
+	// Runes is []rune(Normalize(Raw)) (edit-distance and affix measures).
 	Runes []rune
 	// Tokens is Tokens(Raw) in order. The token-sequence measures
 	// (Monge-Elkan, person names) score tokens character-wise and keep
@@ -42,8 +45,8 @@ type Profile struct {
 	// SortedTokenIDs is the sorted, deduplicated token-ID set (interned in
 	// Terms) for the token-overlap measures. ExtraTokens counts distinct
 	// tokens of the value that are absent from the dictionary — produced
-	// only by the lookup-only ProfileQuery path, where unknown tokens
-	// cannot intersect anything but still belong to the set cardinality.
+	// only by the lookup-only ProfileQueryInto, where unknown tokens cannot
+	// intersect anything but still belong to the set cardinality.
 	SortedTokenIDs []uint32
 	ExtraTokens    int
 	// Grams is the sorted, deduplicated FNV-1a hash set of the padded
@@ -65,38 +68,40 @@ type Profile struct {
 	YearOK bool
 }
 
-// PairFunc scores a pair of precomputed profiles in [0,1].
-type PairFunc func(a, b *Profile) float64
+// reset readies p for a rebuild from s: every scalar is cleared and every
+// buffer slice is cut to length 0 with its capacity kept, so whichever
+// measure fills p next appends into arrays p already owns.
+//
+//moma:noalloc
+func (p *Profile) reset(s string) {
+	*p = Profile{Raw: s, Runes: p.Runes[:0], SortedTokenIDs: p.SortedTokenIDs[:0], Grams: p.Grams[:0],
+		TermIDs: p.TermIDs[:0], TermKeys: p.TermKeys[:0], Weights: p.Weights[:0]}
+}
 
-// ProfiledSim is a similarity measure split into a per-value profiling
-// stage and a pair-scoring stage. Profile is called once per attribute
-// value; Compare must be pure and safe for concurrent use over profiles
-// produced by the same ProfiledSim.
+// ProfiledSim is a similarity measure: a per-value profiling stage and a
+// pair-scoring stage.
 type ProfiledSim interface {
-	// Profile builds the per-value cache this measure needs. The contract
-	// permits interning into the process-global Terms dictionary (token and
-	// TF-IDF measures do); read paths must profile via QueryProfiler.
+	// ProfileInto rebuilds p as this measure's profile of s, reusing p's
+	// slices and sc's buffers; everything else in p is overwritten. The
+	// contract permits interning into the process-global Terms dictionary
+	// (token and TF-IDF measures do); read paths profile via QueryInto.
 	//
 	//moma:interns
-	Profile(s string) *Profile
-	// Compare scores two profiles built by this measure's Profile.
+	ProfileInto(s string, p *Profile, sc *Scratch)
+	// Compare scores two profiles built by this measure. It must be pure
+	// and safe for concurrent use.
 	Compare(a, b *Profile) float64
 }
 
-// Pair adapts a ProfiledSim's scoring stage to a PairFunc.
-func Pair(ps ProfiledSim) PairFunc { return ps.Compare }
-
-// TokenProfiler is implemented by profiled measures whose Profile stage
-// tokenizes the value. ProfileTokens builds the same profile from an
-// already-interned token column, skipping the re-tokenization — the
-// blocking layer tokenizes and interns the blocking attribute anyway
-// (block.Tokens), and when the match attribute coincides the profile build
-// reuses that work. toks must be the Terms IDs of Tokens(s) in order and is
-// treated as read-only (implementations copy before sorting), so one cached
-// slice can feed several consumers.
-type TokenProfiler interface {
+// QueryProfiler is implemented by the measures whose ProfileInto interns
+// tokens. ProfileQueryInto leaves p scoring bit-identically to ProfileInto
+// against any profile of interned values, but looks tokens up without
+// interning them: a token the dictionary has never seen cannot match
+// anything interned, so it contributes only its cardinality (token sets) or
+// its weight (TF-IDF norms).
+type QueryProfiler interface {
 	ProfiledSim
-	ProfileTokens(s string, toks []uint32) *Profile
+	ProfileQueryInto(s string, p *Profile, sc *Scratch)
 }
 
 // ProfileVersioner is implemented by profiled measures whose profiles
@@ -112,23 +117,77 @@ type ProfileVersioner interface {
 	ProfileVersion() uint64
 }
 
-// QueryProfiler is implemented by profiled measures whose Profile stage
-// interns tokens. ProfileQuery builds a profile that scores bit-identically
-// to Profile(s) against any profile of interned values, but looks tokens up
-// without interning them: a token the dictionary has never seen cannot
-// match anything interned, so it contributes only its cardinality (token
-// sets) or its weight (TF-IDF norms). Read-side callers — the live
-// resolver profiling query records — use it so an unbounded stream of
-// distinct queries never grows the process-global dictionary.
-type QueryProfiler interface {
-	ProfiledSim
-	ProfileQuery(s string) *Profile
+// NewProfile is the build side: a fresh profile of s that the caller keeps.
+func NewProfile(ps ProfiledSim, s string) *Profile {
+	w := pairPool.Get().(*pair)
+	p := new(Profile)
+	ps.ProfileInto(s, p, &w.sc)
+	pairPool.Put(w)
+	return p
 }
 
-// profiledByFunc maps the code pointer of a built-in Func to its profiled
-// twin. Only static top-level functions are registered: method values (for
+// QueryInto is the read side: it rebuilds p as the profile of a query value
+// without growing any dictionary — an unbounded stream of distinct queries
+// leaves Terms untouched — and, once p and sc have reached the working-set
+// high-water mark, without allocating for the measures whose profile holds
+// only slices and numbers.
+//
+//moma:noalloc
+func QueryInto(ps ProfiledSim, s string, p *Profile, sc *Scratch) {
+	if qp, ok := ps.(QueryProfiler); ok {
+		qp.ProfileQueryInto(s, p, sc)
+		return
+	}
+	//moma:dictgrowth-ok only measures without ProfileQueryInto reach this call, and none of them interns (pinned by TestProfiledFallbacksDoNotIntern)
+	ps.ProfileInto(s, p, sc)
+}
+
+// pair is the pooled working memory of the calls that bring none of their
+// own: a string-form call uses all of it, NewProfile the scratch.
+type pair struct {
+	a, b Profile
+	sc   Scratch
+}
+
+var pairPool = sync.Pool{New: func() any { return new(pair) }}
+
+// compare is the string form of a measure: Compare over the profiles of the
+// two values. The profiles are pooled, so a warm call allocates only what
+// the measure's own stages do.
+func compare(ps ProfiledSim, a, b string) float64 {
+	w := pairPool.Get().(*pair)
+	ps.ProfileInto(a, &w.a, &w.sc)
+	ps.ProfileInto(b, &w.b, &w.sc)
+	s := ps.Compare(&w.a, &w.b)
+	pairPool.Put(w)
+	return s
+}
+
+// The built-in measures. Each is one comparable value shared by its string
+// Func, the ProfiledOf table and every profile column keyed by it.
+var (
+	equal          ProfiledSim = equalProfiled{}
+	equalFold      ProfiledSim = equalFoldProfiled{}
+	trigram        ProfiledSim = ngramProfiled{n: 3, dice: true}
+	bigram         ProfiledSim = ngramProfiled{n: 2, dice: true}
+	trigramJaccard ProfiledSim = ngramProfiled{n: 3}
+	levenshtein    ProfiledSim = levenshteinProfiled{}
+	jaro           ProfiledSim = jaroProfiled{}
+	jaroWinkler    ProfiledSim = jaroProfiled{winkler: true}
+	affix          ProfiledSim = affixProfiled{mode: affixBoth}
+	prefix         ProfiledSim = affixProfiled{mode: affixPrefix}
+	suffix         ProfiledSim = affixProfiled{mode: affixSuffix}
+	mongeElkan     ProfiledSim = mongeElkanProfiled{}
+	soundex        ProfiledSim = soundexProfiled{}
+	year           ProfiledSim = yearProfiled{}
+	yearExact      ProfiledSim = yearProfiled{exact: true}
+	personName     ProfiledSim = personNameProfiled{}
+)
+
+// profiledByFunc maps the code pointer of a built-in Func to its measure.
+// Only static top-level functions are registered: method values (for
 // example (*TFIDF).Cosine) share one wrapper pointer across receivers and
-// must use an explicit ProfiledSim instead.
+// must pass an explicit ProfiledSim instead.
 var profiledByFunc = map[uintptr]ProfiledSim{}
 
 func registerProfiled(fn Func, ps ProfiledSim) {
@@ -136,36 +195,49 @@ func registerProfiled(fn Func, ps ProfiledSim) {
 }
 
 func init() {
-	registerProfiled(Equal, equalProfiled{})
-	registerProfiled(EqualFold, equalFoldProfiled{})
-	registerProfiled(Trigram, ngramProfiled{n: 3, dice: true})
-	registerProfiled(Bigram, ngramProfiled{n: 2, dice: true})
-	registerProfiled(TrigramJaccard, ngramProfiled{n: 3})
-	registerProfiled(Levenshtein, levenshteinProfiled{})
-	registerProfiled(Jaro, jaroProfiled{})
-	registerProfiled(JaroWinkler, jaroProfiled{winkler: true})
-	registerProfiled(Affix, affixProfiled{mode: affixBoth})
-	registerProfiled(Prefix, affixProfiled{mode: affixPrefix})
-	registerProfiled(Suffix, affixProfiled{mode: affixSuffix})
+	registerProfiled(Equal, equal)
+	registerProfiled(EqualFold, equalFold)
+	registerProfiled(Trigram, trigram)
+	registerProfiled(Bigram, bigram)
+	registerProfiled(TrigramJaccard, trigramJaccard)
+	registerProfiled(Levenshtein, levenshtein)
+	registerProfiled(Jaro, jaro)
+	registerProfiled(JaroWinkler, jaroWinkler)
+	registerProfiled(Affix, affix)
+	registerProfiled(Prefix, prefix)
+	registerProfiled(Suffix, suffix)
 	registerProfiled(TokenJaccard, tokenProfiled{})
 	registerProfiled(TokenDice, tokenProfiled{dice: true})
-	registerProfiled(MongeElkanJaroWinkler, mongeElkanProfiled{})
-	registerProfiled(SoundexSim, soundexProfiled{})
-	registerProfiled(YearSim, yearProfiled{})
-	registerProfiled(YearExact, yearProfiled{exact: true})
-	registerProfiled(PersonName, personNameProfiled{})
+	registerProfiled(MongeElkanJaroWinkler, mongeElkan)
+	registerProfiled(SoundexSim, soundex)
+	registerProfiled(YearSim, year)
+	registerProfiled(YearExact, yearExact)
+	registerProfiled(PersonName, personName)
 }
 
-// ProfiledOf returns the profiled twin of a built-in similarity function.
-// Unknown functions (custom closures, method values) report false; callers
-// fall back to the string-based Func path.
-func ProfiledOf(fn Func) (ProfiledSim, bool) {
+// ProfiledOf returns the measure behind a similarity function: the built-in
+// measure of a built-in Func, and for any other Func (custom closures,
+// method values, NumericProximity) an adapter whose profile is the raw value
+// and whose Compare calls fn. It returns nil only for a nil fn.
+func ProfiledOf(fn Func) ProfiledSim {
 	if fn == nil {
-		return nil, false
+		return nil
 	}
-	ps, ok := profiledByFunc[reflect.ValueOf(fn).Pointer()]
-	return ps, ok
+	if ps, ok := profiledByFunc[reflect.ValueOf(fn).Pointer()]; ok {
+		return ps
+	}
+	return funcProfiled{fn}
 }
+
+// funcProfiled adapts an opaque Func: nothing can be hoisted out of the pair
+// stage, so the profile is the raw value. Holding a func makes the type
+// uncomparable, which keeps its columns out of the per-set column store.
+type funcProfiled struct{ fn Func }
+
+//moma:noalloc
+func (funcProfiled) ProfileInto(s string, p *Profile, _ *Scratch) { p.reset(s) }
+
+func (f funcProfiled) Compare(a, b *Profile) float64 { return f.fn(a.Raw, b.Raw) }
 
 // --- hashed character n-grams -------------------------------------------
 
@@ -174,42 +246,41 @@ const (
 	fnvPrime64  uint64 = 1099511628211
 )
 
-// hashedGrams returns the sorted, deduplicated 64-bit FNV-1a hashes of the
-// padded character n-grams of an already-normalized string. It mirrors
-// ngrams exactly (same padding, same dedup) but never materializes gram
-// strings, so a profile build allocates one []rune and one []uint64.
-func hashedGrams(norm string, n int) []uint64 {
-	if n < 1 || norm == "" {
-		return nil
-	}
-	pad := paddedRunes(norm, n)
-	if len(pad) < n {
-		return nil
-	}
-	out := make([]uint64, 0, len(pad)-n+1)
-	for i := 0; i+n <= len(pad); i++ {
-		h := fnvOffset64
-		for _, r := range pad[i : i+n] {
-			h ^= uint64(uint32(r))
-			h *= fnvPrime64
-		}
-		out = append(out, h)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
 type ngramProfiled struct {
 	n    int
 	dice bool
 }
 
-func (g ngramProfiled) Profile(s string) *Profile {
-	norm := Normalize(s)
-	return &Profile{Raw: s, Norm: norm, Grams: hashedGrams(norm, g.n)}
+// ProfileInto hashes the character n-grams of the normalized value, padded
+// with n-1 leading and trailing sentinels so that prefixes and suffixes
+// carry weight, into the sorted, deduplicated 64-bit FNV-1a set Grams. Gram
+// strings are never materialized.
+//
+//moma:noalloc
+func (g ngramProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
+	p.reset(s)
+	sc.norm = appendNormalized(sc.norm[:0], s)
+	if g.n < 1 || len(sc.norm) == 0 {
+		return
+	}
+	sc.runes = appendRunes(sc.runes[:0], sc.norm, g.n-1)
+	n := len(sc.runes) - g.n + 1
+	grams := grow(p.Grams, n)[:n]
+	for i := range grams {
+		h := fnvOffset64
+		for _, r := range sc.runes[i : i+g.n] {
+			h ^= uint64(uint32(r))
+			h *= fnvPrime64
+		}
+		grams[i] = h
+	}
+	slices.Sort(grams)
+	p.Grams = slices.Compact(grams)
 }
 
-// Compare scores two gram sets by a merge-join over the sorted hashes.
+// Compare scores two gram sets by a merge-join over the sorted hashes: Dice
+// 2·|A∩B| / (|A|+|B|) or Jaccard |A∩B| / |A∪B|. Two empty sets are identical
+// (1); one empty set never matches (0).
 //
 //moma:noalloc
 func (g ngramProfiled) Compare(a, b *Profile) float64 {
@@ -234,31 +305,42 @@ type tokenProfiled struct {
 	dice bool
 }
 
-func (t tokenProfiled) Profile(s string) *Profile {
-	return &Profile{Raw: s, SortedTokenIDs: uniqueSorted(Terms.TokenIDs(s))}
+// ProfileInto interns the value's tokens into Terms.
+func (t tokenProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
+	sc.scanTerms(s)
+	sc.internTerms()
+	t.fill(s, p, sc)
 }
 
-// ProfileTokens implements TokenProfiler. uniqueSorted sorts in place, so
-// the shared slice is copied first.
-func (t tokenProfiled) ProfileTokens(s string, toks []uint32) *Profile {
-	return &Profile{Raw: s, SortedTokenIDs: uniqueSorted(slices.Clone(toks))}
-}
-
-// ProfileQuery implements QueryProfiler: unknown tokens are counted, not
+// ProfileQueryInto implements QueryProfiler: unknown tokens are counted, not
 // interned — they can intersect nothing, but Jaccard and Dice divide by the
 // set sizes, which must include them.
-func (t tokenProfiled) ProfileQuery(s string) *Profile {
-	toks := uniqueSorted(Tokens(s))
-	known := make([]uint32, 0, len(toks))
-	extra := 0
-	for _, tok := range toks {
-		if id, ok := Terms.Lookup(tok); ok {
-			known = append(known, id)
+//
+//moma:noalloc
+func (t tokenProfiled) ProfileQueryInto(s string, p *Profile, sc *Scratch) {
+	sc.scanTerms(s)
+	t.fill(s, p, sc)
+}
+
+// fill builds the token set from the scanned terms: one ID per distinct
+// known token, one count per distinct unknown one.
+//
+//moma:noalloc
+func (tokenProfiled) fill(s string, p *Profile, sc *Scratch) {
+	p.reset(s)
+	sc.sortTerms()
+	ids := grow(p.SortedTokenIDs, len(sc.terms))[:len(sc.terms)]
+	k := 0
+	for i := 0; i < len(sc.terms); i = sc.runEnd(i) {
+		if t := sc.terms[i]; t.known {
+			ids[k] = t.id
+			k++
 		} else {
-			extra++
+			p.ExtraTokens++
 		}
 	}
-	return &Profile{Raw: s, SortedTokenIDs: uniqueSorted(known), ExtraTokens: extra}
+	slices.Sort(ids[:k])
+	p.SortedTokenIDs = ids[:k]
 }
 
 // Compare scores two token-ID sets by a merge-join; unknown query tokens
@@ -286,7 +368,8 @@ func (t tokenProfiled) Compare(a, b *Profile) float64 {
 
 type equalProfiled struct{}
 
-func (equalProfiled) Profile(s string) *Profile { return &Profile{Raw: s} }
+//moma:noalloc
+func (equalProfiled) ProfileInto(s string, p *Profile, _ *Scratch) { p.reset(s) }
 
 //moma:noalloc
 func (equalProfiled) Compare(a, b *Profile) float64 {
@@ -298,8 +381,9 @@ func (equalProfiled) Compare(a, b *Profile) float64 {
 
 type equalFoldProfiled struct{}
 
-func (equalFoldProfiled) Profile(s string) *Profile {
-	return &Profile{Raw: s, NormSpace: NormalizeSpace(s)}
+func (equalFoldProfiled) ProfileInto(s string, p *Profile, _ *Scratch) {
+	p.reset(s)
+	p.NormSpace = NormalizeSpace(s)
 }
 
 //moma:noalloc
@@ -310,23 +394,26 @@ func (equalFoldProfiled) Compare(a, b *Profile) float64 {
 	return 0
 }
 
-// --- edit-distance measures ----------------------------------------------
+// --- rune measures: edit distance and affixes ------------------------------
 
-type levenshteinProfiled struct{}
+// runeProfiled is the profiling stage the character-level measures share:
+// the runes of the normalized value.
+type runeProfiled struct{}
 
-func (levenshteinProfiled) Profile(s string) *Profile {
-	return &Profile{Raw: s, Runes: []rune(Normalize(s))}
+//moma:noalloc
+func (runeProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
+	p.reset(s)
+	sc.norm = appendNormalized(sc.norm[:0], s)
+	p.Runes = appendRunes(grow(p.Runes, len(sc.norm)), sc.norm, 0)
 }
 
+type levenshteinProfiled struct{ runeProfiled }
+
+// Compare is the normalized edit similarity
+// 1 - dist(a', b') / max(len(a'), len(b')).
 func (levenshteinProfiled) Compare(a, b *Profile) float64 {
 	ra, rb := a.Runes, b.Runes
-	if len(ra) == 0 && len(rb) == 0 {
-		return 1
-	}
-	maxLen := len(ra)
-	if len(rb) > maxLen {
-		maxLen = len(rb)
-	}
+	maxLen := max(len(ra), len(rb))
 	if maxLen == 0 {
 		return 1
 	}
@@ -334,11 +421,8 @@ func (levenshteinProfiled) Compare(a, b *Profile) float64 {
 }
 
 type jaroProfiled struct {
+	runeProfiled
 	winkler bool
-}
-
-func (jaroProfiled) Profile(s string) *Profile {
-	return &Profile{Raw: s, Runes: []rune(Normalize(s))}
 }
 
 func (j jaroProfiled) Compare(a, b *Profile) float64 {
@@ -347,8 +431,6 @@ func (j jaroProfiled) Compare(a, b *Profile) float64 {
 	}
 	return jaroRunes(a.Runes, b.Runes)
 }
-
-// --- affix measures ------------------------------------------------------
 
 type affixMode int
 
@@ -359,14 +441,13 @@ const (
 )
 
 type affixProfiled struct {
+	runeProfiled
 	mode affixMode
 }
 
-func (affixProfiled) Profile(s string) *Profile {
-	return &Profile{Raw: s, Runes: []rune(Normalize(s))}
-}
-
-// Compare scans the shared prefix/suffix in place over the profiled runes.
+// Compare scores the longest common prefix and/or suffix relative to the
+// shorter value, max(lcp, lcs) / min(len(a), len(b)), scanning the profiled
+// runes in place.
 //
 //moma:noalloc
 func (m affixProfiled) Compare(a, b *Profile) float64 {
@@ -377,10 +458,7 @@ func (m affixProfiled) Compare(a, b *Profile) float64 {
 	if len(ra) == 0 || len(rb) == 0 {
 		return 0
 	}
-	minLen := len(ra)
-	if len(rb) < minLen {
-		minLen = len(rb)
-	}
+	minLen := min(len(ra), len(rb))
 	best := 0
 	if m.mode != affixSuffix {
 		lcp := 0
@@ -394,42 +472,29 @@ func (m affixProfiled) Compare(a, b *Profile) float64 {
 		for lcs < minLen && ra[len(ra)-1-lcs] == rb[len(rb)-1-lcs] {
 			lcs++
 		}
-		if lcs > best {
-			best = lcs
-		}
+		best = max(best, lcs)
 	}
 	return clamp01(float64(best) / float64(minLen))
 }
 
 // --- token-sequence measures ---------------------------------------------
 
-type mongeElkanProfiled struct{}
+// tokenSeqProfiled is the profiling stage of the measures that score tokens
+// character-wise: the token strings in order.
+type tokenSeqProfiled struct{}
 
-func (mongeElkanProfiled) Profile(s string) *Profile {
-	return &Profile{Raw: s, Tokens: Tokens(s)}
+func (tokenSeqProfiled) ProfileInto(s string, p *Profile, _ *Scratch) {
+	p.reset(s)
+	p.Tokens = Tokens(s)
 }
 
-// ProfileTokens implements TokenProfiler; the interned column is resolved
-// back to strings once per value (token-sequence measures score tokens
-// character-wise and need the text).
-func (mongeElkanProfiled) ProfileTokens(s string, toks []uint32) *Profile {
-	return &Profile{Raw: s, Tokens: Terms.Strs(toks)}
-}
+type mongeElkanProfiled struct{ tokenSeqProfiled }
 
 func (mongeElkanProfiled) Compare(a, b *Profile) float64 {
 	return symMongeElkanTokens(a.Tokens, b.Tokens, JaroWinkler)
 }
 
-type personNameProfiled struct{}
-
-func (personNameProfiled) Profile(s string) *Profile {
-	return &Profile{Raw: s, Tokens: Tokens(s)}
-}
-
-// ProfileTokens implements TokenProfiler (see mongeElkanProfiled).
-func (personNameProfiled) ProfileTokens(s string, toks []uint32) *Profile {
-	return &Profile{Raw: s, Tokens: Terms.Strs(toks)}
-}
+type personNameProfiled struct{ tokenSeqProfiled }
 
 func (personNameProfiled) Compare(a, b *Profile) float64 {
 	return personNameTokens(a.Tokens, b.Tokens)
@@ -439,8 +504,9 @@ func (personNameProfiled) Compare(a, b *Profile) float64 {
 
 type soundexProfiled struct{}
 
-func (soundexProfiled) Profile(s string) *Profile {
-	return &Profile{Raw: s, Code: Soundex(s)}
+func (soundexProfiled) ProfileInto(s string, p *Profile, _ *Scratch) {
+	p.reset(s)
+	p.Code = Soundex(s)
 }
 
 //moma:noalloc
@@ -458,9 +524,10 @@ type yearProfiled struct {
 	exact bool
 }
 
-func (yearProfiled) Profile(s string) *Profile {
-	y, err := strconv.Atoi(strings.TrimSpace(s))
-	return &Profile{Raw: s, Year: y, YearOK: err == nil}
+//moma:noalloc
+func (yearProfiled) ProfileInto(s string, p *Profile, _ *Scratch) {
+	p.reset(s)
+	p.Year, p.YearOK = parseYearInt(s)
 }
 
 //moma:noalloc

@@ -2,9 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 )
@@ -45,10 +43,13 @@ var profileEdgeCases = []string{
 	"A formal perspective on the view selection problem revisited",
 }
 
-// TestProfiledMatchesFunc asserts that every registered built-in measure
-// has a profiled twin and that the twin returns bit-identical scores on
-// the full cross product of the edge cases. This is the guard that keeps
-// the profile optimization from silently changing Table 1-10 numbers.
+// TestProfiledMatchesFunc asserts that every registered built-in resolves to
+// a built-in measure (not the opaque-Func adapter) and that profiles built
+// once per value, as a matcher builds them, score bit-identically to the
+// string function on the full cross product of the edge cases. For the
+// token-set measures the string function is an implementation of its own;
+// for the rest this pins fresh profiles against the string forms' pooled,
+// reused ones.
 func TestProfiledMatchesFunc(t *testing.T) {
 	reg := NewRegistry()
 	for _, name := range reg.Names() {
@@ -56,16 +57,16 @@ func TestProfiledMatchesFunc(t *testing.T) {
 		if !ok {
 			t.Fatalf("registry lost %q", name)
 		}
-		ps, ok := ProfiledOf(fn)
-		if !ok {
-			t.Errorf("%s: no profiled twin registered", name)
+		ps := ProfiledOf(fn)
+		if _, adapter := ps.(funcProfiled); adapter {
+			t.Errorf("%s: no built-in measure registered", name)
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
 			// Profile each value once, as a matcher would.
 			profiles := make([]*Profile, len(profileEdgeCases))
 			for i, s := range profileEdgeCases {
-				profiles[i] = ps.Profile(s)
+				profiles[i] = NewProfile(ps, s)
 			}
 			for i, a := range profileEdgeCases {
 				for j, b := range profileEdgeCases {
@@ -80,89 +81,26 @@ func TestProfiledMatchesFunc(t *testing.T) {
 	}
 }
 
-// TestProfileTokensMatchesProfile asserts every TokenProfiler builds, from
-// a pre-computed Tokens(s) slice, a profile scoring bit-identically to the
-// one its Profile stage builds — and never mutates the shared slice. This
-// pins the blocking-layer token-reuse path of the match core.
-func TestProfileTokensMatchesProfile(t *testing.T) {
-	reg := NewRegistry()
-	corpus := NewTFIDF()
-	corpus.AddAll(profileEdgeCases)
-	profilers := map[string]ProfiledSim{"tfidf-corpus": corpus.Profiled()}
-	for _, name := range reg.Names() {
-		fn, _ := reg.Lookup(name)
-		if ps, ok := ProfiledOf(fn); ok {
-			profilers[name] = ps
-		}
-	}
-	tokenProfilers := 0
-	for name, ps := range profilers {
-		tp, ok := ps.(TokenProfiler)
-		if !ok {
-			continue
-		}
-		tokenProfilers++
-		for _, s := range profileEdgeCases {
-			toks := Terms.TokenIDs(s)
-			var shared []uint32
-			if toks != nil {
-				shared = append([]uint32(nil), toks...)
-			}
-			fromTokens := tp.ProfileTokens(s, shared)
-			fresh := tp.Profile(s)
-			for _, other := range profileEdgeCases {
-				po := tp.Profile(other)
-				if got, want := tp.Compare(fromTokens, po), tp.Compare(fresh, po); got != want {
-					t.Errorf("%s: ProfileTokens(%q) scores %v vs %q, Profile scores %v", name, s, got, other, want)
-				}
-			}
-			if len(shared) != len(toks) {
-				t.Fatalf("%s: ProfileTokens changed the shared slice length", name)
-			}
-			for i := range shared {
-				if shared[i] != toks[i] {
-					t.Errorf("%s: ProfileTokens(%q) mutated the shared token slice: %v != %v", name, s, shared, toks)
-					break
-				}
-			}
-		}
-	}
-	// tokenProfiled (x2), mongeElkan, personName, tfidf — guard that the
-	// interface is actually implemented where it should be.
-	if tokenProfilers < 5 {
-		t.Errorf("only %d token-profiling measures found, want >= 5", tokenProfilers)
-	}
-}
-
-// TestProfiledOfUnknownFunc asserts custom measures fall back cleanly.
+// TestProfiledOfUnknownFunc asserts ProfiledOf is total: a Func it does not
+// know becomes a measure that scores exactly as the Func does, and only nil
+// has no measure.
 func TestProfiledOfUnknownFunc(t *testing.T) {
-	custom := func(a, b string) float64 { return 0.5 }
-	if _, ok := ProfiledOf(custom); ok {
-		t.Error("ProfiledOf claimed a profiled twin for a custom closure")
-	}
-	if _, ok := ProfiledOf(nil); ok {
-		t.Error("ProfiledOf claimed a profiled twin for nil")
-	}
-}
-
-// TestTFIDFProfiledMatchesCosine asserts the profiled TF-IDF measure
-// matches the cached string path on the same corpus.
-func TestTFIDFProfiledMatchesCosine(t *testing.T) {
-	corpus := NewTFIDF()
-	corpus.AddAll(profileEdgeCases)
-	ps := corpus.Profiled()
-	profiles := make([]*Profile, len(profileEdgeCases))
-	for i, s := range profileEdgeCases {
-		profiles[i] = ps.Profile(s)
-	}
-	for i, a := range profileEdgeCases {
-		for j, b := range profileEdgeCases {
-			want := corpus.Cosine(a, b)
-			got := ps.Compare(profiles[i], profiles[j])
-			if got != want {
-				t.Errorf("tfidf(%q, %q): profiled %v, string %v", a, b, got, want)
+	custom := func(a, b string) float64 { return float64(len(a)) / float64(len(a)+len(b)+1) }
+	for _, fn := range []Func{custom, NumericProximity(10), NewTFIDF().Cosine} {
+		ps := ProfiledOf(fn)
+		if ps == nil {
+			t.Fatal("ProfiledOf returned no measure for a non-nil Func")
+		}
+		for _, a := range profileEdgeCases {
+			for _, b := range profileEdgeCases {
+				if got, want := ps.Compare(NewProfile(ps, a), NewProfile(ps, b)), fn(a, b); got != want {
+					t.Fatalf("adapter(%q, %q) = %v, Func = %v", a, b, got, want)
+				}
 			}
 		}
+	}
+	if ProfiledOf(nil) != nil {
+		t.Error("ProfiledOf(nil) must be nil")
 	}
 }
 
@@ -193,109 +131,6 @@ func TestTFIDFAddInvalidatesCache(t *testing.T) {
 	}
 }
 
-// stringTFIDFReference is a from-scratch, dictionary-free TF-IDF cosine:
-// document frequencies keyed by token strings, weights computed exactly as
-// the corpus does, and the dot product accumulated over the intersection in
-// content-key order (the canonical order of the interned implementation).
-// It is the string-keyed reference the ID-keyed path must match at eps 0.
-type stringTFIDFReference struct {
-	docFreq map[string]int
-	docs    int
-}
-
-func newStringTFIDFReference(docs []string) *stringTFIDFReference {
-	r := &stringTFIDFReference{docFreq: make(map[string]int)}
-	for _, d := range docs {
-		r.docs++
-		for _, tok := range uniqueSorted(Tokens(d)) {
-			r.docFreq[tok]++
-		}
-	}
-	return r
-}
-
-func (r *stringTFIDFReference) remove(doc string) {
-	r.docs--
-	for _, tok := range uniqueSorted(Tokens(doc)) {
-		if r.docFreq[tok] <= 1 {
-			delete(r.docFreq, tok)
-		} else {
-			r.docFreq[tok]--
-		}
-	}
-}
-
-type refTerm struct {
-	tok string
-	key uint64
-	w   float64
-}
-
-func (r *stringTFIDFReference) vector(doc string) ([]refTerm, float64) {
-	toks := Tokens(doc)
-	if len(toks) == 0 {
-		return nil, 0
-	}
-	counts := make(map[string]int)
-	for _, tok := range toks {
-		counts[tok]++
-	}
-	out := make([]refTerm, 0, len(counts))
-	for tok, c := range counts {
-		df := r.docFreq[tok]
-		if df < 1 {
-			df = 1
-		}
-		idf := math.Log(1 + float64(r.docs)/float64(df))
-		tf := 1 + math.Log(float64(c))
-		out = append(out, refTerm{tok: tok, key: dictKey(tok), w: tf * idf})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].key != out[j].key {
-			return out[i].key < out[j].key
-		}
-		return out[i].tok < out[j].tok
-	})
-	var norm2 float64
-	for _, t := range out {
-		norm2 += t.w * t.w
-	}
-	return out, norm2
-}
-
-func (r *stringTFIDFReference) cosine(a, b string) float64 {
-	va, na := r.vector(a)
-	vb, nb := r.vector(b)
-	if len(va) == 0 && len(vb) == 0 {
-		return 1
-	}
-	if len(va) == 0 || len(vb) == 0 {
-		return 0
-	}
-	var dot float64
-	i, j := 0, 0
-	for i < len(va) && j < len(vb) {
-		switch {
-		case va[i].tok == vb[j].tok:
-			dot += va[i].w * vb[j].w
-			i++
-			j++
-		case va[i].key < vb[j].key:
-			i++
-		case va[i].key > vb[j].key:
-			j++
-		case va[i].tok < vb[j].tok:
-			i++
-		default:
-			j++
-		}
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return clamp01(dot / (math.Sqrt(na) * math.Sqrt(nb)))
-}
-
 // TestTFIDFMatchesStringReference pins the interned, ID-keyed TF-IDF path
 // bit-identically (eps 0) against the dictionary-free string reference, for
 // both the cached Cosine entry point and the profiled pair path — including
@@ -309,7 +144,7 @@ func TestTFIDFMatchesStringReference(t *testing.T) {
 		ps := corpus.Profiled()
 		profiles := make([]*Profile, len(profileEdgeCases))
 		for i, s := range profileEdgeCases {
-			profiles[i] = ps.Profile(s)
+			profiles[i] = NewProfile(ps, s)
 		}
 		for i, a := range profileEdgeCases {
 			for j, b := range profileEdgeCases {
@@ -338,9 +173,9 @@ func TestTFIDFMatchesStringReference(t *testing.T) {
 // SortedTokenIDs back through the dictionary equals uniqueSorted(Tokens(s))
 // as a set.
 func TestTokenMeasureVectorsMatchStrings(t *testing.T) {
-	ps, _ := ProfiledOf(TokenJaccard)
+	ps := ProfiledOf(TokenJaccard)
 	for _, s := range profileEdgeCases {
-		prof := ps.Profile(s)
+		prof := NewProfile(ps, s)
 		got := map[string]bool{}
 		for _, id := range prof.SortedTokenIDs {
 			got[Terms.Str(id)] = true
@@ -357,64 +192,6 @@ func TestTokenMeasureVectorsMatchStrings(t *testing.T) {
 				t.Fatalf("SortedTokenIDs(%q) misses %q", s, tok)
 			}
 		}
-	}
-}
-
-// TestProfileQueryMatchesProfile pins the lookup-only query profiling path:
-// for every QueryProfiler, a ProfileQuery profile must score bit-identically
-// to a Profile profile against any interned-value profile — including query
-// values whose tokens the dictionary has never seen — and building it must
-// not grow the dictionary.
-func TestProfileQueryMatchesProfile(t *testing.T) {
-	corpus := NewTFIDF()
-	corpus.AddAll(profileEdgeCases)
-	profilers := map[string]ProfiledSim{"tfidf-corpus": corpus.Profiled()}
-	for _, name := range []string{"TokenJaccard", "TokenDice"} {
-		fn, _ := NewRegistry().Lookup(name)
-		profilers[name], _ = ProfiledOf(fn)
-	}
-	queryProfilers := 0
-	for name, ps := range profilers {
-		qp, ok := ps.(QueryProfiler)
-		if !ok {
-			continue
-		}
-		queryProfilers++
-		// Query values mixing interned tokens with tokens nothing has ever
-		// interned (per-measure suffixes stay unknown until this measure's
-		// own Profile call below interns them).
-		queries := append([]string{
-			"zzqx" + name + "1 view selection",
-			"zzqx" + name + "2 zzqx" + name + "3",
-			"zzqx" + name + "2 zzqx" + name + "2",
-			"the zzqx" + name + "4 problem",
-		}, profileEdgeCases...)
-		// Build every set-side profile first (interning those values), then
-		// the query profiles lookup-only.
-		setProfiles := make([]*Profile, len(profileEdgeCases))
-		for i, s := range profileEdgeCases {
-			setProfiles[i] = ps.Profile(s)
-		}
-		for _, q := range queries {
-			before := Terms.Len()
-			fromQuery := qp.ProfileQuery(q)
-			if got := Terms.Len(); got != before {
-				t.Fatalf("%s: ProfileQuery(%q) grew the dictionary %d -> %d", name, q, before, got)
-			}
-			// Profile interns q's tokens; computed after, so the query-side
-			// profile above genuinely saw them as unknown.
-			fromProfile := ps.Profile(q)
-			for i, po := range setProfiles {
-				got, want := qp.Compare(fromQuery, po), qp.Compare(fromProfile, po)
-				if got != want {
-					t.Errorf("%s: ProfileQuery(%q) vs %q = %v, Profile path %v",
-						name, q, profileEdgeCases[i], got, want)
-				}
-			}
-		}
-	}
-	if queryProfilers < 3 {
-		t.Errorf("only %d query-profiling measures found, want >= 3", queryProfilers)
 	}
 }
 
@@ -491,16 +268,24 @@ func TestDictConcurrent(t *testing.T) {
 	}
 }
 
-// TestHashedGramsMirrorNgrams asserts the hashed gram sets have the same
-// cardinality as the string gram sets ngrams builds (the quantity the Dice
-// and Jaccard formulas consume).
+// TestHashedGramsMirrorNgrams pins the hashed gram sets against the string
+// gram reference: the same cardinality per value (the quantity the Dice and
+// Jaccard formulas consume) and the same coefficient per pair.
 func TestHashedGramsMirrorNgrams(t *testing.T) {
-	for _, s := range profileEdgeCases {
-		for _, n := range []int{2, 3, 4} {
+	for _, n := range []int{2, 3, 4} {
+		for _, s := range profileEdgeCases {
 			want := len(ngrams(s, n))
-			got := len(hashedGrams(Normalize(s), n))
+			got := len(NewProfile(ngramProfiled{n: n}, s).Grams)
 			if got != want {
 				t.Errorf("|grams(%q, %d)|: hashed %d, strings %d", s, n, got, want)
+			}
+			for _, o := range profileEdgeCases {
+				if got, want := NGramDice(s, o, n), refNGram(s, o, n, true); got != want {
+					t.Errorf("NGramDice(%q, %q, %d) = %v, string grams %v", s, o, n, got, want)
+				}
+				if got, want := NGramJaccard(s, o, n), refNGram(s, o, n, false); got != want {
+					t.Errorf("NGramJaccard(%q, %q, %d) = %v, string grams %v", s, o, n, got, want)
+				}
 			}
 		}
 	}

@@ -1,57 +1,53 @@
 package sim
 
-// In-place query profiling: the zero-allocation leg of the warm resolve
-// path.
-//
-// QueryProfiler.ProfileQuery keeps dictionaries flat under read traffic,
-// but still allocates a fresh *Profile (plus its slices) per query column.
-// For the live resolver's steady state — the same handful of columns
-// profiled thousands of times per second — that garbage is the dominant
-// cost. InPlaceQueryProfiler rebuilds the profile into caller-owned memory
-// instead: the caller keeps one Profile per column and one Scratch per
-// resolve, the profiling stage reuses their backing arrays, and after the
-// buffers reach the working-set high-water mark a profile build performs
-// zero heap allocations. testing.AllocsPerRun gates in live and sim pin
-// that property; the noalloc analyzer checks it statically.
-//
-// The contract matches ProfileQuery exactly: lookup-only (never interns,
-// so dictgrowth-clean) and Compare-identical to the allocating path —
-// differential tests in profile_test.go pin score equality.
+// Scratch and the byte-level stages every ProfileInto is assembled from:
+// one normalizer, one rune decoder, one tokenizer with dictionary lookup, one
+// year parser. They write into caller-owned buffers, so once the buffers
+// have grown to the working-set high-water mark a profile rebuild performs
+// zero heap allocations; testing.AllocsPerRun gates in sim and live pin that
+// property and the noalloc analyzer checks it statically.
 
 import (
 	"bytes"
+	"cmp"
 	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
 )
 
-// Scratch holds the reusable buffers of in-place query profiling. The zero
-// value is ready to use; buffers grow to the high-water mark of the values
-// profiled through them and are then reused without further allocation.
-// A Scratch is not safe for concurrent use; pool or per-goroutine it.
+// Scratch holds the working memory of ProfileInto. The zero value is ready
+// to use; buffers grow to the high-water mark of the values profiled through
+// them and are then reused without further allocation. A Scratch is not safe
+// for concurrent use; pool or per-goroutine it.
 type Scratch struct {
 	norm  []byte // normalized value bytes
 	runes []rune // padded rune window for gram hashing
-	spans []span // unknown-token byte ranges in norm
+	terms []term // the value's token occurrences (token-set and TF-IDF measures)
 }
 
-// span is one token's byte range within Scratch.norm.
-type span struct{ start, end int }
-
-// InPlaceQueryProfiler is implemented by profiled measures whose query
-// profile can be rebuilt into a caller-owned Profile with zero steady-state
-// allocations. ProfileQueryInto must be lookup-only (it never interns) and
-// must leave p Compare-identical to ProfileQuery(s) — or to Profile(s) for
-// measures whose profiling stage is a pure function of the value. p's slice
-// fields are reused as append targets; everything else in p is overwritten.
-type InPlaceQueryProfiler interface {
-	ProfiledSim
-	ProfileQueryInto(s string, p *Profile, sc *Scratch)
+// term is one token occurrence: its byte range within Scratch.norm, its
+// content key, and its Terms ID when the dictionary knows it.
+type term struct {
+	start, end int
+	key        uint64
+	id         uint32
+	known      bool
 }
 
-// appendNormalized appends Normalize(s) to dst byte-wise — the same fold,
-// the same separator classes, no intermediate string.
+// grow returns s cut to length 0 with room for n elements.
+//
+//moma:noalloc-ok allocates only while the buffer is below its high-water mark; every later call reuses the capacity (pinned by TestProfileIntoReusesBuffers)
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// appendNormalized appends the normalized form of s to dst: letters and
+// digits lowercased, runs of whitespace and of '-', '_', '/' collapsed to
+// one space, everything else dropped, no space at either end.
 //
 //moma:noalloc
 func appendNormalized(dst []byte, s string) []byte {
@@ -74,22 +70,50 @@ func appendNormalized(dst []byte, s string) []byte {
 	return dst
 }
 
-// lookupBytes is Lookup over a byte-slice token: the compiler recognizes
-// the map[string]-indexed-by-string(bytes) form and probes without
-// materializing the string.
+// appendRunes appends the runes of norm to dst between pad leading '\x01'
+// and pad trailing '\x02' sentinels.
+//
+//moma:noalloc-ok appends into reused scratch or profile capacity
+func appendRunes(dst []rune, norm []byte, pad int) []rune {
+	for i := 0; i < pad; i++ {
+		dst = append(dst, '\x01')
+	}
+	for i := 0; i < len(norm); {
+		r, size := utf8.DecodeRune(norm[i:])
+		dst = append(dst, r)
+		i += size
+	}
+	for i := 0; i < pad; i++ {
+		dst = append(dst, '\x02')
+	}
+	return dst
+}
+
+// tokenEnd returns the end of the token of norm that starts at start.
+func tokenEnd(norm []byte, start int) int {
+	end := start
+	for end < len(norm) && norm[end] != ' ' {
+		end++
+	}
+	return end
+}
+
+// lookupBytes is Lookup over a byte-slice token, also returning the token's
+// content key: the compiler recognizes the map[string]-indexed-by-
+// string(bytes) form and probes without materializing the string.
 //
 //moma:noalloc
-func (d *Dict) lookupBytes(tok []byte) (uint32, bool) {
-	h := fnvOffset64
+func (d *Dict) lookupBytes(tok []byte) (id uint32, key uint64, ok bool) {
+	key = fnvOffset64
 	for i := 0; i < len(tok); i++ {
-		h ^= uint64(tok[i])
-		h *= fnvPrime64
+		key ^= uint64(tok[i])
+		key *= fnvPrime64
 	}
-	sh := &d.shards[h&dictShardMask]
+	sh := &d.shards[key&dictShardMask]
 	sh.mu.RLock()
-	id, ok := sh.ids[string(tok)] //moma:noalloc-ok zero-alloc map probe: string(bytes) used only as the lookup key
+	id, ok = sh.ids[string(tok)] //moma:noalloc-ok zero-alloc map probe: string(bytes) used only as the lookup key
 	sh.mu.RUnlock()
-	return id, ok
+	return id, key, ok
 }
 
 // AppendLookupTokenIDs is LookupTokenIDs with caller-owned buffers: the
@@ -101,13 +125,9 @@ func (d *Dict) lookupBytes(tok []byte) (uint32, bool) {
 func (d *Dict) AppendLookupTokenIDs(s string, norm []byte, dst []uint32) ([]byte, []uint32) {
 	norm = appendNormalized(norm[:0], s)
 	dst = dst[:0]
-	start := 0
-	for start < len(norm) {
-		end := start
-		for end < len(norm) && norm[end] != ' ' {
-			end++
-		}
-		if id, ok := d.lookupBytes(norm[start:end]); ok {
+	for start := 0; start < len(norm); {
+		end := tokenEnd(norm, start)
+		if id, _, ok := d.lookupBytes(norm[start:end]); ok {
 			dst = append(dst, id) //moma:noalloc-ok appends into reused scratch capacity
 		}
 		start = end + 1
@@ -115,108 +135,66 @@ func (d *Dict) AppendLookupTokenIDs(s string, norm []byte, dst []uint32) ([]byte
 	return norm, dst
 }
 
-// --- InPlaceQueryProfiler implementations --------------------------------
-
-// ProfileQueryInto implements InPlaceQueryProfiler: equality needs only the
-// raw value.
+// scanTerms normalizes s and records one term per token occurrence, looked
+// up — never interned — in Terms.
 //
 //moma:noalloc
-func (equalProfiled) ProfileQueryInto(s string, p *Profile, _ *Scratch) {
-	*p = Profile{Raw: s}
-}
-
-// ProfileQueryInto implements InPlaceQueryProfiler: grams are hashed from a
-// padded rune window decoded into scratch; the profile reuses its Grams
-// array. Compare reads only Grams, so Norm stays empty.
-//
-//moma:noalloc
-func (g ngramProfiled) ProfileQueryInto(s string, p *Profile, sc *Scratch) {
-	grams := p.Grams[:0]
+func (sc *Scratch) scanTerms(s string) {
 	sc.norm = appendNormalized(sc.norm[:0], s)
-	if len(sc.norm) > 0 {
-		sc.runes = sc.runes[:0]
-		for i := 0; i < g.n-1; i++ {
-			sc.runes = append(sc.runes, '\x01') //moma:noalloc-ok appends into reused scratch capacity
-		}
-		for i := 0; i < len(sc.norm); {
-			r, size := utf8.DecodeRune(sc.norm[i:])
-			sc.runes = append(sc.runes, r) //moma:noalloc-ok appends into reused scratch capacity
-			i += size
-		}
-		for i := 0; i < g.n-1; i++ {
-			sc.runes = append(sc.runes, '\x02') //moma:noalloc-ok appends into reused scratch capacity
-		}
-		if len(sc.runes) >= g.n {
-			for i := 0; i+g.n <= len(sc.runes); i++ {
-				h := fnvOffset64
-				for _, r := range sc.runes[i : i+g.n] {
-					h ^= uint64(uint32(r))
-					h *= fnvPrime64
-				}
-				grams = append(grams, h) //moma:noalloc-ok appends into reused profile capacity
-			}
-			slices.Sort(grams)
-			grams = slices.Compact(grams)
-		}
-	}
-	*p = Profile{Raw: s, Grams: grams}
-}
-
-// ProfileQueryInto implements InPlaceQueryProfiler with ProfileQuery's
-// semantics: known tokens become the sorted deduplicated ID set (reusing
-// the profile's array), unknown tokens contribute their distinct count via
-// ExtraTokens — deduplicated by content through scratch spans, never
-// through a map.
-//
-//moma:noalloc
-func (t tokenProfiled) ProfileQueryInto(s string, p *Profile, sc *Scratch) {
-	ids := p.SortedTokenIDs[:0]
-	sc.norm = appendNormalized(sc.norm[:0], s)
-	sc.spans = sc.spans[:0]
-	start := 0
-	for start < len(sc.norm) {
-		end := start
-		for end < len(sc.norm) && sc.norm[end] != ' ' {
-			end++
-		}
-		if id, ok := Terms.lookupBytes(sc.norm[start:end]); ok {
-			ids = append(ids, id) //moma:noalloc-ok appends into reused profile capacity
-		} else {
-			sc.spans = append(sc.spans, span{start, end}) //moma:noalloc-ok appends into reused scratch capacity
-		}
+	sc.terms = sc.terms[:0]
+	for start := 0; start < len(sc.norm); {
+		end := tokenEnd(sc.norm, start)
+		id, key, ok := Terms.lookupBytes(sc.norm[start:end])
+		sc.terms = append(sc.terms, term{start, end, key, id, ok}) //moma:noalloc-ok appends into reused scratch capacity
 		start = end + 1
 	}
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	extra := 0
-	if len(sc.spans) > 0 {
-		n := sc.norm
-		//moma:noalloc-ok the comparison closure is stack-allocated: SortFunc does not retain it
-		slices.SortFunc(sc.spans, func(a, b span) int {
-			return bytes.Compare(n[a.start:a.end], n[b.start:b.end])
-		})
-		for i, sp := range sc.spans {
-			if i == 0 || !bytes.Equal(n[sp.start:sp.end], n[sc.spans[i-1].start:sc.spans[i-1].end]) {
-				extra++
-			}
+}
+
+// internTerms assigns Terms IDs to the scanned tokens the dictionary had not
+// seen — the one step that separates a build-side profile from a lookup-only
+// query profile.
+func (sc *Scratch) internTerms() {
+	for i := range sc.terms {
+		if t := &sc.terms[i]; !t.known {
+			t.id, t.known = Terms.ID(string(sc.norm[t.start:t.end])), true
 		}
 	}
-	*p = Profile{Raw: s, SortedTokenIDs: ids, ExtraTokens: extra}
 }
 
-// ProfileQueryInto implements InPlaceQueryProfiler: the year is parsed
-// without strconv's error allocation.
+// sortTerms orders the scanned terms by content key, token bytes breaking
+// the (in practice unreachable) key collision: an order that is a pure
+// function of the token multiset, with equal tokens adjacent.
 //
 //moma:noalloc
-func (yearProfiled) ProfileQueryInto(s string, p *Profile, _ *Scratch) {
-	y, ok := parseYearInt(s)
-	*p = Profile{Raw: s, Year: y, YearOK: ok}
+func (sc *Scratch) sortTerms() {
+	n := sc.norm
+	//moma:noalloc-ok the comparison closure is stack-allocated: SortFunc does not retain it
+	slices.SortFunc(sc.terms, func(a, b term) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return bytes.Compare(n[a.start:a.end], n[b.start:b.end])
+	})
 }
 
-// parseYearInt mirrors strconv.Atoi(strings.TrimSpace(s)) for realistic
-// magnitudes without allocating a *NumError on the (hot, for non-numeric
-// columns) failure path. Values beyond 18 digits are rejected rather than
-// range-checked exactly — centuries away from any year.
+// runEnd returns the end of the run of equal tokens that starts at sorted
+// term i.
+//
+//moma:noalloc
+func (sc *Scratch) runEnd(i int) int {
+	t, n := sc.terms[i], sc.norm
+	j := i + 1
+	for j < len(sc.terms) && sc.terms[j].key == t.key &&
+		bytes.Equal(n[sc.terms[j].start:sc.terms[j].end], n[t.start:t.end]) {
+		j++
+	}
+	return j
+}
+
+// parseYearInt parses a trimmed, optionally signed decimal integer without
+// allocating on the (hot, for non-numeric columns) failure path. Numerals
+// longer than 18 digits are rejected rather than range-checked — centuries
+// away from any year.
 //
 //moma:noalloc
 func parseYearInt(s string) (int, bool) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -9,10 +10,9 @@ import (
 	"repro/internal/race"
 )
 
-// scratchValues mixes the cases the in-place profiling path must agree with
-// the allocating path on: unicode folding, separator classes, empty and
-// blank values, years (signed, padded, overlong, garbage), and tokens the
-// dictionary has never seen.
+// scratchValues mixes the cases buffer-reusing profiling must handle:
+// unicode folding, separator classes, empty and blank values, years (signed,
+// padded, overlong, garbage), and tokens the dictionary has never seen.
 func scratchValues() []string {
 	return []string{
 		"",
@@ -32,31 +32,18 @@ func scratchValues() []string {
 	}
 }
 
-// inPlaceMeasures enumerates every measure that implements
-// InPlaceQueryProfiler, with the variants that change scoring.
-func inPlaceMeasures() map[string]InPlaceQueryProfiler {
-	return map[string]InPlaceQueryProfiler{
-		"equal":          equalProfiled{},
-		"trigramDice":    ngramProfiled{n: 3, dice: true},
-		"bigramDice":     ngramProfiled{n: 2, dice: true},
-		"trigramJaccard": ngramProfiled{n: 3},
-		"tokenJaccard":   tokenProfiled{},
-		"tokenDice":      tokenProfiled{dice: true},
-		"year":           yearProfiled{},
-		"yearExact":      yearProfiled{exact: true},
+// allMeasures is every registered built-in by registry name plus a TF-IDF
+// measure over the edge-case corpus.
+func allMeasures() map[string]ProfiledSim {
+	corpus := NewTFIDF()
+	corpus.AddAll(profileEdgeCases)
+	out := map[string]ProfiledSim{"TFIDF": corpus.Profiled()}
+	reg := NewRegistry()
+	for _, name := range reg.Names() {
+		fn, _ := reg.Lookup(name)
+		out[name] = ProfiledOf(fn)
 	}
-}
-
-// TestAppendNormalizedMatchesNormalize pins the byte-wise normalizer to the
-// string one for every fixture value.
-func TestAppendNormalizedMatchesNormalize(t *testing.T) {
-	var buf []byte
-	for _, v := range scratchValues() {
-		buf = appendNormalized(buf[:0], v)
-		if got, want := string(buf), Normalize(v); got != want {
-			t.Errorf("appendNormalized(%q) = %q, Normalize = %q", v, got, want)
-		}
-	}
+	return out
 }
 
 // TestAppendLookupTokenIDsMatchesLookupTokenIDs pins the buffer-reusing
@@ -89,45 +76,101 @@ func TestParseYearIntMatchesAtoi(t *testing.T) {
 	}
 }
 
-// TestProfileQueryIntoMatchesQueryPath is the differential contract test of
-// InPlaceQueryProfiler: against every indexed profile, a profile rebuilt
-// into reused memory scores exactly like the allocating query path
-// (ProfileQuery where the measure interns, Profile otherwise).
-func TestProfileQueryIntoMatchesQueryPath(t *testing.T) {
-	vals := scratchValues()
-	for name, ip := range inPlaceMeasures() {
-		// Index every value first (interning measures grow the dictionary
-		// here), then query with the tail values still unknown where the
-		// fixture says so.
-		indexed := make([]*Profile, len(vals))
-		for i, v := range vals[:len(vals)-1] {
-			indexed[i] = ip.Profile(v)
-		}
-		indexed[len(vals)-1] = &Profile{} // the unknown-token query never gets indexed
-		var p Profile
+// TestYearFormsAgree is the regression test of the one year parser: the
+// string function, Compare over built profiles, and Compare of a QueryInto
+// profile against a built one give the same score for every pair of awkward
+// numerals — batch and online used to disagree on the 19-digit one — and
+// the values the parser decides are pinned.
+func TestYearFormsAgree(t *testing.T) {
+	vals := []string{"1234567890123456789", "+2005", " 2005 ", "-1", "20o5", "", "2005", "2004"}
+	for _, m := range []struct {
+		name string
+		fn   Func
+	}{{"YearExact", YearExact}, {"YearSim", YearSim}} {
+		ps := ProfiledOf(m.fn)
+		var q Profile
 		var sc Scratch
-		for _, q := range vals {
-			baseline := ip.Profile(q)
-			if qp, ok := ip.(QueryProfiler); ok {
-				baseline = qp.ProfileQuery(q)
-			}
-			ip.ProfileQueryInto(q, &p, &sc)
-			for i, v := range vals[:len(vals)-1] {
-				got := ip.Compare(&p, indexed[i])
-				want := ip.Compare(baseline, indexed[i])
-				if got != want {
-					t.Errorf("%s: Compare(into(%q), profile(%q)) = %v, query path = %v", name, q, v, got, want)
+		for _, a := range vals {
+			for _, b := range vals {
+				str := m.fn(a, b)
+				built := ps.Compare(NewProfile(ps, a), NewProfile(ps, b))
+				QueryInto(ps, a, &q, &sc)
+				online := ps.Compare(&q, NewProfile(ps, b))
+				if str != built || built != online {
+					t.Errorf("%s(%q, %q): string %v, built profiles %v, query profile %v", m.name, a, b, str, built, online)
 				}
 			}
 		}
 	}
+	for _, c := range []struct {
+		a, b        string
+		exact, near float64
+	}{
+		{"1234567890123456789", "1234567890123456789", 0, 0}, // longer than 18 digits: not a year
+		{"+2005", "2005", 1, 1},
+		{" 2005 ", "2005", 1, 1},
+		{" 2005 ", "2004", 0, 0.5},
+		{"-1", "-1", 1, 1},
+		{"20o5", "20o5", 0, 0},
+		{"", "", 0, 0},
+	} {
+		if got := YearExact(c.a, c.b); got != c.exact {
+			t.Errorf("YearExact(%q, %q) = %v, want %v", c.a, c.b, got, c.exact)
+		}
+		if got := YearSim(c.a, c.b); got != c.near {
+			t.Errorf("YearSim(%q, %q) = %v, want %v", c.a, c.b, got, c.near)
+		}
+	}
 }
 
-// TestProfileQueryIntoZeroAllocs pins the whole point: once the scratch and
-// profile buffers reach their high-water mark, rebuilding a query profile
-// allocates nothing — for every in-place measure, including the
-// unknown-token dedup of the token-set measures.
-func TestProfileQueryIntoZeroAllocs(t *testing.T) {
+// FuzzQueryIntoMatchesProfileInto pins the one twin that legitimately
+// remains — lookup-only versus interning profiling: for every measure, a
+// query profile rebuilt by QueryInto into reused memory scores bit-for-bit
+// like a built profile of the same value against a stored value's profile,
+// and QueryInto never grows the dictionary, whether or not the dictionary
+// knows the query's tokens.
+func FuzzQueryIntoMatchesProfileInto(f *testing.F) {
+	measures := allMeasures()
+	seeds := append(scratchValues(), profileEdgeCases...)
+	seeds = append(seeds, "\xff\xfe broken \xc3 utf8", "\x01\x02", "a\x01b \x02c", "zzqx1 view selection", "zzqx2 zzqx2 zzqx3")
+	for i, q := range seeds {
+		f.Add(q, seeds[(i*7+3)%len(seeds)])
+		f.Add(q, q)
+	}
+	f.Fuzz(func(t *testing.T, q, v string) {
+		// The stored side first (a build: it may intern v's tokens), then
+		// every query profile while q's own tokens are still unknown, then
+		// the built profiles of q, which intern them.
+		stored := make(map[string]*Profile, len(measures))
+		for name, ps := range measures {
+			stored[name] = NewProfile(ps, v)
+		}
+		online := make(map[string]float64, len(measures))
+		var p Profile
+		var sc Scratch
+		before := Terms.Len()
+		for name, ps := range measures {
+			QueryInto(ps, q, &p, &sc)
+			online[name] = ps.Compare(&p, stored[name])
+		}
+		if got := Terms.Len(); got != before {
+			t.Fatalf("QueryInto(%q) grew the dictionary %d -> %d", q, before, got)
+		}
+		for name, ps := range measures {
+			built := ps.Compare(NewProfile(ps, q), stored[name])
+			if math.Float64bits(online[name]) != math.Float64bits(built) {
+				t.Errorf("%s: QueryInto(%q) vs %q = %v, built profile %v", name, q, v, online[name], built)
+			}
+		}
+	})
+}
+
+// TestProfileIntoReusesBuffers pins the point of the into-scratch primitive:
+// once the scratch and profile buffers reach their high-water mark,
+// rebuilding a query profile allocates nothing — for every measure whose
+// profile holds only slices and numbers, including the unknown-token dedup
+// of the token-set and TF-IDF measures.
+func TestProfileIntoReusesBuffers(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -137,17 +180,26 @@ func TestProfileQueryIntoZeroAllocs(t *testing.T) {
 		"mapping based integration zzz-unknown qqq-unknown zzz-unknown",
 		" 1997 ",
 	}
-	for name, ip := range inPlaceMeasures() {
+	keepsStrings := map[string]bool{"EqualFold": true, "Soundex": true, "MongeElkan": true, "PersonName": true}
+	checked := 0
+	for name, ps := range allMeasures() {
+		if keepsStrings[name] {
+			continue
+		}
+		checked++
 		var p Profile
 		var sc Scratch
 		for _, q := range queries {
 			allocs := testing.AllocsPerRun(100, func() {
-				ip.ProfileQueryInto(q, &p, &sc)
+				QueryInto(ps, q, &p, &sc)
 			})
 			if allocs != 0 {
-				t.Errorf("%s: ProfileQueryInto(%q) allocates %.0f times per run, want 0", name, q, allocs)
+				t.Errorf("%s: QueryInto(%q) allocates %.0f times per run, want 0", name, q, allocs)
 			}
 		}
+	}
+	if checked != 15 {
+		t.Errorf("checked %d measures, want the 14 registered ones that keep no strings plus TF-IDF", checked)
 	}
 }
 

@@ -11,11 +11,15 @@
 // configurations (and the script language) can refer to them textually,
 // e.g. attrMatch(..., Trigram, 0.5, ...).
 //
-// Each built-in Func also has a profiled twin (see Profile, ProfiledSim and
-// ProfiledOf in profile.go) that hoists normalization, tokenization and
-// n-gram construction out of the per-pair hot path: profiles are built once
-// per attribute value, and the pair stage compares cached token sets, rune
-// slices or hashed gram sets with identical scores.
+// A measure is one ProfiledSim value (profile.go): ProfileInto hoists
+// normalization, tokenization and n-gram construction out of the per-pair
+// hot path — once per attribute value — and Compare scores two profiles.
+// The built-in Funcs are that same code applied to two strings, so there is
+// one implementation per measure; ProfiledOf maps any Func back to a
+// ProfiledSim, which is what the matchers and the live resolver score
+// through. Only TokenJaccard and TokenDice keep a string body of their own:
+// their profiles intern into the Terms dictionary, which a string call must
+// not grow.
 package sim
 
 import (
@@ -23,7 +27,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"unicode"
 )
 
 // Func computes a normalized similarity in [0,1] between two strings.
@@ -104,20 +107,10 @@ func (r *Registry) Names() []string {
 }
 
 // Equal is exact string equality.
-func Equal(a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	return 0
-}
+func Equal(a, b string) float64 { return compare(equal, a, b) }
 
 // EqualFold is case-insensitive equality after whitespace normalization.
-func EqualFold(a, b string) float64 {
-	if strings.EqualFold(NormalizeSpace(a), NormalizeSpace(b)) {
-		return 1
-	}
-	return 0
-}
+func EqualFold(a, b string) float64 { return compare(equalFold, a, b) }
 
 // NormalizeSpace lowercases nothing but collapses runs of whitespace to a
 // single space and trims the ends.
@@ -129,22 +122,7 @@ func NormalizeSpace(s string) string {
 // neither letter, digit nor space. It is the canonical preprocessing for the
 // character- and token-based measures.
 func Normalize(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	lastSpace := true
-	for _, r := range s {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(unicode.ToLower(r))
-			lastSpace = false
-		case unicode.IsSpace(r) || r == '-' || r == '_' || r == '/':
-			if !lastSpace {
-				b.WriteByte(' ')
-				lastSpace = true
-			}
-		}
-	}
-	return strings.TrimRight(b.String(), " ")
+	return string(appendNormalized(make([]byte, 0, len(s)), s))
 }
 
 // Tokens splits s into normalized word tokens.

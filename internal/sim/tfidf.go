@@ -1,15 +1,12 @@
 package sim
 
-import (
-	"math"
-	"sort"
-	"sync"
-)
+import "math"
 
 // TFIDF holds corpus statistics for the TF/IDF cosine measure named in §2.2.
-// Build it once from the attribute values of both match inputs, then use
-// Cosine (or the Func adapter) to score pairs. Rare tokens then weigh more
-// than stop-words, which is what makes TF/IDF effective on titles.
+// Build it once from the attribute values of both match inputs, then score
+// pairs through Profiled (or, two strings at a time, Cosine). Rare tokens
+// then weigh more than stop-words, which is what makes TF/IDF effective on
+// titles.
 //
 // Document frequencies and document vectors are keyed by interned term IDs
 // (the global Terms dictionary): registering a document hashes each token
@@ -19,12 +16,11 @@ import (
 // floating-point dot product is bit-identical however the corpus (or the
 // dictionary) was grown; see intern.go.
 //
-// Document vectors are computed once per distinct document and cached:
-// Cosine tokenizes and weights each attribute value on first sight only,
-// instead of on every one of the O(n·m) pair comparisons. The cache is
-// guarded by a mutex so concurrent scoring workers may share one corpus;
-// Add/AddAll must still finish before scoring starts (they invalidate the
-// cache, since new documents change every idf).
+// The corpus keeps no document vectors: a vector lives in the Profile its
+// measure built, and callers that score many pairs hold those profiles (a
+// matcher's profile columns, the live resolver's resident slots). Add and
+// Remove must not run concurrently with profiling or with each other; they
+// move ProfileVersion, which stales every profile built before.
 type TFIDF struct {
 	docFreq map[uint32]int
 	docs    int
@@ -32,38 +28,15 @@ type TFIDF struct {
 	// idf of every term, so profiles built before it are stale. The
 	// profiled form exposes it as its ProfileVersion.
 	gen uint64
-
-	mu   sync.RWMutex
-	vecs map[string]*docVec
-}
-
-// docVec is one cached tf-idf document vector: term IDs with their content
-// keys, sorted by key, weights aligned, norm2 the squared Euclidean norm of
-// the weights. extra counts distinct terms omitted from the merge lists
-// because the dictionary has never seen them (query-side vectors only):
-// they can match nothing, but the emptiness semantics of the cosine — "no
-// terms at all" versus "no interned terms" — must count them.
-type docVec struct {
-	ids     []uint32
-	keys    []uint64
-	weights []float64
-	norm2   float64
-	extra   int
 }
 
 // NewTFIDF returns an empty corpus model.
 func NewTFIDF() *TFIDF {
-	return &TFIDF{docFreq: make(map[uint32]int), vecs: make(map[string]*docVec)}
+	return &TFIDF{docFreq: make(map[uint32]int)}
 }
 
 // Add registers one document (attribute value) with the corpus.
 func (t *TFIDF) Add(doc string) {
-	t.mu.Lock()
-	if len(t.vecs) > 0 {
-		// Corpus statistics change every idf; drop stale vectors.
-		t.vecs = make(map[string]*docVec)
-	}
-	t.mu.Unlock()
 	t.gen++
 	t.docs++
 	for _, id := range uniqueSorted(Terms.TokenIDs(doc)) {
@@ -79,16 +52,10 @@ func (t *TFIDF) AddAll(docs []string) {
 }
 
 // Remove unregisters one previously Added document, reversing its document
-// frequencies. Like Add it invalidates cached vectors (removals change every
-// idf). Removing a document that was never added corrupts the statistics;
-// callers track membership (the live Resolver keeps one raw value per slot
-// for exactly this purpose).
+// frequencies. Removing a document that was never added corrupts the
+// statistics; callers track membership (the live Resolver keeps one raw
+// value per slot for exactly this purpose).
 func (t *TFIDF) Remove(doc string) {
-	t.mu.Lock()
-	if len(t.vecs) > 0 {
-		t.vecs = make(map[string]*docVec)
-	}
-	t.mu.Unlock()
 	t.gen++
 	t.docs--
 	for _, id := range uniqueSorted(Terms.TokenIDs(doc)) {
@@ -103,210 +70,26 @@ func (t *TFIDF) Remove(doc string) {
 // Docs returns the number of registered documents.
 func (t *TFIDF) Docs() int { return t.docs }
 
-// idf returns the smoothed inverse document frequency of a term ID. Unknown
-// terms get the maximal weight (as if they occurred in one document).
-func (t *TFIDF) idf(id uint32) float64 {
-	return t.idfDF(t.docFreq[id])
-}
-
-// idfDF is the smoothing formula over a raw document frequency — the single
-// definition both the interned path and the lookup-only query path weight
-// with, so their scores cannot drift apart.
-func (t *TFIDF) idfDF(df int) float64 {
+// idf is the smoothed inverse document frequency of a term that occurs in
+// df documents. A term the corpus — or the dictionary — has never seen gets
+// the maximal weight, as if it occurred in one document.
+//
+//moma:noalloc
+func (t *TFIDF) idf(df int) float64 {
 	if df < 1 {
 		df = 1
 	}
 	return math.Log(1 + float64(t.docs)/float64(df))
 }
 
-// vectorTokens builds the tf-idf weight vector of a pre-interned document.
-// toks is read-only: term counts go through a fresh map. The vector is
-// sorted by the terms' content keys with the string as the (in practice
-// unreachable) collision tiebreak, so the order depends only on the term
-// set.
-func (t *TFIDF) vectorTokens(toks []uint32) *docVec {
-	if len(toks) == 0 {
-		return &docVec{}
-	}
-	counts := make(map[uint32]int, len(toks))
-	for _, id := range toks {
-		counts[id]++
-	}
-	v := &docVec{
-		ids:  make([]uint32, 0, len(counts)),
-		keys: make([]uint64, 0, len(counts)),
-	}
-	for id := range counts {
-		v.ids = append(v.ids, id)
-		v.keys = append(v.keys, Terms.Key(id))
-	}
-	sort.Sort(byTermKey{v})
-	v.weights = make([]float64, len(v.ids))
-	for i, id := range v.ids {
-		tf := 1 + math.Log(float64(counts[id]))
-		w := tf * t.idf(id)
-		v.weights[i] = w
-		v.norm2 += w * w
-	}
-	return v
-}
-
-// byTermKey sorts a docVec's ids/keys in tandem by (key, term string).
-type byTermKey struct{ v *docVec }
-
-func (s byTermKey) Len() int { return len(s.v.ids) }
-func (s byTermKey) Less(i, j int) bool {
-	if s.v.keys[i] != s.v.keys[j] {
-		return s.v.keys[i] < s.v.keys[j]
-	}
-	if s.v.ids[i] == s.v.ids[j] {
-		return false
-	}
-	return Terms.Str(s.v.ids[i]) < Terms.Str(s.v.ids[j])
-}
-func (s byTermKey) Swap(i, j int) {
-	s.v.ids[i], s.v.ids[j] = s.v.ids[j], s.v.ids[i]
-	s.v.keys[i], s.v.keys[j] = s.v.keys[j], s.v.keys[i]
-}
-
-// buildVec materializes the cached form of a document vector.
-func (t *TFIDF) buildVec(doc string) *docVec {
-	return t.vectorTokens(Terms.TokenIDs(doc))
-}
-
-// vectorQuery builds a query-side vector without interning. Terms absent
-// from the dictionary cannot match any corpus term and are omitted from the
-// merge lists, but their weights still enter norm2 — in the same canonical
-// (content-key, string) order and with the same maximal idf an interned
-// build would give them (a token unknown to the dictionary has document
-// frequency zero in every corpus fed from it), so the cosine is
-// bit-identical to profiling the same value through buildVec.
-func (t *TFIDF) vectorQuery(doc string) *docVec {
-	toks := Tokens(doc)
-	if len(toks) == 0 {
-		return &docVec{}
-	}
-	counts := make(map[string]int, len(toks))
-	for _, tok := range toks {
-		counts[tok]++
-	}
-	type qterm struct {
-		tok   string
-		key   uint64
-		id    uint32
-		known bool
-		n     int
-	}
-	terms := make([]qterm, 0, len(counts))
-	for tok, n := range counts {
-		id, ok := Terms.Lookup(tok)
-		terms = append(terms, qterm{tok: tok, key: dictKey(tok), id: id, known: ok, n: n})
-	}
-	sort.Slice(terms, func(i, j int) bool {
-		if terms[i].key != terms[j].key {
-			return terms[i].key < terms[j].key
-		}
-		return terms[i].tok < terms[j].tok
-	})
-	v := &docVec{}
-	for _, q := range terms {
-		tf := 1 + math.Log(float64(q.n))
-		var w float64
-		if q.known {
-			w = tf * t.idf(q.id)
-		} else {
-			// A term the dictionary has never seen has df 0 in every corpus
-			// fed from it.
-			w = tf * t.idfDF(0)
-		}
-		v.norm2 += w * w
-		if q.known {
-			v.ids = append(v.ids, q.id)
-			v.keys = append(v.keys, q.key)
-			v.weights = append(v.weights, w)
-		} else {
-			v.extra++
-		}
-	}
-	return v
-}
-
-// cachedVector returns the document vector of doc, computing it at most
-// once per corpus state. Safe for concurrent use.
-func (t *TFIDF) cachedVector(doc string) *docVec {
-	t.mu.RLock()
-	v, ok := t.vecs[doc]
-	t.mu.RUnlock()
-	if ok {
-		return v
-	}
-	v = t.buildVec(doc)
-	t.mu.Lock()
-	if prior, ok := t.vecs[doc]; ok {
-		v = prior // another worker won the race; keep one canonical vector
-	} else {
-		t.vecs[doc] = v
-	}
-	t.mu.Unlock()
-	return v
-}
-
-// cosineVec is the cosine of two pre-built document vectors. The merge
-// walks both term lists in content-key order comparing integers; only a
-// 64-bit key collision between distinct terms (in practice never) falls
-// back to a string comparison to keep the order deterministic. aExtra and
-// bExtra count a side's un-interned terms (lookup-only query vectors), so
-// the emptiness short-circuits see the document's true term count.
-func cosineVec(aIDs []uint32, aKeys []uint64, aW []float64, na float64, aExtra int,
-	bIDs []uint32, bKeys []uint64, bW []float64, nb float64, bExtra int) float64 {
-	if len(aIDs)+aExtra == 0 && len(bIDs)+bExtra == 0 {
-		return 1
-	}
-	if len(aIDs)+aExtra == 0 || len(bIDs)+bExtra == 0 {
-		return 0
-	}
-	var dot float64
-	i, j := 0, 0
-	for i < len(aIDs) && j < len(bIDs) {
-		switch {
-		case aIDs[i] == bIDs[j]:
-			dot += aW[i] * bW[j]
-			i++
-			j++
-		case aKeys[i] < bKeys[j]:
-			i++
-		case aKeys[i] > bKeys[j]:
-			j++
-		case Terms.Str(aIDs[i]) < Terms.Str(bIDs[j]):
-			i++
-		default:
-			j++
-		}
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return clamp01(dot / (math.Sqrt(na) * math.Sqrt(nb)))
-}
-
 // Cosine returns the cosine similarity of the tf-idf vectors of a and b.
-// Vectors are cached per distinct document string for the corpus lifetime
-// (a match input has few distinct values relative to pairs); a long-lived
-// corpus scoring an unbounded stream of distinct strings should be rebuilt
-// periodically to release the cache.
-func (t *TFIDF) Cosine(a, b string) float64 {
-	va, vb := t.cachedVector(a), t.cachedVector(b)
-	return cosineVec(va.ids, va.keys, va.weights, va.norm2, va.extra,
-		vb.ids, vb.keys, vb.weights, vb.norm2, vb.extra)
-}
+// Both vectors are built per call; score many pairs through Profiled.
+func (t *TFIDF) Cosine(a, b string) float64 { return compare(t.Profiled(), a, b) }
 
-// Func adapts the corpus model to the sim.Func interface.
-func (t *TFIDF) Func() Func { return t.Cosine }
-
-// Profiled returns the profile-based form of the corpus cosine: Profile
-// builds a document vector once per attribute value, Compare is the merge
-// dot product. Cosine is a method value and therefore invisible to
-// ProfiledOf; matchers that use a TFIDF corpus pass this explicitly.
+// Profiled returns the corpus cosine as a measure: ProfileInto builds a
+// document vector once per attribute value, Compare is the merge dot
+// product. Cosine is a method value and therefore invisible to ProfiledOf;
+// matchers that use a TFIDF corpus pass this explicitly.
 func (t *TFIDF) Profiled() ProfiledSim { return tfidfProfiled{t: t} }
 
 type tfidfProfiled struct {
@@ -317,33 +100,94 @@ type tfidfProfiled struct {
 // every previously-built profile (idfs shift globally).
 func (p tfidfProfiled) ProfileVersion() uint64 { return p.t.gen }
 
-func (p tfidfProfiled) Profile(s string) *Profile {
-	return vecProfile(s, p.t.buildVec(s))
+// ProfileInto interns the value's tokens into Terms.
+func (p tfidfProfiled) ProfileInto(s string, pr *Profile, sc *Scratch) {
+	sc.scanTerms(s)
+	sc.internTerms()
+	p.fill(s, pr, sc)
 }
 
-// ProfileTokens implements TokenProfiler: the document vector is built from
-// an already-interned token column instead of re-tokenizing.
-func (p tfidfProfiled) ProfileTokens(s string, toks []uint32) *Profile {
-	return vecProfile(s, p.t.vectorTokens(toks))
-}
-
-// ProfileQuery implements QueryProfiler: the vector is built with lookups
-// only, so scoring a stream of distinct query records never grows the
-// dictionary.
-func (p tfidfProfiled) ProfileQuery(s string) *Profile {
-	return vecProfile(s, p.t.vectorQuery(s))
-}
-
-func vecProfile(s string, v *docVec) *Profile {
-	return &Profile{Raw: s, TermIDs: v.ids, TermKeys: v.keys, Weights: v.weights,
-		WeightNorm2: v.norm2, ExtraTokens: v.extra}
-}
-
-// Compare is a merge-join over the pre-weighted vectors; ties on the
-// 64-bit content key fall back to interned-string order without allocating.
+// ProfileQueryInto implements QueryProfiler: the vector is built with
+// lookups only, so scoring a stream of distinct query records never grows
+// the dictionary.
 //
 //moma:noalloc
-func (p tfidfProfiled) Compare(a, b *Profile) float64 {
-	return cosineVec(a.TermIDs, a.TermKeys, a.Weights, a.WeightNorm2, a.ExtraTokens,
-		b.TermIDs, b.TermKeys, b.Weights, b.WeightNorm2, b.ExtraTokens)
+func (p tfidfProfiled) ProfileQueryInto(s string, pr *Profile, sc *Scratch) {
+	sc.scanTerms(s)
+	p.fill(s, pr, sc)
+}
+
+// fill builds the tf-idf weight vector from the scanned terms, in content-
+// key order. Terms absent from the dictionary cannot match any corpus term
+// and are left out of the merge lists, but their weights still enter the
+// norm — in the same canonical order and with the same maximal idf an
+// interned build gives them (a token unknown to the dictionary has document
+// frequency zero in every corpus fed from it) — so a lookup-only vector
+// scores bit-identically to an interned one.
+//
+//moma:noalloc
+func (p tfidfProfiled) fill(s string, pr *Profile, sc *Scratch) {
+	pr.reset(s)
+	sc.sortTerms()
+	n := len(sc.terms)
+	ids, keys, weights := grow(pr.TermIDs, n)[:n], grow(pr.TermKeys, n)[:n], grow(pr.Weights, n)[:n]
+	k := 0
+	for i := 0; i < n; {
+		j := sc.runEnd(i)
+		t := sc.terms[i]
+		df := 0
+		if t.known {
+			df = p.t.docFreq[t.id]
+		}
+		w := (1 + math.Log(float64(j-i))) * p.t.idf(df)
+		pr.WeightNorm2 += w * w
+		if t.known {
+			ids[k], keys[k], weights[k] = t.id, t.key, w
+			k++
+		} else {
+			pr.ExtraTokens++
+		}
+		i = j
+	}
+	pr.TermIDs, pr.TermKeys, pr.Weights = ids[:k], keys[:k], weights[:k]
+}
+
+// Compare is the cosine of two document vectors. The merge walks both term
+// lists in content-key order comparing integers; only a 64-bit key collision
+// between distinct terms (in practice never) falls back to a string
+// comparison to keep the order deterministic. ExtraTokens counts a side's
+// un-interned terms (lookup-only query vectors), so the emptiness
+// short-circuits see the document's true term count.
+//
+//moma:noalloc
+func (tfidfProfiled) Compare(a, b *Profile) float64 {
+	na, nb := len(a.TermIDs)+a.ExtraTokens, len(b.TermIDs)+b.ExtraTokens
+	if na == 0 && nb == 0 {
+		return 1
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	var dot float64
+	i, j := 0, 0
+	for i < len(a.TermIDs) && j < len(b.TermIDs) {
+		switch {
+		case a.TermIDs[i] == b.TermIDs[j]:
+			dot += a.Weights[i] * b.Weights[j]
+			i++
+			j++
+		case a.TermKeys[i] < b.TermKeys[j]:
+			i++
+		case a.TermKeys[i] > b.TermKeys[j]:
+			j++
+		case Terms.Str(a.TermIDs[i]) < Terms.Str(b.TermIDs[j]):
+			i++
+		default:
+			j++
+		}
+	}
+	if a.WeightNorm2 == 0 || b.WeightNorm2 == 0 {
+		return 0
+	}
+	return clamp01(dot / (math.Sqrt(a.WeightNorm2) * math.Sqrt(b.WeightNorm2)))
 }

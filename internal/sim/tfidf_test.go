@@ -79,14 +79,6 @@ func TestTFIDFDocs(t *testing.T) {
 	}
 }
 
-func TestTFIDFFuncAdapter(t *testing.T) {
-	m := corpusModel()
-	fn := m.Func()
-	if fn("schema", "schema") != m.Cosine("schema", "schema") {
-		t.Error("Func adapter should delegate to Cosine")
-	}
-}
-
 // TestTFIDFInterleavedAddRemoveCompare is the vector-cache invalidation
 // test: Compare/Cosine results observed between interleaved Adds and
 // Removes must always equal a corpus freshly built to the same document
@@ -141,13 +133,13 @@ func TestTFIDFInterleavedAddRemoveCompare(t *testing.T) {
 		}
 		ps := corpus.Profiled()
 		for _, a := range docs {
-			pa := ps.Profile(a)
+			pa := NewProfile(ps, a)
 			for _, b := range docs {
 				want := fresh.Cosine(a, b)
 				if got := corpus.Cosine(a, b); got != want {
 					t.Fatalf("step %d: Cosine(%q, %q) = %v, fresh corpus %v (stale cache?)", step, a, b, got, want)
 				}
-				if got := ps.Compare(pa, ps.Profile(b)); got != want {
+				if got := ps.Compare(pa, NewProfile(ps, b)); got != want {
 					t.Fatalf("step %d: profiled(%q, %q) = %v, fresh corpus %v", step, a, b, got, want)
 				}
 			}

@@ -8,7 +8,9 @@ import (
 
 // Token-level and domain-specific measures.
 
-// TokenJaccard is |A∩B| / |A∪B| over the normalized token sets.
+// TokenJaccard is |A∩B| / |A∪B| over the normalized token sets. Unlike the
+// other built-ins it is not Compare over two profiles: the token-set profile
+// interns into Terms, and a string call must not grow the dictionary.
 func TokenJaccard(a, b string) float64 {
 	ta := uniqueSorted(Tokens(a))
 	tb := uniqueSorted(Tokens(b))
@@ -38,37 +40,15 @@ func TokenDice(a, b string) float64 {
 
 // YearExact returns 1 when both strings parse as the same integer year.
 // Either side failing to parse yields 0 (the paper notes Google Scholar's
-// optional year attribute).
-func YearExact(a, b string) float64 {
-	ya, errA := strconv.Atoi(strings.TrimSpace(a))
-	yb, errB := strconv.Atoi(strings.TrimSpace(b))
-	if errA != nil || errB != nil {
-		return 0
-	}
-	if ya == yb {
-		return 1
-	}
-	return 0
-}
+// optional year attribute). A year is an optionally signed decimal numeral
+// of at most 18 digits, surrounding whitespace ignored; a longer numeral
+// does not parse, so YearExact of a 19-digit numeral with itself is 0.
+func YearExact(a, b string) float64 { return compare(yearExact, a, b) }
 
 // YearSim returns 1 for equal years, 0.5 for years differing by one (the
 // paper's domain constraint "must not differ by more than one year"), and 0
-// otherwise or when either side does not parse.
-func YearSim(a, b string) float64 {
-	ya, errA := strconv.Atoi(strings.TrimSpace(a))
-	yb, errB := strconv.Atoi(strings.TrimSpace(b))
-	if errA != nil || errB != nil {
-		return 0
-	}
-	switch d := ya - yb; {
-	case d == 0:
-		return 1
-	case d == 1 || d == -1:
-		return 0.5
-	default:
-		return 0
-	}
-}
+// otherwise or when either side does not parse (see YearExact).
+func YearSim(a, b string) float64 { return compare(year, a, b) }
 
 // NumericProximity returns a similarity for numeric strings that decays
 // linearly with |a-b| / scale, clamped to [0,1]. Non-numeric input gives 0.
@@ -139,25 +119,14 @@ func Soundex(s string) string {
 
 // SoundexSim returns 1 when the Soundex codes of the first tokens agree and
 // both are non-empty, else 0.
-func SoundexSim(a, b string) float64 {
-	ca, cb := Soundex(a), Soundex(b)
-	if ca == "" || cb == "" {
-		return 0
-	}
-	if ca == cb {
-		return 1
-	}
-	return 0
-}
+func SoundexSim(a, b string) float64 { return compare(soundex, a, b) }
 
 // PersonName compares person names with awareness of initial-only given
 // names, the Google Scholar convention the paper calls out ("GS reduces
 // authors' first names to their first letter"). The last tokens (surnames)
 // are compared with Jaro-Winkler; the remaining given-name tokens are
 // aligned pairwise, where an initial matches any name starting with it.
-func PersonName(a, b string) float64 {
-	return personNameTokens(Tokens(a), Tokens(b))
-}
+func PersonName(a, b string) float64 { return compare(personName, a, b) }
 
 // personNameTokens is PersonName over pre-tokenized names.
 func personNameTokens(ta, tb []string) float64 {

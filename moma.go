@@ -28,21 +28,30 @@
 //
 // Attribute matchers evaluate their similarity function over O(n·m)
 // candidate pairs, but a match input only contains n+m distinct attribute
-// values. The similarity-profile layer exploits this: every built-in
-// SimFunc has a profiled twin (ProfiledSim) that preprocesses each value
-// once — normalization, tokenization, hashed character n-gram sets, TF-IDF
-// vectors — into a SimProfile, and then scores pairs over the cached
-// profiles with identical results. AttributeMatcher and
-// MultiAttributeMatcher upgrade built-in measures automatically via
-// ProfiledOf; custom closures keep the string-based path. A corpus-backed
-// measure is wired explicitly:
+// values. So a measure is a ProfiledSim, one type with two methods:
+// ProfileInto preprocesses one value — normalization, tokenization, hashed
+// character n-gram sets, TF-IDF vectors — into a caller-owned SimProfile,
+// reusing the profile's arrays and a SimScratch, and Compare scores two
+// profiles. There is no other way to build a profile and no second
+// implementation of a measure: the built-in SimFuncs are Compare over the
+// profiles of their two arguments, AttributeMatcher, MultiAttributeMatcher
+// and LiveResolver score every configuration through ProfiledOf(Sim), and
+// ProfiledOf is total — a SimFunc it does not know (a custom closure,
+// NumericProximity) becomes a measure whose profile is the raw value and
+// whose Compare calls the function. A measure no SimFunc names, such as a
+// corpus-backed one, is passed as the Profiled field:
 //
 //	corpus := moma.NewTFIDF()
 //	// ... corpus.AddAll(titles) ...
 //	m := &moma.AttributeMatcher{AttrA: "title", AttrB: "title",
 //		Profiled: corpus.Profiled(), Threshold: 0.6}
 //
-// Profiles are immutable after construction, so matchers with Workers > 1
+// Build sides keep what NewSimProfile returns; read paths rebuild pooled
+// profiles through the lookup-only sim.QueryInto, which never grows a term
+// dictionary and, for every measure whose profile holds only slices and
+// numbers, allocates nothing once its buffers are warm.
+//
+// Profiles are read-only between builds, so matchers with Workers > 1
 // score them concurrently without locks.
 //
 // # Streaming match pipeline
@@ -54,10 +63,7 @@
 // only above-threshold correspondences. The candidate set — potentially
 // O(n·m) pairs — never exists in memory as a whole; a match's footprint is
 // the O(n+m) profile columns (dense arrays keyed by ObjectSet.IndexOf
-// ordinals) plus the kept correspondences. Token blocking additionally
-// shares its tokenization with the profile build: the sim.Tokens output
-// computed for the blocking attribute is reused by token-based measures on
-// the same attribute instead of re-tokenizing. Results are bit-identical
+// ordinals) plus the kept correspondences. Results are bit-identical
 // to the materialized path, including mapping insertion order, at any
 // worker count. The workflow Engine can push one Workers setting through
 // every matcher of a workflow (ConfigurableWorkers).
@@ -256,7 +262,9 @@
 //  2. Dictionary ownership: read paths never grow a dictionary. A function
 //     marked `//moma:readpath` must not reach — through any call chain — an
 //     API marked `//moma:interns` (sim.Dict.ID, model.IDDict.Ord, the
-//     ProfiledSim.Profile contract). Checker: dictgrowth.
+//     ProfiledSim.ProfileInto contract; sim.QueryInto is the read-side
+//     entry point and holds the one justified suppression). Checker:
+//     dictgrowth.
 //  3. Columnar integrity: parallel columns move together. A struct doc
 //     comment `//moma:parallel f1 f2 ...` declares that the named fields
 //     are index-aligned; a function that reassigns a proper subset of them
@@ -274,7 +282,7 @@
 //     appends into reused capacity and provably stack-allocated closures
 //     carry `//moma:noalloc-ok <why>` and a testing.AllocsPerRun gate
 //     (TestResolveAppendZeroAllocs, TestEachCandidateZeroAllocs,
-//     TestProfileQueryIntoZeroAllocs). Checker: noalloc.
+//     TestProfileIntoReusesBuffers). Checker: noalloc.
 //  6. Worker-pool discipline: a goroutine launched in a loop writes shared
 //     state only by partition-by-index — each worker owns slice slot i and
 //     nobody else's, results are read after a visible wg.Wait — and never
@@ -480,11 +488,10 @@ type (
 	TFIDF = sim.TFIDF
 	// SimProfile caches the derived forms of one attribute value.
 	SimProfile = sim.Profile
-	// ProfiledSim is a measure split into per-value profiling and
-	// pair scoring; built-ins are resolved via ProfiledOf.
+	// ProfiledSim is a measure: ProfileInto per value, Compare per pair.
 	ProfiledSim = sim.ProfiledSim
-	// SimPairFunc scores a pair of precomputed profiles.
-	SimPairFunc = sim.PairFunc
+	// SimScratch is the working memory ProfileInto takes.
+	SimScratch = sim.Scratch
 )
 
 // Built-in similarity functions.
@@ -506,8 +513,10 @@ var (
 
 	NewSimRegistry = sim.NewRegistry
 	NewTFIDF       = sim.NewTFIDF
-	// ProfiledOf resolves the profiled twin of a built-in measure.
+	// ProfiledOf returns the measure behind any non-nil SimFunc.
 	ProfiledOf = sim.ProfiledOf
+	// NewSimProfile builds a fresh profile of one value.
+	NewSimProfile = sim.NewProfile
 )
 
 // Matchers (package match) and blocking (package block).
