@@ -364,7 +364,7 @@ func BenchmarkTrigramProfiled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ps.Compare(pa, pb)
+		ps.Compare(pa, pb, 0)
 	}
 }
 

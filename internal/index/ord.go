@@ -112,52 +112,109 @@ func (x *Ords) Remove(ord int, toks []uint32) {
 	}
 }
 
-// hitsPool recycles the per-probe posting-gather buffers: a warm probe
-// allocates nothing, which keeps EachCandidate's footprint flat however
-// large the index grows.
-var hitsPool = sync.Pool{New: func() any { return new([]int32) }}
+// probe is the working memory of one EachCandidate call: the posting lists
+// the query's tokens hit and the gathered entries of the shorter ones.
+type probe struct {
+	lists [][]int32
+	hits  []int32
+}
+
+// probePool recycles the per-probe buffers: a warm probe allocates nothing,
+// which keeps EachCandidate's footprint flat however large the index grows.
+var probePool = sync.Pool{New: func() any { return new(probe) }}
 
 // EachCandidate streams the ordinals of documents sharing at least minShared
 // distinct tokens with toks, in ascending ordinal order, stopping early when
 // yield returns false. Per probe, memory is proportional to the number of
-// posting entries hit — independent of the index size — and served from a
-// pool, so a warm resolver answers queries without set-sized allocations.
+// posting entries gathered — independent of the index size — and served from
+// a pool, so a warm resolver answers queries without set-sized allocations.
 // TestEachCandidateZeroAllocs pins the warm probe at zero heap allocations.
+//
+// A document found in none but minShared-1 of the lists shares too few tokens
+// to be a candidate, so up to that many lists need not be gathered: the
+// entries of the others are sorted into runs (a document sharing k of their
+// tokens appears k times), and a run short of minShared is looked up in the
+// lists set aside, which the ascending runs walk through once. A list is set
+// aside when it is longer than all the shorter lists together — then the
+// lookups are fewer than the entries they save from the sort. On a vocabulary
+// where one token of a query is in a quarter of all documents and the rest
+// are rare, that is the difference between sorting the quarter and sorting
+// the rest; lists of like length are all gathered, as before.
 //
 //moma:noalloc
 func (x *Ords) EachCandidate(toks []uint32, minShared int, yield func(ord int) bool) {
 	if minShared < 1 {
 		minShared = 1
 	}
-	// Gather every posting hit by a distinct query token, then sort and scan
-	// runs: a document sharing k distinct tokens appears exactly k times.
-	buf := hitsPool.Get().(*[]int32)
-	hits := (*buf)[:0]
-	for i, tok := range toks {
-		if seenBefore(toks, i) {
-			continue
-		}
-		hits = append(hits, x.postings[tok]...) //moma:noalloc-ok appends into the pooled buffer; grows once to the probe high-water mark
-	}
+	pb := probePool.Get().(*probe)
+	lists, hits := pb.lists[:0], pb.hits[:0]
 	//moma:noalloc-ok the cleanup closure is stack-allocated: open-coded defer, nothing retains it
 	defer func() {
-		*buf = hits[:0]
-		hitsPool.Put(buf)
+		clear(lists) // the pool must not pin posting lists
+		pb.lists, pb.hits = lists[:0], hits[:0]
+		probePool.Put(pb)
 	}()
-	if len(hits) == 0 {
+	for i, tok := range toks {
+		if list := x.postings[tok]; len(list) > 0 && !seenBefore(toks, i) {
+			lists = append(lists, list) //moma:noalloc-ok appends into the pooled buffer; grows once to the probe high-water mark
+		}
+	}
+	if len(lists) < minShared {
 		return
+	}
+	gather := 0
+	for _, list := range lists {
+		gather += len(list)
+	}
+	long := 0
+	for ; long < minShared-1; long++ {
+		for j := long + 1; j < len(lists); j++ {
+			if len(lists[j]) > len(lists[long]) {
+				lists[long], lists[j] = lists[j], lists[long]
+			}
+		}
+		if 2*len(lists[long]) <= gather {
+			break
+		}
+		gather -= len(lists[long])
+	}
+	for _, list := range lists[long:] {
+		hits = append(hits, list...) //moma:noalloc-ok appends into the pooled buffer; grows once to the probe high-water mark
 	}
 	slices.Sort(hits)
 	for i := 0; i < len(hits); {
+		ord := hits[i]
 		j := i + 1
-		for j < len(hits) && hits[j] == hits[i] {
+		for j < len(hits) && hits[j] == ord {
 			j++
 		}
-		if j-i >= minShared && !yield(int(hits[i])) {
+		shared := j - i
+		for l := 0; l < long && shared < minShared; l++ {
+			lists[l] = seek(lists[l], ord)
+			if len(lists[l]) > 0 && lists[l][0] == ord {
+				shared++
+			}
+		}
+		if shared >= minShared && !yield(int(ord)) {
 			return
 		}
 		i = j
 	}
+}
+
+// seek returns the tail of a sorted posting list from its first entry >= ord
+// on: a gallop to bracket the entry, a binary search inside the bracket, so
+// walking a list through ascending ords costs the logarithm of each step.
+//
+//moma:noalloc
+func seek(list []int32, ord int32) []int32 {
+	bound := 1
+	for bound <= len(list) && list[bound-1] < ord {
+		bound *= 2
+	}
+	lo := bound / 2
+	at, _ := slices.BinarySearch(list[lo:min(bound, len(list))], ord)
+	return list[lo+at:]
 }
 
 // seenBefore reports whether toks[i] occurred earlier in toks — an

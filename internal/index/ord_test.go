@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/race"
@@ -123,6 +124,74 @@ func TestOrdsMatchesIndexCandidates(t *testing.T) {
 			})
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("probe %v minShared=%d: ords %v != index %v", q, minShared, got, want)
+			}
+		}
+	}
+}
+
+// TestEachCandidateSkewedMatchesCount pins the probe that sets long posting
+// lists aside against a direct count of shared tokens, on the vocabulary
+// that triggers it: token 0 is in nearly every document, token 1 in half,
+// the rest are rare. Same candidates in the same ascending order for every
+// minShared, with duplicate and unknown query tokens, after removals, and
+// with an early stop.
+func TestEachCandidateSkewedMatchesCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	const docs = 400
+	x := NewOrds()
+	docToks := make([][]uint32, docs)
+	for d := range docToks {
+		var toks []uint32
+		if rng.Intn(10) > 0 {
+			toks = append(toks, 0)
+		}
+		if rng.Intn(2) == 0 {
+			toks = append(toks, 1)
+		}
+		for n := rng.Intn(4); n > 0; n-- {
+			toks = append(toks, uint32(2+rng.Intn(60)))
+		}
+		docToks[d] = toks
+		x.Add(d, toks)
+	}
+	for d := 0; d < docs; d += 7 {
+		x.Remove(d, docToks[d])
+		docToks[d] = nil
+	}
+	for probe := 0; probe < 300; probe++ {
+		q := []uint32{uint32(2 + rng.Intn(60)), uint32(2 + rng.Intn(60)), 1000}
+		for _, common := range []uint32{0, 1} {
+			if rng.Intn(3) > 0 {
+				q = append(q, common)
+			}
+		}
+		q = append(q, q[rng.Intn(len(q))])
+		rng.Shuffle(len(q), func(i, j int) { q[i], q[j] = q[j], q[i] })
+		for minShared := 0; minShared <= 5; minShared++ {
+			var want []int
+			for d, toks := range docToks {
+				shared := 0
+				for i, tok := range q {
+					if !seenBefore(q, i) && slices.Contains(toks, tok) {
+						shared++
+					}
+				}
+				if shared >= max(minShared, 1) {
+					want = append(want, d)
+				}
+			}
+			if got := collectOrds(x, q, minShared); !slices.Equal(got, want) {
+				t.Fatalf("probe %v minShared=%d:\n got %v\nwant %v", q, minShared, got, want)
+			}
+			if len(want) > 1 {
+				var first []int
+				x.EachCandidate(q, minShared, func(ord int) bool {
+					first = append(first, ord)
+					return len(first) < 2
+				})
+				if !slices.Equal(first, want[:2]) {
+					t.Fatalf("probe %v minShared=%d stopped early with %v, want %v", q, minShared, first, want[:2])
+				}
 			}
 		}
 	}

@@ -14,9 +14,12 @@
 //
 // Scoring mirrors the batch matchers exactly: a query blocked by shared
 // tokens (block.TokenBlocking semantics) and scored as the weighted average
-// of per-column similarities (match.MultiAttribute semantics) produces
-// bit-identical similarities to a batch re-match with the same
-// configuration — the differential tests in live_test.go pin this. The one
+// of per-column similarities (match.MultiAttribute semantics, through the
+// same sim.Weighted) produces bit-identical similarities to a batch re-match
+// with the same configuration — the differential tests in live_test.go pin
+// this, against an oracle that scores every candidate in full: the resolver
+// does not, it passes each measure the floor the threshold leaves it and
+// counts the candidates that ended early as pruned. The one
 // deliberate divergence is TF-IDF: a batch TFIDFAttribute builds its corpus
 // from both match inputs, while a Resolver's corpus covers the registered
 // set only (queries arrive one at a time and must not shift document
@@ -24,10 +27,12 @@
 //
 // A Resolver is safe for concurrent use: Resolve takes a read lock, Add and
 // Remove a write lock, so a serving process interleaves lookups and updates
-// freely. Slots are append-only with tombstones; once tombstones outnumber
-// the live instances (past a small floor) Remove compacts the slot arrays
-// and rebuilds the blocking index in place, so resident memory stays
-// proportional to the live set under unbounded churn.
+// freely. Slots are append-only with tombstones. Remove lets go of
+// everything the instance brought — postings, blocking tokens, profiles, its
+// id — and leaves only the slot's entries in the per-slot arrays; once
+// tombstones outnumber the live instances (past a small floor) it compacts
+// those arrays and rebuilds the blocking index in place, so resident memory
+// stays proportional to the live set under unbounded churn.
 //
 // Blocking tokens are interned in a dictionary private to the resolver
 // (sim.Dict): Add interns the arriving instance's blocking tokens, and
@@ -88,16 +93,15 @@ type Match struct {
 }
 
 // colState is the resident per-column state.
-//
-//moma:parallel profs raws
 type colState struct {
 	cfg    Column
 	ps     sim.ProfiledSim // the column's measure
 	corpus *sim.TFIDF      // non-nil for TFIDF columns
-	w      float64
 
-	profs []*sim.Profile // per slot
-	raws  []string       // per slot, raw values (corpus removal, reprofiling)
+	// profs holds one profile per slot (the Resolver's ids, alive and
+	// blockToks are its sibling columns), nil for tombstones. A profile's Raw
+	// is the slot's value: corpus removal and reprofiling read it back.
+	profs []*sim.Profile
 }
 
 // Resolver holds one registered object set in resident, incrementally
@@ -110,10 +114,10 @@ type Resolver struct {
 	cfg Config
 
 	minShared int
-	totalW    float64
 	cols      []colState
+	scorer    *sim.Weighted // the columns' weighted mean against cfg.Threshold
 
-	ids       []model.ID       // slot -> id (stale after Remove, see alive); guarded by mu
+	ids       []model.ID       // slot -> id ("" for tombstones); guarded by mu
 	slots     map[model.ID]int // id -> slot, alive instances only; guarded by mu
 	alive     []bool           // slot liveness; guarded by mu
 	liveCount int              // guarded by mu
@@ -153,6 +157,8 @@ func NewResolver(set *model.ObjectSet, cfg Config) (*Resolver, error) {
 		r.minShared = 1
 	}
 	r.cols = make([]colState, len(cfg.Columns))
+	measures := make([]sim.ProfiledSim, len(cfg.Columns))
+	weights := make([]float64, len(cfg.Columns))
 	for i, c := range cfg.Columns {
 		if c.QueryAttr == "" || c.SetAttr == "" {
 			return nil, fmt.Errorf("live: column %d needs QueryAttr and SetAttr", i)
@@ -160,9 +166,9 @@ func NewResolver(set *model.ObjectSet, cfg Config) (*Resolver, error) {
 		if c.Weight < 0 {
 			return nil, fmt.Errorf("live: column %d has negative weight", i)
 		}
-		cs := colState{cfg: c, w: c.Weight}
-		if cs.w == 0 {
-			cs.w = 1
+		cs := colState{cfg: c}
+		if weights[i] = c.Weight; c.Weight == 0 {
+			weights[i] = 1
 		}
 		switch {
 		case c.TFIDF:
@@ -175,9 +181,9 @@ func NewResolver(set *model.ObjectSet, cfg Config) (*Resolver, error) {
 		default:
 			return nil, fmt.Errorf("live: column %d has no similarity function", i)
 		}
-		r.cols[i] = cs
-		r.totalW += cs.w
+		r.cols[i], measures[i] = cs, cs.ps
 	}
+	r.scorer = sim.NewWeighted(measures, weights, cfg.Threshold)
 	// Bulk build: register every corpus document first and profile each
 	// column exactly once at the end — the per-arrival reprofile of Add
 	// would make a TFIDF construction O(n²).
@@ -300,19 +306,19 @@ func (r *Resolver) resolveLocked(q *model.Instance, asMember bool, dst []Match) 
 	//moma:noalloc-ok the candidate closure is stack-allocated: EachCandidate does not retain it (pinned by TestResolveAppendZeroAllocs)
 	r.ix.EachCandidate(toks, r.minShared, func(ord int) bool {
 		sp.Candidates++
-		var sum float64
-		for i := range r.cols {
-			c := &r.cols[i]
-			sum += c.w * c.ps.Compare(&profs[i], c.profs[ord])
-		}
-		if s := sum / r.totalW; s >= r.cfg.Threshold {
+		//moma:noalloc-ok the column closure is stack-allocated: Score does not retain it (pinned by TestResolveAppendZeroAllocs)
+		s := r.scorer.Score(func(i int) (a, b *sim.Profile) { return &profs[i], r.cols[i].profs[ord] })
+		if s >= r.cfg.Threshold {
 			sp.Kept++
 			dst = append(dst, Match{ID: r.ids[ord], Sim: s}) //moma:noalloc-ok appends into caller-reused capacity; grows once to the high-water mark
+		} else if s < 0 {
+			sp.Pruned++
 		}
 		return true
 	})
 	sp.Mark(stageScore)
 	resolveCandidates.Add(uint64(sp.Candidates))
+	resolvePruned.Add(uint64(sp.Pruned))
 	resolveMatches.Add(uint64(sp.Kept))
 	resolveStages.Finish(sp, string(q.ID))
 	return dst
@@ -391,21 +397,21 @@ func (r *Resolver) addLocked(in *model.Instance, bulk bool) {
 		droppedCorpus = make([]bool, len(r.cols))
 		for i := range r.cols {
 			c := &r.cols[i]
-			droppedCorpus[i] = c.corpus != nil && r.alive[slot] && c.raws[slot] != ""
+			droppedCorpus[i] = c.corpus != nil && r.alive[slot] && c.profs[slot].Raw != ""
 		}
 		r.dropSlotLocked(slot, false)
 	} else {
 		slot = len(r.ids)
-		r.ids = append(r.ids, in.ID)
+		r.ids = append(r.ids, "")
 		r.alive = append(r.alive, false)
 		r.blockToks = append(r.blockToks, nil)
 		for i := range r.cols {
 			c := &r.cols[i]
-			c.raws = append(c.raws, "")
 			c.profs = append(c.profs, nil)
 		}
 	}
 	r.slots[in.ID] = slot
+	r.ids[slot] = in.ID
 	r.alive[slot] = true
 	r.liveCount++
 	addsTotal.Inc()
@@ -420,21 +426,20 @@ func (r *Resolver) addLocked(in *model.Instance, bulk bool) {
 	for i := range r.cols {
 		c := &r.cols[i]
 		v := in.Attr(c.cfg.SetAttr)
-		c.raws[slot] = v
 		if c.corpus != nil {
 			changed := droppedCorpus != nil && droppedCorpus[i]
 			if v != "" {
 				c.corpus.Add(v)
 				changed = true
 			}
-			if bulk {
-				// NewResolver reprofiles the column once after all corpus
-				// documents are in; a vector built now would be discarded.
-				continue
-			}
-			if changed {
-				// The corpus changed, so every resident vector is stale.
-				r.reprofileLocked(c)
+			if bulk || changed {
+				// Every resident vector is stale once the corpus has moved:
+				// leave the value for the reprofile — now, or NewResolver's
+				// single one after all corpus documents are in.
+				c.profs[slot] = &sim.Profile{Raw: v}
+				if !bulk {
+					r.reprofileLocked(c)
+				}
 				continue
 			}
 		}
@@ -474,8 +479,8 @@ const compactMinDead = 64
 // slots move down in insertion order (so candidate streams keep yielding in
 // the original arrival order), per-slot arrays are reallocated at the live
 // size (releasing the grown backing arrays), and the blocking index is
-// rebuilt over the new ordinals. Profiles, raw values and corpus statistics
-// move untouched — only slot numbers change.
+// rebuilt over the new ordinals. Profiles and corpus statistics move
+// untouched — only slot numbers change.
 //
 //moma:locked mu
 func (r *Resolver) compactLocked() {
@@ -485,10 +490,8 @@ func (r *Resolver) compactLocked() {
 	alive := make([]bool, 0, n)
 	blockToks := make([][]uint32, 0, n)
 	cols := make([][]*sim.Profile, len(r.cols))
-	raws := make([][]string, len(r.cols))
 	for i := range r.cols {
 		cols[i] = make([]*sim.Profile, 0, n)
-		raws[i] = make([]string, 0, n)
 	}
 	ix := index.NewOrds()
 	for slot := range r.ids {
@@ -501,7 +504,6 @@ func (r *Resolver) compactLocked() {
 		blockToks = append(blockToks, r.blockToks[slot])
 		for i := range r.cols {
 			cols[i] = append(cols[i], r.cols[i].profs[slot])
-			raws[i] = append(raws[i], r.cols[i].raws[slot])
 		}
 		r.slots[r.ids[slot]] = w
 		if toks := r.blockToks[slot]; len(toks) > 0 {
@@ -511,7 +513,6 @@ func (r *Resolver) compactLocked() {
 	r.ids, r.alive, r.blockToks, r.ix = ids, alive, blockToks, ix
 	for i := range r.cols {
 		r.cols[i].profs = cols[i]
-		r.cols[i].raws = raws[i]
 	}
 }
 
@@ -526,6 +527,7 @@ func (r *Resolver) dropSlotLocked(slot int, reprofile bool) {
 		return
 	}
 	r.alive[slot] = false
+	r.ids[slot] = ""
 	r.liveCount--
 	instancesLive.Add(-1)
 	if toks := r.blockToks[slot]; len(toks) > 0 {
@@ -534,14 +536,14 @@ func (r *Resolver) dropSlotLocked(slot int, reprofile bool) {
 	}
 	for i := range r.cols {
 		c := &r.cols[i]
-		if c.corpus != nil && c.raws[slot] != "" {
-			c.corpus.Remove(c.raws[slot])
+		raw := c.profs[slot].Raw
+		c.profs[slot] = nil
+		if c.corpus != nil && raw != "" {
+			c.corpus.Remove(raw)
 			if reprofile {
 				r.reprofileLocked(c)
 			}
 		}
-		c.raws[slot] = ""
-		c.profs[slot] = nil
 	}
 }
 
@@ -554,7 +556,7 @@ func (r *Resolver) dropSlotLocked(slot int, reprofile bool) {
 func (r *Resolver) reprofileLocked(c *colState) {
 	for slot := range c.profs {
 		if r.alive[slot] {
-			c.profs[slot] = sim.NewProfile(c.ps, c.raws[slot])
+			c.profs[slot] = sim.NewProfile(c.ps, c.profs[slot].Raw)
 		}
 	}
 }

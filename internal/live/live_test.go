@@ -72,6 +72,9 @@ func batchMatcher(cfg Config) *match.MultiAttribute {
 	pairs := make([]match.AttrPair, len(cfg.Columns))
 	for i, c := range cfg.Columns {
 		pairs[i] = match.AttrPair{AttrA: c.QueryAttr, AttrB: c.SetAttr, Sim: c.Sim, Weight: c.Weight}
+		if c.Weight == 0 {
+			pairs[i].Weight = 1 // the resolver's default
+		}
 	}
 	return &match.MultiAttribute{
 		MatcherName: "batch-twin",
@@ -86,29 +89,125 @@ func batchMatcher(cfg Config) *match.MultiAttribute {
 	}
 }
 
-// TestResolveMatchesBatch pins the core equivalence: resolving a query set
-// record-by-record against a Resolver equals a batch match, bit-identically
-// including correspondence insertion order.
+// oracleConfigs are the configurations the pruned engines are held to the
+// exhaustive oracle at: the fixture's own, the benchmark's three (the paper's
+// DBLP-GS matcher, a stricter threshold, and serve_read's), and the weighted
+// three-column one at a threshold where the multi-column bound bites.
+func oracleConfigs() map[string]Config {
+	title := func(minShared int, threshold float64) Config {
+		return Config{MinShared: minShared, Threshold: threshold,
+			Columns: []Column{{QueryAttr: "title", SetAttr: "name", Sim: sim.Trigram}}}
+	}
+	weighted := testConfig()
+	weighted.Threshold = 0.75
+	return map[string]Config{
+		"fixture":            testConfig(),
+		"trigram-0.75-ms2":   title(2, 0.75),
+		"trigram-0.82-ms2":   title(2, 0.82),
+		"trigram-0.7-ms3":    title(3, 0.7),
+		"weighted-3-1-2-.75": weighted,
+	}
+}
+
+// exhaustive is the test-only oracle of the scoring stage: every member that
+// shares MinShared distinct blocking tokens with the record is scored in
+// full, through the measures' string forms, summed in column order and kept
+// at or above the threshold, in the members' insertion order. It shares no
+// code with the engines beyond the measures themselves and sim.Tokens, and
+// knows no floor. asMember reads the record under the set-side names.
+func exhaustive(cfg Config, q *model.Instance, asMember bool, members *model.ObjectSet) []Match {
+	attr := func(query, set string) string {
+		if asMember {
+			return q.Attr(set)
+		}
+		return q.Attr(query)
+	}
+	blockQ, blockS := cfg.BlockQueryAttr, cfg.BlockSetAttr
+	if blockQ == "" {
+		blockQ, blockS = cfg.Columns[0].QueryAttr, cfg.Columns[0].SetAttr
+	}
+	qtoks := map[string]bool{}
+	for _, tok := range sim.Tokens(attr(blockQ, blockS)) {
+		qtoks[tok] = true
+	}
+	var out []Match
+	members.Each(func(in *model.Instance) bool {
+		shared := map[string]bool{}
+		for _, tok := range sim.Tokens(in.Attr(blockS)) {
+			if qtoks[tok] {
+				shared[tok] = true
+			}
+		}
+		if len(shared) < max(cfg.MinShared, 1) {
+			return true
+		}
+		var sum, total float64
+		for _, c := range cfg.Columns {
+			w := c.Weight
+			if w == 0 {
+				w = 1
+			}
+			sum += w * c.Sim(attr(c.QueryAttr, c.SetAttr), in.Attr(c.SetAttr))
+			total += w
+		}
+		if s := sum / total; s >= cfg.Threshold {
+			out = append(out, Match{ID: in.ID, Sim: s})
+		}
+		return true
+	})
+	return out
+}
+
+// exhaustiveSet is the oracle of ResolveSet and of a batch match: exhaustive
+// per query, collected in query order.
+func exhaustiveSet(cfg Config, queries, members *model.ObjectSet) *mapping.Mapping {
+	out := mapping.NewSame(queries.LDS(), members.LDS())
+	queries.Each(func(q *model.Instance) bool {
+		for _, m := range exhaustive(cfg, q, false, members) {
+			out.AddMax(q.ID, m.ID, m.Sim)
+		}
+		return true
+	})
+	return out
+}
+
+// TestResolveMatchesBatch pins the core equivalence at every oracle
+// configuration: resolving a query set record-by-record against a Resolver,
+// a batch match at 1, 3 and 8 workers, and the exhaustive oracle produce the
+// same mapping — similarities bit for bit (eps 0) and correspondence
+// insertion order included — while the engines prune.
 func TestResolveMatchesBatch(t *testing.T) {
 	queries, set := syntheticSets(120)
-	cfg := testConfig()
-	r, err := NewResolver(set, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	online, err := r.ResolveSet(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := batchMatcher(cfg).Match(queries, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if online.Len() == 0 {
-		t.Fatal("fixture produced no matches; fixture broken")
-	}
-	if !reflect.DeepEqual(online.Correspondences(), batch.Correspondences()) {
-		t.Fatalf("online mapping diverges from batch:\nonline %v\nbatch  %v", online, batch)
+	for name, cfg := range oracleConfigs() {
+		r, err := NewResolver(set, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		candidates, pruned := resolveCandidates.Load(), resolvePruned.Load()
+		online, err := r.ResolveSet(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		candidates, pruned = resolveCandidates.Load()-candidates, resolvePruned.Load()-pruned
+		want := exhaustiveSet(cfg, queries, set)
+		if want.Len() == 0 {
+			t.Fatalf("%s: fixture produced no matches; fixture broken", name)
+		}
+		if !reflect.DeepEqual(online.Correspondences(), want.Correspondences()) {
+			t.Fatalf("%s: online mapping diverges from the exhaustive oracle:\nonline %v\noracle %v", name, online, want)
+		}
+		if cfg.Threshold >= 0.7 && (pruned == 0 || pruned >= candidates) {
+			t.Errorf("%s: %d of %d candidates pruned; the bound is not exercised", name, pruned, candidates)
+		}
+		for _, workers := range []int{1, 3, 8} {
+			batch, err := batchMatcher(cfg).WithWorkers(workers).Match(queries, set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(batch.Correspondences(), want.Correspondences()) {
+				t.Fatalf("%s: batch mapping at %d workers diverges from the exhaustive oracle:\nbatch  %v\noracle %v", name, workers, batch, want)
+			}
+		}
 	}
 }
 
@@ -145,36 +244,38 @@ func TestResolveAdapterParity(t *testing.T) {
 // full set — same correspondences, same similarities (eps 0), same order.
 func TestIncrementalAddMatchesBatch(t *testing.T) {
 	queries, set := syntheticSets(150)
-	cfg := testConfig()
-
 	ids := set.IDs()
-	seed := set.Subset(ids[:50])
-	r, err := NewResolver(seed, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ids[50:] {
-		if err := r.Add(set.Get(id)); err != nil {
+	for name, cfg := range oracleConfigs() {
+		r, err := NewResolver(set.Subset(ids[:50]), cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if r.Len() != set.Len() {
-		t.Fatalf("resolver holds %d instances, want %d", r.Len(), set.Len())
-	}
+		for _, id := range ids[50:] {
+			if err := r.Add(set.Get(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r.Len() != set.Len() {
+			t.Fatalf("resolver holds %d instances, want %d", r.Len(), set.Len())
+		}
 
-	online, err := r.ResolveSet(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := batchMatcher(cfg).Match(queries, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !online.Equal(batch, 0) {
-		t.Fatalf("incremental resolver diverges from batch re-match (eps 0):\nonline %v\nbatch  %v", online, batch)
-	}
-	if !reflect.DeepEqual(online.Correspondences(), batch.Correspondences()) {
-		t.Fatal("correspondence insertion order diverges from batch")
+		online, err := r.ResolveSet(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := batchMatcher(cfg).Match(queries, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !online.Equal(batch, 0) {
+			t.Fatalf("%s: incremental resolver diverges from batch re-match (eps 0):\nonline %v\nbatch  %v", name, online, batch)
+		}
+		if !reflect.DeepEqual(online.Correspondences(), batch.Correspondences()) {
+			t.Fatalf("%s: correspondence insertion order diverges from batch", name)
+		}
+		if want := exhaustiveSet(cfg, queries, set); !reflect.DeepEqual(online.Correspondences(), want.Correspondences()) {
+			t.Fatalf("%s: incremental resolver diverges from the exhaustive oracle:\nonline %v\noracle %v", name, online, want)
+		}
 	}
 }
 
@@ -305,6 +406,35 @@ func TestAddResolveDelta(t *testing.T) {
 	}
 	if r.Len() != 3 {
 		t.Fatalf("live count after replace = %d, want 3", r.Len())
+	}
+
+	// Every arrival's delta equals the exhaustive oracle over the members
+	// present before it, at every oracle configuration: the arrival path
+	// scores under the write lock through the same bounds as Resolve.
+	_, members := syntheticSets(120)
+	for name, cfg := range oracleConfigs() {
+		present := model.NewObjectSet(lds)
+		r, err := NewResolver(present, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltas := 0
+		members.Each(func(in *model.Instance) bool {
+			want := exhaustive(cfg, in, true, present)
+			got, err := r.AddResolve(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: delta of %s diverges from the exhaustive oracle:\ngot    %v\noracle %v", name, in.ID, got, want)
+			}
+			deltas += len(got)
+			present.Add(in)
+			return true
+		})
+		if deltas == 0 {
+			t.Fatalf("%s: no arrival matched anything; fixture broken", name)
+		}
 	}
 }
 

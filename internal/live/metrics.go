@@ -6,7 +6,8 @@ import "repro/internal/obs"
 // index.Ords.EachCandidate is fused with scoring (candidates are scored as
 // they stream out of the posting merge), so the trace attributes token
 // lookup to "block", query profiling to "profile", and the fused
-// probe-and-score loop to "score".
+// probe-and-score loop — gathering and sorting postings included — to
+// "score".
 const (
 	stageBlock = iota
 	stageProfile
@@ -24,7 +25,9 @@ var (
 	resolvesTotal = obs.Default.Counter("moma_live_resolves_total",
 		"Online resolutions across all entry points (Resolve, ResolveAppend, ResolveSet, AddResolve).")
 	resolveCandidates = obs.Default.Counter("moma_live_resolve_candidates_total",
-		"Candidates scored by online resolutions.")
+		"Candidates the blocking probe admitted to online resolutions.")
+	resolvePruned = obs.Default.Counter("moma_live_resolve_pruned_total",
+		"Admitted candidates a threshold bound rejected before they were scored in full.")
 	resolveMatches = obs.Default.Counter("moma_live_resolve_matches_total",
 		"Matches at or above threshold returned by online resolutions.")
 	addsTotal = obs.Default.Counter("moma_live_adds_total",

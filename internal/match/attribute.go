@@ -79,7 +79,7 @@ func (m *Attribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 		if m.SkipMissing && (pa.Raw == "" || pb.Raw == "") {
 			return 0, false
 		}
-		s := ps.Compare(pa, pb)
+		s := ps.Compare(pa, pb, m.Threshold)
 		return s, s >= m.Threshold
 	}
 	out := mapping.NewSame(a.LDS(), b.LDS())
@@ -116,7 +116,6 @@ func measure(fn sim.Func, explicit sim.ProfiledSim) sim.ProfiledSim {
 // scoreColumn is one attribute comparison ready to score: the measure's
 // profile columns of both inputs, aligned with ObjectSet ordinals.
 type scoreColumn struct {
-	ps           sim.ProfiledSim
 	profA, profB []*sim.Profile
 	// empty stands in for ids absent from the inputs, which blockers may
 	// emit: they score as the empty value.
@@ -125,7 +124,6 @@ type scoreColumn struct {
 
 func newScoreColumn(a, b *model.ObjectSet, attrA, attrB string, ps sim.ProfiledSim) scoreColumn {
 	return scoreColumn{
-		ps:    ps,
 		profA: profileColumn(a, attrA, ps),
 		profB: profileColumn(b, attrB, ps),
 		empty: sim.NewProfile(ps, ""),
@@ -274,22 +272,20 @@ func (m *MultiAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 	// with ObjectSet ordinals, so each scored pair resolves its ordinals once
 	// and reads k columns by index.
 	cols := make([]scoreColumn, len(m.Pairs))
+	measures := make([]sim.ProfiledSim, len(m.Pairs))
+	weights := make([]float64, len(m.Pairs))
 	for i, ap := range m.Pairs {
-		cols[i] = newScoreColumn(a, b, ap.AttrA, ap.AttrB, measure(ap.Sim, ap.Profiled))
+		measures[i], weights[i] = measure(ap.Sim, ap.Profiled), ap.Weight
+		cols[i] = newScoreColumn(a, b, ap.AttrA, ap.AttrB, measures[i])
 	}
+	weighted := sim.NewWeighted(measures, weights, m.Threshold)
 	stream, ords := candidateStream(m.Blocker, a, b)
 	score := func(p block.Pair) (float64, bool) {
 		ia, ib := p.OrdA, p.OrdB
 		if !ords {
 			ia, ib = a.IndexOf(p.A), b.IndexOf(p.B)
 		}
-		var sum float64
-		for i := range cols {
-			c := &cols[i]
-			pa, pb := c.at(ia, ib)
-			sum += m.Pairs[i].Weight * c.ps.Compare(pa, pb)
-		}
-		s := sum / totalWeight
+		s := weighted.Score(func(i int) (pa, pb *sim.Profile) { return cols[i].at(ia, ib) })
 		return s, s >= m.Threshold
 	}
 	out := mapping.NewSame(a.LDS(), b.LDS())

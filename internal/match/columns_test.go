@@ -100,7 +100,7 @@ func TestProfileColumnTracksCorpusVersion(t *testing.T) {
 	// The rebuilt profiles must reflect the new corpus statistics.
 	fresh := buildProfileColumn(set, "title", ps)
 	for i := range fresh {
-		if got, want := ps.Compare(c[i], c[i]), ps.Compare(fresh[i], fresh[i]); got != want {
+		if got, want := ps.Compare(c[i], c[i], 0), ps.Compare(fresh[i], fresh[i], 0); got != want {
 			t.Fatalf("profile %d scored %v against itself, fresh build %v", i, got, want)
 		}
 	}
@@ -116,7 +116,9 @@ type uncomparableSim struct {
 func (u uncomparableSim) ProfileInto(s string, p *sim.Profile, sc *sim.Scratch) {
 	u.inner.ProfileInto(s, p, sc)
 }
-func (u uncomparableSim) Compare(a, b *sim.Profile) float64 { return u.inner.Compare(a, b) }
+func (u uncomparableSim) Compare(a, b *sim.Profile, floor float64) float64 {
+	return u.inner.Compare(a, b, floor)
+}
 
 func TestProfileColumnSkipsUncomparableMeasures(t *testing.T) {
 	set := profColumnSet(5)

@@ -127,26 +127,35 @@ type keptPair struct {
 // pipeline and calls emit, in stream order, for every pair score keeps.
 // Unlike a materialized scoring pass, memory is O(workers·batch + kept):
 // the full candidate set — potentially O(n·m) — never exists as a slice,
-// and only kept correspondences are retained. score must be safe for
-// concurrent use when workers > 1; emit runs on the calling goroutine.
+// and only kept correspondences are retained. score returns the pair's
+// similarity and whether it is kept; a negative similarity says a floor
+// ended the scoring early (sim.ProfiledSim.Compare) and counts as pruned.
+// score must be safe for concurrent use when workers > 1; emit runs on the
+// calling goroutine.
 func streamScore(stream func(yield func(block.Pair) bool), workers int, score func(block.Pair) (float64, bool), emit func(block.Pair, float64)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	// Pipeline metrics accumulate in locals and flush once on return — the
 	// per-pair loop must not pay atomic traffic.
-	var pairs, kept uint64
+	var pairs, kept, pruned uint64
 	defer func() {
 		matchPairsTotal.Add(pairs)
 		matchKeptTotal.Add(kept)
+		matchPrunedTotal.Add(pruned)
 	}()
+	inline := func(p block.Pair) {
+		if s, keep := score(p); keep {
+			kept++
+			emit(p, s)
+		} else if s < 0 {
+			pruned++
+		}
+	}
 	if workers <= 1 {
 		stream(func(p block.Pair) bool {
 			pairs++
-			if s, keep := score(p); keep {
-				kept++
-				emit(p, s)
-			}
+			inline(p)
 			return true
 		})
 		return
@@ -155,26 +164,33 @@ func streamScore(stream func(yield func(block.Pair) bool), workers int, score fu
 		seq   uint64 // stream position of pairs[0]
 		pairs []block.Pair
 	}
+	// shard is what one worker hands back.
+	type shard struct {
+		kept   []keptPair
+		pruned uint64
+	}
 	// Workers start lazily, on the first full batch: a stream that fits in
 	// one batch is scored inline below, where goroutine spin-up and the
 	// shard merge would cost more than the scoring itself.
 	var (
 		batches chan batch
-		shards  [][]keptPair
+		shards  []shard
 		wg      sync.WaitGroup
 	)
 	startWorkers := func() {
 		batches = make(chan batch, workers)
-		shards = make([][]keptPair, workers)
+		shards = make([]shard, workers)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				var mine []keptPair
+				var mine shard
 				for bt := range batches {
 					for i, p := range bt.pairs {
 						if s, keep := score(p); keep {
-							mine = append(mine, keptPair{seq: bt.seq + uint64(i), pair: p, sim: s})
+							mine.kept = append(mine.kept, keptPair{seq: bt.seq + uint64(i), pair: p, sim: s})
+						} else if s < 0 {
+							mine.pruned++
 						}
 					}
 				}
@@ -207,10 +223,7 @@ func streamScore(stream func(yield func(block.Pair) bool), workers int, score fu
 	})
 	if batches == nil {
 		for _, p := range buf {
-			if s, keep := score(p); keep {
-				kept++
-				emit(p, s)
-			}
+			inline(p)
 		}
 		return
 	}
@@ -225,11 +238,12 @@ func streamScore(stream func(yield func(block.Pair) bool), workers int, score fu
 	// sort is cheap.
 	total := 0
 	for _, s := range shards {
-		total += len(s)
+		total += len(s.kept)
+		pruned += s.pruned
 	}
 	all := make([]keptPair, 0, total)
 	for _, s := range shards {
-		all = append(all, s...)
+		all = append(all, s.kept...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
 	kept += uint64(len(all))

@@ -11,6 +11,8 @@ var (
 		"Candidate pairs streamed into the scoring pipeline.")
 	matchKeptTotal = obs.Default.Counter("moma_match_pairs_kept_total",
 		"Above-threshold pairs kept by the scoring pipeline.")
+	matchPrunedTotal = obs.Default.Counter("moma_match_pairs_pruned_total",
+		"Streamed pairs a threshold bound rejected before they were scored in full.")
 	matchBatchesTotal = obs.Default.Counter("moma_match_batches_total",
 		"Scoring batches dispatched to pipeline workers.")
 	matchQueueWait = obs.Default.Histogram("moma_match_queue_wait_seconds",

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -97,6 +98,69 @@ func TestStreamedMultiAttributeMatchesMaterialized(t *testing.T) {
 		}
 		mappingsIdentical(t, got, want, "multi")
 	}
+}
+
+// TestPrunedMatchesExhaustive holds the floor-bounded matchers to the
+// exhaustive oracles above — every blocked pair scored in full through the
+// string measures — at the benchmark's configurations (trigram at 0.75 and
+// 0.82 behind two shared tokens, at 0.7 behind three) and at a weighted
+// three-column configuration, at 1, 3 and 8 workers: identical
+// correspondences, similarities (eps 0) and insertion order, while the
+// pruned counter shows that pairs were in fact cut short and the pairs
+// counter still counts every pair the blocker streamed.
+func TestPrunedMatchesExhaustive(t *testing.T) {
+	a, b := syntheticPubs(300)
+	run := func(label string, m ConfigurableWorkers, want *mapping.Mapping, streamed int) {
+		t.Helper()
+		if want.Len() == 0 {
+			t.Fatalf("%s: the oracle keeps nothing; fixture broken", label)
+		}
+		for _, workers := range []int{1, 3, 8} {
+			pairs, pruned := matchPairsTotal.Load(), matchPrunedTotal.Load()
+			got, err := m.WithWorkers(workers).Match(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs, pruned = matchPairsTotal.Load()-pairs, matchPrunedTotal.Load()-pruned
+			mappingsIdentical(t, got, want, fmt.Sprintf("%s at %d workers", label, workers))
+			if int(pairs) != streamed {
+				t.Errorf("%s at %d workers: %d pairs counted, the blocker streams %d", label, workers, pairs, streamed)
+			}
+			if pruned == 0 || pruned >= pairs {
+				t.Errorf("%s at %d workers: %d of %d pairs pruned; the bound is not exercised", label, workers, pruned, pairs)
+			}
+		}
+	}
+	for _, cfg := range []struct {
+		minShared int
+		threshold float64
+	}{{2, 0.75}, {2, 0.82}, {3, 0.7}} {
+		bl := block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: cfg.minShared}
+		run(fmt.Sprintf("trigram %.2f behind %d shared tokens", cfg.threshold, cfg.minShared),
+			&Attribute{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: cfg.threshold, Blocker: bl},
+			materializedReference(a, b, bl, "title", "name", sim.Trigram, cfg.threshold),
+			len(block.Pairs(bl, a, b)))
+	}
+
+	bl := block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2}
+	pairs := []AttrPair{
+		{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Weight: 3},
+		{AttrA: "authors", AttrB: "authors", Sim: sim.TokenJaccard, Weight: 1},
+		{AttrA: "year", AttrB: "year", Sim: sim.YearSim, Weight: 2},
+	}
+	want := mapping.NewSame(a.LDS(), b.LDS())
+	for _, p := range block.Pairs(bl, a, b) {
+		ia, ib := a.Get(p.A), b.Get(p.B)
+		var sum float64
+		for _, ap := range pairs {
+			sum += ap.Weight * ap.Sim(ia.Attr(ap.AttrA), ib.Attr(ap.AttrB))
+		}
+		if s := sum / 6; s >= 0.75 {
+			want.AddMax(p.A, p.B, s)
+		}
+	}
+	run("weighted title 3, authors 1, year 2 at 0.75",
+		&MultiAttribute{Pairs: pairs, Threshold: 0.75, Blocker: bl}, want, len(block.Pairs(bl, a, b)))
 }
 
 // TestTokenReuseMatchesFreshTokenization pins the blocking-layer token

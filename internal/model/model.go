@@ -179,9 +179,30 @@ func (s *ObjectSet) Add(in *Instance) {
 	s.version++
 }
 
-// Version returns a counter that changes on every Add. The set's derived
-// columns (Column) key their validity on it: an unchanged version guarantees
-// the set's membership and instances are the ones a column was built from.
+// Remove drops the instance with the given id and reports whether it was
+// present. The survivors keep their insertion order; those inserted after
+// the removed instance move down one ordinal, so the cost is proportional to
+// the distance from the tail, and the version moves so that derived columns,
+// which are aligned with ordinals, are rebuilt.
+func (s *ObjectSet) Remove(id ID) bool {
+	i, ok := s.pos[id]
+	if !ok {
+		return false
+	}
+	s.order = append(s.order[:i], s.order[i+1:]...)
+	for _, moved := range s.order[i:] {
+		s.pos[moved]--
+	}
+	delete(s.pos, id)
+	delete(s.byID, id)
+	s.version++
+	return true
+}
+
+// Version returns a counter that changes on every Add and Remove. The set's
+// derived columns (Column) key their validity on it: an unchanged version
+// guarantees the set's membership and instances are the ones a column was
+// built from.
 // Mutating an instance in place (SetAttr) does not bump the version; call
 // Touch afterwards when the set may hold derived columns.
 func (s *ObjectSet) Version() uint64 { return s.version }
@@ -202,8 +223,8 @@ func (s *ObjectSet) Get(id ID) *Instance { return s.byID[id] }
 
 // IndexOf returns the insertion-order ordinal of the instance with the
 // given id, or -1 when absent. Ordinals are dense in [0, Len()) and stable
-// (instances are never removed from a set), which lets hot paths replace
-// per-id map lookups with array indexing.
+// for as long as the version is (only Remove renumbers), which lets hot
+// paths replace per-id map lookups with array indexing.
 func (s *ObjectSet) IndexOf(id ID) int {
 	if i, ok := s.pos[id]; ok {
 		return i

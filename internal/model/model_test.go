@@ -218,6 +218,50 @@ func TestObjectSetIndexOf(t *testing.T) {
 	}
 }
 
+// TestObjectSetRemove: survivors keep insertion order with dense ordinals,
+// the removed id is gone from every accessor, the version moves (derived
+// columns are aligned with ordinals and must be rebuilt), and a removed id can
+// come back at the tail.
+func TestObjectSetRemove(t *testing.T) {
+	s := NewObjectSet(LDS{"DBLP", Publication})
+	for _, id := range []ID{"p1", "p2", "p3", "p4", "p5"} {
+		s.AddNew(id, map[string]string{"id": string(id)})
+	}
+	col, _ := Column(s, testKey{"ids"}, s.IDs)
+	if len(col) != 5 {
+		t.Fatalf("column = %v", col)
+	}
+	v := s.Version()
+	if s.Remove("ghost") || s.Version() != v {
+		t.Fatal("removing an absent id must report false and leave the version alone")
+	}
+	if !s.Remove("p2") || !s.Remove("p5") {
+		t.Fatal("Remove of a present id must report true")
+	}
+	if s.Version() == v {
+		t.Fatal("Remove must move the version")
+	}
+	if _, ok := LookupColumn[[]ID](s, testKey{"ids"}); ok {
+		t.Fatal("Remove must drop the set's derived columns")
+	}
+	want := []ID{"p1", "p3", "p4"}
+	if got := s.IDs(); len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("survivors = %v, want %v", got, want)
+	}
+	for i, id := range want {
+		if s.IndexOf(id) != i || s.IDAt(i) != id || s.At(i).ID != id {
+			t.Errorf("ordinal %d: IndexOf(%s) = %d, IDAt = %s", i, id, s.IndexOf(id), s.IDAt(i))
+		}
+	}
+	if s.Has("p2") || s.Get("p2") != nil || s.IndexOf("p2") != -1 || s.Len() != 3 {
+		t.Fatal("removed instance still visible")
+	}
+	s.AddNew("p2", nil)
+	if s.IndexOf("p2") != 3 {
+		t.Fatalf("re-added id must take the tail ordinal, got %d", s.IndexOf("p2"))
+	}
+}
+
 func TestObjectSetEachEarlyStop(t *testing.T) {
 	s := NewObjectSet(LDS{"DBLP", Publication})
 	for _, id := range []ID{"a", "b", "c", "d"} {

@@ -40,7 +40,7 @@ func TestRecordPathsZeroAllocs(t *testing.T) {
 			sp.Mark(0)
 			sp.Mark(1)
 			sp.Mark(2)
-			sp.Candidates, sp.Kept = 11, 4
+			sp.Candidates, sp.Pruned, sp.Kept = 11, 6, 4
 			st.Finish(&sp, id)
 		}},
 	}

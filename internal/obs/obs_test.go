@@ -170,14 +170,14 @@ func TestStagesFinishFeedsHistograms(t *testing.T) {
 	ring.SetThreshold(time.Nanosecond)
 	sp.Begin()
 	sp.Mark(0)
-	sp.Candidates, sp.Kept = 3, 1
+	sp.Candidates, sp.Pruned, sp.Kept = 3, 2, 1
 	st.Finish(&sp, "q2")
 	snap := ring.Snapshot()
 	if len(snap) != 1 {
 		t.Fatalf("captured %d traces, want 1", len(snap))
 	}
 	q := snap[0]
-	if q.Op != "t_op" || q.ID != "q2" || q.Candidates != 3 || q.Kept != 1 {
+	if q.Op != "t_op" || q.ID != "q2" || q.Candidates != 3 || q.Pruned != 2 || q.Kept != 1 {
 		t.Fatalf("trace = %+v", q)
 	}
 	if len(q.Stages) != 2 || q.Stages[0].Stage != "first" || q.Stages[0].NS <= 0 {

@@ -37,6 +37,7 @@ type slowEntry struct {
 	totalNS    int64
 	ns         [MaxStages]int64
 	candidates int
+	pruned     int
 	kept       int
 }
 
@@ -75,6 +76,7 @@ func (r *SlowRing) record(st *Stages, sp *Span, id string, total time.Duration) 
 	e.totalNS = total.Nanoseconds()
 	e.ns = sp.ns
 	e.candidates = sp.Candidates
+	e.pruned = sp.Pruned
 	e.kept = sp.Kept
 	r.total++
 	r.mu.Unlock()
@@ -102,6 +104,7 @@ type SlowQuery struct {
 	TotalNS    int64       `json:"total_ns"`
 	Stages     []SlowStage `json:"stages"`
 	Candidates int         `json:"candidates"`
+	Pruned     int         `json:"pruned"`
 	Kept       int         `json:"kept"`
 }
 
@@ -123,6 +126,7 @@ func (r *SlowRing) Snapshot() []SlowQuery {
 			UnixNano:   e.at,
 			TotalNS:    e.totalNS,
 			Candidates: e.candidates,
+			Pruned:     e.pruned,
 			Kept:       e.kept,
 			Stages:     make([]SlowStage, len(e.st.names)),
 		}

@@ -19,10 +19,11 @@ type Span struct {
 	t0, last time.Time
 	ns       [MaxStages]int64
 
-	// Candidates and Kept are operation counts reported in slow-query
-	// traces: how many candidates the stage pipeline examined and how many
-	// survived. The instrumented code sets them before Finish.
-	Candidates, Kept int
+	// Candidates, Pruned and Kept are operation counts reported in
+	// slow-query traces: how many candidates the stage pipeline examined,
+	// how many of them a bound rejected before they were scored in full, and
+	// how many survived. The instrumented code sets them before Finish.
+	Candidates, Pruned, Kept int
 }
 
 // Begin resets the span and stamps its start.

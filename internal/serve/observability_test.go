@@ -80,6 +80,7 @@ func TestMetricsExposesEngineSeries(t *testing.T) {
 	for _, want := range []string{
 		"moma_live_resolves_total",
 		"moma_live_resolve_candidates_total",
+		"moma_live_resolve_pruned_total",
 		"moma_live_resolve_matches_total",
 		"moma_live_instances",
 		`moma_live_resolve_stage_seconds_bucket{stage="block",le="+Inf"}`,
@@ -87,6 +88,7 @@ func TestMetricsExposesEngineSeries(t *testing.T) {
 		`moma_live_resolve_stage_seconds_bucket{stage="score",le="+Inf"}`,
 		"moma_live_resolve_seconds_count",
 		"moma_match_pairs_total",
+		"moma_match_pairs_pruned_total",
 		"moma_blockcache_hits_total",
 		"moma_profilecache_misses_total",
 		"moma_store_wal_records_total",
@@ -198,12 +200,16 @@ func TestDebugSlowCapturesTraces(t *testing.T) {
 
 	srv, _ := testServer(t)
 	doJSON(t, srv.Handler(), "POST", "/sets/ACM.Publication/resolve", ResolveRequest{
-		ID:    "slow-q",
-		Attrs: map[string]string{"title": "mapping based object matching"},
+		ID: "slow-q",
+		// Matches g2 and shares three tokens with g0, which cannot reach 0.7.
+		Attrs: map[string]string{"title": "mapping based object matching generic schema"},
 	}, nil)
 
 	var resp SlowQueriesResponse
-	doJSON(t, srv.Handler(), "GET", "/debug/slow", nil, &resp)
+	rec := doJSON(t, srv.Handler(), "GET", "/debug/slow", nil, &resp)
+	if !strings.Contains(rec.Body.String(), `"pruned":`) {
+		t.Fatalf("/debug/slow does not report pruned candidates: %s", rec.Body.String())
+	}
 	if resp.ThresholdNS != 1 {
 		t.Fatalf("threshold_ns = %d, want 1", resp.ThresholdNS)
 	}
@@ -216,6 +222,9 @@ func TestDebugSlowCapturesTraces(t *testing.T) {
 			found = true
 			if q.TotalNS <= 0 || len(q.Stages) != 3 {
 				t.Fatalf("trace malformed: %+v", q)
+			}
+			if q.Candidates != 2 || q.Pruned != 1 || q.Kept != 1 {
+				t.Fatalf("trace counts %d candidates, %d pruned, %d kept; want 2, 1, 1", q.Candidates, q.Pruned, q.Kept)
 			}
 		}
 	}

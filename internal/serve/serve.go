@@ -9,7 +9,7 @@
 //
 //	POST   /sets/{set}/resolve        resolve one record (no state change)
 //	POST   /sets/{set}/instances      add (and by default resolve) a record
-//	DELETE /sets/{set}/instances/{id} remove a record from the live view
+//	DELETE /sets/{set}/instances/{id} remove a record from the set and its live view
 //	GET    /mappings/{name}           read a stored mapping
 //	GET    /healthz                   liveness, uptime and resolver sizes
 //	GET    /readyz                    readiness: not draining, repository healthy
@@ -22,7 +22,8 @@
 // the resulting correspondences in the repository mapping "live.<set>" —
 // the arrival's same-mapping delta; nothing already resolved is re-matched
 // (the incremental workflow style of rule-based matching processes).
-// Removing an instance drops its correspondences from that mapping.
+// Removing an instance drops it from the resolver and from the registered
+// set, and its correspondences from that mapping.
 //
 // The API surface sits behind a hardening layer (harden.go): a
 // concurrency-cap admission controller (429 + Retry-After on overload),
@@ -407,12 +408,16 @@ func (s *Server) handleRemoveInstance(w http.ResponseWriter, r *http.Request) (i
 	if !res.Remove(id) {
 		return http.StatusNotFound, fmt.Errorf("no live instance %q in %q", id, setName)
 	}
+	// The registered set follows the live view, as it does on add: a batch
+	// match over the set after a DELETE no longer sees the instance, and a
+	// server under add/remove churn keeps no record per removed instance.
+	// Survivors keep their order and the set's version moves, so derived
+	// columns are rebuilt at their next use (see the ownership note in
+	// handleAddInstance).
+	if set, ok := s.sys.ObjectSetByName(setName); ok {
+		set.Remove(id)
+	}
 	// Drop the removed instance's correspondences from the delta mapping.
-	// The registered ObjectSet intentionally keeps the instance: sets are
-	// append-only (profile columns and the blocking cache key on stable
-	// insertion ordinals), so removal is a live-view operation — batch
-	// matches over the raw set still see the instance until the set is
-	// rebuilt. The live resolver is the authority for online answers.
 	if err := s.dropFromDeltaLocked(setName, id); err != nil {
 		return storageStatus(w, err)
 	}

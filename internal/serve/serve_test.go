@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	moma "repro"
+	"repro/internal/race"
 )
 
 // testServer builds a system with one resolvable publication set.
@@ -216,6 +218,10 @@ func TestRemoveInstance(t *testing.T) {
 			}
 		}
 	}
+	// The registered set follows the live view.
+	if set, _ := sys.ObjectSetByName("ACM.Publication"); set.Has("g99") {
+		t.Fatal("registered set still holds the removed instance")
+	}
 	// Removed instances no longer resolve.
 	var rr ResolveResponse
 	doJSON(t, srv.Handler(), "POST", "/sets/ACM.Publication/resolve", ResolveRequest{
@@ -342,5 +348,75 @@ func TestGetMappingNotFound(t *testing.T) {
 	srv, _ := testServer(t)
 	if rec := doJSON(t, srv.Handler(), "GET", "/mappings/nope", nil, nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown mapping = %d", rec.Code)
+	}
+}
+
+// TestChurnRetainsBoundedHeap pins what an add+remove cycle through the
+// handlers leaves behind. The set is larger than the cycle count, so the
+// resolver never compacts and its tombstones are part of the measurement: a
+// cycle may keep a tombstone's slot entries, but not the instance, its id or
+// its profiles — the registered set and the resolver both let go on DELETE.
+func TestChurnRetainsBoundedHeap(t *testing.T) {
+	if race.Enabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	const live, cycles, maxPerCycle = 6000, 5000, 300
+	sys := moma.NewSystem()
+	set := moma.NewObjectSet(moma.LDS{Source: "ACM", Type: moma.Publication})
+	title := func(i int) string {
+		return fmt.Sprintf("w%03d x%03d y%03d z%03d v%03d u%03d", i%211, i%223, i%227, i%229, i%233, i%239)
+	}
+	for i := 0; i < live; i++ {
+		set.AddNew(moma.ID(fmt.Sprintf("g%05d", i)), map[string]string{"title": title(i), "year": "2004"})
+	}
+	if err := sys.AddObjectSet("ACM.Publication", set); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RegisterResolver("ACM.Publication", moma.LiveConfig{
+		MinShared: 2,
+		Threshold: 0.7,
+		Columns:   []moma.LiveColumn{{QueryAttr: "title", SetAttr: "title", Sim: moma.Trigram}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	h := New(sys).Handler()
+	cycle := func(i int) {
+		id := fmt.Sprintf("churn-%06d", i)
+		body, _ := json.Marshal(AddInstanceRequest{ID: id, Attrs: map[string]string{"title": title(i*7 + 3), "year": "2005"}})
+		for _, req := range []*http.Request{
+			httptest.NewRequest("POST", "/sets/ACM.Publication/instances", bytes.NewReader(body)),
+			httptest.NewRequest("DELETE", "/sets/ACM.Publication/instances/"+id, nil),
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s %s = %d: %s", req.Method, req.URL.Path, rec.Code, rec.Body.String())
+			}
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// Warm up pools, route tables and the delta mapping before measuring.
+	for i := 0; i < 200; i++ {
+		cycle(i)
+	}
+	before := heap()
+	for i := 200; i < 200+cycles; i++ {
+		cycle(i)
+	}
+	after := heap()
+	runtime.KeepAlive(h) // the server and its system must outlive the second reading
+	if set.Len() != live {
+		t.Fatalf("registered set holds %d instances after the churn, want %d", set.Len(), live)
+	}
+	if per := (float64(after) - float64(before)) / cycles; per > maxPerCycle {
+		t.Fatalf("an add+remove cycle retains %.0f B of heap, want <= %d", per, maxPerCycle)
+	} else {
+		t.Logf("an add+remove cycle retains %.0f B of heap", per)
 	}
 }

@@ -9,6 +9,18 @@ package sim
 // Soundex code, parsed year) into a caller-owned Profile, and Compare scores
 // two profiles read-only — safe for concurrent workers.
 //
+// A matcher keeps only the pairs that reach its threshold, so Compare takes
+// a floor, the least score its caller still has a use for, and the contract
+// is: the result is the exact score whenever that score is >= floor; below
+// the floor it is only some value < floor, and a negative one when the
+// measure stopped before the score was known (callers count those as
+// pruned). A floor may therefore only ever be conservative — at or below
+// what the caller really needs, 0 for "always the exact score" — and a
+// measure is free to ignore it: the set measures (n-gram and token Dice and
+// Jaccard) turn it into a size filter and a bounded merge, Levenshtein into
+// a length filter, the rest compute the score regardless. Weighted carries
+// the floor through a weighted mean of several columns.
+//
 // ProfileInto is the only way a profile is built. It appends into the slices
 // the Profile already owns and takes its working memory from a Scratch, so a
 // caller that keeps both (the live resolver's pooled query slots, the string
@@ -82,15 +94,18 @@ func (p *Profile) reset(s string) {
 // pair-scoring stage.
 type ProfiledSim interface {
 	// ProfileInto rebuilds p as this measure's profile of s, reusing p's
-	// slices and sc's buffers; everything else in p is overwritten. The
+	// slices and sc's buffers; everything else in p is overwritten, and
+	// p.Raw is s (matchers and the resolver read values back from it). The
 	// contract permits interning into the process-global Terms dictionary
 	// (token and TF-IDF measures do); read paths profile via QueryInto.
 	//
 	//moma:interns
 	ProfileInto(s string, p *Profile, sc *Scratch)
-	// Compare scores two profiles built by this measure. It must be pure
-	// and safe for concurrent use.
-	Compare(a, b *Profile) float64
+	// Compare scores two profiles built by this measure, exactly whenever
+	// the score is >= floor; otherwise it returns some value < floor,
+	// negative when it stopped early (see the package comment above). It
+	// must be pure and safe for concurrent use.
+	Compare(a, b *Profile, floor float64) float64
 }
 
 // QueryProfiler is implemented by the measures whose ProfileInto interns
@@ -158,7 +173,7 @@ func compare(ps ProfiledSim, a, b string) float64 {
 	w := pairPool.Get().(*pair)
 	ps.ProfileInto(a, &w.a, &w.sc)
 	ps.ProfileInto(b, &w.b, &w.sc)
-	s := ps.Compare(&w.a, &w.b)
+	s := ps.Compare(&w.a, &w.b, 0)
 	pairPool.Put(w)
 	return s
 }
@@ -237,7 +252,7 @@ type funcProfiled struct{ fn Func }
 //moma:noalloc
 func (funcProfiled) ProfileInto(s string, p *Profile, _ *Scratch) { p.reset(s) }
 
-func (f funcProfiled) Compare(a, b *Profile) float64 { return f.fn(a.Raw, b.Raw) }
+func (f funcProfiled) Compare(a, b *Profile, _ float64) float64 { return f.fn(a.Raw, b.Raw) }
 
 // --- hashed character n-grams -------------------------------------------
 
@@ -278,25 +293,12 @@ func (g ngramProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
 	p.Grams = slices.Compact(grams)
 }
 
-// Compare scores two gram sets by a merge-join over the sorted hashes: Dice
-// 2·|A∩B| / (|A|+|B|) or Jaccard |A∩B| / |A∪B|. Two empty sets are identical
-// (1); one empty set never matches (0).
+// Compare scores two gram sets by a merge-join over the sorted hashes, Dice
+// or Jaccard (setSim); the floor bounds the merge.
 //
 //moma:noalloc
-func (g ngramProfiled) Compare(a, b *Profile) float64 {
-	ga, gb := a.Grams, b.Grams
-	if len(ga) == 0 && len(gb) == 0 {
-		return 1
-	}
-	if len(ga) == 0 || len(gb) == 0 {
-		return 0
-	}
-	inter := overlap(ga, gb)
-	if g.dice {
-		return clamp01(2 * float64(inter) / float64(len(ga)+len(gb)))
-	}
-	union := len(ga) + len(gb) - inter
-	return clamp01(float64(inter) / float64(union))
+func (g ngramProfiled) Compare(a, b *Profile, floor float64) float64 {
+	return setSim(a.Grams, b.Grams, len(a.Grams), len(b.Grams), g.dice, floor)
 }
 
 // --- token-set measures --------------------------------------------------
@@ -343,25 +345,14 @@ func (tokenProfiled) fill(s string, p *Profile, sc *Scratch) {
 	p.SortedTokenIDs = ids[:k]
 }
 
-// Compare scores two token-ID sets by a merge-join; unknown query tokens
-// enlarge the set sizes through ExtraTokens without being materialized.
+// Compare scores two token-ID sets by a merge-join (setSim); unknown query
+// tokens enlarge the set sizes through ExtraTokens without being
+// materialized.
 //
 //moma:noalloc
-func (t tokenProfiled) Compare(a, b *Profile) float64 {
-	na := len(a.SortedTokenIDs) + a.ExtraTokens
-	nb := len(b.SortedTokenIDs) + b.ExtraTokens
-	if na == 0 && nb == 0 {
-		return 1
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	inter := overlap(a.SortedTokenIDs, b.SortedTokenIDs)
-	if t.dice {
-		return clamp01(2 * float64(inter) / float64(na+nb))
-	}
-	union := na + nb - inter
-	return clamp01(float64(inter) / float64(union))
+func (t tokenProfiled) Compare(a, b *Profile, floor float64) float64 {
+	return setSim(a.SortedTokenIDs, b.SortedTokenIDs,
+		len(a.SortedTokenIDs)+a.ExtraTokens, len(b.SortedTokenIDs)+b.ExtraTokens, t.dice, floor)
 }
 
 // --- equality measures ---------------------------------------------------
@@ -372,7 +363,7 @@ type equalProfiled struct{}
 func (equalProfiled) ProfileInto(s string, p *Profile, _ *Scratch) { p.reset(s) }
 
 //moma:noalloc
-func (equalProfiled) Compare(a, b *Profile) float64 {
+func (equalProfiled) Compare(a, b *Profile, _ float64) float64 {
 	if a.Raw == b.Raw {
 		return 1
 	}
@@ -387,7 +378,7 @@ func (equalFoldProfiled) ProfileInto(s string, p *Profile, _ *Scratch) {
 }
 
 //moma:noalloc
-func (equalFoldProfiled) Compare(a, b *Profile) float64 {
+func (equalFoldProfiled) Compare(a, b *Profile, _ float64) float64 {
 	if strings.EqualFold(a.NormSpace, b.NormSpace) {
 		return 1
 	}
@@ -410,22 +401,29 @@ func (runeProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
 type levenshteinProfiled struct{ runeProfiled }
 
 // Compare is the normalized edit similarity
-// 1 - dist(a', b') / max(len(a'), len(b')).
-func (levenshteinProfiled) Compare(a, b *Profile) float64 {
+// 1 - dist(a', b') / max(len(a'), len(b')). The distance is at least the
+// difference of the lengths, which settles a pair whose lengths alone put it
+// under the floor without running the dynamic program.
+func (levenshteinProfiled) Compare(a, b *Profile, floor float64) float64 {
 	ra, rb := a.Runes, b.Runes
 	maxLen := max(len(ra), len(rb))
 	if maxLen == 0 {
 		return 1
 	}
-	return clamp01(1 - float64(editDistanceRunes(ra, rb))/float64(maxLen))
+	if editSim(maxLen-min(len(ra), len(rb)), maxLen) < floor {
+		return stopped
+	}
+	return editSim(editDistanceRunes(ra, rb), maxLen)
 }
+
+func editSim(dist, maxLen int) float64 { return clamp01(1 - float64(dist)/float64(maxLen)) }
 
 type jaroProfiled struct {
 	runeProfiled
 	winkler bool
 }
 
-func (j jaroProfiled) Compare(a, b *Profile) float64 {
+func (j jaroProfiled) Compare(a, b *Profile, _ float64) float64 {
 	if j.winkler {
 		return jaroWinklerRunes(a.Runes, b.Runes)
 	}
@@ -450,7 +448,7 @@ type affixProfiled struct {
 // runes in place.
 //
 //moma:noalloc
-func (m affixProfiled) Compare(a, b *Profile) float64 {
+func (m affixProfiled) Compare(a, b *Profile, _ float64) float64 {
 	ra, rb := a.Runes, b.Runes
 	if len(ra) == 0 && len(rb) == 0 {
 		return 1
@@ -490,13 +488,13 @@ func (tokenSeqProfiled) ProfileInto(s string, p *Profile, _ *Scratch) {
 
 type mongeElkanProfiled struct{ tokenSeqProfiled }
 
-func (mongeElkanProfiled) Compare(a, b *Profile) float64 {
+func (mongeElkanProfiled) Compare(a, b *Profile, _ float64) float64 {
 	return symMongeElkanTokens(a.Tokens, b.Tokens, JaroWinkler)
 }
 
 type personNameProfiled struct{ tokenSeqProfiled }
 
-func (personNameProfiled) Compare(a, b *Profile) float64 {
+func (personNameProfiled) Compare(a, b *Profile, _ float64) float64 {
 	return personNameTokens(a.Tokens, b.Tokens)
 }
 
@@ -510,7 +508,7 @@ func (soundexProfiled) ProfileInto(s string, p *Profile, _ *Scratch) {
 }
 
 //moma:noalloc
-func (soundexProfiled) Compare(a, b *Profile) float64 {
+func (soundexProfiled) Compare(a, b *Profile, _ float64) float64 {
 	if a.Code == "" || b.Code == "" {
 		return 0
 	}
@@ -531,7 +529,7 @@ func (yearProfiled) ProfileInto(s string, p *Profile, _ *Scratch) {
 }
 
 //moma:noalloc
-func (p yearProfiled) Compare(a, b *Profile) float64 {
+func (p yearProfiled) Compare(a, b *Profile, _ float64) float64 {
 	if !a.YearOK || !b.YearOK {
 		return 0
 	}

@@ -71,7 +71,7 @@ func TestProfiledMatchesFunc(t *testing.T) {
 			for i, a := range profileEdgeCases {
 				for j, b := range profileEdgeCases {
 					want := fn(a, b)
-					got := ps.Compare(profiles[i], profiles[j])
+					got := ps.Compare(profiles[i], profiles[j], 0)
 					if got != want {
 						t.Errorf("%s(%q, %q): profiled %v, string %v", name, a, b, got, want)
 					}
@@ -93,7 +93,7 @@ func TestProfiledOfUnknownFunc(t *testing.T) {
 		}
 		for _, a := range profileEdgeCases {
 			for _, b := range profileEdgeCases {
-				if got, want := ps.Compare(NewProfile(ps, a), NewProfile(ps, b)), fn(a, b); got != want {
+				if got, want := ps.Compare(NewProfile(ps, a), NewProfile(ps, b), 0), fn(a, b); got != want {
 					t.Fatalf("adapter(%q, %q) = %v, Func = %v", a, b, got, want)
 				}
 			}
@@ -152,7 +152,7 @@ func TestTFIDFMatchesStringReference(t *testing.T) {
 				if got := corpus.Cosine(a, b); got != want {
 					t.Errorf("%s: Cosine(%q, %q) = %v, string reference %v", label, a, b, got, want)
 				}
-				if got := ps.Compare(profiles[i], profiles[j]); got != want {
+				if got := ps.Compare(profiles[i], profiles[j], 0); got != want {
 					t.Errorf("%s: profiled(%q, %q) = %v, string reference %v", label, a, b, got, want)
 				}
 			}

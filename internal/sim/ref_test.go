@@ -7,6 +7,7 @@ package sim
 // set helpers.
 
 import (
+	"cmp"
 	"math"
 	"sort"
 )
@@ -38,6 +39,25 @@ func ngrams(s string, n int) []string {
 		grams = append(grams, string(pad[i:i+n]))
 	}
 	return uniqueSorted(grams)
+}
+
+// overlap is the unbounded merge count |a ∩ b| of two sorted, deduplicated
+// slices: the reference the floor-bounded overlapAtLeast is checked against.
+func overlap[T cmp.Ordered](a, b []T) int {
+	i, j, cnt := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			cnt++
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return cnt
 }
 
 // refNGram is the Dice (or Jaccard) coefficient over the string gram sets.

@@ -93,9 +93,9 @@ func TestYearFormsAgree(t *testing.T) {
 		for _, a := range vals {
 			for _, b := range vals {
 				str := m.fn(a, b)
-				built := ps.Compare(NewProfile(ps, a), NewProfile(ps, b))
+				built := ps.Compare(NewProfile(ps, a), NewProfile(ps, b), 0)
 				QueryInto(ps, a, &q, &sc)
-				online := ps.Compare(&q, NewProfile(ps, b))
+				online := ps.Compare(&q, NewProfile(ps, b), 0)
 				if str != built || built != online {
 					t.Errorf("%s(%q, %q): string %v, built profiles %v, query profile %v", m.name, a, b, str, built, online)
 				}
@@ -151,13 +151,13 @@ func FuzzQueryIntoMatchesProfileInto(f *testing.F) {
 		before := Terms.Len()
 		for name, ps := range measures {
 			QueryInto(ps, q, &p, &sc)
-			online[name] = ps.Compare(&p, stored[name])
+			online[name] = ps.Compare(&p, stored[name], 0)
 		}
 		if got := Terms.Len(); got != before {
 			t.Fatalf("QueryInto(%q) grew the dictionary %d -> %d", q, before, got)
 		}
 		for name, ps := range measures {
-			built := ps.Compare(NewProfile(ps, q), stored[name])
+			built := ps.Compare(NewProfile(ps, q), stored[name], 0)
 			if math.Float64bits(online[name]) != math.Float64bits(built) {
 				t.Errorf("%s: QueryInto(%q) vs %q = %v, built profile %v", name, q, v, online[name], built)
 			}

@@ -25,6 +25,7 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 )
@@ -147,8 +148,87 @@ func uniqueSorted[T cmp.Ordered](xs []T) []T {
 	return out
 }
 
-// overlap returns |a ∩ b| for two sorted, deduplicated slices.
-func overlap[T cmp.Ordered](a, b []T) int {
+// stopped is what a Compare returns when its floor let it stop before the
+// score was known. Every score is at least 0, so a negative result tells the
+// caller that work was saved, not merely that the pair scored low.
+const stopped = -1.0
+
+// setSim is the Dice (2·|A∩B| / (|A|+|B|)) or Jaccard (|A∩B| / |A∪B|)
+// coefficient of two sets given as sorted, deduplicated slices. na and nb are
+// the set cardinalities, which exceed the slice lengths when a set has
+// members that can intersect nothing (Profile.ExtraTokens). Two empty sets
+// are identical (1); one empty set never matches (0).
+//
+// A positive floor bounds the work: need is an overlap no larger than the
+// least whose coefficient reaches floor, so sets too small to hold it are
+// rejected on their sizes alone and the merge stops once the elements left
+// cannot supply it.
+//
+//moma:noalloc
+func setSim[T cmp.Ordered](a, b []T, na, nb int, dice bool, floor float64) float64 {
+	if na == 0 && nb == 0 {
+		return 1
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	need := 0
+	if floor > 0 {
+		need = minOverlap(na+nb, dice, floor)
+		if min(len(a), len(b)) < need {
+			return stopped
+		}
+	}
+	inter := overlapAtLeast(a, b, need)
+	if inter < 0 {
+		return stopped
+	}
+	return setRatio(inter, na+nb, dice)
+}
+
+// setRatio is the coefficient of two sets with |A|+|B| = total that share
+// inter members. It never decreases as inter grows.
+//
+//moma:noalloc
+func setRatio(inter, total int, dice bool) float64 {
+	if dice {
+		return clamp01(2 * float64(inter) / float64(total))
+	}
+	return clamp01(float64(inter) / float64(total-inter))
+}
+
+// minOverlap returns an overlap that every pair of sets with |A|+|B| = total
+// and setRatio >= floor reaches. The closed form can land one above the true
+// minimum — by rounding, or because setRatio itself rounds up onto floor (a
+// floor of 2/3 against 1 shared of 3) — so the candidate below is tried with
+// setRatio's own expression; landing below the minimum only prunes less.
+//
+//moma:noalloc
+func minOverlap(total int, dice bool, floor float64) int {
+	est := floor * float64(total)
+	if dice {
+		est /= 2
+	} else {
+		est /= 1 + floor
+	}
+	if !(est < float64(total)) {
+		return total // floor above 1: more than either set can hold
+	}
+	need := int(math.Ceil(est))
+	if need > 0 && setRatio(need-1, total, dice) >= floor {
+		need--
+	}
+	return need
+}
+
+// overlapAtLeast returns |a ∩ b| for two sorted, deduplicated slices of at
+// least need elements each, or -1 as soon as one side has passed over more
+// unmatched elements than an overlap of need leaves room for. With need 0 it
+// is the plain merge count.
+//
+//moma:noalloc
+func overlapAtLeast[T cmp.Ordered](a, b []T, need int) int {
+	spareA, spareB := len(a)-need, len(b)-need
 	i, j, cnt := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -157,8 +237,16 @@ func overlap[T cmp.Ordered](a, b []T) int {
 			i++
 			j++
 		case a[i] < b[j]:
+			if spareA == 0 {
+				return -1
+			}
+			spareA--
 			i++
 		default:
+			if spareB == 0 {
+				return -1
+			}
+			spareB--
 			j++
 		}
 	}

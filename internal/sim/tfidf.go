@@ -160,7 +160,7 @@ func (p tfidfProfiled) fill(s string, pr *Profile, sc *Scratch) {
 // short-circuits see the document's true term count.
 //
 //moma:noalloc
-func (tfidfProfiled) Compare(a, b *Profile) float64 {
+func (tfidfProfiled) Compare(a, b *Profile, _ float64) float64 {
 	na, nb := len(a.TermIDs)+a.ExtraTokens, len(b.TermIDs)+b.ExtraTokens
 	if na == 0 && nb == 0 {
 		return 1

@@ -11,31 +11,15 @@ import (
 // TokenJaccard is |A∩B| / |A∪B| over the normalized token sets. Unlike the
 // other built-ins it is not Compare over two profiles: the token-set profile
 // interns into Terms, and a string call must not grow the dictionary.
-func TokenJaccard(a, b string) float64 {
-	ta := uniqueSorted(Tokens(a))
-	tb := uniqueSorted(Tokens(b))
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
-	}
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	inter := overlap(ta, tb)
-	union := len(ta) + len(tb) - inter
-	return clamp01(float64(inter) / float64(union))
-}
+func TokenJaccard(a, b string) float64 { return tokenSetSim(a, b, false) }
 
 // TokenDice is 2·|A∩B| / (|A|+|B|) over the normalized token sets.
-func TokenDice(a, b string) float64 {
+func TokenDice(a, b string) float64 { return tokenSetSim(a, b, true) }
+
+func tokenSetSim(a, b string, dice bool) float64 {
 	ta := uniqueSorted(Tokens(a))
 	tb := uniqueSorted(Tokens(b))
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
-	}
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	return clamp01(2 * float64(overlap(ta, tb)) / float64(len(ta)+len(tb)))
+	return setSim(ta, tb, len(ta), len(tb), dice, 0)
 }
 
 // YearExact returns 1 when both strings parse as the same integer year.

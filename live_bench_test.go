@@ -17,11 +17,15 @@ import (
 // titles draw from a vocabulary proportional to n (constant token
 // selectivity across scales).
 func benchLiveSet(n int) *ObjectSet {
+	return benchLiveSetVocab(n, max(n/25, 20), 0)
+}
+
+// benchLiveSetVocab is benchLiveSet over a vocabulary of the given size: the
+// smaller it is against n, the more members share tokens with a query. Three
+// titles in four open with one of the first stopWords words of the
+// vocabulary, which puts a few very long posting lists beside the short ones.
+func benchLiveSetVocab(n, vocabSize, stopWords int) *ObjectSet {
 	rng := rand.New(rand.NewSource(20070107))
-	vocabSize := n / 25
-	if vocabSize < 20 {
-		vocabSize = 20
-	}
 	vocab := make([]string, vocabSize)
 	for i := range vocab {
 		vocab[i] = fmt.Sprintf("word%04d", i)
@@ -32,6 +36,10 @@ func benchLiveSet(n int) *ObjectSet {
 		for w := 0; w < 8; w++ {
 			if w > 0 {
 				title += " "
+			}
+			if w == 0 && stopWords > 0 && i%4 > 0 {
+				title += vocab[rng.Intn(stopWords)]
+				continue
 			}
 			title += vocab[rng.Intn(len(vocab))]
 		}
@@ -79,6 +87,12 @@ func benchResolverFor(b *testing.B, set *ObjectSet) *LiveResolver {
 // stay flat from n=1000 through n=100000 (no set-sized work per query).
 // The n=100000 case is the large-scale setting and is skipped in -short
 // runs (CI runs it in a dedicated step).
+//
+// The dense case is the setting the threshold bounds exist for, beside
+// n=100000, the one they must not tax: 20 000 titles over 300 words, most of
+// them starting with one of four stop words (the shape of the paper's Google
+// Scholar set), under the paper's DBLP-GS matcher — two shared tokens,
+// trigram >= 0.75 — admit hundreds of candidates per query and keep a few.
 func BenchmarkResolve(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		if n >= 100000 && testing.Short() {
@@ -87,21 +101,34 @@ func BenchmarkResolve(b *testing.B) {
 		set := benchLiveSet(n)
 		r := benchResolverFor(b, set)
 		queries := benchLiveQueries(set, 256)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			// Warm-up: touch every query once outside the timer.
-			for _, q := range queries {
-				r.Resolve(q)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			matches := 0
-			for i := 0; i < b.N; i++ {
-				matches += len(r.Resolve(queries[i%len(queries)]))
-			}
-			if b.N > len(queries) && matches == 0 {
-				b.Fatal("benchmark queries never match; fixture broken")
-			}
-		})
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchResolveLoop(b, r, queries) })
+	}
+	set := benchLiveSetVocab(20000, 300, 4)
+	r, err := NewLiveResolver(set, LiveConfig{
+		MinShared: 2,
+		Threshold: 0.75,
+		Columns:   []LiveColumn{{QueryAttr: "title", SetAttr: "title", Sim: Trigram}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := benchLiveQueries(set, 256)
+	b.Run("dense", func(b *testing.B) { benchResolveLoop(b, r, queries) })
+}
+
+func benchResolveLoop(b *testing.B, r *LiveResolver, queries []*Instance) {
+	// Warm-up: touch every query once outside the timer.
+	for _, q := range queries {
+		r.Resolve(q)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	matches := 0
+	for i := 0; i < b.N; i++ {
+		matches += len(r.Resolve(queries[i%len(queries)]))
+	}
+	if b.N > len(queries) && matches == 0 {
+		b.Fatal("benchmark queries never match; fixture broken")
 	}
 }
 

@@ -54,6 +54,18 @@
 // Profiles are read-only between builds, so matchers with Workers > 1
 // score them concurrently without locks.
 //
+// A matcher keeps only the pairs that reach its threshold, so Compare takes
+// a floor — the least score its caller still has a use for — and is exact
+// at or above it; below it a measure may stop as soon as the score is out of
+// reach (the Dice and Jaccard set measures reject on set sizes and abandon
+// the merge, Levenshtein rejects on lengths). AttributeMatcher passes its
+// threshold; MultiAttributeMatcher and LiveResolver share sim.Weighted,
+// which derives each column's floor from the weights still to come. The
+// bounds are exact — results are bit-identical to scoring every pair in
+// full, which survives as the oracle of the differential tests — and the
+// counters moma_match_pairs_pruned_total and moma_live_resolve_pruned_total
+// report how many admitted pairs they cut short.
+//
 // # Streaming match pipeline
 //
 // Candidate generation and scoring form a streaming pipeline: every
@@ -488,7 +500,8 @@ type (
 	TFIDF = sim.TFIDF
 	// SimProfile caches the derived forms of one attribute value.
 	SimProfile = sim.Profile
-	// ProfiledSim is a measure: ProfileInto per value, Compare per pair.
+	// ProfiledSim is a measure: ProfileInto per value, Compare per pair,
+	// exact at or above the floor the caller passes.
 	ProfiledSim = sim.ProfiledSim
 	// SimScratch is the working memory ProfileInto takes.
 	SimScratch = sim.Scratch
