@@ -2,7 +2,7 @@
 // never grows a dictionary. Interning tables (sim.Dict, model.IDDict) are
 // append-only and never reclaimed, so a read path that interns turns an
 // unbounded query stream into unbounded memory growth — the exact failure
-// the lookup-only probe APIs (Dict.Lookup, LookupTokenIDs, sim.QueryInto)
+// the lookup-only probe APIs (Dict.Lookup, AppendLookupTokenIDs, sim.QueryInto)
 // exist to prevent.
 //
 // The rule is declared in the code: leaf growth APIs carry //moma:interns

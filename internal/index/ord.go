@@ -1,9 +1,7 @@
-package index
-
-// Ordinal inverted index: the incremental, allocation-lean counterpart of
-// Index for candidate generation.
+// Package index provides Ords, the inverted index behind candidate
+// generation: which documents share at least so many distinct tokens with a
+// probe.
 //
-// Index keys postings by model.ID and is built once per match (batch mode).
 // Ords keys postings by dense int ordinals — an ObjectSet's insertion-order
 // ordinals in batch token blocking, a live Resolver's slot numbers online —
 // and supports incremental Add and Remove, so one resident structure serves
@@ -16,6 +14,11 @@ package index
 // once — batch blocking into the global sim.Terms, a live Resolver into
 // its private dictionary — and every Add, Remove and probe after that hashes
 // uint32s instead of strings.
+//
+// Ranked keyword retrieval is not here: the one place that needs it, the
+// Google Scholar simulation, carries its own weighted postings
+// (sources.GSQuery).
+package index
 
 import (
 	"fmt"

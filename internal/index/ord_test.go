@@ -1,21 +1,41 @@
 package index
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/race"
-
-	"repro/internal/model"
 	"repro/internal/sim"
 )
 
 // ids interns a test token slice in the global dictionary.
 func ids(toks ...string) []uint32 {
-	return sim.Terms.InternTokens(toks)
+	out := make([]uint32, len(toks))
+	for i, tok := range toks {
+		out[i] = sim.Terms.ID(tok)
+	}
+	return out
+}
+
+// sharing is the oracle of the differential tests: the documents sharing at
+// least minShared distinct tokens with q, by direct count, in ascending
+// ordinal order.
+func sharing(docToks [][]uint32, q []uint32, minShared int) []int {
+	var out []int
+	for d, toks := range docToks {
+		shared := 0
+		for i, tok := range q {
+			if !seenBefore(q, i) && slices.Contains(toks, tok) {
+				shared++
+			}
+		}
+		if shared >= max(minShared, 1) {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 func collectOrds(x *Ords, toks []uint32, minShared int) []int {
@@ -42,7 +62,7 @@ func TestOrdsCandidates(t *testing.T) {
 	if got := collectOrds(x, ids("nothing"), 1); got != nil {
 		t.Fatalf("unknown token: got %v", got)
 	}
-	// Duplicate query tokens count once, like Index.EachCandidateSharingTokens.
+	// Duplicate query tokens count once.
 	if got := collectOrds(x, ids("view", "view"), 2); got != nil {
 		t.Fatalf("duplicate query tokens must not double-count: got %v", got)
 	}
@@ -86,44 +106,30 @@ func TestOrdsOutOfOrderAdd(t *testing.T) {
 	}
 }
 
-// TestOrdsMatchesIndexCandidates differentially pins the ordinal index
-// against the ID-keyed Index on random token sets: same documents, same
-// candidate membership for every probe and minShared.
+// TestOrdsMatchesIndexCandidates pins the candidates of an index over real
+// interned terms against the direct count, on random documents over a small
+// uniform vocabulary: posting lists of like length, none set aside.
 func TestOrdsMatchesIndexCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	vocab := []string{"data", "view", "query", "match", "join", "web", "graph", "xml", "mining", "cache"}
-	randToks := func() []string {
-		n := 1 + rng.Intn(5)
-		out := make([]string, n)
+	vocab := ids("data", "view", "query", "match", "join", "web", "graph", "xml", "mining", "cache")
+	randToks := func() []uint32 {
+		out := make([]uint32, 1+rng.Intn(5))
 		for i := range out {
 			out[i] = vocab[rng.Intn(len(vocab))]
 		}
 		return out
 	}
-	const docs = 60
-	ix := New()
-	ox := NewOrds()
-	docToks := make([][]string, docs)
-	for d := 0; d < docs; d++ {
+	x := NewOrds()
+	docToks := make([][]uint32, 60)
+	for d := range docToks {
 		docToks[d] = randToks()
-		ix.AddTokens(model.ID(fmt.Sprintf("doc%03d", d)), docToks[d])
-		ox.Add(d, sim.Terms.InternTokens(docToks[d]))
+		x.Add(d, docToks[d])
 	}
-	ix.Freeze()
 	for probe := 0; probe < 50; probe++ {
 		q := randToks()
 		for minShared := 1; minShared <= 3; minShared++ {
-			want := map[string]bool{}
-			for _, id := range ix.CandidatesSharingTokens(q, minShared) {
-				want[string(id)] = true
-			}
-			got := map[string]bool{}
-			ox.EachCandidate(sim.Terms.InternTokens(q), minShared, func(ord int) bool {
-				got[fmt.Sprintf("doc%03d", ord)] = true
-				return true
-			})
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("probe %v minShared=%d: ords %v != index %v", q, minShared, got, want)
+			if got, want := collectOrds(x, q, minShared), sharing(docToks, q, minShared); !slices.Equal(got, want) {
+				t.Fatalf("probe %v minShared=%d:\n got %v\nwant %v", q, minShared, got, want)
 			}
 		}
 	}
@@ -168,18 +174,7 @@ func TestEachCandidateSkewedMatchesCount(t *testing.T) {
 		q = append(q, q[rng.Intn(len(q))])
 		rng.Shuffle(len(q), func(i, j int) { q[i], q[j] = q[j], q[i] })
 		for minShared := 0; minShared <= 5; minShared++ {
-			var want []int
-			for d, toks := range docToks {
-				shared := 0
-				for i, tok := range q {
-					if !seenBefore(q, i) && slices.Contains(toks, tok) {
-						shared++
-					}
-				}
-				if shared >= max(minShared, 1) {
-					want = append(want, d)
-				}
-			}
+			want := sharing(docToks, q, minShared)
 			if got := collectOrds(x, q, minShared); !slices.Equal(got, want) {
 				t.Fatalf("probe %v minShared=%d:\n got %v\nwant %v", q, minShared, got, want)
 			}

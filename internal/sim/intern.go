@@ -16,14 +16,14 @@ package sim
 // that crosses package or object-set boundaries: the profiled token-set
 // measures (Profile.SortedTokenIDs), TF-IDF corpora and document vectors
 // (Profile.TermIDs), the batch blocking caches (block.Tokens columns and
-// their ordinal indexes), and index.Index postings. Sharing one dictionary
+// their ordinal indexes), and sources.GSQuery postings. Sharing one dictionary
 // means a column interned once compares against any index or profile in the
 // process without translation. A live Resolver additionally owns a private
 // Dict (created by live.NewResolver) for its blocking index, so that
 // per-resolver vocabulary is released with the resolver; its scored column
 // values still intern into Terms.
 //
-// Only writes intern. Read-side traffic — index probes (LookupTokenIDs)
+// Only writes intern. Read-side traffic — index probes (AppendLookupTokenIDs)
 // and query-record profiling (QueryInto) — looks tokens up without
 // assigning IDs, so dictionaries grow with the data stored, never with the
 // queries asked.
@@ -196,42 +196,6 @@ func (d *Dict) TokenIDs(s string) []uint32 {
 			out = append(out, d.ID(n))
 			n = ""
 		}
-	}
-	return out
-}
-
-// LookupTokenIDs is TokenIDs without interning: tokens the dictionary has
-// never seen are dropped (they cannot match any ID-keyed posting or token
-// set). Query-side probes use it so read traffic never grows the table.
-func (d *Dict) LookupTokenIDs(s string) []uint32 {
-	n := Normalize(s)
-	if n == "" {
-		return nil
-	}
-	out := make([]uint32, 0, strings.Count(n, " ")+1)
-	for len(n) > 0 {
-		tok := n
-		if sp := strings.IndexByte(n, ' '); sp >= 0 {
-			tok, n = n[:sp], n[sp+1:]
-		} else {
-			n = ""
-		}
-		if id, ok := d.Lookup(tok); ok {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// InternTokens interns a pre-tokenized slice, preserving order and
-// duplicates.
-func (d *Dict) InternTokens(toks []string) []uint32 {
-	if len(toks) == 0 {
-		return nil
-	}
-	out := make([]uint32, len(toks))
-	for i, tok := range toks {
-		out[i] = d.ID(tok)
 	}
 	return out
 }

@@ -226,15 +226,15 @@ func TestDictBasics(t *testing.T) {
 				t.Fatalf("TokenIDs(%q)[%d] = %q, want %q", s, i, d.Str(ids[i]), tok)
 			}
 		}
-		if !reflect.DeepEqual(d.LookupTokenIDs(s), ids) && len(ids) > 0 {
-			t.Fatalf("LookupTokenIDs(%q) after interning diverges from TokenIDs", s)
+		if _, got := d.AppendLookupTokenIDs(s, nil, nil); !reflect.DeepEqual(got, ids) && len(ids) > 0 {
+			t.Fatalf("AppendLookupTokenIDs(%q) after interning diverges from TokenIDs", s)
 		}
 	}
 	if d.Len() == 0 {
 		t.Fatal("dict is empty after interning the edge cases")
 	}
-	if got := d.LookupTokenIDs("zzz-never-interned-zzz"); got != nil && len(got) != 0 {
-		t.Fatalf("LookupTokenIDs of unknown tokens = %v, want none", got)
+	if _, got := d.AppendLookupTokenIDs("zzz-never-interned-zzz", nil, nil); len(got) != 0 {
+		t.Fatalf("AppendLookupTokenIDs of unknown tokens = %v, want none", got)
 	}
 }
 

@@ -116,10 +116,12 @@ func (d *Dict) lookupBytes(tok []byte) (id uint32, key uint64, ok bool) {
 	return id, key, ok
 }
 
-// AppendLookupTokenIDs is LookupTokenIDs with caller-owned buffers: the
-// value is normalized into norm and the known token IDs appended to dst
-// (both reused at their grown capacity), so a warm index probe allocates
-// nothing. Returns the two buffers for reuse.
+// AppendLookupTokenIDs is TokenIDs without interning, over caller-owned
+// buffers: tokens the dictionary has never seen are dropped (they cannot
+// match any ID-keyed posting or token set), so read traffic never grows the
+// table. The value is normalized into norm and the known token IDs appended
+// to dst (both reused at their grown capacity), so a warm index probe
+// allocates nothing. Returns the two buffers for reuse.
 //
 //moma:noalloc
 func (d *Dict) AppendLookupTokenIDs(s string, norm []byte, dst []uint32) ([]byte, []uint32) {

@@ -46,9 +46,21 @@ func allMeasures() map[string]ProfiledSim {
 	return out
 }
 
+// lookupTokenIDs is the allocating lookup over strings that
+// AppendLookupTokenIDs replaced: Normalize, split on spaces, Lookup.
+func lookupTokenIDs(d *Dict, s string) []uint32 {
+	var out []uint32
+	for _, tok := range Tokens(s) {
+		if id, ok := d.Lookup(tok); ok {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // TestAppendLookupTokenIDsMatchesLookupTokenIDs pins the buffer-reusing
-// lookup to the allocating one: same known IDs, same order, unknowns
-// dropped.
+// lookup over bytes to the allocating one over strings: same known IDs,
+// same order, unknowns dropped.
 func TestAppendLookupTokenIDsMatchesLookupTokenIDs(t *testing.T) {
 	Terms.TokenIDs("mapping based object matching for data integration")
 	Terms.TokenIDs("a formal perspective on the view selection problem")
@@ -56,9 +68,9 @@ func TestAppendLookupTokenIDsMatchesLookupTokenIDs(t *testing.T) {
 	var ids []uint32
 	for _, v := range scratchValues() {
 		norm, ids = Terms.AppendLookupTokenIDs(v, norm, ids)
-		want := Terms.LookupTokenIDs(v)
+		want := lookupTokenIDs(Terms, v)
 		if !slices.Equal(ids, want) {
-			t.Errorf("AppendLookupTokenIDs(%q) = %v, LookupTokenIDs = %v", v, ids, want)
+			t.Errorf("AppendLookupTokenIDs(%q) = %v, lookupTokenIDs = %v", v, ids, want)
 		}
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/model"
+	"repro/internal/race"
 )
 
 // datasetHash digests everything a seed decides: the ground-truth world and
@@ -38,6 +40,33 @@ func datasetHash(d *Dataset) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
+// checkFreshTitles asserts no title was drawn twice: only twins and recurring
+// columns repeat one.
+func checkFreshTitles(t *testing.T, d *Dataset, seed int64) {
+	t.Helper()
+	titles := make(map[string]bool)
+	for _, p := range d.World.Pubs {
+		if p.TwinOf < 0 && !p.Recurring {
+			if titles[p.Title] {
+				t.Errorf("seed %d: title %q drawn twice", seed, p.Title)
+			}
+			titles[p.Title] = true
+		}
+	}
+}
+
+// checkPaperWorld asserts a PaperConfig world has the Table 1 counts and no
+// title drawn twice.
+func checkPaperWorld(t *testing.T, d *Dataset, seed int64) {
+	t.Helper()
+	if got, want := [...]int{d.DBLP.Venues.Len(), d.DBLP.Pubs.Len(), d.DBLP.Authors.Len(),
+		d.ACM.Venues.Len(), d.ACM.Pubs.Len(), d.ACM.Authors.Len(), d.GS.Pubs.Len()},
+		[...]int{130, 2616, 3319, 128, 2294, 3547, 64263}; got != want {
+		t.Errorf("seed %d: Table 1 counts %v, want %v", seed, got, want)
+	}
+	checkFreshTitles(t, d, seed)
+}
+
 // TestPaperSeedsTerminate covers the title pool running dry: paper-scale
 // seeds 2 and 34 ask for more titles than there are (noun, topic)
 // combinations and used to spin in the rejection loop forever. They must
@@ -60,22 +89,41 @@ func TestPaperSeedsTerminate(t *testing.T) {
 		cfg := PaperConfig()
 		cfg.Seed = seed
 		d := Generate(cfg)
-		if got, want := [...]int{d.DBLP.Venues.Len(), d.DBLP.Pubs.Len(), d.DBLP.Authors.Len(),
-			d.ACM.Venues.Len(), d.ACM.Pubs.Len(), d.ACM.Authors.Len(), d.GS.Pubs.Len()},
-			[...]int{130, 2616, 3319, 128, 2294, 3547, 64263}; got != want {
-			t.Errorf("seed %d: Table 1 counts %v, want %v", seed, got, want)
-		}
-		titles := make(map[string]bool)
-		for _, p := range d.World.Pubs {
-			if p.TwinOf < 0 && !p.Recurring {
-				if titles[p.Title] {
-					t.Errorf("seed %d: title %q drawn twice", seed, p.Title)
-				}
-				titles[p.Title] = true
-			}
-		}
+		checkPaperWorld(t, d, seed)
 		if want, ok := unchanged[seed]; ok && datasetHash(d) != want {
 			t.Errorf("seed %d: world hash %s, want %s as before the loop was bounded", seed, datasetHash(d), want)
+		}
+	}
+}
+
+// TestGenerateManySeeds is the property the benchmark found broken by
+// accident (it drew seeds 2 and 34): whatever the seed, Generate returns, and
+// returns a well-formed world. One deadline covers all seeds, so a seed that
+// spins fails the test by name instead of timing the package out. Paper-scale
+// worlds, seeds 0-71, are for the plain long run: the race detector has
+// nothing to find in a sequential generator and takes four times as long.
+func TestGenerateManySeeds(t *testing.T) {
+	t.Parallel()
+	cfg, seeds, check := PaperConfig(), int64(72), checkPaperWorld
+	if testing.Short() || race.Enabled {
+		cfg, seeds = SmallConfig(), 200
+		check = func(t *testing.T, d *Dataset, seed int64) {
+			t.Helper()
+			if d.DBLP.Pubs.Len() == 0 || d.ACM.Pubs.Len() == 0 || d.GS.Pubs.Len() <= cfg.GSNoiseDocs {
+				t.Errorf("seed %d: %d DBLP, %d ACM, %d GS publications", seed, d.DBLP.Pubs.Len(), d.ACM.Pubs.Len(), d.GS.Pubs.Len())
+			}
+			checkFreshTitles(t, d, seed)
+		}
+	}
+	deadline := time.After(5 * time.Minute)
+	for cfg.Seed = 0; cfg.Seed < seeds; cfg.Seed++ {
+		done := make(chan *Dataset, 1)
+		go func(cfg Config) { done <- Generate(cfg) }(cfg)
+		select {
+		case d := <-done:
+			check(t, d, cfg.Seed)
+		case <-deadline:
+			t.Fatalf("seed %d: Generate still running at the deadline", cfg.Seed)
 		}
 	}
 }

@@ -357,7 +357,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/eval"
 	"repro/internal/fuse"
-	"repro/internal/index"
 	"repro/internal/live"
 	"repro/internal/mapping"
 	"repro/internal/match"
@@ -720,17 +719,6 @@ type (
 // NewLiveResolver builds a resolver over an object set; System's
 // RegisterResolver wires one to a registered set by name.
 var NewLiveResolver = live.NewResolver
-
-// Search index (package index).
-type (
-	// Index is an inverted index with TF-IDF top-k retrieval.
-	Index = index.Index
-	// Hit is one search result.
-	Hit = index.Hit
-)
-
-// NewIndex returns an empty inverted index.
-var NewIndex = index.New
 
 // Synthetic bibliographic world (package sources) — the evaluation
 // substrate substituting for DBLP / ACM DL / Google Scholar.
