@@ -86,10 +86,11 @@ type Config struct {
 }
 
 // Match is one resolution result: a registered instance at or above the
-// threshold.
+// threshold. The tags are moma-serve's wire format, which carries the
+// resolver's matches as they are.
 type Match struct {
-	ID  model.ID
-	Sim float64
+	ID  model.ID `json:"id"`
+	Sim float64  `json:"sim"`
 }
 
 // colState is the resident per-column state.
@@ -217,26 +218,21 @@ func (r *Resolver) Has(id model.ID) bool {
 	return ok
 }
 
-// Resolve blocks, scores and thresholds one query record against the
-// registered set. Matches stream back in the set's insertion order with the
-// exact similarities a batch matcher of the same configuration computes.
-// After warm-up, a Resolve allocates proportionally to its candidates —
-// never to the set size.
+// Resolve is ResolveAppend into a fresh slice, for callers that keep the
+// result: it allocates proportionally to its matches, never to the set size.
 //
 //moma:readpath
-func (r *Resolver) Resolve(q *model.Instance) []Match {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.resolveLocked(q, false, nil)
-}
+func (r *Resolver) Resolve(q *model.Instance) []Match { return r.ResolveAppend(q, nil) }
 
-// ResolveAppend is Resolve appending into dst — the steady-state serving
-// entry point. When dst has capacity and every column's measure keeps no
-// string in its profile and allocates nothing in Compare (the equality,
-// n-gram, affix, token-set, TF-IDF and year measures), a warm ResolveAppend
-// performs zero heap allocations; TestResolveAppendZeroAllocs pins that.
-// Matches are appended in the set's insertion order; dst[:0] reuse is the
-// intended idiom.
+// ResolveAppend blocks, scores and thresholds one query record against the
+// registered set and appends the matches to dst, in the set's insertion
+// order, with the exact similarities a batch matcher of the same
+// configuration computes. It is the serving entry point: moma-serve's
+// resolve handler (serve.handleResolve) calls it with a recycled dst[:0].
+// When dst has capacity and every column's measure keeps no string in its
+// profile and allocates nothing in Compare (the equality, n-gram, affix,
+// token-set, TF-IDF and year measures), a warm ResolveAppend performs zero
+// heap allocations; TestResolveAppendZeroAllocs pins that.
 //
 //moma:readpath
 func (r *Resolver) ResolveAppend(q *model.Instance, dst []Match) []Match {
@@ -334,8 +330,10 @@ func (r *Resolver) ResolveSet(queries *model.ObjectSet) (*mapping.Mapping, error
 	out := mapping.NewSame(queries.LDS(), r.lds)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	var dst []Match // reused across the queries
 	queries.Each(func(q *model.Instance) bool {
-		for _, m := range r.resolveLocked(q, false, nil) {
+		dst = r.resolveLocked(q, false, dst[:0])
+		for _, m := range dst {
 			out.AddMax(q.ID, m.ID, m.Sim)
 		}
 		return true

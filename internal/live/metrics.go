@@ -23,7 +23,7 @@ var (
 		"Latency of one online resolution", obs.DefaultSlow,
 		"block", "profile", "score")
 	resolvesTotal = obs.Default.Counter("moma_live_resolves_total",
-		"Online resolutions across all entry points (Resolve, ResolveAppend, ResolveSet, AddResolve).")
+		"Online resolutions across all entry points (ResolveAppend and its Resolve wrapper, ResolveSet, AddResolve).")
 	resolveCandidates = obs.Default.Counter("moma_live_resolve_candidates_total",
 		"Candidates the blocking probe admitted to online resolutions.")
 	resolvePruned = obs.Default.Counter("moma_live_resolve_pruned_total",

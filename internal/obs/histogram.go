@@ -6,8 +6,8 @@ import "sync/atomic"
 // engine-side latencies: resolver stages sit in the single-digit
 // microseconds, store compactions in the tens of milliseconds, pathological
 // queries above that. The range deliberately starts two decades below the
-// HTTP-level buckets in internal/serve — stage tracing exists to show where
-// inside a 76µs resolve the time goes.
+// buckets internal/serve registers for moma_request_duration_seconds —
+// stage tracing exists to show where inside a 76µs resolve the time goes.
 var DefLatencyBuckets = []float64{
 	0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,

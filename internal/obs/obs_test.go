@@ -222,3 +222,50 @@ func TestStagesPanicsOnBadStageCount(t *testing.T) {
 	}()
 	NewStages(r, "t_bad", "help", nil)
 }
+
+// gatedWriter blocks its first Write until released — a scraper that
+// stalled mid-response.
+type gatedWriter struct {
+	wrote   chan struct{} // closed on first Write
+	release chan struct{} // Write returns once this closes
+	once    sync.Once
+}
+
+func (g *gatedWriter) Write(p []byte) (int, error) {
+	g.once.Do(func() { close(g.wrote) })
+	<-g.release
+	return len(p), nil
+}
+
+// TestMetricsWriteDoesNotHoldLock pins the snapshot-then-emit contract of
+// WritePrometheus: a scrape stalled on a slow client blocks neither
+// recording into existing handles nor a first-time registration — the two
+// things a request's route metrics do.
+func TestMetricsWriteDoesNotHoldLock(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("t_requests_total", "help", `route="resolve",code="200"`)
+	h := r.Histogram("t_request_seconds", "help", nil, `route="resolve"`)
+
+	gw := &gatedWriter{wrote: make(chan struct{}), release: make(chan struct{})}
+	writeDone := make(chan struct{})
+	go func() {
+		r.WritePrometheus(gw)
+		close(writeDone)
+	}()
+	<-gw.wrote // the scrape is now mid-emission, stalled on the writer
+
+	recorded := make(chan struct{})
+	go func() {
+		c.Inc()
+		h.Observe(0.001)
+		r.Counter("t_requests_total", "help", `route="resolve",code="404"`).Inc()
+		close(recorded)
+	}()
+	select {
+	case <-recorded:
+	case <-time.After(2 * time.Second):
+		t.Fatal("recording blocked while a scrape was stalled on a slow scraper")
+	}
+	close(gw.release)
+	<-writeDone
+}

@@ -9,8 +9,9 @@ import (
 )
 
 // Default is the process-global registry. Instrumented packages register
-// their metrics here in package-level var blocks; internal/serve drains it
-// on /metrics.
+// their metrics here in package-level var blocks — internal/serve its route
+// counters and latency histograms among them — and GET /metrics is one
+// WritePrometheus of it.
 var Default = NewRegistry()
 
 // metricKind discriminates what a family holds.

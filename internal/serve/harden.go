@@ -2,14 +2,16 @@ package serve
 
 // Overload and failure hardening for the API surface: a concurrency-cap
 // admission controller that sheds excess load with 429 + Retry-After
-// instead of queueing it, per-request deadlines, request-body size caps
-// (413), panic containment (500 + moma_serve_panics_total, never a dead
-// process), a /readyz distinct from /healthz — liveness is "the process
-// answers", readiness is "send me traffic": draining or a degraded
-// repository flips readiness while liveness stays green — and a graceful
-// drain that flips readiness before the listener closes. Probe and
-// observability routes (/healthz, /readyz, /metrics, /debug/*) bypass
-// admission: an operator must be able to look at an overloaded server.
+// instead of queueing it, per-request deadlines (the request context's and,
+// with the same timeout, the connection's for reading headers and body),
+// request-body size caps (413), panic containment (500 +
+// moma_serve_panics_total, never a dead process), a /readyz distinct from
+// /healthz — liveness is "the process answers", readiness is "send me
+// traffic": draining or a degraded repository flips readiness while
+// liveness stays green — and a graceful drain that flips readiness before
+// the listener closes. Probe and observability routes (/healthz, /readyz,
+// /metrics, /debug/*) bypass admission: an operator must be able to look at
+// an overloaded server.
 
 import (
 	"context"
@@ -119,11 +121,17 @@ func (s *Server) admit(label string, h func(http.ResponseWriter, *http.Request) 
 				code, err = http.StatusInternalServerError, fmt.Errorf("internal error")
 			}
 		}()
-		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+		deadline := time.Now().Add(s.opts.RequestTimeout)
+		ctx, cancel := context.WithDeadline(r.Context(), deadline)
 		defer cancel()
 		r = r.WithContext(ctx)
 		if r.Body != nil {
 			r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+			// The context cannot interrupt a body read, so the connection gets
+			// the request's deadline too: a client that stalls mid-body gives
+			// its slot back when the request times out. net/http clears it
+			// before the next request, so idle keep-alive connections stay open.
+			_ = http.NewResponseController(w).SetReadDeadline(deadline) // unsupported only by in-process recorders, which cannot stall
 		}
 		return h(w, r)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -202,9 +204,9 @@ func TestRequestDeadline(t *testing.T) {
 	}
 }
 
-// degradedSystem builds a system over an injector-backed repository and
-// drives it into degraded mode with a WAL write fault.
-func degradedSystem(t *testing.T) (*moma.System, *store.Store, *faultfs.Injector) {
+// injectedSystem builds a system over a durable repository whose
+// filesystem is a fault injector, healthy until a rule is injected.
+func injectedSystem(t *testing.T) (*moma.System, *store.Store, *faultfs.Injector) {
 	t.Helper()
 	inj := faultfs.NewInjector(nil)
 	repo, err := store.OpenRepositoryFS(t.TempDir(), inj)
@@ -212,8 +214,16 @@ func degradedSystem(t *testing.T) (*moma.System, *store.Store, *faultfs.Injector
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { repo.Close() })
+	return moma.NewSystemWithRepository(repo), repo, inj
+}
+
+// degradedSystem is injectedSystem driven into degraded mode with a WAL
+// write fault.
+func degradedSystem(t *testing.T) (*moma.System, *store.Store, *faultfs.Injector) {
+	t.Helper()
+	sys, repo, inj := injectedSystem(t)
 	inj.Inject(faultfs.Rule{Op: faultfs.OpWrite, Path: "wal.jsonl", Sticky: true})
-	err = repo.PutDelta("live.X",
+	err := repo.PutDelta("live.X",
 		model.LDS{Source: "A", Type: model.Publication},
 		model.LDS{Source: "B", Type: model.Publication},
 		model.SameMappingType,
@@ -221,7 +231,26 @@ func degradedSystem(t *testing.T) (*moma.System, *store.Store, *faultfs.Injector
 	if err == nil || repo.Degraded() == nil {
 		t.Fatalf("fixture failed to degrade the repository: %v", err)
 	}
-	return moma.NewSystemWithRepository(repo), repo, inj
+	return sys, repo, inj
+}
+
+// serveTwoTitles registers a two-member ACM.Publication set with a resolver
+// on the system and returns a server over it.
+func serveTwoTitles(t *testing.T, sys *moma.System) *Server {
+	t.Helper()
+	set := moma.NewObjectSet(moma.LDS{Source: "ACM", Type: moma.Publication})
+	set.AddNew("g0", map[string]string{"title": "mapping based object matching"})
+	set.AddNew("g1", map[string]string{"title": "mapping based entity matching"})
+	if err := sys.AddObjectSet("ACM.Publication", set); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RegisterResolver("ACM.Publication", moma.LiveConfig{
+		MinShared: 2, Threshold: 0.5,
+		Columns: []moma.LiveColumn{{QueryAttr: "title", SetAttr: "title", Sim: moma.Trigram}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return New(sys)
 }
 
 // TestReadyzReflectsDegradation: /readyz turns 503 while the repository is
@@ -262,19 +291,7 @@ func TestReadyzReflectsDegradation(t *testing.T) {
 // keep answering.
 func TestDegradedStoreAnswers503(t *testing.T) {
 	sys, _, _ := degradedSystem(t)
-	set := moma.NewObjectSet(moma.LDS{Source: "ACM", Type: moma.Publication})
-	set.AddNew("g0", map[string]string{"title": "mapping based object matching"})
-	set.AddNew("g1", map[string]string{"title": "mapping based entity matching"})
-	if err := sys.AddObjectSet("ACM.Publication", set); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.RegisterResolver("ACM.Publication", moma.LiveConfig{
-		MinShared: 2, Threshold: 0.5,
-		Columns: []moma.LiveColumn{{QueryAttr: "title", SetAttr: "title", Sim: moma.Trigram}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv := New(sys)
+	srv := serveTwoTitles(t, sys)
 
 	// The add resolves against live members and must persist the delta:
 	// with the store degraded that is a 503, and the client is told when to
@@ -293,6 +310,166 @@ func TestDegradedStoreAnswers503(t *testing.T) {
 		Attrs: map[string]string{"title": "mapping based object matching"},
 	}, nil); rec.Code != http.StatusOK {
 		t.Fatalf("resolve against degraded store = %d, want 200", rec.Code)
+	}
+}
+
+// TestDeleteIsRetrySafe: a DELETE whose store write fails must change
+// nothing, so the client's retry after recovery is still a DELETE of a live
+// instance — not a 404 over a durable delta row naming an instance the
+// resolver has already forgotten.
+func TestDeleteIsRetrySafe(t *testing.T) {
+	sys, repo, inj := injectedSystem(t)
+	srv := serveTwoTitles(t, sys)
+	h := srv.Handler()
+	const title = "mapping based object matching"
+	var add AddInstanceResponse
+	if rec := doJSON(t, h, "POST", "/sets/ACM.Publication/instances", AddInstanceRequest{
+		ID: "new1", Attrs: map[string]string{"title": title},
+	}, &add); rec.Code != http.StatusOK || add.Mapping == "" {
+		t.Fatalf("add on a healthy store = %d %s, want a recorded delta", rec.Code, rec.Body.String())
+	}
+	resolves := func() bool {
+		var rr ResolveResponse
+		doJSON(t, h, "POST", "/sets/ACM.Publication/resolve", ResolveRequest{Attrs: map[string]string{"title": title}}, &rr)
+		for _, m := range rr.Matches {
+			if m.ID == "new1" {
+				return true
+			}
+		}
+		return false
+	}
+
+	inj.Inject(faultfs.Rule{Op: faultfs.OpWrite, Path: "wal.jsonl", Sticky: true})
+	rec := doJSON(t, h, "DELETE", "/sets/ACM.Publication/instances/new1", nil, nil)
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("DELETE with a failing WAL = %d (Retry-After %q), want 503 + Retry-After", rec.Code, rec.Header().Get("Retry-After"))
+	}
+	if !resolves() {
+		t.Fatal("the failed DELETE removed the instance from the resolver")
+	}
+	if set, _ := sys.ObjectSetByName("ACM.Publication"); !set.Has("new1") {
+		t.Fatal("the failed DELETE removed the instance from the registered set")
+	}
+
+	inj.ClearFaults()
+	if err := repo.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := doJSON(t, h, "DELETE", "/sets/ACM.Publication/instances/new1", nil, nil); rec.Code != http.StatusOK {
+		t.Fatalf("retried DELETE after recovery = %d: %s", rec.Code, rec.Body.String())
+	}
+	if resolves() {
+		t.Fatal("removed instance still resolves")
+	}
+	if m, ok := repo.Get("live.ACM.Publication"); !ok || m.Touches("new1") {
+		t.Fatalf("delta mapping still names the removed instance (found %v): %v", ok, m)
+	}
+}
+
+// shortTimeoutServer serves a 200 ms request timeout on a real listener
+// until the test ends, and returns its host:port.
+func shortTimeoutServer(t *testing.T) string {
+	t.Helper()
+	srv, _ := testServerWithOptions(t, Options{RequestTimeout: 200 * time.Millisecond})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.serve(ctx, ln) }()
+	t.Cleanup(func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("serve returned %v", err)
+		}
+	})
+	return ln.Addr().String()
+}
+
+// stalledConn opens a raw connection that sends the given bytes and then
+// nothing more.
+func stalledConn(t *testing.T, addr, sent string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() }) // runs before the server's drain, which would wait for it
+	if _, err := io.WriteString(conn, sent); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	return conn
+}
+
+// TestStalledHeadersAreClosed: a client that never finishes its request
+// headers is never admitted, so no request deadline covers it; the listener
+// must hang up on it instead of holding its goroutine and fd forever.
+func TestStalledHeadersAreClosed(t *testing.T) {
+	conn := stalledConn(t, shortTimeoutServer(t), "POST /sets/ACM.Publication/resolve HTTP/1.1\r\nHost: moma\r\n")
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("reading from a connection stalled mid-header: %v, want the server to close it (EOF)", err)
+	}
+}
+
+// TestStalledBodyReleasesSlot: a client that stalls mid-body sits inside
+// decodeBody holding an admission slot, where the request context cannot
+// reach it; the connection's read deadline must end the request and give
+// the slot back.
+func TestStalledBodyReleasesSlot(t *testing.T) {
+	addr := shortTimeoutServer(t)
+	conn := stalledConn(t, addr, "POST /sets/ACM.Publication/resolve HTTP/1.1\r\nHost: moma\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 64\r\n\r\n{\"attrs\":")
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("a request stalled mid-body was never answered, so it still holds its admission slot: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("stalled body answered %d, want 400", resp.StatusCode)
+	}
+	ready, err := http.Get("http://" + addr + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ready.Body.Close()
+	var body ReadyResponse
+	if err := json.NewDecoder(ready.Body).Decode(&body); err != nil || body.Inflight != 0 {
+		t.Fatalf("/readyz after the stalled request timed out: inflight %d (%v), want 0", body.Inflight, err)
+	}
+}
+
+// TestIdleKeepAliveOutlivesTimeout: the read deadlines bound a request in
+// progress, not the wait between two requests — load generators reuse their
+// connections, and a deadline that doubled as an idle timeout would have
+// them redial.
+func TestIdleKeepAliveOutlivesTimeout(t *testing.T) {
+	base := "http://" + shortTimeoutServer(t)
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	var reused bool
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused },
+	})
+	for i := 0; i < 2; i++ {
+		req, _ := http.NewRequestWithContext(ctx, "POST", base+"/sets/ACM.Publication/resolve",
+			strings.NewReader(`{"attrs":{"title":"generic schema matching with cupid"}}`))
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d = %d", i, resp.StatusCode)
+		}
+		if i == 0 {
+			time.Sleep(500 * time.Millisecond) // idle for well over the 200 ms request timeout
+		}
+	}
+	if !reused {
+		t.Fatal("the second request had to redial: the server closed an idle keep-alive connection")
 	}
 }
 

@@ -6,55 +6,11 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
-
-// gatedWriter blocks its first Write until released — a scraper that
-// stalled mid-response.
-type gatedWriter struct {
-	wrote   chan struct{} // closed on first Write
-	release chan struct{} // Write returns once this closes
-	once    sync.Once
-}
-
-func (g *gatedWriter) Write(p []byte) (int, error) {
-	g.once.Do(func() { close(g.wrote) })
-	<-g.release
-	return len(p), nil
-}
-
-// TestMetricsWriteDoesNotHoldLock pins the snapshot-then-emit contract of
-// metrics.write: a scrape stalled on a slow client must not block request
-// recording.
-func TestMetricsWriteDoesNotHoldLock(t *testing.T) {
-	m := newMetrics()
-	m.observe("resolve", 200, time.Millisecond)
-
-	gw := &gatedWriter{wrote: make(chan struct{}), release: make(chan struct{})}
-	writeDone := make(chan struct{})
-	go func() {
-		m.write(gw)
-		close(writeDone)
-	}()
-	<-gw.wrote // write is now mid-emission, stalled on the writer
-
-	observed := make(chan struct{})
-	go func() {
-		m.observe("resolve", 200, time.Millisecond)
-		close(observed)
-	}()
-	select {
-	case <-observed:
-	case <-time.After(2 * time.Second):
-		t.Fatal("observe blocked while write was stalled on a slow scraper")
-	}
-	close(gw.release)
-	<-writeDone
-}
 
 // scrape fetches /metrics and returns the body.
 func scrape(t *testing.T, h http.Handler) string {
@@ -66,6 +22,22 @@ func scrape(t *testing.T, h http.Handler) string {
 		t.Fatalf("/metrics = %d", rec.Code)
 	}
 	return rec.Body.String()
+}
+
+// sample returns one series' value in a scrape body, 0 when the series is
+// absent (a counter is registered at its first increment).
+func sample(t *testing.T, body, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("series %s has value %q: %v", series, v, err)
+			}
+			return f
+		}
+	}
+	return 0
 }
 
 // TestMetricsExposesEngineSeries drives one resolve and asserts the

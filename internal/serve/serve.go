@@ -13,7 +13,7 @@
 //	GET    /mappings/{name}           read a stored mapping
 //	GET    /healthz                   liveness, uptime and resolver sizes
 //	GET    /readyz                    readiness: not draining, repository healthy
-//	GET    /metrics                   Prometheus text: route metrics + engine metrics
+//	GET    /metrics                   Prometheus text: the process registry (obs.Default)
 //	GET    /debug/slow                recent slow-query traces (threshold-gated)
 //	GET    /debug/vars                expvar JSON
 //	GET    /debug/pprof/*             runtime profiles (index, profile, trace, ...)
@@ -25,6 +25,16 @@
 // Removing an instance drops it from the resolver and from the registered
 // set, and its correspondences from that mapping.
 //
+// The sets a server serves are bound when it is constructed: each resolver
+// registered by then gets one immutable record (resolver, registered set,
+// delta-mapping name, write mutex), and a request finds it with one map
+// read. A resolve holds exactly one lock, the resolver's read lock. A write
+// takes the set's mutex, then the resolver's lock, then the store's, in that
+// order and never two sets' at once, so traffic against different sets does
+// not contend. Route counters and latency histograms live on the process
+// registry (internal/obs) beside the engine's series: recording a request
+// is a few atomic adds, and GET /metrics is one exposition of one registry.
+//
 // The API surface sits behind a hardening layer (harden.go): a
 // concurrency-cap admission controller (429 + Retry-After on overload),
 // per-request deadlines, body-size caps (413), panic containment, and a
@@ -32,13 +42,14 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,6 +57,7 @@ import (
 	"time"
 
 	moma "repro"
+	"repro/internal/live"
 	"repro/internal/mapping"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -54,11 +66,11 @@ import (
 // Server wires a moma.System to the HTTP API. Create with New or
 // NewWithOptions.
 type Server struct {
-	sys     *moma.System
-	mux     *http.ServeMux
-	metrics *metrics
-	start   time.Time
-	opts    Options
+	sys   *moma.System
+	mux   *http.ServeMux
+	start time.Time
+	opts  Options
+	sets  map[string]*served // bound by NewWithOptions, never written again
 
 	// Admission state (see harden.go): sem is the concurrency-cap
 	// semaphore — a slot per admitted API request, non-blocking acquire,
@@ -68,33 +80,48 @@ type Server struct {
 	sem      chan struct{}
 	draining atomic.Bool
 	inflight atomic.Int64
+}
 
-	// State-changing requests are serialized per object set, not globally:
-	// an add touches the set's object set, resolver and delta mapping
-	// together, but sets share nothing, so resolves and adds against
-	// different sets never contend. locks lazily allocates one mutex per
-	// set name (delta-mapping reads key by the set the mapping belongs to).
-	locksMu sync.Mutex
-	locks   map[string]*sync.Mutex // guarded by locksMu
+// served is one resolvable set as NewWithOptions found it.
+type served struct {
+	res   *live.Resolver
+	set   *moma.ObjectSet
+	delta string // the repository mapping "live.<set>"
+	// mu serializes the set's state-changing requests and the readers of its
+	// delta mapping: an add touches the resolver, the registered set and the
+	// delta mapping together. Sets share nothing, so each has its own.
+	mu sync.Mutex
 }
 
 // New returns a server over the system with default hardening options.
-// Resolvers must already be registered (System.RegisterResolver) for their
-// sets to be resolvable.
+// The sets it serves are the ones with a resolver registered
+// (System.RegisterResolver) at this moment: a resolver registered later is
+// not served, and answers 404.
 func New(sys *moma.System) *Server {
 	return NewWithOptions(sys, Options{})
 }
 
 // NewWithOptions returns a server with explicit admission, deadline and
-// drain settings (zero fields take the defaults).
+// drain settings (zero fields take the defaults). It binds the served sets
+// as New describes.
 func NewWithOptions(sys *moma.System, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		sys: sys, mux: http.NewServeMux(), metrics: newMetrics(), start: time.Now(),
-		opts:  opts,
-		sem:   make(chan struct{}, opts.MaxInFlight),
-		locks: make(map[string]*sync.Mutex),
+		sys: sys, mux: http.NewServeMux(), start: time.Now(),
+		opts: opts,
+		sem:  make(chan struct{}, opts.MaxInFlight),
+		sets: make(map[string]*served),
 	}
+	for _, name := range sys.ResolverNames() {
+		res, _ := sys.Resolver(name)
+		set, _ := sys.ObjectSetByName(name)
+		s.sets[name] = &served{res: res, set: set, delta: deltaMappingPrefix + name}
+	}
+	// The registry outlives the server, so the callback holds the start time,
+	// not the server; with several servers in a process the latest one reports.
+	start := s.start
+	obs.Default.GaugeFunc("moma_uptime_seconds", "Seconds since the server started.",
+		func() float64 { return time.Since(start).Seconds() })
 	// Probe routes answer outside admission: an overloaded or draining
 	// server must stay observable.
 	s.route("GET /healthz", "healthz", s.handleHealthz)
@@ -106,9 +133,6 @@ func NewWithOptions(sys *moma.System, opts Options) *Server {
 	s.api("GET /mappings/{name}", "get_mapping", s.handleGetMapping)
 	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		s.metrics.write(w)
-		// Engine-side series (resolver stages, pipeline counters, store and
-		// cache metrics) follow the route metrics in one scrape body.
 		obs.Default.WritePrometheus(w)
 	})
 	s.registerDebug()
@@ -132,7 +156,9 @@ func (s *Server) Run(ctx context.Context, addr string) error {
 // serve runs the HTTP server over an existing listener — the seam the
 // drain tests use (an httptest listener stands in for the real socket).
 func (s *Server) serve(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{Handler: s.Handler()}
+	// A client that never finishes its headers is not admitted and so never
+	// meets the request deadline; bound it here. The body is bounded in admit.
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: s.opts.RequestTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
@@ -159,38 +185,55 @@ func (s *Server) serve(ctx context.Context, ln net.Listener) error {
 	return nil
 }
 
-// lockFor returns the mutex shard of one object set, allocating it on first
-// use. Handlers touching a set's mutable state (resolver membership, the
-// registered object set, the live.<set> delta mapping) hold this lock, and
-// only this lock, so traffic against different sets proceeds in parallel.
-func (s *Server) lockFor(set string) *sync.Mutex {
-	s.locksMu.Lock()
-	defer s.locksMu.Unlock()
-	mu, ok := s.locks[set]
-	if !ok {
-		mu = &sync.Mutex{}
-		s.locks[set] = mu
-	}
-	return mu
+// latencyBuckets are the request-latency histogram upper bounds in seconds,
+// spanning the expected range of a resolver hit: tens of microseconds on
+// warm indexes up to seconds for pathological queries.
+var latencyBuckets = []float64{
+	0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
+	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 }
 
-// setOfMapping maps a repository mapping name to the lock shard guarding it:
-// delta mappings "live.<set>" mutate under their set's lock; any other
-// mapping is keyed by its own name (no writer shares it).
-func setOfMapping(name string) string {
-	return strings.TrimPrefix(name, deltaMappingPrefix)
+// routeMetrics are one route's handles on the process registry, resolved
+// when the route is installed. Handles are get-or-create by (name, labels),
+// so every server of a process records into the same series.
+type routeMetrics struct {
+	label   string
+	seconds *obs.Histogram
+	// byCode holds moma_requests_total{route,code}, indexed by status code
+	// and registered at a code's first answer, so a scrape lists only the
+	// (route, code) pairs that occurred.
+	byCode [600]atomic.Pointer[obs.Counter]
+}
+
+func newRouteMetrics(label string) *routeMetrics {
+	return &routeMetrics{label: label, seconds: obs.Default.Histogram("moma_request_duration_seconds",
+		"Request latency, by route.", latencyBuckets, fmt.Sprintf("route=%q", label))}
+}
+
+// record counts one finished request. Once a (route, code) has been seen it
+// takes no lock and allocates nothing (TestRouteRecordZeroAllocs).
+func (m *routeMetrics) record(code int, took time.Duration) {
+	c := m.byCode[code].Load()
+	if c == nil {
+		c = obs.Default.Counter("moma_requests_total", "Requests served, by route and status code.",
+			fmt.Sprintf(`route=%q,code="%d"`, m.label, code))
+		m.byCode[code].Store(c)
+	}
+	c.Inc()
+	m.seconds.Observe(took.Seconds())
 }
 
 // route installs an instrumented handler: every request is counted and its
 // latency observed under the given metric label.
 func (s *Server) route(pattern, label string, h func(http.ResponseWriter, *http.Request) (int, error)) {
+	m := newRouteMetrics(label)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		code, err := h(w, r)
 		if err != nil {
 			writeJSON(w, code, map[string]string{"error": err.Error()})
 		}
-		s.metrics.observe(label, code, time.Since(t0))
+		m.record(code, time.Since(t0))
 	})
 }
 
@@ -207,18 +250,12 @@ type ResolveRequest struct {
 	Limit int `json:"limit,omitempty"`
 }
 
-// MatchResult is one returned match.
-type MatchResult struct {
-	ID  string  `json:"id"`
-	Sim float64 `json:"sim"`
-}
-
 // ResolveResponse answers a resolve call.
 type ResolveResponse struct {
-	Set     string        `json:"set"`
-	QueryID string        `json:"query_id,omitempty"`
-	Matches []MatchResult `json:"matches"`
-	TookUS  int64         `json:"took_us"`
+	Set     string       `json:"set"`
+	QueryID string       `json:"query_id,omitempty"`
+	Matches []live.Match `json:"matches"`
+	TookUS  int64        `json:"took_us"`
 }
 
 // AddInstanceRequest adds a record to a set's live view.
@@ -232,9 +269,9 @@ type AddInstanceRequest struct {
 
 // AddInstanceResponse answers an add call.
 type AddInstanceResponse struct {
-	Set     string        `json:"set"`
-	ID      string        `json:"id"`
-	Matches []MatchResult `json:"matches"`
+	Set     string       `json:"set"`
+	ID      string       `json:"id"`
+	Matches []live.Match `json:"matches"`
 	// Mapping names the repository mapping holding the recorded delta
 	// (empty with NoResolve or when nothing matched).
 	Mapping string `json:"mapping,omitempty"`
@@ -282,28 +319,41 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) (int, err
 	resp := HealthResponse{
 		Status:    "ok",
 		UptimeS:   time.Since(s.start).Seconds(),
-		Resolvers: make(map[string]ResolverHealth),
+		Resolvers: make(map[string]ResolverHealth, len(s.sets)),
 		Mappings:  s.sys.Repo.Len(),
 	}
-	for _, name := range s.sys.ResolverNames() {
-		if res, ok := s.sys.Resolver(name); ok {
-			st := res.Stats()
-			resp.Resolvers[name] = ResolverHealth{Live: st.Live, Slots: st.Slots, IndexTerms: st.IndexTerms}
-		}
+	for name, sv := range s.sets {
+		st := sv.res.Stats()
+		resp.Resolvers[name] = ResolverHealth{Live: st.Live, Slots: st.Slots, IndexTerms: st.IndexTerms}
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return http.StatusOK, nil
 }
+
+// servedSet finds the request's set among those bound at construction.
+func (s *Server) servedSet(r *http.Request) (string, *served, error) {
+	name := r.PathValue("set")
+	sv, ok := s.sets[name]
+	if !ok {
+		return name, nil, fmt.Errorf("no resolver for set %q", name)
+	}
+	return name, sv, nil
+}
+
+// matchBufs recycles the match slices of resolve requests.
+var matchBufs = sync.Pool{New: func() any {
+	buf := make([]live.Match, 0, 16) // never nil: no match encodes as [], not null
+	return &buf
+}}
 
 // handleResolve resolves one query record against a set's live resolver.
 // GET-shaped read traffic: it must stay lookup-only end to end.
 //
 //moma:readpath
 func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) (int, error) {
-	setName := r.PathValue("set")
-	res, ok := s.sys.Resolver(setName)
-	if !ok {
-		return http.StatusNotFound, fmt.Errorf("no resolver for set %q", setName)
+	setName, sv, err := s.servedSet(r)
+	if err != nil {
+		return http.StatusNotFound, err
 	}
 	var req ResolveRequest
 	if code, err := decodeBody(r, &req); code != 0 {
@@ -315,23 +365,30 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) (int, err
 	if code, err := deadlineStatus(r); code != 0 {
 		return code, err
 	}
+	// The decoded attrs map is this request's own: the query reads it in place.
+	q := model.Instance{ID: model.ID(req.ID), Attrs: req.Attrs}
+	buf := matchBufs.Get().(*[]live.Match)
+	defer matchBufs.Put(buf)
 	t0 := time.Now()
-	matches := res.Resolve(model.NewInstance(model.ID(req.ID), req.Attrs))
+	*buf = sv.res.ResolveAppend(&q, (*buf)[:0])
 	took := time.Since(t0)
+	matches := rank(*buf)
+	if req.Limit > 0 && len(matches) > req.Limit {
+		matches = matches[:req.Limit]
+	}
 	writeJSON(w, http.StatusOK, ResolveResponse{
 		Set:     setName,
 		QueryID: req.ID,
-		Matches: rankMatches(matches, req.Limit),
+		Matches: matches,
 		TookUS:  took.Microseconds(),
 	})
 	return http.StatusOK, nil
 }
 
 func (s *Server) handleAddInstance(w http.ResponseWriter, r *http.Request) (int, error) {
-	setName := r.PathValue("set")
-	res, ok := s.sys.Resolver(setName)
-	if !ok {
-		return http.StatusNotFound, fmt.Errorf("no resolver for set %q", setName)
+	setName, sv, err := s.servedSet(r)
+	if err != nil {
+		return http.StatusNotFound, err
 	}
 	var req AddInstanceRequest
 	if code, err := decodeBody(r, &req); code != 0 {
@@ -342,9 +399,8 @@ func (s *Server) handleAddInstance(w http.ResponseWriter, r *http.Request) (int,
 	}
 	in := model.NewInstance(model.ID(req.ID), req.Attrs)
 
-	mu := s.lockFor(setName)
-	mu.Lock()
-	defer mu.Unlock()
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
 	// The lock wait can consume the whole request budget under contention;
 	// don't start mutating for a caller that has already given up.
 	if code, err := deadlineStatus(r); code != 0 {
@@ -352,17 +408,17 @@ func (s *Server) handleAddInstance(w http.ResponseWriter, r *http.Request) (int,
 	}
 	// A re-add replaces the instance: its correspondences in the delta
 	// mapping describe the previous attribute values and must not survive.
-	if res.Has(in.ID) {
-		if err := s.dropFromDeltaLocked(setName, in.ID); err != nil {
+	// This is the first fallible step, so a failure changes nothing.
+	if sv.res.Has(in.ID) {
+		if _, err := s.sys.Repo.DropTouching(sv.delta, in.ID); err != nil {
 			return storageStatus(w, err)
 		}
 	}
-	var matches []moma.LiveMatch
-	var err error
+	var matches []live.Match
 	if req.NoResolve {
-		err = res.Add(in)
+		err = sv.res.Add(in)
 	} else {
-		matches, err = res.AddResolve(in)
+		matches, err = sv.res.AddResolve(in)
 	}
 	if err != nil {
 		return http.StatusBadRequest, err
@@ -373,40 +429,43 @@ func (s *Server) handleAddInstance(w http.ResponseWriter, r *http.Request) (int,
 	// an embedding program must not run batch matches over a set while
 	// also feeding it instances through this endpoint (the serve process
 	// is assumed to own mutation of the sets it serves).
-	if set, ok := s.sys.ObjectSetByName(setName); ok {
-		set.Add(in)
-	}
-	resp := AddInstanceResponse{Set: setName, ID: req.ID, Matches: rankMatches(matches, 0)}
+	sv.set.Add(in)
+	resp := AddInstanceResponse{Set: setName, ID: req.ID, Matches: []live.Match{}}
 	if len(matches) > 0 {
-		name, err := s.recordDeltaLocked(setName, res, model.ID(req.ID), matches)
-		if err != nil {
+		// Record before ranking: the delta keeps the resolver's row order.
+		if err := s.recordDeltaLocked(sv, in.ID, matches); err != nil {
 			// The instance is live but its delta was not persisted; surface
 			// that instead of answering 200 with a silently-missing mapping.
 			// A degraded repository answers 503 + Retry-After (storageStatus)
-			// so well-behaved clients back off until Recover lifts it.
+			// so well-behaved clients back off until Recover lifts it, and
+			// their retry is a replace, which resolves and records again.
 			return storageStatus(w, fmt.Errorf("recording delta: %w", err))
 		}
-		resp.Mapping = name
+		resp.Matches, resp.Mapping = rank(matches), sv.delta
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return http.StatusOK, nil
 }
 
 func (s *Server) handleRemoveInstance(w http.ResponseWriter, r *http.Request) (int, error) {
-	setName := r.PathValue("set")
-	id := model.ID(r.PathValue("id"))
-	res, ok := s.sys.Resolver(setName)
-	if !ok {
-		return http.StatusNotFound, fmt.Errorf("no resolver for set %q", setName)
+	setName, sv, err := s.servedSet(r)
+	if err != nil {
+		return http.StatusNotFound, err
 	}
-	mu := s.lockFor(setName)
-	mu.Lock()
-	defer mu.Unlock()
+	id := model.ID(r.PathValue("id"))
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
 	if code, err := deadlineStatus(r); code != 0 {
 		return code, err
 	}
-	if !res.Remove(id) {
+	if !sv.res.Has(id) {
 		return http.StatusNotFound, fmt.Errorf("no live instance %q in %q", id, setName)
+	}
+	// Drop the instance's correspondences from the delta mapping first: it is
+	// the one step that can fail, and failing before anything changed leaves
+	// the client's retry a plain DELETE.
+	if _, err := s.sys.Repo.DropTouching(sv.delta, id); err != nil {
+		return storageStatus(w, err)
 	}
 	// The registered set follows the live view, as it does on add: a batch
 	// match over the set after a DELETE no longer sees the instance, and a
@@ -414,28 +473,10 @@ func (s *Server) handleRemoveInstance(w http.ResponseWriter, r *http.Request) (i
 	// Survivors keep their order and the set's version moves, so derived
 	// columns are rebuilt at their next use (see the ownership note in
 	// handleAddInstance).
-	if set, ok := s.sys.ObjectSetByName(setName); ok {
-		set.Remove(id)
-	}
-	// Drop the removed instance's correspondences from the delta mapping.
-	if err := s.dropFromDeltaLocked(setName, id); err != nil {
-		return storageStatus(w, err)
-	}
+	sv.res.Remove(id)
+	sv.set.Remove(id)
 	writeJSON(w, http.StatusOK, map[string]any{"set": setName, "id": string(id), "removed": true})
 	return http.StatusOK, nil
-}
-
-// dropFromDeltaLocked removes every correspondence touching id from the
-// set's delta mapping. Store.DropTouching answers "does this id appear at
-// all" from the mapping's posting lists first, so the common case —
-// removing an instance that never matched anything — costs two posting
-// probes; when rows do exist, removal walks only that id's postings
-// (O(postings) swap-removes) instead of filtering and re-Put-ing the whole
-// delta table, and a persistent repository logs a compact "drop" record
-// rather than rewriting the full mapping. Callers hold the set's lock.
-func (s *Server) dropFromDeltaLocked(setName string, id model.ID) error {
-	_, err := s.sys.Repo.DropTouching(deltaMappingName(setName), id)
-	return err
 }
 
 // handleGetMapping serves a stored mapping page.
@@ -455,10 +496,21 @@ func (s *Server) handleGetMapping(w http.ResponseWriter, r *http.Request) (int, 
 		}
 		limit = n
 	}
-	// Serialize under the owning set's lock: live.<set> mappings mutate on
-	// adds to that set (reads of other sets' mappings proceed in parallel).
-	mu := s.lockFor(setOfMapping(name))
-	mu.Lock()
+	writeJSON(w, http.StatusOK, s.mappingPage(name, m, limit))
+	return http.StatusOK, nil
+}
+
+// mappingPage renders the first limit rows of a mapping. A served set's
+// delta mapping mutates on that set's adds and removes, so it is read under
+// the set's mutex (released before the response is written); no other
+// mapping has a writer behind this server.
+func (s *Server) mappingPage(name string, m *mapping.Mapping, limit int) MappingResponse {
+	if set, isDelta := strings.CutPrefix(name, deltaMappingPrefix); isDelta {
+		if sv, ok := s.sets[set]; ok {
+			sv.mu.Lock()
+			defer sv.mu.Unlock()
+		}
+	}
 	resp := MappingResponse{
 		Name:   name,
 		Domain: m.Domain().String(),
@@ -480,9 +532,7 @@ func (s *Server) handleGetMapping(w http.ResponseWriter, r *http.Request) (int, 
 		})
 		return true
 	})
-	mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
-	return http.StatusOK, nil
+	return resp
 }
 
 // recordDeltaLocked merges an arrival's matches into the set's delta
@@ -491,43 +541,30 @@ func (s *Server) handleGetMapping(w http.ResponseWriter, r *http.Request) (int, 
 // exactly these delta rows in the same critical section, so an acknowledged
 // arrival survives a crash without rewriting the whole mapping per add.
 // Callers hold the set's lock.
-func (s *Server) recordDeltaLocked(setName string, res *moma.LiveResolver, id model.ID, matches []moma.LiveMatch) (string, error) {
-	name := deltaMappingName(setName)
+func (s *Server) recordDeltaLocked(sv *served, id model.ID, matches []live.Match) error {
 	rows := make([]mapping.Correspondence, len(matches))
 	for i, match := range matches {
 		rows[i] = mapping.Correspondence{Domain: id, Range: match.ID, Sim: match.Sim}
 	}
-	if err := s.sys.Repo.PutDelta(name, res.LDS(), res.LDS(), model.SameMappingType, rows); err != nil {
-		return "", err
-	}
-	return name, nil
+	lds := sv.res.LDS()
+	return s.sys.Repo.PutDelta(sv.delta, lds, lds, model.SameMappingType, rows)
 }
 
 // deltaMappingPrefix prefixes the repository mappings accumulating a set's
 // online same-mapping deltas.
 const deltaMappingPrefix = "live."
 
-// deltaMappingName names the delta mapping of one set.
-func deltaMappingName(setName string) string { return deltaMappingPrefix + setName }
-
-// rankMatches sorts by similarity descending (ties by id) and applies the
-// limit. The resolver returns set insertion order; an API consumer wants
-// the best first.
-func rankMatches(matches []moma.LiveMatch, limit int) []MatchResult {
-	out := make([]MatchResult, 0, len(matches))
-	for _, m := range matches {
-		out = append(out, MatchResult{ID: string(m.ID), Sim: m.Sim})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Sim != out[j].Sim {
-			return out[i].Sim > out[j].Sim
+// rank sorts matches in place by similarity descending (ties by id). The
+// resolver returns set insertion order; an API consumer wants the best
+// first.
+func rank(matches []live.Match) []live.Match {
+	slices.SortFunc(matches, func(a, b live.Match) int {
+		if c := cmp.Compare(b.Sim, a.Sim); c != 0 {
+			return c
 		}
-		return out[i].ID < out[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
+	return matches
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -8,8 +8,8 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
 	moma "repro"
 	"repro/internal/race"
@@ -238,27 +238,102 @@ func TestRemoveInstance(t *testing.T) {
 	}
 }
 
+// TestMetricsEndpoint pins the route metrics' vocabulary and counting. The
+// handles live on the process registry, shared by every server of the test
+// binary, so counts are asserted as deltas between two scrapes.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, _ := testServer(t)
-	doJSON(t, srv.Handler(), "POST", "/sets/ACM.Publication/resolve", ResolveRequest{
+	h := srv.Handler()
+	before := scrape(t, h)
+	doJSON(t, h, "POST", "/sets/ACM.Publication/resolve", ResolveRequest{
 		Attrs: map[string]string{"title": "view selection problem"},
 	}, nil)
-	doJSON(t, srv.Handler(), "GET", "/healthz", nil, nil)
+	doJSON(t, h, "POST", "/sets/Nope/resolve", ResolveRequest{Attrs: map[string]string{"title": "x"}}, nil)
+	doJSON(t, h, "GET", "/healthz", nil, nil)
+	doJSON(t, h, "GET", "/debug/slow", nil, nil)
+	body := scrape(t, h)
 
-	req := httptest.NewRequest("GET", "/metrics", nil)
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, req)
-	body := rec.Body.String()
-	for _, want := range []string{
-		`moma_requests_total{route="resolve",code="200"} 1`,
-		`moma_requests_total{route="healthz",code="200"} 1`,
-		`moma_request_duration_seconds_bucket{route="resolve",le="+Inf"} 1`,
-		"moma_request_duration_seconds_count",
-		"moma_uptime_seconds",
+	for series, want := range map[string]float64{
+		`moma_requests_total{route="resolve",code="200"}`:                 1,
+		`moma_requests_total{route="resolve",code="404"}`:                 1,
+		`moma_requests_total{route="healthz",code="200"}`:                 1,
+		`moma_request_duration_seconds_bucket{route="resolve",le="+Inf"}`: 2,
+		`moma_request_duration_seconds_count{route="resolve"}`:            2,
+		`moma_request_duration_seconds_count{route="healthz"}`:            1,
 	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("metrics missing %q\n%s", want, body)
+		if got := sample(t, body, series) - sample(t, before, series); got != want {
+			t.Errorf("%s advanced by %g, want %g", series, got, want)
 		}
+	}
+	for _, ub := range latencyBuckets {
+		if series := fmt.Sprintf(`moma_request_duration_seconds_bucket{route="resolve",le="%g"} `, ub); !strings.Contains(body, series) {
+			t.Errorf("metrics missing bucket %s", series)
+		}
+	}
+	if up := sample(t, body, "moma_uptime_seconds"); up <= 0 || up > 60 {
+		t.Errorf("moma_uptime_seconds = %g, want this server's age", up)
+	}
+	// One registry, one exposition: each family is announced exactly once,
+	// under the kind its consumers expect.
+	types := map[string]string{}
+	for _, line := range strings.Split(body, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, kind, _ := strings.Cut(rest, " ")
+			if _, dup := types[name]; dup {
+				t.Errorf("family %s announced twice", name)
+			}
+			types[name] = kind
+		}
+	}
+	for name, kind := range map[string]string{
+		"moma_requests_total": "counter", "moma_request_duration_seconds": "histogram", "moma_uptime_seconds": "gauge",
+	} {
+		if types[name] != kind {
+			t.Errorf("family %s has type %q, want %q", name, types[name], kind)
+		}
+	}
+	// Scrapes and diagnostics reads bypass route recording.
+	for _, route := range []string{"metrics", "debug", "slow"} {
+		if strings.Contains(body, `route="`+route) {
+			t.Errorf("route %q is recorded; diagnostics must not pollute the histograms they explain", route)
+		}
+	}
+}
+
+// TestRouteRecordZeroAllocs gates the per-request recording path: once a
+// (route, code) has been seen, counting a request and observing its latency
+// allocates nothing (and takes no lock: the handles are atomics).
+func TestRouteRecordZeroAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	m := newRouteMetrics("alloc_gate")
+	m.record(http.StatusOK, time.Millisecond)
+	if allocs := testing.AllocsPerRun(200, func() { m.record(http.StatusOK, time.Millisecond) }); allocs != 0 {
+		t.Errorf("recording a seen (route, code) allocates %.0f times per run, want 0", allocs)
+	}
+}
+
+// TestLateResolverNotServed pins the binding rule: the served sets are the
+// ones with a resolver when the server is constructed.
+func TestLateResolverNotServed(t *testing.T) {
+	srv, sys := testServer(t)
+	late := moma.NewObjectSet(moma.LDS{Source: "DBLP", Type: moma.Publication})
+	late.AddNew("d0", map[string]string{"title": "mapping based object matching"})
+	if err := sys.AddObjectSet("DBLP.Publication", late); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RegisterResolver("DBLP.Publication", moma.LiveConfig{
+		Columns: []moma.LiveColumn{{QueryAttr: "title", SetAttr: "title", Sim: moma.Trigram}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	req := ResolveRequest{Attrs: map[string]string{"title": "mapping based object matching"}}
+	if rec := doJSON(t, srv.Handler(), "POST", "/sets/DBLP.Publication/resolve", req, nil); rec.Code != http.StatusNotFound {
+		t.Fatalf("resolver registered after New = %d, want 404", rec.Code)
+	}
+	if rec := doJSON(t, New(sys).Handler(), "POST", "/sets/DBLP.Publication/resolve", req, nil); rec.Code != http.StatusOK {
+		t.Fatalf("a server constructed afterwards = %d, want 200", rec.Code)
 	}
 }
 
@@ -287,61 +362,6 @@ func twoSetServer(t *testing.T) (*Server, *moma.System, []string) {
 		}
 	}
 	return New(sys), sys, names
-}
-
-// TestParallelSetsIndependent hammers two sets with concurrent adds,
-// resolves, removes and mapping reads. Under -race this proves the per-set
-// lock sharding: the two sets' handlers run genuinely in parallel and share
-// no unsynchronized state, and each set's delta mapping ends up referencing
-// only its own instances.
-func TestParallelSetsIndependent(t *testing.T) {
-	srv, sys, names := twoSetServer(t)
-	h := srv.Handler()
-	var wg sync.WaitGroup
-	const rounds = 60
-	for w, setName := range names {
-		wg.Add(1)
-		go func(w int, setName string) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				id := fmt.Sprintf("new%d-%d", w, i)
-				var add AddInstanceResponse
-				if rec := doJSON(t, h, "POST", "/sets/"+setName+"/instances", AddInstanceRequest{
-					ID:    id,
-					Attrs: map[string]string{"title": fmt.Sprintf("shared benchmark topic number %d for source %d", i%8, w)},
-				}, &add); rec.Code != http.StatusOK {
-					t.Errorf("%s add = %d: %s", setName, rec.Code, rec.Body.String())
-					return
-				}
-				doJSON(t, h, "POST", "/sets/"+setName+"/resolve", ResolveRequest{
-					Attrs: map[string]string{"title": "shared benchmark topic"},
-				}, nil)
-				doJSON(t, h, "GET", "/mappings/live."+setName, nil, nil)
-				if i%3 == 0 {
-					if rec := doJSON(t, h, "DELETE", "/sets/"+setName+"/instances/"+id, nil, nil); rec.Code != http.StatusOK {
-						t.Errorf("%s remove = %d", setName, rec.Code)
-						return
-					}
-				}
-			}
-		}(w, setName)
-	}
-	wg.Wait()
-	for w, setName := range names {
-		m, ok := sys.Repo.Get("live." + setName)
-		if !ok {
-			t.Fatalf("no delta mapping for %s", setName)
-		}
-		prefix := fmt.Sprintf("s%d-", w)
-		newPrefix := fmt.Sprintf("new%d-", w)
-		for _, c := range m.Correspondences() {
-			for _, id := range []string{string(c.Domain), string(c.Range)} {
-				if !strings.HasPrefix(id, prefix) && !strings.HasPrefix(id, newPrefix) {
-					t.Fatalf("%s delta references foreign instance %s", setName, id)
-				}
-			}
-		}
-	}
 }
 
 func TestGetMappingNotFound(t *testing.T) {

@@ -100,10 +100,15 @@
 //	})
 //	matches := r.Resolve(instance) // sub-millisecond on warm indexes
 //
-// cmd/moma-serve exposes registered resolvers over an HTTP JSON API
-// (resolve, incremental add/remove with same-mapping deltas in the
-// repository, health and metrics endpoints); cmd/moma-load drives it with
-// synthetic query traffic and reports throughput and latency percentiles.
+// Resolve is ResolveAppend into a fresh slice; ResolveAppend is the one
+// resolve entry point, and the serving path calls it with a recycled slice.
+// cmd/moma-serve exposes the resolvers registered when the server is
+// constructed over an HTTP JSON API (resolve, incremental add/remove with
+// same-mapping deltas in the repository, health and metrics endpoints): a
+// resolve holds one lock, the resolver's read lock, and a write takes its
+// set's mutex, then the resolver's lock, then the store's. cmd/moma-load
+// drives it with synthetic query traffic and reports throughput and latency
+// percentiles.
 // Batch token blocking shares the same structures, and keeps them with the
 // data: every ObjectSet owns one small store of derived columns
 // (model.Column) holding its token columns, sort-key columns, ordinal
@@ -186,8 +191,11 @@
 // deterministic Prometheus text exposition, and a stage-trace facility
 // that times named pipeline stages into caller-owned scratch. The engine
 // packages register their metrics at init, so any program importing them
-// can expose the registry (obs.Default.WritePrometheus); the serve layer
-// does this on GET /metrics next to its route metrics.
+// can expose the registry (obs.Default.WritePrometheus). The serve layer's
+// route metrics (moma_requests_total{route=,code=},
+// moma_request_duration_seconds{route=}, moma_uptime_seconds) are handles
+// on the same registry, resolved when a route is installed, and GET
+// /metrics is one exposition of it: there is one metrics system.
 //
 // The metric vocabulary follows the package structure:
 //
