@@ -390,11 +390,11 @@ func BenchmarkAttributeMatcherBlocked(b *testing.B) {
 	}
 }
 
-// BenchmarkAttributeMatcherStreamWorkers measures the streaming scoring
-// pipeline at different parallelism levels: candidates flow from the
-// blocker through batched worker channels, and only kept correspondences
-// are materialized (no O(n·m) scored-pair slice).
-func BenchmarkAttributeMatcherStreamWorkers(b *testing.B) {
+// BenchmarkAttributeMatcherKernelWorkers measures the block → score kernel
+// at different worker counts: A's ordinals are cut into ranges of equal
+// probe cost, each range probes, scores and keeps on one goroutine, and
+// only kept correspondences are materialized.
+func BenchmarkAttributeMatcherKernelWorkers(b *testing.B) {
 	s := benchSettingFor(b)
 	for _, workers := range []int{1, 4} {
 		m := &AttributeMatcher{

@@ -4,8 +4,8 @@ package wp
 
 import "sync"
 
-// good is the blessed streamScore shape: each worker writes only its own
-// slot, indexed by a parameter, and the loop joins before reading.
+// good is the par.Plan.Run shape: each worker writes only its own slot,
+// indexed by a parameter, and the loop joins before reading.
 func good(items []int) []int {
 	out := make([]int, len(items))
 	var wg sync.WaitGroup

@@ -1,7 +1,7 @@
-// Package workerpool machine-checks the repository's blessed parallel-write
-// idiom ahead of the parallel columnar operators and the sharded resolver
-// fleet (ROADMAP items 1 and 5): a goroutine launched in a loop — the
-// match.streamScore shape — may write shared state only by partition.
+// Package workerpool machine-checks the repository's one parallel-write
+// idiom, the shape of par.Plan.Run and par.RunTeam that the mapping
+// operators and the match kernel run on: a goroutine launched in a loop may
+// write shared state only by partition.
 //
 // Three rules apply to every `go func(...){...}(...)` inside a for or
 // range statement:

@@ -13,6 +13,7 @@ package block
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/index"
@@ -21,15 +22,9 @@ import (
 )
 
 // Pair is a candidate pair of instance ids (A from the domain input, B from
-// the range input). OrdA and OrdB carry the insertion-order ordinals of A
-// and B in the two match inputs (model.ObjectSet.IndexOf) so the scoring
-// layer can read its dense profile columns by array index without a per-pair
-// map lookup. The built-in blockers always fill them; hand-built pairs leave
-// them zero, which is a valid-looking but wrong ordinal — consumers must
-// trust ordinals only when the producing blocker implements OrdinalPairer.
+// the range input).
 type Pair struct {
-	A, B       model.ID
-	OrdA, OrdB int
+	A, B model.ID
 }
 
 // Blocker generates candidate pairs between two object sets.
@@ -45,15 +40,39 @@ type Blocker interface {
 	String() string
 }
 
-// OrdinalPairer marks blockers whose emitted pairs carry valid OrdA/OrdB
-// ordinals into the match inputs. All built-in blockers do; third-party
-// blockers that construct Pair values by hand typically do not, and the
-// match layer falls back to id lookups for them.
-type OrdinalPairer interface {
+// RangeBlocker is the optional ordinal form of a Blocker whose stream is
+// A-major: every pair of a's instance i comes before any pair of instance
+// i+1, B ordinals ascend within one instance, no pair repeats and every
+// ordinal names an instance of its input (model.ObjectSet.IndexOf). The
+// stream over a contiguous range of A's ordinals is then a contiguous piece
+// of the whole, which lets the batch matchers score ranges in parallel and
+// concatenate the results in stream order. CrossProduct and TokenBlocking
+// are RangeBlockers; SortedNeighborhood (window order) and blockers outside
+// this package that build Pairs by hand are not.
+type RangeBlocker interface {
 	Blocker
-	// PairsCarryOrdinals reports whether every emitted Pair has OrdA/OrdB
-	// set to the instances' ObjectSet ordinals.
-	PairsCarryOrdinals() bool
+	// Probe builds what every range shares — token columns, the index over
+	// b — once, and returns the probe the ranges run on. PairsEach is the
+	// probe over all of a with the ordinals resolved to ids.
+	Probe(a, b *model.ObjectSet) RangeProbe
+}
+
+// RangeProbe streams a RangeBlocker's candidates over ordinals only. It is
+// read-only: goroutines may probe disjoint ranges at once.
+type RangeProbe interface {
+	// Cost bounds the candidate pairs behind A ordinal ordA from above, far
+	// more cheaply than probing: the weight par.SplitBy balances ranges by.
+	Cost(ordA int) int
+	// PairsRange streams the candidates of A ordinals [lo, hi) in stream
+	// order, stopping early when yield returns false.
+	PairsRange(lo, hi int, yield func(ordA, ordB int) bool)
+}
+
+// pairsEach is PairsEach of a RangeBlocker.
+func pairsEach(rb RangeBlocker, a, b *model.ObjectSet, yield func(Pair) bool) {
+	rb.Probe(a, b).PairsRange(0, a.Len(), func(ordA, ordB int) bool {
+		return yield(Pair{A: a.IDAt(ordA), B: b.IDAt(ordB)})
+	})
 }
 
 // Pairs materializes the candidate sequence bl.PairsEach streams.
@@ -70,25 +89,27 @@ func Pairs(bl Blocker, a, b *model.ObjectSet) []Pair {
 type CrossProduct struct{}
 
 // PairsEach implements Blocker.
-func (CrossProduct) PairsEach(a, b *model.ObjectSet, yield func(Pair) bool) {
-	stopped := false
-	ordA := 0
-	a.Each(func(ina *model.Instance) bool {
-		ordB := 0
-		b.Each(func(inb *model.Instance) bool {
-			if !yield(Pair{A: ina.ID, B: inb.ID, OrdA: ordA, OrdB: ordB}) {
-				stopped = true
-			}
-			ordB++
-			return !stopped
-		})
-		ordA++
-		return !stopped
-	})
+func (c CrossProduct) PairsEach(a, b *model.ObjectSet, yield func(Pair) bool) {
+	pairsEach(c, a, b, yield)
 }
 
-// PairsCarryOrdinals implements OrdinalPairer.
-func (CrossProduct) PairsCarryOrdinals() bool { return true }
+// Probe implements RangeBlocker.
+func (CrossProduct) Probe(a, b *model.ObjectSet) RangeProbe { return crossProbe(b.Len()) }
+
+// crossProbe is the cross product with a range input of that many instances.
+type crossProbe int
+
+func (n crossProbe) Cost(int) int { return int(n) }
+
+func (n crossProbe) PairsRange(lo, hi int, yield func(ordA, ordB int) bool) {
+	for ordA := lo; ordA < hi; ordA++ {
+		for ordB := 0; ordB < int(n); ordB++ {
+			if !yield(ordA, ordB) {
+				return
+			}
+		}
+	}
+}
 
 func (CrossProduct) String() string { return "cross-product" }
 
@@ -100,8 +121,6 @@ type TokenBlocking struct {
 	AttrB     string
 	MinShared int
 }
-
-var _ OrdinalPairer = TokenBlocking{}
 
 // Tokens is the tokenization of one attribute column as a dense slice
 // aligned with the producing ObjectSet's insertion ordinals
@@ -125,7 +144,7 @@ type colKind int
 const (
 	colTokens colKind = iota // Tokens: the interned token column
 	colNorm                  // []string: sim.Normalize of every value
-	colIndex                 // *index.Ords over the token column
+	colIndex                 // *tokenIndex over the token column
 )
 
 // Invalidated counts a column the store dropped because its set changed.
@@ -158,44 +177,72 @@ func tokenColumn(set *model.ObjectSet, attr string) Tokens {
 	})
 }
 
-// PairsEach implements Blocker, probing an ordinal inverted index over b's
-// token column with a's. Columns and index live in the sets' column stores,
-// so matchers sharing a blocking attribute tokenize and index once per set
-// version, not once per match. Candidates stream in ascending B-ordinal
+// tokenIndex is the inverted index over one token column plus each token's
+// posting length, which prices a probe before it runs.
+type tokenIndex struct {
+	ords *index.Ords
+	df   map[uint32]int32
+}
+
+func buildTokenIndex(col Tokens) *tokenIndex {
+	ix := &tokenIndex{ords: index.NewOrds(), df: make(map[uint32]int32)}
+	for ord, toks := range col {
+		ix.ords.Add(ord, toks)
+		for i, tok := range toks {
+			if !slices.Contains(toks[:i], tok) {
+				ix.df[tok]++
+			}
+		}
+	}
+	return ix
+}
+
+// PairsEach implements Blocker. Candidates stream in ascending B-ordinal
 // order (the range set's insertion order) within each A instance.
 func (t TokenBlocking) PairsEach(a, b *model.ObjectSet, yield func(Pair) bool) {
-	minShared := t.MinShared
-	if minShared < 1 {
-		minShared = 1
-	}
+	pairsEach(t, a, b, yield)
+}
+
+// Probe implements RangeBlocker: a's token column probes an ordinal inverted
+// index over b's. Columns and index live in the sets' column stores, so
+// matchers sharing a blocking attribute tokenize and index once per set
+// version, not once per match.
+func (t TokenBlocking) Probe(a, b *model.ObjectSet) RangeProbe {
 	colA, colB := tokenColumn(a, t.AttrA), tokenColumn(b, t.AttrB)
-	ix := column(b, colIndex, t.AttrB, func() *index.Ords {
-		built := index.NewOrds()
-		for ord, toks := range colB {
-			if len(toks) > 0 {
-				built.Add(ord, toks)
-			}
-		}
-		return built
-	})
-	stopped := false
-	for ordA := 0; ordA < len(colA) && !stopped; ordA++ {
-		toks := colA[ordA]
-		if len(toks) == 0 {
-			continue
-		}
-		ida := a.IDAt(ordA)
-		ix.EachCandidate(toks, minShared, func(ordB int) bool {
-			if !yield(Pair{A: ida, B: b.IDAt(ordB), OrdA: ordA, OrdB: ordB}) {
-				stopped = true
-			}
-			return !stopped
-		})
+	return tokenProbe{
+		colA:      colA,
+		ix:        column(b, colIndex, t.AttrB, func() *tokenIndex { return buildTokenIndex(colB) }),
+		minShared: max(t.MinShared, 1),
 	}
 }
 
-// PairsCarryOrdinals implements OrdinalPairer.
-func (TokenBlocking) PairsCarryOrdinals() bool { return true }
+type tokenProbe struct {
+	colA      Tokens
+	ix        *tokenIndex
+	minShared int
+}
+
+// Cost is the number of posting entries the probe of ordA gathers at most:
+// every candidate is among them, minShared times or more.
+func (p tokenProbe) Cost(ordA int) int {
+	cost := 0
+	for _, tok := range p.colA[ordA] {
+		cost += int(p.ix.df[tok])
+	}
+	return cost
+}
+
+func (p tokenProbe) PairsRange(lo, hi int, yield func(ordA, ordB int) bool) {
+	stopped := false
+	for ordA := lo; ordA < hi && !stopped; ordA++ {
+		if toks := p.colA[ordA]; len(toks) > 0 {
+			p.ix.ords.EachCandidate(toks, p.minShared, func(ordB int) bool {
+				stopped = !yield(ordA, ordB)
+				return !stopped
+			})
+		}
+	}
+}
 
 func (t TokenBlocking) String() string {
 	return fmt.Sprintf("token-blocking(%s~%s, shared>=%d)", t.AttrA, t.AttrB, t.MinShared)
@@ -229,7 +276,6 @@ func (s SortedNeighborhood) PairsEach(a, b *model.ObjectSet, yield func(Pair) bo
 	type entry struct {
 		key  string
 		id   model.ID
-		ord  int // ObjectSet ordinal within its input
 		from int // 0 = a, 1 = b
 	}
 	keysA := normColumn(a, s.AttrA)
@@ -237,12 +283,12 @@ func (s SortedNeighborhood) PairsEach(a, b *model.ObjectSet, yield func(Pair) bo
 	entries := make([]entry, 0, len(keysA)+len(keysB))
 	for ord, key := range keysA {
 		if key != "" {
-			entries = append(entries, entry{key: key, id: a.IDAt(ord), ord: ord, from: 0})
+			entries = append(entries, entry{key: key, id: a.IDAt(ord), from: 0})
 		}
 	}
 	for ord, key := range keysB {
 		if key != "" {
-			entries = append(entries, entry{key: key, id: b.IDAt(ord), ord: ord, from: 1})
+			entries = append(entries, entry{key: key, id: b.IDAt(ord), from: 1})
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool {
@@ -267,9 +313,9 @@ func (s SortedNeighborhood) PairsEach(a, b *model.ObjectSet, yield func(Pair) bo
 			if entries[i].from == entries[j].from {
 				continue
 			}
-			p := Pair{A: entries[i].id, B: entries[j].id, OrdA: entries[i].ord, OrdB: entries[j].ord}
+			p := Pair{A: entries[i].id, B: entries[j].id}
 			if entries[i].from == 1 {
-				p = Pair{A: entries[j].id, B: entries[i].id, OrdA: entries[j].ord, OrdB: entries[i].ord}
+				p = Pair{A: entries[j].id, B: entries[i].id}
 			}
 			if !yield(p) {
 				return
@@ -291,62 +337,43 @@ func normColumn(set *model.ObjectSet, attr string) []string {
 	})
 }
 
-// PairsCarryOrdinals implements OrdinalPairer.
-func (SortedNeighborhood) PairsCarryOrdinals() bool { return true }
-
 func (s SortedNeighborhood) String() string {
 	return fmt.Sprintf("sorted-neighborhood(%s~%s, w=%d)", s.AttrA, s.AttrB, s.Window)
 }
 
-// idPair keys pair sets by instance ids alone: two Pairs naming the same
-// instances are the same candidate regardless of ordinal provenance.
-type idPair struct{ a, b model.ID }
-
-// Dedup removes duplicate pairs (same A and B ids) preserving first
-// occurrence.
+// Dedup removes duplicate pairs preserving first occurrence.
 func Dedup(pairs []Pair) []Pair {
-	seen := make(map[idPair]bool, len(pairs))
+	seen := make(map[Pair]bool, len(pairs))
 	out := pairs[:0:0]
 	for _, p := range pairs {
-		k := idPair{p.A, p.B}
-		if !seen[k] {
-			seen[k] = true
+		if !seen[p] {
+			seen[p] = true
 			out = append(out, p)
 		}
 	}
 	return out
 }
 
-// ReductionRatio reports how much of the cross product a candidate set
-// avoids: 1 - |pairs| / (|a|*|b|). Zero-sized inputs give 0.
-func ReductionRatio(pairs []Pair, a, b *model.ObjectSet) float64 {
+// ReductionRatio reports how much of the cross product a candidate set of
+// the given size avoids: 1 - pairs / (|a|*|b|). Zero-sized inputs give 0.
+func ReductionRatio(pairs int, a, b *model.ObjectSet) float64 {
 	total := a.Len() * b.Len()
 	if total == 0 {
 		return 0
 	}
-	r := 1 - float64(len(pairs))/float64(total)
+	r := 1 - float64(pairs)/float64(total)
 	if r < 0 {
 		return 0
 	}
 	return r
 }
 
-// PairCompleteness reports the fraction of true pairs retained by the
-// candidate set, given the ground-truth pairs. It is the blocking-quality
+// PairCompleteness reports the fraction of the true pairs a candidate set
+// retains, given how many of them it holds. It is the blocking-quality
 // counterpart of recall.
-func PairCompleteness(pairs []Pair, truth []Pair) float64 {
-	if len(truth) == 0 {
+func PairCompleteness(hits, truth int) float64 {
+	if truth == 0 {
 		return 1
 	}
-	set := make(map[idPair]bool, len(pairs))
-	for _, p := range pairs {
-		set[idPair{p.A, p.B}] = true
-	}
-	hit := 0
-	for _, p := range truth {
-		if set[idPair{p.A, p.B}] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(truth))
+	return float64(hits) / float64(truth)
 }

@@ -24,11 +24,11 @@ func blockFixture() (*model.ObjectSet, *model.ObjectSet) {
 	return a, b
 }
 
-// pairIDs projects a pair set onto ids for membership checks.
-func pairIDs(pairs []Pair) map[idPair]bool {
-	set := make(map[idPair]bool, len(pairs))
+// pairIDs turns a pair sequence into a set for membership checks.
+func pairIDs(pairs []Pair) map[Pair]bool {
+	set := make(map[Pair]bool, len(pairs))
 	for _, p := range pairs {
-		set[idPair{p.A, p.B}] = true
+		set[p] = true
 	}
 	return set
 }
@@ -39,34 +39,42 @@ func TestCrossProduct(t *testing.T) {
 	if len(pairs) != 9 {
 		t.Fatalf("pairs = %d, want 9", len(pairs))
 	}
-	if pairs[0] != (Pair{A: "a1", B: "b1", OrdA: 0, OrdB: 0}) {
+	if pairs[0] != (Pair{A: "a1", B: "b1"}) {
 		t.Errorf("first pair = %+v", pairs[0])
 	}
-	if pairs[5] != (Pair{A: "a2", B: "b3", OrdA: 1, OrdB: 2}) {
+	if pairs[5] != (Pair{A: "a2", B: "b3"}) {
 		t.Errorf("sixth pair = %+v", pairs[5])
 	}
 }
 
-// TestPairOrdinals pins the ordinal contract of every built-in blocker:
-// each emitted pair's OrdA/OrdB are the IndexOf ordinals of its ids.
+// TestPairOrdinals pins the ordinal contract of the range probes: the
+// ordinals a RangeBlocker's probe streams are the IndexOf ordinals of the
+// ids its PairsEach streams, pair for pair. SortedNeighborhood streams in
+// window order and must not claim the A-major form.
 func TestPairOrdinals(t *testing.T) {
 	a, b := blockFixture()
-	blockers := []Blocker{
+	for _, bl := range []RangeBlocker{
 		CrossProduct{},
 		TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 1},
-		SortedNeighborhood{AttrA: "title", AttrB: "title", Window: 4},
-	}
-	for _, bl := range blockers {
-		op, ok := bl.(OrdinalPairer)
-		if !ok || !op.PairsCarryOrdinals() {
-			t.Fatalf("%s must be an OrdinalPairer", bl)
+	} {
+		want := Pairs(bl, a, b)
+		if len(want) == 0 {
+			t.Fatalf("%s: fixture yields no pairs", bl)
 		}
-		for _, p := range Pairs(bl, a, b) {
-			if p.OrdA != a.IndexOf(p.A) || p.OrdB != b.IndexOf(p.B) {
-				t.Errorf("%s: pair %+v ordinals disagree with IndexOf (%d, %d)",
-					bl, p, a.IndexOf(p.A), b.IndexOf(p.B))
+		i := 0
+		bl.Probe(a, b).PairsRange(0, a.Len(), func(ordA, ordB int) bool {
+			if i < len(want) && (ordA != a.IndexOf(want[i].A) || ordB != b.IndexOf(want[i].B)) {
+				t.Errorf("%s: pair %d has ordinals (%d, %d), PairsEach streams %v", bl, i, ordA, ordB, want[i])
 			}
+			i++
+			return true
+		})
+		if i != len(want) {
+			t.Errorf("%s: probe streams %d pairs, PairsEach %d", bl, i, len(want))
 		}
+	}
+	if _, ok := Blocker(SortedNeighborhood{}).(RangeBlocker); ok {
+		t.Error("SortedNeighborhood is not A-major and must not be a RangeBlocker")
 	}
 }
 
@@ -74,13 +82,13 @@ func TestTokenBlockingFindsSharedTokens(t *testing.T) {
 	a, b := blockFixture()
 	pairs := Pairs(TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 2}, a, b)
 	set := pairIDs(pairs)
-	if !set[idPair{"a1", "b1"}] {
+	if !set[Pair{"a1", "b1"}] {
 		t.Error("identical titles must be candidates")
 	}
-	if !set[idPair{"a2", "b2"}] {
+	if !set[Pair{"a2", "b2"}] {
 		t.Error("titles sharing 'view selection problem' must be candidates")
 	}
-	if set[idPair{"a3", "b3"}] {
+	if set[Pair{"a3", "b3"}] {
 		t.Error("unrelated titles must not be candidates")
 	}
 	if len(pairs) >= 9 {
@@ -116,7 +124,7 @@ func TestSortedNeighborhood(t *testing.T) {
 			t.Errorf("pair orientation wrong: %v", p)
 		}
 	}
-	if !pairIDs(pairs)[idPair{"a1", "b1"}] {
+	if !pairIDs(pairs)[Pair{"a1", "b1"}] {
 		t.Error("adjacent identical titles must pair within the window")
 	}
 }
@@ -139,7 +147,7 @@ func TestSortedNeighborhoodFullWindowIsCrossProduct(t *testing.T) {
 }
 
 func TestDedup(t *testing.T) {
-	in := []Pair{{A: "a", B: "b"}, {A: "a", B: "b", OrdA: 7}, {A: "c", B: "d"}}
+	in := []Pair{{A: "a", B: "b"}, {A: "a", B: "b"}, {A: "c", B: "d"}}
 	got := Dedup(in)
 	if len(got) != 2 || got[0].A != "a" || got[0].B != "b" || got[1].A != "c" || got[1].B != "d" {
 		t.Errorf("Dedup = %v", got)
@@ -148,25 +156,23 @@ func TestDedup(t *testing.T) {
 
 func TestReductionRatio(t *testing.T) {
 	a, b := blockFixture()
-	if r := ReductionRatio(make([]Pair, 3), a, b); r < 0.66 || r > 0.67 {
+	if r := ReductionRatio(3, a, b); r < 0.66 || r > 0.67 {
 		t.Errorf("reduction = %v, want ~2/3", r)
 	}
-	if r := ReductionRatio(make([]Pair, 99), a, b); r != 0 {
+	if r := ReductionRatio(99, a, b); r != 0 {
 		t.Errorf("overfull candidate set should clamp to 0, got %v", r)
 	}
 	empty := model.NewObjectSet(dblpPub)
-	if ReductionRatio(nil, empty, empty) != 0 {
+	if ReductionRatio(0, empty, empty) != 0 {
 		t.Error("empty inputs should be 0")
 	}
 }
 
 func TestPairCompleteness(t *testing.T) {
-	pairs := []Pair{{A: "a1", B: "b1"}, {A: "a2", B: "b2"}}
-	truth := []Pair{{A: "a1", B: "b1"}, {A: "a3", B: "b3"}}
-	if pc := PairCompleteness(pairs, truth); pc != 0.5 {
+	if pc := PairCompleteness(1, 2); pc != 0.5 {
 		t.Errorf("completeness = %v, want 0.5", pc)
 	}
-	if PairCompleteness(pairs, nil) != 1 {
+	if PairCompleteness(0, 0) != 1 {
 		t.Error("empty truth should be 1")
 	}
 }
@@ -189,7 +195,7 @@ func TestTokenBlockingRecallVsCross(t *testing.T) {
 	a, b := blockFixture()
 	tb := Pairs(TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 1}, a, b)
 	set := pairIDs(tb)
-	if !set[idPair{"a2", "b2"}] || !set[idPair{"a1", "b1"}] {
+	if !set[Pair{"a2", "b2"}] || !set[Pair{"a1", "b1"}] {
 		t.Error("token blocking dropped a sharing pair")
 	}
 }

@@ -96,7 +96,7 @@ func TestTokenBlockingColumnsFollowSet(t *testing.T) {
 	if len(after) <= before {
 		t.Fatalf("new instance must produce new candidates: %d -> %d", before, len(after))
 	}
-	if !pairIDs(after)[idPair{"a2", "b4"}] {
+	if !pairIDs(after)[Pair{"a2", "b4"}] {
 		t.Error("candidates must include the added instance")
 	}
 }

@@ -149,7 +149,61 @@ func TestSortedNeighborhoodSkipsEmptyKeys(t *testing.T) {
 			t.Errorf("attribute-less instances must not produce candidates, got %v", p)
 		}
 	}
-	if len(pairs) != 1 || pairs[0] != (Pair{A: "a1", B: "b1", OrdA: 2, OrdB: 2}) {
-		t.Errorf("pairs = %+v, want exactly [{a1 b1 2 2}]", pairs)
+	if len(pairs) != 1 || pairs[0] != (Pair{A: "a1", B: "b1"}) {
+		t.Errorf("pairs = %+v, want exactly [{a1 b1}]", pairs)
+	}
+}
+
+// TestRangeProbePartitionsStream is the property the batch kernel is built
+// on: for every RangeBlocker, the probe's streams over any contiguous cut of
+// A's ordinals, concatenated in order, are the whole stream; a range stops
+// as soon as yield says so; and Cost bounds what a row's probe streams.
+func TestRangeProbePartitionsStream(t *testing.T) {
+	type ords struct{ a, b int }
+	collect := func(p RangeProbe, lo, hi int) []ords {
+		var out []ords
+		p.PairsRange(lo, hi, func(ordA, ordB int) bool {
+			out = append(out, ords{ordA, ordB})
+			return true
+		})
+		return out
+	}
+	for _, n := range []int{0, 1, 7, 40} {
+		a, b := streamFixture(n)
+		a.AddNew("a-missing", nil)
+		for _, bl := range []RangeBlocker{
+			CrossProduct{},
+			TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 1},
+			TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 2},
+		} {
+			probe := bl.Probe(a, b)
+			whole := collect(probe, 0, a.Len())
+			for _, cuts := range [][]int{{0}, {a.Len()}, {1}, {a.Len() / 2}, {a.Len() / 3, a.Len() / 3, 2 * a.Len() / 3}} {
+				var got []ords
+				lo := 0
+				for _, hi := range append(cuts, a.Len()) {
+					got = append(got, collect(probe, lo, hi)...)
+					lo = hi
+				}
+				if !reflect.DeepEqual(got, whole) {
+					t.Fatalf("n=%d %s: ranges cut at %v stream %d pairs, the whole stream has %d", n, bl, cuts, len(got), len(whole))
+				}
+			}
+			for ordA := 0; ordA < a.Len(); ordA++ {
+				if row := collect(probe, ordA, ordA+1); probe.Cost(ordA) < len(row) {
+					t.Errorf("n=%d %s: row %d costs %d but streams %d pairs", n, bl, ordA, probe.Cost(ordA), len(row))
+				}
+			}
+			if len(whole) > 2 {
+				seen := 0
+				probe.PairsRange(0, a.Len(), func(int, int) bool {
+					seen++
+					return seen < 2
+				})
+				if seen != 2 {
+					t.Errorf("n=%d %s: range went on for %d pairs after yield stopped it at 2", n, bl, seen)
+				}
+			}
+		}
 	}
 }

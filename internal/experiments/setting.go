@@ -108,6 +108,14 @@ func (s *Setting) cached(key string, build func() (*mapping.Mapping, error)) (*m
 	return m, nil
 }
 
+// matched memoizes the same-mapping matcher m computes over a and b. Every
+// matcher result two experiments share goes through here, under the name a
+// workflow step would give it: a Setting runs each match once however many
+// tables — Table 10 re-enters six of them — ask for it.
+func (s *Setting) matched(key string, m match.Matcher, a, b *model.ObjectSet) (*mapping.Mapping, error) {
+	return s.cached(key, func() (*mapping.Mapping, error) { return m.Match(a, b) })
+}
+
 // Matcher configurations shared by the tables. Thresholds follow the
 // paper's published parameters where stated (trigram 0.5 for the dedup
 // script, 80% selection for Table 2's merge); the rest are calibrated once
@@ -120,50 +128,45 @@ const (
 	nameLowThreshold = 0.5
 )
 
-// titleMatcherDBLPACM is the Table 2 "Title" matcher: trigram over DBLP
-// title vs ACM name, with token blocking for scale.
-func (s *Setting) titleMatcherDBLPACM() match.Matcher {
-	return &match.Attribute{
+// PubSameTitleDBLPACM returns (memoized) the publication same-mapping from
+// the Table 2 "Title" matcher alone — trigram over DBLP title vs ACM name,
+// with token blocking for scale — the baseline the neighborhood experiments
+// start from.
+func (s *Setting) PubSameTitleDBLPACM() (*mapping.Mapping, error) {
+	return s.matched("pub-title-dblp-acm", &match.Attribute{
 		MatcherName: "Title",
 		AttrA:       "title", AttrB: "name",
 		Sim:       sim.Trigram,
 		Threshold: titleThreshold,
 		Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
-	}
+	}, s.D.DBLP.Pubs, s.D.ACM.Pubs)
 }
 
-// authorMatcherDBLPACM is the Table 2 "Author" matcher: trigram over the
-// concatenated author lists of publications.
-func (s *Setting) authorMatcherDBLPACM() match.Matcher {
-	return &match.Attribute{
+// pubSameAuthorDBLPACM returns (memoized) the mapping of the Table 2
+// "Author" matcher: trigram over the concatenated author lists of
+// publications.
+func (s *Setting) pubSameAuthorDBLPACM() (*mapping.Mapping, error) {
+	return s.matched("pub-author-dblp-acm", &match.Attribute{
 		MatcherName: "Author",
 		AttrA:       "authors", AttrB: "authors",
 		Sim:       sim.Trigram,
 		Threshold: authorsThreshold,
 		Blocker:   block.TokenBlocking{AttrA: "authors", AttrB: "authors", MinShared: 2},
-	}
+	}, s.D.DBLP.Pubs, s.D.ACM.Pubs)
 }
 
-// yearMatcherDBLPACM is the Table 2 "Year" matcher: exact year equality.
-// Blocking on the year token makes it the equi-join it semantically is.
-func (s *Setting) yearMatcherDBLPACM() match.Matcher {
-	return &match.Attribute{
+// pubSameYearDBLPACM returns (memoized) the mapping of the Table 2 "Year"
+// matcher: exact year equality. Blocking on the year token makes it the
+// equi-join it semantically is.
+func (s *Setting) pubSameYearDBLPACM() (*mapping.Mapping, error) {
+	return s.matched("pub-year-dblp-acm", &match.Attribute{
 		MatcherName: "Year",
 		AttrA:       "year", AttrB: "year",
 		Sim:         sim.YearExact,
 		Threshold:   1,
 		SkipMissing: true,
 		Blocker:     block.TokenBlocking{AttrA: "year", AttrB: "year", MinShared: 1},
-	}
-}
-
-// PubSameTitleDBLPACM returns (memoized) the publication same-mapping from
-// the title matcher alone — the baseline the neighborhood experiments
-// start from.
-func (s *Setting) PubSameTitleDBLPACM() (*mapping.Mapping, error) {
-	return s.cached("pub-title-dblp-acm", func() (*mapping.Mapping, error) {
-		return s.titleMatcherDBLPACM().Match(s.D.DBLP.Pubs, s.D.ACM.Pubs)
-	})
+	}, s.D.DBLP.Pubs, s.D.ACM.Pubs)
 }
 
 // PubSameMergedDBLPACM returns the Table 2 merged publication mapping:
@@ -175,11 +178,11 @@ func (s *Setting) PubSameMergedDBLPACM() (*mapping.Mapping, error) {
 		if err != nil {
 			return nil, err
 		}
-		author, err := s.authorMatcherDBLPACM().Match(s.D.DBLP.Pubs, s.D.ACM.Pubs)
+		author, err := s.pubSameAuthorDBLPACM()
 		if err != nil {
 			return nil, err
 		}
-		year, err := s.yearMatcherDBLPACM().Match(s.D.DBLP.Pubs, s.D.ACM.Pubs)
+		year, err := s.pubSameYearDBLPACM()
 		if err != nil {
 			return nil, err
 		}
@@ -199,25 +202,20 @@ func (s *Setting) PubSameMergedDBLPACM() (*mapping.Mapping, error) {
 // matching over the query-collected working set. GS titles carry heavy
 // extraction noise, so the threshold is lower than for ACM.
 func (s *Setting) DBLPGSTitle() (*mapping.Mapping, error) {
-	return s.cached("pub-title-dblp-gs", func() (*mapping.Mapping, error) {
-		m := &match.Attribute{
-			MatcherName: "Title(GS)",
-			AttrA:       "title", AttrB: "title",
-			Sim:       sim.Trigram,
-			Threshold: gsTitleThreshold,
-			Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 2},
-		}
-		return m.Match(s.D.DBLP.Pubs, s.GSWork)
-	})
+	return s.matched("pub-title-dblp-gs", &match.Attribute{
+		MatcherName: "Title(GS)",
+		AttrA:       "title", AttrB: "title",
+		Sim:       sim.Trigram,
+		Threshold: gsTitleThreshold,
+		Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 2},
+	}, s.D.DBLP.Pubs, s.GSWork)
 }
 
 // GSACMDirect returns the "direct" GS-ACM mapping: the pre-existing links
 // GS carries to ACM, restricted to the working set (§5.3).
 func (s *Setting) GSACMDirect() (*mapping.Mapping, error) {
-	return s.cached("pub-links-gs-acm", func() (*mapping.Mapping, error) {
-		em := &match.ExistingMapping{MatcherName: "GS-ACM links", M: s.D.GSLinksACM}
-		return em.Match(s.GSWork, s.D.ACM.Pubs)
-	})
+	return s.matched("pub-links-gs-acm",
+		&match.ExistingMapping{MatcherName: "GS-ACM links", M: s.D.GSLinksACM}, s.GSWork, s.D.ACM.Pubs)
 }
 
 // VenueSameDBLPACM returns the venue same-mapping from the 1:n

@@ -36,11 +36,11 @@ func Table2(s *Setting) (*TableResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	author, err := s.authorMatcherDBLPACM().Match(s.D.DBLP.Pubs, s.D.ACM.Pubs)
+	author, err := s.pubSameAuthorDBLPACM()
 	if err != nil {
 		return nil, err
 	}
-	year, err := s.yearMatcherDBLPACM().Match(s.D.DBLP.Pubs, s.D.ACM.Pubs)
+	year, err := s.pubSameYearDBLPACM()
 	if err != nil {
 		return nil, err
 	}

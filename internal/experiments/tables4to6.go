@@ -150,14 +150,13 @@ func Table6(s *Setting) (*TableResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	attr := &match.Attribute{
+	attrStrict, err := s.matched("author-name-dblp-acm", &match.Attribute{
 		MatcherName: "Author name",
 		AttrA:       "name", AttrB: "name",
 		Sim:       sim.Trigram,
 		Threshold: nameThreshold,
 		Blocker:   blockAuthors(),
-	}
-	attrStrict, err := attr.Match(s.D.DBLP.Authors, s.D.ACM.Authors)
+	}, s.D.DBLP.Authors, s.D.ACM.Authors)
 	if err != nil {
 		return nil, err
 	}
@@ -166,14 +165,13 @@ func Table6(s *Setting) (*TableResult, error) {
 		return nil, err
 	}
 	// Permissive name matcher for the combination (initial-aware).
-	attrLow := &match.Attribute{
+	lowNames, err := s.matched("author-name-low-dblp-acm", &match.Attribute{
 		MatcherName: "Author name (low)",
 		AttrA:       "name", AttrB: "name",
 		Sim:       sim.PersonName,
 		Threshold: nameLowThreshold,
 		Blocker:   blockAuthors(),
-	}
-	lowNames, err := attrLow.Match(s.D.DBLP.Authors, s.D.ACM.Authors)
+	}, s.D.DBLP.Authors, s.D.ACM.Authors)
 	if err != nil {
 		return nil, err
 	}

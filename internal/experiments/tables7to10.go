@@ -19,16 +19,13 @@ import (
 // same-mapping between GS and DBLP for which we applied an attribute
 // matcher"; GS reduces first names to initials).
 func (s *Setting) gsAuthorSame() (*mapping.Mapping, error) {
-	return s.cached("author-same-dblp-gs", func() (*mapping.Mapping, error) {
-		m := &match.Attribute{
-			MatcherName: "Author name (GS)",
-			AttrA:       "name", AttrB: "name",
-			Sim:       sim.PersonName,
-			Threshold: 0.85,
-			Blocker:   block.TokenBlocking{AttrA: "name", AttrB: "name", MinShared: 1},
-		}
-		return m.Match(s.D.DBLP.Authors, s.D.GS.Authors)
-	})
+	return s.matched("author-same-dblp-gs", &match.Attribute{
+		MatcherName: "Author name (GS)",
+		AttrA:       "name", AttrB: "name",
+		Sim:       sim.PersonName,
+		Threshold: 0.85,
+		Blocker:   block.TokenBlocking{AttrA: "name", AttrB: "name", MinShared: 1},
+	}, s.D.DBLP.Authors, s.D.GS.Authors)
 }
 
 // nhPubViaAuthors runs the n:m neighborhood matcher for publications using
@@ -99,28 +96,24 @@ func Table7(s *Setting) (*TableResult, error) {
 // Table8 reproduces the same strategy for GS-ACM publications.
 func Table8(s *Setting) (*TableResult, error) {
 	// Direct title matcher GS->ACM over the working set.
-	titleMatcher := &match.Attribute{
+	title, err := s.matched("pub-title-gs-acm", &match.Attribute{
 		MatcherName: "Title(GS-ACM)",
 		AttrA:       "title", AttrB: "name",
 		Sim:       sim.Trigram,
 		Threshold: gsTitleThreshold,
 		Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
-	}
-	title, err := titleMatcher.Match(s.GSWork, s.D.ACM.Pubs)
+	}, s.GSWork, s.D.ACM.Pubs)
 	if err != nil {
 		return nil, err
 	}
 	// Author same-mapping GS->ACM.
-	authorSame, err := s.cached("author-same-gs-acm", func() (*mapping.Mapping, error) {
-		m := &match.Attribute{
-			MatcherName: "Author name (GS-ACM)",
-			AttrA:       "name", AttrB: "name",
-			Sim:       sim.PersonName,
-			Threshold: 0.85,
-			Blocker:   block.TokenBlocking{AttrA: "name", AttrB: "name", MinShared: 1},
-		}
-		return m.Match(s.D.GS.Authors, s.D.ACM.Authors)
-	})
+	authorSame, err := s.matched("author-same-gs-acm", &match.Attribute{
+		MatcherName: "Author name (GS-ACM)",
+		AttrA:       "name", AttrB: "name",
+		Sim:       sim.PersonName,
+		Threshold: 0.85,
+		Blocker:   block.TokenBlocking{AttrA: "name", AttrB: "name", MinShared: 1},
+	}, s.D.GS.Authors, s.D.ACM.Authors)
 	if err != nil {
 		return nil, err
 	}
@@ -140,13 +133,13 @@ func Table8(s *Setting) (*TableResult, error) {
 	// entry must also show at least weak title evidence, killing the
 	// single-author name coincidences of noise entries while keeping the
 	// truncated-title entries the author evidence recovers.
-	weakTitle, err := (&match.Attribute{
+	weakTitle, err := s.matched("pub-title-weak-gs-acm", &match.Attribute{
 		MatcherName: "Title(weak)",
 		AttrA:       "title", AttrB: "name",
 		Sim:       sim.Trigram,
 		Threshold: 0.35,
 		Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1},
-	}).Match(s.GSWork, s.D.ACM.Pubs)
+	}, s.GSWork, s.D.ACM.Pubs)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ package mapping
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -223,4 +224,53 @@ func TestColumnarEachOrdEarlyStop(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestFromColumnsEqualsAddMaxBuilt pins the bulk load the batch matchers
+// end in: a mapping loaded from (dom, rng, sim) columns is the mapping the
+// same rows build through AddMax — same sequence, same point lookups and
+// posting lists — and stays a mapping afterwards: an Add of a loaded pair
+// overwrites it through the lazily built index instead of appending a twin.
+func TestFromColumnsEqualsAddMaxBuilt(t *testing.T) {
+	want := NewSame(ldsA, ldsB)
+	var dom, rng []uint32
+	var sims []float64
+	for i := 0; i < 500; i++ {
+		a, b := model.ID(fmt.Sprintf("fa%d", i%37)), model.ID(fmt.Sprintf("fb%d", i))
+		s := float64(i%11) / 10
+		want.AddMax(a, b, s)
+		dom, rng, sims = append(dom, model.IDs.Ord(a)), append(rng, model.IDs.Ord(b)), append(sims, s)
+	}
+	got := FromColumns(ldsA, ldsB, model.SameMappingType, dom, rng, sims)
+	if !reflect.DeepEqual(got.Correspondences(), want.Correspondences()) {
+		t.Fatal("bulk-loaded mapping holds a different correspondence sequence")
+	}
+	if !got.Equal(want, 0) || !want.Equal(got, 0) || got.Type() != want.Type() || got.Dict() != want.Dict() {
+		t.Fatal("bulk-loaded mapping is not Equal to the AddMax-built one")
+	}
+	for _, c := range want.Correspondences() {
+		if s, ok := got.Sim(c.Domain, c.Range); !ok || s != c.Sim || !got.Has(c.Domain, c.Range) {
+			t.Fatalf("Sim(%s, %s) = %v, %v; want %v", c.Domain, c.Range, s, ok, c.Sim)
+		}
+		if !reflect.DeepEqual(got.ForDomain(c.Domain), want.ForDomain(c.Domain)) {
+			t.Fatalf("ForDomain(%s) differs", c.Domain)
+		}
+	}
+	if got.Has("fa0", "fb1") {
+		t.Fatal("Has reports a pair that was never loaded")
+	}
+	for _, m := range []*Mapping{got, want} {
+		m.Add("fa0", "fb0", 0.25)   // loaded pair: overwrite in place
+		m.AddMax("fa1", "fb1", 0.9) // loaded pair: raise in place
+		m.Add("fa-new", "fb-new", 1)
+	}
+	if got.Len() != 501 || !reflect.DeepEqual(got.Correspondences(), want.Correspondences()) {
+		t.Fatalf("Add after the bulk load: %d rows, want 501 and the AddMax-built sequence", got.Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("columns of unequal length must panic")
+		}
+	}()
+	FromColumns(ldsA, ldsB, model.SameMappingType, dom, rng[:1], sims)
 }

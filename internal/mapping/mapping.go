@@ -143,6 +143,20 @@ func newFromColumns(domain, rng model.LDS, mtype model.MappingType, dict *model.
 	}
 }
 
+// FromColumns is newFromColumns for producers outside this package that
+// assemble their result as columns — the batch matchers' kernel, whose
+// ranges each append (dom, rng, sim) and are concatenated once — over the
+// process-global model.IDs. The contract is newFromColumns': the mapping
+// takes ownership of the slices, the (dom, rng) pairs are distinct ordinals
+// of model.IDs (Dict().SetOrds translates an ObjectSet's) and the sims lie
+// in [0,1]. Columns of unequal length panic.
+func FromColumns(domain, rng model.LDS, mtype model.MappingType, dom, rngCol []uint32, sim []float64) *Mapping {
+	if len(dom) != len(sim) || len(rngCol) != len(sim) {
+		panic(fmt.Sprintf("mapping: FromColumns needs columns of one length, got %d, %d and %d", len(dom), len(rngCol), len(sim)))
+	}
+	return newFromColumns(domain, rng, mtype, model.IDs, dom, rngCol, sim)
+}
+
 // NewSame returns an empty same-mapping between two sources of the same
 // object type. It panics if the object types differ, which is a programming
 // error by Definition 1.

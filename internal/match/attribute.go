@@ -52,10 +52,11 @@ func (m *Attribute) WithWorkers(n int) Matcher {
 	return &cp
 }
 
-// Match implements Matcher. Candidates are streamed from the blocker
-// through a bounded scoring pipeline (see streamScore); only kept
-// correspondences are ever materialized, so memory is proportional to the
-// result, not to the candidate count.
+// Match implements Matcher. Each attribute value is preprocessed once
+// (O(n+m)) into read-only dense profile columns; the kernel (blockScore)
+// scores the blocker's candidates over them and keeps only those that reach
+// the threshold, so memory is proportional to the result, not to the
+// candidate count.
 func (m *Attribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 	if err := requireSameType(a, b); err != nil {
 		return nil, err
@@ -64,44 +65,15 @@ func (m *Attribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 		return nil, fmt.Errorf("match: %s has no similarity function", m.Name())
 	}
 	ps := measure(m.Sim, m.Profiled)
-	stream, ords := candidateStream(m.Blocker, a, b)
-	// Preprocess each attribute value once (O(n+m)), then score pairs over
-	// read-only dense profile columns. When the blocker carries ObjectSet
-	// ordinals in its pairs (all built-ins do), the columns are read directly
-	// by Pair.OrdA/OrdB — no per-pair map lookup at all.
 	col := newScoreColumn(a, b, m.AttrA, m.AttrB, ps)
-	score := func(p block.Pair) (float64, bool) {
-		ia, ib := p.OrdA, p.OrdB
-		if !ords {
-			ia, ib = a.IndexOf(p.A), b.IndexOf(p.B)
-		}
+	return blockScore(a, b, m.Blocker, m.Workers, func(ia, ib int) (float64, bool) {
 		pa, pb := col.at(ia, ib)
 		if m.SkipMissing && (pa.Raw == "" || pb.Raw == "") {
 			return 0, false
 		}
 		s := ps.Compare(pa, pb, m.Threshold)
 		return s, s >= m.Threshold
-	}
-	out := mapping.NewSame(a.LDS(), b.LDS())
-	streamScore(stream, m.Workers, score, ordinalEmit(out, a, b, ords))
-	return out, nil
-}
-
-// ordinalEmit returns the kept-correspondence sink of a match: when the
-// blocker's pairs carry ObjectSet ordinals, both input id columns are
-// interned into the output mapping's dictionary once — O(n+m) — and every
-// kept pair is inserted ordinal-to-ordinal, so the emit path never hashes
-// an id string. Ordinal-less blockers fall back to id-level inserts.
-func ordinalEmit(out *mapping.Mapping, a, b *model.ObjectSet, ords bool) func(block.Pair, float64) {
-	if !ords {
-		return func(p block.Pair, s float64) { out.AddMax(p.A, p.B, s) }
-	}
-	dict := out.Dict()
-	domOrds := dict.SetOrds(a)
-	rngOrds := dict.SetOrds(b)
-	return func(p block.Pair, s float64) {
-		out.AddMaxOrd(domOrds[p.OrdA], rngOrds[p.OrdB], s)
-	}
+	}), nil
 }
 
 // measure resolves a matcher configuration's measure: the explicit Profiled
@@ -143,20 +115,6 @@ func (c *scoreColumn) at(ia, ib int) (pa, pb *sim.Profile) {
 	return pa, pb
 }
 
-// candidateStream resolves the blocker (nil means cross product) into a
-// pair stream. ords reports whether the stream's pairs carry valid ObjectSet
-// ordinals (block.OrdinalPairer): scoring then reads the dense profile
-// columns by Pair.OrdA/OrdB instead of id lookups.
-func candidateStream(blocker block.Blocker, a, b *model.ObjectSet) (stream func(func(block.Pair) bool), ords bool) {
-	if blocker == nil {
-		blocker = block.CrossProduct{}
-	}
-	if op, ok := blocker.(block.OrdinalPairer); ok {
-		ords = op.PairsCarryOrdinals()
-	}
-	return func(yield func(block.Pair) bool) { blocker.PairsEach(a, b, yield) }, ords
-}
-
 // profilesKey keys a similarity-profile column in a set's column store
 // (model.Column). The measure is part of the key because a profile's content
 // depends on it. Built-in measures are comparable singletons
@@ -176,10 +134,9 @@ func (profilesKey) Invalidated() { profileCacheInvalidations.Inc() }
 
 // profileColumn returns the per-instance profiles of one attribute column —
 // the O(n+m) preprocessing the profiled scoring path reads from — as a
-// dense array aligned with ObjectSet ordinals (IndexOf), read by Pair.OrdA/
-// OrdB when the blocker carries ordinals and via IndexOf otherwise. Columns
-// are kept in the set's column store, so matchers sharing inputs build each
-// once per set version. Measures whose dynamic type is not comparable
+// dense array aligned with ObjectSet ordinals (IndexOf), which is what the
+// kernel names its candidates by. Columns are kept in the set's column
+// store, so matchers sharing inputs build each once per set version. Measures whose dynamic type is not comparable
 // (structs holding slices, say) cannot key the store and build per match.
 func profileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim) []*sim.Profile {
 	build := func() []*sim.Profile { return buildProfileColumn(set, attr, ps) }
@@ -269,8 +226,7 @@ func (m *MultiAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 		return nil, fmt.Errorf("match: %s has zero total weight", m.Name())
 	}
 	// One pair of profile columns per attribute pair: dense arrays aligned
-	// with ObjectSet ordinals, so each scored pair resolves its ordinals once
-	// and reads k columns by index.
+	// with ObjectSet ordinals, so each candidate reads k columns by index.
 	cols := make([]scoreColumn, len(m.Pairs))
 	measures := make([]sim.ProfiledSim, len(m.Pairs))
 	weights := make([]float64, len(m.Pairs))
@@ -279,18 +235,10 @@ func (m *MultiAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 		cols[i] = newScoreColumn(a, b, ap.AttrA, ap.AttrB, measures[i])
 	}
 	weighted := sim.NewWeighted(measures, weights, m.Threshold)
-	stream, ords := candidateStream(m.Blocker, a, b)
-	score := func(p block.Pair) (float64, bool) {
-		ia, ib := p.OrdA, p.OrdB
-		if !ords {
-			ia, ib = a.IndexOf(p.A), b.IndexOf(p.B)
-		}
+	return blockScore(a, b, m.Blocker, m.Workers, func(ia, ib int) (float64, bool) {
 		s := weighted.Score(func(i int) (pa, pb *sim.Profile) { return cols[i].at(ia, ib) })
 		return s, s >= m.Threshold
-	}
-	out := mapping.NewSame(a.LDS(), b.LDS())
-	streamScore(stream, m.Workers, score, ordinalEmit(out, a, b, ords))
-	return out, nil
+	}), nil
 }
 
 // WithWorkers implements ConfigurableWorkers.

@@ -8,23 +8,35 @@ import (
 	"repro/internal/block"
 	"repro/internal/mapping"
 	"repro/internal/model"
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
-// materializedReference reproduces the seed scoring path the streaming
-// pipeline replaced: materialize the blocker's full pair slice, score it
-// sequentially over raw strings, and insert kept pairs in order. The
-// streaming matchers must be bit-identical to this, including mapping
-// insertion order.
-func materializedReference(a, b *model.ObjectSet, blocker block.Blocker, attrA, attrB string, fn sim.Func, threshold float64) *mapping.Mapping {
+// materializedReference is the scoring path the kernel must equal:
+// materialize the blocker's full pair slice, score it sequentially and in
+// full over raw strings, and insert kept pairs in order through the id-level
+// AddMax. The matchers must be bit-identical to this, including mapping
+// insertion order. An id absent from its input reads as the empty value.
+func materializedReference(a, b *model.ObjectSet, blocker block.Blocker, attrA, attrB string, fn sim.Func, threshold float64, skipMissing bool) *mapping.Mapping {
 	out := mapping.NewSame(a.LDS(), b.LDS())
-	for _, p := range block.Pairs(blocker, a, b) {
-		s := fn(a.Get(p.A).Attr(attrA), b.Get(p.B).Attr(attrB))
-		if s >= threshold {
+	for _, p := range block.Pairs(orCross(blocker), a, b) {
+		va, vb := a.Get(p.A).Attr(attrA), b.Get(p.B).Attr(attrB)
+		if skipMissing && (va == "" || vb == "") {
+			continue
+		}
+		if s := fn(va, vb); s >= threshold {
 			out.AddMax(p.A, p.B, s)
 		}
 	}
 	return out
+}
+
+// orCross resolves the nil blocker the way the matchers do.
+func orCross(bl block.Blocker) block.Blocker {
+	if bl == nil {
+		return block.CrossProduct{}
+	}
+	return bl
 }
 
 // mappingsIdentical asserts got and want hold the same correspondence
@@ -38,65 +50,217 @@ func mappingsIdentical(t *testing.T, got, want *mapping.Mapping, label string) {
 	}
 }
 
-// TestStreamedAttributeMatchesMaterialized is the differential test pinning
-// the streaming pipeline to the seed path: for every blocker and for
-// sequential and parallel scoring, the streamed Attribute matcher must
-// return the exact mapping of the materialize-then-score reference.
-func TestStreamedAttributeMatchesMaterialized(t *testing.T) {
-	a, b := syntheticPubs(120)
-	blockers := []block.Blocker{
-		block.CrossProduct{},
-		block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1},
-		block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
-		block.SortedNeighborhood{AttrA: "title", AttrB: "name", Window: 5},
+// kernelWorkers are the worker counts every differential suite runs at.
+var kernelWorkers = []int{1, 2, 3, 8}
+
+// repeatBlocker streams another blocker's pairs with repeats: every fifth
+// pair twice in a row and the first ten once more at the end. Its kept
+// pairs must each appear once, where they first occurred.
+type repeatBlocker struct{ inner block.Blocker }
+
+func (r repeatBlocker) PairsEach(a, b *model.ObjectSet, yield func(block.Pair) bool) {
+	pairs := block.Pairs(r.inner, a, b)
+	for i, p := range pairs {
+		if !yield(p) || i%5 == 0 && !yield(p) {
+			return
+		}
 	}
-	for _, bl := range blockers {
-		want := materializedReference(a, b, bl, "title", "name", sim.Trigram, 0.3)
-		for _, workers := range []int{1, 5} {
-			m := &Attribute{
-				MatcherName: "stream", AttrA: "title", AttrB: "name",
-				Sim: sim.Trigram, Threshold: 0.3, Blocker: bl, Workers: workers,
-			}
-			got, err := m.Match(a, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mappingsIdentical(t, got, want, bl.String())
+	for _, p := range pairs[:min(10, len(pairs))] {
+		if !yield(p) {
+			return
 		}
 	}
 }
 
-// TestStreamedMultiAttributeMatchesMaterialized pins the multi-attribute
-// streaming path the same way, against a weighted-average reference.
-func TestStreamedMultiAttributeMatchesMaterialized(t *testing.T) {
-	a, b := syntheticPubs(100)
-	bl := block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1}
-	pairs := []AttrPair{
-		{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Weight: 3},
-		{AttrA: "authors", AttrB: "authors", Sim: sim.PersonName, Weight: 1},
-		{AttrA: "year", AttrB: "year", Sim: sim.YearSim, Weight: 2},
+func (r repeatBlocker) String() string { return "repeat(" + r.inner.String() + ")" }
+
+// kernelBlockers is every way candidates reach the kernel: the nil default,
+// the two A-major built-ins on their range probes, and the single-stream
+// path behind SortedNeighborhood (not A-major), a blocker naming ids absent
+// from the inputs and one that repeats pairs.
+func kernelBlockers(attrA, attrB string) []block.Blocker {
+	token := block.TokenBlocking{AttrA: attrA, AttrB: attrB, MinShared: 1}
+	return []block.Blocker{
+		nil,
+		block.CrossProduct{},
+		token,
+		block.TokenBlocking{AttrA: attrA, AttrB: attrB, MinShared: 2},
+		block.SortedNeighborhood{AttrA: attrA, AttrB: attrB, Window: 5},
+		alienBlocker{},
+		repeatBlocker{token},
 	}
-	want := mapping.NewSame(a.LDS(), b.LDS())
-	for _, p := range block.Pairs(bl, a, b) {
+}
+
+// firstN returns the set of the first n instances of set.
+func firstN(set *model.ObjectSet, n int) *model.ObjectSet {
+	return set.Subset(set.IDs()[:n])
+}
+
+// kernelInputs are the input shapes the suites cover: a dense fixture with
+// attribute-less instances on both sides, fewer domain instances than
+// workers in front of a range input large enough to be split, and an empty
+// input on either side.
+func kernelInputs() []kernelInput {
+	a, b := syntheticPubs(120)
+	withMissing(a, b)
+	wideA, wideB := syntheticPubs(2500)
+	return []kernelInput{
+		{"120 with attribute-less instances", a, b, true},
+		{"|A| = 2 < workers", firstN(wideA, 2), wideB, false},
+		{"empty A", firstN(a, 0), b, false},
+		{"empty B", a, firstN(b, 0), false},
+	}
+}
+
+type kernelInput struct {
+	label   string
+	a, b    *model.ObjectSet
+	missing bool // some instances lack the matched attributes
+}
+
+// matchCounts snapshots the kernel's counters so a test can assert what one
+// match added.
+type matchCounts struct{ pairs, kept, pruned uint64 }
+
+func matchCountsNow() matchCounts {
+	return matchCounts{matchPairsTotal.Load(), matchKeptTotal.Load(), matchPrunedTotal.Load()}
+}
+
+func (c matchCounts) since() matchCounts {
+	now := matchCountsNow()
+	return matchCounts{now.pairs - c.pairs, now.kept - c.kept, now.pruned - c.pruned}
+}
+
+// checkKernel runs m over (a, b) at every worker count and holds each run to
+// the oracle's mapping — correspondences, similarities (eps 0) and insertion
+// order — and to the counters' meaning: every candidate the blocker streams
+// is counted once, whatever the worker count, and a stream without repeats
+// keeps exactly the result's rows.
+func checkKernel(t *testing.T, label string, m ConfigurableWorkers, bl block.Blocker, a, b *model.ObjectSet, want *mapping.Mapping) {
+	t.Helper()
+	streamed := len(block.Pairs(orCross(bl), a, b))
+	_, repeats := bl.(repeatBlocker)
+	for _, workers := range kernelWorkers {
+		at := fmt.Sprintf("%s at %d workers", label, workers)
+		c0 := matchCountsNow()
+		got, err := m.WithWorkers(workers).Match(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := c0.since()
+		mappingsIdentical(t, got, want, at)
+		if int(counts.pairs) != streamed {
+			t.Errorf("%s: %d pairs counted, the blocker streams %d", at, counts.pairs, streamed)
+		}
+		if !repeats && int(counts.kept) != got.Len() {
+			t.Errorf("%s: %d pairs counted as kept, the mapping holds %d", at, counts.kept, got.Len())
+		}
+		if counts.kept+counts.pruned > counts.pairs {
+			t.Errorf("%s: %d kept + %d pruned exceed %d pairs", at, counts.kept, counts.pruned, counts.pairs)
+		}
+	}
+}
+
+// TestKernelSplitsTheFixtures guards the suites below against passing on
+// one range only: at more than one worker the dense fixture and the
+// two-instance domain must really be cut, the latter into single rows.
+func TestKernelSplitsTheFixtures(t *testing.T) {
+	inputs := kernelInputs()
+	for _, bl := range []block.RangeBlocker{
+		block.CrossProduct{},
+		block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1},
+		block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
+	} {
+		for _, in := range inputs[:2] {
+			for _, workers := range kernelWorkers[1:] {
+				chunks := par.SplitBy(in.a.Len(), workers, bl.Probe(in.a, in.b).Cost).Chunks()
+				if want := min(workers, in.a.Len()); chunks != want {
+					t.Errorf("%s, %s, %d workers: %d ranges, want %d", in.label, bl, workers, chunks, want)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamedAttributeMatchesMaterialized is the differential test pinning
+// the kernel to the materialize-then-score reference: for every blocker,
+// input shape and worker count, with and without SkipMissing, the Attribute
+// matcher must return the reference's exact mapping.
+func TestStreamedAttributeMatchesMaterialized(t *testing.T) {
+	for _, in := range kernelInputs() {
+		for _, bl := range kernelBlockers("title", "name") {
+			for _, skip := range []bool{false, true} {
+				if skip && !in.missing {
+					continue // nothing for SkipMissing to skip
+				}
+				want := materializedReference(in.a, in.b, bl, "title", "name", sim.Trigram, 0.3, skip)
+				m := &Attribute{
+					MatcherName: "stream", AttrA: "title", AttrB: "name",
+					Sim: sim.Trigram, Threshold: 0.3, Blocker: bl, SkipMissing: skip,
+				}
+				checkKernel(t, fmt.Sprintf("%s, %v, SkipMissing=%v", in.label, bl, skip), m, bl, in.a, in.b, want)
+			}
+		}
+	}
+}
+
+// weightedReference is materializedReference for the multi-attribute
+// matcher: every column scored in full, the weighted average taken in
+// configured order.
+func weightedReference(a, b *model.ObjectSet, blocker block.Blocker, pairs []AttrPair, threshold float64) *mapping.Mapping {
+	var total float64
+	for _, ap := range pairs {
+		total += ap.Weight
+	}
+	out := mapping.NewSame(a.LDS(), b.LDS())
+	for _, p := range block.Pairs(orCross(blocker), a, b) {
 		ia, ib := a.Get(p.A), b.Get(p.B)
 		var sum float64
 		for _, ap := range pairs {
 			sum += ap.Weight * ap.Sim(ia.Attr(ap.AttrA), ib.Attr(ap.AttrB))
 		}
-		if s := sum / 6; s >= 0.4 {
-			want.AddMax(p.A, p.B, s)
+		if s := sum / total; s >= threshold {
+			out.AddMax(p.A, p.B, s)
 		}
 	}
-	for _, workers := range []int{1, 6} {
-		m := &MultiAttribute{
-			MatcherName: "stream-multi", Pairs: pairs, Threshold: 0.4,
-			Blocker: bl, Workers: workers,
+	return out
+}
+
+// TestStreamedMultiAttributeMatchesMaterialized pins the multi-attribute
+// matcher the same way, against the weighted-average reference.
+func TestStreamedMultiAttributeMatchesMaterialized(t *testing.T) {
+	pairs := []AttrPair{
+		{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Weight: 3},
+		{AttrA: "authors", AttrB: "authors", Sim: sim.PersonName, Weight: 1},
+		{AttrA: "year", AttrB: "year", Sim: sim.YearSim, Weight: 2},
+	}
+	for _, in := range kernelInputs() {
+		for _, bl := range kernelBlockers("title", "name") {
+			want := weightedReference(in.a, in.b, bl, pairs, 0.4)
+			m := &MultiAttribute{MatcherName: "stream-multi", Pairs: pairs, Threshold: 0.4, Blocker: bl}
+			checkKernel(t, fmt.Sprintf("multi: %s, %v", in.label, bl), m, bl, in.a, in.b, want)
 		}
-		got, err := m.Match(a, b)
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestTFIDFMatchesExhaustive pins the TF-IDF matcher: its corpus is built
+// from the inputs' sorted attribute values, so the oracle builds the same
+// corpus and scores every streamed pair in full (floor 0) over fresh
+// profiles.
+func TestTFIDFMatchesExhaustive(t *testing.T) {
+	for _, in := range kernelInputs() {
+		corpus := sim.NewTFIDF()
+		corpus.AddAll(sortedAttrValues(in.a, "title"))
+		corpus.AddAll(sortedAttrValues(in.b, "name"))
+		cosine := func(x, y string) float64 {
+			ps := corpus.Profiled()
+			return ps.Compare(sim.NewProfile(ps, x), sim.NewProfile(ps, y), 0)
 		}
-		mappingsIdentical(t, got, want, "multi")
+		for _, bl := range kernelBlockers("title", "name") {
+			want := materializedReference(in.a, in.b, bl, "title", "name", cosine, 0.2, false)
+			m := &TFIDFAttribute{MatcherName: "tfidf", AttrA: "title", AttrB: "name", Threshold: 0.2, Blocker: bl}
+			checkKernel(t, fmt.Sprintf("tfidf: %s, %v", in.label, bl), m, bl, in.a, in.b, want)
+		}
 	}
 }
 
@@ -104,31 +268,21 @@ func TestStreamedMultiAttributeMatchesMaterialized(t *testing.T) {
 // exhaustive oracles above — every blocked pair scored in full through the
 // string measures — at the benchmark's configurations (trigram at 0.75 and
 // 0.82 behind two shared tokens, at 0.7 behind three) and at a weighted
-// three-column configuration, at 1, 3 and 8 workers: identical
+// three-column configuration, at every worker count: identical
 // correspondences, similarities (eps 0) and insertion order, while the
 // pruned counter shows that pairs were in fact cut short and the pairs
 // counter still counts every pair the blocker streamed.
 func TestPrunedMatchesExhaustive(t *testing.T) {
 	a, b := syntheticPubs(300)
-	run := func(label string, m ConfigurableWorkers, want *mapping.Mapping, streamed int) {
+	run := func(label string, m ConfigurableWorkers, bl block.Blocker, want *mapping.Mapping) {
 		t.Helper()
 		if want.Len() == 0 {
 			t.Fatalf("%s: the oracle keeps nothing; fixture broken", label)
 		}
-		for _, workers := range []int{1, 3, 8} {
-			pairs, pruned := matchPairsTotal.Load(), matchPrunedTotal.Load()
-			got, err := m.WithWorkers(workers).Match(a, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pairs, pruned = matchPairsTotal.Load()-pairs, matchPrunedTotal.Load()-pruned
-			mappingsIdentical(t, got, want, fmt.Sprintf("%s at %d workers", label, workers))
-			if int(pairs) != streamed {
-				t.Errorf("%s at %d workers: %d pairs counted, the blocker streams %d", label, workers, pairs, streamed)
-			}
-			if pruned == 0 || pruned >= pairs {
-				t.Errorf("%s at %d workers: %d of %d pairs pruned; the bound is not exercised", label, workers, pruned, pairs)
-			}
+		c0 := matchCountsNow()
+		checkKernel(t, label, m, bl, a, b, want)
+		if c := c0.since(); c.pruned == 0 || c.pruned >= c.pairs {
+			t.Errorf("%s: %d of %d pairs pruned; the bound is not exercised", label, c.pruned, c.pairs)
 		}
 	}
 	for _, cfg := range []struct {
@@ -137,9 +291,8 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 	}{{2, 0.75}, {2, 0.82}, {3, 0.7}} {
 		bl := block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: cfg.minShared}
 		run(fmt.Sprintf("trigram %.2f behind %d shared tokens", cfg.threshold, cfg.minShared),
-			&Attribute{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: cfg.threshold, Blocker: bl},
-			materializedReference(a, b, bl, "title", "name", sim.Trigram, cfg.threshold),
-			len(block.Pairs(bl, a, b)))
+			&Attribute{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: cfg.threshold, Blocker: bl}, bl,
+			materializedReference(a, b, bl, "title", "name", sim.Trigram, cfg.threshold, false))
 	}
 
 	bl := block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2}
@@ -148,19 +301,8 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 		{AttrA: "authors", AttrB: "authors", Sim: sim.TokenJaccard, Weight: 1},
 		{AttrA: "year", AttrB: "year", Sim: sim.YearSim, Weight: 2},
 	}
-	want := mapping.NewSame(a.LDS(), b.LDS())
-	for _, p := range block.Pairs(bl, a, b) {
-		ia, ib := a.Get(p.A), b.Get(p.B)
-		var sum float64
-		for _, ap := range pairs {
-			sum += ap.Weight * ap.Sim(ia.Attr(ap.AttrA), ib.Attr(ap.AttrB))
-		}
-		if s := sum / 6; s >= 0.75 {
-			want.AddMax(p.A, p.B, s)
-		}
-	}
 	run("weighted title 3, authors 1, year 2 at 0.75",
-		&MultiAttribute{Pairs: pairs, Threshold: 0.75, Blocker: bl}, want, len(block.Pairs(bl, a, b)))
+		&MultiAttribute{Pairs: pairs, Threshold: 0.75, Blocker: bl}, bl, weightedReference(a, b, bl, pairs, 0.75))
 }
 
 // TestTokenReuseMatchesFreshTokenization pins the blocking-layer token
@@ -207,7 +349,7 @@ func TestTokenReuseMatchesFreshTokenization(t *testing.T) {
 			}
 		}
 		// And against the materialized string reference on the same blocker.
-		want := materializedReference(a, b, reusing.Blocker, "title", "name", fn.sim, 0.25)
+		want := materializedReference(a, b, reusing.Blocker, "title", "name", fn.sim, 0.25, false)
 		mappingsIdentical(t, mr, want, fn.name+" vs reference")
 	}
 }

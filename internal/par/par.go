@@ -1,9 +1,8 @@
-// Package par is the repository's blessed data-parallel idiom, extracted
-// from match.streamScore into a shared core for the parallel columnar
-// mapping operators (ROADMAP item 5) and, later, the sharded resolver
-// fleet: a fixed worker count, partition-by-index chunking over row
-// ranges, per-worker private scratch, and a deterministic merge-back in
-// chunk order.
+// Package par is the repository's one data-parallel idiom, shared by the
+// parallel columnar mapping operators and the batch matchers' block → score
+// kernel: a fixed worker count, partition-by-index chunking over row
+// ranges (by row count, Split, or by per-row cost, SplitBy), per-worker
+// private scratch, and a deterministic merge-back in chunk order.
 //
 // The contract every user of this package inherits:
 //
@@ -71,6 +70,37 @@ func Split(n, workers int) Plan {
 	bounds := make([]int, w+1)
 	for c := 0; c <= w; c++ {
 		bounds[c] = c * n / w
+	}
+	return Plan{n: n, bounds: bounds}
+}
+
+// SplitBy is Split for rows of unequal cost: it partitions n rows into at
+// most `workers` contiguous chunks of near-equal total weight, where
+// weight(row) >= 0 estimates the work behind a row (a matcher passes the
+// candidate pairs a blocker will stream for it). The collapse rule is
+// Split's, counted in weight rather than rows — a total under
+// 2*minChunkRows stays on the caller — and no plan has more chunks than
+// rows. Cut c falls at the first row where the running weight reaches the
+// later of c even shares of the whole and one even share of what cut c-1
+// left, so a row heavier than a share ends its chunk and the rows behind it
+// are still spread over the workers that remain. The bounds are a pure
+// function of (weights, workers); unit weights give exactly Split's.
+func SplitBy(n, workers int, weight func(row int) int) Plan {
+	total := 0
+	for row := 0; row < n; row++ {
+		total += weight(row)
+	}
+	w := min(Team(total, workers), max(n, 1))
+	bounds := make([]int, w+1)
+	bounds[w] = n
+	row, run := 0, 0 // run is the weight of rows [0, row)
+	for c := 1; c < w; c++ {
+		target := max(c*total/w, run+(total-run)/(w-c+1))
+		for row < n && run < target {
+			run += weight(row)
+			row++
+		}
+		bounds[c] = row
 	}
 	return Plan{n: n, bounds: bounds}
 }

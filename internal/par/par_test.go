@@ -124,7 +124,7 @@ func BenchmarkSortFunc(b *testing.B) {
 	rnd := rand.New(rand.NewSource(1))
 	base := make([]uint64, 1<<20)
 	for i := range base {
-		base[i] = uint64(rnd.Intn(1 << 19))<<32 | uint64(i)
+		base[i] = uint64(rnd.Intn(1<<19))<<32 | uint64(i)
 	}
 	buf := make([]uint64, len(base))
 	b.ReportAllocs()
@@ -132,5 +132,135 @@ func BenchmarkSortFunc(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(buf, base)
 		SortFunc(buf, 0, func(a, b uint64) int { return cmp.Compare(a, b) })
+	}
+}
+
+// planBounds flattens a plan into its bounds for comparison.
+func planBounds(p Plan) []int {
+	out := []int{0}
+	for c := 0; c < p.Chunks(); c++ {
+		_, hi := p.Bounds(c)
+		out = append(out, hi)
+	}
+	return out
+}
+
+// TestSplitByPartitionProperties pins what every SplitBy plan guarantees,
+// over uniform, skewed, sparse and all-zero weights: the chunks cover
+// [0, n) contiguously, there are at most `workers` of them and never more
+// than rows, the bounds are a pure function of the inputs, and no chunk
+// outweighs an even share by more than its heaviest row.
+func TestSplitByPartitionProperties(t *testing.T) {
+	rnd := rand.New(rand.NewSource(11))
+	shapes := map[string]func(i int) int{
+		"uniform": func(int) int { return 700 },
+		"skewed":  func(i int) int { return 1 + (i*i)%4099 },
+		"sparse": func(i int) int {
+			if i%17 == 0 {
+				return 50000
+			}
+			return 0
+		},
+		"zero": func(int) int { return 0 },
+	}
+	for name, shape := range shapes {
+		for _, n := range []int{0, 1, 2, 5, 100, 4246} {
+			weights := make([]int, n)
+			total, heaviest := 0, 0
+			for i := range weights {
+				weights[i] = shape(i + rnd.Intn(3))
+				total += weights[i]
+				heaviest = max(heaviest, weights[i])
+			}
+			weight := func(i int) int { return weights[i] }
+			for _, w := range []int{1, 2, 3, 8, 64} {
+				p := SplitBy(n, w, weight)
+				if again := SplitBy(n, w, weight); !slices.Equal(planBounds(p), planBounds(again)) {
+					t.Fatalf("%s n=%d w=%d: bounds differ between two calls", name, n, w)
+				}
+				chunks := p.Chunks()
+				if chunks < 1 || chunks > w || chunks > max(n, 1) {
+					t.Fatalf("%s n=%d w=%d: %d chunks", name, n, w, chunks)
+				}
+				prev := 0
+				for c := 0; c < chunks; c++ {
+					lo, hi := p.Bounds(c)
+					if lo != prev || hi < lo {
+						t.Fatalf("%s n=%d w=%d: chunk %d = [%d,%d), want lo %d", name, n, w, c, lo, hi, prev)
+					}
+					load := 0
+					for _, x := range weights[lo:hi] {
+						load += x
+					}
+					if load > total/chunks+1+heaviest {
+						t.Errorf("%s n=%d w=%d: chunk %d weighs %d of %d, over an even share by more than the heaviest row %d",
+							name, n, w, c, load, total, heaviest)
+					}
+					prev = hi
+				}
+				if prev != n {
+					t.Fatalf("%s n=%d w=%d: chunks end at %d, want %d", name, n, w, prev, n)
+				}
+			}
+		}
+	}
+}
+
+// TestSplitByUnitWeightsPartitionLikeSplit: rows of weight one are rows, so
+// the plan is Split's exactly — same collapse, same bounds.
+func TestSplitByUnitWeightsPartitionLikeSplit(t *testing.T) {
+	unit := func(int) int { return 1 }
+	for _, n := range []int{0, 1, 6, 7, minChunkRows, 2*minChunkRows - 1, 2 * minChunkRows, 3*minChunkRows + 6, 100001} {
+		for _, w := range []int{0, 1, 2, 3, 4, 8, 64} {
+			if got, want := planBounds(SplitBy(n, w, unit)), planBounds(Split(n, w)); !slices.Equal(got, want) {
+				t.Errorf("SplitBy(%d, %d, unit) = %v, Split gives %v", n, w, got, want)
+			}
+		}
+	}
+}
+
+// TestSplitByPartitionCountsWorkNotRows: the collapse rule looks at weight.
+// A handful of heavy rows is split — one row per chunk when there are fewer
+// rows than workers — where Split would keep them on the caller, and many
+// weightless rows stay on the caller where Split would fan them out.
+func TestSplitByPartitionCountsWorkNotRows(t *testing.T) {
+	heavy := func(int) int { return 4 * minChunkRows }
+	if got := planBounds(SplitBy(3, 8, heavy)); !slices.Equal(got, []int{0, 1, 2, 3}) {
+		t.Errorf("three heavy rows at 8 workers: bounds %v, want one row per chunk", got)
+	}
+	if got := SplitBy(16*minChunkRows, 8, func(int) int { return 0 }).Chunks(); got != 1 {
+		t.Errorf("weightless rows split into %d chunks, want 1", got)
+	}
+	if got := SplitBy(100, 8, func(int) int { return 10 }).Chunks(); got != 1 {
+		t.Errorf("%d total weight split into %d chunks, want 1", 1000, got)
+	}
+}
+
+// TestSplitByPartitionHugeWeightDoesNotStarveTheRest: a row heavier than
+// everything else together ends its chunk, and the rows behind it are still
+// spread evenly over the workers that remain instead of piling onto one.
+func TestSplitByPartitionHugeWeightDoesNotStarveTheRest(t *testing.T) {
+	const n, workers = 9001, 4
+	for _, at := range []int{0, n / 2} {
+		weight := func(i int) int {
+			if i == at {
+				return 1 << 40
+			}
+			return 1
+		}
+		p := SplitBy(n, workers, weight)
+		if p.Chunks() != workers {
+			t.Fatalf("huge row at %d: %d chunks, want %d", at, p.Chunks(), workers)
+		}
+		if _, hi := p.Bounds(0); hi != at+1 {
+			t.Fatalf("huge row at %d: first chunk ends at %d, want right behind the row", at, hi)
+		}
+		share := (n - at - 1) / (workers - 1)
+		for c := 1; c < workers; c++ {
+			lo, hi := p.Bounds(c)
+			if rows := hi - lo; rows < share-1 || rows > share+1 {
+				t.Errorf("huge row at %d: chunk %d holds %d of the %d rows behind it, want about %d", at, c, rows, n-at-1, share)
+			}
+		}
 	}
 }

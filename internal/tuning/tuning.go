@@ -10,6 +10,7 @@ package tuning
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/eval"
@@ -85,19 +86,32 @@ func GridSearch(space Space, a, b *model.ObjectSet, training *mapping.Mapping) (
 	for _, id := range training.DomainIDs() {
 		covered[id] = true
 	}
+	// Candidates that differ only in threshold share one scoring of the
+	// cross product, made at the grid's lowest threshold: similarities at or
+	// above a matcher's threshold are exact (sim.ProfiledSim.Compare), so
+	// selecting the kept rows at a higher threshold gives the rows, in the
+	// order, a match at that threshold keeps.
+	type scoring struct{ attrA, attrB, simName string }
+	lowest := slices.Min(space.Thresholds)
+	scored := make(map[scoring]*mapping.Mapping)
 	outcomes := make([]Outcome, 0, len(cands))
 	for _, c := range cands {
-		m := &match.Attribute{
-			AttrA: c.AttrA, AttrB: c.AttrB, Sim: c.Sim, Threshold: c.Threshold,
+		k := scoring{c.AttrA, c.AttrB, c.SimName}
+		kept, ok := scored[k]
+		if !ok {
+			m := &match.Attribute{
+				AttrA: c.AttrA, AttrB: c.AttrB, Sim: c.Sim, Threshold: lowest,
+			}
+			got, err := m.Match(a, b)
+			if err != nil {
+				return nil, fmt.Errorf("tuning: %s: %w", c, err)
+			}
+			kept = got.Filter(func(corr mapping.Correspondence) bool {
+				return covered[corr.Domain]
+			})
+			scored[k] = kept
 		}
-		got, err := m.Match(a, b)
-		if err != nil {
-			return nil, fmt.Errorf("tuning: %s: %w", c, err)
-		}
-		restricted := got.Filter(func(corr mapping.Correspondence) bool {
-			return covered[corr.Domain]
-		})
-		outcomes = append(outcomes, Outcome{Candidate: c, Result: eval.Compare(restricted, training)})
+		outcomes = append(outcomes, Outcome{Candidate: c, Result: eval.Compare(mapping.Threshold{T: c.Threshold}.Apply(kept), training)})
 	}
 	sort.SliceStable(outcomes, func(i, j int) bool {
 		if outcomes[i].Result.F1 != outcomes[j].Result.F1 {

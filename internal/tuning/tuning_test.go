@@ -1,10 +1,14 @@
 package tuning
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/mapping"
+	"repro/internal/match"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -94,6 +98,77 @@ func TestGridSearchPartialTraining(t *testing.T) {
 	// Uncovered domain objects must not count as false positives.
 	if outcomes[0].Result.FalsePos > 1 {
 		t.Errorf("partial training should limit counted pairs, got %+v", outcomes[0].Result)
+	}
+}
+
+// gridSearchPerCandidate is the search GridSearch must equal: one match of
+// the cross product per candidate, at the candidate's own threshold.
+func gridSearchPerCandidate(t *testing.T, space Space, a, b *model.ObjectSet, training *mapping.Mapping) []Outcome {
+	t.Helper()
+	cands, err := space.Candidates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := make(map[model.ID]bool)
+	for _, id := range training.DomainIDs() {
+		covered[id] = true
+	}
+	var outcomes []Outcome
+	for _, c := range cands {
+		got, err := (&match.Attribute{AttrA: c.AttrA, AttrB: c.AttrB, Sim: c.Sim, Threshold: c.Threshold}).Match(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restricted := got.Filter(func(corr mapping.Correspondence) bool { return covered[corr.Domain] })
+		outcomes = append(outcomes, Outcome{Candidate: c, Result: eval.Compare(restricted, training)})
+	}
+	sort.SliceStable(outcomes, func(i, j int) bool {
+		if outcomes[i].Result.F1 != outcomes[j].Result.F1 {
+			return outcomes[i].Result.F1 > outcomes[j].Result.F1
+		}
+		return outcomes[i].Result.Precision > outcomes[j].Result.Precision
+	})
+	return outcomes
+}
+
+// TestGridSearchMatchesPerCandidateSearch pins the shared scoring: deriving
+// a configuration's thresholds from one match at its lowest gives the
+// outcomes, in the order, of matching once per candidate — for measures that
+// prune below the threshold (Trigram, Levenshtein, TokenJaccard) and one
+// that does not, with partial training, and whether or not the grid lists
+// its thresholds in ascending order.
+func TestGridSearchMatchesPerCandidateSearch(t *testing.T) {
+	a, b, perfect := tuningFixture()
+	partial := mapping.NewSame(dblpPub, acmPub)
+	for i, c := range perfect.Correspondences() {
+		if i%2 == 0 {
+			partial.Add(c.Domain, c.Range, 1)
+		}
+	}
+	for _, thresholds := range [][]float64{{0.3, 0.5, 0.8, 0.95}, {0.8, 0.3, 0.95, 0.5}, {0.9, 0.9, 0}} {
+		for _, training := range []*mapping.Mapping{perfect, partial} {
+			space := Space{
+				AttrPairs:  [][2]string{{"title", "title"}, {"year", "year"}, {"title", "year"}},
+				SimNames:   []string{"Trigram", "Levenshtein", "TokenJaccard", "JaroWinkler"},
+				Thresholds: thresholds,
+			}
+			got, err := GridSearch(space, a, b, training)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := gridSearchPerCandidate(t, space, a, b, training)
+			// Funcs are never DeepEqual; SimName names the measure.
+			for i := range got {
+				got[i].Candidate.Sim = nil
+			}
+			for i := range want {
+				want[i].Candidate.Sim = nil
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("thresholds %v, %d training pairs: outcomes differ from one match per candidate\n got %+v\nwant %+v",
+					thresholds, training.Len(), got, want)
+			}
+		}
 	}
 }
 

@@ -68,17 +68,27 @@
 //
 // # Streaming match pipeline
 //
-// Candidate generation and scoring form a streaming pipeline: every
-// Blocker exposes PairsEach, which visits the candidate pairs one at a
-// time (Pairs remains as a materializing wrapper), and the attribute
-// matchers drain that stream through a bounded worker pipeline that keeps
-// only above-threshold correspondences. The candidate set — potentially
-// O(n·m) pairs — never exists in memory as a whole; a match's footprint is
-// the O(n+m) profile columns (dense arrays keyed by ObjectSet.IndexOf
-// ordinals) plus the kept correspondences. Results are bit-identical
-// to the materialized path, including mapping insertion order, at any
-// worker count. The workflow Engine can push one Workers setting through
-// every matcher of a workflow (ConfigurableWorkers).
+// Candidate generation and scoring are one kernel (match.blockScore) that
+// every attribute matcher scores through. CrossProduct and TokenBlocking
+// stream A-major — all candidates of one domain instance, range ordinals
+// ascending, before any of the next — so besides PairsEach (one id pair at
+// a time; Pairs remains as a materializing wrapper) they expose a range
+// probe over ordinals (block.RangeBlocker). The kernel builds what a match
+// shares once — token columns, the index over the range input, the O(n+m)
+// profile columns keyed by ObjectSet.IndexOf ordinals — cuts the domain
+// ordinals into contiguous ranges of near-equal probe cost (par.SplitBy)
+// and runs probe → score → keep for each range on one goroutine, appending
+// kept correspondences to pointer-free (dom, rng, sim) columns. Ranges
+// concatenated in order are the blocker's stream order — no hand-off, no
+// sequence number, no sort — and bulk-load into the result
+// (mapping.FromColumns). The candidate set, potentially O(n·m) pairs, never
+// exists in memory as a whole, and results are bit-identical to scoring the
+// materialized pair list, mapping insertion order included, at any worker
+// count. A blocker without the range probe (SortedNeighborhood, whose
+// window order is not A-major; one of your own, which may repeat pairs or
+// name unknown ids) is scored by the same loop as one stream of ids. The
+// workflow Engine can push one Workers setting through every matcher of a
+// workflow (ConfigurableWorkers).
 //
 // # Online resolution
 //
@@ -205,8 +215,8 @@
 //     "score" (the fused candidate probe-and-score loop); candidate and
 //     match counters plus add/remove/compaction totals and a resident
 //     instances gauge ride along.
-//   - moma_match_*: the batch streaming pipeline — scored pairs, kept
-//     correspondences, batches, worker queue wait.
+//   - moma_match_*: the batch match kernel — candidate pairs considered,
+//     kept, and stopped early by a floor; flushed once per range.
 //   - moma_mapping_*: the mapping operators —
 //     moma_mapping_op_seconds{op=,workers=} times whole compose/merge/
 //     select invocations per configured worker cap, and
@@ -352,8 +362,8 @@
 //
 // BenchmarkAttributeMatcherBlockedUnprofiled pins the pre-profile baseline
 // (the measure hidden behind a closure); BenchmarkAttributeMatcherBlocked
-// runs the same match on the profiled streaming path, and
-// BenchmarkAttributeMatcherStreamWorkers scales the worker count. Set
+// runs the same match on the profiled path, and
+// BenchmarkAttributeMatcherKernelWorkers scales the kernel's worker count. Set
 // MOMA_BENCH_SCALE=paper to run the table benchmarks at the paper's full
 // scale. BenchmarkResolve and BenchmarkResolveParallel cover the online
 // path: single-record resolution against a warm 10k-instance resolver,
