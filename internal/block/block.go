@@ -13,7 +13,6 @@ package block
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/index"
@@ -144,7 +143,7 @@ type colKind int
 const (
 	colTokens colKind = iota // Tokens: the interned token column
 	colNorm                  // []string: sim.Normalize of every value
-	colIndex                 // *tokenIndex over the token column
+	colIndex                 // *index.Ords over the token column
 )
 
 // Invalidated counts a column the store dropped because its set changed.
@@ -177,26 +176,6 @@ func tokenColumn(set *model.ObjectSet, attr string) Tokens {
 	})
 }
 
-// tokenIndex is the inverted index over one token column plus each token's
-// posting length, which prices a probe before it runs.
-type tokenIndex struct {
-	ords *index.Ords
-	df   map[uint32]int32
-}
-
-func buildTokenIndex(col Tokens) *tokenIndex {
-	ix := &tokenIndex{ords: index.NewOrds(), df: make(map[uint32]int32)}
-	for ord, toks := range col {
-		ix.ords.Add(ord, toks)
-		for i, tok := range toks {
-			if !slices.Contains(toks[:i], tok) {
-				ix.df[tok]++
-			}
-		}
-	}
-	return ix
-}
-
 // PairsEach implements Blocker. Candidates stream in ascending B-ordinal
 // order (the range set's insertion order) within each A instance.
 func (t TokenBlocking) PairsEach(a, b *model.ObjectSet, yield func(Pair) bool) {
@@ -210,15 +189,21 @@ func (t TokenBlocking) PairsEach(a, b *model.ObjectSet, yield func(Pair) bool) {
 func (t TokenBlocking) Probe(a, b *model.ObjectSet) RangeProbe {
 	colA, colB := tokenColumn(a, t.AttrA), tokenColumn(b, t.AttrB)
 	return tokenProbe{
-		colA:      colA,
-		ix:        column(b, colIndex, t.AttrB, func() *tokenIndex { return buildTokenIndex(colB) }),
+		colA: colA,
+		ix: column(b, colIndex, t.AttrB, func() *index.Ords {
+			ix := index.NewOrds()
+			for ord, toks := range colB {
+				ix.Add(ord, toks)
+			}
+			return ix
+		}),
 		minShared: max(t.MinShared, 1),
 	}
 }
 
 type tokenProbe struct {
 	colA      Tokens
-	ix        *tokenIndex
+	ix        *index.Ords
 	minShared int
 }
 
@@ -227,7 +212,7 @@ type tokenProbe struct {
 func (p tokenProbe) Cost(ordA int) int {
 	cost := 0
 	for _, tok := range p.colA[ordA] {
-		cost += int(p.ix.df[tok])
+		cost += p.ix.PostingLen(tok)
 	}
 	return cost
 }
@@ -236,7 +221,7 @@ func (p tokenProbe) PairsRange(lo, hi int, yield func(ordA, ordB int) bool) {
 	stopped := false
 	for ordA := lo; ordA < hi && !stopped; ordA++ {
 		if toks := p.colA[ordA]; len(toks) > 0 {
-			p.ix.ords.EachCandidate(toks, p.minShared, func(ordB int) bool {
+			p.ix.EachCandidate(toks, p.minShared, func(ordB int) bool {
 				stopped = !yield(ordA, ordB)
 				return !stopped
 			})

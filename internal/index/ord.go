@@ -22,18 +22,23 @@ package index
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
 )
 
-// Ords is an inverted index over dense document ordinals. The zero value is
-// not usable; call NewOrds. Methods are not safe for concurrent use; callers
-// that share an Ords across goroutines (the live Resolver) synchronize
-// around it (EachCandidate is read-only and safe under a shared read lock).
+// Ords is an inverted index over dense document ordinals — a probe's scratch
+// is sized by the largest ordinal ever added, so ordinals should count up
+// from 0 without large gaps. The zero value is not usable; call NewOrds.
+// Methods are not safe for concurrent use; callers that share an Ords (the
+// live Resolver) synchronize around it (EachCandidate is read-only and safe
+// under a shared read lock).
 type Ords struct {
 	postings map[uint32][]int32
 	docs     int
+	slots    int // one past the largest ordinal ever added; Remove never lowers it
 }
 
 // NewOrds returns an empty ordinal index.
@@ -47,22 +52,24 @@ func (x *Ords) Docs() int { return x.docs }
 // Terms returns the number of distinct tokens with at least one posting.
 func (x *Ords) Terms() int { return len(x.postings) }
 
+// PostingLen returns the number of documents indexed under tok.
+func (x *Ords) PostingLen(tok uint32) int { return len(x.postings[tok]) }
+
 // Add indexes the document with the given ordinal under the distinct term
 // IDs of toks. Posting lists stay sorted: appends are O(1) for monotonically
 // increasing ordinals (the common case — set iteration order, resolver slot
 // allocation order) and fall back to a binary-search insert otherwise.
 // Adding an ordinal that is already present under a token is a no-op for
-// that token, so re-adding a document with its previous tokens is harmless.
+// that token, so a token repeated in toks counts once and re-adding a
+// document with its previous tokens is harmless.
 func (x *Ords) Add(ord int, toks []uint32) {
 	if len(toks) == 0 {
 		return
 	}
+	x.slots = max(x.slots, ord+1)
 	o := int32(ord)
 	added := false
-	for i, tok := range toks {
-		if seenBefore(toks, i) {
-			continue
-		}
+	for _, tok := range toks {
 		list := x.postings[tok]
 		if n := len(list); n == 0 || list[n-1] < o {
 			x.postings[tok] = append(list, o)
@@ -86,17 +93,15 @@ func (x *Ords) Add(ord int, toks []uint32) {
 
 // Remove deletes the document's postings. toks must be the token slice the
 // ordinal was added with (callers keep it; the live Resolver stores one
-// token slice per slot anyway, for exactly this purpose).
+// token slice per slot anyway, for exactly this purpose). A token repeated
+// in toks finds its posting gone the second time.
 func (x *Ords) Remove(ord int, toks []uint32) {
 	if len(toks) == 0 {
 		return
 	}
 	o := int32(ord)
 	removed := false
-	for i, tok := range toks {
-		if seenBefore(toks, i) {
-			continue
-		}
+	for _, tok := range toks {
 		list := x.postings[tok]
 		at := sort.Search(len(list), func(i int) bool { return list[i] >= o })
 		if at >= len(list) || list[at] != o {
@@ -115,56 +120,74 @@ func (x *Ords) Remove(ord int, toks []uint32) {
 	}
 }
 
-// probe is the working memory of one EachCandidate call: the posting lists
-// the query's tokens hit and the gathered entries of the shorter ones.
+// probe is the working memory of one EachCandidate call; cnt and seen are
+// all-zero between probes.
 type probe struct {
-	lists [][]int32
-	hits  []int32
+	toks  []uint32  // the query's distinct tokens
+	lists [][]int32 // the posting lists they hit
+	cnt   []uint16  // saturating: gathered lists holding the ordinal
+	seen  []uint64  // bit o is set when cnt[o] was touched
 }
 
-// probePool recycles the per-probe buffers: a warm probe allocates nothing,
-// which keeps EachCandidate's footprint flat however large the index grows.
+// probePool recycles the per-probe scratch: a warm probe allocates nothing.
 var probePool = sync.Pool{New: func() any { return new(probe) }}
 
 // EachCandidate streams the ordinals of documents sharing at least minShared
 // distinct tokens with toks, in ascending ordinal order, stopping early when
-// yield returns false. Per probe, memory is proportional to the number of
-// posting entries gathered — independent of the index size — and served from
-// a pool, so a warm resolver answers queries without set-sized allocations.
-// TestEachCandidateZeroAllocs pins the warm probe at zero heap allocations.
+// yield returns false. The scratch comes from a pool and holds 2 bytes + 1
+// bit per slot of the largest index it has served (≈ 212 KB at 100 000
+// slots, per goroutine probing at once); a warm probe allocates nothing,
+// which TestEachCandidateZeroAllocs pins. Counts saturate at 65 535; a larger
+// minShared is served as that.
 //
-// A document found in none but minShared-1 of the lists shares too few tokens
-// to be a candidate, so up to that many lists need not be gathered: the
-// entries of the others are sorted into runs (a document sharing k of their
-// tokens appears k times), and a run short of minShared is looked up in the
-// lists set aside, which the ascending runs walk through once. A list is set
-// aside when it is longer than all the shorter lists together — then the
-// lookups are fewer than the entries they save from the sort. On a vocabulary
-// where one token of a query is in a quarter of all documents and the rest
-// are rare, that is the difference between sorting the quarter and sorting
-// the rest; lists of like length are all gathered, as before.
+// The posting lists of the query's distinct tokens are counted into the
+// scratch, and one ascending walk over the touched bits yields the ordinals
+// counted often enough, zeroing as it goes — an early stop or a panic in
+// yield zeroes the rest. A document found in none but minShared-1 of the
+// lists shares too few tokens to be a candidate, so up to that many lists
+// need not be counted: an ordinal short of minShared is looked up in the
+// lists set aside, which the ascending walk goes through once. A list is set
+// aside when it is over four times as long as all the shorter lists together
+// — a lookup costs about what counting and walking four entries does.
 //
 //moma:noalloc
 func (x *Ords) EachCandidate(toks []uint32, minShared int, yield func(ord int) bool) {
-	if minShared < 1 {
-		minShared = 1
-	}
+	minShared = max(minShared, 1)
 	pb := probePool.Get().(*probe)
-	lists, hits := pb.lists[:0], pb.hits[:0]
+	//moma:cold the query outgrew the scratch, which grows once to the longest it has served
+	if cap(pb.toks) < len(toks) {
+		pb.toks, pb.lists = make([]uint32, len(toks)), make([][]int32, len(toks))
+	}
+	//moma:cold the index outgrew the scratch; the headroom keeps an index growing slot by slot from regrowing it per probe, and fresh counters are as zero as the ones they replace
+	if len(pb.cnt) < x.slots {
+		n := x.slots + x.slots/4
+		pb.cnt, pb.seen = make([]uint16, n), make([]uint64, (n+63)/64)
+	}
+	lists, cnt, seen := pb.lists[:0], pb.cnt, pb.seen[:(x.slots+63)/64]
+	w := len(seen) // the scratch is zero below word w: all of it until the count, what the walk has passed after
 	//moma:noalloc-ok the cleanup closure is stack-allocated: open-coded defer, nothing retains it
 	defer func() {
+		for ; w < len(seen); w++ {
+			for word := seen[w]; word != 0; word &= word - 1 {
+				cnt[w<<6|bits.TrailingZeros64(word)] = 0
+			}
+			seen[w] = 0
+		}
 		clear(lists) // the pool must not pin posting lists
-		pb.lists, pb.hits = lists[:0], hits[:0]
 		probePool.Put(pb)
 	}()
-	for i, tok := range toks {
-		if list := x.postings[tok]; len(list) > 0 && !seenBefore(toks, i) {
-			lists = append(lists, list) //moma:noalloc-ok appends into the pooled buffer; grows once to the probe high-water mark
+	distinct := pb.toks[:copy(pb.toks[:len(toks)], toks)]
+	slices.Sort(distinct)
+	for _, tok := range slices.Compact(distinct) {
+		if list := x.postings[tok]; len(list) > 0 {
+			lists = lists[:len(lists)+1]
+			lists[len(lists)-1] = list
 		}
 	}
 	if len(lists) < minShared {
 		return
 	}
+	minShared = min(minShared, math.MaxUint16)
 	gather := 0
 	for _, list := range lists {
 		gather += len(list)
@@ -176,33 +199,37 @@ func (x *Ords) EachCandidate(toks []uint32, minShared int, yield func(ord int) b
 				lists[long], lists[j] = lists[j], lists[long]
 			}
 		}
-		if 2*len(lists[long]) <= gather {
+		if len(lists[long]) <= 4*(gather-len(lists[long])) {
 			break
 		}
 		gather -= len(lists[long])
 	}
+	w = 0
 	for _, list := range lists[long:] {
-		hits = append(hits, list...) //moma:noalloc-ok appends into the pooled buffer; grows once to the probe high-water mark
-	}
-	slices.Sort(hits)
-	for i := 0; i < len(hits); {
-		ord := hits[i]
-		j := i + 1
-		for j < len(hits) && hits[j] == ord {
-			j++
+		for _, o := range list {
+			n := uint32(cnt[o]) + 1
+			cnt[o] = uint16(n - n>>16)
+			seen[o>>6] |= 1 << (o & 63)
 		}
-		shared := j - i
-		for l := 0; l < long && shared < minShared; l++ {
-			lists[l] = seek(lists[l], ord)
-			if len(lists[l]) > 0 && lists[l][0] == ord {
-				shared++
+	}
+	for i, word := range seen {
+		for w = i; word != 0; word &= word - 1 {
+			ord := int32(i<<6 | bits.TrailingZeros64(word))
+			shared := int(cnt[ord])
+			cnt[ord] = 0
+			for l := 0; l < long && shared < minShared; l++ {
+				lists[l] = seek(lists[l], ord)
+				if len(lists[l]) > 0 && lists[l][0] == ord {
+					shared++
+				}
+			}
+			if shared >= minShared && !yield(int(ord)) {
+				return
 			}
 		}
-		if shared >= minShared && !yield(int(ord)) {
-			return
-		}
-		i = j
+		seen[i] = 0
 	}
+	w = len(seen)
 }
 
 // seek returns the tail of a sorted posting list from its first entry >= ord
@@ -218,17 +245,6 @@ func seek(list []int32, ord int32) []int32 {
 	lo := bound / 2
 	at, _ := slices.BinarySearch(list[lo:min(bound, len(list))], ord)
 	return list[lo+at:]
-}
-
-// seenBefore reports whether toks[i] occurred earlier in toks — an
-// allocation-free dedup for the short token slices of blocking attributes.
-func seenBefore(toks []uint32, i int) bool {
-	for _, prev := range toks[:i] {
-		if prev == toks[i] {
-			return true
-		}
-	}
-	return false
 }
 
 // String summarizes the index.

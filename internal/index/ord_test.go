@@ -1,9 +1,11 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/race"
@@ -27,7 +29,7 @@ func sharing(docToks [][]uint32, q []uint32, minShared int) []int {
 	for d, toks := range docToks {
 		shared := 0
 		for i, tok := range q {
-			if !seenBefore(q, i) && slices.Contains(toks, tok) {
+			if !slices.Contains(q[:i], tok) && slices.Contains(toks, tok) {
 				shared++
 			}
 		}
@@ -202,17 +204,20 @@ func TestOrdsRealTokens(t *testing.T) {
 	}
 }
 
-// TestEachCandidateZeroAllocs pins EachCandidate's pooled-buffer contract:
-// once the hit buffer has grown to the probe's high-water mark, a candidate
-// probe performs zero heap allocations — including the yield closure, which
-// must stay stack-allocated.
+// TestEachCandidateZeroAllocs pins EachCandidate's pooled-scratch contract:
+// once the scratch fits the index and the query, a candidate probe performs
+// zero heap allocations — including the yield closure, which must stay
+// stack-allocated — and an index that has grown since costs one growth of
+// the scratch, then zero again.
 func TestEachCandidateZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	x := NewOrds()
-	for i := 0; i < 500; i++ {
-		x.Add(i, []uint32{uint32(i % 7), uint32(i % 11), uint32(i % 13), 99})
+	grow := func(to int) {
+		for i := x.slots; i < to; i++ {
+			x.Add(i, []uint32{uint32(i % 7), uint32(i % 11), uint32(i % 13), 99})
+		}
 	}
 	toks := []uint32{3, 5, 99, 99}
 	n := 0
@@ -223,10 +228,231 @@ func TestEachCandidateZeroAllocs(t *testing.T) {
 			return true
 		})
 	}
-	if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
-		t.Errorf("EachCandidate allocates %.0f times per run, want 0", allocs)
+	for _, size := range []int{500, 5000} {
+		grow(size)
+		probe() // the one growth: AllocsPerRun's own warm-up call would hide it
+		if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
+			t.Errorf("%d slots: EachCandidate allocates %.0f times per run, want 0", size, allocs)
+		}
+		if n == 0 {
+			t.Fatal("probe matched nothing; fixture broken")
+		}
 	}
-	if n == 0 {
-		t.Fatal("probe matched nothing; fixture broken")
+	// Slot-by-slot growth, the live resolver's: the scratch's headroom must
+	// absorb it, not regrow per probe.
+	grows := testing.AllocsPerRun(200, func() {
+		grow(x.slots + 1)
+		probe()
+	})
+	if grows > 1 { // Add's own appends average well under one allocation
+		t.Errorf("a probe after every added slot allocates %.2f times per run: the scratch regrows per probe", grows)
 	}
+}
+
+// scratchIsZero checks the invariant every probe relies on, on the scratch
+// the pool hands out next: all counters and touched bits zero.
+func scratchIsZero(t *testing.T, when string) {
+	t.Helper()
+	pb := probePool.Get().(*probe)
+	defer probePool.Put(pb)
+	for o, c := range pb.cnt {
+		if c != 0 {
+			t.Fatalf("%s: pooled scratch holds count %d at ordinal %d", when, c, o)
+		}
+	}
+	for w, word := range pb.seen {
+		if word != 0 {
+			t.Fatalf("%s: pooled scratch holds touched bits %#x in word %d", when, word, w)
+		}
+	}
+}
+
+// FuzzEachCandidateMatchesCount expands a byte string into adds (in and out
+// of ordinal order, replacing), removes, a query with repeated and unknown
+// tokens, minShared 1-4 and an optional early stop, and checks the yielded
+// sequence against the direct count — also for the probe right after an
+// early stop and after a recovered panic in yield, when the scratch must be
+// as zero as after a complete walk.
+func FuzzEachCandidateMatchesCount(f *testing.F) {
+	f.Add([]byte{6,
+		1, 5, 2, 1, 2, 3, // add 5: 1 2 3
+		1, 3, 1, 1, 2, // add 3: 1 2
+		1, 9, 2, 2, 3, 4, // add 9: 2 3 4
+		1, 1, 0, 1, // add 1: 1, out of ordinal order
+		0, 3, // remove 3
+		1, 150, 3, 1, 2, 3, 4, // add 150: 1 2 3 4
+		5, 1, 2, 2, 13, 3, // query 1 2 2 13 3: a repeat and an unknown
+		1, 1}) // minShared 2, stop after 1 of 3
+	skewed := []byte{40} // token 0 in every document, two rarer ones each: a list set aside
+	for d := byte(0); d < 40; d++ {
+		skewed = append(skewed, 1, 7*d, 2, 0, 1+d%5, 6+d%3)
+	}
+	f.Add(append(skewed, 4, 0, 2, 7, 0, 2, 3)) // query 0 2 7 0, minShared 3, stop after 3
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		x := NewOrds()
+		docToks := make([][]uint32, 200)
+		for ops := next() % 64; ops > 0; ops-- {
+			op, ord := next(), next()%len(docToks)
+			x.Remove(ord, docToks[ord])
+			docToks[ord] = nil
+			if op%4 > 0 {
+				toks := make([]uint32, 1+next()%6)
+				for i := range toks {
+					toks[i] = uint32(next() % 12)
+				}
+				docToks[ord] = toks
+				x.Add(ord, toks)
+			}
+		}
+		q := make([]uint32, next()%10)
+		for i := range q {
+			q[i] = uint32(next() % 16) // 12-15 are in no document
+		}
+		minShared, stopAfter := 1+next()%4, next()%8
+		want := sharing(docToks, q, minShared)
+		if got := collectOrds(x, q, minShared); !slices.Equal(got, want) {
+			t.Fatalf("query %v minShared=%d:\n got %v\nwant %v", q, minShared, got, want)
+		}
+		if stopAfter > 0 && stopAfter < len(want) {
+			var first []int
+			x.EachCandidate(q, minShared, func(ord int) bool {
+				first = append(first, ord)
+				return len(first) < stopAfter
+			})
+			if !slices.Equal(first, want[:stopAfter]) {
+				t.Fatalf("query %v minShared=%d stopped after %d with %v, want %v", q, minShared, stopAfter, first, want[:stopAfter])
+			}
+			scratchIsZero(t, "after an early stop")
+		}
+		func() {
+			defer func() { _ = recover() }()
+			x.EachCandidate(q, minShared, func(int) bool { panic("yield") })
+		}()
+		scratchIsZero(t, "after a panic in yield")
+		if got := collectOrds(x, q, minShared); !slices.Equal(got, want) {
+			t.Fatalf("query %v minShared=%d after a stop and a panic:\n got %v\nwant %v", q, minShared, got, want)
+		}
+	})
+}
+
+// TestEachCandidateDedupsLongQueries is the regression test of the quadratic
+// token dedup: 200 000 query tokens, each of 40 000 terms five times, probe
+// like the 40 000 distinct ones (and in well under the second the quadratic
+// scan took).
+func TestEachCandidateDedupsLongQueries(t *testing.T) {
+	const terms = 40000
+	x := NewOrds()
+	for d := 0; d < 2000; d++ {
+		x.Add(d, []uint32{uint32(d), uint32(d + 1), uint32(terms + d%3)})
+	}
+	distinct := make([]uint32, terms)
+	for i := range distinct {
+		distinct[i] = uint32(i)
+	}
+	var repeated []uint32
+	for r := 0; r < 5; r++ {
+		repeated = append(repeated, distinct...)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(repeated), func(i, j int) { repeated[i], repeated[j] = repeated[j], repeated[i] })
+	for minShared := 1; minShared <= 3; minShared++ {
+		want := collectOrds(x, distinct, minShared)
+		if got := collectOrds(x, repeated, minShared); !slices.Equal(got, want) {
+			t.Fatalf("minShared=%d: the repeated query yields %d ordinals, the distinct one %d", minShared, len(got), len(want))
+		}
+		if wantLen := []int{2000, 2000, 0}[minShared-1]; len(want) != wantLen {
+			t.Fatalf("minShared=%d: %d candidates, want %d; fixture broken", minShared, len(want), wantLen)
+		}
+	}
+	// Add and Remove take the same slices: a repeated token is indexed once.
+	y := NewOrds()
+	y.Add(0, repeated)
+	if y.Docs() != 1 || y.PostingLen(7) != 1 {
+		t.Fatalf("after Add of repeated tokens: docs %d, postings of one token %d, want 1 and 1", y.Docs(), y.PostingLen(7))
+	}
+	y.Remove(0, repeated)
+	if y.Docs() != 0 || y.Terms() != 0 {
+		t.Fatalf("after Remove of repeated tokens: docs %d, terms %d, want 0 and 0", y.Docs(), y.Terms())
+	}
+}
+
+// TestEachCandidateCountSaturates probes with more posting lists than a
+// counter can count: a document in all of them must not wrap to a small
+// count, at the counter's maximum and just past it.
+func TestEachCandidateCountSaturates(t *testing.T) {
+	for _, lists := range []int{math.MaxUint16, math.MaxUint16 + 1, math.MaxUint16 + 3} {
+		toks := make([]uint32, lists)
+		for i := range toks {
+			toks[i] = uint32(i)
+		}
+		x := NewOrds()
+		x.Add(0, toks)
+		x.Add(1, toks[:2])
+		x.Add(2, toks[5:6])
+		for minShared, want := range map[int][]int{1: {0, 1, 2}, 2: {0, 1}, 3: {0}, math.MaxUint16: {0}, math.MaxUint16 + 9: nil} {
+			if got := collectOrds(x, toks, minShared); !slices.Equal(got, want) {
+				t.Errorf("%d lists, minShared=%d: got %v, want %v", lists, minShared, got, want)
+			}
+		}
+		scratchIsZero(t, "after saturated counts")
+	}
+}
+
+// TestEachCandidateSmallIndexAfterLarge probes a small index with a scratch
+// the pool last sized for a large one: the walk must stay within the small
+// index's slots and leave the rest of the scratch alone.
+func TestEachCandidateSmallIndexAfterLarge(t *testing.T) {
+	large, small := NewOrds(), NewOrds()
+	for d := 0; d < 10000; d++ {
+		large.Add(d, []uint32{1, uint32(2 + d%5)})
+	}
+	small.Add(0, []uint32{1, 2})
+	small.Add(2, []uint32{1, 3})
+	for round := 0; round < 3; round++ {
+		if got := collectOrds(large, []uint32{1, 2}, 2); len(got) != 2000 {
+			t.Fatalf("large index: %d candidates, want 2000", len(got))
+		}
+		if got := collectOrds(small, []uint32{1, 2, 3}, 2); !slices.Equal(got, []int{0, 2}) {
+			t.Fatalf("small index after a large one: got %v, want [0 2]", got)
+		}
+		scratchIsZero(t, "after a small index followed a large one")
+	}
+}
+
+// TestEachCandidateConcurrentProbes probes one index from many goroutines at
+// once, as resolvers do under a shared read lock: each goroutine's pooled
+// scratch is its own, so every probe is exact (and -race stays silent).
+func TestEachCandidateConcurrentProbes(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	x := NewOrds()
+	docToks := make([][]uint32, 3000)
+	for d := range docToks {
+		docToks[d] = []uint32{0, uint32(1 + rng.Intn(40)), uint32(1 + rng.Intn(40)), uint32(1 + rng.Intn(40))}
+		x.Add(d, docToks[d])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		q := []uint32{0, uint32(1 + rng.Intn(40)), uint32(1 + rng.Intn(40)), uint32(1 + rng.Intn(40)), 99}
+		minShared := 1 + g%3
+		want := sharing(docToks, q, minShared)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if got := collectOrds(x, q, minShared); !slices.Equal(got, want) {
+					t.Errorf("concurrent probe %v minShared=%d: %d candidates, want %d", q, minShared, len(got), len(want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

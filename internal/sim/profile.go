@@ -17,9 +17,11 @@ package sim
 // pruned). A floor may therefore only ever be conservative — at or below
 // what the caller really needs, 0 for "always the exact score" — and a
 // measure is free to ignore it: the set measures (n-gram and token Dice and
-// Jaccard) turn it into a size filter and a bounded merge, Levenshtein into
-// a length filter, the rest compute the score regardless. Weighted carries
-// the floor through a weighted mean of several columns.
+// Jaccard) turn it into a size filter, a signature filter and a bounded
+// merge, Levenshtein into a length filter, the rest compute the score
+// regardless. Every filter is exact — it rejects only pairs whose score is
+// below the floor. Weighted carries the floor through a weighted mean of
+// several columns.
 //
 // ProfileInto is the only way a profile is built. It appends into the slices
 // the Profile already owns and takes its working memory from a Scratch, so a
@@ -34,6 +36,7 @@ package sim
 // nothing.
 
 import (
+	"math/bits"
 	"reflect"
 	"slices"
 	"strings"
@@ -64,6 +67,8 @@ type Profile struct {
 	// Grams is the sorted, deduplicated FNV-1a hash set of the padded
 	// character n-grams (n fixed by the producing measure).
 	Grams []uint64
+	// sig is the signature of whichever of the two sets above p holds.
+	sig signature
 	// TermIDs/TermKeys/Weights is the TF-IDF document vector: term IDs
 	// (Terms dict) with their content keys (Dict.Key), sorted by key, and
 	// the aligned tf-idf weights; WeightNorm2 is the squared Euclidean
@@ -88,6 +93,33 @@ type Profile struct {
 func (p *Profile) reset(s string) {
 	*p = Profile{Raw: s, Runes: p.Runes[:0], SortedTokenIDs: p.SortedTokenIDs[:0], Grams: p.Grams[:0],
 		TermIDs: p.TermIDs[:0], TermKeys: p.TermKeys[:0], Weights: p.Weights[:0]}
+}
+
+// signature is a 128-bit bitmap of a set: each element sets the one bit a
+// mixed hash of it selects. A bit set in A's signature and not in B's is an
+// element of A that B lacks, and distinct such bits are distinct elements, so
+// |A| minus their count bounds |A∩B| from above.
+type signature [1 << sigLog / 64]uint64
+
+const sigLog = 7 // log2 of the signature width
+
+// signatureOf builds the signature of a set of hashes or term IDs. The
+// Fibonacci multiplier spreads dense small IDs and FNV hashes alike over the
+// top bits, which select the bit.
+func signatureOf[T uint32 | uint64](set []T) (sig signature) {
+	for _, x := range set {
+		bit := uint64(x) * 0x9E3779B97F4A7C15 >> (64 - sigLog)
+		sig[bit>>6] |= 1 << (bit & 63)
+	}
+	return sig
+}
+
+// lacking counts the bits of s that o lacks.
+func (s *signature) lacking(o *signature) (n int) {
+	for i := range s {
+		n += bits.OnesCount64(s[i] &^ o[i])
+	}
+	return n
 }
 
 // ProfiledSim is a similarity measure: a per-value profiling stage and a
@@ -291,6 +323,7 @@ func (g ngramProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
 	}
 	slices.Sort(grams)
 	p.Grams = slices.Compact(grams)
+	p.sig = signatureOf(p.Grams)
 }
 
 // Compare scores two gram sets by a merge-join over the sorted hashes, Dice
@@ -298,7 +331,7 @@ func (g ngramProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
 //
 //moma:noalloc
 func (g ngramProfiled) Compare(a, b *Profile, floor float64) float64 {
-	return setSim(a.Grams, b.Grams, len(a.Grams), len(b.Grams), g.dice, floor)
+	return setSim(a.Grams, b.Grams, &a.sig, &b.sig, len(a.Grams), len(b.Grams), g.dice, floor)
 }
 
 // --- token-set measures --------------------------------------------------
@@ -343,6 +376,7 @@ func (tokenProfiled) fill(s string, p *Profile, sc *Scratch) {
 	}
 	slices.Sort(ids[:k])
 	p.SortedTokenIDs = ids[:k]
+	p.sig = signatureOf(p.SortedTokenIDs)
 }
 
 // Compare scores two token-ID sets by a merge-join (setSim); unknown query
@@ -351,7 +385,7 @@ func (tokenProfiled) fill(s string, p *Profile, sc *Scratch) {
 //
 //moma:noalloc
 func (t tokenProfiled) Compare(a, b *Profile, floor float64) float64 {
-	return setSim(a.SortedTokenIDs, b.SortedTokenIDs,
+	return setSim(a.SortedTokenIDs, b.SortedTokenIDs, &a.sig, &b.sig,
 		len(a.SortedTokenIDs)+a.ExtraTokens, len(b.SortedTokenIDs)+b.ExtraTokens, t.dice, floor)
 }
 

@@ -161,11 +161,12 @@ const stopped = -1.0
 //
 // A positive floor bounds the work: need is an overlap no larger than the
 // least whose coefficient reaches floor, so sets too small to hold it are
-// rejected on their sizes alone and the merge stops once the elements left
-// cannot supply it.
+// rejected on their sizes alone, sets whose signatures sa and sb (both zero:
+// no information) show too many elements of one missing from the other on a
+// few words, and the merge of the rest stops once it cannot supply need.
 //
 //moma:noalloc
-func setSim[T cmp.Ordered](a, b []T, na, nb int, dice bool, floor float64) float64 {
+func setSim[T cmp.Ordered](a, b []T, sa, sb *signature, na, nb int, dice bool, floor float64) float64 {
 	if na == 0 && nb == 0 {
 		return 1
 	}
@@ -175,7 +176,7 @@ func setSim[T cmp.Ordered](a, b []T, na, nb int, dice bool, floor float64) float
 	need := 0
 	if floor > 0 {
 		need = minOverlap(na+nb, dice, floor)
-		if min(len(a), len(b)) < need {
+		if min(len(a), len(b)) < need || len(a)-sa.lacking(sb) < need || len(b)-sb.lacking(sa) < need {
 			return stopped
 		}
 	}

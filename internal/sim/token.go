@@ -19,7 +19,8 @@ func TokenDice(a, b string) float64 { return tokenSetSim(a, b, true) }
 func tokenSetSim(a, b string, dice bool) float64 {
 	ta := uniqueSorted(Tokens(a))
 	tb := uniqueSorted(Tokens(b))
-	return setSim(ta, tb, len(ta), len(tb), dice, 0)
+	var none signature // floor 0: nothing to reject
+	return setSim(ta, tb, &none, &none, len(ta), len(tb), dice, 0)
 }
 
 // YearExact returns 1 when both strings parse as the same integer year.

@@ -57,8 +57,9 @@
 // A matcher keeps only the pairs that reach its threshold, so Compare takes
 // a floor — the least score its caller still has a use for — and is exact
 // at or above it; below it a measure may stop as soon as the score is out of
-// reach (the Dice and Jaccard set measures reject on set sizes and abandon
-// the merge, Levenshtein rejects on lengths). AttributeMatcher passes its
+// reach (the Dice and Jaccard set measures reject on set sizes, then on the
+// 128-bit set signatures their profiles carry, and abandon the merge of what
+// is left; Levenshtein rejects on lengths). AttributeMatcher passes its
 // threshold; MultiAttributeMatcher and LiveResolver share sim.Weighted,
 // which derives each column's floor from the weights still to come. The
 // bounds are exact — results are bit-identical to scoring every pair in
@@ -74,7 +75,8 @@
 // ascending, before any of the next — so besides PairsEach (one id pair at
 // a time; Pairs remains as a materializing wrapper) they expose a range
 // probe over ordinals (block.RangeBlocker). The kernel builds what a match
-// shares once — token columns, the index over the range input, the O(n+m)
+// shares once — token columns, the index over the range input (a probe of
+// it counts posting entries per ordinal; nothing is sorted), the O(n+m)
 // profile columns keyed by ObjectSet.IndexOf ordinals — cuts the domain
 // ordinals into contiguous ranges of near-equal probe cost (par.SplitBy)
 // and runs probe → score → keep for each range on one goroutine, appending
