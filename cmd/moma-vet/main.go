@@ -8,16 +8,16 @@
 //
 // Usage:
 //
-//	moma-vet [-checks mapiter,dictgrowth,columns,guardedby,noalloc,workerpool,errsink] [-json] [packages]
+//	moma-vet [-json] [packages]
 //	moma-vet -suppressions [packages]
 //
-// Packages default to ./... resolved in the current directory. -json emits
-// one JSON object per finding (fields in fixed order: file, line, col,
-// analyzer, message) so CI can pipe the output through a GitHub Actions
-// problem matcher and annotate PR diffs inline. -suppressions lists every
-// //moma:*-ok and //moma:cold directive in the module — including test
-// files — with file:line and justification, so suppression debt is
-// auditable in review.
+// Every analyzer runs; -h lists them. Packages default to ./... resolved
+// in the current directory. -json emits one JSON object per finding
+// (fields in fixed order: file, line, col, analyzer, message) so CI can
+// pipe the output through a GitHub Actions problem matcher and annotate PR
+// diffs inline. -suppressions lists every //moma:*-ok directive in the
+// module — including test files — with file:line and justification, so
+// suppression debt is auditable in review.
 package main
 
 import (
@@ -25,31 +25,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/columns"
 	"repro/internal/analysis/dictgrowth"
 	"repro/internal/analysis/errsink"
-	"repro/internal/analysis/guardedby"
 	"repro/internal/analysis/mapiter"
-	"repro/internal/analysis/noalloc"
-	"repro/internal/analysis/workerpool"
 )
 
 var all = []*analysis.Analyzer{
 	mapiter.Analyzer,
 	dictgrowth.Analyzer,
-	columns.Analyzer,
-	guardedby.Analyzer,
-	noalloc.Analyzer,
-	workerpool.Analyzer,
 	errsink.Analyzer,
 }
 
 func main() {
-	checks := flag.String("checks", "", "comma-separated analyzer names to run (default: all)")
-	list := flag.Bool("list", false, "list available analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON lines (file, line, col, analyzer, message)")
 	suppressions := flag.Bool("suppressions", false, "list every suppression directive in the module and exit")
 	flag.Usage = func() {
@@ -60,13 +49,6 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *list {
-		for _, a := range all {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
 
 	dir, err := os.Getwd()
 	if err != nil {
@@ -93,15 +75,11 @@ func main() {
 		return
 	}
 
-	analyzers, err := selectAnalyzers(*checks)
-	if err != nil {
-		fatal(err)
-	}
 	fset, pkgs, err := analysis.Load(dir, flag.Args()...)
 	if err != nil {
 		fatal(err)
 	}
-	findings, err := analysis.Run(fset, pkgs, analyzers)
+	findings, err := analysis.Run(fset, pkgs, all)
 	if err != nil {
 		fatal(err)
 	}
@@ -146,31 +124,4 @@ func printJSON(f analysis.Finding) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "moma-vet:", err)
 	os.Exit(2)
-}
-
-// selectAnalyzers resolves the -checks flag against the registry.
-func selectAnalyzers(checks string) ([]*analysis.Analyzer, error) {
-	if checks == "" {
-		return all, nil
-	}
-	byName := make(map[string]*analysis.Analyzer)
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*analysis.Analyzer
-	for _, name := range strings.Split(checks, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q", name)
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no analyzers selected")
-	}
-	return out, nil
 }

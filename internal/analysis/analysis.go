@@ -1,6 +1,6 @@
 // Package analysis is a minimal, dependency-free reimplementation of the
 // core of golang.org/x/tools/go/analysis, plus a go-list-driven loader and
-// multichecker driver (run.go, load.go). The repository vendors no third
+// multichecker driver (load.go). The repository vendors no third
 // party modules, so the x/tools framework is unavailable; this package
 // keeps the same shape — Analyzer, Pass, Diagnostic, object Facts — so the
 // moma-vet analyzers read like stock go/analysis checkers and could be
@@ -9,10 +9,12 @@
 // The analyzers under internal/analysis/... machine-check the repository's
 // construction rules (see "Repo invariants" in the root package doc):
 // deterministic map iteration (mapiter), no interning on read paths
-// (dictgrowth), parallel-column discipline (columns) and mutex-guarded
-// field access (guardedby). Rules are declared as //moma:* comment
-// directives in the code they protect, so the invariants live next to the
-// code as checkable artifacts rather than as tribal knowledge.
+// (dictgrowth) and no dropped error from a durability call (errsink).
+// Rules are declared as //moma:* comment directives in the code they
+// protect, so the invariants live next to the code as checkable artifacts
+// rather than as tribal knowledge. Invariants a runtime test can hold —
+// allocation budgets, lock discipline, parallel columns, worker
+// partitioning — are held by tests instead (see "Repo invariants").
 package analysis
 
 import (

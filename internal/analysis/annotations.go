@@ -7,43 +7,18 @@ package analysis
 //	                               (seed of the dictgrowth call-graph walk)
 //	//moma:readpath                entry point that must never reach an
 //	                               interning API (dictgrowth checks it)
-//	//moma:parallel f1 f2 ...      (on a struct type) the named fields are
-//	                               parallel columns; any function changing
-//	                               one must change all (columns)
-//	//moma:locked mu [mu2 ...]     callers hold the named mutex(es); the
-//	                               function may touch fields guarded by
-//	                               them (guardedby)
-//	// guarded by mu               (on a struct field) reads and writes
-//	                               require the sibling mutex mu (guardedby)
-//	//moma:noalloc                 this function is a steady-state hot path:
-//	                               no heap allocation on any reachable path,
-//	                               transitively through the call graph
-//	                               (noalloc)
-//	//moma:cold why                (inside a noalloc function, on or above a
-//	                               statement) the statement subtree runs
-//	                               once or rarely — lazy init, first-call
-//	                               growth — and may allocate; the
-//	                               justification is mandatory (noalloc)
 //
 // and the per-analyzer suppressions, each of which MUST carry a one-line
 // justification (analyzers reject bare suppressions):
 //
 //	//moma:nondeterministic-ok why   (mapiter, on the range statement)
 //	//moma:dictgrowth-ok why         (dictgrowth, on a call site or func)
-//	//moma:columns-ok why            (columns, on a write site or func)
-//	//moma:guardedby-ok why          (guardedby, on an access site or func)
-//	//moma:noalloc-ok why            (noalloc, on an allocation site —
-//	                                 e.g. append into reused capacity, a
-//	                                 provably stack-allocated closure)
-//	//moma:workerpool-ok why         (workerpool, on the go statement or the
-//	                                 launching function)
 //	//moma:errsink-ok why            (errsink, on the dropped Close/Sync/
 //	                                 Flush/Encode call)
 //
 // Site-level directives go on the governed line or the line immediately
-// above it (DirectiveAt); function-level ones in the doc comment.
-// moma-vet -suppressions lists every suppression in the module with its
-// justification.
+// above it; function-level ones in the doc comment. moma-vet -suppressions
+// lists every suppression in the module with its justification.
 
 import (
 	"go/ast"
@@ -74,28 +49,17 @@ func parseDirective(c *ast.Comment) (Directive, bool) {
 	return Directive{Pos: c.Pos(), Name: name, Args: strings.TrimSpace(args)}, true
 }
 
-// DocDirectives returns the directives of a doc comment group with the
-// given name (all of them for name "").
-func DocDirectives(doc *ast.CommentGroup, name string) []Directive {
-	if doc == nil {
-		return nil
-	}
-	var out []Directive
-	for _, c := range doc.List {
-		if d, ok := parseDirective(c); ok && (name == "" || d.Name == name) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // DocDirective returns the first directive of the given name in doc.
 func DocDirective(doc *ast.CommentGroup, name string) (Directive, bool) {
-	ds := DocDirectives(doc, name)
-	if len(ds) == 0 {
+	if doc == nil {
 		return Directive{}, false
 	}
-	return ds[0], true
+	for _, c := range doc.List {
+		if d, ok := parseDirective(c); ok && d.Name == name {
+			return d, true
+		}
+	}
+	return Directive{}, false
 }
 
 // buildNotes indexes every //moma: directive of the pass's files by file
@@ -121,10 +85,10 @@ func (p *Pass) buildNotes() {
 	}
 }
 
-// DirectiveAt returns a directive of the given name on the same line as
+// directiveAt returns a directive of the given name on the same line as
 // pos or on the line immediately above it — the two idiomatic placements
 // for a site-level annotation.
-func (p *Pass) DirectiveAt(pos token.Pos, name string) (Directive, bool) {
+func (p *Pass) directiveAt(pos token.Pos, name string) (Directive, bool) {
 	if p.notes == nil {
 		p.buildNotes()
 	}
@@ -145,7 +109,7 @@ func (p *Pass) DirectiveAt(pos token.Pos, name string) (Directive, bool) {
 // suppression without a justification is itself reported (at the governed
 // site) — every remaining //moma:*-ok in the tree must say why it is safe.
 func (p *Pass) Suppressed(pos token.Pos, doc *ast.CommentGroup, name string) bool {
-	d, ok := p.DirectiveAt(pos, name)
+	d, ok := p.directiveAt(pos, name)
 	if !ok && doc != nil {
 		d, ok = DocDirective(doc, name)
 	}

@@ -1,4 +1,4 @@
-package callgraph
+package dictgrowth
 
 import (
 	"go/token"
@@ -12,37 +12,33 @@ func newFunc(name string) *types.Func {
 	return types.NewFunc(token.NoPos, nil, name, sig)
 }
 
-func node(fn *types.Func, callees ...*types.Func) *Node {
-	n := &Node{Fn: fn}
-	for _, c := range callees {
-		n.Calls = append(n.Calls, Site{Callee: c})
-	}
-	return n
+func newNode(fn *types.Func, callees ...*types.Func) *node {
+	return &node{fn: fn, calls: callees}
 }
 
 // TestPropagateChain pins the core fixpoint: marks flow from a seeded leaf
 // backwards through callers, recording the chain, and stop at skipped nodes.
 func TestPropagateChain(t *testing.T) {
 	leaf, mid, root, cleared := newFunc("leaf"), newFunc("mid"), newFunc("root"), newFunc("cleared")
-	nodes := []*Node{
-		node(root, mid),
-		node(mid, leaf),
-		node(cleared, leaf),
+	nodes := []*node{
+		newNode(root, mid),
+		newNode(mid, leaf),
+		newNode(cleared, leaf),
 	}
-	marks := Marks{leaf: "leaf [seed]"}
+	m := marks{leaf: "leaf [seed]"}
 	var marked []string
-	Propagate(nodes, marks, nil,
-		func(n *Node) bool { return n.Fn == cleared },
-		func(n *Node, chain string) { marked = append(marked, n.Fn.Name()) })
+	propagate(nodes, m, nil,
+		func(n *node) bool { return n.fn == cleared },
+		func(n *node, chain string) { marked = append(marked, n.fn.Name()) })
 
-	if got, want := marks[mid], "mid → leaf [seed]"; got != want {
+	if got, want := m[mid], "mid → leaf [seed]"; got != want {
 		t.Errorf("mid chain = %q, want %q", got, want)
 	}
-	if got, want := marks[root], "root → mid → leaf [seed]"; got != want {
+	if got, want := m[root], "root → mid → leaf [seed]"; got != want {
 		t.Errorf("root chain = %q, want %q", got, want)
 	}
-	if _, ok := marks[cleared]; ok {
-		t.Errorf("cleared node was marked: %q", marks[cleared])
+	if _, ok := m[cleared]; ok {
+		t.Errorf("cleared node was marked: %q", m[cleared])
 	}
 	if got := strings.Join(marked, ","); got != "mid,root" && got != "root,mid" {
 		// Two fixpoint iterations: mid first (direct edge), root second.
@@ -54,34 +50,34 @@ func TestPropagateChain(t *testing.T) {
 // a cycle with one does, and the fixpoint terminates.
 func TestPropagateMutualRecursion(t *testing.T) {
 	a, b := newFunc("a"), newFunc("b")
-	marks := Marks{}
-	Propagate([]*Node{node(a, b), node(b, a)}, marks, nil, nil, nil)
-	if len(marks) != 0 {
-		t.Errorf("unreachable cycle marked: %v", marks)
+	m := marks{}
+	propagate([]*node{newNode(a, b), newNode(b, a)}, m, nil, nil, nil)
+	if len(m) != 0 {
+		t.Errorf("unreachable cycle marked: %v", m)
 	}
 
 	seed := newFunc("seed")
-	marks = Marks{seed: "seed [leaf]"}
-	Propagate([]*Node{node(a, b), node(b, a), node(b, seed)}, marks, nil, nil, nil)
+	m = marks{seed: "seed [leaf]"}
+	propagate([]*node{newNode(a, b), newNode(b, a), newNode(b, seed)}, m, nil, nil, nil)
 	// The later node entry for b (with the seed edge) wins; both a and b mark.
-	if marks[a] == "" || marks[b] == "" {
-		t.Errorf("cycle with seeded escape did not fully mark: %v", marks)
+	if m[a] == "" || m[b] == "" {
+		t.Errorf("cycle with seeded escape did not fully mark: %v", m)
 	}
 }
 
 // TestPropagateLookup: cross-package marks arrive through the lookup
-// callback (the analyzers' fact import).
+// callback (the analyzer's fact import).
 func TestPropagateLookup(t *testing.T) {
 	ext, caller := newFunc("ext"), newFunc("caller")
-	marks := Marks{}
-	Propagate([]*Node{node(caller, ext)}, marks,
+	m := marks{}
+	propagate([]*node{newNode(caller, ext)}, m,
 		func(fn *types.Func) (string, bool) {
 			if fn == ext {
 				return "ext [imported fact]", true
 			}
 			return "", false
 		}, nil, nil)
-	if got, want := marks[caller], "caller → ext [imported fact]"; got != want {
+	if got, want := m[caller], "caller → ext [imported fact]"; got != want {
 		t.Errorf("caller chain = %q, want %q", got, want)
 	}
 }

@@ -13,8 +13,7 @@
 // The analyzer propagates "can reach an interning API" backwards through
 // the static call graph — across packages via analyzer facts — and reports
 // every read-path entry point that can reach a leaf, with the call chain.
-// The walk and fixpoint live in internal/analysis/callgraph, shared with
-// the noalloc analyzer.
+// The walk and fixpoint live in callgraph.go.
 //
 // Calls through function values are invisible to the propagation (a
 // documented limitation shared with most static call-graph analyses);
@@ -29,7 +28,6 @@ import (
 	"go/types"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/callgraph"
 )
 
 // Analyzer is the dictgrowth check.
@@ -46,38 +44,38 @@ type internsFact struct{ Chain string }
 func (*internsFact) AFact() {}
 
 func run(pass *analysis.Pass) (any, error) {
-	nodes := callgraph.Collect(pass, func(call *ast.CallExpr) bool {
+	nodes := collect(pass, func(call *ast.CallExpr) bool {
 		return pass.Suppressed(call.Pos(), nil, "dictgrowth-ok")
 	})
 
-	marks := make(callgraph.Marks)
+	reach := make(marks)
 	readpath := make(map[*ast.FuncDecl]bool)
 	cleared := make(map[*ast.FuncDecl]bool)
 	for _, n := range nodes {
-		if _, ok := analysis.DocDirective(n.Decl.Doc, "readpath"); ok {
-			readpath[n.Decl] = true
+		if _, ok := analysis.DocDirective(n.decl.Doc, "readpath"); ok {
+			readpath[n.decl] = true
 		}
-		if d, ok := analysis.DocDirective(n.Decl.Doc, "dictgrowth-ok"); ok {
-			cleared[n.Decl] = true
+		if d, ok := analysis.DocDirective(n.decl.Doc, "dictgrowth-ok"); ok {
+			cleared[n.decl] = true
 			if d.Args == "" {
-				pass.Reportf(n.Decl.Name.Pos(), "//moma:dictgrowth-ok needs a one-line justification")
+				pass.Reportf(n.decl.Name.Pos(), "//moma:dictgrowth-ok needs a one-line justification")
 			}
 		}
-		if _, ok := analysis.DocDirective(n.Decl.Doc, "interns"); ok && !cleared[n.Decl] {
-			chain := callgraph.Display(n.Fn) + " [//moma:interns]"
-			marks[n.Fn] = chain
-			pass.ExportObjectFact(n.Fn, &internsFact{Chain: chain})
+		if _, ok := analysis.DocDirective(n.decl.Doc, "interns"); ok && !cleared[n.decl] {
+			chain := display(n.fn) + " [//moma:interns]"
+			reach[n.fn] = chain
+			pass.ExportObjectFact(n.fn, &internsFact{Chain: chain})
 		}
 	}
 	// Interface methods annotated //moma:interns: calls through such an
 	// interface count as potential interning even though the concrete
 	// implementation is unknown statically.
-	seedInterfaceMethods(pass, marks)
+	seedInterfaceMethods(pass, reach)
 
 	// Fixpoint: a function that calls a marked function is marked. The
 	// loader analyzes dependencies first, so cross-package reachability
 	// arrives through facts.
-	callgraph.Propagate(nodes, marks,
+	propagate(nodes, reach,
 		func(callee *types.Func) (string, bool) {
 			var fact internsFact
 			if pass.ImportObjectFact(callee, &fact) {
@@ -85,26 +83,26 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 			return "", false
 		},
-		func(n *callgraph.Node) bool { return cleared[n.Decl] },
-		func(n *callgraph.Node, chain string) {
-			pass.ExportObjectFact(n.Fn, &internsFact{Chain: chain})
+		func(n *node) bool { return cleared[n.decl] },
+		func(n *node, chain string) {
+			pass.ExportObjectFact(n.fn, &internsFact{Chain: chain})
 		})
 
 	for _, n := range nodes {
-		if !readpath[n.Decl] {
+		if !readpath[n.decl] {
 			continue
 		}
-		if chain, ok := marks[n.Fn]; ok {
-			pass.Reportf(n.Decl.Name.Pos(),
+		if chain, ok := reach[n.fn]; ok {
+			pass.Reportf(n.decl.Name.Pos(),
 				"read path %s can reach an interning API: %s; keep read traffic lookup-only (fix the call, or annotate the guarded call site //moma:dictgrowth-ok <why>)",
-				callgraph.Display(n.Fn), chain)
+				display(n.fn), chain)
 		}
 	}
 	return nil, nil
 }
 
 // seedInterfaceMethods marks interface methods annotated //moma:interns.
-func seedInterfaceMethods(pass *analysis.Pass, marks callgraph.Marks) {
+func seedInterfaceMethods(pass *analysis.Pass, reach marks) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -129,7 +127,7 @@ func seedInterfaceMethods(pass *analysis.Pass, marks callgraph.Marks) {
 						continue
 					}
 					chain := ts.Name.Name + "." + fn.Name() + " [interface, //moma:interns]"
-					marks[fn] = chain
+					reach[fn] = chain
 					pass.ExportObjectFact(fn, &internsFact{Chain: chain})
 				}
 			}

@@ -1,10 +1,9 @@
 package analysis
 
-// Suppression audit: every //moma:*-ok directive (and the noalloc //moma:cold
-// exemption) is debt — a place where an invariant is waived by hand. The
-// analyzers enforce that each carries a one-line justification; this file
-// collects them so `moma-vet -suppressions` can list the debt with
-// file:line for review.
+// Suppression audit: every //moma:*-ok directive is debt — a place where an
+// invariant is waived by hand. The analyzers enforce that each carries a
+// one-line justification; this file collects them so `moma-vet
+// -suppressions` can list the debt with file:line for review.
 
 import (
 	"encoding/json"
@@ -18,10 +17,10 @@ import (
 	"strings"
 )
 
-// Suppression is one suppression or exemption directive in the tree.
+// Suppression is one suppression directive in the tree.
 type Suppression struct {
 	Pos           token.Position
-	Name          string // directive name: "dictgrowth-ok", "cold", ...
+	Name          string // directive name: "dictgrowth-ok", "errsink-ok", ...
 	Justification string // the directive's argument text; empty is debt-on-debt
 }
 
@@ -33,12 +32,6 @@ func (s Suppression) String() string {
 	return fmt.Sprintf("%s:%d: //moma:%s %s", s.Pos.Filename, s.Pos.Line, s.Name, j)
 }
 
-// isSuppressionDirective reports whether a directive waives an analyzer:
-// the per-analyzer *-ok family plus noalloc's cold-branch exemption.
-func isSuppressionDirective(name string) bool {
-	return strings.HasSuffix(name, "-ok") || name == "cold"
-}
-
 // ScanSuppressions lists the suppression directives of parsed files,
 // sorted by position.
 func ScanSuppressions(fset *token.FileSet, files []*ast.File) []Suppression {
@@ -47,7 +40,7 @@ func ScanSuppressions(fset *token.FileSet, files []*ast.File) []Suppression {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				d, ok := parseDirective(c)
-				if !ok || !isSuppressionDirective(d.Name) {
+				if !ok || !strings.HasSuffix(d.Name, "-ok") {
 					continue
 				}
 				out = append(out, Suppression{

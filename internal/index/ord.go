@@ -149,23 +149,21 @@ var probePool = sync.Pool{New: func() any { return new(probe) }}
 // lists set aside, which the ascending walk goes through once. A list is set
 // aside when it is over four times as long as all the shorter lists together
 // — a lookup costs about what counting and walking four entries does.
-//
-//moma:noalloc
 func (x *Ords) EachCandidate(toks []uint32, minShared int, yield func(ord int) bool) {
 	minShared = max(minShared, 1)
 	pb := probePool.Get().(*probe)
-	//moma:cold the query outgrew the scratch, which grows once to the longest it has served
 	if cap(pb.toks) < len(toks) {
 		pb.toks, pb.lists = make([]uint32, len(toks)), make([][]int32, len(toks))
 	}
-	//moma:cold the index outgrew the scratch; the headroom keeps an index growing slot by slot from regrowing it per probe, and fresh counters are as zero as the ones they replace
+	// The headroom keeps an index growing slot by slot from regrowing the
+	// scratch per probe, and fresh counters are as zero as the ones they
+	// replace.
 	if len(pb.cnt) < x.slots {
 		n := x.slots + x.slots/4
 		pb.cnt, pb.seen = make([]uint16, n), make([]uint64, (n+63)/64)
 	}
 	lists, cnt, seen := pb.lists[:0], pb.cnt, pb.seen[:(x.slots+63)/64]
 	w := len(seen) // the scratch is zero below word w: all of it until the count, what the walk has passed after
-	//moma:noalloc-ok the cleanup closure is stack-allocated: open-coded defer, nothing retains it
 	defer func() {
 		for ; w < len(seen); w++ {
 			for word := seen[w]; word != 0; word &= word - 1 {
@@ -235,8 +233,6 @@ func (x *Ords) EachCandidate(toks []uint32, minShared int, yield func(ord int) b
 // seek returns the tail of a sorted posting list from its first entry >= ord
 // on: a gallop to bracket the entry, a binary search inside the bracket, so
 // walking a list through ascending ords costs the logarithm of each step.
-//
-//moma:noalloc
 func seek(list []int32, ord int32) []int32 {
 	bound := 1
 	for bound <= len(list) && list[bound-1] < ord {

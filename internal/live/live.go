@@ -107,8 +107,6 @@ type colState struct {
 
 // Resolver holds one registered object set in resident, incrementally
 // maintained form. Create with NewResolver.
-//
-//moma:parallel ids alive blockToks
 type Resolver struct {
 	mu  sync.RWMutex
 	lds model.LDS
@@ -260,8 +258,7 @@ var scratchPool = sync.Pool{New: func() any { return new(resolveScratch) }}
 // records — an arriving member resolved against its peers (AddResolve)
 // carries the set's attribute names, not the query schema's.
 //
-//moma:locked mu
-//moma:noalloc
+// Callers hold mu.
 func (r *Resolver) resolveLocked(q *model.Instance, asMember bool, dst []Match) []Match {
 	resolvesTotal.Inc()
 	blockAttr := r.cfg.BlockQueryAttr
@@ -286,7 +283,6 @@ func (r *Resolver) resolveLocked(q *model.Instance, asMember bool, dst []Match) 
 	sp.Mark(stageBlock)
 	// Profile the query once per column, exactly as a batch profile build
 	// does for every domain instance, into the pooled Profile slots.
-	//moma:cold first resolve through this scratch; the slots are reused afterwards
 	if cap(scratch.profs) < len(r.cols) {
 		scratch.profs = make([]sim.Profile, len(r.cols))
 	}
@@ -299,14 +295,12 @@ func (r *Resolver) resolveLocked(q *model.Instance, asMember bool, dst []Match) 
 		sim.QueryInto(r.cols[i].ps, q.Attr(attr), &profs[i], &scratch.sc)
 	}
 	sp.Mark(stageProfile)
-	//moma:noalloc-ok the candidate closure is stack-allocated: EachCandidate does not retain it (pinned by TestResolveAppendZeroAllocs)
 	r.ix.EachCandidate(toks, r.minShared, func(ord int) bool {
 		sp.Candidates++
-		//moma:noalloc-ok the column closure is stack-allocated: Score does not retain it (pinned by TestResolveAppendZeroAllocs)
 		s := r.scorer.Score(func(i int) (a, b *sim.Profile) { return &profs[i], r.cols[i].profs[ord] })
 		if s >= r.cfg.Threshold {
 			sp.Kept++
-			dst = append(dst, Match{ID: r.ids[ord], Sim: s}) //moma:noalloc-ok appends into caller-reused capacity; grows once to the high-water mark
+			dst = append(dst, Match{ID: r.ids[ord], Sim: s})
 		} else if s < 0 {
 			sp.Pruned++
 		}
@@ -384,7 +378,7 @@ func (r *Resolver) AddResolve(in *model.Instance) ([]Match, error) {
 // the per-arrival reprofile of corpus-backed columns during construction,
 // where NewResolver reprofiles once at the end instead.
 //
-//moma:locked mu
+// Callers hold mu.
 func (r *Resolver) addLocked(in *model.Instance, bulk bool) {
 	slot, replacing := r.slots[in.ID]
 	var droppedCorpus []bool
@@ -480,7 +474,7 @@ const compactMinDead = 64
 // rebuilt over the new ordinals. Profiles and corpus statistics move
 // untouched — only slot numbers change.
 //
-//moma:locked mu
+// Callers hold mu.
 func (r *Resolver) compactLocked() {
 	compactionsTotal.Inc()
 	n := r.liveCount
@@ -519,7 +513,7 @@ func (r *Resolver) compactLocked() {
 // vectors immediately; a caller that changes the corpus again right after
 // (addLocked's replace path) passes false and reprofiles once at the end.
 //
-//moma:locked mu
+// Callers hold mu.
 func (r *Resolver) dropSlotLocked(slot int, reprofile bool) {
 	if !r.alive[slot] {
 		return
@@ -550,7 +544,7 @@ func (r *Resolver) dropSlotLocked(slot int, reprofile bool) {
 // document-frequency change, so cached vectors are rebuilt eagerly — reads
 // stay lock-free and exact.
 //
-//moma:locked mu
+// Callers hold mu.
 func (r *Resolver) reprofileLocked(c *colState) {
 	for slot := range c.profs {
 		if r.alive[slot] {

@@ -735,8 +735,7 @@ func TestConcurrentResolveAdd(t *testing.T) {
 // column on a measure that keeps no strings and allocates nothing in Compare
 // (trigram, token Jaccard, year — as in testConfig — plus a rune measure,
 // Affix) and a reused dst, a warm ResolveAppend performs zero heap
-// allocations. This is the runtime twin of the //moma:noalloc annotation on
-// resolveLocked.
+// allocations.
 func TestResolveAppendZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

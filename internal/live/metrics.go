@@ -15,7 +15,7 @@ const (
 )
 
 // Engine-side resolver metrics, registered once at package init on the
-// process-global registry. Record paths are atomic adds (//moma:noalloc in
+// process-global registry. Record paths are atomic adds (zero-allocation in
 // internal/obs), so instrumentation does not disturb the warm resolve path's
 // zero-allocation budget (TestResolveAppendZeroAllocs).
 var (

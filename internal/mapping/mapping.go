@@ -63,8 +63,6 @@ func ordKey(d, r uint32) uint64 { return uint64(d)<<32 | uint64(r) }
 // Mapping is a fuzzy instance-level mapping between two logical data
 // sources, stored as a columnar mapping table. The zero value is not
 // usable; create mappings with New, NewSame or NewWithDict.
-//
-//moma:parallel dom rng sim
 type Mapping struct {
 	domLDS model.LDS
 	rngLDS model.LDS
@@ -273,7 +271,6 @@ func (m *Mapping) appendRow(idx map[uint64]int32, key uint64, d, r uint32, s flo
 // single pre-sized pass over the columns. Safe under concurrent readers
 // for the same reason postings is.
 func (m *Mapping) pairIndex() map[uint64]int32 {
-	//moma:cold one-time lazy build; every later call only loads the map header
 	m.idxOnce.Do(func() {
 		idx := make(map[uint64]int32, len(m.sim))
 		for i := range m.sim {
@@ -288,7 +285,6 @@ func (m *Mapping) pairIndex() map[uint64]int32 {
 // The once-guard serializes concurrent first readers; afterwards readers
 // only load the maps and a single writer (Add) appends to them.
 func (m *Mapping) postings() (byDom, byRng map[uint32][]int32) {
-	//moma:cold one-time lazy build; every later call only loads the two map headers
 	m.postOnce.Do(func() {
 		bd := make(map[uint32][]int32)
 		br := make(map[uint32][]int32)
@@ -309,8 +305,6 @@ func (m *Mapping) AddCorrespondences(cs []Correspondence) {
 }
 
 // Sim returns the similarity of (a, b) and whether the pair is present.
-//
-//moma:noalloc
 func (m *Mapping) Sim(a, b model.ID) (float64, bool) {
 	d, ok := m.dict.Lookup(a)
 	if !ok {
@@ -324,8 +318,6 @@ func (m *Mapping) Sim(a, b model.ID) (float64, bool) {
 }
 
 // SimOrd is Sim over ordinals of this mapping's dictionary.
-//
-//moma:noalloc
 func (m *Mapping) SimOrd(d, r uint32) (float64, bool) {
 	if i, ok := m.pairIndex()[ordKey(d, r)]; ok {
 		return m.sim[i], true
@@ -334,16 +326,12 @@ func (m *Mapping) SimOrd(d, r uint32) (float64, bool) {
 }
 
 // Has reports whether the pair (a, b) is present.
-//
-//moma:noalloc
 func (m *Mapping) Has(a, b model.ID) bool {
 	_, ok := m.Sim(a, b)
 	return ok
 }
 
 // HasOrd is Has over ordinals of this mapping's dictionary.
-//
-//moma:noalloc
 func (m *Mapping) HasOrd(d, r uint32) bool {
 	_, ok := m.pairIndex()[ordKey(d, r)]
 	return ok
@@ -351,8 +339,6 @@ func (m *Mapping) HasOrd(d, r uint32) bool {
 
 // At returns the correspondence at row i in insertion order. It panics when
 // i is out of [0, Len()), mirroring slice indexing.
-//
-//moma:noalloc
 func (m *Mapping) At(i int) Correspondence {
 	return Correspondence{Domain: m.dict.IDOf(m.dom[i]), Range: m.dict.IDOf(m.rng[i]), Sim: m.sim[i]}
 }
@@ -379,8 +365,6 @@ func (m *Mapping) Each(fn func(Correspondence)) {
 // values — ordinals of Dict() — stopping early when fn returns false. It is
 // the no-copy iteration consumers on hot paths use; resolve ordinals
 // through Dict().All().
-//
-//moma:noalloc
 func (m *Mapping) EachOrd(fn func(dom, rng uint32, sim float64) bool) {
 	for i := range m.sim {
 		if !fn(m.dom[i], m.rng[i], m.sim[i]) {
@@ -402,8 +386,6 @@ func (m *Mapping) ForDomain(a model.ID) []Correspondence {
 // EachForDomain calls fn for every correspondence of domain object a in
 // insertion order — ForDomain without the copy — stopping early when fn
 // returns false.
-//
-//moma:noalloc
 func (m *Mapping) EachForDomain(a model.ID, fn func(Correspondence) bool) {
 	d, ok := m.dict.Lookup(a)
 	if !ok {
@@ -436,8 +418,6 @@ func (m *Mapping) ForRange(b model.ID) []Correspondence {
 
 // DomainCount returns n(a): the number of correspondences of domain object
 // a (Figure 5).
-//
-//moma:noalloc
 func (m *Mapping) DomainCount(a model.ID) int {
 	d, ok := m.dict.Lookup(a)
 	if !ok {
@@ -448,8 +428,6 @@ func (m *Mapping) DomainCount(a model.ID) int {
 }
 
 // RangeCount returns n(b): the number of correspondences of range object b.
-//
-//moma:noalloc
 func (m *Mapping) RangeCount(b model.ID) int {
 	r, ok := m.dict.Lookup(b)
 	if !ok {
@@ -462,8 +440,6 @@ func (m *Mapping) RangeCount(b model.ID) int {
 // Touches reports whether id appears as a domain or range object of any
 // correspondence — the posting-list membership probe consumers use to skip
 // a full filter pass when an id is absent.
-//
-//moma:noalloc
 func (m *Mapping) Touches(id model.ID) bool {
 	ord, ok := m.dict.Lookup(id)
 	if !ok {

@@ -18,8 +18,6 @@ type scoreFunc func(ordA, ordB int) (sim float64, keep bool)
 // pointer-free columns over model.IDs ordinals, in stream order, and its
 // counts, which reach the moma_match_* counters once per range — the
 // per-candidate loop carries no atomic traffic.
-//
-//moma:parallel dom rng sim
 type kept struct {
 	dom, rng []uint32
 	sim      []float64

@@ -7,11 +7,11 @@ import (
 	"repro/internal/race"
 )
 
-// TestRecordPathsZeroAllocs is the runtime twin of the //moma:noalloc
-// annotations on the record paths: counters, gauges, histogram observes,
-// span marks and a Stages.Finish that captures into the slow ring must not
-// allocate — instrumentation on the warm resolve path may not cost an
-// allocation (the engine-wide gate is live's TestResolveAppendZeroAllocs).
+// TestRecordPathsZeroAllocs pins the record and load paths: counters,
+// gauges, histogram observes, span marks, a Stages.Finish that captures into
+// the slow ring, and the loads that read them back must not allocate —
+// instrumentation on the warm resolve path may not cost an allocation (the
+// engine-wide gate is live's TestResolveAppendZeroAllocs).
 func TestRecordPathsZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -43,6 +43,12 @@ func TestRecordPathsZeroAllocs(t *testing.T) {
 			sp.Candidates, sp.Pruned, sp.Kept = 11, 6, 4
 			st.Finish(&sp, id)
 		}},
+		{"Counter.Load", func() { sinkU = c.Load() }},
+		{"Gauge.Load", func() { sinkI = g.Load() }},
+		{"Histogram.Count", func() { sinkU = h.Count() }},
+		{"Histogram.Sum", func() { sinkF = h.Sum() }},
+		{"Span.StageNS", func() { sinkI = sp.StageNS(1) }},
+		{"Span.Total", func() { sinkI = int64(sp.Total()) }},
 	}
 	for _, tc := range cases {
 		if allocs := testing.AllocsPerRun(200, tc.fn); allocs != 0 {
@@ -50,3 +56,10 @@ func TestRecordPathsZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// Sinks keep the loads above from being optimized away.
+var (
+	sinkU uint64
+	sinkI int64
+	sinkF float64
+)

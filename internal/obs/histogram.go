@@ -32,8 +32,6 @@ func newHistogram(uppers []float64) *Histogram {
 }
 
 // Observe records one value.
-//
-//moma:noalloc
 func (h *Histogram) Observe(v float64) {
 	i := 0
 	for i < len(h.uppers) && v > h.uppers[i] {
@@ -45,13 +43,9 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count returns the number of observations.
-//
-//moma:noalloc
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.
-//
-//moma:noalloc
 func (h *Histogram) Sum() float64 { return h.sum.Load() }
 
 // snapshot returns the cumulative bucket counts (parallel to uppers, +Inf

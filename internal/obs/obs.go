@@ -7,12 +7,12 @@
 //
 // # Why another metrics core
 //
-// The engine's hot paths carry machine-checked allocation budgets: the warm
-// live.Resolver.ResolveAppend path is //moma:noalloc, proven by moma-vet and
-// pinned by testing.AllocsPerRun gates. Instrumentation that allocates — a
-// label-map lookup, a string key build, a histogram bucket append — would
-// void those budgets the moment it was added, so the record paths here obey
-// the same contract and carry the same annotation:
+// The engine's hot paths carry allocation budgets: a warm
+// live.Resolver.ResolveAppend allocates nothing, pinned by
+// testing.AllocsPerRun gates. Instrumentation that allocates — a label-map
+// lookup, a string key build, a histogram bucket append — would void those
+// budgets the moment it was added, so the record paths here obey the same
+// contract, pinned by TestRecordPathsZeroAllocs:
 //
 //   - Counter.Inc/Add and Gauge.Set/Add are single atomic operations.
 //   - Histogram.Observe is one bucket index scan over a registration-time
@@ -56,18 +56,12 @@ type Counter struct {
 }
 
 // Inc adds one.
-//
-//moma:noalloc
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
-//
-//moma:noalloc
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current value.
-//
-//moma:noalloc
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
 // Gauge is a settable instantaneous value. Create with Registry.Gauge.
@@ -76,18 +70,12 @@ type Gauge struct {
 }
 
 // Set stores v.
-//
-//moma:noalloc
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add adds d (negative to decrement).
-//
-//moma:noalloc
 func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
 // Load returns the current value.
-//
-//moma:noalloc
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // atomicFloat accumulates a float64 sum with compare-and-swap — the
@@ -97,8 +85,6 @@ type atomicFloat struct {
 }
 
 // Add adds v to the sum.
-//
-//moma:noalloc
 func (f *atomicFloat) Add(v float64) {
 	for {
 		old := f.bits.Load()
@@ -110,6 +96,4 @@ func (f *atomicFloat) Add(v float64) {
 }
 
 // Load returns the current sum.
-//
-//moma:noalloc
 func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }

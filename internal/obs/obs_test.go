@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -210,6 +212,88 @@ func TestSlowRingWrapNewestFirst(t *testing.T) {
 	}
 	if snap[0].ID != ids[len(ids)-1] {
 		t.Fatalf("snapshot[0].ID = %q, want newest %q", snap[0].ID, ids[len(ids)-1])
+	}
+}
+
+// TestSlowRingConcurrent captures into one ring from several goroutines
+// while others read it back; under -race this proves the ring's locking.
+// Every capture is counted and every retained entry is a whole one.
+func TestSlowRingConcurrent(t *testing.T) {
+	r := NewRegistry()
+	ring := &SlowRing{}
+	ring.SetThreshold(time.Nanosecond)
+	st := NewStages(r, "t_conc_slow", "help", ring, "only")
+	const writers, per = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				var sp Span
+				sp.Begin()
+				sp.Mark(0)
+				sp.Kept = 1
+				st.Finish(&sp, "q")
+			}
+		}()
+	}
+	for rd := 0; rd < 2; rd++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				for _, q := range ring.Snapshot() {
+					if q.Op != "t_conc_slow" || q.ID != "q" || q.Kept != 1 {
+						t.Errorf("torn entry: %+v", q)
+						return
+					}
+				}
+				ring.Total()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := ring.Total(); got != writers*per {
+		t.Fatalf("total = %d, want %d", got, writers*per)
+	}
+	if got := len(ring.Snapshot()); got != slowRingSize {
+		t.Fatalf("snapshot holds %d, want %d", got, slowRingSize)
+	}
+}
+
+// TestRegistryConcurrent registers and scrapes one registry from several
+// goroutines; under -race this proves the family table's locking, and
+// get-or-create must hand every caller of a name the same handle.
+func TestRegistryConcurrent(t *testing.T) {
+	r := NewRegistry()
+	const workers, per = 8, 50
+	shared := make([]*Counter, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			shared[w] = r.Counter("t_conc_shared_total", "help")
+			for i := 0; i < per; i++ {
+				r.Counter("t_conc_total", "help", fmt.Sprintf(`w="%d",i="%d"`, w, i)).Inc()
+				r.Histogram("t_conc_seconds", "help", nil, fmt.Sprintf(`w="%d"`, w)).Observe(0.001)
+				if i%10 == 0 {
+					r.WritePrometheus(io.Discard)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, c := range shared {
+		if c != shared[0] {
+			t.Fatalf("worker %d got a different handle for one counter", w)
+		}
+	}
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	if got := strings.Count(b.String(), "\nt_conc_total{"); got != workers*per {
+		t.Fatalf("exposition lists %d t_conc_total series, want %d", got, workers*per)
 	}
 }
 

@@ -62,8 +62,6 @@ func NewRegistry() *Registry {
 // name is already registered under a different kind — metric wiring is
 // static, so a kind clash is a programming error, not a runtime condition.
 // Callers hold mu.
-//
-//moma:locked mu
 func (r *Registry) familyFor(name, help string, kind metricKind) *family {
 	f, ok := r.families[name]
 	if !ok {

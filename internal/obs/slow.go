@@ -60,8 +60,6 @@ func (r *SlowRing) SetThreshold(d time.Duration) { r.threshold.Store(int64(d)) }
 func (r *SlowRing) Threshold() time.Duration { return time.Duration(r.threshold.Load()) }
 
 // record captures one finished span when it exceeds the threshold.
-//
-//moma:noalloc
 func (r *SlowRing) record(st *Stages, sp *Span, id string, total time.Duration) {
 	thr := r.threshold.Load()
 	if thr <= 0 || total.Nanoseconds() < thr {

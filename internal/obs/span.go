@@ -27,8 +27,6 @@ type Span struct {
 }
 
 // Begin resets the span and stamps its start.
-//
-//moma:noalloc
 func (sp *Span) Begin() {
 	*sp = Span{}
 	sp.t0 = time.Now()
@@ -38,8 +36,6 @@ func (sp *Span) Begin() {
 // Mark attributes the time since the previous Mark (or Begin) to the given
 // stage index. Marks of the same stage accumulate. Out-of-range stages are
 // dropped, not panicked over — tracing must never take down a resolve.
-//
-//moma:noalloc
 func (sp *Span) Mark(stage int) {
 	now := time.Now()
 	if uint(stage) < MaxStages {
@@ -49,8 +45,6 @@ func (sp *Span) Mark(stage int) {
 }
 
 // StageNS returns the nanoseconds attributed to a stage so far.
-//
-//moma:noalloc
 func (sp *Span) StageNS(stage int) int64 {
 	if uint(stage) < MaxStages {
 		return sp.ns[stage]
@@ -59,8 +53,6 @@ func (sp *Span) StageNS(stage int) int64 {
 }
 
 // Total returns the time since Begin.
-//
-//moma:noalloc
 func (sp *Span) Total() time.Duration { return time.Since(sp.t0) }
 
 // Stages is a registered pipeline trace: an ordered set of stage names with
@@ -98,8 +90,6 @@ func (st *Stages) Names() []string { return st.names }
 // Finish records the span: each stage's tally into its histogram, the total
 // into the operation histogram, and — when the total exceeds the ring's
 // threshold — a slow-query trace under the given id. It returns the total.
-//
-//moma:noalloc
 func (st *Stages) Finish(sp *Span, id string) time.Duration {
 	total := time.Since(sp.t0)
 	for i := range st.hists {

@@ -11,9 +11,9 @@
 //     the assignment of rows to chunks is a pure function of (rows,
 //     workers).
 //   - Each worker writes only its own chunk's scratch (partition by index,
-//     the shape moma-vet's workerpool analyzer checks); results become
-//     visible after the Wait-join, and callers merge them back in chunk
-//     order, which restores the sequential row order deterministically.
+//     which the -race partition suites check); results become visible
+//     after the Wait-join, and callers merge them back in chunk order,
+//     which restores the sequential row order deterministically.
 //   - Worker counts affect wall-clock time only. Any output assembled via
 //     chunk-order merge-back is bit-identical to what one worker produces;
 //     the mapping package's differential oracles pin exactly this.

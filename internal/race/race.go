@@ -2,7 +2,7 @@
 
 // Package race reports whether the race detector is enabled, mirroring the
 // standard library's internal/race. The zero-allocation gates
-// (testing.AllocsPerRun over //moma:noalloc paths) skip under -race: the
+// (testing.AllocsPerRun over the warm hot paths) skip under -race: the
 // detector's instrumentation heap-allocates closures and shadow state, so
 // allocation counts stop measuring the code under test.
 package race

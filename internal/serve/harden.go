@@ -108,12 +108,8 @@ func (s *Server) admit(label string, h func(http.ResponseWriter, *http.Request) 
 			return http.StatusTooManyRequests, fmt.Errorf("server at capacity (%d requests in flight)", cap(s.sem))
 		}
 		defer func() { <-s.sem }()
-		s.inflight.Add(1)
 		serveInflight.Add(1)
-		defer func() {
-			s.inflight.Add(-1)
-			serveInflight.Add(-1)
-		}()
+		defer serveInflight.Add(-1)
 		defer func() {
 			if p := recover(); p != nil {
 				servePanics.Inc()
@@ -197,7 +193,7 @@ type ReadyResponse struct {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) (int, error) {
 	resp := ReadyResponse{
 		Draining: s.draining.Load(),
-		Inflight: s.inflight.Load(),
+		Inflight: int64(len(s.sem)),
 	}
 	if err := s.sys.Repo.Degraded(); err != nil {
 		resp.Degraded = err.Error()

@@ -68,7 +68,7 @@ func TestOverloadSheds(t *testing.T) {
 			t.Fatal("admitted requests did not start")
 		}
 	}
-	if got := srv.inflight.Load(); got != cap {
+	if got := len(srv.sem); got != cap {
 		t.Fatalf("inflight = %d, want %d", got, cap)
 	}
 
@@ -89,7 +89,7 @@ func TestOverloadSheds(t *testing.T) {
 			t.Fatalf("429 body = %q", rec.Body.String())
 		}
 	}
-	if got := srv.inflight.Load(); got != cap {
+	if got := len(srv.sem); got != cap {
 		t.Fatalf("inflight after sheds = %d, want %d (sheds must not execute)", got, cap)
 	}
 	if len(started) != 0 {
@@ -114,7 +114,7 @@ func TestOverloadSheds(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-drain request = %d, want 200", rec.Code)
 	}
-	if got := srv.inflight.Load(); got != 0 {
+	if got := len(srv.sem); got != 0 {
 		t.Fatalf("inflight at rest = %d, want 0", got)
 	}
 }
@@ -181,7 +181,7 @@ func TestPanicContained(t *testing.T) {
 		ResolveRequest{Attrs: map[string]string{"title": "cupid schema matching"}}, &resp); rec.Code != http.StatusOK {
 		t.Fatalf("request after panic = %d", rec.Code)
 	}
-	if got := srv.inflight.Load(); got != 0 {
+	if got := len(srv.sem); got != 0 {
 		t.Fatalf("inflight after panic = %d, want 0 (slot leaked)", got)
 	}
 }

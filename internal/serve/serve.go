@@ -74,12 +74,11 @@ type Server struct {
 
 	// Admission state (see harden.go): sem is the concurrency-cap
 	// semaphore — a slot per admitted API request, non-blocking acquire,
-	// excess shed with 429; draining flips when Run begins its graceful
-	// shutdown; inflight counts admitted requests for /readyz and the
-	// drain log.
+	// excess shed with 429, so len(sem) is the in-flight count /readyz and
+	// the drain log report; draining flips when Run begins its graceful
+	// shutdown.
 	sem      chan struct{}
 	draining atomic.Bool
-	inflight atomic.Int64
 }
 
 // served is one resolvable set as NewWithOptions found it.
@@ -170,12 +169,12 @@ func (s *Server) serve(ctx context.Context, ln net.Listener) error {
 	// /readyz stop sending work, admission refuses what still arrives, and
 	// the requests already admitted finish normally.
 	s.draining.Store(true)
-	accepted := s.inflight.Load()
+	accepted := len(s.sem)
 	s.opts.Logf("moma-serve: draining, %d request(s) in flight, timeout %s", accepted, s.opts.DrainTimeout)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), s.opts.DrainTimeout)
 	defer cancel()
 	shutdownErr := srv.Shutdown(shutdownCtx)
-	s.opts.Logf("moma-serve: drained %d request(s)", accepted-s.inflight.Load())
+	s.opts.Logf("moma-serve: drained %d request(s)", accepted-len(s.sem))
 	if shutdownErr != nil {
 		return fmt.Errorf("serve: drain timed out: %w", shutdownErr)
 	}

@@ -71,8 +71,6 @@ const (
 
 // dictShard holds one shard of the symbol table. strs and keys are aligned:
 // entry i of the shard is ID uint32(i)<<dictShardBits | shard.
-//
-//moma:parallel strs keys
 type dictShard struct {
 	mu   sync.RWMutex
 	ids  map[string]uint32 // guarded by mu

@@ -88,8 +88,6 @@ type Profile struct {
 // reset readies p for a rebuild from s: every scalar is cleared and every
 // buffer slice is cut to length 0 with its capacity kept, so whichever
 // measure fills p next appends into arrays p already owns.
-//
-//moma:noalloc
 func (p *Profile) reset(s string) {
 	*p = Profile{Raw: s, Runes: p.Runes[:0], SortedTokenIDs: p.SortedTokenIDs[:0], Grams: p.Grams[:0],
 		TermIDs: p.TermIDs[:0], TermKeys: p.TermKeys[:0], Weights: p.Weights[:0]}
@@ -178,8 +176,6 @@ func NewProfile(ps ProfiledSim, s string) *Profile {
 // leaves Terms untouched — and, once p and sc have reached the working-set
 // high-water mark, without allocating for the measures whose profile holds
 // only slices and numbers.
-//
-//moma:noalloc
 func QueryInto(ps ProfiledSim, s string, p *Profile, sc *Scratch) {
 	if qp, ok := ps.(QueryProfiler); ok {
 		qp.ProfileQueryInto(s, p, sc)
@@ -281,7 +277,6 @@ func ProfiledOf(fn Func) ProfiledSim {
 // uncomparable, which keeps its columns out of the per-set column store.
 type funcProfiled struct{ fn Func }
 
-//moma:noalloc
 func (funcProfiled) ProfileInto(s string, p *Profile, _ *Scratch) { p.reset(s) }
 
 func (f funcProfiled) Compare(a, b *Profile, _ float64) float64 { return f.fn(a.Raw, b.Raw) }
@@ -302,8 +297,6 @@ type ngramProfiled struct {
 // with n-1 leading and trailing sentinels so that prefixes and suffixes
 // carry weight, into the sorted, deduplicated 64-bit FNV-1a set Grams. Gram
 // strings are never materialized.
-//
-//moma:noalloc
 func (g ngramProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
 	p.reset(s)
 	sc.norm = appendNormalized(sc.norm[:0], s)
@@ -328,8 +321,6 @@ func (g ngramProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
 
 // Compare scores two gram sets by a merge-join over the sorted hashes, Dice
 // or Jaccard (setSim); the floor bounds the merge.
-//
-//moma:noalloc
 func (g ngramProfiled) Compare(a, b *Profile, floor float64) float64 {
 	return setSim(a.Grams, b.Grams, &a.sig, &b.sig, len(a.Grams), len(b.Grams), g.dice, floor)
 }
@@ -350,8 +341,6 @@ func (t tokenProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
 // ProfileQueryInto implements QueryProfiler: unknown tokens are counted, not
 // interned — they can intersect nothing, but Jaccard and Dice divide by the
 // set sizes, which must include them.
-//
-//moma:noalloc
 func (t tokenProfiled) ProfileQueryInto(s string, p *Profile, sc *Scratch) {
 	sc.scanTerms(s)
 	t.fill(s, p, sc)
@@ -359,8 +348,6 @@ func (t tokenProfiled) ProfileQueryInto(s string, p *Profile, sc *Scratch) {
 
 // fill builds the token set from the scanned terms: one ID per distinct
 // known token, one count per distinct unknown one.
-//
-//moma:noalloc
 func (tokenProfiled) fill(s string, p *Profile, sc *Scratch) {
 	p.reset(s)
 	sc.sortTerms()
@@ -382,8 +369,6 @@ func (tokenProfiled) fill(s string, p *Profile, sc *Scratch) {
 // Compare scores two token-ID sets by a merge-join (setSim); unknown query
 // tokens enlarge the set sizes through ExtraTokens without being
 // materialized.
-//
-//moma:noalloc
 func (t tokenProfiled) Compare(a, b *Profile, floor float64) float64 {
 	return setSim(a.SortedTokenIDs, b.SortedTokenIDs, &a.sig, &b.sig,
 		len(a.SortedTokenIDs)+a.ExtraTokens, len(b.SortedTokenIDs)+b.ExtraTokens, t.dice, floor)
@@ -393,10 +378,8 @@ func (t tokenProfiled) Compare(a, b *Profile, floor float64) float64 {
 
 type equalProfiled struct{}
 
-//moma:noalloc
 func (equalProfiled) ProfileInto(s string, p *Profile, _ *Scratch) { p.reset(s) }
 
-//moma:noalloc
 func (equalProfiled) Compare(a, b *Profile, _ float64) float64 {
 	if a.Raw == b.Raw {
 		return 1
@@ -411,7 +394,6 @@ func (equalFoldProfiled) ProfileInto(s string, p *Profile, _ *Scratch) {
 	p.NormSpace = NormalizeSpace(s)
 }
 
-//moma:noalloc
 func (equalFoldProfiled) Compare(a, b *Profile, _ float64) float64 {
 	if strings.EqualFold(a.NormSpace, b.NormSpace) {
 		return 1
@@ -425,7 +407,6 @@ func (equalFoldProfiled) Compare(a, b *Profile, _ float64) float64 {
 // the runes of the normalized value.
 type runeProfiled struct{}
 
-//moma:noalloc
 func (runeProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
 	p.reset(s)
 	sc.norm = appendNormalized(sc.norm[:0], s)
@@ -480,8 +461,6 @@ type affixProfiled struct {
 // Compare scores the longest common prefix and/or suffix relative to the
 // shorter value, max(lcp, lcs) / min(len(a), len(b)), scanning the profiled
 // runes in place.
-//
-//moma:noalloc
 func (m affixProfiled) Compare(a, b *Profile, _ float64) float64 {
 	ra, rb := a.Runes, b.Runes
 	if len(ra) == 0 && len(rb) == 0 {
@@ -541,7 +520,6 @@ func (soundexProfiled) ProfileInto(s string, p *Profile, _ *Scratch) {
 	p.Code = Soundex(s)
 }
 
-//moma:noalloc
 func (soundexProfiled) Compare(a, b *Profile, _ float64) float64 {
 	if a.Code == "" || b.Code == "" {
 		return 0
@@ -556,13 +534,11 @@ type yearProfiled struct {
 	exact bool
 }
 
-//moma:noalloc
 func (yearProfiled) ProfileInto(s string, p *Profile, _ *Scratch) {
 	p.reset(s)
 	p.Year, p.YearOK = parseYearInt(s)
 }
 
-//moma:noalloc
 func (p yearProfiled) Compare(a, b *Profile, _ float64) float64 {
 	if !a.YearOK || !b.YearOK {
 		return 0

@@ -5,7 +5,7 @@ package sim
 // year parser. They write into caller-owned buffers, so once the buffers
 // have grown to the working-set high-water mark a profile rebuild performs
 // zero heap allocations; testing.AllocsPerRun gates in sim and live pin that
-// property and the noalloc analyzer checks it statically.
+// property.
 
 import (
 	"bytes"
@@ -36,8 +36,6 @@ type term struct {
 }
 
 // grow returns s cut to length 0 with room for n elements.
-//
-//moma:noalloc-ok allocates only while the buffer is below its high-water mark; every later call reuses the capacity (pinned by TestProfileIntoReusesBuffers)
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, 0, n)
@@ -48,18 +46,16 @@ func grow[T any](s []T, n int) []T {
 // appendNormalized appends the normalized form of s to dst: letters and
 // digits lowercased, runs of whitespace and of '-', '_', '/' collapsed to
 // one space, everything else dropped, no space at either end.
-//
-//moma:noalloc
 func appendNormalized(dst []byte, s string) []byte {
 	lastSpace := true
 	for _, r := range s {
 		switch {
 		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			dst = utf8.AppendRune(dst, unicode.ToLower(r)) //moma:noalloc-ok appends into reused scratch capacity
+			dst = utf8.AppendRune(dst, unicode.ToLower(r))
 			lastSpace = false
 		case unicode.IsSpace(r) || r == '-' || r == '_' || r == '/':
 			if !lastSpace {
-				dst = append(dst, ' ') //moma:noalloc-ok appends into reused scratch capacity
+				dst = append(dst, ' ')
 				lastSpace = true
 			}
 		}
@@ -72,8 +68,6 @@ func appendNormalized(dst []byte, s string) []byte {
 
 // appendRunes appends the runes of norm to dst between pad leading '\x01'
 // and pad trailing '\x02' sentinels.
-//
-//moma:noalloc-ok appends into reused scratch or profile capacity
 func appendRunes(dst []rune, norm []byte, pad int) []rune {
 	for i := 0; i < pad; i++ {
 		dst = append(dst, '\x01')
@@ -101,8 +95,6 @@ func tokenEnd(norm []byte, start int) int {
 // lookupBytes is Lookup over a byte-slice token, also returning the token's
 // content key: the compiler recognizes the map[string]-indexed-by-
 // string(bytes) form and probes without materializing the string.
-//
-//moma:noalloc
 func (d *Dict) lookupBytes(tok []byte) (id uint32, key uint64, ok bool) {
 	key = fnvOffset64
 	for i := 0; i < len(tok); i++ {
@@ -111,7 +103,7 @@ func (d *Dict) lookupBytes(tok []byte) (id uint32, key uint64, ok bool) {
 	}
 	sh := &d.shards[key&dictShardMask]
 	sh.mu.RLock()
-	id, ok = sh.ids[string(tok)] //moma:noalloc-ok zero-alloc map probe: string(bytes) used only as the lookup key
+	id, ok = sh.ids[string(tok)] // string(bytes) used only as a map key does not allocate
 	sh.mu.RUnlock()
 	return id, key, ok
 }
@@ -122,15 +114,13 @@ func (d *Dict) lookupBytes(tok []byte) (id uint32, key uint64, ok bool) {
 // table. The value is normalized into norm and the known token IDs appended
 // to dst (both reused at their grown capacity), so a warm index probe
 // allocates nothing. Returns the two buffers for reuse.
-//
-//moma:noalloc
 func (d *Dict) AppendLookupTokenIDs(s string, norm []byte, dst []uint32) ([]byte, []uint32) {
 	norm = appendNormalized(norm[:0], s)
 	dst = dst[:0]
 	for start := 0; start < len(norm); {
 		end := tokenEnd(norm, start)
 		if id, _, ok := d.lookupBytes(norm[start:end]); ok {
-			dst = append(dst, id) //moma:noalloc-ok appends into reused scratch capacity
+			dst = append(dst, id)
 		}
 		start = end + 1
 	}
@@ -139,15 +129,13 @@ func (d *Dict) AppendLookupTokenIDs(s string, norm []byte, dst []uint32) ([]byte
 
 // scanTerms normalizes s and records one term per token occurrence, looked
 // up — never interned — in Terms.
-//
-//moma:noalloc
 func (sc *Scratch) scanTerms(s string) {
 	sc.norm = appendNormalized(sc.norm[:0], s)
 	sc.terms = sc.terms[:0]
 	for start := 0; start < len(sc.norm); {
 		end := tokenEnd(sc.norm, start)
 		id, key, ok := Terms.lookupBytes(sc.norm[start:end])
-		sc.terms = append(sc.terms, term{start, end, key, id, ok}) //moma:noalloc-ok appends into reused scratch capacity
+		sc.terms = append(sc.terms, term{start, end, key, id, ok})
 		start = end + 1
 	}
 }
@@ -166,11 +154,8 @@ func (sc *Scratch) internTerms() {
 // sortTerms orders the scanned terms by content key, token bytes breaking
 // the (in practice unreachable) key collision: an order that is a pure
 // function of the token multiset, with equal tokens adjacent.
-//
-//moma:noalloc
 func (sc *Scratch) sortTerms() {
 	n := sc.norm
-	//moma:noalloc-ok the comparison closure is stack-allocated: SortFunc does not retain it
 	slices.SortFunc(sc.terms, func(a, b term) int {
 		if c := cmp.Compare(a.key, b.key); c != 0 {
 			return c
@@ -181,8 +166,6 @@ func (sc *Scratch) sortTerms() {
 
 // runEnd returns the end of the run of equal tokens that starts at sorted
 // term i.
-//
-//moma:noalloc
 func (sc *Scratch) runEnd(i int) int {
 	t, n := sc.terms[i], sc.norm
 	j := i + 1
@@ -197,8 +180,6 @@ func (sc *Scratch) runEnd(i int) int {
 // allocating on the (hot, for non-numeric columns) failure path. Numerals
 // longer than 18 digits are rejected rather than range-checked — centuries
 // away from any year.
-//
-//moma:noalloc
 func parseYearInt(s string) (int, bool) {
 	s = strings.TrimSpace(s)
 	if s == "" {

@@ -215,6 +215,41 @@ func TestProfileIntoReusesBuffers(t *testing.T) {
 	}
 }
 
+// TestCompareZeroAllocs pins the pair stage every matcher and the resolver
+// run per candidate: Compare over two built profiles allocates nothing, both
+// at floor 0 (the full score) and at a floor above the pair's score (the
+// early stop).
+func TestCompareZeroAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	// Rune-DP, token-sequence and opaque measures score through allocating
+	// helpers and carry no zero-allocation contract.
+	allocating := map[string]bool{"Levenshtein": true, "Jaro": true, "JaroWinkler": true, "MongeElkan": true, "PersonName": true}
+	x, y := "Mapping-based object matching 2007", "object matching based on mappings 2006"
+	checked := 0
+	for name, ps := range allMeasures() {
+		if allocating[name] {
+			continue
+		}
+		checked++
+		var a, b Profile
+		var sc Scratch
+		ps.ProfileInto(x, &a, &sc)
+		ps.ProfileInto(y, &b, &sc)
+		score := ps.Compare(&a, &b, 0)
+		for _, floor := range []float64{0, min(1, score+0.25)} {
+			allocs := testing.AllocsPerRun(100, func() { ps.Compare(&a, &b, floor) })
+			if allocs != 0 {
+				t.Errorf("%s: Compare at floor %.2f allocates %.0f times per run, want 0", name, floor, allocs)
+			}
+		}
+	}
+	if checked != 14 {
+		t.Errorf("checked %d measures, want the 13 registered ones with an allocation-free Compare plus TF-IDF", checked)
+	}
+}
+
 // TestAppendLookupTokenIDsZeroAllocs pins the blocking-token probe: a warm
 // lookup through reused buffers allocates nothing.
 func TestAppendLookupTokenIDsZeroAllocs(t *testing.T) {

@@ -164,8 +164,6 @@ const stopped = -1.0
 // rejected on their sizes alone, sets whose signatures sa and sb (both zero:
 // no information) show too many elements of one missing from the other on a
 // few words, and the merge of the rest stops once it cannot supply need.
-//
-//moma:noalloc
 func setSim[T cmp.Ordered](a, b []T, sa, sb *signature, na, nb int, dice bool, floor float64) float64 {
 	if na == 0 && nb == 0 {
 		return 1
@@ -189,8 +187,6 @@ func setSim[T cmp.Ordered](a, b []T, sa, sb *signature, na, nb int, dice bool, f
 
 // setRatio is the coefficient of two sets with |A|+|B| = total that share
 // inter members. It never decreases as inter grows.
-//
-//moma:noalloc
 func setRatio(inter, total int, dice bool) float64 {
 	if dice {
 		return clamp01(2 * float64(inter) / float64(total))
@@ -203,8 +199,6 @@ func setRatio(inter, total int, dice bool) float64 {
 // minimum — by rounding, or because setRatio itself rounds up onto floor (a
 // floor of 2/3 against 1 shared of 3) — so the candidate below is tried with
 // setRatio's own expression; landing below the minimum only prunes less.
-//
-//moma:noalloc
 func minOverlap(total int, dice bool, floor float64) int {
 	est := floor * float64(total)
 	if dice {
@@ -226,8 +220,6 @@ func minOverlap(total int, dice bool, floor float64) int {
 // least need elements each, or -1 as soon as one side has passed over more
 // unmatched elements than an overlap of need leaves room for. With need 0 it
 // is the plain merge count.
-//
-//moma:noalloc
 func overlapAtLeast[T cmp.Ordered](a, b []T, need int) int {
 	spareA, spareB := len(a)-need, len(b)-need
 	i, j, cnt := 0, 0, 0

@@ -73,8 +73,6 @@ func (t *TFIDF) Docs() int { return t.docs }
 // idf is the smoothed inverse document frequency of a term that occurs in
 // df documents. A term the corpus — or the dictionary — has never seen gets
 // the maximal weight, as if it occurred in one document.
-//
-//moma:noalloc
 func (t *TFIDF) idf(df int) float64 {
 	if df < 1 {
 		df = 1
@@ -110,8 +108,6 @@ func (p tfidfProfiled) ProfileInto(s string, pr *Profile, sc *Scratch) {
 // ProfileQueryInto implements QueryProfiler: the vector is built with
 // lookups only, so scoring a stream of distinct query records never grows
 // the dictionary.
-//
-//moma:noalloc
 func (p tfidfProfiled) ProfileQueryInto(s string, pr *Profile, sc *Scratch) {
 	sc.scanTerms(s)
 	p.fill(s, pr, sc)
@@ -124,8 +120,6 @@ func (p tfidfProfiled) ProfileQueryInto(s string, pr *Profile, sc *Scratch) {
 // interned build gives them (a token unknown to the dictionary has document
 // frequency zero in every corpus fed from it) — so a lookup-only vector
 // scores bit-identically to an interned one.
-//
-//moma:noalloc
 func (p tfidfProfiled) fill(s string, pr *Profile, sc *Scratch) {
 	pr.reset(s)
 	sc.sortTerms()
@@ -158,8 +152,6 @@ func (p tfidfProfiled) fill(s string, pr *Profile, sc *Scratch) {
 // comparison to keep the order deterministic. ExtraTokens counts a side's
 // un-interned terms (lookup-only query vectors), so the emptiness
 // short-circuits see the document's true term count.
-//
-//moma:noalloc
 func (tfidfProfiled) Compare(a, b *Profile, _ float64) float64 {
 	na, nb := len(a.TermIDs)+a.ExtraTokens, len(b.TermIDs)+b.ExtraTokens
 	if na == 0 && nb == 0 {

@@ -57,8 +57,6 @@ func NewWeighted(measures []ProfiledSim, weights []float64, threshold float64) *
 // and is not retained. Below the threshold the result is some value under
 // it, negative when a bound ended the candidate before every column was
 // scored in full.
-//
-//moma:noalloc
 func (wt *Weighted) Score(at func(i int) (a, b *Profile)) float64 {
 	var sum float64
 	for i := range wt.cols {

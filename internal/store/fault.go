@@ -64,8 +64,6 @@ func (s *Store) Degraded() error {
 }
 
 // writableLocked rejects mutations while degraded. Callers hold mu.
-//
-//moma:locked mu
 func (s *Store) writableLocked() error {
 	if s.degraded == nil {
 		return nil
@@ -76,8 +74,6 @@ func (s *Store) writableLocked() error {
 // degradeLocked records a failed acknowledged-write-path operation: the
 // store transitions to read-only degraded mode and the typed error is
 // returned for the caller to surface. Callers hold mu.
-//
-//moma:locked mu
 func (s *Store) degradeLocked(op, path string, err error) error {
 	serr := &StorageError{Op: op, Path: path, Err: err}
 	if s.degraded == nil {
@@ -132,8 +128,6 @@ func (s *Store) Recover() error {
 }
 
 // clearDegradedLocked lifts the degradation. Callers hold mu.
-//
-//moma:locked mu
 func (s *Store) clearDegradedLocked() {
 	s.degraded = nil
 	storeDegraded.Set(0)

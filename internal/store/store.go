@@ -117,8 +117,6 @@ func (s *Store) AutoCompactErr() error {
 // log has outgrown the snapshot. Callers hold mu and have just appended;
 // the append has already succeeded, so a failed fold must not — and does
 // not — propagate into the write's result.
-//
-//moma:locked mu
 func (s *Store) noteWALRowsLocked(rows int) {
 	s.walRows += rows
 	if s.acRatio <= 0 || s.acErr != nil || s.walRows < s.acMinRows {
@@ -139,7 +137,7 @@ func (s *Store) noteWALRowsLocked(rows int) {
 // rowsLocked counts the correspondence rows of the current state — the
 // snapshot size auto-compaction compares the log against.
 //
-//moma:locked mu
+// Callers hold mu.
 func (s *Store) rowsLocked() int {
 	n := 0
 	for _, m := range s.maps {
@@ -190,8 +188,6 @@ func (s *Store) Put(name string, m *mapping.Mapping) error {
 // touchLocked refreshes an existing entry's age: it moves to the back of
 // order so a bounded cache doesn't evict a just-written hot entry as if it
 // were the oldest. Callers hold mu.
-//
-//moma:locked mu
 func (s *Store) touchLocked(name string) {
 	for i, n := range s.order {
 		if n == name {
@@ -296,8 +292,6 @@ func (s *Store) DropTouching(name string, id model.ID) (int, error) {
 }
 
 // evictLocked drops oldest entries beyond the limit. Callers hold mu.
-//
-//moma:locked mu
 func (s *Store) evictLocked() {
 	if s.limit <= 0 {
 		return

@@ -156,7 +156,8 @@ func OpenRepository(dir string) (*Store, error) {
 // record — the residue of a crash mid-append) is truncated away so later
 // appends can never merge into it.
 //
-//moma:guardedby-ok construct-then-publish: the store is not shared until OpenRepositoryFS returns
+// Construct-then-publish: the store is not shared until OpenRepositoryFS
+// returns, so replay touches the guarded fields without mu.
 func OpenRepositoryFS(dir string, fsys faultfs.FS) (*Store, error) {
 	if fsys == nil {
 		fsys = faultfs.OS{}
@@ -209,7 +210,8 @@ type replayState struct {
 // tolerated — dropped without being applied — but corruption followed by
 // further data is an error: that is real damage, not a crash artifact.
 //
-//moma:guardedby-ok called only from OpenRepositoryFS, before the store is published to any other goroutine
+// Called only from OpenRepositoryFS, before the store is published to any
+// other goroutine, so it runs without mu.
 func (s *Store) replayFile(path string) (replayState, error) {
 	var st replayState
 	f, err := s.fsys.Open(path)
@@ -273,7 +275,8 @@ func (s *Store) replayFile(path string) (replayState, error) {
 // rejected record interns nothing. Unparseable lines and unknown ops return
 // an error the caller treats as torn-if-final.
 //
-//moma:guardedby-ok called only during OpenRepositoryFS replay, before the store is published
+// Called only during OpenRepositoryFS replay, before the store is
+// published, so it runs without mu.
 func (s *Store) applyRecord(rec *lineRecord, path string, lineNo int, body []byte) (int, error) {
 	if err := rec.decode(body); err != nil {
 		return 0, fmt.Errorf("store: %s line %d: %w", path, lineNo, err)
@@ -360,7 +363,7 @@ func (s *Store) Compact() error {
 // snapshot is never published (the tmp is fsynced before the atomic
 // rename), and a failed compaction never wedges subsequent writes.
 //
-//moma:locked mu
+// Callers hold mu.
 func (s *Store) compactLocked() error {
 	if s.wal == nil || s.dir == "" {
 		return fmt.Errorf("store: Compact requires a persistent repository")

@@ -237,7 +237,7 @@
 //     ownership invariant that moma-vet's dictgrowth analyzer checks
 //     statically.
 //
-// Recording obeys invariant 5 below: every record path is //moma:noalloc
+// Recording obeys invariant 6 below: no record path allocates
 // (an observation is a bucket scan plus a few atomic adds on
 // registration-time storage; labels are pre-rendered strings), so
 // instrumentation does not void the warm resolve path's zero-allocation
@@ -285,8 +285,9 @@
 //
 // # Repo invariants
 //
-// Seven cross-cutting invariants hold everywhere in this tree, and
-// cmd/moma-vet machine-checks them:
+// Seven cross-cutting invariants hold everywhere in this tree. The first
+// three no runtime test can hold — a test sees only the inputs it runs — so
+// cmd/moma-vet checks them statically:
 //
 //  1. Determinism: no observable output may depend on Go's randomized map
 //     iteration order. Loops over maps must not append to outer slices
@@ -299,43 +300,52 @@
 //     ProfiledSim.ProfileInto contract; sim.QueryInto is the read-side
 //     entry point and holds the one justified suppression). Checker:
 //     dictgrowth.
-//  3. Columnar integrity: parallel columns move together. A struct doc
-//     comment `//moma:parallel f1 f2 ...` declares that the named fields
-//     are index-aligned; a function that reassigns a proper subset of them
-//     on one receiver desynchronizes the table. Element writes (x.f[i]=v)
-//     are always fine. Checker: columns.
-//  4. Lock discipline: a field with a `// guarded by mu` (or
-//     `//moma:guardedby mu`) comment is only touched while its sibling
-//     mutex is visibly held — a `mu.Lock()`/`mu.RLock()` in the same
-//     function, or a `//moma:locked mu` doc comment naming the caller's
-//     obligation. Checker: guardedby.
-//  5. Allocation discipline: a function marked `//moma:noalloc` is a
-//     steady-state hot path — a warm call performs zero heap allocations,
-//     transitively through everything it calls. One-time growth (lazy
-//     builds, first-call buffer sizing) lives behind `//moma:cold <why>`;
-//     appends into reused capacity and provably stack-allocated closures
-//     carry `//moma:noalloc-ok <why>` and a testing.AllocsPerRun gate
-//     (TestResolveAppendZeroAllocs, TestEachCandidateZeroAllocs,
-//     TestProfileIntoReusesBuffers). Checker: noalloc.
-//  6. Worker-pool discipline: a goroutine launched in a loop writes shared
-//     state only by partition-by-index — each worker owns slice slot i and
-//     nobody else's, results are read after a visible wg.Wait — and never
-//     writes a shared map without holding a lock. Partition-by-index is the
-//     blessed parallel-write idiom of this repo: pre-size the results
-//     slice, hand worker i index i, join, then reduce sequentially.
-//     Checker: workerpool.
-//  7. Durability errors are handled: the error of a Close/Sync/Flush/Encode
+//  3. Durability errors are handled: the error of a Close/Sync/Flush/Encode
 //     on a persistence-capable sink (anything with Write/Sync in its method
 //     set, or any encoder) is never silently dropped — a failed close is
 //     the last chance to hear that buffered bytes missed the disk.
 //     Read-only fds may suppress with `//moma:errsink-ok <why>`.
 //     Checker: errsink.
 //
-// Run the suite with:
+// The other four are held by runtime tests, each of which fails when its
+// invariant breaks:
 //
-//	go run ./cmd/moma-vet ./...          # all seven analyzers
-//	go run ./cmd/moma-vet -checks mapiter,guardedby ./internal/store
-//	go run ./cmd/moma-vet -list          # enumerate analyzers
+//  4. Columnar integrity: parallel columns move together — Mapping's and
+//     the match kernel's dom/rng/sim, Resolver's ids/alive/blockToks and
+//     the per-slot profiles, a sim.Dict shard's strs/keys. Held by
+//     mapping.FromColumns (panics on unequal lengths), the eps-0
+//     differential oracles of internal/mapping (TestDifferential*) and
+//     internal/match (TestStreamed*MatchesMaterialized), live's
+//     TestResolveMatchesBatch, TestChurnCompaction and
+//     TestCompactionPreservesRemoveAndReplace, and
+//     FuzzQueryIntoMatchesProfileInto.
+//  5. Lock discipline: a field commented `// guarded by mu` is touched only
+//     while its sibling mutex is held (xxxLocked helpers say "Callers hold
+//     mu"). Held by `go test -race` over one concurrent test per type:
+//     store.Store TestConcurrentAccess, live.Resolver
+//     TestConcurrentResolveAdd, model.IDDict TestIDDictConcurrent, the
+//     model column store TestColumnConcurrent, obs.Registry
+//     TestRegistryConcurrent, obs.SlowRing TestSlowRingConcurrent, sim.Dict
+//     TestDictConcurrent.
+//  6. Allocation discipline: a warm hot path performs zero heap
+//     allocations; only one-time growth (lazy builds, scratch reaching its
+//     high-water mark) may allocate. Held by the testing.AllocsPerRun gates
+//     CI runs without -race: TestResolveAppendZeroAllocs,
+//     TestEachCandidateZeroAllocs, TestProfileIntoReusesBuffers,
+//     TestAppendLookupTokenIDsZeroAllocs, TestCompareZeroAllocs,
+//     TestReadProbesZeroAllocs, TestRecordPathsZeroAllocs,
+//     TestGSSearchZeroAllocs and TestRouteRecordZeroAllocs.
+//  7. Worker partitioning: a goroutine launched in a loop writes only its
+//     own partition, and results are read after the join. par.Plan.Run and
+//     par.RunTeam are the only such sites in the library; `go test -race`
+//     holds them through TestRunVisitsEveryRowOnce,
+//     TestRunTeamAndPartitionCoverEveryKey and the match kernel suites at
+//     -cpu 1,2,8. cmd/moma-load's worker loops run under a -race build in
+//     CI's HTTP and chaos smokes.
+//
+// Run the analyzers with:
+//
+//	go run ./cmd/moma-vet ./...          # mapiter, dictgrowth, errsink
 //	go run ./cmd/moma-vet -json ./...    # one JSON object per finding (CI)
 //	go run ./cmd/moma-vet -suppressions  # audit every suppression + why
 //
@@ -343,8 +353,6 @@
 // pipes -json output through a problem matcher, so findings annotate PR
 // diffs inline. Suppressions are per-invariant
 // (`//moma:nondeterministic-ok <why>`, `//moma:dictgrowth-ok <why>`,
-// `//moma:columns-ok <why>`, `//moma:guardedby-ok <why>`,
-// `//moma:noalloc-ok <why>`, `//moma:workerpool-ok <why>`,
 // `//moma:errsink-ok <why>`) and require a one-line justification — an
 // empty justification is itself a finding. Place the suppression on the
 // offending line, the line above it, or in the function's doc comment;
