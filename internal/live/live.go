@@ -6,11 +6,13 @@
 // re-score the whole set. A Resolver instead registers an ObjectSet once and
 // keeps its derived structures resident: an incremental ordinal inverted
 // index over the blocking attribute (index.Ords, the same structure the
-// batch token blocking keeps), dense similarity-profile columns keyed by slot
-// ordinals, and per-column TF-IDF corpora. Resolve then blocks, scores and
-// thresholds one query record against the set in time proportional to its
-// candidates, not to the set; Add and Remove update the resident structures
-// in place instead of re-matching.
+// batch token blocking keeps), similarity-profile columns indexed by slot
+// ordinal (sim.ProfileColumn) — for a set measure with a dense, pointer-free
+// filter key per slot beside the profiles, which most candidates are
+// rejected on without a profile read — and per-column TF-IDF corpora.
+// Resolve then blocks, scores and thresholds one query record against the
+// set in time proportional to its candidates, not to the set; Add and Remove
+// update the resident structures in place instead of re-matching.
 //
 // Scoring mirrors the batch matchers exactly: a query blocked by shared
 // tokens (block.TokenBlocking semantics) and scored as the weighted average
@@ -29,7 +31,8 @@
 // Remove a write lock, so a serving process interleaves lookups and updates
 // freely. Slots are append-only with tombstones. Remove lets go of
 // everything the instance brought — postings, blocking tokens, profiles, its
-// id — and leaves only the slot's entries in the per-slot arrays; once
+// id — and leaves only the slot's entries in the per-slot arrays (a zero
+// filter key, which rejects nothing, where the profile's key was); once
 // tombstones outnumber the live instances (past a small floor) it compacts
 // those arrays and rebuilds the blocking index in place, so resident memory
 // stays proportional to the live set under unbounded churn.
@@ -99,10 +102,12 @@ type colState struct {
 	ps     sim.ProfiledSim // the column's measure
 	corpus *sim.TFIDF      // non-nil for TFIDF columns
 
-	// profs holds one profile per slot (the Resolver's ids, alive and
-	// blockToks are its sibling columns), nil for tombstones. A profile's Raw
-	// is the slot's value: corpus removal and reprofiling read it back.
-	profs []*sim.Profile
+	// col holds one profile per slot (the Resolver's ids, alive and
+	// blockToks are its sibling columns), nil for tombstones, and a set
+	// measure's dense filter keys beside them (the zero key for tombstones).
+	// A profile's Raw is the slot's value: corpus removal and reprofiling
+	// read it back.
+	col sim.ProfileColumn
 }
 
 // Resolver holds one registered object set in resident, incrementally
@@ -180,6 +185,7 @@ func NewResolver(set *model.ObjectSet, cfg Config) (*Resolver, error) {
 		default:
 			return nil, fmt.Errorf("live: column %d has no similarity function", i)
 		}
+		cs.col = sim.NewProfileColumn(cs.ps, set.Len())
 		r.cols[i], measures[i] = cs, cs.ps
 	}
 	r.scorer = sim.NewWeighted(measures, weights, cfg.Threshold)
@@ -240,12 +246,13 @@ func (r *Resolver) ResolveAppend(q *model.Instance, dst []Match) []Match {
 }
 
 // resolveScratch holds the per-resolve working memory: the query's token
-// IDs and normalization buffer and one Profile slot per column. Pooled so
-// concurrent warm resolves neither contend nor allocate.
+// IDs and normalization buffer and one Profile slot and filter key per
+// column. Pooled so concurrent warm resolves neither contend nor allocate.
 type resolveScratch struct {
 	norm  []byte
 	toks  []uint32
 	profs []sim.Profile
+	keys  []sim.Key
 	sc    sim.Scratch
 	span  obs.Span
 }
@@ -256,11 +263,31 @@ var scratchPool = sync.Pool{New: func() any { return new(resolveScratch) }}
 // to dst. asMember selects which attribute names the record is read under:
 // false for query-side records (Resolve, ResolveSet), true for set-side
 // records — an arriving member resolved against its peers (AddResolve)
-// carries the set's attribute names, not the query schema's.
+// carries the set's attribute names, not the query schema's. Every
+// resolution is counted and traced, the ones that end before scoring too.
 //
 // Callers hold mu.
 func (r *Resolver) resolveLocked(q *model.Instance, asMember bool, dst []Match) []Match {
 	resolvesTotal.Inc()
+	scratch := scratchPool.Get().(*resolveScratch)
+	defer scratchPool.Put(scratch)
+	sp := &scratch.span
+	sp.Begin()
+	dst = r.scoreLocked(q, asMember, scratch, dst)
+	resolveCandidates.Add(uint64(sp.Candidates))
+	resolvePruned.Add(uint64(sp.Pruned))
+	resolveMatches.Add(uint64(sp.Kept))
+	resolveStages.Finish(sp, string(q.ID))
+	return dst
+}
+
+// scoreLocked runs resolveLocked's stages — block, profile, score — in
+// scratch, marking them on its span. A record without a blocking value, or
+// whose blocking tokens no member has, ends before profiling.
+//
+// Callers hold mu.
+func (r *Resolver) scoreLocked(q *model.Instance, asMember bool, scratch *resolveScratch, dst []Match) []Match {
+	sp := &scratch.span
 	blockAttr := r.cfg.BlockQueryAttr
 	if asMember {
 		blockAttr = r.cfg.BlockSetAttr
@@ -269,35 +296,38 @@ func (r *Resolver) resolveLocked(q *model.Instance, asMember bool, dst []Match) 
 	if blockVal == "" {
 		return dst
 	}
-	scratch := scratchPool.Get().(*resolveScratch)
-	defer scratchPool.Put(scratch)
-	sp := &scratch.span
-	sp.Begin()
 	// Lookup-only interning: query tokens never seen by an Add cannot block
 	// to any candidate and are dropped without growing the dictionary.
 	scratch.norm, scratch.toks = r.dict.AppendLookupTokenIDs(blockVal, scratch.norm, scratch.toks)
 	toks := scratch.toks
+	sp.Mark(stageBlock)
 	if len(toks) == 0 {
 		return dst
 	}
-	sp.Mark(stageBlock)
 	// Profile the query once per column, exactly as a batch profile build
-	// does for every domain instance, into the pooled Profile slots.
+	// does for every domain instance, into the pooled Profile slots, and key
+	// each profile as its column keys the members'.
 	if cap(scratch.profs) < len(r.cols) {
 		scratch.profs = make([]sim.Profile, len(r.cols))
+		scratch.keys = make([]sim.Key, len(r.cols))
 	}
-	profs := scratch.profs[:len(r.cols)]
+	profs, keys := scratch.profs[:len(r.cols)], scratch.keys[:len(r.cols)]
 	for i := range r.cols {
-		attr := r.cols[i].cfg.QueryAttr
+		c := &r.cols[i]
+		attr := c.cfg.QueryAttr
 		if asMember {
-			attr = r.cols[i].cfg.SetAttr
+			attr = c.cfg.SetAttr
 		}
-		sim.QueryInto(r.cols[i].ps, q.Attr(attr), &profs[i], &scratch.sc)
+		sim.QueryInto(c.ps, q.Attr(attr), &profs[i], &scratch.sc)
+		keys[i] = c.col.KeyOf(&profs[i])
 	}
 	sp.Mark(stageProfile)
 	r.ix.EachCandidate(toks, r.minShared, func(ord int) bool {
 		sp.Candidates++
-		s := r.scorer.Score(func(i int) (a, b *sim.Profile) { return &profs[i], r.cols[i].profs[ord] })
+		s := r.scorer.Score(func(i int) (a, b *sim.Profile, ka, kb *sim.Key) {
+			b, kb = r.cols[i].col.At(ord)
+			return &profs[i], b, &keys[i], kb
+		})
 		if s >= r.cfg.Threshold {
 			sp.Kept++
 			dst = append(dst, Match{ID: r.ids[ord], Sim: s})
@@ -307,32 +337,38 @@ func (r *Resolver) resolveLocked(q *model.Instance, asMember bool, dst []Match) 
 		return true
 	})
 	sp.Mark(stageScore)
-	resolveCandidates.Add(uint64(sp.Candidates))
-	resolvePruned.Add(uint64(sp.Pruned))
-	resolveMatches.Add(uint64(sp.Kept))
-	resolveStages.Finish(sp, string(q.ID))
 	return dst
 }
 
 // ResolveSet resolves every instance of a query set and collects the
 // results into a same-mapping from the query LDS to the registered LDS —
-// the online counterpart of a batch Matcher.Match call.
+// the online counterpart of a batch Matcher.Match call. The matches are
+// appended as (dom, rng, sim) columns in query order and load the mapping as
+// they are: query ids are distinct and one resolve names each member once,
+// so no pair repeats.
 func (r *Resolver) ResolveSet(queries *model.ObjectSet) (*mapping.Mapping, error) {
 	if !queries.LDS().SameType(r.lds) {
 		return nil, fmt.Errorf("live: query set %s does not share the object type of %s", queries.LDS(), r.lds)
 	}
-	out := mapping.NewSame(queries.LDS(), r.lds)
+	var dom, rng []uint32
+	var sims []float64
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var dst []Match // reused across the queries
 	queries.Each(func(q *model.Instance) bool {
 		dst = r.resolveLocked(q, false, dst[:0])
+		if len(dst) == 0 {
+			return true
+		}
+		d := model.IDs.Ord(q.ID)
 		for _, m := range dst {
-			out.AddMax(q.ID, m.ID, m.Sim)
+			dom = append(dom, d)
+			rng = append(rng, model.IDs.Ord(m.ID))
+			sims = append(sims, min(max(m.Sim, 0), 1))
 		}
 		return true
 	})
-	return out, nil
+	return mapping.FromColumns(queries.LDS(), r.lds, model.SameMappingType, dom, rng, sims), nil
 }
 
 // Add inserts the instance into the resident state: index postings, profile
@@ -389,7 +425,7 @@ func (r *Resolver) addLocked(in *model.Instance, bulk bool) {
 		droppedCorpus = make([]bool, len(r.cols))
 		for i := range r.cols {
 			c := &r.cols[i]
-			droppedCorpus[i] = c.corpus != nil && r.alive[slot] && c.profs[slot].Raw != ""
+			droppedCorpus[i] = c.corpus != nil && r.alive[slot] && c.col.Profs[slot].Raw != ""
 		}
 		r.dropSlotLocked(slot, false)
 	} else {
@@ -398,8 +434,7 @@ func (r *Resolver) addLocked(in *model.Instance, bulk bool) {
 		r.alive = append(r.alive, false)
 		r.blockToks = append(r.blockToks, nil)
 		for i := range r.cols {
-			c := &r.cols[i]
-			c.profs = append(c.profs, nil)
+			r.cols[i].col.Append(nil)
 		}
 	}
 	r.slots[in.ID] = slot
@@ -428,14 +463,14 @@ func (r *Resolver) addLocked(in *model.Instance, bulk bool) {
 				// Every resident vector is stale once the corpus has moved:
 				// leave the value for the reprofile — now, or NewResolver's
 				// single one after all corpus documents are in.
-				c.profs[slot] = &sim.Profile{Raw: v}
+				c.col.Set(slot, &sim.Profile{Raw: v})
 				if !bulk {
 					r.reprofileLocked(c)
 				}
 				continue
 			}
 		}
-		c.profs[slot] = sim.NewProfile(c.ps, v)
+		c.col.Set(slot, sim.NewProfile(c.ps, v))
 	}
 }
 
@@ -472,7 +507,8 @@ const compactMinDead = 64
 // the original arrival order), per-slot arrays are reallocated at the live
 // size (releasing the grown backing arrays), and the blocking index is
 // rebuilt over the new ordinals. Profiles and corpus statistics move
-// untouched — only slot numbers change.
+// untouched — only slot numbers change — and each profile's key moves with
+// it.
 //
 // Callers hold mu.
 func (r *Resolver) compactLocked() {
@@ -481,9 +517,9 @@ func (r *Resolver) compactLocked() {
 	ids := make([]model.ID, 0, n)
 	alive := make([]bool, 0, n)
 	blockToks := make([][]uint32, 0, n)
-	cols := make([][]*sim.Profile, len(r.cols))
+	cols := make([]sim.ProfileColumn, len(r.cols))
 	for i := range r.cols {
-		cols[i] = make([]*sim.Profile, 0, n)
+		cols[i] = sim.NewProfileColumn(r.cols[i].ps, n)
 	}
 	ix := index.NewOrds()
 	for slot := range r.ids {
@@ -495,7 +531,7 @@ func (r *Resolver) compactLocked() {
 		alive = append(alive, true)
 		blockToks = append(blockToks, r.blockToks[slot])
 		for i := range r.cols {
-			cols[i] = append(cols[i], r.cols[i].profs[slot])
+			cols[i].Append(r.cols[i].col.Profs[slot])
 		}
 		r.slots[r.ids[slot]] = w
 		if toks := r.blockToks[slot]; len(toks) > 0 {
@@ -504,7 +540,7 @@ func (r *Resolver) compactLocked() {
 	}
 	r.ids, r.alive, r.blockToks, r.ix = ids, alive, blockToks, ix
 	for i := range r.cols {
-		r.cols[i].profs = cols[i]
+		r.cols[i].col = cols[i]
 	}
 }
 
@@ -528,8 +564,8 @@ func (r *Resolver) dropSlotLocked(slot int, reprofile bool) {
 	}
 	for i := range r.cols {
 		c := &r.cols[i]
-		raw := c.profs[slot].Raw
-		c.profs[slot] = nil
+		raw := c.col.Profs[slot].Raw
+		c.col.Set(slot, nil)
 		if c.corpus != nil && raw != "" {
 			c.corpus.Remove(raw)
 			if reprofile {
@@ -546,9 +582,9 @@ func (r *Resolver) dropSlotLocked(slot int, reprofile bool) {
 //
 // Callers hold mu.
 func (r *Resolver) reprofileLocked(c *colState) {
-	for slot := range c.profs {
+	for slot, p := range c.col.Profs {
 		if r.alive[slot] {
-			c.profs[slot] = sim.NewProfile(c.ps, c.profs[slot].Raw)
+			c.col.Set(slot, sim.NewProfile(c.ps, p.Raw))
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/match"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/race"
 	"repro/internal/sim"
 )
@@ -91,21 +92,60 @@ func batchMatcher(cfg Config) *match.MultiAttribute {
 
 // oracleConfigs are the configurations the pruned engines are held to the
 // exhaustive oracle at: the fixture's own, the benchmark's three (the paper's
-// DBLP-GS matcher, a stricter threshold, and serve_read's), and the weighted
-// three-column one at a threshold where the multi-column bound bites.
+// DBLP-GS matcher, a stricter threshold, and serve_read's), the weighted
+// three-column one at a threshold where the multi-column bound bites, and a
+// token-set and a Jaccard n-gram first column, so both kinds of filter key
+// reject in front of the oracle.
 func oracleConfigs() map[string]Config {
-	title := func(minShared int, threshold float64) Config {
+	title := func(measure sim.Func, minShared int, threshold float64) Config {
 		return Config{MinShared: minShared, Threshold: threshold,
-			Columns: []Column{{QueryAttr: "title", SetAttr: "name", Sim: sim.Trigram}}}
+			Columns: []Column{{QueryAttr: "title", SetAttr: "name", Sim: measure}}}
 	}
 	weighted := testConfig()
 	weighted.Threshold = 0.75
 	return map[string]Config{
-		"fixture":            testConfig(),
-		"trigram-0.75-ms2":   title(2, 0.75),
-		"trigram-0.82-ms2":   title(2, 0.82),
-		"trigram-0.7-ms3":    title(3, 0.7),
-		"weighted-3-1-2-.75": weighted,
+		"fixture":                testConfig(),
+		"trigram-0.75-ms2":       title(sim.Trigram, 2, 0.75),
+		"trigram-0.82-ms2":       title(sim.Trigram, 2, 0.82),
+		"trigram-0.7-ms3":        title(sim.Trigram, 3, 0.7),
+		"weighted-3-1-2-.75":     weighted,
+		"tokendice-0.8-ms2":      title(sim.TokenDice, 2, 0.8),
+		"trigramjaccard-0.7-ms2": title(sim.TrigramJaccard, 2, 0.7),
+	}
+}
+
+// checkKeysAligned asserts that the resolver's filter keys follow its
+// profiles: every live slot's key is the one its measure computes from the
+// slot's profile, and every tombstone's key is zero. A stale key would
+// reject a pair its profiles score above the floor.
+func checkKeysAligned(t *testing.T, r *Resolver) {
+	t.Helper()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for i := range r.cols {
+		c := &r.cols[i]
+		if len(c.col.Profs) != len(r.ids) {
+			t.Fatalf("column %d holds %d profiles for %d slots", i, len(c.col.Profs), len(r.ids))
+		}
+		keyed, ok := c.ps.(sim.Keyed)
+		if !ok {
+			if c.col.Keys != nil {
+				t.Fatalf("column %d: a measure without keys has a key column", i)
+			}
+			continue
+		}
+		if len(c.col.Keys) != len(r.ids) {
+			t.Fatalf("column %d holds %d keys for %d slots", i, len(c.col.Keys), len(r.ids))
+		}
+		for slot, k := range c.col.Keys {
+			var want sim.Key
+			if r.alive[slot] {
+				want = keyed.Key(c.col.Profs[slot])
+			}
+			if k != want {
+				t.Fatalf("column %d slot %d (alive %v): key %+v, want %+v", i, slot, r.alive[slot], k, want)
+			}
+		}
 	}
 }
 
@@ -348,6 +388,7 @@ func TestAddReplace(t *testing.T) {
 	if r.Len() != set.Len() {
 		t.Fatalf("replace must not grow the live count: %d != %d", r.Len(), set.Len())
 	}
+	checkKeysAligned(t, r)
 	got := r.Resolve(q)
 	if len(got) != 1 || got[0].ID != victim {
 		t.Fatalf("replacement must match the query, got %v", got)
@@ -463,6 +504,7 @@ func TestTFIDFIncrementalMatchesRebuild(t *testing.T) {
 			r.Remove(id)
 		}
 	}
+	checkKeysAligned(t, r)
 	survivors := set.Filter(func(in *model.Instance) bool {
 		i := set.IndexOf(in.ID)
 		return i%4 != 0
@@ -555,6 +597,7 @@ func TestChurnCompaction(t *testing.T) {
 	if st := r.Stats(); st.Live != live {
 		t.Fatalf("post-churn live = %d, want %d", st.Live, live)
 	}
+	checkKeysAligned(t, r)
 	// Compaction must be invisible to resolution: same answers, same order
 	// as a resolver freshly built over the surviving members.
 	fresh, err := NewResolver(set, cfg)
@@ -605,6 +648,7 @@ func TestCompactionPreservesRemoveAndReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Remove(surviving[7])
+	checkKeysAligned(t, r)
 	survivors := set.Filter(func(in *model.Instance) bool {
 		if in.ID == surviving[7] {
 			return false
@@ -735,37 +779,81 @@ func TestConcurrentResolveAdd(t *testing.T) {
 // column on a measure that keeps no strings and allocates nothing in Compare
 // (trigram, token Jaccard, year — as in testConfig — plus a rune measure,
 // Affix) and a reused dst, a warm ResolveAppend performs zero heap
-// allocations.
+// allocations — with an n-gram and with a token-set measure keying the first
+// column.
 func TestResolveAppendZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	queries, set := syntheticSets(120)
-	cfg := testConfig()
-	cfg.Columns = append(cfg.Columns, Column{QueryAttr: "title", SetAttr: "name", Sim: sim.Affix, Weight: 1})
-	r, err := NewResolver(set, cfg)
+	qs := queries.Instances()
+	for _, first := range []struct {
+		name    string
+		measure sim.Func
+	}{{"trigram", sim.Trigram}, {"token-jaccard", sim.TokenJaccard}} {
+		cfg := testConfig()
+		cfg.Columns[0].Sim = first.measure
+		cfg.Columns = append(cfg.Columns, Column{QueryAttr: "title", SetAttr: "name", Sim: sim.Affix, Weight: 1})
+		r, err := NewResolver(set, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm-up: grow the pooled scratch, the index probe buffer, and dst
+		// to the fixture's high-water mark.
+		var dst []Match
+		total := 0
+		for _, q := range qs {
+			dst = r.ResolveAppend(q, dst[:0])
+			total += len(dst)
+		}
+		if total == 0 {
+			t.Fatalf("%s: fixture produced no matches; fixture broken", first.name)
+		}
+		for _, q := range qs[:8] {
+			allocs := testing.AllocsPerRun(100, func() {
+				dst = r.ResolveAppend(q, dst[:0])
+			})
+			if allocs != 0 {
+				t.Errorf("%s: ResolveAppend(%s) allocates %.0f times per run, want 0", first.name, q.ID, allocs)
+			}
+		}
+	}
+}
+
+// TestResolveSpanFinishedOnEveryPath: every resolution moma_live_resolves_total
+// counts is timed in moma_live_resolve_seconds and its stages, the ones that
+// end before scoring included — a record without a blocking value, and one
+// whose blocking tokens no member has.
+func TestResolveSpanFinishedOnEveryPath(t *testing.T) {
+	queries, set := syntheticSets(30)
+	r, err := NewResolver(set, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := queries.Instances()
-	// Warm-up: grow the pooled scratch, the index probe buffer, and dst to
-	// the fixture's high-water mark.
-	var dst []Match
-	total := 0
-	for _, q := range qs {
-		dst = r.ResolveAppend(q, dst[:0])
-		total += len(dst)
+	seconds := obs.Default.Histogram("moma_live_resolve_seconds", "", nil)
+	score := obs.Default.Histogram("moma_live_resolve_stage_seconds", "", nil, `stage="score"`)
+	resolves0, seconds0, score0 := resolvesTotal.Load(), seconds.Count(), score.Count()
+	mixed := []*model.Instance{
+		queries.At(0),
+		model.NewInstance("q-unknown", map[string]string{"title": "zzspan1 zzspan2 never added"}),
+		model.NewInstance("q-empty", map[string]string{"authors": "author a thor"}),
+		queries.At(1),
+		model.NewInstance("q-blank", map[string]string{"title": ""}),
 	}
-	if total == 0 {
-		t.Fatal("fixture produced no matches; fixture broken")
+	for _, q := range mixed {
+		r.Resolve(q)
 	}
-	for _, q := range qs[:8] {
-		q := q
-		allocs := testing.AllocsPerRun(100, func() {
-			dst = r.ResolveAppend(q, dst[:0])
-		})
-		if allocs != 0 {
-			t.Errorf("ResolveAppend(%s) allocates %.0f times per run, want 0", q.ID, allocs)
-		}
+	if _, err := r.AddResolve(model.NewInstance("g-unnamed", map[string]string{"year": "2001"})); err != nil {
+		t.Fatal(err)
+	}
+	resolves := resolvesTotal.Load() - resolves0
+	if resolves != uint64(len(mixed)+1) {
+		t.Fatalf("moma_live_resolves_total rose by %d, want %d", resolves, len(mixed)+1)
+	}
+	if got := seconds.Count() - seconds0; got != resolves {
+		t.Errorf("moma_live_resolve_seconds_count rose by %d for %d resolutions", got, resolves)
+	}
+	if got := score.Count() - score0; got != resolves {
+		t.Errorf("moma_live_resolve_stage_seconds_count{stage=\"score\"} rose by %d for %d resolutions", got, resolves)
 	}
 }

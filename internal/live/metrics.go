@@ -27,7 +27,7 @@ var (
 	resolveCandidates = obs.Default.Counter("moma_live_resolve_candidates_total",
 		"Candidates the blocking probe admitted to online resolutions.")
 	resolvePruned = obs.Default.Counter("moma_live_resolve_pruned_total",
-		"Admitted candidates a threshold bound (set size, signature, bounded merge, length) rejected before they were scored in full.")
+		"Admitted candidates a threshold bound rejected before they were scored in full: on a set measure's dense filter key (set size, signature) without reading the candidate's profile, or in a bounded merge or a length filter.")
 	resolveMatches = obs.Default.Counter("moma_live_resolve_matches_total",
 		"Matches at or above threshold returned by online resolutions.")
 	addsTotal = obs.Default.Counter("moma_live_adds_total",

@@ -65,13 +65,21 @@ func (m *Attribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 		return nil, fmt.Errorf("match: %s has no similarity function", m.Name())
 	}
 	ps := measure(m.Sim, m.Profiled)
+	keyed, _ := ps.(sim.Keyed)
 	col := newScoreColumn(a, b, m.AttrA, m.AttrB, ps)
 	return blockScore(a, b, m.Blocker, m.Workers, func(ia, ib int) (float64, bool) {
-		pa, pb := col.at(ia, ib)
+		pa, pb, ka, kb := col.at(ia, ib)
 		if m.SkipMissing && (pa.Raw == "" || pb.Raw == "") {
 			return 0, false
 		}
-		s := ps.Compare(pa, pb, m.Threshold)
+		// A set measure checks the keys first and reads neither profile when
+		// they reject (unless SkipMissing, above, has read both values).
+		var s float64
+		if keyed != nil {
+			s = keyed.CompareKeyed(pa, pb, ka, kb, m.Threshold)
+		} else {
+			s = ps.Compare(pa, pb, m.Threshold)
+		}
 		return s, s >= m.Threshold
 	}), nil
 }
@@ -88,31 +96,35 @@ func measure(fn sim.Func, explicit sim.ProfiledSim) sim.ProfiledSim {
 // scoreColumn is one attribute comparison ready to score: the measure's
 // profile columns of both inputs, aligned with ObjectSet ordinals.
 type scoreColumn struct {
-	profA, profB []*sim.Profile
+	colA, colB sim.ProfileColumn
 	// empty stands in for ids absent from the inputs, which blockers may
 	// emit: they score as the empty value.
-	empty *sim.Profile
+	empty    *sim.Profile
+	emptyKey sim.Key
 }
 
 func newScoreColumn(a, b *model.ObjectSet, attrA, attrB string, ps sim.ProfiledSim) scoreColumn {
-	return scoreColumn{
-		profA: profileColumn(a, attrA, ps),
-		profB: profileColumn(b, attrB, ps),
+	c := scoreColumn{
+		colA:  profileColumn(a, attrA, ps),
+		colB:  profileColumn(b, attrB, ps),
 		empty: sim.NewProfile(ps, ""),
 	}
+	c.emptyKey = c.colA.KeyOf(c.empty)
+	return c
 }
 
-// at returns the profiles at the two ordinals; a negative ordinal (IndexOf
-// of an id absent from the input) reads as the empty value.
-func (c *scoreColumn) at(ia, ib int) (pa, pb *sim.Profile) {
-	pa, pb = c.empty, c.empty
+// at returns the profiles at the two ordinals and their keys (nil for a
+// measure without keys); a negative ordinal (IndexOf of an id absent from
+// the input) reads as the empty value.
+func (c *scoreColumn) at(ia, ib int) (pa, pb *sim.Profile, ka, kb *sim.Key) {
+	pa, pb, ka, kb = c.empty, c.empty, &c.emptyKey, &c.emptyKey
 	if ia >= 0 {
-		pa = c.profA[ia]
+		pa, ka = c.colA.At(ia)
 	}
 	if ib >= 0 {
-		pb = c.profB[ib]
+		pb, kb = c.colB.At(ib)
 	}
-	return pa, pb
+	return pa, pb, ka, kb
 }
 
 // profilesKey keys a similarity-profile column in a set's column store
@@ -135,11 +147,13 @@ func (profilesKey) Invalidated() { profileCacheInvalidations.Inc() }
 // profileColumn returns the per-instance profiles of one attribute column —
 // the O(n+m) preprocessing the profiled scoring path reads from — as a
 // dense array aligned with ObjectSet ordinals (IndexOf), which is what the
-// kernel names its candidates by. Columns are kept in the set's column
-// store, so matchers sharing inputs build each once per set version. Measures whose dynamic type is not comparable
-// (structs holding slices, say) cannot key the store and build per match.
-func profileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim) []*sim.Profile {
-	build := func() []*sim.Profile { return buildProfileColumn(set, attr, ps) }
+// kernel names its candidates by, with a set measure's filter keys beside
+// it. Columns are kept in the set's column store, profiles and keys in one
+// entry, so matchers sharing inputs build each once per set version.
+// Measures whose dynamic type is not comparable (structs holding slices,
+// say) cannot key the store and build per match.
+func profileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim) sim.ProfileColumn {
+	build := func() sim.ProfileColumn { return buildProfileColumn(set, attr, ps) }
 	if !reflect.TypeOf(ps).Comparable() {
 		return build()
 	}
@@ -157,16 +171,16 @@ func profileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim) []*sim
 }
 
 // buildProfileColumn does the actual profile build: one scratch and one
-// backing array of profiles per column. The array is never mutated after
+// backing array of profiles per column. The column is never mutated after
 // this returns, so readers need no locks.
-func buildProfileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim) []*sim.Profile {
+func buildProfileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim) sim.ProfileColumn {
 	profs := make([]sim.Profile, set.Len())
-	out := make([]*sim.Profile, 0, len(profs))
+	out := sim.NewProfileColumn(ps, len(profs))
 	var sc sim.Scratch
 	set.Each(func(in *model.Instance) bool {
-		p := &profs[len(out)]
+		p := &profs[len(out.Profs)]
 		ps.ProfileInto(in.Attr(attr), p, &sc)
-		out = append(out, p)
+		out.Append(p)
 		return true
 	})
 	return out
@@ -236,7 +250,7 @@ func (m *MultiAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 	}
 	weighted := sim.NewWeighted(measures, weights, m.Threshold)
 	return blockScore(a, b, m.Blocker, m.Workers, func(ia, ib int) (float64, bool) {
-		s := weighted.Score(func(i int) (pa, pb *sim.Profile) { return cols[i].at(ia, ib) })
+		s := weighted.Score(func(i int) (pa, pb *sim.Profile, ka, kb *sim.Key) { return cols[i].at(ia, ib) })
 		return s, s >= m.Threshold
 	}), nil
 }

@@ -42,14 +42,14 @@ func TestProfileColumnHitsAndInvalidation(t *testing.T) {
 	if got := t0.since(); got != (profileTraffic{hits: 1, misses: 1}) {
 		t.Fatalf("build then reuse counted %+v", got)
 	}
-	if len(c1) != set.Len() || &c1[0] != &c2[0] {
-		t.Fatal("store must serve the same column slice")
+	if len(c1.Profs) != set.Len() || &c1.Profs[0] != &c2.Profs[0] || &c1.Keys[0] != &c2.Keys[0] {
+		t.Fatal("store must serve the same column slices")
 	}
 
 	// A different measure keys a different column.
 	ps2 := sim.ProfiledOf(sim.Bigram)
 	profileColumn(set, "title", ps2)
-	if c := profileColumn(set, "title", ps); &c[0] != &c1[0] {
+	if c := profileColumn(set, "title", ps); &c.Profs[0] != &c1.Profs[0] {
 		t.Fatal("a distinct measure must not displace the first column")
 	}
 	if got := t0.since(); got != (profileTraffic{hits: 2, misses: 2}) {
@@ -63,15 +63,15 @@ func TestProfileColumnHitsAndInvalidation(t *testing.T) {
 	if got := t0.since(); got != (profileTraffic{hits: 2, misses: 3, invalidations: 2}) {
 		t.Fatalf("Touch must invalidate: %+v", got)
 	}
-	if c3[0].Raw != "changed title zero" {
-		t.Fatalf("rebuilt column did not pick up the mutation: %q", c3[0].Raw)
+	if c3.Profs[0].Raw != "changed title zero" || c3.Keys[0] != c3.KeyOf(c3.Profs[0]) {
+		t.Fatalf("rebuilt column did not pick up the mutation: %q", c3.Profs[0].Raw)
 	}
 
 	// Membership change (Add) invalidates too.
 	set.AddNew("pX", map[string]string{"title": "a fresh arrival"})
 	c4 := profileColumn(set, "title", ps)
-	if got := t0.since(); got.misses != 4 || len(c4) != set.Len() {
-		t.Fatalf("Add must invalidate: %+v, len=%d want %d", got, len(c4), set.Len())
+	if got := t0.since(); got.misses != 4 || len(c4.Profs) != set.Len() || len(c4.Keys) != set.Len() {
+		t.Fatalf("Add must invalidate: %+v, len=%d/%d want %d", got, len(c4.Profs), len(c4.Keys), set.Len())
 	}
 }
 
@@ -99,8 +99,11 @@ func TestProfileColumnTracksCorpusVersion(t *testing.T) {
 	}
 	// The rebuilt profiles must reflect the new corpus statistics.
 	fresh := buildProfileColumn(set, "title", ps)
-	for i := range fresh {
-		if got, want := ps.Compare(c[i], c[i], 0), ps.Compare(fresh[i], fresh[i], 0); got != want {
+	if c.Keys != nil || fresh.Keys != nil {
+		t.Fatal("a TF-IDF column has no filter keys")
+	}
+	for i, p := range fresh.Profs {
+		if got, want := ps.Compare(c.Profs[i], c.Profs[i], 0), ps.Compare(p, p, 0); got != want {
 			t.Fatalf("profile %d scored %v against itself, fresh build %v", i, got, want)
 		}
 	}
@@ -127,7 +130,7 @@ func TestProfileColumnSkipsUncomparableMeasures(t *testing.T) {
 	t0 := profileTrafficNow()
 	c1 := profileColumn(set, "title", ps)
 	c2 := profileColumn(set, "title", ps)
-	if &c1[0] == &c2[0] {
+	if &c1.Profs[0] == &c2.Profs[0] {
 		t.Fatal("uncomparable measures must build on every call")
 	}
 	if got := t0.since(); got != (profileTraffic{}) {

@@ -12,7 +12,7 @@ var (
 	matchKeptTotal = obs.Default.Counter("moma_match_pairs_kept_total",
 		"Candidate pairs that reached the threshold and were kept.")
 	matchPrunedTotal = obs.Default.Counter("moma_match_pairs_pruned_total",
-		"Candidate pairs a threshold bound (set size, signature, bounded merge, length) rejected before they were scored in full.")
+		"Candidate pairs a threshold bound rejected before they were scored in full: on a set measure's dense filter keys (set size, signature) without reading either profile, or in a bounded merge or a length filter.")
 
 	// Family names predate the set-owned column store (model.Column).
 	profileCacheHits = obs.Default.Counter("moma_profilecache_hits_total",

@@ -178,15 +178,21 @@ func TestWeightedMatchesUnboundedMean(t *testing.T) {
 			total += w
 		}
 		as, bs := make([]*Profile, k), make([]*Profile, k)
+		kas, kbs := make([]Key, k), make([]Key, k)
 		var sum float64
 		for i, ps := range measures {
 			as[i] = NewProfile(ps, values[rng.Intn(len(values))])
 			bs[i] = NewProfile(ps, values[rng.Intn(len(values))])
+			if kd, ok := ps.(Keyed); ok {
+				kas[i], kbs[i] = kd.Key(as[i]), kd.Key(bs[i])
+			}
 			sum += weights[i] * ps.Compare(as[i], bs[i], 0)
 		}
 		exact := sum / total
 		for _, threshold := range []float64{-1, 0, 0.3, 0.5, 0.75, 0.82, 1, 1.5, exact, math.Nextafter(exact, -1), math.Nextafter(exact, 2)} {
-			got := NewWeighted(measures, weights, threshold).Score(func(i int) (a, b *Profile) { return as[i], bs[i] })
+			got := NewWeighted(measures, weights, threshold).Score(func(i int) (a, b *Profile, ka, kb *Key) {
+				return as[i], bs[i], &kas[i], &kbs[i]
+			})
 			stoppedSeen = stoppedSeen || got < 0
 			if (got >= threshold) != (exact >= threshold) {
 				t.Fatalf("trial %d threshold %v: bounded %v and exact %v fall on different sides (weights %v)", trial, threshold, got, exact, weights)

@@ -23,6 +23,15 @@ package sim
 // below the floor. Weighted carries the floor through a weighted mean of
 // several columns.
 //
+// The set measures' size and signature filters read nothing but a 24-byte
+// Key per profile (key.go), so they are Keyed: a ProfileColumn keeps the
+// keys of its profiles in a dense array beside them, and the scoring loops
+// (Weighted.Score, the batch attribute matcher) hand a pair's keys to
+// Keyed.CompareKeyed, which checks them at the floor before it reads either
+// profile. Compare is CompareKeyed over keys it builds from the profiles, so
+// the results and the pruned counts are Compare's, and each pair is checked
+// once.
+//
 // ProfileInto is the only way a profile is built. It appends into the slices
 // the Profile already owns and takes its working memory from a Scratch, so a
 // caller that keeps both (the live resolver's pooled query slots, the string
@@ -320,9 +329,11 @@ func (g ngramProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
 }
 
 // Compare scores two gram sets by a merge-join over the sorted hashes, Dice
-// or Jaccard (setSim); the floor bounds the merge.
+// or Jaccard (setSim), behind the key check (CompareKeyed); the floor bounds
+// both.
 func (g ngramProfiled) Compare(a, b *Profile, floor float64) float64 {
-	return setSim(a.Grams, b.Grams, &a.sig, &b.sig, len(a.Grams), len(b.Grams), g.dice, floor)
+	ka, kb := g.Key(a), g.Key(b)
+	return g.CompareKeyed(a, b, &ka, &kb, floor)
 }
 
 // --- token-set measures --------------------------------------------------
@@ -366,12 +377,12 @@ func (tokenProfiled) fill(s string, p *Profile, sc *Scratch) {
 	p.sig = signatureOf(p.SortedTokenIDs)
 }
 
-// Compare scores two token-ID sets by a merge-join (setSim); unknown query
-// tokens enlarge the set sizes through ExtraTokens without being
-// materialized.
+// Compare scores two token-ID sets by a merge-join (setSim) behind the key
+// check (CompareKeyed); unknown query tokens enlarge the set sizes through
+// ExtraTokens without being materialized.
 func (t tokenProfiled) Compare(a, b *Profile, floor float64) float64 {
-	return setSim(a.SortedTokenIDs, b.SortedTokenIDs, &a.sig, &b.sig,
-		len(a.SortedTokenIDs)+a.ExtraTokens, len(b.SortedTokenIDs)+b.ExtraTokens, t.dice, floor)
+	ka, kb := t.Key(a), t.Key(b)
+	return t.CompareKeyed(a, b, &ka, &kb, floor)
 }
 
 // --- equality measures ---------------------------------------------------

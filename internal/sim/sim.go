@@ -154,35 +154,34 @@ func uniqueSorted[T cmp.Ordered](xs []T) []T {
 const stopped = -1.0
 
 // setSim is the Dice (2·|A∩B| / (|A|+|B|)) or Jaccard (|A∩B| / |A∪B|)
-// coefficient of two sets given as sorted, deduplicated slices. na and nb are
-// the set cardinalities, which exceed the slice lengths when a set has
-// members that can intersect nothing (Profile.ExtraTokens). Two empty sets
-// are identical (1); one empty set never matches (0).
+// coefficient of two sets given as sorted, deduplicated slices with their
+// keys (key.go). A key's cardinality exceeds its slice's length when the set
+// has members that can intersect nothing (Profile.ExtraTokens). Two empty
+// sets are identical (1); one empty set never matches (0).
 //
 // A positive floor bounds the work: need is an overlap no larger than the
-// least whose coefficient reaches floor, so sets too small to hold it are
-// rejected on their sizes alone, sets whose signatures sa and sb (both zero:
-// no information) show too many elements of one missing from the other on a
-// few words, and the merge of the rest stops once it cannot supply need.
-func setSim[T cmp.Ordered](a, b []T, sa, sb *signature, na, nb int, dice bool, floor float64) float64 {
-	if na == 0 && nb == 0 {
+// least whose coefficient reaches floor (minOverlap). The callers have
+// already rejected, on the keys alone (keyRejects), sets too small to hold
+// it and sets whose signatures (both zero: no information) show too many
+// elements of one missing from the other; the merge of the rest stops once
+// it cannot supply need.
+func setSim[T cmp.Ordered](a, b []T, ka, kb *Key, dice bool, floor float64) float64 {
+	if ka.card == 0 && kb.card == 0 {
 		return 1
 	}
-	if na == 0 || nb == 0 {
+	if ka.card == 0 || kb.card == 0 {
 		return 0
 	}
+	total := int(ka.card) + int(kb.card)
 	need := 0
 	if floor > 0 {
-		need = minOverlap(na+nb, dice, floor)
-		if min(len(a), len(b)) < need || len(a)-sa.lacking(sb) < need || len(b)-sb.lacking(sa) < need {
-			return stopped
-		}
+		need = minOverlap(total, dice, floor)
 	}
 	inter := overlapAtLeast(a, b, need)
 	if inter < 0 {
 		return stopped
 	}
-	return setRatio(inter, na+nb, dice)
+	return setRatio(inter, total, dice)
 }
 
 // setRatio is the coefficient of two sets with |A|+|B| = total that share
@@ -195,11 +194,23 @@ func setRatio(inter, total int, dice bool) float64 {
 }
 
 // minOverlap returns an overlap that every pair of sets with |A|+|B| = total
-// and setRatio >= floor reaches. The closed form can land one above the true
-// minimum — by rounding, or because setRatio itself rounds up onto floor (a
-// floor of 2/3 against 1 shared of 3) — so the candidate below is tried with
-// setRatio's own expression; landing below the minimum only prunes less.
+// and setRatio >= floor reaches. The closed form (overlapCeil) can land one
+// above the true minimum — by rounding, or because setRatio itself rounds up
+// onto floor (a floor of 2/3 against 1 shared of 3) — so the candidate below
+// is tried with setRatio's own expression; landing below the minimum only
+// prunes less.
 func minOverlap(total int, dice bool, floor float64) int {
+	need := overlapCeil(total, dice, floor)
+	if need > 0 && setRatio(need-1, total, dice) >= floor {
+		need--
+	}
+	return need
+}
+
+// overlapCeil is minOverlap's closed form, the ceiling of the overlap at
+// which the coefficient reaches floor, capped at total. The cap is hit only
+// by a floor above 1, which setRatio never reaches, so minOverlap keeps it.
+func overlapCeil(total int, dice bool, floor float64) int {
 	est := floor * float64(total)
 	if dice {
 		est /= 2
@@ -209,11 +220,7 @@ func minOverlap(total int, dice bool, floor float64) int {
 	if !(est < float64(total)) {
 		return total // floor above 1: more than either set can hold
 	}
-	need := int(math.Ceil(est))
-	if need > 0 && setRatio(need-1, total, dice) >= floor {
-		need--
-	}
-	return need
+	return int(math.Ceil(est))
 }
 
 // overlapAtLeast returns |a ∩ b| for two sorted, deduplicated slices of at

@@ -19,8 +19,10 @@ func TokenDice(a, b string) float64 { return tokenSetSim(a, b, true) }
 func tokenSetSim(a, b string, dice bool) float64 {
 	ta := uniqueSorted(Tokens(a))
 	tb := uniqueSorted(Tokens(b))
-	var none signature // floor 0: nothing to reject
-	return setSim(ta, tb, &none, &none, len(ta), len(tb), dice, 0)
+	// Floor 0: nothing to reject, so the keys carry only the sizes.
+	ka := Key{n: uint32(len(ta)), card: uint32(len(ta))}
+	kb := Key{n: uint32(len(tb)), card: uint32(len(tb))}
+	return setSim(ta, tb, &ka, &kb, dice, 0)
 }
 
 // YearExact returns 1 when both strings parse as the same integer year.

@@ -22,8 +22,9 @@ type Weighted struct {
 }
 
 type weightedCol struct {
-	ps ProfiledSim
-	w  float64
+	ps    ProfiledSim
+	keyed Keyed // ps when it is Keyed: its pairs are checked on their keys first
+	w     float64
 	// due is what the weighted sum must have reached after this column, were
 	// every later column to score 1, less the slack; inv is 1/w.
 	due, inv float64
@@ -43,6 +44,7 @@ func NewWeighted(measures []ProfiledSim, weights []float64, threshold float64) *
 		w := weights[i]
 		rest -= w
 		c := weightedCol{ps: ps, w: w, due: goal - rest - slack, inv: 1 / w}
+		c.keyed, _ = ps.(Keyed)
 		if w == 0 {
 			// A weightless column decides nothing: score it unbounded.
 			c.due, c.inv = math.Inf(-1), 1
@@ -54,10 +56,13 @@ func NewWeighted(measures []ProfiledSim, weights []float64, threshold float64) *
 
 // Score returns the weighted mean of the columns' similarities, exactly
 // whenever it reaches the threshold. at yields the two profiles of column i
-// and is not retained. Below the threshold the result is some value under
-// it, negative when a bound ended the candidate before every column was
-// scored in full.
-func (wt *Weighted) Score(at func(i int) (a, b *Profile)) float64 {
+// and their keys (ProfileColumn.At; read only when the column's measure is
+// Keyed) and is not retained. Below the threshold the result is some value
+// under it, negative when a bound ended the candidate before every column
+// was scored in full. A Keyed column scores through CompareKeyed, which
+// checks the keys before either profile is read and returns what Compare
+// would, so the result is the same.
+func (wt *Weighted) Score(at func(i int) (a, b *Profile, ka, kb *Key)) float64 {
 	var sum float64
 	for i := range wt.cols {
 		c := &wt.cols[i]
@@ -65,8 +70,13 @@ func (wt *Weighted) Score(at func(i int) (a, b *Profile)) float64 {
 		if floor > 1 {
 			return stopped
 		}
-		a, b := at(i)
-		s := c.ps.Compare(a, b, floor)
+		a, b, ka, kb := at(i)
+		var s float64
+		if c.keyed != nil {
+			s = c.keyed.CompareKeyed(a, b, ka, kb, floor)
+		} else {
+			s = c.ps.Compare(a, b, floor)
+		}
 		// A column short of its floor ends the candidate, except the last
 		// one when it was scored in full: nothing is left to save, so the
 		// mean (under the threshold) is returned and reads as not pruned.

@@ -57,15 +57,21 @@
 // A matcher keeps only the pairs that reach its threshold, so Compare takes
 // a floor — the least score its caller still has a use for — and is exact
 // at or above it; below it a measure may stop as soon as the score is out of
-// reach (the Dice and Jaccard set measures reject on set sizes, then on the
-// 128-bit set signatures their profiles carry, and abandon the merge of what
-// is left; Levenshtein rejects on lengths). AttributeMatcher passes its
+// reach (the Dice and Jaccard set measures reject on set sizes, then on
+// 128-bit set signatures, and abandon the merge of what is left;
+// Levenshtein rejects on lengths). The set measures' size and signature test
+// reads only a 24-byte filter key per profile (sim.Key: length, cardinality,
+// signature), and every profile column of a set measure keeps those keys in
+// a dense, pointer-free array beside its profiles (sim.ProfileColumn), so
+// the scoring loops check a candidate's key at the column's floor first and
+// never touch a rejected candidate's profile. AttributeMatcher passes its
 // threshold; MultiAttributeMatcher and LiveResolver share sim.Weighted,
 // which derives each column's floor from the weights still to come. The
 // bounds are exact — results are bit-identical to scoring every pair in
 // full, which survives as the oracle of the differential tests — and the
 // counters moma_match_pairs_pruned_total and moma_live_resolve_pruned_total
-// report how many admitted pairs they cut short.
+// report how many admitted pairs they cut short; a key reject is counted
+// exactly as the Compare it replaces.
 //
 // # Streaming match pipeline
 //
@@ -96,12 +102,16 @@
 //
 // The live subsystem answers single-record match queries against a resident
 // set without re-matching: a LiveResolver registers an ObjectSet once and
-// keeps its blocking index, similarity-profile columns and TF-IDF corpora
-// incrementally maintained, so Resolve blocks, scores and thresholds one
-// query in time proportional to its candidates — and Add/Remove update the
-// resident structures in place. Scoring is bit-identical to a batch
-// re-match of the same configuration (blocking attributes, columns,
-// weights, threshold).
+// keeps its blocking index, similarity-profile columns with their filter
+// keys, and TF-IDF corpora incrementally maintained, so Resolve blocks,
+// scores and thresholds one query in time proportional to its candidates —
+// and Add/Remove update the resident structures in place. Scoring is
+// bit-identical to a batch re-match of the same configuration (blocking
+// attributes, columns, weights, threshold), and most candidates of a set
+// measure are rejected on their dense keys without a profile read.
+// ResolveSet resolves a whole query set one query after another and loads
+// the matches' (dom, rng, sim) columns into the result in query order, as the
+// batch kernel loads its ranges.
 //
 //	sys.AddObjectSet("ACM.Publication", acm)
 //	r, err := sys.RegisterResolver("ACM.Publication", moma.LiveConfig{
@@ -310,15 +320,17 @@
 // The other four are held by runtime tests, each of which fails when its
 // invariant breaks:
 //
-//  4. Columnar integrity: parallel columns move together — Mapping's and
-//     the match kernel's dom/rng/sim, Resolver's ids/alive/blockToks and
-//     the per-slot profiles, a sim.Dict shard's strs/keys. Held by
-//     mapping.FromColumns (panics on unequal lengths), the eps-0
-//     differential oracles of internal/mapping (TestDifferential*) and
-//     internal/match (TestStreamed*MatchesMaterialized), live's
-//     TestResolveMatchesBatch, TestChurnCompaction and
-//     TestCompactionPreservesRemoveAndReplace, and
-//     FuzzQueryIntoMatchesProfileInto.
+//  4. Columnar integrity: parallel columns move together — Mapping's, the
+//     match kernel's and ResolveSet's dom/rng/sim, Resolver's
+//     ids/alive/blockToks and the per-slot profiles with their filter keys,
+//     a sim.Dict shard's strs/keys. Held by mapping.FromColumns (panics on
+//     unequal lengths), the eps-0 differential oracles of internal/mapping
+//     (TestDifferential*) and internal/match (TestStreamed*MatchesMaterialized),
+//     live's TestResolveMatchesBatch (ResolveSet and its batch twin against
+//     the exhaustive oracle, insertion order included), and the
+//     key-alignment check after the churn of TestChurnCompaction,
+//     TestCompactionPreservesRemoveAndReplace, TestAddReplace and
+//     TestTFIDFIncrementalMatchesRebuild, and FuzzQueryIntoMatchesProfileInto.
 //  5. Lock discipline: a field commented `// guarded by mu` is touched only
 //     while its sibling mutex is held (xxxLocked helpers say "Callers hold
 //     mu"). Held by `go test -race` over one concurrent test per type:
