@@ -11,7 +11,7 @@
 // publications, ACM 2294, GS 64263); the full run takes a couple of
 // minutes. -only restricts the run to a comma-separated list of experiment
 // IDs. -workers caps GOMAXPROCS and thereby both the ranges the match
-// kernel scores at once and the worker teams of the parallel
+// kernel scores at once and the workers of the parallel
 // mapping operators (matchers and operators default their worker count to
 // GOMAXPROCS), which is useful for comparing sequential and parallel runs
 // on the same hardware — operator outputs are bit-identical at every

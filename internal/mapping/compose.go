@@ -3,6 +3,8 @@ package mapping
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -149,43 +151,28 @@ func pathCombine(f Combiner, s1, s2 float64) float64 {
 // both inputs are same-mappings, otherwise the concatenation of the input
 // types (a derived association).
 //
-// The implementation is a hash join on the middle ordinals, as the paper
-// notes composition "can be computed very efficiently ... by joining the
-// mapping tables" (§5.3): map1's rng column probes map2's byDomain posting
-// lists, path aggregates accumulate under packed uint64 pair keys, and no
-// ID string is touched unless the inputs use different dictionaries (the
-// middle ordinals are then translated once per distinct middle object).
+// The implementation joins the mapping tables, as the paper notes
+// composition "can be computed very efficiently ... by joining the mapping
+// tables" (§5.3): map1's range column meets map2's domain column through
+// two radix-sorted row lists, the compose paths are sorted by their packed
+// (domain, range) ordinal pair, and each run of paths folds into one output
+// pair. No ID string is touched unless the inputs use different
+// dictionaries, and no posting list of either input is built.
 //
-// Compose runs the join on a GOMAXPROCS-sized worker team; ComposeWorkers
-// pins the count. The output is bit-identical at every team size (see the
-// parallel-operator section of moma.go).
+// Compose runs on GOMAXPROCS workers; ComposeWorkers pins the count. The
+// output is bit-identical at every worker count (see the parallel-operator
+// section of moma.go).
 func Compose(map1, map2 *Mapping, f Combiner, g PathAgg) (*Mapping, error) {
 	return ComposeWorkers(map1, map2, f, g, 0)
 }
 
-// composeAgg accumulates one output pair: sum, min, max and count of its
-// compose-path similarities.
-type composeAgg struct {
-	sum, min, max float64
-	paths         int
-}
-
-// composeEntry is one output pair after the join: its aggregate plus the
-// (row, posting-position) sequence of its first compose path, which orders
-// the output exactly as the sequential first-seen scan would.
-type composeEntry struct {
-	first uint64
-	key   uint64
-	agg   composeAgg
-}
-
 // ComposeWorkers is Compose with an explicit worker count (<= 0 means
-// GOMAXPROCS). The join hash-partitions map1's rows by domain ordinal:
-// every compose path of an output pair (a, b) starts at a map1 row with
-// domain a, so each pair's aggregate folds on exactly one worker, in
-// global row order — order-sensitive float sums come out bit-identical to
-// the one-worker fold. Workers keep private slot arenas; the merge-back
-// orders the per-worker results by first-path sequence.
+// GOMAXPROCS). Paths are numbered in the order the sequential join meets
+// them — map1 row by row, and within a row map2's rows of that middle
+// object in row order — and a stable sort by output pair keeps that order
+// within each run. So every pair's float sum folds in the sequential order,
+// and the output lists pairs by their first path, the first-seen order of
+// the sequential scan.
 func ComposeWorkers(map1, map2 *Mapping, f Combiner, g PathAgg, workers int) (out *Mapping, err error) {
 	defer func(start time.Time) {
 		rows := -1
@@ -207,169 +194,166 @@ func ComposeWorkers(map1, map2 *Mapping, f Combiner, g PathAgg, workers int) (ou
 		outType = map1.Type() + "." + map2.Type()
 	}
 
-	sameDict := map1.dict == map2.dict
-	by2, _ := map2.postings()
-	var ids1 []model.ID
-	if !sameDict {
-		ids1 = map1.dict.All()
-	}
-
-	// Per-worker join arenas. The aggregates live in one flat slice indexed
-	// through the slot map, so the join allocates per distinct output pair
-	// only on slice growth, never per path. Sized for the common near-1:1
-	// shape (output pairs ≈ input rows); worst cases just grow.
-	type composeScratch struct {
-		slot  map[uint64]int32
-		keys  []uint64
-		first []uint64
-		aggs  []composeAgg
-	}
-	team := par.Team(len(map1.sim), workers)
-	scratch := make([]composeScratch, team)
-	par.RunTeam(team, func(w int) {
-		sc := &scratch[w]
-		hint := len(map1.sim)/team + 1
-		sc.slot = make(map[uint64]int32, hint)
-		sc.keys = make([]uint64, 0, hint)
-		sc.first = make([]uint64, 0, hint)
-		sc.aggs = make([]composeAgg, 0, hint)
-		// xlat caches middle-ordinal translation (map1 dict -> map2 dict)
-		// when the dictionaries differ; -1 marks a middle id map2 never
-		// interned. Lookup is read-only, so workers translate independently.
-		var xlat map[uint32]int64
-		if !sameDict {
-			xlat = make(map[uint32]int64)
+	bufs := sortBufs{workers: workers}
+	by2 := bufs.sort(bufs.keyRows(map2.dom))
+	// map1's rows by middle ordinal, translated into map2's dictionary when
+	// the two differ. A middle id map2 never interned meets no row of map2,
+	// so its rows are left out; the lookup interns nothing.
+	var keys1 []par.KeyRow
+	if map1.dict == map2.dict {
+		keys1 = bufs.keyRows(map1.rng)
+	} else {
+		ids1 := map1.dict.All()
+		keys1 = bufs.get(len(map1.sim))[:0]
+		for i, mid := range map1.rng {
+			if o, ok := map2.dict.Lookup(ids1[mid]); ok {
+				keys1 = append(keys1, par.KeyRow{Key: uint64(o), Row: uint32(i)})
+			}
 		}
-		for i := range map1.sim {
-			d := map1.dom[i]
-			if team > 1 && par.Partition(d, team) != w {
-				continue
+	}
+	by1 := bufs.sort(keys1)
+
+	// The join: map1 row i meets by2[start[i]:][:off[i+1]-off[i]], where
+	// off[i+1] holds that count until the prefix sum below turns off into
+	// the number of map1 row i's first path.
+	n1 := len(map1.sim)
+	start := make([]uint32, n1)
+	off := make([]uint32, n1+1)
+	par.Split(len(by1), workers).Run(func(_, lo, hi int) {
+		if lo == hi {
+			return
+		}
+		j, _ := slices.BinarySearchFunc(by2, by1[lo].Key, func(e par.KeyRow, k uint64) int { return cmp.Compare(e.Key, k) })
+		e := j
+		for k := lo; k < hi; k++ {
+			key := by1[k].Key
+			if k == lo || key != by1[k-1].Key {
+				j = e
+				for j < len(by2) && by2[j].Key < key {
+					j++
+				}
+				e = j
+				for e < len(by2) && by2[e].Key == key {
+					e++
+				}
 			}
-			mid := map1.rng[i]
-			if !sameDict {
-				t, ok := xlat[mid]
-				if !ok {
-					if o2, ok2 := map2.dict.Lookup(ids1[mid]); ok2 {
-						t = int64(o2)
-					} else {
-						t = -1
-					}
-					xlat[mid] = t
-				}
-				if t < 0 {
-					continue
-				}
-				mid = uint32(t)
-			}
-			for j, i2 := range by2[mid] {
-				ps := pathCombine(f, map1.sim[i], map2.sim[i2])
-				key := ordKey(d, map2.rng[i2])
-				k, ok := sc.slot[key]
-				if !ok {
-					k = int32(len(sc.aggs))
-					sc.slot[key] = k
-					sc.keys = append(sc.keys, key)
-					sc.first = append(sc.first, uint64(i)<<32|uint64(j))
-					sc.aggs = append(sc.aggs, composeAgg{min: ps, max: ps})
-				}
-				a := &sc.aggs[k]
-				if ok {
-					if ps < a.min {
-						a.min = ps
-					} else if ps > a.max {
-						a.max = ps
-					}
-				}
-				a.sum += ps
-				a.paths++
+			row := by1[k].Row
+			start[row], off[row+1] = uint32(j), uint32(e-j)
+		}
+	})
+	bufs.put(by1)
+	var paths uint64
+	for i := 1; i <= n1; i++ {
+		paths += uint64(off[i])
+		if paths > math.MaxUint32 {
+			panic(fmt.Sprintf("mapping: Compose of %d and %d rows has more than 2^32 paths", n1, len(map2.sim)))
+		}
+		off[i] = uint32(paths)
+	}
+	// meets returns map1 row i's slice of by2.
+	meets := func(i int) []par.KeyRow { return by2[start[i] : start[i]+off[i+1]-off[i]] }
+
+	// Emit every path at its number p, keyed by its output pair.
+	keys := bufs.get(int(paths))
+	pathSim := make([]float64, paths)
+	par.Split(n1, workers).Run(func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			d, s1, p := map1.dom[i], map1.sim[i], off[i]
+			for _, r2 := range meets(i) {
+				keys[p] = par.KeyRow{Key: ordKey(d, map2.rng[r2.Row]), Row: p}
+				pathSim[p] = pathCombine(f, s1, map2.sim[r2.Row])
+				p++
 			}
 		}
 	})
 
-	// Merge-back: concatenate the per-worker arenas and restore the global
-	// first-seen order by sorting on first-path sequence (unique per pair —
-	// one path discovers one pair). A team of one is already in order.
-	offs := make([]int, team+1)
-	for w := range scratch {
-		offs[w+1] = offs[w] + len(scratch[w].keys)
-	}
-	entries := make([]composeEntry, offs[team])
-	par.RunTeam(team, func(w int) {
-		sc := &scratch[w]
-		base := offs[w]
-		for k := range sc.keys {
-			entries[base+k] = composeEntry{first: sc.first[k], key: sc.keys[k], agg: sc.aggs[k]}
+	// Fold each output pair's paths in path order. agg[p] is the aggregate
+	// of the pair whose first path is p — before the Relative family's
+	// division by fan-outs — and 0 on every other path.
+	sorted := bufs.sort(keys)
+	agg := make([]float64, paths)
+	eachRun(sorted, workers, func() func(lo, hi int) {
+		return func(lo, hi int) {
+			first := sorted[lo].Row
+			sum, low, high := 0.0, pathSim[first], pathSim[first]
+			for _, r := range sorted[lo:hi] {
+				ps := pathSim[r.Row]
+				sum += ps
+				if ps < low {
+					low = ps
+				} else if ps > high {
+					high = ps
+				}
+			}
+			switch g {
+			case AggAvg:
+				agg[first] = sum / float64(hi-lo)
+			case AggMin:
+				agg[first] = low
+			case AggMax:
+				agg[first] = high
+			default:
+				agg[first] = sum
+			}
 		}
 	})
-	if team > 1 {
-		par.SortFunc(entries, workers, func(a, b composeEntry) int {
-			return cmp.Compare(a.first, b.first)
-		})
-	}
+	bufs.put(sorted)
 
-	// Only the Relative family reads the per-side fan-out counts; skip the
-	// posting-list builds otherwise. (map2's lists already exist: the join
-	// built them for by2.)
-	var by1, rng2 map[uint32][]int32
+	var n1a, n2b []uint32 // fan-outs per map1 row's domain and per map2 row's range
 	if g == AggRelativeLeft || g == AggRelative {
-		by1, _ = map1.postings()
+		n1a = bufs.groupSizes(map1.dom)
 	}
 	if g == AggRelativeRight || g == AggRelative {
-		_, rng2 = map2.postings()
+		n2b = bufs.groupSizes(map2.rng)
 	}
-
-	final := func(e *composeEntry) float64 {
-		a := &e.agg
-		d, r := uint32(e.key>>32), uint32(e.key)
+	final := func(v float64, i int, i2 uint32) float64 {
 		switch g {
-		case AggAvg:
-			return a.sum / float64(a.paths)
-		case AggMin:
-			return a.min
-		case AggMax:
-			return a.max
 		case AggRelativeLeft:
-			return a.sum / float64(len(by1[d]))
+			return v / float64(n1a[i])
 		case AggRelativeRight:
-			return a.sum / float64(len(rng2[r]))
-		default: // AggRelative; g was validated up front
-			return 2 * a.sum / float64(len(by1[d])+len(rng2[r]))
+			return v / float64(n2b[i2])
+		case AggRelative:
+			return 2 * v / float64(int(n1a[i])+int(n2b[i2]))
 		}
+		return v
 	}
 
-	if !sameDict {
-		// The range ordinals belong to map2's dictionary; interning their
-		// ids into the output's (= map1's) dictionary mutates it, so the
-		// mixed-dictionary finalize stays sequential.
-		out := NewWithDict(map1.Domain(), map2.Range(), outType, map1.dict)
-		ids2 := map2.dict.All()
-		for j := range entries {
-			if s := final(&entries[j]); s > 0 {
-				out.AddOrd(uint32(entries[j].key>>32), out.dict.Ord(ids2[uint32(entries[j].key)]), s)
+	// Gather the pairs that score above 0, in the order of their first path.
+	dom, rng, sim := gatherColumns(n1, workers, func(lo, hi int) int {
+		kept := 0
+		for i := lo; i < hi; i++ {
+			for j, r2 := range meets(i) {
+				p := off[i] + uint32(j)
+				if agg[p] == 0 {
+					continue
+				}
+				if s := final(agg[p], i, r2.Row); s > 0 {
+					agg[p] = clampSim(s)
+					kept++
+				} else {
+					agg[p] = 0
+				}
 			}
 		}
-		return out, nil
-	}
-
-	// Shared-dictionary finalize: score entries per chunk into private
-	// column buffers (the s > 0 filter makes chunk sizes data-dependent),
-	// concatenate in chunk order, and bulk-load the output.
-	plan := par.Split(len(entries), workers)
-	bufs := make([]colBuf, plan.Chunks())
-	plan.Run(func(c, lo, hi int) {
-		b := &bufs[c]
-		b.dom = make([]uint32, 0, hi-lo)
-		b.rng = make([]uint32, 0, hi-lo)
-		b.sim = make([]float64, 0, hi-lo)
-		for j := lo; j < hi; j++ {
-			if s := final(&entries[j]); s > 0 {
-				b.dom = append(b.dom, uint32(entries[j].key>>32))
-				b.rng = append(b.rng, uint32(entries[j].key))
-				b.sim = append(b.sim, clampSim(s))
+		return kept
+	}, func(lo, hi int, dom, rng []uint32, sim []float64) {
+		k := 0
+		for i := lo; i < hi; i++ {
+			for j, r2 := range meets(i) {
+				if s := agg[off[i]+uint32(j)]; s > 0 {
+					dom[k], rng[k], sim[k] = map1.dom[i], map2.rng[r2.Row], s
+					k++
+				}
 			}
 		}
 	})
-	dom, rng, sim := concatColumns(bufs)
+	if map1.dict != map2.dict {
+		// The range ordinals are map2's; the output's dictionary is map1's.
+		ids2 := map2.dict.All()
+		for k, r := range rng {
+			rng[k] = map1.dict.Ord(ids2[r])
+		}
+	}
 	return newFromColumns(map1.Domain(), map2.Range(), outType, map1.dict, dom, rng, sim), nil
 }
 

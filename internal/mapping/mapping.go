@@ -12,12 +12,16 @@
 //
 // A Mapping stores its table as parallel columns — dom and rng hold uint32
 // ordinals interned in a model.IDDict, sim holds the similarities — rather
-// than as a slice of ID-carrying structs. Operators then move integers:
-// compose hash-joins on middle ordinals, merge folds pairs keyed by a
-// packed uint64, selections sort row indices, and the per-pair dedup index
-// is a map[uint64]int32 instead of a map keyed by two strings. byDomain and
-// byRange views are ordinal posting lists (row indices in insertion order)
-// built lazily on first use and maintained incrementally afterwards.
+// than as a slice of ID-carrying structs. Operators then move integers and
+// group rows by radix-sorting them on ordinal keys: compose joins middle
+// ordinals through two sorted row lists and groups its paths by packed
+// (domain, range) pair, merge groups all inputs' rows by that pair key, and
+// selections group row indices by domain or range ordinal. The per-pair
+// dedup index is a map[uint64]int32 instead of a map keyed by two strings.
+// byDomain and byRange views are ordinal posting lists (row indices in
+// insertion order) built lazily by the first per-object view that needs
+// them — never by Compose, Merge or the selections — and maintained
+// incrementally afterwards.
 //
 // Mappings created with New/NewSame intern through the process-global
 // model.IDs dictionary, so every matcher result, operator output and

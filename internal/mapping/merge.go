@@ -1,10 +1,10 @@
 package mapping
 
 import (
-	"cmp"
 	"fmt"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/par"
 )
 
@@ -198,22 +198,20 @@ func (c Combiner) validateForMerge(n int) error {
 // the other mappings contribute only correspondences for domain objects the
 // preferred mapping does not cover.
 //
-// Merge runs the union fold on a GOMAXPROCS-sized worker team;
-// MergeWorkers pins the count. The output is bit-identical at every team
-// size (see the parallel-operator section of moma.go).
+// Merge runs on GOMAXPROCS workers; MergeWorkers pins the count. The
+// output is bit-identical at every worker count (see the parallel-operator
+// section of moma.go).
 func Merge(f Combiner, maps ...*Mapping) (*Mapping, error) {
 	return MergeWorkers(f, 0, maps...)
 }
 
 // MergeWorkers is Merge with an explicit worker count (<= 0 means
-// GOMAXPROCS). Above mergeSortMin rows the union fold is sort-based: the
-// packed pair keys of all inputs concatenate into one record array,
-// par.SortFunc groups equal keys (records carry their (input, row)
-// sequence, so the sort order is total and the equal-key runs line up in
-// input order), and workers fold disjoint run ranges. Small merges keep
-// the map accumulator, which wins while everything fits in cache; both
-// folds combine the same per-input similarity vectors, so the output is
-// identical either way.
+// GOMAXPROCS). The inputs' rows are numbered in input order and radix-sorted
+// by packed pair key; the sort is stable, so each run of equal keys lists
+// the pair's similarities in input order, at most one per input, and its
+// first record is the pair's first sighting. Every run folds on one worker
+// into the per-input similarity vector the combiner takes, and the
+// surviving pairs are gathered in the order of their first records.
 func MergeWorkers(f Combiner, workers int, maps ...*Mapping) (out *Mapping, err error) {
 	defer func(start time.Time) {
 		rows := -1
@@ -239,208 +237,105 @@ func MergeWorkers(f Combiner, workers int, maps ...*Mapping) (out *Mapping, err 
 	if err := f.validateForMerge(len(maps)); err != nil {
 		return nil, err
 	}
-
-	out = NewWithDict(first.Domain(), first.Range(), first.Type(), first.dict)
-
-	// Every input's rows are keyed by ordinals of the OUTPUT dictionary
-	// (= the first input's). Inputs sharing it — the common case — stream
-	// their columns through untranslated; a foreign-dictionary input interns
-	// its ids once per row.
-	eachOut := func(m *Mapping, fn func(d, r uint32, s float64)) {
-		if m.dict == out.dict {
-			for i := range m.sim {
-				fn(m.dom[i], m.rng[i], m.sim[i])
-			}
-			return
-		}
-		ids := m.dict.All()
-		for i := range m.sim {
-			fn(out.dict.Ord(ids[m.dom[i]]), out.dict.Ord(ids[m.rng[i]]), m.sim[i])
-		}
-	}
+	dict := first.dict
 
 	if f.Kind == Prefer {
+		out = NewWithDict(first.Domain(), first.Range(), first.Type(), dict)
 		pref := maps[f.PreferIndex]
+		dom, rng := pref.colsIn(dict)
 		covered := make(map[uint32]bool, pref.Len())
-		eachOut(pref, func(d, r uint32, s float64) {
-			out.AddOrd(d, r, s)
-			covered[d] = true
-		})
+		for r, s := range pref.sim {
+			out.AddOrd(dom[r], rng[r], s)
+			covered[dom[r]] = true
+		}
 		for i, m := range maps {
 			if i == f.PreferIndex {
 				continue
 			}
-			eachOut(m, func(d, r uint32, s float64) {
-				if !covered[d] {
-					out.AddMaxOrd(d, r, s)
+			dom, rng := m.colsIn(dict)
+			for r, s := range m.sim {
+				if !covered[dom[r]] {
+					out.AddMaxOrd(dom[r], rng[r], s)
 				}
-			})
-		}
-		return out, nil
-	}
-
-	total := 0
-	for _, m := range maps {
-		total += m.Len()
-	}
-	team := par.Team(total, workers)
-	if team == 1 && total < mergeSortMin {
-		// Collect the union of pairs, then fold each pair across the
-		// inputs. Per-pair fold state lives in two flat arrays (n values
-		// per pair) indexed through the map, so collection allocates on
-		// slice growth only, never per pair.
-		// Sized for the common high-overlap shape (union ≈ largest input);
-		// low-overlap inputs just grow.
-		hint := 0
-		for _, m := range maps {
-			if m.Len() > hint {
-				hint = m.Len()
-			}
-		}
-		n := len(maps)
-		acc := make(map[uint64]int32, hint)
-		order := make([]uint64, 0, hint)
-		sims := make([]float64, 0, hint*n)
-		present := make([]bool, 0, hint*n)
-		for i, m := range maps {
-			eachOut(m, func(d, r uint32, sim float64) {
-				key := ordKey(d, r)
-				k, ok := acc[key]
-				if !ok {
-					k = int32(len(order))
-					acc[key] = k
-					order = append(order, key)
-					for t := 0; t < n; t++ {
-						sims = append(sims, 0)
-						present = append(present, false)
-					}
-				}
-				sims[int(k)*n+i] = sim
-				present[int(k)*n+i] = true
-			})
-		}
-		for j, key := range order {
-			v, keep := f.combine(sims[j*n:(j+1)*n], present[j*n:(j+1)*n])
-			if keep && v > 0 {
-				out.AddOrd(uint32(key>>32), uint32(key), v)
 			}
 		}
 		return out, nil
 	}
-	return mergeSorted(f, out, maps, total, workers), nil
-}
 
-// mergeSortMin is the row count above which the sort-based union fold
-// beats the map accumulator even on one worker: the map walk is a cache
-// miss per row at these sizes, the sort is sequential scans.
-const mergeSortMin = 1 << 17
-
-// mergeRec is one input correspondence in the sort-based fold. seq packs
-// (input index, row index); sorting by (key, seq) groups equal pairs with
-// their per-input similarities in input order, and the first record of a
-// run carries the pair's global first-seen sequence.
-type mergeRec struct {
-	key uint64
-	seq uint64
-	sim float64
-}
-
-// mergeOut is one surviving output pair and the sequence that positions it
-// in first-seen order.
-type mergeOut struct {
-	seq uint64
-	key uint64
-	sim float64
-}
-
-// mergeSorted is the sort-based grouped union fold behind MergeWorkers.
-// out is the (empty) result mapping, used for its dictionary and type.
-func mergeSorted(f Combiner, out *Mapping, maps []*Mapping, total, workers int) *Mapping {
 	n := len(maps)
-	recs := make([]mergeRec, total)
-	base := 0
+	doms, rngs := make([][]uint32, n), make([][]uint32, n)
+	base := make([]int, n+1) // input i's rows are records base[i] to base[i+1]
 	for i, m := range maps {
-		if m.dict == out.dict {
-			b, in := base, m
-			par.Split(in.Len(), workers).Run(func(c, lo, hi int) {
-				for r := lo; r < hi; r++ {
-					recs[b+r] = mergeRec{ordKey(in.dom[r], in.rng[r]), uint64(i)<<32 | uint64(r), in.sim[r]}
-				}
-			})
-		} else {
-			// Foreign dictionary: interning mutates the output dictionary,
-			// so this input translates sequentially.
-			ids := m.dict.All()
-			for r := range m.sim {
-				recs[base+r] = mergeRec{ordKey(out.dict.Ord(ids[m.dom[r]]), out.dict.Ord(ids[m.rng[r]])), uint64(i)<<32 | uint64(r), m.sim[r]}
-			}
-		}
-		base += m.Len()
+		doms[i], rngs[i] = m.colsIn(dict)
+		base[i+1] = base[i] + m.Len()
 	}
-	par.SortFunc(recs, workers, func(a, b mergeRec) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
+	input := func(q int) int {
+		i := 0
+		for q >= base[i+1] {
+			i++
 		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-
-	// Fold equal-key runs in parallel: each chunk owns the runs that START
-	// inside it (a chunk's first partial run belongs to its predecessor,
-	// and its last run may read past the boundary). Runs are at most n
-	// records, one per input.
-	plan := par.Split(len(recs), workers)
-	outs := make([][]mergeOut, plan.Chunks())
-	plan.Run(func(c, lo, hi int) {
-		start := lo
-		for start > 0 && start < hi && recs[start].key == recs[start-1].key {
-			start++
-		}
-		sims := make([]float64, n)
-		present := make([]bool, n)
-		buf := make([]mergeOut, 0, hi-start)
-		for t := start; t < hi; {
-			e := t + 1
-			for e < len(recs) && recs[e].key == recs[t].key {
-				e++
-			}
-			for x := t; x < e; x++ {
-				in := int(recs[x].seq >> 32)
-				sims[in] = recs[x].sim
-				present[in] = true
-			}
-			v, keep := f.combine(sims, present)
-			if keep && v > 0 {
-				buf = append(buf, mergeOut{seq: recs[t].seq, key: recs[t].key, sim: clampSim(v)})
-			}
-			for x := t; x < e; x++ {
-				present[int(recs[x].seq>>32)] = false
-			}
-			t = e
-		}
-		outs[c] = buf
-	})
-
-	kept := 0
-	for _, b := range outs {
-		kept += len(b)
+		return i
 	}
-	es := make([]mergeOut, 0, kept)
-	for _, b := range outs {
-		es = append(es, b...)
+	bufs := sortBufs{workers: workers}
+	recs := bufs.get(base[n])
+	for i := range maps {
+		dom, rng, b := doms[i], rngs[i], base[i]
+		par.Split(len(dom), workers).Run(func(_, lo, hi int) {
+			for r := lo; r < hi; r++ {
+				recs[b+r] = par.KeyRow{Key: ordKey(dom[r], rng[r]), Row: uint32(b + r)}
+			}
+		})
 	}
-	// Restore insertion order: pairs appear in the order their first
-	// record arrived, exactly the first-seen order of the sequential scan.
-	par.SortFunc(es, workers, func(a, b mergeOut) int { return cmp.Compare(a.seq, b.seq) })
+	sorted := bufs.sort(recs)
 
-	dom := make([]uint32, len(es))
-	rng := make([]uint32, len(es))
-	sim := make([]float64, len(es))
-	par.Split(len(es), workers).Run(func(c, lo, hi int) {
-		for t := lo; t < hi; t++ {
-			dom[t] = uint32(es[t].key >> 32)
-			rng[t] = uint32(es[t].key)
-			sim[t] = es[t].sim
+	// kept[q] is the merged similarity of the pair whose first record is q,
+	// and 0 on every other record and for every dropped pair.
+	kept := make([]float64, base[n])
+	eachRun(sorted, workers, func() func(lo, hi int) {
+		sims, present := make([]float64, n), make([]bool, n)
+		return func(lo, hi int) {
+			for _, r := range sorted[lo:hi] {
+				i := input(int(r.Row))
+				sims[i], present[i] = maps[i].sim[int(r.Row)-base[i]], true
+			}
+			if v, keep := f.combine(sims, present); keep && v > 0 {
+				kept[sorted[lo].Row] = clampSim(v)
+			}
+			clear(present)
 		}
 	})
-	return newFromColumns(out.Domain(), out.Range(), out.Type(), out.dict, dom, rng, sim)
+	dom, rng, sim := gatherColumns(base[n], workers, func(lo, hi int) int {
+		c := 0
+		for _, v := range kept[lo:hi] {
+			if v > 0 {
+				c++
+			}
+		}
+		return c
+	}, func(lo, hi int, dom, rng []uint32, sim []float64) {
+		k := 0
+		for q := lo; q < hi; q++ {
+			if kept[q] > 0 {
+				i := input(q)
+				dom[k], rng[k], sim[k] = doms[i][q-base[i]], rngs[i][q-base[i]], kept[q]
+				k++
+			}
+		}
+	})
+	return newFromColumns(first.Domain(), first.Range(), first.Type(), dict, dom, rng, sim), nil
+}
+
+// colsIn returns m's domain and range columns as ordinals of dict: m's own
+// columns when it uses dict, otherwise a translation that interns m's ids
+// into dict row by row.
+func (m *Mapping) colsIn(dict *model.IDDict) (dom, rng []uint32) {
+	if m.dict == dict {
+		return m.dom, m.rng
+	}
+	ids := m.dict.All()
+	dom, rng = make([]uint32, len(m.sim)), make([]uint32, len(m.sim))
+	for r := range m.sim {
+		dom[r], rng[r] = dict.Ord(ids[m.dom[r]]), dict.Ord(ids[m.rng[r]])
+	}
+	return dom, rng
 }

@@ -14,8 +14,8 @@ import (
 // never inside the per-row loops, which carry the package's zero-alloc and
 // no-atomic-traffic budgets. The workers label is the resolved worker cap
 // (par.Workers of the caller's request), the knob an operator run was
-// configured with; the actual team size additionally shrinks with the
-// input and would fragment the series per input size.
+// configured with; the number of chunks actually run additionally shrinks
+// with the input and would fragment the series per input size.
 //
 // Series handles are cached in a sync.Map keyed by (op, workers): label
 // strings are built and the registry mutex taken only the first time a

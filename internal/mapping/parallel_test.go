@@ -9,99 +9,184 @@ import (
 	"repro/internal/model"
 )
 
-// parallelWorkerCounts are the team sizes the differential tests pin:
+// parallelWorkerCounts are the worker counts the differential tests pin:
 // sequential, an odd count that leaves ragged chunks, and the CI core
-// count. Inputs are sized well above par's chunk floor so the counts
-// above 1 really fan out instead of collapsing.
+// count. The random inputs are sized well above par's chunk floor so the
+// counts above 1 really fan out instead of collapsing.
 var parallelWorkerCounts = []int{1, 3, 8}
+
+// refPairOf is a Mapping with its reference twin, built by the same ops.
+type refPairOf struct {
+	m *Mapping
+	r *refMapping
+}
+
+// newRefPair applies ops to a fresh same-mapping and its reference.
+func newRefPair(domain, rng model.LDS, ops []op) refPairOf {
+	p := refPairOf{NewSame(domain, rng), newRef(domain, rng, model.SameMappingType)}
+	applyOps(p.m, p.r, ops)
+	return p
+}
+
+// exactRows is newRefPair for random ops applied until the mapping holds
+// exactly n rows.
+func exactRows(rnd *rand.Rand, n, domCard, rngCard int) refPairOf {
+	p := newRefPair(ldsA, ldsB, nil)
+	for p.m.Len() < n {
+		applyOps(p.m, p.r, randomOps(rnd, 1, domCard, rngCard, "a", "b"))
+	}
+	return p
+}
 
 // TestDifferentialComposeWorkers pins ComposeWorkers to the map-based
 // oracle at eps 0 — exact similarities AND insertion order — for every
 // worker count. The random workload is large enough (several chunks of
-// fan-out-heavy rows) that the hash-partitioned join, the first-seen sort
-// and the chunked finalize all run multi-worker.
+// fan-out-heavy rows) that the join, the path sort, the run folds and the
+// gather all run multi-worker; the small ones cover empty and one-row
+// inputs and a join in which no middle id of map1 appears in map2.
 func TestDifferentialComposeWorkers(t *testing.T) {
 	combiners := []Combiner{MinCombiner, MaxCombiner, AvgCombiner, WeightedCombiner(2, 1)}
 	aggs := []PathAgg{AggAvg, AggMin, AggMax, AggRelativeLeft, AggRelativeRight, AggRelative}
 	rnd := rand.New(rand.NewSource(21))
-	m1 := NewSame(ldsA, ldsC)
-	r1 := newRef(ldsA, ldsC, model.SameMappingType)
-	applyOps(m1, r1, randomOps(rnd, 9000, 700, 500, "a", "c"))
-	m2 := NewSame(ldsC, ldsB)
-	r2 := newRef(ldsC, ldsB, model.SameMappingType)
-	applyOps(m2, r2, randomOps(rnd, 9000, 500, 700, "c", "b"))
-	for _, f := range combiners {
-		for _, g := range aggs {
-			want, err := refCompose(r1, r2, f, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range parallelWorkerCounts {
-				got, err := ComposeWorkers(m1, m2, f, g, w)
+	one := []op{{a: "a1", b: "c1", s: 0.8}}
+	inputs := []struct {
+		name   string
+		m1, m2 refPairOf
+	}{
+		{"random", newRefPair(ldsA, ldsC, randomOps(rnd, 9000, 700, 500, "a", "c")), newRefPair(ldsC, ldsB, randomOps(rnd, 9000, 500, 700, "c", "b"))},
+		{"empty map1", newRefPair(ldsA, ldsC, nil), newRefPair(ldsC, ldsB, randomOps(rnd, 50, 5, 5, "c", "b"))},
+		{"empty map2", newRefPair(ldsA, ldsC, randomOps(rnd, 50, 5, 5, "a", "c")), newRefPair(ldsC, ldsB, nil)},
+		{"one row each", newRefPair(ldsA, ldsC, one), newRefPair(ldsC, ldsB, []op{{a: "c1", b: "b1", s: 0.6}})},
+		{"no shared middle", newRefPair(ldsA, ldsC, randomOps(rnd, 6000, 300, 300, "a", "c")), newRefPair(ldsC, ldsB, randomOps(rnd, 6000, 300, 300, "m", "b"))},
+	}
+	for _, in := range inputs {
+		for _, f := range combiners {
+			for _, g := range aggs {
+				want, err := refCompose(in.m1.r, in.m2.r, f, g)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireIdentical(t, fmt.Sprintf("compose f=%s g=%s workers=%d", f.Kind, g, w), got, want)
+				for _, w := range parallelWorkerCounts {
+					got, err := ComposeWorkers(in.m1.m, in.m2.m, f, g, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireIdentical(t, fmt.Sprintf("%s: compose f=%s g=%s workers=%d", in.name, f.Kind, g, w), got, want)
+				}
 			}
 		}
 	}
 }
 
-// TestDifferentialMergeWorkers pins MergeWorkers the same way. At one
-// worker the small-merge map accumulator runs; above it the sort-based
-// grouped fold runs — the oracle comparison proves the two folds and
-// every team size produce bit-identical mappings.
+// TestDifferentialMergeWorkers pins MergeWorkers the same way, over random
+// inputs, empty and one-row inputs, and merges of 131 071 and 131 073 rows
+// in total — either side of the 1<<17 rows where Merge once switched from
+// a map fold to a sort fold.
 func TestDifferentialMergeWorkers(t *testing.T) {
 	combiners := []Combiner{
 		AvgCombiner, Avg0Combiner, MinCombiner, Min0Combiner, MaxCombiner,
 		WeightedCombiner(1, 2, 3), {Kind: Weighted, Weights: []float64{1, 2, 3}, MissingAsZero: true},
 	}
 	rnd := rand.New(rand.NewSource(22))
-	var ms []*Mapping
-	var rs []*refMapping
-	for k := 0; k < 3; k++ {
-		m := NewSame(ldsA, ldsB)
-		r := newRef(ldsA, ldsB, model.SameMappingType)
-		applyOps(m, r, randomOps(rnd, 4000, 600, 600, "a", "b"))
-		ms = append(ms, m)
-		rs = append(rs, r)
+	random := func() refPairOf { return newRefPair(ldsA, ldsB, randomOps(rnd, 4000, 600, 600, "a", "b")) }
+	around := func(total int) [3]refPairOf {
+		third := total / 3
+		return [3]refPairOf{exactRows(rnd, third, 400, 400), exactRows(rnd, third, 400, 400), exactRows(rnd, total-2*third, 400, 400)}
 	}
-	for _, f := range combiners {
-		want, err := refMerge(f, rs...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range parallelWorkerCounts {
-			got, err := MergeWorkers(f, w, ms...)
+	empty := newRefPair(ldsA, ldsB, nil)
+	one := newRefPair(ldsA, ldsB, []op{{a: "a1", b: "b1", s: 0.7}})
+	inputs := []struct {
+		name string
+		maps [3]refPairOf
+	}{
+		{"random", [3]refPairOf{random(), random(), random()}},
+		{"131071 rows", around(1<<17 - 1)},
+		{"131073 rows", around(1<<17 + 1)},
+		{"empty", [3]refPairOf{empty, empty, empty}},
+		{"one row", [3]refPairOf{empty, one, empty}},
+	}
+	for _, in := range inputs {
+		ms := []*Mapping{in.maps[0].m, in.maps[1].m, in.maps[2].m}
+		rs := []*refMapping{in.maps[0].r, in.maps[1].r, in.maps[2].r}
+		for _, f := range combiners {
+			want, err := refMerge(f, rs...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireIdentical(t, fmt.Sprintf("merge f=%s miss0=%v workers=%d", f.Kind, f.MissingAsZero, w), got, want)
+			for _, w := range parallelWorkerCounts {
+				got, err := MergeWorkers(f, w, ms...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdentical(t, fmt.Sprintf("%s: merge f=%s miss0=%v workers=%d", in.name, f.Kind, f.MissingAsZero, w), got, want)
+			}
 		}
 	}
 }
 
-// TestDifferentialSelectionWorkers pins the hash-partitioned per-group
-// selections, including the BothSides intersection, at every worker count.
+// TestDifferentialSelectionWorkers pins the per-group selections,
+// including the BothSides intersection, at every worker count, over random,
+// empty and one-row inputs.
 func TestDifferentialSelectionWorkers(t *testing.T) {
 	rnd := rand.New(rand.NewSource(23))
-	m := NewSame(ldsA, ldsB)
-	r := newRef(ldsA, ldsB, model.SameMappingType)
-	applyOps(m, r, randomOps(rnd, 9000, 900, 900, "a", "b"))
-	for _, side := range []Side{DomainSide, RangeSide, BothSides} {
-		for _, n := range []int{1, 3} {
-			want := refBestN(r, n, side)
-			for _, w := range parallelWorkerCounts {
-				got := BestN{N: n, Side: side, Workers: w}.Apply(m)
-				requireIdentical(t, fmt.Sprintf("best-%d(%s) workers=%d", n, side, w), got, want)
+	inputs := []struct {
+		name string
+		in   refPairOf
+	}{
+		{"random", newRefPair(ldsA, ldsB, randomOps(rnd, 9000, 900, 900, "a", "b"))},
+		{"empty", newRefPair(ldsA, ldsB, nil)},
+		{"one row", newRefPair(ldsA, ldsB, []op{{a: "a1", b: "b1", s: 0.4}})},
+	}
+	for _, in := range inputs {
+		m, r := in.in.m, in.in.r
+		for _, side := range []Side{DomainSide, RangeSide, BothSides} {
+			for _, n := range []int{1, 3} {
+				want := refBestN(r, n, side)
+				for _, w := range parallelWorkerCounts {
+					got := BestN{N: n, Side: side, Workers: w}.Apply(m)
+					requireIdentical(t, fmt.Sprintf("%s: best-%d(%s) workers=%d", in.name, n, side, w), got, want)
+				}
+			}
+			for _, rel := range []bool{false, true} {
+				want := refBest1Delta(r, 0.1, rel, side)
+				for _, w := range parallelWorkerCounts {
+					got := Best1Delta{D: 0.1, Relative: rel, Side: side, Workers: w}.Apply(m)
+					requireIdentical(t, fmt.Sprintf("%s: best1delta(rel=%v,%s) workers=%d", in.name, rel, side, w), got, want)
+				}
 			}
 		}
-		for _, rel := range []bool{false, true} {
-			want := refBest1Delta(r, 0.1, rel, side)
-			for _, w := range parallelWorkerCounts {
-				got := Best1Delta{D: 0.1, Relative: rel, Side: side, Workers: w}.Apply(m)
-				requireIdentical(t, fmt.Sprintf("best1delta(rel=%v,%s) workers=%d", rel, side, w), got, want)
+	}
+}
+
+// TestOperatorsLeavePostingsUnbuilt: Compose, Merge and Best-n group rows by
+// sorting, so they never build their inputs' lazy posting lists — which
+// would otherwise stay resident for as long as the inputs do.
+func TestOperatorsLeavePostingsUnbuilt(t *testing.T) {
+	rnd := rand.New(rand.NewSource(28))
+	m1 := newRefPair(ldsA, ldsC, randomOps(rnd, 6000, 500, 400, "a", "c")).m
+	m2 := newRefPair(ldsC, ldsB, randomOps(rnd, 6000, 400, 500, "c", "b")).m
+	priv := NewWithDict(ldsC, ldsB, model.SameMappingType, model.NewIDDict())
+	applyOps(priv, newRef(ldsC, ldsB, model.SameMappingType), randomOps(rnd, 6000, 400, 500, "c", "b"))
+	for _, g := range []PathAgg{AggAvg, AggRelativeLeft, AggRelativeRight, AggRelative} {
+		for _, right := range []*Mapping{m2, priv} {
+			if _, err := Compose(m1, right, MinCombiner, g); err != nil {
+				t.Fatal(err)
 			}
+		}
+	}
+	if _, err := Merge(AvgCombiner, m1, m1.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []Side{DomainSide, RangeSide, BothSides} {
+		BestN{N: 2, Side: side}.Apply(m1)
+		Best1Delta{D: 0.1, Side: side}.Apply(m1)
+	}
+	for _, in := range []struct {
+		name string
+		m    *Mapping
+	}{{"map1", m1}, {"map2", m2}, {"private map2", priv}} {
+		if in.m.byDom != nil || in.m.byRng != nil {
+			t.Errorf("%s: an operator built the input's posting lists", in.name)
 		}
 	}
 }

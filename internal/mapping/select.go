@@ -3,7 +3,7 @@ package mapping
 import (
 	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/model"
@@ -59,16 +59,16 @@ type Threshold struct{ T float64 }
 
 // Apply implements Selection.
 func (t Threshold) Apply(m *Mapping) *Mapping {
-	return m.Filter(func(c Correspondence) bool { return c.Sim >= t.T })
+	return m.filterRows(func(i int) bool { return m.sim[i] >= t.T })
 }
 
 func (t Threshold) String() string { return fmt.Sprintf("Threshold(%.2f)", t.T) }
 
 // BestN keeps, for each instance of the configured side, the N
 // correspondences with the highest similarity. Ties at the cut-off are
-// broken deterministically by the other end's id. Workers sizes the
-// per-group worker team (0 = GOMAXPROCS); the result is identical at
-// every count.
+// broken deterministically by the other end's id. Workers is the worker
+// count of the grouping and the per-group cuts (0 = GOMAXPROCS); the
+// result is identical at every count.
 type BestN struct {
 	N       int
 	Side    Side
@@ -116,8 +116,8 @@ type Best1Delta struct {
 	D        float64
 	Relative bool
 	Side     Side
-	// Workers sizes the per-group worker team (0 = GOMAXPROCS); the
-	// result is identical at every count.
+	// Workers is the worker count of the grouping and the per-group cuts
+	// (0 = GOMAXPROCS); the result is identical at every count.
 	Workers int
 }
 
@@ -171,18 +171,14 @@ func (b Best1Delta) String() string {
 }
 
 // selectPerGroup groups rows by domain (or range) ordinal, sorts each
-// group's row indices by similarity descending (ties by the other id
-// ascending), and keeps the prefix of cut(sims) survivors per group.
-// Groups form in first-seen order over the mapping's columns — the
-// grouping keys, the sort and the output insertion order are exactly those
-// of the previous struct-based implementation.
+// group by similarity descending (ties by the other end's id ascending),
+// and keeps the prefix of cut(sims) survivors per group. Groups appear in
+// the order of their first rows, each with its survivors in sorted order.
 //
-// The work hash-partitions by group key: every worker scans the key column
-// but owns only the groups that hash to its partition, collecting, sorting
-// and cutting them in private scratch. Since a group's rows all share its
-// key, no group straddles workers; the merge-back orders the surviving
-// groups by their first row — the first-seen order the sequential scan
-// produces — and bulk-loads the output columns.
+// The grouping is a stable radix sort of the key column, so a group's rows
+// stay in row order and its first row comes first. Each group is then
+// sorted and cut in place on one worker, which marks the survivors at the
+// group's first row; one pass over the rows in order gathers the output.
 func selectPerGroup(m *Mapping, byDomain bool, cut func(sims []float64) int, workers int) (out *Mapping) {
 	defer func(start time.Time) {
 		observeOp("select", par.Workers(workers), start, out.Len())
@@ -192,91 +188,49 @@ func selectPerGroup(m *Mapping, byDomain bool, cut func(sims []float64) int, wor
 		keyCol, otherCol = m.rng, m.dom
 	}
 	ids := m.dict.All()
-
-	// groupRun is one group's survivors in a worker's kept arena.
-	type groupRun struct {
-		firstRow int32
-		off, cnt int32
-	}
-	type selScratch struct {
-		runs []groupRun
-		kept []int32
-	}
-	team := par.Team(len(m.sim), workers)
-	scratch := make([]selScratch, team)
-	par.RunTeam(team, func(w int) {
-		sc := &scratch[w]
-		groups := make(map[uint32][]int32)
-		var order []uint32
-		for i := range m.sim {
-			key := keyCol[i]
-			if team > 1 && par.Partition(key, team) != w {
-				continue
+	bySim := func(a, b par.KeyRow) int {
+		if sa, sb := m.sim[a.Row], m.sim[b.Row]; sa != sb {
+			if sa > sb {
+				return -1
 			}
-			if _, ok := groups[key]; !ok {
-				order = append(order, key)
-			}
-			groups[key] = append(groups[key], int32(i))
+			return 1
 		}
-		sc.runs = make([]groupRun, 0, len(order))
+		return cmp.Compare(ids[otherCol[a.Row]], ids[otherCol[b.Row]])
+	}
+
+	bufs := sortBufs{workers: workers}
+	sorted := bufs.sort(bufs.keyRows(keyCol))
+	// head[row] is, for the first row of a group with survivors, the
+	// group's offset in sorted and its survivor count, packed; 0 elsewhere.
+	head := make([]uint64, len(m.sim))
+	eachRun(sorted, workers, func() func(lo, hi int) {
 		var sims []float64
-		for _, key := range order {
-			rows := groups[key]
-			first := rows[0] // scan order is ascending, so rows[0] is the group's first row
-			sort.Slice(rows, func(i, j int) bool {
-				ri, rj := rows[i], rows[j]
-				if m.sim[ri] != m.sim[rj] {
-					return m.sim[ri] > m.sim[rj]
-				}
-				return ids[otherCol[ri]] < ids[otherCol[rj]]
-			})
+		return func(lo, hi int) {
+			group := sorted[lo:hi]
+			first := group[0].Row
+			slices.SortStableFunc(group, bySim)
 			sims = sims[:0]
-			for _, r := range rows {
-				sims = append(sims, m.sim[r])
+			for _, r := range group {
+				sims = append(sims, m.sim[r.Row])
 			}
-			keep := rows[:cut(sims)]
-			sc.runs = append(sc.runs, groupRun{firstRow: first, off: int32(len(sc.kept)), cnt: int32(len(keep))})
-			sc.kept = append(sc.kept, keep...)
+			if k := cut(sims); k > 0 {
+				head[first] = uint64(lo)<<32 | uint64(k)
+			}
 		}
 	})
-
-	// Merge-back: order all surviving groups by first row (unique — a row
-	// belongs to one group), then scatter the kept rows into the output
-	// columns at prefix-summed offsets.
-	type groupRef struct {
-		firstRow int32
-		w        int32
-		off, cnt int32
-	}
-	nRefs := 0
-	for w := range scratch {
-		nRefs += len(scratch[w].runs)
-	}
-	refs := make([]groupRef, 0, nRefs)
-	for w := range scratch {
-		for _, run := range scratch[w].runs {
-			refs = append(refs, groupRef{firstRow: run.firstRow, w: int32(w), off: run.off, cnt: run.cnt})
+	dom, rng, sim := gatherColumns(len(m.sim), workers, func(lo, hi int) int {
+		kept := 0
+		for _, h := range head[lo:hi] {
+			kept += int(uint32(h))
 		}
-	}
-	if team > 1 {
-		par.SortFunc(refs, workers, func(a, b groupRef) int { return cmp.Compare(a.firstRow, b.firstRow) })
-	}
-	offs := make([]int, len(refs)+1)
-	for g := range refs {
-		offs[g+1] = offs[g] + int(refs[g].cnt)
-	}
-	dom := make([]uint32, offs[len(refs)])
-	rng := make([]uint32, offs[len(refs)])
-	sim := make([]float64, offs[len(refs)])
-	par.Split(len(refs), workers).Run(func(c, lo, hi int) {
-		for g := lo; g < hi; g++ {
-			ref := refs[g]
-			pos := offs[g]
-			for _, r := range scratch[ref.w].kept[ref.off : ref.off+ref.cnt] {
-				dom[pos] = m.dom[r]
-				rng[pos] = m.rng[r]
-				sim[pos] = m.sim[r]
-				pos++
+		return kept
+	}, func(lo, hi int, dom, rng []uint32, sim []float64) {
+		k := 0
+		for _, h := range head[lo:hi] {
+			at := h >> 32
+			for _, r := range sorted[at : at+uint64(uint32(h))] {
+				dom[k], rng[k], sim[k] = m.dom[r.Row], m.rng[r.Row], m.sim[r.Row]
+				k++
 			}
 		}
 	})

@@ -20,14 +20,15 @@
 //
 // A Plan carries the chunk bounds so callers can size per-chunk arenas
 // before running; Split(n, workers).Run(fn) is the whole idiom in one
-// line. SortFunc is the shared parallel sort built on the same plan:
-// chunked sorts merged pairwise with merge-path splitting, so the sorted
-// result (under a total order) is independent of the worker count.
+// line, and Plan.Run is the package's only place that starts goroutines.
+// SortKeyRows is the shared sort built on the same plan: a stable radix
+// sort of (key, row) pairs, so grouping rows by an ordinal key is a sort
+// whose result is independent of the worker count, not a hash table.
 package par
 
 import (
+	"math/bits"
 	"runtime"
-	"slices"
 	"sync"
 )
 
@@ -90,7 +91,7 @@ func SplitBy(n, workers int, weight func(row int) int) Plan {
 	for row := 0; row < n; row++ {
 		total += weight(row)
 	}
-	w := min(Team(total, workers), max(n, 1))
+	w := min(Split(total, workers).Chunks(), max(n, 1))
 	bounds := make([]int, w+1)
 	bounds[w] = n
 	row, run := 0, 0 // run is the weight of rows [0, row)
@@ -156,134 +157,95 @@ func (p Plan) Run(fn func(chunk, lo, hi int)) {
 	}
 }
 
-// Team sizes a hash-partitioned worker team over n items with the same
-// collapse heuristics as Split: small inputs get a team of one so they
-// run inline on the caller. Hash partitioning is the variant of the idiom
-// for grouped folds — every worker scans all rows but owns the keys that
-// hash to its partition, so each key's fold happens on one worker in
-// global row order (order-sensitive float folds stay bit-identical).
-func Team(n, workers int) int {
-	return Split(n, workers).Chunks()
+// KeyRow is one element of SortKeyRows: a sort key and the row it stands
+// for. The mapping operators group rows by sorting these — a row's ordinal
+// or packed ordinal pair as Key, its position as Row.
+type KeyRow struct {
+	Key uint64
+	Row uint32
 }
 
-// RunTeam executes fn(w) for every worker w in [0, team), one goroutine
-// per worker, and joins before returning — Plan.Run for hash-partitioned
-// work, with the same private-scratch contract and panic propagation. A
-// team of one runs inline on the calling goroutine.
-func RunTeam(team int, fn func(w int)) {
-	if team <= 1 {
-		fn(0)
-		return
+// radixBits is the digit width of SortKeyRows' passes: 2 048 buckets, whose
+// counters and write streams still fit a core's caches.
+const radixBits = 11
+
+// SortKeyRows sorts s by Key, stably — elements with equal keys keep their
+// order in s — with a least-significant-digit-first radix sort on the plan
+// Split(len(s), workers) gives. Each pass sorts one 11-bit digit: chunks
+// count their digits, the counts are summed bucket by bucket in chunk order,
+// and every chunk scatters its elements in order to its own offsets. A stable
+// sort has exactly one result, so the output does not depend on how the rows
+// were chunked. Passes cover only the bits in which the keys present differ,
+// so ordinals need as many passes as their width, not the 64 bits of Key, and
+// a digit every key shares costs nothing; keys already in order — a column
+// of ordinals often is — cost the one read that finds this out.
+//
+// tmp is scratch of at least len(s) elements (nil, or too short, allocates).
+// The sorted elements end up in s or in tmp; SortKeyRows returns them as
+// sorted, and spare is the other buffer, free for the caller's next sort.
+func SortKeyRows(s, tmp []KeyRow, workers int) (sorted, spare []KeyRow) {
+	if len(s) < 2 {
+		return s, tmp
 	}
-	panics := make([]any, team)
-	var wg sync.WaitGroup
-	for w := 0; w < team; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[w] = r
-				}
-			}()
-			fn(w)
-		}(w)
-	}
-	wg.Wait()
-	for _, r := range panics {
-		if r != nil {
-			panic(r)
+	plan := Split(len(s), workers)
+	chunks := plan.Chunks()
+	// diff has a bit set wherever some key differs from the first one: the
+	// only bits a pass needs to look at. Keys already in order need none.
+	diffs := make([]uint64, chunks)
+	ordered := make([]bool, chunks)
+	first := s[0].Key
+	plan.Run(func(c, lo, hi int) {
+		var d uint64
+		in, prev := true, s[max(lo-1, 0)].Key
+		for _, e := range s[lo:hi] {
+			d |= e.Key ^ first
+			in = in && prev <= e.Key
+			prev = e.Key
 		}
-	}
-}
-
-// Partition maps ordinal x to a partition in [0, team) by Fibonacci
-// hashing — the shared partition function of hash-partitioned operators.
-// It is a pure function of (x, team), so the row-to-worker assignment is
-// deterministic for a fixed team size.
-func Partition(x uint32, team int) int {
-	return int((uint64(x*2654435761) * uint64(team)) >> 32)
-}
-
-// SortFunc sorts s by cmp across `workers` goroutines: the plan's chunks
-// are sorted independently, then merged pairwise in rounds with each merge
-// itself split by merge-path search. cmp must describe a TOTAL order over
-// the elements actually present (no two distinct elements compare equal) —
-// the operators guarantee this by including a sequence number in the key —
-// so the result is the unique sorted permutation regardless of worker
-// count. Allocates one scratch slice of len(s).
-func SortFunc[T any](s []T, workers int, cmp func(a, b T) int) {
-	p := Split(len(s), workers)
-	chunks := p.Chunks()
-	if chunks == 1 {
-		slices.SortFunc(s, cmp)
-		return
-	}
-	p.Run(func(c, lo, hi int) {
-		slices.SortFunc(s[lo:hi], cmp)
+		diffs[c], ordered[c] = d, in
 	})
-	// Pairwise merge rounds over the chunk boundaries: src holds the runs,
-	// dst receives merged pairs; odd runs carry over by copy. Every round
-	// halves the run count, and each merge is itself parallel.
-	src, dst := s, make([]T, len(s))
-	bounds := append([]int(nil), p.bounds...)
-	for len(bounds) > 2 {
-		nb := []int{bounds[0]}
-		for i := 0; i+2 < len(bounds); i += 2 {
-			mergeParallel(dst[bounds[i]:bounds[i+2]], src[bounds[i]:bounds[i+1]], src[bounds[i+1]:bounds[i+2]], workers, cmp)
-			nb = append(nb, bounds[i+2])
+	var diff uint64
+	done := true
+	for c, d := range diffs {
+		diff |= d
+		done = done && ordered[c]
+	}
+	if done {
+		return s, tmp
+	}
+	if len(tmp) < len(s) {
+		tmp = make([]KeyRow, len(s))
+	}
+	const mask = 1<<radixBits - 1
+	offs := make([][1 << radixBits]int, chunks)
+	src, dst := s, tmp[:len(s)]
+	for diff != 0 {
+		shift := uint(bits.TrailingZeros64(diff))
+		diff &^= mask << shift
+		plan.Run(func(c, lo, hi int) {
+			cnt := &offs[c]
+			clear(cnt[:])
+			for _, e := range src[lo:hi] {
+				cnt[e.Key>>shift&mask]++
+			}
+		})
+		at := 0
+		for b := 0; b < 1<<radixBits; b++ {
+			for c := range offs {
+				n := offs[c][b]
+				offs[c][b] = at
+				at += n
+			}
 		}
-		if (len(bounds)-1)%2 == 1 {
-			last := len(bounds) - 1
-			copy(dst[bounds[last-1]:bounds[last]], src[bounds[last-1]:bounds[last]])
-			nb = append(nb, bounds[last])
-		}
-		bounds = nb
+		plan.Run(func(c, lo, hi int) {
+			off := &offs[c]
+			for _, e := range src[lo:hi] {
+				b := e.Key >> shift & mask
+				dst[off[b]] = e
+				off[b]++
+			}
+		})
 		src, dst = dst, src
 	}
-	if &src[0] != &s[0] {
-		copy(s, src)
-	}
-}
-
-// mergeParallel merges sorted runs a and b into dst (len(dst) ==
-// len(a)+len(b)), splitting the merge into near-equal segments found by
-// merge-path search: segment k takes a[ak:ak+1) and the b-prefix strictly
-// smaller than a[ak], so concatenated segments are exactly the stable
-// sequential merge.
-func mergeParallel[T any](dst, a, b []T, workers int, cmp func(x, y T) int) {
-	p := Split(len(a), workers)
-	chunks := p.Chunks()
-	if chunks == 1 {
-		mergeRuns(dst, a, b, cmp)
-		return
-	}
-	// Boundaries in b for each a-chunk: bk = first index with b[j] >= a[ak]
-	// (ties go to a, keeping the merge stable).
-	bb := make([]int, chunks+1)
-	bb[chunks] = len(b)
-	for c := 1; c < chunks; c++ {
-		ak, _ := p.Bounds(c)
-		bb[c], _ = slices.BinarySearchFunc(b, a[ak], cmp)
-	}
-	p.Run(func(c, lo, hi int) {
-		mergeRuns(dst[lo+bb[c]:hi+bb[c+1]], a[lo:hi], b[bb[c]:bb[c+1]], cmp)
-	})
-}
-
-// mergeRuns is the sequential stable two-run merge (a wins ties).
-func mergeRuns[T any](dst, a, b []T, cmp func(x, y T) int) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if cmp(a[i], b[j]) <= 0 {
-			dst[k] = a[i]
-			i++
-		} else {
-			dst[k] = b[j]
-			j++
-		}
-		k++
-	}
-	copy(dst[k:], a[i:])
-	copy(dst[k+len(a)-i:], b[j:])
+	return src, dst[:cap(dst)]
 }

@@ -2,6 +2,7 @@ package par
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -70,68 +71,12 @@ func TestRunPropagatesPanic(t *testing.T) {
 	})
 }
 
-// TestSortFuncMatchesSequential pins the contract the operators rely on:
-// under a total order the sorted result is identical at every worker count.
-func TestSortFuncMatchesSequential(t *testing.T) {
-	rnd := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 100, 2*minChunkRows + 3, 6*minChunkRows + 1} {
-		base := make([]uint64, n)
-		for i := range base {
-			// Duplicate-heavy keys; the low bits make the order total, the
-			// way operator sort keys append a sequence number.
-			base[i] = uint64(rnd.Intn(50))<<32 | uint64(i)
-		}
-		want := append([]uint64(nil), base...)
-		slices.Sort(want)
-		for _, w := range []int{1, 2, 3, 5, 8} {
-			got := append([]uint64(nil), base...)
-			SortFunc(got, w, func(a, b uint64) int { return cmp.Compare(a, b) })
-			if !slices.Equal(got, want) {
-				t.Fatalf("n=%d workers=%d: parallel sort diverged from sequential", n, w)
-			}
-		}
-	}
-}
-
-func TestRunTeamAndPartitionCoverEveryKey(t *testing.T) {
-	for _, team := range []int{1, 2, 3, 8} {
-		owned := make([]int32, 1000)
-		RunTeam(team, func(w int) {
-			for x := range owned {
-				if Partition(uint32(x), team) == w {
-					owned[x]++
-				}
-			}
-		})
-		for x, c := range owned {
-			if c != 1 {
-				t.Fatalf("team=%d: key %d owned by %d workers", team, x, c)
-			}
-		}
-	}
-}
-
 func TestWorkersResolvesDefault(t *testing.T) {
 	if Workers(5) != 5 {
 		t.Fatal("explicit worker count not honored")
 	}
 	if Workers(0) < 1 || Workers(-3) < 1 {
 		t.Fatal("default worker count must be at least 1")
-	}
-}
-
-func BenchmarkSortFunc(b *testing.B) {
-	rnd := rand.New(rand.NewSource(1))
-	base := make([]uint64, 1<<20)
-	for i := range base {
-		base[i] = uint64(rnd.Intn(1<<19))<<32 | uint64(i)
-	}
-	buf := make([]uint64, len(base))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, base)
-		SortFunc(buf, 0, func(a, b uint64) int { return cmp.Compare(a, b) })
 	}
 }
 
@@ -263,4 +208,106 @@ func TestSplitByPartitionHugeWeightDoesNotStarveTheRest(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sortStableOracle is SortKeyRows' reference: the standard library's stable
+// comparison sort by Key.
+func sortStableOracle(s []KeyRow) []KeyRow {
+	want := slices.Clone(s)
+	slices.SortStableFunc(want, func(a, b KeyRow) int { return cmp.Compare(a.Key, b.Key) })
+	return want
+}
+
+// checkRadixSort runs SortKeyRows on a copy of keys (rows numbered in
+// order, so stability is visible) and fails unless it equals the oracle and
+// hands back its two buffers as sorted and spare.
+func checkRadixSort(t *testing.T, label string, keys []uint64, workers int) {
+	t.Helper()
+	s := make([]KeyRow, len(keys))
+	for i, k := range keys {
+		s[i] = KeyRow{Key: k, Row: uint32(i)}
+	}
+	want := sortStableOracle(s)
+	tmp := make([]KeyRow, len(s))
+	got, spare := SortKeyRows(s, tmp, workers)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s workers=%d: radix sort differs from the stable comparison sort", label, workers)
+	}
+	if len(s) >= 2 {
+		g, p := &got[0], &spare[0]
+		if !(g == &s[0] && p == &tmp[0] || g == &tmp[0] && p == &s[0]) {
+			t.Fatalf("%s workers=%d: sorted and spare are not the two buffers passed in", label, workers)
+		}
+	}
+}
+
+// TestRadixSortMatchesSortStable holds SortKeyRows to the stable
+// comparison sort across worker counts, lengths around the chunk floor and
+// the smallest multi-chunk plan, every key width from 0 to 64 bits with
+// heavy duplication, and keys that share their high digits — the passes
+// over those digits are skipped, and the result must not notice.
+func TestRadixSortMatchesSortStable(t *testing.T) {
+	rnd := rand.New(rand.NewSource(31))
+	lengths := []int{0, 1, 2, minChunkRows - 1, minChunkRows, minChunkRows + 1, 2*minChunkRows - 1, 2*minChunkRows + 1, 5*minChunkRows + 3}
+	for _, n := range lengths {
+		for width := 0; width <= 64; width += 4 {
+			pool := make([]uint64, max(n/3, 1))
+			for i := range pool {
+				if width > 0 {
+					pool[i] = rnd.Uint64() >> (64 - width)
+				}
+			}
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = pool[rnd.Intn(len(pool))]
+			}
+			for _, w := range []int{1, 3, 8} {
+				checkRadixSort(t, fmt.Sprintf("width %d n=%d", width, n), keys, w)
+			}
+		}
+		shared := make([]uint64, n)
+		for i := range shared {
+			// One 44-bit prefix on every key, only the low 12 and the top bit vary.
+			shared[i] = 0xABCDE<<44 | rnd.Uint64()&0xFFF | uint64(rnd.Intn(2))<<63
+		}
+		for _, w := range []int{1, 3, 8} {
+			checkRadixSort(t, fmt.Sprintf("shared high digits n=%d", n), shared, w)
+			// Ascending inside every chunk of the plan, descending across
+			// them: only the chunk boundaries show the keys are out of order.
+			p := Split(n, w)
+			runs := make([]uint64, n)
+			for c := 0; c < p.Chunks(); c++ {
+				lo, hi := p.Bounds(c)
+				for i := lo; i < hi; i++ {
+					runs[i] = uint64(p.Chunks()-c)<<20 | uint64(i-lo)/3
+				}
+			}
+			checkRadixSort(t, fmt.Sprintf("sorted chunks n=%d", n), runs, w)
+		}
+	}
+}
+
+// FuzzRadixSortStable: any byte pattern, shifted anywhere in the key and
+// repeated up to 32 times (so duplicates abound and long inputs split into
+// chunks), sorts exactly as the stable comparison sort does.
+func FuzzRadixSortStable(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 1}, uint8(0), uint8(0), uint8(1))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over"), uint8(55), uint8(31), uint8(3))
+	long := make([]byte, 300)
+	for i := range long {
+		long[i] = byte(i * 7)
+	}
+	f.Add(long, uint8(11), uint8(20), uint8(8))
+	f.Fuzz(func(t *testing.T, data []byte, shift, reps, workers uint8) {
+		if len(data) == 0 {
+			checkRadixSort(t, "empty", nil, int(workers%8)+1)
+			return
+		}
+		keys := make([]uint64, len(data)*(1+int(reps%32)))
+		for i := range keys {
+			b := uint64(data[i%len(data)])
+			keys[i] = b<<(shift%57) | (b&1)<<63
+		}
+		checkRadixSort(t, "fuzz", keys, int(workers%8)+1)
+	})
 }

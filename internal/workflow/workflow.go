@@ -116,7 +116,7 @@ type Engine struct {
 	Cache *store.Store
 	// Workers, when > 0, sets the scoring parallelism of every matcher that
 	// supports external configuration (match.ConfigurableWorkers) and the
-	// worker-team size of every mapping operator (merge, compose, and
+	// worker count of every mapping operator (merge, compose, and
 	// worker-tunable selections) for the duration of a run; 0 keeps each
 	// matcher's own setting and lets operators default to GOMAXPROCS.
 	// Matchers and selections are never mutated — the engine runs

@@ -148,10 +148,11 @@
 // columns (domain, range) plus a float64 similarity column, with instance
 // IDs interned once in a model.IDDict symbol table — the ID-level
 // counterpart of the term dictionary the similarity layer uses. All
-// mapping operators run over the integer columns: compose is a hash join
-// on middle ordinals, merge folds packed uint64 pair keys, selections sort
-// row indices, and byDomain/byRange lookups walk lazily-built ordinal
-// posting lists. Matchers emit kept correspondences ordinal-to-ordinal
+// mapping operators run over the integer columns and group rows by
+// radix-sorting ordinal keys: compose joins middle ordinals through two
+// sorted row lists, merge folds runs of equal packed uint64 pair keys,
+// selections cut runs of equal domain or range ordinals, and
+// byDomain/byRange lookups walk lazily-built ordinal posting lists. Matchers emit kept correspondences ordinal-to-ordinal
 // (input id columns are interned once per match), evaluation compares
 // mappings by integer membership probes, and duplicate clustering
 // union-finds over dense ordinal indexes.
@@ -171,7 +172,7 @@
 //
 // # Parallel mapping operators
 //
-// The three columnar operators run on a fixed-size worker team
+// The three columnar operators run on a fixed worker count
 // (internal/par) with one non-negotiable contract: the output is
 // bit-identical at every worker count — same rows, same float64
 // similarities, same first-seen insertion order. Compose, Merge and the
@@ -182,28 +183,29 @@
 // the operators to eps-0 equality against sequential reference
 // implementations at workers 1, 3 and 8.
 //
-// Determinism comes from partitioning by the fold's OWNER, not by input
-// row ranges. Float addition is not associative, so an order-sensitive
-// aggregate must fold on one worker in global scan order: compose
-// hash-partitions map1's rows by domain ordinal (every compose path of an
-// output pair starts at a row with that domain, so each pair's aggregate
-// accumulates on exactly one worker), and selections partition rows by
-// group key. Merge instead concatenates all inputs' packed pair keys with
-// their (input, row) sequence numbers, par.SortFunc orders them totally,
-// and workers fold disjoint equal-key runs — each run fills the same
-// per-input similarity vector the sequential map fold would, so the
-// combined value is bit-for-bit the same. Small inputs collapse to a team
-// of one (par.Split's chunk floor) and skip the order-restoring sorts
-// entirely, keeping the single-core cost flat.
+// Determinism comes from a stable sort whose result does not depend on how
+// the rows are chunked. Each operator groups by sorting (key, row) pairs
+// with par.SortKeyRows, a stable LSD radix sort: compose sorts both sides
+// of its join by middle ordinal and then its paths — numbered in the order
+// the sequential join meets them — by packed (domain, range) pair; merge
+// sorts all inputs' rows, numbered in input order, by pair key; selections
+// sort row indices by domain or range ordinal. A stable sort has exactly
+// one result, so every run of equal keys lists its paths, records or rows
+// in sequential order whatever the worker count. Float addition is not
+// associative, and each run folds on one worker in that order, so the sums
+// are bit-for-bit the sequential ones. Each fold marks its result at the
+// position of the run's first path, record or row, and one pass in
+// position order gathers the output: first-seen order, with no second
+// sort to restore it. Nothing is sized by a dictionary, only by rows, and
+// the inputs' posting lists stay unbuilt.
 //
-// Worker-private scratch plus a deterministic merge-back is the whole
-// concurrency story: workers never share mutable state, results land in
-// per-worker arenas, and the merge-back orders entries by their first-seen
-// sequence (par.SortFunc over packed uint64 sequence keys). The launch
-// machinery is centralized in internal/par — partition-by-index
-// goroutines, panic capture per chunk, one wg.Wait — so operator code
-// contains no `go` statements and invariant 6 below holds by
-// construction. Bulk results enter a Mapping through the pre-deduped
+// Worker-private scratch plus a deterministic gather is the whole
+// concurrency story: workers never share mutable state, each run is folded
+// whole by the worker whose chunk it starts in, and chunks write disjoint
+// positions. The launch machinery is centralized in internal/par —
+// partition-by-index goroutines, panic capture per chunk, one wg.Wait —
+// so operator code contains no `go` statements and invariant 7 below holds
+// by construction. Bulk results enter a Mapping through the pre-deduped
 // column constructor (newFromColumns), which takes slice ownership and
 // leaves the pair index and posting lists lazy.
 //
@@ -348,11 +350,11 @@
 //     TestReadProbesZeroAllocs, TestRecordPathsZeroAllocs,
 //     TestGSSearchZeroAllocs and TestRouteRecordZeroAllocs.
 //  7. Worker partitioning: a goroutine launched in a loop writes only its
-//     own partition, and results are read after the join. par.Plan.Run and
-//     par.RunTeam are the only such sites in the library; `go test -race`
-//     holds them through TestRunVisitsEveryRowOnce,
-//     TestRunTeamAndPartitionCoverEveryKey and the match kernel suites at
-//     -cpu 1,2,8. cmd/moma-load's worker loops run under a -race build in
+//     own partition, and results are read after the join. par.Plan.Run is
+//     the only such site in the library; `go test -race` holds it through
+//     TestRunVisitsEveryRowOnce, TestRadixSortMatchesSortStable and the
+//     mapping operators' TestDifferential*Workers at workers 1, 3 and 8,
+//     and through the match kernel suites at -cpu 1,2,8. cmd/moma-load's worker loops run under a -race build in
 //     CI's HTTP and chaos smokes.
 //
 // Run the analyzers with:
