@@ -7,9 +7,11 @@
 //
 // Object sets and mappings are bound under the given qualified names
 // (e.g. -set DBLP.Author=dblp_authors.csv -map DBLP.CoAuthor=dblp_coauthor.csv)
-// and the script references them by those names. The script's result
-// mapping is written as CSV to -out (default stdout); -eval compares the
-// result against a perfect mapping and prints precision/recall/F-measure.
+// and the script references them by those names; when several sets share a
+// logical source, select() constraints read the one whose name sorts first.
+// The script's result mapping is written as CSV to -out (default stdout);
+// -eval compares the result against a perfect mapping and prints
+// precision/recall/F-measure.
 //
 // Example — the paper's §4.3 duplicate-author workflow:
 //
@@ -24,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"repro/internal/eval"
@@ -74,7 +77,13 @@ func run(scriptPath string, sets, maps map[string]string, out, evalPath string, 
 		return err
 	}
 	binding := script.NewBinding()
-	for name, file := range sets {
+	names := make([]string, 0, len(sets))
+	for name := range sets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		file := sets[name]
 		f, err := os.Open(file)
 		if err != nil {
 			return err

@@ -1,14 +1,16 @@
 package script
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
 // The AST mirrors the flat, line-oriented structure of iFuice scripts:
 // a script is a list of statements; statements assign call results to
 // variables, define procedures or return values. Expressions are variable
-// references, literals, source references (DBLP.Author) or calls.
+// references, literals, source references (DBLP.Author) or calls, and in
+// constraints also references to correspondence values ([domain.year]),
+// quoted text, abs() and binary operators.
 
 // Node is implemented by all AST nodes.
 type Node interface {
@@ -104,6 +106,30 @@ type Call struct {
 	Line int
 }
 
+// Ref reads [Side.Attr] of a correspondence in a constraint. Side is
+// "domain" or "range"; Attr "id" is the object id, "sim" the similarity.
+type Ref struct {
+	Side string
+	Attr string
+}
+
+// Quoted is a 'single-quoted' text literal of a constraint.
+type Quoted struct {
+	Value string
+}
+
+// Abs is abs(X) in a constraint.
+type Abs struct {
+	X Expr
+}
+
+// Binary applies Op (OR, AND, a comparison, + or -) in a constraint.
+type Binary struct {
+	Op string
+	L  Expr
+	R  Expr
+}
+
 func (*Assign) astNode()    {}
 func (*ProcDef) astNode()   {}
 func (*Return) astNode()    {}
@@ -114,6 +140,10 @@ func (*Ident) astNode()     {}
 func (*NumberLit) astNode() {}
 func (*StringLit) astNode() {}
 func (*Call) astNode()      {}
+func (*Ref) astNode()       {}
+func (*Quoted) astNode()    {}
+func (*Abs) astNode()       {}
+func (*Binary) astNode()    {}
 
 func (*Assign) stmtNode()   {}
 func (*ProcDef) stmtNode()  {}
@@ -126,6 +156,10 @@ func (*Ident) exprNode()     {}
 func (*NumberLit) exprNode() {}
 func (*StringLit) exprNode() {}
 func (*Call) exprNode()      {}
+func (*Ref) exprNode()       {}
+func (*Quoted) exprNode()    {}
+func (*Abs) exprNode()       {}
+func (*Binary) exprNode()    {}
 
 func (a *Assign) String() string { return "$" + a.Name + " = " + a.Expr.String() }
 
@@ -152,13 +186,13 @@ func (e *ExprStmt) String() string { return e.Expr.String() }
 func (v *VarRef) String() string    { return "$" + v.Name }
 func (s *SourceRef) String() string { return s.Name() }
 func (i *Ident) String() string     { return i.Name }
-func (n *NumberLit) String() string { return strconvFloat(n.Value) }
+func (n *NumberLit) String() string { return strconv.FormatFloat(n.Value, 'f', -1, 64) }
 func (s *StringLit) String() string { return `"` + s.Value + `"` }
-
-// strconvFloat renders numbers compactly (0.5, 2, 0.85).
-func strconvFloat(v float64) string {
-	s := fmt.Sprintf("%g", v)
-	return s
+func (r *Ref) String() string       { return "[" + r.Side + "." + r.Attr + "]" }
+func (q *Quoted) String() string    { return "'" + q.Value + "'" }
+func (a *Abs) String() string       { return "abs(" + a.X.String() + ")" }
+func (b *Binary) String() string {
+	return "(" + b.L.String() + " " + b.Op + " " + b.R.String() + ")"
 }
 
 func (c *Call) String() string {

@@ -179,3 +179,73 @@ func TestConstraintMissingAttributeComparesEmpty(t *testing.T) {
 		t.Error("missing attribute should compare as empty string")
 	}
 }
+
+// FuzzConstraintMatchesReference holds ParseConstraint and Eval to the
+// reference parser and evaluator in constraint_ref_test.go: both accept or
+// both reject every input, and an accepted constraint gives the same
+// condition, or fails, on the same correspondences and instances.
+func FuzzConstraintMatchesReference(f *testing.F) {
+	for _, src := range []string{
+		"[domain.id]<>[range.id]",
+		"abs([domain.year]-[range.year])<=1",
+		"[domain.kind]='conference' AND [range.year]>=1994",
+		"[domain.kind]='conference' AND [domain.year]=[range.year]",
+		"[domain.kind]='journal' OR [domain.year]=2001",
+		"[domain.sim]>=0.5",
+		"[range.sim]>0.8",
+		"([domain.a]-[range.b])+1=3",
+		"[domain.missing]=''",
+		"[domain.year]=[range.year]",
+		"([domain.id]) AND ([range.id])",
+		"[domain.id]",
+		"abs([domain.id])=1",
+		"[domain.id]+1=2",
+		"",
+		"[domain]<>[range.id]",
+		"[middle.id]=1",
+		"[domain.id",
+		"abs[domain.year]<=1",
+		"abs([domain.year]<=1",
+		"'unterminated",
+		"[domain.id]=1 trailing",
+		"[domain.id]=)",
+	} {
+		f.Add(src)
+	}
+	withYear := func(y string) *model.Instance {
+		return model.NewInstance("p", map[string]string{"year": y, "kind": "conference", "a": "5", "b": " 3 ", "n": "-0"})
+	}
+	instances := []*model.Instance{
+		nil,
+		model.NewInstance("q", nil),
+		withYear("2001"),
+		withYear("2002"),
+		model.NewInstance("r", map[string]string{"year": "NaN", "kind": "journal", "a": "x", "id": "1"}),
+	}
+	corrs := []mapping.Correspondence{
+		{Domain: "a", Range: "b", Sim: 0.75},
+		{Domain: "1", Range: " 2 ", Sim: 0},
+		{Domain: "x", Range: "x", Sim: 1},
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		got, gerr := ParseConstraint(src)
+		ref, rerr := parseReferenceConstraint(src)
+		if (gerr == nil) != (rerr == nil) {
+			t.Fatalf("%q: ParseConstraint error %v, reference error %v", src, gerr, rerr)
+		}
+		if gerr != nil {
+			return
+		}
+		for _, corr := range corrs {
+			for _, d := range instances {
+				for _, r := range instances {
+					gv, gerr := got.Eval(corr, d, r)
+					rv, rerr := ref.Eval(corr, d, r)
+					if (gerr == nil) != (rerr == nil) || gv != rv {
+						t.Fatalf("%q on %v, %v, %v: Eval = %v, %v; reference %v, %v", src, corr, d, r, gv, gerr, rv, rerr)
+					}
+				}
+			}
+		}
+	})
+}

@@ -49,9 +49,12 @@ func (b *Binding) BindMapping(name string, m *mapping.Mapping) *Binding {
 }
 
 // BindSet registers an object set under a qualified name and by its LDS.
+// Constraints read the first set bound for an LDS.
 func (b *Binding) BindSet(name string, s *model.ObjectSet) *Binding {
 	b.Sets[name] = s
-	b.byLDS[s.LDS()] = s
+	if _, ok := b.byLDS[s.LDS()]; !ok {
+		b.byLDS[s.LDS()] = s
+	}
 	return b
 }
 
@@ -154,35 +157,45 @@ func (ip *Interp) RunSource(src string) (Value, error) {
 
 // Run executes a parsed script.
 func (ip *Interp) Run(s *Script) (Value, error) {
+	v, _, err := ip.exec(s.Stmts, ip.globals, ip.Trace)
+	return v, err
+}
+
+// exec runs statements in scope, the script's globals or a procedure's
+// locals. It returns the value of the first RETURN with returned set, or
+// else the value of the last assignment or expression statement. trace, when
+// non-nil, receives one line per assignment.
+func (ip *Interp) exec(stmts []Stmt, scope map[string]Value, trace func(string)) (Value, bool, error) {
 	last := Value{Kind: NoValue}
-	for _, st := range s.Stmts {
+	for _, st := range stmts {
 		switch stmt := st.(type) {
 		case *ProcDef:
 			if _, dup := ip.procs[strings.ToLower(stmt.Name)]; dup {
-				return last, fmt.Errorf("script: line %d: procedure %s already defined", stmt.Line, stmt.Name)
+				return last, false, fmt.Errorf("script: line %d: procedure %s already defined", stmt.Line, stmt.Name)
 			}
 			ip.procs[strings.ToLower(stmt.Name)] = stmt
 		case *Assign:
-			v, err := ip.eval(stmt.Expr, ip.globals)
+			v, err := ip.eval(stmt.Expr, scope)
 			if err != nil {
-				return last, err
+				return last, false, err
 			}
-			ip.globals[stmt.Name] = v
+			scope[stmt.Name] = v
 			last = v
-			if ip.Trace != nil {
-				ip.Trace(fmt.Sprintf("$%s = %s", stmt.Name, v))
+			if trace != nil {
+				trace(fmt.Sprintf("$%s = %s", stmt.Name, v))
 			}
 		case *Return:
-			return ip.eval(stmt.Expr, ip.globals)
+			v, err := ip.eval(stmt.Expr, scope)
+			return v, true, err
 		case *ExprStmt:
-			v, err := ip.eval(stmt.Expr, ip.globals)
+			v, err := ip.eval(stmt.Expr, scope)
 			if err != nil {
-				return last, err
+				return last, false, err
 			}
 			last = v
 		}
 	}
-	return last, nil
+	return last, false, nil
 }
 
 // eval evaluates an expression in the given variable scope.
@@ -274,25 +287,11 @@ func (ip *Interp) call(c *Call, scope map[string]Value) (Value, error) {
 	for i, p := range proc.Params {
 		local[p] = args[i]
 	}
-	for _, st := range proc.Body {
-		switch stmt := st.(type) {
-		case *Assign:
-			v, err := ip.eval(stmt.Expr, local)
-			if err != nil {
-				return Value{}, err
-			}
-			local[stmt.Name] = v
-		case *Return:
-			return ip.eval(stmt.Expr, local)
-		case *ExprStmt:
-			if _, err := ip.eval(stmt.Expr, local); err != nil {
-				return Value{}, err
-			}
-		default:
-			return Value{}, fmt.Errorf("script: line %d: unsupported statement in procedure %s", proc.Line, proc.Name)
-		}
+	v, returned, err := ip.exec(proc.Body, local, nil)
+	if err != nil || !returned {
+		return Value{Kind: NoValue}, err
 	}
-	return Value{Kind: NoValue}, nil
+	return v, nil
 }
 
 func arity(c *Call, args []Value, n int) error {

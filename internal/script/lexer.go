@@ -17,11 +17,32 @@
 // The interpreter resolves source references (DBLP.Author) and pre-existing
 // mappings (DBLP.CoAuthor) through an Env, typically backed by the mapping
 // repository.
+//
+// One lexer and one parser read both the statements and the object-value
+// constraints select() receives as a string (§3.3). The grammar, with
+// keywords case-insensitive:
+//
+//	script   := { stmt NEWLINE }
+//	stmt     := PROCEDURE ident ( { $var [,] } ) NEWLINE { stmt NEWLINE } END
+//	          | RETURN primary | $var = primary | primary
+//	primary  := $var | number | "string" | ident { . ident } | ident ( [ primary { , primary } ] )
+//
+//	or       := and { OR and }
+//	and      := cmp { AND cmp }
+//	cmp      := sum [ (= | <> | != | < | <= | > | >=) sum ]
+//	sum      := operand { (+ | -) operand }
+//	operand  := [side.attr] | 'text' | number | ( or ) | abs ( sum )
+//
+// A script's newlines end statements only outside parentheses; '#' and '//'
+// start comments. Outside its quoted text and references, a constraint is
+// one line without comments, with blanks and tabs between tokens.
+// [side.attr] names domain or range, with attr "id" the object id and "sim"
+// the correspondence similarity. Constraint values are numbers when both
+// comparands parse as numbers, strings otherwise.
 package script
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
 )
 
@@ -31,45 +52,30 @@ type tokenKind int
 const (
 	tokEOF tokenKind = iota
 	tokNewline
-	tokIdent  // compose, DBLP, Min
+	tokIdent  // compose, DBLP, Min, AND
 	tokVar    // $Result
 	tokNumber // 0.5
 	tokString // "[name]"
+	tokQuoted // 'conference'
+	tokRef    // [domain.year]
 	tokLParen
 	tokRParen
 	tokComma
-	tokAssign // =
+	tokAssign // =, also equality in constraints
 	tokDot    // .
+	tokCmp    // <> != < <= > >=
+	tokSum    // + -
 )
 
-func (k tokenKind) String() string {
-	switch k {
-	case tokEOF:
-		return "end of script"
-	case tokNewline:
-		return "end of line"
-	case tokIdent:
-		return "identifier"
-	case tokVar:
-		return "variable"
-	case tokNumber:
-		return "number"
-	case tokString:
-		return "string"
-	case tokLParen:
-		return "'('"
-	case tokRParen:
-		return "')'"
-	case tokComma:
-		return "','"
-	case tokAssign:
-		return "'='"
-	case tokDot:
-		return "'.'"
-	default:
-		return fmt.Sprintf("token(%d)", int(k))
-	}
+var tokenNames = [...]string{
+	tokEOF: "end of script", tokNewline: "end of line", tokIdent: "identifier",
+	tokVar: "variable", tokNumber: "number", tokString: "string",
+	tokQuoted: "quoted text", tokRef: "reference", tokLParen: "'('",
+	tokRParen: "')'", tokComma: "','", tokAssign: "'='", tokDot: "'.'",
+	tokCmp: "comparison", tokSum: "operator",
 }
+
+func (k tokenKind) String() string { return tokenNames[k] }
 
 // token is one lexical unit with its source line for error messages.
 type token struct {
@@ -80,12 +86,14 @@ type token struct {
 
 // lexer tokenizes a script. Newlines are emitted as statement separators
 // only at parenthesis depth zero, so argument lists may span lines as they
-// do in the paper's listings.
+// do in the paper's listings. A constraint lexer separates tokens by blanks
+// and tabs only.
 type lexer struct {
-	src   []rune
-	pos   int
-	line  int
-	depth int
+	src        []rune
+	pos        int
+	line       int
+	depth      int
+	constraint bool
 }
 
 func newLexer(src string) *lexer {
@@ -118,6 +126,10 @@ func (lx *lexer) next() (token, error) {
 	for lx.pos < len(lx.src) {
 		r := lx.src[lx.pos]
 		switch {
+		case r == ' ' || r == '\t':
+			lx.pos++
+		case lx.constraint:
+			return lx.token(r)
 		case r == '\n':
 			lx.pos++
 			lx.line++
@@ -130,71 +142,99 @@ func (lx *lexer) next() (token, error) {
 			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
 				lx.pos++
 			}
-		case r == '(':
-			lx.pos++
-			lx.depth++
-			return token{kind: tokLParen, line: lx.line}, nil
-		case r == ')':
-			lx.pos++
-			if lx.depth > 0 {
-				lx.depth--
-			}
-			return token{kind: tokRParen, line: lx.line}, nil
-		case r == ',':
-			lx.pos++
-			return token{kind: tokComma, line: lx.line}, nil
-		case r == '=':
-			lx.pos++
-			return token{kind: tokAssign, line: lx.line}, nil
-		case r == '.':
-			lx.pos++
-			return token{kind: tokDot, line: lx.line}, nil
-		case r == '$':
-			start := lx.pos
-			lx.pos++
-			for lx.pos < len(lx.src) && isIdentRune(lx.src[lx.pos]) {
-				lx.pos++
-			}
-			if lx.pos == start+1 {
-				return token{}, fmt.Errorf("script: line %d: '$' must begin a variable name", lx.line)
-			}
-			return token{kind: tokVar, text: string(lx.src[start+1 : lx.pos]), line: lx.line}, nil
-		case r == '"':
-			lx.pos++
-			var b strings.Builder
-			for lx.pos < len(lx.src) && lx.src[lx.pos] != '"' {
-				if lx.src[lx.pos] == '\n' {
-					return token{}, fmt.Errorf("script: line %d: unterminated string", lx.line)
-				}
-				b.WriteRune(lx.src[lx.pos])
-				lx.pos++
-			}
-			if lx.pos >= len(lx.src) {
-				return token{}, fmt.Errorf("script: line %d: unterminated string", lx.line)
-			}
-			lx.pos++
-			return token{kind: tokString, text: b.String(), line: lx.line}, nil
-		case unicode.IsDigit(r):
-			start := lx.pos
-			for lx.pos < len(lx.src) && (unicode.IsDigit(lx.src[lx.pos]) || lx.src[lx.pos] == '.') {
-				lx.pos++
-			}
-			return token{kind: tokNumber, text: string(lx.src[start:lx.pos]), line: lx.line}, nil
-		case isIdentRune(r):
-			start := lx.pos
-			for lx.pos < len(lx.src) && isIdentRune(lx.src[lx.pos]) {
-				lx.pos++
-			}
-			return token{kind: tokIdent, text: string(lx.src[start:lx.pos]), line: lx.line}, nil
 		default:
-			return token{}, fmt.Errorf("script: line %d: unexpected character %q", lx.line, string(r))
+			return lx.token(r)
 		}
 	}
 	return token{kind: tokEOF, line: lx.line}, nil
 }
 
-// isIdentRune reports identifier characters (letters, digits, underscore,
-// dash — mapping names like DBLP-ACM appear in repositories).
+// token reads the token starting with r at lx.pos.
+func (lx *lexer) token(r rune) (token, error) {
+	t := token{line: lx.line}
+	start := lx.pos
+	lx.pos++
+	var err error
+	switch {
+	case r == '(':
+		lx.depth++
+		t.kind = tokLParen
+	case r == ')':
+		if lx.depth > 0 {
+			lx.depth--
+		}
+		t.kind = tokRParen
+	case r == ',':
+		t.kind = tokComma
+	case r == '=':
+		t.kind = tokAssign
+	case r == '.':
+		t.kind = tokDot
+	case r == '+' || r == '-':
+		t.kind, t.text = tokSum, string(r)
+	case r == '<' || r == '>' || r == '!':
+		t.kind, t.text = tokCmp, string(r)
+		if n := lx.peekRune(); n == '=' || (r == '<' && n == '>') {
+			t.text += string(n)
+			lx.pos++
+		} else if r == '!' {
+			return token{}, fmt.Errorf("script: line %d: unexpected character %q", t.line, "!")
+		}
+	case r == '$':
+		for lx.pos < len(lx.src) && isIdentRune(lx.src[lx.pos]) {
+			lx.pos++
+		}
+		if lx.pos == start+1 {
+			return token{}, fmt.Errorf("script: line %d: '$' must begin a variable name", t.line)
+		}
+		t.kind, t.text = tokVar, string(lx.src[start+1:lx.pos])
+	case r == '"':
+		t.kind = tokString
+		t.text, err = lx.until('"', "string")
+	case r == '\'':
+		t.kind = tokQuoted
+		t.text, err = lx.until('\'', "quoted text")
+	case r == '[':
+		t.kind = tokRef
+		t.text, err = lx.until(']', "reference")
+	case unicode.IsDigit(r):
+		for lx.pos < len(lx.src) && (unicode.IsDigit(lx.src[lx.pos]) || lx.src[lx.pos] == '.') {
+			lx.pos++
+		}
+		t.kind, t.text = tokNumber, string(lx.src[start:lx.pos])
+	case unicode.IsLetter(r) || r == '_':
+		for lx.pos < len(lx.src) && isIdentRune(lx.src[lx.pos]) {
+			lx.pos++
+		}
+		t.kind, t.text = tokIdent, string(lx.src[start:lx.pos])
+	default:
+		return token{}, fmt.Errorf("script: line %d: unexpected character %q", t.line, string(r))
+	}
+	return t, err
+}
+
+// until reads up to the closing delimiter and past it. Only a "string" must
+// end on its own line.
+func (lx *lexer) until(closing rune, what string) (string, error) {
+	start := lx.pos
+	for ; lx.pos < len(lx.src) && lx.src[lx.pos] != closing; lx.pos++ {
+		if lx.src[lx.pos] == '\n' {
+			if closing == '"' {
+				break
+			}
+			lx.line++
+		}
+	}
+	if lx.pos >= len(lx.src) || lx.src[lx.pos] != closing {
+		return "", fmt.Errorf("script: line %d: unterminated %s", lx.line, what)
+	}
+	lx.pos++
+	return string(lx.src[start : lx.pos-1]), nil
+}
+
+// isIdentRune reports identifier characters after the first (letters,
+// digits, underscore, dash — mapping names like DBLP-ACM appear in
+// repositories, and combiner names like Min-0 in merges).
 func isIdentRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-'
 }

@@ -16,6 +16,26 @@ func Parse(src string) (*Script, error) {
 	return p.parseScript()
 }
 
+// ParseConstraint compiles the object-value constraint of a select(), e.g.
+// "[domain.id]<>[range.id]".
+func ParseConstraint(src string) (*ConstraintExpr, error) {
+	lx := newLexer(src)
+	lx.constraint = true
+	toks, err := lx.lex()
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{toks: toks}
+	root, err := p.parseBinary(orLevel)
+	if err != nil {
+		return nil, err
+	}
+	if t := p.cur(); t.kind != tokEOF {
+		return nil, fmt.Errorf("script: line %d: unexpected %s after constraint", t.line, describe(t))
+	}
+	return &ConstraintExpr{src: src, root: root}, nil
+}
+
 type parser struct {
 	toks []token
 	pos  int
@@ -167,6 +187,8 @@ func (p *parser) parseProc() (Stmt, error) {
 	}
 }
 
+// parseExpr parses a script expression, which is a primary: statements and
+// call arguments take no operators.
 func (p *parser) parseExpr() (Expr, error) {
 	t := p.cur()
 	switch t.kind {
@@ -174,12 +196,7 @@ func (p *parser) parseExpr() (Expr, error) {
 		p.advance()
 		return &VarRef{Name: t.text, Line: t.line}, nil
 	case tokNumber:
-		p.advance()
-		v, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return nil, fmt.Errorf("script: line %d: bad number %q", t.line, t.text)
-		}
-		return &NumberLit{Value: v, Line: t.line}, nil
+		return p.parseNumber()
 	case tokString:
 		p.advance()
 		return &StringLit{Value: t.text, Line: t.line}, nil
@@ -226,4 +243,117 @@ func (p *parser) parseExpr() (Expr, error) {
 	default:
 		return nil, fmt.Errorf("script: line %d: unexpected %s in expression", t.line, describe(t))
 	}
+}
+
+func (p *parser) parseNumber() (Expr, error) {
+	t := p.cur()
+	p.advance()
+	v, err := strconv.ParseFloat(t.text, 64)
+	if err != nil {
+		return nil, fmt.Errorf("script: line %d: bad number %q", t.line, t.text)
+	}
+	return &NumberLit{Value: v, Line: t.line}, nil
+}
+
+// Binary operator levels of constraint expressions, loosest first.
+const (
+	orLevel = iota
+	andLevel
+	cmpLevel
+	sumLevel
+	operandLevel
+)
+
+// binaryOp reports whether the current token is an operator of level.
+func (p *parser) binaryOp(level int) (string, bool) {
+	t := p.cur()
+	switch level {
+	case orLevel:
+		return "OR", isKeyword(t, "OR")
+	case andLevel:
+		return "AND", isKeyword(t, "AND")
+	case cmpLevel:
+		if t.kind == tokAssign {
+			return "=", true
+		}
+		return t.text, t.kind == tokCmp
+	default:
+		return t.text, t.kind == tokSum
+	}
+}
+
+// parseBinary climbs the constraint operator levels from level down. Every
+// level associates left, except that a comparison takes one operator.
+func (p *parser) parseBinary(level int) (Expr, error) {
+	if level == operandLevel {
+		return p.parseOperand()
+	}
+	left, err := p.parseBinary(level + 1)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		op, ok := p.binaryOp(level)
+		if !ok {
+			return left, nil
+		}
+		p.advance()
+		right, err := p.parseBinary(level + 1)
+		if err != nil {
+			return nil, err
+		}
+		left = &Binary{Op: op, L: left, R: right}
+		if level == cmpLevel {
+			return left, nil
+		}
+	}
+}
+
+// parseOperand parses a constraint operand.
+func (p *parser) parseOperand() (Expr, error) {
+	t := p.cur()
+	switch {
+	case t.kind == tokRef:
+		p.advance()
+		side, attr, ok := strings.Cut(strings.TrimSpace(t.text), ".")
+		if !ok || side == "" {
+			return nil, fmt.Errorf("script: line %d: reference %q needs side.attr form", t.line, t.text)
+		}
+		side = strings.ToLower(side)
+		if side != "domain" && side != "range" {
+			return nil, fmt.Errorf("script: line %d: side must be domain or range, got %q", t.line, side)
+		}
+		return &Ref{Side: side, Attr: attr}, nil
+	case t.kind == tokQuoted:
+		p.advance()
+		return &Quoted{Value: t.text}, nil
+	case t.kind == tokNumber:
+		return p.parseNumber()
+	case t.kind == tokLParen:
+		p.advance()
+		return p.closeParen(p.parseBinary(orLevel))
+	case isKeyword(t, "abs"):
+		p.advance()
+		if _, err := p.expect(tokLParen); err != nil {
+			return nil, err
+		}
+		x, err := p.closeParen(p.parseBinary(sumLevel))
+		if err != nil {
+			return nil, err
+		}
+		return &Abs{X: x}, nil
+	default:
+		return nil, fmt.Errorf("script: line %d: unexpected %s in constraint", t.line, describe(t))
+	}
+}
+
+// closeParen consumes the ')' after a parenthesized e.
+func (p *parser) closeParen(e Expr, err error) (Expr, error) {
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(tokRParen); err != nil {
+		return nil, err
+	}
+	return e, nil
 }

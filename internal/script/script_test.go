@@ -405,19 +405,125 @@ func TestValueString(t *testing.T) {
 }
 
 func TestScriptStringRoundTrip(t *testing.T) {
-	src := "$V = nhMatch(DBLP.VenuePub, DBLP-ACM.PubSame, ACM.PubVenue)\nRETURN $V\n"
-	s, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
+	for _, src := range []string{
+		"$V = nhMatch(DBLP.VenuePub, DBLP-ACM.PubSame, ACM.PubVenue)\nRETURN $V\n",
+		"RETURN select(M.X, Threshold, 1000000)\n",
+		"RETURN select(M.X, Threshold, 0.00001)\n",
+	} {
+		s, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rendered := s.String()
+		s2, err := Parse(rendered)
+		if err != nil {
+			t.Fatalf("re-parsing rendered script: %v\n%s", err, rendered)
+		}
+		if len(s2.Stmts) != len(s.Stmts) {
+			t.Error("round trip changed statement count")
+		}
 	}
-	rendered := s.String()
-	s2, err := Parse(rendered)
-	if err != nil {
-		t.Fatalf("re-parsing rendered script: %v\n%s", err, rendered)
+}
+
+// seedScripts are the scripts of the tests and examples.
+var seedScripts = []string{
+	"$R = compose($A, $B, Min, Average) // comment\n",
+	"$X = nhMatch (DBLP.CoAuthor, DBLP.AuthorAuthor,\n               DBLP.CoAuthor)\n",
+	`
+PROCEDURE nhMatch ( $Asso1, $Same, $Asso2)
+   $Temp = compose ( $Asso1 , $Same , Min, Average )
+   $Result = compose ( $Temp , $Asso2 , Min, Relative )
+   RETURN $Result
+END
+
+$VenueSame = nhMatch (DBLP.VenuePub, DBLP-ACM.PubSame, ACM.PubVenue)
+RETURN $VenueSame
+`,
+	`
+// PROCEDURE from the paper, section 4.2
+PROCEDURE nhMatch ( $Asso1, $Same, $Asso2)
+   $Temp = compose ( $Asso1 , $Same , Min, Average )
+   $Result = compose ( $Temp , $Asso2 , Min, Relative )
+   RETURN $Result
+END
+
+# Titles give a publication same-mapping; venues follow from it.
+$PubSame = attrMatch (DBLP.Publication, ACM.Publication, Trigram, 0.82, "[title]", "[name]")
+$VenueNh = nhMatch (DBLP.VenuePub, $PubSame, ACM.PubVenue)
+$VenueSame = select ($VenueNh, Threshold, 0.5)
+RETURN $VenueSame
+`,
+	`
+$PubSame = attrMatch (DBLP.Publication, ACM.Publication, Trigram, 0.82, "[title]", "[name]")
+$Clean = select ($PubSame, "abs([domain.year]-[range.year])<=1")
+RETURN $Clean
+`,
+	`
+$CoAuthSim = nhMatch (DBLP.CoAuthor, DBLP.AuthorAuthor, DBLP.CoAuthor)
+$NameSim = attrMatch (DBLP.Author, DBLP.Author, Trigram, 0.5, "[name]", "[name]")
+$Merged = merge ($CoAuthSim, $NameSim, Average)
+$Result = select ($Merged, "[domain.id]<>[range.id]")
+RETURN $Result
+`,
+	`
+$Titles = attrMatch (DBLP.Publication, ACM.Publication, Trigram, 0.8, "[title]", "[title]")
+$Years = attrMatch (DBLP.Publication, ACM.Publication, YearExact, 1, "[year]", "[year]")
+$Merged = merge ($Titles, $Years, Avg-0)
+$Result = select ($Merged, Threshold, 0.8)
+RETURN $Result
+`,
+	`
+$VenueNh = nhMatch (DBLP.VenuePub, DBLP-ACM.PubSame, ACM.PubVenue)
+$VenueSame = select ($VenueNh, Best, 1)
+RETURN $VenueSame
+`,
+	`
+PROCEDURE pick ($m)
+   $Result = select ($m, Best, 1)
+   RETURN $Result
+END
+$Result = DBLP-ACM.PubSame
+$Picked = pick($Result)
+RETURN $Picked
+`,
+	"RETURN select(Cache.Titles, Threshold, 0.9)\n",
+	"$T = attrMatch (DBLP.Publication, ACM.Publication, Trigram, 0.8, \"[title]\", \"[title]\")\nRETURN $T\n",
+	"RETURN nhMatch (DBLP.VenuePub, DBLP-ACM.PubSame, ACM.PubVenue, RelativeLeft)\n",
+	"RETURN select(nhMatch(DBLP.VenuePub, DBLP-ACM.PubSame, ACM.PubVenue), Delta, 0.1, range)\n",
+	"RETURN merge(M.A, M.B, PreferMap2)\n",
+	"RETURN identity(DBLP.Publication)\n",
+	"PROCEDURE p($a)\nRETURN $a\nEND\nRETURN p()\n",
+	"inverse(DBLP.VenuePub)\n",
+	"RETURN select(M.X, Threshold, 1000000)\n",
+	"RETURN select(M.X, Threshold, 0.00001)\n",
+	"$X compose($A)\n",
+	"$X = DBLP.\n",
+	"PROCEDURE p()\nPROCEDURE q()\nEND\nEND\n",
+	"$X = foo($A) extra\n",
+	"$ = x\n",
+	"$X = @\n",
+}
+
+// FuzzParseRoundTrip: a script that parses renders to text that parses
+// again and renders the same.
+func FuzzParseRoundTrip(f *testing.F) {
+	for _, src := range seedScripts {
+		f.Add(src)
 	}
-	if len(s2.Stmts) != len(s.Stmts) {
-		t.Error("round trip changed statement count")
-	}
+	f.Fuzz(func(t *testing.T, src string) {
+		s, err := Parse(src)
+		if err != nil {
+			return
+		}
+		rendered := s.String()
+		s2, err := Parse(rendered)
+		if err != nil {
+			t.Fatalf("rendered script does not parse: %v\n%s", err, rendered)
+		}
+		if again := s2.String(); again != rendered {
+			t.Fatalf("rendering changed on a second round trip:\n%s\n---\n%s", rendered, again)
+		}
+	})
 }
 
 func TestSelectSideVariants(t *testing.T) {

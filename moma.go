@@ -657,25 +657,9 @@ const (
 	OpCompose = workflow.OpCompose
 )
 
-// Scripts (package script).
-type (
-	// Script is a parsed iFuice-style program.
-	Script = script.Script
-	// Interp executes scripts against an environment.
-	Interp = script.Interp
-	// Binding is the standard script environment.
-	Binding = script.Binding
-	// Value is a script value (mapping, object set, number, string).
-	Value = script.Value
-)
-
-// Script helpers.
-var (
-	ParseScript     = script.Parse
-	NewInterp       = script.New
-	NewBinding      = script.NewBinding
-	ParseConstraint = script.ParseConstraint
-)
+// Value is a script value (mapping, object set, number, string), the
+// result of System.RunScript.
+type Value = script.Value
 
 // Evaluation (package eval).
 type (

@@ -29,13 +29,15 @@ type System struct {
 	// Sims resolves similarity-function names.
 	Sims *SimRegistry
 
-	// mu guards sets, resolvers and binding: the system is the shared
+	// mu guards sets, byLDS and resolvers: the system is the shared
 	// Figure-3 architecture, and like Store it must be safe for concurrent
 	// use (concurrent RunScript / AddObjectSet / RunWorkflow calls).
-	mu        sync.RWMutex
-	sets      map[string]*ObjectSet
+	mu   sync.RWMutex
+	sets map[string]*ObjectSet
+	// byLDS holds the first set registered for each LDS, the one select()
+	// constraints read.
+	byLDS     map[model.LDS]*ObjectSet
 	resolvers map[string]*LiveResolver
-	binding   *script.Binding
 	engine    *workflow.Engine
 }
 
@@ -73,33 +75,11 @@ func newSystem(repo *store.Store) *System {
 		Matchers:  match.NewRegistry(),
 		Sims:      sim.NewRegistry(),
 		sets:      make(map[string]*ObjectSet),
+		byLDS:     make(map[model.LDS]*ObjectSet),
 		resolvers: make(map[string]*LiveResolver),
 	}
 	s.engine = &workflow.Engine{Repo: s.Repo, Cache: s.Cache}
-	s.rebindLocked()
 	return s
-}
-
-// rebindLocked refreshes the script binding from the current stores and
-// sets. Callers must hold mu (newSystem excepted: nothing else can see the
-// system yet).
-func (s *System) rebindLocked() {
-	b := script.NewBinding()
-	b.Sims = s.Sims
-	for _, name := range s.Repo.Names() {
-		if m, ok := s.Repo.Get(name); ok {
-			b.BindMapping(name, m)
-		}
-	}
-	for _, name := range s.Cache.Names() {
-		if m, ok := s.Cache.Get(name); ok {
-			b.BindMapping(name, m)
-		}
-	}
-	for name, set := range s.sets {
-		b.BindSet(name, set)
-	}
-	s.binding = b
 }
 
 // AddObjectSet registers an object set under a qualified name such as
@@ -114,6 +94,9 @@ func (s *System) AddObjectSet(name string, set *ObjectSet) error {
 		return fmt.Errorf("moma: object set %q already registered", name)
 	}
 	s.sets[name] = set
+	if _, ok := s.byLDS[set.LDS()]; !ok {
+		s.byLDS[set.LDS()] = set
+	}
 	return nil
 }
 
@@ -181,32 +164,51 @@ func (s *System) MappingByName(name string) (*Mapping, bool) {
 }
 
 // RunScript parses and executes an iFuice-style script against the
-// system's sources and mappings. Top-level assignments become cache
-// entries, so later scripts (and workflows) can re-use them by name.
+// system's sources and mappings, which it reads as they are when the script
+// names them. Top-level assignments become cache entries, so later scripts
+// (and workflows) can re-use them by name.
 func (s *System) RunScript(src string) (Value, error) {
-	s.mu.Lock()
-	s.rebindLocked()
-	binding := s.binding
-	s.mu.Unlock()
-	ip := script.New(binding)
-	v, err := ip.RunSource(src)
+	parsed, err := script.Parse(src)
+	if err != nil {
+		return Value{Kind: script.NoValue}, err
+	}
+	ip := script.New(scriptEnv{s})
+	v, err := ip.Run(parsed)
 	if err != nil {
 		return v, err
 	}
 	// Persist script-created mappings into the cache for re-use: a later
 	// script references $Titles of this run as Cache.Titles.
-	parsed, perr := script.Parse(src)
-	if perr == nil {
-		for _, st := range parsed.Stmts {
-			if assign, ok := st.(*script.Assign); ok {
-				if val, ok := ip.Global(assign.Name); ok && val.Kind == script.MappingValue {
-					// Best effort; a full cache is the only failure mode.
-					_ = s.Cache.Put("Cache."+assign.Name, val.Mapping)
-				}
+	for _, st := range parsed.Stmts {
+		if assign, ok := st.(*script.Assign); ok {
+			if val, ok := ip.Global(assign.Name); ok && val.Kind == script.MappingValue {
+				// Best effort; a full cache is the only failure mode.
+				_ = s.Cache.Put("Cache."+assign.Name, val.Mapping)
 			}
 		}
 	}
 	return v, nil
+}
+
+// scriptEnv is the system as a running script's environment.
+type scriptEnv struct{ *System }
+
+func (e scriptEnv) LookupMapping(name string) (*Mapping, bool) { return e.MappingByName(name) }
+
+func (e scriptEnv) LookupObjectSet(name string) (*ObjectSet, bool) { return e.ObjectSetByName(name) }
+
+func (e scriptEnv) ObjectSetFor(lds model.LDS) (*ObjectSet, bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	set, ok := e.byLDS[lds]
+	return set, ok
+}
+
+func (e scriptEnv) SimFunc(name string) (sim.Func, bool) {
+	if e.Sims == nil {
+		return nil, false
+	}
+	return e.Sims.Lookup(name)
 }
 
 // RunWorkflow executes a workflow on two registered object sets.

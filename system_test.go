@@ -7,7 +7,7 @@ import (
 )
 
 // TestSystemConcurrentUse exercises the System's shared namespace from many
-// goroutines at once — scripts rebinding against the current sets while
+// goroutines at once — scripts reading the current sets live while
 // other goroutines register new sets and run matchers. Under -race this
 // proves the Figure-3 architecture is safe for concurrent use, matching the
 // documented guarantee of its stores.
@@ -77,5 +77,41 @@ func TestSystemConcurrentUse(t *testing.T) {
 	}
 	if _, ok := sys.MappingByName("Same0"); !ok {
 		t.Error("stored mapping missing after concurrent run")
+	}
+}
+
+// TestConstraintReadsFirstSetPerLDS: when two registered sets share an LDS,
+// select() constraints read the first one registered, on every system.
+func TestConstraintReadsFirstSetPerLDS(t *testing.T) {
+	dblpPub := LDS{Source: "DBLP", Type: Publication}
+	acmPub := LDS{Source: "ACM", Type: Publication}
+	for i := 0; i < 200; i++ {
+		sys := NewSystem()
+		first := NewObjectSet(dblpPub)
+		first.AddNew("p1", map[string]string{"year": "2001"})
+		second := NewObjectSet(dblpPub)
+		second.AddNew("p1", map[string]string{"year": "1999"})
+		acm := NewObjectSet(acmPub)
+		acm.AddNew("q1", map[string]string{"year": "2001"})
+		for _, reg := range []struct {
+			name string
+			set  *ObjectSet
+		}{{"DBLP.Publication", first}, {"ACM.Publication", acm}, {"DBLP.PublicationV2", second}} {
+			if err := sys.AddObjectSet(reg.name, reg.set); err != nil {
+				t.Fatal(err)
+			}
+		}
+		same := NewSameMapping(dblpPub, acmPub)
+		same.Add("p1", "q1", 1)
+		if err := sys.AddMapping("M.Same", same); err != nil {
+			t.Fatal(err)
+		}
+		v, err := sys.RunScript(`RETURN select(M.Same, "[domain.year]=[range.year]")` + "\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Mapping.Len() != 1 {
+			t.Fatalf("system %d: %d rows, want 1: the constraint read DBLP.PublicationV2", i, v.Mapping.Len())
+		}
 	}
 }
