@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/mapping"
 	"repro/internal/model"
@@ -77,9 +78,7 @@ func run(cfg sources.Config, out string) error {
 	}
 
 	for _, src := range []*sources.Source{d.DBLP, d.ACM, d.GS} {
-		prefix := string(src.Name)
-		prefix = filepath.Clean(prefix)
-		low := toLower(prefix)
+		low := strings.ToLower(string(src.Name))
 		if err := writeSet(low+"_publications", src.Pubs); err != nil {
 			return err
 		}
@@ -134,14 +133,4 @@ func writeFile(path string, write func(*os.File) error) error {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return f.Close()
-}
-
-func toLower(s string) string {
-	b := []byte(s)
-	for i := range b {
-		if b[i] >= 'A' && b[i] <= 'Z' {
-			b[i] += 'a' - 'A'
-		}
-	}
-	return string(b)
 }

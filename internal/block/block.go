@@ -8,11 +8,14 @@
 // of the blocking attribute), and the classic sorted-neighborhood method
 // (sort both inputs by a key and slide a window). The experiment harness
 // uses token blocking for the large Google Scholar matching tasks, mirroring
-// the paper's query-based candidate generation.
+// the paper's query-based candidate generation. Within restricts token
+// blocking to the pairs of a mapping, for a workflow step that reads a
+// matcher's result on those pairs only.
 package block
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/index"
@@ -46,8 +49,9 @@ type Blocker interface {
 // stream over a contiguous range of A's ordinals is then a contiguous piece
 // of the whole, which lets the batch matchers score ranges in parallel and
 // concatenate the results in stream order. CrossProduct and TokenBlocking
-// are RangeBlockers; SortedNeighborhood (window order) and blockers outside
-// this package that build Pairs by hand are not.
+// are RangeBlockers; SortedNeighborhood (window order), Within (its
+// mapping's order) and blockers outside this package that build Pairs by
+// hand are not.
 type RangeBlocker interface {
 	Blocker
 	// Probe builds what every range shares — token columns, the index over
@@ -231,6 +235,69 @@ func (p tokenProbe) PairsRange(lo, hi int, yield func(ordA, ordB int) bool) {
 
 func (t TokenBlocking) String() string {
 	return fmt.Sprintf("token-blocking(%s~%s, shared>=%d)", t.AttrA, t.AttrB, t.MinShared)
+}
+
+// Within is token blocking restricted to the pairs of a mapping. It streams,
+// in Pairs' order, the correspondences whose ids both inputs hold and whose
+// values share at least Tokens.MinShared distinct tokens: exactly the pairs
+// Tokens.PairsEach streams that Pairs holds. A matcher whose result is read
+// only on the pairs of another mapping scores those pairs and no others.
+type Within struct {
+	// Pairs is a *mapping.Mapping; naming only the two methods read keeps
+	// blocking from importing the mapping layer it feeds.
+	Pairs interface {
+		Dict() *model.IDDict
+		EachOrd(fn func(dom, rng uint32, sim float64) bool)
+	}
+	Tokens TokenBlocking
+}
+
+// PairsEach implements Blocker. It reads the token columns Tokens.Probe
+// reads and tests each pair by merging its two values' distinct tokens.
+func (w Within) PairsEach(a, b *model.ObjectSet, yield func(Pair) bool) {
+	colA, colB := tokenColumn(a, w.Tokens.AttrA), tokenColumn(b, w.Tokens.AttrB)
+	minShared := max(w.Tokens.MinShared, 1)
+	ids := w.Pairs.Dict().All()
+	var x, y []uint32
+	w.Pairs.EachOrd(func(dom, rng uint32, _ float64) bool {
+		ordA, ordB := a.IndexOf(ids[dom]), b.IndexOf(ids[rng])
+		if ordA < 0 || ordB < 0 {
+			return true
+		}
+		x, y = distinct(x, colA[ordA]), distinct(y, colB[ordB])
+		if shared(x, y) < minShared {
+			return true
+		}
+		return yield(Pair{A: ids[dom], B: ids[rng]})
+	})
+}
+
+// distinct returns toks' distinct values, sorted, in buf's storage.
+func distinct(buf, toks []uint32) []uint32 {
+	buf = append(buf[:0], toks...)
+	slices.Sort(buf)
+	return slices.Compact(buf)
+}
+
+// shared counts the values two sorted, duplicate-free lists have in common.
+func shared(x, y []uint32) int {
+	n := 0
+	for len(x) > 0 && len(y) > 0 {
+		switch {
+		case x[0] < y[0]:
+			x = x[1:]
+		case x[0] > y[0]:
+			y = y[1:]
+		default:
+			n++
+			x, y = x[1:], y[1:]
+		}
+	}
+	return n
+}
+
+func (w Within) String() string {
+	return fmt.Sprintf("within(%s)", w.Tokens)
 }
 
 // SortedNeighborhood sorts the union of both inputs by a normalized key

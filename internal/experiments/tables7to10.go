@@ -132,21 +132,23 @@ func Table8(s *Setting) (*TableResult, error) {
 	// Additions require corroboration: the neighborhood's best pick per GS
 	// entry must also show at least weak title evidence, killing the
 	// single-author name coincidences of noise entries while keeping the
-	// truncated-title entries the author evidence recovers.
-	weakTitle, err := s.matched("pub-title-weak-gs-acm", &match.Attribute{
+	// truncated-title entries the author evidence recovers. The weak title
+	// matcher is read on those picks only, so it scores only them (Within):
+	// the same verdicts as matching every token-blocked pair and looking the
+	// picks up, at a fraction of the pairs.
+	nhBest := mapping.Threshold{T: 0.8}.Apply(mapping.BestN{N: 1, Side: mapping.DomainSide}.Apply(nh))
+	weakTitle, err := (&match.Attribute{
 		MatcherName: "Title(weak)",
 		AttrA:       "title", AttrB: "name",
 		Sim:       sim.Trigram,
 		Threshold: 0.35,
-		Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1},
-	}, s.GSWork, s.D.ACM.Pubs)
+		Blocker: block.Within{Pairs: nhBest,
+			Tokens: block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1}},
+	}).Match(s.GSWork, s.D.ACM.Pubs)
 	if err != nil {
 		return nil, err
 	}
-	nhBest := mapping.BestN{N: 1, Side: mapping.DomainSide}.Apply(nh)
-	nhBest = nhBest.Filter(func(c mapping.Correspondence) bool {
-		return c.Sim >= 0.8 && weakTitle.Has(c.Domain, c.Range)
-	})
+	nhBest = nhBest.Filter(func(c mapping.Correspondence) bool { return weakTitle.Has(c.Domain, c.Range) })
 	merged, err := mapping.Merge(mapping.PreferCombiner(0), title, nhBest)
 	if err != nil {
 		return nil, err

@@ -93,8 +93,10 @@
 // exists in memory as a whole, and results are bit-identical to scoring the
 // materialized pair list, mapping insertion order included, at any worker
 // count. A blocker without the range probe (SortedNeighborhood, whose
-// window order is not A-major; one of your own, which may repeat pairs or
-// name unknown ids) is scored by the same loop as one stream of ids. The
+// window order is not A-major; block.Within, token blocking restricted to
+// the pairs of a mapping, in that mapping's order; one of your own, which
+// may repeat pairs or name unknown ids) is scored by the same loop as one
+// stream of ids. The
 // workflow Engine can push one Workers setting through every matcher of a
 // workflow (ConfigurableWorkers).
 //
