@@ -160,7 +160,7 @@ func AttrGroup(set *model.ObjectSet, attr string) GroupFunc {
 }
 
 // Table renders aligned text tables in the style of the paper's evaluation
-// section; cmd/moma-bench prints these.
+// section; experiments.TableResult.Render prints through it.
 type Table struct {
 	Title   string
 	Columns []string

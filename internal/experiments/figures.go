@@ -12,8 +12,8 @@ import (
 // The figures with worked numeric examples (4, 6, 9) are reproduced
 // exactly: the functions below rebuild the paper's inputs, run the
 // operator, and render the outputs. Unit tests in the mapping and match
-// packages additionally lock every value in; these renderings let
-// cmd/moma-bench print the figures next to the tables.
+// packages additionally lock every value in; these renderings show them
+// in the paper's layout.
 
 // Figure4 renders the merge-operator example for all four combination
 // functions.

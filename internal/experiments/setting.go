@@ -1,6 +1,6 @@
 // Package experiments defines one reproduction per table and figure of the
-// paper's evaluation (§5), shared by the go-test benchmarks and the
-// cmd/moma-bench harness. Each experiment returns a TableResult carrying
+// paper's evaluation (§5), run by the tests here and by the bench module's
+// batch_paper workload. Each experiment returns a TableResult carrying
 // both the rendered rows (in the paper's format) and the raw metrics so
 // tests can assert the qualitative shape: which matcher wins, where
 // combination helps, where compose paths fail.

@@ -10,6 +10,7 @@ import (
 // a fresh small setting at GOMAXPROCS 1 and 8. The match kernel's ranges and
 // the mapping operators' workers default to GOMAXPROCS, and no result may
 // depend on it: both runs must render identical rows and identical metrics.
+// Under -v it logs every rendered table, in the paper's layout.
 func TestExperimentsWorkerInvariant(t *testing.T) {
 	experiments := []struct {
 		id  string
@@ -38,6 +39,7 @@ func TestExperimentsWorkerInvariant(t *testing.T) {
 	}
 	one, eight := runAll(1), runAll(8)
 	for i, ex := range experiments {
+		t.Log(one[i].Render())
 		if !reflect.DeepEqual(one[i].Rows, eight[i].Rows) {
 			t.Errorf("%s rows differ:\nGOMAXPROCS 1: %v\nGOMAXPROCS 8: %v", ex.id, one[i].Rows, eight[i].Rows)
 		}

@@ -161,7 +161,7 @@ func pathCombine(f Combiner, s1, s2 float64) float64 {
 //
 // Compose runs on GOMAXPROCS workers; ComposeWorkers pins the count. The
 // output is bit-identical at every worker count (see the parallel-operator
-// section of moma.go).
+// section of the root doc.go).
 func Compose(map1, map2 *Mapping, f Combiner, g PathAgg) (*Mapping, error) {
 	return ComposeWorkers(map1, map2, f, g, 0)
 }

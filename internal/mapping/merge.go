@@ -200,7 +200,7 @@ func (c Combiner) validateForMerge(n int) error {
 //
 // Merge runs on GOMAXPROCS workers; MergeWorkers pins the count. The
 // output is bit-identical at every worker count (see the parallel-operator
-// section of moma.go).
+// section of the root doc.go).
 func Merge(f Combiner, maps ...*Mapping) (*Mapping, error) {
 	return MergeWorkers(f, 0, maps...)
 }

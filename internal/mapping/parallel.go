@@ -5,7 +5,7 @@
 // positions in position order into the output columns. A stable sort has
 // one result however the rows are chunked, and every fold reads its run in
 // input order, so the output is bit-identical at every worker count (see
-// the parallel-operator section of moma.go).
+// the parallel-operator section of the root doc.go).
 
 package mapping
 

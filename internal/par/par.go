@@ -33,8 +33,8 @@ import (
 )
 
 // Workers resolves a requested worker count: n when positive, otherwise
-// GOMAXPROCS — which moma-bench -workers and `go test -cpu` cap, so the
-// default tracks the harness's intent without extra plumbing.
+// GOMAXPROCS — which `go test -cpu` caps, so the default tracks the
+// harness's intent without extra plumbing.
 func Workers(n int) int {
 	if n > 0 {
 		return n

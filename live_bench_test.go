@@ -11,6 +11,10 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/live"
+	"repro/internal/model"
+	"repro/internal/sim"
 )
 
 // benchLiveSet builds a synthetic publication set of n instances whose
@@ -58,7 +62,7 @@ func benchLiveQueries(set *ObjectSet, n int) []*Instance {
 	out := make([]*Instance, 0, n)
 	for i := 0; i < n; i++ {
 		src := set.Get(ids[(i*37)%len(ids)])
-		out = append(out, NewInstance(ID(fmt.Sprintf("q%04d", i)), map[string]string{
+		out = append(out, model.NewInstance(ID(fmt.Sprintf("q%04d", i)), map[string]string{
 			"title": src.Attr("title") + " extra",
 			"year":  src.Attr("year"),
 		}))
@@ -68,12 +72,12 @@ func benchLiveQueries(set *ObjectSet, n int) []*Instance {
 
 func benchResolverFor(b *testing.B, set *ObjectSet) *LiveResolver {
 	b.Helper()
-	r, err := NewLiveResolver(set, LiveConfig{
+	r, err := live.NewResolver(set, LiveConfig{
 		MinShared: 3,
 		Threshold: 0.7,
 		Columns: []LiveColumn{
 			{QueryAttr: "title", SetAttr: "title", Sim: Trigram, Weight: 3},
-			{QueryAttr: "year", SetAttr: "year", Sim: YearSim, Weight: 1},
+			{QueryAttr: "year", SetAttr: "year", Sim: sim.YearSim, Weight: 1},
 		},
 	})
 	if err != nil {
@@ -104,7 +108,7 @@ func BenchmarkResolve(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchResolveLoop(b, r, queries) })
 	}
 	set := benchLiveSetVocab(20000, 300, 4)
-	r, err := NewLiveResolver(set, LiveConfig{
+	r, err := live.NewResolver(set, LiveConfig{
 		MinShared: 2,
 		Threshold: 0.75,
 		Columns:   []LiveColumn{{QueryAttr: "title", SetAttr: "title", Sim: Trigram}},
@@ -129,44 +133,5 @@ func benchResolveLoop(b *testing.B, r *LiveResolver, queries []*Instance) {
 	}
 	if b.N > len(queries) && matches == 0 {
 		b.Fatal("benchmark queries never match; fixture broken")
-	}
-}
-
-// BenchmarkResolveParallel: the same workload under GOMAXPROCS-way
-// concurrency — resolvers serve concurrent readers without exclusive locks.
-func BenchmarkResolveParallel(b *testing.B) {
-	set := benchLiveSet(10000)
-	r := benchResolverFor(b, set)
-	queries := benchLiveQueries(set, 256)
-	for _, q := range queries {
-		r.Resolve(q)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			r.Resolve(queries[i%len(queries)])
-			i++
-		}
-	})
-}
-
-// BenchmarkResolverAdd: the incremental update path — one instance indexed
-// into a warm 10k resolver per op (ids rotate, so live size stays bounded
-// via replacement).
-func BenchmarkResolverAdd(b *testing.B) {
-	set := benchLiveSet(10000)
-	r := benchResolverFor(b, set)
-	fresh := benchLiveSet(1000)
-	ids := fresh.IDs()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in := fresh.Get(ids[i%len(ids)]).Clone()
-		in.ID = ID(fmt.Sprintf("add%04d", i%len(ids)))
-		if err := r.Add(in); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -1,406 +1,7 @@
-// Package moma is a Go implementation of MOMA, the mapping-based object
-// matching system of Thor & Rahm (CIDR 2007).
-//
-// MOMA solves object matching (entity resolution): identifying the object
-// instances in data sources that refer to the same real-world entity. Its
-// central abstraction is the instance-level mapping — a set of
-// correspondences (a, b, s) between two logical data sources with a
-// similarity s in [0,1]. Match workflows combine matcher executions
-// (attribute matchers, the neighborhood matcher) with mapping operators
-// (merge, compose, selection), re-using mappings kept in a repository.
-//
-// The package re-exports the subsystem APIs under one import:
-//
-//	sys := moma.NewSystem()
-//	dblp := moma.NewObjectSet(moma.LDS{Source: "DBLP", Type: moma.Publication})
-//	acm := moma.NewObjectSet(moma.LDS{Source: "ACM", Type: moma.Publication})
-//	// ... fill the sets, then match titles:
-//	m := &moma.AttributeMatcher{AttrA: "title", AttrB: "title",
-//		Sim: moma.Trigram, Threshold: 0.8}
-//	same, err := m.Match(dblp, acm)
-//
-// Higher-level entry points: System wires a mapping repository, a matcher
-// registry and the iFuice-style script interpreter together; Workflow and
-// Engine execute multi-step match processes; NhMatch is the §4.2
-// neighborhood matcher.
-//
-// # Similarity profiles
-//
-// Attribute matchers evaluate their similarity function over O(n·m)
-// candidate pairs, but a match input only contains n+m distinct attribute
-// values. So a measure is a ProfiledSim, one type with two methods:
-// ProfileInto preprocesses one value — normalization, tokenization, hashed
-// character n-gram sets, TF-IDF vectors — into a caller-owned SimProfile,
-// reusing the profile's arrays and a SimScratch, and Compare scores two
-// profiles. There is no other way to build a profile and no second
-// implementation of a measure: the built-in SimFuncs are Compare over the
-// profiles of their two arguments, AttributeMatcher, MultiAttributeMatcher
-// and LiveResolver score every configuration through ProfiledOf(Sim), and
-// ProfiledOf is total — a SimFunc it does not know (a custom closure,
-// NumericProximity) becomes a measure whose profile is the raw value and
-// whose Compare calls the function. A measure no SimFunc names, such as a
-// corpus-backed one, is passed as the Profiled field:
-//
-//	corpus := moma.NewTFIDF()
-//	// ... corpus.AddAll(titles) ...
-//	m := &moma.AttributeMatcher{AttrA: "title", AttrB: "title",
-//		Profiled: corpus.Profiled(), Threshold: 0.6}
-//
-// Build sides keep what NewSimProfile returns; read paths rebuild pooled
-// profiles through the lookup-only sim.QueryInto, which never grows a term
-// dictionary and, for every measure whose profile holds only slices and
-// numbers, allocates nothing once its buffers are warm.
-//
-// Profiles are read-only between builds, so matchers with Workers > 1
-// score them concurrently without locks.
-//
-// A matcher keeps only the pairs that reach its threshold, so Compare takes
-// a floor — the least score its caller still has a use for — and is exact
-// at or above it; below it a measure may stop as soon as the score is out of
-// reach (the Dice and Jaccard set measures reject on set sizes, then on
-// 128-bit set signatures, and abandon the merge of what is left;
-// Levenshtein rejects on lengths). The set measures' size and signature test
-// reads only a 24-byte filter key per profile (sim.Key: length, cardinality,
-// signature), and every profile column of a set measure keeps those keys in
-// a dense, pointer-free array beside its profiles (sim.ProfileColumn), so
-// the scoring loops check a candidate's key at the column's floor first and
-// never touch a rejected candidate's profile. AttributeMatcher passes its
-// threshold; MultiAttributeMatcher and LiveResolver share sim.Weighted,
-// which derives each column's floor from the weights still to come. The
-// bounds are exact — results are bit-identical to scoring every pair in
-// full, which survives as the oracle of the differential tests — and the
-// counters moma_match_pairs_pruned_total and moma_live_resolve_pruned_total
-// report how many admitted pairs they cut short; a key reject is counted
-// exactly as the Compare it replaces.
-//
-// # Streaming match pipeline
-//
-// Candidate generation and scoring are one kernel (match.blockScore) that
-// every attribute matcher scores through. CrossProduct and TokenBlocking
-// stream A-major — all candidates of one domain instance, range ordinals
-// ascending, before any of the next — so besides PairsEach (one id pair at
-// a time; Pairs remains as a materializing wrapper) they expose a range
-// probe over ordinals (block.RangeBlocker). The kernel builds what a match
-// shares once — token columns, the index over the range input (a probe of
-// it counts posting entries per ordinal; nothing is sorted), the O(n+m)
-// profile columns keyed by ObjectSet.IndexOf ordinals — cuts the domain
-// ordinals into contiguous ranges of near-equal probe cost (par.SplitBy)
-// and runs probe → score → keep for each range on one goroutine, appending
-// kept correspondences to pointer-free (dom, rng, sim) columns. Ranges
-// concatenated in order are the blocker's stream order — no hand-off, no
-// sequence number, no sort — and bulk-load into the result
-// (mapping.FromColumns). The candidate set, potentially O(n·m) pairs, never
-// exists in memory as a whole, and results are bit-identical to scoring the
-// materialized pair list, mapping insertion order included, at any worker
-// count. A blocker without the range probe (SortedNeighborhood, whose
-// window order is not A-major; block.Within, token blocking restricted to
-// the pairs of a mapping, in that mapping's order; one of your own, which
-// may repeat pairs or name unknown ids) is scored by the same loop as one
-// stream of ids. The
-// workflow Engine can push one Workers setting through every matcher of a
-// workflow (ConfigurableWorkers).
-//
-// # Online resolution
-//
-// The live subsystem answers single-record match queries against a resident
-// set without re-matching: a LiveResolver registers an ObjectSet once and
-// keeps its blocking index, similarity-profile columns with their filter
-// keys, and TF-IDF corpora incrementally maintained, so Resolve blocks,
-// scores and thresholds one query in time proportional to its candidates —
-// and Add/Remove update the resident structures in place. Scoring is
-// bit-identical to a batch re-match of the same configuration (blocking
-// attributes, columns, weights, threshold), and most candidates of a set
-// measure are rejected on their dense keys without a profile read.
-// ResolveSet resolves a whole query set one query after another and loads
-// the matches' (dom, rng, sim) columns into the result in query order, as the
-// batch kernel loads its ranges.
-//
-//	sys.AddObjectSet("ACM.Publication", acm)
-//	r, err := sys.RegisterResolver("ACM.Publication", moma.LiveConfig{
-//		MinShared: 2, Threshold: 0.8,
-//		Columns: []moma.LiveColumn{
-//			{QueryAttr: "title", SetAttr: "title", Sim: moma.Trigram},
-//		},
-//	})
-//	matches := r.Resolve(instance) // sub-millisecond on warm indexes
-//
-// Resolve is ResolveAppend into a fresh slice; ResolveAppend is the one
-// resolve entry point, and the serving path calls it with a recycled slice.
-// cmd/moma-serve exposes the resolvers registered when the server is
-// constructed over an HTTP JSON API (resolve, incremental add/remove with
-// same-mapping deltas in the repository, health and metrics endpoints): a
-// resolve holds one lock, the resolver's read lock, and a write takes its
-// set's mutex, then the resolver's lock, then the store's. cmd/moma-load
-// drives it with synthetic query traffic and reports throughput and latency
-// percentiles.
-// Batch token blocking shares the same structures, and keeps them with the
-// data: every ObjectSet owns one small store of derived columns
-// (model.Column) holding its token columns, sort-key columns, ordinal
-// inverted indexes and similarity-profile columns under typed keys. A
-// column is built at most once per set version, so matchers sharing inputs
-// stop rebuilding it, and Add or Touch on the set drops them all. Only the
-// set refers to its store, so a column lives exactly as long as its set and
-// matchers over different sets share no lock. The store is bounded per set,
-// oldest column first — which contains the one key source that never
-// repeats, the fresh corpus a TF-IDF matcher builds per match.
-//
-// # Columnar ordinal mappings
-//
-// Mapping tables are columnar: a Mapping stores parallel uint32 ordinal
-// columns (domain, range) plus a float64 similarity column, with instance
-// IDs interned once in a model.IDDict symbol table — the ID-level
-// counterpart of the term dictionary the similarity layer uses. All
-// mapping operators run over the integer columns and group rows by
-// radix-sorting ordinal keys: compose joins middle ordinals through two
-// sorted row lists, merge folds runs of equal packed uint64 pair keys,
-// selections cut runs of equal domain or range ordinals, and
-// byDomain/byRange lookups walk lazily-built ordinal posting lists. Matchers emit kept correspondences ordinal-to-ordinal
-// (input id columns are interned once per match), evaluation compares
-// mappings by integer membership probes, and duplicate clustering
-// union-finds over dense ordinal indexes.
-//
-// Ownership follows the term dictionary's rules: mappings created with
-// NewMapping/NewSameMapping intern through the process-global model.IDs,
-// so everything produced in-process shares one ordinal space and operators
-// never translate. A persistent repository (OpenRepository) owns a private
-// dictionary for the mappings it replays from disk — its vocabulary is
-// released with the store — and operators given mixed-dictionary inputs
-// fall back to id-level translation with identical results. Ordinals never
-// reach the disk format; the WAL serializes id strings, and a reopen decodes
-// them straight into ordinals: one intern batch and one bulk load per put.
-// Delta-heavy WALs fold themselves into fresh snapshots automatically once
-// the log outgrows the snapshot (Store.SetAutoCompact configures or
-// disables the ratio).
-//
-// # Parallel mapping operators
-//
-// The three columnar operators run on a fixed worker count
-// (internal/par) with one non-negotiable contract: the output is
-// bit-identical at every worker count — same rows, same float64
-// similarities, same first-seen insertion order. Compose, Merge and the
-// per-group selections default to GOMAXPROCS workers; ComposeWorkers /
-// MergeWorkers / the selections' Workers field pin the count, and
-// workflow.Engine.Workers threads one knob through a whole run.
-// Differential tests (internal/mapping/ref_test.go, parallel_test.go) hold
-// the operators to eps-0 equality against sequential reference
-// implementations at workers 1, 3 and 8.
-//
-// Determinism comes from a stable sort whose result does not depend on how
-// the rows are chunked. Each operator groups by sorting (key, row) pairs
-// with par.SortKeyRows, a stable LSD radix sort: compose sorts both sides
-// of its join by middle ordinal and then its paths — numbered in the order
-// the sequential join meets them — by packed (domain, range) pair; merge
-// sorts all inputs' rows, numbered in input order, by pair key; selections
-// sort row indices by domain or range ordinal. A stable sort has exactly
-// one result, so every run of equal keys lists its paths, records or rows
-// in sequential order whatever the worker count. Float addition is not
-// associative, and each run folds on one worker in that order, so the sums
-// are bit-for-bit the sequential ones. Each fold marks its result at the
-// position of the run's first path, record or row, and one pass in
-// position order gathers the output: first-seen order, with no second
-// sort to restore it. Nothing is sized by a dictionary, only by rows, and
-// the inputs' posting lists stay unbuilt.
-//
-// Worker-private scratch plus a deterministic gather is the whole
-// concurrency story: workers never share mutable state, each run is folded
-// whole by the worker whose chunk it starts in, and chunks write disjoint
-// positions. The launch machinery is centralized in internal/par —
-// partition-by-index goroutines, panic capture per chunk, one wg.Wait —
-// so operator code contains no `go` statements and invariant 7 below holds
-// by construction. Bulk results enter a Mapping through the pre-deduped
-// column constructor (newFromColumns), which takes slice ownership and
-// leaves the pair index and posting lists lazy.
-//
-// # Observability
-//
-// internal/obs is the dependency-free observability core: counters, gauges
-// and fixed-bucket histograms allocated at registration time and recorded
-// with a few atomic operations, a process-global registry with
-// deterministic Prometheus text exposition, and a stage-trace facility
-// that times named pipeline stages into caller-owned scratch. The engine
-// packages register their metrics at init, so any program importing them
-// can expose the registry (obs.Default.WritePrometheus). The serve layer's
-// route metrics (moma_requests_total{route=,code=},
-// moma_request_duration_seconds{route=}, moma_uptime_seconds) are handles
-// on the same registry, resolved when a route is installed, and GET
-// /metrics is one exposition of it: there is one metrics system.
-//
-// The metric vocabulary follows the package structure:
-//
-//   - moma_live_*: online resolution. moma_live_resolve_seconds and
-//     moma_live_resolve_stage_seconds{stage=...} time each resolve and its
-//     stages — "block" (token lookup), "profile" (query profiling) and
-//     "score" (the fused candidate probe-and-score loop); candidate and
-//     match counters plus add/remove/compaction totals and a resident
-//     instances gauge ride along.
-//   - moma_match_*: the batch match kernel — candidate pairs considered,
-//     kept, and stopped early by a floor; flushed once per range.
-//   - moma_mapping_*: the mapping operators —
-//     moma_mapping_op_seconds{op=,workers=} times whole compose/merge/
-//     select invocations per configured worker cap, and
-//     moma_mapping_op_rows_total counts their output correspondences.
-//     Recorded once per operator call, never inside the row loops.
-//   - moma_store_*: repository persistence — put/delta/compaction
-//     latencies, WAL bytes/records, fsyncs, last snapshot size.
-//   - moma_blockcache_* {col="tokens"|"norm"|"index"} / moma_profilecache_*:
-//     fetches of a set's derived blocking and profile columns served from
-//     its store (hits) or built (misses), and columns dropped because the
-//     set's version moved (invalidations).
-//   - moma_sim_dict_terms / moma_model_dict_ids: sizes of the two
-//     process-global dictionaries — the runtime dial for the dictionary-
-//     ownership invariant that moma-vet's dictgrowth analyzer checks
-//     statically.
-//
-// Recording obeys invariant 6 below: no record path allocates
-// (an observation is a bucket scan plus a few atomic adds on
-// registration-time storage; labels are pre-rendered strings), so
-// instrumentation does not void the warm resolve path's zero-allocation
-// budget — TestResolveAppendZeroAllocs passes with tracing on. Slow-query
-// capture is threshold-gated (obs.SetSlowThreshold, moma-serve's
-// -slow-query flag): queries above the threshold deposit their stage
-// breakdown in a fixed ring readable as JSON via GET /debug/slow, while
-// queries below it pay one atomic load. moma-serve also mounts
-// /debug/pprof/* and /debug/vars; moma-load scrapes /metrics before and
-// after a run and prints the server-side per-stage latency shares.
-//
-// # Robustness
-//
-// The persistence and serving layers are built to a failure taxonomy, and
-// internal/faultfs exists to exercise every branch of it: the repository
-// store talks to disk through a tiny filesystem seam (faultfs.FS, with
-// faultfs.OS the zero-cost passthrough), and faultfs.Injector scripts
-// failures through that seam — error-after-N, short writes that really
-// leave the prefix on disk, byte-budget exhaustion (the disk-full drama in
-// miniature), torn renames, and seeded pseudo-random chaos schedules.
-//
-// Storage failures are typed (store.StorageError names the op and path)
-// and divide by what they threaten. A failed WAL append means new writes
-// cannot be made durable: the store enters degraded mode — acknowledged
-// state stays readable, mutations are rejected with store.ErrDegraded —
-// until Recover truncates the log to its durable prefix and verifies the
-// disk accepts appends again. A failed compaction threatens nothing (the
-// triggering write is already in the log), so it never degrades: every
-// exit path leaves the store on a consistent snapshot+log pair whose
-// replay converges to the same state. Crash recovery tolerates exactly one
-// torn final record and repairs it on open — physically truncating the
-// tail so a later append can never merge acknowledged bytes with garbage.
-// The crash matrix (internal/store/crash_test.go) walks fault × site
-// cells and a seeded-chaos fuzzer asserting one property throughout:
-// state after crash-and-reopen equals acknowledged state, exactly.
-//
-// The serving layer assumes overload and handler bugs are normal weather:
-// admission is capped (excess shed with 429 + Retry-After, never queued),
-// requests carry deadlines and body caps, panics are contained to a 500,
-// and /readyz — distinct from /healthz — reports draining and degraded
-// states so load balancers stop sending traffic the process would reject.
-// moma-load mirrors the contract with capped-exponential-backoff retries.
-// Defaults live in serve.Options; cmd/moma-serve exposes them as flags,
-// plus -fault-script to run chaos drills against a live server.
-//
-// # Repo invariants
-//
-// Seven cross-cutting invariants hold everywhere in this tree. The first
-// three no runtime test can hold — a test sees only the inputs it runs — so
-// cmd/moma-vet checks them statically:
-//
-//  1. Determinism: no observable output may depend on Go's randomized map
-//     iteration order. Loops over maps must not append to outer slices
-//     (unless the result is sorted immediately after), call order-sensitive
-//     sinks, send on channels, or accumulate floats (addition is not
-//     associative). Checker: mapiter.
-//  2. Dictionary ownership: read paths never grow a dictionary. A function
-//     marked `//moma:readpath` must not reach — through any call chain — an
-//     API marked `//moma:interns` (sim.Dict.ID, model.IDDict.Ord, the
-//     ProfiledSim.ProfileInto contract; sim.QueryInto is the read-side
-//     entry point and holds the one justified suppression). Checker:
-//     dictgrowth.
-//  3. Durability errors are handled: the error of a Close/Sync/Flush/Encode
-//     on a persistence-capable sink (anything with Write/Sync in its method
-//     set, or any encoder) is never silently dropped — a failed close is
-//     the last chance to hear that buffered bytes missed the disk.
-//     Read-only fds may suppress with `//moma:errsink-ok <why>`.
-//     Checker: errsink.
-//
-// The other four are held by runtime tests, each of which fails when its
-// invariant breaks:
-//
-//  4. Columnar integrity: parallel columns move together — Mapping's, the
-//     match kernel's and ResolveSet's dom/rng/sim, Resolver's
-//     ids/alive/blockToks and the per-slot profiles with their filter keys,
-//     a sim.Dict shard's strs/keys. Held by mapping.FromColumns (panics on
-//     unequal lengths), the eps-0 differential oracles of internal/mapping
-//     (TestDifferential*) and internal/match (TestStreamed*MatchesMaterialized),
-//     live's TestResolveMatchesBatch (ResolveSet and its batch twin against
-//     the exhaustive oracle, insertion order included), and the
-//     key-alignment check after the churn of TestChurnCompaction,
-//     TestCompactionPreservesRemoveAndReplace, TestAddReplace and
-//     TestTFIDFIncrementalMatchesRebuild, and FuzzQueryIntoMatchesProfileInto.
-//  5. Lock discipline: a field commented `// guarded by mu` is touched only
-//     while its sibling mutex is held (xxxLocked helpers say "Callers hold
-//     mu"). Held by `go test -race` over one concurrent test per type:
-//     store.Store TestConcurrentAccess, live.Resolver
-//     TestConcurrentResolveAdd, model.IDDict TestIDDictConcurrent, the
-//     model column store TestColumnConcurrent, obs.Registry
-//     TestRegistryConcurrent, obs.SlowRing TestSlowRingConcurrent, sim.Dict
-//     TestDictConcurrent.
-//  6. Allocation discipline: a warm hot path performs zero heap
-//     allocations; only one-time growth (lazy builds, scratch reaching its
-//     high-water mark) may allocate. Held by the testing.AllocsPerRun gates
-//     CI runs without -race: TestResolveAppendZeroAllocs,
-//     TestEachCandidateZeroAllocs, TestProfileIntoReusesBuffers,
-//     TestAppendLookupTokenIDsZeroAllocs, TestCompareZeroAllocs,
-//     TestReadProbesZeroAllocs, TestRecordPathsZeroAllocs,
-//     TestGSSearchZeroAllocs and TestRouteRecordZeroAllocs.
-//  7. Worker partitioning: a goroutine launched in a loop writes only its
-//     own partition, and results are read after the join. par.Plan.Run is
-//     the only such site in the library; `go test -race` holds it through
-//     TestRunVisitsEveryRowOnce, TestRadixSortMatchesSortStable and the
-//     mapping operators' TestDifferential*Workers at workers 1, 3 and 8,
-//     and through the match kernel suites at -cpu 1,2,8. cmd/moma-load's worker loops run under a -race build in
-//     CI's HTTP and chaos smokes.
-//
-// Run the analyzers with:
-//
-//	go run ./cmd/moma-vet ./...          # mapiter, dictgrowth, errsink
-//	go run ./cmd/moma-vet -json ./...    # one JSON object per finding (CI)
-//	go run ./cmd/moma-vet -suppressions  # audit every suppression + why
-//
-// Findings exit 1; a clean tree exits 0. CI runs the suite after go vet and
-// pipes -json output through a problem matcher, so findings annotate PR
-// diffs inline. Suppressions are per-invariant
-// (`//moma:nondeterministic-ok <why>`, `//moma:dictgrowth-ok <why>`,
-// `//moma:errsink-ok <why>`) and require a one-line justification — an
-// empty justification is itself a finding. Place the suppression on the
-// offending line, the line above it, or in the function's doc comment;
-// `moma-vet -suppressions` lists them all for review.
-//
-// moma-vet is a standalone driver, not a `go vet -vettool`: the vettool
-// protocol needs golang.org/x/tools' unitchecker and objectpath machinery
-// to serialize facts between separately-compiled units, and this repo is
-// dependency-free. Instead internal/analysis loads the whole module into
-// one shared type universe (`go list -export -deps` for out-of-module
-// imports), so cross-package facts are plain in-memory objects and the
-// analyzers stay small.
-//
-// # Benchmarks
-//
-// The pair-scoring hot path is covered by benchmarks at the repo root:
-//
-//	go test -bench 'Trigram|AttributeMatcherBlocked|Table2' -benchmem .
-//
-// BenchmarkAttributeMatcherBlockedUnprofiled pins the pre-profile baseline
-// (the measure hidden behind a closure); BenchmarkAttributeMatcherBlocked
-// runs the same match on the profiled path, and
-// BenchmarkAttributeMatcherKernelWorkers scales the kernel's worker count. Set
-// MOMA_BENCH_SCALE=paper to run the table benchmarks at the paper's full
-// scale. BenchmarkResolve and BenchmarkResolveParallel cover the online
-// path: single-record resolution against a warm 10k-instance resolver,
-// sequential and under GOMAXPROCS-way concurrency.
 package moma
 
 import (
 	"repro/internal/block"
-	"repro/internal/cluster"
 	"repro/internal/eval"
 	"repro/internal/fuse"
 	"repro/internal/live"
@@ -411,14 +12,11 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sources"
 	"repro/internal/store"
-	"repro/internal/tuning"
 	"repro/internal/workflow"
 )
 
 // Object model (package model).
 type (
-	// ObjectType names a semantic object type such as Publication.
-	ObjectType = model.ObjectType
 	// PDS names a physical data source.
 	PDS = model.PDS
 	// LDS is a logical data source: one object type within one physical
@@ -430,43 +28,15 @@ type (
 	Instance = model.Instance
 	// ObjectSet is a set of instances of one LDS.
 	ObjectSet = model.ObjectSet
-	// SMM is the source-mapping model (schema-level registry).
-	SMM = model.SMM
-	// MappingDecl declares a mapping type between two logical sources.
-	MappingDecl = model.MappingDecl
-	// Cardinality classifies association cardinality (1:n, n:1, n:m).
-	Cardinality = model.Cardinality
-	// MappingType names mapping semantics; SameMappingType marks
-	// same-mappings.
-	MappingType = model.MappingType
-	// IDDict is the interned instance-ID dictionary backing columnar
-	// mapping tables (ordinals are dense, first-seen, append-only).
-	IDDict = model.IDDict
 )
 
-// Object-model constructors and constants.
-var (
-	NewInstance  = model.NewInstance
-	NewObjectSet = model.NewObjectSet
-	NewSMM       = model.NewSMM
-	ParseLDS     = model.ParseLDS
-	// NewIDDict returns a private ID dictionary for mappings that should
-	// not share the process-global ordinal space (see NewMappingWithDict).
-	NewIDDict = model.NewIDDict
-)
+// NewObjectSet returns an empty set of instances of one LDS.
+var NewObjectSet = model.NewObjectSet
 
-// Common object types and cardinalities.
+// Common object types.
 const (
 	Publication = model.Publication
-	Author      = model.Author
 	Venue       = model.Venue
-
-	SameMappingType = model.SameMappingType
-
-	CardOneToOne   = model.CardOneToOne
-	CardOneToMany  = model.CardOneToMany
-	CardManyToOne  = model.CardManyToOne
-	CardManyToMany = model.CardManyToMany
 )
 
 // Mappings and operators (package mapping).
@@ -477,104 +47,51 @@ type (
 	Correspondence = mapping.Correspondence
 	// Combiner configures the similarity combination function f.
 	Combiner = mapping.Combiner
-	// CombinerKind enumerates Avg/Min/Max/Weighted/Prefer.
-	CombinerKind = mapping.CombinerKind
-	// PathAgg enumerates compose path aggregations (Relative & friends).
-	PathAgg = mapping.PathAgg
-	// Selection filters correspondences (§3.3).
-	Selection = mapping.Selection
 	// Threshold keeps correspondences at or above T.
 	Threshold = mapping.Threshold
 	// BestN keeps the top-n correspondences per instance.
 	BestN = mapping.BestN
-	// Best1Delta keeps the best correspondence plus near-ties.
-	Best1Delta = mapping.Best1Delta
-	// Constraint applies an object-value constraint.
-	Constraint = mapping.Constraint
-	// Side selects the grouping side of per-instance selections.
-	Side = mapping.Side
 )
 
 // Mapping constructors, operators and constants.
 var (
-	NewMapping         = mapping.New
-	NewMappingWithDict = mapping.NewWithDict
-	NewSameMapping     = mapping.NewSame
-	IdentityOf         = mapping.Identity
-	Merge              = mapping.Merge
-	Compose            = mapping.Compose
-	ComposeChain       = mapping.ComposeChain
-	YearConstraint     = mapping.YearConstraint
+	NewMapping     = mapping.New
+	NewSameMapping = mapping.NewSame
+	IdentityOf     = mapping.Identity
+	Merge          = mapping.Merge
+	Compose        = mapping.Compose
 
-	AvgCombiner      = mapping.AvgCombiner
-	Avg0Combiner     = mapping.Avg0Combiner
-	MinCombiner      = mapping.MinCombiner
-	Min0Combiner     = mapping.Min0Combiner
-	MaxCombiner      = mapping.MaxCombiner
-	PreferCombiner   = mapping.PreferCombiner
-	WeightedCombiner = mapping.WeightedCombiner
+	Avg0Combiner = mapping.Avg0Combiner
+	MinCombiner  = mapping.MinCombiner
+	Min0Combiner = mapping.Min0Combiner
+	MaxCombiner  = mapping.MaxCombiner
 )
 
-// Compose path aggregations and selection sides.
+// Compose path aggregations, selection sides and combiner kinds.
 const (
-	AggAvg           = mapping.AggAvg
-	AggMin           = mapping.AggMin
-	AggMax           = mapping.AggMax
-	AggRelative      = mapping.AggRelative
-	AggRelativeLeft  = mapping.AggRelativeLeft
-	AggRelativeRight = mapping.AggRelativeRight
+	AggMax = mapping.AggMax
 
 	DomainSide = mapping.DomainSide
-	RangeSide  = mapping.RangeSide
 	BothSides  = mapping.BothSides
 
-	KindAvg      = mapping.Avg
-	KindMin      = mapping.Min
-	KindMax      = mapping.Max
 	KindWeighted = mapping.Weighted
-	KindPrefer   = mapping.Prefer
 )
 
 // Similarity functions (package sim).
 type (
-	// SimFunc scores two strings in [0,1].
-	SimFunc = sim.Func
 	// SimRegistry resolves similarity functions by name.
 	SimRegistry = sim.Registry
-	// TFIDF is a corpus model for TF-IDF cosine similarity.
-	TFIDF = sim.TFIDF
-	// SimProfile caches the derived forms of one attribute value.
-	SimProfile = sim.Profile
-	// ProfiledSim is a measure: ProfileInto per value, Compare per pair,
-	// exact at or above the floor the caller passes.
-	ProfiledSim = sim.ProfiledSim
-	// SimScratch is the working memory ProfileInto takes.
-	SimScratch = sim.Scratch
 )
 
 // Built-in similarity functions.
 var (
-	Trigram     = sim.Trigram
-	NGramDice   = sim.NGramDice
-	Levenshtein = sim.Levenshtein
-	Jaro        = sim.Jaro
-	JaroWinkler = sim.JaroWinkler
-	Affix       = sim.Affix
-	TokenJacc   = sim.TokenJaccard
-	MongeElkan  = sim.MongeElkanJaroWinkler
-	PersonName  = sim.PersonName
-	YearSim     = sim.YearSim
-	YearExact   = sim.YearExact
+	Trigram    = sim.Trigram
+	MongeElkan = sim.MongeElkanJaroWinkler
+	PersonName = sim.PersonName
+	YearExact  = sim.YearExact
 	// NumericProximity builds a measure decaying linearly with |a-b|/scale
 	// — useful for prices, page counts or other numeric attributes.
 	NumericProximity = sim.NumericProximity
-
-	NewSimRegistry = sim.NewRegistry
-	NewTFIDF       = sim.NewTFIDF
-	// ProfiledOf returns the measure behind any non-nil SimFunc.
-	ProfiledOf = sim.ProfiledOf
-	// NewSimProfile builds a fresh profile of one value.
-	NewSimProfile = sim.NewProfile
 )
 
 // Matchers (package match) and blocking (package block).
@@ -587,48 +104,20 @@ type (
 	MultiAttributeMatcher = match.MultiAttribute
 	// AttrPair configures one comparison of the multi-attribute matcher.
 	AttrPair = match.AttrPair
-	// TFIDFMatcher matches one attribute pair under TF-IDF cosine.
-	TFIDFMatcher = match.TFIDFAttribute
-	// NeighborhoodMatcher wraps nhMatch as a Matcher.
-	NeighborhoodMatcher = match.Neighborhood
 	// MatcherRegistry is the extensible matcher library.
 	MatcherRegistry = match.Registry
-	// ConfigurableWorkers is a matcher whose scoring parallelism can be set
-	// externally (the workflow engine's Workers field uses it).
-	ConfigurableWorkers = match.ConfigurableWorkers
-	// Blocker generates candidate pairs, as a slice (Pairs) or streamed
-	// one at a time (PairsEach).
-	Blocker = block.Blocker
-	// Pair is one candidate pair of instance ids.
-	Pair = block.Pair
-	// CrossProduct compares all pairs.
-	CrossProduct = block.CrossProduct
 	// TokenBlocking pairs instances sharing attribute tokens.
 	TokenBlocking = block.TokenBlocking
-	// SortedNeighborhood is the classic windowed blocking method.
-	SortedNeighborhood = block.SortedNeighborhood
 )
 
-// Matcher helpers.
+// NhMatch is the neighborhood matcher of §4.2.
+var NhMatch = match.NhMatch
+
+// Store is a named mapping collection (repository or cache).
+type Store = store.Store
+
+// CSV interchange of mappings and object sets.
 var (
-	NhMatch            = match.NhMatch
-	NhMatchAgg         = match.NhMatchAgg
-	NewNeighborhood    = match.NewNeighborhood
-	CoAuthorDedup      = match.CoAuthorDedup
-	NewMatcherRegistry = match.NewRegistry
-)
-
-// Repository, cache and persistence (package store).
-type (
-	// Store is a named mapping collection (repository or cache).
-	Store = store.Store
-)
-
-// Store constructors and helpers.
-var (
-	NewRepository     = store.NewRepository
-	NewCache          = store.NewCache
-	OpenRepository    = store.OpenRepository
 	WriteMappingCSV   = store.WriteMappingCSV
 	ReadMappingCSV    = store.ReadMappingCSV
 	WriteObjectSetCSV = store.WriteObjectSetCSV
@@ -639,8 +128,6 @@ var (
 type (
 	// Workflow is a named sequence of match steps.
 	Workflow = workflow.Workflow
-	// WorkflowStep is one step: matcher executions plus a combiner.
-	WorkflowStep = workflow.Step
 	// Engine executes workflows against repository and cache.
 	Engine = workflow.Engine
 )
@@ -648,87 +135,26 @@ type (
 // Workflow constructors.
 var (
 	NewWorkflow = workflow.New
-	NewEngine   = workflow.NewEngine
 	MergeStep   = workflow.MergeStep
-	ComposeStep = workflow.ComposeStep
-)
-
-// Workflow step operators.
-const (
-	OpMerge   = workflow.OpMerge
-	OpCompose = workflow.OpCompose
 )
 
 // Value is a script value (mapping, object set, number, string), the
 // result of System.RunScript.
 type Value = script.Value
 
-// Evaluation (package eval).
-type (
-	// Result carries precision, recall and F-measure.
-	Result = eval.Result
-	// Table renders paper-style result tables.
-	Table = eval.Table
-)
+// Compare evaluates a mapping against a perfect one: precision, recall and
+// F-measure (package eval).
+var Compare = eval.Compare
 
-// Evaluation helpers.
-var (
-	Compare        = eval.Compare
-	CompareGrouped = eval.CompareGrouped
-	NewTable       = eval.NewTable
-)
-
-// Fusion (package fuse).
-type (
-	// Fuser enriches a base set with attributes of matched instances.
-	Fuser = fuse.Fuser
-	// FuseRule fuses one attribute under an aggregation.
-	FuseRule = fuse.Rule
-)
+// FuseRule fuses one attribute under an aggregation (package fuse).
+type FuseRule = fuse.Rule
 
 // Fusion helpers.
 var (
-	NewFuser     = fuse.NewFuser
-	Traverse     = fuse.Traverse
-	FirstValue   = fuse.First
-	MaxNumeric   = fuse.MaxNumeric
-	SumNumeric   = fuse.SumNumeric
-	LongestValue = fuse.Longest
-)
-
-// Duplicate clustering (package cluster).
-type (
-	// UnionFind is a disjoint-set forest over instance ids.
-	UnionFind = cluster.UnionFind
-	// Cluster is one duplicate cluster.
-	Cluster = cluster.Cluster
-)
-
-// Clustering helpers.
-var (
-	NewUnionFind      = cluster.NewUnionFind
-	ClustersOf        = cluster.FromMapping
-	SelfMapping       = cluster.SelfMapping
-	TransitiveClosure = cluster.TransitiveClosure
-)
-
-// Self-tuning (package tuning).
-type (
-	// TuningSpace is a grid of matcher configurations.
-	TuningSpace = tuning.Space
-	// TuningOutcome pairs a configuration with its result.
-	TuningOutcome = tuning.Outcome
-	// DecisionTree is a CART match classifier.
-	DecisionTree = tuning.Tree
-	// TreeMatcher wraps a learned tree as a Matcher.
-	TreeMatcher = tuning.TreeMatcher
-)
-
-// Tuning helpers.
-var (
-	GridSearch = tuning.GridSearch
-	BestTuning = tuning.Best
-	LearnTree  = tuning.LearnTree
+	NewFuser   = fuse.NewFuser
+	FirstValue = fuse.First
+	MaxNumeric = fuse.MaxNumeric
+	SumNumeric = fuse.SumNumeric
 )
 
 // Online resolution (package live).
@@ -740,32 +166,15 @@ type (
 	LiveConfig = live.Config
 	// LiveColumn configures one scored attribute comparison.
 	LiveColumn = live.Column
-	// LiveMatch is one resolution result.
-	LiveMatch = live.Match
-	// LiveStats summarizes a resolver's resident state.
-	LiveStats = live.Stats
 )
 
-// NewLiveResolver builds a resolver over an object set; System's
-// RegisterResolver wires one to a registered set by name.
-var NewLiveResolver = live.NewResolver
-
-// Synthetic bibliographic world (package sources) — the evaluation
-// substrate substituting for DBLP / ACM DL / Google Scholar.
-type (
-	// DatasetConfig controls synthetic world generation.
-	DatasetConfig = sources.Config
-	// Dataset is the generated evaluation setting.
-	Dataset = sources.Dataset
-	// DataSource is one derived physical source.
-	DataSource = sources.Source
-	// GSQuery is the query-only access path to the GS simulation.
-	GSQuery = sources.GSQuery
-)
+// DataSource is one derived physical source of the synthetic bibliographic
+// world (package sources), the evaluation substrate substituting for DBLP /
+// ACM DL / Google Scholar.
+type DataSource = sources.Source
 
 // Dataset helpers.
 var (
-	PaperConfig     = sources.PaperConfig
 	SmallConfig     = sources.SmallConfig
 	GenerateDataset = sources.Generate
 	NewGSQuery      = sources.NewGSQuery
