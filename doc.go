@@ -64,11 +64,10 @@
 // Levenshtein rejects on lengths). The set measures' size and signature test
 // reads only a 24-byte filter key per profile (sim.Key: length, cardinality,
 // signature), and every profile column of a set measure keeps those keys in
-// a dense, pointer-free array beside its profiles (sim.ProfileColumn), so
-// the scoring loops check a candidate's key at the column's floor first and
-// never touch a rejected candidate's profile. AttributeMatcher passes its
-// threshold; MultiAttributeMatcher and LiveResolver share sim.Weighted,
-// which derives each column's floor from the weights still to come. The
+// a dense, pointer-free array beside its profiles (sim.ProfileColumn).
+// AttributeMatcher passes its threshold; MultiAttributeMatcher and
+// LiveResolver share sim.Weighted, which derives each column's floor from
+// the weights still to come — fixed for its first column. The
 // bounds are exact — results are bit-identical to scoring every pair in
 // full, which survives as the oracle of the differential tests — and the
 // counters moma_match_pairs_pruned_total and moma_live_resolve_pruned_total
@@ -78,29 +77,33 @@
 // # Streaming match pipeline
 //
 // Candidate generation and scoring are one kernel (match.blockScore) that
-// every attribute matcher scores through. block.CrossProduct and
+// every attribute matcher scores through, and one candidate loop
+// (match.Scan: probe → filter → score → keep) that it shares with the live
+// resolver: a row (a domain instance, a query) builds its key test once
+// (sim.RowFilter, from a table made per match call or resolver), and only
+// the candidates whose keys pass it reach a profile. block.CrossProduct and
 // TokenBlocking stream A-major — all candidates of one domain instance,
 // range ordinals ascending, before any of the next — so besides PairsEach
 // (one id pair at a time; Pairs remains as a materializing wrapper) they
-// expose a range probe over ordinals (block.RangeBlocker). The kernel builds what a match
-// shares once — token columns, the index over the range input (a probe of
-// it counts posting entries per ordinal; nothing is sorted), the O(n+m)
-// profile columns keyed by ObjectSet.IndexOf ordinals — cuts the domain
-// ordinals into contiguous ranges of near-equal probe cost (par.SplitBy)
-// and runs probe → score → keep for each range on one goroutine, appending
+// expose a row probe over ordinals (block.RangeBlocker). The kernel builds
+// what a match shares once — token columns, the index over the range input
+// (a probe of it counts posting entries per ordinal; nothing is sorted), the
+// O(n+m) profile columns keyed by ObjectSet.IndexOf ordinals, the key table
+// — cuts the domain ordinals into contiguous ranges of near-equal probe cost
+// (par.SplitBy) and runs the rows of each range on one goroutine, appending
 // kept correspondences to pointer-free (dom, rng, sim) columns. Ranges
 // concatenated in order are the blocker's stream order — no hand-off, no
 // sequence number, no sort — and bulk-load into the result
 // (mapping.FromColumns). The candidate set, potentially O(n·m) pairs, never
 // exists in memory as a whole, and results are bit-identical to scoring the
 // materialized pair list, mapping insertion order included, at any worker
-// count. A blocker without the range probe (block.SortedNeighborhood, whose
+// count. A blocker without the row probe (block.SortedNeighborhood, whose
 // window order is not A-major; block.Within, token blocking restricted to
 // the pairs of a mapping, in that mapping's order; one of your own, which
-// may repeat pairs or name unknown ids) is scored by the same loop as one
-// stream of ids. The
-// workflow Engine can push one Workers setting through every matcher of a
-// workflow (match.ConfigurableWorkers).
+// may repeat pairs or name unknown ids) is scored by the same loop, one
+// candidate per row, as one stream of ids. The workflow Engine can push one
+// Workers setting through every matcher of a workflow
+// (match.ConfigurableWorkers).
 //
 // # Online resolution
 //
@@ -111,8 +114,9 @@
 // scores and thresholds one query in time proportional to its candidates —
 // and Add/Remove update the resident structures in place. Scoring is
 // bit-identical to a batch re-match of the same configuration (blocking
-// attributes, columns, weights, threshold), and most candidates of a set
-// measure are rejected on their dense keys without a profile read.
+// attributes, columns, weights, threshold): a resolve is one row of the
+// batch kernel's candidate loop, so most candidates of a set measure are
+// rejected on their dense keys without a profile read.
 // ResolveSet resolves a whole query set one query after another and loads
 // the matches' (dom, rng, sim) columns into the result in query order, as the
 // batch kernel loads its ranges.

@@ -60,22 +60,27 @@ type RangeBlocker interface {
 	Probe(a, b *model.ObjectSet) RangeProbe
 }
 
-// RangeProbe streams a RangeBlocker's candidates over ordinals only. It is
-// read-only: goroutines may probe disjoint ranges at once.
+// RangeProbe streams a RangeBlocker's candidates over ordinals only, one A
+// ordinal (a row) at a time. It is read-only: goroutines may probe disjoint
+// ranges at once.
 type RangeProbe interface {
 	// Cost bounds the candidate pairs behind A ordinal ordA from above, far
 	// more cheaply than probing: the weight par.SplitBy balances ranges by.
 	Cost(ordA int) int
-	// PairsRange streams the candidates of A ordinals [lo, hi) in stream
-	// order, stopping early when yield returns false.
-	PairsRange(lo, hi int, yield func(ordA, ordB int) bool)
+	// Row streams the candidates of A ordinal ordA in ascending B order,
+	// stopping early when yield returns false.
+	Row(ordA int, yield func(ordB int) bool)
 }
 
 // pairsEach is PairsEach of a RangeBlocker.
 func pairsEach(rb RangeBlocker, a, b *model.ObjectSet, yield func(Pair) bool) {
-	rb.Probe(a, b).PairsRange(0, a.Len(), func(ordA, ordB int) bool {
-		return yield(Pair{A: a.IDAt(ordA), B: b.IDAt(ordB)})
-	})
+	p, more := rb.Probe(a, b), true
+	for ordA := 0; ordA < a.Len() && more; ordA++ {
+		p.Row(ordA, func(ordB int) bool {
+			more = yield(Pair{A: a.IDAt(ordA), B: b.IDAt(ordB)})
+			return more
+		})
+	}
 }
 
 // Pairs materializes the candidate sequence bl.PairsEach streams.
@@ -104,12 +109,10 @@ type crossProbe int
 
 func (n crossProbe) Cost(int) int { return int(n) }
 
-func (n crossProbe) PairsRange(lo, hi int, yield func(ordA, ordB int) bool) {
-	for ordA := lo; ordA < hi; ordA++ {
-		for ordB := 0; ordB < int(n); ordB++ {
-			if !yield(ordA, ordB) {
-				return
-			}
+func (n crossProbe) Row(_ int, yield func(ordB int) bool) {
+	for ordB := range int(n) {
+		if !yield(ordB) {
+			return
 		}
 	}
 }
@@ -221,15 +224,9 @@ func (p tokenProbe) Cost(ordA int) int {
 	return cost
 }
 
-func (p tokenProbe) PairsRange(lo, hi int, yield func(ordA, ordB int) bool) {
-	stopped := false
-	for ordA := lo; ordA < hi && !stopped; ordA++ {
-		if toks := p.colA[ordA]; len(toks) > 0 {
-			p.ix.EachCandidate(toks, p.minShared, func(ordB int) bool {
-				stopped = !yield(ordA, ordB)
-				return !stopped
-			})
-		}
+func (p tokenProbe) Row(ordA int, yield func(ordB int) bool) {
+	if toks := p.colA[ordA]; len(toks) > 0 {
+		p.ix.EachCandidate(toks, p.minShared, yield)
 	}
 }
 

@@ -62,7 +62,7 @@ func TestPairOrdinals(t *testing.T) {
 			t.Fatalf("%s: fixture yields no pairs", bl)
 		}
 		i := 0
-		bl.Probe(a, b).PairsRange(0, a.Len(), func(ordA, ordB int) bool {
+		pairsRange(bl.Probe(a, b), 0, a.Len(), func(ordA, ordB int) bool {
 			if i < len(want) && (ordA != a.IndexOf(want[i].A) || ordB != b.IndexOf(want[i].B)) {
 				t.Errorf("%s: pair %d has ordinals (%d, %d), PairsEach streams %v", bl, i, ordA, ordB, want[i])
 			}

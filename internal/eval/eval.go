@@ -51,22 +51,27 @@ func eachMembership(m, other *mapping.Mapping, fn func(domain model.ID, hit bool
 // Compare evaluates got against the perfect mapping. Similarity values are
 // ignored; membership decides. An empty perfect mapping yields recall 1;
 // an empty result yields precision 1 (nothing wrong was claimed).
+//
+// A mapping holds each pair once, so the perfect pairs got misses are the
+// perfect ones less those it hits: one membership pass, over got, probes
+// the perfect mapping's pair index and leaves got's unbuilt.
 func Compare(got, perfect *mapping.Mapping) Result {
-	var r Result
+	var tp, fp int
 	eachMembership(got, perfect, func(_ model.ID, hit bool) {
 		if hit {
-			r.TruePos++
+			tp++
 		} else {
-			r.FalsePos++
+			fp++
 		}
 	})
-	eachMembership(perfect, got, func(_ model.ID, hit bool) {
-		if !hit {
-			r.FalseNeg++
-		}
-	})
-	r.Precision = safeDiv(r.TruePos, r.TruePos+r.FalsePos)
-	r.Recall = safeDiv(r.TruePos, r.TruePos+r.FalseNeg)
+	return result(tp, fp, perfect.Len()-tp)
+}
+
+// result derives the metrics from the counts.
+func result(tp, fp, fn int) Result {
+	r := Result{TruePos: tp, FalsePos: fp, FalseNeg: fn}
+	r.Precision = safeDiv(tp, tp+fp)
+	r.Recall = safeDiv(tp, tp+fn)
 	if r.Precision+r.Recall > 0 {
 		r.F1 = 2 * r.Precision * r.Recall / (r.Precision + r.Recall)
 	}
@@ -95,11 +100,16 @@ type GroupFunc func(domain model.ID) string
 // CompareGrouped evaluates got against perfect within each group. A
 // correspondence belongs to the group of its domain object; pairs mapping
 // to "" are ignored. Returns group name -> result, plus the overall result
-// under the key "overall".
+// under the key "overall". As in Compare, a group's false negatives are its
+// perfect pairs less its true positives.
 func CompareGrouped(got, perfect *mapping.Mapping, group GroupFunc) map[string]Result {
-	type counts struct{ tp, fp, fn int }
+	type counts struct{ tp, fp, perfect int }
 	byGroup := make(map[string]*counts)
-	touch := func(g string) *counts {
+	touch := func(dom model.ID) *counts {
+		g := group(dom)
+		if g == "" {
+			return nil
+		}
 		c, ok := byGroup[g]
 		if !ok {
 			c = &counts{}
@@ -108,46 +118,30 @@ func CompareGrouped(got, perfect *mapping.Mapping, group GroupFunc) map[string]R
 		return c
 	}
 	eachMembership(got, perfect, func(dom model.ID, hit bool) {
-		g := group(dom)
-		if g == "" {
-			return
-		}
-		if hit {
-			touch(g).tp++
-		} else {
-			touch(g).fp++
+		switch c := touch(dom); {
+		case c == nil:
+		case hit:
+			c.tp++
+		default:
+			c.fp++
 		}
 	})
-	eachMembership(perfect, got, func(dom model.ID, hit bool) {
-		g := group(dom)
-		if g == "" {
-			return
+	ids := perfect.Dict().All()
+	perfect.EachOrd(func(d, _ uint32, _ float64) bool {
+		if c := touch(ids[d]); c != nil {
+			c.perfect++
 		}
-		if !hit {
-			touch(g).fn++
-		}
+		return true
 	})
 	out := make(map[string]Result, len(byGroup)+1)
 	var total counts
 	for g, c := range byGroup {
-		r := Result{TruePos: c.tp, FalsePos: c.fp, FalseNeg: c.fn}
-		r.Precision = safeDiv(c.tp, c.tp+c.fp)
-		r.Recall = safeDiv(c.tp, c.tp+c.fn)
-		if r.Precision+r.Recall > 0 {
-			r.F1 = 2 * r.Precision * r.Recall / (r.Precision + r.Recall)
-		}
-		out[g] = r
+		out[g] = result(c.tp, c.fp, c.perfect-c.tp)
 		total.tp += c.tp
 		total.fp += c.fp
-		total.fn += c.fn
+		total.perfect += c.perfect
 	}
-	overall := Result{TruePos: total.tp, FalsePos: total.fp, FalseNeg: total.fn}
-	overall.Precision = safeDiv(total.tp, total.tp+total.fp)
-	overall.Recall = safeDiv(total.tp, total.tp+total.fn)
-	if overall.Precision+overall.Recall > 0 {
-		overall.F1 = 2 * overall.Precision * overall.Recall / (overall.Precision + overall.Recall)
-	}
-	out["overall"] = overall
+	out["overall"] = result(total.tp, total.fp, total.perfect-total.tp)
 	return out
 }
 

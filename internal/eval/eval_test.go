@@ -1,7 +1,10 @@
 package eval
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -213,5 +216,104 @@ func TestSortedKeys(t *testing.T) {
 	got := SortedKeys(m)
 	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
 		t.Errorf("SortedKeys = %v", got)
+	}
+}
+
+// twoPassCompareGrouped is the definition Compare and CompareGrouped were
+// written as: a membership pass got → perfect counts true and false
+// positives, and a second, perfect → got, counts the perfect pairs got
+// misses as false negatives. Both passes skip the pairs group maps to "".
+func twoPassCompareGrouped(got, perfect *mapping.Mapping, group GroupFunc) map[string]Result {
+	type counts struct{ tp, fp, fn int }
+	byGroup := map[string]*counts{}
+	touch := func(g string) *counts {
+		if byGroup[g] == nil {
+			byGroup[g] = &counts{}
+		}
+		return byGroup[g]
+	}
+	got.Each(func(c mapping.Correspondence) {
+		if g := group(c.Domain); g != "" {
+			if perfect.Has(c.Domain, c.Range) {
+				touch(g).tp++
+			} else {
+				touch(g).fp++
+			}
+		}
+	})
+	perfect.Each(func(c mapping.Correspondence) {
+		if g := group(c.Domain); g != "" && !got.Has(c.Domain, c.Range) {
+			touch(g).fn++
+		}
+	})
+	out := map[string]Result{}
+	var total counts
+	for g, c := range byGroup {
+		out[g] = result(c.tp, c.fp, c.fn)
+		total.tp += c.tp
+		total.fp += c.fp
+		total.fn += c.fn
+	}
+	out["overall"] = result(total.tp, total.fp, total.fn)
+	return out
+}
+
+// TestCompareMatchesTwoPass holds the one-pass evaluation to the two-pass
+// definition over random mapping pairs: in one shared dictionary and in
+// private ones (mixed: the id-level probes), with either side empty, and
+// grouped by a function that drops some domains — Compare as the grouping
+// that keeps every domain in one group.
+func TestCompareMatchesTwoPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	randomMapping := func(dict *model.IDDict, n int) *mapping.Mapping {
+		m := mapping.NewWithDict(dblpPub, acmPub, model.SameMappingType, dict)
+		for range n {
+			m.AddMax(model.ID(fmt.Sprintf("d%d", rng.Intn(12))), model.ID(fmt.Sprintf("r%d", rng.Intn(12))), rng.Float64())
+		}
+		return m
+	}
+	groups := []GroupFunc{
+		func(model.ID) string { return "all" },
+		func(d model.ID) string {
+			switch d[len(d)-1] {
+			case '1', '3':
+				return ""
+			case '2':
+				return "two"
+			}
+			return "rest"
+		},
+		func(d model.ID) string {
+			if last := d[len(d)-1]; last != '1' && last != '5' {
+				return string(last)
+			}
+			return ""
+		},
+		func(model.ID) string { return "" },
+	}
+	for trial := range 400 {
+		shared := model.NewIDDict()
+		gotDict, perfectDict := shared, shared
+		if trial%3 == 1 {
+			gotDict, perfectDict = model.NewIDDict(), model.NewIDDict()
+		} else if trial%3 == 2 {
+			gotDict = model.NewIDDict()
+		}
+		got, perfect := randomMapping(gotDict, rng.Intn(40)), randomMapping(perfectDict, rng.Intn(40))
+		switch trial % 10 {
+		case 3:
+			got = randomMapping(gotDict, 0)
+		case 7:
+			perfect = randomMapping(perfectDict, 0)
+		}
+		label := fmt.Sprintf("trial %d (%d got, %d perfect, shared dict %v)", trial, got.Len(), perfect.Len(), gotDict == perfectDict)
+		if want := twoPassCompareGrouped(got, perfect, groups[0])["overall"]; Compare(got, perfect) != want {
+			t.Fatalf("%s: Compare %+v, two passes %+v", label, Compare(got, perfect), want)
+		}
+		for gi, group := range groups {
+			if got, want := CompareGrouped(got, perfect, group), twoPassCompareGrouped(got, perfect, group); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, grouping %d: CompareGrouped %+v, two passes %+v", label, gi, got, want)
+			}
+		}
 	}
 }

@@ -14,14 +14,15 @@
 // set in time proportional to its candidates, not to the set; Add and Remove
 // update the resident structures in place instead of re-matching.
 //
-// Scoring mirrors the batch matchers exactly: a query blocked by shared
-// tokens (block.TokenBlocking semantics) and scored as the weighted average
-// of per-column similarities (match.MultiAttribute semantics, through the
-// same sim.Weighted) produces bit-identical similarities to a batch re-match
-// with the same configuration — the differential tests in live_test.go pin
-// this, against an oracle that scores every candidate in full: the resolver
-// does not, it passes each measure the floor the threshold leaves it and
-// counts the candidates that ended early as pruned. The one
+// Scoring is the batch matchers' own: a query blocked by shared tokens
+// (block.TokenBlocking semantics) is one row of their candidate loop
+// (match.Scan), scored as the weighted average of per-column similarities
+// through the same sim.Weighted (match.MultiAttribute semantics), so it is
+// bit-identical to a batch re-match with the same configuration — the
+// differential tests in live_test.go pin this, against an oracle that
+// scores every candidate in full: the resolver does not, it rejects most on
+// their keys and passes each measure the floor the threshold leaves it,
+// counting the candidates that ended early as pruned. The one
 // deliberate divergence is TF-IDF: a batch TFIDFAttribute builds its corpus
 // from both match inputs, while a Resolver's corpus covers the registered
 // set only (queries arrive one at a time and must not shift document
@@ -54,6 +55,7 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/mapping"
+	"repro/internal/match"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -120,6 +122,9 @@ type Resolver struct {
 	minShared int
 	cols      []colState
 	scorer    *sim.Weighted // the columns' weighted mean against cfg.Threshold
+	// filter is the first column's key test, covering any two members' keys
+	// and a query's up to the largest member's; guarded by mu.
+	filter sim.RowFilter
 
 	ids       []model.ID       // slot -> id ("" for tombstones); guarded by mu
 	slots     map[model.ID]int // id -> slot, alive instances only; guarded by mu
@@ -189,6 +194,7 @@ func NewResolver(set *model.ObjectSet, cfg Config) (*Resolver, error) {
 		r.cols[i], measures[i] = cs, cs.ps
 	}
 	r.scorer = sim.NewWeighted(measures, weights, cfg.Threshold)
+	r.filter = r.scorer.RowFilter()
 	// Bulk build: register every corpus document first and profile each
 	// column exactly once at the end — the per-arrival reprofile of Add
 	// would make a TFIDF construction O(n²).
@@ -283,7 +289,9 @@ func (r *Resolver) resolveLocked(q *model.Instance, asMember bool, dst []Match) 
 
 // scoreLocked runs resolveLocked's stages — block, profile, score — in
 // scratch, marking them on its span. A record without a blocking value, or
-// whose blocking tokens no member has, ends before profiling.
+// whose blocking tokens no member has, ends before profiling. Scoring is
+// one row of the batch matchers' candidate loop (match.Scan), whose sink
+// appends Matches.
 //
 // Callers hold mu.
 func (r *Resolver) scoreLocked(q *model.Instance, asMember bool, scratch *resolveScratch, dst []Match) []Match {
@@ -322,20 +330,22 @@ func (r *Resolver) scoreLocked(q *model.Instance, asMember bool, scratch *resolv
 		keys[i] = c.col.KeyOf(&profs[i])
 	}
 	sp.Mark(stageProfile)
-	r.ix.EachCandidate(toks, r.minShared, func(ord int) bool {
-		sp.Candidates++
-		s := r.scorer.Score(func(i int) (a, b *sim.Profile, ka, kb *sim.Key) {
-			b, kb = r.cols[i].col.At(ord)
-			return &profs[i], b, &keys[i], kb
-		})
-		if s >= r.cfg.Threshold {
-			sp.Kept++
-			dst = append(dst, Match{ID: r.ids[ord], Sim: s})
-		} else if s < 0 {
-			sp.Pruned++
-		}
-		return true
-	})
+	scan := match.Scan{
+		Filter:  r.filter,
+		RowKeys: keys,
+		Keys:    r.cols[0].col.Keys,
+		Score: func(_, ord int) (float64, bool) {
+			s := r.scorer.Score(func(i int) (a, b *sim.Profile, ka, kb *sim.Key) {
+				b, kb = r.cols[i].col.At(ord)
+				return &profs[i], b, &keys[i], kb
+			})
+			return s, s >= r.cfg.Threshold
+		},
+		Sink: func(_, ord int, s float64) { dst = append(dst, Match{ID: r.ids[ord], Sim: s}) },
+	}
+	scan.Row(0)
+	r.ix.EachCandidate(toks, r.minShared, scan.Candidate)
+	sp.Candidates, sp.Kept, sp.Pruned = scan.Pairs, scan.Kept, scan.Pruned
 	sp.Mark(stageScore)
 	return dst
 }
@@ -472,6 +482,9 @@ func (r *Resolver) addLocked(in *model.Instance, bulk bool) {
 		}
 		c.col.Set(slot, sim.NewProfile(c.ps, v))
 	}
+	// A member beyond the key table extends it here, under the write lock,
+	// so that no resolve builds one; a longer query is tested past its end.
+	r.filter.Cover(2 * r.cols[0].col.MaxCard())
 }
 
 // Remove tombstones the instance: its index postings disappear, its corpus

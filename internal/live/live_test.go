@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -475,6 +476,78 @@ func TestAddResolveDelta(t *testing.T) {
 		})
 		if deltas == 0 {
 			t.Fatalf("%s: no arrival matched anything; fixture broken", name)
+		}
+	}
+}
+
+// TestAddBeyondKeyTable: the first column's key table covers the
+// cardinalities the resolver was built with, so a record longer than every
+// member is tested past its end — as a query before and after it is added,
+// as the arrival AddResolve resolves, and as the member the other queries
+// meet once it is in — and an Add that raises the largest cardinality
+// extends the table. Every result equals the exhaustive oracle's.
+func TestAddBeyondKeyTable(t *testing.T) {
+	queries, set := syntheticSets(60)
+	long := func(id model.ID, words int) *model.Instance {
+		var title strings.Builder
+		title.WriteString("mapping based object matching for data integration part 0")
+		for i := range words {
+			fmt.Fprintf(&title, " chapter%d", i)
+		}
+		v := title.String()
+		return model.NewInstance(id, map[string]string{"title": v, "name": v, "authors": "author b thor", "year": "1996"})
+	}
+	for name, cfg := range oracleConfigs() {
+		members := set.Clone()
+		r, err := NewResolver(members, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(label string, got, want []Match) {
+			t.Helper()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s diverges from the exhaustive oracle:\ngot    %v\noracle %v", name, label, got, want)
+			}
+		}
+		checkTable := func(when string) {
+			t.Helper()
+			want := r.scorer.RowFilter()
+			want.Cover(2 * r.cols[0].col.MaxCard())
+			if !reflect.DeepEqual(r.filter, want) {
+				t.Fatalf("%s: %s, the key table does not cover twice the largest cardinality, %d", name, when, r.cols[0].col.MaxCard())
+			}
+		}
+		checkTable("built")
+		built := r.cols[0].col.MaxCard()
+		big := long("g-long", 20)
+		check("the long record as a query", r.Resolve(big), exhaustive(cfg, big, false, members))
+		got, err := r.AddResolve(big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("the long record's arrival", got, exhaustive(cfg, big, true, members))
+		members.Add(big)
+		if _, keyed := r.cols[0].ps.(sim.Keyed); keyed && r.cols[0].col.MaxCard() <= built {
+			t.Fatalf("%s: the long member's cardinality is within the %d built", name, built)
+		}
+		checkTable("after the long member's add")
+		check("the long record as a query once added", r.Resolve(big), exhaustive(cfg, big, false, members))
+		longer := long("q-longer", 60)
+		check("a query longer than every member", r.Resolve(longer), exhaustive(cfg, longer, false, members))
+		hits := 0
+		queries.Each(func(q *model.Instance) bool {
+			got := r.Resolve(q)
+			check("query "+string(q.ID), got, exhaustive(cfg, q, false, members))
+			for _, m := range got {
+				if m.ID == big.ID {
+					hits++
+				}
+			}
+			return true
+		})
+		checkKeysAligned(t, r)
+		if name == "fixture" && hits == 0 {
+			t.Fatalf("%s: no query matched the long member; the fixture does not reach it", name)
 		}
 	}
 }

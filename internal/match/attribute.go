@@ -65,23 +65,27 @@ func (m *Attribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 		return nil, fmt.Errorf("match: %s has no similarity function", m.Name())
 	}
 	ps := measure(m.Sim, m.Profiled)
-	keyed, _ := ps.(sim.Keyed)
 	col := newScoreColumn(a, b, m.AttrA, m.AttrB, ps)
+	keyed, _ := ps.(sim.Keyed)
+	var filter sim.RowFilter
+	if keyed != nil {
+		filter = keyed.RowFilter(m.Threshold)
+	}
 	return blockScore(a, b, m.Blocker, m.Workers, func(ia, ib int) (float64, bool) {
 		pa, pb, ka, kb := col.at(ia, ib)
 		if m.SkipMissing && (pa.Raw == "" || pb.Raw == "") {
 			return 0, false
 		}
-		// A set measure checks the keys first and reads neither profile when
-		// they reject (unless SkipMissing, above, has read both values).
+		// A set measure's keys have passed the scan's filter: what is left
+		// is the merge.
 		var s float64
 		if keyed != nil {
-			s = keyed.CompareKeyed(pa, pb, ka, kb, m.Threshold)
+			s = keyed.Merge(pa, pb, ka, kb, m.Threshold)
 		} else {
 			s = ps.Compare(pa, pb, m.Threshold)
 		}
 		return s, s >= m.Threshold
-	}), nil
+	}, filter, &col), nil
 }
 
 // measure resolves a matcher configuration's measure: the explicit Profiled
@@ -252,7 +256,7 @@ func (m *MultiAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 	return blockScore(a, b, m.Blocker, m.Workers, func(ia, ib int) (float64, bool) {
 		s := weighted.Score(func(i int) (pa, pb *sim.Profile, ka, kb *sim.Key) { return cols[i].at(ia, ib) })
 		return s, s >= m.Threshold
-	}), nil
+	}, weighted.RowFilter(), &cols[0]), nil
 }
 
 // WithWorkers implements ConfigurableWorkers.

@@ -5,91 +5,136 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/model"
 	"repro/internal/par"
+	"repro/internal/sim"
 )
 
-// scoreFunc scores the candidate at ordinals (ordA, ordB) of the two match
-// inputs and reports whether it is kept. A negative similarity says a floor
-// ended the scoring early (sim.ProfiledSim.Compare); a negative ordinal names
-// an id absent from its input, which only a blocker outside package block
-// emits. Ranges call it concurrently: it reads columns built beforehand.
-type scoreFunc func(ordA, ordB int) (sim float64, keep bool)
+// Scan is the candidate loop of the batch matchers and of the live
+// resolver: probe → filter → score → keep. A row — an A ordinal of a batch
+// range, a resolve's query — fixes one side's key in the filtered column (a
+// set measure at a fixed floor: a single keyed column, or the first of a
+// sim.Weighted), so Row sets the key test of the row once. Candidate checks
+// a candidate's key against it and hands what passes to Score, what Score
+// keeps to Sink. A rejected candidate counts as scored and pruned, as if
+// Score had stopped on it. A Scan serves one goroutine.
+type Scan struct {
+	// Filter is the filtered column's key test, tabulated for the keys it
+	// meets (the zero RowFilter rejects nothing); RowKeys and Keys are that
+	// column's keys of the rows and of the candidates, by ordinal.
+	Filter        sim.RowFilter
+	RowKeys, Keys []sim.Key
+	// Score scores candidate ordB of row ordA past the filter (negative: a
+	// floor ended it); Sink receives what it keeps.
+	Score func(ordA, ordB int) (sim float64, keep bool)
+	Sink  func(ordA, ordB int, sim float64)
+	// Pairs counts the candidates, Kept the sunk, Pruned the rest that the
+	// filter rejected or Score stopped.
+	Pairs, Kept, Pruned int
 
-// kept is what one range of A hands back: its kept correspondences as
-// pointer-free columns over model.IDs ordinals, in stream order, and its
-// counts, which reach the moma_match_* counters once per range — the
-// per-candidate loop carries no atomic traffic.
-type kept struct {
-	dom, rng []uint32
-	sim      []float64
-
-	pairs, rows, pruned uint64
+	row  int
+	keys []sim.Key // Keys unless the row's filter is off
 }
 
-// consider scores one candidate, counts it and reports whether it is kept.
-func (k *kept) consider(score scoreFunc, ordA, ordB int) (float64, bool) {
-	k.pairs++
-	s, keep := score(ordA, ordB)
-	if keep {
-		k.rows++
-	} else if s < 0 {
-		k.pruned++
+// Row starts row ordA. A row without a key (an id absent from its input
+// has a negative ordinal) reads as the empty set, which rejects nothing.
+func (s *Scan) Row(ordA int) {
+	var a sim.Key
+	if uint(ordA) < uint(len(s.RowKeys)) {
+		a = s.RowKeys[ordA]
 	}
-	return s, keep
+	s.row, s.keys = ordA, s.Keys
+	s.Filter.Row(a)
+	if s.Filter.Off() {
+		s.keys = nil
+	}
 }
 
-func (k *kept) flush() {
-	matchPairsTotal.Add(k.pairs)
-	matchKeptTotal.Add(k.rows)
-	matchPrunedTotal.Add(k.pruned)
+// Candidate runs candidate ordB of the current row through the loop and
+// returns true, as a probe's yield. A negative ordinal (an id absent from
+// its input) passes the filter.
+func (s *Scan) Candidate(ordB int) bool {
+	s.Pairs++
+	if uint(ordB) < uint(len(s.keys)) && s.Filter.Rejects(&s.keys[ordB]) {
+		s.Pruned++
+		return true
+	}
+	v, keep := s.Score(s.row, ordB)
+	if keep {
+		s.Kept++
+		s.Sink(s.row, ordB, v)
+	} else if v < 0 {
+		s.Pruned++
+	}
+	return true
 }
 
-// blockScore is the block → score kernel of the batch matchers: it streams
-// the blocker's candidates over a and b (nil means the cross product)
-// through score and returns the kept ones as a same-mapping, in stream order
-// at every worker count.
+// flush adds a range's counts to the moma_match_* counters, once per range.
+func flush(s *Scan) {
+	matchPairsTotal.Add(uint64(s.Pairs))
+	matchKeptTotal.Add(uint64(s.Kept))
+	matchPrunedTotal.Add(uint64(s.Pruned))
+}
+
+// blockScore is the block → score kernel of the batch matchers: it runs the
+// blocker's candidates over a and b (nil means the cross product) through a
+// Scan of score and returns the kept ones as a same-mapping, in stream order
+// at every worker count. col is the filtered column, its keys tested by
+// filter, tabulated here for every pair of them.
 //
 // A block.RangeBlocker is A-major, so A's ordinals are cut into contiguous
-// ranges of near-equal probe cost and each range runs probe → score → keep
-// on one goroutine into columns of its own. Ranges concatenated in order are
-// the stream — no sequence numbers, no sort — and its pairs are distinct, so
-// the columns bulk-load and the mapping's pair index stays lazy. What the
-// ranges share (the probe, the ordinal translations, the profile columns
-// behind score) exists before the first starts and is only read after.
+// ranges of near-equal probe cost, and each range runs its rows — Scan.Row,
+// then the probe's candidates of that row into Scan.Candidate — on one
+// goroutine, into pointer-free columns of its own over model.IDs ordinals.
+// Ranges concatenated in order are the stream — no sequence numbers, no
+// sort — and its pairs are distinct, so the columns bulk-load and the
+// mapping's pair index stays lazy. What the ranges share (the probe, the
+// ordinal translations, the profile columns and the key table) exists
+// before the first starts and is only read after.
 //
 // Any other blocker may stream in any order, repeat a pair or name an id
-// neither input holds: it is scored as one range, into the id-level AddMax.
-func blockScore(a, b *model.ObjectSet, blocker block.Blocker, workers int, score scoreFunc) *mapping.Mapping {
+// neither input holds: it runs as one range of one-candidate rows, into the
+// id-level AddMax.
+func blockScore(a, b *model.ObjectSet, blocker block.Blocker, workers int, score func(ordA, ordB int) (float64, bool), filter sim.RowFilter, col *scoreColumn) *mapping.Mapping {
 	if blocker == nil {
 		blocker = block.CrossProduct{}
 	}
+	filter.Cover(col.colA.MaxCard() + col.colB.MaxCard())
+	proto := Scan{Filter: filter, RowKeys: col.colA.Keys, Keys: col.colB.Keys, Score: score}
 	rb, ok := blocker.(block.RangeBlocker)
 	if !ok {
 		out := mapping.NewSame(a.LDS(), b.LDS())
-		var k kept
-		blocker.PairsEach(a, b, func(p block.Pair) bool {
-			if s, keep := k.consider(score, a.IndexOf(p.A), b.IndexOf(p.B)); keep {
-				out.AddMax(p.A, p.B, s)
-			}
-			return true
+		var p block.Pair
+		s := proto
+		s.Sink = func(_, _ int, v float64) { out.AddMax(p.A, p.B, v) }
+		blocker.PairsEach(a, b, func(next block.Pair) bool {
+			p = next
+			s.Row(a.IndexOf(p.A))
+			return s.Candidate(b.IndexOf(p.B))
 		})
-		k.flush()
+		flush(&s)
 		return out
 	}
 	probe := rb.Probe(a, b)
 	plan := par.SplitBy(a.Len(), workers, probe.Cost)
 	domOrds, rngOrds := model.IDs.SetOrds(a), model.IDs.SetOrds(b)
+	type kept struct {
+		dom, rng []uint32
+		sim      []float64
+	}
 	ranges := make([]kept, plan.Chunks())
 	plan.Run(func(c, lo, hi int) {
-		var k kept // not &ranges[c]: neighbours would share cache lines under pairs++
-		probe.PairsRange(lo, hi, func(ordA, ordB int) bool {
-			if s, keep := k.consider(score, ordA, ordB); keep {
-				k.dom = append(k.dom, domOrds[ordA])
-				k.rng = append(k.rng, rngOrds[ordB])
-				k.sim = append(k.sim, min(max(s, 0), 1))
-			}
-			return true
-		})
-		k.flush()
+		var k kept // not &ranges[c]: neighbours would share cache lines
+		s := proto
+		s.Sink = func(ordA, ordB int, v float64) {
+			k.dom = append(k.dom, domOrds[ordA])
+			k.rng = append(k.rng, rngOrds[ordB])
+			k.sim = append(k.sim, min(max(v, 0), 1))
+		}
+		yield := s.Candidate
+		for ordA := lo; ordA < hi; ordA++ {
+			s.Row(ordA)
+			probe.Row(ordA, yield)
+		}
+		flush(&s)
 		ranges[c] = k
 	})
 	all := ranges[0]

@@ -135,9 +135,10 @@ func (c matchCounts) since() matchCounts {
 // the oracle's mapping — correspondences, similarities (eps 0) and insertion
 // order — and to the counters' meaning: every candidate the blocker streams
 // is counted once, whatever the worker count, and a stream without repeats
-// keeps exactly the result's rows.
-func checkKernel(t *testing.T, label string, m ConfigurableWorkers, bl block.Blocker, a, b *model.ObjectSet, want *mapping.Mapping) {
+// keeps exactly the result's rows. It returns each run's counts.
+func checkKernel(t *testing.T, label string, m ConfigurableWorkers, bl block.Blocker, a, b *model.ObjectSet, want *mapping.Mapping) []matchCounts {
 	t.Helper()
+	var runs []matchCounts
 	streamed := len(block.Pairs(orCross(bl), a, b))
 	_, repeats := bl.(repeatBlocker)
 	for _, workers := range kernelWorkers {
@@ -158,7 +159,9 @@ func checkKernel(t *testing.T, label string, m ConfigurableWorkers, bl block.Blo
 		if counts.kept+counts.pruned > counts.pairs {
 			t.Errorf("%s: %d kept + %d pruned exceed %d pairs", at, counts.kept, counts.pruned, counts.pairs)
 		}
+		runs = append(runs, counts)
 	}
+	return runs
 }
 
 // TestKernelSplitsTheFixtures guards the suites below against passing on
@@ -303,6 +306,104 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 	}
 	run("weighted title 3, authors 1, year 2 at 0.75",
 		&MultiAttribute{Pairs: pairs, Threshold: 0.75, Blocker: bl}, bl, weightedReference(a, b, bl, pairs, 0.75))
+}
+
+// comparedPruned counts the streamed candidates that a kernel scoring each
+// one through Compare at the threshold — the key test, then the merge, per
+// pair — sees stop early, skipping what SkipMissing skips: the pruned count
+// the row filter must reproduce.
+func comparedPruned(a, b *model.ObjectSet, bl block.Blocker, attrA, attrB string, fn sim.Func, threshold float64, skipMissing bool) uint64 {
+	ps := sim.ProfiledOf(fn)
+	var pruned uint64
+	for _, p := range block.Pairs(orCross(bl), a, b) {
+		va, vb := a.Get(p.A).Attr(attrA), b.Get(p.B).Attr(attrB)
+		if skipMissing && (va == "" || vb == "") {
+			continue
+		}
+		if ps.Compare(sim.NewProfile(ps, va), sim.NewProfile(ps, vb), threshold) < 0 {
+			pruned++
+		}
+	}
+	return pruned
+}
+
+// weightedPruned is comparedPruned for the multi-attribute matcher. A
+// weightless leading column changes no floor and no sum, and moves the
+// configured first column to second place, where sim.Weighted tests a keyed
+// column's keys per pair instead of leaving them to the row filter.
+func weightedPruned(a, b *model.ObjectSet, bl block.Blocker, pairs []AttrPair, threshold float64) uint64 {
+	measures := []sim.ProfiledSim{sim.ProfiledOf(sim.Equal)}
+	weights := []float64{0}
+	for _, ap := range pairs {
+		measures, weights = append(measures, sim.ProfiledOf(ap.Sim)), append(weights, ap.Weight)
+	}
+	perPair := sim.NewWeighted(measures, weights, threshold)
+	var pruned uint64
+	for _, p := range block.Pairs(orCross(bl), a, b) {
+		ia, ib := a.Get(p.A), b.Get(p.B)
+		s := perPair.Score(func(i int) (pa, pb *sim.Profile, ka, kb *sim.Key) {
+			va, vb := "", ""
+			if i > 0 {
+				va, vb = ia.Attr(pairs[i-1].AttrA), ib.Attr(pairs[i-1].AttrB)
+			}
+			pa, pb = sim.NewProfile(measures[i], va), sim.NewProfile(measures[i], vb)
+			if k, ok := measures[i].(sim.Keyed); ok {
+				kpa, kpb := k.Key(pa), k.Key(pb)
+				ka, kb = &kpa, &kpb
+			}
+			return pa, pb, ka, kb
+		})
+		if s < 0 {
+			pruned++
+		}
+	}
+	return pruned
+}
+
+// checkPruned asserts that every run counted the oracle's pruned candidates.
+func checkPruned(t *testing.T, label string, runs []matchCounts, want uint64) {
+	t.Helper()
+	for i, c := range runs {
+		if c.pruned != want {
+			t.Errorf("%s at %d workers: %d pairs pruned, scoring each through Compare prunes %d", label, kernelWorkers[i], c.pruned, want)
+		}
+	}
+}
+
+// TestKernelEdgeShapes holds the row filter's edge shapes to the oracles —
+// rows, similarities, order and the scored, kept and pruned counts, for
+// every blocker at every worker count: a SkipMissing set measure over empty
+// values (the empty set's key rejects nothing, as row or as candidate), a
+// multi-attribute matcher whose first column is keyed and whose second is
+// not, threshold 0 (the filter is off), and weighted thresholds that leave a
+// column a floor above 1 — the first column's at 1.2, later columns' at
+// 0.95 whenever the first scores low.
+func TestKernelEdgeShapes(t *testing.T) {
+	a, b := syntheticPubs(60)
+	withMissing(a, b)
+	b.AddNew("a-blank", map[string]string{"name": "", "year": "2001"})
+	b.AddNew("a-spaces", map[string]string{"name": "  ", "year": "1999"})
+	for _, bl := range kernelBlockers("title", "name") {
+		for _, cfg := range []struct {
+			threshold float64
+			skip      bool
+		}{{0.5, true}, {0.5, false}, {0, false}, {0, true}} {
+			label := fmt.Sprintf("trigram %v, SkipMissing=%v, %v", cfg.threshold, cfg.skip, bl)
+			m := &Attribute{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: cfg.threshold, Blocker: bl, SkipMissing: cfg.skip}
+			runs := checkKernel(t, label, m, bl, a, b, materializedReference(a, b, bl, "title", "name", sim.Trigram, cfg.threshold, cfg.skip))
+			checkPruned(t, label, runs, comparedPruned(a, b, bl, "title", "name", sim.Trigram, cfg.threshold, cfg.skip))
+		}
+		pairs := []AttrPair{
+			{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Weight: 2},
+			{AttrA: "year", AttrB: "year", Sim: sim.YearSim, Weight: 1},
+		}
+		for _, threshold := range []float64{0.6, 0, 0.95, 1.2} {
+			label := fmt.Sprintf("weighted trigram 2, year 1 at %v, %v", threshold, bl)
+			m := &MultiAttribute{Pairs: pairs, Threshold: threshold, Blocker: bl}
+			runs := checkKernel(t, label, m, bl, a, b, weightedReference(a, b, bl, pairs, threshold))
+			checkPruned(t, label, runs, weightedPruned(a, b, bl, pairs, threshold))
+		}
+	}
 }
 
 // TestTokenReuseMatchesFreshTokenization pins the blocking-layer token

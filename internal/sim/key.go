@@ -7,8 +7,11 @@ package sim
 // two sets or by their signatures. Those are the only facts that test reads,
 // so they are copied out of the profile into a Key of 24 pointer-free bytes,
 // and a ProfileColumn keeps the keys of its profiles in a dense array beside
-// them: a scoring loop checks a candidate's key at the column's floor and
-// dereferences the candidate's profile only when the key lets it through.
+// them. The test is a RowFilter: the measure at one floor, with the overlap
+// each total cardinality needs tabulated once per match call or resolver,
+// and one side of the pair — the row — fixed. A candidate loop (match.Scan)
+// sets the row once per batch A ordinal or resolve query and checks each
+// candidate's key against it, reading a profile only past the filter.
 
 // Key is the filter key of one set-measure profile: the length of the set
 // the profile holds, its cardinality (larger than the length by a query's
@@ -24,43 +27,81 @@ type Keyed interface {
 	ProfiledSim
 	// Key returns the filter key of a profile the measure built.
 	Key(p *Profile) Key
-	// CompareKeyed is Compare(a, b, floor) for a pair handed over with its
-	// keys ka and kb: it checks the keys first and reads neither profile
-	// when they reject. Compare is CompareKeyed over the keys it builds, so
-	// the two agree bit for bit.
-	CompareKeyed(a, b *Profile, ka, kb *Key, floor float64) float64
+	// RowFilter returns the measure's key test at floor, untabulated.
+	RowFilter(floor float64) RowFilter
+	// Merge is Compare for a pair whose keys passed RowFilter(floor):
+	// Compare is that test, then Merge.
+	Merge(a, b *Profile, ka, kb *Key, floor float64) float64
 }
 
-// keyRejects is the size and signature test in front of setSim's merge: it
-// reports whether the keys show that two sets cannot share minOverlap's
-// need, the overlap their coefficient needs to reach floor. There is nothing
-// to test under a floor that asks for nothing or with an empty set, so a key
-// with cardinality 0 is never rejected and empty sets keep setSim's scores.
-func keyRejects(a, b *Key, dice bool, floor float64) bool {
-	if !(floor > 0) || a.card == 0 || b.card == 0 {
-		return false
+// RowFilter rejects a pair whose keys show that the two sets cannot share
+// the overlap their coefficient needs to reach the floor (minOverlap), for
+// the pairs whose one side is its row. A floor that asks for nothing, or an
+// empty set (cardinality 0), is never rejected, so empty sets keep setSim's
+// scores. The row is the empty set until Row sets it.
+type RowFilter struct {
+	dice  bool
+	floor float64
+	need  []int32 // minOverlap by total cardinality, as far as tabulated
+	row   Key
+}
+
+// Cover tabulates the filter for every total cardinality up to maxTotal,
+// unless it already is.
+func (f *RowFilter) Cover(maxTotal int) {
+	if !(f.floor > 0) || maxTotal < len(f.need) {
+		return
 	}
-	// Each signature bit of A that B lacks is an element of A outside B, so
-	// the sets share at most reach elements — which is also at most either
-	// set's size.
-	reach := min(int(a.n)-a.sig.lacking(&b.sig), int(b.n)-b.sig.lacking(&a.sig))
-	total := int(a.card) + int(b.card)
-	// need is overlapCeil or one less: only a reach of exactly one less
-	// takes minOverlap's check that tells the two apart.
-	if c := overlapCeil(total, dice, floor); reach != c-1 {
-		return reach < c
+	f.need = make([]int32, maxTotal+1)
+	for total := range f.need {
+		f.need[total] = int32(minOverlap(total, f.dice, f.floor))
 	}
-	return reach < minOverlap(total, dice, floor)
+}
+
+// Row makes the set with key a the filter's row.
+func (f *RowFilter) Row(a Key) { f.row = a }
+
+// Off reports whether the filter rejects nothing.
+func (f *RowFilter) Off() bool { return f.row.card == 0 || !(f.floor > 0) }
+
+// Rejects reports whether the row and a set with key b fall below the floor
+// on the keys alone. Each signature bit of one set that the other lacks is
+// an element outside the other, so the sets share at most reach elements.
+func (f *RowFilter) Rejects(b *Key) bool {
+	c, total := int(b.card), int(f.row.card)+int(b.card)
+	if total >= len(f.need) {
+		return !f.Off() && c > 0 && reach(&f.row, b) < minOverlap(total, f.dice, f.floor)
+	}
+	return c > 0 && f.row.card > 0 && reach(&f.row, b) < int(f.need[total])
+}
+
+func reach(a, b *Key) int {
+	return min(int(a.n)-a.sig.lacking(&b.sig), int(b.n)-b.sig.lacking(&a.sig))
+}
+
+// rejects is the test of one pair.
+func (f RowFilter) rejects(a, b *Key) bool {
+	f.Row(*a)
+	return f.Rejects(b)
+}
+
+// compareKeyed is Compare for a pair handed over with its keys.
+func compareKeyed(k Keyed, a, b *Profile, ka, kb *Key, floor float64) float64 {
+	if k.RowFilter(floor).rejects(ka, kb) {
+		return stopped
+	}
+	return k.Merge(a, b, ka, kb, floor)
 }
 
 func (g ngramProfiled) Key(p *Profile) Key {
 	return Key{n: uint32(len(p.Grams)), card: uint32(len(p.Grams)), sig: p.sig}
 }
 
-func (g ngramProfiled) CompareKeyed(a, b *Profile, ka, kb *Key, floor float64) float64 {
-	if keyRejects(ka, kb, g.dice, floor) {
-		return stopped
-	}
+func (g ngramProfiled) RowFilter(floor float64) RowFilter {
+	return RowFilter{dice: g.dice, floor: floor}
+}
+
+func (g ngramProfiled) Merge(a, b *Profile, ka, kb *Key, floor float64) float64 {
 	return setSim(a.Grams, b.Grams, ka, kb, g.dice, floor)
 }
 
@@ -69,10 +110,11 @@ func (tokenProfiled) Key(p *Profile) Key {
 	return Key{n: uint32(n), card: uint32(n + p.ExtraTokens), sig: p.sig}
 }
 
-func (t tokenProfiled) CompareKeyed(a, b *Profile, ka, kb *Key, floor float64) float64 {
-	if keyRejects(ka, kb, t.dice, floor) {
-		return stopped
-	}
+func (t tokenProfiled) RowFilter(floor float64) RowFilter {
+	return RowFilter{dice: t.dice, floor: floor}
+}
+
+func (t tokenProfiled) Merge(a, b *Profile, ka, kb *Key, floor float64) float64 {
 	return setSim(a.SortedTokenIDs, b.SortedTokenIDs, ka, kb, t.dice, floor)
 }
 
@@ -83,8 +125,9 @@ func (t tokenProfiled) CompareKeyed(a, b *Profile, ka, kb *Key, floor float64) f
 type ProfileColumn struct {
 	Profs []*Profile
 	// Keys holds Key(Profs[i]) at i; it is nil when the measure is not Keyed.
-	Keys  []Key
-	keyed Keyed
+	Keys    []Key
+	keyed   Keyed
+	maxCard int // the largest cardinality a key has had
 }
 
 // NewProfileColumn returns an empty column of the measure with room for n
@@ -106,11 +149,15 @@ func (c *ProfileColumn) KeyOf(p *Profile) Key {
 	return c.keyed.Key(p)
 }
 
+// MaxCard bounds the cardinality of every key the column holds.
+func (c *ProfileColumn) MaxCard() int { return c.maxCard }
+
 // Append adds a profile and its key at the next ordinal.
 func (c *ProfileColumn) Append(p *Profile) {
 	c.Profs = append(c.Profs, p)
 	if c.keyed != nil {
-		c.Keys = append(c.Keys, c.KeyOf(p))
+		c.Keys = append(c.Keys, Key{})
+		c.Set(len(c.Keys)-1, p)
 	}
 }
 
@@ -119,6 +166,7 @@ func (c *ProfileColumn) Set(i int, p *Profile) {
 	c.Profs[i] = p
 	if c.keyed != nil {
 		c.Keys[i] = c.KeyOf(p)
+		c.maxCard = max(c.maxCard, int(c.Keys[i].card))
 	}
 }
 

@@ -25,12 +25,12 @@ package sim
 //
 // The set measures' size and signature filters read nothing but a 24-byte
 // Key per profile (key.go), so they are Keyed: a ProfileColumn keeps the
-// keys of its profiles in a dense array beside them, and the scoring loops
-// (Weighted.Score, the batch attribute matcher) hand a pair's keys to
-// Keyed.CompareKeyed, which checks them at the floor before it reads either
-// profile. Compare is CompareKeyed over keys it builds from the profiles, so
-// the results and the pruned counts are Compare's, and each pair is checked
-// once.
+// keys of its profiles in a dense array beside them, the candidate loop
+// checks a pair's keys against its row's filter (RowFilter) before it
+// reads either profile, and Keyed.Merge scores the pairs that pass. Compare
+// is that filter, untabulated, over keys it builds from the profiles, then
+// Merge, so the results and the pruned counts are Compare's, and each pair
+// is checked once.
 //
 // ProfileInto is the only way a profile is built. It appends into the slices
 // the Profile already owns and takes its working memory from a Scratch, so a
@@ -329,11 +329,13 @@ func (g ngramProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
 }
 
 // Compare scores two gram sets by a merge-join over the sorted hashes, Dice
-// or Jaccard (setSim), behind the key check (CompareKeyed); the floor bounds
-// both.
+// or Jaccard (setSim), behind the key test; the floor bounds both.
 func (g ngramProfiled) Compare(a, b *Profile, floor float64) float64 {
 	ka, kb := g.Key(a), g.Key(b)
-	return g.CompareKeyed(a, b, &ka, &kb, floor)
+	if g.RowFilter(floor).rejects(&ka, &kb) {
+		return stopped
+	}
+	return g.Merge(a, b, &ka, &kb, floor)
 }
 
 // --- token-set measures --------------------------------------------------
@@ -378,11 +380,14 @@ func (tokenProfiled) fill(s string, p *Profile, sc *Scratch) {
 }
 
 // Compare scores two token-ID sets by a merge-join (setSim) behind the key
-// check (CompareKeyed); unknown query tokens enlarge the set sizes through
-// ExtraTokens without being materialized.
+// test; unknown query tokens enlarge the set sizes through ExtraTokens
+// without being materialized.
 func (t tokenProfiled) Compare(a, b *Profile, floor float64) float64 {
 	ka, kb := t.Key(a), t.Key(b)
-	return t.CompareKeyed(a, b, &ka, &kb, floor)
+	if t.RowFilter(floor).rejects(&ka, &kb) {
+		return stopped
+	}
+	return t.Merge(a, b, &ka, &kb, floor)
 }
 
 // --- equality measures ---------------------------------------------------

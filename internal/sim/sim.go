@@ -161,7 +161,7 @@ const stopped = -1.0
 //
 // A positive floor bounds the work: need is an overlap no larger than the
 // least whose coefficient reaches floor (minOverlap). The callers have
-// already rejected, on the keys alone (keyRejects), sets too small to hold
+// already rejected, on the keys alone (RowFilter), sets too small to hold
 // it and sets whose signatures (both zero: no information) show too many
 // elements of one missing from the other; the merge of the rest stops once
 // it cannot supply need.

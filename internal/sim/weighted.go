@@ -54,14 +54,25 @@ func NewWeighted(measures []ProfiledSim, weights []float64, threshold float64) *
 	return wt
 }
 
+// RowFilter returns the first column's key test at its floor, fixed since
+// nothing is summed before it (the zero RowFilter, which rejects nothing,
+// if the column is not Keyed): Score leaves those keys to the caller, who
+// tests them once per row.
+func (wt *Weighted) RowFilter() RowFilter {
+	if c := &wt.cols[0]; c.keyed != nil {
+		return c.keyed.RowFilter(c.due * c.inv)
+	}
+	return RowFilter{}
+}
+
 // Score returns the weighted mean of the columns' similarities, exactly
 // whenever it reaches the threshold. at yields the two profiles of column i
 // and their keys (ProfileColumn.At; read only when the column's measure is
 // Keyed) and is not retained. Below the threshold the result is some value
 // under it, negative when a bound ended the candidate before every column
-// was scored in full. A Keyed column scores through CompareKeyed, which
-// checks the keys before either profile is read and returns what Compare
-// would, so the result is the same.
+// was scored in full. A later Keyed column checks the keys before either
+// profile is read (compareKeyed), the first merges (RowFilter): the result
+// is what Compare returns.
 func (wt *Weighted) Score(at func(i int) (a, b *Profile, ka, kb *Key)) float64 {
 	var sum float64
 	for i := range wt.cols {
@@ -72,10 +83,13 @@ func (wt *Weighted) Score(at func(i int) (a, b *Profile, ka, kb *Key)) float64 {
 		}
 		a, b, ka, kb := at(i)
 		var s float64
-		if c.keyed != nil {
-			s = c.keyed.CompareKeyed(a, b, ka, kb, floor)
-		} else {
+		switch {
+		case c.keyed == nil:
 			s = c.ps.Compare(a, b, floor)
+		case i == 0:
+			s = c.keyed.Merge(a, b, ka, kb, floor)
+		default:
+			s = compareKeyed(c.keyed, a, b, ka, kb, floor)
 		}
 		// A column short of its floor ends the candidate, except the last
 		// one when it was scored in full: nothing is left to save, so the
