@@ -22,8 +22,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/analysis"
@@ -38,62 +40,89 @@ var all = []*analysis.Analyzer{
 	errsink.Analyzer,
 }
 
-func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON lines (file, line, col, analyzer, message)")
-	suppressions := flag.Bool("suppressions", false, "list every suppression directive in the module and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: moma-vet [flags] [packages]\n\nAnalyzers:\n")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, writes findings (or suppressions) to
+// stdout and the summary to stderr, and returns the exit code — 0 clean,
+// 1 findings, 2 a usage or load error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("moma-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit findings as JSON lines (file, line, col, analyzer, message)")
+	suppressions := fs.Bool("suppressions", false, "list every suppression directive in the module and exit")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: moma-vet [flags] [packages]\n\nAnalyzers:\n")
 		for _, a := range all {
-			fmt.Fprintf(flag.CommandLine.Output(), "  %-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "moma-vet:", err)
+		return 2
+	}
 
 	dir, err := os.Getwd()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	if *suppressions {
-		supps, err := analysis.ScanModuleSuppressions(dir, flag.Args()...)
+		supps, err := analysis.ScanModuleSuppressions(dir, fs.Args()...)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		bare := 0
 		for _, s := range supps {
-			fmt.Println(s)
+			fmt.Fprintln(stdout, s)
 			if s.Justification == "" {
 				bare++
 			}
 		}
-		fmt.Fprintf(os.Stderr, "moma-vet: %d suppression(s)", len(supps))
+		fmt.Fprintf(stderr, "moma-vet: %d suppression(s)", len(supps))
 		if bare > 0 {
-			fmt.Fprintf(os.Stderr, ", %d without justification", bare)
+			fmt.Fprintf(stderr, ", %d without justification", bare)
 		}
-		fmt.Fprintln(os.Stderr)
-		return
+		fmt.Fprintln(stderr)
+		return 0
 	}
 
-	fset, pkgs, err := analysis.Load(dir, flag.Args()...)
+	fset, pkgs, err := analysis.Load(dir, fs.Args()...)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	findings, err := analysis.Run(fset, pkgs, all)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	for _, f := range findings {
-		if *jsonOut {
-			printJSON(f)
-		} else {
-			fmt.Println(f)
+		if !*jsonOut {
+			fmt.Fprintln(stdout, f)
+			continue
 		}
+		b, err := json.Marshal(jsonFinding{
+			File:     f.Pos.Filename,
+			Line:     f.Pos.Line,
+			Col:      f.Pos.Column,
+			Analyzer: f.Analyzer,
+			Message:  f.Message,
+		})
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintln(stdout, string(b))
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "moma-vet: %d finding(s)\n", len(findings))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "moma-vet: %d finding(s)\n", len(findings))
+		return 1
 	}
+	return 0
 }
 
 // jsonFinding fixes the field order the CI problem matcher's regex relies
@@ -105,23 +134,4 @@ type jsonFinding struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-}
-
-func printJSON(f analysis.Finding) {
-	b, err := json.Marshal(jsonFinding{
-		File:     f.Pos.Filename,
-		Line:     f.Pos.Line,
-		Col:      f.Pos.Column,
-		Analyzer: f.Analyzer,
-		Message:  f.Message,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(string(b))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "moma-vet:", err)
-	os.Exit(2)
 }

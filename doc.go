@@ -53,8 +53,8 @@
 // dictionary and, for every measure whose profile holds only slices and
 // numbers, allocates nothing once its buffers are warm.
 //
-// Profiles are read-only between builds, so matchers with Workers > 1
-// score them concurrently without locks.
+// Profiles are read-only between builds, so a matcher's workers (GOMAXPROCS
+// of them) score them concurrently without locks.
 //
 // A matcher keeps only the pairs that reach its threshold, so Compare takes
 // a floor — the least score its caller still has a use for — and is exact
@@ -101,9 +101,8 @@
 // window order is not A-major; block.Within, token blocking restricted to
 // the pairs of a mapping, in that mapping's order; one of your own, which
 // may repeat pairs or name unknown ids) is scored by the same loop, one
-// candidate per row, as one stream of ids. The workflow Engine can push one
-// Workers setting through every matcher of a workflow
-// (match.ConfigurableWorkers).
+// candidate per row, as one stream of ids. The kernel's worker count is
+// GOMAXPROCS; no matcher field or engine setting overrides it.
 //
 // # Online resolution
 //
@@ -183,10 +182,10 @@
 // The three columnar operators run on a fixed worker count
 // (internal/par) with one non-negotiable contract: the output is
 // bit-identical at every worker count — same rows, same float64
-// similarities, same first-seen insertion order. Compose, Merge and the
-// per-group selections default to GOMAXPROCS workers; ComposeWorkers /
-// MergeWorkers / the selections' Workers field pin the count, and
-// workflow.Engine.Workers threads one knob through a whole run.
+// similarities, same first-seen insertion order. The worker count is
+// GOMAXPROCS. ComposeWorkers, MergeWorkers and BestN.WithWorkers pin it for
+// the benchmark's operator workload, which measures the operators at fixed
+// widths; nothing else selects a worker count.
 // Differential tests (internal/mapping/ref_test.go, parallel_test.go) hold
 // the operators to eps-0 equality against sequential reference
 // implementations at workers 1, 3 and 8.
@@ -361,8 +360,9 @@
 //     own partition, and results are read after the join. par.Plan.Run is
 //     the only such site in the library; `go test -race` holds it through
 //     TestRunVisitsEveryRowOnce, TestRadixSortMatchesSortStable and the
-//     mapping operators' TestDifferential*Workers at workers 1, 3 and 8,
-//     and through the match kernel suites at -cpu 1,2,8. cmd/moma-load's worker loops run under a -race build in
+//     mapping operators' TestDifferential*Workers at 1, 3 and 8 workers,
+//     and through the match kernel suites at GOMAXPROCS 1, 2, 3 and 8
+//     (and -cpu 1,2,8). cmd/moma-load's worker loops run under a -race build in
 //     CI's HTTP and chaos smokes.
 //
 // Run the analyzers with:

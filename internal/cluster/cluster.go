@@ -16,64 +16,6 @@ import (
 	"repro/internal/model"
 )
 
-// UnionFind is a disjoint-set forest over instance ids with union by rank
-// and path compression.
-type UnionFind struct {
-	parent map[model.ID]model.ID
-	rank   map[model.ID]int
-	count  int
-}
-
-// NewUnionFind returns an empty forest.
-func NewUnionFind() *UnionFind {
-	return &UnionFind{parent: make(map[model.ID]model.ID), rank: make(map[model.ID]int)}
-}
-
-// Add ensures id is present as a singleton set.
-func (u *UnionFind) Add(id model.ID) {
-	if _, ok := u.parent[id]; !ok {
-		u.parent[id] = id
-		u.count++
-	}
-}
-
-// Find returns the representative of id's set, adding id if unknown.
-func (u *UnionFind) Find(id model.ID) model.ID {
-	u.Add(id)
-	root := id
-	for u.parent[root] != root {
-		root = u.parent[root]
-	}
-	for u.parent[id] != root {
-		u.parent[id], id = root, u.parent[id]
-	}
-	return root
-}
-
-// Union merges the sets of a and b; it reports whether a merge happened
-// (false when already joined).
-func (u *UnionFind) Union(a, b model.ID) bool {
-	ra, rb := u.Find(a), u.Find(b)
-	if ra == rb {
-		return false
-	}
-	if u.rank[ra] < u.rank[rb] {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-	if u.rank[ra] == u.rank[rb] {
-		u.rank[ra]++
-	}
-	u.count--
-	return true
-}
-
-// Connected reports whether a and b are in the same set.
-func (u *UnionFind) Connected(a, b model.ID) bool { return u.Find(a) == u.Find(b) }
-
-// Sets returns the number of disjoint sets.
-func (u *UnionFind) Sets() int { return u.count }
-
 // Cluster is one duplicate cluster: ids sorted ascending.
 type Cluster []model.ID
 

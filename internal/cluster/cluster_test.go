@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,88 +12,68 @@ import (
 
 var gsPub = model.LDS{Source: "GS", Type: model.Publication}
 
-func TestUnionFindBasics(t *testing.T) {
-	u := NewUnionFind()
-	u.Add("a")
-	u.Add("b")
-	u.Add("c")
-	if u.Sets() != 3 {
-		t.Fatalf("Sets = %d, want 3", u.Sets())
-	}
-	if !u.Union("a", "b") {
-		t.Error("first union should merge")
-	}
-	if u.Union("a", "b") {
-		t.Error("repeated union should not merge")
-	}
-	if !u.Connected("a", "b") || u.Connected("a", "c") {
-		t.Error("connectivity wrong")
-	}
-	if u.Sets() != 2 {
-		t.Errorf("Sets = %d, want 2", u.Sets())
-	}
-}
-
-func TestUnionFindTransitivity(t *testing.T) {
-	u := NewUnionFind()
-	u.Union("a", "b")
-	u.Union("b", "c")
-	u.Union("x", "y")
-	if !u.Connected("a", "c") {
-		t.Error("a~b~c should connect a and c")
-	}
-	if u.Connected("a", "x") {
-		t.Error("separate components must stay apart")
-	}
-}
-
-func TestUnionFindEquivalenceProperty(t *testing.T) {
-	// Union is symmetric and Find is stable: after any union sequence,
-	// Connected is an equivalence relation consistent with the unions.
-	f := func(ops [][2]uint8) bool {
-		u := NewUnionFind()
-		naive := make(map[model.ID]model.ID) // naive forest for comparison
-		find := func(id model.ID) model.ID {
-			for naive[id] != "" && naive[id] != id {
-				id = naive[id]
-			}
-			return id
+// TestFromMappingComponentsProperty holds FromMapping, the union-find E1
+// runs, to a naive breadth-first search: over random self-mappings and
+// thresholds, the clusters are exactly the connected components of the
+// pairs at or above minSim, members sorted, singletons dropped, ordered by
+// smallest member. TransitiveClosure of its own output is that output.
+func TestFromMappingComponentsProperty(t *testing.T) {
+	f := func(edges [][3]uint8, threshold uint8) bool {
+		m := mapping.NewSame(gsPub, gsPub)
+		for _, e := range edges {
+			m.AddMax(model.ID(rune('a'+e[0]%12)), model.ID(rune('a'+e[1]%12)), float64(e[2])/255)
 		}
-		ids := func(x uint8) model.ID { return model.ID(rune('a' + x%10)) }
-		for _, op := range ops {
-			a, b := ids(op[0]), ids(op[1])
-			u.Union(a, b)
-			ra, rb := find(a), find(b)
-			if ra == "" {
-				naive[a] = a
-				ra = a
-			}
-			if rb == "" {
-				naive[b] = b
-				rb = b
-			}
-			if ra != rb {
-				naive[ra] = rb
-			}
+		minSim := float64(threshold) / 255
+		if got, want := FromMapping(m, minSim), bfsComponents(m, minSim); !reflect.DeepEqual(got, want) {
+			t.Logf("minSim %v: FromMapping = %v, BFS = %v", minSim, got, want)
+			return false
 		}
-		for x := 0; x < 10; x++ {
-			for y := 0; y < 10; y++ {
-				a, b := ids(uint8(x)), ids(uint8(y))
-				_, aKnown := naive[a]
-				_, bKnown := naive[b]
-				if !aKnown || !bKnown {
-					continue
-				}
-				if u.Connected(a, b) != (find(a) == find(b)) {
-					return false
-				}
-			}
-		}
-		return true
+		tc := TransitiveClosure(m, minSim)
+		return tc.Equal(TransitiveClosure(tc, minSim), 0)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// bfsComponents is the definition FromMapping implements: the connected
+// components of the undirected graph of m's pairs with sim >= minSim.
+func bfsComponents(m *mapping.Mapping, minSim float64) []Cluster {
+	adj := make(map[model.ID][]model.ID)
+	for _, c := range m.Correspondences() {
+		if c.Sim >= minSim {
+			adj[c.Domain] = append(adj[c.Domain], c.Range)
+			adj[c.Range] = append(adj[c.Range], c.Domain)
+		}
+	}
+	starts := make([]model.ID, 0, len(adj))
+	for id := range adj {
+		starts = append(starts, id)
+	}
+	slices.Sort(starts)
+	seen := make(map[model.ID]bool)
+	var out []Cluster
+	for _, start := range starts {
+		if seen[start] {
+			continue
+		}
+		seen[start] = true
+		comp := Cluster{start}
+		for queue := []model.ID{start}; len(queue) > 0; queue = queue[1:] {
+			for _, next := range adj[queue[0]] {
+				if !seen[next] {
+					seen[next] = true
+					comp = append(comp, next)
+					queue = append(queue, next)
+				}
+			}
+		}
+		if len(comp) > 1 {
+			slices.Sort(comp)
+			out = append(out, comp)
+		}
+	}
+	return out
 }
 
 func clusterFixture() *mapping.Mapping {

@@ -10,7 +10,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/mapping"
@@ -179,11 +178,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddResultRow appends a row with label and the three metrics.
-func (t *Table) AddResultRow(label string, r Result) {
-	t.AddRow(label, Pct(r.Precision), Pct(r.Recall), Pct(r.F1))
-}
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Columns))
@@ -221,32 +215,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// ResultMatrix renders a metric-by-strategy table like the paper's Tables
-// 2 and 5-8: one column per named strategy, rows Precision / Recall /
-// F-Measure. Strategies render in the order given.
-func ResultMatrix(title string, names []string, results map[string]Result) *Table {
-	t := NewTable(title, append([]string{"Matcher"}, names...)...)
-	metric := func(label string, get func(Result) float64) {
-		cells := []string{label}
-		for _, n := range names {
-			cells = append(cells, Pct(get(results[n])))
-		}
-		t.AddRow(cells...)
-	}
-	metric("Precision", func(r Result) float64 { return r.Precision })
-	metric("Recall", func(r Result) float64 { return r.Recall })
-	metric("F-Measure", func(r Result) float64 { return r.F1 })
-	return t
-}
-
-// SortedKeys returns map keys sorted, for deterministic report rendering.
-func SortedKeys(results map[string]Result) []string {
-	keys := make([]string, 0, len(results))
-	for k := range results {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/sources"
 )
 
 // The experiment tests run at small scale and assert the qualitative
@@ -18,7 +20,7 @@ var (
 
 func testSetting(t *testing.T) *Setting {
 	t.Helper()
-	settingOnce.Do(func() { shared = NewSmallSetting() })
+	settingOnce.Do(func() { shared = NewSetting(sources.SmallConfig()) })
 	return shared
 }
 

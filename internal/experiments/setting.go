@@ -89,12 +89,6 @@ func NewSetting(cfg sources.Config) *Setting {
 	return &Setting{D: d, GSWork: work, Repo: repo, memo: make(map[string]*mapping.Mapping)}
 }
 
-// NewPaperSetting builds the full Table 1 scale setting.
-func NewPaperSetting() *Setting { return NewSetting(sources.PaperConfig()) }
-
-// NewSmallSetting builds the reduced test-scale setting.
-func NewSmallSetting() *Setting { return NewSetting(sources.SmallConfig()) }
-
 // cached memoizes an intermediate mapping under a key.
 func (s *Setting) cached(key string, build func() (*mapping.Mapping, error)) (*mapping.Mapping, error) {
 	if m, ok := s.memo[key]; ok {

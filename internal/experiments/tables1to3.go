@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/eval"
 	"repro/internal/mapping"
@@ -67,10 +68,10 @@ func Table2(s *Setting) (*TableResult, error) {
 }
 
 // addMetricRows appends the Precision/Recall/F-Measure rows in the paper's
-// matrix layout.
-func addMetricRows(t *TableResult, names []string, metrics map[string]eval.Result) {
+// matrix layout, each led by the cells of lead.
+func addMetricRows(t *TableResult, names []string, metrics map[string]eval.Result, lead ...string) {
 	row := func(label string, get func(eval.Result) float64) {
-		cells := []string{label}
+		cells := append(slices.Clone(lead), label)
 		for _, n := range names {
 			cells = append(cells, eval.Pct(get(metrics[n])))
 		}
@@ -79,6 +80,25 @@ func addMetricRows(t *TableResult, names []string, metrics map[string]eval.Resul
 	row("Precision", func(r eval.Result) float64 { return r.Precision })
 	row("Recall", func(r eval.Result) float64 { return r.Recall })
 	row("F-Measure", func(r eval.Result) float64 { return r.F1 })
+}
+
+// addGroupedRows is the grouped layout of Tables 4 and 5: each mapping,
+// named by the label at its index, is evaluated per group, every group's
+// result is kept in Metrics as "group/label", and the conference, journal
+// and overall metric rows follow, each led by its group.
+func addGroupedRows(t *TableResult, labels []string, maps []*mapping.Mapping, perfect *mapping.Mapping, group eval.GroupFunc) {
+	for i, m := range maps {
+		for g, r := range eval.CompareGrouped(m, perfect, group) {
+			t.Metrics[g+"/"+labels[i]] = r
+		}
+	}
+	for _, g := range []string{"conference", "journal", "overall"} {
+		keys := make([]string, len(labels))
+		for i, label := range labels {
+			keys[i] = g + "/" + label
+		}
+		addMetricRows(t, keys, t.Metrics, g)
+	}
 }
 
 // Table3 reproduces "Matching publications via different compose paths":

@@ -22,47 +22,19 @@ func Table4(s *Setting) (*TableResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	selections := []struct {
-		label string
-		sel   mapping.Selection
-	}{
-		{"50%", mapping.Threshold{T: 0.5}},
-		{"80%", mapping.Threshold{T: 0.8}},
-		{"Best-1", mapping.BestN{N: 1, Side: mapping.DomainSide}},
+	labels := []string{"50%", "80%", "Best-1"}
+	selected := []*mapping.Mapping{
+		mapping.Threshold{T: 0.5}.Apply(nh),
+		mapping.Threshold{T: 0.8}.Apply(nh),
+		mapping.BestN{N: 1, Side: mapping.DomainSide}.Apply(nh),
 	}
-	perfect := s.D.Perfect.VenueDBLPACM
-	group := s.venueKindGroup()
-
 	t := &TableResult{
 		ID:      "Table 4",
 		Title:   "Matching DBLP-ACM venues using neighborhood matcher (1:n)",
-		Columns: []string{"Group", "Metric", "50%", "80%", "Best-1"},
+		Columns: append([]string{"Group", "Metric"}, labels...),
 		Metrics: map[string]eval.Result{},
 	}
-	grouped := make(map[string]map[string]eval.Result) // selection -> group -> result
-	for _, sc := range selections {
-		res := eval.CompareGrouped(sc.sel.Apply(nh), perfect, group)
-		grouped[sc.label] = res
-		for g, r := range res {
-			t.Metrics[g+"/"+sc.label] = r
-		}
-	}
-	for _, g := range []string{"conference", "journal", "overall"} {
-		for _, metric := range []struct {
-			name string
-			get  func(eval.Result) float64
-		}{
-			{"Precision", func(r eval.Result) float64 { return r.Precision }},
-			{"Recall", func(r eval.Result) float64 { return r.Recall }},
-			{"F-Measure", func(r eval.Result) float64 { return r.F1 }},
-		} {
-			cells := []string{g, metric.name}
-			for _, sc := range selections {
-				cells = append(cells, eval.Pct(metric.get(grouped[sc.label][g])))
-			}
-			t.Rows = append(t.Rows, cells)
-		}
-	}
+	addGroupedRows(t, labels, selected, s.D.Perfect.VenueDBLPACM, s.venueKindGroup())
 	return t, nil
 }
 
@@ -94,46 +66,14 @@ func Table5(s *Setting) (*TableResult, error) {
 	}
 	merged = mapping.Threshold{T: 0.75}.Apply(merged)
 
-	perfect := s.D.Perfect.PubDBLPACM
-	group := s.pubKindGroup()
-	strategies := []struct {
-		label string
-		m     *mapping.Mapping
-	}{
-		{"Attribute (Title)", title},
-		{"Neighborhood (Venue)", nh},
-		{"Merge", merged},
-	}
+	labels := []string{"Attribute (Title)", "Neighborhood (Venue)", "Merge"}
 	t := &TableResult{
 		ID:      "Table 5",
 		Title:   "Matching DBLP-ACM publications using neighborhood matcher based on venue same-mapping (n:1)",
-		Columns: []string{"Group", "Metric", "Attribute (Title)", "Neighborhood (Venue)", "Merge"},
+		Columns: append([]string{"Group", "Metric"}, labels...),
 		Metrics: map[string]eval.Result{},
 	}
-	grouped := make(map[string]map[string]eval.Result)
-	for _, st := range strategies {
-		res := eval.CompareGrouped(st.m, perfect, group)
-		grouped[st.label] = res
-		for g, r := range res {
-			t.Metrics[g+"/"+st.label] = r
-		}
-	}
-	for _, g := range []string{"conference", "journal", "overall"} {
-		for _, metric := range []struct {
-			name string
-			get  func(eval.Result) float64
-		}{
-			{"Precision", func(r eval.Result) float64 { return r.Precision }},
-			{"Recall", func(r eval.Result) float64 { return r.Recall }},
-			{"F-Measure", func(r eval.Result) float64 { return r.F1 }},
-		} {
-			cells := []string{g, metric.name}
-			for _, st := range strategies {
-				cells = append(cells, eval.Pct(metric.get(grouped[st.label][g])))
-			}
-			t.Rows = append(t.Rows, cells)
-		}
-	}
+	addGroupedRows(t, labels, []*mapping.Mapping{title, nh, merged}, s.D.Perfect.PubDBLPACM, s.pubKindGroup())
 	return t, nil
 }
 

@@ -348,16 +348,3 @@ func preferPerRange(preferred, other *mapping.Mapping) (*mapping.Mapping, error)
 	}
 	return inv.Inverse(), nil
 }
-
-// Table7Parts exposes the Table 7 ingredients for calibration tooling.
-func Table7Parts(s *Setting) (title, nh, perfect *mapping.Mapping, err error) {
-	title, err = s.DBLPGSTitle()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	nh, err = s.nhPubViaAuthors()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return title, nh, s.perfectDBLPGSWorking(), nil
-}

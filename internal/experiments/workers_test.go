@@ -4,11 +4,13 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/sources"
 )
 
 // TestExperimentsWorkerInvariant runs every table, ablation and extension on
 // a fresh small setting at GOMAXPROCS 1 and 8. The match kernel's ranges and
-// the mapping operators' workers default to GOMAXPROCS, and no result may
+// the mapping operators' workers are GOMAXPROCS, and no result may
 // depend on it: both runs must render identical rows and identical metrics.
 // Under -v it logs every rendered table, in the paper's layout.
 func TestExperimentsWorkerInvariant(t *testing.T) {
@@ -26,7 +28,7 @@ func TestExperimentsWorkerInvariant(t *testing.T) {
 	}
 	runAll := func(procs int) []*TableResult {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		s := NewSmallSetting()
+		s := NewSetting(sources.SmallConfig())
 		out := make([]*TableResult, len(experiments))
 		for i, ex := range experiments {
 			r, err := ex.run(s)

@@ -1,6 +1,5 @@
 // Package fuse implements the iFuice-side payoff of object matching:
-// using same-mappings to traverse between peers and to "fuse together and
-// enhance information on equivalent objects for data analysis and query
+// using same-mappings to "fuse together and enhance information on equivalent objects for data analysis and query
 // answering" (§1, §4). The canonical example from the paper: combine DBLP
 // publications with their matching ACM DL and Google Scholar publications
 // to obtain additional attribute values like citation counts.
@@ -14,25 +13,6 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/model"
 )
-
-// Traverse follows a mapping from the given ids and returns the reached
-// range ids (deduplicated, in first-reached order). It is iFuice's map
-// traversal primitive. Each id walks its byDomain posting list in place —
-// no per-id correspondence slices are copied.
-func Traverse(m *mapping.Mapping, ids []model.ID) []model.ID {
-	seen := make(map[model.ID]bool)
-	var out []model.ID
-	for _, id := range ids {
-		m.EachForDomain(id, func(c mapping.Correspondence) bool {
-			if !seen[c.Range] {
-				seen[c.Range] = true
-				out = append(out, c.Range)
-			}
-			return true
-		})
-	}
-	return out
-}
 
 // AggFunc folds the attribute values collected from matched instances.
 type AggFunc func(values []string) (string, bool)
@@ -83,16 +63,6 @@ var (
 			return "", false
 		}
 		return strconv.FormatFloat(sum, 'g', -1, 64), true
-	}
-	// Longest prefers the most detailed value.
-	Longest AggFunc = func(vs []string) (string, bool) {
-		best, ok := "", false
-		for _, v := range vs {
-			if len(v) > len(best) {
-				best, ok = v, true
-			}
-		}
-		return best, ok
 	}
 )
 
@@ -166,22 +136,5 @@ func (f *Fuser) Run() *model.ObjectSet {
 		}
 		return true
 	})
-	return out
-}
-
-// CoverageReport summarizes how many base instances gained each fused
-// attribute — the paper's motivation metric for P2P fusion.
-func CoverageReport(fused *model.ObjectSet, attrs ...string) map[string]int {
-	out := make(map[string]int, len(attrs))
-	for _, a := range attrs {
-		count := 0
-		fused.Each(func(in *model.Instance) bool {
-			if in.HasAttr(a) {
-				count++
-			}
-			return true
-		})
-		out[a] = count
-	}
 	return out
 }

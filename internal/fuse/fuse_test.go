@@ -1,7 +1,6 @@
 package fuse
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/mapping"
@@ -38,15 +37,6 @@ func fuseFixture() (*model.ObjectSet, *model.ObjectSet, *model.ObjectSet, *mappi
 	toGS.Add("d2", "g2", 0.95)
 	toGS.Add("d2", "g3", 0.85) // duplicate GS entry
 	return dblp, acm, gs, toACM, toGS
-}
-
-func TestTraverse(t *testing.T) {
-	_, _, _, toACM, _ := fuseFixture()
-	got := Traverse(toACM, []model.ID{"d1", "d2", "d9"})
-	want := []model.ID{"a1", "a2"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Traverse = %v, want %v", got, want)
-	}
 }
 
 func TestFuseCitationsMax(t *testing.T) {
@@ -121,23 +111,6 @@ func TestAggFuncs(t *testing.T) {
 	}
 	if v, ok := SumNumeric([]string{"1", "2", "oops", "3"}); !ok || v != "6" {
 		t.Errorf("SumNumeric = %q, %v", v, ok)
-	}
-	if v, ok := Longest([]string{"ab", "abcd", "c"}); !ok || v != "abcd" {
-		t.Errorf("Longest = %q, %v", v, ok)
-	}
-	if _, ok := Longest(nil); ok {
-		t.Error("Longest of nothing should report false")
-	}
-}
-
-func TestCoverageReport(t *testing.T) {
-	dblp, acm, _, toACM, _ := fuseFixture()
-	f := NewFuser(dblp)
-	f.Add(toACM, acm, Rule{FromAttr: "citations", ToAttr: "c", Agg: First})
-	fused := f.Run()
-	rep := CoverageReport(fused, "c", "missing")
-	if rep["c"] != 2 || rep["missing"] != 0 {
-		t.Errorf("coverage = %v", rep)
 	}
 }
 

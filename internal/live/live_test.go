@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -87,8 +88,14 @@ func batchMatcher(cfg Config) *match.MultiAttribute {
 			AttrB:     cfg.Columns[0].SetAttr,
 			MinShared: cfg.MinShared,
 		},
-		Workers: 1,
 	}
+}
+
+// atGOMAXPROCS runs f at GOMAXPROCS n, the batch matchers' worker count,
+// and restores the previous setting.
+func atGOMAXPROCS(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
 }
 
 // oracleConfigs are the configurations the pruned engines are held to the
@@ -214,7 +221,7 @@ func exhaustiveSet(cfg Config, queries, members *model.ObjectSet) *mapping.Mappi
 
 // TestResolveMatchesBatch pins the core equivalence at every oracle
 // configuration: resolving a query set record-by-record against a Resolver,
-// a batch match at 1, 3 and 8 workers, and the exhaustive oracle produce the
+// a batch match at GOMAXPROCS 1, 3 and 8, and the exhaustive oracle produce the
 // same mapping — similarities bit for bit (eps 0) and correspondence
 // insertion order included — while the engines prune.
 func TestResolveMatchesBatch(t *testing.T) {
@@ -240,13 +247,14 @@ func TestResolveMatchesBatch(t *testing.T) {
 		if cfg.Threshold >= 0.7 && (pruned == 0 || pruned >= candidates) {
 			t.Errorf("%s: %d of %d candidates pruned; the bound is not exercised", name, pruned, candidates)
 		}
-		for _, workers := range []int{1, 3, 8} {
-			batch, err := batchMatcher(cfg).WithWorkers(workers).Match(queries, set)
+		for _, procs := range []int{1, 3, 8} {
+			var batch *mapping.Mapping
+			atGOMAXPROCS(procs, func() { batch, err = batchMatcher(cfg).Match(queries, set) })
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(batch.Correspondences(), want.Correspondences()) {
-				t.Fatalf("%s: batch mapping at %d workers diverges from the exhaustive oracle:\nbatch  %v\noracle %v", name, workers, batch, want)
+				t.Fatalf("%s: batch mapping at GOMAXPROCS %d diverges from the exhaustive oracle:\nbatch  %v\noracle %v", name, procs, batch, want)
 			}
 		}
 	}

@@ -102,11 +102,6 @@ func ParseCombinerKind(name string) (CombinerKind, error) {
 
 func lower(s string) string { return strings.ToLower(s) }
 
-// PathCombine applies the per-path combination function f to the two
-// similarities of one compose path; exported for alternative compose
-// implementations (e.g. the store package's join-based compose).
-func PathCombine(f Combiner, s1, s2 float64) float64 { return pathCombine(f, s1, s2) }
-
 // pathCombine applies the per-path combination function f to the two
 // similarities of one compose path. Per §3.2 the alternatives are the same
 // as for merge; both values are always present on a path, so MissingAsZero
@@ -172,7 +167,9 @@ func Compose(map1, map2 *Mapping, f Combiner, g PathAgg) (*Mapping, error) {
 // object in row order — and a stable sort by output pair keeps that order
 // within each run. So every pair's float sum folds in the sequential order,
 // and the output lists pairs by their first path, the first-seen order of
-// the sequential scan.
+// the sequential scan. The explicit count exists for the benchmark's
+// operator workload, which measures Compose at pinned widths; every other
+// caller runs Compose.
 func ComposeWorkers(map1, map2 *Mapping, f Combiner, g PathAgg, workers int) (out *Mapping, err error) {
 	defer func(start time.Time) {
 		rows := -1
@@ -361,19 +358,13 @@ func ComposeWorkers(map1, map2 *Mapping, f Combiner, g PathAgg, workers int) (ou
 // f and g at every step, e.g. for multi-hop compose paths via a hub source
 // (Figure 8).
 func ComposeChain(f Combiner, g PathAgg, maps ...*Mapping) (*Mapping, error) {
-	return ComposeChainWorkers(f, g, 0, maps...)
-}
-
-// ComposeChainWorkers is ComposeChain with an explicit worker count per
-// composition step (<= 0 means GOMAXPROCS).
-func ComposeChainWorkers(f Combiner, g PathAgg, workers int, maps ...*Mapping) (*Mapping, error) {
 	if len(maps) == 0 {
 		return nil, fmt.Errorf("mapping: ComposeChain needs at least one mapping")
 	}
 	cur := maps[0]
 	for _, next := range maps[1:] {
 		var err error
-		cur, err = ComposeWorkers(cur, next, f, g, workers)
+		cur, err = Compose(cur, next, f, g)
 		if err != nil {
 			return nil, err
 		}

@@ -115,7 +115,7 @@ func TestComposePathFunctions(t *testing.T) {
 		{MinCombiner, 0.4},
 		{MaxCombiner, 0.8},
 		{AvgCombiner, 0.6},
-		{WeightedCombiner(3, 1), 0.5},
+		{Combiner{Kind: Weighted, Weights: []float64{3, 1}}, 0.5},
 		{PreferCombiner(0), 0.4},
 		{PreferCombiner(1), 0.8},
 	}

@@ -71,12 +71,6 @@ var (
 // PreferCombiner returns the PreferMap_i combiner.
 func PreferCombiner(i int) Combiner { return Combiner{Kind: Prefer, PreferIndex: i} }
 
-// WeightedCombiner returns a weighted-average combiner with the given
-// per-mapping weights.
-func WeightedCombiner(weights ...float64) Combiner {
-	return Combiner{Kind: Weighted, Weights: weights}
-}
-
 // combine folds the similarity values of one (a,b) pair across n input
 // mappings. present[i] reports whether input i contained the pair; sims[i]
 // is meaningful only when present[i]. It returns the combined similarity
@@ -211,7 +205,9 @@ func Merge(f Combiner, maps ...*Mapping) (*Mapping, error) {
 // the pair's similarities in input order, at most one per input, and its
 // first record is the pair's first sighting. Every run folds on one worker
 // into the per-input similarity vector the combiner takes, and the
-// surviving pairs are gathered in the order of their first records.
+// surviving pairs are gathered in the order of their first records. The
+// explicit count exists for the benchmark's operator workload, which
+// measures Merge at pinned widths; every other caller runs Merge.
 func MergeWorkers(f Combiner, workers int, maps ...*Mapping) (out *Mapping, err error) {
 	defer func(start time.Time) {
 		rows := -1

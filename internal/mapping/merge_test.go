@@ -137,7 +137,7 @@ func TestMergeMinIgnoreMissing(t *testing.T) {
 
 func TestMergeWeighted(t *testing.T) {
 	map1, map2 := figure4Maps()
-	got, err := Merge(WeightedCombiner(3, 1), map1, map2)
+	got, err := Merge(Combiner{Kind: Weighted, Weights: []float64{3, 1}}, map1, map2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +179,13 @@ func TestMergeErrors(t *testing.T) {
 	if _, err := Merge(AvgCombiner, asso); err == nil {
 		t.Error("merge of association mapping (different object types) should fail")
 	}
-	if _, err := Merge(WeightedCombiner(1), map1, map1.Clone()); err == nil {
+	if _, err := Merge(Combiner{Kind: Weighted, Weights: []float64{1}}, map1, map1.Clone()); err == nil {
 		t.Error("wrong weight count should fail")
 	}
-	if _, err := Merge(WeightedCombiner(-1, 1), map1, map1.Clone()); err == nil {
+	if _, err := Merge(Combiner{Kind: Weighted, Weights: []float64{-1, 1}}, map1, map1.Clone()); err == nil {
 		t.Error("negative weight should fail")
 	}
-	if _, err := Merge(WeightedCombiner(0, 0), map1, map1.Clone()); err == nil {
+	if _, err := Merge(Combiner{Kind: Weighted, Weights: []float64{0, 0}}, map1, map1.Clone()); err == nil {
 		t.Error("all-zero weights should fail")
 	}
 	if _, err := Merge(PreferCombiner(5), map1, map1.Clone()); err == nil {

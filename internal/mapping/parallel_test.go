@@ -3,6 +3,7 @@ package mapping
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -14,6 +15,13 @@ import (
 // count. The random inputs are sized well above par's chunk floor so the
 // counts above 1 really fan out instead of collapsing.
 var parallelWorkerCounts = []int{1, 3, 8}
+
+// atGOMAXPROCS runs f at GOMAXPROCS n, the worker count of the operators
+// without an explicit one, and restores the previous setting.
+func atGOMAXPROCS(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
 
 // refPairOf is a Mapping with its reference twin, built by the same ops.
 type refPairOf struct {
@@ -45,7 +53,7 @@ func exactRows(rnd *rand.Rand, n, domCard, rngCard int) refPairOf {
 // gather all run multi-worker; the small ones cover empty and one-row
 // inputs and a join in which no middle id of map1 appears in map2.
 func TestDifferentialComposeWorkers(t *testing.T) {
-	combiners := []Combiner{MinCombiner, MaxCombiner, AvgCombiner, WeightedCombiner(2, 1)}
+	combiners := []Combiner{MinCombiner, MaxCombiner, AvgCombiner, Combiner{Kind: Weighted, Weights: []float64{2, 1}}}
 	aggs := []PathAgg{AggAvg, AggMin, AggMax, AggRelativeLeft, AggRelativeRight, AggRelative}
 	rnd := rand.New(rand.NewSource(21))
 	one := []op{{a: "a1", b: "c1", s: 0.8}}
@@ -85,7 +93,7 @@ func TestDifferentialComposeWorkers(t *testing.T) {
 func TestDifferentialMergeWorkers(t *testing.T) {
 	combiners := []Combiner{
 		AvgCombiner, Avg0Combiner, MinCombiner, Min0Combiner, MaxCombiner,
-		WeightedCombiner(1, 2, 3), {Kind: Weighted, Weights: []float64{1, 2, 3}, MissingAsZero: true},
+		Combiner{Kind: Weighted, Weights: []float64{1, 2, 3}}, {Kind: Weighted, Weights: []float64{1, 2, 3}, MissingAsZero: true},
 	}
 	rnd := rand.New(rand.NewSource(22))
 	random := func() refPairOf { return newRefPair(ldsA, ldsB, randomOps(rnd, 4000, 600, 600, "a", "b")) }
@@ -125,8 +133,9 @@ func TestDifferentialMergeWorkers(t *testing.T) {
 }
 
 // TestDifferentialSelectionWorkers pins the per-group selections,
-// including the BothSides intersection, at every worker count, over random,
-// empty and one-row inputs.
+// including the BothSides intersection, at every worker count (Best-n's
+// explicit one, Best-1+Delta's GOMAXPROCS), over random, empty and one-row
+// inputs.
 func TestDifferentialSelectionWorkers(t *testing.T) {
 	rnd := rand.New(rand.NewSource(23))
 	inputs := []struct {
@@ -150,8 +159,9 @@ func TestDifferentialSelectionWorkers(t *testing.T) {
 			for _, rel := range []bool{false, true} {
 				want := refBest1Delta(r, 0.1, rel, side)
 				for _, w := range parallelWorkerCounts {
-					got := Best1Delta{D: 0.1, Relative: rel, Side: side, Workers: w}.Apply(m)
-					requireIdentical(t, fmt.Sprintf("%s: best1delta(rel=%v,%s) workers=%d", in.name, rel, side, w), got, want)
+					var got *Mapping
+					atGOMAXPROCS(w, func() { got = Best1Delta{D: 0.1, Relative: rel, Side: side}.Apply(m) })
+					requireIdentical(t, fmt.Sprintf("%s: best1delta(rel=%v,%s) GOMAXPROCS=%d", in.name, rel, side, w), got, want)
 				}
 			}
 		}

@@ -429,7 +429,7 @@ func TestDifferentialBuildAndViews(t *testing.T) {
 }
 
 func TestDifferentialCompose(t *testing.T) {
-	combiners := []Combiner{MinCombiner, MaxCombiner, AvgCombiner, WeightedCombiner(2, 1), PreferCombiner(1)}
+	combiners := []Combiner{MinCombiner, MaxCombiner, AvgCombiner, Combiner{Kind: Weighted, Weights: []float64{2, 1}}, PreferCombiner(1)}
 	aggs := []PathAgg{AggAvg, AggMin, AggMax, AggRelativeLeft, AggRelativeRight, AggRelative}
 	rnd := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 3; trial++ {
@@ -458,7 +458,7 @@ func TestDifferentialCompose(t *testing.T) {
 func TestDifferentialMerge(t *testing.T) {
 	combiners := []Combiner{
 		AvgCombiner, Avg0Combiner, MinCombiner, Min0Combiner, MaxCombiner,
-		WeightedCombiner(1, 2, 3), {Kind: Weighted, Weights: []float64{1, 2, 3}, MissingAsZero: true},
+		Combiner{Kind: Weighted, Weights: []float64{1, 2, 3}}, {Kind: Weighted, Weights: []float64{1, 2, 3}, MissingAsZero: true},
 		PreferCombiner(0), PreferCombiner(2),
 	}
 	rnd := rand.New(rand.NewSource(3))

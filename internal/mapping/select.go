@@ -19,15 +19,6 @@ type Selection interface {
 	String() string
 }
 
-// WorkerTunable marks selections whose Apply parallelizes. WithWorkers
-// returns a copy configured for the worker count (0 = GOMAXPROCS);
-// worker counts change wall-clock time only, never the selected rows or
-// their order.
-type WorkerTunable interface {
-	Selection
-	WithWorkers(workers int) Selection
-}
-
 // Side selects which end of the mapping a per-instance selection (Best-n,
 // Best-1+Delta) groups by.
 type Side int
@@ -68,7 +59,9 @@ func (t Threshold) String() string { return fmt.Sprintf("Threshold(%.2f)", t.T) 
 // correspondences with the highest similarity. Ties at the cut-off are
 // broken deterministically by the other end's id. Workers is the worker
 // count of the grouping and the per-group cuts (0 = GOMAXPROCS); the
-// result is identical at every count.
+// result is identical at every count. Only the benchmark's operator
+// workload sets it, to measure the cut at a pinned width; everywhere else
+// the worker count is GOMAXPROCS.
 type BestN struct {
 	N       int
 	Side    Side
@@ -100,7 +93,8 @@ func (b BestN) Apply(m *Mapping) *Mapping {
 	}
 }
 
-// WithWorkers implements WorkerTunable.
+// WithWorkers returns a copy of b at the given worker count, for the
+// benchmark's operator workload (see Workers).
 func (b BestN) WithWorkers(workers int) Selection {
 	b.Workers = workers
 	return b
@@ -116,9 +110,6 @@ type Best1Delta struct {
 	D        float64
 	Relative bool
 	Side     Side
-	// Workers is the worker count of the grouping and the per-group cuts
-	// (0 = GOMAXPROCS); the result is identical at every count.
-	Workers int
 }
 
 // Apply implements Selection.
@@ -144,22 +135,16 @@ func (b Best1Delta) Apply(m *Mapping) *Mapping {
 	}
 	switch b.Side {
 	case DomainSide:
-		return selectPerGroup(m, true, cut, b.Workers)
+		return selectPerGroup(m, true, cut, 0)
 	case RangeSide:
-		return selectPerGroup(m, false, cut, b.Workers)
+		return selectPerGroup(m, false, cut, 0)
 	case BothSides:
-		dom := Best1Delta{D: b.D, Relative: b.Relative, Side: DomainSide, Workers: b.Workers}.Apply(m)
-		rng := Best1Delta{D: b.D, Relative: b.Relative, Side: RangeSide, Workers: b.Workers}.Apply(m)
+		dom := Best1Delta{D: b.D, Relative: b.Relative, Side: DomainSide}.Apply(m)
+		rng := Best1Delta{D: b.D, Relative: b.Relative, Side: RangeSide}.Apply(m)
 		return dom.intersectRows(rng)
 	default:
 		return m.Clone()
 	}
-}
-
-// WithWorkers implements WorkerTunable.
-func (b Best1Delta) WithWorkers(workers int) Selection {
-	b.Workers = workers
-	return b
 }
 
 func (b Best1Delta) String() string {
@@ -289,30 +274,6 @@ func (c Constraint) String() string {
 	return "Constraint"
 }
 
-// YearConstraint returns the paper's example constraint: the publication
-// years of matching objects must not differ by more than maxDiff (§2.2,
-// §3.3). Instances without a parseable year pass (Google Scholar's year is
-// optional; dropping those pairs would destroy recall).
-func YearConstraint(attr string, maxDiff int, domainSet, rangeSet *model.ObjectSet) Constraint {
-	return Constraint{
-		Name:      fmt.Sprintf("|%s| diff <= %d", attr, maxDiff),
-		DomainSet: domainSet,
-		RangeSet:  rangeSet,
-		Pred: func(d, r *model.Instance, _ float64) bool {
-			yd, okD := d.IntAttr(attr)
-			yr, okR := r.IntAttr(attr)
-			if !okD || !okR {
-				return true
-			}
-			diff := yd - yr
-			if diff < 0 {
-				diff = -diff
-			}
-			return diff <= maxDiff
-		},
-	}
-}
-
 // NotEqualIDs is the selection used to eliminate "trivial duplicates" from
 // self-mappings: select($Merged, "[domain.id]<>[range.id]") in §4.3.
 type NotEqualIDs struct{}
@@ -321,48 +282,3 @@ type NotEqualIDs struct{}
 func (NotEqualIDs) Apply(m *Mapping) *Mapping { return m.WithoutDiagonal() }
 
 func (NotEqualIDs) String() string { return "[domain.id]<>[range.id]" }
-
-// Chain applies selections left to right.
-type Chain []Selection
-
-// Apply implements Selection.
-func (ch Chain) Apply(m *Mapping) *Mapping {
-	cur := m
-	for _, s := range ch {
-		cur = s.Apply(cur)
-	}
-	return cur
-}
-
-// WithWorkers implements WorkerTunable: it configures every tunable
-// element of the chain.
-func (ch Chain) WithWorkers(workers int) Selection {
-	out := make(Chain, len(ch))
-	for i, s := range ch {
-		if t, ok := s.(WorkerTunable); ok {
-			out[i] = t.WithWorkers(workers)
-		} else {
-			out[i] = s
-		}
-	}
-	return out
-}
-
-func (ch Chain) String() string {
-	parts := make([]string, len(ch))
-	for i, s := range ch {
-		parts[i] = s.String()
-	}
-	return "Chain(" + joinComma(parts) + ")"
-}
-
-func joinComma(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ", "
-		}
-		out += p
-	}
-	return out
-}

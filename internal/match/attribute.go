@@ -33,8 +33,6 @@ type Attribute struct {
 	// SkipMissing drops pairs where either attribute is absent or empty
 	// instead of scoring them (they would usually score 0 anyway).
 	SkipMissing bool
-	// Workers sets the scoring parallelism; 0 uses GOMAXPROCS.
-	Workers int
 }
 
 // Name implements Matcher.
@@ -43,13 +41,6 @@ func (m *Attribute) Name() string {
 		return m.MatcherName
 	}
 	return fmt.Sprintf("attr(%s~%s)", m.AttrA, m.AttrB)
-}
-
-// WithWorkers implements ConfigurableWorkers.
-func (m *Attribute) WithWorkers(n int) Matcher {
-	cp := *m
-	cp.Workers = n
-	return &cp
 }
 
 // Match implements Matcher. Each attribute value is preprocessed once
@@ -71,7 +62,7 @@ func (m *Attribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 	if keyed != nil {
 		filter = keyed.RowFilter(m.Threshold)
 	}
-	return blockScore(a, b, m.Blocker, m.Workers, func(ia, ib int) (float64, bool) {
+	return blockScore(a, b, m.Blocker, func(ia, ib int) (float64, bool) {
 		pa, pb, ka, kb := col.at(ia, ib)
 		if m.SkipMissing && (pa.Raw == "" || pb.Raw == "") {
 			return 0, false
@@ -210,7 +201,6 @@ type MultiAttribute struct {
 	Pairs       []AttrPair
 	Threshold   float64
 	Blocker     block.Blocker
-	Workers     int
 }
 
 // Name implements Matcher.
@@ -253,17 +243,10 @@ func (m *MultiAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 		cols[i] = newScoreColumn(a, b, ap.AttrA, ap.AttrB, measures[i])
 	}
 	weighted := sim.NewWeighted(measures, weights, m.Threshold)
-	return blockScore(a, b, m.Blocker, m.Workers, func(ia, ib int) (float64, bool) {
+	return blockScore(a, b, m.Blocker, func(ia, ib int) (float64, bool) {
 		s := weighted.Score(func(i int) (pa, pb *sim.Profile, ka, kb *sim.Key) { return cols[i].at(ia, ib) })
 		return s, s >= m.Threshold
 	}, weighted.RowFilter(), &cols[0]), nil
-}
-
-// WithWorkers implements ConfigurableWorkers.
-func (m *MultiAttribute) WithWorkers(n int) Matcher {
-	cp := *m
-	cp.Workers = n
-	return &cp
 }
 
 // TFIDFAttribute matches one attribute pair under TF-IDF cosine similarity,
@@ -274,7 +257,6 @@ type TFIDFAttribute struct {
 	AttrA, AttrB string
 	Threshold    float64
 	Blocker      block.Blocker
-	Workers      int
 }
 
 // Name implements Matcher.
@@ -283,13 +265,6 @@ func (m *TFIDFAttribute) Name() string {
 		return m.MatcherName
 	}
 	return fmt.Sprintf("tfidf(%s~%s)", m.AttrA, m.AttrB)
-}
-
-// WithWorkers implements ConfigurableWorkers.
-func (m *TFIDFAttribute) WithWorkers(n int) Matcher {
-	cp := *m
-	cp.Workers = n
-	return &cp
 }
 
 // Match implements Matcher.
@@ -304,7 +279,6 @@ func (m *TFIDFAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 		Profiled:    corpus.Profiled(),
 		Threshold:   m.Threshold,
 		Blocker:     m.Blocker,
-		Workers:     m.Workers,
 	}
 	return inner.Match(a, b)
 }

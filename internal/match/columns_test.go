@@ -194,7 +194,7 @@ func TestTokenMeasureBehindTokenBlocking(t *testing.T) {
 	tokMisses := obs.Default.Counter("moma_blockcache_misses_total", "", `col="tokens"`)
 	terms, misses0 := sim.Terms.Len(), tokMisses.Load()
 
-	jaccard := &Attribute{AttrA: "title", AttrB: "title", Sim: sim.TokenJaccard, Threshold: 0.5, Blocker: bl, Workers: 1}
+	jaccard := &Attribute{AttrA: "title", AttrB: "title", Sim: sim.TokenJaccard, Threshold: 0.5, Blocker: bl}
 	r1, err := jaccard.Match(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestTokenMeasureBehindTokenBlocking(t *testing.T) {
 	// A second token measure builds its own profile columns; the blocker's
 	// two token-column fetches hit and nothing new is interned.
 	hits1 := tokHits.Load()
-	dice := &Attribute{AttrA: "title", AttrB: "title", Sim: sim.TokenDice, Threshold: 0.5, Blocker: bl, Workers: 1}
+	dice := &Attribute{AttrA: "title", AttrB: "title", Sim: sim.TokenDice, Threshold: 0.5, Blocker: bl}
 	if _, err := dice.Match(a, b); err != nil {
 		t.Fatal(err)
 	}

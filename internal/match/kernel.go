@@ -93,7 +93,7 @@ func flush(s *Scan) {
 // Any other blocker may stream in any order, repeat a pair or name an id
 // neither input holds: it runs as one range of one-candidate rows, into the
 // id-level AddMax.
-func blockScore(a, b *model.ObjectSet, blocker block.Blocker, workers int, score func(ordA, ordB int) (float64, bool), filter sim.RowFilter, col *scoreColumn) *mapping.Mapping {
+func blockScore(a, b *model.ObjectSet, blocker block.Blocker, score func(ordA, ordB int) (float64, bool), filter sim.RowFilter, col *scoreColumn) *mapping.Mapping {
 	if blocker == nil {
 		blocker = block.CrossProduct{}
 	}
@@ -114,7 +114,7 @@ func blockScore(a, b *model.ObjectSet, blocker block.Blocker, workers int, score
 		return out
 	}
 	probe := rb.Probe(a, b)
-	plan := par.SplitBy(a.Len(), workers, probe.Cost)
+	plan := par.SplitBy(a.Len(), 0, probe.Cost)
 	domOrds, rngOrds := model.IDs.SetOrds(a), model.IDs.SetOrds(b)
 	type kept struct {
 		dom, rng []uint32

@@ -107,16 +107,8 @@ func TestAttributeMatcherSkipMissing(t *testing.T) {
 
 func TestAttributeMatcherParallelDeterminism(t *testing.T) {
 	dblp, acm := figure1Sets()
-	serial := &Attribute{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: 0.3, Workers: 1}
-	parallel := &Attribute{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: 0.3, Workers: 8}
-	m1, err := serial.Match(dblp, acm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := parallel.Match(dblp, acm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := &Attribute{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: 0.3}
+	m1, m2 := matchAt(t, 1, m, dblp, acm), matchAt(t, 8, m, dblp, acm)
 	if !m1.Equal(m2, 0) {
 		t.Error("parallel scoring must be deterministic")
 	}
@@ -280,50 +272,23 @@ func TestFigure9NeighborhoodMatcher(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodMatcherInterface(t *testing.T) {
-	asso1, same, asso2 := figure9Fixture()
-	venDBLP := model.NewObjectSet(dblpVen)
-	venDBLP.AddNew("conf/VLDB/2001", nil)
-	venDBLP.AddNew("journals/VLDB/2002", nil)
-	venACM := model.NewObjectSet(acmVen)
-	venACM.AddNew("V-645927", nil)
-	venACM.AddNew("V-641268", nil)
-
-	nm := NewNeighborhood("venue-nh", asso1, same, asso2)
-	got, err := nm.Match(venDBLP, venACM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 4 {
-		t.Errorf("Len = %d, want 4", got.Len())
-	}
-	// Restriction: drop one ACM venue from the input set.
-	venACMsub := venACM.Subset([]model.ID{"V-645927"})
-	got2, err := nm.Match(venDBLP, venACMsub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Len() != 2 {
-		t.Errorf("restricted Len = %d, want 2", got2.Len())
-	}
-}
-
+// TestNeighborhoodValidation: nhMatch's compositions need matching middle
+// sources, so associations passed in the wrong order fail in the first
+// compose or in the second.
 func TestNeighborhoodValidation(t *testing.T) {
 	asso1, same, asso2 := figure9Fixture()
-	venDBLP := model.NewObjectSet(dblpVen)
-	venACM := model.NewObjectSet(acmVen)
-	if _, err := (&Neighborhood{}).Match(venDBLP, venACM); err == nil {
-		t.Error("missing mappings should fail")
+	if _, err := NhMatch(asso2, same, asso1); err == nil {
+		t.Error("swapped associations should fail")
 	}
-	wrong := NewNeighborhood("x", asso2, same, asso1) // swapped
-	if _, err := wrong.Match(venDBLP, venACM); err == nil {
-		t.Error("endpoint mismatch should fail")
-	}
-	if NewNeighborhood("", asso1, same, asso2).Name() != "neighborhood" {
-		t.Error("default name wrong")
+	if _, err := NhMatch(asso1, same, asso1); err == nil {
+		t.Error("a second association leaving the wrong source should fail")
 	}
 }
 
+// TestCoAuthorDedup runs the duplicate-author strategy of §4.3 as Table 9's
+// script does: nhMatch over the co-author association with the identity
+// same-mapping. The similarity reflects co-author-list overlap, and the
+// trivial diagonal stays until the script's select [domain.id]<>[range.id].
 func TestCoAuthorDedup(t *testing.T) {
 	authors := model.NewObjectSet(dblpAut)
 	for _, id := range []model.ID{"niki", "agathoniki", "x", "y", "z", "loner"} {
@@ -337,7 +302,7 @@ func TestCoAuthorDedup(t *testing.T) {
 			co.Add(c, dup, 1)
 		}
 	}
-	got, err := CoAuthorDedup(co, authors)
+	got, err := NhMatch(co, mapping.Identity(authors), co)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,18 +317,12 @@ func TestCoAuthorDedup(t *testing.T) {
 	if got.Has("loner", "niki") {
 		t.Error("authors without shared co-authors must not pair")
 	}
-	// Diagonal present before the final selection, exactly like the paper's
-	// script before select [domain.id]<>[range.id].
 	if _, ok := got.Sim("x", "x"); !ok {
 		t.Error("diagonal should be present before selection")
 	}
 	clean := mapping.NotEqualIDs{}.Apply(got)
 	if clean.Has("x", "x") {
 		t.Error("selection should drop the diagonal")
-	}
-	wrongSet := model.NewObjectSet(model.LDS{Source: "ACM", Type: model.Author})
-	if _, err := CoAuthorDedup(co, wrongSet); err == nil {
-		t.Error("mismatched LDS should fail")
 	}
 }
 

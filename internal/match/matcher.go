@@ -94,17 +94,6 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// ConfigurableWorkers is implemented by matchers whose scoring parallelism
-// can be configured externally. WithWorkers returns a copy with the given
-// worker count — matchers must stay safe for reuse, so the receiver is never
-// mutated. The workflow engine uses this to push one Workers setting through
-// every matcher of a workflow.
-type ConfigurableWorkers interface {
-	Matcher
-	// WithWorkers returns a copy of the matcher scoring with n workers.
-	WithWorkers(n int) Matcher
-}
-
 // requireSameType validates that both inputs hold the same object type.
 func requireSameType(a, b *model.ObjectSet) error {
 	if !a.LDS().SameType(b.LDS()) {

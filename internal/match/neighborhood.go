@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/mapping"
-	"repro/internal/model"
 )
 
 // NhMatch is the neighborhood matcher of §4.2, a direct transcription of
@@ -40,71 +39,4 @@ func NhMatchAgg(asso1, same, asso2 *mapping.Mapping, g mapping.PathAgg) (*mappin
 		return nil, fmt.Errorf("match: nhMatch second compose: %w", err)
 	}
 	return result, nil
-}
-
-// Neighborhood wraps NhMatch as a Matcher. The association mappings and
-// the neighborhood same-mapping are fixed at construction; Match restricts
-// the result to the instances present in the inputs, which lets workflows
-// treat the neighborhood matcher like any attribute matcher.
-type Neighborhood struct {
-	MatcherName string
-	// Asso1 maps domain objects to their neighborhood (1:n, n:1 or n:m).
-	Asso1 *mapping.Mapping
-	// Same is the existing same-mapping over neighborhood objects. For
-	// duplicate detection within one source, use mapping.Identity.
-	Same *mapping.Mapping
-	// Asso2 maps neighborhood objects to range objects.
-	Asso2 *mapping.Mapping
-	// Agg is the final aggregation; zero value AggAvg is NOT the paper's
-	// default, so NewNeighborhood sets AggRelative explicitly.
-	Agg mapping.PathAgg
-}
-
-// NewNeighborhood builds a neighborhood matcher with the paper's default
-// Relative aggregation.
-func NewNeighborhood(name string, asso1, same, asso2 *mapping.Mapping) *Neighborhood {
-	return &Neighborhood{MatcherName: name, Asso1: asso1, Same: same, Asso2: asso2, Agg: mapping.AggRelative}
-}
-
-// Name implements Matcher.
-func (m *Neighborhood) Name() string {
-	if m.MatcherName != "" {
-		return m.MatcherName
-	}
-	return "neighborhood"
-}
-
-// Match implements Matcher.
-func (m *Neighborhood) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
-	if m.Asso1 == nil || m.Same == nil || m.Asso2 == nil {
-		return nil, fmt.Errorf("match: %s needs two associations and a same-mapping", m.Name())
-	}
-	if m.Asso1.Domain() != a.LDS() {
-		return nil, fmt.Errorf("match: %s Asso1 domain %s does not match input %s", m.Name(), m.Asso1.Domain(), a.LDS())
-	}
-	if m.Asso2.Range() != b.LDS() {
-		return nil, fmt.Errorf("match: %s Asso2 range %s does not match input %s", m.Name(), m.Asso2.Range(), b.LDS())
-	}
-	full, err := NhMatchAgg(m.Asso1, m.Same, m.Asso2, m.Agg)
-	if err != nil {
-		return nil, err
-	}
-	return full.Filter(func(c mapping.Correspondence) bool {
-		return a.Has(c.Domain) && b.Has(c.Range)
-	}), nil
-}
-
-// CoAuthorDedup implements the duplicate-author strategy of §4.3: the
-// neighborhood matcher over the co-author association with the identity
-// same-mapping. The result's similarity reflects co-author-list overlap;
-// pairs sharing many co-authors score high. The trivial diagonal is NOT
-// removed here — workflows merge with a name matcher first and select
-// [domain.id]<>[range.id] afterwards, exactly as the paper's script does.
-func CoAuthorDedup(coAuthor *mapping.Mapping, authors *model.ObjectSet) (*mapping.Mapping, error) {
-	if coAuthor.Domain() != authors.LDS() || coAuthor.Range() != authors.LDS() {
-		return nil, fmt.Errorf("match: co-author mapping must be within %s, got %s->%s",
-			authors.LDS(), coAuthor.Domain(), coAuthor.Range())
-	}
-	ident := mapping.Identity(authors)
-	return NhMatch(coAuthor, ident, coAuthor)
 }

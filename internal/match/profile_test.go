@@ -161,30 +161,17 @@ func (alienBlocker) PairsEach(a, b *model.ObjectSet, yield func(block.Pair) bool
 
 func (alienBlocker) String() string { return "alien" }
 
-// TestAttributeProfiledParallelRace runs the profiled matchers with many
-// workers over a blocked candidate set; under -race this proves the shared
-// profile caches are read-only during scoring, and the result must be
-// identical to the single-worker run.
+// TestAttributeProfiledParallelRace runs the profiled matchers at
+// GOMAXPROCS 8 over a blocked candidate set; under -race this proves the
+// shared profile caches are read-only during scoring, and the result must be
+// identical to the run at GOMAXPROCS 1.
 func TestAttributeProfiledParallelRace(t *testing.T) {
 	a, b := syntheticPubs(200)
-	blocker := block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1}
-	single := &Attribute{
-		MatcherName: "race", AttrA: "title", AttrB: "name",
-		Sim: sim.Trigram, Threshold: 0.3, Blocker: blocker, Workers: 1,
+	m := &Attribute{
+		MatcherName: "race", AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: 0.3,
+		Blocker: block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1},
 	}
-	parallel := &Attribute{
-		MatcherName: "race", AttrA: "title", AttrB: "name",
-		Sim: sim.Trigram, Threshold: 0.3, Blocker: blocker, Workers: 8,
-	}
-	ms, err := single.Match(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mpar, err := parallel.Match(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mappingsEqual(t, mpar, ms, "attribute workers=8")
+	mappingsEqual(t, matchAt(t, 8, m, a, b), matchAt(t, 1, m, a, b), "attribute at GOMAXPROCS 8")
 }
 
 // TestMultiAttributeProfiledParallelRace is the multi-attribute version,
@@ -194,49 +181,26 @@ func TestMultiAttributeProfiledParallelRace(t *testing.T) {
 	corpus := sim.NewTFIDF()
 	a.Each(func(in *model.Instance) bool { corpus.Add(in.Attr("title")); return true })
 	b.Each(func(in *model.Instance) bool { corpus.Add(in.Attr("name")); return true })
-	build := func(workers int) *MultiAttribute {
-		return &MultiAttribute{
-			MatcherName: "race-multi",
-			Pairs: []AttrPair{
-				{AttrA: "title", AttrB: "name", Profiled: corpus.Profiled(), Weight: 2},
-				{AttrA: "authors", AttrB: "authors", Sim: sim.PersonName, Weight: 1},
-				{AttrA: "year", AttrB: "year", Sim: sim.YearSim, Weight: 1},
-			},
-			Threshold: 0.3,
-			Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1},
-			Workers:   workers,
-		}
+	m := &MultiAttribute{
+		MatcherName: "race-multi",
+		Pairs: []AttrPair{
+			{AttrA: "title", AttrB: "name", Profiled: corpus.Profiled(), Weight: 2},
+			{AttrA: "authors", AttrB: "authors", Sim: sim.PersonName, Weight: 1},
+			{AttrA: "year", AttrB: "year", Sim: sim.YearSim, Weight: 1},
+		},
+		Threshold: 0.3,
+		Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1},
 	}
-	ms, err := build(1).Match(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mpar, err := build(8).Match(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mappingsEqual(t, mpar, ms, "multiattribute workers=8")
+	mappingsEqual(t, matchAt(t, 8, m, a, b), matchAt(t, 1, m, a, b), "multiattribute at GOMAXPROCS 8")
 }
 
 // TestTFIDFAttributeParallelRace exercises the TF-IDF matcher, whose workers
 // share read-only profiles over one corpus.
 func TestTFIDFAttributeParallelRace(t *testing.T) {
 	a, b := syntheticPubs(150)
-	build := func(workers int) *TFIDFAttribute {
-		return &TFIDFAttribute{
-			MatcherName: "tfidf-race", AttrA: "title", AttrB: "name",
-			Threshold: 0.2,
-			Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1},
-			Workers:   workers,
-		}
+	m := &TFIDFAttribute{
+		MatcherName: "tfidf-race", AttrA: "title", AttrB: "name", Threshold: 0.2,
+		Blocker: block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1},
 	}
-	ms, err := build(1).Match(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mpar, err := build(8).Match(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mappingsEqual(t, mpar, ms, "tfidf workers=8")
+	mappingsEqual(t, matchAt(t, 8, m, a, b), matchAt(t, 1, m, a, b), "tfidf at GOMAXPROCS 8")
 }

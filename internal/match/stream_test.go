@@ -3,6 +3,7 @@ package match
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/block"
@@ -50,8 +51,21 @@ func mappingsIdentical(t *testing.T, got, want *mapping.Mapping, label string) {
 	}
 }
 
-// kernelWorkers are the worker counts every differential suite runs at.
-var kernelWorkers = []int{1, 2, 3, 8}
+// kernelProcs are the GOMAXPROCS settings every differential suite runs
+// at: the kernel's worker count.
+var kernelProcs = []int{1, 2, 3, 8}
+
+// matchAt runs m over (a, b) at GOMAXPROCS procs, the kernel's worker
+// count, and restores the previous setting.
+func matchAt(t *testing.T, procs int, m Matcher, a, b *model.ObjectSet) *mapping.Mapping {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	got, err := m.Match(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
 
 // repeatBlocker streams another blocker's pairs with repeats: every fifth
 // pair twice in a row and the first ten once more at the end. Its kept
@@ -131,23 +145,20 @@ func (c matchCounts) since() matchCounts {
 	return matchCounts{now.pairs - c.pairs, now.kept - c.kept, now.pruned - c.pruned}
 }
 
-// checkKernel runs m over (a, b) at every worker count and holds each run to
-// the oracle's mapping — correspondences, similarities (eps 0) and insertion
-// order — and to the counters' meaning: every candidate the blocker streams
-// is counted once, whatever the worker count, and a stream without repeats
+// checkKernel runs m over (a, b) at every GOMAXPROCS of kernelProcs and holds
+// each run to the oracle's mapping — correspondences, similarities (eps 0)
+// and insertion order — and to the counters' meaning: every candidate the
+// blocker streams is counted once, whatever the width, and a stream without repeats
 // keeps exactly the result's rows. It returns each run's counts.
-func checkKernel(t *testing.T, label string, m ConfigurableWorkers, bl block.Blocker, a, b *model.ObjectSet, want *mapping.Mapping) []matchCounts {
+func checkKernel(t *testing.T, label string, m Matcher, bl block.Blocker, a, b *model.ObjectSet, want *mapping.Mapping) []matchCounts {
 	t.Helper()
 	var runs []matchCounts
 	streamed := len(block.Pairs(orCross(bl), a, b))
 	_, repeats := bl.(repeatBlocker)
-	for _, workers := range kernelWorkers {
-		at := fmt.Sprintf("%s at %d workers", label, workers)
+	for _, procs := range kernelProcs {
+		at := fmt.Sprintf("%s at GOMAXPROCS %d", label, procs)
 		c0 := matchCountsNow()
-		got, err := m.WithWorkers(workers).Match(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := matchAt(t, procs, m, a, b)
 		counts := c0.since()
 		mappingsIdentical(t, got, want, at)
 		if int(counts.pairs) != streamed {
@@ -165,8 +176,9 @@ func checkKernel(t *testing.T, label string, m ConfigurableWorkers, bl block.Blo
 }
 
 // TestKernelSplitsTheFixtures guards the suites below against passing on
-// one range only: at more than one worker the dense fixture and the
-// two-instance domain must really be cut, the latter into single rows.
+// one range only: at GOMAXPROCS above one (the kernel's worker count) the
+// dense fixture and the two-instance domain must really be cut, the latter
+// into single rows.
 func TestKernelSplitsTheFixtures(t *testing.T) {
 	inputs := kernelInputs()
 	for _, bl := range []block.RangeBlocker{
@@ -175,10 +187,10 @@ func TestKernelSplitsTheFixtures(t *testing.T) {
 		block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
 	} {
 		for _, in := range inputs[:2] {
-			for _, workers := range kernelWorkers[1:] {
-				chunks := par.SplitBy(in.a.Len(), workers, bl.Probe(in.a, in.b).Cost).Chunks()
-				if want := min(workers, in.a.Len()); chunks != want {
-					t.Errorf("%s, %s, %d workers: %d ranges, want %d", in.label, bl, workers, chunks, want)
+			for _, procs := range kernelProcs[1:] {
+				chunks := par.SplitBy(in.a.Len(), procs, bl.Probe(in.a, in.b).Cost).Chunks()
+				if want := min(procs, in.a.Len()); chunks != want {
+					t.Errorf("%s, %s, GOMAXPROCS %d: %d ranges, want %d", in.label, bl, procs, chunks, want)
 				}
 			}
 		}
@@ -277,7 +289,7 @@ func TestTFIDFMatchesExhaustive(t *testing.T) {
 // counter still counts every pair the blocker streamed.
 func TestPrunedMatchesExhaustive(t *testing.T) {
 	a, b := syntheticPubs(300)
-	run := func(label string, m ConfigurableWorkers, bl block.Blocker, want *mapping.Mapping) {
+	run := func(label string, m Matcher, bl block.Blocker, want *mapping.Mapping) {
 		t.Helper()
 		if want.Len() == 0 {
 			t.Fatalf("%s: the oracle keeps nothing; fixture broken", label)
@@ -365,7 +377,7 @@ func checkPruned(t *testing.T, label string, runs []matchCounts, want uint64) {
 	t.Helper()
 	for i, c := range runs {
 		if c.pruned != want {
-			t.Errorf("%s at %d workers: %d pairs pruned, scoring each through Compare prunes %d", label, kernelWorkers[i], c.pruned, want)
+			t.Errorf("%s at GOMAXPROCS %d: %d pairs pruned, scoring each through Compare prunes %d", label, kernelProcs[i], c.pruned, want)
 		}
 	}
 }
@@ -519,32 +531,5 @@ func TestTFIDFTokenReuse(t *testing.T) {
 		if s, ok := mf.Sim(c.Domain, c.Range); ok && s != c.Sim {
 			t.Errorf("tfidf: reused-token score (%s,%s)=%v, fresh=%v", c.Domain, c.Range, c.Sim, s)
 		}
-	}
-}
-
-// TestWithWorkersReturnsConfiguredCopy asserts the engine-facing
-// ConfigurableWorkers implementations never mutate the receiver.
-func TestWithWorkersReturnsConfiguredCopy(t *testing.T) {
-	attr := &Attribute{MatcherName: "w", AttrA: "x", AttrB: "x", Sim: sim.Trigram, Workers: 1}
-	multi := &MultiAttribute{MatcherName: "wm", Workers: 1}
-	tfidf := &TFIDFAttribute{MatcherName: "wt", Workers: 1}
-	for _, tc := range []struct {
-		m       ConfigurableWorkers
-		workers func() int
-	}{
-		{attr, func() int { return attr.Workers }},
-		{multi, func() int { return multi.Workers }},
-		{tfidf, func() int { return tfidf.Workers }},
-	} {
-		cp := tc.m.WithWorkers(7)
-		if tc.workers() != 1 {
-			t.Errorf("%s: WithWorkers mutated the receiver", tc.m.Name())
-		}
-		if cp.Name() != tc.m.Name() {
-			t.Errorf("%s: copy changed name to %s", tc.m.Name(), cp.Name())
-		}
-	}
-	if cp := attr.WithWorkers(7).(*Attribute); cp.Workers != 7 {
-		t.Errorf("copy Workers = %d, want 7", cp.Workers)
 	}
 }

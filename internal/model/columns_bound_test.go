@@ -19,7 +19,7 @@ func TestTFIDFMatchesLeaveStoreBounded(t *testing.T) {
 		stored.AddNew(model.ID(fmt.Sprintf("s%d", i)), map[string]string{"title": fmt.Sprintf("bounded store title %d", i)})
 	}
 	m := &match.TFIDFAttribute{AttrA: "title", AttrB: "title", Threshold: 0.3,
-		Blocker: block.TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 1}, Workers: 1}
+		Blocker: block.TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 1}}
 	for i := 0; i < 200; i++ {
 		query := model.NewObjectSet(model.LDS{Source: "Query", Type: model.Publication})
 		query.AddNew("q", map[string]string{"title": fmt.Sprintf("bounded store title %d", i%12)})

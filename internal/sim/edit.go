@@ -3,15 +3,8 @@ package sim
 // Edit-distance based measures: Levenshtein (normalized), Jaro and
 // Jaro-Winkler, plus the Monge-Elkan token-level combinator.
 
-// EditDistance returns the Levenshtein distance between the raw (not
-// normalized) rune sequences of a and b, using the standard two-row dynamic
-// program.
-func EditDistance(a, b string) int {
-	return editDistanceRunes([]rune(a), []rune(b))
-}
-
-// editDistanceRunes is EditDistance over pre-converted rune slices, the
-// form the profiled measures cache.
+// editDistanceRunes is the Levenshtein distance between two rune
+// sequences, using the standard two-row dynamic program.
 func editDistanceRunes(ra, rb []rune) int {
 	if len(ra) == 0 {
 		return len(rb)
@@ -132,7 +125,7 @@ func jaroWinklerRunes(ra, rb []rune) float64 {
 
 // MongeElkan computes the token-level Monge-Elkan similarity: for each token
 // of a, the best inner similarity against any token of b, averaged. It is
-// asymmetric; SymMongeElkan averages both directions.
+// asymmetric; symMongeElkanTokens averages both directions.
 func MongeElkan(a, b string, inner Func) float64 {
 	return mongeElkanTokens(Tokens(a), Tokens(b), inner)
 }
@@ -158,12 +151,8 @@ func mongeElkanTokens(ta, tb []string, inner Func) float64 {
 	return clamp01(sum / float64(len(ta)))
 }
 
-// SymMongeElkan is the symmetric mean of MongeElkan in both directions.
-func SymMongeElkan(a, b string, inner Func) float64 {
-	return symMongeElkanTokens(Tokens(a), Tokens(b), inner)
-}
-
-// symMongeElkanTokens is SymMongeElkan over pre-tokenized inputs.
+// symMongeElkanTokens is the symmetric mean of mongeElkanTokens in both
+// directions.
 func symMongeElkanTokens(ta, tb []string, inner Func) float64 {
 	return clamp01((mongeElkanTokens(ta, tb, inner) + mongeElkanTokens(tb, ta, inner)) / 2)
 }

@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// editDistance is the Levenshtein distance between the raw runes of a and b.
+func editDistance(a, b string) int { return editDistanceRunes([]rune(a), []rune(b)) }
+
 func TestEditDistance(t *testing.T) {
 	tests := []struct {
 		a, b string
@@ -20,18 +23,18 @@ func TestEditDistance(t *testing.T) {
 		{"book", "back", 2},
 	}
 	for _, tc := range tests {
-		if got := EditDistance(tc.a, tc.b); got != tc.want {
-			t.Errorf("EditDistance(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
+		if got := editDistance(tc.a, tc.b); got != tc.want {
+			t.Errorf("editDistance(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}
 }
 
 func TestEditDistanceMetricProperties(t *testing.T) {
-	symmetry := func(a, b string) bool { return EditDistance(a, b) == EditDistance(b, a) }
+	symmetry := func(a, b string) bool { return editDistance(a, b) == editDistance(b, a) }
 	if err := quick.Check(symmetry, &quick.Config{MaxCount: 150}); err != nil {
 		t.Errorf("symmetry: %v", err)
 	}
-	identity := func(a string) bool { return EditDistance(a, a) == 0 }
+	identity := func(a string) bool { return editDistance(a, a) == 0 }
 	if err := quick.Check(identity, nil); err != nil {
 		t.Errorf("identity: %v", err)
 	}
@@ -40,7 +43,7 @@ func TestEditDistanceMetricProperties(t *testing.T) {
 		if len(a) > 40 || len(b) > 40 || len(c) > 40 {
 			return true
 		}
-		return EditDistance(a, c) <= EditDistance(a, b)+EditDistance(b, c)
+		return editDistance(a, c) <= editDistance(a, b)+editDistance(b, c)
 	}
 	if err := quick.Check(triangle, &quick.Config{MaxCount: 100}); err != nil {
 		t.Errorf("triangle inequality: %v", err)
@@ -111,7 +114,7 @@ func TestMongeElkan(t *testing.T) {
 	if fwd != 1 || rev != 0.5 {
 		t.Errorf("MongeElkan directions = %v, %v; want 1, 0.5", fwd, rev)
 	}
-	if got := SymMongeElkan("alpha", "alpha beta", Equal); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("SymMongeElkan = %v, want 0.75", got)
+	if got := symMongeElkanTokens(Tokens("alpha"), Tokens("alpha beta"), Equal); math.Abs(got-0.75) > 1e-12 {
+		t.Errorf("symmetric Monge-Elkan = %v, want 0.75", got)
 	}
 }

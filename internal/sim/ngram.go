@@ -5,18 +5,6 @@ package sim
 // Dice coefficient over padded character n-gram sets (ngramProfiled), plus a
 // Jaccard variant.
 
-// NGramDice is the Dice coefficient 2·|A∩B| / (|A|+|B|) over character
-// n-gram sets. Two empty strings are identical (1); one empty string never
-// matches (0).
-func NGramDice(a, b string, n int) float64 {
-	return compare(ngramProfiled{n: n, dice: true}, a, b)
-}
-
-// NGramJaccard is |A∩B| / |A∪B| over character n-gram sets.
-func NGramJaccard(a, b string, n int) float64 {
-	return compare(ngramProfiled{n: n}, a, b)
-}
-
 // Trigram is the Dice coefficient over character trigrams, the measure the
 // paper's evaluation scripts call "Trigram".
 func Trigram(a, b string) float64 { return compare(trigram, a, b) }

@@ -65,8 +65,8 @@ func TestTrigramTitleVariants(t *testing.T) {
 
 func TestNGramJaccardLeqDice(t *testing.T) {
 	f := func(a, b string) bool {
-		j := NGramJaccard(a, b, 3)
-		d := NGramDice(a, b, 3)
+		j := TrigramJaccard(a, b)
+		d := Trigram(a, b)
 		// Jaccard <= Dice always (j = d/(2-d)).
 		return j <= d+1e-12
 	}

@@ -280,11 +280,11 @@ func TestHashedGramsMirrorNgrams(t *testing.T) {
 				t.Errorf("|grams(%q, %d)|: hashed %d, strings %d", s, n, got, want)
 			}
 			for _, o := range profileEdgeCases {
-				if got, want := NGramDice(s, o, n), refNGram(s, o, n, true); got != want {
-					t.Errorf("NGramDice(%q, %q, %d) = %v, string grams %v", s, o, n, got, want)
+				if got, want := compare(ngramProfiled{n: n, dice: true}, s, o), refNGram(s, o, n, true); got != want {
+					t.Errorf("n-gram Dice(%q, %q, %d) = %v, string grams %v", s, o, n, got, want)
 				}
-				if got, want := NGramJaccard(s, o, n), refNGram(s, o, n, false); got != want {
-					t.Errorf("NGramJaccard(%q, %q, %d) = %v, string grams %v", s, o, n, got, want)
+				if got, want := compare(ngramProfiled{n: n}, s, o), refNGram(s, o, n, false); got != want {
+					t.Errorf("n-gram Jaccard(%q, %q, %d) = %v, string grams %v", s, o, n, got, want)
 				}
 			}
 		}

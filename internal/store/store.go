@@ -319,25 +319,6 @@ func (s *Store) Get(name string) (*mapping.Mapping, bool) {
 	return m, ok
 }
 
-// MustGet returns the named mapping or an error mentioning close names.
-func (s *Store) MustGet(name string) (*mapping.Mapping, error) {
-	if m, ok := s.Get(name); ok {
-		return m, nil
-	}
-	names := s.Names()
-	var hints []string
-	lower := strings.ToLower(name)
-	for _, n := range names {
-		if strings.Contains(strings.ToLower(n), lower) || strings.Contains(lower, strings.ToLower(n)) {
-			hints = append(hints, n)
-		}
-	}
-	if len(hints) > 0 {
-		return nil, fmt.Errorf("store: no mapping %q (close: %s)", name, strings.Join(hints, ", "))
-	}
-	return nil, fmt.Errorf("store: no mapping %q among %d stored mappings", name, len(names))
-}
-
 // Delete removes the named mapping; it reports whether it existed. Like
 // every mutation it logs before touching memory, degrades the store on an
 // append failure, and is rejected while degraded.
@@ -389,24 +370,6 @@ func (s *Store) Names() []string {
 	defer s.mu.RUnlock()
 	out := make([]string, len(s.order))
 	copy(out, s.order)
-	return out
-}
-
-// SameMappingsBetween returns the names of stored same-mappings connecting
-// the two logical sources (in either direction).
-func (s *Store) SameMappingsBetween(a, b model.LDS) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []string
-	for _, n := range s.order {
-		m := s.maps[n]
-		if !m.IsSame() {
-			continue
-		}
-		if (m.Domain() == a && m.Range() == b) || (m.Domain() == b && m.Range() == a) {
-			out = append(out, n)
-		}
-	}
 	return out
 }
 

@@ -60,22 +60,6 @@ func TestPutValidation(t *testing.T) {
 	}
 }
 
-func TestMustGetHints(t *testing.T) {
-	s := NewRepository()
-	s.Put("DBLP-ACM.PubSame", sampleMapping(1))
-	if _, err := s.MustGet("DBLP-ACM.PubSame"); err != nil {
-		t.Errorf("MustGet existing: %v", err)
-	}
-	_, err := s.MustGet("PubSame")
-	if err == nil || !strings.Contains(err.Error(), "DBLP-ACM.PubSame") {
-		t.Errorf("MustGet should hint at close names, got %v", err)
-	}
-	_, err = s.MustGet("zzz")
-	if err == nil {
-		t.Error("unknown name should fail")
-	}
-}
-
 func TestNamesInsertionOrder(t *testing.T) {
 	s := NewRepository()
 	s.Put("b", sampleMapping(1))
@@ -126,18 +110,6 @@ func TestCacheEvictionAfterOverwrite(t *testing.T) {
 	}
 	if got := c.Names(); len(got) != 2 || got[0] != "hot" || got[1] != "m3" {
 		t.Errorf("Names = %v, want [hot m3]", got)
-	}
-}
-
-func TestSameMappingsBetween(t *testing.T) {
-	s := NewRepository()
-	s.Put("same1", mapping.NewSame(dblpPub, acmPub))
-	s.Put("same2", mapping.NewSame(acmPub, dblpPub))
-	s.Put("other", mapping.NewSame(dblpPub, gsPub))
-	s.Put("asso", mapping.New(dblpPub, acmPub, "x"))
-	got := s.SameMappingsBetween(dblpPub, acmPub)
-	if len(got) != 2 || got[0] != "same1" || got[1] != "same2" {
-		t.Errorf("SameMappingsBetween = %v", got)
 	}
 }
 

@@ -216,9 +216,6 @@ type TreeConfig struct {
 	MinExamples int
 }
 
-// DefaultTreeConfig is a sensible small-tree default.
-func DefaultTreeConfig() TreeConfig { return TreeConfig{MaxDepth: 4, MinExamples: 4} }
-
 // LearnTree grows a CART tree with Gini-impurity splits.
 func LearnTree(examples []Example, cfg TreeConfig) *Tree {
 	if cfg.MaxDepth <= 0 {

@@ -20,6 +20,9 @@ var (
 
 // tuningFixture builds sets where the title-trigram matcher at a moderate
 // threshold is clearly the best configuration.
+// smallTree is a small-tree configuration for the learner tests.
+var smallTree = TreeConfig{MaxDepth: 4, MinExamples: 4}
+
 func tuningFixture() (*model.ObjectSet, *model.ObjectSet, *mapping.Mapping) {
 	a := model.NewObjectSet(dblpPub)
 	b := model.NewObjectSet(acmPub)
@@ -222,7 +225,7 @@ func TestLearnTreeSeparable(t *testing.T) {
 		v := float64(i) / 20
 		examples = append(examples, Example{Features: []float64{v}, Match: v >= 0.5})
 	}
-	tree := LearnTree(examples, DefaultTreeConfig())
+	tree := LearnTree(examples, smallTree)
 	if tree.IsLeaf {
 		t.Fatal("separable data should split")
 	}
@@ -260,11 +263,11 @@ func TestLearnTreeTwoFeatures(t *testing.T) {
 }
 
 func TestLearnTreeEdgeCases(t *testing.T) {
-	if !LearnTree(nil, DefaultTreeConfig()).IsLeaf {
+	if !LearnTree(nil, smallTree).IsLeaf {
 		t.Error("empty data should give a leaf")
 	}
 	pure := []Example{{Features: []float64{1}, Match: true}, {Features: []float64{0.4}, Match: true}}
-	tree := LearnTree(pure, DefaultTreeConfig())
+	tree := LearnTree(pure, smallTree)
 	if !tree.IsLeaf || !tree.Match {
 		t.Error("pure positive data should give a positive leaf")
 	}
@@ -302,7 +305,7 @@ func TestTreeMatcherEndToEnd(t *testing.T) {
 	if len(examples) != len(pairs) {
 		t.Fatalf("examples = %d, want %d", len(examples), len(pairs))
 	}
-	tree := LearnTree(examples, DefaultTreeConfig())
+	tree := LearnTree(examples, smallTree)
 	tm := &TreeMatcher{Extractor: fe, Tree: tree}
 	got, err := tm.Match(a, b)
 	if err != nil {

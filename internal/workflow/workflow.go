@@ -114,15 +114,6 @@ func (w *Workflow) String() string {
 type Engine struct {
 	Repo  *store.Store
 	Cache *store.Store
-	// Workers, when > 0, sets the scoring parallelism of every matcher that
-	// supports external configuration (match.ConfigurableWorkers) and the
-	// worker count of every mapping operator (merge, compose, and
-	// worker-tunable selections) for the duration of a run; 0 keeps each
-	// matcher's own setting and lets operators default to GOMAXPROCS.
-	// Matchers and selections are never mutated — the engine runs
-	// configured copies. Operator outputs are bit-identical at every
-	// worker count, so Workers tunes wall-clock time only.
-	Workers int
 	// Trace receives progress lines when non-nil.
 	Trace func(string)
 }
@@ -163,11 +154,6 @@ func (e *Engine) Run(w *Workflow, a, b *model.ObjectSet) (*mapping.Mapping, erro
 		}
 		var inputs []*mapping.Mapping
 		for _, m := range s.Matchers {
-			if e.Workers > 0 {
-				if cw, ok := m.(match.ConfigurableWorkers); ok {
-					m = cw.WithWorkers(e.Workers)
-				}
-			}
 			mm, err := m.Match(a, b)
 			if err != nil {
 				return nil, fmt.Errorf("workflow: %s/%s: matcher %s: %w", w.Name, name, m.Name(), err)
@@ -191,12 +177,12 @@ func (e *Engine) Run(w *Workflow, a, b *model.ObjectSet) (*mapping.Mapping, erro
 		var err error
 		switch s.Op {
 		case OpMerge:
-			combined, err = mapping.MergeWorkers(s.F, e.Workers, inputs...)
+			combined, err = mapping.Merge(s.F, inputs...)
 		case OpCompose:
 			if len(inputs) < 2 {
 				err = fmt.Errorf("compose needs at least two mappings, got %d", len(inputs))
 			} else {
-				combined, err = mapping.ComposeChainWorkers(s.F, s.G, e.Workers, inputs...)
+				combined, err = mapping.ComposeChain(s.F, s.G, inputs...)
 			}
 		default:
 			err = fmt.Errorf("unknown operator %d", int(s.Op))
@@ -205,13 +191,7 @@ func (e *Engine) Run(w *Workflow, a, b *model.ObjectSet) (*mapping.Mapping, erro
 			return nil, fmt.Errorf("workflow: %s/%s: %w", w.Name, name, err)
 		}
 		if s.Selection != nil {
-			sel := s.Selection
-			if e.Workers > 0 {
-				if t, ok := sel.(mapping.WorkerTunable); ok {
-					sel = t.WithWorkers(e.Workers)
-				}
-			}
-			combined = sel.Apply(combined)
+			combined = s.Selection.Apply(combined)
 		}
 		if e.Trace != nil {
 			e.Trace(fmt.Sprintf("%s/%s: %s -> %d corrs", w.Name, name, s.Op, combined.Len()))

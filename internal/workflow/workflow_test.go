@@ -1,6 +1,10 @@
 package workflow
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -140,73 +144,47 @@ func TestWorkflowAsMatcher(t *testing.T) {
 	}
 }
 
-// workersProbe records the Workers setting its Match invocation ran with,
-// mimicking a ConfigurableWorkers matcher.
-type workersProbe struct {
-	workers int
-	ran     *int
+// atGOMAXPROCS runs f at GOMAXPROCS n, the worker count of every matcher
+// and operator a workflow runs, and restores the previous setting.
+func atGOMAXPROCS(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
 }
 
-func (p *workersProbe) Name() string { return "probe" }
-
-func (p *workersProbe) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
-	*p.ran = p.workers
-	return mapping.NewSame(a.LDS(), b.LDS()), nil
-}
-
-func (p *workersProbe) WithWorkers(n int) match.Matcher {
-	cp := *p
-	cp.workers = n
-	return &cp
-}
-
-// TestEngineWorkersOverride asserts the engine pushes its Workers setting
-// through ConfigurableWorkers matchers without mutating the originals, and
-// leaves matchers alone when Workers is unset.
-func TestEngineWorkersOverride(t *testing.T) {
-	a, b := fixtureSets()
-	var ran int
-	probe := &workersProbe{workers: 1, ran: &ran}
-	w := New("workers").AddStep(MergeStep("s1", mapping.AvgCombiner, nil, probe))
-
-	e := &Engine{Cache: store.NewCache(0), Workers: 6}
-	if _, err := e.Run(w, a, b); err != nil {
-		t.Fatal(err)
+// TestEngineRunSameAtEveryGOMAXPROCS runs one workflow — matchers, a
+// merge and a per-group selection — at GOMAXPROCS 1 and 8: the results are
+// identical, similarities bit for bit and insertion order included. The
+// 150 × 150 cross product is large enough for the match kernel to split.
+func TestEngineRunSameAtEveryGOMAXPROCS(t *testing.T) {
+	rnd := rand.New(rand.NewSource(34))
+	words := strings.Fields("schema matching view selection cupid formal generic mapping query data object")
+	a, b := model.NewObjectSet(dblpPub), model.NewObjectSet(acmPub)
+	for i := 0; i < 150; i++ {
+		var title []string
+		for range 4 {
+			title = append(title, words[rnd.Intn(len(words))])
+		}
+		year := fmt.Sprint(1995 + rnd.Intn(8))
+		a.AddNew(model.ID(fmt.Sprintf("d%d", i)), map[string]string{"title": strings.Join(title, " "), "year": year})
+		b.AddNew(model.ID(fmt.Sprintf("a%d", i)), map[string]string{"name": strings.Join(title[1:], " "), "year": year})
 	}
-	if ran != 6 {
-		t.Errorf("matcher ran with %d workers, want engine override 6", ran)
+	wf := New("widths").AddStep(MergeStep("s1", mapping.AvgCombiner,
+		mapping.Best1Delta{D: 0.1, Side: mapping.BothSides}, titleMatcher(), yearMatcher()))
+	runs := make([][]mapping.Correspondence, 2)
+	for i, procs := range []int{1, 8} {
+		atGOMAXPROCS(procs, func() {
+			m, err := NewEngine(nil).Run(wf, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = m.Correspondences()
+		})
 	}
-	if probe.workers != 1 {
-		t.Error("engine mutated the registered matcher")
+	if len(runs[0]) == 0 {
+		t.Fatal("the workflow keeps nothing; fixture broken")
 	}
-
-	e.Workers = 0
-	if _, err := e.Run(w, a, b); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 1 {
-		t.Errorf("matcher ran with %d workers, want its own setting 1", ran)
-	}
-
-	// The override must also produce identical match results on a real
-	// attribute matcher.
-	attr := &match.Attribute{
-		MatcherName: "title", AttrA: "title", AttrB: "title",
-		Sim: sim.Trigram, Threshold: 0.7,
-	}
-	wf := New("real").AddStep(MergeStep("s1", mapping.AvgCombiner, nil, attr))
-	seq := &Engine{Cache: store.NewCache(0)}
-	par := &Engine{Cache: store.NewCache(0), Workers: 8}
-	ms, err := seq.Run(wf, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp, err := par.Run(wf, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ms.Equal(mp, 0) {
-		t.Error("engine-parallel run diverged from sequential run")
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Errorf("GOMAXPROCS 8 run %v diverged from GOMAXPROCS 1 run %v", runs[1], runs[0])
 	}
 }
 

@@ -61,7 +61,7 @@ func TestSystemConcurrentUse(t *testing.T) {
 		defer wg.Done()
 		m := &AttributeMatcher{
 			MatcherName: "title-trigram", AttrA: "title", AttrB: "title",
-			Sim: Trigram, Threshold: 0.8, Workers: 4,
+			Sim: Trigram, Threshold: 0.8,
 		}
 		for i := 0; i < rounds; i++ {
 			if _, err := sys.MatchAndStore(m, "DBLP.Publication", "ACM.Publication", fmt.Sprintf("Same%d", i)); err != nil {
