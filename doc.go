@@ -61,7 +61,9 @@
 // at or above it; below it a measure may stop as soon as the score is out of
 // reach (the Dice and Jaccard set measures reject on set sizes, then on
 // 128-bit set signatures, and abandon the merge of what is left;
-// Levenshtein rejects on lengths). The set measures' size and signature test
+// Levenshtein rejects on lengths before its bit-vector kernel runs). No
+// Compare profiles or allocates: the character-level and token-sequence
+// measures read one rune profile in place (TestCompareZeroAllocs). The set measures' size and signature test
 // reads only a 24-byte filter key per profile (sim.Key: length, cardinality,
 // signature), and every profile column of a set measure keeps those keys in
 // a dense, pointer-free array beside its profiles (sim.ProfileColumn).

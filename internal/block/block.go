@@ -390,19 +390,6 @@ func (s SortedNeighborhood) String() string {
 	return fmt.Sprintf("sorted-neighborhood(%s~%s, w=%d)", s.AttrA, s.AttrB, s.Window)
 }
 
-// Dedup removes duplicate pairs preserving first occurrence.
-func Dedup(pairs []Pair) []Pair {
-	seen := make(map[Pair]bool, len(pairs))
-	out := pairs[:0:0]
-	for _, p := range pairs {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // ReductionRatio reports how much of the cross product a candidate set of
 // the given size avoids: 1 - pairs / (|a|*|b|). Zero-sized inputs give 0.
 func ReductionRatio(pairs int, a, b *model.ObjectSet) float64 {

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/model"
 	"repro/internal/par"
 )
 
@@ -231,47 +230,6 @@ func (m *Mapping) intersectRows(o *Mapping) *Mapping {
 		return m.Filter(func(c Correspondence) bool { return o.Has(c.Domain, c.Range) })
 	}
 	return m.filterRows(func(i int) bool { return o.HasOrd(m.dom[i], m.rng[i]) })
-}
-
-// ConstraintFunc decides whether a correspondence between two concrete
-// instances satisfies a domain-specific condition. Either instance may be
-// nil when its object set does not contain the id.
-type ConstraintFunc func(domain, rng *model.Instance, sim float64) bool
-
-// Constraint applies an object-value constraint (§3.3): only
-// correspondences whose instances fulfil the predicate survive. The two
-// object sets provide attribute access; correspondences whose ids are
-// missing from the sets are dropped unless KeepUnresolved is set.
-type Constraint struct {
-	Name           string
-	DomainSet      *model.ObjectSet
-	RangeSet       *model.ObjectSet
-	Pred           ConstraintFunc
-	KeepUnresolved bool
-}
-
-// Apply implements Selection.
-func (c Constraint) Apply(m *Mapping) *Mapping {
-	return m.Filter(func(corr Correspondence) bool {
-		var din, rin *model.Instance
-		if c.DomainSet != nil {
-			din = c.DomainSet.Get(corr.Domain)
-		}
-		if c.RangeSet != nil {
-			rin = c.RangeSet.Get(corr.Range)
-		}
-		if din == nil || rin == nil {
-			return c.KeepUnresolved
-		}
-		return c.Pred(din, rin, corr.Sim)
-	})
-}
-
-func (c Constraint) String() string {
-	if c.Name != "" {
-		return "Constraint(" + c.Name + ")"
-	}
-	return "Constraint"
 }
 
 // NotEqualIDs is the selection used to eliminate "trivial duplicates" from

@@ -3,8 +3,6 @@ package mapping
 import (
 	"testing"
 	"testing/quick"
-
-	"repro/internal/model"
 )
 
 func selectFixture() *Mapping {
@@ -106,55 +104,6 @@ func TestBest1DeltaBothSides(t *testing.T) {
 	})
 }
 
-// TestYearConstraint applies the paper's example object-value constraint
-// (§2.2, §3.3): publication years may differ by at most one, and an
-// instance without a year passes.
-func TestYearConstraint(t *testing.T) {
-	dSet := model.NewObjectSet(dblpPub)
-	dSet.AddNew("a", map[string]string{"year": "2001"})
-	dSet.AddNew("b", map[string]string{"year": "1998"})
-	dSet.AddNew("c", nil) // no year
-	rSet := model.NewObjectSet(acmPub)
-	rSet.AddNew("x", map[string]string{"year": "2002"})
-	rSet.AddNew("y", map[string]string{"year": "2002"})
-	rSet.AddNew("z", map[string]string{"year": "2002"})
-
-	m := NewSame(dblpPub, acmPub)
-	m.Add("a", "x", 0.9) // diff 1: keep
-	m.Add("b", "y", 0.9) // diff 4: drop
-	m.Add("c", "z", 0.9) // missing year: keep (optional attribute)
-
-	years := Constraint{Name: "|year| diff <= 1", DomainSet: dSet, RangeSet: rSet,
-		Pred: func(d, r *model.Instance, _ float64) bool {
-			yd, okD := d.IntAttr("year")
-			yr, okR := r.IntAttr("year")
-			return !okD || !okR || max(yd-yr, yr-yd) <= 1
-		}}
-	got := years.Apply(m)
-	wantMapping(t, got, []Correspondence{
-		{"a", "x", 0.9}, {"c", "z", 0.9},
-	})
-}
-
-func TestConstraintUnresolved(t *testing.T) {
-	dSet := model.NewObjectSet(dblpPub)
-	dSet.AddNew("a", nil)
-	rSet := model.NewObjectSet(acmPub)
-	m := NewSame(dblpPub, acmPub)
-	m.Add("a", "x", 1) // x not in range set
-
-	drop := Constraint{DomainSet: dSet, RangeSet: rSet,
-		Pred: func(_, _ *model.Instance, _ float64) bool { return true }}
-	if drop.Apply(m).Len() != 0 {
-		t.Error("unresolved instances should drop by default")
-	}
-	keep := drop
-	keep.KeepUnresolved = true
-	if keep.Apply(m).Len() != 1 {
-		t.Error("KeepUnresolved should keep the pair")
-	}
-}
-
 func TestNotEqualIDs(t *testing.T) {
 	m := NewSame(dblpPub, dblpPub)
 	m.Add("a", "a", 1)
@@ -178,9 +127,6 @@ func TestSelectionStrings(t *testing.T) {
 		if got := tc.sel.String(); got != tc.want {
 			t.Errorf("String() = %q, want %q", got, tc.want)
 		}
-	}
-	if (Constraint{Name: "y"}).String() != "Constraint(y)" || (Constraint{}).String() != "Constraint" {
-		t.Error("Constraint.String wrong")
 	}
 	if DomainSide.String() != "domain" || RangeSide.String() != "range" || BothSides.String() != "both" {
 		t.Error("Side.String wrong")

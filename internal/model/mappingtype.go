@@ -39,15 +39,3 @@ func (c Cardinality) String() string {
 		return "?"
 	}
 }
-
-// Inverse returns the cardinality of the inverse mapping.
-func (c Cardinality) Inverse() Cardinality {
-	switch c {
-	case CardOneToMany:
-		return CardManyToOne
-	case CardManyToOne:
-		return CardOneToMany
-	default:
-		return c
-	}
-}

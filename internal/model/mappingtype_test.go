@@ -19,18 +19,3 @@ func TestCardinalityString(t *testing.T) {
 		}
 	}
 }
-
-func TestCardinalityInverse(t *testing.T) {
-	if CardOneToMany.Inverse() != CardManyToOne {
-		t.Error("1:n inverse should be n:1")
-	}
-	if CardManyToOne.Inverse() != CardOneToMany {
-		t.Error("n:1 inverse should be 1:n")
-	}
-	if CardManyToMany.Inverse() != CardManyToMany {
-		t.Error("n:m inverse should be n:m")
-	}
-	if CardOneToOne.Inverse() != CardOneToOne {
-		t.Error("1:1 inverse should be 1:1")
-	}
-}

@@ -42,9 +42,9 @@ package sim
 // # Where strings still appear
 //
 // Token-sequence measures (Monge-Elkan, PersonName) score tokens with
-// character-level measures (Jaro-Winkler over runes) and keep
-// Profile.Tokens as strings; interning cannot replace the character access.
-// TF-IDF vectors keep a per-term uint64 content key (Dict.Key) alongside
+// character-level measures (Jaro-Winkler over runes), which interning cannot
+// replace; they read the tokens in place from the value's rune profile
+// (Profile.Runes), not from the dictionary. TF-IDF vectors keep a per-term uint64 content key (Dict.Key) alongside
 // the ID: the cosine merge must visit common terms in an order that is a
 // pure function of the term set — not of dictionary insertion order, which
 // differs between an incrementally-grown and a freshly-built corpus — for

@@ -4,10 +4,10 @@ package sim
 //
 // A match workflow evaluates O(n·m) candidate pairs over only n+m distinct
 // attribute values, so every measure is split in two: ProfileInto derives,
-// once per value, whatever the measure reads (rune slice, token sequence,
-// interned token set, hashed character n-gram set, TF-IDF weight vector,
-// Soundex code, parsed year) into a caller-owned Profile, and Compare scores
-// two profiles read-only — safe for concurrent workers.
+// once per value, whatever the measure reads (rune slice, interned token
+// set, hashed character n-gram set, TF-IDF weight vector, Soundex code,
+// parsed year) into a caller-owned Profile, and Compare scores two profiles
+// read-only — safe for concurrent workers.
 //
 // A matcher keeps only the pairs that reach its threshold, so Compare takes
 // a floor, the least score its caller still has a use for, and the contract
@@ -18,10 +18,15 @@ package sim
 // what the caller really needs, 0 for "always the exact score" — and a
 // measure is free to ignore it: the set measures (n-gram and token Dice and
 // Jaccard) turn it into a size filter, a signature filter and a bounded
-// merge, Levenshtein into a length filter, the rest compute the score
-// regardless. Every filter is exact — it rejects only pairs whose score is
-// below the floor. Weighted carries the floor through a weighted mean of
-// several columns.
+// merge, Levenshtein into a length filter in front of its bit-vector
+// kernel, the rest compute the score regardless. Every filter is exact — it
+// rejects only pairs whose score is below the floor. Weighted carries the
+// floor through a weighted mean of several columns.
+//
+// No Compare profiles anything: the character-level measures (Levenshtein,
+// Jaro, Jaro-Winkler, the affixes) and the token-sequence measures
+// (Monge-Elkan, PersonName) all read the one rune profile, the latter token
+// by token, and none of them allocates once its pooled buffers have grown.
 //
 // The set measures' size and signature filters read nothing but a 24-byte
 // Key per profile (key.go), so they are Keyed: a ProfileColumn keeps the
@@ -60,12 +65,11 @@ type Profile struct {
 	Raw string
 	// NormSpace is NormalizeSpace(Raw) (case-folding equality).
 	NormSpace string
-	// Runes is []rune(Normalize(Raw)) (edit-distance and affix measures).
+	// Runes is []rune(Normalize(Raw)): the edit-distance, Jaro and affix
+	// measures read it whole, the token-sequence measures (Monge-Elkan,
+	// person names) token by token, since Tokens(Raw) is its runes split at
+	// each space.
 	Runes []rune
-	// Tokens is Tokens(Raw) in order. The token-sequence measures
-	// (Monge-Elkan, person names) score tokens character-wise and keep
-	// strings; see the intern.go package comment.
-	Tokens []string
 	// SortedTokenIDs is the sorted, deduplicated token-ID set (interned in
 	// Terms) for the token-overlap measures. ExtraTokens counts distinct
 	// tokens of the value that are absent from the dictionary — produced
@@ -419,8 +423,8 @@ func (equalFoldProfiled) Compare(a, b *Profile, _ float64) float64 {
 
 // --- rune measures: edit distance and affixes ------------------------------
 
-// runeProfiled is the profiling stage the character-level measures share:
-// the runes of the normalized value.
+// runeProfiled is the profiling stage the character-level and
+// token-sequence measures share: the runes of the normalized value.
 type runeProfiled struct{}
 
 func (runeProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
@@ -434,7 +438,7 @@ type levenshteinProfiled struct{ runeProfiled }
 // Compare is the normalized edit similarity
 // 1 - dist(a', b') / max(len(a'), len(b')). The distance is at least the
 // difference of the lengths, which settles a pair whose lengths alone put it
-// under the floor without running the dynamic program.
+// under the floor without running the bit-vector kernel (editDistance).
 func (levenshteinProfiled) Compare(a, b *Profile, floor float64) float64 {
 	ra, rb := a.Runes, b.Runes
 	maxLen := max(len(ra), len(rb))
@@ -444,7 +448,7 @@ func (levenshteinProfiled) Compare(a, b *Profile, floor float64) float64 {
 	if editSim(maxLen-min(len(ra), len(rb)), maxLen) < floor {
 		return stopped
 	}
-	return editSim(editDistanceRunes(ra, rb), maxLen)
+	return editSim(editDistance(ra, rb), maxLen)
 }
 
 func editSim(dist, maxLen int) float64 { return clamp01(1 - float64(dist)/float64(maxLen)) }
@@ -506,25 +510,21 @@ func (m affixProfiled) Compare(a, b *Profile, _ float64) float64 {
 
 // --- token-sequence measures ---------------------------------------------
 
-// tokenSeqProfiled is the profiling stage of the measures that score tokens
-// character-wise: the token strings in order.
-type tokenSeqProfiled struct{}
+// The token-sequence measures profile as the rune measures do and walk the
+// tokens of Runes in place (nextToken).
 
-func (tokenSeqProfiled) ProfileInto(s string, p *Profile, _ *Scratch) {
-	p.reset(s)
-	p.Tokens = Tokens(s)
-}
+type mongeElkanProfiled struct{ runeProfiled }
 
-type mongeElkanProfiled struct{ tokenSeqProfiled }
-
+// Compare is the symmetric Monge-Elkan similarity, the mean of its two
+// directions.
 func (mongeElkanProfiled) Compare(a, b *Profile, _ float64) float64 {
-	return symMongeElkanTokens(a.Tokens, b.Tokens, JaroWinkler)
+	return clamp01((mongeElkanRunes(a.Runes, b.Runes) + mongeElkanRunes(b.Runes, a.Runes)) / 2)
 }
 
-type personNameProfiled struct{ tokenSeqProfiled }
+type personNameProfiled struct{ runeProfiled }
 
 func (personNameProfiled) Compare(a, b *Profile, _ float64) float64 {
-	return personNameTokens(a.Tokens, b.Tokens)
+	return personNameRunes(a.Runes, b.Runes)
 }
 
 // --- phonetic and numeric measures ---------------------------------------

@@ -2,9 +2,10 @@ package sim
 
 // Independent string references the single implementations are compared
 // against (the counterpart of internal/mapping/ref_test.go): gram sets as
-// sorted gram strings, and a dictionary-free TF-IDF cosine. Nothing here
-// shares code with the measures beyond Normalize, Tokens and the generic
-// set helpers.
+// sorted gram strings, a dictionary-free TF-IDF cosine, the edit distance's
+// dynamic program, and the token-sequence measures over token strings.
+// Nothing here shares code with the measures beyond Normalize, Tokens, the
+// string JaroWinkler and the generic set helpers.
 
 import (
 	"cmp"
@@ -177,4 +178,110 @@ func (r *stringTFIDFReference) cosine(a, b string) float64 {
 		return 0
 	}
 	return clamp01(dot / (math.Sqrt(na) * math.Sqrt(nb)))
+}
+
+// editDistanceDP is the Levenshtein distance by the standard two-row
+// dynamic program: the oracle of the bit-vector kernel editDistance.
+func editDistanceDP(ra, rb []rune) int {
+	if len(ra) == 0 {
+		return len(rb)
+	}
+	if len(rb) == 0 {
+		return len(ra)
+	}
+	prev := make([]int, len(rb)+1)
+	cur := make([]int, len(rb)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(ra); i++ {
+		cur[0] = i
+		for j := 1; j <= len(rb); j++ {
+			cost := 1
+			if ra[i-1] == rb[j-1] {
+				cost = 0
+			}
+			cur[j] = min(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
+		}
+		prev, cur = cur, prev
+	}
+	return prev[len(rb)]
+}
+
+// refMongeElkan is the string-level Monge-Elkan the rune measure replaced:
+// for each token of a, the best inner similarity against any token of b,
+// averaged. It is asymmetric.
+func refMongeElkan(a, b string, inner Func) float64 {
+	return refMongeElkanTokens(Tokens(a), Tokens(b), inner)
+}
+
+func refMongeElkanTokens(ta, tb []string, inner Func) float64 {
+	if len(ta) == 0 && len(tb) == 0 {
+		return 1
+	}
+	if len(ta) == 0 || len(tb) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, x := range ta {
+		best := 0.0
+		for _, y := range tb {
+			if s := inner(x, y); s > best {
+				best = s
+			}
+		}
+		sum += best
+	}
+	return clamp01(sum / float64(len(ta)))
+}
+
+// refMongeElkanJaroWinkler is the symmetric mean of refMongeElkan in both
+// directions with the string JaroWinkler per token pair.
+func refMongeElkanJaroWinkler(a, b string) float64 {
+	ta, tb := Tokens(a), Tokens(b)
+	return clamp01((refMongeElkanTokens(ta, tb, JaroWinkler) + refMongeElkanTokens(tb, ta, JaroWinkler)) / 2)
+}
+
+// refPersonName is the string-level PersonName the rune measure replaced:
+// Tokens of both names, the string JaroWinkler on the surnames and on
+// given-name tokens that are not initials.
+func refPersonName(a, b string) float64 {
+	ta, tb := Tokens(a), Tokens(b)
+	if len(ta) == 0 && len(tb) == 0 {
+		return 1
+	}
+	if len(ta) == 0 || len(tb) == 0 {
+		return 0
+	}
+	surname := JaroWinkler(ta[len(ta)-1], tb[len(tb)-1])
+	givenA, givenB := ta[:len(ta)-1], tb[:len(tb)-1]
+	if len(givenA) == 0 && len(givenB) == 0 {
+		return surname
+	}
+	if len(givenA) == 0 || len(givenB) == 0 {
+		return clamp01(0.75 * surname)
+	}
+	n := min(len(givenA), len(givenB))
+	var given float64
+	for i := 0; i < n; i++ {
+		given += refGivenTokenSim(givenA[i], givenB[i])
+	}
+	given /= float64(n)
+	return clamp01(0.6*surname + 0.4*given)
+}
+
+func refGivenTokenSim(x, y string) float64 {
+	if x == y {
+		return 1
+	}
+	if len(x) == 0 || len(y) == 0 {
+		return 0
+	}
+	if len([]rune(x)) == 1 || len([]rune(y)) == 1 {
+		if []rune(x)[0] == []rune(y)[0] {
+			return 0.9
+		}
+		return 0
+	}
+	return JaroWinkler(x, y)
 }

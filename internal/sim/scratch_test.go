@@ -181,7 +181,9 @@ func FuzzQueryIntoMatchesProfileInto(f *testing.F) {
 // once the scratch and profile buffers reach their high-water mark,
 // rebuilding a query profile allocates nothing — for every measure whose
 // profile holds only slices and numbers, including the unknown-token dedup
-// of the token-set and TF-IDF measures.
+// of the token-set and TF-IDF measures and the rune profile the
+// character-level and token-sequence measures share, as the live resolver's
+// pooled query slots rebuild them.
 func TestProfileIntoReusesBuffers(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -191,8 +193,9 @@ func TestProfileIntoReusesBuffers(t *testing.T) {
 		"Mapping-Based object matching",
 		"mapping based integration zzz-unknown qqq-unknown zzz-unknown",
 		" 1997 ",
+		strings.Repeat("Rahm, E. and Thor, A. ", 14),
 	}
-	keepsStrings := map[string]bool{"EqualFold": true, "Soundex": true, "MongeElkan": true, "PersonName": true}
+	keepsStrings := map[string]bool{"EqualFold": true, "Soundex": true}
 	checked := 0
 	for name, ps := range allMeasures() {
 		if keepsStrings[name] {
@@ -210,29 +213,24 @@ func TestProfileIntoReusesBuffers(t *testing.T) {
 			}
 		}
 	}
-	if checked != 15 {
-		t.Errorf("checked %d measures, want the 14 registered ones that keep no strings plus TF-IDF", checked)
+	if checked != 17 {
+		t.Errorf("checked %d measures, want the 16 registered ones that keep no strings plus TF-IDF", checked)
 	}
 }
 
 // TestCompareZeroAllocs pins the pair stage every matcher and the resolver
-// run per candidate: Compare over two built profiles allocates nothing, both
-// at floor 0 (the full score) and at a floor above the pair's score (the
-// early stop).
+// run per candidate: Compare over two built profiles allocates nothing, for
+// every measure, both at floor 0 (the full score) and at a floor above the
+// pair's score (the early stop). A 300-rune Levenshtein pair runs the
+// kernel on a five-word pattern and Jaro past its stack flags.
 func TestCompareZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	// Rune-DP, token-sequence and opaque measures score through allocating
-	// helpers and carry no zero-allocation contract.
-	allocating := map[string]bool{"Levenshtein": true, "Jaro": true, "JaroWinkler": true, "MongeElkan": true, "PersonName": true}
 	x, y := "Mapping-based object matching 2007", "object matching based on mappings 2006"
+	long := strings.Repeat("rahm e thor a ", 22)[:300]
 	checked := 0
-	for name, ps := range allMeasures() {
-		if allocating[name] {
-			continue
-		}
-		checked++
+	check := func(name string, ps ProfiledSim, x, y string) {
 		var a, b Profile
 		var sc Scratch
 		ps.ProfileInto(x, &a, &sc)
@@ -241,12 +239,18 @@ func TestCompareZeroAllocs(t *testing.T) {
 		for _, floor := range []float64{0, min(1, score+0.25)} {
 			allocs := testing.AllocsPerRun(100, func() { ps.Compare(&a, &b, floor) })
 			if allocs != 0 {
-				t.Errorf("%s: Compare at floor %.2f allocates %.0f times per run, want 0", name, floor, allocs)
+				t.Errorf("%s: Compare(%d runes, %d runes) at floor %.2f allocates %.0f times per run, want 0", name, len(a.Runes), len(b.Runes), floor, allocs)
 			}
 		}
 	}
-	if checked != 14 {
-		t.Errorf("checked %d measures, want the 13 registered ones with an allocation-free Compare plus TF-IDF", checked)
+	for name, ps := range allMeasures() {
+		checked++
+		check(name, ps, x, y)
+	}
+	check("Levenshtein", levenshtein, long, strings.ToUpper(long[7:])+" ünïcode")
+	check("Jaro", jaro, long, strings.ToUpper(long[7:])+" ünïcode")
+	if checked != 19 {
+		t.Errorf("checked %d measures, want the 18 registered ones plus TF-IDF", checked)
 	}
 }
 

@@ -13,7 +13,8 @@
 //
 // A measure is one ProfiledSim value (profile.go): ProfileInto hoists
 // normalization, tokenization and n-gram construction out of the per-pair
-// hot path — once per attribute value — and Compare scores two profiles.
+// hot path — once per attribute value — and Compare scores two profiles in
+// place.
 // The built-in Funcs are that same code applied to two strings, so there is
 // one implementation per measure; ProfiledOf maps any Func back to a
 // ProfiledSim, which is what the matchers and the live resolver score

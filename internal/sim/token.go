@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -115,17 +116,19 @@ func SoundexSim(a, b string) float64 { return compare(soundex, a, b) }
 // aligned pairwise, where an initial matches any name starting with it.
 func PersonName(a, b string) float64 { return compare(personName, a, b) }
 
-// personNameTokens is PersonName over pre-tokenized names.
-func personNameTokens(ta, tb []string) float64 {
-	if len(ta) == 0 && len(tb) == 0 {
+// personNameRunes is PersonName over two normalized values: the surnames
+// are their last tokens, the given names the tokens before, aligned from
+// the first.
+func personNameRunes(a, b []rune) float64 {
+	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	if len(ta) == 0 || len(tb) == 0 {
+	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	lastA, lastB := ta[len(ta)-1], tb[len(tb)-1]
-	surname := JaroWinkler(lastA, lastB)
-	givenA, givenB := ta[:len(ta)-1], tb[:len(tb)-1]
+	givenA, lastA := cutSurname(a)
+	givenB, lastB := cutSurname(b)
+	surname := jaroWinklerRunes(lastA, lastB)
 	if len(givenA) == 0 && len(givenB) == 0 {
 		return surname
 	}
@@ -134,32 +137,43 @@ func personNameTokens(ta, tb []string) float64 {
 		// discounted for the missing evidence.
 		return clamp01(0.75 * surname)
 	}
-	n := len(givenA)
-	if len(givenB) < n {
-		n = len(givenB)
-	}
 	var given float64
-	for i := 0; i < n; i++ {
-		given += givenTokenSim(givenA[i], givenB[i])
+	n := 0
+	for ; len(givenA) > 0 && len(givenB) > 0; n++ {
+		var x, y []rune
+		x, givenA = nextToken(givenA)
+		y, givenB = nextToken(givenB)
+		given += givenTokenSim(x, y)
 	}
 	given /= float64(n)
 	return clamp01(0.6*surname + 0.4*given)
 }
 
+// cutSurname splits a normalized name at its last space: the given-name
+// tokens (none for a single token) and the surname.
+func cutSurname(rs []rune) (given, surname []rune) {
+	for i := len(rs) - 1; i >= 0; i-- {
+		if rs[i] == ' ' {
+			return rs[:i], rs[i+1:]
+		}
+	}
+	return nil, rs
+}
+
 // givenTokenSim compares two given-name tokens, treating single letters as
 // initials that match any name sharing that first letter.
-func givenTokenSim(x, y string) float64 {
-	if x == y {
+func givenTokenSim(x, y []rune) float64 {
+	if slices.Equal(x, y) {
 		return 1
 	}
 	if len(x) == 0 || len(y) == 0 {
 		return 0
 	}
-	if len([]rune(x)) == 1 || len([]rune(y)) == 1 {
-		if []rune(x)[0] == []rune(y)[0] {
+	if len(x) == 1 || len(y) == 1 {
+		if x[0] == y[0] {
 			return 0.9 // initial matches, slightly below full-name evidence
 		}
 		return 0
 	}
-	return JaroWinkler(x, y)
+	return jaroWinklerRunes(x, y)
 }

@@ -143,15 +143,56 @@ func TestPersonNameCatalinaCase(t *testing.T) {
 }
 
 func TestGivenTokenSim(t *testing.T) {
-	if givenTokenSim("a", "andreas") != 0.9 {
+	given := func(x, y string) float64 { return givenTokenSim([]rune(x), []rune(y)) }
+	if given("a", "andreas") != 0.9 {
 		t.Error("initial vs full name should be 0.9")
 	}
-	if givenTokenSim("b", "andreas") != 0 {
+	if given("b", "andreas") != 0 {
 		t.Error("wrong initial should be 0")
 	}
-	if givenTokenSim("andreas", "andreas") != 1 {
+	if given("andreas", "andreas") != 1 {
 		t.Error("equal should be 1")
 	}
+}
+
+// FuzzTokenMeasuresMatchReference holds PersonName and Monge-Elkan, which
+// walk the tokens of one rune profile, bit for bit to their string-level
+// references (Tokens, then the string JaroWinkler per token pair), and
+// checks the property the rune reuse rests on: a token of Tokens(s) is its
+// own normalization, so the string JaroWinkler of two tokens scores the
+// very runes the profile holds.
+func FuzzTokenMeasuresMatchReference(f *testing.F) {
+	seeds := append(scratchValues(), profileEdgeCases...)
+	for i, a := range seeds {
+		f.Add(a, seeds[(i*3+1)%len(seeds)])
+	}
+	f.Add("Erhard Rahm", "E. Rahm")
+	f.Add("Catalina Fan", "Catalina Wei")
+	f.Add("a b c d", "a bee")
+	f.Add("İstanbul ǅemal", "istanbul dzemal")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		for _, s := range []string{a, b} {
+			for _, tok := range Tokens(s) {
+				if n := Normalize(tok); n != tok {
+					t.Fatalf("token %q of %q normalizes to %q", tok, s, n)
+				}
+			}
+		}
+		measures := []struct {
+			name string
+			ps   ProfiledSim
+			ref  func(a, b string) float64
+		}{
+			{"PersonName", personName, refPersonName},
+			{"MongeElkan", mongeElkan, refMongeElkanJaroWinkler},
+		}
+		for _, m := range measures {
+			got := m.ps.Compare(NewProfile(m.ps, a), NewProfile(m.ps, b), 0)
+			if want := m.ref(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s(%q, %q) = %v, reference %v", m.name, a, b, got, want)
+			}
+		}
+	})
 }
 
 func TestPersonNameSymmetric(t *testing.T) {

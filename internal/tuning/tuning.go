@@ -146,7 +146,7 @@ type FeatureExtractor struct {
 
 type featureFn struct {
 	attrA, attrB string
-	fn           sim.Func
+	ps           sim.ProfiledSim
 }
 
 // NewFeatureExtractor builds an extractor; comparisons are given as
@@ -162,18 +162,59 @@ func NewFeatureExtractor(reg *sim.Registry, comparisons [][3]string) (*FeatureEx
 			return nil, fmt.Errorf("tuning: unknown similarity function %q", c[2])
 		}
 		fe.Names = append(fe.Names, fmt.Sprintf("%s~%s:%s", c[0], c[1], c[2]))
-		fe.fns = append(fe.fns, featureFn{attrA: c[0], attrB: c[1], fn: fn})
+		fe.fns = append(fe.fns, featureFn{attrA: c[0], attrB: c[1], ps: sim.ProfiledOf(fn)})
 	}
 	return fe, nil
 }
 
 // Extract computes the feature vector for one pair.
 func (fe *FeatureExtractor) Extract(a, b *model.Instance) []float64 {
-	out := make([]float64, len(fe.fns))
-	for i, f := range fe.fns {
-		out[i] = f.fn(a.Attr(f.attrA), b.Attr(f.attrB))
+	return fe.scorer().features(a, b)
+}
+
+// scorer returns a pairScorer with nothing profiled yet.
+func (fe *FeatureExtractor) scorer() *pairScorer {
+	return &pairScorer{fe: fe, domain: map[*model.Instance][]sim.Profile{}, rng: map[*model.Instance][]sim.Profile{}}
+}
+
+// pairScorer computes feature vectors of the pairs of one call: it profiles
+// an instance's attribute values once, the first time the instance appears
+// on a side, and scores every pair of profiles in full (floor 0).
+type pairScorer struct {
+	fe          *FeatureExtractor
+	domain, rng map[*model.Instance][]sim.Profile
+	sc          sim.Scratch
+}
+
+func (s *pairScorer) features(a, b *model.Instance) []float64 {
+	pa, pb := s.profiles(a, true), s.profiles(b, false)
+	out := make([]float64, len(s.fe.fns))
+	for i, f := range s.fe.fns {
+		out[i] = f.ps.Compare(&pa[i], &pb[i], 0)
 	}
 	return out
+}
+
+// profiles returns the profiles of in's values on the domain or the range
+// side, one per comparison.
+func (s *pairScorer) profiles(in *model.Instance, domain bool) []sim.Profile {
+	cache := s.rng
+	if domain {
+		cache = s.domain
+	}
+	if ps, ok := cache[in]; ok {
+		return ps
+	}
+	ps := make([]sim.Profile, len(s.fe.fns))
+	for i, f := range s.fe.fns {
+		attr := f.attrB
+		if domain {
+			attr = f.attrA
+		}
+		f.ps.ProfileInto(in.Attr(attr), &ps[i], &s.sc)
+	}
+	cache[in] = ps
+	return ps
 }
 
 // BuildExamples labels candidate pairs against the training mapping.
@@ -184,6 +225,7 @@ func BuildExamples(fe *FeatureExtractor, a, b *model.ObjectSet, pairs [][2]model
 	for _, id := range training.DomainIDs() {
 		covered[id] = true
 	}
+	sc := fe.scorer()
 	var out []Example
 	for _, p := range pairs {
 		ia, ib := a.Get(p[0]), b.Get(p[1])
@@ -191,7 +233,7 @@ func BuildExamples(fe *FeatureExtractor, a, b *model.ObjectSet, pairs [][2]model
 			continue
 		}
 		out = append(out, Example{
-			Features: fe.Extract(ia, ib),
+			Features: sc.features(ia, ib),
 			Match:    training.Has(p[0], p[1]),
 		})
 	}
@@ -373,12 +415,13 @@ func (tm *TreeMatcher) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 		}
 	}
 	out := mapping.NewSame(a.LDS(), b.LDS())
+	sc := tm.Extractor.scorer()
 	for _, p := range pairsFn(a, b) {
 		ia, ib := a.Get(p[0]), b.Get(p[1])
 		if ia == nil || ib == nil {
 			continue
 		}
-		feats := tm.Extractor.Extract(ia, ib)
+		feats := sc.features(ia, ib)
 		if tm.Tree.Predict(feats) {
 			var sum float64
 			for _, f := range feats {

@@ -1,6 +1,7 @@
 package tuning
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -215,6 +216,107 @@ func TestFeatureExtractor(t *testing.T) {
 	}
 	if _, err := NewFeatureExtractor(nil, [][3]string{{"a", "b", "Nope"}}); err == nil {
 		t.Error("unknown sim should fail")
+	}
+}
+
+// TestFeatureExtractionMatchesStringFuncs holds the profiled extraction —
+// each instance profiled once per call, pairs scored by Compare at floor 0 —
+// to the string Funcs called per pair, bit for bit, in BuildExamples,
+// Extract and the confidences of TreeMatcher.Match. The comparisons cover
+// registry measures of every profile kind, NumericProximity and a custom
+// closure (the last two score through sim.ProfiledOf's adapter).
+func TestFeatureExtractionMatchesStringFuncs(t *testing.T) {
+	reg := sim.NewRegistry()
+	reg.MustRegister("Near", sim.NumericProximity(3))
+	reg.MustRegister("SameLength", func(x, y string) float64 {
+		if len(x) == len(y) {
+			return 1
+		}
+		return 0.25
+	})
+	comparisons := [][3]string{
+		{"title", "name", "Trigram"},
+		{"title", "name", "Levenshtein"},
+		{"title", "name", "JaroWinkler"},
+		{"title", "name", "TokenJaccard"},
+		{"authors", "authors", "PersonName"},
+		{"authors", "authors", "MongeElkan"},
+		{"year", "year", "YearExact"},
+		{"year", "year", "Near"},
+		{"title", "name", "SameLength"},
+	}
+	fe, err := NewFeatureExtractor(reg, comparisons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := model.NewObjectSet(dblpPub)
+	b := model.NewObjectSet(acmPub)
+	values := []struct{ title, authors, year string }{
+		{"Generic Schema Matching with Cupid", "Jayant Madhavan, Philip A. Bernstein, Erhard Rahm", "2001"},
+		{"A formal perspective on the view selection problem", "Rada Chirkova; A. Y. Halevy", "2002"},
+		{"", "", ""},
+		{"Ångström ünïcode Σ", "Ç. Ünal", "1999.5"},
+		{strings.Repeat("mapping based object matching ", 5), strings.Repeat("E. Rahm A. Thor ", 6), " 2007 "},
+	}
+	for i, v := range values {
+		a.AddNew(model.ID(rune('a'+i)), map[string]string{"title": v.title, "authors": v.authors, "year": v.year})
+		b.AddNew(model.ID(rune('A'+i)), map[string]string{"name": strings.ToUpper(v.title), "authors": v.authors, "year": "2001"})
+		b.AddNew(model.ID(rune('M'+i)), map[string]string{"name": v.title + " revisited", "authors": "A. Thor", "year": v.year})
+	}
+	want := func(x, y *model.Instance) []float64 {
+		out := make([]float64, len(comparisons))
+		for i, c := range comparisons {
+			fn, _ := reg.Lookup(c[2])
+			out[i] = fn(x.Attr(c[0]), y.Attr(c[1]))
+		}
+		return out
+	}
+	same := func(got, want []float64) bool {
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				return false
+			}
+		}
+		return len(got) == len(want)
+	}
+	var pairs [][2]model.ID
+	training := mapping.NewSame(dblpPub, acmPub)
+	for _, ida := range a.IDs() {
+		training.Add(ida, "A", 1)
+		for _, idb := range b.IDs() {
+			pairs = append(pairs, [2]model.ID{ida, idb})
+		}
+	}
+	examples := BuildExamples(fe, a, b, pairs, training)
+	if len(examples) != len(pairs) {
+		t.Fatalf("examples = %d, want %d", len(examples), len(pairs))
+	}
+	for k, p := range pairs {
+		x, y := a.Get(p[0]), b.Get(p[1])
+		w := want(x, y)
+		if !same(examples[k].Features, w) {
+			t.Errorf("BuildExamples %v = %v, string Funcs %v", p, examples[k].Features, w)
+		}
+		if got := fe.Extract(x, y); !same(got, w) {
+			t.Errorf("Extract %v = %v, string Funcs %v", p, got, w)
+		}
+	}
+	tm := &TreeMatcher{Extractor: fe, Tree: &Tree{IsLeaf: true, Match: true}}
+	got, err := tm.Match(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != len(pairs) {
+		t.Fatalf("tree matcher kept %d pairs, want all %d", got.Len(), len(pairs))
+	}
+	for _, p := range pairs {
+		var sum float64
+		for _, f := range want(a.Get(p[0]), b.Get(p[1])) {
+			sum += f
+		}
+		if c, _ := got.Sim(p[0], p[1]); math.Float64bits(c) != math.Float64bits(sum/float64(len(comparisons))) {
+			t.Errorf("tree matcher %v confidence %v, string Funcs mean %v", p, c, sum/float64(len(comparisons)))
+		}
 	}
 }
 
