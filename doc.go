@@ -10,8 +10,8 @@
 // (merge, compose, selection), re-using mappings kept in a repository.
 //
 // The package re-exports, under one import, the subsystem names its
-// commands, examples and tests call (moma.go); the rest of each subsystem is
-// reached through its package under internal/:
+// commands and tests call (moma.go); the rest of each subsystem is reached
+// through its package under internal/:
 //
 //	sys := moma.NewSystem()
 //	dblp := moma.NewObjectSet(moma.LDS{Source: "DBLP", Type: moma.Publication})
@@ -24,7 +24,8 @@
 // Higher-level entry points: System wires a mapping repository, a matcher
 // registry and the iFuice-style script interpreter together; Workflow and
 // Engine execute multi-step match processes; NhMatch is the §4.2
-// neighborhood matcher.
+// neighborhood matcher. The package's examples run whole match processes
+// through these names, each checked against the output it prints.
 //
 // # Similarity profiles
 //

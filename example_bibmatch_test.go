@@ -1,22 +1,17 @@
+package moma_test
+
+import (
+	"fmt"
+
+	moma "repro"
+)
+
 // Bibmatch: the paper's flagship scenario end to end on the synthetic
 // bibliographic world — match publications between DBLP and ACM with
 // attribute matchers, derive a venue same-mapping with the neighborhood
 // matcher (§4.2 / Figure 9), use it to repair the publication mapping, and
 // evaluate every step against the generator's perfect mappings.
-//
-// Run with:
-//
-//	go run ./examples/bibmatch
-package main
-
-import (
-	"fmt"
-	"log"
-
-	moma "repro"
-)
-
-func main() {
+func Example_bibmatch() {
 	fmt.Println("generating the synthetic DBLP / ACM / Google Scholar world...")
 	d := moma.GenerateDataset(moma.SmallConfig())
 	fmt.Printf("DBLP: %d pubs, %d venues; ACM: %d pubs, %d venues\n\n",
@@ -32,7 +27,8 @@ func main() {
 	}
 	pubSame, err := titles.Match(d.DBLP.Pubs, d.ACM.Pubs)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	fmt.Printf("step 1  title matcher:        %s\n", moma.Compare(pubSame, d.Perfect.PubDBLPACM))
 
@@ -42,7 +38,8 @@ func main() {
 	// publications match.
 	venueNh, err := moma.NhMatch(d.DBLP.VenuePub, pubSame, d.ACM.PubVenue)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	venueSame := moma.BestN{N: 1, Side: moma.DomainSide}.Apply(venueNh)
 	fmt.Printf("step 2  venue neighborhood:   %s\n", moma.Compare(venueSame, d.Perfect.VenueDBLPACM))
@@ -52,11 +49,13 @@ func main() {
 	// title mapping under missing-as-zero.
 	pubNh, err := moma.NhMatch(d.DBLP.PubVenue, venueSame, d.ACM.VenuePub)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	merged, err := moma.Merge(moma.Avg0Combiner, pubSame, pubNh)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	repaired := moma.Threshold{T: 0.75}.Apply(merged)
 	fmt.Printf("step 3  merged with venues:   %s\n", moma.Compare(repaired, d.Perfect.PubDBLPACM))
@@ -70,7 +69,8 @@ func main() {
 	}
 	strictNames, err := strict.Match(d.DBLP.Authors, d.ACM.Authors)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	permissive := &moma.AttributeMatcher{
 		AttrA: "name", AttrB: "name", Sim: moma.PersonName, Threshold: 0.5,
@@ -78,23 +78,39 @@ func main() {
 	}
 	looseNames, err := permissive.Match(d.DBLP.Authors, d.ACM.Authors)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	authorNh, err := moma.NhMatch(d.DBLP.AuthorPub, repaired, d.ACM.PubAuthor)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	inner, err := moma.Merge(moma.Min0Combiner, looseNames, authorNh)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	inner = moma.Threshold{T: 0.45}.Apply(inner)
 	authors, err := moma.Merge(moma.MaxCombiner, strictNames, inner)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	fmt.Printf("step 4  authors (n:m merge):  %s\n", moma.Compare(authors, d.Perfect.AuthorDBLPACM))
 
 	fmt.Println("\nthe neighborhood matcher turned an unusable venue problem into a near-perfect mapping,")
 	fmt.Println("and its evidence repaired both the publication and the author mappings — the paper's core claim.")
+
+	// Output:
+	// generating the synthetic DBLP / ACM / Google Scholar world...
+	// DBLP: 250 pubs, 39 venues; ACM: 225 pubs, 38 venues
+	//
+	// step 1  title matcher:        P= 90.6% R= 98.2% F= 94.2%
+	// step 2  venue neighborhood:   P= 97.4% R=100.0% F= 98.7%
+	// step 3  merged with venues:   P= 99.1% R= 98.2% F= 98.7%
+	// step 4  authors (n:m merge):  P= 98.6% R= 98.6% F= 98.6%
+	//
+	// the neighborhood matcher turned an unusable venue problem into a near-perfect mapping,
+	// and its evidence repaired both the publication and the author mappings — the paper's core claim.
 }

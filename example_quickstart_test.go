@@ -1,20 +1,15 @@
-// Quickstart: match two small publication sources with attribute matchers,
-// combine the evidence with the merge operator, and read off the resolved
-// same-mapping — the smallest end-to-end MOMA workflow.
-//
-// Run with:
-//
-//	go run ./examples/quickstart
-package main
+package moma_test
 
 import (
 	"fmt"
-	"log"
 
 	moma "repro"
 )
 
-func main() {
+// Quickstart: match two small publication sources with attribute matchers,
+// combine the evidence with the merge operator, and read off the resolved
+// same-mapping — the smallest end-to-end MOMA workflow.
+func Example_quickstart() {
 	// Two logical data sources holding publications. The instances carry
 	// plain attribute values; DBLP-style keys on the left, ACM-style keys
 	// on the right.
@@ -44,7 +39,8 @@ func main() {
 	}
 	titleMap, err := titles.Match(dblp, acm)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	fmt.Printf("title matcher alone: %d correspondences (note the twin confusion)\n%s\n",
 		titleMap.Len(), titleMap)
@@ -58,7 +54,8 @@ func main() {
 	}
 	yearMap, err := years.Match(dblp, acm)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 
 	// Merge both mappings: Avg-0 treats a correspondence missing from one
@@ -66,7 +63,8 @@ func main() {
 	// below the threshold selection.
 	merged, err := moma.Merge(moma.Avg0Combiner, titleMap, yearMap)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	result := moma.Threshold{T: 0.8}.Apply(merged)
 
@@ -74,4 +72,23 @@ func main() {
 	for _, c := range result.Sorted() {
 		fmt.Printf("  %-30s == %-10s (sim %.2f)\n", c.Domain, c.Range, c.Sim)
 	}
+
+	// Output:
+	// title matcher alone: 5 correspondences (note the twin confusion)
+	// Publication@DBLP -> Publication@ACM (same), 5 correspondences
+	//   conf/VLDB/ChirkovaHS01       P-641272                     1.000
+	//   conf/VLDB/ChirkovaHS01       P-672216                     1.000
+	//   conf/VLDB/MadhavanBR01       P-672191                     1.000
+	//   journals/VLDB/ChirkovaHS02   P-641272                     1.000
+	//   journals/VLDB/ChirkovaHS02   P-672216                     1.000
+	//
+	// after merging with year evidence: 3 correspondences
+	// Publication@DBLP -> Publication@ACM (same), 3 correspondences
+	//   conf/VLDB/ChirkovaHS01       P-672216                     1.000
+	//   conf/VLDB/MadhavanBR01       P-672191                     1.000
+	//   journals/VLDB/ChirkovaHS02   P-641272                     1.000
+	//
+	//   conf/VLDB/ChirkovaHS01         == P-672216   (sim 1.00)
+	//   conf/VLDB/MadhavanBR01         == P-672191   (sim 1.00)
+	//   journals/VLDB/ChirkovaHS02     == P-641272   (sim 1.00)
 }

@@ -1,42 +1,32 @@
-// Example serve: the online resolution subsystem end to end, in process.
-//
-// It builds a small synthetic world, registers a live resolver over the ACM
-// publication set, starts the HTTP service on an ephemeral port, and then
-// plays a client: resolve a DBLP title against ACM, stream a new arrival in
-// (observing its same-mapping delta), remove it again, and read the
-// service's health. Run with:
-//
-//	go run ./examples/serve
-package main
+package moma_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
-	"net"
 	"net/http"
-	"time"
+	"net/http/httptest"
 
 	moma "repro"
 	"repro/internal/serve"
 	"repro/internal/sources"
 )
 
-func main() {
-	if err := run(); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run() error {
+// Serve: the online resolution subsystem end to end, in process. It builds
+// a small synthetic world, registers a live resolver over the ACM
+// publication set, serves it over HTTP, and then plays a client: resolve a
+// DBLP title against ACM, stream a new arrival in (observing its
+// same-mapping delta), remove it again, and read the service's health.
+// Timing fields (the resolve latency, the uptime) are left out of the
+// output so that it is the same on every run.
+func Example_serve() {
 	// --- server side -----------------------------------------------------
 	sys := moma.NewSystem()
 	d := sources.Generate(sources.SmallConfig())
 	if err := sys.LoadSource(d.ACM); err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 	resolver, err := sys.RegisterResolver("ACM.Publication", moma.LiveConfig{
 		MinShared: 2,
@@ -47,27 +37,16 @@ func run() error {
 		},
 	})
 	if err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
-	fmt.Printf("resolver ready: %s\n", resolver)
+	fmt.Printf("resolver ready: %s\n\n", resolver)
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	addr := ln.Addr().String()
-	ln.Close() // moma-serve re-binds; a race here is fine for a demo
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- serve.New(sys).Run(ctx, addr) }()
-	if err := waitHealthy("http://" + addr); err != nil {
-		return err
-	}
-	fmt.Printf("serving on %s\n\n", addr)
+	srv := httptest.NewServer(serve.New(sys).Handler())
+	defer srv.Close()
 
 	// --- client side -----------------------------------------------------
-	base := "http://" + addr
+	base := srv.URL
 
 	// 1. Resolve DBLP titles against the ACM set until one hits — most DBLP
 	// publications have an ACM counterpart, some fall into the generator's
@@ -85,9 +64,10 @@ func run() error {
 		return len(rr.Matches) == 0
 	})
 	if stop != nil {
-		return stop
+		fmt.Println(stop)
+		return
 	}
-	fmt.Printf("resolve %q\n  -> %d matches in %dus\n", query, len(rr.Matches), rr.TookUS)
+	fmt.Printf("resolve %q\n  -> %d matches\n", query, len(rr.Matches))
 	for _, m := range rr.Matches {
 		fmt.Printf("     %-12s sim %.3f\n", m.ID, m.Sim)
 	}
@@ -103,7 +83,8 @@ func run() error {
 	var ar serve.AddInstanceResponse
 	if err := postJSON(base+"/sets/ACM.Publication/instances",
 		serve.AddInstanceRequest{ID: "arrival-1", Attrs: map[string]string{"name": dupTitle}}, &ar); err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 	fmt.Printf("\narrival %q (%q) matched %d live instances (delta in %q)\n",
 		ar.ID, dupTitle, len(ar.Matches), ar.Mapping)
@@ -112,7 +93,8 @@ func run() error {
 	req, _ := http.NewRequest(http.MethodDelete, base+"/sets/ACM.Publication/instances/arrival-1", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
@@ -121,18 +103,23 @@ func run() error {
 	// 4. Health.
 	var hr serve.HealthResponse
 	if err := getJSON(base+"/healthz", &hr); err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
-	fmt.Printf("\nhealthz: %s, uptime %.1fs, %d live in ACM.Publication\n",
-		hr.Status, hr.UptimeS, hr.Resolvers["ACM.Publication"].Live)
+	fmt.Printf("\nhealthz: %s, %d live in ACM.Publication\n",
+		hr.Status, hr.Resolvers["ACM.Publication"].Live)
 
-	// --- graceful shutdown ----------------------------------------------
-	cancel()
-	if err := <-done; err != nil {
-		return err
-	}
-	fmt.Println("server shut down cleanly")
-	return nil
+	// Output:
+	// resolver ready: live.Resolver{Publication@ACM, live: 225, slots: 225, index: 225 docs/274 terms}
+	//
+	// resolve "Buffer Allocation Parallel Clusters Revisited"
+	//   -> 1 matches
+	//      P-600001     sim 1.000
+	//
+	// arrival "arrival-1" ("Buffer Allocation Parallel Clusters Revisited") matched 1 live instances (delta in "live.ACM.Publication")
+	// removed arrival-1: HTTP 200
+	//
+	// healthz: ok, 225 live in ACM.Publication
 }
 
 func postJSON(url string, body, out any) error {
@@ -159,20 +146,4 @@ func getJSON(url string, out any) error {
 	}
 	defer resp.Body.Close()
 	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// waitHealthy polls /healthz until the listener is up.
-func waitHealthy(base string) error {
-	for i := 0; i < 100; i++ {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("server did not become healthy")
 }

@@ -11,7 +11,6 @@ package model
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -88,21 +87,6 @@ func (in *Instance) HasAttr(name string) bool {
 	}
 	_, ok := in.Attrs[name]
 	return ok
-}
-
-// IntAttr returns the attribute parsed as an integer. ok is false when the
-// attribute is missing or not an integer; the paper's sources have optional
-// numeric attributes (e.g. publication year in Google Scholar).
-func (in *Instance) IntAttr(name string) (v int, ok bool) {
-	s := in.Attr(name)
-	if s == "" {
-		return 0, false
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(s))
-	if err != nil {
-		return 0, false
-	}
-	return n, true
 }
 
 // SetAttr sets an attribute value, allocating the map if needed. When the

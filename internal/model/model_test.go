@@ -77,23 +77,6 @@ func TestInstanceAttrs(t *testing.T) {
 	if !in.HasAttr("year") || in.HasAttr("missing") {
 		t.Error("HasAttr mismatch")
 	}
-	y, ok := in.IntAttr("year")
-	if !ok || y != 2001 {
-		t.Errorf("IntAttr(year) = %d, %v", y, ok)
-	}
-	if _, ok := in.IntAttr("title"); ok {
-		t.Error("IntAttr(title) should fail")
-	}
-	if _, ok := in.IntAttr("missing"); ok {
-		t.Error("IntAttr(missing) should fail")
-	}
-}
-
-func TestIntAttrTrimsSpace(t *testing.T) {
-	in := NewInstance("p", map[string]string{"year": " 1999 "})
-	if y, ok := in.IntAttr("year"); !ok || y != 1999 {
-		t.Errorf("IntAttr = %d, %v; want 1999, true", y, ok)
-	}
 }
 
 func TestNewInstanceCopiesAttrs(t *testing.T) {
