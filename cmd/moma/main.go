@@ -9,11 +9,23 @@
 // (e.g. -set DBLP.Author=dblp_authors.csv -map DBLP.CoAuthor=dblp_coauthor.csv)
 // and the script references them by those names; when several sets share a
 // logical source, select() constraints read the one whose name sorts first.
+// Each set also gets its identity mapping under the set's name followed by
+// its last name part, the paper's DBLP.AuthorAuthor for -set DBLP.Author,
+// unless a -map already binds that name.
 // The script's result mapping is written as CSV to -out (default stdout);
 // -eval compares the result against a perfect mapping and prints
 // precision/recall/F-measure.
 //
-// Example — the paper's §4.3 duplicate-author workflow:
+// Example — the paper's §4.3 duplicate-author workflow, with dedup.ifuice
+// holding
+//
+//	$CoAuthSim = nhMatch (DBLP.CoAuthor, DBLP.AuthorAuthor, DBLP.CoAuthor)
+//	$NameSim = attrMatch (DBLP.Author, DBLP.Author, Trigram, 0.5, "[name]", "[name]")
+//	$Merged = merge ($CoAuthSim, $NameSim, Average)
+//	$Result = select ($Merged, "[domain.id]<>[range.id]")
+//	RETURN $Result
+//
+// and DBLP.AuthorAuthor the auto-bound identity:
 //
 //	moma-gen -out data -scale small
 //	moma -script dedup.ifuice \
@@ -25,14 +37,16 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/eval"
 	"repro/internal/mapping"
 	"repro/internal/script"
 	"repro/internal/store"
+	"repro/internal/workflow"
 )
 
 // bindingFlag accumulates repeated NAME=FILE flags.
@@ -55,9 +69,9 @@ func main() {
 	evalPath := flag.String("eval", "", "perfect mapping CSV to evaluate the result against")
 	trace := flag.Bool("trace", false, "print each script assignment as it executes")
 	sets := bindingFlag{}
-	maps := bindingFlag{}
+	mapFiles := bindingFlag{}
 	flag.Var(sets, "set", "bind an object set: NAME=objects.csv (repeatable)")
-	flag.Var(maps, "map", "bind a mapping: NAME=mapping.csv (repeatable)")
+	flag.Var(mapFiles, "map", "bind a mapping: NAME=mapping.csv (repeatable)")
 	flag.Parse()
 
 	if *scriptPath == "" {
@@ -65,24 +79,34 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*scriptPath, sets, maps, *out, *evalPath, *trace); err != nil {
+	if err := run(*scriptPath, sets, mapFiles, *out, *evalPath, *trace); err != nil {
 		fmt.Fprintf(os.Stderr, "moma: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(scriptPath string, sets, maps map[string]string, out, evalPath string, trace bool) error {
+func run(scriptPath string, sets, mapFiles map[string]string, out, evalPath string, trace bool) error {
 	src, err := os.ReadFile(scriptPath)
 	if err != nil {
 		return err
 	}
-	binding := script.NewBinding()
-	names := make([]string, 0, len(sets))
-	for name := range sets {
-		names = append(names, name)
+	e := workflow.NewEngine(nil)
+	for _, name := range slices.Sorted(maps.Keys(mapFiles)) {
+		file := mapFiles[name]
+		f, err := os.Open(file)
+		if err != nil {
+			return err
+		}
+		m, err := store.ReadMappingCSV(f)
+		f.Close() //moma:errsink-ok read-only fd, contents already parsed
+		if err != nil {
+			return fmt.Errorf("%s: %w", file, err)
+		}
+		if err := e.Repo.Put(name, m); err != nil {
+			return err
+		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(sets)) {
 		file := sets[name]
 		f, err := os.Open(file)
 		if err != nil {
@@ -93,27 +117,18 @@ func run(scriptPath string, sets, maps map[string]string, out, evalPath string, 
 		if err != nil {
 			return fmt.Errorf("%s: %w", file, err)
 		}
-		binding.BindSet(name, set)
-	}
-	for name, file := range maps {
-		f, err := os.Open(file)
-		if err != nil {
+		if err := e.AddObjectSet(name, set); err != nil {
 			return err
 		}
-		m, err := store.ReadMappingCSV(f)
-		f.Close() //moma:errsink-ok read-only fd, contents already parsed
-		if err != nil {
-			return fmt.Errorf("%s: %w", file, err)
+		identity := name + name[strings.LastIndexByte(name, '.')+1:]
+		if !e.Repo.Has(identity) {
+			if err := e.Repo.Put(identity, mapping.Identity(set)); err != nil {
+				return err
+			}
 		}
-		binding.BindMapping(name, m)
-	}
-	// Auto-provide identity mappings <Set>.<Name>Identity for every bound
-	// set, so single-source workflows need no extra files.
-	for name, set := range binding.Sets {
-		binding.BindMapping(name+"Identity", mapping.Identity(set))
 	}
 
-	ip := script.New(binding)
+	ip := script.New(e)
 	if trace {
 		ip.Trace = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}

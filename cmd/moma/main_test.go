@@ -43,8 +43,19 @@ z,y,0.8571428571428571
 z,x,0.6666666666666666
 `
 
+// wantNameOnlyCSV is the result CSV of dedupScript when DBLP.AuthorAuthor is
+// an empty mapping: the co-author evidence is gone, the name evidence stays.
+const wantNameOnlyCSV = `#mapping,Author@DBLP,Author@DBLP,CoAuthor.same.CoAuthor
+domain,range,sim
+agathoniki,niki,0.7272727272727273
+fan,wei,0.6428571428571429
+niki,agathoniki,0.7272727272727273
+wei,fan,0.6428571428571429
+`
+
 // TestRunDedupScript runs the §4.3 script from files, as the command does,
-// with and without -eval, and checks the result CSV byte for byte.
+// with and without -eval and with and without an identity mapping file, and
+// checks the result CSV byte for byte.
 func TestRunDedupScript(t *testing.T) {
 	dir := t.TempDir()
 	lds := model.LDS{Source: "DBLP", Type: model.Author}
@@ -101,17 +112,35 @@ func TestRunDedupScript(t *testing.T) {
 	}
 	perfectPath := write("perfect.csv", mappingCSV(perfect))
 
-	for _, evalPath := range []string{"", perfectPath} {
+	// Without a -map for it, DBLP.AuthorAuthor is the auto-bound identity of
+	// DBLP.Author; an explicit -map of that name is used instead. With an
+	// empty one, only the name evidence is left.
+	autoIdentity := map[string]string{"DBLP.CoAuthor": maps["DBLP.CoAuthor"]}
+	emptySame := map[string]string{
+		"DBLP.CoAuthor":     maps["DBLP.CoAuthor"],
+		"DBLP.AuthorAuthor": write("empty.csv", mappingCSV(mapping.NewSame(lds, lds))),
+	}
+	for _, tc := range []struct {
+		name     string
+		maps     map[string]string
+		evalPath string
+		want     string
+	}{
+		{"identity map", maps, "", wantDedupCSV},
+		{"identity map, eval", maps, perfectPath, wantDedupCSV},
+		{"auto identity", autoIdentity, "", wantDedupCSV},
+		{"explicit AuthorAuthor", emptySame, "", wantNameOnlyCSV},
+	} {
 		out := filepath.Join(dir, "result.csv")
-		if err := run(scriptPath, sets, maps, out, evalPath, false); err != nil {
-			t.Fatalf("run (eval %q): %v", evalPath, err)
+		if err := run(scriptPath, sets, tc.maps, out, tc.evalPath, false); err != nil {
+			t.Fatalf("run (%s): %v", tc.name, err)
 		}
 		got, err := os.ReadFile(out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != wantDedupCSV {
-			t.Errorf("run (eval %q) wrote\n%s\nwant\n%s", evalPath, got, wantDedupCSV)
+		if string(got) != tc.want {
+			t.Errorf("run (%s) wrote\n%s\nwant\n%s", tc.name, got, tc.want)
 		}
 	}
 }

@@ -21,9 +21,12 @@
 //		Sim: moma.Trigram, Threshold: 0.8}
 //	same, err := m.Match(dblp, acm)
 //
-// Higher-level entry points: System wires a mapping repository, a matcher
-// registry and the iFuice-style script interpreter together; Workflow and
-// Engine execute multi-step match processes; NhMatch is the §4.2
+// Higher-level entry points: System wires the workflow engine and the
+// iFuice-style script interpreter together. The engine is the one namespace
+// of the match process (Figure 3): the mapping repository, the mapping cache
+// and the object sets registered by name, which workflows, scripts and
+// System.MappingByName all resolve through, cache first, then repository.
+// Workflow values are its multi-step match processes; NhMatch is the §4.2
 // neighborhood matcher. The package's examples run whole match processes
 // through these names, each checked against the output it prints.
 //
@@ -350,7 +353,8 @@
 //     TestConcurrentResolveAdd, model.IDDict TestIDDictConcurrent, the
 //     model column store TestColumnConcurrent, obs.Registry
 //     TestRegistryConcurrent, obs.SlowRing TestSlowRingConcurrent, sim.Dict
-//     TestDictConcurrent.
+//     TestDictConcurrent, workflow.Engine's object sets and System's
+//     resolvers TestSystemConcurrentUse.
 //  6. Allocation discipline: a warm hot path performs zero heap
 //     allocations; only one-time growth (lazy builds, scratch reaching its
 //     high-water mark) may allocate. Held by the testing.AllocsPerRun gates

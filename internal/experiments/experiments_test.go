@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/mapping"
 	"repro/internal/sources"
 )
 
@@ -442,5 +443,68 @@ func TestExtensionSelfTuning(t *testing.T) {
 	tree := r.Metrics["Decision tree"]
 	if tree.F1 < 0.8 {
 		t.Errorf("decision tree F = %v, want >= 0.8", tree.F1)
+	}
+}
+
+// TestSharedStepsRunOnce: a Setting runs each shared matcher and step once,
+// however many tables ask for it. Each result is cached in the engine under
+// its step name, and a second request returns that same *Mapping.
+func TestSharedStepsRunOnce(t *testing.T) {
+	s := testSetting(t)
+	steps := []struct {
+		name string
+		run  func() (*mapping.Mapping, error)
+	}{
+		{"pub-title-dblp-acm", s.PubSameTitleDBLPACM},
+		{"pub-author-dblp-acm", s.pubSameAuthorDBLPACM},
+		{"pub-year-dblp-acm", s.pubSameYearDBLPACM},
+		{"pub-merged-dblp-acm", s.PubSameMergedDBLPACM},
+		{"pub-title-dblp-gs", s.DBLPGSTitle},
+		{"pub-links-gs-acm", s.GSACMDirect},
+		{"venue-same-dblp-acm", s.VenueSameDBLPACM},
+		{"author-same-dblp-gs", s.gsAuthorSame},
+		{"nh-pub-dblp-gs", s.nhPubViaAuthors},
+	}
+	for _, st := range steps {
+		first, err := st.run()
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		again, err := st.run()
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if again != first {
+			t.Errorf("%s: a second call built a new mapping", st.name)
+		}
+		if cached, ok := s.engine.Cache.Get(st.name); !ok || cached != first {
+			t.Errorf("%s: not in the engine cache under its name", st.name)
+		}
+	}
+
+	// Tables 6 and 8 run their matchers inline; a second run of each table
+	// must leave the cached results in place.
+	inline := []string{"author-name-dblp-acm", "author-name-low-dblp-acm", "pub-title-gs-acm", "author-same-gs-acm"}
+	runTables := func() {
+		for _, table := range []func(*Setting) (*TableResult, error){Table6, Table8} {
+			if _, err := table(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runTables()
+	first := make(map[string]*mapping.Mapping)
+	for _, name := range inline {
+		m, ok := s.engine.Cache.Get(name)
+		if !ok {
+			t.Fatalf("%s: not in the engine cache after Tables 6 and 8", name)
+		}
+		first[name] = m
+	}
+	runTables()
+	for _, name := range inline {
+		if m, _ := s.engine.Cache.Get(name); m != first[name] {
+			t.Errorf("%s: a second table run matched again", name)
+		}
 	}
 }

@@ -16,20 +16,20 @@ import (
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/sources"
-	"repro/internal/store"
+	"repro/internal/workflow"
 )
 
 // Setting is the evaluation environment: the generated dataset, the
-// query-collected Google Scholar working set, a mapping repository holding
-// the association mappings, and memoized intermediate same-mappings shared
-// between tables (the paper re-uses its Table 2 publication mapping in
-// §5.4.1, the §5.4.1 venue mapping in §5.4.2, and so on).
+// query-collected Google Scholar working set, and a workflow engine whose
+// repository holds the association mappings and whose cache holds the
+// intermediate same-mappings shared between tables (the paper re-uses its
+// Table 2 publication mapping in §5.4.1, the §5.4.1 venue mapping in
+// §5.4.2, and so on).
 type Setting struct {
 	D      *sources.Dataset
 	GSWork *model.ObjectSet
-	Repo   *store.Store
 
-	memo map[string]*mapping.Mapping
+	engine *workflow.Engine
 }
 
 // TableResult is a rendered experiment outcome.
@@ -58,16 +58,17 @@ func (t *TableResult) Render() string {
 
 // NewSetting generates the dataset for cfg, collects the GS working set by
 // querying (the only access path to GS), and loads the repository with the
-// pre-existing association mappings and GS links.
+// pre-existing association mappings and GS links, plus the DBLP author set
+// and its identity mapping that Table 9's script names.
 func NewSetting(cfg sources.Config) *Setting {
 	d := sources.Generate(cfg)
 	q := sources.NewGSQuery(d.GS)
 	work := q.CollectFor(d.DBLP.Pubs, "title", 15)
 
-	repo := store.NewRepository()
+	e := workflow.NewEngine(nil)
 	put := func(name string, m *mapping.Mapping) {
 		if m != nil {
-			if err := repo.Put(name, m); err != nil {
+			if err := e.Repo.Put(name, m); err != nil {
 				panic(err) // static wiring over fresh store cannot fail
 			}
 		}
@@ -85,29 +86,36 @@ func NewSetting(cfg sources.Config) *Setting {
 	put("GS.AuthorPub", d.GS.AuthorPub)
 	put("GS.PubAuthor", d.GS.PubAuthor)
 	put("GS-ACM.links", d.GSLinksACM)
+	put("DBLP.AuthorAuthor", mapping.Identity(d.DBLP.Authors))
+	if err := e.AddObjectSet("DBLP.Author", d.DBLP.Authors); err != nil {
+		panic(err) // first registration on a fresh engine cannot fail
+	}
 
-	return &Setting{D: d, GSWork: work, Repo: repo, memo: make(map[string]*mapping.Mapping)}
+	return &Setting{D: d, GSWork: work, engine: e}
 }
 
-// cached memoizes an intermediate mapping under a key.
-func (s *Setting) cached(key string, build func() (*mapping.Mapping, error)) (*mapping.Mapping, error) {
-	if m, ok := s.memo[key]; ok {
+// step returns the mapping the engine's cache holds under name, building
+// and caching it on the first call, as a workflow step caches its result.
+func (s *Setting) step(name string, build func() (*mapping.Mapping, error)) (*mapping.Mapping, error) {
+	if m, ok := s.engine.Cache.Get(name); ok {
 		return m, nil
 	}
 	m, err := build()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", key, err)
+		return nil, fmt.Errorf("experiments: %s: %w", name, err)
 	}
-	s.memo[key] = m
+	if err := s.engine.Cache.Put(name, m); err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", name, err)
+	}
 	return m, nil
 }
 
-// matched memoizes the same-mapping matcher m computes over a and b. Every
-// matcher result two experiments share goes through here, under the name a
-// workflow step would give it: a Setting runs each match once however many
-// tables — Table 10 re-enters six of them — ask for it.
-func (s *Setting) matched(key string, m match.Matcher, a, b *model.ObjectSet) (*mapping.Mapping, error) {
-	return s.cached(key, func() (*mapping.Mapping, error) { return m.Match(a, b) })
+// matched is the step named name that runs matcher m over a and b. Every
+// matcher result two experiments share goes through here: a Setting runs
+// each match once however many tables — Table 10 re-enters six of them —
+// ask for it.
+func (s *Setting) matched(name string, m match.Matcher, a, b *model.ObjectSet) (*mapping.Mapping, error) {
+	return s.step(name, func() (*mapping.Mapping, error) { return m.Match(a, b) })
 }
 
 // Matcher configurations shared by the tables. Thresholds follow the
@@ -122,7 +130,7 @@ const (
 	nameLowThreshold = 0.5
 )
 
-// PubSameTitleDBLPACM returns (memoized) the publication same-mapping from
+// PubSameTitleDBLPACM returns (cached) the publication same-mapping from
 // the Table 2 "Title" matcher alone — trigram over DBLP title vs ACM name,
 // with token blocking for scale — the baseline the neighborhood experiments
 // start from.
@@ -136,7 +144,7 @@ func (s *Setting) PubSameTitleDBLPACM() (*mapping.Mapping, error) {
 	}, s.D.DBLP.Pubs, s.D.ACM.Pubs)
 }
 
-// pubSameAuthorDBLPACM returns (memoized) the mapping of the Table 2
+// pubSameAuthorDBLPACM returns (cached) the mapping of the Table 2
 // "Author" matcher: trigram over the concatenated author lists of
 // publications.
 func (s *Setting) pubSameAuthorDBLPACM() (*mapping.Mapping, error) {
@@ -149,7 +157,7 @@ func (s *Setting) pubSameAuthorDBLPACM() (*mapping.Mapping, error) {
 	}, s.D.DBLP.Pubs, s.D.ACM.Pubs)
 }
 
-// pubSameYearDBLPACM returns (memoized) the mapping of the Table 2 "Year"
+// pubSameYearDBLPACM returns (cached) the mapping of the Table 2 "Year"
 // matcher: exact year equality. Blocking on the year token makes it the
 // equi-join it semantically is.
 func (s *Setting) pubSameYearDBLPACM() (*mapping.Mapping, error) {
@@ -167,7 +175,7 @@ func (s *Setting) pubSameYearDBLPACM() (*mapping.Mapping, error) {
 // weighted merge of title, author and year evidence with missing-as-zero,
 // followed by the 80% threshold selection.
 func (s *Setting) PubSameMergedDBLPACM() (*mapping.Mapping, error) {
-	return s.cached("pub-merged-dblp-acm", func() (*mapping.Mapping, error) {
+	return s.step("pub-merged-dblp-acm", func() (*mapping.Mapping, error) {
 		title, err := s.PubSameTitleDBLPACM()
 		if err != nil {
 			return nil, err
@@ -216,7 +224,7 @@ func (s *Setting) GSACMDirect() (*mapping.Mapping, error) {
 // neighborhood matcher with Best-1 selection — the Table 4 configuration
 // that §5.4.2 re-uses.
 func (s *Setting) VenueSameDBLPACM() (*mapping.Mapping, error) {
-	return s.cached("venue-same-dblp-acm", func() (*mapping.Mapping, error) {
+	return s.step("venue-same-dblp-acm", func() (*mapping.Mapping, error) {
 		pubSame, err := s.PubSameTitleDBLPACM()
 		if err != nil {
 			return nil, err

@@ -32,7 +32,7 @@ func (s *Setting) gsAuthorSame() (*mapping.Mapping, error) {
 // the author same-mapping, with RelativeLeft because the GS author lists
 // are incomplete (§5.4.3).
 func (s *Setting) nhPubViaAuthors() (*mapping.Mapping, error) {
-	return s.cached("nh-pub-dblp-gs", func() (*mapping.Mapping, error) {
+	return s.step("nh-pub-dblp-gs", func() (*mapping.Mapping, error) {
 		authorSame, err := s.gsAuthorSame()
 		if err != nil {
 			return nil, err
@@ -213,11 +213,6 @@ func Table9(s *Setting) (*TableResult, error) {
 // duplicateCandidates runs the dedup script and extracts the top-k ranked
 // candidate pairs (undirected, deduplicated).
 func (s *Setting) duplicateCandidates(k int) (*mapping.Mapping, []DuplicateCandidate, error) {
-	binding := script.NewBinding()
-	binding.BindMapping("DBLP.CoAuthor", s.D.DBLP.CoAuthor)
-	binding.BindMapping("DBLP.AuthorAuthor", mapping.Identity(s.D.DBLP.Authors))
-	binding.BindSet("DBLP.Author", s.D.DBLP.Authors)
-
 	src := `
 $CoAuthSim = nhMatch (DBLP.CoAuthor, DBLP.AuthorAuthor, DBLP.CoAuthor)
 $NameSim = attrMatch (DBLP.Author, DBLP.Author, Trigram, 0.5, "[name]", "[name]")
@@ -225,7 +220,7 @@ $Merged = merge ($CoAuthSim, $NameSim, Average)
 $Result = select ($Merged, "[domain.id]<>[range.id]")
 RETURN $Result
 `
-	ip := script.New(binding)
+	ip := script.New(s.engine)
 	v, err := ip.RunSource(src)
 	if err != nil {
 		return nil, nil, err

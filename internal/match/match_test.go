@@ -326,41 +326,6 @@ func TestCoAuthorDedup(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	m := &Attribute{MatcherName: "title-trigram", AttrA: "t", AttrB: "t", Sim: sim.Trigram}
-	if err := r.Register(m); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.Lookup("TITLE-TRIGRAM"); !ok {
-		t.Error("lookup should be case-insensitive")
-	}
-	if err := r.Register(m); err == nil {
-		t.Error("duplicate should fail")
-	}
-	if err := r.Register(Func{}); err == nil {
-		t.Error("unnamed matcher should fail")
-	}
-	if names := r.Names(); len(names) != 1 || names[0] != "title-trigram" {
-		t.Errorf("Names = %v", names)
-	}
-}
-
-func TestFuncAdapter(t *testing.T) {
-	called := false
-	f := Func{MatcherName: "f", Fn: func(a, b *model.ObjectSet) (*mapping.Mapping, error) {
-		called = true
-		return mapping.NewSame(a.LDS(), b.LDS()), nil
-	}}
-	if f.Name() != "f" {
-		t.Error("name wrong")
-	}
-	a, b := figure1Sets()
-	if _, err := f.Match(a, b); err != nil || !called {
-		t.Error("Func adapter should delegate")
-	}
-}
-
 func TestAttributeDefaultName(t *testing.T) {
 	m := &Attribute{AttrA: "title", AttrB: "name"}
 	if m.Name() != "attr(title~name)" {

@@ -71,7 +71,7 @@ type VarRef struct {
 
 // SourceRef references a repository object by qualified name, e.g.
 // DBLP.CoAuthor (a mapping) or DBLP.Author (an object set). Resolution is
-// deferred to the environment at run time.
+// deferred to the workflow engine's namespace at run time.
 type SourceRef struct {
 	Parts []string
 	Line  int

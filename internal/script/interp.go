@@ -9,80 +9,12 @@ import (
 	"repro/internal/match"
 	"repro/internal/model"
 	"repro/internal/sim"
+	"repro/internal/workflow"
 )
 
-// Env resolves the external names a script references: repository mappings
-// (DBLP.CoAuthor), object sets (DBLP.Author), instance access for
-// constraints, and similarity functions (Trigram).
-type Env interface {
-	LookupMapping(name string) (*mapping.Mapping, bool)
-	LookupObjectSet(name string) (*model.ObjectSet, bool)
-	// ObjectSetFor locates the instances of a logical source so select()
-	// constraints can read attribute values.
-	ObjectSetFor(lds model.LDS) (*model.ObjectSet, bool)
-	SimFunc(name string) (sim.Func, bool)
-}
-
-// Binding is the standard Env: explicit maps plus a similarity registry.
-type Binding struct {
-	Mappings map[string]*mapping.Mapping
-	Sets     map[string]*model.ObjectSet
-	Sims     *sim.Registry
-
-	byLDS map[model.LDS]*model.ObjectSet
-}
-
-// NewBinding returns an empty binding with the default similarity registry.
-func NewBinding() *Binding {
-	return &Binding{
-		Mappings: make(map[string]*mapping.Mapping),
-		Sets:     make(map[string]*model.ObjectSet),
-		Sims:     sim.NewRegistry(),
-		byLDS:    make(map[model.LDS]*model.ObjectSet),
-	}
-}
-
-// BindMapping registers a mapping under a qualified name.
-func (b *Binding) BindMapping(name string, m *mapping.Mapping) *Binding {
-	b.Mappings[name] = m
-	return b
-}
-
-// BindSet registers an object set under a qualified name and by its LDS.
-// Constraints read the first set bound for an LDS.
-func (b *Binding) BindSet(name string, s *model.ObjectSet) *Binding {
-	b.Sets[name] = s
-	if _, ok := b.byLDS[s.LDS()]; !ok {
-		b.byLDS[s.LDS()] = s
-	}
-	return b
-}
-
-// LookupMapping implements Env.
-func (b *Binding) LookupMapping(name string) (*mapping.Mapping, bool) {
-	m, ok := b.Mappings[name]
-	return m, ok
-}
-
-// LookupObjectSet implements Env.
-func (b *Binding) LookupObjectSet(name string) (*model.ObjectSet, bool) {
-	s, ok := b.Sets[name]
-	return s, ok
-}
-
-// ObjectSetFor implements Env.
-func (b *Binding) ObjectSetFor(lds model.LDS) (*model.ObjectSet, bool) {
-	s, ok := b.byLDS[lds]
-	return s, ok
-}
-
-// SimFunc implements Env.
-func (b *Binding) SimFunc(name string) (sim.Func, bool) {
-	if b.Sims == nil {
-		return nil, false
-	}
-	return b.Sims.Lookup(name)
-}
+// sims names the built-in similarity functions attrMatch accepts (Trigram,
+// PersonName, ...). It is never written after init.
+var sims = sim.NewRegistry()
 
 // ValueKind tags interpreter values.
 type ValueKind int
@@ -121,19 +53,21 @@ func (v Value) String() string {
 	}
 }
 
-// Interp executes parsed scripts against an environment.
+// Interp executes parsed scripts against an engine's namespace: its
+// mapping cache and repository (DBLP.CoAuthor) and its object sets
+// (DBLP.Author), read as they are when the script names them.
 type Interp struct {
-	env     Env
+	e       *workflow.Engine
 	procs   map[string]*ProcDef
 	globals map[string]Value
 	// Trace receives one line per executed assignment when non-nil.
 	Trace func(string)
 }
 
-// New returns an interpreter over env.
-func New(env Env) *Interp {
+// New returns an interpreter over e's namespace.
+func New(e *workflow.Engine) *Interp {
 	return &Interp{
-		env:     env,
+		e:       e,
 		procs:   make(map[string]*ProcDef),
 		globals: make(map[string]Value),
 	}
@@ -217,10 +151,10 @@ func (ip *Interp) eval(e Expr, scope map[string]Value) (Value, error) {
 		return Value{Kind: StringValue, Str: ex.Name}, nil
 	case *SourceRef:
 		name := ex.Name()
-		if m, ok := ip.env.LookupMapping(name); ok {
+		if m, ok := ip.e.Mapping(name); ok {
 			return Value{Kind: MappingValue, Mapping: m}, nil
 		}
-		if s, ok := ip.env.LookupObjectSet(name); ok {
+		if s, ok := ip.e.ObjectSet(name); ok {
 			return Value{Kind: SetValue, Set: s}, nil
 		}
 		return Value{}, fmt.Errorf("script: line %d: unknown source reference %s", ex.Line, name)
@@ -451,7 +385,7 @@ func (ip *Interp) builtinAttrMatch(c *Call, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	simFn, ok := ip.env.SimFunc(simName)
+	simFn, ok := sims.Lookup(simName)
 	if !ok {
 		return Value{}, fmt.Errorf("script: line %d: unknown similarity function %q", c.Line, simName)
 	}
@@ -536,8 +470,8 @@ func (ip *Interp) builtinSelect(c *Call, args []Value) (Value, error) {
 		if err != nil {
 			return Value{}, fmt.Errorf("script: line %d: %v", c.Line, err)
 		}
-		domSet, _ := ip.env.ObjectSetFor(m.Domain())
-		rngSet, _ := ip.env.ObjectSetFor(m.Range())
+		domSet, _ := ip.e.ObjectSetFor(m.Domain())
+		rngSet, _ := ip.e.ObjectSetFor(m.Range())
 		sel := expr.Selection(domSet, rngSet)
 		return Value{Kind: MappingValue, Mapping: sel.Apply(m)}, nil
 	}

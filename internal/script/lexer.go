@@ -15,8 +15,8 @@
 //
 // plus threshold/best-n selections, inverse, identity and user procedures.
 // The interpreter resolves source references (DBLP.Author) and pre-existing
-// mappings (DBLP.CoAuthor) through an Env, typically backed by the mapping
-// repository.
+// mappings (DBLP.CoAuthor) through a workflow.Engine: its cache, then its
+// repository, then its object sets.
 //
 // One lexer and one parser read both the statements and the object-value
 // constraints select() receives as a string (§3.3). The grammar, with

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mapping"
 	"repro/internal/model"
+	"repro/internal/workflow"
 )
 
 var (
@@ -104,9 +105,25 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// testBinding builds an environment with the Figure 9 fixtures.
-func testBinding() *Binding {
-	b := NewBinding()
+// putMapping stores m in e's repository under name.
+func putMapping(t *testing.T, e *workflow.Engine, name string, m *mapping.Mapping) {
+	t.Helper()
+	if err := e.Repo.Put(name, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// addSet registers set in e's namespace under name.
+func addSet(t *testing.T, e *workflow.Engine, name string, set *model.ObjectSet) {
+	t.Helper()
+	if err := e.AddObjectSet(name, set); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// testEngine builds a namespace with the Figure 9 fixtures.
+func testEngine(t *testing.T) *workflow.Engine {
+	b := workflow.NewEngine(nil)
 
 	asso1 := mapping.New(dblpVen, dblpPub, "VenuePub")
 	asso1.Add("conf/VLDB/2001", "conf/VLDB/MadhavanBR01", 1)
@@ -125,9 +142,9 @@ func testBinding() *Binding {
 	asso2.Add("P-672216", "V-645927", 1)
 	asso2.Add("P-641272", "V-641268", 1)
 
-	b.BindMapping("DBLP.VenuePub", asso1)
-	b.BindMapping("DBLP-ACM.PubSame", same)
-	b.BindMapping("ACM.PubVenue", asso2)
+	putMapping(t, b, "DBLP.VenuePub", asso1)
+	putMapping(t, b, "DBLP-ACM.PubSame", same)
+	putMapping(t, b, "ACM.PubVenue", asso2)
 	return b
 }
 
@@ -143,7 +160,7 @@ END
 $VenueSame = nhMatch (DBLP.VenuePub, DBLP-ACM.PubSame, ACM.PubVenue)
 RETURN $VenueSame
 `
-	ip := New(testBinding())
+	ip := New(testEngine(t))
 	v, err := ip.RunSource(src)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +190,7 @@ func TestBuiltinNhMatchWithoutProcedure(t *testing.T) {
 	src := `$V = nhMatch (DBLP.VenuePub, DBLP-ACM.PubSame, ACM.PubVenue)
 RETURN $V
 `
-	v, err := New(testBinding()).RunSource(src)
+	v, err := New(testEngine(t)).RunSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +202,7 @@ RETURN $V
 func TestBuiltinNhMatchCustomAgg(t *testing.T) {
 	src := `RETURN nhMatch (DBLP.VenuePub, DBLP-ACM.PubSame, ACM.PubVenue, RelativeLeft)
 `
-	v, err := New(testBinding()).RunSource(src)
+	v, err := New(testEngine(t)).RunSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +215,7 @@ func TestBuiltinNhMatchCustomAgg(t *testing.T) {
 func TestRunPaperDedupScript(t *testing.T) {
 	// §4.3's duplicate-author script, on a small co-author world where
 	// niki/agathoniki share all three co-authors.
-	b := NewBinding()
+	b := workflow.NewEngine(nil)
 	authors := model.NewObjectSet(dblpAut)
 	names := map[model.ID]string{
 		"niki": "Niki Trigoni", "agathoniki": "Agathoniki Trigoni",
@@ -214,9 +231,9 @@ func TestRunPaperDedupScript(t *testing.T) {
 			co.Add(c, dup, 1)
 		}
 	}
-	b.BindMapping("DBLP.CoAuthor", co)
-	b.BindMapping("DBLP.AuthorAuthor", mapping.Identity(authors))
-	b.BindSet("DBLP.Author", authors)
+	putMapping(t, b, "DBLP.CoAuthor", co)
+	putMapping(t, b, "DBLP.AuthorAuthor", mapping.Identity(authors))
+	addSet(t, b, "DBLP.Author", authors)
 
 	src := `
 $CoAuthSim = nhMatch (DBLP.CoAuthor, DBLP.AuthorAuthor, DBLP.CoAuthor)
@@ -253,7 +270,7 @@ RETURN $Result
 func DomainSideForTest() mapping.Side { return mapping.DomainSide }
 
 func TestSelectThresholdBestDelta(t *testing.T) {
-	b := testBinding()
+	b := testEngine(t)
 	cases := []struct {
 		src  string
 		want int
@@ -277,15 +294,15 @@ func TestSelectThresholdBestDelta(t *testing.T) {
 }
 
 func TestMergeVariantsInScript(t *testing.T) {
-	b := NewBinding()
+	b := workflow.NewEngine(nil)
 	m1 := mapping.NewSame(dblpPub, acmPub)
 	m1.Add("a1", "b1", 1)
 	m1.Add("a2", "b2", 0.8)
 	m2 := mapping.NewSame(dblpPub, acmPub)
 	m2.Add("a1", "b1", 0.6)
 	m2.Add("a3", "b3", 0.9)
-	b.BindMapping("M.A", m1)
-	b.BindMapping("M.B", m2)
+	putMapping(t, b, "M.A", m1)
+	putMapping(t, b, "M.B", m2)
 
 	cases := []struct {
 		f    string
@@ -315,10 +332,10 @@ func TestMergeVariantsInScript(t *testing.T) {
 }
 
 func TestInverseAndIdentityBuiltins(t *testing.T) {
-	b := testBinding()
+	b := testEngine(t)
 	set := model.NewObjectSet(dblpPub)
 	set.AddNew("p1", nil)
-	b.BindSet("DBLP.Publication", set)
+	addSet(t, b, "DBLP.Publication", set)
 
 	v, err := New(b).RunSource("RETURN inverse(DBLP.VenuePub)\n")
 	if err != nil {
@@ -337,7 +354,7 @@ func TestInverseAndIdentityBuiltins(t *testing.T) {
 }
 
 func TestRuntimeErrors(t *testing.T) {
-	b := testBinding()
+	b := testEngine(t)
 	cases := []string{
 		"RETURN $Undefined\n",
 		"RETURN unknownFn($X)\n",
@@ -361,13 +378,13 @@ func TestRuntimeErrors(t *testing.T) {
 
 func TestDuplicateProcedure(t *testing.T) {
 	src := "PROCEDURE p($a)\nRETURN $a\nEND\nPROCEDURE p($a)\nRETURN $a\nEND\n"
-	if _, err := New(testBinding()).RunSource(src); err == nil {
+	if _, err := New(testEngine(t)).RunSource(src); err == nil {
 		t.Error("duplicate procedure should fail")
 	}
 }
 
 func TestGlobalsAndTrace(t *testing.T) {
-	b := testBinding()
+	b := testEngine(t)
 	ip := New(b)
 	var traced []string
 	ip.Trace = func(s string) { traced = append(traced, s) }
@@ -527,7 +544,7 @@ func FuzzParseRoundTrip(f *testing.F) {
 }
 
 func TestSelectSideVariants(t *testing.T) {
-	b := testBinding()
+	b := testEngine(t)
 	// Side argument accepted for both Best and Delta forms.
 	for _, src := range []string{
 		"RETURN select(nhMatch(DBLP.VenuePub, DBLP-ACM.PubSame, ACM.PubVenue), Delta, 0.1, range)\n",
@@ -547,19 +564,19 @@ func TestSelectSideVariants(t *testing.T) {
 func TestSelectConstraintUsesBoundSets(t *testing.T) {
 	// A constraint referencing instance attributes resolves them via the
 	// bound object sets of the mapping's endpoints.
-	b := NewBinding()
+	b := workflow.NewEngine(nil)
 	dblp := model.NewObjectSet(dblpPub)
 	dblp.AddNew("p1", map[string]string{"year": "2001"})
 	dblp.AddNew("p2", map[string]string{"year": "1994"})
 	acm := model.NewObjectSet(acmPub)
 	acm.AddNew("q1", map[string]string{"year": "2002"})
 	acm.AddNew("q2", map[string]string{"year": "2002"})
-	b.BindSet("DBLP.Publication", dblp)
-	b.BindSet("ACM.Publication", acm)
+	addSet(t, b, "DBLP.Publication", dblp)
+	addSet(t, b, "ACM.Publication", acm)
 	m := mapping.NewSame(dblpPub, acmPub)
 	m.Add("p1", "q1", 0.9)
 	m.Add("p2", "q2", 0.9)
-	b.BindMapping("M.Same", m)
+	putMapping(t, b, "M.Same", m)
 
 	v, err := New(b).RunSource(`RETURN select(M.Same, "abs([domain.year]-[range.year])<=1")` + "\n")
 	if err != nil {
@@ -581,7 +598,7 @@ $Result = DBLP-ACM.PubSame
 $Picked = pick($Result)
 RETURN $Picked
 `
-	ip := New(testBinding())
+	ip := New(testEngine(t))
 	v, err := ip.RunSource(src)
 	if err != nil {
 		t.Fatal(err)
@@ -599,7 +616,7 @@ RETURN $Picked
 func TestExprStatementAtTopLevel(t *testing.T) {
 	// A bare call at top level evaluates and becomes the script result.
 	src := "inverse(DBLP.VenuePub)\n"
-	v, err := New(testBinding()).RunSource(src)
+	v, err := New(testEngine(t)).RunSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}

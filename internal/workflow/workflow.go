@@ -4,14 +4,15 @@
 // optional selection). Steps read additional inputs from the mapping cache
 // and the mapping repository, write their result to the cache, and the
 // final same-mapping can be stored back into the repository for re-use by
-// other match tasks. A whole workflow can register as a matcher in the
-// matcher library ("Selected workflows can be added to the matcher library
-// for use in other match tasks").
+// other match tasks. The Engine that runs them is the match process's one
+// namespace: workflows, scripts and the System resolve mapping and object
+// set names through it.
 package workflow
 
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/mapping"
 	"repro/internal/match"
@@ -109,33 +110,75 @@ func (w *Workflow) String() string {
 	return b.String()
 }
 
-// Engine executes workflows against a repository, a cache and the matcher
-// library.
+// Engine is the namespace of Figure 3 and the executor of workflows over
+// it: the mapping repository, an unbounded mapping cache, and the object sets
+// registered by name. It is safe for concurrent use.
 type Engine struct {
 	Repo  *store.Store
 	Cache *store.Store
-	// Trace receives progress lines when non-nil.
-	Trace func(string)
+
+	mu   sync.RWMutex
+	sets map[string]*model.ObjectSet // guarded by mu
+	// byLDS holds the first set registered for each LDS, the one select()
+	// constraints read.
+	byLDS map[model.LDS]*model.ObjectSet // guarded by mu
 }
 
-// NewEngine returns an engine with a fresh unbounded cache.
+// NewEngine returns an engine over repo (a fresh in-memory repository when
+// nil) with a fresh unbounded cache and no object sets.
 func NewEngine(repo *store.Store) *Engine {
-	return &Engine{Repo: repo, Cache: store.NewCache(0)}
+	if repo == nil {
+		repo = store.NewRepository()
+	}
+	return &Engine{
+		Repo:  repo,
+		Cache: store.NewCache(0),
+		sets:  make(map[string]*model.ObjectSet),
+		byLDS: make(map[model.LDS]*model.ObjectSet),
+	}
 }
 
-// resolve finds a named mapping, cache first, then repository.
-func (e *Engine) resolve(name string) (*mapping.Mapping, error) {
-	if e.Cache != nil {
-		if m, ok := e.Cache.Get(name); ok {
-			return m, nil
-		}
+// Mapping finds a named mapping, cache first, then repository.
+func (e *Engine) Mapping(name string) (*mapping.Mapping, bool) {
+	if m, ok := e.Cache.Get(name); ok {
+		return m, true
 	}
-	if e.Repo != nil {
-		if m, ok := e.Repo.Get(name); ok {
-			return m, nil
-		}
+	return e.Repo.Get(name)
+}
+
+// AddObjectSet registers an object set under a qualified name such as
+// "DBLP.Author". Names are unique; the first set registered for an LDS is
+// the one ObjectSetFor returns.
+func (e *Engine) AddObjectSet(name string, set *model.ObjectSet) error {
+	if name == "" || set == nil {
+		return fmt.Errorf("workflow: AddObjectSet needs a name and a set")
 	}
-	return nil, fmt.Errorf("workflow: no mapping named %q in cache or repository", name)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if _, dup := e.sets[name]; dup {
+		return fmt.Errorf("workflow: object set %q already registered", name)
+	}
+	e.sets[name] = set
+	if _, ok := e.byLDS[set.LDS()]; !ok {
+		e.byLDS[set.LDS()] = set
+	}
+	return nil
+}
+
+// ObjectSet returns the set registered under name.
+func (e *Engine) ObjectSet(name string) (*model.ObjectSet, bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	set, ok := e.sets[name]
+	return set, ok
+}
+
+// ObjectSetFor returns the first set registered for lds.
+func (e *Engine) ObjectSetFor(lds model.LDS) (*model.ObjectSet, bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	set, ok := e.byLDS[lds]
+	return set, ok
 }
 
 // Run executes the workflow on the two input object sets and returns the
@@ -158,15 +201,12 @@ func (e *Engine) Run(w *Workflow, a, b *model.ObjectSet) (*mapping.Mapping, erro
 			if err != nil {
 				return nil, fmt.Errorf("workflow: %s/%s: matcher %s: %w", w.Name, name, m.Name(), err)
 			}
-			if e.Trace != nil {
-				e.Trace(fmt.Sprintf("%s/%s: matcher %s -> %d corrs", w.Name, name, m.Name(), mm.Len()))
-			}
 			inputs = append(inputs, mm)
 		}
 		for _, ref := range s.Use {
-			mm, err := e.resolve(ref)
-			if err != nil {
-				return nil, fmt.Errorf("workflow: %s/%s: %w", w.Name, name, err)
+			mm, ok := e.Mapping(ref)
+			if !ok {
+				return nil, fmt.Errorf("workflow: %s/%s: no mapping named %q in cache or repository", w.Name, name, ref)
 			}
 			inputs = append(inputs, mm)
 		}
@@ -193,34 +233,17 @@ func (e *Engine) Run(w *Workflow, a, b *model.ObjectSet) (*mapping.Mapping, erro
 		if s.Selection != nil {
 			combined = s.Selection.Apply(combined)
 		}
-		if e.Trace != nil {
-			e.Trace(fmt.Sprintf("%s/%s: %s -> %d corrs", w.Name, name, s.Op, combined.Len()))
-		}
-		if e.Cache != nil {
-			if err := e.Cache.Put(name, combined); err != nil {
-				return nil, fmt.Errorf("workflow: %s/%s: cache: %w", w.Name, name, err)
-			}
+		if err := e.Cache.Put(name, combined); err != nil {
+			return nil, fmt.Errorf("workflow: %s/%s: cache: %w", w.Name, name, err)
 		}
 		result = combined
 	}
-	if w.StoreAs != "" && e.Repo != nil {
+	if w.StoreAs != "" {
 		if err := e.Repo.Put(w.StoreAs, result); err != nil {
 			return nil, fmt.Errorf("workflow: %s: store result: %w", w.Name, err)
 		}
 	}
 	return result, nil
-}
-
-// AsMatcher registers the workflow as a matcher: running it through the
-// engine when invoked. This realizes the paper's note that workflows join
-// the matcher library.
-func (w *Workflow) AsMatcher(e *Engine) match.Matcher {
-	return match.Func{
-		MatcherName: w.Name,
-		Fn: func(a, b *model.ObjectSet) (*mapping.Mapping, error) {
-			return e.Run(w, a, b)
-		},
-	}
 }
 
 // MergeStep is a convenience constructor for the common merge step.

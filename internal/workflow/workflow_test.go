@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -126,24 +127,6 @@ func TestComposeStepViaRepository(t *testing.T) {
 	}
 }
 
-func TestWorkflowAsMatcher(t *testing.T) {
-	dblp, acm := fixtureSets()
-	wf := New("inner").AddStep(MergeStep("m", mapping.AvgCombiner, nil, titleMatcher()))
-	e := NewEngine(store.NewRepository())
-	m := wf.AsMatcher(e)
-	if m.Name() != "inner" {
-		t.Errorf("Name = %q", m.Name())
-	}
-	got, err := m.Match(dblp, acm)
-	if err != nil || got.Len() == 0 {
-		t.Errorf("workflow-as-matcher failed: %v, %v", got, err)
-	}
-	reg := match.NewRegistry()
-	if err := reg.Register(m); err != nil {
-		t.Errorf("workflow should register in the matcher library: %v", err)
-	}
-}
-
 // atGOMAXPROCS runs f at GOMAXPROCS n, the worker count of every matcher
 // and operator a workflow runs, and restores the previous setting.
 func atGOMAXPROCS(n int, f func()) {
@@ -211,39 +194,75 @@ func TestRunErrors(t *testing.T) {
 	if _, err := e.Run(badOp, dblp, acm); err == nil {
 		t.Error("unknown operator should fail")
 	}
-	failing := match.Func{MatcherName: "boom", Fn: func(a, b *model.ObjectSet) (*mapping.Mapping, error) {
-		return nil, errBoom
-	}}
-	withFailing := New("x").AddStep(MergeStep("s", mapping.AvgCombiner, nil, failing))
+	withFailing := New("x").AddStep(MergeStep("s", mapping.AvgCombiner, nil, failingMatcher{}))
 	if _, err := e.Run(withFailing, dblp, acm); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("matcher error should propagate, got %v", err)
 	}
 }
 
-var errBoom = errFor("boom")
+// failingMatcher is a matcher whose every run fails.
+type failingMatcher struct{}
 
-type errFor string
+func (failingMatcher) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
+	return nil, errors.New("boom")
+}
 
-func (e errFor) Error() string { return string(e) }
+func (failingMatcher) Name() string { return "boom" }
 
-func TestTraceAndString(t *testing.T) {
-	dblp, acm := fixtureSets()
+func TestWorkflowString(t *testing.T) {
 	wf := New("traced").AddStep(MergeStep("m", mapping.AvgCombiner, mapping.Threshold{T: 0.5}, titleMatcher()))
-	e := NewEngine(store.NewRepository())
-	var lines []string
-	e.Trace = func(s string) { lines = append(lines, s) }
-	if _, err := e.Run(wf, dblp, acm); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) < 2 {
-		t.Errorf("trace lines = %v", lines)
-	}
 	out := wf.String()
 	if !strings.Contains(out, "traced") || !strings.Contains(out, "merge") {
 		t.Errorf("String = %q", out)
 	}
 	if OpMerge.String() != "merge" || OpCompose.String() != "compose" || OpKind(5).String() == "" {
 		t.Error("OpKind names wrong")
+	}
+}
+
+// TestEngineNamespace: names resolve cache first, then repository; set
+// names are unique, and the first set registered for an LDS is the one
+// ObjectSetFor returns.
+func TestEngineNamespace(t *testing.T) {
+	dblp, acm := fixtureSets()
+	e := NewEngine(nil)
+	inRepo, inCache := mapping.Identity(dblp), mapping.Identity(acm)
+	if err := e.Repo.Put("M", inRepo); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := e.Mapping("M"); !ok || m != inRepo {
+		t.Error("Mapping should read the repository")
+	}
+	if err := e.Cache.Put("M", inCache); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := e.Mapping("M"); !ok || m != inCache {
+		t.Error("Mapping should read the cache before the repository")
+	}
+	if _, ok := e.Mapping("ghost"); ok {
+		t.Error("unknown name resolved")
+	}
+
+	second := model.NewObjectSet(dblpPub)
+	for _, reg := range []struct {
+		name string
+		set  *model.ObjectSet
+	}{{"DBLP.Publication", dblp}, {"ACM.Publication", acm}, {"DBLP.PublicationV2", second}} {
+		if err := e.AddObjectSet(reg.name, reg.set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.AddObjectSet("DBLP.Publication", second); err == nil {
+		t.Error("duplicate set name accepted")
+	}
+	if err := e.AddObjectSet("", dblp); err == nil {
+		t.Error("empty set name accepted")
+	}
+	if set, ok := e.ObjectSet("DBLP.PublicationV2"); !ok || set != second {
+		t.Error("ObjectSet should return the set registered under the name")
+	}
+	if set, ok := e.ObjectSetFor(dblpPub); !ok || set != dblp {
+		t.Error("ObjectSetFor should return the first set registered for the LDS")
 	}
 }
 

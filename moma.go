@@ -77,12 +77,6 @@ const (
 	KindWeighted = mapping.Weighted
 )
 
-// Similarity functions (package sim).
-type (
-	// SimRegistry resolves similarity functions by name.
-	SimRegistry = sim.Registry
-)
-
 // Built-in similarity functions.
 var (
 	Trigram    = sim.Trigram
@@ -104,8 +98,6 @@ type (
 	MultiAttributeMatcher = match.MultiAttribute
 	// AttrPair configures one comparison of the multi-attribute matcher.
 	AttrPair = match.AttrPair
-	// MatcherRegistry is the extensible matcher library.
-	MatcherRegistry = match.Registry
 	// TokenBlocking pairs instances sharing attribute tokens.
 	TokenBlocking = block.TokenBlocking
 )
@@ -124,13 +116,8 @@ var (
 	ReadObjectSetCSV  = store.ReadObjectSetCSV
 )
 
-// Workflows (package workflow).
-type (
-	// Workflow is a named sequence of match steps.
-	Workflow = workflow.Workflow
-	// Engine executes workflows against repository and cache.
-	Engine = workflow.Engine
-)
+// Workflow is a named sequence of match steps (package workflow).
+type Workflow = workflow.Workflow
 
 // Workflow constructors.
 var (

@@ -7,56 +7,39 @@ import (
 
 	"repro/internal/live"
 	"repro/internal/mapping"
-	"repro/internal/match"
 	"repro/internal/model"
 	"repro/internal/script"
-	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/workflow"
 )
 
-// System wires the MOMA architecture of Figure 3 together: the mapping
-// repository, the mapping cache, the matcher library, the similarity
-// registry, the workflow engine and the script interpreter, all sharing
-// one namespace of sources and mappings.
+// System wires the MOMA architecture of Figure 3 together: the workflow
+// engine, whose namespace of object sets, mapping cache and repository the
+// script interpreter reads too, and the live resolvers serving registered
+// sets online. Like its stores it is safe for concurrent use.
 type System struct {
-	// Repo is the mapping repository (association and same-mappings).
+	// Repo is the mapping repository (association and same-mappings), the
+	// engine's.
 	Repo *Store
-	// Cache holds intermediate same-mappings of running workflows.
+	// Cache holds intermediate same-mappings of workflows and scripts, the
+	// engine's.
 	Cache *Store
-	// Matchers is the extensible matcher library.
-	Matchers *MatcherRegistry
-	// Sims resolves similarity-function names.
-	Sims *SimRegistry
 
-	// mu guards sets, byLDS and resolvers: the system is the shared
-	// Figure-3 architecture, and like Store it must be safe for concurrent
-	// use (concurrent RunScript / AddObjectSet / RunWorkflow calls).
-	mu   sync.RWMutex
-	sets map[string]*ObjectSet
-	// byLDS holds the first set registered for each LDS, the one select()
-	// constraints read.
-	byLDS     map[model.LDS]*ObjectSet
-	resolvers map[string]*LiveResolver
-	engine    *workflow.Engine
+	engine *workflow.Engine
+
+	mu        sync.RWMutex
+	resolvers map[string]*LiveResolver // guarded by mu
 }
 
 // NewSystem returns a system with in-memory repository and cache.
-func NewSystem() *System {
-	return newSystem(store.NewRepository())
-}
+func NewSystem() *System { return newSystem(nil) }
 
 // NewSystemWithRepository returns a system over a caller-built repository —
 // one opened through store.OpenRepositoryFS with a fault injector
 // (cmd/moma-serve's -fault-script), custom auto-compaction settings, or any
 // other non-default store configuration. A nil repo falls back to a fresh
 // in-memory repository.
-func NewSystemWithRepository(repo *Store) *System {
-	if repo == nil {
-		repo = store.NewRepository()
-	}
-	return newSystem(repo)
-}
+func NewSystemWithRepository(repo *Store) *System { return newSystem(repo) }
 
 // OpenSystem returns a system whose repository persists under dir (write-
 // ahead log plus snapshot; see Store.Compact).
@@ -68,45 +51,20 @@ func OpenSystem(dir string) (*System, error) {
 	return newSystem(repo), nil
 }
 
+// newSystem builds a system over repo, a fresh in-memory one when nil.
 func newSystem(repo *store.Store) *System {
-	s := &System{
-		Repo:      repo,
-		Cache:     store.NewCache(0),
-		Matchers:  match.NewRegistry(),
-		Sims:      sim.NewRegistry(),
-		sets:      make(map[string]*ObjectSet),
-		byLDS:     make(map[model.LDS]*ObjectSet),
-		resolvers: make(map[string]*LiveResolver),
-	}
-	s.engine = &workflow.Engine{Repo: s.Repo, Cache: s.Cache}
-	return s
+	e := workflow.NewEngine(repo)
+	return &System{Repo: e.Repo, Cache: e.Cache, engine: e, resolvers: make(map[string]*LiveResolver)}
 }
 
 // AddObjectSet registers an object set under a qualified name such as
 // "DBLP.Author", making it visible to scripts and constraints.
 func (s *System) AddObjectSet(name string, set *ObjectSet) error {
-	if name == "" || set == nil {
-		return fmt.Errorf("moma: AddObjectSet needs a name and a set")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.sets[name]; dup {
-		return fmt.Errorf("moma: object set %q already registered", name)
-	}
-	s.sets[name] = set
-	if _, ok := s.byLDS[set.LDS()]; !ok {
-		s.byLDS[set.LDS()] = set
-	}
-	return nil
+	return s.engine.AddObjectSet(name, set)
 }
 
 // ObjectSetByName returns a registered object set.
-func (s *System) ObjectSetByName(name string) (*ObjectSet, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	set, ok := s.sets[name]
-	return set, ok
-}
+func (s *System) ObjectSetByName(name string) (*ObjectSet, bool) { return s.engine.ObjectSet(name) }
 
 // RegisterResolver builds a live resolver over a registered object set and
 // installs it under the set's name, making the set answerable online
@@ -156,12 +114,7 @@ func (s *System) AddMapping(name string, m *Mapping) error {
 }
 
 // MappingByName resolves a mapping from cache first, then repository.
-func (s *System) MappingByName(name string) (*Mapping, bool) {
-	if m, ok := s.Cache.Get(name); ok {
-		return m, true
-	}
-	return s.Repo.Get(name)
-}
+func (s *System) MappingByName(name string) (*Mapping, bool) { return s.engine.Mapping(name) }
 
 // RunScript parses and executes an iFuice-style script against the
 // system's sources and mappings, which it reads as they are when the script
@@ -172,7 +125,7 @@ func (s *System) RunScript(src string) (Value, error) {
 	if err != nil {
 		return Value{Kind: script.NoValue}, err
 	}
-	ip := script.New(scriptEnv{s})
+	ip := script.New(s.engine)
 	v, err := ip.Run(parsed)
 	if err != nil {
 		return v, err
@@ -190,54 +143,34 @@ func (s *System) RunScript(src string) (Value, error) {
 	return v, nil
 }
 
-// scriptEnv is the system as a running script's environment.
-type scriptEnv struct{ *System }
-
-func (e scriptEnv) LookupMapping(name string) (*Mapping, bool) { return e.MappingByName(name) }
-
-func (e scriptEnv) LookupObjectSet(name string) (*ObjectSet, bool) { return e.ObjectSetByName(name) }
-
-func (e scriptEnv) ObjectSetFor(lds model.LDS) (*ObjectSet, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	set, ok := e.byLDS[lds]
-	return set, ok
-}
-
-func (e scriptEnv) SimFunc(name string) (sim.Func, bool) {
-	if e.Sims == nil {
-		return nil, false
+// setPair returns the object sets registered as setA and setB.
+func (s *System) setPair(setA, setB string) (*ObjectSet, *ObjectSet, error) {
+	a, ok := s.ObjectSetByName(setA)
+	if !ok {
+		return nil, nil, fmt.Errorf("moma: unknown object set %q", setA)
 	}
-	return e.Sims.Lookup(name)
+	b, ok := s.ObjectSetByName(setB)
+	if !ok {
+		return nil, nil, fmt.Errorf("moma: unknown object set %q", setB)
+	}
+	return a, b, nil
 }
 
 // RunWorkflow executes a workflow on two registered object sets.
 func (s *System) RunWorkflow(w *Workflow, setA, setB string) (*Mapping, error) {
-	a, ok := s.ObjectSetByName(setA)
-	if !ok {
-		return nil, fmt.Errorf("moma: unknown object set %q", setA)
-	}
-	b, ok := s.ObjectSetByName(setB)
-	if !ok {
-		return nil, fmt.Errorf("moma: unknown object set %q", setB)
+	a, b, err := s.setPair(setA, setB)
+	if err != nil {
+		return nil, err
 	}
 	return s.engine.Run(w, a, b)
 }
 
-// Engine exposes the workflow engine (e.g. to register workflows as
-// matchers in the library).
-func (s *System) Engine() *Engine { return s.engine }
-
 // MatchAndStore runs a matcher on two registered sets and stores the
 // resulting same-mapping in the repository under mappingName.
 func (s *System) MatchAndStore(m Matcher, setA, setB, mappingName string) (*Mapping, error) {
-	a, ok := s.ObjectSetByName(setA)
-	if !ok {
-		return nil, fmt.Errorf("moma: unknown object set %q", setA)
-	}
-	b, ok := s.ObjectSetByName(setB)
-	if !ok {
-		return nil, fmt.Errorf("moma: unknown object set %q", setB)
+	a, b, err := s.setPair(setA, setB)
+	if err != nil {
+		return nil, err
 	}
 	res, err := m.Match(a, b)
 	if err != nil {

@@ -7,8 +7,9 @@ import (
 )
 
 // TestSystemConcurrentUse exercises the System's shared namespace from many
-// goroutines at once — scripts reading the current sets live while
-// other goroutines register new sets and run matchers. Under -race this
+// goroutines at once — scripts reading the current sets live, by name and
+// (in select() constraints) by LDS, while other goroutines register new
+// sets and run matchers. Under -race this
 // proves the Figure-3 architecture is safe for concurrent use, matching the
 // documented guarantee of its stores.
 func TestSystemConcurrentUse(t *testing.T) {
@@ -25,19 +26,28 @@ func TestSystemConcurrentUse(t *testing.T) {
 	if err := sys.AddObjectSet("ACM.Publication", acm); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.AddMapping("Existing", IdentityOf(dblp)); err != nil {
+	if err := sys.AddMapping("M.Existing", IdentityOf(dblp)); err != nil {
 		t.Fatal(err)
 	}
 
 	const rounds = 20
 	var wg sync.WaitGroup
-	wg.Add(3)
-	errs := make(chan error, 3*rounds)
+	wg.Add(4)
+	errs := make(chan error, 4*rounds)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
 			if _, err := sys.RunScript("$T = attrMatch (DBLP.Publication, ACM.Publication, Trigram, 0.8, \"[title]\", \"[title]\")\nRETURN $T\n"); err != nil {
 				errs <- fmt.Errorf("RunScript: %w", err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, err := sys.RunScript(`RETURN select(M.Existing, "[domain.year]=[range.year]")` + "\n"); err != nil {
+				errs <- fmt.Errorf("RunScript select: %w", err)
 				return
 			}
 		}
