@@ -26,9 +26,13 @@
 // of the match process (Figure 3): the mapping repository, the mapping cache
 // and the object sets registered by name, which workflows, scripts and
 // System.MappingByName all resolve through, cache first, then repository.
-// Workflow values are its multi-step match processes; NhMatch is the §4.2
-// neighborhood matcher. The package's examples run whole match processes
-// through these names, each checked against the output it prints.
+// Workflow values are its multi-step match processes. Every step is named
+// and runs once per engine: its result is cached under its name, a step
+// whose result the cache holds is read instead of run, and Cache.Delete
+// forces a re-run. The paper's evaluation (internal/experiments) runs its
+// tables as such steps. NhMatch is the §4.2 neighborhood matcher. The
+// package's examples run whole match processes through these names, each
+// checked against the output it prints.
 //
 // # Similarity profiles
 //

@@ -25,14 +25,16 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	}
 
 	// Stage 1: publication matching via a workflow (title + year merged).
-	wf := NewWorkflow("pub-match").AddStep(MergeStep("combine",
-		Combiner{Kind: KindWeighted, Weights: []float64{3, 2}, MissingAsZero: true},
-		Threshold{T: 0.75},
-		&AttributeMatcher{MatcherName: "title", AttrA: "title", AttrB: "name", Sim: Trigram, Threshold: 0.82,
-			Blocker: TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2}},
-		&AttributeMatcher{MatcherName: "year", AttrA: "year", AttrB: "year", Sim: YearExact, Threshold: 1,
-			Blocker: TokenBlocking{AttrA: "year", AttrB: "year", MinShared: 1}},
-	)).Store("DBLP-ACM.PubSame")
+	wf := NewWorkflow("pub-match").AddStep(Step{Name: "combine",
+		Matchers: []Matcher{
+			&AttributeMatcher{MatcherName: "title", AttrA: "title", AttrB: "name", Sim: Trigram, Threshold: 0.82,
+				Blocker: TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2}},
+			&AttributeMatcher{MatcherName: "year", AttrA: "year", AttrB: "year", Sim: YearExact, Threshold: 1,
+				Blocker: TokenBlocking{AttrA: "year", AttrB: "year", MinShared: 1}},
+		},
+		F:      Combiner{Kind: KindWeighted, Weights: []float64{3, 2}, MissingAsZero: true},
+		Select: []Selection{Threshold{T: 0.75}},
+	}).Store("DBLP-ACM.PubSame")
 	pubSame, err := sys.RunWorkflow(wf, "DBLP.Publication", "ACM.Publication")
 	if err != nil {
 		t.Fatal(err)

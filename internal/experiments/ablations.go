@@ -8,6 +8,7 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/match"
 	"repro/internal/sim"
+	"repro/internal/workflow"
 )
 
 // Ablations for the design choices DESIGN.md calls out. They are not paper
@@ -16,18 +17,6 @@ import (
 // AblationMergeMissing compares the treatments of missing correspondences
 // in the Table 2 merge (§3.1: ignore vs assume-zero vs weighted).
 func AblationMergeMissing(s *Setting) (*TableResult, error) {
-	title, err := s.PubSameTitleDBLPACM()
-	if err != nil {
-		return nil, err
-	}
-	author, err := s.pubSameAuthorDBLPACM()
-	if err != nil {
-		return nil, err
-	}
-	year, err := s.pubSameYearDBLPACM()
-	if err != nil {
-		return nil, err
-	}
 	perfect := s.D.Perfect.PubDBLPACM
 	variants := []struct {
 		label string
@@ -45,12 +34,17 @@ func AblationMergeMissing(s *Setting) (*TableResult, error) {
 		Columns: []string{"Variant", "Precision", "Recall", "F-Measure"},
 		Metrics: map[string]eval.Result{},
 	}
+	steps := []workflow.Step{pubTitleDBLPACM, pubAuthorDBLPACM, pubYearDBLPACM}
 	for _, v := range variants {
-		merged, err := mapping.Merge(v.comb, title, author, year)
-		if err != nil {
-			return nil, err
-		}
-		r := eval.Compare(mapping.Threshold{T: v.thr}.Apply(merged), perfect)
+		steps = append(steps, workflow.Step{Name: "pub-merged-dblp-acm " + v.label, Use: pubMergedDBLPACM.Use,
+			F: v.comb, Select: []mapping.Selection{mapping.Threshold{T: v.thr}}})
+	}
+	ms, err := s.run(s.D.DBLP.Pubs, s.D.ACM.Pubs, steps...)
+	if err != nil {
+		return nil, err
+	}
+	for i, v := range variants {
+		r := eval.Compare(ms[3+i], perfect)
 		t.Metrics[v.label] = r
 		t.Rows = append(t.Rows, []string{v.label, eval.Pct(r.Precision), eval.Pct(r.Recall), eval.Pct(r.F1)})
 	}
@@ -62,7 +56,16 @@ func AblationMergeMissing(s *Setting) (*TableResult, error) {
 // RelativeLeft over the symmetric Relative when the right association is
 // incomplete).
 func AblationComposeAgg(s *Setting) (*TableResult, error) {
-	authorSame, err := s.gsAuthorSame()
+	if _, err := s.run(s.D.DBLP.Authors, s.D.GS.Authors, authorSameDBLPGS); err != nil {
+		return nil, err
+	}
+	aggs := []mapping.PathAgg{mapping.AggRelative, mapping.AggRelativeLeft, mapping.AggRelativeRight, mapping.AggMax}
+	var steps []workflow.Step
+	for _, g := range aggs {
+		steps = append(steps, nhMatch("nh-pub-dblp-gs "+g.String(), "DBLP.PubAuthor", "author-same-dblp-gs", "GS.AuthorPub", g,
+			mapping.Where(func(c mapping.Correspondence) bool { return s.GSWork.Has(c.Range) }), mapping.Threshold{T: 0.75})...)
+	}
+	ms, err := s.run(s.D.DBLP.Pubs, s.GSWork, steps...)
 	if err != nil {
 		return nil, err
 	}
@@ -73,14 +76,8 @@ func AblationComposeAgg(s *Setting) (*TableResult, error) {
 		Columns: []string{"g", "Precision", "Recall", "F-Measure"},
 		Metrics: map[string]eval.Result{},
 	}
-	for _, g := range []mapping.PathAgg{mapping.AggRelative, mapping.AggRelativeLeft, mapping.AggRelativeRight, mapping.AggMax} {
-		nh, err := match.NhMatchAgg(s.D.DBLP.PubAuthor, authorSame, s.D.GS.AuthorPub, g)
-		if err != nil {
-			return nil, err
-		}
-		nh = nh.Filter(func(c mapping.Correspondence) bool { return s.GSWork.Has(c.Range) })
-		nh = mapping.Threshold{T: 0.75}.Apply(nh)
-		r := eval.Compare(nh, perfect)
+	for i, g := range aggs {
+		r := eval.Compare(ms[2*i+1], perfect)
 		t.Metrics[g.String()] = r
 		t.Rows = append(t.Rows, []string{g.String(), eval.Pct(r.Precision), eval.Pct(r.Recall), eval.Pct(r.F1)})
 	}

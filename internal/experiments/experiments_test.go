@@ -446,65 +446,39 @@ func TestExtensionSelfTuning(t *testing.T) {
 	}
 }
 
-// TestSharedStepsRunOnce: a Setting runs each shared matcher and step once,
-// however many tables ask for it. Each result is cached in the engine under
-// its step name, and a second request returns that same *Mapping.
+// TestSharedStepsRunOnce: a Setting runs each workflow step once, however
+// many experiments list it. Every experiment that runs through the engine
+// runs twice; the second pass leaves every cache entry in place, and the
+// shared steps are cached under their names.
 func TestSharedStepsRunOnce(t *testing.T) {
-	s := testSetting(t)
-	steps := []struct {
-		name string
-		run  func() (*mapping.Mapping, error)
-	}{
-		{"pub-title-dblp-acm", s.PubSameTitleDBLPACM},
-		{"pub-author-dblp-acm", s.pubSameAuthorDBLPACM},
-		{"pub-year-dblp-acm", s.pubSameYearDBLPACM},
-		{"pub-merged-dblp-acm", s.PubSameMergedDBLPACM},
-		{"pub-title-dblp-gs", s.DBLPGSTitle},
-		{"pub-links-gs-acm", s.GSACMDirect},
-		{"venue-same-dblp-acm", s.VenueSameDBLPACM},
-		{"author-same-dblp-gs", s.gsAuthorSame},
-		{"nh-pub-dblp-gs", s.nhPubViaAuthors},
-	}
-	for _, st := range steps {
-		first, err := st.run()
-		if err != nil {
-			t.Fatalf("%s: %v", st.name, err)
-		}
-		again, err := st.run()
-		if err != nil {
-			t.Fatalf("%s: %v", st.name, err)
-		}
-		if again != first {
-			t.Errorf("%s: a second call built a new mapping", st.name)
-		}
-		if cached, ok := s.engine.Cache.Get(st.name); !ok || cached != first {
-			t.Errorf("%s: not in the engine cache under its name", st.name)
-		}
-	}
-
-	// Tables 6 and 8 run their matchers inline; a second run of each table
-	// must leave the cached results in place.
-	inline := []string{"author-name-dblp-acm", "author-name-low-dblp-acm", "pub-title-gs-acm", "author-same-gs-acm"}
-	runTables := func() {
-		for _, table := range []func(*Setting) (*TableResult, error){Table6, Table8} {
-			if _, err := table(s); err != nil {
+	s := NewSetting(sources.SmallConfig())
+	runAll := func() {
+		for _, ex := range []func(*Setting) (*TableResult, error){
+			Table2, Table3, Table4, Table5, Table6, Table7, Table8, Table10,
+			Figure8Hub, AblationMergeMissing, AblationComposeAgg, AblationHubChoice, ExtensionGSSelfMapping,
+		} {
+			if _, err := ex(s); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	runTables()
+	runAll()
 	first := make(map[string]*mapping.Mapping)
-	for _, name := range inline {
-		m, ok := s.engine.Cache.Get(name)
-		if !ok {
-			t.Fatalf("%s: not in the engine cache after Tables 6 and 8", name)
-		}
-		first[name] = m
+	for _, name := range s.engine.Cache.Names() {
+		first[name], _ = s.engine.Cache.Get(name)
 	}
-	runTables()
-	for _, name := range inline {
-		if m, _ := s.engine.Cache.Get(name); m != first[name] {
-			t.Errorf("%s: a second table run matched again", name)
+	for _, name := range goldenSteps {
+		if first[name] == nil {
+			t.Errorf("%s: not in the engine cache", name)
+		}
+	}
+	runAll()
+	if n := s.engine.Cache.Len(); n != len(first) {
+		t.Errorf("second pass left %d cache entries, want %d", n, len(first))
+	}
+	for name, m := range first {
+		if again, _ := s.engine.Cache.Get(name); again != m {
+			t.Errorf("%s: the second pass ran the step again", name)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/tuning"
+	"repro/internal/workflow"
 )
 
 // Extensions implement what the paper announces as future work:
@@ -28,13 +29,12 @@ import (
 // cluster is reached — lifting recall under the strict all-duplicates
 // evaluation.
 func ExtensionGSSelfMapping(s *Setting) (*TableResult, error) {
-	title, err := s.DBLPGSTitle()
-	if err != nil {
+	if _, err := s.run(s.D.DBLP.Pubs, s.GSWork, pubTitleDBLPGS); err != nil {
 		return nil, err
 	}
 	// Duplicate detection within GS: title and author-list evidence
 	// combined, exactly the §4.3 recipe applied to a dirty web source.
-	selfMatcher := &match.MultiAttribute{
+	self, err := s.run(s.GSWork, s.GSWork, matchStep("pub-self-gs", &match.MultiAttribute{
 		MatcherName: "gs-self",
 		Pairs: []match.AttrPair{
 			{AttrA: "title", AttrB: "title", Sim: sim.Trigram, Weight: 2},
@@ -42,28 +42,28 @@ func ExtensionGSSelfMapping(s *Setting) (*TableResult, error) {
 		},
 		Threshold: 0.82,
 		Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 3},
-	}
-	rawSelf, err := selfMatcher.Match(s.GSWork, s.GSWork)
+	}, mapping.NotEqualIDs{}))
 	if err != nil {
 		return nil, err
 	}
-	rawSelf = rawSelf.WithoutDiagonal()
+	rawSelf := self[0]
 	// Clusters of duplicate entries, closed under transitivity.
-	selfMapping := cluster.TransitiveClosure(rawSelf, 0.82)
-
+	if _, err := s.run(s.GSWork, s.GSWork, matchStep("pub-clusters-gs",
+		&match.ExistingMapping{MatcherName: "GS clusters", M: cluster.TransitiveClosure(rawSelf, 0.82)})); err != nil {
+		return nil, err
+	}
 	// Compose: a DBLP publication matched to one entry of a cluster now
-	// reaches every entry of that cluster.
-	viaSelf, err := mapping.Compose(title, selfMapping, mapping.MinCombiner, mapping.AggMax)
+	// reaches every entry of that cluster. "To find more correspondences"
+	// (§5.6), the composition contributes only entries the title mapping
+	// left uncovered; covered entries keep their direct evidence, so
+	// cluster errors cannot overwrite them.
+	ms, err := s.run(s.D.DBLP.Pubs, s.GSWork, append([]workflow.Step{pubTitleDBLPGS,
+		composeStep("pub-dblp-gs-via-clusters", mapping.AggMax, "pub-title-dblp-gs", "pub-clusters-gs"),
+	}, preferPerRange("pub-merged-clusters-dblp-gs", "pub-title-dblp-gs", "pub-dblp-gs-via-clusters")...)...)
 	if err != nil {
 		return nil, err
 	}
-	// "To find more correspondences" (§5.6): the composition contributes
-	// only entries the title mapping left uncovered; covered entries keep
-	// their direct evidence, so cluster errors cannot overwrite them.
-	improved, err := preferPerRange(title, viaSelf)
-	if err != nil {
-		return nil, err
-	}
+	title, improved := ms[0], ms[len(ms)-1]
 
 	perfect := s.perfectDBLPGSWorking()
 	metrics := map[string]eval.Result{

@@ -7,6 +7,7 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/match"
 	"repro/internal/model"
+	"repro/internal/workflow"
 )
 
 // The figures with worked numeric examples (4, 6, 9) are reproduced
@@ -129,22 +130,17 @@ func Figure9() (*TableResult, error) {
 // composition — the paper's argument for routing mappings through a
 // high-quality curated source.
 func Figure8Hub(s *Setting) (*TableResult, error) {
-	dblpGS, err := s.DBLPGSTitle()
+	if _, err := s.run(s.D.DBLP.Pubs, s.GSWork, pubTitleDBLPGS); err != nil {
+		return nil, err
+	}
+	if _, err := s.run(s.D.DBLP.Pubs, s.D.ACM.Pubs, pubTitleDBLPACM); err != nil {
+		return nil, err
+	}
+	ms, err := s.run(s.GSWork, s.D.ACM.Pubs, append([]workflow.Step{s.linksGSACM()}, gsACMViaDBLP...)...)
 	if err != nil {
 		return nil, err
 	}
-	dblpACM, err := s.PubSameTitleDBLPACM()
-	if err != nil {
-		return nil, err
-	}
-	direct, err := s.GSACMDirect()
-	if err != nil {
-		return nil, err
-	}
-	viaHub, err := mapping.Compose(dblpGS.Inverse(), dblpACM, mapping.MinCombiner, mapping.AggMax)
-	if err != nil {
-		return nil, err
-	}
+	direct, viaHub := ms[0], ms[2]
 	perfect := s.perfectGSACMWorking()
 	metrics := map[string]eval.Result{
 		"direct links": eval.Compare(direct, perfect),

@@ -4,10 +4,22 @@
 // both the rendered rows (in the paper's format) and the raw metrics so
 // tests can assert the qualitative shape: which matcher wins, where
 // combination helps, where compose paths fail.
+//
+// Tables 2–8, Figure 8, Ablations A1 and A2 and Extension E1 are match
+// workflows: named steps (matchers, merge, compose, inverse, selections)
+// run by the Setting's workflow engine, one workflow per object-set pair,
+// chained through the cache names of their steps. A step shared between
+// tables runs once per Setting; Table 10 and Ablation A4 re-enter earlier
+// tables and read their cached steps. The rest are not workflows: Table 9
+// runs the §4.3 script on the same engine, Table 1 counts instances,
+// Ablation A3 counts blocker pairs, Extension E2 trains a learner, and
+// Figures 4, 6 and 9 apply one operator to the paper's literal toy
+// mappings.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/block"
 	"repro/internal/eval"
@@ -94,28 +106,65 @@ func NewSetting(cfg sources.Config) *Setting {
 	return &Setting{D: d, GSWork: work, engine: e}
 }
 
-// step returns the mapping the engine's cache holds under name, building
-// and caching it on the first call, as a workflow step caches its result.
-func (s *Setting) step(name string, build func() (*mapping.Mapping, error)) (*mapping.Mapping, error) {
-	if m, ok := s.engine.Cache.Get(name); ok {
-		return m, nil
+// run executes steps as one workflow over a and b on the Setting's engine
+// and returns each step's result, in order. The engine reads a step it has
+// cached instead of running it, so a table lists every step it reads,
+// shared ones included, and each runs once per Setting.
+func (s *Setting) run(a, b *model.ObjectSet, steps ...workflow.Step) ([]*mapping.Mapping, error) {
+	w := &workflow.Workflow{Name: a.LDS().String() + "-" + b.LDS().String(), Steps: steps}
+	if _, err := s.engine.Run(w, a, b); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	m, err := build()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", name, err)
+	out := make([]*mapping.Mapping, len(steps))
+	for i, st := range steps {
+		out[i], _ = s.engine.Cache.Get(st.Name)
 	}
-	if err := s.engine.Cache.Put(name, m); err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", name, err)
-	}
-	return m, nil
+	return out, nil
 }
 
-// matched is the step named name that runs matcher m over a and b. Every
-// matcher result two experiments share goes through here: a Setting runs
-// each match once however many tables — Table 10 re-enters six of them —
-// ask for it.
-func (s *Setting) matched(name string, m match.Matcher, a, b *model.ObjectSet) (*mapping.Mapping, error) {
-	return s.step(name, func() (*mapping.Mapping, error) { return m.Match(a, b) })
+// matchStep is the step that runs matcher m, then sel.
+func matchStep(name string, m match.Matcher, sel ...mapping.Selection) workflow.Step {
+	return workflow.Step{Name: name, Matchers: []match.Matcher{m}, Select: sel}
+}
+
+// selectStep applies sel to the mapping named of (a one-input merge passes
+// it through).
+func selectStep(name, of string, sel ...mapping.Selection) workflow.Step {
+	return workflow.Step{Name: name, Use: []string{of}, Select: sel}
+}
+
+// composeStep composes the named mappings left to right: Min per path, g
+// over the paths of a pair.
+func composeStep(name string, g mapping.PathAgg, use ...string) workflow.Step {
+	return workflow.Step{Name: name, Use: use, Op: workflow.OpCompose, F: mapping.MinCombiner, G: g}
+}
+
+// inverse is the step "inverse <of>" that inverts the mapping named of.
+func inverse(of string) workflow.Step {
+	return workflow.Step{Name: "inverse " + of, Use: []string{of}, Op: workflow.OpInverse}
+}
+
+// nhMatch is the §4.2 nhMatch procedure as its two compose steps: asso1 ∘
+// same averaged over paths, then that ∘ asso2 aggregated by g, selected by
+// sel. The first step is named after its inputs, so neighborhood matchers
+// over the same asso1 and same share it.
+func nhMatch(name, asso1, same, asso2 string, g mapping.PathAgg, sel ...mapping.Selection) []workflow.Step {
+	temp := asso1 + " ∘ " + same
+	result := composeStep(name, g, temp, asso2)
+	result.Select = sel
+	return []workflow.Step{composeStep(temp, mapping.AggAvg, asso1, same), result}
+}
+
+// preferPerRange merges with PreferMap semantics grouped by RANGE objects:
+// all correspondences of preferred survive, and other contributes only for
+// range objects preferred does not cover. It is inverse, prefer-merge,
+// inverse.
+func preferPerRange(name, preferred, other string) []workflow.Step {
+	return []workflow.Step{
+		inverse(preferred), inverse(other),
+		{Name: "inverse " + name, Use: []string{"inverse " + preferred, "inverse " + other}, F: mapping.PreferCombiner(0)},
+		{Name: name, Use: []string{"inverse " + name}, Op: workflow.OpInverse},
+	}
 }
 
 // Matcher configurations shared by the tables. Thresholds follow the
@@ -130,111 +179,86 @@ const (
 	nameLowThreshold = 0.5
 )
 
-// PubSameTitleDBLPACM returns (cached) the publication same-mapping from
-// the Table 2 "Title" matcher alone — trigram over DBLP title vs ACM name,
-// with token blocking for scale — the baseline the neighborhood experiments
-// start from.
-func (s *Setting) PubSameTitleDBLPACM() (*mapping.Mapping, error) {
-	return s.matched("pub-title-dblp-acm", &match.Attribute{
+// The steps several experiments share, named by their cache entries.
+var (
+	// pubTitleDBLPACM is the Table 2 "Title" matcher — trigram over DBLP
+	// title vs ACM name, with token blocking for scale — the baseline the
+	// neighborhood experiments start from.
+	pubTitleDBLPACM = matchStep("pub-title-dblp-acm", &match.Attribute{
 		MatcherName: "Title",
 		AttrA:       "title", AttrB: "name",
 		Sim:       sim.Trigram,
 		Threshold: titleThreshold,
 		Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
-	}, s.D.DBLP.Pubs, s.D.ACM.Pubs)
-}
-
-// pubSameAuthorDBLPACM returns (cached) the mapping of the Table 2
-// "Author" matcher: trigram over the concatenated author lists of
-// publications.
-func (s *Setting) pubSameAuthorDBLPACM() (*mapping.Mapping, error) {
-	return s.matched("pub-author-dblp-acm", &match.Attribute{
+	})
+	// pubAuthorDBLPACM is the Table 2 "Author" matcher: trigram over the
+	// concatenated author lists of publications.
+	pubAuthorDBLPACM = matchStep("pub-author-dblp-acm", &match.Attribute{
 		MatcherName: "Author",
 		AttrA:       "authors", AttrB: "authors",
 		Sim:       sim.Trigram,
 		Threshold: authorsThreshold,
 		Blocker:   block.TokenBlocking{AttrA: "authors", AttrB: "authors", MinShared: 2},
-	}, s.D.DBLP.Pubs, s.D.ACM.Pubs)
-}
-
-// pubSameYearDBLPACM returns (cached) the mapping of the Table 2 "Year"
-// matcher: exact year equality. Blocking on the year token makes it the
-// equi-join it semantically is.
-func (s *Setting) pubSameYearDBLPACM() (*mapping.Mapping, error) {
-	return s.matched("pub-year-dblp-acm", &match.Attribute{
+	})
+	// pubYearDBLPACM is the Table 2 "Year" matcher: exact year equality.
+	// Blocking on the year token makes it the equi-join it semantically is.
+	pubYearDBLPACM = matchStep("pub-year-dblp-acm", &match.Attribute{
 		MatcherName: "Year",
 		AttrA:       "year", AttrB: "year",
 		Sim:         sim.YearExact,
 		Threshold:   1,
 		SkipMissing: true,
 		Blocker:     block.TokenBlocking{AttrA: "year", AttrB: "year", MinShared: 1},
-	}, s.D.DBLP.Pubs, s.D.ACM.Pubs)
-}
-
-// PubSameMergedDBLPACM returns the Table 2 merged publication mapping:
-// weighted merge of title, author and year evidence with missing-as-zero,
-// followed by the 80% threshold selection.
-func (s *Setting) PubSameMergedDBLPACM() (*mapping.Mapping, error) {
-	return s.step("pub-merged-dblp-acm", func() (*mapping.Mapping, error) {
-		title, err := s.PubSameTitleDBLPACM()
-		if err != nil {
-			return nil, err
-		}
-		author, err := s.pubSameAuthorDBLPACM()
-		if err != nil {
-			return nil, err
-		}
-		year, err := s.pubSameYearDBLPACM()
-		if err != nil {
-			return nil, err
-		}
-		merged, err := mapping.Merge(mapping.Combiner{
-			Kind:          mapping.Weighted,
-			Weights:       []float64{3, 1, 2},
-			MissingAsZero: true,
-		}, title, author, year)
-		if err != nil {
-			return nil, err
-		}
-		return mapping.Threshold{T: 0.8}.Apply(merged), nil
 	})
-}
-
-// DBLPGSTitle returns the direct DBLP-GS publication mapping from title
-// matching over the query-collected working set. GS titles carry heavy
-// extraction noise, so the threshold is lower than for ACM.
-func (s *Setting) DBLPGSTitle() (*mapping.Mapping, error) {
-	return s.matched("pub-title-dblp-gs", &match.Attribute{
+	// pubMergedDBLPACM is the Table 2 merged publication mapping: weighted
+	// merge of title, author and year evidence with missing-as-zero,
+	// followed by the 80% threshold selection.
+	pubMergedDBLPACM = workflow.Step{
+		Name:   "pub-merged-dblp-acm",
+		Use:    []string{"pub-title-dblp-acm", "pub-author-dblp-acm", "pub-year-dblp-acm"},
+		F:      mapping.Combiner{Kind: mapping.Weighted, Weights: []float64{3, 1, 2}, MissingAsZero: true},
+		Select: []mapping.Selection{mapping.Threshold{T: 0.8}},
+	}
+	// pubTitleDBLPGS is the direct DBLP-GS publication mapping from title
+	// matching over the query-collected working set. GS titles carry heavy
+	// extraction noise, so the threshold is lower than for ACM.
+	pubTitleDBLPGS = matchStep("pub-title-dblp-gs", &match.Attribute{
 		MatcherName: "Title(GS)",
 		AttrA:       "title", AttrB: "title",
 		Sim:       sim.Trigram,
 		Threshold: gsTitleThreshold,
 		Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 2},
-	}, s.D.DBLP.Pubs, s.GSWork)
-}
-
-// GSACMDirect returns the "direct" GS-ACM mapping: the pre-existing links
-// GS carries to ACM, restricted to the working set (§5.3).
-func (s *Setting) GSACMDirect() (*mapping.Mapping, error) {
-	return s.matched("pub-links-gs-acm",
-		&match.ExistingMapping{MatcherName: "GS-ACM links", M: s.D.GSLinksACM}, s.GSWork, s.D.ACM.Pubs)
-}
-
-// VenueSameDBLPACM returns the venue same-mapping from the 1:n
-// neighborhood matcher with Best-1 selection — the Table 4 configuration
-// that §5.4.2 re-uses.
-func (s *Setting) VenueSameDBLPACM() (*mapping.Mapping, error) {
-	return s.step("venue-same-dblp-acm", func() (*mapping.Mapping, error) {
-		pubSame, err := s.PubSameTitleDBLPACM()
-		if err != nil {
-			return nil, err
-		}
-		nh, err := match.NhMatch(s.D.DBLP.VenuePub, pubSame, s.D.ACM.PubVenue)
-		if err != nil {
-			return nil, err
-		}
-		return mapping.BestN{N: 1, Side: mapping.DomainSide}.Apply(nh), nil
 	})
+	// authorSameDBLPGS is the author same-mapping between DBLP and the GS
+	// authors from an initial-aware name matcher — the prerequisite step
+	// §5.4.3 describes ("we first had to determine an author same-mapping
+	// between GS and DBLP for which we applied an attribute matcher"; GS
+	// reduces first names to initials).
+	authorSameDBLPGS = matchStep("author-same-dblp-gs", &match.Attribute{
+		MatcherName: "Author name (GS)",
+		AttrA:       "name", AttrB: "name",
+		Sim:       sim.PersonName,
+		Threshold: 0.85,
+		Blocker:   block.TokenBlocking{AttrA: "name", AttrB: "name", MinShared: 1},
+	})
+	// venueSameDBLPACM runs the 1:n neighborhood matcher for venues over
+	// the title publication mapping ("venue-nh-dblp-acm") and selects
+	// Best-1 — the Table 4 configuration that §5.4.2 re-uses.
+	venueSameDBLPACM = slices.Concat(
+		nhMatch("venue-nh-dblp-acm", "DBLP.VenuePub", "pub-title-dblp-acm", "ACM.PubVenue", mapping.AggRelative),
+		[]workflow.Step{selectStep("venue-same-dblp-acm", "venue-nh-dblp-acm", mapping.BestN{N: 1, Side: mapping.DomainSide})})
+	// gsACMViaDBLP composes GS-ACM via the DBLP hub: inverse(DBLP-GS) ∘
+	// DBLP-ACM.
+	gsACMViaDBLP = []workflow.Step{
+		inverse("pub-title-dblp-gs"),
+		composeStep("pub-gs-acm-via-dblp", mapping.AggMax, "inverse pub-title-dblp-gs", "pub-title-dblp-acm"),
+	}
+)
+
+// linksGSACM is the "direct" GS-ACM step: the pre-existing links GS
+// carries to ACM, restricted to the working set (§5.3).
+func (s *Setting) linksGSACM() workflow.Step {
+	return matchStep("pub-links-gs-acm", &match.ExistingMapping{MatcherName: "GS-ACM links", M: s.D.GSLinksACM})
 }
 
 // perfectDBLPGSWorking restricts the strict DBLP-GS perfect mapping to GS

@@ -17,23 +17,23 @@ import (
 // pair of the working set and ACM, and the picks are looked up in its
 // result. It is the oracle Table8 must reproduce exactly.
 func table8FullMatch(s *Setting) (*TableResult, error) {
-	title, err := s.matched("pub-title-gs-acm", &match.Attribute{
+	title, err := (&match.Attribute{
 		MatcherName: "Title(GS-ACM)",
 		AttrA:       "title", AttrB: "name",
 		Sim:       sim.Trigram,
 		Threshold: gsTitleThreshold,
 		Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
-	}, s.GSWork, s.D.ACM.Pubs)
+	}).Match(s.GSWork, s.D.ACM.Pubs)
 	if err != nil {
 		return nil, err
 	}
-	authorSame, err := s.matched("author-same-gs-acm", &match.Attribute{
+	authorSame, err := (&match.Attribute{
 		MatcherName: "Author name (GS-ACM)",
 		AttrA:       "name", AttrB: "name",
 		Sim:       sim.PersonName,
 		Threshold: 0.85,
 		Blocker:   block.TokenBlocking{AttrA: "name", AttrB: "name", MinShared: 1},
-	}, s.D.GS.Authors, s.D.ACM.Authors)
+	}).Match(s.D.GS.Authors, s.D.ACM.Authors)
 	if err != nil {
 		return nil, err
 	}

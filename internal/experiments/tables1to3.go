@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/mapping"
+	"repro/internal/workflow"
 )
 
 // Table1 reports the instance counts of the three sources (paper Table 1:
@@ -33,22 +34,11 @@ func Table1(s *Setting) (*TableResult, error) {
 // matchers": Title, Author and Year matchers individually plus their merge
 // (weighted, missing-as-zero, 80% threshold).
 func Table2(s *Setting) (*TableResult, error) {
-	title, err := s.PubSameTitleDBLPACM()
+	ms, err := s.run(s.D.DBLP.Pubs, s.D.ACM.Pubs, pubTitleDBLPACM, pubAuthorDBLPACM, pubYearDBLPACM, pubMergedDBLPACM)
 	if err != nil {
 		return nil, err
 	}
-	author, err := s.pubSameAuthorDBLPACM()
-	if err != nil {
-		return nil, err
-	}
-	year, err := s.pubSameYearDBLPACM()
-	if err != nil {
-		return nil, err
-	}
-	merged, err := s.PubSameMergedDBLPACM()
-	if err != nil {
-		return nil, err
-	}
+	title, author, year, merged := ms[0], ms[1], ms[2], ms[3]
 	perfect := s.D.Perfect.PubDBLPACM
 	metrics := map[string]eval.Result{
 		"Title":  eval.Compare(title, perfect),
@@ -105,53 +95,37 @@ func addGroupedRows(t *TableResult, labels []string, maps []*mapping.Mapping, pe
 // for each source pair the direct mapping, the mapping composed via the
 // third source, and their merge.
 func Table3(s *Setting) (*TableResult, error) {
-	dblpACM, err := s.PubSameTitleDBLPACM()
+	dblpPubs, acmPubs := s.D.DBLP.Pubs, s.D.ACM.Pubs
+	if _, err := s.run(dblpPubs, acmPubs, pubTitleDBLPACM); err != nil {
+		return nil, err
+	}
+	if _, err := s.run(dblpPubs, s.GSWork, pubTitleDBLPGS); err != nil {
+		return nil, err
+	}
+	// Per source pair: the direct mapping, the composed alternative (f=Min
+	// per path, Max over paths — same-mapping composition should stay
+	// 1:1-ish, §4.1.2) and their merge. The merge prefers the direct
+	// mapping; the composed path only contributes correspondences for
+	// uncovered objects, so the merged result "retains the match quality
+	// level of the best alternative" (§5.3). GS-ACM via DBLP is the hub
+	// path, and there the composition is preferred over the sparse links.
+	gsACM, err := s.run(s.GSWork, acmPubs, slices.Concat([]workflow.Step{s.linksGSACM()}, gsACMViaDBLP, []workflow.Step{
+		{Name: "pub-merged-paths-gs-acm", Use: []string{"pub-gs-acm-via-dblp", "pub-links-gs-acm"}, F: mapping.PreferCombiner(0)},
+	})...)
 	if err != nil {
 		return nil, err
 	}
-	dblpGS, err := s.DBLPGSTitle()
-	if err != nil {
-		return nil, err
-	}
-	gsACM, err := s.GSACMDirect()
-	if err != nil {
-		return nil, err
-	}
-
-	// Composed alternatives (f=Min per path, Max over paths — same-mapping
-	// composition should stay 1:1-ish, §4.1.2).
-	composeF, composeG := mapping.MinCombiner, mapping.AggMax
 	// DBLP-GS via ACM: DBLP-ACM ∘ inverse(GS-ACM links).
-	dblpGSviaACM, err := mapping.Compose(dblpACM, gsACM.Inverse(), composeF, composeG)
+	dblpGS, err := s.run(dblpPubs, s.GSWork, pubTitleDBLPGS, inverse("pub-links-gs-acm"),
+		composeStep("pub-dblp-gs-via-acm", mapping.AggMax, "pub-title-dblp-acm", "inverse pub-links-gs-acm"),
+		workflow.Step{Name: "pub-merged-paths-dblp-gs", Use: []string{"pub-title-dblp-gs", "pub-dblp-gs-via-acm"}, F: mapping.PreferCombiner(0)})
 	if err != nil {
 		return nil, err
 	}
 	// DBLP-ACM via GS: DBLP-GS ∘ GS-ACM links.
-	dblpACMviaGS, err := mapping.Compose(dblpGS, gsACM, composeF, composeG)
-	if err != nil {
-		return nil, err
-	}
-	// GS-ACM via DBLP (the hub path): inverse(DBLP-GS) ∘ DBLP-ACM.
-	gsACMviaDBLP, err := mapping.Compose(dblpGS.Inverse(), dblpACM, composeF, composeG)
-	if err != nil {
-		return nil, err
-	}
-
-	// Merge prefers the direct mapping; the composed path only contributes
-	// correspondences for uncovered objects, so the merged result "retains
-	// the match quality level of the best alternative" (§5.3).
-	mergePrefer := func(a, b *mapping.Mapping) (*mapping.Mapping, error) {
-		return mapping.Merge(mapping.PreferCombiner(0), a, b)
-	}
-	dblpGSMerged, err := mergePrefer(dblpGS, dblpGSviaACM)
-	if err != nil {
-		return nil, err
-	}
-	dblpACMMerged, err := mergePrefer(dblpACM, dblpACMviaGS)
-	if err != nil {
-		return nil, err
-	}
-	gsACMMerged, err := mergePrefer(gsACMviaDBLP, gsACM)
+	dblpACM, err := s.run(dblpPubs, acmPubs, pubTitleDBLPACM,
+		composeStep("pub-dblp-acm-via-gs", mapping.AggMax, "pub-title-dblp-gs", "pub-links-gs-acm"),
+		workflow.Step{Name: "pub-merged-paths-dblp-acm", Use: []string{"pub-title-dblp-acm", "pub-dblp-acm-via-gs"}, F: mapping.PreferCombiner(0)})
 	if err != nil {
 		return nil, err
 	}
@@ -159,17 +133,16 @@ func Table3(s *Setting) (*TableResult, error) {
 	perfDBLPGS := s.perfectDBLPGSWorking()
 	perfGSACM := s.perfectGSACMWorking()
 	perfDBLPACM := s.D.Perfect.PubDBLPACM
-
 	metrics := map[string]eval.Result{
-		"DBLP-GS direct":   eval.Compare(dblpGS, perfDBLPGS),
-		"DBLP-GS compose":  eval.Compare(dblpGSviaACM, perfDBLPGS),
-		"DBLP-GS merge":    eval.Compare(dblpGSMerged, perfDBLPGS),
-		"DBLP-ACM direct":  eval.Compare(dblpACM, perfDBLPACM),
-		"DBLP-ACM compose": eval.Compare(dblpACMviaGS, perfDBLPACM),
-		"DBLP-ACM merge":   eval.Compare(dblpACMMerged, perfDBLPACM),
-		"GS-ACM direct":    eval.Compare(gsACM, perfGSACM),
-		"GS-ACM compose":   eval.Compare(gsACMviaDBLP, perfGSACM),
-		"GS-ACM merge":     eval.Compare(gsACMMerged, perfGSACM),
+		"DBLP-GS direct":   eval.Compare(dblpGS[0], perfDBLPGS),
+		"DBLP-GS compose":  eval.Compare(dblpGS[2], perfDBLPGS),
+		"DBLP-GS merge":    eval.Compare(dblpGS[3], perfDBLPGS),
+		"DBLP-ACM direct":  eval.Compare(dblpACM[0], perfDBLPACM),
+		"DBLP-ACM compose": eval.Compare(dblpACM[1], perfDBLPACM),
+		"DBLP-ACM merge":   eval.Compare(dblpACM[2], perfDBLPACM),
+		"GS-ACM direct":    eval.Compare(gsACM[0], perfGSACM),
+		"GS-ACM compose":   eval.Compare(gsACM[2], perfGSACM),
+		"GS-ACM merge":     eval.Compare(gsACM[3], perfGSACM),
 	}
 	t := &TableResult{
 		ID:      "Table 3",
@@ -190,6 +163,6 @@ func Table3(s *Setting) (*TableResult, error) {
 	t.Notes = append(t.Notes,
 		"GS evaluation is strict: every duplicate GS entry of a publication must be matched (§5.6)",
 		fmt.Sprintf("existing GS-ACM links: %d of %d true pairs (recall %s)",
-			gsACM.Len(), perfGSACM.Len(), eval.Pct(metrics["GS-ACM direct"].Recall)))
+			gsACM[0].Len(), perfGSACM.Len(), eval.Pct(metrics["GS-ACM direct"].Recall)))
 	return t, nil
 }

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"slices"
+
 	"repro/internal/block"
 	"repro/internal/eval"
 	"repro/internal/mapping"
 	"repro/internal/match"
 	"repro/internal/sim"
+	"repro/internal/workflow"
 )
 
 // Table4 reproduces "Matching DBLP-ACM venues using neighborhood matcher
@@ -14,20 +17,18 @@ import (
 // strategies (50% and 80% thresholds, Best-1) with the paper's
 // conference/journal breakdown.
 func Table4(s *Setting) (*TableResult, error) {
-	pubSame, err := s.PubSameTitleDBLPACM()
-	if err != nil {
+	if _, err := s.run(s.D.DBLP.Pubs, s.D.ACM.Pubs, pubTitleDBLPACM); err != nil {
 		return nil, err
 	}
-	nh, err := match.NhMatch(s.D.DBLP.VenuePub, pubSame, s.D.ACM.PubVenue)
+	ms, err := s.run(s.D.DBLP.Venues, s.D.ACM.Venues, slices.Concat(venueSameDBLPACM, []workflow.Step{
+		selectStep("venue-nh-50-dblp-acm", "venue-nh-dblp-acm", mapping.Threshold{T: 0.5}),
+		selectStep("venue-nh-80-dblp-acm", "venue-nh-dblp-acm", mapping.Threshold{T: 0.8}),
+	})...)
 	if err != nil {
 		return nil, err
 	}
 	labels := []string{"50%", "80%", "Best-1"}
-	selected := []*mapping.Mapping{
-		mapping.Threshold{T: 0.5}.Apply(nh),
-		mapping.Threshold{T: 0.8}.Apply(nh),
-		mapping.BestN{N: 1, Side: mapping.DomainSide}.Apply(nh),
-	}
+	selected := []*mapping.Mapping{ms[3], ms[4], ms[2]}
 	t := &TableResult{
 		ID:      "Table 4",
 		Title:   "Matching DBLP-ACM venues using neighborhood matcher (1:n)",
@@ -44,27 +45,22 @@ func Table4(s *Setting) (*TableResult, error) {
 // that evidence with the title matcher lifts precision dramatically,
 // especially for journals with recurring column titles (§5.4.2).
 func Table5(s *Setting) (*TableResult, error) {
-	title, err := s.PubSameTitleDBLPACM()
+	if _, err := s.run(s.D.DBLP.Pubs, s.D.ACM.Pubs, pubTitleDBLPACM); err != nil {
+		return nil, err
+	}
+	if _, err := s.run(s.D.DBLP.Venues, s.D.ACM.Venues, venueSameDBLPACM...); err != nil {
+		return nil, err
+	}
+	// n:1 neighborhood: publications of corresponding venues, merged with
+	// the title evidence (averaged under missing-as-zero; pairs lacking
+	// either kind of support drop below the threshold).
+	ms, err := s.run(s.D.DBLP.Pubs, s.D.ACM.Pubs, slices.Concat([]workflow.Step{pubTitleDBLPACM},
+		nhMatch("pub-nh-venue-dblp-acm", "DBLP.PubVenue", "venue-same-dblp-acm", "ACM.VenuePub", mapping.AggRelative),
+		[]workflow.Step{{Name: "pub-merged-venue-dblp-acm", Use: []string{"pub-title-dblp-acm", "pub-nh-venue-dblp-acm"},
+			F: mapping.Avg0Combiner, Select: []mapping.Selection{mapping.Threshold{T: 0.75}}}})...)
 	if err != nil {
 		return nil, err
 	}
-	venueSame, err := s.VenueSameDBLPACM()
-	if err != nil {
-		return nil, err
-	}
-	// n:1 neighborhood: publications of corresponding venues.
-	nh, err := match.NhMatch(s.D.DBLP.PubVenue, venueSame, s.D.ACM.VenuePub)
-	if err != nil {
-		return nil, err
-	}
-	// Merge: title evidence averaged with the venue-neighborhood evidence
-	// under missing-as-zero; pairs lacking either kind of support drop
-	// below the threshold.
-	merged, err := mapping.Merge(mapping.Avg0Combiner, title, nh)
-	if err != nil {
-		return nil, err
-	}
-	merged = mapping.Threshold{T: 0.75}.Apply(merged)
 
 	labels := []string{"Attribute (Title)", "Neighborhood (Venue)", "Merge"}
 	t := &TableResult{
@@ -73,7 +69,7 @@ func Table5(s *Setting) (*TableResult, error) {
 		Columns: append([]string{"Group", "Metric"}, labels...),
 		Metrics: map[string]eval.Result{},
 	}
-	addGroupedRows(t, labels, []*mapping.Mapping{title, nh, merged}, s.D.Perfect.PubDBLPACM, s.pubKindGroup())
+	addGroupedRows(t, labels, []*mapping.Mapping{ms[0], ms[2], ms[3]}, s.D.Perfect.PubDBLPACM, s.pubKindGroup())
 	return t, nil
 }
 
@@ -86,46 +82,38 @@ func Table5(s *Setting) (*TableResult, error) {
 // variants the strict attribute matcher misses while the name requirement
 // kills the frequent-co-author false positives.
 func Table6(s *Setting) (*TableResult, error) {
-	pubSame, err := s.PubSameMergedDBLPACM()
+	if _, err := s.run(s.D.DBLP.Pubs, s.D.ACM.Pubs, pubTitleDBLPACM, pubAuthorDBLPACM, pubYearDBLPACM, pubMergedDBLPACM); err != nil {
+		return nil, err
+	}
+	ms, err := s.run(s.D.DBLP.Authors, s.D.ACM.Authors, slices.Concat(
+		[]workflow.Step{matchStep("author-name-dblp-acm", &match.Attribute{
+			MatcherName: "Author name",
+			AttrA:       "name", AttrB: "name",
+			Sim:       sim.Trigram,
+			Threshold: nameThreshold,
+			Blocker:   blockAuthors(),
+		})},
+		nhMatch("author-nh-dblp-acm", "DBLP.AuthorPub", "pub-merged-dblp-acm", "ACM.PubAuthor", mapping.AggRelative),
+		[]workflow.Step{
+			// Permissive name matcher for the combination (initial-aware).
+			matchStep("author-name-low-dblp-acm", &match.Attribute{
+				MatcherName: "Author name (low)",
+				AttrA:       "name", AttrB: "name",
+				Sim:       sim.PersonName,
+				Threshold: nameLowThreshold,
+				Blocker:   blockAuthors(),
+			}),
+			{Name: "author-name-low-nh-dblp-acm", Use: []string{"author-name-low-dblp-acm", "author-nh-dblp-acm"},
+				F: mapping.Min0Combiner, Select: []mapping.Selection{mapping.Threshold{T: 0.45}}},
+			// Figure 11's merge: strict name evidence unioned with the
+			// (permissive-name ∧ shared-publication) evidence.
+			{Name: "author-merged-dblp-acm", Use: []string{"author-name-dblp-acm", "author-name-low-nh-dblp-acm"},
+				F: mapping.MaxCombiner},
+		})...)
 	if err != nil {
 		return nil, err
 	}
-	attrStrict, err := s.matched("author-name-dblp-acm", &match.Attribute{
-		MatcherName: "Author name",
-		AttrA:       "name", AttrB: "name",
-		Sim:       sim.Trigram,
-		Threshold: nameThreshold,
-		Blocker:   blockAuthors(),
-	}, s.D.DBLP.Authors, s.D.ACM.Authors)
-	if err != nil {
-		return nil, err
-	}
-	nh, err := match.NhMatch(s.D.DBLP.AuthorPub, pubSame, s.D.ACM.PubAuthor)
-	if err != nil {
-		return nil, err
-	}
-	// Permissive name matcher for the combination (initial-aware).
-	lowNames, err := s.matched("author-name-low-dblp-acm", &match.Attribute{
-		MatcherName: "Author name (low)",
-		AttrA:       "name", AttrB: "name",
-		Sim:       sim.PersonName,
-		Threshold: nameLowThreshold,
-		Blocker:   blockAuthors(),
-	}, s.D.DBLP.Authors, s.D.ACM.Authors)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := mapping.Merge(mapping.Min0Combiner, lowNames, nh)
-	if err != nil {
-		return nil, err
-	}
-	inner = mapping.Threshold{T: 0.45}.Apply(inner)
-	// Figure 11's merge: strict name evidence unioned with the
-	// (permissive-name ∧ shared-publication) evidence.
-	merged, err := mapping.Merge(mapping.MaxCombiner, attrStrict, inner)
-	if err != nil {
-		return nil, err
-	}
+	attrStrict, nh, merged := ms[0], ms[2], ms[5]
 
 	perfect := s.D.Perfect.AuthorDBLPACM
 	metrics := map[string]eval.Result{

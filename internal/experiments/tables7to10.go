@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/block"
@@ -11,42 +12,8 @@ import (
 	"repro/internal/model"
 	"repro/internal/script"
 	"repro/internal/sim"
+	"repro/internal/workflow"
 )
-
-// gsAuthorSame derives the author same-mapping between DBLP and the GS
-// working set's authors via an initial-aware name matcher — the
-// prerequisite step §5.4.3 describes ("we first had to determine an author
-// same-mapping between GS and DBLP for which we applied an attribute
-// matcher"; GS reduces first names to initials).
-func (s *Setting) gsAuthorSame() (*mapping.Mapping, error) {
-	return s.matched("author-same-dblp-gs", &match.Attribute{
-		MatcherName: "Author name (GS)",
-		AttrA:       "name", AttrB: "name",
-		Sim:       sim.PersonName,
-		Threshold: 0.85,
-		Blocker:   block.TokenBlocking{AttrA: "name", AttrB: "name", MinShared: 1},
-	}, s.D.DBLP.Authors, s.D.GS.Authors)
-}
-
-// nhPubViaAuthors runs the n:m neighborhood matcher for publications using
-// the author same-mapping, with RelativeLeft because the GS author lists
-// are incomplete (§5.4.3).
-func (s *Setting) nhPubViaAuthors() (*mapping.Mapping, error) {
-	return s.step("nh-pub-dblp-gs", func() (*mapping.Mapping, error) {
-		authorSame, err := s.gsAuthorSame()
-		if err != nil {
-			return nil, err
-		}
-		nh, err := match.NhMatchAgg(s.D.DBLP.PubAuthor, authorSame, s.D.GS.AuthorPub, mapping.AggRelativeLeft)
-		if err != nil {
-			return nil, err
-		}
-		// Restrict to the query-collected working set and keep only
-		// well-supported pairs.
-		nh = nh.Filter(func(c mapping.Correspondence) bool { return s.GSWork.Has(c.Range) })
-		return mapping.Threshold{T: 0.6}.Apply(nh), nil
-	})
-}
 
 // Table7 reproduces "Matching DBLP-GS publications with the help of
 // neighborhood matcher based on author same-mapping (n:m)". The merge
@@ -55,24 +22,31 @@ func (s *Setting) nhPubViaAuthors() (*mapping.Mapping, error) {
 // raising recall while precision stays put, exactly the effect §5.4.3
 // reports.
 func Table7(s *Setting) (*TableResult, error) {
-	title, err := s.DBLPGSTitle()
+	if _, err := s.run(s.D.DBLP.Pubs, s.GSWork, pubTitleDBLPGS); err != nil {
+		return nil, err
+	}
+	if _, err := s.run(s.D.DBLP.Authors, s.D.GS.Authors, authorSameDBLPGS); err != nil {
+		return nil, err
+	}
+	// The n:m neighborhood matcher over the author same-mapping, with
+	// RelativeLeft because the GS author lists are incomplete (§5.4.3),
+	// restricted to the query-collected working set, keeping only
+	// well-supported pairs. In the merge the title mapping is preferred;
+	// the neighborhood matcher contributes its best correspondence only for
+	// GS entries the title matcher left uncovered (truncated/garbled
+	// titles). This is PreferMap applied per GS entry — recall rises while
+	// precision stays at the title matcher's level, exactly the §5.4.3
+	// effect.
+	ms, err := s.run(s.D.DBLP.Pubs, s.GSWork, slices.Concat([]workflow.Step{pubTitleDBLPGS},
+		nhMatch("nh-pub-dblp-gs", "DBLP.PubAuthor", "author-same-dblp-gs", "GS.AuthorPub", mapping.AggRelativeLeft,
+			mapping.Where(func(c mapping.Correspondence) bool { return s.GSWork.Has(c.Range) }), mapping.Threshold{T: 0.6}),
+		[]workflow.Step{selectStep("nh-best-dblp-gs", "nh-pub-dblp-gs",
+			mapping.BestN{N: 1, Side: mapping.RangeSide}, mapping.Threshold{T: 0.8})},
+		preferPerRange("pub-merged-dblp-gs", "pub-title-dblp-gs", "nh-best-dblp-gs"))...)
 	if err != nil {
 		return nil, err
 	}
-	nh, err := s.nhPubViaAuthors()
-	if err != nil {
-		return nil, err
-	}
-	// Merge: the title mapping is preferred; the neighborhood matcher
-	// contributes its best correspondence only for GS entries the title
-	// matcher left uncovered (truncated/garbled titles). This is PreferMap
-	// applied per GS entry — recall rises while precision stays at the
-	// title matcher's level, exactly the §5.4.3 effect.
-	nhBest := mapping.Threshold{T: 0.8}.Apply(mapping.BestN{N: 1, Side: mapping.RangeSide}.Apply(nh))
-	merged, err := preferPerRange(title, nhBest)
-	if err != nil {
-		return nil, err
-	}
+	title, nh, merged := ms[0], ms[2], ms[len(ms)-1]
 	perfect := s.perfectDBLPGSWorking()
 	metrics := map[string]eval.Result{
 		"Attribute (Title)":     eval.Compare(title, perfect),
@@ -95,37 +69,39 @@ func Table7(s *Setting) (*TableResult, error) {
 
 // Table8 reproduces the same strategy for GS-ACM publications.
 func Table8(s *Setting) (*TableResult, error) {
+	gsPubs, acmPubs := s.GSWork, s.D.ACM.Pubs
 	// Direct title matcher GS->ACM over the working set.
-	title, err := s.matched("pub-title-gs-acm", &match.Attribute{
+	direct, err := s.run(gsPubs, acmPubs, matchStep("pub-title-gs-acm", &match.Attribute{
 		MatcherName: "Title(GS-ACM)",
 		AttrA:       "title", AttrB: "name",
 		Sim:       sim.Trigram,
 		Threshold: gsTitleThreshold,
 		Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
-	}, s.GSWork, s.D.ACM.Pubs)
+	}))
 	if err != nil {
 		return nil, err
 	}
 	// Author same-mapping GS->ACM.
-	authorSame, err := s.matched("author-same-gs-acm", &match.Attribute{
+	if _, err := s.run(s.D.GS.Authors, s.D.ACM.Authors, matchStep("author-same-gs-acm", &match.Attribute{
 		MatcherName: "Author name (GS-ACM)",
 		AttrA:       "name", AttrB: "name",
 		Sim:       sim.PersonName,
 		Threshold: 0.85,
 		Blocker:   block.TokenBlocking{AttrA: "name", AttrB: "name", MinShared: 1},
-	}, s.D.GS.Authors, s.D.ACM.Authors)
-	if err != nil {
+	})); err != nil {
 		return nil, err
 	}
 	// n:m neighborhood, RelativeRight this time: the INCOMPLETE author
 	// lists sit on the left (GS), so normalizing by the ACM side keeps the
-	// same asymmetry §5.4.3 motivates.
-	nh, err := match.NhMatchAgg(s.D.GS.PubAuthor, authorSame, s.D.ACM.AuthorPub, mapping.AggRelativeRight)
+	// same asymmetry §5.4.3 motivates. Its best pick per GS entry follows.
+	ms, err := s.run(gsPubs, acmPubs, append(
+		nhMatch("nh-pub-gs-acm", "GS.PubAuthor", "author-same-gs-acm", "ACM.AuthorPub", mapping.AggRelativeRight,
+			mapping.Where(func(c mapping.Correspondence) bool { return s.GSWork.Has(c.Domain) }), mapping.Threshold{T: 0.6}),
+		selectStep("nh-best-gs-acm", "nh-pub-gs-acm", mapping.BestN{N: 1, Side: mapping.DomainSide}, mapping.Threshold{T: 0.8}))...)
 	if err != nil {
 		return nil, err
 	}
-	nh = nh.Filter(func(c mapping.Correspondence) bool { return s.GSWork.Has(c.Domain) })
-	nh = mapping.Threshold{T: 0.6}.Apply(nh)
+	nh, nhBest := ms[1], ms[2]
 
 	// Merge as in Table 7; here the GS entries are the domain side, so the
 	// plain PreferMap combiner already has per-entry semantics.
@@ -136,23 +112,25 @@ func Table8(s *Setting) (*TableResult, error) {
 	// matcher is read on those picks only, so it scores only them (Within):
 	// the same verdicts as matching every token-blocked pair and looking the
 	// picks up, at a fraction of the pairs.
-	nhBest := mapping.Threshold{T: 0.8}.Apply(mapping.BestN{N: 1, Side: mapping.DomainSide}.Apply(nh))
-	weakTitle, err := (&match.Attribute{
+	weak, err := s.run(gsPubs, acmPubs, matchStep("pub-title-weak-gs-acm", &match.Attribute{
 		MatcherName: "Title(weak)",
 		AttrA:       "title", AttrB: "name",
 		Sim:       sim.Trigram,
 		Threshold: 0.35,
 		Blocker: block.Within{Pairs: nhBest,
 			Tokens: block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1}},
-	}).Match(s.GSWork, s.D.ACM.Pubs)
+	}))
 	if err != nil {
 		return nil, err
 	}
-	nhBest = nhBest.Filter(func(c mapping.Correspondence) bool { return weakTitle.Has(c.Domain, c.Range) })
-	merged, err := mapping.Merge(mapping.PreferCombiner(0), title, nhBest)
+	ms, err = s.run(gsPubs, acmPubs,
+		selectStep("nh-corroborated-gs-acm", "nh-best-gs-acm",
+			mapping.Where(func(c mapping.Correspondence) bool { return weak[0].Has(c.Domain, c.Range) })),
+		workflow.Step{Name: "pub-merged-gs-acm", Use: []string{"pub-title-gs-acm", "nh-corroborated-gs-acm"}, F: mapping.PreferCombiner(0)})
 	if err != nil {
 		return nil, err
 	}
+	title, merged := direct[0], ms[1]
 	perfect := s.perfectGSACMWorking()
 	metrics := map[string]eval.Result{
 		"Attribute (Title)":     eval.Compare(title, perfect),
@@ -331,15 +309,4 @@ func Table10(s *Setting) (*TableResult, error) {
 		[]string{"GS - ACM", "-", eval.Pct(t8.Metrics["Merge"].F1), "-"},
 	)
 	return t, nil
-}
-
-// preferPerRange merges with PreferMap semantics grouped by RANGE objects:
-// all correspondences of preferred survive, and other contributes only for
-// range objects preferred does not cover.
-func preferPerRange(preferred, other *mapping.Mapping) (*mapping.Mapping, error) {
-	inv, err := mapping.Merge(mapping.PreferCombiner(0), preferred.Inverse(), other.Inverse())
-	if err != nil {
-		return nil, err
-	}
-	return inv.Inverse(), nil
 }

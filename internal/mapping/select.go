@@ -54,6 +54,15 @@ func (t Threshold) Apply(m *Mapping) *Mapping {
 
 func (t Threshold) String() string { return fmt.Sprintf("Threshold(%.2f)", t.T) }
 
+// Where keeps the correspondences it accepts: Filter in selection form, for
+// tests such as object-set membership or corroboration by another mapping.
+type Where func(Correspondence) bool
+
+// Apply implements Selection.
+func (w Where) Apply(m *Mapping) *Mapping { return m.Filter(w) }
+
+func (w Where) String() string { return "Where" }
+
 // BestN keeps, for each instance of the configured side, the N
 // correspondences with the highest similarity. Ties at the cut-off are
 // broken deterministically by the other end's id. Workers is the worker

@@ -30,6 +30,14 @@ func TestThreshold(t *testing.T) {
 	}
 }
 
+func TestWhere(t *testing.T) {
+	m := selectFixture()
+	got := Where(func(c Correspondence) bool { return c.Range != "x" }).Apply(m)
+	wantMapping(t, got, []Correspondence{
+		{"a", "y", 0.85}, {"a", "z", 0.3}, {"b", "y", 0.6}, {"c", "z", 0.5},
+	})
+}
+
 func TestBestNDomain(t *testing.T) {
 	m := selectFixture()
 	got := BestN{N: 1, Side: DomainSide}.Apply(m)
@@ -122,6 +130,7 @@ func TestSelectionStrings(t *testing.T) {
 		{Best1Delta{D: 0.1, Side: DomainSide}, "Best-1+0.10(abs,domain)"},
 		{Best1Delta{D: 0.1, Relative: true, Side: BothSides}, "Best-1+0.10(rel,both)"},
 		{NotEqualIDs{}, "[domain.id]<>[range.id]"},
+		{Where(func(Correspondence) bool { return true }), "Where"},
 	}
 	for _, tc := range cases {
 		if got := tc.sel.String(); got != tc.want {

@@ -2,6 +2,7 @@ package script
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -19,13 +20,13 @@ var sims = sim.NewRegistry()
 // ValueKind tags interpreter values.
 type ValueKind int
 
-// Value kinds.
+// Value kinds. NoValue is the zero kind: a Value{} holds nothing.
 const (
-	MappingValue ValueKind = iota
+	NoValue ValueKind = iota
+	MappingValue
 	SetValue
 	NumberValue
 	StringValue
-	NoValue
 )
 
 // Value is a dynamically typed script value.
@@ -60,6 +61,9 @@ type Interp struct {
 	e       *workflow.Engine
 	procs   map[string]*ProcDef
 	globals map[string]Value
+	// calling holds the procedures on the call stack. A script has no
+	// conditionals, so calling one of them again would never end.
+	calling map[*ProcDef]bool
 	// Trace receives one line per executed assignment when non-nil.
 	Trace func(string)
 }
@@ -70,6 +74,7 @@ func New(e *workflow.Engine) *Interp {
 		e:       e,
 		procs:   make(map[string]*ProcDef),
 		globals: make(map[string]Value),
+		calling: make(map[*ProcDef]bool),
 	}
 }
 
@@ -84,7 +89,7 @@ func (ip *Interp) Global(name string) (Value, bool) {
 func (ip *Interp) RunSource(src string) (Value, error) {
 	s, err := Parse(src)
 	if err != nil {
-		return Value{Kind: NoValue}, err
+		return Value{}, err
 	}
 	return ip.Run(s)
 }
@@ -100,7 +105,7 @@ func (ip *Interp) Run(s *Script) (Value, error) {
 // else the value of the last assignment or expression statement. trace, when
 // non-nil, receives one line per assignment.
 func (ip *Interp) exec(stmts []Stmt, scope map[string]Value, trace func(string)) (Value, bool, error) {
-	last := Value{Kind: NoValue}
+	last := Value{}
 	for _, st := range stmts {
 		switch stmt := st.(type) {
 		case *ProcDef:
@@ -213,6 +218,11 @@ func (ip *Interp) call(c *Call, scope map[string]Value) (Value, error) {
 	if !ok {
 		return Value{}, fmt.Errorf("script: line %d: unknown function %s", c.Line, c.Name)
 	}
+	if ip.calling[proc] {
+		return Value{}, fmt.Errorf("script: line %d: recursive call of %s", c.Line, proc.Name)
+	}
+	ip.calling[proc] = true
+	defer delete(ip.calling, proc)
 	if len(args) != len(proc.Params) {
 		return Value{}, fmt.Errorf("script: line %d: %s expects %d arguments, got %d",
 			c.Line, proc.Name, len(proc.Params), len(args))
@@ -223,7 +233,7 @@ func (ip *Interp) call(c *Call, scope map[string]Value) (Value, error) {
 	}
 	v, returned, err := ip.exec(proc.Body, local, nil)
 	if err != nil || !returned {
-		return Value{Kind: NoValue}, err
+		return Value{}, err
 	}
 	return v, nil
 }
@@ -466,6 +476,9 @@ func (ip *Interp) builtinSelect(c *Call, args []Value) (Value, error) {
 	// Constraint form: the second argument contains an expression (it has
 	// brackets or comparison characters).
 	if strings.ContainsAny(mode, "[]<>=") {
+		if err := arity(c, args, 2); err != nil {
+			return Value{}, err
+		}
 		expr, err := ParseConstraint(mode)
 		if err != nil {
 			return Value{}, fmt.Errorf("script: line %d: %v", c.Line, err)
@@ -474,6 +487,13 @@ func (ip *Interp) builtinSelect(c *Call, args []Value) (Value, error) {
 		rngSet, _ := ip.e.ObjectSetFor(m.Range())
 		sel := expr.Selection(domSet, rngSet)
 		return Value{Kind: MappingValue, Mapping: sel.Apply(m)}, nil
+	}
+	maxArgs := 4 // Best and Delta take a side; Threshold does not
+	if strings.EqualFold(mode, "threshold") {
+		maxArgs = 3
+	}
+	if len(args) > maxArgs {
+		return Value{}, fmt.Errorf("script: line %d: select %s takes at most %d arguments, got %d", c.Line, mode, maxArgs, len(args))
 	}
 	side := mapping.DomainSide
 	if len(args) == 4 {
@@ -503,6 +523,9 @@ func (ip *Interp) builtinSelect(c *Call, args []Value) (Value, error) {
 		n, err := wantNumber(c, args, 2)
 		if err != nil {
 			return Value{}, err
+		}
+		if n < 1 || n > math.MaxInt32 || n != math.Trunc(n) {
+			return Value{}, fmt.Errorf("script: line %d: select Best needs a positive whole count, got %v", c.Line, n)
 		}
 		sel := mapping.BestN{N: int(n), Side: side}
 		return Value{Kind: MappingValue, Mapping: sel.Apply(m)}, nil

@@ -365,9 +365,16 @@ func TestRuntimeErrors(t *testing.T) {
 		"RETURN merge(DBLP.VenuePub, Min)\n", // association merge fails
 		"RETURN select(DBLP-ACM.PubSame, Bogus, 1)\n",
 		"RETURN select(DBLP-ACM.PubSame, Best, 1, sideways)\n",
-		"RETURN attrMatch(DBLP.VenuePub, DBLP.VenuePub, Trigram, 0.5, \"[name]\", \"[name]\")\n", // mappings, not sets
-		"RETURN nhMatch(DBLP.VenuePub, DBLP-ACM.PubSame)\n",                                      // wrong arity
-		"PROCEDURE p($a)\nRETURN $a\nEND\nRETURN p()\n",                                          // wrong arity for user proc
+		"RETURN attrMatch(DBLP.VenuePub, DBLP.VenuePub, Trigram, 0.5, \"[name]\", \"[name]\")\n",            // mappings, not sets
+		"RETURN nhMatch(DBLP.VenuePub, DBLP-ACM.PubSame)\n",                                                 // wrong arity
+		"PROCEDURE p($a)\nRETURN $a\nEND\nRETURN p()\n",                                                     // wrong arity for user proc
+		"PROCEDURE p($x)\nRETURN p($x)\nEND\nRETURN p(DBLP.VenuePub)\n",                                     // recursion
+		"PROCEDURE p($x)\nRETURN q($x)\nEND\nPROCEDURE q($x)\nRETURN P($x)\nEND\nRETURN p(DBLP.VenuePub)\n", // mutual recursion
+		"RETURN select(DBLP-ACM.PubSame, Threshold, 0.75, range)\n",                                         // Threshold reads no side
+		"RETURN select(DBLP-ACM.PubSame, \"[domain.id]<>[range.id]\", 7, 8)\n",                              // a constraint reads no more
+		"RETURN select(DBLP-ACM.PubSame, Best, 1, range, 2)\n",
+		"RETURN select(DBLP-ACM.PubSame, Best, 1.5)\n",
+		"RETURN select(DBLP-ACM.PubSame, Best, 0)\n",
 	}
 	for _, src := range cases {
 		if _, err := New(b).RunSource(src); err == nil {
@@ -412,7 +419,7 @@ func TestValueString(t *testing.T) {
 		{Value{Kind: SetValue, Set: set}, "set(0 instances)"},
 		{Value{Kind: NumberValue, Num: 0.5}, "0.5"},
 		{Value{Kind: StringValue, Str: "x"}, `"x"`},
-		{Value{Kind: NoValue}, "<none>"},
+		{Value{}, "<none>"},
 	}
 	for _, tc := range cases {
 		if got := tc.v.String(); got != tc.want {
@@ -540,6 +547,22 @@ func FuzzParseRoundTrip(f *testing.F) {
 		if again := s2.String(); again != rendered {
 			t.Fatalf("rendering changed on a second round trip:\n%s\n---\n%s", rendered, again)
 		}
+	})
+}
+
+// FuzzScriptRun: every script that parses runs on the Figure 9 fixture to
+// a value or an error, and never panics, and the value renders.
+func FuzzScriptRun(f *testing.F) {
+	for _, src := range seedScripts {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		s, err := Parse(src)
+		if err != nil {
+			return
+		}
+		v, _ := New(testEngine(t)).Run(s)
+		_ = v.String()
 	})
 }
 

@@ -1,12 +1,16 @@
 // Package workflow implements MOMA's match process model (§2.2, Figure 3):
 // a workflow is a sequence of steps, each consisting of optional matcher
-// executions plus a mapping combiner (a mapping operator followed by an
-// optional selection). Steps read additional inputs from the mapping cache
-// and the mapping repository, write their result to the cache, and the
-// final same-mapping can be stored back into the repository for re-use by
-// other match tasks. The Engine that runs them is the match process's one
+// executions plus a mapping combiner (a mapping operator followed by
+// selections). Steps read additional inputs from the mapping cache and the
+// mapping repository, write their result to the cache, and the final
+// same-mapping can be stored back into the repository for re-use by other
+// match tasks. The Engine that runs them is the match process's one
 // namespace: workflows, scripts and the System resolve mapping and object
 // set names through it.
+//
+// A step runs once per engine: a step whose result the cache holds is read,
+// not re-run (Cache.Delete forces a re-run), so workflows chain through step
+// names. The paper's evaluation (internal/experiments) runs on this engine.
 package workflow
 
 import (
@@ -23,11 +27,13 @@ import (
 // OpKind selects the mapping operator of a step's combiner.
 type OpKind int
 
-// Operators: merge unifies the step's input mappings; compose chains them
-// left to right (two or more inputs).
+// Operators: merge unifies the step's input mappings (one input passes
+// through unchanged); compose chains them left to right (two or more
+// inputs); inverse swaps the domain and range of its one input.
 const (
 	OpMerge OpKind = iota
 	OpCompose
+	OpInverse
 )
 
 // String names the operator.
@@ -37,6 +43,8 @@ func (k OpKind) String() string {
 		return "merge"
 	case OpCompose:
 		return "compose"
+	case OpInverse:
+		return "inverse"
 	default:
 		return fmt.Sprintf("OpKind(%d)", int(k))
 	}
@@ -44,8 +52,8 @@ func (k OpKind) String() string {
 
 // Step is one workflow step.
 type Step struct {
-	// Name labels the step; it defaults to "step<i>" and names the cache
-	// entry holding the step result.
+	// Name is required. It names the cache entry holding the step result,
+	// and a step whose result that entry already holds is not run again.
 	Name string
 	// Matchers are executed against the workflow inputs; their results
 	// join the combiner inputs.
@@ -60,8 +68,8 @@ type Step struct {
 	F mapping.Combiner
 	// G is the path aggregation for compose.
 	G mapping.PathAgg
-	// Selection optionally filters the combined mapping.
-	Selection mapping.Selection
+	// Select filters the combined mapping, applied in order.
+	Select []mapping.Selection
 }
 
 // Workflow is a named sequence of steps.
@@ -92,18 +100,14 @@ func (w *Workflow) Store(name string) *Workflow {
 func (w *Workflow) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workflow %s\n", w.Name)
-	for i, s := range w.Steps {
-		name := s.Name
-		if name == "" {
-			name = fmt.Sprintf("step%d", i+1)
-		}
-		fmt.Fprintf(&b, "  %s: %d matchers, use=%v, op=%s(f=%s", name, len(s.Matchers), s.Use, s.Op, s.F.Kind)
+	for _, s := range w.Steps {
+		fmt.Fprintf(&b, "  %s: %d matchers, use=%v, op=%s(f=%s", s.Name, len(s.Matchers), s.Use, s.Op, s.F.Kind)
 		if s.Op == OpCompose {
 			fmt.Fprintf(&b, ", g=%s", s.G)
 		}
 		b.WriteString(")")
-		if s.Selection != nil {
-			fmt.Fprintf(&b, " select=%s", s.Selection)
+		for _, sel := range s.Select {
+			fmt.Fprintf(&b, " select=%s", sel)
 		}
 		b.WriteByte('\n')
 	}
@@ -182,8 +186,10 @@ func (e *Engine) ObjectSetFor(lds model.LDS) (*model.ObjectSet, bool) {
 }
 
 // Run executes the workflow on the two input object sets and returns the
-// final same-mapping. Each step result is cached under the step name; the
-// final mapping is stored in the repository when the workflow requests it.
+// final same-mapping. Each step result is cached under the step name, and a
+// step whose name the cache already holds is read instead of run: a step
+// runs once per engine until Cache.Delete removes its result. The final
+// mapping is stored in the repository when the workflow requests it.
 func (e *Engine) Run(w *Workflow, a, b *model.ObjectSet) (*mapping.Mapping, error) {
 	if len(w.Steps) == 0 {
 		return nil, fmt.Errorf("workflow: %s has no steps", w.Name)
@@ -191,52 +197,21 @@ func (e *Engine) Run(w *Workflow, a, b *model.ObjectSet) (*mapping.Mapping, erro
 	var result *mapping.Mapping
 	for i := range w.Steps {
 		s := &w.Steps[i]
-		name := s.Name
-		if name == "" {
-			name = fmt.Sprintf("step%d", i+1)
+		if s.Name == "" {
+			return nil, fmt.Errorf("workflow: %s: step %d has no name", w.Name, i+1)
 		}
-		var inputs []*mapping.Mapping
-		for _, m := range s.Matchers {
-			mm, err := m.Match(a, b)
-			if err != nil {
-				return nil, fmt.Errorf("workflow: %s/%s: matcher %s: %w", w.Name, name, m.Name(), err)
-			}
-			inputs = append(inputs, mm)
+		if m, ok := e.Cache.Get(s.Name); ok {
+			result = m
+			continue
 		}
-		for _, ref := range s.Use {
-			mm, ok := e.Mapping(ref)
-			if !ok {
-				return nil, fmt.Errorf("workflow: %s/%s: no mapping named %q in cache or repository", w.Name, name, ref)
-			}
-			inputs = append(inputs, mm)
-		}
-		if len(inputs) == 0 {
-			return nil, fmt.Errorf("workflow: %s/%s: step has no inputs", w.Name, name)
-		}
-		var combined *mapping.Mapping
-		var err error
-		switch s.Op {
-		case OpMerge:
-			combined, err = mapping.Merge(s.F, inputs...)
-		case OpCompose:
-			if len(inputs) < 2 {
-				err = fmt.Errorf("compose needs at least two mappings, got %d", len(inputs))
-			} else {
-				combined, err = mapping.ComposeChain(s.F, s.G, inputs...)
-			}
-		default:
-			err = fmt.Errorf("unknown operator %d", int(s.Op))
-		}
+		m, err := e.runStep(s, a, b)
 		if err != nil {
-			return nil, fmt.Errorf("workflow: %s/%s: %w", w.Name, name, err)
+			return nil, fmt.Errorf("workflow: %s/%s: %w", w.Name, s.Name, err)
 		}
-		if s.Selection != nil {
-			combined = s.Selection.Apply(combined)
+		if err := e.Cache.Put(s.Name, m); err != nil {
+			return nil, fmt.Errorf("workflow: %s/%s: cache: %w", w.Name, s.Name, err)
 		}
-		if err := e.Cache.Put(name, combined); err != nil {
-			return nil, fmt.Errorf("workflow: %s/%s: cache: %w", w.Name, name, err)
-		}
-		result = combined
+		result = m
 	}
 	if w.StoreAs != "" {
 		if err := e.Repo.Put(w.StoreAs, result); err != nil {
@@ -246,13 +221,51 @@ func (e *Engine) Run(w *Workflow, a, b *model.ObjectSet) (*mapping.Mapping, erro
 	return result, nil
 }
 
-// MergeStep is a convenience constructor for the common merge step.
-func MergeStep(name string, f mapping.Combiner, sel mapping.Selection, matchers ...match.Matcher) Step {
-	return Step{Name: name, Matchers: matchers, Op: OpMerge, F: f, Selection: sel}
-}
-
-// ComposeStep is a convenience constructor for a compose step over named
-// mappings.
-func ComposeStep(name string, f mapping.Combiner, g mapping.PathAgg, sel mapping.Selection, use ...string) Step {
-	return Step{Name: name, Use: use, Op: OpCompose, F: f, G: g, Selection: sel}
+// runStep runs the step's matchers, combines their results with the named
+// mappings it uses, and applies its selections.
+func (e *Engine) runStep(s *Step, a, b *model.ObjectSet) (*mapping.Mapping, error) {
+	var inputs []*mapping.Mapping
+	for _, m := range s.Matchers {
+		mm, err := m.Match(a, b)
+		if err != nil {
+			return nil, fmt.Errorf("matcher %s: %w", m.Name(), err)
+		}
+		inputs = append(inputs, mm)
+	}
+	for _, ref := range s.Use {
+		mm, ok := e.Mapping(ref)
+		if !ok {
+			return nil, fmt.Errorf("no mapping named %q in cache or repository", ref)
+		}
+		inputs = append(inputs, mm)
+	}
+	if len(inputs) == 0 {
+		return nil, fmt.Errorf("step has no inputs")
+	}
+	out, err := inputs[0], error(nil)
+	switch s.Op {
+	case OpMerge:
+		if len(inputs) > 1 {
+			out, err = mapping.Merge(s.F, inputs...)
+		}
+	case OpCompose:
+		if len(inputs) < 2 {
+			return nil, fmt.Errorf("compose needs at least two mappings, got %d", len(inputs))
+		}
+		out, err = mapping.ComposeChain(s.F, s.G, inputs...)
+	case OpInverse:
+		if len(inputs) != 1 {
+			return nil, fmt.Errorf("inverse needs one mapping, got %d", len(inputs))
+		}
+		out = out.Inverse()
+	default:
+		return nil, fmt.Errorf("unknown operator %d", int(s.Op))
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, sel := range s.Select {
+		out = sel.Apply(out)
+	}
+	return out, nil
 }

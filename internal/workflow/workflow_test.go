@@ -42,12 +42,21 @@ func yearMatcher() match.Matcher {
 	return &match.Attribute{MatcherName: "year", AttrA: "year", AttrB: "year", Sim: sim.YearExact, Threshold: 1}
 }
 
+// mergeStep is the merge step over matchers, then sel unless it is nil.
+func mergeStep(name string, f mapping.Combiner, sel mapping.Selection, matchers ...match.Matcher) Step {
+	s := Step{Name: name, Matchers: matchers, Op: OpMerge, F: f}
+	if sel != nil {
+		s.Select = []mapping.Selection{sel}
+	}
+	return s
+}
+
 func TestRunMergeWorkflow(t *testing.T) {
 	// §4.1.1: independent matchers merged — title matching alone confuses
 	// the conference/journal twins; merging with the year matcher under
 	// Avg-0 and a high threshold resolves them.
 	dblp, acm := fixtureSets()
-	wf := New("pubs").AddStep(MergeStep("combine", mapping.Avg0Combiner,
+	wf := New("pubs").AddStep(mergeStep("combine", mapping.Avg0Combiner,
 		mapping.Threshold{T: 0.8}, titleMatcher(), yearMatcher()))
 
 	e := NewEngine(store.NewRepository())
@@ -67,7 +76,7 @@ func TestRunMergeWorkflow(t *testing.T) {
 
 func TestStepResultsCached(t *testing.T) {
 	dblp, acm := fixtureSets()
-	wf := New("pubs").AddStep(MergeStep("titles", mapping.AvgCombiner, nil, titleMatcher()))
+	wf := New("pubs").AddStep(mergeStep("titles", mapping.AvgCombiner, nil, titleMatcher()))
 	e := NewEngine(store.NewRepository())
 	if _, err := e.Run(wf, dblp, acm); err != nil {
 		t.Fatal(err)
@@ -83,14 +92,14 @@ func TestUseCachedMappingInLaterStep(t *testing.T) {
 	// confirm are halved and fall below the threshold.
 	dblp, acm := fixtureSets()
 	wf := New("refine").
-		AddStep(MergeStep("titles", mapping.AvgCombiner, nil, titleMatcher())).
+		AddStep(mergeStep("titles", mapping.AvgCombiner, nil, titleMatcher())).
 		AddStep(Step{
-			Name:      "with-year",
-			Matchers:  []match.Matcher{yearMatcher()},
-			Use:       []string{"titles"},
-			Op:        OpMerge,
-			F:         mapping.Avg0Combiner,
-			Selection: mapping.Threshold{T: 0.8},
+			Name:     "with-year",
+			Matchers: []match.Matcher{yearMatcher()},
+			Use:      []string{"titles"},
+			Op:       OpMerge,
+			F:        mapping.Avg0Combiner,
+			Select:   []mapping.Selection{mapping.Threshold{T: 0.8}},
 		})
 	e := NewEngine(store.NewRepository())
 	got, err := e.Run(wf, dblp, acm)
@@ -113,7 +122,8 @@ func TestComposeStepViaRepository(t *testing.T) {
 	repo.Put("DBLP-GS", dblpGS)
 	repo.Put("GS-ACM", gsACM)
 
-	wf := New("via-gs").AddStep(ComposeStep("composed", mapping.MinCombiner, mapping.AggMax, nil, "DBLP-GS", "GS-ACM")).Store("DBLP-ACM.composed")
+	wf := New("via-gs").AddStep(Step{Name: "composed", Use: []string{"DBLP-GS", "GS-ACM"},
+		Op: OpCompose, F: mapping.MinCombiner, G: mapping.AggMax}).Store("DBLP-ACM.composed")
 	e := NewEngine(repo)
 	got, err := e.Run(wf, model.NewObjectSet(dblpPub), model.NewObjectSet(acmPub))
 	if err != nil {
@@ -151,7 +161,7 @@ func TestEngineRunSameAtEveryGOMAXPROCS(t *testing.T) {
 		a.AddNew(model.ID(fmt.Sprintf("d%d", i)), map[string]string{"title": strings.Join(title, " "), "year": year})
 		b.AddNew(model.ID(fmt.Sprintf("a%d", i)), map[string]string{"name": strings.Join(title[1:], " "), "year": year})
 	}
-	wf := New("widths").AddStep(MergeStep("s1", mapping.AvgCombiner,
+	wf := New("widths").AddStep(mergeStep("s1", mapping.AvgCombiner,
 		mapping.Best1Delta{D: 0.1, Side: mapping.BothSides}, titleMatcher(), yearMatcher()))
 	runs := make([][]mapping.Correspondence, 2)
 	for i, procs := range []int{1, 8} {
@@ -194,9 +204,124 @@ func TestRunErrors(t *testing.T) {
 	if _, err := e.Run(badOp, dblp, acm); err == nil {
 		t.Error("unknown operator should fail")
 	}
-	withFailing := New("x").AddStep(MergeStep("s", mapping.AvgCombiner, nil, failingMatcher{}))
+	withFailing := New("x").AddStep(mergeStep("s", mapping.AvgCombiner, nil, failingMatcher{}))
 	if _, err := e.Run(withFailing, dblp, acm); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("matcher error should propagate, got %v", err)
+	}
+	inverseTwo := New("x").AddStep(Step{Name: "s", Matchers: []match.Matcher{titleMatcher(), yearMatcher()}, Op: OpInverse})
+	if _, err := e.Run(inverseTwo, dblp, acm); err == nil {
+		t.Error("inverse with two inputs should fail")
+	}
+	unnamed := New("x").AddStep(Step{Matchers: []match.Matcher{titleMatcher()}, Op: OpMerge})
+	if _, err := e.Run(unnamed, dblp, acm); err == nil {
+		t.Error("unnamed step should fail")
+	}
+	if e.Cache.Len() != 0 {
+		t.Errorf("failed steps cached %v", e.Cache.Names())
+	}
+}
+
+// countingMatcher counts the runs of the matcher it wraps.
+type countingMatcher struct {
+	match.Matcher
+	runs int
+}
+
+func (c *countingMatcher) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
+	c.runs++
+	return c.Matcher.Match(a, b)
+}
+
+// TestStepRunsOnce: a second Run of a workflow reads every step from the
+// cache without running its matchers, and returns the cached *Mapping;
+// Cache.Delete makes the step run again.
+func TestStepRunsOnce(t *testing.T) {
+	dblp, acm := fixtureSets()
+	title := &countingMatcher{Matcher: titleMatcher()}
+	wf := New("once").
+		AddStep(mergeStep("titles", mapping.AvgCombiner, nil, title)).
+		AddStep(Step{Name: "refined", Use: []string{"titles"}, Select: []mapping.Selection{mapping.Threshold{T: 0.9}}})
+	e := NewEngine(nil)
+	first, err := e.Run(wf, dblp, acm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := e.Run(wf, dblp, acm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if title.runs != 1 || again != first {
+		t.Errorf("second run: matcher ran %d times, same result %v; want 1, true", title.runs, again == first)
+	}
+	if ok, err := e.Cache.Delete("titles"); !ok || err != nil {
+		t.Fatalf("Delete = %v, %v", ok, err)
+	}
+	if _, err := e.Run(wf, dblp, acm); err != nil {
+		t.Fatal(err)
+	}
+	if title.runs != 2 {
+		t.Errorf("after Cache.Delete the matcher ran %d times in all, want 2", title.runs)
+	}
+}
+
+// TestOneInputMergePassesThrough: a merge step with one input returns that
+// input itself, not a merged copy.
+func TestOneInputMergePassesThrough(t *testing.T) {
+	dblp, acm := fixtureSets()
+	var matched *mapping.Mapping
+	m := &observingMatcher{Matcher: titleMatcher(), got: &matched}
+	got, err := NewEngine(nil).Run(New("one").AddStep(mergeStep("titles", mapping.AvgCombiner, nil, m)), dblp, acm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != matched {
+		t.Error("a one-input merge step should return the matcher's own mapping")
+	}
+}
+
+// observingMatcher records the mapping the matcher it wraps returned.
+type observingMatcher struct {
+	match.Matcher
+	got **mapping.Mapping
+}
+
+func (o *observingMatcher) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
+	m, err := o.Matcher.Match(a, b)
+	*o.got = m
+	return m, err
+}
+
+// TestInverseAndSelectOrder: an inverse step swaps domain and range, and a
+// step's selections apply in the order listed.
+func TestInverseAndSelectOrder(t *testing.T) {
+	dblp, acm := fixtureSets()
+	e := NewEngine(nil)
+	m := mapping.NewSame(dblpPub, acmPub)
+	m.Add("d1", "a1", 0.9)
+	m.Add("d1", "a2", 0.7)
+	m.Add("d2", "a2", 0.6)
+	if err := e.Repo.Put("M", m); err != nil {
+		t.Fatal(err)
+	}
+	best := mapping.BestN{N: 1, Side: mapping.RangeSide}
+	notD1 := mapping.Where(func(c mapping.Correspondence) bool { return c.Domain != "d1" })
+	wf := New("inv").
+		AddStep(Step{Name: "inv", Use: []string{"M"}, Op: OpInverse}).
+		AddStep(Step{Name: "best-then-where", Use: []string{"M"}, Select: []mapping.Selection{best, notD1}}).
+		AddStep(Step{Name: "where-then-best", Use: []string{"M"}, Select: []mapping.Selection{notD1, best}})
+	if _, err := e.Run(wf, dblp, acm); err != nil {
+		t.Fatal(err)
+	}
+	inv, _ := e.Cache.Get("inv")
+	if inv.Domain() != acmPub || inv.Range() != dblpPub || !reflect.DeepEqual(inv.Correspondences(), m.Inverse().Correspondences()) {
+		t.Errorf("inverse = %v", inv.Correspondences())
+	}
+	// d1 is the best domain object of both a1 and a2: removing d1 after the
+	// best-1 cut leaves nothing, removing it first leaves a2's second best.
+	bw, _ := e.Cache.Get("best-then-where")
+	wb, _ := e.Cache.Get("where-then-best")
+	if bw.Len() != 0 || wb.Len() != 1 || !wb.Has("d2", "a2") {
+		t.Errorf("best then where = %v, where then best = %v", bw.Correspondences(), wb.Correspondences())
 	}
 }
 
@@ -210,12 +335,12 @@ func (failingMatcher) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 func (failingMatcher) Name() string { return "boom" }
 
 func TestWorkflowString(t *testing.T) {
-	wf := New("traced").AddStep(MergeStep("m", mapping.AvgCombiner, mapping.Threshold{T: 0.5}, titleMatcher()))
+	wf := New("traced").AddStep(mergeStep("m", mapping.AvgCombiner, mapping.Threshold{T: 0.5}, titleMatcher()))
 	out := wf.String()
 	if !strings.Contains(out, "traced") || !strings.Contains(out, "merge") {
 		t.Errorf("String = %q", out)
 	}
-	if OpMerge.String() != "merge" || OpCompose.String() != "compose" || OpKind(5).String() == "" {
+	if OpMerge.String() != "merge" || OpCompose.String() != "compose" || OpInverse.String() != "inverse" || OpKind(5).String() == "" {
 		t.Error("OpKind names wrong")
 	}
 }
@@ -263,17 +388,5 @@ func TestEngineNamespace(t *testing.T) {
 	}
 	if set, ok := e.ObjectSetFor(dblpPub); !ok || set != dblp {
 		t.Error("ObjectSetFor should return the first set registered for the LDS")
-	}
-}
-
-func TestDefaultStepNames(t *testing.T) {
-	dblp, acm := fixtureSets()
-	wf := New("x").AddStep(Step{Matchers: []match.Matcher{titleMatcher()}, Op: OpMerge, F: mapping.AvgCombiner})
-	e := NewEngine(store.NewRepository())
-	if _, err := e.Run(wf, dblp, acm); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e.Cache.Get("step1"); !ok {
-		t.Error("unnamed step should cache as step1")
 	}
 }

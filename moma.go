@@ -116,14 +116,16 @@ var (
 	ReadObjectSetCSV  = store.ReadObjectSetCSV
 )
 
-// Workflow is a named sequence of match steps (package workflow).
-type Workflow = workflow.Workflow
-
-// Workflow constructors.
-var (
-	NewWorkflow = workflow.New
-	MergeStep   = workflow.MergeStep
+// Workflow is a named sequence of match steps (package workflow); a Step's
+// selections are Selection values such as Threshold.
+type (
+	Workflow  = workflow.Workflow
+	Step      = workflow.Step
+	Selection = mapping.Selection
 )
+
+// NewWorkflow starts a workflow definition.
+var NewWorkflow = workflow.New
 
 // Value is a script value (mapping, object set, number, string), the
 // result of System.RunScript.

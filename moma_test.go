@@ -86,10 +86,14 @@ RETURN $Result
 
 func TestSystemRunWorkflow(t *testing.T) {
 	sys := figure1System(t)
-	wf := NewWorkflow("pubs").AddStep(MergeStep("m", Avg0Combiner, Threshold{T: 0.8},
-		&AttributeMatcher{MatcherName: "title", AttrA: "title", AttrB: "title", Sim: Trigram, Threshold: 0.8},
-		&AttributeMatcher{MatcherName: "year", AttrA: "year", AttrB: "year", Sim: YearExact, Threshold: 1},
-	)).Store("wf-result")
+	wf := NewWorkflow("pubs").AddStep(Step{Name: "m",
+		Matchers: []Matcher{
+			&AttributeMatcher{MatcherName: "title", AttrA: "title", AttrB: "title", Sim: Trigram, Threshold: 0.8},
+			&AttributeMatcher{MatcherName: "year", AttrA: "year", AttrB: "year", Sim: YearExact, Threshold: 1},
+		},
+		F:      Avg0Combiner,
+		Select: []Selection{Threshold{T: 0.8}},
+	}).Store("wf-result")
 	got, err := sys.RunWorkflow(wf, "DBLP.Publication", "ACM.Publication")
 	if err != nil {
 		t.Fatal(err)

@@ -123,7 +123,7 @@ func (s *System) MappingByName(name string) (*Mapping, bool) { return s.engine.M
 func (s *System) RunScript(src string) (Value, error) {
 	parsed, err := script.Parse(src)
 	if err != nil {
-		return Value{Kind: script.NoValue}, err
+		return Value{}, err
 	}
 	ip := script.New(s.engine)
 	v, err := ip.Run(parsed)
@@ -156,7 +156,10 @@ func (s *System) setPair(setA, setB string) (*ObjectSet, *ObjectSet, error) {
 	return a, b, nil
 }
 
-// RunWorkflow executes a workflow on two registered object sets.
+// RunWorkflow executes a workflow on two registered object sets. Each step
+// runs once per System: a step whose name the cache already holds is read,
+// not re-run, until Cache.Delete removes it (the run-once rule of Engine.Run,
+// under which the paper's evaluation runs too).
 func (s *System) RunWorkflow(w *Workflow, setA, setB string) (*Mapping, error) {
 	a, b, err := s.setPair(setA, setB)
 	if err != nil {
