@@ -174,15 +174,15 @@
 // mappings by integer membership probes, and duplicate clustering
 // union-finds over dense ordinal indexes.
 //
-// Ownership follows the term dictionary's rules: mappings created with
-// NewMapping/NewSameMapping intern through the process-global model.IDs,
-// so everything produced in-process shares one ordinal space and operators
-// never translate. A persistent repository (store.OpenRepository) owns a private
-// dictionary for the mappings it replays from disk — its vocabulary is
-// released with the store — and operators given mixed-dictionary inputs
-// fall back to id-level translation with identical results. Ordinals never
-// reach the disk format; the WAL serializes id strings, and a reopen decodes
-// them straight into ordinals: one intern batch and one bulk load per put.
+// There is one ordinal space: every mapping the program builds interns
+// through the process-global model.IDs — matcher results, operator
+// outputs, workflow intermediates and the mappings a persistent repository
+// (store.OpenRepository) replays from disk — so operators never translate,
+// and inputs over different dictionaries are a programming error that
+// Compose and Merge return and Compare panics on. Ordinals never reach the
+// disk format; the WAL serializes id strings, and a reopen decodes them
+// straight into ordinals of model.IDs: one intern batch and one bulk load
+// per put.
 // Delta-heavy WALs fold themselves into fresh snapshots automatically once
 // the log outgrows the snapshot (Store.SetAutoCompact configures or
 // disables the ratio).
@@ -264,7 +264,8 @@
 //   - moma_sim_dict_terms / moma_model_dict_ids: sizes of the two
 //     process-global dictionaries — the runtime dial for the dictionary-
 //     ownership invariant that moma-vet's dictgrowth analyzer checks
-//     statically.
+//     statically. The id count includes a durable repository's replayed
+//     ids, which intern through model.IDs like every other mapping's.
 //
 // Recording obeys invariant 6 below: no record path allocates
 // (an observation is a bucket scan plus a few atomic adds on

@@ -6,8 +6,11 @@ package moma
 // everything survives the write-ahead log.
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/model"
 )
 
 func TestIntegrationFullPipeline(t *testing.T) {
@@ -97,6 +100,34 @@ RETURN $VenueSame
 	recovered, _ := re.MappingByName("DBLP-ACM.PubSame")
 	if !recovered.Equal(pubSame, 1e-12) {
 		t.Error("recovered mapping differs from the stored one")
+	}
+	if recovered.Dict() != model.IDs {
+		t.Error("a replayed mapping must intern through model.IDs")
+	}
+
+	// Stage 5: stage 2's script over the replayed publication mapping gives
+	// the venue mapping row for row, in insertion order and to the bit.
+	for _, src := range []*DataSource{d.DBLP, d.ACM} {
+		if err := re.LoadSource(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	again, err := re.RunScript(`
+$VenueNh = nhMatch (DBLP.VenuePub, DBLP-ACM.PubSame, ACM.PubVenue)
+$VenueSame = select ($VenueNh, Best, 1)
+RETURN $VenueSame
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := again.Mapping.Len(), v.Mapping.Len(); g != w {
+		t.Fatalf("venue mapping over the replayed mapping has %d rows, want %d", g, w)
+	}
+	for i := range v.Mapping.Len() {
+		g, w := again.Mapping.At(i), v.Mapping.At(i)
+		if g.Domain != w.Domain || g.Range != w.Range || math.Float64bits(g.Sim) != math.Float64bits(w.Sim) {
+			t.Fatalf("venue row %d over the replayed mapping = %+v, want %+v", i, g, w)
+		}
 	}
 }
 

@@ -28,28 +28,27 @@ type Result struct {
 }
 
 // eachMembership visits every correspondence of m and reports whether
-// other also contains its (domain, range) pair. Mappings sharing an ID
-// dictionary — every pair produced in-process without a private dictionary
-// — probe ordinal-to-ordinal over the columns: one integer-keyed map hit
-// per row, no id strings resolved or hashed except the domain id handed to
-// fn for grouping. Mixed-dictionary pairs fall back to id-level probes.
+// other also contains its (domain, range) pair. The two share an ID
+// dictionary, as every mapping the program builds does, so the probe is
+// ordinal-to-ordinal over the columns: one integer-keyed map hit per row,
+// no id strings resolved or hashed except the domain id handed to fn for
+// grouping. Mappings over different dictionaries are a programming error
+// and panic, as mapping.FromColumns does on bad columns.
 func eachMembership(m, other *mapping.Mapping, fn func(domain model.ID, hit bool)) {
-	if m.Dict() == other.Dict() {
-		ids := m.Dict().All()
-		m.EachOrd(func(d, rng uint32, _ float64) bool {
-			fn(ids[d], other.HasOrd(d, rng))
-			return true
-		})
-		return
+	if m.Dict() != other.Dict() {
+		panic("eval: the result and the perfect mapping intern through different ID dictionaries")
 	}
-	m.Each(func(c mapping.Correspondence) {
-		fn(c.Domain, other.Has(c.Domain, c.Range))
+	ids := m.Dict().All()
+	m.EachOrd(func(d, rng uint32, _ float64) bool {
+		fn(ids[d], other.HasOrd(d, rng))
+		return true
 	})
 }
 
 // Compare evaluates got against the perfect mapping. Similarity values are
 // ignored; membership decides. An empty perfect mapping yields recall 1;
-// an empty result yields precision 1 (nothing wrong was claimed).
+// an empty result yields precision 1 (nothing wrong was claimed). The two
+// must share an ID dictionary; mappings over different ones panic.
 //
 // A mapping holds each pair once, so the perfect pairs got misses are the
 // perfect ones less those it hits: one membership pass, over got, probes
@@ -100,7 +99,8 @@ type GroupFunc func(domain model.ID) string
 // correspondence belongs to the group of its domain object; pairs mapping
 // to "" are ignored. Returns group name -> result, plus the overall result
 // under the key "overall". As in Compare, a group's false negatives are its
-// perfect pairs less its true positives.
+// perfect pairs less its true positives, and mappings over different ID
+// dictionaries panic.
 func CompareGrouped(got, perfect *mapping.Mapping, group GroupFunc) map[string]Result {
 	type counts struct{ tp, fp, perfect int }
 	byGroup := make(map[string]*counts)

@@ -237,10 +237,9 @@ func twoPassCompareGrouped(got, perfect *mapping.Mapping, group GroupFunc) map[s
 }
 
 // TestCompareMatchesTwoPass holds the one-pass evaluation to the two-pass
-// definition over random mapping pairs: in one shared dictionary and in
-// private ones (mixed: the id-level probes), with either side empty, and
-// grouped by a function that drops some domains — Compare as the grouping
-// that keeps every domain in one group.
+// definition over random mapping pairs in one dictionary, with either side
+// empty, and grouped by a function that drops some domains — Compare as the
+// grouping that keeps every domain in one group.
 func TestCompareMatchesTwoPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	randomMapping := func(dict *model.IDDict, n int) *mapping.Mapping {
@@ -270,21 +269,15 @@ func TestCompareMatchesTwoPass(t *testing.T) {
 		func(model.ID) string { return "" },
 	}
 	for trial := range 400 {
-		shared := model.NewIDDict()
-		gotDict, perfectDict := shared, shared
-		if trial%3 == 1 {
-			gotDict, perfectDict = model.NewIDDict(), model.NewIDDict()
-		} else if trial%3 == 2 {
-			gotDict = model.NewIDDict()
-		}
-		got, perfect := randomMapping(gotDict, rng.Intn(40)), randomMapping(perfectDict, rng.Intn(40))
+		dict := model.NewIDDict()
+		got, perfect := randomMapping(dict, rng.Intn(40)), randomMapping(dict, rng.Intn(40))
 		switch trial % 10 {
 		case 3:
-			got = randomMapping(gotDict, 0)
+			got = randomMapping(dict, 0)
 		case 7:
-			perfect = randomMapping(perfectDict, 0)
+			perfect = randomMapping(dict, 0)
 		}
-		label := fmt.Sprintf("trial %d (%d got, %d perfect, shared dict %v)", trial, got.Len(), perfect.Len(), gotDict == perfectDict)
+		label := fmt.Sprintf("trial %d (%d got, %d perfect)", trial, got.Len(), perfect.Len())
 		if want := twoPassCompareGrouped(got, perfect, groups[0])["overall"]; Compare(got, perfect) != want {
 			t.Fatalf("%s: Compare %+v, two passes %+v", label, Compare(got, perfect), want)
 		}
@@ -293,5 +286,31 @@ func TestCompareMatchesTwoPass(t *testing.T) {
 				t.Fatalf("%s, grouping %d: CompareGrouped %+v, two passes %+v", label, gi, got, want)
 			}
 		}
+	}
+}
+
+// TestCompareMixedDictsPanics: the program builds every mapping over
+// model.IDs, so a result and a perfect mapping over different dictionaries
+// are a programming error, reported by a panic rather than translated.
+func TestCompareMixedDictsPanics(t *testing.T) {
+	got := mapping.NewSame(dblpPub, acmPub)
+	got.Add("p1", "q1", 1)
+	perfect := mapping.NewWithDict(dblpPub, acmPub, model.SameMappingType, model.NewIDDict())
+	perfect.Add("p1", "q1", 1)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"Compare", func() { Compare(got, perfect) }},
+		{"CompareGrouped", func() { CompareGrouped(got, perfect, func(model.ID) string { return "all" }) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s over two dictionaries must panic", c.name)
+				}
+			}()
+			c.run()
+		}()
 	}
 }

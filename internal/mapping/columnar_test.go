@@ -4,6 +4,7 @@ package mapping
 // randomized differential tests hit only by luck are pinned explicitly.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -123,17 +124,6 @@ func TestColumnarComposeSharedNothingMiddles(t *testing.T) {
 	if got.Len() != 0 {
 		t.Fatalf("shared-nothing compose must be empty, got %d rows", got.Len())
 	}
-	// Mixed dictionaries with shared-nothing middles must also be empty
-	// (the translation path returns misses, never panics).
-	m2p := NewWithDict(ldsC, ldsB, model.SameMappingType, model.NewIDDict())
-	m2p.Add("c5", "b3", 0.9)
-	got, err = Compose(m1, m2p, MinCombiner, AggAvg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 0 {
-		t.Fatalf("mixed-dict shared-nothing compose must be empty, got %d rows", got.Len())
-	}
 }
 
 func TestColumnarInverseInverseIdentity(t *testing.T) {
@@ -155,36 +145,48 @@ func TestColumnarInverseInverseIdentity(t *testing.T) {
 	}
 }
 
-// TestColumnarMixedDictEqual interns the same ids in different orders into
-// different dictionaries; Equal must compare by id, not ordinal.
-func TestColumnarMixedDictEqual(t *testing.T) {
-	d1, d2 := model.NewIDDict(), model.NewIDDict()
-	m1 := NewWithDict(ldsA, ldsB, model.SameMappingType, d1)
-	m2 := NewWithDict(ldsA, ldsB, model.SameMappingType, d2)
-
-	// Same correspondence set, inserted in opposite orders: the ordinal
-	// assignments disagree everywhere.
-	m1.Add("a1", "b1", 0.9)
-	m1.Add("a2", "b2", 0.8)
-	m1.Add("a3", "b3", 0.7)
-	m2.Add("a3", "b3", 0.7)
-	m2.Add("a2", "b2", 0.8)
-	m2.Add("a1", "b1", 0.9)
-
-	if o1, _ := d1.Lookup("a1"); o1 == func() uint32 { o, _ := d2.Lookup("a1"); return o }() {
-		t.Log("ordinals happen to agree; test still meaningful for the rest")
+// TestMixedDictsRejected: every mapping the program builds interns through
+// model.IDs, so an input over another dictionary is a programming error.
+// Every Merge and Compose entry point reports it, on either side, whatever
+// the combiner; Equal reports false even for the same rows.
+func TestMixedDictsRejected(t *testing.T) {
+	build := func(dom, rng model.LDS, dict *model.IDDict, rows ...string) *Mapping {
+		m := NewWithDict(dom, rng, model.SameMappingType, dict)
+		for i := 0; i+1 < len(rows); i += 2 {
+			m.Add(model.ID(rows[i]), model.ID(rows[i+1]), 0.8)
+		}
+		return m
 	}
-	if !m1.Equal(m2, 0) || !m2.Equal(m1, 0) {
-		t.Fatal("mappings with identical tables over different dictionaries must be Equal")
+	ab := build(ldsA, ldsB, model.IDs, "a1", "b1", "a2", "b2")
+	abPriv := build(ldsA, ldsB, model.NewIDDict(), "a1", "b1", "a2", "b2")
+	ac := build(ldsA, ldsC, model.IDs, "a1", "c1")
+	acPriv := build(ldsA, ldsC, model.NewIDDict(), "a1", "c1")
+	cb := build(ldsC, ldsB, model.IDs, "c1", "b1")
+	cbPriv := build(ldsC, ldsB, model.NewIDDict(), "c1", "b1")
+	cases := []struct {
+		name string
+		run  func() (*Mapping, error)
+	}{
+		{"Compose private right", func() (*Mapping, error) { return Compose(ac, cbPriv, MinCombiner, AggAvg) }},
+		{"Compose private left", func() (*Mapping, error) { return Compose(acPriv, cb, MinCombiner, AggRelative) }},
+		{"ComposeWorkers", func() (*Mapping, error) { return ComposeWorkers(ac, cbPriv, MinCombiner, AggMax, 4) }},
+		{"ComposeChain", func() (*Mapping, error) { return ComposeChain(MinCombiner, AggAvg, ac, cbPriv) }},
+		{"Merge", func() (*Mapping, error) { return Merge(AvgCombiner, ab, abPriv) }},
+		{"Merge private first", func() (*Mapping, error) { return Merge(Min0Combiner, abPriv, ab, ab) }},
+		{"Merge prefer", func() (*Mapping, error) { return Merge(PreferCombiner(0), ab, abPriv) }},
+		{"MergeWorkers", func() (*Mapping, error) { return MergeWorkers(MaxCombiner, 4, ab, ab, abPriv) }},
 	}
-	m2.Add("a4", "b4", 0.5)
-	if m1.Equal(m2, 0) || m2.Equal(m1, 0) {
-		t.Fatal("differing tables must not be Equal")
+	for _, c := range cases {
+		out, err := c.run()
+		if !errors.Is(err, errMixedDicts) || out != nil {
+			t.Errorf("%s over two dictionaries: %v, %v; want the mixed-dictionary error", c.name, out, err)
+		}
 	}
-	// Same size but different membership.
-	m1.Add("a5", "b5", 0.5)
-	if m1.Equal(m2, 0) || m2.Equal(m1, 0) {
-		t.Fatal("same-size different-membership tables must not be Equal")
+	if ab.Equal(abPriv, 0) || abPriv.Equal(ab, 0) {
+		t.Error("mappings over different dictionaries must not be Equal")
+	}
+	if !ab.Equal(ab.Clone(), 0) {
+		t.Error("a mapping must be Equal to its clone")
 	}
 }
 
@@ -279,11 +281,11 @@ func TestFromColumnsEqualsAddMaxBuilt(t *testing.T) {
 // TestFromOrdinalsEqualsAddBuilt pins the replay bulk load: rows with
 // repeated pairs and similarities outside [0,1] load into exactly the
 // mapping per-row Add builds — each pair at its first position with its
-// last (clamped) similarity, bit for bit — over the caller's dictionary,
-// and its prebuilt pair index serves lookups and later AddMax.
+// last (clamped) similarity, bit for bit — over model.IDs, and its
+// prebuilt pair index serves lookups and later AddMax.
 func TestFromOrdinalsEqualsAddBuilt(t *testing.T) {
-	dict := model.NewIDDict()
-	want := NewWithDict(ldsA, ldsB, model.SameMappingType, dict)
+	dict := model.IDs
+	want := NewSame(ldsA, ldsB)
 	var pairs []uint32
 	var sims []float64
 	for i := 0; i < 800; i++ {
@@ -292,7 +294,7 @@ func TestFromOrdinalsEqualsAddBuilt(t *testing.T) {
 		want.Add(a, b, s)
 		pairs, sims = append(pairs, dict.Ord(a), dict.Ord(b)), append(sims, s)
 	}
-	got := FromOrdinals(ldsA, ldsB, model.SameMappingType, dict, pairs, sims)
+	got := FromOrdinals(ldsA, ldsB, model.SameMappingType, pairs, sims)
 	if got.Dict() != dict || got.Len() != want.Len() {
 		t.Fatalf("bulk load: %d rows over %p, want %d over %p", got.Len(), got.Dict(), want.Len(), dict)
 	}
@@ -317,5 +319,5 @@ func TestFromOrdinalsEqualsAddBuilt(t *testing.T) {
 			t.Error("rows without two ordinals per similarity must panic")
 		}
 	}()
-	FromOrdinals(ldsA, ldsB, model.SameMappingType, dict, pairs[1:], sims)
+	FromOrdinals(ldsA, ldsB, model.SameMappingType, pairs[1:], sims)
 }

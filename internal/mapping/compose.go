@@ -151,8 +151,10 @@ func pathCombine(f Combiner, s1, s2 float64) float64 {
 // tables" (§5.3): map1's range column meets map2's domain column through
 // two radix-sorted row lists, the compose paths are sorted by their packed
 // (domain, range) ordinal pair, and each run of paths folds into one output
-// pair. No ID string is touched unless the inputs use different
-// dictionaries, and no posting list of either input is built.
+// pair. No ID string is touched and no posting list of either input is
+// built. The inputs must share an ID dictionary, as every mapping the
+// program builds does (see the package comment); inputs over different
+// ones are an error.
 //
 // Compose runs on GOMAXPROCS workers; ComposeWorkers pins the count. The
 // output is bit-identical at every worker count (see the parallel-operator
@@ -181,6 +183,9 @@ func ComposeWorkers(map1, map2 *Mapping, f Combiner, g PathAgg, workers int) (ou
 	if map1.Range() != map2.Domain() {
 		return nil, fmt.Errorf("mapping: Compose middle sources differ: %s vs %s", map1.Range(), map2.Domain())
 	}
+	if map1.dict != map2.dict {
+		return nil, fmt.Errorf("mapping: Compose: %w", errMixedDicts)
+	}
 	switch g {
 	case AggAvg, AggMin, AggMax, AggRelativeLeft, AggRelativeRight, AggRelative:
 	default:
@@ -193,22 +198,7 @@ func ComposeWorkers(map1, map2 *Mapping, f Combiner, g PathAgg, workers int) (ou
 
 	bufs := sortBufs{workers: workers}
 	by2 := bufs.sort(bufs.keyRows(map2.dom))
-	// map1's rows by middle ordinal, translated into map2's dictionary when
-	// the two differ. A middle id map2 never interned meets no row of map2,
-	// so its rows are left out; the lookup interns nothing.
-	var keys1 []par.KeyRow
-	if map1.dict == map2.dict {
-		keys1 = bufs.keyRows(map1.rng)
-	} else {
-		ids1 := map1.dict.All()
-		keys1 = bufs.get(len(map1.sim))[:0]
-		for i, mid := range map1.rng {
-			if o, ok := map2.dict.Lookup(ids1[mid]); ok {
-				keys1 = append(keys1, par.KeyRow{Key: uint64(o), Row: uint32(i)})
-			}
-		}
-	}
-	by1 := bufs.sort(keys1)
+	by1 := bufs.sort(bufs.keyRows(map1.rng))
 
 	// The join: map1 row i meets by2[start[i]:][:off[i+1]-off[i]], where
 	// off[i+1] holds that count until the prefix sum below turns off into
@@ -344,13 +334,6 @@ func ComposeWorkers(map1, map2 *Mapping, f Combiner, g PathAgg, workers int) (ou
 			}
 		}
 	})
-	if map1.dict != map2.dict {
-		// The range ordinals are map2's; the output's dictionary is map1's.
-		ids2 := map2.dict.All()
-		for k, r := range rng {
-			rng[k] = map1.dict.Ord(ids2[r])
-		}
-	}
 	return newFromColumns(map1.Domain(), map2.Range(), outType, map1.dict, dom, rng, sim), nil
 }
 

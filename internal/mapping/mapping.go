@@ -23,13 +23,13 @@
 // them — never by Compose, Merge or the selections — and maintained
 // incrementally afterwards.
 //
-// Mappings created with New/NewSame intern through the process-global
-// model.IDs dictionary, so every matcher result, operator output and
-// workflow intermediate shares one ordinal space and no translation ever
-// happens. NewWithDict opts into a private dictionary (persistent stores
-// materialize replayed mappings that way); operators accept mixed-dictionary
-// inputs and fall back to ID-level translation with identical results. The
-// ID-level API (Add, Correspondences, ForDomain, ...) is unchanged on top.
+// Every mapping the program builds interns through the process-global
+// model.IDs dictionary — matcher results, operator outputs, workflow
+// intermediates and the mappings a durable repository replays — so all of
+// them share one ordinal space and no operator translates ordinals.
+// Operators take inputs over one dictionary: Compose and Merge return an
+// error for inputs over different ones, and Equal reports false. The
+// ID-level API (Add, Correspondences, ForDomain, ...) sits on top.
 //
 // The package provides the paper's three combination operators:
 //
@@ -44,6 +44,7 @@
 package mapping
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -105,14 +106,10 @@ func New(domain, rng model.LDS, mtype model.MappingType) *Mapping {
 	return NewWithDict(domain, rng, mtype, model.IDs)
 }
 
-// NewWithDict is New with an explicit ID dictionary. Mixing dictionaries is
-// legal everywhere — operators translate — but keeps mappings out of each
-// other's fast paths; use it only for ownership (a persistent store's
-// private vocabulary), not per-mapping.
+// NewWithDict is New with an explicit ID dictionary. The program builds
+// every mapping over model.IDs; a mapping over another dictionary combines
+// only with mappings over that same dictionary (see the package comment).
 func NewWithDict(domain, rng model.LDS, mtype model.MappingType, dict *model.IDDict) *Mapping {
-	if dict == nil {
-		dict = model.IDs
-	}
 	m := &Mapping{
 		domLDS: domain,
 		rngLDS: rng,
@@ -131,9 +128,6 @@ func NewWithDict(domain, rng model.LDS, mtype model.MappingType, dict *model.IDD
 // are distinct and sims are already clamped; feeding duplicates here
 // corrupts the dedup invariant that Add maintains.
 func newFromColumns(domain, rng model.LDS, mtype model.MappingType, dict *model.IDDict, dom, rngCol []uint32, sim []float64) *Mapping {
-	if dict == nil {
-		dict = model.IDs
-	}
 	return &Mapping{
 		domLDS: domain,
 		rngLDS: rng,
@@ -159,16 +153,17 @@ func FromColumns(domain, rng model.LDS, mtype model.MappingType, dom, rngCol []u
 	return newFromColumns(domain, rng, mtype, model.IDs, dom, rngCol, sim)
 }
 
-// FromOrdinals builds a mapping from rows of ordinals of dict — pairs holds
-// each row's domain and range ordinal interleaved, d₀, r₀, d₁, r₁, …, beside
-// one similarity per row — added in order with Add's semantics: a repeated
-// pair keeps its first position and last similarity, sims are clamped. The
-// pair index is built once, pre-sized. Any other len(pairs) panics.
-func FromOrdinals(domain, rng model.LDS, mtype model.MappingType, dict *model.IDDict, pairs []uint32, sims []float64) *Mapping {
+// FromOrdinals builds a mapping from rows of ordinals of model.IDs — pairs
+// holds each row's domain and range ordinal interleaved, d₀, r₀, d₁, r₁, …,
+// beside one similarity per row — added in order with Add's semantics: a
+// repeated pair keeps its first position and last similarity, sims are
+// clamped. The pair index is built once, pre-sized. Any other len(pairs)
+// panics. A durable repository's replay builds its mappings this way.
+func FromOrdinals(domain, rng model.LDS, mtype model.MappingType, pairs []uint32, sims []float64) *Mapping {
 	if len(pairs) != 2*len(sims) {
 		panic(fmt.Sprintf("mapping: FromOrdinals needs two ordinals per similarity, got %d and %d", len(pairs), len(sims)))
 	}
-	m := newFromColumns(domain, rng, mtype, dict, make([]uint32, 0, len(sims)), make([]uint32, 0, len(sims)), make([]float64, 0, len(sims)))
+	m := newFromColumns(domain, rng, mtype, model.IDs, make([]uint32, 0, len(sims)), make([]uint32, 0, len(sims)), make([]float64, 0, len(sims)))
 	m.idxOnce.Do(func() { m.index = make(map[uint64]int32, len(sims)) })
 	for i, s := range sims {
 		m.AddOrd(pairs[2*i], pairs[2*i+1], s)
@@ -205,6 +200,10 @@ func (m *Mapping) Len() int { return len(m.sim) }
 // Producers that can pre-intern their IDs (matchers translate ObjectSet
 // ordinals once per input) use it with AddOrd/AddMaxOrd.
 func (m *Mapping) Dict() *model.IDDict { return m.dict }
+
+// errMixedDicts is what Compose and Merge return for inputs over different
+// ID dictionaries (see the package comment).
+var errMixedDicts = errors.New("inputs intern through different ID dictionaries")
 
 // clampSim forces s into [0,1].
 func clampSim(s float64) float64 {
@@ -629,23 +628,15 @@ func Identity(set *model.ObjectSet) *Mapping {
 }
 
 // Equal reports whether two mappings have the same endpoints, type and the
-// same correspondence set with similarities equal within eps. Mappings over
-// different dictionaries compare by id — the same ids interned in different
-// orders are still equal.
+// same correspondence set with similarities equal within eps, row order
+// aside. Mappings over different dictionaries are never equal: the program
+// builds every mapping over model.IDs, so such a pair is a programming error.
 func (m *Mapping) Equal(o *Mapping, eps float64) bool {
-	if m.domLDS != o.domLDS || m.rngLDS != o.rngLDS || m.mtype != o.mtype || len(m.sim) != len(o.sim) {
+	if m.dict != o.dict || m.domLDS != o.domLDS || m.rngLDS != o.rngLDS || m.mtype != o.mtype || len(m.sim) != len(o.sim) {
 		return false
 	}
-	sameDict := m.dict == o.dict
-	ids := m.dict.All()
 	for i := range m.sim {
-		var s float64
-		var ok bool
-		if sameDict {
-			s, ok = o.SimOrd(m.dom[i], m.rng[i])
-		} else {
-			s, ok = o.Sim(ids[m.dom[i]], ids[m.rng[i]])
-		}
+		s, ok := o.SimOrd(m.dom[i], m.rng[i])
 		if !ok {
 			return false
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/model"
 	"repro/internal/par"
 )
 
@@ -192,6 +191,10 @@ func (c Combiner) validateForMerge(n int) error {
 // the other mappings contribute only correspondences for domain objects the
 // preferred mapping does not cover.
 //
+// The inputs must share an ID dictionary, as every mapping the program
+// builds does (see the package comment); inputs over different ones are an
+// error.
+//
 // Merge runs on GOMAXPROCS workers; MergeWorkers pins the count. The
 // output is bit-identical at every worker count (see the parallel-operator
 // section of the root doc.go).
@@ -225,6 +228,9 @@ func MergeWorkers(f Combiner, workers int, maps ...*Mapping) (out *Mapping, err 
 			return nil, fmt.Errorf("mapping: Merge inputs must connect the same sources, got %s->%s and %s->%s",
 				first.Domain(), first.Range(), m.Domain(), m.Range())
 		}
+		if m.dict != first.dict {
+			return nil, fmt.Errorf("mapping: Merge: %w", errMixedDicts)
+		}
 	}
 	if !first.Domain().SameType(first.Range()) {
 		return nil, fmt.Errorf("mapping: Merge requires mappings between sources of the same object type, got %s->%s",
@@ -233,25 +239,22 @@ func MergeWorkers(f Combiner, workers int, maps ...*Mapping) (out *Mapping, err 
 	if err := f.validateForMerge(len(maps)); err != nil {
 		return nil, err
 	}
-	dict := first.dict
 
 	if f.Kind == Prefer {
-		out = NewWithDict(first.Domain(), first.Range(), first.Type(), dict)
+		out = NewWithDict(first.Domain(), first.Range(), first.Type(), first.dict)
 		pref := maps[f.PreferIndex]
-		dom, rng := pref.colsIn(dict)
 		covered := make(map[uint32]bool, pref.Len())
 		for r, s := range pref.sim {
-			out.AddOrd(dom[r], rng[r], s)
-			covered[dom[r]] = true
+			out.AddOrd(pref.dom[r], pref.rng[r], s)
+			covered[pref.dom[r]] = true
 		}
 		for i, m := range maps {
 			if i == f.PreferIndex {
 				continue
 			}
-			dom, rng := m.colsIn(dict)
 			for r, s := range m.sim {
-				if !covered[dom[r]] {
-					out.AddMaxOrd(dom[r], rng[r], s)
+				if !covered[m.dom[r]] {
+					out.AddMaxOrd(m.dom[r], m.rng[r], s)
 				}
 			}
 		}
@@ -259,10 +262,8 @@ func MergeWorkers(f Combiner, workers int, maps ...*Mapping) (out *Mapping, err 
 	}
 
 	n := len(maps)
-	doms, rngs := make([][]uint32, n), make([][]uint32, n)
 	base := make([]int, n+1) // input i's rows are records base[i] to base[i+1]
 	for i, m := range maps {
-		doms[i], rngs[i] = m.colsIn(dict)
 		base[i+1] = base[i] + m.Len()
 	}
 	input := func(q int) int {
@@ -274,8 +275,8 @@ func MergeWorkers(f Combiner, workers int, maps ...*Mapping) (out *Mapping, err 
 	}
 	bufs := sortBufs{workers: workers}
 	recs := bufs.get(base[n])
-	for i := range maps {
-		dom, rng, b := doms[i], rngs[i], base[i]
+	for i, m := range maps {
+		dom, rng, b := m.dom, m.rng, base[i]
 		par.Split(len(dom), workers).Run(func(_, lo, hi int) {
 			for r := lo; r < hi; r++ {
 				recs[b+r] = par.KeyRow{Key: ordKey(dom[r], rng[r]), Row: uint32(b + r)}
@@ -313,25 +314,10 @@ func MergeWorkers(f Combiner, workers int, maps ...*Mapping) (out *Mapping, err 
 		for q := lo; q < hi; q++ {
 			if kept[q] > 0 {
 				i := input(q)
-				dom[k], rng[k], sim[k] = doms[i][q-base[i]], rngs[i][q-base[i]], kept[q]
+				dom[k], rng[k], sim[k] = maps[i].dom[q-base[i]], maps[i].rng[q-base[i]], kept[q]
 				k++
 			}
 		}
 	})
-	return newFromColumns(first.Domain(), first.Range(), first.Type(), dict, dom, rng, sim), nil
-}
-
-// colsIn returns m's domain and range columns as ordinals of dict: m's own
-// columns when it uses dict, otherwise a translation that interns m's ids
-// into dict row by row.
-func (m *Mapping) colsIn(dict *model.IDDict) (dom, rng []uint32) {
-	if m.dict == dict {
-		return m.dom, m.rng
-	}
-	ids := m.dict.All()
-	dom, rng = make([]uint32, len(m.sim)), make([]uint32, len(m.sim))
-	for r := range m.sim {
-		dom[r], rng[r] = dict.Ord(ids[m.dom[r]]), dict.Ord(ids[m.rng[r]])
-	}
-	return dom, rng
+	return newFromColumns(first.Domain(), first.Range(), first.Type(), first.dict, dom, rng, sim), nil
 }

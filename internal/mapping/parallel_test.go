@@ -175,13 +175,9 @@ func TestOperatorsLeavePostingsUnbuilt(t *testing.T) {
 	rnd := rand.New(rand.NewSource(28))
 	m1 := newRefPair(ldsA, ldsC, randomOps(rnd, 6000, 500, 400, "a", "c")).m
 	m2 := newRefPair(ldsC, ldsB, randomOps(rnd, 6000, 400, 500, "c", "b")).m
-	priv := NewWithDict(ldsC, ldsB, model.SameMappingType, model.NewIDDict())
-	applyOps(priv, newRef(ldsC, ldsB, model.SameMappingType), randomOps(rnd, 6000, 400, 500, "c", "b"))
 	for _, g := range []PathAgg{AggAvg, AggRelativeLeft, AggRelativeRight, AggRelative} {
-		for _, right := range []*Mapping{m2, priv} {
-			if _, err := Compose(m1, right, MinCombiner, g); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := Compose(m1, m2, MinCombiner, g); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if _, err := Merge(AvgCombiner, m1, m1.Clone()); err != nil {
@@ -194,55 +190,10 @@ func TestOperatorsLeavePostingsUnbuilt(t *testing.T) {
 	for _, in := range []struct {
 		name string
 		m    *Mapping
-	}{{"map1", m1}, {"map2", m2}, {"private map2", priv}} {
+	}{{"map1", m1}, {"map2", m2}} {
 		if in.m.byDom != nil || in.m.byRng != nil {
 			t.Errorf("%s: an operator built the input's posting lists", in.name)
 		}
-	}
-}
-
-// TestDifferentialMixedDictWorkers repeats the mixed-dictionary operator
-// checks multi-worker: the translation caches are per-worker, the
-// finalize that interns into the output dictionary is sequential, and the
-// result must still match the oracle exactly.
-func TestDifferentialMixedDictWorkers(t *testing.T) {
-	rnd := rand.New(rand.NewSource(24))
-	ops1 := randomOps(rnd, 6000, 500, 400, "a", "c")
-	ops2 := randomOps(rnd, 6000, 400, 500, "c", "b")
-
-	priv1, priv2 := model.NewIDDict(), model.NewIDDict()
-	m1p := NewWithDict(ldsA, ldsC, model.SameMappingType, priv1)
-	m2p := NewWithDict(ldsC, ldsB, model.SameMappingType, priv2)
-	r1 := newRef(ldsA, ldsC, model.SameMappingType)
-	r2 := newRef(ldsC, ldsB, model.SameMappingType)
-	applyOps(m1p, r1, ops1)
-	applyOps(m2p, r2, ops2)
-
-	want, err := refCompose(r1, r2, MinCombiner, AggRelative)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range parallelWorkerCounts {
-		got, err := ComposeWorkers(m1p, m2p, MinCombiner, AggRelative, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, fmt.Sprintf("mixed-dict compose workers=%d", w), got, want)
-	}
-
-	mShared := NewSame(ldsA, ldsC)
-	rShared := newRef(ldsA, ldsC, model.SameMappingType)
-	applyOps(mShared, rShared, randomOps(rnd, 6000, 500, 400, "a", "c"))
-	wantM, err := refMerge(Avg0Combiner, rShared, r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range parallelWorkerCounts {
-		gotM, err := MergeWorkers(Avg0Combiner, w, mShared, m1p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, fmt.Sprintf("mixed-dict merge workers=%d", w), gotM, wantM)
 	}
 }
 

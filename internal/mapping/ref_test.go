@@ -551,44 +551,3 @@ func TestDifferentialComposeChainAndSorted(t *testing.T) {
 		}
 	}
 }
-
-// TestDifferentialMixedDict repeats the operator checks with inputs over
-// different dictionaries: results must be identical to the shared-dict (and
-// therefore to the reference) outcome.
-func TestDifferentialMixedDict(t *testing.T) {
-	rnd := rand.New(rand.NewSource(6))
-	ops1 := randomOps(rnd, 300, 25, 20, "a", "c")
-	ops2 := randomOps(rnd, 300, 20, 25, "c", "b")
-
-	priv1, priv2 := model.NewIDDict(), model.NewIDDict()
-	m1p := NewWithDict(ldsA, ldsC, model.SameMappingType, priv1)
-	m2p := NewWithDict(ldsC, ldsB, model.SameMappingType, priv2)
-	r1 := newRef(ldsA, ldsC, model.SameMappingType)
-	r2 := newRef(ldsC, ldsB, model.SameMappingType)
-	applyOps(m1p, r1, ops1)
-	applyOps(m2p, r2, ops2)
-
-	got, err := Compose(m1p, m2p, MinCombiner, AggRelative)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := refCompose(r1, r2, MinCombiner, AggRelative)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "mixed-dict compose", got, want)
-
-	// Merge with one private-dict input among shared-dict ones.
-	mShared := NewSame(ldsA, ldsC)
-	rShared := newRef(ldsA, ldsC, model.SameMappingType)
-	applyOps(mShared, rShared, randomOps(rnd, 300, 25, 20, "a", "c"))
-	gotM, err := Merge(Avg0Combiner, mShared, m1p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantM, err := refMerge(Avg0Combiner, rShared, r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "mixed-dict merge", gotM, wantM)
-}

@@ -235,9 +235,6 @@ func selectPerGroup(m *Mapping, byDomain bool, cut func(sims []float64) int, wor
 // the same selection over the same input, so they share a dictionary and
 // the probe is ordinal-to-ordinal.
 func (m *Mapping) intersectRows(o *Mapping) *Mapping {
-	if m.dict != o.dict {
-		return m.Filter(func(c Correspondence) bool { return o.Has(c.Domain, c.Range) })
-	}
 	return m.filterRows(func(i int) bool { return o.HasOrd(m.dom[i], m.rng[i]) })
 }
 

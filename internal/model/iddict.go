@@ -14,15 +14,15 @@ package model
 //
 // # Ownership
 //
-// IDs is the process-global default dictionary: every mapping created with
-// mapping.New/NewSame interns through it, so the results of matchers,
-// operators and workflows all share one ordinal space — any two such
-// mappings compose, merge and compare ordinal-to-ordinal with no
-// translation. A persistent repository (store.OpenRepository) owns a private
-// IDDict for the mappings it materializes from disk, so a closed store's
-// vocabulary is released with it; operators accept mixed-dictionary inputs
-// and fall back to ID-level comparison, producing identical results (the
-// mapping package's differential tests pin this).
+// IDs is the process-global dictionary, and every mapping the program
+// builds interns through it: the results of matchers, operators and
+// workflows, and the mappings a persistent repository (store.OpenRepository)
+// replays from disk. So they all share one ordinal space, and any two of
+// them compose, merge and compare ordinal-to-ordinal. There is no second
+// space to translate from: the mapping operators reject inputs over
+// different dictionaries as a programming error. Ids, a repository's
+// replayed ones included, stay interned for the life of the process; every
+// repository is held that long anyway.
 //
 // # Ordinal stability
 //

@@ -4,8 +4,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/mapping"
 	"repro/internal/model"
@@ -45,7 +47,10 @@ func WriteMappingCSV(w io.Writer, m *mapping.Mapping) error {
 	return cw.Error()
 }
 
-// ReadMappingCSV parses a mapping written by WriteMappingCSV.
+// ReadMappingCSV parses a mapping written by WriteMappingCSV. A sim that is
+// not a number, NaN included, is an error naming its line, and so is an id
+// holding \r\n, which the format cannot carry. Other sims are clamped to
+// [0,1] as Add clamps them.
 func ReadMappingCSV(r io.Reader) (*mapping.Mapping, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -85,8 +90,13 @@ func ReadMappingCSV(r io.Reader) (*mapping.Mapping, error) {
 		if len(rec) != 3 {
 			return nil, fmt.Errorf("store: mapping csv line %d: want 3 fields, got %d", line, len(rec))
 		}
+		// encoding/csv reads a quoted \r\n as \n, so WriteMappingCSV could
+		// not write such an id back as it was read.
+		if strings.Contains(rec[0], "\r\n") || strings.Contains(rec[1], "\r\n") {
+			return nil, fmt.Errorf("store: mapping csv line %d: an id holds a carriage return and line feed", line)
+		}
 		s, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(s) {
 			return nil, fmt.Errorf("store: mapping csv line %d: bad sim %q", line, rec[2])
 		}
 		m.Add(model.ID(rec[0]), model.ID(rec[1]), s)

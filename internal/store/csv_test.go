@@ -36,6 +36,8 @@ func TestMappingCSVErrors(t *testing.T) {
 		"#mapping,Publication@DBLP,BadLDS,same\ndomain,range,sim\n",
 		"#mapping,Publication@DBLP,Publication@ACM,same\nbad,header,row\n",
 		"#mapping,Publication@DBLP,Publication@ACM,same\ndomain,range,sim\na,b,notanumber\n",
+		"#mapping,Publication@DBLP,Publication@ACM,same\ndomain,range,sim\na,b,1\nc,d,NaN\n",
+		"#mapping,Publication@DBLP,Publication@ACM,same\ndomain,range,sim\n\"a\r\r\nb\",c,1\n",
 		"#mapping,Publication@DBLP,Publication@ACM,same\ndomain,range,sim\na,b\n",
 		"#mapping,Publication@DBLP,Publication@ACM,same\n",
 	}
@@ -43,6 +45,12 @@ func TestMappingCSVErrors(t *testing.T) {
 		if _, err := ReadMappingCSV(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d should fail: %q", i, in)
 		}
+	}
+	// A NaN sim would pass clamping and make a durable store's Put fail to
+	// encode it; the reader names the line instead.
+	_, err := ReadMappingCSV(strings.NewReader("#mapping,Publication@DBLP,Publication@ACM,same\ndomain,range,sim\na,b,1\nc,d,NaN\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 4") {
+		t.Errorf("NaN sim: %v, want an error naming line 4", err)
 	}
 }
 
@@ -105,4 +113,46 @@ func TestMappingCSVDeterministicOutput(t *testing.T) {
 	if !strings.HasPrefix(lines[2], "a,") {
 		t.Errorf("rows must be sorted, got %q first", lines[2])
 	}
+}
+
+// FuzzReadMappingCSV feeds arbitrary bytes to the mapping CSV reader, which
+// serves files from outside the program. Properties: the reader returns an
+// error or a mapping whose similarities all lie in [0,1], and that mapping,
+// written by WriteMappingCSV and read back, is Equal to it at eps 0.
+func FuzzReadMappingCSV(f *testing.F) {
+	var buf bytes.Buffer
+	m := mapping.NewSame(dblpPub, acmPub)
+	m.Add("conf/VLDB/MadhavanBR01", "P-672191", 1)
+	m.Add("title,with,commas", "quote\"id", 0.123456789)
+	m.Add(" lead", "multi\nline", 0.5)
+	if err := WriteMappingCSV(&buf, m); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	for _, rows := range []string{"a,b,NaN\n", "a,b,-Inf\nc,d,+Inf\n", "a,b,1e400\n", "a,b,0x1p-2\n", "a,b,1\na,b,0.25\n", "a,b\n", "\"a\r\r\nb\",c,1\n"} {
+		f.Add("#mapping,Publication@DBLP,Publication@ACM,same\ndomain,range,sim\n" + rows)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		got, err := ReadMappingCSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		got.EachOrd(func(_, _ uint32, s float64) bool {
+			if !(s >= 0 && s <= 1) {
+				t.Fatalf("similarity %v outside [0,1] from %q", s, in)
+			}
+			return true
+		})
+		var out bytes.Buffer
+		if err := WriteMappingCSV(&out, got); err != nil {
+			t.Fatalf("writing a mapping the reader accepted: %v", err)
+		}
+		back, err := ReadMappingCSV(&out)
+		if err != nil {
+			t.Fatalf("reading back %q: %v", out.String(), err)
+		}
+		if !back.Equal(got, 0) {
+			t.Fatalf("round trip of %q changed the mapping:\n%s\nvs\n%s", in, back, got)
+		}
+	})
 }

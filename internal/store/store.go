@@ -21,19 +21,15 @@ import (
 	"repro/internal/model"
 )
 
-// Store is a named collection of mappings, safe for concurrent use.
+// Store is a named collection of mappings, safe for concurrent use. The
+// mappings it builds — a PutDelta's fresh mapping, and every mapping a
+// durable repository replays — intern through the process-global
+// model.IDs, like every other mapping of the program, so they combine with
+// matcher and operator results ordinal-to-ordinal.
 type Store struct {
 	mu    sync.RWMutex
 	maps  map[string]*mapping.Mapping // guarded by mu
 	order []string                    // guarded by mu
-
-	// dict is the ID dictionary mappings materialized by this store intern
-	// through: the process-global model.IDs for in-memory stores (results
-	// stored by matchers and operators already live there), a private
-	// dictionary for persistent repositories (OpenRepository), so a closed
-	// store's replayed vocabulary is released with it. Mappings stored by
-	// reference keep whatever dictionary they were built with.
-	dict *model.IDDict
 
 	// wal, dir and fsys are set for persistent stores; fsys is the
 	// filesystem seam every WAL/snapshot/compaction operation goes through
@@ -77,13 +73,13 @@ const (
 
 // NewRepository returns an in-memory mapping repository without persistence.
 func NewRepository() *Store {
-	return &Store{maps: make(map[string]*mapping.Mapping), dict: model.IDs}
+	return &Store{maps: make(map[string]*mapping.Mapping)}
 }
 
 // NewCache returns a bounded in-memory store evicting oldest-first once
 // more than limit mappings are held. limit <= 0 means unbounded.
 func NewCache(limit int) *Store {
-	return &Store{maps: make(map[string]*mapping.Mapping), dict: model.IDs, limit: limit}
+	return &Store{maps: make(map[string]*mapping.Mapping), limit: limit}
 }
 
 // SetAutoCompact configures automatic write-ahead-log compaction: once the
@@ -245,7 +241,7 @@ func (s *Store) PutDelta(name string, dom, rng model.LDS, mtype model.MappingTyp
 		}
 	}
 	if !exists {
-		m = mapping.NewWithDict(dom, rng, mtype, s.dict)
+		m = mapping.New(dom, rng, mtype)
 		s.maps[name] = m
 		s.order = append(s.order, name)
 	} else {

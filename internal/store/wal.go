@@ -140,11 +140,11 @@ func putRecord(name string, m *mapping.Mapping) walRecord {
 
 // OpenRepository opens (creating if necessary) a persistent repository in
 // dir. The snapshot is loaded first, then the write-ahead log is replayed.
-// The repository owns a private ID dictionary: replayed mappings intern
-// into it, so closing the last reference to the store releases that
-// vocabulary instead of growing the process-global model.IDs with every
-// mapping ever persisted. Auto-compaction is on at the documented defaults
-// (SetAutoCompact).
+// Replayed mappings intern through the process-global model.IDs, so they
+// share one ordinal space with everything else the program builds; the
+// replayed ids stay interned for the life of the process, as every
+// caller holds its repository that long. Auto-compaction is on at the
+// documented defaults (SetAutoCompact).
 func OpenRepository(dir string) (*Store, error) {
 	return OpenRepositoryFS(dir, faultfs.OS{})
 }
@@ -166,7 +166,6 @@ func OpenRepositoryFS(dir string, fsys faultfs.FS) (*Store, error) {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
 	s := NewRepository()
-	s.dict = model.NewIDDict()
 	s.fsys = fsys
 	s.acRatio = DefaultAutoCompactRatio
 	s.acMinRows = DefaultAutoCompactMinRows
@@ -287,8 +286,8 @@ func (s *Store) applyRecord(rec *lineRecord, path string, lineNo int, body []byt
 		if err != nil {
 			return 0, err
 		}
-		rec.ords = s.dict.AppendOrds(rec.ords[:0], rec.ids)
-		m := mapping.FromOrdinals(dom, rng, model.MappingType(rec.typ), s.dict, rec.ords, rec.sims)
+		rec.ords = model.IDs.AppendOrds(rec.ords[:0], rec.ids)
+		m := mapping.FromOrdinals(dom, rng, model.MappingType(rec.typ), rec.ords, rec.sims)
 		if _, exists := s.maps[rec.name]; !exists {
 			s.order = append(s.order, rec.name)
 		}
@@ -301,11 +300,11 @@ func (s *Store) applyRecord(rec *lineRecord, path string, lineNo int, body []byt
 			if err != nil {
 				return 0, err
 			}
-			m = mapping.NewWithDict(dom, rng, model.MappingType(rec.typ), s.dict)
+			m = mapping.New(dom, rng, model.MappingType(rec.typ))
 			s.maps[rec.name] = m
 			s.order = append(s.order, rec.name)
 		}
-		rec.ords = m.Dict().AppendOrds(rec.ords[:0], rec.ids)
+		rec.ords = model.IDs.AppendOrds(rec.ords[:0], rec.ids)
 		for i, sim := range rec.sims {
 			m.AddMaxOrd(rec.ords[2*i], rec.ords[2*i+1], sim)
 		}
