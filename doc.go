@@ -48,13 +48,14 @@
 // and LiveResolver score every configuration through sim.ProfiledOf(Sim),
 // and ProfiledOf is total — a sim.Func it does not know (a custom closure,
 // NumericProximity) becomes a measure whose profile is the raw value and
-// whose Compare calls the function. A measure no sim.Func names, such as a
-// corpus-backed one, is passed as the Profiled field:
-//
-//	corpus := sim.NewTFIDF()
-//	// ... corpus.AddAll(titles) ...
-//	m := &moma.AttributeMatcher{AttrA: "title", AttrB: "title",
-//		Profiled: corpus.Profiled(), Threshold: 0.6}
+// whose Compare calls the function. A sim.Func is the one way a matcher
+// column names its measure; one table in package sim gives each of the 18
+// built-ins its name (sim.Lookup, which scripts and tuning read) and its
+// measure. TF-IDF cosine is the one measure no sim.Func names, because its
+// profiles depend on a corpus: match.TFIDFAttribute builds a corpus from
+// its inputs on every match, and a LiveColumn with TFIDF set keeps a
+// resident one. Only the built-ins' profile columns are kept in a set's
+// column store; corpus-backed and opaque-Func columns build per match.
 //
 // Build sides keep what sim.NewProfile returns; read paths rebuild pooled
 // profiles through the lookup-only sim.QueryInto, which never grows a term
@@ -185,7 +186,8 @@
 // per put.
 // Delta-heavy WALs fold themselves into fresh snapshots automatically once
 // the log outgrows the snapshot (Store.SetAutoCompact configures or
-// disables the ratio).
+// disables the ratio); a fold that fails leaves the write standing and is
+// tried again once the log has grown past the threshold again.
 //
 // # Parallel mapping operators
 //

@@ -145,7 +145,7 @@ func ExtensionSelfTuning(s *Setting) (*TableResult, error) {
 
 	// Decision tree: features from three measures over blocked candidate
 	// pairs, trained on the sample, applied to the sample.
-	fe, err := tuning.NewFeatureExtractor(nil, [][3]string{
+	fe, err := tuning.NewFeatureExtractor([][3]string{
 		{"title", "name", "Trigram"},
 		{"authors", "authors", "Trigram"},
 		{"year", "year", "YearExact"},
@@ -154,23 +154,13 @@ func ExtensionSelfTuning(s *Setting) (*TableResult, error) {
 		return nil, err
 	}
 	blocker := block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2}
-	var pairs [][2]model.ID
-	for _, p := range block.Pairs(blocker, sampleA, sampleB) {
-		pairs = append(pairs, [2]model.ID{p.A, p.B})
-	}
-	examples := tuning.BuildExamples(fe, sampleA, sampleB, pairs, training)
+	examples := tuning.BuildExamples(fe, sampleA, sampleB, blocker, training)
 	tree := tuning.LearnTree(examples, tuning.TreeConfig{MaxDepth: 5, MinExamples: 4})
 	tm := &tuning.TreeMatcher{
 		MatcherName: "tuned-tree",
 		Extractor:   fe,
 		Tree:        tree,
-		Pairs: func(a, b *model.ObjectSet) [][2]model.ID {
-			var out [][2]model.ID
-			for _, p := range block.Pairs(blocker, a, b) {
-				out = append(out, [2]model.ID{p.A, p.B})
-			}
-			return out
-		},
+		Blocker:     blocker,
 	}
 	treeResult, err := tm.Match(sampleA, sampleB)
 	if err != nil {

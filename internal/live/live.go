@@ -65,12 +65,10 @@ import (
 // QueryAttr is read from query instances, SetAttr from registered instances.
 type Column struct {
 	QueryAttr, SetAttr string
-	// Sim names the measure; Profiled, when set, is the measure itself (see
-	// match.Attribute).
-	Sim      sim.Func
-	Profiled sim.ProfiledSim
+	// Sim names the measure (see match.Attribute).
+	Sim sim.Func
 	// TFIDF scores the column under TF-IDF cosine over a resident corpus of
-	// the registered set's values. Sim and Profiled are then ignored.
+	// the registered set's values. Sim is then ignored.
 	TFIDF bool
 	// Weight is the column's share of the weighted average; 0 means 1.
 	Weight float64
@@ -183,8 +181,6 @@ func NewResolver(set *model.ObjectSet, cfg Config) (*Resolver, error) {
 		case c.TFIDF:
 			cs.corpus = sim.NewTFIDF()
 			cs.ps = cs.corpus.Profiled()
-		case c.Profiled != nil:
-			cs.ps = c.Profiled
 		case c.Sim != nil:
 			cs.ps = sim.ProfiledOf(c.Sim)
 		default:

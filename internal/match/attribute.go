@@ -23,9 +23,6 @@ type Attribute struct {
 	// through sim.ProfiledOf(Sim), which for a built-in preprocesses each
 	// attribute value once instead of once per pair.
 	Sim sim.Func
-	// Profiled, when set, is the measure itself and Sim is ignored — the way
-	// to pass one that no Func names (e.g. (*sim.TFIDF).Profiled).
-	Profiled sim.ProfiledSim
 	// Threshold is the minimum similarity for a correspondence.
 	Threshold float64
 	// Blocker generates candidate pairs; nil means the full cross product.
@@ -49,13 +46,18 @@ func (m *Attribute) Name() string {
 // the threshold, so memory is proportional to the result, not to the
 // candidate count.
 func (m *Attribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
+	if m.Sim == nil {
+		return nil, fmt.Errorf("match: %s has no similarity function", m.Name())
+	}
+	return m.match(a, b, sim.ProfiledOf(m.Sim))
+}
+
+// match is Match under the measure ps: the one behind Sim, or a
+// TFIDFAttribute's corpus cosine.
+func (m *Attribute) match(a, b *model.ObjectSet, ps sim.ProfiledSim) (*mapping.Mapping, error) {
 	if err := requireSameType(a, b); err != nil {
 		return nil, err
 	}
-	if m.Sim == nil && m.Profiled == nil {
-		return nil, fmt.Errorf("match: %s has no similarity function", m.Name())
-	}
-	ps := measure(m.Sim, m.Profiled)
 	col := newScoreColumn(a, b, m.AttrA, m.AttrB, ps)
 	keyed, _ := ps.(sim.Keyed)
 	var filter sim.RowFilter
@@ -77,15 +79,6 @@ func (m *Attribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 		}
 		return s, s >= m.Threshold
 	}, filter, &col), nil
-}
-
-// measure resolves a matcher configuration's measure: the explicit Profiled
-// value if set, otherwise the measure behind Sim.
-func measure(fn sim.Func, explicit sim.ProfiledSim) sim.ProfiledSim {
-	if explicit != nil {
-		return explicit
-	}
-	return sim.ProfiledOf(fn)
 }
 
 // scoreColumn is one attribute comparison ready to score: the measure's
@@ -124,16 +117,11 @@ func (c *scoreColumn) at(ia, ib int) (pa, pb *sim.Profile, ka, kb *sim.Key) {
 
 // profilesKey keys a similarity-profile column in a set's column store
 // (model.Column). The measure is part of the key because a profile's content
-// depends on it. Built-in measures are comparable singletons
-// (sim.ProfiledOf) and share columns across matchers; corpus-backed measures
-// compare by corpus pointer and by measureVer, the corpus generation
-// (sim.ProfileVersioner; 0 for pure measures), so a mutated corpus never
-// serves stale vectors and a fresh TFIDFAttribute corpus — rebuilt per match
-// by design — keys a new column that ages out of the store.
+// depends on it. Built-in measures are comparable values (sim.ProfiledOf)
+// and share columns across matchers.
 type profilesKey struct {
-	attr       string
-	measure    sim.ProfiledSim
-	measureVer uint64
+	attr    string
+	measure sim.ProfiledSim
 }
 
 // Invalidated counts a column the store dropped because its set changed.
@@ -145,18 +133,15 @@ func (profilesKey) Invalidated() { profileCacheInvalidations.Inc() }
 // kernel names its candidates by, with a set measure's filter keys beside
 // it. Columns are kept in the set's column store, profiles and keys in one
 // entry, so matchers sharing inputs build each once per set version.
-// Measures whose dynamic type is not comparable (structs holding slices,
-// say) cannot key the store and build per match.
+// Measures whose dynamic type is not comparable cannot key the store and
+// build per match: an opaque Func's adapter, a TF-IDF corpus cosine (whose
+// profiles go stale as the corpus changes), structs holding slices.
 func profileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim) sim.ProfileColumn {
 	build := func() sim.ProfileColumn { return buildProfileColumn(set, attr, ps) }
 	if !reflect.TypeOf(ps).Comparable() {
 		return build()
 	}
-	key := profilesKey{attr: attr, measure: ps}
-	if pv, ok := ps.(sim.ProfileVersioner); ok {
-		key.measureVer = pv.ProfileVersion()
-	}
-	col, hit := model.Column(set, key, build)
+	col, hit := model.Column(set, profilesKey{attr: attr, measure: ps}, build)
 	if hit {
 		profileCacheHits.Inc()
 	} else {
@@ -185,11 +170,9 @@ func buildProfileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim) s
 // matcher.
 type AttrPair struct {
 	AttrA, AttrB string
-	// Sim names the measure; Profiled, when set, is the measure itself (see
-	// Attribute).
-	Sim      sim.Func
-	Profiled sim.ProfiledSim
-	Weight   float64
+	// Sim names the measure (see Attribute).
+	Sim    sim.Func
+	Weight float64
 }
 
 // MultiAttribute is the paper's multi-attribute matcher: it "directly
@@ -221,7 +204,7 @@ func (m *MultiAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 	}
 	var totalWeight float64
 	for i, p := range m.Pairs {
-		if p.Sim == nil && p.Profiled == nil {
+		if p.Sim == nil {
 			return nil, fmt.Errorf("match: %s pair %d has no similarity function", m.Name(), i)
 		}
 		w := p.Weight
@@ -239,7 +222,7 @@ func (m *MultiAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 	measures := make([]sim.ProfiledSim, len(m.Pairs))
 	weights := make([]float64, len(m.Pairs))
 	for i, ap := range m.Pairs {
-		measures[i], weights[i] = measure(ap.Sim, ap.Profiled), ap.Weight
+		measures[i], weights[i] = sim.ProfiledOf(ap.Sim), ap.Weight
 		cols[i] = newScoreColumn(a, b, ap.AttrA, ap.AttrB, measures[i])
 	}
 	weighted := sim.NewWeighted(measures, weights, m.Threshold)
@@ -276,11 +259,10 @@ func (m *TFIDFAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 		MatcherName: m.Name(),
 		AttrA:       m.AttrA,
 		AttrB:       m.AttrB,
-		Profiled:    corpus.Profiled(),
 		Threshold:   m.Threshold,
 		Blocker:     m.Blocker,
 	}
-	return inner.Match(a, b)
+	return inner.match(a, b, corpus.Profiled())
 }
 
 // ExistingMapping exposes a pre-existing mapping as a matcher; the paper

@@ -75,9 +75,9 @@ func TestProfileColumnHitsAndInvalidation(t *testing.T) {
 	}
 }
 
-// TestProfileColumnTracksCorpusVersion pins that a corpus-backed measure
-// stops being served kept columns once the corpus mutates: idfs shift with
-// every Add/Remove, so kept vectors would be stale.
+// TestProfileColumnTracksCorpusVersion pins that a corpus-backed measure is
+// never served a kept column: idfs shift with every Add/Remove, so its
+// columns build per call, outside the store, and follow the corpus.
 func TestProfileColumnTracksCorpusVersion(t *testing.T) {
 	set := profColumnSet(5)
 	corpus := sim.NewTFIDF()
@@ -87,24 +87,26 @@ func TestProfileColumnTracksCorpusVersion(t *testing.T) {
 	})
 	ps := corpus.Profiled()
 	t0 := profileTrafficNow()
-	profileColumn(set, "title", ps)
-	profileColumn(set, "title", ps)
-	if got := t0.since(); got.misses != 1 {
-		t.Fatalf("stable corpus should build once: %+v", got)
+	stale := profileColumn(set, "title", ps)
+	if c := profileColumn(set, "title", ps); &c.Profs[0] == &stale.Profs[0] {
+		t.Fatal("a corpus-backed column must build on every call")
 	}
 	corpus.Add("a brand new document shifting every idf")
 	c := profileColumn(set, "title", ps)
-	if got := t0.since(); got.misses != 2 {
-		t.Fatalf("corpus mutation must key a new column: %+v", got)
+	if got := t0.since(); got != (profileTraffic{}) {
+		t.Fatalf("a corpus-backed measure must bypass the store: %+v", got)
 	}
-	// The rebuilt profiles must reflect the new corpus statistics.
-	fresh := buildProfileColumn(set, "title", ps)
-	if c.Keys != nil || fresh.Keys != nil {
+	if c.Keys != nil {
 		t.Fatal("a TF-IDF column has no filter keys")
 	}
+	// The profiles built after the Add must reflect the new statistics.
+	fresh := buildProfileColumn(set, "title", ps)
 	for i, p := range fresh.Profs {
-		if got, want := ps.Compare(c.Profs[i], c.Profs[i], 0), ps.Compare(p, p, 0); got != want {
-			t.Fatalf("profile %d scored %v against itself, fresh build %v", i, got, want)
+		if got, want := c.Profs[i].WeightNorm2, p.WeightNorm2; got != want {
+			t.Fatalf("profile %d has norm %v, fresh build %v", i, got, want)
+		}
+		if c.Profs[i].WeightNorm2 == stale.Profs[i].WeightNorm2 {
+			t.Fatalf("profile %d kept its norm across a corpus change", i)
 		}
 	}
 }

@@ -175,7 +175,8 @@ func TestAttributeProfiledParallelRace(t *testing.T) {
 }
 
 // TestMultiAttributeProfiledParallelRace is the multi-attribute version,
-// including the shared TF-IDF corpus via the explicit Profiled field.
+// including a TF-IDF corpus shared through its Cosine method value, which
+// scores as an opaque Func.
 func TestMultiAttributeProfiledParallelRace(t *testing.T) {
 	a, b := syntheticPubs(200)
 	corpus := sim.NewTFIDF()
@@ -184,7 +185,7 @@ func TestMultiAttributeProfiledParallelRace(t *testing.T) {
 	m := &MultiAttribute{
 		MatcherName: "race-multi",
 		Pairs: []AttrPair{
-			{AttrA: "title", AttrB: "name", Profiled: corpus.Profiled(), Weight: 2},
+			{AttrA: "title", AttrB: "name", Sim: corpus.Cosine, Weight: 2},
 			{AttrA: "authors", AttrB: "authors", Sim: sim.PersonName, Weight: 1},
 			{AttrA: "year", AttrB: "year", Sim: sim.YearSim, Weight: 1},
 		},

@@ -2,11 +2,6 @@ package model
 
 import "sync"
 
-// columnLimit bounds the derived columns one set keeps. Workflows ask for a
-// handful per set; the bound is for keys that never repeat — a TF-IDF matcher
-// builds a fresh corpus, hence a fresh profile key, on every match.
-const columnLimit = 64
-
 // columns is an ObjectSet's store of derived columns — token columns,
 // sort-key columns, inverted indexes, similarity profiles: pure functions of
 // the set's instances, worth building once per set version instead of once
@@ -16,7 +11,6 @@ type columns struct {
 	mu      sync.Mutex
 	version uint64      // set version the columns were built at; guarded by mu
 	vals    map[any]any // guarded by mu
-	order   []any       // keys of vals, oldest first; guarded by mu
 }
 
 // Column returns the derived column kept under key in the set's store,
@@ -27,8 +21,9 @@ type columns struct {
 //
 // build runs outside the store's lock: goroutines missing on one key at once
 // each build, and all get the first column stored. The store drops every
-// column once the set's version has moved — calling Invalidated() on keys
-// that have the method — and evicts the oldest beyond columnLimit.
+// column once the set's version has moved, calling Invalidated() on keys
+// that have the method. Keys come from a fixed set of derivations (the
+// built-in measures, the blockers' columns), so the store stays small.
 func Column[T any](s *ObjectSet, key any, build func() T) (col T, hit bool) {
 	ver := s.version
 	if v, ok := s.cols.get(key, ver); ok {
@@ -41,12 +36,12 @@ func (c *columns) get(key any, ver uint64) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.version != ver {
-		for _, k := range c.order {
+		for k := range c.vals {
 			if iv, ok := k.(interface{ Invalidated() }); ok {
 				iv.Invalidated()
 			}
 		}
-		c.version, c.vals, c.order = ver, nil, nil
+		c.version, c.vals = ver, nil
 	}
 	v, ok := c.vals[key]
 	return v, ok
@@ -67,10 +62,5 @@ func (c *columns) put(key any, ver uint64, val any) any {
 		c.vals = make(map[any]any)
 	}
 	c.vals[key] = val
-	c.order = append(c.order, key)
-	if len(c.order) > columnLimit {
-		delete(c.vals, c.order[0])
-		c.order = append(c.order[:0], c.order[1:]...)
-	}
 	return val
 }

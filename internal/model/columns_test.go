@@ -127,22 +127,6 @@ func TestColumnConcurrent(t *testing.T) {
 	}
 }
 
-func TestColumnStoreIsBounded(t *testing.T) {
-	set := NewObjectSet(LDS{Source: "S", Type: Publication})
-	for i := 0; i < 3*columnLimit; i++ {
-		Column(set, i, func() int { return i })
-		if n := len(set.cols.vals); n > columnLimit || n != len(set.cols.order) {
-			t.Fatalf("after %d keys the store holds %d columns (%d ordered), limit %d", i+1, n, len(set.cols.order), columnLimit)
-		}
-	}
-	if _, ok := LookupColumn[int](set, 3*columnLimit-columnLimit-1); ok {
-		t.Error("the oldest column must be evicted first")
-	}
-	if v, ok := LookupColumn[int](set, 3*columnLimit-columnLimit); !ok || v != 2*columnLimit {
-		t.Error("the newest columnLimit columns must survive")
-	}
-}
-
 // TestColumnsDieWithTheirSet pins "keeping columns never extends a set's
 // lifetime" and its converse: once the set is unreachable, so are its
 // columns. Only the test holds weak pointers; the store has none.

@@ -1,9 +1,7 @@
 package model
 
-// ColumnLimit and ColumnCount let the external test package check the store's
-// bound against real matchers (which import this package).
-const ColumnLimit = columnLimit
-
+// ColumnCount lets the external test package count a set's columns after
+// real matchers (which import this package) ran over it.
 func ColumnCount(s *ObjectSet) int {
 	s.cols.mu.Lock()
 	defer s.cols.mu.Unlock()

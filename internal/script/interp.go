@@ -13,10 +13,6 @@ import (
 	"repro/internal/workflow"
 )
 
-// sims names the built-in similarity functions attrMatch accepts (Trigram,
-// PersonName, ...). It is never written after init.
-var sims = sim.NewRegistry()
-
 // ValueKind tags interpreter values.
 type ValueKind int
 
@@ -395,7 +391,7 @@ func (ip *Interp) builtinAttrMatch(c *Call, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	simFn, ok := sims.Lookup(simName)
+	simFn, ok := sim.Lookup(simName)
 	if !ok {
 		return Value{}, fmt.Errorf("script: line %d: unknown similarity function %q", c.Line, simName)
 	}

@@ -130,10 +130,10 @@ func editDistance(ra, rb []rune) int {
 
 // Levenshtein is the normalized edit similarity
 // 1 - dist(a', b') / max(len(a'), len(b')) over normalized strings.
-func Levenshtein(a, b string) float64 { return compare(levenshtein, a, b) }
+func Levenshtein(a, b string) float64 { return compare(levenshteinProfiled{}, a, b) }
 
 // Jaro computes the Jaro similarity over normalized strings.
-func Jaro(a, b string) float64 { return compare(jaro, a, b) }
+func Jaro(a, b string) float64 { return compare(jaroProfiled{}, a, b) }
 
 // jaroStack is the combined length of two values up to which jaroRunes
 // keeps its match flags on the stack; longer pairs take them from editPool.
@@ -206,7 +206,7 @@ func jaroFlagged(ra, rb []rune, matchA, matchB []bool) float64 {
 
 // JaroWinkler boosts Jaro similarity for strings sharing a common prefix of
 // up to 4 runes, with the standard scaling factor p = 0.1.
-func JaroWinkler(a, b string) float64 { return compare(jaroWinkler, a, b) }
+func JaroWinkler(a, b string) float64 { return compare(jaroProfiled{winkler: true}, a, b) }
 
 // jaroWinklerRunes is JaroWinkler over pre-normalized rune slices.
 func jaroWinklerRunes(ra, rb []rune) float64 {
@@ -231,7 +231,7 @@ func nextToken(rs []rune) (tok, rest []rune) {
 // MongeElkanJaroWinkler is the symmetric Monge-Elkan similarity with
 // Jaro-Winkler as the inner measure, a strong default for multi-token
 // names: the mean of both directions of mongeElkanRunes.
-func MongeElkanJaroWinkler(a, b string) float64 { return compare(mongeElkan, a, b) }
+func MongeElkanJaroWinkler(a, b string) float64 { return compare(mongeElkanProfiled{}, a, b) }
 
 // mongeElkanRunes is the one-directional Monge-Elkan similarity of two
 // normalized values: for each token of a, its best Jaro-Winkler similarity

@@ -104,15 +104,15 @@ func FuzzLevenshteinMatchesDP(f *testing.F) {
 		if got, want := runeDistance(a, b), editDistanceDP([]rune(a), []rune(b)); got != want {
 			t.Fatalf("editDistance(%q, %q) = %d, DP %d", a, b, got, want)
 		}
-		pa, pb := NewProfile(levenshtein, a), NewProfile(levenshtein, b)
+		pa, pb := NewProfile(ProfiledOf(Levenshtein), a), NewProfile(ProfiledOf(Levenshtein), b)
 		want := 1.0
 		if maxLen := max(len(pa.Runes), len(pb.Runes)); maxLen > 0 {
 			want = editSim(editDistanceDP(pa.Runes, pb.Runes), maxLen)
 		}
-		if got := levenshtein.Compare(pa, pb, 0); math.Float64bits(got) != math.Float64bits(want) {
+		if got := ProfiledOf(Levenshtein).Compare(pa, pb, 0); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("Levenshtein(%q, %q) = %v, DP %v", a, b, got, want)
 		}
-		if floor := want + 0.25; levenshtein.Compare(pa, pb, floor) >= floor {
+		if floor := want + 0.25; ProfiledOf(Levenshtein).Compare(pa, pb, floor) >= floor {
 			t.Fatalf("Levenshtein(%q, %q) at floor %v reaches it; DP score %v", a, b, floor, want)
 		}
 	})

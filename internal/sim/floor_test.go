@@ -60,7 +60,7 @@ func TestCompareFloorExactSets(t *testing.T) {
 		}
 		sets = append(sets, uniqueSorted(s))
 	}
-	gramMeasures := map[string]ProfiledSim{"dice": trigram, "jaccard": trigramJaccard}
+	gramMeasures := map[string]ProfiledSim{"dice": ProfiledOf(Trigram), "jaccard": ProfiledOf(TrigramJaccard)}
 	tokenMeasures := map[string]ProfiledSim{"dice": tokenProfiled{dice: true}, "jaccard": tokenProfiled{}}
 	for _, sa := range sets {
 		for _, sb := range sets {

@@ -46,8 +46,8 @@ var keyedMeasures = []struct {
 	tokens bool
 	dice   bool
 }{
-	{"Trigram", trigram.(Keyed), false, true},
-	{"NGramJaccard", trigramJaccard.(Keyed), false, false},
+	{"Trigram", ProfiledOf(Trigram).(Keyed), false, true},
+	{"NGramJaccard", ProfiledOf(TrigramJaccard).(Keyed), false, false},
 	{"TokenDice", tokenProfiled{dice: true}, true, true},
 	{"TokenJaccard", tokenProfiled{}, true, false},
 }

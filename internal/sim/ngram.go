@@ -7,25 +7,25 @@ package sim
 
 // Trigram is the Dice coefficient over character trigrams, the measure the
 // paper's evaluation scripts call "Trigram".
-func Trigram(a, b string) float64 { return compare(trigram, a, b) }
+func Trigram(a, b string) float64 { return compare(ngramProfiled{n: 3, dice: true}, a, b) }
 
 // Bigram is the Dice coefficient over character bigrams.
-func Bigram(a, b string) float64 { return compare(bigram, a, b) }
+func Bigram(a, b string) float64 { return compare(ngramProfiled{n: 2, dice: true}, a, b) }
 
 // TrigramJaccard is the Jaccard coefficient over character trigrams, the
-// registry's "NGramJaccard" measure.
-func TrigramJaccard(a, b string) float64 { return compare(trigramJaccard, a, b) }
+// measure named "NGramJaccard".
+func TrigramJaccard(a, b string) float64 { return compare(ngramProfiled{n: 3}, a, b) }
 
 // Affix scores the longest common prefix and suffix of the normalized
 // strings relative to the shorter length:
 // max(lcp, lcs) / min(len(a), len(b)). It captures abbreviation-style
 // matches like "SIGMOD Rec." vs "SIGMOD Record".
-func Affix(a, b string) float64 { return compare(affix, a, b) }
+func Affix(a, b string) float64 { return compare(affixProfiled{mode: affixBoth}, a, b) }
 
 // Prefix scores only the longest common prefix relative to the shorter
 // normalized length.
-func Prefix(a, b string) float64 { return compare(prefix, a, b) }
+func Prefix(a, b string) float64 { return compare(affixProfiled{mode: affixPrefix}, a, b) }
 
 // Suffix scores only the longest common suffix relative to the shorter
 // normalized length.
-func Suffix(a, b string) float64 { return compare(suffix, a, b) }
+func Suffix(a, b string) float64 { return compare(affixProfiled{mode: affixSuffix}, a, b) }

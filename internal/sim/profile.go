@@ -162,19 +162,6 @@ type QueryProfiler interface {
 	ProfileQueryInto(s string, p *Profile, sc *Scratch)
 }
 
-// ProfileVersioner is implemented by profiled measures whose profiles
-// depend on mutable external state — a TF-IDF corpus, whose every Add or
-// Remove shifts the idf of every term. ProfileVersion changes whenever
-// previously-built profiles become stale; profile caches must include it
-// in their keys. Measures without this interface build profiles as pure
-// functions of the input value and never stale.
-type ProfileVersioner interface {
-	ProfiledSim
-	// ProfileVersion identifies the state generation profiles are built
-	// against.
-	ProfileVersion() uint64
-}
-
 // NewProfile is the build side: a fresh profile of s that the caller keeps.
 func NewProfile(ps ProfiledSim, s string) *Profile {
 	w := pairPool.Get().(*pair)
@@ -209,8 +196,10 @@ var pairPool = sync.Pool{New: func() any { return new(pair) }}
 
 // compare is the string form of a measure: Compare over the profiles of the
 // two values. The profiles are pooled, so a warm call allocates only what
-// the measure's own stages do.
-func compare(ps ProfiledSim, a, b string) float64 {
+// the measure's own stages do. It is generic so that a built-in's measure
+// value reaches it unboxed: converting one to ProfiledSim would allocate on
+// every call.
+func compare[P ProfiledSim](ps P, a, b string) float64 {
 	w := pairPool.Get().(*pair)
 	ps.ProfileInto(a, &w.a, &w.sc)
 	ps.ProfileInto(b, &w.b, &w.sc)
@@ -219,68 +208,50 @@ func compare(ps ProfiledSim, a, b string) float64 {
 	return s
 }
 
-// The built-in measures. Each is one comparable value shared by its string
-// Func, the ProfiledOf table and every profile column keyed by it.
-var (
-	equal          ProfiledSim = equalProfiled{}
-	equalFold      ProfiledSim = equalFoldProfiled{}
-	trigram        ProfiledSim = ngramProfiled{n: 3, dice: true}
-	bigram         ProfiledSim = ngramProfiled{n: 2, dice: true}
-	trigramJaccard ProfiledSim = ngramProfiled{n: 3}
-	levenshtein    ProfiledSim = levenshteinProfiled{}
-	jaro           ProfiledSim = jaroProfiled{}
-	jaroWinkler    ProfiledSim = jaroProfiled{winkler: true}
-	affix          ProfiledSim = affixProfiled{mode: affixBoth}
-	prefix         ProfiledSim = affixProfiled{mode: affixPrefix}
-	suffix         ProfiledSim = affixProfiled{mode: affixSuffix}
-	mongeElkan     ProfiledSim = mongeElkanProfiled{}
-	soundex        ProfiledSim = soundexProfiled{}
-	year           ProfiledSim = yearProfiled{}
-	yearExact      ProfiledSim = yearProfiled{exact: true}
-	personName     ProfiledSim = personNameProfiled{}
-)
-
-// profiledByFunc maps the code pointer of a built-in Func to its measure.
-// Only static top-level functions are registered: method values (for
-// example (*TFIDF).Cosine) share one wrapper pointer across receivers and
-// must pass an explicit ProfiledSim instead.
-var profiledByFunc = map[uintptr]ProfiledSim{}
-
-func registerProfiled(fn Func, ps ProfiledSim) {
-	profiledByFunc[reflect.ValueOf(fn).Pointer()] = ps
-}
-
-func init() {
-	registerProfiled(Equal, equal)
-	registerProfiled(EqualFold, equalFold)
-	registerProfiled(Trigram, trigram)
-	registerProfiled(Bigram, bigram)
-	registerProfiled(TrigramJaccard, trigramJaccard)
-	registerProfiled(Levenshtein, levenshtein)
-	registerProfiled(Jaro, jaro)
-	registerProfiled(JaroWinkler, jaroWinkler)
-	registerProfiled(Affix, affix)
-	registerProfiled(Prefix, prefix)
-	registerProfiled(Suffix, suffix)
-	registerProfiled(TokenJaccard, tokenProfiled{})
-	registerProfiled(TokenDice, tokenProfiled{dice: true})
-	registerProfiled(MongeElkanJaroWinkler, mongeElkan)
-	registerProfiled(SoundexSim, soundex)
-	registerProfiled(YearSim, year)
-	registerProfiled(YearExact, yearExact)
-	registerProfiled(PersonName, personName)
+// builtins is the one list of the built-in measures: the name a script or a
+// tuning space gives (Lookup), the string function, and the measure behind
+// it (ProfiledOf). Each measure is a comparable value, so the profile
+// columns a set keeps for it serve every matcher that names it.
+var builtins = [...]struct {
+	name string
+	fn   Func
+	ps   ProfiledSim
+}{
+	{"Equal", Equal, equalProfiled{}},
+	{"EqualFold", EqualFold, equalFoldProfiled{}},
+	{"Trigram", Trigram, ngramProfiled{n: 3, dice: true}},
+	{"Bigram", Bigram, ngramProfiled{n: 2, dice: true}},
+	{"NGramJaccard", TrigramJaccard, ngramProfiled{n: 3}},
+	{"Levenshtein", Levenshtein, levenshteinProfiled{}},
+	{"Jaro", Jaro, jaroProfiled{}},
+	{"JaroWinkler", JaroWinkler, jaroProfiled{winkler: true}},
+	{"Affix", Affix, affixProfiled{mode: affixBoth}},
+	{"Prefix", Prefix, affixProfiled{mode: affixPrefix}},
+	{"Suffix", Suffix, affixProfiled{mode: affixSuffix}},
+	{"TokenJaccard", TokenJaccard, tokenProfiled{}},
+	{"TokenDice", TokenDice, tokenProfiled{dice: true}},
+	{"MongeElkan", MongeElkanJaroWinkler, mongeElkanProfiled{}},
+	{"Soundex", SoundexSim, soundexProfiled{}},
+	{"Year", YearSim, yearProfiled{}},
+	{"YearExact", YearExact, yearProfiled{exact: true}},
+	{"PersonName", PersonName, personNameProfiled{}},
 }
 
 // ProfiledOf returns the measure behind a similarity function: the built-in
 // measure of a built-in Func, and for any other Func (custom closures,
-// method values, NumericProximity) an adapter whose profile is the raw value
-// and whose Compare calls fn. It returns nil only for a nil fn.
+// method values such as (*TFIDF).Cosine, NumericProximity) an adapter whose
+// profile is the raw value and whose Compare calls fn. It returns nil only
+// for a nil fn. Built-ins are found by code pointer, which only static
+// top-level functions have to themselves.
 func ProfiledOf(fn Func) ProfiledSim {
 	if fn == nil {
 		return nil
 	}
-	if ps, ok := profiledByFunc[reflect.ValueOf(fn).Pointer()]; ok {
-		return ps
+	code := reflect.ValueOf(fn).Pointer()
+	for _, b := range builtins {
+		if reflect.ValueOf(b.fn).Pointer() == code {
+			return b.ps
+		}
 	}
 	return funcProfiled{fn}
 }

@@ -32,16 +32,14 @@ func scratchValues() []string {
 	}
 }
 
-// allMeasures is every registered built-in by registry name plus a TF-IDF
+// allMeasures is every built-in by name plus a TF-IDF
 // measure over the edge-case corpus.
 func allMeasures() map[string]ProfiledSim {
 	corpus := NewTFIDF()
 	corpus.AddAll(profileEdgeCases)
 	out := map[string]ProfiledSim{"TFIDF": corpus.Profiled()}
-	reg := NewRegistry()
-	for _, name := range reg.Names() {
-		fn, _ := reg.Lookup(name)
-		out[name] = ProfiledOf(fn)
+	for _, b := range builtins {
+		out[b.name] = b.ps
 	}
 	return out
 }
@@ -247,8 +245,8 @@ func TestCompareZeroAllocs(t *testing.T) {
 		checked++
 		check(name, ps, x, y)
 	}
-	check("Levenshtein", levenshtein, long, strings.ToUpper(long[7:])+" ünïcode")
-	check("Jaro", jaro, long, strings.ToUpper(long[7:])+" ünïcode")
+	check("Levenshtein", ProfiledOf(Levenshtein), long, strings.ToUpper(long[7:])+" ünïcode")
+	check("Jaro", ProfiledOf(Jaro), long, strings.ToUpper(long[7:])+" ünïcode")
 	if checked != 19 {
 		t.Errorf("checked %d measures, want the 18 registered ones plus TF-IDF", checked)
 	}

@@ -89,7 +89,7 @@ func TestSignatureBoundsOverlap(t *testing.T) {
 			if len(a)-sa.lacking(&sb) < min(len(a), len(b)) {
 				tighter++
 			}
-			for name, ps := range map[string]ProfiledSim{"dice": trigram, "jaccard": trigramJaccard} {
+			for name, ps := range map[string]ProfiledSim{"dice": ProfiledOf(Trigram), "jaccard": ProfiledOf(TrigramJaccard)} {
 				checkFloor(t, "ngram-"+name, ps, &Profile{Grams: a, sig: sa}, &Profile{Grams: b, sig: sb}, bounded...)
 			}
 			ta, tb := make([]uint32, len(a)), make([]uint32, len(b))
@@ -117,7 +117,7 @@ func TestSignatureBoundsOverlap(t *testing.T) {
 
 // setMeasures are the measures whose profiles carry a signature.
 var setMeasures = map[string]ProfiledSim{
-	"Trigram": trigram, "Bigram": bigram, "NGramJaccard": trigramJaccard,
+	"Trigram": ProfiledOf(Trigram), "Bigram": ProfiledOf(Bigram), "NGramJaccard": ProfiledOf(TrigramJaccard),
 	"TokenDice": tokenProfiled{dice: true}, "TokenJaccard": tokenProfiled{},
 }
 

@@ -7,9 +7,9 @@
 // measure.
 //
 // Every measure is normalized to [0,1] where 1 means identical. Measures are
-// exposed as Func values and registered by name in a Registry so matcher
-// configurations (and the script language) can refer to them textually,
-// e.g. attrMatch(..., Trigram, 0.5, ...).
+// exposed as Func values, and one table (builtins) gives each built-in its
+// name, so that matcher configurations (and the script language) can refer
+// to them textually, e.g. attrMatch(..., Trigram, 0.5, ...) (Lookup).
 //
 // A measure is one ProfiledSim value (profile.go): ProfileInto hoists
 // normalization, tokenization and n-gram construction out of the per-pair
@@ -25,7 +25,6 @@ package sim
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -34,85 +33,23 @@ import (
 // Func computes a normalized similarity in [0,1] between two strings.
 type Func func(a, b string) float64
 
-// Registry maps similarity-function names (case-insensitive) to
-// implementations. The zero value is unusable; use NewRegistry.
-type Registry struct {
-	funcs map[string]Func
-	names []string
-}
-
-// NewRegistry returns a registry pre-populated with all built-in measures.
-func NewRegistry() *Registry {
-	r := &Registry{funcs: make(map[string]Func)}
-	builtin := []struct {
-		name string
-		fn   Func
-	}{
-		{"Equal", Equal},
-		{"EqualFold", EqualFold},
-		{"Trigram", Trigram},
-		{"Bigram", Bigram},
-		{"NGramJaccard", TrigramJaccard},
-		{"Levenshtein", Levenshtein},
-		{"Jaro", Jaro},
-		{"JaroWinkler", JaroWinkler},
-		{"Affix", Affix},
-		{"Prefix", Prefix},
-		{"Suffix", Suffix},
-		{"TokenJaccard", TokenJaccard},
-		{"TokenDice", TokenDice},
-		{"MongeElkan", MongeElkanJaroWinkler},
-		{"Soundex", SoundexSim},
-		{"Year", YearSim},
-		{"YearExact", YearExact},
-		{"PersonName", PersonName},
+// Lookup returns the built-in similarity function registered under name,
+// ignoring case: the names a script (attrMatch(..., Trigram, ...)) or a
+// tuning space gives.
+func Lookup(name string) (Func, bool) {
+	for _, b := range builtins {
+		if strings.EqualFold(b.name, name) {
+			return b.fn, true
+		}
 	}
-	for _, b := range builtin {
-		r.MustRegister(b.name, b.fn)
-	}
-	return r
-}
-
-// Register adds a named similarity function. Names are case-insensitive;
-// duplicates are rejected.
-func (r *Registry) Register(name string, fn Func) error {
-	if name == "" || fn == nil {
-		return fmt.Errorf("sim: Register needs a name and a function")
-	}
-	key := strings.ToLower(name)
-	if _, dup := r.funcs[key]; dup {
-		return fmt.Errorf("sim: duplicate similarity function %q", name)
-	}
-	r.funcs[key] = fn
-	r.names = append(r.names, name)
-	return nil
-}
-
-// MustRegister is Register that panics on error, for static tables.
-func (r *Registry) MustRegister(name string, fn Func) {
-	if err := r.Register(name, fn); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup returns the function registered under name (case-insensitive).
-func (r *Registry) Lookup(name string) (Func, bool) {
-	fn, ok := r.funcs[strings.ToLower(name)]
-	return fn, ok
-}
-
-// Names returns the registered names in registration order.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.names))
-	copy(out, r.names)
-	return out
+	return nil, false
 }
 
 // Equal is exact string equality.
-func Equal(a, b string) float64 { return compare(equal, a, b) }
+func Equal(a, b string) float64 { return compare(equalProfiled{}, a, b) }
 
 // EqualFold is case-insensitive equality after whitespace normalization.
-func EqualFold(a, b string) float64 { return compare(equalFold, a, b) }
+func EqualFold(a, b string) float64 { return compare(equalFoldProfiled{}, a, b) }
 
 // NormalizeSpace lowercases nothing but collapses runs of whitespace to a
 // single space and trims the ends.

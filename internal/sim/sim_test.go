@@ -3,55 +3,45 @@ package sim
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
 // allFuncs lists every built-in measure for property tests.
 func allFuncs() map[string]Func {
-	r := NewRegistry()
 	out := make(map[string]Func)
-	for _, name := range r.Names() {
-		fn, _ := r.Lookup(name)
-		out[name] = fn
+	for _, b := range builtins {
+		out[b.name] = b.fn
 	}
 	return out
 }
 
 func TestRegistryLookup(t *testing.T) {
-	r := NewRegistry()
-	if _, ok := r.Lookup("Trigram"); !ok {
+	if _, ok := Lookup("Trigram"); !ok {
 		t.Error("Trigram should be registered")
 	}
-	if _, ok := r.Lookup("trigram"); !ok {
+	if _, ok := Lookup("trigram"); !ok {
 		t.Error("lookup should be case-insensitive")
 	}
-	if _, ok := r.Lookup("nope"); ok {
+	if _, ok := Lookup("nope"); ok {
 		t.Error("unknown name should miss")
 	}
 }
 
-func TestRegistryRegisterErrors(t *testing.T) {
-	r := NewRegistry()
-	if err := r.Register("", Equal); err == nil {
-		t.Error("empty name should fail")
-	}
-	if err := r.Register("X", nil); err == nil {
-		t.Error("nil func should fail")
-	}
-	if err := r.Register("TRIGRAM", Equal); err == nil {
-		t.Error("case-insensitive duplicate should fail")
-	}
-	if err := r.Register("custom", Equal); err != nil {
-		t.Errorf("fresh name should register: %v", err)
-	}
-}
-
-func TestRegistryNamesOrder(t *testing.T) {
-	r := NewRegistry()
-	names := r.Names()
-	if len(names) == 0 || names[0] != "Equal" {
-		t.Errorf("Names()[0] = %v, want Equal first", names)
+// TestBuiltinNamesUnique pins that no two built-ins share a name under
+// Lookup's case folding, which would hide the later one.
+func TestBuiltinNamesUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, b := range builtins {
+		key := strings.ToLower(b.name)
+		if seen[key] {
+			t.Errorf("duplicate built-in name %q", b.name)
+		}
+		seen[key] = true
+		if fn, ok := Lookup(b.name); !ok || ProfiledOf(fn) != b.ps {
+			t.Errorf("%s does not look up to its own measure", b.name)
+		}
 	}
 }
 
@@ -123,10 +113,9 @@ func TestSymmetryProperty(t *testing.T) {
 		"NGramJaccard", "Levenshtein", "Jaro", "JaroWinkler", "Affix",
 		"Prefix", "Suffix", "TokenJaccard", "TokenDice", "MongeElkan",
 		"Soundex", "Year", "YearExact"}
-	r := NewRegistry()
 	f := func(a, b string) bool {
 		for _, name := range symmetric {
-			fn, _ := r.Lookup(name)
+			fn, _ := Lookup(name)
 			if math.Abs(fn(a, b)-fn(b, a)) > 1e-12 {
 				return false
 			}

@@ -19,15 +19,11 @@ import "math"
 // The corpus keeps no document vectors: a vector lives in the Profile its
 // measure built, and callers that score many pairs hold those profiles (a
 // matcher's profile columns, the live resolver's resident slots). Add and
-// Remove must not run concurrently with profiling or with each other; they
-// move ProfileVersion, which stales every profile built before.
+// Remove must not run concurrently with profiling or with each other; each
+// shifts the idf of every term, which stales every profile built before.
 type TFIDF struct {
 	docFreq map[uint32]int
 	docs    int
-	// gen counts corpus mutations (Add/Remove): every change shifts the
-	// idf of every term, so profiles built before it are stale. The
-	// profiled form exposes it as its ProfileVersion.
-	gen uint64
 }
 
 // NewTFIDF returns an empty corpus model.
@@ -37,7 +33,6 @@ func NewTFIDF() *TFIDF {
 
 // Add registers one document (attribute value) with the corpus.
 func (t *TFIDF) Add(doc string) {
-	t.gen++
 	t.docs++
 	for _, id := range uniqueSorted(Terms.TokenIDs(doc)) {
 		t.docFreq[id]++
@@ -56,7 +51,6 @@ func (t *TFIDF) AddAll(docs []string) {
 // statistics; callers track membership (the live Resolver keeps one raw
 // value per slot for exactly this purpose).
 func (t *TFIDF) Remove(doc string) {
-	t.gen++
 	t.docs--
 	for _, id := range uniqueSorted(Terms.TokenIDs(doc)) {
 		if t.docFreq[id] <= 1 {
@@ -86,17 +80,18 @@ func (t *TFIDF) Cosine(a, b string) float64 { return compare(t.Profiled(), a, b)
 
 // Profiled returns the corpus cosine as a measure: ProfileInto builds a
 // document vector once per attribute value, Compare is the merge dot
-// product. Cosine is a method value and therefore invisible to ProfiledOf;
-// matchers that use a TFIDF corpus pass this explicitly.
+// product. Cosine is a method value and therefore opaque to ProfiledOf;
+// the corpus-backed callers (match.TFIDFAttribute, a live.Column with TFIDF
+// set) score through this.
 func (t *TFIDF) Profiled() ProfiledSim { return tfidfProfiled{t: t} }
 
+// tfidfProfiled is uncomparable, like funcProfiled, which keeps its profile
+// columns out of the per-set column store: they go stale with every Add and
+// Remove of the corpus.
 type tfidfProfiled struct {
 	t *TFIDF
+	_ [0]func()
 }
-
-// ProfileVersion implements ProfileVersioner: any corpus mutation stales
-// every previously-built profile (idfs shift globally).
-func (p tfidfProfiled) ProfileVersion() uint64 { return p.t.gen }
 
 // ProfileInto interns the value's tokens into Terms.
 func (p tfidfProfiled) ProfileInto(s string, pr *Profile, sc *Scratch) {

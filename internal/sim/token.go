@@ -31,12 +31,12 @@ func tokenSetSim(a, b string, dice bool) float64 {
 // optional year attribute). A year is an optionally signed decimal numeral
 // of at most 18 digits, surrounding whitespace ignored; a longer numeral
 // does not parse, so YearExact of a 19-digit numeral with itself is 0.
-func YearExact(a, b string) float64 { return compare(yearExact, a, b) }
+func YearExact(a, b string) float64 { return compare(yearProfiled{exact: true}, a, b) }
 
 // YearSim returns 1 for equal years, 0.5 for years differing by one (the
 // paper's domain constraint "must not differ by more than one year"), and 0
 // otherwise or when either side does not parse (see YearExact).
-func YearSim(a, b string) float64 { return compare(year, a, b) }
+func YearSim(a, b string) float64 { return compare(yearProfiled{}, a, b) }
 
 // NumericProximity returns a similarity for numeric strings that decays
 // linearly with |a-b| / scale, clamped to [0,1]. Non-numeric input gives 0.
@@ -107,14 +107,14 @@ func Soundex(s string) string {
 
 // SoundexSim returns 1 when the Soundex codes of the first tokens agree and
 // both are non-empty, else 0.
-func SoundexSim(a, b string) float64 { return compare(soundex, a, b) }
+func SoundexSim(a, b string) float64 { return compare(soundexProfiled{}, a, b) }
 
 // PersonName compares person names with awareness of initial-only given
 // names, the Google Scholar convention the paper calls out ("GS reduces
 // authors' first names to their first letter"). The last tokens (surnames)
 // are compared with Jaro-Winkler; the remaining given-name tokens are
 // aligned pairwise, where an initial matches any name starting with it.
-func PersonName(a, b string) float64 { return compare(personName, a, b) }
+func PersonName(a, b string) float64 { return compare(personNameProfiled{}, a, b) }
 
 // personNameRunes is PersonName over two normalized values: the surnames
 // are their last tokens, the given names the tokens before, aligned from

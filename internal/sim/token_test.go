@@ -183,8 +183,8 @@ func FuzzTokenMeasuresMatchReference(f *testing.F) {
 			ps   ProfiledSim
 			ref  func(a, b string) float64
 		}{
-			{"PersonName", personName, refPersonName},
-			{"MongeElkan", mongeElkan, refMongeElkanJaroWinkler},
+			{"PersonName", ProfiledOf(PersonName), refPersonName},
+			{"MongeElkan", ProfiledOf(MongeElkanJaroWinkler), refMongeElkanJaroWinkler},
 		}
 		for _, m := range measures {
 			got := m.ps.Compare(NewProfile(m.ps, a), NewProfile(m.ps, b), 0)

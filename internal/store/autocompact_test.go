@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -74,6 +75,41 @@ func TestAutoCompactBoundsDeltaChurn(t *testing.T) {
 	}
 	if m.Len() != 70 { // 10 domains × 7 ranges
 		t.Fatalf("replayed mapping has %d rows, want 70", m.Len())
+	}
+}
+
+// TestAutoCompactResumesAfterFailedFold fails one fold (ENOSPC on the
+// snapshot's tmp file) under delta churn: the write that triggered it
+// stands, and auto-compaction resumes once the log has grown past the
+// threshold again, so the log stays as bounded as without the fault.
+func TestAutoCompactResumesAfterFailedFold(t *testing.T) {
+	dir := t.TempDir()
+	s, inj := openInjected(t, dir)
+	defer s.Close()
+	s.SetAutoCompact(2, 32)
+	inj.Inject(faultfs.Rule{Op: faultfs.OpWrite, Path: "snapshot-", Err: syscall.ENOSPC})
+
+	lds := model.LDS{Source: "DBLP", Type: model.Publication}
+	maxLines := 0
+	for i := 0; i < 2000; i++ {
+		rows := []mapping.Correspondence{{
+			Domain: model.ID(fmt.Sprintf("a%d", i%10)),
+			Range:  model.ID(fmt.Sprintf("b%d", i%7)),
+			Sim:    0.5 + float64(i%50)/100,
+		}}
+		if err := s.PutDelta("live.X", lds, lds, model.SameMappingType, rows); err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+		maxLines = max(maxLines, walLines(t, dir))
+	}
+	if len(inj.Fired()) != 1 {
+		t.Fatalf("the fault fired %d times, want once: %v", len(inj.Fired()), inj.Fired())
+	}
+	if maxLines > 200 {
+		t.Fatalf("after one failed fold the log grew to %d lines; auto-compaction should have resumed", maxLines)
+	}
+	if s.Degraded() != nil {
+		t.Fatalf("a failed fold must not degrade the store: %v", s.Degraded())
 	}
 }
 

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -148,11 +150,27 @@ func WriteObjectSetCSV(w io.Writer, set *model.ObjectSet) error {
 	return cw.Error()
 }
 
-// ReadObjectSetCSV parses an object set written by WriteObjectSetCSV.
+// ReadObjectSetCSV parses an object set written by WriteObjectSetCSV. It
+// rejects, naming the column or line, what WriteObjectSetCSV could not
+// write back as read: a header naming a column twice, an empty id, and a
+// quoted \r\n, which encoding/csv reads as \n.
 func ReadObjectSetCSV(r io.Reader) (*model.ObjectSet, error) {
-	cr := csv.NewReader(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("store: objects csv: %w", err)
+	}
+	cr := csv.NewReader(bytes.NewReader(data))
 	cr.FieldsPerRecord = -1
-	meta, err := cr.Read()
+	// read returns the next record and whether its raw bytes hold a \r\n
+	// other than the line endings around it: one inside quotes.
+	var end int64
+	read := func() ([]string, bool, error) {
+		rec, err := cr.Read()
+		start := end
+		end = cr.InputOffset()
+		return rec, bytes.Contains(bytes.Trim(data[start:end], "\r\n"), []byte("\r\n")), err
+	}
+	meta, _, err := read()
 	if err != nil {
 		return nil, fmt.Errorf("store: objects csv: %w", err)
 	}
@@ -163,17 +181,22 @@ func ReadObjectSetCSV(r io.Reader) (*model.ObjectSet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: objects csv: %w", err)
 	}
-	header, err := cr.Read()
+	header, crlf, err := read()
 	if err != nil {
 		return nil, fmt.Errorf("store: objects csv: missing header: %w", err)
 	}
-	if len(header) < 1 || header[0] != "id" {
-		return nil, fmt.Errorf("store: objects csv: bad header %v", header)
+	if len(header) < 1 || header[0] != "id" || crlf {
+		return nil, fmt.Errorf("store: objects csv: bad header %q", header)
+	}
+	for i, name := range header {
+		if slices.Contains(header[:i], name) {
+			return nil, fmt.Errorf("store: objects csv: column %d repeats %q", i+1, name)
+		}
 	}
 	set := model.NewObjectSet(lds)
 	line := 2
 	for {
-		rec, err := cr.Read()
+		rec, crlf, err := read()
 		if err == io.EOF {
 			break
 		}
@@ -181,8 +204,13 @@ func ReadObjectSetCSV(r io.Reader) (*model.ObjectSet, error) {
 			return nil, fmt.Errorf("store: objects csv: %w", err)
 		}
 		line++
-		if len(rec) != len(header) {
+		switch {
+		case len(rec) != len(header):
 			return nil, fmt.Errorf("store: objects csv line %d: want %d fields, got %d", line, len(header), len(rec))
+		case rec[0] == "":
+			return nil, fmt.Errorf("store: objects csv line %d: empty id", line)
+		case crlf:
+			return nil, fmt.Errorf("store: objects csv line %d: a quoted value holds a carriage return and line feed", line)
 		}
 		attrs := make(map[string]string, len(header)-1)
 		for i := 1; i < len(header); i++ {

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -81,18 +83,31 @@ func TestObjectSetCSVRoundTrip(t *testing.T) {
 }
 
 func TestObjectSetCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"wrong,meta\n",
-		"#objects,BadLDS\nid\n",
-		"#objects,Publication@DBLP\nnotid,title\n",
-		"#objects,Publication@DBLP\n",
-		"#objects,Publication@DBLP\nid,title\np1\n",
+	const meta = "#objects,Publication@DBLP\n"
+	cases := []struct{ in, want string }{
+		{"", ""},
+		{"wrong,meta\n", ""},
+		{"#objects,BadLDS\nid\n", ""},
+		{meta + "notid,title\n", ""},
+		{meta, ""},
+		{meta + "id,title\np1\n", ""},
+		{meta + "id,title,title\np1,a,b\n", `column 3 repeats "title"`},
+		{meta + "id,title,id\np1,a,p1\n", `column 3 repeats "id"`},
+		{meta + "id,title\n,untitled\n", "line 3: empty id"},
+		{meta + "id,title\np1,a\np2,\"two\r\nlines\"\n", "line 4: a quoted value"},
+		{meta + "id,title\n\"p\r\r\n1\",a\n", "line 3: a quoted value"},
+		{meta + "id,\"ti\r\ntle\"\np1,a\n", "bad header"},
 	}
-	for i, in := range cases {
-		if _, err := ReadObjectSetCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d should fail: %q", i, in)
+	for _, tc := range cases {
+		_, err := ReadObjectSetCSV(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: err = %v, want one naming %q", tc.in, err, tc.want)
 		}
+	}
+	// CRLF line endings and blank lines are not values: they read as usual.
+	set, err := ReadObjectSetCSV(strings.NewReader("#objects,Publication@DBLP\r\nid,title\r\n\r\np1,\"two\nlines\"\r\n"))
+	if err != nil || set.Len() != 1 || set.Get("p1").Attr("title") != "two\nlines" {
+		t.Fatalf("CRLF file: %v, %v", set, err)
 	}
 }
 
@@ -154,5 +169,48 @@ func FuzzReadMappingCSV(f *testing.F) {
 		if !back.Equal(got, 0) {
 			t.Fatalf("round trip of %q changed the mapping:\n%s\nvs\n%s", in, back, got)
 		}
+	})
+}
+
+// FuzzReadObjectSetCSV feeds arbitrary bytes to the object-set CSV reader,
+// which loads every served and matched set from outside the program. The
+// reader returns an error or a set that WriteObjectSetCSV writes and the
+// reader reads back with the same ids, in the same order, with the same
+// attributes.
+func FuzzReadObjectSetCSV(f *testing.F) {
+	set := model.NewObjectSet(dblpPub)
+	set.AddNew("conf/VLDB/MadhavanBR01", map[string]string{"title": "Generic Schema Matching, with \"Cupid\"", "year": "2001"})
+	set.AddNew(" lead", map[string]string{"title": "multi\nline"})
+	set.AddNew("p3", nil)
+	var buf bytes.Buffer
+	if err := WriteObjectSetCSV(&buf, set); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	for _, rows := range []string{"id,title,title\np1,a,b\n", "id,title\n,a\n", "id,title\np1,\"a\r\nb\"\n", "id\r\n\r\np1\r\n", "id,title\np1,a\np1,b\n", "id,\np1,x\n"} {
+		f.Add("#objects,Publication@DBLP\n" + rows)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		got, err := ReadObjectSetCSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteObjectSetCSV(&out, got); err != nil {
+			t.Fatalf("writing a set the reader accepted: %v", err)
+		}
+		back, err := ReadObjectSetCSV(&out)
+		if err != nil {
+			t.Fatalf("reading back %q: %v", out.String(), err)
+		}
+		if !slices.Equal(back.IDs(), got.IDs()) {
+			t.Fatalf("round trip of %q changed the ids: %q vs %q", in, back.IDs(), got.IDs())
+		}
+		got.Each(func(in *model.Instance) bool {
+			if b := back.Get(in.ID); !maps.Equal(b.Attrs, in.Attrs) {
+				t.Fatalf("round trip changed %q: %q vs %q", in.ID, b.Attrs, in.Attrs)
+			}
+			return true
+		})
 	})
 }

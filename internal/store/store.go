@@ -5,7 +5,7 @@
 // mapping tables under stable names; the cache holds intermediate
 // same-mappings derived during a match workflow. Both share the Store type:
 // the repository is typically persistent (write-ahead log plus snapshot),
-// while the cache is an in-memory bounded store.
+// while the cache is an in-memory one.
 package store
 
 import (
@@ -47,18 +47,14 @@ type Store struct {
 	// the rows covered by the last snapshot. When walRows exceeds both
 	// acMinRows and acRatio×snapRows, the next logged write folds the log
 	// into a fresh snapshot. A failed fold never fails the write that
-	// triggered it (the write is already durable in the log): the error is
-	// parked in acErr, auto-compaction stands down until a successful
-	// manual Compact clears it. See SetAutoCompact.
+	// triggered it (the write is already durable in the log); the next fold
+	// is tried once walRows reaches acHold, the log having grown past the
+	// threshold again. See SetAutoCompact.
 	walRows   int     // guarded by mu
 	snapRows  int     // guarded by mu
 	acRatio   float64 // guarded by mu
 	acMinRows int     // guarded by mu
-	acErr     error   // guarded by mu
-
-	// limit > 0 bounds the number of entries (cache mode); the oldest
-	// entries are evicted first.
-	limit int
+	acHold    int     // guarded by mu
 }
 
 // Auto-compaction defaults: a delta-heavy workload may log the same
@@ -76,20 +72,14 @@ func NewRepository() *Store {
 	return &Store{maps: make(map[string]*mapping.Mapping)}
 }
 
-// NewCache returns a bounded in-memory store evicting oldest-first once
-// more than limit mappings are held. limit <= 0 means unbounded.
-func NewCache(limit int) *Store {
-	return &Store{maps: make(map[string]*mapping.Mapping), limit: limit}
-}
-
 // SetAutoCompact configures automatic write-ahead-log compaction: once the
 // log holds more than ratio× the last snapshot's rows (and at least minRows
 // rows), a logged write triggers Compact inline. ratio <= 0 disables
 // auto-compaction; manual Compact always works. minRows <= 0 keeps the
 // default floor. The defaults are DefaultAutoCompactRatio and
 // DefaultAutoCompactMinRows. A write whose auto-fold fails still succeeds
-// (its rows are in the log); the failure is reported by AutoCompactErr and
-// stops further auto-folds until a manual Compact succeeds.
+// (its rows are in the log), and the fold is tried again once the log has
+// grown past the threshold again.
 func (s *Store) SetAutoCompact(ratio float64, minRows int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -100,33 +90,23 @@ func (s *Store) SetAutoCompact(ratio float64, minRows int) {
 	s.acMinRows = minRows
 }
 
-// AutoCompactErr returns the error of the last failed automatic
-// compaction, or nil. While non-nil, auto-compaction stands down (writes
-// keep working, the log keeps growing); a successful Compact clears it.
-func (s *Store) AutoCompactErr() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.acErr
-}
-
 // noteWALRowsLocked records rows appended to the log and compacts when the
 // log has outgrown the snapshot. Callers hold mu and have just appended;
 // the append has already succeeded, so a failed fold must not — and does
 // not — propagate into the write's result.
 func (s *Store) noteWALRowsLocked(rows int) {
 	s.walRows += rows
-	if s.acRatio <= 0 || s.acErr != nil || s.walRows < s.acMinRows {
+	if s.acRatio <= 0 || s.walRows < s.acMinRows || s.walRows < s.acHold {
 		return
 	}
-	base := s.snapRows
-	if base < 1 {
-		base = 1
-	}
-	if float64(s.walRows) < s.acRatio*float64(base) {
+	threshold := s.acRatio * float64(max(s.snapRows, 1))
+	if float64(s.walRows) < threshold {
 		return
 	}
-	if err := s.compactLocked(); err != nil {
-		s.acErr = fmt.Errorf("store: auto-compact: %w", err)
+	if s.compactLocked() != nil {
+		// Not on every write while the fault lasts: a fold rewrites the
+		// whole state.
+		s.acHold = s.walRows + max(s.acMinRows, int(threshold))
 	}
 }
 
@@ -170,27 +150,12 @@ func (s *Store) Put(name string, m *mapping.Mapping) error {
 	}
 	if _, exists := s.maps[name]; !exists {
 		s.order = append(s.order, name)
-	} else {
-		s.touchLocked(name)
 	}
 	s.maps[name] = m
 	if s.wal != nil {
 		s.noteWALRowsLocked(m.Len())
 	}
-	s.evictLocked()
 	return nil
-}
-
-// touchLocked refreshes an existing entry's age: it moves to the back of
-// order so a bounded cache doesn't evict a just-written hot entry as if it
-// were the oldest. Callers hold mu.
-func (s *Store) touchLocked(name string) {
-	for i, n := range s.order {
-		if n == name {
-			s.order = append(append(s.order[:i:i], s.order[i+1:]...), name)
-			break
-		}
-	}
 }
 
 // PutDelta merges delta correspondences into the named mapping in place —
@@ -244,14 +209,10 @@ func (s *Store) PutDelta(name string, dom, rng model.LDS, mtype model.MappingTyp
 		m = mapping.New(dom, rng, mtype)
 		s.maps[name] = m
 		s.order = append(s.order, name)
-	} else {
-		// Like Put, writing refreshes the entry's age in cache mode.
-		s.touchLocked(name)
 	}
 	for _, c := range rows {
 		m.AddMax(c.Domain, c.Range, c.Sim)
 	}
-	s.evictLocked()
 	if s.wal != nil {
 		s.noteWALRowsLocked(len(rows))
 	}
@@ -285,26 +246,6 @@ func (s *Store) DropTouching(name string, id model.ID) (int, error) {
 		s.noteWALRowsLocked(1)
 	}
 	return removed, nil
-}
-
-// evictLocked drops oldest entries beyond the limit. Callers hold mu.
-func (s *Store) evictLocked() {
-	if s.limit <= 0 {
-		return
-	}
-	for len(s.order) > s.limit {
-		victim := s.order[0]
-		s.order = s.order[1:]
-		delete(s.maps, victim)
-		if s.wal != nil {
-			// Eviction must proceed regardless (it bounds memory), but a
-			// failed delete record means replay would resurrect the victim —
-			// that is a durability fault, so the store degrades.
-			if err := s.wal.logDelete(victim); err != nil {
-				_ = s.degradeLocked("wal-append", filepath.Join(s.dir, walFile), err)
-			}
-		}
-	}
 }
 
 // Get returns the mapping stored under name.
@@ -360,7 +301,8 @@ func (s *Store) Len() int {
 	return len(s.maps)
 }
 
-// Names returns the stored names in insertion order.
+// Names returns the stored names in first-insertion order: overwriting a
+// name keeps its place, as replaying the log does.
 func (s *Store) Names() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -64,52 +65,41 @@ func TestNamesInsertionOrder(t *testing.T) {
 	s := NewRepository()
 	s.Put("b", sampleMapping(1))
 	s.Put("a", sampleMapping(1))
-	s.Put("b", sampleMapping(2)) // replace refreshes the entry's age
+	s.Put("b", sampleMapping(2)) // replace keeps the first insertion's place
 	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("Names = %v, want [a b]", names)
+	if len(names) != 2 || names[0] != "b" || names[1] != "a" {
+		t.Errorf("Names = %v, want [b a]", names)
 	}
 	if m, _ := s.Get("b"); m.Len() != 2 {
 		t.Error("replacement not applied")
 	}
 }
 
-func TestCacheEviction(t *testing.T) {
-	c := NewCache(2)
-	c.Put("m1", sampleMapping(1))
-	c.Put("m2", sampleMapping(1))
-	c.Put("m3", sampleMapping(1))
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+// TestNamesSurviveReopenAfterOverwrite pins that a durable repository lists
+// its names in the same order live and after a reopen, when an overwrite
+// (of a full mapping, then of a delta) came between.
+func TestNamesSurviveReopenAfterOverwrite(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenRepository(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.Has("m1") {
-		t.Error("oldest entry should be evicted")
+	s.Put("b", sampleMapping(1))
+	s.Put("a", sampleMapping(1))
+	s.Put("b", sampleMapping(2))
+	s.PutDelta("c", dblpPub, acmPub, model.SameMappingType, []mapping.Correspondence{{Domain: "x", Range: "y", Sim: 1}})
+	s.PutDelta("a", dblpPub, acmPub, model.SameMappingType, []mapping.Correspondence{{Domain: "x", Range: "y", Sim: 1}})
+	live := s.Names()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if !c.Has("m2") || !c.Has("m3") {
-		t.Error("newest entries should survive")
+	re, err := OpenRepository(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestCacheEvictionAfterOverwrite is the regression test for re-put aging:
-// overwriting an entry must refresh its age, so a bounded cache evicts the
-// actually-oldest entry instead of a just-overwritten hot one.
-func TestCacheEvictionAfterOverwrite(t *testing.T) {
-	c := NewCache(2)
-	c.Put("hot", sampleMapping(1))
-	c.Put("cold", sampleMapping(1))
-	c.Put("hot", sampleMapping(2)) // refresh: hot is now the newest entry
-	c.Put("m3", sampleMapping(1))  // exceeds the limit
-	if c.Has("cold") {
-		t.Error("cold is the oldest entry and should have been evicted")
-	}
-	if !c.Has("hot") || !c.Has("m3") {
-		t.Errorf("hot and m3 should survive, names = %v", c.Names())
-	}
-	if m, _ := c.Get("hot"); m.Len() != 2 {
-		t.Error("overwritten value lost")
-	}
-	if got := c.Names(); len(got) != 2 || got[0] != "hot" || got[1] != "m3" {
-		t.Errorf("Names = %v, want [hot m3]", got)
+	defer re.Close()
+	if got := re.Names(); !slices.Equal(got, live) {
+		t.Fatalf("Names = %v after a reopen, %v live", got, live)
 	}
 }
 

@@ -423,7 +423,7 @@ func (s *Store) compactLocked() error {
 	s.wal = &walWriter{f: f, w: bufio.NewWriter(f)}
 	s.snapRows = s.rowsLocked()
 	s.walRows = 0
-	s.acErr = nil
+	s.acHold = 0
 	storeCompactions.Inc()
 	storeCompactionSeconds.Observe(time.Since(t0).Seconds())
 	storeSnapshotBytes.Set(cw.n)

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/block"
 	"repro/internal/eval"
 	"repro/internal/mapping"
 	"repro/internal/match"
@@ -37,21 +38,16 @@ func (c Candidate) String() string {
 // attribute pairs, similarity functions and thresholds.
 type Space struct {
 	AttrPairs  [][2]string
-	SimNames   []string
+	SimNames   []string // built-in measures by name (sim.Lookup)
 	Thresholds []float64
-	Registry   *sim.Registry
 }
 
 // Candidates expands the space.
 func (s Space) Candidates() ([]Candidate, error) {
-	reg := s.Registry
-	if reg == nil {
-		reg = sim.NewRegistry()
-	}
 	var out []Candidate
 	for _, pair := range s.AttrPairs {
 		for _, name := range s.SimNames {
-			fn, ok := reg.Lookup(name)
+			fn, ok := sim.Lookup(name)
 			if !ok {
 				return nil, fmt.Errorf("tuning: unknown similarity function %q", name)
 			}
@@ -150,14 +146,11 @@ type featureFn struct {
 }
 
 // NewFeatureExtractor builds an extractor; comparisons are given as
-// (attrA, attrB, simName) triples resolved against the registry.
-func NewFeatureExtractor(reg *sim.Registry, comparisons [][3]string) (*FeatureExtractor, error) {
-	if reg == nil {
-		reg = sim.NewRegistry()
-	}
+// (attrA, attrB, simName) triples naming built-in measures (sim.Lookup).
+func NewFeatureExtractor(comparisons [][3]string) (*FeatureExtractor, error) {
 	fe := &FeatureExtractor{}
 	for _, c := range comparisons {
-		fn, ok := reg.Lookup(c[2])
+		fn, ok := sim.Lookup(c[2])
 		if !ok {
 			return nil, fmt.Errorf("tuning: unknown similarity function %q", c[2])
 		}
@@ -217,27 +210,36 @@ func (s *pairScorer) profiles(in *model.Instance, domain bool) []sim.Profile {
 	return ps
 }
 
-// BuildExamples labels candidate pairs against the training mapping.
-// Negative examples are all candidate pairs absent from training whose
-// domain object is covered by training.
-func BuildExamples(fe *FeatureExtractor, a, b *model.ObjectSet, pairs [][2]model.ID, training *mapping.Mapping) []Example {
+// BuildExamples labels the blocker's candidate pairs (nil means the cross
+// product) against the training mapping. Negative examples are all
+// candidate pairs absent from training whose domain object is covered by
+// training.
+func BuildExamples(fe *FeatureExtractor, a, b *model.ObjectSet, bl block.Blocker, training *mapping.Mapping) []Example {
 	covered := make(map[model.ID]bool)
 	for _, id := range training.DomainIDs() {
 		covered[id] = true
 	}
 	sc := fe.scorer()
 	var out []Example
-	for _, p := range pairs {
-		ia, ib := a.Get(p[0]), b.Get(p[1])
-		if ia == nil || ib == nil || !covered[p[0]] {
-			continue
+	candidates(bl).PairsEach(a, b, func(p block.Pair) bool {
+		ia, ib := a.Get(p.A), b.Get(p.B)
+		if ia != nil && ib != nil && covered[p.A] {
+			out = append(out, Example{
+				Features: sc.features(ia, ib),
+				Match:    training.Has(p.A, p.B),
+			})
 		}
-		out = append(out, Example{
-			Features: sc.features(ia, ib),
-			Match:    training.Has(p[0], p[1]),
-		})
-	}
+		return true
+	})
 	return out
+}
+
+// candidates returns bl, or the cross product for nil.
+func candidates(bl block.Blocker) block.Blocker {
+	if bl == nil {
+		return block.CrossProduct{}
+	}
+	return bl
 }
 
 // Tree is a binary CART decision tree over similarity features.
@@ -386,7 +388,8 @@ type TreeMatcher struct {
 	MatcherName string
 	Extractor   *FeatureExtractor
 	Tree        *Tree
-	Pairs       func(a, b *model.ObjectSet) [][2]model.ID
+	// Blocker generates candidate pairs; nil means the full cross product.
+	Blocker block.Blocker
 }
 
 // Name implements match.Matcher.
@@ -402,24 +405,12 @@ func (tm *TreeMatcher) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 	if tm.Extractor == nil || tm.Tree == nil {
 		return nil, fmt.Errorf("tuning: %s is not trained", tm.Name())
 	}
-	pairsFn := tm.Pairs
-	if pairsFn == nil {
-		pairsFn = func(a, b *model.ObjectSet) [][2]model.ID {
-			var out [][2]model.ID
-			for _, ida := range a.IDs() {
-				for _, idb := range b.IDs() {
-					out = append(out, [2]model.ID{ida, idb})
-				}
-			}
-			return out
-		}
-	}
 	out := mapping.NewSame(a.LDS(), b.LDS())
 	sc := tm.Extractor.scorer()
-	for _, p := range pairsFn(a, b) {
-		ia, ib := a.Get(p[0]), b.Get(p[1])
+	candidates(tm.Blocker).PairsEach(a, b, func(p block.Pair) bool {
+		ia, ib := a.Get(p.A), b.Get(p.B)
 		if ia == nil || ib == nil {
-			continue
+			return true
 		}
 		feats := sc.features(ia, ib)
 		if tm.Tree.Predict(feats) {
@@ -427,8 +418,9 @@ func (tm *TreeMatcher) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 			for _, f := range feats {
 				sum += f
 			}
-			out.Add(p[0], p[1], sum/float64(len(feats)))
+			out.Add(p.A, p.B, sum/float64(len(feats)))
 		}
-	}
+		return true
+	})
 	return out, nil
 }

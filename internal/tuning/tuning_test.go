@@ -198,7 +198,7 @@ func TestCandidateString(t *testing.T) {
 }
 
 func TestFeatureExtractor(t *testing.T) {
-	fe, err := NewFeatureExtractor(sim.NewRegistry(), [][3]string{
+	fe, err := NewFeatureExtractor([][3]string{
 		{"title", "title", "Trigram"},
 		{"year", "year", "YearExact"},
 	})
@@ -214,7 +214,7 @@ func TestFeatureExtractor(t *testing.T) {
 	if len(fe.Names) != 2 {
 		t.Errorf("names = %v", fe.Names)
 	}
-	if _, err := NewFeatureExtractor(nil, [][3]string{{"a", "b", "Nope"}}); err == nil {
+	if _, err := NewFeatureExtractor([][3]string{{"a", "b", "Nope"}}); err == nil {
 		t.Error("unknown sim should fail")
 	}
 }
@@ -223,17 +223,9 @@ func TestFeatureExtractor(t *testing.T) {
 // each instance profiled once per call, pairs scored by Compare at floor 0 —
 // to the string Funcs called per pair, bit for bit, in BuildExamples,
 // Extract and the confidences of TreeMatcher.Match. The comparisons cover
-// registry measures of every profile kind, NumericProximity and a custom
-// closure (the last two score through sim.ProfiledOf's adapter).
+// built-in measures of every profile kind; the candidates are the cross
+// product that a nil Blocker streams.
 func TestFeatureExtractionMatchesStringFuncs(t *testing.T) {
-	reg := sim.NewRegistry()
-	reg.MustRegister("Near", sim.NumericProximity(3))
-	reg.MustRegister("SameLength", func(x, y string) float64 {
-		if len(x) == len(y) {
-			return 1
-		}
-		return 0.25
-	})
 	comparisons := [][3]string{
 		{"title", "name", "Trigram"},
 		{"title", "name", "Levenshtein"},
@@ -242,10 +234,8 @@ func TestFeatureExtractionMatchesStringFuncs(t *testing.T) {
 		{"authors", "authors", "PersonName"},
 		{"authors", "authors", "MongeElkan"},
 		{"year", "year", "YearExact"},
-		{"year", "year", "Near"},
-		{"title", "name", "SameLength"},
 	}
-	fe, err := NewFeatureExtractor(reg, comparisons)
+	fe, err := NewFeatureExtractor(comparisons)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +256,7 @@ func TestFeatureExtractionMatchesStringFuncs(t *testing.T) {
 	want := func(x, y *model.Instance) []float64 {
 		out := make([]float64, len(comparisons))
 		for i, c := range comparisons {
-			fn, _ := reg.Lookup(c[2])
+			fn, _ := sim.Lookup(c[2])
 			out[i] = fn(x.Attr(c[0]), y.Attr(c[1]))
 		}
 		return out
@@ -287,7 +277,7 @@ func TestFeatureExtractionMatchesStringFuncs(t *testing.T) {
 			pairs = append(pairs, [2]model.ID{ida, idb})
 		}
 	}
-	examples := BuildExamples(fe, a, b, pairs, training)
+	examples := BuildExamples(fe, a, b, nil, training)
 	if len(examples) != len(pairs) {
 		t.Fatalf("examples = %d, want %d", len(examples), len(pairs))
 	}
@@ -390,22 +380,16 @@ func TestLearnTreeEdgeCases(t *testing.T) {
 
 func TestTreeMatcherEndToEnd(t *testing.T) {
 	a, b, perfect := tuningFixture()
-	fe, err := NewFeatureExtractor(nil, [][3]string{
+	fe, err := NewFeatureExtractor([][3]string{
 		{"title", "title", "Trigram"},
 		{"year", "year", "YearExact"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pairs [][2]model.ID
-	for _, ida := range a.IDs() {
-		for _, idb := range b.IDs() {
-			pairs = append(pairs, [2]model.ID{ida, idb})
-		}
-	}
-	examples := BuildExamples(fe, a, b, pairs, perfect)
-	if len(examples) != len(pairs) {
-		t.Fatalf("examples = %d, want %d", len(examples), len(pairs))
+	examples := BuildExamples(fe, a, b, nil, perfect)
+	if len(examples) != a.Len()*b.Len() {
+		t.Fatalf("examples = %d, want %d", len(examples), a.Len()*b.Len())
 	}
 	tree := LearnTree(examples, smallTree)
 	tm := &TreeMatcher{Extractor: fe, Tree: tree}

@@ -129,14 +129,14 @@ type Engine struct {
 }
 
 // NewEngine returns an engine over repo (a fresh in-memory repository when
-// nil) with a fresh unbounded cache and no object sets.
+// nil) with a fresh in-memory cache and no object sets.
 func NewEngine(repo *store.Store) *Engine {
 	if repo == nil {
 		repo = store.NewRepository()
 	}
 	return &Engine{
 		Repo:  repo,
-		Cache: store.NewCache(0),
+		Cache: store.NewRepository(),
 		sets:  make(map[string]*model.ObjectSet),
 		byLDS: make(map[model.LDS]*model.ObjectSet),
 	}
