@@ -27,10 +27,14 @@
 // and the object sets registered by name, which workflows, scripts and
 // System.MappingByName all resolve through, cache first, then repository.
 // Workflow values are its multi-step match processes. Every step is named
-// and runs once per engine: its result is cached under its name, a step
-// whose result the cache holds is read instead of run, and Cache.Delete
-// forces a re-run. The paper's evaluation (internal/experiments) runs its
-// tables as such steps. NhMatch is the §4.2 neighborhood matcher. The
+// and runs once per engine: its result is cached with its definition (the
+// object sets' identity and version if it has matchers, each matcher's
+// String, its inputs' definitions, operator and selections), and a step
+// whose name the cache holds is read, not run, if the definitions match —
+// else the run fails naming both. A definition cannot see into a Where
+// closure or a custom similarity function's captured values; Cache.Delete
+// lets a step run again. The paper's evaluation (internal/experiments) runs
+// its tables as such steps. NhMatch is the §4.2 neighborhood matcher. The
 // package's examples run whole match processes through these names, each
 // checked against the output it prints.
 //

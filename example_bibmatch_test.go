@@ -19,8 +19,7 @@ func Example_bibmatch() {
 
 	// Step 1 — attribute matching on titles (DBLP "title" vs ACM "name").
 	titles := &moma.AttributeMatcher{
-		MatcherName: "title-trigram",
-		AttrA:       "title", AttrB: "name",
+		AttrA: "title", AttrB: "name",
 		Sim:       moma.Trigram,
 		Threshold: 0.82,
 		Blocker:   moma.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},

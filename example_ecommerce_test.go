@@ -52,8 +52,7 @@ func Example_ecommerce() {
 	// Name-only matching: token reordering handled by Monge-Elkan, but the
 	// hub variants collide.
 	names := &moma.AttributeMatcher{
-		MatcherName: "name",
-		AttrA:       "name", AttrB: "name",
+		AttrA: "name", AttrB: "name",
 		Sim:       moma.MongeElkan,
 		Threshold: 0.8,
 	}
@@ -66,7 +65,6 @@ func Example_ecommerce() {
 
 	// Multi-attribute: name + brand + price proximity (scale $30).
 	multi := &moma.MultiAttributeMatcher{
-		MatcherName: "name+brand+price",
 		Pairs: []moma.AttrPair{
 			{AttrA: "name", AttrB: "name", Sim: moma.MongeElkan, Weight: 3},
 			{AttrA: "brand", AttrB: "brand", Sim: moma.Trigram, Weight: 1},

@@ -32,8 +32,7 @@ func Example_quickstart() {
 	// Matcher 1: trigram similarity on titles. Alone it cannot tell the
 	// conference paper from its identically-titled journal version.
 	titles := &moma.AttributeMatcher{
-		MatcherName: "title-trigram",
-		AttrA:       "title", AttrB: "name",
+		AttrA: "title", AttrB: "name",
 		Sim:       moma.Trigram,
 		Threshold: 0.8,
 	}
@@ -47,8 +46,7 @@ func Example_quickstart() {
 
 	// Matcher 2: exact publication year.
 	years := &moma.AttributeMatcher{
-		MatcherName: "year-exact",
-		AttrA:       "year", AttrB: "year",
+		AttrA: "year", AttrB: "year",
 		Sim:       moma.YearExact,
 		Threshold: 1,
 	}

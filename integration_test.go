@@ -30,9 +30,9 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	// Stage 1: publication matching via a workflow (title + year merged).
 	wf := NewWorkflow("pub-match").AddStep(Step{Name: "combine",
 		Matchers: []Matcher{
-			&AttributeMatcher{MatcherName: "title", AttrA: "title", AttrB: "name", Sim: Trigram, Threshold: 0.82,
+			&AttributeMatcher{AttrA: "title", AttrB: "name", Sim: Trigram, Threshold: 0.82,
 				Blocker: TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2}},
-			&AttributeMatcher{MatcherName: "year", AttrA: "year", AttrB: "year", Sim: YearExact, Threshold: 1,
+			&AttributeMatcher{AttrA: "year", AttrB: "year", Sim: YearExact, Threshold: 1,
 				Blocker: TokenBlocking{AttrA: "year", AttrB: "year", MinShared: 1}},
 		},
 		F:      Combiner{Kind: KindWeighted, Weights: []float64{3, 2}, MissingAsZero: true},

@@ -293,8 +293,9 @@ func shared(x, y []uint32) int {
 	return n
 }
 
+// String renders Pairs by identity: its rows are data, not configuration.
 func (w Within) String() string {
-	return fmt.Sprintf("within(%s)", w.Tokens)
+	return fmt.Sprintf("within(%p, %s)", w.Pairs, w.Tokens)
 }
 
 // SortedNeighborhood sorts the union of both inputs by a normalized key

@@ -35,7 +35,6 @@ func ExtensionGSSelfMapping(s *Setting) (*TableResult, error) {
 	// Duplicate detection within GS: title and author-list evidence
 	// combined, exactly the §4.3 recipe applied to a dirty web source.
 	self, err := s.run(s.GSWork, s.GSWork, matchStep("pub-self-gs", &match.MultiAttribute{
-		MatcherName: "gs-self",
 		Pairs: []match.AttrPair{
 			{AttrA: "title", AttrB: "title", Sim: sim.Trigram, Weight: 2},
 			{AttrA: "authors", AttrB: "authors", Sim: sim.Trigram, Weight: 1},
@@ -47,9 +46,12 @@ func ExtensionGSSelfMapping(s *Setting) (*TableResult, error) {
 		return nil, err
 	}
 	rawSelf := self[0]
-	// Clusters of duplicate entries, closed under transitivity.
-	if _, err := s.run(s.GSWork, s.GSWork, matchStep("pub-clusters-gs",
-		&match.ExistingMapping{MatcherName: "GS clusters", M: cluster.TransitiveClosure(rawSelf, 0.82)})); err != nil {
+	// Clusters of duplicate entries, closed under transitivity, built once:
+	// the step holds them by identity.
+	if s.gsClusters == nil {
+		s.gsClusters = cluster.TransitiveClosure(rawSelf, 0.82)
+	}
+	if _, err := s.run(s.GSWork, s.GSWork, matchStep("pub-clusters-gs", &match.ExistingMapping{M: s.gsClusters})); err != nil {
 		return nil, err
 	}
 	// Compose: a DBLP publication matched to one entry of a cluster now
@@ -156,12 +158,7 @@ func ExtensionSelfTuning(s *Setting) (*TableResult, error) {
 	blocker := block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2}
 	examples := tuning.BuildExamples(fe, sampleA, sampleB, blocker, training)
 	tree := tuning.LearnTree(examples, tuning.TreeConfig{MaxDepth: 5, MinExamples: 4})
-	tm := &tuning.TreeMatcher{
-		MatcherName: "tuned-tree",
-		Extractor:   fe,
-		Tree:        tree,
-		Blocker:     blocker,
-	}
+	tm := &tuning.TreeMatcher{Extractor: fe, Tree: tree, Blocker: blocker}
 	treeResult, err := tm.Match(sampleA, sampleB)
 	if err != nil {
 		return nil, err

@@ -42,6 +42,8 @@ type Setting struct {
 	GSWork *model.ObjectSet
 
 	engine *workflow.Engine
+	// gsClusters is the mapping Extension E1's "pub-clusters-gs" step holds.
+	gsClusters *mapping.Mapping
 }
 
 // TableResult is a rendered experiment outcome.
@@ -185,28 +187,19 @@ var (
 	// title vs ACM name, with token blocking for scale — the baseline the
 	// neighborhood experiments start from.
 	pubTitleDBLPACM = matchStep("pub-title-dblp-acm", &match.Attribute{
-		MatcherName: "Title",
-		AttrA:       "title", AttrB: "name",
-		Sim:       sim.Trigram,
-		Threshold: titleThreshold,
-		Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
+		AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: titleThreshold,
+		Blocker: block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
 	})
 	// pubAuthorDBLPACM is the Table 2 "Author" matcher: trigram over the
 	// concatenated author lists of publications.
 	pubAuthorDBLPACM = matchStep("pub-author-dblp-acm", &match.Attribute{
-		MatcherName: "Author",
-		AttrA:       "authors", AttrB: "authors",
-		Sim:       sim.Trigram,
-		Threshold: authorsThreshold,
-		Blocker:   block.TokenBlocking{AttrA: "authors", AttrB: "authors", MinShared: 2},
+		AttrA: "authors", AttrB: "authors", Sim: sim.Trigram, Threshold: authorsThreshold,
+		Blocker: block.TokenBlocking{AttrA: "authors", AttrB: "authors", MinShared: 2},
 	})
 	// pubYearDBLPACM is the Table 2 "Year" matcher: exact year equality.
 	// Blocking on the year token makes it the equi-join it semantically is.
 	pubYearDBLPACM = matchStep("pub-year-dblp-acm", &match.Attribute{
-		MatcherName: "Year",
-		AttrA:       "year", AttrB: "year",
-		Sim:         sim.YearExact,
-		Threshold:   1,
+		AttrA: "year", AttrB: "year", Sim: sim.YearExact, Threshold: 1,
 		SkipMissing: true,
 		Blocker:     block.TokenBlocking{AttrA: "year", AttrB: "year", MinShared: 1},
 	})
@@ -223,11 +216,8 @@ var (
 	// matching over the query-collected working set. GS titles carry heavy
 	// extraction noise, so the threshold is lower than for ACM.
 	pubTitleDBLPGS = matchStep("pub-title-dblp-gs", &match.Attribute{
-		MatcherName: "Title(GS)",
-		AttrA:       "title", AttrB: "title",
-		Sim:       sim.Trigram,
-		Threshold: gsTitleThreshold,
-		Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 2},
+		AttrA: "title", AttrB: "title", Sim: sim.Trigram, Threshold: gsTitleThreshold,
+		Blocker: block.TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 2},
 	})
 	// authorSameDBLPGS is the author same-mapping between DBLP and the GS
 	// authors from an initial-aware name matcher — the prerequisite step
@@ -235,11 +225,8 @@ var (
 	// between GS and DBLP for which we applied an attribute matcher"; GS
 	// reduces first names to initials).
 	authorSameDBLPGS = matchStep("author-same-dblp-gs", &match.Attribute{
-		MatcherName: "Author name (GS)",
-		AttrA:       "name", AttrB: "name",
-		Sim:       sim.PersonName,
-		Threshold: 0.85,
-		Blocker:   block.TokenBlocking{AttrA: "name", AttrB: "name", MinShared: 1},
+		AttrA: "name", AttrB: "name", Sim: sim.PersonName, Threshold: 0.85,
+		Blocker: block.TokenBlocking{AttrA: "name", AttrB: "name", MinShared: 1},
 	})
 	// venueSameDBLPACM runs the 1:n neighborhood matcher for venues over
 	// the title publication mapping ("venue-nh-dblp-acm") and selects
@@ -258,7 +245,7 @@ var (
 // linksGSACM is the "direct" GS-ACM step: the pre-existing links GS
 // carries to ACM, restricted to the working set (§5.3).
 func (s *Setting) linksGSACM() workflow.Step {
-	return matchStep("pub-links-gs-acm", &match.ExistingMapping{MatcherName: "GS-ACM links", M: s.D.GSLinksACM})
+	return matchStep("pub-links-gs-acm", &match.ExistingMapping{M: s.D.GSLinksACM})
 }
 
 // perfectDBLPGSWorking restricts the strict DBLP-GS perfect mapping to GS

@@ -18,8 +18,7 @@ import (
 // result. It is the oracle Table8 must reproduce exactly.
 func table8FullMatch(s *Setting) (*TableResult, error) {
 	title, err := (&match.Attribute{
-		MatcherName: "Title(GS-ACM)",
-		AttrA:       "title", AttrB: "name",
+		AttrA: "title", AttrB: "name",
 		Sim:       sim.Trigram,
 		Threshold: gsTitleThreshold,
 		Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
@@ -28,8 +27,7 @@ func table8FullMatch(s *Setting) (*TableResult, error) {
 		return nil, err
 	}
 	authorSame, err := (&match.Attribute{
-		MatcherName: "Author name (GS-ACM)",
-		AttrA:       "name", AttrB: "name",
+		AttrA: "name", AttrB: "name",
 		Sim:       sim.PersonName,
 		Threshold: 0.85,
 		Blocker:   block.TokenBlocking{AttrA: "name", AttrB: "name", MinShared: 1},
@@ -44,8 +42,7 @@ func table8FullMatch(s *Setting) (*TableResult, error) {
 	nh = nh.Filter(func(c mapping.Correspondence) bool { return s.GSWork.Has(c.Domain) })
 	nh = mapping.Threshold{T: 0.6}.Apply(nh)
 	weakTitle, err := (&match.Attribute{
-		MatcherName: "Title(weak)",
-		AttrA:       "title", AttrB: "name",
+		AttrA: "title", AttrB: "name",
 		Sim:       sim.Trigram,
 		Threshold: 0.35,
 		Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1},

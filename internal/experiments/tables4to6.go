@@ -87,21 +87,15 @@ func Table6(s *Setting) (*TableResult, error) {
 	}
 	ms, err := s.run(s.D.DBLP.Authors, s.D.ACM.Authors, slices.Concat(
 		[]workflow.Step{matchStep("author-name-dblp-acm", &match.Attribute{
-			MatcherName: "Author name",
-			AttrA:       "name", AttrB: "name",
-			Sim:       sim.Trigram,
-			Threshold: nameThreshold,
-			Blocker:   blockAuthors(),
+			AttrA: "name", AttrB: "name", Sim: sim.Trigram, Threshold: nameThreshold,
+			Blocker: blockAuthors(),
 		})},
 		nhMatch("author-nh-dblp-acm", "DBLP.AuthorPub", "pub-merged-dblp-acm", "ACM.PubAuthor", mapping.AggRelative),
 		[]workflow.Step{
 			// Permissive name matcher for the combination (initial-aware).
 			matchStep("author-name-low-dblp-acm", &match.Attribute{
-				MatcherName: "Author name (low)",
-				AttrA:       "name", AttrB: "name",
-				Sim:       sim.PersonName,
-				Threshold: nameLowThreshold,
-				Blocker:   blockAuthors(),
+				AttrA: "name", AttrB: "name", Sim: sim.PersonName, Threshold: nameLowThreshold,
+				Blocker: blockAuthors(),
 			}),
 			{Name: "author-name-low-nh-dblp-acm", Use: []string{"author-name-low-dblp-acm", "author-nh-dblp-acm"},
 				F: mapping.Min0Combiner, Select: []mapping.Selection{mapping.Threshold{T: 0.45}}},

@@ -72,22 +72,16 @@ func Table8(s *Setting) (*TableResult, error) {
 	gsPubs, acmPubs := s.GSWork, s.D.ACM.Pubs
 	// Direct title matcher GS->ACM over the working set.
 	direct, err := s.run(gsPubs, acmPubs, matchStep("pub-title-gs-acm", &match.Attribute{
-		MatcherName: "Title(GS-ACM)",
-		AttrA:       "title", AttrB: "name",
-		Sim:       sim.Trigram,
-		Threshold: gsTitleThreshold,
-		Blocker:   block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
+		AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: gsTitleThreshold,
+		Blocker: block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
 	}))
 	if err != nil {
 		return nil, err
 	}
 	// Author same-mapping GS->ACM.
 	if _, err := s.run(s.D.GS.Authors, s.D.ACM.Authors, matchStep("author-same-gs-acm", &match.Attribute{
-		MatcherName: "Author name (GS-ACM)",
-		AttrA:       "name", AttrB: "name",
-		Sim:       sim.PersonName,
-		Threshold: 0.85,
-		Blocker:   block.TokenBlocking{AttrA: "name", AttrB: "name", MinShared: 1},
+		AttrA: "name", AttrB: "name", Sim: sim.PersonName, Threshold: 0.85,
+		Blocker: block.TokenBlocking{AttrA: "name", AttrB: "name", MinShared: 1},
 	})); err != nil {
 		return nil, err
 	}
@@ -113,10 +107,7 @@ func Table8(s *Setting) (*TableResult, error) {
 	// the same verdicts as matching every token-blocked pair and looking the
 	// picks up, at a fraction of the pairs.
 	weak, err := s.run(gsPubs, acmPubs, matchStep("pub-title-weak-gs-acm", &match.Attribute{
-		MatcherName: "Title(weak)",
-		AttrA:       "title", AttrB: "name",
-		Sim:       sim.Trigram,
-		Threshold: 0.35,
+		AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: 0.35,
 		Blocker: block.Within{Pairs: nhBest,
 			Tokens: block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1}},
 	}))

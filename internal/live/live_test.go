@@ -80,9 +80,8 @@ func batchMatcher(cfg Config) *match.MultiAttribute {
 		}
 	}
 	return &match.MultiAttribute{
-		MatcherName: "batch-twin",
-		Pairs:       pairs,
-		Threshold:   cfg.Threshold,
+		Pairs:     pairs,
+		Threshold: cfg.Threshold,
 		Blocker: block.TokenBlocking{
 			AttrA:     cfg.Columns[0].QueryAttr,
 			AttrB:     cfg.Columns[0].SetAttr,

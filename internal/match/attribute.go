@@ -15,8 +15,6 @@ import (
 // to be evaluated (e.g. n-gram, TF/IDF or affix) and a similarity threshold
 // to be exceeded by result correspondences".
 type Attribute struct {
-	// MatcherName identifies the configuration, e.g. "title-trigram".
-	MatcherName string
 	// AttrA and AttrB name the attributes on the two inputs.
 	AttrA, AttrB string
 	// Sim names the measure by its string function; the matcher scores
@@ -32,12 +30,9 @@ type Attribute struct {
 	SkipMissing bool
 }
 
-// Name implements Matcher.
-func (m *Attribute) Name() string {
-	if m.MatcherName != "" {
-		return m.MatcherName
-	}
-	return fmt.Sprintf("attr(%s~%s)", m.AttrA, m.AttrB)
+// String implements Matcher.
+func (m *Attribute) String() string {
+	return fmt.Sprintf("attr(%s~%s, %s, t=%v, %v, skipMissing=%t)", m.AttrA, m.AttrB, sim.Name(m.Sim), m.Threshold, m.Blocker, m.SkipMissing)
 }
 
 // Match implements Matcher. Each attribute value is preprocessed once
@@ -47,7 +42,7 @@ func (m *Attribute) Name() string {
 // candidate count.
 func (m *Attribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 	if m.Sim == nil {
-		return nil, fmt.Errorf("match: %s has no similarity function", m.Name())
+		return nil, fmt.Errorf("match: %s has no similarity function", m)
 	}
 	return m.match(a, b, sim.ProfiledOf(m.Sim))
 }
@@ -175,23 +170,24 @@ type AttrPair struct {
 	Weight float64
 }
 
+// String renders the comparison.
+func (p AttrPair) String() string {
+	return fmt.Sprintf("{%s~%s %s w=%v}", p.AttrA, p.AttrB, sim.Name(p.Sim), p.Weight)
+}
+
 // MultiAttribute is the paper's multi-attribute matcher: it "directly
 // evaluates and combines the similarity for multiple attribute pairs, e.g.,
 // for publication title and publication year" (§2.2). Per-pair similarities
 // are combined as a weighted average.
 type MultiAttribute struct {
-	MatcherName string
-	Pairs       []AttrPair
-	Threshold   float64
-	Blocker     block.Blocker
+	Pairs     []AttrPair
+	Threshold float64
+	Blocker   block.Blocker
 }
 
-// Name implements Matcher.
-func (m *MultiAttribute) Name() string {
-	if m.MatcherName != "" {
-		return m.MatcherName
-	}
-	return fmt.Sprintf("multiattr(%d pairs)", len(m.Pairs))
+// String implements Matcher.
+func (m *MultiAttribute) String() string {
+	return fmt.Sprintf("multiattr(%v, t=%v, %v)", m.Pairs, m.Threshold, m.Blocker)
 }
 
 // Match implements Matcher.
@@ -200,21 +196,21 @@ func (m *MultiAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 		return nil, err
 	}
 	if len(m.Pairs) == 0 {
-		return nil, fmt.Errorf("match: %s has no attribute pairs", m.Name())
+		return nil, fmt.Errorf("match: %s has no attribute pairs", m)
 	}
 	var totalWeight float64
 	for i, p := range m.Pairs {
 		if p.Sim == nil {
-			return nil, fmt.Errorf("match: %s pair %d has no similarity function", m.Name(), i)
+			return nil, fmt.Errorf("match: %s pair %d has no similarity function", m, i)
 		}
 		w := p.Weight
 		if w < 0 {
-			return nil, fmt.Errorf("match: %s pair %d has negative weight", m.Name(), i)
+			return nil, fmt.Errorf("match: %s pair %d has negative weight", m, i)
 		}
 		totalWeight += w
 	}
 	if totalWeight == 0 {
-		return nil, fmt.Errorf("match: %s has zero total weight", m.Name())
+		return nil, fmt.Errorf("match: %s has zero total weight", m)
 	}
 	// One pair of profile columns per attribute pair: dense arrays aligned
 	// with ObjectSet ordinals, so each candidate reads k columns by index.
@@ -236,18 +232,14 @@ func (m *MultiAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 // building the corpus from the attribute values of both inputs at match
 // time (document statistics depend on the data being matched).
 type TFIDFAttribute struct {
-	MatcherName  string
 	AttrA, AttrB string
 	Threshold    float64
 	Blocker      block.Blocker
 }
 
-// Name implements Matcher.
-func (m *TFIDFAttribute) Name() string {
-	if m.MatcherName != "" {
-		return m.MatcherName
-	}
-	return fmt.Sprintf("tfidf(%s~%s)", m.AttrA, m.AttrB)
+// String implements Matcher.
+func (m *TFIDFAttribute) String() string {
+	return fmt.Sprintf("tfidf(%s~%s, t=%v, %v)", m.AttrA, m.AttrB, m.Threshold, m.Blocker)
 }
 
 // Match implements Matcher.
@@ -255,13 +247,7 @@ func (m *TFIDFAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 	corpus := sim.NewTFIDF()
 	corpus.AddAll(sortedAttrValues(a, m.AttrA))
 	corpus.AddAll(sortedAttrValues(b, m.AttrB))
-	inner := &Attribute{
-		MatcherName: m.Name(),
-		AttrA:       m.AttrA,
-		AttrB:       m.AttrB,
-		Threshold:   m.Threshold,
-		Blocker:     m.Blocker,
-	}
+	inner := &Attribute{AttrA: m.AttrA, AttrB: m.AttrB, Threshold: m.Threshold, Blocker: m.Blocker}
 	return inner.match(a, b, corpus.Profiled())
 }
 
@@ -270,26 +256,20 @@ func (m *TFIDFAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 // Scholar's links to ACM, §5.3). Match restricts the stored mapping to the
 // ids present in the inputs.
 type ExistingMapping struct {
-	MatcherName string
-	M           *mapping.Mapping
+	M *mapping.Mapping
 }
 
-// Name implements Matcher.
-func (m *ExistingMapping) Name() string {
-	if m.MatcherName != "" {
-		return m.MatcherName
-	}
-	return "existing"
-}
+// String implements Matcher. The mapping renders by identity.
+func (m *ExistingMapping) String() string { return fmt.Sprintf("existing(%p)", m.M) }
 
 // Match implements Matcher.
 func (m *ExistingMapping) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 	if m.M == nil {
-		return nil, fmt.Errorf("match: %s has no mapping", m.Name())
+		return nil, fmt.Errorf("match: %s has no mapping", m)
 	}
 	if m.M.Domain() != a.LDS() || m.M.Range() != b.LDS() {
 		return nil, fmt.Errorf("match: %s connects %s->%s, inputs are %s->%s",
-			m.Name(), m.M.Domain(), m.M.Range(), a.LDS(), b.LDS())
+			m, m.M.Domain(), m.M.Range(), a.LDS(), b.LDS())
 	}
 	return m.M.Filter(func(c mapping.Correspondence) bool {
 		return a.Has(c.Domain) && b.Has(c.Range)

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -41,8 +42,7 @@ func figure1Sets() (*model.ObjectSet, *model.ObjectSet) {
 func TestAttributeMatcherFigure1(t *testing.T) {
 	dblp, acm := figure1Sets()
 	m := &Attribute{
-		MatcherName: "title-trigram",
-		AttrA:       "title", AttrB: "name",
+		AttrA: "title", AttrB: "name",
 		Sim:       sim.Trigram,
 		Threshold: 0.8,
 	}
@@ -132,7 +132,6 @@ func TestAttributeMatcherWithBlocker(t *testing.T) {
 func TestMultiAttributeMatcher(t *testing.T) {
 	dblp, acm := figure1Sets()
 	m := &MultiAttribute{
-		MatcherName: "title+year",
 		Pairs: []AttrPair{
 			{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Weight: 2},
 			{AttrA: "year", AttrB: "year", Sim: sim.YearExact, Weight: 1},
@@ -193,7 +192,7 @@ func TestExistingMappingMatcher(t *testing.T) {
 	stored.Add("conf/VLDB/MadhavanBR01", "P-672191", 1)
 	stored.Add("ghost", "P-672216", 1) // not in the input sets
 
-	m := &ExistingMapping{MatcherName: "gs-links", M: stored}
+	m := &ExistingMapping{M: stored}
 	got, err := m.Match(dblp, acm)
 	if err != nil {
 		t.Fatal(err)
@@ -326,17 +325,32 @@ func TestCoAuthorDedup(t *testing.T) {
 	}
 }
 
-func TestAttributeDefaultName(t *testing.T) {
-	m := &Attribute{AttrA: "title", AttrB: "name"}
-	if m.Name() != "attr(title~name)" {
-		t.Errorf("Name = %q", m.Name())
-	}
-	mm := &MultiAttribute{Pairs: make([]AttrPair, 2)}
-	if mm.Name() != "multiattr(2 pairs)" {
-		t.Errorf("Name = %q", mm.Name())
-	}
-	tf := &TFIDFAttribute{AttrA: "a", AttrB: "b"}
-	if tf.Name() != "tfidf(a~b)" {
-		t.Errorf("Name = %q", tf.Name())
+// TestMatcherString: each matcher kind renders its configuration exactly —
+// thresholds and weights as %v prints them, the blocker, SkipMissing — and
+// the data it holds by identity.
+func TestMatcherString(t *testing.T) {
+	stored := mapping.NewSame(dblpPub, acmPub)
+	tb := block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2}
+	for _, c := range []struct {
+		m    Matcher
+		want string
+	}{
+		{&Attribute{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: 0.82, Blocker: tb, SkipMissing: true},
+			"attr(title~name, Trigram, t=0.82, token-blocking(title~name, shared>=2), skipMissing=true)"},
+		{&Attribute{AttrA: "year", AttrB: "year", Sim: sim.YearExact, Threshold: math.Nextafter(0.3, 1)},
+			"attr(year~year, YearExact, t=0.30000000000000004, <nil>, skipMissing=false)"},
+		{&Attribute{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: 0.5, Blocker: block.Within{Pairs: stored, Tokens: tb}},
+			fmt.Sprintf("attr(title~name, Trigram, t=0.5, within(%p, token-blocking(title~name, shared>=2)), skipMissing=false)", stored)},
+		{&MultiAttribute{Pairs: []AttrPair{
+			{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Weight: 2},
+			{AttrA: "year", AttrB: "year", Sim: sim.YearExact, Weight: 0.5},
+		}, Threshold: 0.9}, "multiattr([{title~name Trigram w=2} {year~year YearExact w=0.5}], t=0.9, <nil>)"},
+		{&TFIDFAttribute{AttrA: "title", AttrB: "name", Threshold: 0.2, Blocker: tb},
+			"tfidf(title~name, t=0.2, token-blocking(title~name, shared>=2))"},
+		{&ExistingMapping{M: stored}, fmt.Sprintf("existing(%p)", stored)},
+	} {
+		if got := c.m.String(); got != c.want {
+			t.Errorf("String = %q, want %q", got, c.want)
+		}
 	}
 }

@@ -19,11 +19,18 @@ import (
 
 // Matcher computes a same-mapping between two object sets of the same
 // object type. Implementations must be safe for reuse across calls.
+//
+// String renders the matcher's exact configuration: attributes, measure
+// (sim.Name), thresholds and weights (%v), blocker and SkipMissing; data it
+// holds (an ExistingMapping's M, a block.Within's Pairs, a learned tree, a
+// non-built-in Func) by identity. Workflow steps are cached with it, so two
+// matchers that render alike must compute alike. It cannot see the values a
+// custom Func captures: Cache.Delete a step to run it under new ones.
 type Matcher interface {
 	// Match returns a same-mapping between a and b.
 	Match(a, b *model.ObjectSet) (*mapping.Mapping, error)
-	// Name identifies the matcher in reports and errors.
-	Name() string
+	// String renders the matcher's configuration.
+	String() string
 }
 
 // requireSameType validates that both inputs hold the same object type.

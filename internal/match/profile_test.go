@@ -91,7 +91,7 @@ func TestAttributeAdapterParity(t *testing.T) {
 			} {
 				build := func(f sim.Func) *Attribute {
 					return &Attribute{
-						MatcherName: fn.name, AttrA: "title", AttrB: "name",
+						AttrA: "title", AttrB: "name",
 						Sim: f, Threshold: 0.3, Blocker: bl, SkipMissing: skip,
 					}
 				}
@@ -126,7 +126,7 @@ func TestMultiAttributeAdapterParity(t *testing.T) {
 		alienBlocker{},
 	} {
 		build := func(wrap func(sim.Func) sim.Func) *MultiAttribute {
-			return &MultiAttribute{MatcherName: "multi", Pairs: pairs(wrap), Threshold: 0.4, Blocker: bl}
+			return &MultiAttribute{Pairs: pairs(wrap), Threshold: 0.4, Blocker: bl}
 		}
 		builtin, err := build(func(f sim.Func) sim.Func { return f }).Match(a, b)
 		if err != nil {
@@ -168,7 +168,7 @@ func (alienBlocker) String() string { return "alien" }
 func TestAttributeProfiledParallelRace(t *testing.T) {
 	a, b := syntheticPubs(200)
 	m := &Attribute{
-		MatcherName: "race", AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: 0.3,
+		AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: 0.3,
 		Blocker: block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1},
 	}
 	mappingsEqual(t, matchAt(t, 8, m, a, b), matchAt(t, 1, m, a, b), "attribute at GOMAXPROCS 8")
@@ -183,7 +183,6 @@ func TestMultiAttributeProfiledParallelRace(t *testing.T) {
 	a.Each(func(in *model.Instance) bool { corpus.Add(in.Attr("title")); return true })
 	b.Each(func(in *model.Instance) bool { corpus.Add(in.Attr("name")); return true })
 	m := &MultiAttribute{
-		MatcherName: "race-multi",
 		Pairs: []AttrPair{
 			{AttrA: "title", AttrB: "name", Sim: corpus.Cosine, Weight: 2},
 			{AttrA: "authors", AttrB: "authors", Sim: sim.PersonName, Weight: 1},
@@ -200,7 +199,7 @@ func TestMultiAttributeProfiledParallelRace(t *testing.T) {
 func TestTFIDFAttributeParallelRace(t *testing.T) {
 	a, b := syntheticPubs(150)
 	m := &TFIDFAttribute{
-		MatcherName: "tfidf-race", AttrA: "title", AttrB: "name", Threshold: 0.2,
+		AttrA: "title", AttrB: "name", Threshold: 0.2,
 		Blocker: block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1},
 	}
 	mappingsEqual(t, matchAt(t, 8, m, a, b), matchAt(t, 1, m, a, b), "tfidf at GOMAXPROCS 8")

@@ -210,7 +210,7 @@ func TestStreamedAttributeMatchesMaterialized(t *testing.T) {
 				}
 				want := materializedReference(in.a, in.b, bl, "title", "name", sim.Trigram, 0.3, skip)
 				m := &Attribute{
-					MatcherName: "stream", AttrA: "title", AttrB: "name",
+					AttrA: "title", AttrB: "name",
 					Sim: sim.Trigram, Threshold: 0.3, Blocker: bl, SkipMissing: skip,
 				}
 				checkKernel(t, fmt.Sprintf("%s, %v, SkipMissing=%v", in.label, bl, skip), m, bl, in.a, in.b, want)
@@ -252,7 +252,7 @@ func TestStreamedMultiAttributeMatchesMaterialized(t *testing.T) {
 	for _, in := range kernelInputs() {
 		for _, bl := range kernelBlockers("title", "name") {
 			want := weightedReference(in.a, in.b, bl, pairs, 0.4)
-			m := &MultiAttribute{MatcherName: "stream-multi", Pairs: pairs, Threshold: 0.4, Blocker: bl}
+			m := &MultiAttribute{Pairs: pairs, Threshold: 0.4, Blocker: bl}
 			checkKernel(t, fmt.Sprintf("multi: %s, %v", in.label, bl), m, bl, in.a, in.b, want)
 		}
 	}
@@ -273,7 +273,7 @@ func TestTFIDFMatchesExhaustive(t *testing.T) {
 		}
 		for _, bl := range kernelBlockers("title", "name") {
 			want := materializedReference(in.a, in.b, bl, "title", "name", cosine, 0.2, false)
-			m := &TFIDFAttribute{MatcherName: "tfidf", AttrA: "title", AttrB: "name", Threshold: 0.2, Blocker: bl}
+			m := &TFIDFAttribute{AttrA: "title", AttrB: "name", Threshold: 0.2, Blocker: bl}
 			checkKernel(t, fmt.Sprintf("tfidf: %s, %v", in.label, bl), m, bl, in.a, in.b, want)
 		}
 	}
@@ -436,13 +436,13 @@ func TestTokenReuseMatchesFreshTokenization(t *testing.T) {
 	} {
 		// Blocking attribute == match attribute: token reuse active.
 		reusing := &Attribute{
-			MatcherName: fn.name, AttrA: "title", AttrB: "name",
+			AttrA: "title", AttrB: "name",
 			Sim: fn.sim, Threshold: 0.25,
 			Blocker: block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1},
 		}
 		// Blocking attribute != match attribute: profiles tokenize fresh.
 		fresh := &Attribute{
-			MatcherName: fn.name, AttrA: "title", AttrB: "name",
+			AttrA: "title", AttrB: "name",
 			Sim: fn.sim, Threshold: 0.25,
 			Blocker: block.TokenBlocking{AttrA: "authors", AttrB: "authors", MinShared: 1},
 		}
@@ -487,14 +487,14 @@ func TestInternedMatchesStringFallback(t *testing.T) {
 	} {
 		bl := block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1}
 		interned := &Attribute{
-			MatcherName: fn.name, AttrA: "title", AttrB: "name",
+			AttrA: "title", AttrB: "name",
 			Sim: fn.sim, Threshold: 0.25, Blocker: bl,
 		}
 		// Wrapping in a closure defeats ProfiledOf: scoring falls back to
 		// raw string pairs, bypassing profiles and interning entirely.
 		wrapped := func(x, y string) float64 { return fn.sim(x, y) }
 		stringPath := &Attribute{
-			MatcherName: fn.name + "-strings", AttrA: "title", AttrB: "name",
+			AttrA: "title", AttrB: "name",
 			Sim: wrapped, Threshold: 0.25, Blocker: bl,
 		}
 		mi, err := interned.Match(a, b)
@@ -515,7 +515,7 @@ func TestTFIDFTokenReuse(t *testing.T) {
 	a, b := syntheticPubs(80)
 	build := func(blockAttrA, blockAttrB string) *TFIDFAttribute {
 		return &TFIDFAttribute{
-			MatcherName: "tfidf", AttrA: "title", AttrB: "name", Threshold: 0.2,
+			AttrA: "title", AttrB: "name", Threshold: 0.2,
 			Blocker: block.TokenBlocking{AttrA: blockAttrA, AttrB: blockAttrB, MinShared: 1},
 		}
 	}

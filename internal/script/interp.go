@@ -395,13 +395,7 @@ func (ip *Interp) builtinAttrMatch(c *Call, args []Value) (Value, error) {
 	if !ok {
 		return Value{}, fmt.Errorf("script: line %d: unknown similarity function %q", c.Line, simName)
 	}
-	matcher := &match.Attribute{
-		MatcherName: fmt.Sprintf("attrMatch(%s)", simName),
-		AttrA:       stripBrackets(attrA),
-		AttrB:       stripBrackets(attrB),
-		Sim:         simFn,
-		Threshold:   threshold,
-	}
+	matcher := &match.Attribute{AttrA: stripBrackets(attrA), AttrB: stripBrackets(attrB), Sim: simFn, Threshold: threshold}
 	out, err := matcher.Match(setA, setB)
 	if err != nil {
 		return Value{}, fmt.Errorf("script: line %d: %v", c.Line, err)

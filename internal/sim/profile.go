@@ -50,6 +50,7 @@ package sim
 // nothing.
 
 import (
+	"fmt"
 	"math/bits"
 	"reflect"
 	"slices"
@@ -241,19 +242,37 @@ var builtins = [...]struct {
 // measure of a built-in Func, and for any other Func (custom closures,
 // method values such as (*TFIDF).Cosine, NumericProximity) an adapter whose
 // profile is the raw value and whose Compare calls fn. It returns nil only
-// for a nil fn. Built-ins are found by code pointer, which only static
-// top-level functions have to themselves.
+// for a nil fn.
 func ProfiledOf(fn Func) ProfiledSim {
 	if fn == nil {
 		return nil
 	}
-	code := reflect.ValueOf(fn).Pointer()
-	for _, b := range builtins {
-		if reflect.ValueOf(b.fn).Pointer() == code {
-			return b.ps
-		}
+	if i, ok := builtin(fn); ok {
+		return builtins[i].ps
 	}
 	return funcProfiled{fn}
+}
+
+// Name renders a similarity function: a built-in by its name (the one
+// Lookup takes), any other Func by its code pointer ("func@0x4c2a60"; nil is
+// "func@0x0"), so closures sharing code render alike whatever they capture.
+func Name(fn Func) string {
+	if i, ok := builtin(fn); ok {
+		return builtins[i].name
+	}
+	return fmt.Sprintf("func@%#x", reflect.ValueOf(fn).Pointer())
+}
+
+// builtin returns the index of fn in builtins. Built-ins are found by code
+// pointer, which only static top-level functions have to themselves.
+func builtin(fn Func) (int, bool) {
+	code := reflect.ValueOf(fn).Pointer()
+	for i, b := range builtins {
+		if reflect.ValueOf(b.fn).Pointer() == code {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // funcProfiled adapts an opaque Func: nothing can be hoisted out of the pair

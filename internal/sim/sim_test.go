@@ -39,9 +39,25 @@ func TestBuiltinNamesUnique(t *testing.T) {
 			t.Errorf("duplicate built-in name %q", b.name)
 		}
 		seen[key] = true
-		if fn, ok := Lookup(b.name); !ok || ProfiledOf(fn) != b.ps {
-			t.Errorf("%s does not look up to its own measure", b.name)
+		if fn, ok := Lookup(b.name); !ok || ProfiledOf(fn) != b.ps || Name(fn) != b.name {
+			t.Errorf("%s does not look up to its own measure and name", b.name)
 		}
+	}
+}
+
+// TestNameOfCustomFunc: a Func that is no built-in renders by its code
+// pointer, so closures of one code render alike and other code differently.
+func TestNameOfCustomFunc(t *testing.T) {
+	var near []string
+	for _, d := range []float64{1, 2} {
+		near = append(near, Name(NumericProximity(d)))
+	}
+	custom := Name(func(a, b string) float64 { return 0 })
+	if near[0] != near[1] || !strings.HasPrefix(custom, "func@0x") || custom == near[0] {
+		t.Errorf("Name: closures %q, custom %q", near, custom)
+	}
+	if Name(nil) != "func@0x0" {
+		t.Errorf("Name(nil) = %q", Name(nil))
 	}
 }
 

@@ -24,14 +24,13 @@ import (
 // Candidate is one attribute-matcher configuration in the search space.
 type Candidate struct {
 	AttrA, AttrB string
-	SimName      string
 	Sim          sim.Func
 	Threshold    float64
 }
 
 // String renders the configuration.
 func (c Candidate) String() string {
-	return fmt.Sprintf("attr(%s~%s, %s, t=%.2f)", c.AttrA, c.AttrB, c.SimName, c.Threshold)
+	return fmt.Sprintf("attr(%s~%s, %s, t=%.2f)", c.AttrA, c.AttrB, sim.Name(c.Sim), c.Threshold)
 }
 
 // Space enumerates candidate configurations: the cross product of
@@ -52,7 +51,7 @@ func (s Space) Candidates() ([]Candidate, error) {
 				return nil, fmt.Errorf("tuning: unknown similarity function %q", name)
 			}
 			for _, t := range s.Thresholds {
-				out = append(out, Candidate{AttrA: pair[0], AttrB: pair[1], SimName: name, Sim: fn, Threshold: t})
+				out = append(out, Candidate{AttrA: pair[0], AttrB: pair[1], Sim: fn, Threshold: t})
 			}
 		}
 	}
@@ -87,12 +86,12 @@ func GridSearch(space Space, a, b *model.ObjectSet, training *mapping.Mapping) (
 	// above a matcher's threshold are exact (sim.ProfiledSim.Compare), so
 	// selecting the kept rows at a higher threshold gives the rows, in the
 	// order, a match at that threshold keeps.
-	type scoring struct{ attrA, attrB, simName string }
+	type scoring struct{ attrA, attrB, sim string }
 	lowest := slices.Min(space.Thresholds)
 	scored := make(map[scoring]*mapping.Mapping)
 	outcomes := make([]Outcome, 0, len(cands))
 	for _, c := range cands {
-		k := scoring{c.AttrA, c.AttrB, c.SimName}
+		k := scoring{c.AttrA, c.AttrB, sim.Name(c.Sim)}
 		kept, ok := scored[k]
 		if !ok {
 			m := &match.Attribute{
@@ -385,25 +384,21 @@ func (t *Tree) Depth() int {
 // TreeMatcher wraps a learned tree as a Matcher: pairs predicted positive
 // become correspondences, with the mean feature similarity as confidence.
 type TreeMatcher struct {
-	MatcherName string
-	Extractor   *FeatureExtractor
-	Tree        *Tree
+	Extractor *FeatureExtractor
+	Tree      *Tree
 	// Blocker generates candidate pairs; nil means the full cross product.
 	Blocker block.Blocker
 }
 
-// Name implements match.Matcher.
-func (tm *TreeMatcher) Name() string {
-	if tm.MatcherName != "" {
-		return tm.MatcherName
-	}
-	return "decision-tree"
+// String implements match.Matcher; the extractor and tree render by identity.
+func (tm *TreeMatcher) String() string {
+	return fmt.Sprintf("tree(%p, %p, %v)", tm.Extractor, tm.Tree, tm.Blocker)
 }
 
 // Match implements match.Matcher.
 func (tm *TreeMatcher) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 	if tm.Extractor == nil || tm.Tree == nil {
-		return nil, fmt.Errorf("tuning: %s is not trained", tm.Name())
+		return nil, fmt.Errorf("tuning: %s is not trained", tm)
 	}
 	out := mapping.NewSame(a.LDS(), b.LDS())
 	sc := tm.Extractor.scorer()

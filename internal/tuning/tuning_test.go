@@ -1,6 +1,7 @@
 package tuning
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -66,7 +67,7 @@ func TestGridSearchFindsTitleMatcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.Candidate.AttrA != "title" || best.Candidate.SimName != "Trigram" {
+	if best.Candidate.AttrA != "title" || sim.Name(best.Candidate.Sim) != "Trigram" {
 		t.Errorf("best = %s, want title trigram", best.Candidate)
 	}
 	if best.Result.F1 < 0.9 {
@@ -135,6 +136,23 @@ func gridSearchPerCandidate(t *testing.T, space Space, a, b *model.ObjectSet, tr
 	return outcomes
 }
 
+// outcomeRow is an Outcome with its measure by name: Funcs are never
+// DeepEqual.
+type outcomeRow struct {
+	attrA, attrB, sim string
+	threshold         float64
+	result            eval.Result
+}
+
+func byName(outcomes []Outcome) []outcomeRow {
+	rows := make([]outcomeRow, len(outcomes))
+	for i, o := range outcomes {
+		c := o.Candidate
+		rows[i] = outcomeRow{c.AttrA, c.AttrB, sim.Name(c.Sim), c.Threshold, o.Result}
+	}
+	return rows
+}
+
 // TestGridSearchMatchesPerCandidateSearch pins the shared scoring: deriving
 // a configuration's thresholds from one match at its lowest gives the
 // outcomes, in the order, of matching once per candidate — for measures that
@@ -161,14 +179,7 @@ func TestGridSearchMatchesPerCandidateSearch(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := gridSearchPerCandidate(t, space, a, b, training)
-			// Funcs are never DeepEqual; SimName names the measure.
-			for i := range got {
-				got[i].Candidate.Sim = nil
-			}
-			for i := range want {
-				want[i].Candidate.Sim = nil
-			}
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(byName(got), byName(want)) {
 				t.Fatalf("thresholds %v, %d training pairs: outcomes differ from one match per candidate\n got %+v\nwant %+v",
 					thresholds, training.Len(), got, want)
 			}
@@ -191,8 +202,8 @@ func TestGridSearchErrors(t *testing.T) {
 }
 
 func TestCandidateString(t *testing.T) {
-	c := Candidate{AttrA: "title", AttrB: "name", SimName: "Trigram", Threshold: 0.8}
-	if got := c.String(); !strings.Contains(got, "Trigram") || !strings.Contains(got, "0.80") {
+	c := Candidate{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: 0.8}
+	if got := c.String(); got != "attr(title~name, Trigram, t=0.80)" {
 		t.Errorf("String = %q", got)
 	}
 }
@@ -407,8 +418,8 @@ func TestTreeMatcherEndToEnd(t *testing.T) {
 	if correct < perfect.Len()-1 {
 		t.Errorf("tree matcher recalls %d/%d", correct, perfect.Len())
 	}
-	if tm.Name() != "decision-tree" {
-		t.Errorf("Name = %q", tm.Name())
+	if want := fmt.Sprintf("tree(%p, %p, <nil>)", fe, tree); tm.String() != want {
+		t.Errorf("String = %q, want %q", tm, want)
 	}
 	if _, err := (&TreeMatcher{}).Match(a, b); err == nil {
 		t.Error("untrained matcher should fail")

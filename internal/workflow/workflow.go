@@ -9,14 +9,22 @@
 // set names through it.
 //
 // A step runs once per engine: a step whose result the cache holds is read,
-// not re-run (Cache.Delete forces a re-run), so workflows chain through step
-// names. The paper's evaluation (internal/experiments) runs on this engine.
+// not re-run, so workflows chain through step names. Each cached result
+// carries its step's definition: the two object sets (identity and Version)
+// if the step has matchers, each matcher's String, each Use input (its own
+// step's definition, or repo:<name>), the operator, combiner, path
+// aggregation and the selections in order. A hit on another definition, or
+// on an entry no step wrote, is an error. A definition cannot see into a
+// mapping.Where closure or the values a custom sim.Func captures;
+// Cache.Delete lets a step run again, under a new definition too. The
+// paper's evaluation (internal/experiments) runs on this engine.
 package workflow
 
 import (
 	"fmt"
 	"strings"
 	"sync"
+	"weak"
 
 	"repro/internal/mapping"
 	"repro/internal/match"
@@ -96,24 +104,6 @@ func (w *Workflow) Store(name string) *Workflow {
 	return w
 }
 
-// String renders the workflow structure.
-func (w *Workflow) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "workflow %s\n", w.Name)
-	for _, s := range w.Steps {
-		fmt.Fprintf(&b, "  %s: %d matchers, use=%v, op=%s(f=%s", s.Name, len(s.Matchers), s.Use, s.Op, s.F.Kind)
-		if s.Op == OpCompose {
-			fmt.Fprintf(&b, ", g=%s", s.G)
-		}
-		b.WriteString(")")
-		for _, sel := range s.Select {
-			fmt.Fprintf(&b, " select=%s", sel)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // Engine is the namespace of Figure 3 and the executor of workflows over
 // it: the mapping repository, an unbounded mapping cache, and the object sets
 // registered by name. It is safe for concurrent use.
@@ -121,11 +111,24 @@ type Engine struct {
 	Repo  *store.Store
 	Cache *store.Store
 
+	// run serializes Run, so two runs cannot cache different definitions
+	// under one step name.
+	run   sync.Mutex
+	steps map[string]*stepRecord // guarded by run; by step name
+
 	mu   sync.RWMutex
 	sets map[string]*model.ObjectSet // guarded by mu
 	// byLDS holds the first set registered for each LDS, the one select()
 	// constraints read.
 	byLDS map[model.LDS]*model.ObjectSet // guarded by mu
+}
+
+// stepRecord is a result Run cached (weakly: Cache.Delete frees it), its
+// step's definition and, pinned, what that names by address.
+type stepRecord struct {
+	m    weak.Pointer[mapping.Mapping]
+	def  string
+	pins []any
 }
 
 // NewEngine returns an engine over repo (a fresh in-memory repository when
@@ -137,6 +140,7 @@ func NewEngine(repo *store.Store) *Engine {
 	return &Engine{
 		Repo:  repo,
 		Cache: store.NewRepository(),
+		steps: make(map[string]*stepRecord),
 		sets:  make(map[string]*model.ObjectSet),
 		byLDS: make(map[model.LDS]*model.ObjectSet),
 	}
@@ -186,21 +190,32 @@ func (e *Engine) ObjectSetFor(lds model.LDS) (*model.ObjectSet, bool) {
 }
 
 // Run executes the workflow on the two input object sets and returns the
-// final same-mapping. Each step result is cached under the step name, and a
-// step whose name the cache already holds is read instead of run: a step
-// runs once per engine until Cache.Delete removes its result. The final
-// mapping is stored in the repository when the workflow requests it.
+// final same-mapping. Each step result is cached under the step name with
+// its definition (see the package comment). A step whose name the cache
+// holds is read instead of run if the entry is a result of the same
+// definition, and is an error naming both otherwise: a step runs once per
+// engine until Cache.Delete removes its result. Runs are serialized. The
+// final mapping is stored in the repository when the workflow requests it.
 func (e *Engine) Run(w *Workflow, a, b *model.ObjectSet) (*mapping.Mapping, error) {
 	if len(w.Steps) == 0 {
 		return nil, fmt.Errorf("workflow: %s has no steps", w.Name)
 	}
+	e.run.Lock()
+	defer e.run.Unlock()
 	var result *mapping.Mapping
 	for i := range w.Steps {
 		s := &w.Steps[i]
 		if s.Name == "" {
 			return nil, fmt.Errorf("workflow: %s: step %d has no name", w.Name, i+1)
 		}
-		if m, ok := e.Cache.Get(s.Name); ok {
+		def, pins := e.definition(s, a, b)
+		if m, rec, ok := e.entry(s.Name); ok {
+			if rec == nil {
+				return nil, fmt.Errorf("workflow: %s/%s: the cache holds an entry no step wrote; the step is %s", w.Name, s.Name, def)
+			}
+			if rec.def != def {
+				return nil, fmt.Errorf("workflow: %s/%s: the cache holds %s; the step is %s", w.Name, s.Name, rec.def, def)
+			}
 			result = m
 			continue
 		}
@@ -211,6 +226,7 @@ func (e *Engine) Run(w *Workflow, a, b *model.ObjectSet) (*mapping.Mapping, erro
 		if err := e.Cache.Put(s.Name, m); err != nil {
 			return nil, fmt.Errorf("workflow: %s/%s: cache: %w", w.Name, s.Name, err)
 		}
+		e.steps[s.Name] = &stepRecord{m: weak.Make(m), def: def, pins: pins}
 		result = m
 	}
 	if w.StoreAs != "" {
@@ -221,6 +237,46 @@ func (e *Engine) Run(w *Workflow, a, b *model.ObjectSet) (*mapping.Mapping, erro
 	return result, nil
 }
 
+// definition renders what step s computes over a and b, and returns what
+// the rendering names by address.
+func (e *Engine) definition(s *Step, a, b *model.ObjectSet) (string, []any) {
+	var d strings.Builder
+	var pins []any
+	if len(s.Matchers) > 0 {
+		fmt.Fprintf(&d, "sets(%s@%p#%d, %s@%p#%d) match%v ", a.LDS(), a, a.Version(), b.LDS(), b, b.Version(), s.Matchers)
+		pins = append(pins, a, b, s.Matchers)
+	}
+	// A Use input renders as Mapping resolves it: a cache entry by its
+	// step's definition, or by identity if no step wrote it; else by name.
+	for _, ref := range s.Use {
+		switch m, rec, ok := e.entry(ref); {
+		case !ok:
+			fmt.Fprintf(&d, "use(repo:%s) ", ref)
+		case rec == nil:
+			fmt.Fprintf(&d, "use(cache:%s@%p) ", ref, m)
+			pins = append(pins, m)
+		default:
+			fmt.Fprintf(&d, "use{%s} ", rec.def)
+			pins = append(pins, rec)
+		}
+	}
+	fmt.Fprintf(&d, "%s(f=%+v, g=%s)", s.Op, s.F, s.G)
+	for _, sel := range s.Select {
+		fmt.Fprintf(&d, " select(%#v)", sel)
+	}
+	return d.String(), pins
+}
+
+// entry returns the cache entry under name and the record of the step that
+// wrote it, nil if no step did.
+func (e *Engine) entry(name string) (*mapping.Mapping, *stepRecord, bool) {
+	m, ok := e.Cache.Get(name)
+	if rec := e.steps[name]; ok && rec != nil && rec.m == weak.Make(m) {
+		return m, rec, true
+	}
+	return m, nil, ok
+}
+
 // runStep runs the step's matchers, combines their results with the named
 // mappings it uses, and applies its selections.
 func (e *Engine) runStep(s *Step, a, b *model.ObjectSet) (*mapping.Mapping, error) {
@@ -228,7 +284,7 @@ func (e *Engine) runStep(s *Step, a, b *model.ObjectSet) (*mapping.Mapping, erro
 	for _, m := range s.Matchers {
 		mm, err := m.Match(a, b)
 		if err != nil {
-			return nil, fmt.Errorf("matcher %s: %w", m.Name(), err)
+			return nil, fmt.Errorf("matcher %s: %w", m, err)
 		}
 		inputs = append(inputs, mm)
 	}

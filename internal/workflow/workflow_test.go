@@ -35,11 +35,11 @@ func fixtureSets() (*model.ObjectSet, *model.ObjectSet) {
 }
 
 func titleMatcher() match.Matcher {
-	return &match.Attribute{MatcherName: "title", AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: 0.8}
+	return &match.Attribute{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: 0.8}
 }
 
 func yearMatcher() match.Matcher {
-	return &match.Attribute{MatcherName: "year", AttrA: "year", AttrB: "year", Sim: sim.YearExact, Threshold: 1}
+	return &match.Attribute{AttrA: "year", AttrB: "year", Sim: sim.YearExact, Threshold: 1}
 }
 
 // mergeStep is the merge step over matchers, then sel unless it is nil.
@@ -332,16 +332,177 @@ func (failingMatcher) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 	return nil, errors.New("boom")
 }
 
-func (failingMatcher) Name() string { return "boom" }
+func (failingMatcher) String() string { return "boom" }
 
-func TestWorkflowString(t *testing.T) {
-	wf := New("traced").AddStep(mergeStep("m", mapping.AvgCombiner, mapping.Threshold{T: 0.5}, titleMatcher()))
-	out := wf.String()
-	if !strings.Contains(out, "traced") || !strings.Contains(out, "merge") {
-		t.Errorf("String = %q", out)
-	}
+func TestOpKindString(t *testing.T) {
 	if OpMerge.String() != "merge" || OpCompose.String() != "compose" || OpInverse.String() != "inverse" || OpKind(5).String() == "" {
 		t.Error("OpKind names wrong")
+	}
+}
+
+// titleAt is the step name that matches titles at threshold t.
+func titleAt(name string, t float64) Step {
+	return mergeStep(name, mapping.AvgCombiner, nil, &match.Attribute{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: t})
+}
+
+// TestCacheHitChecksDefinition: a step whose name the cache holds is read
+// only if the entry is that step's result over the same inputs. Each case
+// prepares an engine so that the last step of its second run finds an entry
+// it did not write; that run fails, names what the entry holds and what
+// the step is, and returns no mapping.
+func TestCacheHitChecksDefinition(t *testing.T) {
+	m := mapping.NewSame(dblpPub, acmPub)
+	m.Add("d1", "a1", 0.9)
+	m.Add("d2", "a1", 0.7)
+	best, above := mapping.BestN{N: 1, Side: mapping.RangeSide}, mapping.Threshold{T: 0.8}
+	wf := func(steps ...Step) *Workflow { return &Workflow{Name: "w", Steps: steps} }
+	for _, c := range []struct {
+		name string
+		// prepare fills the engine's cache and returns the run that fails.
+		prepare func(t *testing.T, e *Engine, a, b *model.ObjectSet) (*Workflow, *model.ObjectSet, *model.ObjectSet)
+	}{
+		{"matcher configuration", func(t *testing.T, e *Engine, a, b *model.ObjectSet) (*Workflow, *model.ObjectSet, *model.ObjectSet) {
+			mustRun(t, e, wf(titleAt("s", 0.8)), a, b)
+			return wf(titleAt("s", 0.9)), a, b
+		}},
+		{"set pair", func(t *testing.T, e *Engine, a, b *model.ObjectSet) (*Workflow, *model.ObjectSet, *model.ObjectSet) {
+			mustRun(t, e, wf(titleAt("s", 0.8)), a, b)
+			_, other := fixtureSets()
+			return wf(titleAt("s", 0.8)), a, other
+		}},
+		{"mutated set", func(t *testing.T, e *Engine, a, b *model.ObjectSet) (*Workflow, *model.ObjectSet, *model.ObjectSet) {
+			mustRun(t, e, wf(titleAt("s", 0.8)), a, b)
+			b.AddNew("a4", map[string]string{"name": "Generic Schema Matching with Cupid"})
+			return wf(titleAt("s", 0.8)), a, b
+		}},
+		{"selection order", func(t *testing.T, e *Engine, a, b *model.ObjectSet) (*Workflow, *model.ObjectSet, *model.ObjectSet) {
+			mustRun(t, e, wf(Step{Name: "s", Use: []string{"M"}, Select: []mapping.Selection{best, above}}), a, b)
+			return wf(Step{Name: "s", Use: []string{"M"}, Select: []mapping.Selection{above, best}}), a, b
+		}},
+		{"use input", func(t *testing.T, e *Engine, a, b *model.ObjectSet) (*Workflow, *model.ObjectSet, *model.ObjectSet) {
+			mustRun(t, e, wf(titleAt("up", 0.8), Step{Name: "s", Use: []string{"up"}}), a, b)
+			if ok, err := e.Cache.Delete("up"); !ok || err != nil {
+				t.Fatalf("Delete = %v, %v", ok, err)
+			}
+			return wf(titleAt("up", 0.9), Step{Name: "s", Use: []string{"up"}}), a, b
+		}},
+		{"entry put from outside", func(t *testing.T, e *Engine, a, b *model.ObjectSet) (*Workflow, *model.ObjectSet, *model.ObjectSet) {
+			if err := e.Cache.Put("s", m); err != nil {
+				t.Fatal(err)
+			}
+			return wf(Step{Name: "s", Use: []string{"M"}}), a, b
+		}},
+		{"entry replaced from outside", func(t *testing.T, e *Engine, a, b *model.ObjectSet) (*Workflow, *model.ObjectSet, *model.ObjectSet) {
+			mustRun(t, e, wf(Step{Name: "s", Use: []string{"M"}}), a, b)
+			if err := e.Cache.Put("s", m.Inverse().Inverse()); err != nil {
+				t.Fatal(err)
+			}
+			return wf(Step{Name: "s", Use: []string{"M"}}), a, b
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(nil)
+			if err := e.Repo.Put("M", m); err != nil {
+				t.Fatal(err)
+			}
+			a, b := fixtureSets()
+			w, a, b := c.prepare(t, e, a, b)
+			got, err := e.Run(w, a, b)
+			if err == nil || got != nil {
+				t.Fatalf("Run = %v, %v; want no mapping and an error", got, err)
+			}
+			step := &w.Steps[len(w.Steps)-1]
+			now, _ := e.definition(step, a, b)
+			held := "an entry no step wrote"
+			if _, rec, _ := e.entry(step.Name); rec != nil {
+				held = rec.def
+			}
+			if held == now || !strings.Contains(err.Error(), held) || !strings.Contains(err.Error(), now) {
+				t.Errorf("error %q should name the entry's definition %q and the step's %q", err, held, now)
+			}
+		})
+	}
+}
+
+// mustRun runs w on e and fails the test on an error.
+func mustRun(t *testing.T, e *Engine, w *Workflow, a, b *model.ObjectSet) *mapping.Mapping {
+	t.Helper()
+	m, err := e.Run(w, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestDefinitionPinsSets: a definition names object sets by address, so
+// the engine keeps them alive. A set freed after its step ran could
+// otherwise hand its address, at the same version, to a new set, whose run
+// would then read the freed set's result.
+func TestDefinitionPinsSets(t *testing.T) {
+	_, acm := fixtureSets()
+	links := mapping.NewSame(dblpPub, acmPub)
+	links.Add("d1", "a1", 1)
+	wf := New("links").AddStep(Step{Name: "s", Matchers: []match.Matcher{&match.ExistingMapping{M: links}}})
+	set := func() *model.ObjectSet {
+		s := model.NewObjectSet(dblpPub)
+		s.AddNew("d1", map[string]string{"title": "Generic Schema Matching with Cupid"})
+		return s
+	}
+	e := NewEngine(nil)
+	mustRun(t, e, wf, set(), acm)
+	for i := range 1000 {
+		if i%10 == 0 {
+			runtime.GC()
+		}
+		if _, err := e.Run(wf, set(), acm); err == nil {
+			t.Fatalf("run %d over a new set read the first set's result", i)
+		}
+	}
+}
+
+// TestDeletedUpstreamStillHitsDownstream: a step reads its Use inputs by
+// their definitions, not their results, so re-running a deleted upstream
+// step under the same definition leaves the downstream entry a hit.
+func TestDeletedUpstreamStillHitsDownstream(t *testing.T) {
+	dblp, acm := fixtureSets()
+	wf := New("chain").AddStep(titleAt("titles", 0.8)).AddStep(Step{Name: "refined", Use: []string{"titles"}, Select: []mapping.Selection{mapping.Threshold{T: 0.9}}})
+	e := NewEngine(nil)
+	mustRun(t, e, wf, dblp, acm)
+	titles, _ := e.Cache.Get("titles")
+	refined, _ := e.Cache.Get("refined")
+	if ok, err := e.Cache.Delete("titles"); !ok || err != nil {
+		t.Fatalf("Delete = %v, %v", ok, err)
+	}
+	if got := mustRun(t, e, wf, dblp, acm); got != refined {
+		t.Error("the downstream step ran again")
+	}
+	if again, _ := e.Cache.Get("titles"); again == titles {
+		t.Error("the deleted upstream step did not run again")
+	}
+}
+
+// TestConcurrentRunsKeepOneDefinition: of two concurrent runs that cache
+// different definitions under one step name, exactly one succeeds.
+func TestConcurrentRunsKeepOneDefinition(t *testing.T) {
+	dblp, acm := fixtureSets()
+	for range 20 {
+		e := NewEngine(nil)
+		errs := make(chan error, 2)
+		for _, threshold := range []float64{0.8, 0.9} {
+			go func() {
+				_, err := e.Run(New("race").AddStep(titleAt("s", threshold)), dblp, acm)
+				errs <- err
+			}()
+		}
+		failed := 0
+		for range 2 {
+			if <-errs != nil {
+				failed++
+			}
+		}
+		if failed != 1 {
+			t.Fatalf("%d of two conflicting runs failed, want 1", failed)
+		}
 	}
 }
 

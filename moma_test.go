@@ -27,25 +27,50 @@ func figure1System(t *testing.T) *System {
 	return sys
 }
 
-func TestSystemMatchAndStore(t *testing.T) {
+// TestSystemRunWorkflowStoreAs: a one-step workflow with StoreAs matches
+// two registered sets and stores the result in the repository.
+func TestSystemRunWorkflowStoreAs(t *testing.T) {
 	sys := figure1System(t)
-	m := &AttributeMatcher{
-		MatcherName: "title",
-		AttrA:       "title", AttrB: "title",
+	wf := NewWorkflow("titles").AddStep(Step{Name: "titles", Matchers: []Matcher{&AttributeMatcher{
+		AttrA: "title", AttrB: "title",
 		Sim: Trigram, Threshold: 0.8,
-	}
-	res, err := sys.MatchAndStore(m, "DBLP.Publication", "ACM.Publication", "DBLP-ACM.PubSame")
+	}}}).Store("DBLP-ACM.PubSame")
+	res, err := sys.RunWorkflow(wf, "DBLP.Publication", "ACM.Publication")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Len() != 5 {
 		t.Errorf("Len = %d, want 5 (twin confusion included)", res.Len())
 	}
-	if _, ok := sys.MappingByName("DBLP-ACM.PubSame"); !ok {
+	if stored, ok := sys.Repo.Get("DBLP-ACM.PubSame"); !ok || stored != res {
 		t.Error("result should be stored in the repository")
 	}
-	if _, err := sys.MatchAndStore(m, "Nope.Set", "ACM.Publication", ""); err == nil {
-		t.Error("unknown set should fail")
+}
+
+// TestRunWorkflowOnAnotherSetPair: a workflow's matcher step cached over
+// one set pair is not read for another. The second run fails, naming both
+// definitions, and returns no mapping.
+func TestRunWorkflowOnAnotherSetPair(t *testing.T) {
+	sys := figure1System(t)
+	gs := NewObjectSet(LDS{Source: "GS", Type: Publication})
+	gs.AddNew("g1", map[string]string{"title": "Generic Schema Matching with Cupid"})
+	if err := sys.AddObjectSet("GS.Publication", gs); err != nil {
+		t.Fatal(err)
+	}
+	wf := NewWorkflow("titles").AddStep(Step{Name: "titles", Matchers: []Matcher{
+		&AttributeMatcher{AttrA: "title", AttrB: "title", Sim: Trigram, Threshold: 0.8},
+	}})
+	if _, err := sys.RunWorkflow(wf, "DBLP.Publication", "ACM.Publication"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sys.RunWorkflow(wf, "DBLP.Publication", "GS.Publication")
+	if err == nil || got != nil {
+		t.Fatalf("second run = %v, %v; want no mapping and an error", got, err)
+	}
+	for _, set := range []string{"Publication@ACM", "Publication@GS"} {
+		if !strings.Contains(err.Error(), set) {
+			t.Errorf("error %q should name both definitions, %s among them", err, set)
+		}
 	}
 }
 
@@ -88,8 +113,8 @@ func TestSystemRunWorkflow(t *testing.T) {
 	sys := figure1System(t)
 	wf := NewWorkflow("pubs").AddStep(Step{Name: "m",
 		Matchers: []Matcher{
-			&AttributeMatcher{MatcherName: "title", AttrA: "title", AttrB: "title", Sim: Trigram, Threshold: 0.8},
-			&AttributeMatcher{MatcherName: "year", AttrA: "year", AttrB: "year", Sim: YearExact, Threshold: 1},
+			&AttributeMatcher{AttrA: "title", AttrB: "title", Sim: Trigram, Threshold: 0.8},
+			&AttributeMatcher{AttrA: "year", AttrB: "year", Sim: YearExact, Threshold: 1},
 		},
 		F:      Avg0Combiner,
 		Select: []Selection{Threshold{T: 0.8}},

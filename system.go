@@ -32,14 +32,17 @@ type System struct {
 }
 
 // NewSystem returns a system with in-memory repository and cache.
-func NewSystem() *System { return newSystem(nil) }
+func NewSystem() *System { return NewSystemWithRepository(nil) }
 
 // NewSystemWithRepository returns a system over a caller-built repository —
 // one opened through store.OpenRepositoryFS with a fault injector
 // (cmd/moma-serve's -fault-script), custom auto-compaction settings, or any
 // other non-default store configuration. A nil repo falls back to a fresh
 // in-memory repository.
-func NewSystemWithRepository(repo *Store) *System { return newSystem(repo) }
+func NewSystemWithRepository(repo *Store) *System {
+	e := workflow.NewEngine(repo)
+	return &System{Repo: e.Repo, Cache: e.Cache, engine: e, resolvers: make(map[string]*LiveResolver)}
+}
 
 // OpenSystem returns a system whose repository persists under dir (write-
 // ahead log plus snapshot; see Store.Compact).
@@ -48,13 +51,7 @@ func OpenSystem(dir string) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSystem(repo), nil
-}
-
-// newSystem builds a system over repo, a fresh in-memory one when nil.
-func newSystem(repo *store.Store) *System {
-	e := workflow.NewEngine(repo)
-	return &System{Repo: e.Repo, Cache: e.Cache, engine: e, resolvers: make(map[string]*LiveResolver)}
+	return NewSystemWithRepository(repo), nil
 }
 
 // AddObjectSet registers an object set under a qualified name such as
@@ -143,48 +140,24 @@ func (s *System) RunScript(src string) (Value, error) {
 	return v, nil
 }
 
-// setPair returns the object sets registered as setA and setB.
-func (s *System) setPair(setA, setB string) (*ObjectSet, *ObjectSet, error) {
-	a, ok := s.ObjectSetByName(setA)
-	if !ok {
-		return nil, nil, fmt.Errorf("moma: unknown object set %q", setA)
-	}
-	b, ok := s.ObjectSetByName(setB)
-	if !ok {
-		return nil, nil, fmt.Errorf("moma: unknown object set %q", setB)
-	}
-	return a, b, nil
-}
-
-// RunWorkflow executes a workflow on two registered object sets. Each step
-// runs once per System: a step whose name the cache already holds is read,
-// not re-run, until Cache.Delete removes it (the run-once rule of Engine.Run,
-// under which the paper's evaluation runs too).
+// RunWorkflow executes a workflow on two registered object sets; with
+// StoreAs, a one-step workflow matches them into the repository. A step
+// runs once per System: a step whose name the cache holds is read, not
+// re-run, if its definition (the sets' identity and version, each matcher's
+// configuration, its inputs, operator and selections) matches the entry's,
+// and fails naming both otherwise. A definition cannot see into a Where
+// closure or the values a custom similarity function captures; Cache.Delete
+// lets a step run again, under a new definition too.
 func (s *System) RunWorkflow(w *Workflow, setA, setB string) (*Mapping, error) {
-	a, b, err := s.setPair(setA, setB)
-	if err != nil {
-		return nil, err
-	}
-	return s.engine.Run(w, a, b)
-}
-
-// MatchAndStore runs a matcher on two registered sets and stores the
-// resulting same-mapping in the repository under mappingName.
-func (s *System) MatchAndStore(m Matcher, setA, setB, mappingName string) (*Mapping, error) {
-	a, b, err := s.setPair(setA, setB)
-	if err != nil {
-		return nil, err
-	}
-	res, err := m.Match(a, b)
-	if err != nil {
-		return nil, err
-	}
-	if mappingName != "" {
-		if err := s.Repo.Put(mappingName, res); err != nil {
-			return nil, err
+	var sets [2]*ObjectSet
+	for i, name := range []string{setA, setB} {
+		set, ok := s.ObjectSetByName(name)
+		if !ok {
+			return nil, fmt.Errorf("moma: unknown object set %q", name)
 		}
+		sets[i] = set
 	}
-	return res, nil
+	return s.engine.Run(w, sets[0], sets[1])
 }
 
 // LoadSource registers all object sets and association mappings of a

@@ -70,12 +70,13 @@ func TestSystemConcurrentUse(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		m := &AttributeMatcher{
-			MatcherName: "title-trigram", AttrA: "title", AttrB: "title",
+			AttrA: "title", AttrB: "title",
 			Sim: Trigram, Threshold: 0.8,
 		}
 		for i := 0; i < rounds; i++ {
-			if _, err := sys.MatchAndStore(m, "DBLP.Publication", "ACM.Publication", fmt.Sprintf("Same%d", i)); err != nil {
-				errs <- fmt.Errorf("MatchAndStore: %w", err)
+			wf := NewWorkflow("same").AddStep(Step{Name: fmt.Sprintf("same%d", i), Matchers: []Matcher{m}}).Store(fmt.Sprintf("Same%d", i))
+			if _, err := sys.RunWorkflow(wf, "DBLP.Publication", "ACM.Publication"); err != nil {
+				errs <- fmt.Errorf("RunWorkflow: %w", err)
 				return
 			}
 		}
