@@ -12,9 +12,11 @@
 // Each set also gets its identity mapping under the set's name followed by
 // its last name part, the paper's DBLP.AuthorAuthor for -set DBLP.Author,
 // unless a -map already binds that name.
-// The script's result mapping is written as CSV to -out (default stdout);
-// -eval compares the result against a perfect mapping and prints
-// precision/recall/F-measure.
+// The script runs on one workflow engine, each of its mapping-valued
+// expressions a step (internal/script); -trace prints each top-level
+// assignment as it executes. The script's result mapping is written as CSV
+// to -out (default stdout); -eval compares the result against a perfect
+// mapping and prints precision/recall/F-measure.
 //
 // Example — the paper's §4.3 duplicate-author workflow, with dedup.ifuice
 // holding

@@ -23,20 +23,23 @@
 //
 // Higher-level entry points: System wires the workflow engine and the
 // iFuice-style script interpreter together. The engine is the one namespace
-// of the match process (Figure 3): the mapping repository, the mapping cache
-// and the object sets registered by name, which workflows, scripts and
-// System.MappingByName all resolve through, cache first, then repository.
-// Workflow values are its multi-step match processes. Every step is named
-// and runs once per engine: its result is cached with its definition (the
-// object sets' identity and version if it has matchers, each matcher's
-// String, its inputs' definitions, operator and selections), and a step
-// whose name the cache holds is read, not run, if the definitions match —
-// else the run fails naming both. A definition cannot see into a Where
-// closure or a custom similarity function's captured values; Cache.Delete
-// lets a step run again. The paper's evaluation (internal/experiments) runs
-// its tables as such steps. NhMatch is the §4.2 neighborhood matcher. The
-// package's examples run whole match processes through these names, each
-// checked against the output it prints.
+// and the one executor of the match process (Figure 3): the mapping
+// repository, the results of the steps it ran, and the object sets
+// registered by name, which workflows, scripts and System.MappingByName all
+// resolve through, step results first, then repository. Workflow values are
+// its multi-step match processes, and a script is one too: each of its
+// mapping-valued expressions is a step, a top-level $X = … the step
+// Cache.X. Every step is named and runs once per engine: its result is held
+// with its definition (the object sets' identity and version if it has
+// matchers, each matcher's String, its inputs' definitions, operator and
+// selections), and a step whose name the engine holds is read, not run, if
+// the definitions match — else the run fails naming both. A definition
+// cannot see into a Where closure or a custom similarity function's
+// captured values; System.Forget lets a step run again. The paper's
+// evaluation (internal/experiments) runs its tables as such steps. NhMatch
+// is the §4.2 neighborhood matcher. The package's examples run whole match
+// processes through these names, each checked against the output it
+// prints.
 //
 // # Similarity profiles
 //

@@ -62,7 +62,7 @@ func AblationComposeAgg(s *Setting) (*TableResult, error) {
 	aggs := []mapping.PathAgg{mapping.AggRelative, mapping.AggRelativeLeft, mapping.AggRelativeRight, mapping.AggMax}
 	var steps []workflow.Step
 	for _, g := range aggs {
-		steps = append(steps, nhMatch("nh-pub-dblp-gs "+g.String(), "DBLP.PubAuthor", "author-same-dblp-gs", "GS.AuthorPub", g,
+		steps = append(steps, workflow.NhMatch("nh-pub-dblp-gs "+g.String(), "DBLP.PubAuthor", "author-same-dblp-gs", "GS.AuthorPub", g,
 			mapping.Where(func(c mapping.Correspondence) bool { return s.GSWork.Has(c.Range) }), mapping.Threshold{T: 0.75})...)
 	}
 	ms, err := s.run(s.D.DBLP.Pubs, s.GSWork, steps...)

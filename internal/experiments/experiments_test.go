@@ -448,13 +448,13 @@ func TestExtensionSelfTuning(t *testing.T) {
 
 // TestSharedStepsRunOnce: a Setting runs each workflow step once, however
 // many experiments list it. Every experiment that runs through the engine
-// runs twice; the second pass leaves every cache entry in place, and the
-// shared steps are cached under their names.
+// runs twice; the second pass leaves every step result in place, and the
+// shared steps are held under their names.
 func TestSharedStepsRunOnce(t *testing.T) {
 	s := NewSetting(sources.SmallConfig())
 	runAll := func() {
 		for _, ex := range []func(*Setting) (*TableResult, error){
-			Table2, Table3, Table4, Table5, Table6, Table7, Table8, Table10,
+			Table2, Table3, Table4, Table5, Table6, Table7, Table8, Table9, Table10,
 			Figure8Hub, AblationMergeMissing, AblationComposeAgg, AblationHubChoice, ExtensionGSSelfMapping,
 		} {
 			if _, err := ex(s); err != nil {
@@ -464,20 +464,20 @@ func TestSharedStepsRunOnce(t *testing.T) {
 	}
 	runAll()
 	first := make(map[string]*mapping.Mapping)
-	for _, name := range s.engine.Cache.Names() {
-		first[name], _ = s.engine.Cache.Get(name)
+	for _, name := range s.engine.Steps() {
+		first[name], _ = s.engine.Mapping(name)
 	}
-	for _, name := range goldenSteps {
+	for _, name := range append(goldenSteps, "Cache.CoAuthSim", "Cache.NameSim", "Cache.Result") {
 		if first[name] == nil {
-			t.Errorf("%s: not in the engine cache", name)
+			t.Errorf("%s: not held by the engine", name)
 		}
 	}
 	runAll()
-	if n := s.engine.Cache.Len(); n != len(first) {
-		t.Errorf("second pass left %d cache entries, want %d", n, len(first))
+	if n := len(s.engine.Steps()); n != len(first) {
+		t.Errorf("second pass left %d step results, want %d", n, len(first))
 	}
 	for name, m := range first {
-		if again, _ := s.engine.Cache.Get(name); again != m {
+		if again, _ := s.engine.Mapping(name); again != m {
 			t.Errorf("%s: the second pass ran the step again", name)
 		}
 	}

@@ -60,9 +60,9 @@ func TestResultsMatchGolden(t *testing.T) {
 			writeGoldenTable(&b, r)
 		}
 		for _, name := range goldenSteps {
-			m, ok := s.engine.Cache.Get(name)
+			m, ok := s.engine.Mapping(name)
 			if !ok {
-				t.Fatalf("seed %d: step %s not in the engine cache", seed, name)
+				t.Fatalf("seed %d: step %s not held by the engine", seed, name)
 			}
 			fmt.Fprintf(&b, "step %s rows=%d sha256=%x\n", name, m.Len(), mappingDigest(m))
 		}

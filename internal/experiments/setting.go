@@ -5,13 +5,13 @@
 // tests can assert the qualitative shape: which matcher wins, where
 // combination helps, where compose paths fail.
 //
-// Tables 2–8, Figure 8, Ablations A1 and A2 and Extension E1 are match
+// Tables 2–9, Figure 8, Ablations A1 and A2 and Extension E1 are match
 // workflows: named steps (matchers, merge, compose, inverse, selections)
 // run by the Setting's workflow engine, one workflow per object-set pair,
-// chained through the cache names of their steps. A step shared between
-// tables runs once per Setting; Table 10 and Ablation A4 re-enter earlier
-// tables and read their cached steps. The rest are not workflows: Table 9
-// runs the §4.3 script on the same engine, Table 1 counts instances,
+// chained through the names of their steps; Table 9's are the steps of the
+// §4.3 script. A step shared between tables runs once per Setting; Table 10
+// and Ablation A4 re-enter earlier tables and read their steps' results.
+// The rest are not workflows: Table 1 counts instances,
 // Ablation A3 counts blocker pairs, Extension E2 trains a learner, and
 // Figures 4, 6 and 9 apply one operator to the paper's literal toy
 // mappings.
@@ -33,7 +33,7 @@ import (
 
 // Setting is the evaluation environment: the generated dataset, the
 // query-collected Google Scholar working set, and a workflow engine whose
-// repository holds the association mappings and whose cache holds the
+// repository holds the association mappings and whose step results are the
 // intermediate same-mappings shared between tables (the paper re-uses its
 // Table 2 publication mapping in §5.4.1, the §5.4.1 venue mapping in
 // §5.4.2, and so on).
@@ -109,9 +109,9 @@ func NewSetting(cfg sources.Config) *Setting {
 }
 
 // run executes steps as one workflow over a and b on the Setting's engine
-// and returns each step's result, in order. The engine reads a step it has
-// cached instead of running it, so a table lists every step it reads,
-// shared ones included, and each runs once per Setting.
+// and returns each step's result, in order. The engine reads a step whose
+// result it holds instead of running it, so a table lists every step it
+// reads, shared ones included, and each runs once per Setting.
 func (s *Setting) run(a, b *model.ObjectSet, steps ...workflow.Step) ([]*mapping.Mapping, error) {
 	w := &workflow.Workflow{Name: a.LDS().String() + "-" + b.LDS().String(), Steps: steps}
 	if _, err := s.engine.Run(w, a, b); err != nil {
@@ -119,7 +119,7 @@ func (s *Setting) run(a, b *model.ObjectSet, steps ...workflow.Step) ([]*mapping
 	}
 	out := make([]*mapping.Mapping, len(steps))
 	for i, st := range steps {
-		out[i], _ = s.engine.Cache.Get(st.Name)
+		out[i], _ = s.engine.Mapping(st.Name)
 	}
 	return out, nil
 }
@@ -146,17 +146,6 @@ func inverse(of string) workflow.Step {
 	return workflow.Step{Name: "inverse " + of, Use: []string{of}, Op: workflow.OpInverse}
 }
 
-// nhMatch is the §4.2 nhMatch procedure as its two compose steps: asso1 ∘
-// same averaged over paths, then that ∘ asso2 aggregated by g, selected by
-// sel. The first step is named after its inputs, so neighborhood matchers
-// over the same asso1 and same share it.
-func nhMatch(name, asso1, same, asso2 string, g mapping.PathAgg, sel ...mapping.Selection) []workflow.Step {
-	temp := asso1 + " ∘ " + same
-	result := composeStep(name, g, temp, asso2)
-	result.Select = sel
-	return []workflow.Step{composeStep(temp, mapping.AggAvg, asso1, same), result}
-}
-
 // preferPerRange merges with PreferMap semantics grouped by RANGE objects:
 // all correspondences of preferred survive, and other contributes only for
 // range objects preferred does not cover. It is inverse, prefer-merge,
@@ -181,7 +170,7 @@ const (
 	nameLowThreshold = 0.5
 )
 
-// The steps several experiments share, named by their cache entries.
+// The steps several experiments share.
 var (
 	// pubTitleDBLPACM is the Table 2 "Title" matcher — trigram over DBLP
 	// title vs ACM name, with token blocking for scale — the baseline the
@@ -232,7 +221,7 @@ var (
 	// the title publication mapping ("venue-nh-dblp-acm") and selects
 	// Best-1 — the Table 4 configuration that §5.4.2 re-uses.
 	venueSameDBLPACM = slices.Concat(
-		nhMatch("venue-nh-dblp-acm", "DBLP.VenuePub", "pub-title-dblp-acm", "ACM.PubVenue", mapping.AggRelative),
+		workflow.NhMatch("venue-nh-dblp-acm", "DBLP.VenuePub", "pub-title-dblp-acm", "ACM.PubVenue", mapping.AggRelative),
 		[]workflow.Step{selectStep("venue-same-dblp-acm", "venue-nh-dblp-acm", mapping.BestN{N: 1, Side: mapping.DomainSide})})
 	// gsACMViaDBLP composes GS-ACM via the DBLP hub: inverse(DBLP-GS) ∘
 	// DBLP-ACM.

@@ -55,7 +55,7 @@ func Table5(s *Setting) (*TableResult, error) {
 	// the title evidence (averaged under missing-as-zero; pairs lacking
 	// either kind of support drop below the threshold).
 	ms, err := s.run(s.D.DBLP.Pubs, s.D.ACM.Pubs, slices.Concat([]workflow.Step{pubTitleDBLPACM},
-		nhMatch("pub-nh-venue-dblp-acm", "DBLP.PubVenue", "venue-same-dblp-acm", "ACM.VenuePub", mapping.AggRelative),
+		workflow.NhMatch("pub-nh-venue-dblp-acm", "DBLP.PubVenue", "venue-same-dblp-acm", "ACM.VenuePub", mapping.AggRelative),
 		[]workflow.Step{{Name: "pub-merged-venue-dblp-acm", Use: []string{"pub-title-dblp-acm", "pub-nh-venue-dblp-acm"},
 			F: mapping.Avg0Combiner, Select: []mapping.Selection{mapping.Threshold{T: 0.75}}}})...)
 	if err != nil {
@@ -90,7 +90,7 @@ func Table6(s *Setting) (*TableResult, error) {
 			AttrA: "name", AttrB: "name", Sim: sim.Trigram, Threshold: nameThreshold,
 			Blocker: blockAuthors(),
 		})},
-		nhMatch("author-nh-dblp-acm", "DBLP.AuthorPub", "pub-merged-dblp-acm", "ACM.PubAuthor", mapping.AggRelative),
+		workflow.NhMatch("author-nh-dblp-acm", "DBLP.AuthorPub", "pub-merged-dblp-acm", "ACM.PubAuthor", mapping.AggRelative),
 		[]workflow.Step{
 			// Permissive name matcher for the combination (initial-aware).
 			matchStep("author-name-low-dblp-acm", &match.Attribute{

@@ -38,7 +38,7 @@ func Table7(s *Setting) (*TableResult, error) {
 	// precision stays at the title matcher's level, exactly the §5.4.3
 	// effect.
 	ms, err := s.run(s.D.DBLP.Pubs, s.GSWork, slices.Concat([]workflow.Step{pubTitleDBLPGS},
-		nhMatch("nh-pub-dblp-gs", "DBLP.PubAuthor", "author-same-dblp-gs", "GS.AuthorPub", mapping.AggRelativeLeft,
+		workflow.NhMatch("nh-pub-dblp-gs", "DBLP.PubAuthor", "author-same-dblp-gs", "GS.AuthorPub", mapping.AggRelativeLeft,
 			mapping.Where(func(c mapping.Correspondence) bool { return s.GSWork.Has(c.Range) }), mapping.Threshold{T: 0.6}),
 		[]workflow.Step{selectStep("nh-best-dblp-gs", "nh-pub-dblp-gs",
 			mapping.BestN{N: 1, Side: mapping.RangeSide}, mapping.Threshold{T: 0.8})},
@@ -89,7 +89,7 @@ func Table8(s *Setting) (*TableResult, error) {
 	// lists sit on the left (GS), so normalizing by the ACM side keeps the
 	// same asymmetry §5.4.3 motivates. Its best pick per GS entry follows.
 	ms, err := s.run(gsPubs, acmPubs, append(
-		nhMatch("nh-pub-gs-acm", "GS.PubAuthor", "author-same-gs-acm", "ACM.AuthorPub", mapping.AggRelativeRight,
+		workflow.NhMatch("nh-pub-gs-acm", "GS.PubAuthor", "author-same-gs-acm", "ACM.AuthorPub", mapping.AggRelativeRight,
 			mapping.Where(func(c mapping.Correspondence) bool { return s.GSWork.Has(c.Domain) }), mapping.Threshold{T: 0.6}),
 		selectStep("nh-best-gs-acm", "nh-pub-gs-acm", mapping.BestN{N: 1, Side: mapping.DomainSide}, mapping.Threshold{T: 0.8}))...)
 	if err != nil {
@@ -179,8 +179,10 @@ func Table9(s *Setting) (*TableResult, error) {
 	return t, nil
 }
 
-// duplicateCandidates runs the dedup script and extracts the top-k ranked
-// candidate pairs (undirected, deduplicated).
+// duplicateCandidates runs the dedup script on the Setting's engine (its
+// steps run once per Setting), reads its Cache.CoAuthSim and Cache.NameSim
+// steps there, and extracts the top-k ranked candidate pairs (undirected,
+// deduplicated).
 func (s *Setting) duplicateCandidates(k int) (*mapping.Mapping, []DuplicateCandidate, error) {
 	src := `
 $CoAuthSim = nhMatch (DBLP.CoAuthor, DBLP.AuthorAuthor, DBLP.CoAuthor)
@@ -189,14 +191,13 @@ $Merged = merge ($CoAuthSim, $NameSim, Average)
 $Result = select ($Merged, "[domain.id]<>[range.id]")
 RETURN $Result
 `
-	ip := script.New(s.engine)
-	v, err := ip.RunSource(src)
+	v, err := script.New(s.engine).RunSource(src)
 	if err != nil {
 		return nil, nil, err
 	}
 	result := v.Mapping
-	coAuthSimVal, _ := ip.Global("CoAuthSim")
-	nameSimVal, _ := ip.Global("NameSim")
+	coAuthSim, _ := s.engine.Mapping("Cache.CoAuthSim")
+	nameSim, _ := s.engine.Mapping("Cache.NameSim")
 
 	// Rank merged candidates that have BOTH kinds of evidence (the paper's
 	// table reports co-author overlap and name similarity together).
@@ -207,10 +208,10 @@ RETURN $Result
 	seen := make(map[[2]model.ID]bool)
 	var ranked []scored
 	result.Each(func(c mapping.Correspondence) {
-		if _, hasCo := coAuthSimVal.Mapping.Sim(c.Domain, c.Range); !hasCo {
+		if _, hasCo := coAuthSim.Sim(c.Domain, c.Range); !hasCo {
 			return
 		}
-		if _, hasName := nameSimVal.Mapping.Sim(c.Domain, c.Range); !hasName {
+		if _, hasName := nameSim.Sim(c.Domain, c.Range); !hasName {
 			return
 		}
 		key := [2]model.ID{c.Domain, c.Range}
@@ -234,8 +235,8 @@ RETURN $Result
 	}
 	var out []DuplicateCandidate
 	for _, r := range ranked {
-		co, _ := coAuthSimVal.Mapping.Sim(r.c.Domain, r.c.Range)
-		name, _ := nameSimVal.Mapping.Sim(r.c.Domain, r.c.Range)
+		co, _ := coAuthSim.Sim(r.c.Domain, r.c.Range)
+		name, _ := nameSim.Sim(r.c.Domain, r.c.Range)
 		paths := mapping.NumPaths(s.D.DBLP.CoAuthor, s.D.DBLP.CoAuthor, r.c.Domain, r.c.Range)
 		out = append(out, DuplicateCandidate{
 			A: r.c.Domain, B: r.c.Range,

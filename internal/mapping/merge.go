@@ -149,9 +149,9 @@ func (c Combiner) combine(sims []float64, present []bool) (float64, bool) {
 	}
 }
 
-// validateForMerge checks combiner configuration against the number of
-// input mappings.
-func (c Combiner) validateForMerge(n int) error {
+// Validate checks the combiner's configuration against the number of
+// mappings a merge combines with it.
+func (c Combiner) Validate(n int) error {
 	switch c.Kind {
 	case Weighted:
 		if len(c.Weights) != n {
@@ -236,7 +236,7 @@ func MergeWorkers(f Combiner, workers int, maps ...*Mapping) (out *Mapping, err 
 		return nil, fmt.Errorf("mapping: Merge requires mappings between sources of the same object type, got %s->%s",
 			first.Domain(), first.Range())
 	}
-	if err := f.validateForMerge(len(maps)); err != nil {
+	if err := f.Validate(len(maps)); err != nil {
 		return nil, err
 	}
 

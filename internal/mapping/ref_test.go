@@ -184,7 +184,7 @@ func refCompose(map1, map2 *refMapping, f Combiner, g PathAgg) (*refMapping, err
 // feed valid inputs).
 func refMerge(f Combiner, maps ...*refMapping) (*refMapping, error) {
 	first := maps[0]
-	if err := f.validateForMerge(len(maps)); err != nil {
+	if err := f.Validate(len(maps)); err != nil {
 		return nil, err
 	}
 	out := newRef(first.domLDS, first.rngLDS, first.mtype)

@@ -275,3 +275,19 @@ func (m *ExistingMapping) Match(a, b *model.ObjectSet) (*mapping.Mapping, error)
 		return a.Has(c.Domain) && b.Has(c.Range)
 	}), nil
 }
+
+// Identity maps each object of a set to itself with similarity 1 (the
+// identity mapping of §4.3's DBLP.AuthorAuthor); its two inputs must be
+// one set.
+type Identity struct{}
+
+// String implements Matcher.
+func (Identity) String() string { return "identity" }
+
+// Match implements Matcher.
+func (Identity) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
+	if a != b {
+		return nil, fmt.Errorf("match: identity needs one set, got %s and %s", a.LDS(), b.LDS())
+	}
+	return mapping.Identity(a), nil
+}

@@ -23,9 +23,9 @@ import (
 // String renders the matcher's exact configuration: attributes, measure
 // (sim.Name), thresholds and weights (%v), blocker and SkipMissing; data it
 // holds (an ExistingMapping's M, a block.Within's Pairs, a learned tree, a
-// non-built-in Func) by identity. Workflow steps are cached with it, so two
-// matchers that render alike must compute alike. It cannot see the values a
-// custom Func captures: Cache.Delete a step to run it under new ones.
+// non-built-in Func) by identity. A workflow step's definition holds it, so
+// two matchers that render alike must compute alike. It cannot see the
+// values a custom Func captures: Forget a step to run it under new ones.
 type Matcher interface {
 	// Match returns a same-mapping between a and b.
 	Match(a, b *model.ObjectSet) (*mapping.Mapping, error)

@@ -62,6 +62,22 @@ func (s *constraintSelection) Apply(m *mapping.Mapping) *mapping.Mapping {
 
 func (s *constraintSelection) String() string { return "Constraint(" + s.expr.src + ")" }
 
+// GoString renders the selection in a step's definition: the source text
+// and the version of each set it reads. A script's constraint reads the
+// engine's first set for the mapping's domain and range, so their LDS names
+// them.
+func (s *constraintSelection) GoString() string {
+	return fmt.Sprintf("%s over %s, %s", s, setVersion(s.domainSet), setVersion(s.rangeSet))
+}
+
+// setVersion renders set by its LDS and Version, or says there is none.
+func setVersion(set *model.ObjectSet) string {
+	if set == nil {
+		return "no set"
+	}
+	return fmt.Sprintf("%s#%d", set.LDS(), set.Version())
+}
+
 // row is what a constraint reads: one correspondence and its instances.
 type row struct {
 	corr   mapping.Correspondence

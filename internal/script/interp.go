@@ -3,6 +3,7 @@ package script
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -32,6 +33,9 @@ type Value struct {
 	Set     *model.ObjectSet
 	Num     float64
 	Str     string
+	// name stands for the value in step names: a mapping's step or
+	// repository name, a set's registered name, a literal's text.
+	name string
 }
 
 // String renders the value for logs.
@@ -50,9 +54,13 @@ func (v Value) String() string {
 	}
 }
 
-// Interp executes parsed scripts against an engine's namespace: its
-// mapping cache and repository (DBLP.CoAuthor) and its object sets
-// (DBLP.Author), read as they are when the script names them.
+// kindNames names what an argument of each kind must be.
+var kindNames = [...]string{MappingValue: "a mapping", SetValue: "an object set", NumberValue: "a number", StringValue: "a name or string"}
+
+// Interp executes parsed scripts on an engine (see the package comment):
+// each mapping-valued expression is a step the engine runs, and names
+// resolve through the engine's namespace, read as it is when the script
+// names them.
 type Interp struct {
 	e       *workflow.Engine
 	procs   map[string]*ProcDef
@@ -60,11 +68,12 @@ type Interp struct {
 	// calling holds the procedures on the call stack. A script has no
 	// conditionals, so calling one of them again would never end.
 	calling map[*ProcDef]bool
-	// Trace receives one line per executed assignment when non-nil.
+	// Trace receives one line per executed top-level assignment when
+	// non-nil.
 	Trace func(string)
 }
 
-// New returns an interpreter over e's namespace.
+// New returns an interpreter over e.
 func New(e *workflow.Engine) *Interp {
 	return &Interp{
 		e:       e,
@@ -72,12 +81,6 @@ func New(e *workflow.Engine) *Interp {
 		globals: make(map[string]Value),
 		calling: make(map[*ProcDef]bool),
 	}
-}
-
-// Global returns a top-level variable set by a previous Run.
-func (ip *Interp) Global(name string) (Value, bool) {
-	v, ok := ip.globals[name]
-	return v, ok
 }
 
 // RunSource parses and runs a script, returning its result: the value of
@@ -92,15 +95,15 @@ func (ip *Interp) RunSource(src string) (Value, error) {
 
 // Run executes a parsed script.
 func (ip *Interp) Run(s *Script) (Value, error) {
-	v, _, err := ip.exec(s.Stmts, ip.globals, ip.Trace)
+	v, _, err := ip.exec(s.Stmts, ip.globals, true)
 	return v, err
 }
 
-// exec runs statements in scope, the script's globals or a procedure's
-// locals. It returns the value of the first RETURN with returned set, or
-// else the value of the last assignment or expression statement. trace, when
-// non-nil, receives one line per assignment.
-func (ip *Interp) exec(stmts []Stmt, scope map[string]Value, trace func(string)) (Value, bool, error) {
+// exec runs statements in scope, the script's globals (top) or a
+// procedure's locals. It returns the value of the first RETURN with
+// returned set, or else the value of the last assignment or expression
+// statement.
+func (ip *Interp) exec(stmts []Stmt, scope map[string]Value, top bool) (Value, bool, error) {
 	last := Value{}
 	for _, st := range stmts {
 		switch stmt := st.(type) {
@@ -110,20 +113,29 @@ func (ip *Interp) exec(stmts []Stmt, scope map[string]Value, trace func(string))
 			}
 			ip.procs[strings.ToLower(stmt.Name)] = stmt
 		case *Assign:
-			v, err := ip.eval(stmt.Expr, scope)
+			as := ""
+			if top {
+				as = "Cache." + stmt.Name
+			}
+			v, err := ip.eval(stmt.Expr, scope, as)
+			if err == nil && top && v.Kind == MappingValue && v.name != as {
+				// A variable's, a repository's or a procedure's mapping:
+				// the step passes it through.
+				v, err = ip.run(stmt.Line, nil, nil, workflow.Step{Name: as, Use: []string{v.name}})
+			}
 			if err != nil {
 				return last, false, err
 			}
 			scope[stmt.Name] = v
 			last = v
-			if trace != nil {
-				trace(fmt.Sprintf("$%s = %s", stmt.Name, v))
+			if top && ip.Trace != nil {
+				ip.Trace(fmt.Sprintf("$%s = %s", stmt.Name, v))
 			}
 		case *Return:
-			v, err := ip.eval(stmt.Expr, scope)
+			v, err := ip.eval(stmt.Expr, scope, "")
 			return v, true, err
 		case *ExprStmt:
-			v, err := ip.eval(stmt.Expr, scope)
+			v, err := ip.eval(stmt.Expr, scope, "")
 			if err != nil {
 				return last, false, err
 			}
@@ -133,8 +145,9 @@ func (ip *Interp) exec(stmts []Stmt, scope map[string]Value, trace func(string))
 	return last, false, nil
 }
 
-// eval evaluates an expression in the given variable scope.
-func (ip *Interp) eval(e Expr, scope map[string]Value) (Value, error) {
+// eval evaluates an expression in the given variable scope. A built-in call
+// is the step named as, or by its text if as is empty.
+func (ip *Interp) eval(e Expr, scope map[string]Value, as string) (Value, error) {
 	switch ex := e.(type) {
 	case *VarRef:
 		v, ok := scope[ex.Name]
@@ -143,72 +156,123 @@ func (ip *Interp) eval(e Expr, scope map[string]Value) (Value, error) {
 		}
 		return v, nil
 	case *NumberLit:
-		return Value{Kind: NumberValue, Num: ex.Value}, nil
+		return Value{Kind: NumberValue, Num: ex.Value, name: ex.String()}, nil
 	case *StringLit:
-		return Value{Kind: StringValue, Str: ex.Value}, nil
+		return Value{Kind: StringValue, Str: ex.Value, name: ex.String()}, nil
 	case *Ident:
 		// Bare identifiers reach eval only as call arguments; represent
 		// them as strings so builtins can interpret them.
-		return Value{Kind: StringValue, Str: ex.Name}, nil
+		return Value{Kind: StringValue, Str: ex.Name, name: ex.Name}, nil
 	case *SourceRef:
 		name := ex.Name()
 		if m, ok := ip.e.Mapping(name); ok {
-			return Value{Kind: MappingValue, Mapping: m}, nil
+			return Value{Kind: MappingValue, Mapping: m, name: name}, nil
 		}
 		if s, ok := ip.e.ObjectSet(name); ok {
-			return Value{Kind: SetValue, Set: s}, nil
+			return Value{Kind: SetValue, Set: s, name: name}, nil
 		}
 		return Value{}, fmt.Errorf("script: line %d: unknown source reference %s", ex.Line, name)
 	case *Call:
-		return ip.call(ex, scope)
+		return ip.call(ex, scope, as)
 	default:
 		return Value{}, fmt.Errorf("script: cannot evaluate %T", e)
 	}
 }
 
-// call dispatches builtins, then user procedures.
-func (ip *Interp) call(c *Call, scope map[string]Value) (Value, error) {
+// call runs a built-in as the step named as (by the call's text with each
+// argument replaced by its name if as is empty), or else a user procedure.
+func (ip *Interp) call(c *Call, scope map[string]Value, as string) (Value, error) {
 	args := make([]Value, len(c.Args))
+	names := make([]string, len(c.Args))
 	for i, a := range c.Args {
-		v, err := ip.eval(a, scope)
+		v, err := ip.eval(a, scope, "")
 		if err != nil {
 			return Value{}, err
 		}
-		args[i] = v
+		args[i], names[i] = v, v.name
 	}
-	switch strings.ToLower(c.Name) {
-	case "compose":
-		return ip.builtinCompose(c, args)
-	case "merge":
-		return ip.builtinMerge(c, args)
-	case "attrmatch":
-		return ip.builtinAttrMatch(c, args)
-	case "select":
-		return ip.builtinSelect(c, args)
-	case "inverse":
-		if err := arity(c, args, 1); err != nil {
+	if as == "" {
+		as = c.Name + "(" + strings.Join(names, ", ") + ")"
+	}
+	step := workflow.Step{Name: as}
+	switch name := strings.ToLower(c.Name); {
+	case name == "compose":
+		if err := check(c, args, MappingValue, MappingValue, StringValue, StringValue); err != nil {
 			return Value{}, err
 		}
-		m, err := wantMapping(c, args, 0)
+		f, err := parseCombinerName(args[2].Str)
+		if err != nil {
+			return Value{}, fmt.Errorf("script: line %d: %v", c.Line, err)
+		}
+		g, err := mapping.ParsePathAgg(args[3].Str)
+		if err != nil {
+			return Value{}, fmt.Errorf("script: line %d: %v", c.Line, err)
+		}
+		step.Use, step.Op, step.F, step.G = names[:2], workflow.OpCompose, f, g
+		return ip.run(c.Line, nil, nil, step)
+	case name == "merge":
+		if len(args) < 3 {
+			return Value{}, fmt.Errorf("script: line %d: merge needs at least two mappings and a combination function", c.Line)
+		}
+		kinds := slices.Repeat([]ValueKind{MappingValue}, len(args))
+		kinds[len(args)-1] = StringValue
+		if err := check(c, args, kinds...); err != nil {
+			return Value{}, err
+		}
+		f, err := parseCombinerName(args[len(args)-1].Str)
+		if err != nil {
+			return Value{}, fmt.Errorf("script: line %d: %v", c.Line, err)
+		}
+		step.Use, step.F = names[:len(args)-1], f
+		return ip.run(c.Line, nil, nil, step)
+	case name == "attrmatch":
+		// attrMatch(SetA, SetB, SimName, threshold, "[attrA]", "[attrB]")
+		if err := check(c, args, SetValue, SetValue, StringValue, NumberValue, StringValue, StringValue); err != nil {
+			return Value{}, err
+		}
+		simFn, ok := sim.Lookup(args[2].Str)
+		if !ok {
+			return Value{}, fmt.Errorf("script: line %d: unknown similarity function %q", c.Line, args[2].Str)
+		}
+		step.Matchers = []match.Matcher{&match.Attribute{AttrA: stripBrackets(args[4].Str), AttrB: stripBrackets(args[5].Str), Sim: simFn, Threshold: args[3].Num}}
+		return ip.run(c.Line, args[0].Set, args[1].Set, step)
+	case name == "select":
+		sel, err := ip.selection(c, args)
 		if err != nil {
 			return Value{}, err
 		}
-		return Value{Kind: MappingValue, Mapping: m.Inverse()}, nil
-	case "identity":
-		if err := arity(c, args, 1); err != nil {
+		step.Use, step.Select = names[:1], []mapping.Selection{sel}
+		return ip.run(c.Line, nil, nil, step)
+	case name == "inverse":
+		if err := check(c, args, MappingValue); err != nil {
 			return Value{}, err
 		}
-		s, err := wantSet(c, args, 0)
-		if err != nil {
+		step.Use, step.Op = names, workflow.OpInverse
+		return ip.run(c.Line, nil, nil, step)
+	case name == "identity":
+		if err := check(c, args, SetValue); err != nil {
 			return Value{}, err
 		}
-		return Value{Kind: MappingValue, Mapping: mapping.Identity(s)}, nil
-	case "nhmatch":
-		// nhMatch is available as a builtin even when the script does not
-		// define the §4.2 procedure itself.
-		if _, userDefined := ip.procs["nhmatch"]; !userDefined {
-			return ip.builtinNhMatch(c, args)
+		step.Matchers = []match.Matcher{match.Identity{}}
+		return ip.run(c.Line, args[0].Set, args[0].Set, step)
+	case name == "nhmatch" && ip.procs[name] == nil:
+		// nhMatch($asso1, $same, $asso2 [, agg]) is a built-in even when
+		// the script does not define the §4.2 procedure itself.
+		kinds := []ValueKind{MappingValue, MappingValue, MappingValue, StringValue}
+		if len(args) < 4 {
+			kinds = kinds[:3]
 		}
+		if err := check(c, args, kinds...); err != nil {
+			return Value{}, err
+		}
+		g := mapping.AggRelative
+		if len(args) == 4 {
+			var err error
+			if g, err = mapping.ParsePathAgg(args[3].Str); err != nil {
+				return Value{}, fmt.Errorf("script: line %d: %v", c.Line, err)
+			}
+		}
+		return ip.run(c.Line, nil, nil, workflow.NhMatch(as, names[0], names[1], names[2], g)...)
 	}
 	proc, ok := ip.procs[strings.ToLower(c.Name)]
 	if !ok {
@@ -227,46 +291,34 @@ func (ip *Interp) call(c *Call, scope map[string]Value) (Value, error) {
 	for i, p := range proc.Params {
 		local[p] = args[i]
 	}
-	v, returned, err := ip.exec(proc.Body, local, nil)
+	v, returned, err := ip.exec(proc.Body, local, false)
 	if err != nil || !returned {
 		return Value{}, err
 	}
 	return v, nil
 }
 
-func arity(c *Call, args []Value, n int) error {
-	if len(args) != n {
-		return fmt.Errorf("script: line %d: %s expects %d arguments, got %d", c.Line, c.Name, n, len(args))
+// run runs steps as one workflow over a and b on the engine and returns the
+// last step's result.
+func (ip *Interp) run(line int, a, b *model.ObjectSet, steps ...workflow.Step) (Value, error) {
+	m, err := ip.e.Run(&workflow.Workflow{Name: "script", Steps: steps}, a, b)
+	if err != nil {
+		return Value{}, fmt.Errorf("script: line %d: %v", line, err)
+	}
+	return Value{Kind: MappingValue, Mapping: m, name: steps[len(steps)-1].Name}, nil
+}
+
+// check reports an error unless args has the given kinds, one per argument.
+func check(c *Call, args []Value, kinds ...ValueKind) error {
+	if len(args) != len(kinds) {
+		return fmt.Errorf("script: line %d: %s expects %d arguments, got %d", c.Line, c.Name, len(kinds), len(args))
+	}
+	for i, k := range kinds {
+		if args[i].Kind != k {
+			return fmt.Errorf("script: line %d: %s argument %d must be %s", c.Line, c.Name, i+1, kindNames[k])
+		}
 	}
 	return nil
-}
-
-func wantMapping(c *Call, args []Value, i int) (*mapping.Mapping, error) {
-	if i >= len(args) || args[i].Kind != MappingValue {
-		return nil, fmt.Errorf("script: line %d: %s argument %d must be a mapping", c.Line, c.Name, i+1)
-	}
-	return args[i].Mapping, nil
-}
-
-func wantSet(c *Call, args []Value, i int) (*model.ObjectSet, error) {
-	if i >= len(args) || args[i].Kind != SetValue {
-		return nil, fmt.Errorf("script: line %d: %s argument %d must be an object set", c.Line, c.Name, i+1)
-	}
-	return args[i].Set, nil
-}
-
-func wantString(c *Call, args []Value, i int) (string, error) {
-	if i >= len(args) || args[i].Kind != StringValue {
-		return "", fmt.Errorf("script: line %d: %s argument %d must be a name or string", c.Line, c.Name, i+1)
-	}
-	return args[i].Str, nil
-}
-
-func wantNumber(c *Call, args []Value, i int) (float64, error) {
-	if i >= len(args) || args[i].Kind != NumberValue {
-		return 0, fmt.Errorf("script: line %d: %s argument %d must be a number", c.Line, c.Name, i+1)
-	}
-	return args[i].Num, nil
 }
 
 // parseCombinerName resolves the merge/compose combination-function names
@@ -298,111 +350,6 @@ func parseCombinerName(name string) (mapping.Combiner, error) {
 	return mapping.Combiner{Kind: kind}, nil
 }
 
-// builtinCompose: compose($m1, $m2, f, g)
-func (ip *Interp) builtinCompose(c *Call, args []Value) (Value, error) {
-	if err := arity(c, args, 4); err != nil {
-		return Value{}, err
-	}
-	m1, err := wantMapping(c, args, 0)
-	if err != nil {
-		return Value{}, err
-	}
-	m2, err := wantMapping(c, args, 1)
-	if err != nil {
-		return Value{}, err
-	}
-	fName, err := wantString(c, args, 2)
-	if err != nil {
-		return Value{}, err
-	}
-	gName, err := wantString(c, args, 3)
-	if err != nil {
-		return Value{}, err
-	}
-	f, err := parseCombinerName(fName)
-	if err != nil {
-		return Value{}, fmt.Errorf("script: line %d: %v", c.Line, err)
-	}
-	g, err := mapping.ParsePathAgg(gName)
-	if err != nil {
-		return Value{}, fmt.Errorf("script: line %d: %v", c.Line, err)
-	}
-	out, err := mapping.Compose(m1, m2, f, g)
-	if err != nil {
-		return Value{}, fmt.Errorf("script: line %d: %v", c.Line, err)
-	}
-	return Value{Kind: MappingValue, Mapping: out}, nil
-}
-
-// builtinMerge: merge($m1, ..., $mn, f)
-func (ip *Interp) builtinMerge(c *Call, args []Value) (Value, error) {
-	if len(args) < 2 {
-		return Value{}, fmt.Errorf("script: line %d: merge needs at least one mapping and a combination function", c.Line)
-	}
-	fName, err := wantString(c, args, len(args)-1)
-	if err != nil {
-		return Value{}, err
-	}
-	f, err := parseCombinerName(fName)
-	if err != nil {
-		return Value{}, fmt.Errorf("script: line %d: %v", c.Line, err)
-	}
-	maps := make([]*mapping.Mapping, 0, len(args)-1)
-	for i := 0; i < len(args)-1; i++ {
-		m, err := wantMapping(c, args, i)
-		if err != nil {
-			return Value{}, err
-		}
-		maps = append(maps, m)
-	}
-	out, err := mapping.Merge(f, maps...)
-	if err != nil {
-		return Value{}, fmt.Errorf("script: line %d: %v", c.Line, err)
-	}
-	return Value{Kind: MappingValue, Mapping: out}, nil
-}
-
-// builtinAttrMatch: attrMatch(SetA, SetB, SimName, threshold, "[attrA]", "[attrB]")
-func (ip *Interp) builtinAttrMatch(c *Call, args []Value) (Value, error) {
-	if err := arity(c, args, 6); err != nil {
-		return Value{}, err
-	}
-	setA, err := wantSet(c, args, 0)
-	if err != nil {
-		return Value{}, err
-	}
-	setB, err := wantSet(c, args, 1)
-	if err != nil {
-		return Value{}, err
-	}
-	simName, err := wantString(c, args, 2)
-	if err != nil {
-		return Value{}, err
-	}
-	threshold, err := wantNumber(c, args, 3)
-	if err != nil {
-		return Value{}, err
-	}
-	attrA, err := wantString(c, args, 4)
-	if err != nil {
-		return Value{}, err
-	}
-	attrB, err := wantString(c, args, 5)
-	if err != nil {
-		return Value{}, err
-	}
-	simFn, ok := sim.Lookup(simName)
-	if !ok {
-		return Value{}, fmt.Errorf("script: line %d: unknown similarity function %q", c.Line, simName)
-	}
-	matcher := &match.Attribute{AttrA: stripBrackets(attrA), AttrB: stripBrackets(attrB), Sim: simFn, Threshold: threshold}
-	out, err := matcher.Match(setA, setB)
-	if err != nil {
-		return Value{}, fmt.Errorf("script: line %d: %v", c.Line, err)
-	}
-	return Value{Kind: MappingValue, Mapping: out}, nil
-}
-
 func stripBrackets(s string) string {
 	s = strings.TrimSpace(s)
 	s = strings.TrimPrefix(s, "[")
@@ -410,123 +357,64 @@ func stripBrackets(s string) string {
 	return s
 }
 
-// builtinNhMatch: nhMatch($asso1, $same, $asso2 [, agg])
-func (ip *Interp) builtinNhMatch(c *Call, args []Value) (Value, error) {
-	if len(args) != 3 && len(args) != 4 {
-		return Value{}, fmt.Errorf("script: line %d: nhMatch expects 3 or 4 arguments, got %d", c.Line, len(args))
-	}
-	a1, err := wantMapping(c, args, 0)
-	if err != nil {
-		return Value{}, err
-	}
-	same, err := wantMapping(c, args, 1)
-	if err != nil {
-		return Value{}, err
-	}
-	a2, err := wantMapping(c, args, 2)
-	if err != nil {
-		return Value{}, err
-	}
-	g := mapping.AggRelative
-	if len(args) == 4 {
-		gName, err := wantString(c, args, 3)
-		if err != nil {
-			return Value{}, err
-		}
-		g, err = mapping.ParsePathAgg(gName)
-		if err != nil {
-			return Value{}, fmt.Errorf("script: line %d: %v", c.Line, err)
-		}
-	}
-	out, err := match.NhMatchAgg(a1, same, a2, g)
-	if err != nil {
-		return Value{}, fmt.Errorf("script: line %d: %v", c.Line, err)
-	}
-	return Value{Kind: MappingValue, Mapping: out}, nil
-}
-
-// builtinSelect supports the paper's forms:
+// selection returns the selection of select($m, mode, ...), one of the
+// paper's forms:
 //
 //	select($m, "constraint")             object-value constraint
 //	select($m, Threshold, 0.8)           threshold selection
 //	select($m, Best, 1 [, side])         best-n per domain (or range/both)
 //	select($m, Delta, 0.05 [, side])     best-1+delta
-func (ip *Interp) builtinSelect(c *Call, args []Value) (Value, error) {
-	if len(args) < 2 {
-		return Value{}, fmt.Errorf("script: line %d: select needs a mapping and a selection", c.Line)
+//
+// A constraint reads the first sets registered for the mapping's domain and
+// range.
+func (ip *Interp) selection(c *Call, args []Value) (mapping.Selection, error) {
+	kinds := []ValueKind{MappingValue, StringValue, NumberValue, StringValue}
+	mode := ""
+	if len(args) > 1 {
+		mode = args[1].Str
 	}
-	m, err := wantMapping(c, args, 0)
-	if err != nil {
-		return Value{}, err
+	constraint := strings.ContainsAny(mode, "[]<>=")
+	switch {
+	case constraint:
+		kinds = kinds[:2]
+	case strings.EqualFold(mode, "threshold") || len(args) < 4:
+		kinds = kinds[:3] // Best and Delta take a side; Threshold does not
 	}
-	mode, err := wantString(c, args, 1)
-	if err != nil {
-		return Value{}, err
+	if err := check(c, args, kinds...); err != nil {
+		return nil, err
 	}
-	// Constraint form: the second argument contains an expression (it has
-	// brackets or comparison characters).
-	if strings.ContainsAny(mode, "[]<>=") {
-		if err := arity(c, args, 2); err != nil {
-			return Value{}, err
-		}
+	if constraint {
 		expr, err := ParseConstraint(mode)
 		if err != nil {
-			return Value{}, fmt.Errorf("script: line %d: %v", c.Line, err)
+			return nil, fmt.Errorf("script: line %d: %v", c.Line, err)
 		}
-		domSet, _ := ip.e.ObjectSetFor(m.Domain())
-		rngSet, _ := ip.e.ObjectSetFor(m.Range())
-		sel := expr.Selection(domSet, rngSet)
-		return Value{Kind: MappingValue, Mapping: sel.Apply(m)}, nil
-	}
-	maxArgs := 4 // Best and Delta take a side; Threshold does not
-	if strings.EqualFold(mode, "threshold") {
-		maxArgs = 3
-	}
-	if len(args) > maxArgs {
-		return Value{}, fmt.Errorf("script: line %d: select %s takes at most %d arguments, got %d", c.Line, mode, maxArgs, len(args))
+		domSet, _ := ip.e.ObjectSetFor(args[0].Mapping.Domain())
+		rngSet, _ := ip.e.ObjectSetFor(args[0].Mapping.Range())
+		return expr.Selection(domSet, rngSet), nil
 	}
 	side := mapping.DomainSide
 	if len(args) == 4 {
-		s, err := wantString(c, args, 3)
-		if err != nil {
-			return Value{}, err
-		}
-		switch strings.ToLower(s) {
+		switch s := strings.ToLower(args[3].Str); s {
 		case "domain":
-			side = mapping.DomainSide
 		case "range":
 			side = mapping.RangeSide
 		case "both":
 			side = mapping.BothSides
 		default:
-			return Value{}, fmt.Errorf("script: line %d: unknown side %q", c.Line, s)
+			return nil, fmt.Errorf("script: line %d: unknown side %q", c.Line, s)
 		}
 	}
-	switch strings.ToLower(mode) {
+	switch n := args[2].Num; strings.ToLower(mode) {
 	case "threshold":
-		t, err := wantNumber(c, args, 2)
-		if err != nil {
-			return Value{}, err
-		}
-		return Value{Kind: MappingValue, Mapping: mapping.Threshold{T: t}.Apply(m)}, nil
+		return mapping.Threshold{T: n}, nil
 	case "best":
-		n, err := wantNumber(c, args, 2)
-		if err != nil {
-			return Value{}, err
-		}
 		if n < 1 || n > math.MaxInt32 || n != math.Trunc(n) {
-			return Value{}, fmt.Errorf("script: line %d: select Best needs a positive whole count, got %v", c.Line, n)
+			return nil, fmt.Errorf("script: line %d: select Best needs a positive whole count, got %v", c.Line, n)
 		}
-		sel := mapping.BestN{N: int(n), Side: side}
-		return Value{Kind: MappingValue, Mapping: sel.Apply(m)}, nil
+		return mapping.BestN{N: int(n), Side: side}, nil
 	case "delta":
-		d, err := wantNumber(c, args, 2)
-		if err != nil {
-			return Value{}, err
-		}
-		sel := mapping.Best1Delta{D: d, Side: side}
-		return Value{Kind: MappingValue, Mapping: sel.Apply(m)}, nil
+		return mapping.Best1Delta{D: n, Side: side}, nil
 	default:
-		return Value{}, fmt.Errorf("script: line %d: unknown selection %q", c.Line, mode)
+		return nil, fmt.Errorf("script: line %d: unknown selection %q", c.Line, mode)
 	}
 }

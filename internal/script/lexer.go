@@ -14,9 +14,18 @@
 //	$Result    = select ($Merged, "[domain.id]<>[range.id]")
 //
 // plus threshold/best-n selections, inverse, identity and user procedures.
-// The interpreter resolves source references (DBLP.Author) and pre-existing
-// mappings (DBLP.CoAuthor) through a workflow.Engine: its cache, then its
-// repository, then its object sets.
+// The interpreter runs each mapping-valued expression as a workflow step on
+// a workflow.Engine, so a script's steps run once per engine. A top-level
+// $X = … is the step Cache.X; any other expression is the step named by
+// its text with each variable and parameter replaced by the name of what it
+// holds, e.g. compose(DBLP.VenuePub, Cache.PubSame, Min, Average). Equal
+// names are equal expressions: scripts that compute one share its step, and
+// rebinding $X to another definition is an error naming both until
+// Engine.Forget drops Cache.X. A definition holds the version of each set
+// its matchers or constraint read, so re-running a script after such a set
+// changed is that error too. Source references (DBLP.Author) and
+// pre-existing mappings (DBLP.CoAuthor) resolve through the same engine:
+// its step results, then its repository, then its object sets.
 //
 // One lexer and one parser read both the statements and the object-value
 // constraints select() receives as a string (§3.3). The grammar, with

@@ -1,8 +1,11 @@
 package script
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/mapping"
@@ -399,9 +402,8 @@ func TestGlobalsAndTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok := ip.Global("V")
-	if !ok || v.Kind != MappingValue {
-		t.Error("global $V not recorded")
+	if v, ok := b.Mapping("Cache.V"); !ok || v.Len() != 4 {
+		t.Error("$V not held as the step Cache.V")
 	}
 	if len(traced) != 1 || !strings.Contains(traced[0], "$V") {
 		t.Errorf("trace = %v", traced)
@@ -551,7 +553,10 @@ func FuzzParseRoundTrip(f *testing.F) {
 }
 
 // FuzzScriptRun: every script that parses runs on the Figure 9 fixture to
-// a value or an error, and never panics, and the value renders.
+// a value or an error, and never panics, and the value renders. A second
+// run, by a fresh interpreter on the same engine, returns the same
+// *Mapping or an error with the same text: step names are deterministic,
+// and steps run once.
 func FuzzScriptRun(f *testing.F) {
 	for _, src := range seedScripts {
 		f.Add(src)
@@ -561,8 +566,13 @@ func FuzzScriptRun(f *testing.F) {
 		if err != nil {
 			return
 		}
-		v, _ := New(testEngine(t)).Run(s)
+		e := testEngine(t)
+		v, err := New(e).Run(s)
 		_ = v.String()
+		again, againErr := New(e).Run(s)
+		if again.Mapping != v.Mapping || fmt.Sprint(againErr) != fmt.Sprint(err) {
+			t.Fatalf("second run = %v, %v; first %v, %v", again, againErr, v, err)
+		}
 	})
 }
 
@@ -621,8 +631,8 @@ $Result = DBLP-ACM.PubSame
 $Picked = pick($Result)
 RETURN $Picked
 `
-	ip := New(testEngine(t))
-	v, err := ip.RunSource(src)
+	e := testEngine(t)
+	v, err := New(e).RunSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,8 +640,7 @@ RETURN $Picked
 		t.Fatalf("kind = %v", v.Kind)
 	}
 	// The global $Result must still be the full mapping, not the procedure's.
-	g, ok := ip.Global("Result")
-	if !ok || g.Mapping.Len() != 5 {
+	if g, ok := e.Mapping("Cache.Result"); !ok || g.Len() != 5 {
 		t.Errorf("global $Result clobbered by procedure-local assignment: %v", g)
 	}
 }
@@ -645,5 +654,136 @@ func TestExprStatementAtTopLevel(t *testing.T) {
 	}
 	if v.Kind != MappingValue || v.Mapping.Domain() != dblpPub {
 		t.Errorf("bare call result = %v", v)
+	}
+}
+
+// TestScriptRunsOnce: the same script, run by fresh interpreters on one
+// engine, from several goroutines at once, returns the same *Mapping every
+// time and leaves the engine holding the steps of one run.
+func TestScriptRunsOnce(t *testing.T) {
+	const src = `
+$VenueNh = nhMatch (DBLP.VenuePub, DBLP-ACM.PubSame, ACM.PubVenue)
+$Result = select ($VenueNh, Best, 1)
+RETURN merge ($Result, inverse(inverse($VenueNh)), Max)
+`
+	e := testEngine(t)
+	first, err := New(e).RunSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := e.Steps()
+	var wg sync.WaitGroup
+	results := make([]Value, 8)
+	errs := make([]error, len(results))
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = New(e).RunSource(src)
+		}()
+	}
+	wg.Wait()
+	for i, v := range results {
+		if errs[i] != nil || v.Mapping != first.Mapping {
+			t.Errorf("run %d = %v, %v; want the first run's mapping", i, v, errs[i])
+		}
+	}
+	if again := e.Steps(); !reflect.DeepEqual(again, steps) {
+		t.Errorf("steps after the runs = %q, want %q", again, steps)
+	}
+}
+
+// TestScriptRebindNamesBothDefinitions: rebinding a top-level variable to a
+// different definition on one engine fails, naming both definitions, until
+// Forget drops the step.
+func TestScriptRebindNamesBothDefinitions(t *testing.T) {
+	e := testEngine(t)
+	if _, err := New(e).RunSource("$Result = select(DBLP-ACM.PubSame, Threshold, 0.5)\n"); err != nil {
+		t.Fatal(err)
+	}
+	rebind := "$Result = select(DBLP-ACM.PubSame, Threshold, 0.9)\n"
+	_, err := New(e).RunSource(rebind)
+	if err == nil || !strings.Contains(err.Error(), "Threshold{T:0.5}") || !strings.Contains(err.Error(), "Threshold{T:0.9}") {
+		t.Fatalf("rebinding $Result: %v; want an error naming both definitions", err)
+	}
+	if !e.Forget("Cache.Result") {
+		t.Fatal("Forget found no Cache.Result")
+	}
+	v, err := New(e).RunSource(rebind)
+	if err != nil || v.Mapping.Len() != 3 {
+		t.Fatalf("after Forget = %v, %v; want the 3 rows at 0.9 or above", v, err)
+	}
+}
+
+// TestProcedureArgumentsDoNotCollide: a procedure's local steps are named
+// after the arguments of each call, so two calls with different arguments
+// are two steps.
+func TestProcedureArgumentsDoNotCollide(t *testing.T) {
+	e := testEngine(t)
+	v, err := New(e).RunSource(`
+PROCEDURE best ($m)
+   $Result = select ($m, Best, 1)
+   RETURN $Result
+END
+$Same = best(DBLP-ACM.PubSame)
+$Inverse = best(inverse(DBLP-ACM.PubSame))
+RETURN $Inverse
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, _ := e.Mapping("Cache.Same")
+	if v.Mapping.Domain() != acmPub || same.Domain() != dblpPub || v.Mapping == same {
+		t.Errorf("the second call read the first call's step: %v, %v", v.Mapping, same)
+	}
+}
+
+// TestSharedExpressionRunsOnce: two scripts that compute one nested
+// expression share its step: the second reads the first's result.
+func TestSharedExpressionRunsOnce(t *testing.T) {
+	e := testEngine(t)
+	const nh = "nhMatch(DBLP.VenuePub, DBLP-ACM.PubSame, ACM.PubVenue)"
+	if _, err := New(e).RunSource("RETURN select(" + nh + ", Threshold, 0.5)\n"); err != nil {
+		t.Fatal(err)
+	}
+	shared, ok := e.Mapping(nh)
+	if !ok {
+		t.Fatalf("no step %s among %q", nh, e.Steps())
+	}
+	n := len(e.Steps())
+	v, err := New(e).RunSource("RETURN select(" + nh + ", Best, 1)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := e.Mapping(nh); again != shared || len(e.Steps()) != n+1 || v.Mapping.Len() != 2 {
+		t.Errorf("second script: shared step re-run %v, steps %q (want %d), rows %d", again != shared, e.Steps(), n+1, v.Mapping.Len())
+	}
+}
+
+// TestConstraintStepNamesSetVersions: a constraint select's definition
+// holds the versions of the sets it reads, so after one of them changes
+// the same script fails naming both versions instead of reading the
+// earlier result, and runs again after Forget.
+func TestConstraintStepNamesSetVersions(t *testing.T) {
+	e := workflow.NewEngine(nil)
+	dblp, acm := model.NewObjectSet(dblpPub), model.NewObjectSet(acmPub)
+	dblp.AddNew("p1", map[string]string{"year": "2001"})
+	addSet(t, e, "DBLP.Publication", dblp)
+	addSet(t, e, "ACM.Publication", acm)
+	m := mapping.NewSame(dblpPub, acmPub)
+	m.Add("p1", "q1", 0.9)
+	putMapping(t, e, "M.Same", m)
+	const src = `RETURN select(M.Same, "[domain.year]=[range.year]")` + "\n"
+	if v, err := New(e).RunSource(src); err != nil || v.Mapping.Len() != 0 {
+		t.Fatalf("before q1 exists = %v, %v; want no rows", v, err)
+	}
+	acm.AddNew("q1", map[string]string{"year": "2001"})
+	_, err := New(e).RunSource(src)
+	if err == nil || !strings.Contains(err.Error(), "Publication@ACM#0") || !strings.Contains(err.Error(), "Publication@ACM#1") {
+		t.Fatalf("after the range set changed: %v; want an error naming both versions", err)
+	}
+	e.Forget(`select(M.Same, "[domain.year]=[range.year]")`)
+	if v, err := New(e).RunSource(src); err != nil || v.Mapping.Len() != 1 {
+		t.Fatalf("after Forget = %v, %v; want the row q1 now matches", v, err)
 	}
 }

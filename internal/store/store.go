@@ -1,11 +1,10 @@
-// Package store implements MOMA's mapping repository and mapping cache
-// (§2.2, Figure 3).
+// Package store implements MOMA's mapping repository (§2.2, Figure 3).
 //
 // The repository materializes association and same-mappings as relational
-// mapping tables under stable names; the cache holds intermediate
-// same-mappings derived during a match workflow. Both share the Store type:
-// the repository is typically persistent (write-ahead log plus snapshot),
-// while the cache is an in-memory one.
+// mapping tables under stable names, persistent (write-ahead log plus
+// snapshot) or in memory. The intermediate same-mappings of a match
+// process, Figure 3's mapping cache, are the step results the workflow
+// engine holds.
 package store
 
 import (

@@ -1,30 +1,32 @@
 // Package workflow implements MOMA's match process model (§2.2, Figure 3):
 // a workflow is a sequence of steps, each consisting of optional matcher
 // executions plus a mapping combiner (a mapping operator followed by
-// selections). Steps read additional inputs from the mapping cache and the
-// mapping repository, write their result to the cache, and the final
-// same-mapping can be stored back into the repository for re-use by other
-// match tasks. The Engine that runs them is the match process's one
-// namespace: workflows, scripts and the System resolve mapping and object
-// set names through it.
+// selections). Steps read additional inputs from earlier step results and
+// the mapping repository, and the final same-mapping can be stored back
+// into the repository for re-use by other match tasks. The Engine that runs
+// them is the match process's one namespace and its one executor:
+// workflows, the scripts of internal/script (each mapping-valued
+// expression is a step) and the System resolve mapping and object set
+// names through it.
 //
-// A step runs once per engine: a step whose result the cache holds is read,
-// not re-run, so workflows chain through step names. Each cached result
-// carries its step's definition: the two object sets (identity and Version)
-// if the step has matchers, each matcher's String, each Use input (its own
-// step's definition, or repo:<name>), the operator, combiner, path
-// aggregation and the selections in order. A hit on another definition, or
-// on an entry no step wrote, is an error. A definition cannot see into a
-// mapping.Where closure or the values a custom sim.Func captures;
-// Cache.Delete lets a step run again, under a new definition too. The
-// paper's evaluation (internal/experiments) runs on this engine.
+// A step runs once per engine: the engine holds each step's result, and a
+// step whose name it holds is read, not re-run, so workflows and scripts
+// chain through step names. Each result carries its step's definition: the
+// two object sets (identity and Version) if the step has matchers, each
+// matcher's String, each Use input (its own step's definition, or
+// repo:<name>), the operator, combiner, path aggregation and the selections
+// in order. A hit on another definition is an error naming both. A
+// definition cannot see into a mapping.Where closure or the values a custom
+// sim.Func captures; Forget lets a step run again, under a new definition
+// too. The paper's evaluation (internal/experiments) runs on this engine.
 package workflow
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
-	"weak"
 
 	"repro/internal/mapping"
 	"repro/internal/match"
@@ -36,8 +38,9 @@ import (
 type OpKind int
 
 // Operators: merge unifies the step's input mappings (one input passes
-// through unchanged); compose chains them left to right (two or more
-// inputs); inverse swaps the domain and range of its one input.
+// through unchanged, its combiner checked as a merge of one would check
+// it); compose chains them left to right (two or more inputs); inverse
+// swaps the domain and range of its one input.
 const (
 	OpMerge OpKind = iota
 	OpCompose
@@ -60,14 +63,14 @@ func (k OpKind) String() string {
 
 // Step is one workflow step.
 type Step struct {
-	// Name is required. It names the cache entry holding the step result,
-	// and a step whose result that entry already holds is not run again.
+	// Name is required. It names the step's result in the engine, and a
+	// step whose result the engine already holds is not run again.
 	Name string
 	// Matchers are executed against the workflow inputs; their results
 	// join the combiner inputs.
 	Matchers []match.Matcher
-	// Use references mappings by name, resolved against the cache first
-	// (earlier step results) and the repository second.
+	// Use references mappings by name, resolved against earlier step
+	// results first and the repository second.
 	Use []string
 	// Op combines the collected mappings.
 	Op OpKind
@@ -104,54 +107,89 @@ func (w *Workflow) Store(name string) *Workflow {
 	return w
 }
 
+// NhMatch is the §4.2 nhMatch procedure as its two compose steps: asso1 ∘
+// same averaged over paths, then that ∘ asso2 aggregated by g, selected by
+// sel and named name. The first step is named "asso1 ∘ same", so
+// neighborhood matchers over the same asso1 and same share it.
+func NhMatch(name, asso1, same, asso2 string, g mapping.PathAgg, sel ...mapping.Selection) []Step {
+	temp := asso1 + " ∘ " + same
+	return []Step{
+		{Name: temp, Use: []string{asso1, same}, Op: OpCompose, F: mapping.MinCombiner, G: mapping.AggAvg},
+		{Name: name, Use: []string{temp, asso2}, Op: OpCompose, F: mapping.MinCombiner, G: g, Select: sel},
+	}
+}
+
 // Engine is the namespace of Figure 3 and the executor of workflows over
-// it: the mapping repository, an unbounded mapping cache, and the object sets
-// registered by name. It is safe for concurrent use.
+// it: the mapping repository, the results of the steps it ran, and the
+// object sets registered by name. It is safe for concurrent use.
 type Engine struct {
-	Repo  *store.Store
-	Cache *store.Store
+	Repo *store.Store
 
-	// run serializes Run, so two runs cannot cache different definitions
-	// under one step name.
-	run   sync.Mutex
-	steps map[string]*stepRecord // guarded by run; by step name
+	// run serializes Run and Forget, so two runs cannot record different
+	// definitions under one step name.
+	run sync.Mutex
 
-	mu   sync.RWMutex
-	sets map[string]*model.ObjectSet // guarded by mu
+	mu sync.RWMutex
+	// steps holds the step results by step name. Run and Forget write it
+	// holding run and mu; Run reads it holding run, others holding mu.
+	steps map[string]*stepRecord
+	sets  map[string]*model.ObjectSet // guarded by mu
 	// byLDS holds the first set registered for each LDS, the one select()
 	// constraints read.
 	byLDS map[model.LDS]*model.ObjectSet // guarded by mu
 }
 
-// stepRecord is a result Run cached (weakly: Cache.Delete frees it), its
-// step's definition and, pinned, what that names by address.
+// stepRecord is a result Run holds, its step's definition and, pinned,
+// what that names by address.
 type stepRecord struct {
-	m    weak.Pointer[mapping.Mapping]
+	m    *mapping.Mapping
 	def  string
 	pins []any
 }
 
 // NewEngine returns an engine over repo (a fresh in-memory repository when
-// nil) with a fresh in-memory cache and no object sets.
+// nil) that holds no step results and no object sets.
 func NewEngine(repo *store.Store) *Engine {
 	if repo == nil {
 		repo = store.NewRepository()
 	}
 	return &Engine{
 		Repo:  repo,
-		Cache: store.NewRepository(),
 		steps: make(map[string]*stepRecord),
 		sets:  make(map[string]*model.ObjectSet),
 		byLDS: make(map[model.LDS]*model.ObjectSet),
 	}
 }
 
-// Mapping finds a named mapping, cache first, then repository.
+// Mapping finds a named mapping: a step result first, then the repository.
 func (e *Engine) Mapping(name string) (*mapping.Mapping, bool) {
-	if m, ok := e.Cache.Get(name); ok {
-		return m, true
+	e.mu.RLock()
+	rec := e.steps[name]
+	e.mu.RUnlock()
+	if rec != nil {
+		return rec.m, true
 	}
 	return e.Repo.Get(name)
+}
+
+// Steps lists the names of the step results the engine holds, sorted.
+func (e *Engine) Steps() []string {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return slices.Sorted(maps.Keys(e.steps))
+}
+
+// Forget drops the result of the named step, so that the next run of a step
+// under that name runs it, under a new definition too. It reports whether
+// the engine held one.
+func (e *Engine) Forget(name string) bool {
+	e.run.Lock()
+	defer e.run.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	_, ok := e.steps[name]
+	delete(e.steps, name)
+	return ok
 }
 
 // AddObjectSet registers an object set under a qualified name such as
@@ -190,12 +228,12 @@ func (e *Engine) ObjectSetFor(lds model.LDS) (*model.ObjectSet, bool) {
 }
 
 // Run executes the workflow on the two input object sets and returns the
-// final same-mapping. Each step result is cached under the step name with
-// its definition (see the package comment). A step whose name the cache
-// holds is read instead of run if the entry is a result of the same
-// definition, and is an error naming both otherwise: a step runs once per
-// engine until Cache.Delete removes its result. Runs are serialized. The
-// final mapping is stored in the repository when the workflow requests it.
+// final same-mapping. The engine holds each step result under the step name
+// with its definition (see the package comment). A step whose name it holds
+// is read instead of run if the result is of the same definition, and is an
+// error naming both otherwise: a step runs once per engine until Forget
+// drops its result. Runs are serialized. The final mapping is stored in the
+// repository when the workflow requests it.
 func (e *Engine) Run(w *Workflow, a, b *model.ObjectSet) (*mapping.Mapping, error) {
 	if len(w.Steps) == 0 {
 		return nil, fmt.Errorf("workflow: %s has no steps", w.Name)
@@ -209,24 +247,20 @@ func (e *Engine) Run(w *Workflow, a, b *model.ObjectSet) (*mapping.Mapping, erro
 			return nil, fmt.Errorf("workflow: %s: step %d has no name", w.Name, i+1)
 		}
 		def, pins := e.definition(s, a, b)
-		if m, rec, ok := e.entry(s.Name); ok {
-			if rec == nil {
-				return nil, fmt.Errorf("workflow: %s/%s: the cache holds an entry no step wrote; the step is %s", w.Name, s.Name, def)
-			}
+		if rec := e.steps[s.Name]; rec != nil {
 			if rec.def != def {
-				return nil, fmt.Errorf("workflow: %s/%s: the cache holds %s; the step is %s", w.Name, s.Name, rec.def, def)
+				return nil, fmt.Errorf("workflow: %s/%s: the engine holds %s; the step is %s", w.Name, s.Name, rec.def, def)
 			}
-			result = m
+			result = rec.m
 			continue
 		}
 		m, err := e.runStep(s, a, b)
 		if err != nil {
 			return nil, fmt.Errorf("workflow: %s/%s: %w", w.Name, s.Name, err)
 		}
-		if err := e.Cache.Put(s.Name, m); err != nil {
-			return nil, fmt.Errorf("workflow: %s/%s: cache: %w", w.Name, s.Name, err)
-		}
-		e.steps[s.Name] = &stepRecord{m: weak.Make(m), def: def, pins: pins}
+		e.mu.Lock()
+		e.steps[s.Name] = &stepRecord{m: m, def: def, pins: pins}
+		e.mu.Unlock()
 		result = m
 	}
 	if w.StoreAs != "" {
@@ -246,18 +280,14 @@ func (e *Engine) definition(s *Step, a, b *model.ObjectSet) (string, []any) {
 		fmt.Fprintf(&d, "sets(%s@%p#%d, %s@%p#%d) match%v ", a.LDS(), a, a.Version(), b.LDS(), b, b.Version(), s.Matchers)
 		pins = append(pins, a, b, s.Matchers)
 	}
-	// A Use input renders as Mapping resolves it: a cache entry by its
-	// step's definition, or by identity if no step wrote it; else by name.
+	// A Use input renders as Mapping resolves it: a step result by its
+	// definition, else by name.
 	for _, ref := range s.Use {
-		switch m, rec, ok := e.entry(ref); {
-		case !ok:
-			fmt.Fprintf(&d, "use(repo:%s) ", ref)
-		case rec == nil:
-			fmt.Fprintf(&d, "use(cache:%s@%p) ", ref, m)
-			pins = append(pins, m)
-		default:
+		if rec := e.steps[ref]; rec != nil {
 			fmt.Fprintf(&d, "use{%s} ", rec.def)
-			pins = append(pins, rec)
+			pins = append(pins, rec.pins)
+		} else {
+			fmt.Fprintf(&d, "use(repo:%s) ", ref)
 		}
 	}
 	fmt.Fprintf(&d, "%s(f=%+v, g=%s)", s.Op, s.F, s.G)
@@ -265,16 +295,6 @@ func (e *Engine) definition(s *Step, a, b *model.ObjectSet) (string, []any) {
 		fmt.Fprintf(&d, " select(%#v)", sel)
 	}
 	return d.String(), pins
-}
-
-// entry returns the cache entry under name and the record of the step that
-// wrote it, nil if no step did.
-func (e *Engine) entry(name string) (*mapping.Mapping, *stepRecord, bool) {
-	m, ok := e.Cache.Get(name)
-	if rec := e.steps[name]; ok && rec != nil && rec.m == weak.Make(m) {
-		return m, rec, true
-	}
-	return m, nil, ok
 }
 
 // runStep runs the step's matchers, combines their results with the named
@@ -291,7 +311,7 @@ func (e *Engine) runStep(s *Step, a, b *model.ObjectSet) (*mapping.Mapping, erro
 	for _, ref := range s.Use {
 		mm, ok := e.Mapping(ref)
 		if !ok {
-			return nil, fmt.Errorf("no mapping named %q in cache or repository", ref)
+			return nil, fmt.Errorf("no step result or repository mapping named %q", ref)
 		}
 		inputs = append(inputs, mm)
 	}
@@ -301,7 +321,9 @@ func (e *Engine) runStep(s *Step, a, b *model.ObjectSet) (*mapping.Mapping, erro
 	out, err := inputs[0], error(nil)
 	switch s.Op {
 	case OpMerge:
-		if len(inputs) > 1 {
+		if len(inputs) == 1 {
+			err = s.F.Validate(1)
+		} else {
 			out, err = mapping.Merge(s.F, inputs...)
 		}
 	case OpCompose:

@@ -81,8 +81,8 @@ func TestStepResultsCached(t *testing.T) {
 	if _, err := e.Run(wf, dblp, acm); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := e.Cache.Get("titles"); !ok {
-		t.Error("step result should be cached under the step name")
+	if m, ok := e.Mapping("titles"); !ok || !reflect.DeepEqual(e.Steps(), []string{"titles"}) {
+		t.Errorf("engine holds %v, %v; want the step result under the step name", m, e.Steps())
 	}
 }
 
@@ -216,8 +216,8 @@ func TestRunErrors(t *testing.T) {
 	if _, err := e.Run(unnamed, dblp, acm); err == nil {
 		t.Error("unnamed step should fail")
 	}
-	if e.Cache.Len() != 0 {
-		t.Errorf("failed steps cached %v", e.Cache.Names())
+	if len(e.Steps()) != 0 {
+		t.Errorf("failed steps held %v", e.Steps())
 	}
 }
 
@@ -232,9 +232,9 @@ func (c *countingMatcher) Match(a, b *model.ObjectSet) (*mapping.Mapping, error)
 	return c.Matcher.Match(a, b)
 }
 
-// TestStepRunsOnce: a second Run of a workflow reads every step from the
-// cache without running its matchers, and returns the cached *Mapping;
-// Cache.Delete makes the step run again.
+// TestStepRunsOnce: a second Run of a workflow reads every step result the
+// engine holds without running its matchers, and returns the held
+// *Mapping; Forget makes the step run again.
 func TestStepRunsOnce(t *testing.T) {
 	dblp, acm := fixtureSets()
 	title := &countingMatcher{Matcher: titleMatcher()}
@@ -253,14 +253,14 @@ func TestStepRunsOnce(t *testing.T) {
 	if title.runs != 1 || again != first {
 		t.Errorf("second run: matcher ran %d times, same result %v; want 1, true", title.runs, again == first)
 	}
-	if ok, err := e.Cache.Delete("titles"); !ok || err != nil {
-		t.Fatalf("Delete = %v, %v", ok, err)
+	if !e.Forget("titles") || e.Forget("titles") {
+		t.Fatal("Forget should report the result it dropped, and only once")
 	}
 	if _, err := e.Run(wf, dblp, acm); err != nil {
 		t.Fatal(err)
 	}
 	if title.runs != 2 {
-		t.Errorf("after Cache.Delete the matcher ran %d times in all, want 2", title.runs)
+		t.Errorf("after Forget the matcher ran %d times in all, want 2", title.runs)
 	}
 }
 
@@ -276,6 +276,27 @@ func TestOneInputMergePassesThrough(t *testing.T) {
 	}
 	if got != matched {
 		t.Error("a one-input merge step should return the matcher's own mapping")
+	}
+}
+
+// TestOneInputMergeChecksCombiner: a one-input merge step fails, running
+// nothing, with the error mapping.Merge gives its combiner for one mapping.
+func TestOneInputMergeChecksCombiner(t *testing.T) {
+	e := NewEngine(nil)
+	m := mapping.NewSame(dblpPub, acmPub)
+	m.Add("d1", "a1", 1)
+	if err := e.Repo.Put("m", m); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []mapping.Combiner{mapping.PreferCombiner(1), {Kind: mapping.Weighted, Weights: []float64{1, 2}}} {
+		_, want := mapping.Merge(f, m)
+		got, err := e.Run(New("one").AddStep(Step{Name: "s", Use: []string{"m"}, F: f}), nil, nil)
+		if want == nil || err == nil || !strings.Contains(err.Error(), want.Error()) || got != nil {
+			t.Errorf("%+v: Run = %v, %v; want Merge's error %v", f, got, err, want)
+		}
+	}
+	if len(e.Steps()) != 0 {
+		t.Errorf("failed steps held %v", e.Steps())
 	}
 }
 
@@ -312,14 +333,14 @@ func TestInverseAndSelectOrder(t *testing.T) {
 	if _, err := e.Run(wf, dblp, acm); err != nil {
 		t.Fatal(err)
 	}
-	inv, _ := e.Cache.Get("inv")
+	inv, _ := e.Mapping("inv")
 	if inv.Domain() != acmPub || inv.Range() != dblpPub || !reflect.DeepEqual(inv.Correspondences(), m.Inverse().Correspondences()) {
 		t.Errorf("inverse = %v", inv.Correspondences())
 	}
 	// d1 is the best domain object of both a1 and a2: removing d1 after the
 	// best-1 cut leaves nothing, removing it first leaves a2's second best.
-	bw, _ := e.Cache.Get("best-then-where")
-	wb, _ := e.Cache.Get("where-then-best")
+	bw, _ := e.Mapping("best-then-where")
+	wb, _ := e.Mapping("where-then-best")
 	if bw.Len() != 0 || wb.Len() != 1 || !wb.Has("d2", "a2") {
 		t.Errorf("best then where = %v, where then best = %v", bw.Correspondences(), wb.Correspondences())
 	}
@@ -345,11 +366,11 @@ func titleAt(name string, t float64) Step {
 	return mergeStep(name, mapping.AvgCombiner, nil, &match.Attribute{AttrA: "title", AttrB: "name", Sim: sim.Trigram, Threshold: t})
 }
 
-// TestCacheHitChecksDefinition: a step whose name the cache holds is read
-// only if the entry is that step's result over the same inputs. Each case
-// prepares an engine so that the last step of its second run finds an entry
-// it did not write; that run fails, names what the entry holds and what
-// the step is, and returns no mapping.
+// TestCacheHitChecksDefinition: a step whose name the engine holds is read
+// only if the result is that step's over the same inputs. Each case
+// prepares an engine so that the last step of its second run finds a result
+// of another definition; that run fails, names what the result is of and
+// what the step is, and returns no mapping.
 func TestCacheHitChecksDefinition(t *testing.T) {
 	m := mapping.NewSame(dblpPub, acmPub)
 	m.Add("d1", "a1", 0.9)
@@ -358,7 +379,7 @@ func TestCacheHitChecksDefinition(t *testing.T) {
 	wf := func(steps ...Step) *Workflow { return &Workflow{Name: "w", Steps: steps} }
 	for _, c := range []struct {
 		name string
-		// prepare fills the engine's cache and returns the run that fails.
+		// prepare runs steps on the engine and returns the run that fails.
 		prepare func(t *testing.T, e *Engine, a, b *model.ObjectSet) (*Workflow, *model.ObjectSet, *model.ObjectSet)
 	}{
 		{"matcher configuration", func(t *testing.T, e *Engine, a, b *model.ObjectSet) (*Workflow, *model.ObjectSet, *model.ObjectSet) {
@@ -381,23 +402,8 @@ func TestCacheHitChecksDefinition(t *testing.T) {
 		}},
 		{"use input", func(t *testing.T, e *Engine, a, b *model.ObjectSet) (*Workflow, *model.ObjectSet, *model.ObjectSet) {
 			mustRun(t, e, wf(titleAt("up", 0.8), Step{Name: "s", Use: []string{"up"}}), a, b)
-			if ok, err := e.Cache.Delete("up"); !ok || err != nil {
-				t.Fatalf("Delete = %v, %v", ok, err)
-			}
+			e.Forget("up")
 			return wf(titleAt("up", 0.9), Step{Name: "s", Use: []string{"up"}}), a, b
-		}},
-		{"entry put from outside", func(t *testing.T, e *Engine, a, b *model.ObjectSet) (*Workflow, *model.ObjectSet, *model.ObjectSet) {
-			if err := e.Cache.Put("s", m); err != nil {
-				t.Fatal(err)
-			}
-			return wf(Step{Name: "s", Use: []string{"M"}}), a, b
-		}},
-		{"entry replaced from outside", func(t *testing.T, e *Engine, a, b *model.ObjectSet) (*Workflow, *model.ObjectSet, *model.ObjectSet) {
-			mustRun(t, e, wf(Step{Name: "s", Use: []string{"M"}}), a, b)
-			if err := e.Cache.Put("s", m.Inverse().Inverse()); err != nil {
-				t.Fatal(err)
-			}
-			return wf(Step{Name: "s", Use: []string{"M"}}), a, b
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -413,10 +419,7 @@ func TestCacheHitChecksDefinition(t *testing.T) {
 			}
 			step := &w.Steps[len(w.Steps)-1]
 			now, _ := e.definition(step, a, b)
-			held := "an entry no step wrote"
-			if _, rec, _ := e.entry(step.Name); rec != nil {
-				held = rec.def
-			}
+			held := e.steps[step.Name].def
 			if held == now || !strings.Contains(err.Error(), held) || !strings.Contains(err.Error(), now) {
 				t.Errorf("error %q should name the entry's definition %q and the step's %q", err, held, now)
 			}
@@ -461,23 +464,21 @@ func TestDefinitionPinsSets(t *testing.T) {
 }
 
 // TestDeletedUpstreamStillHitsDownstream: a step reads its Use inputs by
-// their definitions, not their results, so re-running a deleted upstream
-// step under the same definition leaves the downstream entry a hit.
+// their definitions, not their results, so re-running a forgotten upstream
+// step under the same definition leaves the downstream result a hit.
 func TestDeletedUpstreamStillHitsDownstream(t *testing.T) {
 	dblp, acm := fixtureSets()
 	wf := New("chain").AddStep(titleAt("titles", 0.8)).AddStep(Step{Name: "refined", Use: []string{"titles"}, Select: []mapping.Selection{mapping.Threshold{T: 0.9}}})
 	e := NewEngine(nil)
 	mustRun(t, e, wf, dblp, acm)
-	titles, _ := e.Cache.Get("titles")
-	refined, _ := e.Cache.Get("refined")
-	if ok, err := e.Cache.Delete("titles"); !ok || err != nil {
-		t.Fatalf("Delete = %v, %v", ok, err)
-	}
+	titles, _ := e.Mapping("titles")
+	refined, _ := e.Mapping("refined")
+	e.Forget("titles")
 	if got := mustRun(t, e, wf, dblp, acm); got != refined {
 		t.Error("the downstream step ran again")
 	}
-	if again, _ := e.Cache.Get("titles"); again == titles {
-		t.Error("the deleted upstream step did not run again")
+	if again, _ := e.Mapping("titles"); again == titles {
+		t.Error("the forgotten upstream step did not run again")
 	}
 }
 
@@ -506,24 +507,24 @@ func TestConcurrentRunsKeepOneDefinition(t *testing.T) {
 	}
 }
 
-// TestEngineNamespace: names resolve cache first, then repository; set
-// names are unique, and the first set registered for an LDS is the one
+// TestEngineNamespace: names resolve step results first, then repository;
+// set names are unique, and the first set registered for an LDS is the one
 // ObjectSetFor returns.
 func TestEngineNamespace(t *testing.T) {
 	dblp, acm := fixtureSets()
 	e := NewEngine(nil)
-	inRepo, inCache := mapping.Identity(dblp), mapping.Identity(acm)
-	if err := e.Repo.Put("M", inRepo); err != nil {
-		t.Fatal(err)
+	inRepo, stepped := mapping.Identity(dblp), mapping.Identity(acm)
+	for name, m := range map[string]*mapping.Mapping{"M": inRepo, "N": stepped} {
+		if err := e.Repo.Put(name, m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if m, ok := e.Mapping("M"); !ok || m != inRepo {
 		t.Error("Mapping should read the repository")
 	}
-	if err := e.Cache.Put("M", inCache); err != nil {
-		t.Fatal(err)
-	}
-	if m, ok := e.Mapping("M"); !ok || m != inCache {
-		t.Error("Mapping should read the cache before the repository")
+	mustRun(t, e, New("shadow").AddStep(Step{Name: "M", Use: []string{"N"}}), dblp, acm)
+	if m, ok := e.Mapping("M"); !ok || m != stepped {
+		t.Error("Mapping should read a step result before the repository")
 	}
 	if _, ok := e.Mapping("ghost"); ok {
 		t.Error("unknown name resolved")

@@ -105,7 +105,7 @@ type (
 // NhMatch is the neighborhood matcher of §4.2.
 var NhMatch = match.NhMatch
 
-// Store is a named mapping collection (repository or cache).
+// Store is a named mapping collection (the repository).
 type Store = store.Store
 
 // CSV interchange of mappings and object sets.

@@ -96,7 +96,7 @@ RETURN $Result
 		}
 	}
 	// Script assignments land in the cache for re-use.
-	if _, ok := sys.Cache.Get("Cache.Titles"); !ok {
+	if _, ok := sys.MappingByName("Cache.Titles"); !ok {
 		t.Error("script mapping should be cached")
 	}
 	// A follow-up script can reference it by qualified name.

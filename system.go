@@ -14,16 +14,14 @@ import (
 )
 
 // System wires the MOMA architecture of Figure 3 together: the workflow
-// engine, whose namespace of object sets, mapping cache and repository the
-// script interpreter reads too, and the live resolvers serving registered
-// sets online. Like its stores it is safe for concurrent use.
+// engine, which runs workflows and scripts and whose namespace of object
+// sets, step results and repository they read, and the live resolvers
+// serving registered sets online. Like its stores it is safe for concurrent
+// use.
 type System struct {
 	// Repo is the mapping repository (association and same-mappings), the
 	// engine's.
 	Repo *Store
-	// Cache holds intermediate same-mappings of workflows and scripts, the
-	// engine's.
-	Cache *Store
 
 	engine *workflow.Engine
 
@@ -31,7 +29,7 @@ type System struct {
 	resolvers map[string]*LiveResolver // guarded by mu
 }
 
-// NewSystem returns a system with in-memory repository and cache.
+// NewSystem returns a system with an in-memory repository.
 func NewSystem() *System { return NewSystemWithRepository(nil) }
 
 // NewSystemWithRepository returns a system over a caller-built repository —
@@ -41,7 +39,7 @@ func NewSystem() *System { return NewSystemWithRepository(nil) }
 // in-memory repository.
 func NewSystemWithRepository(repo *Store) *System {
 	e := workflow.NewEngine(repo)
-	return &System{Repo: e.Repo, Cache: e.Cache, engine: e, resolvers: make(map[string]*LiveResolver)}
+	return &System{Repo: e.Repo, engine: e, resolvers: make(map[string]*LiveResolver)}
 }
 
 // OpenSystem returns a system whose repository persists under dir (write-
@@ -110,43 +108,33 @@ func (s *System) AddMapping(name string, m *Mapping) error {
 	return s.Repo.Put(name, m)
 }
 
-// MappingByName resolves a mapping from cache first, then repository.
+// MappingByName resolves a mapping: a step result first, then the
+// repository.
 func (s *System) MappingByName(name string) (*Mapping, bool) { return s.engine.Mapping(name) }
+
+// Forget drops the result of the named step (Cache.X for a script's $X), so
+// that it runs again, under a new definition too. It reports whether the
+// system held one.
+func (s *System) Forget(name string) bool { return s.engine.Forget(name) }
 
 // RunScript parses and executes an iFuice-style script against the
 // system's sources and mappings, which it reads as they are when the script
-// names them. Top-level assignments become cache entries, so later scripts
-// (and workflows) can re-use them by name.
+// names them. Each mapping-valued expression is a workflow step on the
+// system's engine and runs once per System (see RunWorkflow): a top-level
+// $X = … is the step Cache.X, so later scripts and workflows re-use it by
+// that name, and rebinding $X to a different definition is an error naming
+// both until Forget("Cache.X").
 func (s *System) RunScript(src string) (Value, error) {
-	parsed, err := script.Parse(src)
-	if err != nil {
-		return Value{}, err
-	}
-	ip := script.New(s.engine)
-	v, err := ip.Run(parsed)
-	if err != nil {
-		return v, err
-	}
-	// Persist script-created mappings into the cache for re-use: a later
-	// script references $Titles of this run as Cache.Titles.
-	for _, st := range parsed.Stmts {
-		if assign, ok := st.(*script.Assign); ok {
-			if val, ok := ip.Global(assign.Name); ok && val.Kind == script.MappingValue {
-				// Best effort; a full cache is the only failure mode.
-				_ = s.Cache.Put("Cache."+assign.Name, val.Mapping)
-			}
-		}
-	}
-	return v, nil
+	return script.New(s.engine).RunSource(src)
 }
 
 // RunWorkflow executes a workflow on two registered object sets; with
 // StoreAs, a one-step workflow matches them into the repository. A step
-// runs once per System: a step whose name the cache holds is read, not
+// runs once per System: a step whose result the system holds is read, not
 // re-run, if its definition (the sets' identity and version, each matcher's
-// configuration, its inputs, operator and selections) matches the entry's,
-// and fails naming both otherwise. A definition cannot see into a Where
-// closure or the values a custom similarity function captures; Cache.Delete
+// configuration, its inputs, operator and selections) matches the
+// result's, and fails naming both otherwise. A definition cannot see into a
+// Where closure or the values a custom similarity function captures; Forget
 // lets a step run again, under a new definition too.
 func (s *System) RunWorkflow(w *Workflow, setA, setB string) (*Mapping, error) {
 	var sets [2]*ObjectSet
