@@ -225,6 +225,21 @@
 // sort to restore it. Nothing is sized by a dictionary, only by rows, and
 // the inputs' posting lists stay unbuilt.
 //
+// A merge followed by a threshold t is one fold, mapping.MergeAbove (Merge
+// is its t = 0 case); the workflow engine hands a merge step's leading
+// Threshold to it. From the combiner and t it derives the driver set, the
+// inputs every row at or above t appears in at least one of: a row missing
+// from all of them scores at most the combiner with every other input
+// present at similarity 1, and inputs are left out while that exact bound
+// is strictly below t. Table 2's Weighted-0 3:1:2 at 0.8 is driven by the
+// title mapping alone, so the year matcher's 609 k rows are streamed once
+// and never sorted. The drivers' rows are indexed by domain ordinal in a
+// dense array (the one operator structure sized by ordinals, bounded by
+// the largest driver domain ordinal), each input is streamed against it
+// once, and the kept pairs are sorted by first sighting, which is Merge's
+// order. When no input can be left out (the ignore-missing kinds,
+// PreferMap, t <= 0 or NaN) the full fold runs and keeps only sims >= t.
+//
 // Worker-private scratch plus a deterministic gather is the whole
 // concurrency story: workers never share mutable state, each run is folded
 // whole by the worker whose chunk it starts in, and chunks write disjoint

@@ -15,8 +15,10 @@
 // than as a slice of ID-carrying structs. Operators then move integers and
 // group rows by radix-sorting them on ordinal keys: compose joins middle
 // ordinals through two sorted row lists and groups its paths by packed
-// (domain, range) pair, merge groups all inputs' rows by that pair key, and
-// selections group row indices by domain or range ordinal. The per-pair
+// (domain, range) pair, merge groups all inputs' rows by that pair key (a
+// merge under a threshold that leaves inputs out streams them against its
+// drivers' rows instead, see MergeAbove), and selections group row
+// indices by domain or range ordinal. The per-pair
 // dedup index is a map[uint64]int32 instead of a map keyed by two strings.
 // byDomain and byRange views are ordinal posting lists (row indices in
 // insertion order) built lazily by the first per-object view that needs

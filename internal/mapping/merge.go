@@ -1,7 +1,9 @@
 package mapping
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/par"
@@ -195,23 +197,47 @@ func (c Combiner) Validate(n int) error {
 // builds does (see the package comment); inputs over different ones are an
 // error.
 //
-// Merge runs on GOMAXPROCS workers; MergeWorkers pins the count. The
-// output is bit-identical at every worker count (see the parallel-operator
-// section of the root doc.go).
+// Merge is MergeAbove at threshold 0, which reads every row of every
+// input; a merge followed by a threshold selection is MergeAbove at that
+// threshold, which reads only the rows of the inputs a row must appear in
+// to reach it (the driver set, see MergeAbove). Merge runs on GOMAXPROCS
+// workers; MergeWorkers pins the count. The output is bit-identical at
+// every worker count (see the parallel-operator section of the root
+// doc.go).
 func Merge(f Combiner, maps ...*Mapping) (*Mapping, error) {
-	return MergeWorkers(f, 0, maps...)
+	return merge(f, 0, 0, maps)
 }
 
 // MergeWorkers is Merge with an explicit worker count (<= 0 means
-// GOMAXPROCS). The inputs' rows are numbered in input order and radix-sorted
-// by packed pair key; the sort is stable, so each run of equal keys lists
-// the pair's similarities in input order, at most one per input, and its
-// first record is the pair's first sighting. Every run folds on one worker
-// into the per-input similarity vector the combiner takes, and the
-// surviving pairs are gathered in the order of their first records. The
-// explicit count exists for the benchmark's operator workload, which
-// measures Merge at pinned widths; every other caller runs Merge.
-func MergeWorkers(f Combiner, workers int, maps ...*Mapping) (out *Mapping, err error) {
+// GOMAXPROCS). The explicit count exists for the benchmark's operator
+// workload, which measures Merge at pinned widths; every other caller runs
+// Merge.
+func MergeWorkers(f Combiner, workers int, maps ...*Mapping) (*Mapping, error) {
+	return merge(f, 0, workers, maps)
+}
+
+// MergeAbove is Threshold{T: t}.Apply(Merge(f, maps...)), bit for bit and
+// in Merge's order for similarities in [0,1]: a merge step followed by its
+// threshold selection (§2.2), with the threshold applied inside the merge.
+//
+// From f and t it derives the driver set: the inputs every row at or above
+// t appears in at least one of. A row missing from all drivers scores at
+// most f combining every other input present at similarity 1, since each
+// combiner is monotone in every present similarity and an input present at
+// 1 never scores below a missing one; IEEE rounding is monotone too, so
+// the bound is exact, and inputs are left out only while it is strictly
+// below t. Table 2's Weighted-0 3:1:2 at 0.8 is driven by its first input
+// alone (bound 0.5), Avg-0 over three inputs at 0.55 by two of them, Min-0
+// by any one. When no input can be left out — the ignore-missing kinds, a
+// row of any one input can score 1; PreferMap; t <= 0 or NaN — the fold
+// is Merge's, keeping only similarities >= t. Otherwise only the drivers'
+// rows are candidates, and each input is streamed once against them.
+func MergeAbove(f Combiner, t float64, maps ...*Mapping) (*Mapping, error) {
+	return merge(f, t, 0, maps)
+}
+
+// merge is the merge fold at threshold t and the given worker count.
+func merge(f Combiner, t float64, workers int, maps []*Mapping) (out *Mapping, err error) {
 	defer func(start time.Time) {
 		rows := -1
 		if err == nil {
@@ -258,21 +284,90 @@ func MergeWorkers(f Combiner, workers int, maps ...*Mapping) (out *Mapping, err 
 				}
 			}
 		}
+		if t != 0 {
+			out = Threshold{T: t}.Apply(out)
+		}
 		return out, nil
 	}
 
-	n := len(maps)
-	base := make([]int, n+1) // input i's rows are records base[i] to base[i+1]
+	base := make([]int, len(maps)+1) // input i's rows are records base[i] to base[i+1]
 	for i, m := range maps {
 		base[i+1] = base[i] + m.Len()
 	}
-	input := func(q int) int {
-		i := 0
-		for q >= base[i+1] {
-			i++
-		}
-		return i
+	var dom, rng []uint32
+	var sim []float64
+	if drivers := f.drivers(t, maps); len(drivers) < len(maps) {
+		dom, rng, sim = mergeDriven(f, t, drivers, workers, maps, base)
+	} else {
+		dom, rng, sim = mergeSorted(f, t, workers, maps, base)
 	}
+	return newFromColumns(first.Domain(), first.Range(), first.Type(), first.dict, dom, rng, sim), nil
+}
+
+// drivers returns the driver set of a merge under c at threshold t (see
+// MergeAbove) in input order, all inputs when none can be left out. Inputs
+// join it by descending weight (Weighted; equal for the other kinds), then
+// ascending rows, then input order, until the bound falls below t: the
+// fewest inputs that bring it below t, the smaller of equally weighted
+// ones.
+func (c Combiner) drivers(t float64, maps []*Mapping) []int {
+	n := len(maps)
+	weight := func(i int) float64 {
+		if c.Kind == Weighted {
+			return c.Weights[i]
+		}
+		return 1
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(i, j int) int {
+		if w := cmp.Compare(weight(j), weight(i)); w != 0 {
+			return w
+		}
+		return cmp.Compare(maps[i].Len(), maps[j].Len())
+	})
+	sims, present := make([]float64, n), make([]bool, n)
+	for i := range sims {
+		sims[i], present[i] = 1, true
+	}
+	drivers := make([]int, 0, n)
+	for _, i := range order {
+		// The bound is 0 when Merge would drop such a row whatever its
+		// similarities.
+		bound := 0.0
+		if v, keep := c.combine(sims, present); keep && v > 0 {
+			bound = v
+		}
+		if bound < t {
+			break
+		}
+		present[i] = false
+		drivers = append(drivers, i)
+	}
+	slices.Sort(drivers)
+	return drivers
+}
+
+// inputOf returns the input that record q of a merge belongs to.
+func inputOf(base []int, q int) int {
+	i := 0
+	for q >= base[i+1] {
+		i++
+	}
+	return i
+}
+
+// mergeSorted is the fold over every input row. The rows are numbered in
+// input order and radix-sorted by packed pair key; the sort is stable, so
+// each run of equal keys lists the pair's similarities in input order, at
+// most one per input, and its first record is the pair's first sighting.
+// Every run folds on one worker into the per-input similarity vector the
+// combiner takes, and the pairs at or above t are gathered in the order of
+// their first records.
+func mergeSorted(f Combiner, t float64, workers int, maps []*Mapping, base []int) (dom, rng []uint32, sim []float64) {
+	n := len(maps)
 	bufs := sortBufs{workers: workers}
 	recs := bufs.get(base[n])
 	for i, m := range maps {
@@ -292,16 +387,18 @@ func MergeWorkers(f Combiner, workers int, maps ...*Mapping) (out *Mapping, err 
 		sims, present := make([]float64, n), make([]bool, n)
 		return func(lo, hi int) {
 			for _, r := range sorted[lo:hi] {
-				i := input(int(r.Row))
+				i := inputOf(base, int(r.Row))
 				sims[i], present[i] = maps[i].sim[int(r.Row)-base[i]], true
 			}
 			if v, keep := f.combine(sims, present); keep && v > 0 {
-				kept[sorted[lo].Row] = clampSim(v)
+				if v = clampSim(v); v >= t {
+					kept[sorted[lo].Row] = v
+				}
 			}
 			clear(present)
 		}
 	})
-	dom, rng, sim := gatherColumns(base[n], workers, func(lo, hi int) int {
+	return gatherColumns(base[n], workers, func(lo, hi int) int {
 		c := 0
 		for _, v := range kept[lo:hi] {
 			if v > 0 {
@@ -313,11 +410,102 @@ func MergeWorkers(f Combiner, workers int, maps ...*Mapping) (out *Mapping, err 
 		k := 0
 		for q := lo; q < hi; q++ {
 			if kept[q] > 0 {
-				i := input(q)
+				i := inputOf(base, q)
 				dom[k], rng[k], sim[k] = maps[i].dom[q-base[i]], maps[i].rng[q-base[i]], kept[q]
 				k++
 			}
 		}
 	})
-	return newFromColumns(first.Domain(), first.Range(), first.Type(), first.dict, dom, rng, sim), nil
+}
+
+// mergeDriven is the fold over the drivers' rows. They are indexed by
+// domain ordinal in a dense array bounded by the largest one: ordinal d's
+// range ordinals are ranges[off[d]:off[d+1]], sorted, with a pair two
+// drivers hold listed twice. Each input is then streamed once; a row whose
+// pair is a candidate records itself at the pair's first position in
+// ranges, and no pair index or posting list is built. A candidate's first
+// sighting is its record in the earliest input that holds it, so sorting
+// the kept pairs by that record restores Merge's order.
+func mergeDriven(f Combiner, t float64, drivers []int, workers int, maps []*Mapping, base []int) (dom, rng []uint32, sim []float64) {
+	n := len(maps)
+	var maxDom uint32
+	for _, i := range drivers {
+		for _, d := range maps[i].dom {
+			maxDom = max(maxDom, d)
+		}
+	}
+	off := make([]uint32, maxDom+2)
+	for _, i := range drivers {
+		for _, d := range maps[i].dom {
+			off[d+1]++
+		}
+	}
+	for d := 1; d < len(off); d++ {
+		off[d] += off[d-1]
+	}
+	ranges := make([]uint32, off[maxDom+1])
+	next := slices.Clone(off[:maxDom+1])
+	for _, i := range drivers {
+		m := maps[i]
+		for r, d := range m.dom {
+			ranges[next[d]] = m.rng[r]
+			next[d]++
+		}
+	}
+	for d := range next {
+		if off[d+1]-off[d] > 1 {
+			slices.Sort(ranges[off[d]:off[d+1]])
+		}
+	}
+
+	// at[p*n+i] is 1 + the row of input i holding candidate p's pair, and 0
+	// where input i lacks it or p repeats an earlier position's pair. An
+	// input holds a pair once, so its rows write distinct slots.
+	at := make([]uint32, len(ranges)*n)
+	for i, m := range maps {
+		par.Split(len(m.dom), workers).Run(func(_, lo, hi int) {
+			for r := lo; r < hi; r++ {
+				d := m.dom[r]
+				if d > maxDom {
+					continue
+				}
+				if k, ok := slices.BinarySearch(ranges[off[d]:off[d+1]], m.rng[r]); ok {
+					at[(int(off[d])+k)*n+i] = uint32(r + 1)
+				}
+			}
+		})
+	}
+
+	type hit struct {
+		q int // the pair's first record
+		v float64
+	}
+	var kept []hit
+	sims, present := make([]float64, n), make([]bool, n)
+	for p := range ranges {
+		q := -1
+		for i, a := range at[p*n : (p+1)*n] {
+			if present[i] = a > 0; present[i] {
+				sims[i] = maps[i].sim[a-1]
+				if q < 0 {
+					q = base[i] + int(a-1)
+				}
+			}
+		}
+		if q < 0 {
+			continue
+		}
+		if v, keep := f.combine(sims, present); keep && v > 0 {
+			if v = clampSim(v); v >= t {
+				kept = append(kept, hit{q, v})
+			}
+		}
+	}
+	slices.SortFunc(kept, func(a, b hit) int { return cmp.Compare(a.q, b.q) })
+	dom, rng, sim = make([]uint32, len(kept)), make([]uint32, len(kept)), make([]float64, len(kept))
+	for k, h := range kept {
+		i := inputOf(base, h.q)
+		dom[k], rng[k], sim[k] = maps[i].dom[h.q-base[i]], maps[i].rng[h.q-base[i]], h.v
+	}
+	return dom, rng, sim
 }

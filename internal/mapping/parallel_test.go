@@ -170,11 +170,31 @@ func TestDifferentialSelectionWorkers(t *testing.T) {
 
 // TestOperatorsLeavePostingsUnbuilt: Compose, Merge and Best-n group rows by
 // sorting, so they never build their inputs' lazy posting lists — which
-// would otherwise stay resident for as long as the inputs do.
+// would otherwise stay resident for as long as the inputs do. A threshold
+// merge whose drivers leave inputs out streams those inputs against a
+// dense array instead, so it builds neither their posting lists nor their
+// pair index.
 func TestOperatorsLeavePostingsUnbuilt(t *testing.T) {
 	rnd := rand.New(rand.NewSource(28))
 	m1 := newRefPair(ldsA, ldsC, randomOps(rnd, 6000, 500, 400, "a", "c")).m
 	m2 := newRefPair(ldsC, ldsB, randomOps(rnd, 6000, 400, 500, "c", "b")).m
+	// Bulk-loaded inputs, whose pair index is lazy as well.
+	var merged []*Mapping
+	for _, n := range []int{3000, 5000, 9000} {
+		merged = append(merged, newRefPair(ldsA, ldsC, randomOps(rnd, n, 500, 400, "a", "c")).m.Clone())
+	}
+	table2 := Combiner{Kind: Weighted, Weights: []float64{3, 1, 2}, MissingAsZero: true}
+	if d := table2.drivers(0.8, merged); len(d) != 1 {
+		t.Fatalf("Weighted-0 3:1:2 at 0.8 is driven by %v, want one input", d)
+	}
+	if _, err := MergeAbove(table2, 0.8, merged...); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range merged {
+		if m.byDom != nil || m.byRng != nil || m.index != nil {
+			t.Errorf("threshold merge input %d: the merge built its posting lists or pair index", i)
+		}
+	}
 	for _, g := range []PathAgg{AggAvg, AggRelativeLeft, AggRelativeRight, AggRelative} {
 		if _, err := Compose(m1, m2, MinCombiner, g); err != nil {
 			t.Fatal(err)

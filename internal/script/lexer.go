@@ -23,7 +23,8 @@
 // rebinding $X to another definition is an error naming both until
 // Engine.Forget drops Cache.X. A definition holds the version of each set
 // its matchers or constraint read, so re-running a script after such a set
-// changed is that error too. Source references (DBLP.Author) and
+// changed is that error too; one Forget of the step that read the set
+// forgets the steps above it as well. Source references (DBLP.Author) and
 // pre-existing mappings (DBLP.CoAuthor) resolve through the same engine:
 // its step results, then its repository, then its object sets.
 //

@@ -787,3 +787,35 @@ func TestConstraintStepNamesSetVersions(t *testing.T) {
 		t.Fatalf("after Forget = %v, %v; want the row q1 now matches", v, err)
 	}
 }
+
+// TestForgetReRunsUseChain: after the range set changed, one Forget of the
+// step that read it lets a script whose later steps use that step run
+// again, the whole chain re-run.
+func TestForgetReRunsUseChain(t *testing.T) {
+	e := workflow.NewEngine(nil)
+	dblp, acm := model.NewObjectSet(dblpPub), model.NewObjectSet(acmPub)
+	dblp.AddNew("p1", map[string]string{"year": "2001"})
+	addSet(t, e, "DBLP.Publication", dblp)
+	addSet(t, e, "ACM.Publication", acm)
+	m := mapping.NewSame(dblpPub, acmPub)
+	m.Add("p1", "q1", 0.9)
+	putMapping(t, e, "M.Same", m)
+	const src = `$Same = select(M.Same, "[domain.year]=[range.year]")
+$Best = select($Same, Best, 1)
+$Result = select($Best, Threshold, 0.5)
+RETURN $Result
+`
+	if v, err := New(e).RunSource(src); err != nil || v.Mapping.Len() != 0 {
+		t.Fatalf("before q1 exists = %v, %v; want no rows", v, err)
+	}
+	acm.AddNew("q1", map[string]string{"year": "2001"})
+	if _, err := New(e).RunSource(src); err == nil {
+		t.Fatal("after the range set changed the script read the old results")
+	}
+	if !e.Forget("Cache.Same") {
+		t.Fatal("Forget found no Cache.Same")
+	}
+	if v, err := New(e).RunSource(src); err != nil || v.Mapping.Len() != 1 {
+		t.Fatalf("after one Forget = %v, %v; want the row q1 now matches", v, err)
+	}
+}

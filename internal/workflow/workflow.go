@@ -18,7 +18,10 @@
 // in order. A hit on another definition is an error naming both. A
 // definition cannot see into a mapping.Where closure or the values a custom
 // sim.Func captures; Forget lets a step run again, under a new definition
-// too. The paper's evaluation (internal/experiments) runs on this engine.
+// too, and every held step that used it with it. A merge step's leading
+// Threshold runs inside the merge (mapping.MergeAbove), with the same
+// result and the same definition. The paper's evaluation
+// (internal/experiments) runs on this engine.
 package workflow
 
 import (
@@ -139,13 +142,17 @@ type Engine struct {
 	byLDS map[model.LDS]*model.ObjectSet // guarded by mu
 }
 
-// stepRecord is a result Run holds, its step's definition and, pinned,
-// what that names by address.
+// stepRecord is a result Run holds, its step's definition, pinned what
+// that names by address, and the step results its Use inputs read.
 type stepRecord struct {
 	m    *mapping.Mapping
 	def  string
 	pins []any
+	uses []stepUse
 }
+
+// stepUse names a step result a step read, with its definition.
+type stepUse struct{ name, def string }
 
 // NewEngine returns an engine over repo (a fresh in-memory repository when
 // nil) that holds no step results and no object sets.
@@ -182,6 +189,13 @@ func (e *Engine) Steps() []string {
 // Forget drops the result of the named step, so that the next run of a step
 // under that name runs it, under a new definition too. It reports whether
 // the engine held one.
+//
+// Every held step whose definition used the result, directly or through
+// other steps, is forgotten with it: a run that renders it under another
+// definition runs it instead of failing, so one Forget of the step that
+// read a changed set re-runs the whole chain above it. Until then it stays
+// readable, and a run that renders it unchanged reads it, since its inputs
+// ran again under the definitions it read.
 func (e *Engine) Forget(name string) bool {
 	e.run.Lock()
 	defer e.run.Unlock()
@@ -246,20 +260,23 @@ func (e *Engine) Run(w *Workflow, a, b *model.ObjectSet) (*mapping.Mapping, erro
 		if s.Name == "" {
 			return nil, fmt.Errorf("workflow: %s: step %d has no name", w.Name, i+1)
 		}
-		def, pins := e.definition(s, a, b)
-		if rec := e.steps[s.Name]; rec != nil {
-			if rec.def != def {
-				return nil, fmt.Errorf("workflow: %s/%s: the engine holds %s; the step is %s", w.Name, s.Name, rec.def, def)
+		rec := e.record(s, a, b)
+		if held := e.steps[s.Name]; held != nil {
+			if held.def == rec.def {
+				result = held.m
+				continue
 			}
-			result = rec.m
-			continue
+			if !e.forgotten(held) {
+				return nil, fmt.Errorf("workflow: %s/%s: the engine holds %s; the step is %s", w.Name, s.Name, held.def, rec.def)
+			}
 		}
 		m, err := e.runStep(s, a, b)
 		if err != nil {
 			return nil, fmt.Errorf("workflow: %s/%s: %w", w.Name, s.Name, err)
 		}
+		rec.m = m
 		e.mu.Lock()
-		e.steps[s.Name] = &stepRecord{m: m, def: def, pins: pins}
+		e.steps[s.Name] = rec
 		e.mu.Unlock()
 		result = m
 	}
@@ -271,21 +288,35 @@ func (e *Engine) Run(w *Workflow, a, b *model.ObjectSet) (*mapping.Mapping, erro
 	return result, nil
 }
 
-// definition renders what step s computes over a and b, and returns what
-// the rendering names by address.
-func (e *Engine) definition(s *Step, a, b *model.ObjectSet) (string, []any) {
+// forgotten reports whether rec read a step result, directly or through
+// the steps it read, that the engine no longer holds under the definition
+// rec read: Forget dropped it, and so rec with it.
+func (e *Engine) forgotten(rec *stepRecord) bool {
+	for _, u := range rec.uses {
+		if held := e.steps[u.name]; held == nil || held.def != u.def || e.forgotten(held) {
+			return true
+		}
+	}
+	return false
+}
+
+// record returns the record step s would leave over a and b, without its
+// result: the definition rendering what it computes, what the rendering
+// names by address, and the step results it reads.
+func (e *Engine) record(s *Step, a, b *model.ObjectSet) *stepRecord {
 	var d strings.Builder
-	var pins []any
+	rec := &stepRecord{}
 	if len(s.Matchers) > 0 {
 		fmt.Fprintf(&d, "sets(%s@%p#%d, %s@%p#%d) match%v ", a.LDS(), a, a.Version(), b.LDS(), b, b.Version(), s.Matchers)
-		pins = append(pins, a, b, s.Matchers)
+		rec.pins = append(rec.pins, a, b, s.Matchers)
 	}
 	// A Use input renders as Mapping resolves it: a step result by its
 	// definition, else by name.
 	for _, ref := range s.Use {
-		if rec := e.steps[ref]; rec != nil {
-			fmt.Fprintf(&d, "use{%s} ", rec.def)
-			pins = append(pins, rec.pins)
+		if used := e.steps[ref]; used != nil {
+			fmt.Fprintf(&d, "use{%s} ", used.def)
+			rec.pins = append(rec.pins, used.pins)
+			rec.uses = append(rec.uses, stepUse{ref, used.def})
 		} else {
 			fmt.Fprintf(&d, "use(repo:%s) ", ref)
 		}
@@ -294,11 +325,14 @@ func (e *Engine) definition(s *Step, a, b *model.ObjectSet) (string, []any) {
 	for _, sel := range s.Select {
 		fmt.Fprintf(&d, " select(%#v)", sel)
 	}
-	return d.String(), pins
+	rec.def = d.String()
+	return rec
 }
 
 // runStep runs the step's matchers, combines their results with the named
-// mappings it uses, and applies its selections.
+// mappings it uses, and applies its selections. A merge of two or more
+// mappings takes a leading Threshold into its fold (mapping.MergeAbove),
+// with the same result.
 func (e *Engine) runStep(s *Step, a, b *model.ObjectSet) (*mapping.Mapping, error) {
 	var inputs []*mapping.Mapping
 	for _, m := range s.Matchers {
@@ -319,10 +353,14 @@ func (e *Engine) runStep(s *Step, a, b *model.ObjectSet) (*mapping.Mapping, erro
 		return nil, fmt.Errorf("step has no inputs")
 	}
 	out, err := inputs[0], error(nil)
+	sels := s.Select
 	switch s.Op {
 	case OpMerge:
 		if len(inputs) == 1 {
 			err = s.F.Validate(1)
+		} else if th, ok := leadingThreshold(sels); ok {
+			out, err = mapping.MergeAbove(s.F, th.T, inputs...)
+			sels = sels[1:]
 		} else {
 			out, err = mapping.Merge(s.F, inputs...)
 		}
@@ -342,8 +380,17 @@ func (e *Engine) runStep(s *Step, a, b *model.ObjectSet) (*mapping.Mapping, erro
 	if err != nil {
 		return nil, err
 	}
-	for _, sel := range s.Select {
+	for _, sel := range sels {
 		out = sel.Apply(out)
 	}
 	return out, nil
+}
+
+// leadingThreshold returns the first of sels if it is a Threshold.
+func leadingThreshold(sels []mapping.Selection) (mapping.Threshold, bool) {
+	if len(sels) == 0 {
+		return mapping.Threshold{}, false
+	}
+	th, ok := sels[0].(mapping.Threshold)
+	return th, ok
 }

@@ -401,9 +401,8 @@ func TestCacheHitChecksDefinition(t *testing.T) {
 			return wf(Step{Name: "s", Use: []string{"M"}, Select: []mapping.Selection{above, best}}), a, b
 		}},
 		{"use input", func(t *testing.T, e *Engine, a, b *model.ObjectSet) (*Workflow, *model.ObjectSet, *model.ObjectSet) {
-			mustRun(t, e, wf(titleAt("up", 0.8), Step{Name: "s", Use: []string{"up"}}), a, b)
-			e.Forget("up")
-			return wf(titleAt("up", 0.9), Step{Name: "s", Use: []string{"up"}}), a, b
+			mustRun(t, e, wf(Step{Name: "s", Use: []string{"M"}}), a, b)
+			return wf(titleAt("M", 0.8), Step{Name: "s", Use: []string{"M"}}), a, b
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -418,7 +417,7 @@ func TestCacheHitChecksDefinition(t *testing.T) {
 				t.Fatalf("Run = %v, %v; want no mapping and an error", got, err)
 			}
 			step := &w.Steps[len(w.Steps)-1]
-			now, _ := e.definition(step, a, b)
+			now := e.record(step, a, b).def
 			held := e.steps[step.Name].def
 			if held == now || !strings.Contains(err.Error(), held) || !strings.Contains(err.Error(), now) {
 				t.Errorf("error %q should name the entry's definition %q and the step's %q", err, held, now)
@@ -550,5 +549,78 @@ func TestEngineNamespace(t *testing.T) {
 	}
 	if set, ok := e.ObjectSetFor(dblpPub); !ok || set != dblp {
 		t.Error("ObjectSetFor should return the first set registered for the LDS")
+	}
+}
+
+// TestMergeStepSelectionsInOrder: a merge step returns what the merge
+// followed by its selections in order returns, when a leading Threshold
+// runs inside the merge too, and its recorded definition is the one the
+// step rendered before the threshold moved into the merge.
+func TestMergeStepSelectionsInOrder(t *testing.T) {
+	rnd := rand.New(rand.NewSource(43))
+	e := NewEngine(nil)
+	var inputs []*mapping.Mapping
+	for i, name := range []string{"title", "author", "year"} {
+		m := mapping.NewSame(dblpPub, acmPub)
+		for range 300 * (i + 1) {
+			m.Add(model.ID(fmt.Sprintf("d%d", rnd.Intn(30))), model.ID(fmt.Sprintf("a%d", rnd.Intn(30))), float64(rnd.Intn(11))/10)
+		}
+		if err := e.Repo.Put(name, m); err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, m)
+	}
+	table2 := mapping.Combiner{Kind: mapping.Weighted, Weights: []float64{3, 1, 2}, MissingAsZero: true}
+	above, higher, best := mapping.Threshold{T: 0.8}, mapping.Threshold{T: 0.9}, mapping.BestN{N: 1, Side: mapping.DomainSide}
+	const use = "use(repo:title) use(repo:author) use(repo:year) merge(f={Kind:Weighted MissingAsZero:true Weights:[3 1 2] PreferIndex:0}, g=Average)"
+	for _, c := range []struct {
+		name string
+		sels []mapping.Selection
+		def  string
+	}{
+		{"threshold-best", []mapping.Selection{above, best},
+			use + " select(mapping.Threshold{T:0.8}) select(mapping.BestN{N:1, Side:0, Workers:0})"},
+		{"best-threshold", []mapping.Selection{best, above},
+			use + " select(mapping.BestN{N:1, Side:0, Workers:0}) select(mapping.Threshold{T:0.8})"},
+		{"threshold-threshold", []mapping.Selection{above, higher},
+			use + " select(mapping.Threshold{T:0.8}) select(mapping.Threshold{T:0.9})"},
+	} {
+		got := mustRun(t, e, New(c.name).AddStep(Step{Name: c.name, Use: []string{"title", "author", "year"}, F: table2, Select: c.sels}), nil, nil)
+		want, err := mapping.Merge(table2, inputs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sel := range c.sels {
+			want = sel.Apply(want)
+		}
+		if want.Len() == 0 || !reflect.DeepEqual(got.Correspondences(), want.Correspondences()) {
+			t.Errorf("%s: step = %v, merge then selections = %v", c.name, got.Correspondences(), want.Correspondences())
+		}
+		if def := e.steps[c.name].def; def != c.def {
+			t.Errorf("%s: definition %q, want %q", c.name, def, c.def)
+		}
+	}
+}
+
+// TestForgetForgetsDependents: forgetting a step forgets every step that
+// used it, through other steps too, so after its set changed one Forget
+// re-runs the chain instead of failing at the first step above it.
+func TestForgetForgetsDependents(t *testing.T) {
+	dblp, acm := fixtureSets()
+	wf := New("chain").AddStep(titleAt("titles", 0.8)).
+		AddStep(Step{Name: "refined", Use: []string{"titles"}, Select: []mapping.Selection{mapping.Threshold{T: 0.9}}}).
+		AddStep(Step{Name: "best", Use: []string{"refined"}, Select: []mapping.Selection{mapping.BestN{N: 1, Side: mapping.DomainSide}}})
+	e := NewEngine(nil)
+	first := mustRun(t, e, wf, dblp, acm)
+	acm.AddNew("a4", map[string]string{"name": "Generic Schema Matching with Cupid"})
+	if _, err := e.Run(wf, dblp, acm); err == nil {
+		t.Fatal("a run over the changed set read the results of the old one")
+	}
+	if !e.Forget("titles") {
+		t.Fatal("Forget found no titles")
+	}
+	got := mustRun(t, e, wf, dblp, acm)
+	if refined, _ := e.Mapping("refined"); got == first || !refined.Has("d1", "a4") {
+		t.Errorf("after one Forget the chain read its old results: refined = %v", refined.Correspondences())
 	}
 }

@@ -113,8 +113,9 @@ func (s *System) AddMapping(name string, m *Mapping) error {
 func (s *System) MappingByName(name string) (*Mapping, bool) { return s.engine.Mapping(name) }
 
 // Forget drops the result of the named step (Cache.X for a script's $X), so
-// that it runs again, under a new definition too. It reports whether the
-// system held one.
+// that it runs again, under a new definition too, and with it every step
+// whose definition used it (see workflow.Engine.Forget). It reports whether
+// the system held one.
 func (s *System) Forget(name string) bool { return s.engine.Forget(name) }
 
 // RunScript parses and executes an iFuice-style script against the
