@@ -176,8 +176,10 @@
 // mapping operators run over the integer columns and group rows by
 // radix-sorting ordinal keys: compose joins middle ordinals through two
 // sorted row lists, merge folds runs of equal packed uint64 pair keys,
-// selections cut runs of equal domain or range ordinals, and
-// byDomain/byRange lookups walk lazily-built ordinal posting lists. Matchers emit kept correspondences ordinal-to-ordinal
+// selections cut runs of equal domain or range ordinals, and the
+// per-object reads (ForDomain, Touches, RemoveTouching) scan the ordinal
+// columns; besides its columns a Mapping holds only a lazily built pair
+// index. Matchers emit kept correspondences ordinal-to-ordinal
 // (input id columns are interned once per match), evaluation compares
 // mappings by integer membership probes, and duplicate clustering
 // union-finds over dense ordinal indexes.
@@ -223,7 +225,7 @@
 // position of the run's first path, record or row, and one pass in
 // position order gathers the output: first-seen order, with no second
 // sort to restore it. Nothing is sized by a dictionary, only by rows, and
-// the inputs' posting lists stay unbuilt.
+// the inputs' pair indexes stay unbuilt.
 //
 // A merge followed by a threshold t is one fold, mapping.MergeAbove (Merge
 // is its t = 0 case); the workflow engine hands a merge step's leading
@@ -248,7 +250,7 @@
 // so operator code contains no `go` statements and invariant 7 below holds
 // by construction. Bulk results enter a Mapping through the pre-deduped
 // column constructor (newFromColumns), which takes slice ownership and
-// leaves the pair index and posting lists lazy.
+// leaves the pair index lazy.
 //
 // # Observability
 //

@@ -7,7 +7,6 @@ package fuse
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"repro/internal/mapping"
@@ -105,20 +104,21 @@ func (f *Fuser) Add(m *mapping.Mapping, set *model.ObjectSet, rules ...Rule) err
 }
 
 // Run produces a fused copy of the base set: every rule's aggregated value
-// is attached to each base instance. The base set is not modified.
+// is attached to each base instance. The base set is not modified. An
+// instance's matches contribute in a deterministic order, similarity
+// descending, then range id: the order of the mapping's Sorted rows.
 func (f *Fuser) Run() *model.ObjectSet {
+	byDomain := make([]map[model.ID][]mapping.Correspondence, len(f.sources))
+	for k, src := range f.sources {
+		byDomain[k] = make(map[model.ID][]mapping.Correspondence)
+		for _, c := range src.m.Sorted() {
+			byDomain[k][c.Domain] = append(byDomain[k][c.Domain], c)
+		}
+	}
 	out := f.base.Clone()
 	out.Each(func(in *model.Instance) bool {
-		for _, src := range f.sources {
-			corrs := src.m.ForDomain(in.ID)
-			// Deterministic contribution order: by similarity descending,
-			// then range id.
-			sort.Slice(corrs, func(i, j int) bool {
-				if corrs[i].Sim != corrs[j].Sim {
-					return corrs[i].Sim > corrs[j].Sim
-				}
-				return corrs[i].Range < corrs[j].Range
-			})
+		for k, src := range f.sources {
+			corrs := byDomain[k][in.ID]
 			for _, rule := range src.rules {
 				var values []string
 				for _, c := range corrs {

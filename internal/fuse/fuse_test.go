@@ -1,6 +1,11 @@
 package fuse
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/mapping"
@@ -128,5 +133,95 @@ func TestFusePreferenceOrderBySim(t *testing.T) {
 	f.Add(m, acm, Rule{FromAttr: "v", ToAttr: "v", Agg: First})
 	if got := f.Run().Get("d").Attr("v"); got != "better" {
 		t.Errorf("v = %q, want the higher-similarity source", got)
+	}
+}
+
+// runPerInstance is the Run loop that fetched each base instance's rows with
+// ForDomain and sorted them by similarity descending, then range id; Run is
+// held to it.
+func runPerInstance(f *Fuser) *model.ObjectSet {
+	out := f.base.Clone()
+	out.Each(func(in *model.Instance) bool {
+		for _, src := range f.sources {
+			corrs := src.m.ForDomain(in.ID)
+			sort.Slice(corrs, func(i, j int) bool {
+				if corrs[i].Sim != corrs[j].Sim {
+					return corrs[i].Sim > corrs[j].Sim
+				}
+				return corrs[i].Range < corrs[j].Range
+			})
+			for _, rule := range src.rules {
+				var values []string
+				for _, c := range corrs {
+					if c.Sim < rule.MinSim {
+						continue
+					}
+					if other := src.set.Get(c.Range); other != nil {
+						values = append(values, other.Attr(rule.FromAttr))
+					}
+				}
+				if v, ok := rule.Agg(values); ok {
+					in.SetAttr(rule.ToAttr, v)
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// TestFuserRunMatchesPerInstance compares Run with runPerInstance over
+// random sources with tied similarities, mapped ids missing from the base
+// and from the source sets, and two sources writing one attribute. The
+// aggregation logs every call, answers empty input and declines one-value
+// input, so the fused attributes and the call logs must both match.
+func TestFuserRunMatchesPerInstance(t *testing.T) {
+	rnd := rand.New(rand.NewSource(45))
+	var calls *[]string
+	logged := func(name string) AggFunc {
+		return func(vs []string) (string, bool) {
+			v := name + "(" + strings.Join(vs, ",") + ")"
+			*calls = append(*calls, v)
+			return v, len(vs) != 1
+		}
+	}
+	sims := []float64{0.5, 0.8, 0.8, 1}
+	for round := range 40 {
+		base := model.NewObjectSet(dblpPub)
+		for i := range 12 {
+			base.AddNew(model.ID(fmt.Sprintf("d%d", i)), nil)
+		}
+		f := NewFuser(base)
+		for k, lds := range []model.LDS{acmPub, gsPub} {
+			set := model.NewObjectSet(lds)
+			for i := range 8 {
+				set.AddNew(model.ID(fmt.Sprintf("r%d", i)), map[string]string{"v": fmt.Sprintf("%s%d", lds.Source, i)})
+			}
+			m := mapping.NewSame(dblpPub, lds)
+			for range rnd.Intn(60) {
+				m.Add(model.ID(fmt.Sprintf("d%d", rnd.Intn(16))), model.ID(fmt.Sprintf("r%d", rnd.Intn(11))), sims[rnd.Intn(len(sims))])
+			}
+			rules := []Rule{{FromAttr: "v", ToAttr: "shared", Agg: logged(fmt.Sprintf("s%d", k)), MinSim: 0.6}}
+			if k == 0 {
+				rules = append(rules, Rule{FromAttr: "v", ToAttr: "own", Agg: logged("own")})
+			}
+			if err := f.Add(m, set, rules...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var gotCalls, wantCalls []string
+		calls = &gotCalls
+		got := f.Run()
+		calls = &wantCalls
+		want := runPerInstance(f)
+		if !reflect.DeepEqual(gotCalls, wantCalls) {
+			t.Fatalf("round %d: Run's aggregation calls\n%v\nper-instance calls\n%v", round, gotCalls, wantCalls)
+		}
+		want.Each(func(w *model.Instance) bool {
+			if g := got.Get(w.ID); !reflect.DeepEqual(g.Attrs, w.Attrs) {
+				t.Fatalf("round %d: %s fused to %v, per-instance %v", round, w.ID, g.Attrs, w.Attrs)
+			}
+			return true
+		})
 	}
 }

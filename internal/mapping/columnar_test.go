@@ -16,12 +16,13 @@ import (
 
 // TestColumnarConcurrentReads pins that a built mapping is safe for any
 // number of concurrent readers — including the first callers of the lazily
-// built posting lists (run under -race).
+// built pair index (run under -race).
 func TestColumnarConcurrentReads(t *testing.T) {
-	m := NewSame(ldsA, ldsB)
+	built := NewSame(ldsA, ldsB)
 	for i := 0; i < 200; i++ {
-		m.Add(model.ID(fmt.Sprintf("a%d", i%20)), model.ID(fmt.Sprintf("b%d", i)), 0.5)
+		built.Add(model.ID(fmt.Sprintf("a%d", i%20)), model.ID(fmt.Sprintf("b%d", i)), 0.5)
 	}
+	m := built.Clone() // the clone's pair index is unbuilt
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -31,14 +32,11 @@ func TestColumnarConcurrentReads(t *testing.T) {
 			if len(m.ForDomain(id)) == 0 {
 				t.Errorf("ForDomain(%s) empty", id)
 			}
-			if m.Summarize().Corrs != 200 {
-				t.Error("Summarize under concurrency")
+			if s, ok := m.Sim(id, model.ID(fmt.Sprintf("b%d", w))); !ok || s != 0.5 {
+				t.Errorf("Sim(%s, b%d) = %v, %v", id, w, s, ok)
 			}
 			if !m.Touches(id) {
 				t.Errorf("Touches(%s) false", id)
-			}
-			if m.Cardinality() != model.CardOneToMany {
-				t.Error("Cardinality under concurrency")
 			}
 		}(w)
 	}
@@ -62,14 +60,7 @@ func TestColumnarEmptyMappings(t *testing.T) {
 	if got := me.Inverse(); got.Len() != 0 {
 		t.Fatalf("inverse of empty mapping: len=%d", got.Len())
 	}
-	if got := me.Cardinality(); got != model.CardUnknown {
-		t.Fatalf("empty cardinality = %v, want CardUnknown", got)
-	}
-	st := me.Summarize()
-	if st.Corrs != 0 || st.DomainObjs != 0 || st.RangeObjs != 0 {
-		t.Fatalf("empty Summarize = %+v", st)
-	}
-	if me.ForDomain("nope") != nil || me.ForRange("nope") != nil {
+	if me.ForDomain("nope") != nil {
 		t.Fatal("per-object views of an empty mapping must be empty")
 	}
 	if me.Touches("nope") {
@@ -95,9 +86,8 @@ func TestColumnarAddVsAddMax(t *testing.T) {
 	if m.Len() != 1 {
 		t.Fatalf("duplicate inserts must not grow the table: len=%d", m.Len())
 	}
-	// Duplicates must not duplicate posting-list entries either.
-	if got := m.DomainCount("a"); got != 1 {
-		t.Fatalf("DomainCount after duplicate adds = %d", got)
+	if got := len(m.ForDomain("a")); got != 1 {
+		t.Fatalf("ForDomain after duplicate adds = %d rows", got)
 	}
 	// Clamping applies on every entry point.
 	m.Add("c", "d", 1.5)

@@ -151,10 +151,10 @@ func pathCombine(f Combiner, s1, s2 float64) float64 {
 // tables" (§5.3): map1's range column meets map2's domain column through
 // two radix-sorted row lists, the compose paths are sorted by their packed
 // (domain, range) ordinal pair, and each run of paths folds into one output
-// pair. No ID string is touched and no posting list of either input is
-// built. The inputs must share an ID dictionary, as every mapping the
-// program builds does (see the package comment); inputs over different
-// ones are an error.
+// pair. No ID string is touched and neither input's pair index is built.
+// The inputs must share an ID dictionary, as every mapping the program
+// builds does (see the package comment); inputs over different ones are an
+// error.
 //
 // Compose runs on GOMAXPROCS workers; ComposeWorkers pins the count. The
 // output is bit-identical at every worker count (see the parallel-operator
@@ -358,22 +358,23 @@ func ComposeChain(f Combiner, g PathAgg, maps ...*Mapping) (*Mapping, error) {
 // NumPaths returns, for one output pair (a, b) of Compose(map1, map2), the
 // number of compose paths — the paper reports this alongside similarity in
 // its duplicate-author analysis (Table 9, "number of shared co-authors").
+// It walks map1's rows for a and counts the middles c with (c, b) in map2;
+// pairs are distinct, so each middle is one path. Inputs over different
+// dictionaries have no compose output and so no paths.
 func NumPaths(map1, map2 *Mapping, a, b model.ID) int {
+	aOrd, ok := map1.dict.Lookup(a)
+	if !ok || map1.dict != map2.dict {
+		return 0
+	}
 	bOrd, ok := map2.dict.Lookup(b)
 	if !ok {
 		return 0
 	}
-	by2, _ := map2.postings()
 	n := 0
-	map1.EachForDomain(a, func(c1 Correspondence) bool {
-		if mid, ok := map2.dict.Lookup(c1.Range); ok {
-			for _, i2 := range by2[mid] {
-				if map2.rng[i2] == bOrd {
-					n++
-				}
-			}
+	for i, d := range map1.dom {
+		if d == aOrd && map2.HasOrd(map1.rng[i], bOrd) {
+			n++
 		}
-		return true
-	})
+	}
 	return n
 }

@@ -1,7 +1,9 @@
 package mapping
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -260,6 +262,34 @@ func TestNumPaths(t *testing.T) {
 	if got := NumPaths(map1, map2, "v9", "v'1"); got != 0 {
 		t.Errorf("NumPaths(v9,v'1) = %d, want 0", got)
 	}
+	// Random inputs, and a mapping composed with itself as Table 9 does:
+	// NumPaths counts the joined row pairs (a, c)(c, b) of every (a, b),
+	// ids that appear in neither input included.
+	rnd := rand.New(rand.NewSource(45))
+	ab := newRefPair(ldsA, ldsC, randomOps(rnd, 300, 20, 15, "x", "x")).m
+	bc := newRefPair(ldsC, ldsB, randomOps(rnd, 300, 15, 20, "x", "x")).m
+	self := NewSame(ldsA, ldsA)
+	for _, c := range ab.Correspondences() {
+		self.Add(c.Domain, c.Range, c.Sim)
+	}
+	for _, in := range [][2]*Mapping{{ab, bc}, {self, self}} {
+		paths := make(map[[2]model.ID]int)
+		for _, c1 := range in[0].Correspondences() {
+			for _, c2 := range in[1].Correspondences() {
+				if c1.Range == c2.Domain {
+					paths[[2]model.ID{c1.Domain, c2.Range}]++
+				}
+			}
+		}
+		for i := range 22 {
+			for j := range 22 {
+				a, b := model.ID(fmt.Sprintf("x%d", i)), model.ID(fmt.Sprintf("x%d", j))
+				if got, want := NumPaths(in[0], in[1], a, b), paths[[2]model.ID{a, b}]; got != want {
+					t.Fatalf("NumPaths(%s, %s) = %d, want %d", a, b, got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestComposeIdentityProperty(t *testing.T) {
@@ -271,7 +301,7 @@ func TestComposeIdentityProperty(t *testing.T) {
 	}) bool {
 		m := randomSame(p)
 		set := model.NewObjectSet(acmPub)
-		for _, id := range m.RangeIDs() {
+		for _, id := range m.Inverse().DomainIDs() {
 			set.AddNew(id, nil)
 		}
 		id := Identity(set)

@@ -18,12 +18,11 @@
 // (domain, range) pair, merge groups all inputs' rows by that pair key (a
 // merge under a threshold that leaves inputs out streams them against its
 // drivers' rows instead, see MergeAbove), and selections group row
-// indices by domain or range ordinal. The per-pair
-// dedup index is a map[uint64]int32 instead of a map keyed by two strings.
-// byDomain and byRange views are ordinal posting lists (row indices in
-// insertion order) built lazily by the first per-object view that needs
-// them — never by Compose, Merge or the selections — and maintained
-// incrementally afterwards.
+// indices by domain or range ordinal. Besides the three columns a mapping
+// holds one structure, the per-pair dedup index: a map[uint64]int32 keyed
+// by the packed ordinal pair, built lazily by the first point lookup or
+// Add. The per-object reads (ForDomain, Touches, RemoveTouching) scan the
+// ordinal columns.
 //
 // Every mapping the program builds interns through the process-global
 // model.IDs dictionary — matcher results, operator outputs, workflow
@@ -84,22 +83,14 @@ type Mapping struct {
 	sim []float64
 
 	// index maps ordKey(dom, rng) to its row for dedup and point lookups.
-	// Like the posting lists it is built lazily (pairIndex): bulk-loaded
-	// mappings (newFromColumns) carry pre-deduped columns, so operator
-	// outputs only pay for the map when somebody actually probes pairs.
-	// New/NewWithDict arm it eagerly because Add needs it from row one.
+	// It is built lazily (pairIndex): bulk-loaded mappings (newFromColumns)
+	// carry pre-deduped columns, so operator outputs only pay for the map
+	// when somebody actually probes pairs. New/NewWithDict arm it eagerly
+	// because Add needs it from row one. idxOnce makes the lazy build safe
+	// under concurrent readers: any number of goroutines may read a built
+	// mapping (writers still require external exclusion, as always).
 	idxOnce sync.Once
 	index   map[uint64]int32
-
-	// byDom/byRng are the lazy posting lists: ordinal -> row indices in
-	// insertion (= ascending) order. Nil until first use (postings);
-	// maintained incrementally by Add afterwards. postOnce makes the lazy
-	// build safe under concurrent readers — a built mapping keeps the old
-	// eager representation's guarantee that any number of goroutines may
-	// read it (writers still require external exclusion, as always).
-	postOnce sync.Once
-	byDom    map[uint32][]int32
-	byRng    map[uint32][]int32
 }
 
 // New returns an empty mapping of the given semantic type between the two
@@ -125,10 +116,10 @@ func NewWithDict(domain, rng model.LDS, mtype model.MappingType, dict *model.IDD
 // newFromColumns bulk-loads a mapping from pre-deduped parallel columns,
 // taking ownership of the slices. This is the constructor operator cores
 // use for their outputs: no per-row Add, no map insert per row — the pair
-// index and the posting lists stay lazy and are each built in one
-// pre-sized pass on first use. The caller guarantees the (dom, rng) pairs
-// are distinct and sims are already clamped; feeding duplicates here
-// corrupts the dedup invariant that Add maintains.
+// index stays lazy and is built in one pre-sized pass on first use. The
+// caller guarantees the (dom, rng) pairs are distinct and sims are already
+// clamped; feeding duplicates here corrupts the dedup invariant that Add
+// maintains.
 func newFromColumns(domain, rng model.LDS, mtype model.MappingType, dict *model.IDDict, dom, rngCol []uint32, sim []float64) *Mapping {
 	return &Mapping{
 		domLDS: domain,
@@ -207,9 +198,9 @@ func (m *Mapping) Dict() *model.IDDict { return m.dict }
 // ID dictionaries (see the package comment).
 var errMixedDicts = errors.New("inputs intern through different ID dictionaries")
 
-// clampSim forces s into [0,1].
+// clampSim forces s into [0,1]; NaN becomes 0.
 func clampSim(s float64) float64 {
-	if s < 0 {
+	if s < 0 || s != s {
 		return 0
 	}
 	if s > 1 {
@@ -219,7 +210,7 @@ func clampSim(s float64) float64 {
 }
 
 // Add inserts the correspondence (a, b, s), replacing the similarity of an
-// existing (a, b) pair. Similarities are clamped to [0,1].
+// existing (a, b) pair. Similarities are clamped to [0,1], and NaN is 0.
 func (m *Mapping) Add(a, b model.ID, s float64) {
 	m.AddOrd(m.dict.Ord(a), m.dict.Ord(b), s)
 }
@@ -265,16 +256,11 @@ func (m *Mapping) appendRow(idx map[uint64]int32, key uint64, d, r uint32, s flo
 	m.rng = append(m.rng, r)
 	m.sim = append(m.sim, s)
 	idx[key] = i
-	if m.byDom != nil {
-		m.byDom[d] = append(m.byDom[d], i)
-		m.byRng[r] = append(m.byRng[r], i)
-	}
 }
 
 // pairIndex builds (once) and returns the pair dedup index. Bulk-loaded
 // mappings defer it until the first point lookup or Add; the build is a
-// single pre-sized pass over the columns. Safe under concurrent readers
-// for the same reason postings is.
+// single pre-sized pass over the columns.
 func (m *Mapping) pairIndex() map[uint64]int32 {
 	m.idxOnce.Do(func() {
 		idx := make(map[uint64]int32, len(m.sim))
@@ -284,29 +270,6 @@ func (m *Mapping) pairIndex() map[uint64]int32 {
 		m.index = idx
 	})
 	return m.index
-}
-
-// postings builds (once) and returns the byDomain/byRange posting lists.
-// The once-guard serializes concurrent first readers; afterwards readers
-// only load the maps and a single writer (Add) appends to them.
-func (m *Mapping) postings() (byDom, byRng map[uint32][]int32) {
-	m.postOnce.Do(func() {
-		bd := make(map[uint32][]int32)
-		br := make(map[uint32][]int32)
-		for i := range m.sim {
-			bd[m.dom[i]] = append(bd[m.dom[i]], int32(i))
-			br[m.rng[i]] = append(br[m.rng[i]], int32(i))
-		}
-		m.byDom, m.byRng = bd, br
-	})
-	return m.byDom, m.byRng
-}
-
-// AddCorrespondences inserts all given correspondences via Add.
-func (m *Mapping) AddCorrespondences(cs []Correspondence) {
-	for _, c := range cs {
-		m.Add(c.Domain, c.Range, c.Sim)
-	}
 }
 
 // Sim returns the similarity of (a, b) and whether the pair is present.
@@ -378,99 +341,39 @@ func (m *Mapping) EachOrd(fn func(dom, rng uint32, sim float64) bool) {
 	}
 }
 
-// ForDomain returns the correspondences of domain object a.
+// ForDomain returns the correspondences of domain object a in insertion
+// order, scanning the domain column.
 func (m *Mapping) ForDomain(a model.ID) []Correspondence {
-	var out []Correspondence
-	m.EachForDomain(a, func(c Correspondence) bool {
-		out = append(out, c)
-		return true
-	})
-	return out
-}
-
-// EachForDomain calls fn for every correspondence of domain object a in
-// insertion order — ForDomain without the copy — stopping early when fn
-// returns false.
-func (m *Mapping) EachForDomain(a model.ID, fn func(Correspondence) bool) {
 	d, ok := m.dict.Lookup(a)
-	if !ok {
-		return
-	}
-	byDom, _ := m.postings()
-	ids := m.dict.All()
-	for _, i := range byDom[d] {
-		if !fn(Correspondence{Domain: a, Range: ids[m.rng[i]], Sim: m.sim[i]}) {
-			return
-		}
-	}
-}
-
-// ForRange returns the correspondences of range object b.
-func (m *Mapping) ForRange(b model.ID) []Correspondence {
-	r, ok := m.dict.Lookup(b)
 	if !ok {
 		return nil
 	}
-	_, byRng := m.postings()
-	idxs := byRng[r]
 	ids := m.dict.All()
-	out := make([]Correspondence, 0, len(idxs))
-	for _, i := range idxs {
-		out = append(out, Correspondence{Domain: ids[m.dom[i]], Range: b, Sim: m.sim[i]})
+	var out []Correspondence
+	for i, o := range m.dom {
+		if o == d {
+			out = append(out, Correspondence{Domain: a, Range: ids[m.rng[i]], Sim: m.sim[i]})
+		}
 	}
 	return out
 }
 
-// DomainCount returns n(a): the number of correspondences of domain object
-// a (Figure 5).
-func (m *Mapping) DomainCount(a model.ID) int {
-	d, ok := m.dict.Lookup(a)
-	if !ok {
-		return 0
-	}
-	byDom, _ := m.postings()
-	return len(byDom[d])
-}
-
-// RangeCount returns n(b): the number of correspondences of range object b.
-func (m *Mapping) RangeCount(b model.ID) int {
-	r, ok := m.dict.Lookup(b)
-	if !ok {
-		return 0
-	}
-	_, byRng := m.postings()
-	return len(byRng[r])
-}
-
 // Touches reports whether id appears as a domain or range object of any
-// correspondence — the posting-list membership probe consumers use to skip
-// a full filter pass when an id is absent.
+// correspondence, scanning the two ordinal columns up to the first hit.
 func (m *Mapping) Touches(id model.ID) bool {
 	ord, ok := m.dict.Lookup(id)
 	if !ok {
 		return false
 	}
-	byDom, byRng := m.postings()
-	return len(byDom[ord]) > 0 || len(byRng[ord]) > 0
+	return slices.Contains(m.dom, ord) || slices.Contains(m.rng, ord)
 }
 
 // DomainIDs returns the distinct domain ids in first-seen order.
 func (m *Mapping) DomainIDs() []model.ID {
-	return distinctIDs(m.dom, m.dict)
-}
-
-// RangeIDs returns the distinct range ids in first-seen order.
-func (m *Mapping) RangeIDs() []model.ID {
-	return distinctIDs(m.rng, m.dict)
-}
-
-// distinctIDs resolves the distinct ordinals of one column in first-seen
-// order.
-func distinctIDs(col []uint32, dict *model.IDDict) []model.ID {
 	seen := make(map[uint32]bool)
-	ids := dict.All()
+	ids := m.dict.All()
 	var out []model.ID
-	for _, o := range col {
+	for _, o := range m.dom {
 		if !seen[o] {
 			seen[o] = true
 			out = append(out, ids[o])
@@ -490,7 +393,7 @@ func (m *Mapping) Inverse() *Mapping {
 }
 
 // Clone returns a deep copy sharing the dictionary. The copy keeps the
-// pair index and posting lists lazy regardless of the source's state.
+// pair index lazy regardless of the source's state.
 func (m *Mapping) Clone() *Mapping {
 	return newFromColumns(m.domLDS, m.rngLDS, m.mtype, m.dict,
 		append([]uint32(nil), m.dom...),
@@ -532,73 +435,42 @@ func (m *Mapping) WithoutDiagonal() *Mapping {
 }
 
 // RemoveTouching deletes, in place, every correspondence whose domain or
-// range object is id, and reports how many rows went. The posting lists
-// locate exactly the touched rows and each one is swap-removed (the
-// current last row moves into the vacated slot), so the cost is
-// O(postings of id + log table) rather than the O(table) a Filter rewrite
-// pays — the difference serve's per-instance delta removal rides on. Row
-// order is permuted deterministically by the swaps; the pair index and
-// posting lists are repaired incrementally and stay consistent.
+// range object is id, and reports how many rows went. One ascending scan of
+// the two ordinal columns finds the touched rows (a self-loop once); each
+// is then swap-removed, descending, with the current last row moving into
+// the vacated slot, so the rows are not rewritten as a Filter would. Row
+// order is permuted deterministically by the swaps; the pair index is
+// repaired incrementally and stays consistent.
 func (m *Mapping) RemoveTouching(id model.ID) int {
 	ord, ok := m.dict.Lookup(id)
 	if !ok {
 		return 0
 	}
-	byDom, byRng := m.postings()
-	if len(byDom[ord]) == 0 && len(byRng[ord]) == 0 {
+	var rows []int32
+	for i, d := range m.dom {
+		if d == ord || m.rng[i] == ord {
+			rows = append(rows, int32(i))
+		}
+	}
+	if len(rows) == 0 {
 		return 0
 	}
-	// Union of both posting lists, ascending and deduped: a self-loop row
-	// (dom == rng == ord) appears in both lists but dies once.
-	rows := make([]int32, 0, len(byDom[ord])+len(byRng[ord]))
-	rows = append(rows, byDom[ord]...)
-	rows = append(rows, byRng[ord]...)
-	slices.Sort(rows)
-	rows = slices.Compact(rows)
 	idx := m.pairIndex()
 	// Walk the doomed rows descending so the row swapped in from the end
 	// is never itself doomed: every doomed row above i is already gone.
 	for k := len(rows) - 1; k >= 0; k-- {
 		i := rows[k]
 		last := int32(len(m.sim) - 1)
-		d, r := m.dom[i], m.rng[i]
-		delete(idx, ordKey(d, r))
-		m.byDom[d] = cutPosting(m.byDom[d], i)
-		m.byRng[r] = cutPosting(m.byRng[r], i)
-		if len(m.byDom[d]) == 0 {
-			delete(m.byDom, d)
-		}
-		if len(m.byRng[r]) == 0 {
-			delete(m.byRng, r)
-		}
+		delete(idx, ordKey(m.dom[i], m.rng[i]))
 		if i != last {
-			ld, lr := m.dom[last], m.rng[last]
-			m.dom[i], m.rng[i], m.sim[i] = ld, lr, m.sim[last]
-			idx[ordKey(ld, lr)] = i
-			m.byDom[ld] = reslotPosting(m.byDom[ld], i)
-			m.byRng[lr] = reslotPosting(m.byRng[lr], i)
+			m.dom[i], m.rng[i], m.sim[i] = m.dom[last], m.rng[last], m.sim[last]
+			idx[ordKey(m.dom[i], m.rng[i])] = i
 		}
 		m.dom = m.dom[:last]
 		m.rng = m.rng[:last]
 		m.sim = m.sim[:last]
 	}
 	return len(rows)
-}
-
-// cutPosting removes row from an ascending posting list.
-func cutPosting(list []int32, row int32) []int32 {
-	p, _ := slices.BinarySearch(list, row)
-	return append(list[:p], list[p+1:]...)
-}
-
-// reslotPosting rewrites a posting list's final entry — which indexes the
-// table's current last row, necessarily the list's largest — as row,
-// keeping the list ascending.
-func reslotPosting(list []int32, row int32) []int32 {
-	p, _ := slices.BinarySearch(list[:len(list)-1], row)
-	copy(list[p+1:], list[p:len(list)-1])
-	list[p] = row
-	return list
 }
 
 // Sorted returns the correspondences sorted canonically: domain ascending,
@@ -648,75 +520,6 @@ func (m *Mapping) Equal(o *Mapping, eps float64) bool {
 		}
 	}
 	return true
-}
-
-// Stats summarizes a mapping for reports and self-tuning.
-type Stats struct {
-	Corrs      int
-	DomainObjs int
-	RangeObjs  int
-	AvgSim     float64
-	MinSim     float64
-	MaxSim     float64
-	AvgFanOut  float64 // correspondences per distinct domain object
-}
-
-// Summarize computes mapping statistics.
-func (m *Mapping) Summarize() Stats {
-	byDom, byRng := m.postings()
-	st := Stats{Corrs: len(m.sim), DomainObjs: len(byDom), RangeObjs: len(byRng)}
-	if len(m.sim) == 0 {
-		return st
-	}
-	st.MinSim = m.sim[0]
-	st.MaxSim = m.sim[0]
-	var sum float64
-	for _, s := range m.sim {
-		sum += s
-		if s < st.MinSim {
-			st.MinSim = s
-		}
-		if s > st.MaxSim {
-			st.MaxSim = s
-		}
-	}
-	st.AvgSim = sum / float64(len(m.sim))
-	st.AvgFanOut = float64(len(m.sim)) / float64(len(byDom))
-	return st
-}
-
-// Cardinality classifies the observed cardinality of the mapping as in
-// Figure 10: 1:1, 1:n, n:1 or n:m, based on the maximum fan-out on each
-// side. An empty mapping is CardUnknown.
-func (m *Mapping) Cardinality() model.Cardinality {
-	if len(m.sim) == 0 {
-		return model.CardUnknown
-	}
-	byDom, byRng := m.postings()
-	maxDom, maxRng := 0, 0
-	for _, idxs := range byDom {
-		if len(idxs) > maxDom {
-			maxDom = len(idxs)
-		}
-	}
-	for _, idxs := range byRng {
-		if len(idxs) > maxRng {
-			maxRng = len(idxs)
-		}
-	}
-	switch {
-	case maxDom <= 1 && maxRng <= 1:
-		return model.CardOneToOne
-	case maxRng <= 1:
-		// A domain object fans out to several range objects while every
-		// range object has a single domain object: venue -> publications.
-		return model.CardOneToMany
-	case maxDom <= 1:
-		// The mirror image: publication -> venue.
-		return model.CardManyToOne
-	default:
-		return model.CardManyToMany
-	}
 }
 
 // String renders the mapping table (sorted canonically), capped at 20 rows.

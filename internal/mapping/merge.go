@@ -423,7 +423,7 @@ func mergeSorted(f Combiner, t float64, workers int, maps []*Mapping, base []int
 // range ordinals are ranges[off[d]:off[d+1]], sorted, with a pair two
 // drivers hold listed twice. Each input is then streamed once; a row whose
 // pair is a candidate records itself at the pair's first position in
-// ranges, and no pair index or posting list is built. A candidate's first
+// ranges, and no pair index is built. A candidate's first
 // sighting is its record in the earliest input that holds it, so sorting
 // the kept pairs by that record restores Merge's order.
 func mergeDriven(f Combiner, t float64, drivers []int, workers int, maps []*Mapping, base []int) (dom, rng []uint32, sim []float64) {

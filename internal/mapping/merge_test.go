@@ -411,8 +411,9 @@ func TestDifferentialMergeAbove(t *testing.T) {
 }
 
 // mergeFuzzSims are the similarities fuzzed rows take: the ends of [0,1],
-// values on Table 2's and A1's thresholds, and fractions that round.
-var mergeFuzzSims = []float64{0, 1, 0.8, 0.5, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.9, 1.0 / 3, 2.0 / 3, 0.55, 0.45, 0.75}
+// values on Table 2's and A1's thresholds, fractions that round, and NaN,
+// which Add stores as 0.
+var mergeFuzzSims = []float64{0, 1, 0.8, 0.5, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.9, 1.0 / 3, 2.0 / 3, 0.55, 0.45, 0.75, math.NaN()}
 
 // FuzzMergeAboveMatchesMergeThenThreshold holds MergeAbove to
 // Threshold{T: t}.Apply(Merge(f, maps...)) at eps 0, insertion order
@@ -444,6 +445,8 @@ func FuzzMergeAboveMatchesMergeThenThreshold(f *testing.F) {
 	f.Add(uint8(3), uint8(Weighted), true, []byte{3, 1, 2}, uint8(7), 0.0, boundary)
 	f.Add(uint8(1), uint8(Min), true, []byte{}, uint8(0), 0.0, boundary)
 	f.Add(uint8(3), uint8(Avg), true, []byte{}, uint8(len(mergeAboveThresholds)), 0.61, boundary)
+	// Both inputs hold one pair with a NaN similarity; Prefer at 0.
+	f.Add(uint8(1), uint8(Prefer), false, []byte{}, uint8(0), 0.0, rowsOf([3]byte{0, 0, 16}, [3]byte{1, 0, 16}))
 	f.Fuzz(func(t *testing.T, inputs, kind uint8, zero bool, weights []byte, tsel uint8, traw float64, rows []byte) {
 		n := 1 + int(inputs%4)
 		c := Combiner{Kind: CombinerKind(kind % 5), MissingAsZero: zero, PreferIndex: int(kind/5) % n}

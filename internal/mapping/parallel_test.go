@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -168,17 +169,16 @@ func TestDifferentialSelectionWorkers(t *testing.T) {
 	}
 }
 
-// TestOperatorsLeavePostingsUnbuilt: Compose, Merge and Best-n group rows by
-// sorting, so they never build their inputs' lazy posting lists — which
+// TestOperatorsLeavePairIndexUnbuilt: Compose, Merge and Best-n group rows
+// by sorting, so they never build their inputs' lazy pair index — which
 // would otherwise stay resident for as long as the inputs do. A threshold
 // merge whose drivers leave inputs out streams those inputs against a
-// dense array instead, so it builds neither their posting lists nor their
-// pair index.
-func TestOperatorsLeavePostingsUnbuilt(t *testing.T) {
+// dense array instead, so it does not build theirs either.
+func TestOperatorsLeavePairIndexUnbuilt(t *testing.T) {
 	rnd := rand.New(rand.NewSource(28))
-	m1 := newRefPair(ldsA, ldsC, randomOps(rnd, 6000, 500, 400, "a", "c")).m
-	m2 := newRefPair(ldsC, ldsB, randomOps(rnd, 6000, 400, 500, "c", "b")).m
-	// Bulk-loaded inputs, whose pair index is lazy as well.
+	// Bulk-loaded inputs (clones), whose pair index is lazy.
+	m1 := newRefPair(ldsA, ldsC, randomOps(rnd, 6000, 500, 400, "a", "c")).m.Clone()
+	m2 := newRefPair(ldsC, ldsB, randomOps(rnd, 6000, 400, 500, "c", "b")).m.Clone()
 	var merged []*Mapping
 	for _, n := range []int{3000, 5000, 9000} {
 		merged = append(merged, newRefPair(ldsA, ldsC, randomOps(rnd, n, 500, 400, "a", "c")).m.Clone())
@@ -191,8 +191,8 @@ func TestOperatorsLeavePostingsUnbuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, m := range merged {
-		if m.byDom != nil || m.byRng != nil || m.index != nil {
-			t.Errorf("threshold merge input %d: the merge built its posting lists or pair index", i)
+		if m.index != nil {
+			t.Errorf("threshold merge input %d: the merge built its pair index", i)
 		}
 	}
 	for _, g := range []PathAgg{AggAvg, AggRelativeLeft, AggRelativeRight, AggRelative} {
@@ -211,8 +211,8 @@ func TestOperatorsLeavePostingsUnbuilt(t *testing.T) {
 		name string
 		m    *Mapping
 	}{{"map1", m1}, {"map2", m2}} {
-		if in.m.byDom != nil || in.m.byRng != nil {
-			t.Errorf("%s: an operator built the input's posting lists", in.name)
+		if in.m.index != nil {
+			t.Errorf("%s: an operator built the input's pair index", in.name)
 		}
 	}
 }
@@ -220,8 +220,8 @@ func TestOperatorsLeavePostingsUnbuilt(t *testing.T) {
 // TestOperatorsShareInputsConcurrently runs all three operators over the
 // SAME input mappings from many goroutines at once — the serving pattern
 // where one immutable mapping feeds concurrent pipelines. Under -race this
-// pins that operator reads (including the lazy posting-list and pair-index
-// builds) are safe to share.
+// pins that operator reads (including the lazy pair-index build) are safe
+// to share.
 func TestOperatorsShareInputsConcurrently(t *testing.T) {
 	rnd := rand.New(rand.NewSource(25))
 	m1 := NewSame(ldsA, ldsC)
@@ -297,15 +297,15 @@ func diffAgainstRef(got *Mapping, want *refMapping) error {
 
 // TestRemoveTouching pins the swap-remove fast path against the Filter
 // rewrite it replaces: same surviving correspondence set (order is
-// permuted by the swaps), consistent index and posting lists afterwards,
-// and a mapping that keeps accepting writes.
+// permuted by the swaps), a consistent pair index afterwards, and a
+// mapping that keeps accepting writes.
 func TestRemoveTouching(t *testing.T) {
 	rnd := rand.New(rand.NewSource(26))
 	m := NewSame(ldsA, ldsB)
 	r := newRef(ldsA, ldsB, model.SameMappingType)
 	// Small cardinalities: most ids appear on both sides of several rows,
 	// and self-loop rows (a == b ids never collide here, but shared-range
-	// rows do) stress the posting repair.
+	// rows do) stress the index repair.
 	applyOps(m, r, randomOps(rnd, 2000, 40, 40, "x", "x"))
 
 	for _, victim := range []model.ID{"x7", "x23", "x7", "never-present"} {
@@ -323,26 +323,12 @@ func TestRemoveTouching(t *testing.T) {
 		if m.Touches(victim) {
 			t.Fatalf("after RemoveTouching(%s): Touches still true", victim)
 		}
-		// Index and posting lists must agree with the columns row by row.
+		// The index must agree with the columns row by row.
 		for i := 0; i < m.Len(); i++ {
 			c := m.At(i)
 			if s, ok := m.Sim(c.Domain, c.Range); !ok || s != c.Sim {
 				t.Fatalf("after RemoveTouching(%s): index lost row %d (%+v)", victim, i, c)
 			}
-		}
-		seen := 0
-		for _, id := range m.DomainIDs() {
-			seen += m.DomainCount(id)
-		}
-		if seen != m.Len() {
-			t.Fatalf("after RemoveTouching(%s): domain postings cover %d rows, want %d", victim, seen, m.Len())
-		}
-		seen = 0
-		for _, id := range m.RangeIDs() {
-			seen += m.RangeCount(id)
-		}
-		if seen != m.Len() {
-			t.Fatalf("after RemoveTouching(%s): range postings cover %d rows, want %d", victim, seen, m.Len())
 		}
 	}
 
@@ -351,13 +337,85 @@ func TestRemoveTouching(t *testing.T) {
 	if s, ok := m.Sim("x7", "x23"); !ok || s != 0.75 {
 		t.Fatalf("Add after RemoveTouching lost the row: %v %v", s, ok)
 	}
-	if got := m.DomainCount("x7"); got != 1 {
-		t.Fatalf("DomainCount after re-add = %d, want 1", got)
+	if got := len(m.ForDomain("x7")); got != 1 {
+		t.Fatalf("ForDomain after re-add = %d rows, want 1", got)
 	}
 }
 
+// swapRemoved is RemoveTouching's row order spelled out on a copy of the
+// rows: the touched rows, taken descending, each replaced by the current
+// last row.
+func swapRemoved(rows []Correspondence, victim model.ID) []Correspondence {
+	out := slices.Clone(rows)
+	for i := len(out) - 1; i >= 0; i-- {
+		if out[i].Domain == victim || out[i].Range == victim {
+			out[i] = out[len(out)-1]
+			out = out[:len(out)-1]
+		}
+	}
+	return out
+}
+
+// FuzzRemoveTouching builds rows over six ids, self-loops included, then
+// removes a sequence of victims (a seventh id is never added). After each
+// removal the survivors are Filter's rows as a set and swapRemoved's in
+// order, the pair index hits every survivor and misses every removed pair,
+// and the victim is touched no more; re-adding a removed pair then appends
+// a row.
+func FuzzRemoveTouching(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 1, 0, 1, 1, 2, 0, 0, 2, 3, 3, 2, 4, 4, 5}, []byte{0, 1, 6, 0, 2})
+	f.Add([]byte{5, 5, 5, 4, 4, 5, 3, 5, 5, 3, 1, 2}, []byte{5, 5, 4, 3})
+	f.Add([]byte{1, 2, 3, 4, 2, 1, 4, 3, 0, 5}, []byte{2, 0, 1, 4, 3, 5})
+	f.Fuzz(func(t *testing.T, rows, victims []byte) {
+		dict := model.NewIDDict()
+		id := func(b byte) model.ID { return model.ID(fmt.Sprintf("i%d", b%7)) }
+		m := NewWithDict(ldsA, ldsA, model.SameMappingType, dict)
+		for k := 0; k+1 < len(rows); k += 2 {
+			m.Add(id(rows[k]%6), id(rows[k+1]%6), float64(k%5)/4)
+		}
+		for step, v := range victims {
+			victim := id(v)
+			before := m.Correspondences()
+			want := m.Filter(func(c Correspondence) bool { return c.Domain != victim && c.Range != victim })
+			wantRows := swapRemoved(before, victim)
+			if gone := m.RemoveTouching(victim); gone != len(before)-want.Len() {
+				t.Fatalf("step %d: RemoveTouching(%s) removed %d rows, Filter drops %d", step, victim, gone, len(before)-want.Len())
+			}
+			if !m.Equal(want, 0) {
+				t.Fatalf("step %d: survivors of %s differ from Filter's", step, victim)
+			}
+			if got := m.Correspondences(); !slices.Equal(got, wantRows) {
+				t.Fatalf("step %d: rows after removing %s\n%v\nwant\n%v", step, victim, got, wantRows)
+			}
+			var removed []Correspondence
+			for _, c := range before {
+				d, r := dict.Ord(c.Domain), dict.Ord(c.Range)
+				s, ok := m.SimOrd(d, r)
+				if c.Domain == victim || c.Range == victim {
+					removed = append(removed, c)
+					if ok {
+						t.Fatalf("step %d: removed pair %+v still indexed", step, c)
+					}
+				} else if !ok || s != c.Sim {
+					t.Fatalf("step %d: survivor %+v indexed as %v, %v", step, c, s, ok)
+				}
+			}
+			if m.Touches(victim) {
+				t.Fatalf("step %d: Touches(%s) after its removal", step, victim)
+			}
+			if len(removed) > 0 {
+				c := removed[len(removed)/2]
+				m.Add(c.Domain, c.Range, 0.5)
+				if got := m.Correspondences(); !slices.Equal(got[:len(got)-1], wantRows) || got[len(got)-1] != (Correspondence{c.Domain, c.Range, 0.5}) {
+					t.Fatalf("step %d: re-adding %+v gave rows %v, want it appended to %v", step, c, got, wantRows)
+				}
+			}
+		}
+	})
+}
+
 // TestBulkLoadedMappingBehavesLikeAdded pins that a bulk-loaded mapping
-// (lazy index, lazy postings) is indistinguishable from one built row by
+// (lazy pair index) is indistinguishable from one built row by
 // row: point lookups, views, and subsequent writes.
 func TestBulkLoadedMappingBehavesLikeAdded(t *testing.T) {
 	rnd := rand.New(rand.NewSource(27))

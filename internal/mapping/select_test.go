@@ -189,7 +189,7 @@ func TestBestNCoversEveryDomainProperty(t *testing.T) {
 		m := randomSame(p)
 		got := BestN{N: 1, Side: DomainSide}.Apply(m)
 		for _, d := range m.DomainIDs() {
-			if got.DomainCount(d) != 1 {
+			if len(got.ForDomain(d)) != 1 {
 				return false
 			}
 		}

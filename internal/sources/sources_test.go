@@ -128,10 +128,10 @@ func TestDBLPShape(t *testing.T) {
 	}
 	// Every pub has exactly one venue and at least one author.
 	d.DBLP.Pubs.Each(func(in *model.Instance) bool {
-		if d.DBLP.PubVenue.DomainCount(in.ID) != 1 {
-			t.Errorf("pub %s has %d venues", in.ID, d.DBLP.PubVenue.DomainCount(in.ID))
+		if n := len(d.DBLP.PubVenue.ForDomain(in.ID)); n != 1 {
+			t.Errorf("pub %s has %d venues", in.ID, n)
 		}
-		if d.DBLP.PubAuthor.DomainCount(in.ID) < 1 {
+		if len(d.DBLP.PubAuthor.ForDomain(in.ID)) < 1 {
 			t.Errorf("pub %s has no authors", in.ID)
 		}
 		for _, attr := range []string{"title", "year", "pages", "authors", "venue", "kind"} {
@@ -208,9 +208,9 @@ func TestPerfectMappingsConsistent(t *testing.T) {
 		t.Errorf("DBLP pubs with GS entries = %d, want %d",
 			len(p.PubDBLPGS.DomainIDs()), d.DBLP.Pubs.Len())
 	}
-	// Venue perfect mapping is 1:1.
-	if p.VenueDBLPACM.Cardinality() != model.CardOneToOne {
-		t.Errorf("venue perfect mapping cardinality = %s", p.VenueDBLPACM.Cardinality())
+	// Venue perfect mapping is 1:1: every row has its own domain and range.
+	if n := p.VenueDBLPACM.Len(); n == 0 || len(p.VenueDBLPACM.DomainIDs()) != n || len(p.VenueDBLPACM.Inverse().DomainIDs()) != n {
+		t.Errorf("venue perfect mapping is not 1:1: %d rows", n)
 	}
 	// Author duplicates ground truth matches config.
 	if p.AuthorDupsDBLP.Len() != 2*d.Cfg.DupAuthorPairs {
@@ -271,12 +271,12 @@ func TestMergedTwinsInGS(t *testing.T) {
 	// conference+journal versions of Figure 7).
 	d := smallDataset
 	found := false
-	for _, id := range d.Perfect.PubDBLPGS.RangeIDs() {
-		if d.Perfect.PubDBLPGS.RangeCount(id) >= 2 {
-			found = true
-			break
-		}
-	}
+	perGS := make(map[uint32]int)
+	d.Perfect.PubDBLPGS.EachOrd(func(_, gs uint32, _ float64) bool {
+		perGS[gs]++
+		found = perGS[gs] >= 2
+		return !found
+	})
 	if !found {
 		t.Error("expected at least one merged twin entry in GS")
 	}

@@ -55,7 +55,7 @@ func (e *degradedError) Is(target error) bool { return target == ErrDegraded }
 
 // Degraded returns the *StorageError that transitioned the store into
 // read-only degraded mode, or nil while the store is healthy. While
-// degraded, reads (Get, Names, Summarize, ...) keep working and every
+// degraded, reads (Get, Names, String, ...) keep working and every
 // mutation fails fast with an error matching ErrDegraded.
 func (s *Store) Degraded() error {
 	s.mu.RLock()

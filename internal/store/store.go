@@ -222,7 +222,7 @@ func (s *Store) PutDelta(name string, dom, rng model.LDS, mtype model.MappingTyp
 // mapping in place, reporting how many rows went away. A missing mapping or
 // an id with no correspondences is a no-op — nothing is logged, so the
 // common serve-path case (removing an instance that never matched) costs
-// two posting probes and zero log growth. Persistent stores log a compact
+// one scan of the mapping's two ordinal columns and zero log growth. Persistent stores log a compact
 // "drop" record — O(1) bytes instead of Put's full-table rewrite — before
 // mutating, and degrade on an append failure like every other mutation.
 func (s *Store) DropTouching(name string, id model.ID) (int, error) {
@@ -334,27 +334,6 @@ func (s *Store) Clear() error {
 		}
 	}
 	return nil
-}
-
-// Stats summarizes the store for reports.
-type Stats struct {
-	Mappings        int
-	Correspondences int
-	SameMappings    int
-}
-
-// Summarize computes store statistics.
-func (s *Store) Summarize() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st := Stats{Mappings: len(s.maps)}
-	for _, m := range s.maps {
-		st.Correspondences += m.Len()
-		if m.IsSame() {
-			st.SameMappings++
-		}
-	}
-	return st
 }
 
 // String lists the store contents.

@@ -266,7 +266,7 @@ func TestPutDeltaCrashReplay(t *testing.T) {
 	if s, _ := got.Sim("d1", "r1"); s != 0.95 {
 		t.Fatalf("AddMax not preserved by replay: sim(d1,r1) = %v, want 0.95", s)
 	}
-	if got.DomainCount("d2") != 0 {
+	if len(got.ForDomain("d2")) != 0 {
 		t.Fatal("full Put between deltas not replayed as a replacement")
 	}
 	s.Close()
@@ -287,7 +287,7 @@ func TestPutDeltaCrashReplay(t *testing.T) {
 	if !got2.Equal(want, 0) {
 		t.Fatal("torn delta corrupted the recovered mapping")
 	}
-	if got2.DomainCount("dX") != 0 {
+	if len(got2.ForDomain("dX")) != 0 {
 		t.Fatal("torn delta row must not be applied")
 	}
 }
