@@ -10,6 +10,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -132,18 +133,28 @@ func (in *Instance) String() string {
 // ObjectSet is the set of instances of one LDS (or a subset of it: the
 // paper's match inputs "need not be entire LDS but only subsets", §2.1).
 // Iteration order is insertion order, which keeps runs deterministic.
+//
+// A set keeps one map, pos, from id to insertion-order ordinal, beside two
+// parallel slices indexed by that ordinal: order holds the ids and ins the
+// instances. Get is a pos probe plus a slice index; At, IDAt and the walks
+// (Each, Instances, Filter, Clone) read the slices and no map. Remove shifts
+// both slices down over the removed slot and renumbers the ids after it, so
+// it costs the distance from the tail.
 type ObjectSet struct {
 	lds     LDS
-	byID    map[ID]*Instance
 	pos     map[ID]int
 	order   []ID
+	ins     []*Instance
 	version uint64
 	cols    columns // derived columns, see Column
 }
 
 // NewObjectSet returns an empty object set for the given LDS.
-func NewObjectSet(lds LDS) *ObjectSet {
-	return &ObjectSet{lds: lds, byID: make(map[ID]*Instance), pos: make(map[ID]int)}
+func NewObjectSet(lds LDS) *ObjectSet { return newObjectSet(lds, 0) }
+
+// newObjectSet returns an empty object set with room for n instances.
+func newObjectSet(lds LDS, n int) *ObjectSet {
+	return &ObjectSet{lds: lds, pos: make(map[ID]int, n), order: make([]ID, 0, n), ins: make([]*Instance, 0, n)}
 }
 
 // LDS returns the logical data source this set draws from.
@@ -155,11 +166,13 @@ func (s *ObjectSet) Len() int { return len(s.order) }
 // Add inserts or replaces an instance. Replacing keeps the original
 // position so iteration order stays stable.
 func (s *ObjectSet) Add(in *Instance) {
-	if _, exists := s.byID[in.ID]; !exists {
+	if i, exists := s.pos[in.ID]; exists {
+		s.ins[i] = in
+	} else {
 		s.pos[in.ID] = len(s.order)
 		s.order = append(s.order, in.ID)
+		s.ins = append(s.ins, in)
 	}
-	s.byID[in.ID] = in
 	s.version++
 }
 
@@ -167,18 +180,19 @@ func (s *ObjectSet) Add(in *Instance) {
 // present. The survivors keep their insertion order; those inserted after
 // the removed instance move down one ordinal, so the cost is proportional to
 // the distance from the tail, and the version moves so that derived columns,
-// which are aligned with ordinals, are rebuilt.
+// which are aligned with ordinals, are rebuilt. The vacated tail slot is
+// cleared, so the set keeps no reference to the removed instance.
 func (s *ObjectSet) Remove(id ID) bool {
 	i, ok := s.pos[id]
 	if !ok {
 		return false
 	}
-	s.order = append(s.order[:i], s.order[i+1:]...)
+	// slices.Delete zeroes the vacated tail slot.
+	s.order, s.ins = slices.Delete(s.order, i, i+1), slices.Delete(s.ins, i, i+1)
 	for _, moved := range s.order[i:] {
 		s.pos[moved]--
 	}
 	delete(s.pos, id)
-	delete(s.byID, id)
 	s.version++
 	return true
 }
@@ -203,7 +217,12 @@ func (s *ObjectSet) AddNew(id ID, attrs map[string]string) *Instance {
 }
 
 // Get returns the instance with the given id, or nil.
-func (s *ObjectSet) Get(id ID) *Instance { return s.byID[id] }
+func (s *ObjectSet) Get(id ID) *Instance {
+	if i, ok := s.pos[id]; ok {
+		return s.ins[i]
+	}
+	return nil
+}
 
 // IndexOf returns the insertion-order ordinal of the instance with the
 // given id, or -1 when absent. Ordinals are dense in [0, Len()) and stable
@@ -218,14 +237,14 @@ func (s *ObjectSet) IndexOf(id ID) int {
 
 // At returns the instance at the given insertion-order ordinal. It panics
 // when i is out of [0, Len()), mirroring slice indexing.
-func (s *ObjectSet) At(i int) *Instance { return s.byID[s.order[i]] }
+func (s *ObjectSet) At(i int) *Instance { return s.ins[i] }
 
-// IDAt returns the id at the given insertion-order ordinal without the map
-// lookup At performs — the ordinal-to-id translation on blocking hot paths.
+// IDAt returns the id at the given insertion-order ordinal — the
+// ordinal-to-id translation on blocking hot paths.
 func (s *ObjectSet) IDAt(i int) ID { return s.order[i] }
 
 // Has reports whether an instance with the given id is present.
-func (s *ObjectSet) Has(id ID) bool { _, ok := s.byID[id]; return ok }
+func (s *ObjectSet) Has(id ID) bool { _, ok := s.pos[id]; return ok }
 
 // IDs returns the instance ids in insertion order. The returned slice is a
 // copy and safe to mutate.
@@ -237,18 +256,16 @@ func (s *ObjectSet) IDs() []ID {
 
 // Instances returns all instances in insertion order.
 func (s *ObjectSet) Instances() []*Instance {
-	out := make([]*Instance, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.byID[id])
-	}
+	out := make([]*Instance, len(s.ins))
+	copy(out, s.ins)
 	return out
 }
 
 // Each calls fn for every instance in insertion order, stopping early when
 // fn returns false.
 func (s *ObjectSet) Each(fn func(*Instance) bool) {
-	for _, id := range s.order {
-		if !fn(s.byID[id]) {
+	for _, in := range s.ins {
+		if !fn(in) {
 			return
 		}
 	}
@@ -257,9 +274,9 @@ func (s *ObjectSet) Each(fn func(*Instance) bool) {
 // Filter returns a new object set over the same LDS containing only the
 // instances for which keep returns true.
 func (s *ObjectSet) Filter(keep func(*Instance) bool) *ObjectSet {
-	out := NewObjectSet(s.lds)
-	for _, id := range s.order {
-		if in := s.byID[id]; keep(in) {
+	out := newObjectSet(s.lds, s.Len())
+	for _, in := range s.ins {
+		if keep(in) {
 			out.Add(in)
 		}
 	}
@@ -270,9 +287,9 @@ func (s *ObjectSet) Filter(keep func(*Instance) bool) *ObjectSet {
 // ids, skipping unknown ids. It models querying a web source for selected
 // objects rather than downloading the full LDS.
 func (s *ObjectSet) Subset(ids []ID) *ObjectSet {
-	out := NewObjectSet(s.lds)
+	out := newObjectSet(s.lds, len(ids))
 	for _, id := range ids {
-		if in, ok := s.byID[id]; ok {
+		if in := s.Get(id); in != nil {
 			out.Add(in)
 		}
 	}
@@ -281,9 +298,9 @@ func (s *ObjectSet) Subset(ids []ID) *ObjectSet {
 
 // Clone returns a deep copy of the set (instances are cloned too).
 func (s *ObjectSet) Clone() *ObjectSet {
-	out := NewObjectSet(s.lds)
-	for _, id := range s.order {
-		out.Add(s.byID[id].Clone())
+	out := newObjectSet(s.lds, s.Len())
+	for _, in := range s.ins {
+		out.Add(in.Clone())
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package sources
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -88,20 +89,28 @@ func Derive(w *World) *Dataset {
 }
 
 // deriver carries the shared id bookkeeping between source derivations.
+//
+// The deriver creates every instance itself, so it holds each id beside its
+// model.IDs ordinal and builds its mappings on ordinals. Every mapping whose
+// pairs are distinct by construction is built as columns (rows), so no pair
+// index exists until a reader asks for one: VenuePub, PubVenue, AuthorPub and
+// PubAuthor of each source, the GS links and all Perfect mappings. CoAuthor
+// is not: two authors share many publications, so its pairs repeat, and it
+// keeps AddMaxOrd's first row per pair.
 type deriver struct {
 	w   *World
 	rng *rand.Rand
 
-	// id lookups: truth index -> instance id per source.
-	dblpPubID map[int]model.ID
-	dblpVenID map[int]model.ID
-	dblpAutID map[int]model.ID // primary spelling
-	dblpAltID map[int]model.ID // duplicate spelling
-	acmPubID  map[int]model.ID
-	acmVenID  map[int]model.ID
-	acmAutID  map[int]model.ID
-	acmVarID  map[int]model.ID
-	acmHasPub map[int]bool
+	// id tables, indexed by world index; a slot without an id is an
+	// instance the source lacks.
+	dblpPub []idSlot
+	dblpVen []idSlot
+	dblpAut []idSlot // primary spelling
+	dblpAlt []idSlot // duplicate spelling
+	acmPub  []idSlot
+	acmVen  []idSlot
+	acmAut  []idSlot
+	acmVar  []idSlot
 
 	perfect Perfect
 }
@@ -109,15 +118,67 @@ type deriver struct {
 func newDeriver(w *World, rng *rand.Rand) *deriver {
 	return &deriver{
 		w: w, rng: rng,
-		dblpPubID: make(map[int]model.ID),
-		dblpVenID: make(map[int]model.ID),
-		dblpAutID: make(map[int]model.ID),
-		dblpAltID: make(map[int]model.ID),
-		acmPubID:  make(map[int]model.ID),
-		acmVenID:  make(map[int]model.ID),
-		acmAutID:  make(map[int]model.ID),
-		acmVarID:  make(map[int]model.ID),
-		acmHasPub: make(map[int]bool),
+		dblpPub: make([]idSlot, len(w.Pubs)),
+		dblpVen: make([]idSlot, len(w.Venues)),
+		dblpAut: make([]idSlot, len(w.Authors)),
+		dblpAlt: make([]idSlot, len(w.Authors)),
+		acmPub:  make([]idSlot, len(w.Pubs)),
+		acmVen:  make([]idSlot, len(w.Venues)),
+		acmAut:  make([]idSlot, len(w.Authors)),
+		acmVar:  make([]idSlot, len(w.Authors)),
+	}
+}
+
+// idSlot is a derived instance's id and, once a mapping row used it, its
+// model.IDs ordinal.
+type idSlot struct {
+	id       model.ID
+	ord      uint32
+	interned bool
+}
+
+// ordinal interns the slot's id on first use. Interning where a row first
+// uses an id, not where the instance is made, gives model.IDs the ordinal
+// order that adding the rows one by one by id gave.
+func (s *idSlot) ordinal() uint32 {
+	if !s.interned {
+		s.ord, s.interned = model.IDs.Ord(s.id), true
+	}
+	return s.ord
+}
+
+// rows holds a mapping's rows as columns, every similarity 1. Its caller
+// adds each pair once: the mapping it builds has no pair index to dedup by.
+type rows struct {
+	dom, rng []uint32
+	sim      []float64
+}
+
+func newRows(n int) *rows {
+	return &rows{dom: make([]uint32, 0, n), rng: make([]uint32, 0, n), sim: make([]float64, 0, n)}
+}
+
+func (r *rows) add(d, g uint32) {
+	r.dom = append(r.dom, d)
+	r.rng = append(r.rng, g)
+	r.sim = append(r.sim, 1)
+}
+
+func (r *rows) mapping(domain, rng model.LDS, mtype model.MappingType) *mapping.Mapping {
+	return mapping.FromColumns(domain, rng, mtype, r.dom, r.rng, r.sim)
+}
+
+// addAuthors adds a publication's author rows and its co-author rows.
+func addAuthors(autPub, pubAut *rows, coAuthor *mapping.Mapping, pub *idSlot, auts []*idSlot) {
+	for i, a := range auts {
+		ao := a.ordinal()
+		autPub.add(ao, pub.ordinal())
+		pubAut.add(pub.ordinal(), ao)
+		for j, other := range auts {
+			if i != j && a.id != other.id {
+				coAuthor.AddMaxOrd(ao, other.ordinal(), 1)
+			}
+		}
 	}
 }
 
@@ -136,93 +197,91 @@ func renderAuthors(names []string) string { return strings.Join(names, ", ") }
 func (dd *deriver) deriveDBLP() *Source {
 	w := dd.w
 	s := &Source{
-		Name:      "DBLP",
-		Pubs:      model.NewObjectSet(DBLPPub),
-		Authors:   model.NewObjectSet(DBLPAut),
-		Venues:    model.NewObjectSet(DBLPVen),
-		VenuePub:  mapping.New(DBLPVen, DBLPPub, "VenuePub"),
-		PubVenue:  mapping.New(DBLPPub, DBLPVen, "PubVenue"),
-		AuthorPub: mapping.New(DBLPAut, DBLPPub, "AuthorPub"),
-		PubAuthor: mapping.New(DBLPPub, DBLPAut, "PubAuthor"),
-		CoAuthor:  mapping.New(DBLPAut, DBLPAut, "CoAuthor"),
+		Name:     "DBLP",
+		Pubs:     model.NewObjectSet(DBLPPub),
+		Authors:  model.NewObjectSet(DBLPAut),
+		Venues:   model.NewObjectSet(DBLPVen),
+		CoAuthor: mapping.New(DBLPAut, DBLPAut, "CoAuthor"),
 	}
 	for _, v := range w.Venues {
 		id := venueDBLPID(v)
-		dd.dblpVenID[v.Idx] = id
-		s.Venues.AddNew(id, map[string]string{
+		dd.dblpVen[v.Idx].id = id
+		s.Venues.Add(&model.Instance{ID: id, Attrs: map[string]string{
 			"name":   v.DBLPName(),
 			"kind":   string(v.Kind),
 			"series": v.Series,
 			"year":   fmt.Sprint(v.Year),
-		})
+		}})
 	}
 	for _, a := range w.Authors {
 		id := model.ID(fmt.Sprintf("dblp:a:%05d", a.Idx))
-		dd.dblpAutID[a.Idx] = id
-		s.Authors.AddNew(id, map[string]string{"name": a.Name()})
+		dd.dblpAut[a.Idx].id = id
+		s.Authors.Add(&model.Instance{ID: id, Attrs: map[string]string{"name": a.Name()}})
 		if a.DupSpelling != "" {
 			alt := model.ID(fmt.Sprintf("dblp:a:%05db", a.Idx))
-			dd.dblpAltID[a.Idx] = alt
-			s.Authors.AddNew(alt, map[string]string{"name": a.DupSpelling})
+			dd.dblpAlt[a.Idx].id = alt
+			s.Authors.Add(&model.Instance{ID: alt, Attrs: map[string]string{"name": a.DupSpelling}})
 		}
 	}
-	perVenue := make(map[int]int)
-	dupSeen := make(map[int]int) // alternating spelling assignment per dup author
+	venPub, pubVen := newRows(len(w.Pubs)), newRows(len(w.Pubs))
+	autPub, pubAut := newRows(0), newRows(0)
+	perVenue := make([]int, len(w.Venues))
+	dupSeen := make([]int, len(w.Authors)) // alternating spelling assignment per dup author
+	var names []string
+	var auts []*idSlot
 	for _, p := range w.Pubs {
-		venID := dd.dblpVenID[p.Venue.Idx]
+		ven := &dd.dblpVen[p.Venue.Idx]
 		perVenue[p.Venue.Idx]++
-		id := model.ID(fmt.Sprintf("%s/p%d", venID, perVenue[p.Venue.Idx]))
-		dd.dblpPubID[p.Idx] = id
+		pub := &dd.dblpPub[p.Idx]
+		pub.id = model.ID(fmt.Sprintf("%s/p%d", ven.id, perVenue[p.Venue.Idx]))
 
 		// Choose the spelling each duplicate author uses on this paper.
 		// Alternating guarantees both spellings actually occur, which is
 		// what makes duplicates detectable via shared co-authors.
-		var names []string
-		var autIDs []model.ID
+		names, auts = names[:0], auts[:0]
 		for _, a := range p.Authors {
-			autID := dd.dblpAutID[a.Idx]
+			aut := &dd.dblpAut[a.Idx]
 			name := a.Name()
 			if a.DupSpelling != "" {
 				if dupSeen[a.Idx]%2 == 1 {
-					autID = dd.dblpAltID[a.Idx]
+					aut = &dd.dblpAlt[a.Idx]
 					name = a.DupSpelling
 				}
 				dupSeen[a.Idx]++
 			}
 			names = append(names, name)
-			autIDs = append(autIDs, autID)
+			auts = append(auts, aut)
 		}
-		s.Pubs.AddNew(id, map[string]string{
+		s.Pubs.Add(&model.Instance{ID: pub.id, Attrs: map[string]string{
 			"title":   p.Title,
 			"year":    fmt.Sprint(p.Year),
 			"pages":   fmt.Sprintf("%d-%d", p.PageFrom, p.PageTo),
 			"authors": renderAuthors(names),
 			"venue":   p.Venue.DBLPName(),
 			"kind":    string(p.Venue.Kind),
-		})
-		s.VenuePub.Add(venID, id, 1)
-		s.PubVenue.Add(id, venID, 1)
-		for i, autID := range autIDs {
-			s.AuthorPub.Add(autID, id, 1)
-			s.PubAuthor.Add(id, autID, 1)
-			for j, other := range autIDs {
-				if i != j && autID != other {
-					s.CoAuthor.AddMax(autID, other, 1)
-				}
-			}
-		}
+		}})
+		v := ven.ordinal()
+		venPub.add(v, pub.ordinal())
+		pubVen.add(pub.ordinal(), v)
+		addAuthors(autPub, pubAut, s.CoAuthor, pub, auts)
 	}
+	s.VenuePub = venPub.mapping(DBLPVen, DBLPPub, "VenuePub")
+	s.PubVenue = pubVen.mapping(DBLPPub, DBLPVen, "PubVenue")
+	s.AuthorPub = autPub.mapping(DBLPAut, DBLPPub, "AuthorPub")
+	s.PubAuthor = pubAut.mapping(DBLPPub, DBLPAut, "PubAuthor")
+
 	// Perfect duplicate-author mapping (Table 9 ground truth), symmetric.
 	// Rows are added in ascending world index so the mapping's row order is
 	// a pure function of the seed.
-	dups := mapping.NewSame(DBLPAut, DBLPAut)
-	for _, idx := range sortedIntKeys(dd.dblpAltID) {
-		alt := dd.dblpAltID[idx]
-		prim := dd.dblpAutID[idx]
-		dups.Add(prim, alt, 1)
-		dups.Add(alt, prim, 1)
+	dups := newRows(0)
+	for i := range dd.dblpAlt {
+		if alt := &dd.dblpAlt[i]; alt.id != "" {
+			prim := dd.dblpAut[i].ordinal()
+			dups.add(prim, alt.ordinal())
+			dups.add(alt.ordinal(), prim)
+		}
 	}
-	dd.perfect.AuthorDupsDBLP = dups
+	dd.perfect.AuthorDupsDBLP = dups.mapping(DBLPAut, DBLPAut, model.SameMappingType)
 	return s
 }
 
@@ -232,15 +291,11 @@ func (dd *deriver) deriveDBLP() *Source {
 func (dd *deriver) deriveACM() *Source {
 	w := dd.w
 	s := &Source{
-		Name:      "ACM",
-		Pubs:      model.NewObjectSet(ACMPub),
-		Authors:   model.NewObjectSet(ACMAut),
-		Venues:    model.NewObjectSet(ACMVen),
-		VenuePub:  mapping.New(ACMVen, ACMPub, "VenuePub"),
-		PubVenue:  mapping.New(ACMPub, ACMVen, "PubVenue"),
-		AuthorPub: mapping.New(ACMAut, ACMPub, "AuthorPub"),
-		PubAuthor: mapping.New(ACMPub, ACMAut, "PubAuthor"),
-		CoAuthor:  mapping.New(ACMAut, ACMAut, "CoAuthor"),
+		Name:     "ACM",
+		Pubs:     model.NewObjectSet(ACMPub),
+		Authors:  model.NewObjectSet(ACMAut),
+		Venues:   model.NewObjectSet(ACMVen),
+		CoAuthor: mapping.New(ACMAut, ACMAut, "CoAuthor"),
 	}
 	droppedYear := make(map[int]bool)
 	for _, y := range w.Cfg.ACMDropVLDBYears {
@@ -254,22 +309,22 @@ func (dd *deriver) deriveACM() *Source {
 			continue
 		}
 		id := model.ID(fmt.Sprintf("V-%06d", 600000+v.Idx))
-		dd.acmVenID[v.Idx] = id
-		s.Venues.AddNew(id, map[string]string{
+		dd.acmVen[v.Idx].id = id
+		s.Venues.Add(&model.Instance{ID: id, Attrs: map[string]string{
 			"name":   v.ACMName(),
 			"kind":   string(v.Kind),
 			"series": v.Series,
 			"year":   fmt.Sprint(v.Year),
-		})
+		}})
 	}
 	for _, a := range w.Authors {
 		id := model.ID(fmt.Sprintf("A-%05d", a.Idx))
-		dd.acmAutID[a.Idx] = id
-		s.Authors.AddNew(id, map[string]string{"name": a.Name()})
+		dd.acmAut[a.Idx].id = id
+		s.Authors.Add(&model.Instance{ID: id, Attrs: map[string]string{"name": a.Name()}})
 		if a.ACMVariant != "" {
 			vid := model.ID(fmt.Sprintf("A-%05dv", a.Idx))
-			dd.acmVarID[a.Idx] = vid
-			s.Authors.AddNew(vid, map[string]string{"name": a.ACMVariant})
+			dd.acmVar[a.Idx].id = vid
+			s.Authors.Add(&model.Instance{ID: vid, Attrs: map[string]string{"name": a.ACMVariant}})
 		}
 	}
 
@@ -295,80 +350,83 @@ func (dd *deriver) deriveACM() *Source {
 		included = kept
 	}
 
+	venPub, pubVen := newRows(len(included)), newRows(len(included))
+	autPub, pubAut := newRows(0), newRows(0)
+	var names []string
+	var auts []*idSlot
 	for _, p := range included {
-		id := model.ID(fmt.Sprintf("P-%06d", 600000+p.Idx))
-		dd.acmPubID[p.Idx] = id
-		dd.acmHasPub[p.Idx] = true
+		pub := &dd.acmPub[p.Idx]
+		pub.id = model.ID(fmt.Sprintf("P-%06d", 600000+p.Idx))
 		title := p.Title
 		if dd.rng.Float64() < w.Cfg.ACMTitleTypoRate {
 			title = corruptACMTitle(dd.rng, title)
 		}
-		var names []string
-		var autIDs []model.ID
+		names, auts = names[:0], auts[:0]
 		for _, a := range p.Authors {
-			autID := dd.acmAutID[a.Idx]
+			aut := &dd.acmAut[a.Idx]
 			name := a.Name()
 			if a.ACMVariant != "" && dd.rng.Float64() < 0.5 {
-				autID = dd.acmVarID[a.Idx]
+				aut = &dd.acmVar[a.Idx]
 				name = a.ACMVariant
 			}
 			names = append(names, name)
-			autIDs = append(autIDs, autID)
+			auts = append(auts, aut)
 		}
 		citations := p.Citations + dd.rng.Intn(3)
-		venID := dd.acmVenID[p.Venue.Idx]
-		s.Pubs.AddNew(id, map[string]string{
+		ven := &dd.acmVen[p.Venue.Idx]
+		s.Pubs.Add(&model.Instance{ID: pub.id, Attrs: map[string]string{
 			"name":      title,
 			"year":      fmt.Sprint(p.Year),
 			"citations": fmt.Sprint(citations),
 			"authors":   renderAuthors(names),
 			"venue":     p.Venue.ACMName(),
 			"kind":      string(p.Venue.Kind),
-		})
-		s.VenuePub.Add(venID, id, 1)
-		s.PubVenue.Add(id, venID, 1)
-		for i, autID := range autIDs {
-			s.AuthorPub.Add(autID, id, 1)
-			s.PubAuthor.Add(id, autID, 1)
-			for j, other := range autIDs {
-				if i != j && autID != other {
-					s.CoAuthor.AddMax(autID, other, 1)
-				}
-			}
-		}
+		}})
+		v := ven.ordinal()
+		venPub.add(v, pub.ordinal())
+		pubVen.add(pub.ordinal(), v)
+		addAuthors(autPub, pubAut, s.CoAuthor, pub, auts)
 	}
+	s.VenuePub = venPub.mapping(ACMVen, ACMPub, "VenuePub")
+	s.PubVenue = pubVen.mapping(ACMPub, ACMVen, "PubVenue")
+	s.AuthorPub = autPub.mapping(ACMAut, ACMPub, "AuthorPub")
+	s.PubAuthor = pubAut.mapping(ACMPub, ACMAut, "PubAuthor")
 
 	// Perfect DBLP-ACM mappings, rows in ascending world index for
 	// seed-deterministic row order.
-	pubSame := mapping.NewSame(DBLPPub, ACMPub)
-	for _, idx := range sortedIntKeys(dd.acmPubID) {
-		pubSame.Add(dd.dblpPubID[idx], dd.acmPubID[idx], 1)
+	pubSame := newRows(len(included))
+	for i := range dd.acmPub {
+		if acm := &dd.acmPub[i]; acm.id != "" {
+			pubSame.add(dd.dblpPub[i].ordinal(), acm.ordinal())
+		}
 	}
-	dd.perfect.PubDBLPACM = pubSame
+	dd.perfect.PubDBLPACM = pubSame.mapping(DBLPPub, ACMPub, model.SameMappingType)
 
-	venSame := mapping.NewSame(DBLPVen, ACMVen)
-	for _, idx := range sortedIntKeys(dd.acmVenID) {
-		venSame.Add(dd.dblpVenID[idx], dd.acmVenID[idx], 1)
+	venSame := newRows(len(w.Venues))
+	for i := range dd.acmVen {
+		if acm := &dd.acmVen[i]; acm.id != "" {
+			venSame.add(dd.dblpVen[i].ordinal(), acm.ordinal())
+		}
 	}
-	dd.perfect.VenueDBLPACM = venSame
+	dd.perfect.VenueDBLPACM = venSame.mapping(DBLPVen, ACMVen, model.SameMappingType)
 
-	autSame := mapping.NewSame(DBLPAut, ACMAut)
+	autSame := newRows(len(w.Authors))
 	for _, a := range w.Authors {
-		dblpIDs := []model.ID{dd.dblpAutID[a.Idx]}
-		if alt, ok := dd.dblpAltID[a.Idx]; ok {
+		dblpIDs := []*idSlot{&dd.dblpAut[a.Idx]}
+		if alt := &dd.dblpAlt[a.Idx]; alt.id != "" {
 			dblpIDs = append(dblpIDs, alt)
 		}
-		acmIDs := []model.ID{dd.acmAutID[a.Idx]}
-		if v, ok := dd.acmVarID[a.Idx]; ok {
+		acmIDs := []*idSlot{&dd.acmAut[a.Idx]}
+		if v := &dd.acmVar[a.Idx]; v.id != "" {
 			acmIDs = append(acmIDs, v)
 		}
 		for _, d := range dblpIDs {
 			for _, m := range acmIDs {
-				autSame.Add(d, m, 1)
+				autSame.add(d.ordinal(), m.ordinal())
 			}
 		}
 	}
-	dd.perfect.AuthorDBLPACM = autSame
+	dd.perfect.AuthorDBLPACM = autSame.mapping(DBLPAut, ACMAut, model.SameMappingType)
 	return s
 }
 
@@ -379,33 +437,30 @@ func (dd *deriver) deriveACM() *Source {
 func (dd *deriver) deriveGS() (*Source, *mapping.Mapping) {
 	w := dd.w
 	s := &Source{
-		Name:      "GS",
-		Pubs:      model.NewObjectSet(GSPub),
-		Authors:   model.NewObjectSet(GSAut),
-		AuthorPub: mapping.New(GSAut, GSPub, "AuthorPub"),
-		PubAuthor: mapping.New(GSPub, GSAut, "PubAuthor"),
+		Name:    "GS",
+		Pubs:    model.NewObjectSet(GSPub),
+		Authors: model.NewObjectSet(GSAut),
 	}
-	links := mapping.NewSame(GSPub, ACMPub)
-	pubDBLPGS := mapping.NewSame(DBLPPub, GSPub)
-	pubGSACM := mapping.NewSame(GSPub, ACMPub)
+	autPub, pubAut := newRows(0), newRows(0)
+	links, pubDBLPGS, pubGSACM := newRows(0), newRows(0), newRows(0)
 
-	gsAuthorID := make(map[string]model.ID)
-	var nextAuthor int
-	authorID := func(name string) model.ID {
-		if id, ok := gsAuthorID[name]; ok {
-			return id
+	gsAuthors := make(map[string]*idSlot)
+	authorID := func(name string) *idSlot {
+		if a, ok := gsAuthors[name]; ok {
+			return a
 		}
-		id := model.ID(fmt.Sprintf("gs:a:%06d", nextAuthor))
-		nextAuthor++
-		gsAuthorID[name] = id
-		s.Authors.AddNew(id, map[string]string{"name": name})
-		return id
+		a := &idSlot{id: model.ID(fmt.Sprintf("gs:a:%06d", len(gsAuthors)))}
+		gsAuthors[name] = a
+		s.Authors.Add(&model.Instance{ID: a.id, Attrs: map[string]string{"name": name}})
+		return a
 	}
 
 	var nextEntry int
-	newEntry := func(truths []*PubTruth) model.ID {
+	var names []string
+	var auts []*idSlot
+	newEntry := func(truths []*PubTruth) {
 		p := truths[0]
-		id := model.ID(fmt.Sprintf("gs:%06d", nextEntry))
+		entry := idSlot{id: model.ID(fmt.Sprintf("gs:%06d", nextEntry))}
 		nextEntry++
 		title := corruptGSTitle(dd.rng, p.Title, w.Cfg)
 		// Possibly truncated, initial-only author list.
@@ -414,12 +469,11 @@ func (dd *deriver) deriveGS() (*Source, *mapping.Mapping) {
 			keep := 1 + dd.rng.Intn(len(authors))
 			authors = authors[:keep]
 		}
-		var names []string
-		var autIDs []model.ID
+		names, auts = names[:0], auts[:0]
 		for _, a := range authors {
 			n := gsAuthorName(a.Name())
 			names = append(names, n)
-			autIDs = append(autIDs, authorID(n))
+			auts = append(auts, authorID(n))
 		}
 		attrs := map[string]string{
 			"title":     title,
@@ -430,23 +484,29 @@ func (dd *deriver) deriveGS() (*Source, *mapping.Mapping) {
 		if dd.rng.Float64() >= w.Cfg.GSMissingYearRate {
 			attrs["year"] = fmt.Sprint(p.Year)
 		}
-		s.Pubs.AddNew(id, attrs)
-		for _, autID := range autIDs {
-			s.AuthorPub.Add(autID, id, 1)
-			s.PubAuthor.Add(id, autID, 1)
+		s.Pubs.Add(&model.Instance{ID: entry.id, Attrs: attrs})
+		for i, a := range auts {
+			// Two authors can share one initial-only name; their pair is
+			// one row, at the first one's position.
+			if slices.Contains(auts[:i], a) {
+				continue
+			}
+			ao := a.ordinal()
+			autPub.add(ao, entry.ordinal())
+			pubAut.add(entry.ordinal(), ao)
 		}
 		// Perfect rows: the entry corresponds to every truth publication it
 		// represents (two for merged twins), on both the DBLP and ACM side.
 		for _, t := range truths {
-			pubDBLPGS.Add(dd.dblpPubID[t.Idx], id, 1)
-			if acmID, ok := dd.acmPubID[t.Idx]; ok {
-				pubGSACM.Add(id, acmID, 1)
+			pubDBLPGS.add(dd.dblpPub[t.Idx].ordinal(), entry.ordinal())
+			if acm := &dd.acmPub[t.Idx]; acm.id != "" {
+				e := entry.ordinal()
+				pubGSACM.add(e, acm.ordinal())
 				if dd.rng.Float64() < w.Cfg.GSLinkRecall {
-					links.Add(id, acmID, 1)
+					links.add(e, acm.ordinal())
 				}
 			}
 		}
-		return id
 	}
 
 	// Twin merge decisions: journal twins merged into the conference
@@ -484,7 +544,7 @@ func (dd *deriver) deriveGS() (*Source, *mapping.Mapping) {
 		}
 	}
 	for i := 0; i < noise; i++ {
-		id := model.ID(fmt.Sprintf("gs:n%06d", i))
+		doc := idSlot{id: model.ID(fmt.Sprintf("gs:n%06d", i))}
 		first := firstNames[dd.rng.Intn(len(firstNames))]
 		last := lastNames[dd.rng.Intn(len(lastNames))]
 		name := gsAuthorName(first + " " + last)
@@ -495,15 +555,17 @@ func (dd *deriver) deriveGS() (*Source, *mapping.Mapping) {
 		if dd.rng.Float64() < 0.7 {
 			attrs["year"] = fmt.Sprint(1980 + dd.rng.Intn(26))
 		}
-		s.Pubs.AddNew(id, attrs)
-		autID := authorID(name)
-		s.AuthorPub.Add(autID, id, 1)
-		s.PubAuthor.Add(id, autID, 1)
+		s.Pubs.Add(&model.Instance{ID: doc.id, Attrs: attrs})
+		ao := authorID(name).ordinal()
+		autPub.add(ao, doc.ordinal())
+		pubAut.add(doc.ordinal(), ao)
 	}
 
-	dd.perfect.PubDBLPGS = pubDBLPGS
-	dd.perfect.PubGSACM = pubGSACM
-	return s, links
+	s.AuthorPub = autPub.mapping(GSAut, GSPub, "AuthorPub")
+	s.PubAuthor = pubAut.mapping(GSPub, GSAut, "PubAuthor")
+	dd.perfect.PubDBLPGS = pubDBLPGS.mapping(DBLPPub, GSPub, model.SameMappingType)
+	dd.perfect.PubGSACM = pubGSACM.mapping(GSPub, ACMPub, model.SameMappingType)
+	return s, links.mapping(GSPub, ACMPub, model.SameMappingType)
 }
 
 // noiseTitle draws a title from a vocabulary disjoint from the database
@@ -546,16 +608,4 @@ var noiseTopics = []string{
 	"Virtual Machines", "Operating System Kernels", "Compiler Backends",
 	"Network Switches", "Microarchitectures", "Distributed Shared Memory",
 	"Real-Time Kernels", "Optical Networks", "Vector Units",
-}
-
-// sortedIntKeys returns m's keys in increasing order. World derivation must
-// be a pure function of the seed, so map iteration never feeds mapping rows
-// (or any other order-sensitive sink) directly.
-func sortedIntKeys(m map[int]model.ID) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

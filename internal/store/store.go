@@ -29,6 +29,10 @@ type Store struct {
 	mu    sync.RWMutex
 	maps  map[string]*mapping.Mapping // guarded by mu
 	order []string                    // guarded by mu
+	// gens counts the changes to each name's mapping (see Generation). It
+	// is in memory only and never shrinks, so a name's generation never
+	// returns to a value it had.
+	gens map[string]uint64 // guarded by mu
 
 	// wal, dir and fsys are set for persistent stores; fsys is the
 	// filesystem seam every WAL/snapshot/compaction operation goes through
@@ -68,7 +72,21 @@ const (
 
 // NewRepository returns an in-memory mapping repository without persistence.
 func NewRepository() *Store {
-	return &Store{maps: make(map[string]*mapping.Mapping)}
+	return &Store{maps: make(map[string]*mapping.Mapping), gens: make(map[string]uint64)}
+}
+
+// Generation returns the number of changes to the mapping stored under
+// name since the store was made: each Put, effective PutDelta,
+// DropTouching or Delete of the name, each Clear that removes it, and each
+// replayed record that changes it counts one. It is kept in memory only.
+// A reader that holds what it derived from a stored mapping compares
+// generations to tell whether that mapping moved since, including the
+// in-place changes of PutDelta and DropTouching that leave the *Mapping
+// the same pointer.
+func (s *Store) Generation(name string) uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.gens[name]
 }
 
 // SetAutoCompact configures automatic write-ahead-log compaction: once the
@@ -151,6 +169,7 @@ func (s *Store) Put(name string, m *mapping.Mapping) error {
 		s.order = append(s.order, name)
 	}
 	s.maps[name] = m
+	s.gens[name]++
 	if s.wal != nil {
 		s.noteWALRowsLocked(m.Len())
 	}
@@ -212,6 +231,7 @@ func (s *Store) PutDelta(name string, dom, rng model.LDS, mtype model.MappingTyp
 	for _, c := range rows {
 		m.AddMax(c.Domain, c.Range, c.Sim)
 	}
+	s.gens[name]++
 	if s.wal != nil {
 		s.noteWALRowsLocked(len(rows))
 	}
@@ -241,6 +261,7 @@ func (s *Store) DropTouching(name string, id model.ID) (int, error) {
 		}
 	}
 	removed := m.RemoveTouching(id)
+	s.gens[name]++
 	if s.wal != nil {
 		s.noteWALRowsLocked(1)
 	}
@@ -273,6 +294,7 @@ func (s *Store) Delete(name string) (bool, error) {
 		}
 	}
 	delete(s.maps, name)
+	s.gens[name]++
 	for i, n := range s.order {
 		if n == name {
 			s.order = append(s.order[:i], s.order[i+1:]...)
@@ -328,6 +350,7 @@ func (s *Store) Clear() error {
 			}
 		}
 		delete(s.maps, n)
+		s.gens[n]++
 		s.order = s.order[1:]
 		if s.wal != nil {
 			s.noteWALRowsLocked(1)

@@ -103,6 +103,58 @@ func TestNamesSurviveReopenAfterOverwrite(t *testing.T) {
 	}
 }
 
+// TestGenerationCountsChanges: every change to a name's mapping moves its
+// generation, in memory and on replay, and nothing else does.
+func TestGenerationCountsChanges(t *testing.T) {
+	delta := []mapping.Correspondence{{Domain: "x", Range: "y", Sim: 1}}
+	dir := t.TempDir()
+	s, err := OpenRepository(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		what string
+		do   func() error
+		want uint64
+	}{
+		{"put", func() error { return s.Put("m", sampleMapping(2)) }, 1},
+		{"delta", func() error { return s.PutDelta("m", dblpPub, acmPub, model.SameMappingType, delta) }, 2},
+		{"empty delta", func() error { return s.PutDelta("m", dblpPub, acmPub, model.SameMappingType, nil) }, 2},
+		{"drop of an absent id", func() error { _, err := s.DropTouching("m", "nobody"); return err }, 2},
+		{"drop", func() error { _, err := s.DropTouching("m", "x"); return err }, 3},
+		{"put of another name", func() error { return s.Put("other", sampleMapping(1)) }, 3},
+		{"delete", func() error { _, err := s.Delete("m"); return err }, 4},
+		{"delete of an absent name", func() error { _, err := s.Delete("m"); return err }, 4},
+		{"put again", func() error { return s.Put("m", sampleMapping(1)) }, 5},
+	}
+	for _, st := range steps {
+		if err := st.do(); err != nil {
+			t.Fatalf("%s: %v", st.what, err)
+		}
+		if got := s.Generation("m"); got != st.want {
+			t.Fatalf("after %s: generation %d, want %d", st.what, got, st.want)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenRepository(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	// The log holds put, delta, drop, delete and put for m.
+	if got := re.Generation("m"); got != 5 {
+		t.Errorf("replay: generation %d, want 5", got)
+	}
+	if err := re.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	if got, other := re.Generation("m"), re.Generation("other"); got != 6 || other != 2 {
+		t.Errorf("after Clear: generations %d and %d, want 6 and 2", got, other)
+	}
+}
+
 func TestClearAndSummarize(t *testing.T) {
 	s := NewRepository()
 	s.Put("a", sampleMapping(3))

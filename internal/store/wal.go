@@ -292,6 +292,7 @@ func (s *Store) applyRecord(rec *lineRecord, path string, lineNo int, body []byt
 			s.order = append(s.order, rec.name)
 		}
 		s.maps[rec.name] = m
+		s.gens[rec.name]++
 		return len(rec.sims), nil
 	case "add":
 		m, exists := s.maps[rec.name]
@@ -308,15 +309,18 @@ func (s *Store) applyRecord(rec *lineRecord, path string, lineNo int, body []byt
 		for i, sim := range rec.sims {
 			m.AddMaxOrd(rec.ords[2*i], rec.ords[2*i+1], sim)
 		}
+		s.gens[rec.name]++
 		return len(rec.sims), nil
 	case "drop":
 		if m, ok := s.maps[rec.name]; ok {
 			m.RemoveTouching(model.ID(rec.id))
+			s.gens[rec.name]++
 		}
 		return 1, nil
 	case "del":
 		if _, ok := s.maps[rec.name]; ok {
 			delete(s.maps, rec.name)
+			s.gens[rec.name]++
 			for i, n := range s.order {
 				if n == rec.name {
 					s.order = append(s.order[:i], s.order[i+1:]...)

@@ -14,8 +14,10 @@
 // chain through step names. Each result carries its step's definition: the
 // two object sets (identity and Version) if the step has matchers, each
 // matcher's String, each Use input (its own step's definition, or
-// repo:<name>), the operator, combiner, path aggregation and the selections
-// in order. A hit on another definition is an error naming both. A
+// repo:<name>#<generation>, see store.Store.Generation), the operator,
+// combiner, path aggregation and the selections in order. A hit on another
+// definition is an error naming both, and naming the repository inputs that
+// changed since the held result read them. A
 // definition cannot see into a mapping.Where closure or the values a custom
 // sim.Func captures; Forget lets a step run again, under a new definition
 // too, and every held step that used it with it. A merge step's leading
@@ -143,12 +145,20 @@ type Engine struct {
 }
 
 // stepRecord is a result Run holds, its step's definition, pinned what
-// that names by address, and the step results its Use inputs read.
+// that names by address, the step results its Use inputs read and the
+// generations of the repository mappings they read.
 type stepRecord struct {
-	m    *mapping.Mapping
-	def  string
-	pins []any
-	uses []stepUse
+	m     *mapping.Mapping
+	def   string
+	pins  []any
+	uses  []stepUse
+	repos []repoUse
+}
+
+// repoUse names a repository mapping a step read, with its generation.
+type repoUse struct {
+	name string
+	gen  uint64
 }
 
 // stepUse names a step result a step read, with its definition.
@@ -267,7 +277,7 @@ func (e *Engine) Run(w *Workflow, a, b *model.ObjectSet) (*mapping.Mapping, erro
 				continue
 			}
 			if !e.forgotten(held) {
-				return nil, fmt.Errorf("workflow: %s/%s: the engine holds %s; the step is %s", w.Name, s.Name, held.def, rec.def)
+				return nil, fmt.Errorf("workflow: %s/%s: %sthe engine holds %s; the step is %s", w.Name, s.Name, movedRepos(held, rec), held.def, rec.def)
 			}
 		}
 		m, err := e.runStep(s, a, b)
@@ -318,7 +328,9 @@ func (e *Engine) record(s *Step, a, b *model.ObjectSet) *stepRecord {
 			rec.pins = append(rec.pins, used.pins)
 			rec.uses = append(rec.uses, stepUse{ref, used.def})
 		} else {
-			fmt.Fprintf(&d, "use(repo:%s) ", ref)
+			gen := e.Repo.Generation(ref)
+			fmt.Fprintf(&d, "use(repo:%s#%d) ", ref, gen)
+			rec.repos = append(rec.repos, repoUse{ref, gen})
 		}
 	}
 	fmt.Fprintf(&d, "%s(f=%+v, g=%s)", s.Op, s.F, s.G)
@@ -327,6 +339,20 @@ func (e *Engine) record(s *Step, a, b *model.ObjectSet) *stepRecord {
 	}
 	rec.def = d.String()
 	return rec
+}
+
+// movedRepos names the repository inputs of rec whose generation differs
+// from the one held read, as a clause ending in "; ", or "".
+func movedRepos(held, rec *stepRecord) string {
+	var b strings.Builder
+	for _, now := range rec.repos {
+		for _, then := range held.repos {
+			if then.name == now.name && then.gen != now.gen {
+				fmt.Fprintf(&b, "repository mapping %q changed (generation %d, now %d); ", now.name, then.gen, now.gen)
+			}
+		}
+	}
+	return b.String()
 }
 
 // runStep runs the step's matchers, combines their results with the named

@@ -426,6 +426,72 @@ func TestCacheHitChecksDefinition(t *testing.T) {
 	}
 }
 
+// TestRepositoryInputChangeIsAMismatch: a step that read a repository
+// mapping does not hit after that mapping changed, whether it was replaced
+// (Put) or changed in place (PutDelta, DropTouching), and the error names
+// the input. A Forget runs the step again over the mapping as it is now.
+// A one-input merge passes its input through, so its result is the stored
+// mapping itself and an in-place change shows in the held result; the
+// other cases derive a new mapping from it.
+func TestRepositoryInputChangeIsAMismatch(t *testing.T) {
+	rows := func(m *mapping.Mapping) []mapping.Correspondence { return m.Correspondences() }
+	m1 := mapping.NewSame(dblpPub, acmPub)
+	m1.Add("d1", "a1", 0.9)
+	m2 := mapping.NewSame(dblpPub, acmPub)
+	m2.Add("d2", "a2", 0.8)
+	m2.Add("d3", "a3", 0.7)
+	delta := []mapping.Correspondence{{Domain: "d2", Range: "a2", Sim: 0.95}}
+	for _, c := range []struct {
+		name   string
+		sel    []mapping.Selection
+		change func(repo *store.Store) error
+	}{
+		{"put", nil, func(repo *store.Store) error { return repo.Put("X", m2) }},
+		{"delta", []mapping.Selection{mapping.Threshold{T: 0.5}}, func(repo *store.Store) error {
+			return repo.PutDelta("X", dblpPub, acmPub, model.SameMappingType, delta)
+		}},
+		{"drop", []mapping.Selection{mapping.Threshold{T: 0.5}}, func(repo *store.Store) error {
+			_, err := repo.DropTouching("X", "d1")
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(nil)
+			if err := e.Repo.Put("X", m1.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			wf := New("w").AddStep(Step{Name: "s", Use: []string{"X"}, Select: c.sel})
+			first := rows(mustRun(t, e, wf, nil, nil))
+			if err := c.change(e.Repo); err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.Run(wf, nil, nil)
+			if err == nil {
+				t.Fatalf("second run returned %v with no error; the first returned %v", rows(got), first)
+			}
+			if !strings.Contains(err.Error(), `repository mapping "X" changed`) {
+				t.Errorf("error %q does not name the changed input X", err)
+			}
+			e.Forget("s")
+			stored, _ := e.Repo.Get("X")
+			want := rows(stored)
+			if got := rows(mustRun(t, e, wf, nil, nil)); !reflect.DeepEqual(got, want) {
+				t.Errorf("after Forget the step returned %v, want the stored %v", got, want)
+			}
+		})
+	}
+	// The passed-through result is the stored mapping, so an in-place change
+	// shows in it before the engine notices.
+	e := NewEngine(nil)
+	if err := e.Repo.Put("X", m1.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	passed := mustRun(t, e, New("w").AddStep(Step{Name: "s", Use: []string{"X"}}), nil, nil)
+	if stored, _ := e.Repo.Get("X"); passed != stored {
+		t.Error("a one-input merge did not pass its repository input through")
+	}
+}
+
 // mustRun runs w on e and fails the test on an error.
 func mustRun(t *testing.T, e *Engine, w *Workflow, a, b *model.ObjectSet) *mapping.Mapping {
 	t.Helper()
@@ -572,7 +638,7 @@ func TestMergeStepSelectionsInOrder(t *testing.T) {
 	}
 	table2 := mapping.Combiner{Kind: mapping.Weighted, Weights: []float64{3, 1, 2}, MissingAsZero: true}
 	above, higher, best := mapping.Threshold{T: 0.8}, mapping.Threshold{T: 0.9}, mapping.BestN{N: 1, Side: mapping.DomainSide}
-	const use = "use(repo:title) use(repo:author) use(repo:year) merge(f={Kind:Weighted MissingAsZero:true Weights:[3 1 2] PreferIndex:0}, g=Average)"
+	const use = "use(repo:title#1) use(repo:author#1) use(repo:year#1) merge(f={Kind:Weighted MissingAsZero:true Weights:[3 1 2] PreferIndex:0}, g=Average)"
 	for _, c := range []struct {
 		name string
 		sels []mapping.Selection
