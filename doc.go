@@ -64,7 +64,10 @@
 // resident one. Only the built-ins' profile columns are kept in a set's
 // column store; corpus-backed and opaque-Func columns build per match.
 //
-// Build sides keep what sim.NewProfile returns; read paths rebuild pooled
+// A column of profiles (a matcher's per-set column, a resolver's resident
+// one) comes from sim.BuildProfileColumn, which splits the values over the
+// workers unless the measure interns; one value kept on its own (a
+// resolver's Add) comes from sim.NewProfile. Read paths rebuild pooled
 // profiles through the lookup-only sim.QueryInto, which never grows a term
 // dictionary and, for every measure whose profile holds only slices and
 // numbers, allocates nothing once its buffers are warm.

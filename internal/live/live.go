@@ -10,6 +10,8 @@
 // ordinal (sim.ProfileColumn) — for a set measure with a dense, pointer-free
 // filter key per slot beside the profiles, which most candidates are
 // rejected on without a profile read — and per-column TF-IDF corpora.
+// NewResolver builds each column in one bulk build (sim.BuildProfileColumn,
+// on every core unless the measure interns); Add profiles one value.
 // Resolve then blocks, scores and thresholds one query record against the
 // set in time proportional to its candidates, not to the set; Add and Remove
 // update the resident structures in place instead of re-matching.
@@ -186,23 +188,33 @@ func NewResolver(set *model.ObjectSet, cfg Config) (*Resolver, error) {
 		default:
 			return nil, fmt.Errorf("live: column %d has no similarity function", i)
 		}
-		cs.col = sim.NewProfileColumn(cs.ps, set.Len())
 		r.cols[i], measures[i] = cs, cs.ps
 	}
 	r.scorer = sim.NewWeighted(measures, weights, cfg.Threshold)
 	r.filter = r.scorer.RowFilter()
-	// Bulk build: register every corpus document first and profile each
-	// column exactly once at the end — the per-arrival reprofile of Add
-	// would make a TFIDF construction O(n²).
-	set.Each(func(in *model.Instance) bool {
-		r.addLocked(in, true)
-		return true
-	})
-	for i := range r.cols {
-		if c := &r.cols[i]; c.corpus != nil {
-			r.reprofileLocked(c)
+	// Bulk build: slot i is the set's ordinal i. The serial pass gives out
+	// the slots, interns the blocking tokens and registers every corpus
+	// document; then each column is built whole, a corpus column over its
+	// complete corpus — the per-arrival reprofile of Add would make a TFIDF
+	// construction O(n²).
+	n := set.Len()
+	r.ids, r.alive, r.blockToks = make([]model.ID, n), make([]bool, n), make([][]uint32, n)
+	for slot := range n {
+		in := set.At(slot)
+		r.placeLocked(in, slot)
+		for i := range r.cols {
+			if c := &r.cols[i]; c.corpus != nil {
+				if v := in.Attr(c.cfg.SetAttr); v != "" {
+					c.corpus.Add(v)
+				}
+			}
 		}
 	}
+	for i := range r.cols {
+		c := &r.cols[i]
+		c.col = sim.BuildProfileColumn(c.ps, n, func(ord int) string { return set.At(ord).Attr(c.cfg.SetAttr) })
+	}
+	r.filter.Cover(2 * r.cols[0].col.MaxCard())
 	return r, nil
 }
 
@@ -389,7 +401,7 @@ func (r *Resolver) Add(in *model.Instance) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.addLocked(in, false)
+	r.addLocked(in)
 	return nil
 }
 
@@ -412,16 +424,14 @@ func (r *Resolver) AddResolve(in *model.Instance) ([]Match, error) {
 		r.dropSlotLocked(slot, true)
 	}
 	matches := r.resolveLocked(in, true, nil)
-	r.addLocked(in, false)
+	r.addLocked(in)
 	return matches, nil
 }
 
-// addLocked inserts or replaces under a held write lock. bulk suppresses
-// the per-arrival reprofile of corpus-backed columns during construction,
-// where NewResolver reprofiles once at the end instead.
+// addLocked inserts or replaces under a held write lock.
 //
 // Callers hold mu.
-func (r *Resolver) addLocked(in *model.Instance, bulk bool) {
+func (r *Resolver) addLocked(in *model.Instance) {
 	slot, replacing := r.slots[in.ID]
 	var droppedCorpus []bool
 	if replacing {
@@ -443,6 +453,35 @@ func (r *Resolver) addLocked(in *model.Instance, bulk bool) {
 			r.cols[i].col.Append(nil)
 		}
 	}
+	r.placeLocked(in, slot)
+	for i := range r.cols {
+		c := &r.cols[i]
+		v := in.Attr(c.cfg.SetAttr)
+		if c.corpus != nil {
+			changed := droppedCorpus != nil && droppedCorpus[i]
+			if v != "" {
+				c.corpus.Add(v)
+				changed = true
+			}
+			if changed {
+				// Every resident vector is stale once the corpus has moved.
+				c.col.Set(slot, &sim.Profile{Raw: v})
+				r.reprofileLocked(c)
+				continue
+			}
+		}
+		c.col.Set(slot, sim.NewProfile(c.ps, v))
+	}
+	// A member beyond the key table extends it here, under the write lock,
+	// so that no resolve builds one; a longer query is tested past its end.
+	r.filter.Cover(2 * r.cols[0].col.MaxCard())
+}
+
+// placeLocked makes in the live instance of slot and indexes its blocking
+// tokens, under a held write lock.
+//
+// Callers hold mu.
+func (r *Resolver) placeLocked(in *model.Instance, slot int) {
 	r.slots[in.ID] = slot
 	r.ids[slot] = in.ID
 	r.alive[slot] = true
@@ -456,31 +495,6 @@ func (r *Resolver) addLocked(in *model.Instance, bulk bool) {
 	} else {
 		r.blockToks[slot] = nil
 	}
-	for i := range r.cols {
-		c := &r.cols[i]
-		v := in.Attr(c.cfg.SetAttr)
-		if c.corpus != nil {
-			changed := droppedCorpus != nil && droppedCorpus[i]
-			if v != "" {
-				c.corpus.Add(v)
-				changed = true
-			}
-			if bulk || changed {
-				// Every resident vector is stale once the corpus has moved:
-				// leave the value for the reprofile — now, or NewResolver's
-				// single one after all corpus documents are in.
-				c.col.Set(slot, &sim.Profile{Raw: v})
-				if !bulk {
-					r.reprofileLocked(c)
-				}
-				continue
-			}
-		}
-		c.col.Set(slot, sim.NewProfile(c.ps, v))
-	}
-	// A member beyond the key table extends it here, under the write lock,
-	// so that no resolve builds one; a longer query is tested past its end.
-	r.filter.Cover(2 * r.cols[0].col.MaxCard())
 }
 
 // Remove tombstones the instance: its index postings disappear, its corpus
@@ -573,7 +587,11 @@ func (r *Resolver) dropSlotLocked(slot int, reprofile bool) {
 	}
 	for i := range r.cols {
 		c := &r.cols[i]
-		raw := c.col.Profs[slot].Raw
+		p := c.col.Profs[slot]
+		raw := p.Raw
+		// A bulk-built profile is an element of its column's backing array,
+		// which outlives it: clearing the element frees the profile's slices.
+		*p = sim.Profile{}
 		c.col.Set(slot, nil)
 		if c.corpus != nil && raw != "" {
 			c.corpus.Remove(raw)

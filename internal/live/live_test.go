@@ -700,6 +700,65 @@ func TestChurnCompaction(t *testing.T) {
 	}
 }
 
+// TestNewResolverPartitionInvariant: a resolver's bulk-built columns, and
+// so its answers, are the same at every GOMAXPROCS; 4 200 members are two
+// chunks of the bulk profile build from two workers on.
+func TestNewResolverPartitionInvariant(t *testing.T) {
+	queries, set := syntheticSets(4200)
+	queries = queries.Subset(queries.IDs()[:30])
+	cfg := testConfig()
+	cfg.Columns = append(cfg.Columns, Column{QueryAttr: "title", SetAttr: "name", TFIDF: true, Weight: 1})
+	var first *Resolver
+	var want []mapping.Correspondence
+	for _, procs := range []int{1, 2, 8} {
+		var r *Resolver
+		var err error
+		atGOMAXPROCS(procs, func() { r, err = NewResolver(set, cfg) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkKeysAligned(t, r)
+		m, err := r.ResolveSet(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first, want = r, m.Correspondences()
+			if len(want) == 0 {
+				t.Fatal("fixture produced no matches; fixture broken")
+			}
+			continue
+		}
+		for i := range r.cols {
+			got, base := &r.cols[i].col, &first.cols[i].col
+			if !reflect.DeepEqual(got.Profs, base.Profs) || !reflect.DeepEqual(got.Keys, base.Keys) || got.MaxCard() != base.MaxCard() {
+				t.Fatalf("column %d at GOMAXPROCS %d differs from the build at 1", i, procs)
+			}
+		}
+		if got := m.Correspondences(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("GOMAXPROCS %d resolves %d correspondences, 1 resolves %d, or in another order", procs, len(got), len(want))
+		}
+	}
+}
+
+// TestRemoveClearsBulkProfile: a bulk-built profile lives in its column's
+// backing array, which outlives it, so Remove clears it there.
+func TestRemoveClearsBulkProfile(t *testing.T) {
+	_, set := syntheticSets(60)
+	r, err := NewResolver(set, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := r.cols[0].col.Profs[r.slots["g005"]]
+	if len(p.Grams) == 0 {
+		t.Fatal("g005 has no trigram profile")
+	}
+	r.Remove("g005")
+	if !reflect.DeepEqual(*p, sim.Profile{}) {
+		t.Fatalf("the removed profile still holds %+v", *p)
+	}
+}
+
 // TestCompactionPreservesRemoveAndReplace exercises the interaction of
 // compaction with later removals and replaces: slot renumbering must keep
 // the id→slot bookkeeping, the blocking index and the TF-IDF corpora

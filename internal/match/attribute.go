@@ -145,20 +145,10 @@ func profileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim) sim.Pr
 	return col
 }
 
-// buildProfileColumn does the actual profile build: one scratch and one
-// backing array of profiles per column. The column is never mutated after
-// this returns, so readers need no locks.
+// buildProfileColumn does the actual profile build. The column is never
+// mutated after this returns, so readers need no locks.
 func buildProfileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim) sim.ProfileColumn {
-	profs := make([]sim.Profile, set.Len())
-	out := sim.NewProfileColumn(ps, len(profs))
-	var sc sim.Scratch
-	set.Each(func(in *model.Instance) bool {
-		p := &profs[len(out.Profs)]
-		ps.ProfileInto(in.Attr(attr), p, &sc)
-		out.Append(p)
-		return true
-	})
-	return out
+	return sim.BuildProfileColumn(ps, set.Len(), func(i int) string { return set.At(i).Attr(attr) })
 }
 
 // AttrPair configures one attribute comparison of the multi-attribute

@@ -215,9 +215,18 @@ func TestBuiltinNhMatchCustomAgg(t *testing.T) {
 	}
 }
 
-func TestRunPaperDedupScript(t *testing.T) {
-	// §4.3's duplicate-author script, on a small co-author world where
-	// niki/agathoniki share all three co-authors.
+// dedupScript is §4.3's duplicate-author script.
+const dedupScript = `
+$CoAuthSim = nhMatch (DBLP.CoAuthor, DBLP.AuthorAuthor, DBLP.CoAuthor)
+$NameSim = attrMatch (DBLP.Author, DBLP.Author, Trigram, 0.5, "[name]", "[name]")
+$Merged = merge ($CoAuthSim, $NameSim, Average)
+$Result = select ($Merged, "[domain.id]<>[range.id]")
+RETURN $Result
+`
+
+// dedupEngine is an engine over a small co-author world, registered as
+// DBLP.Author, where niki/agathoniki share all three co-authors.
+func dedupEngine(t *testing.T) (*workflow.Engine, *model.ObjectSet) {
 	b := workflow.NewEngine(nil)
 	authors := model.NewObjectSet(dblpAut)
 	names := map[model.ID]string{
@@ -237,15 +246,12 @@ func TestRunPaperDedupScript(t *testing.T) {
 	putMapping(t, b, "DBLP.CoAuthor", co)
 	putMapping(t, b, "DBLP.AuthorAuthor", mapping.Identity(authors))
 	addSet(t, b, "DBLP.Author", authors)
+	return b, authors
+}
 
-	src := `
-$CoAuthSim = nhMatch (DBLP.CoAuthor, DBLP.AuthorAuthor, DBLP.CoAuthor)
-$NameSim = attrMatch (DBLP.Author, DBLP.Author, Trigram, 0.5, "[name]", "[name]")
-$Merged = merge ($CoAuthSim, $NameSim, Average)
-$Result = select ($Merged, "[domain.id]<>[range.id]")
-RETURN $Result
-`
-	v, err := New(b).RunSource(src)
+func TestRunPaperDedupScript(t *testing.T) {
+	b, _ := dedupEngine(t)
+	v, err := New(b).RunSource(dedupScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,6 +272,41 @@ RETURN $Result
 	best := mapping.BestN{N: 1, Side: DomainSideForTest()}.Apply(m)
 	if bs, _ := best.Sim("niki", "agathoniki"); bs == 0 {
 		t.Error("true duplicate should be the top candidate for niki")
+	}
+}
+
+// TestDedupScriptSeesAuthorAdds: a constraint select's definition holds
+// the version of the set its engine reads for each LDS, the first one
+// registered. An add to another set of that LDS leaves the §4.3 script's
+// result standing; an add to DBLP.Author makes the re-run fail on a
+// definition mismatch instead of returning the first result, and so does a
+// constraint select that reads DBLP.Author only through its LDS.
+func TestDedupScriptSeesAuthorAdds(t *testing.T) {
+	e, authors := dedupEngine(t)
+	mirror := authors.Clone()
+	addSet(t, e, "DBLP.AuthorMirror", mirror)
+	const distinct = `$Distinct = select (DBLP.CoAuthor, "[domain.id]<>[range.id]")` + "\n"
+	first, err := New(e).RunSource(dedupScript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(e).RunSource(distinct); err != nil {
+		t.Fatal(err)
+	}
+	mirror.AddNew("w", map[string]string{"name": "Wanda Wu"})
+	if v, err := New(e).RunSource(dedupScript); err != nil || v.Mapping != first.Mapping {
+		t.Fatalf("after an add to the second DBLP.Author set = %v, %v; want the first result", v, err)
+	}
+	before := fmt.Sprintf("%s#%d", dblpAut, authors.Version())
+	authors.AddNew("w", map[string]string{"name": "Wanda Wu"})
+	after := fmt.Sprintf("%s#%d", dblpAut, authors.Version())
+	if _, err := New(e).RunSource(dedupScript); err == nil || !strings.Contains(err.Error(), "the engine holds") {
+		t.Errorf("re-run of the §4.3 script after DBLP.Author changed: %v; want a definition mismatch", err)
+	}
+	_, err = New(e).RunSource(distinct)
+	if err == nil || !strings.Contains(err.Error(), "the engine holds") ||
+		!strings.Contains(err.Error(), before) || !strings.Contains(err.Error(), after) {
+		t.Errorf("re-run of the constraint select after DBLP.Author changed: %v; want a mismatch naming %s and %s", err, before, after)
 	}
 }
 

@@ -1,0 +1,149 @@
+package sim
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// columnValues are n values for a bulk build: titles over a small
+// vocabulary, each with a token of its own, among empty values, years,
+// non-ASCII text, values too short for a trigram and values of one gram
+// repeated (an oversized hash bucket). The last value, in the last chunk,
+// has the most tokens and grams.
+func columnValues(n int, tag string) []string {
+	words := strings.Fields("mapping based object matching data integration schema view selection problem ångström 界")
+	rng := rand.New(rand.NewSource(5))
+	out := make([]string, n)
+	for i := range out {
+		switch i % 9 {
+		case 0:
+			out[i] = ""
+		case 1:
+			out[i] = fmt.Sprint(1990 + i%20)
+		case 2:
+			out[i] = "ab"
+		case 3:
+			out[i] = strings.Repeat("la", 20+i%40)
+		default:
+			var b strings.Builder
+			for k := range 3 + rng.Intn(8) {
+				if k > 0 {
+					b.WriteByte(' ')
+				}
+				b.WriteString(words[rng.Intn(len(words))])
+			}
+			fmt.Fprintf(&b, " %s%d", tag, i)
+			out[i] = b.String()
+		}
+	}
+	out[n-1] = fmt.Sprint(rng.Perm(300))
+	return out
+}
+
+// TestBuildProfileColumnPartitionInvariant: the bulk builder's column is
+// the serial build's — each profile NewProfile's, the keys KeyOf's and
+// MaxCard their largest cardinality — at GOMAXPROCS 8, 3, 2 and 1, where
+// 8·2048 values give par.Split eight chunks. A measure that interns (a
+// QueryProfiler) numbers the values' new terms in ordinal order at every
+// width.
+func TestBuildProfileColumnPartitionInvariant(t *testing.T) {
+	const n = 8 * 2048
+	measures := map[string]ProfiledSim{
+		"Trigram":     ProfiledOf(Trigram),
+		"TokenDice":   ProfiledOf(TokenDice),
+		"Levenshtein": ProfiledOf(Levenshtein),
+	}
+	for name, ps := range measures {
+		tag := "pcol" + strings.ToLower(name)
+		values := columnValues(n, tag)
+		value := func(i int) string { return values[i] }
+		var want ProfileColumn
+		for _, w := range []int{8, 3, 2, 1} {
+			var got ProfileColumn
+			atGOMAXPROCS(w, func() { got = BuildProfileColumn(ps, n, value) })
+			if w == 8 {
+				if _, interns := ps.(QueryProfiler); interns {
+					checkInternOrder(t, name, values, tag)
+				}
+				want = NewProfileColumn(ps, n)
+				for _, v := range values {
+					want.Append(NewProfile(ps, v))
+				}
+			}
+			if len(got.Profs) != n {
+				t.Fatalf("%s at %d workers: %d profiles, want %d", name, w, len(got.Profs), n)
+			}
+			for i := range got.Profs {
+				if !reflect.DeepEqual(got.Profs[i], want.Profs[i]) {
+					t.Fatalf("%s at %d workers: profile %d of %q is %+v, serially %+v", name, w, i, values[i], got.Profs[i], want.Profs[i])
+				}
+			}
+			if !slices.Equal(got.Keys, want.Keys) || got.MaxCard() != want.MaxCard() {
+				t.Fatalf("%s at %d workers: keys or MaxCard %d differ from the serial build's (MaxCard %d)", name, w, got.MaxCard(), want.MaxCard())
+			}
+		}
+	}
+}
+
+// checkInternOrder checks that the values' own tokens, interned by the
+// first build, got term IDs in ordinal order: a dictionary shard numbers
+// its terms by first sight.
+func checkInternOrder(t *testing.T, name string, values []string, tag string) {
+	t.Helper()
+	var last [dictShards]uint32
+	for i, v := range values {
+		if !strings.Contains(v, tag) {
+			continue
+		}
+		id, ok := Terms.Lookup(fmt.Sprintf("%s%d", tag, i))
+		if sh := id & dictShardMask; !ok || id < last[sh] {
+			t.Fatalf("%s: the token of value %d has term %d (known %t) after %d", name, i, id, ok, last[sh])
+		}
+		last[id&dictShardMask] = id
+	}
+}
+
+// atGOMAXPROCS runs f at GOMAXPROCS n, the worker count of the bulk build.
+func atGOMAXPROCS(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// FuzzSortHashesMatchesSort: the n-gram profile's bucket sort leaves a set
+// of hashes in slices.Sort's order, and so, after Compact, as the distinct
+// sorted set slices.Sort and Compact give. The input is read as 64-bit
+// hashes shifted right by skew, which crowds them into the low buckets; a
+// second, longer sort through the same Scratch reuses its buffers.
+func FuzzSortHashesMatchesSort(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 15, 16, 17, 70, 300} {
+		b := make([]byte, 8*n)
+		rng.Read(b)
+		f.Add(b, uint8(0))
+	}
+	f.Add(make([]byte, 8*40), uint8(0)) // one hash forty times: an oversized bucket
+	b := make([]byte, 8*70)
+	rng.Read(b)
+	f.Add(b, uint8(60))
+	f.Fuzz(func(t *testing.T, data []byte, skew uint8) {
+		hs := make([]uint64, len(data)/8)
+		for i := range hs {
+			hs[i] = binary.LittleEndian.Uint64(data[8*i:]) >> (skew % 64)
+		}
+		var sc Scratch
+		for _, set := range [][]uint64{hs[:len(hs)/2], hs} {
+			sc.hashes = append(sc.hashes[:0], set...)
+			got := slices.Compact(sc.sortHashes(make([]uint64, len(set))))
+			want := slices.Compact(slices.Sorted(slices.Values(set)))
+			if !slices.Equal(got, want) {
+				t.Fatalf("sortHashes(%x) then Compact = %x, slices.Sort then Compact %x", set, got, want)
+			}
+		}
+	})
+}

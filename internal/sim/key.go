@@ -13,6 +13,12 @@ package sim
 // sets the row once per batch A ordinal or resolve query and checks each
 // candidate's key against it, reading a profile only past the filter.
 
+import (
+	"slices"
+
+	"repro/internal/par"
+)
+
 // Key is the filter key of one set-measure profile: the length of the set
 // the profile holds, its cardinality (larger than the length by a query's
 // ExtraTokens) and its signature. The zero Key is that of an empty set.
@@ -137,6 +143,43 @@ func NewProfileColumn(ps ProfiledSim, n int) ProfileColumn {
 	if k, ok := ps.(Keyed); ok {
 		c.keyed, c.Keys = k, make([]Key, 0, n)
 	}
+	return c
+}
+
+// BuildProfileColumn returns the measure's column of n values, the profile
+// of value(i) at ordinal i, in one backing array. It is the one bulk
+// profile build. The ordinals are split by par.Split, and each chunk
+// profiles its range with its own Scratch; the keys are written in place
+// and MaxCard is reduced after the join, so the column is the same at every
+// worker count. A QueryProfiler's ProfileInto interns, and the dictionary
+// numbers terms by first sight, so such a measure builds on the calling
+// goroutine in ordinal order. value must be safe for concurrent use.
+func BuildProfileColumn(ps ProfiledSim, n int, value func(ord int) string) ProfileColumn {
+	profs := make([]Profile, n)
+	c := ProfileColumn{Profs: make([]*Profile, n)}
+	if k, ok := ps.(Keyed); ok {
+		c.keyed, c.Keys = k, make([]Key, n)
+	}
+	plan := par.Split(n, 0)
+	if _, interns := ps.(QueryProfiler); interns {
+		plan = par.Split(n, 1)
+	}
+	maxCard := make([]int, plan.Chunks())
+	plan.Run(func(chunk, lo, hi int) {
+		var sc Scratch
+		m := 0
+		for i := lo; i < hi; i++ {
+			p := &profs[i]
+			ps.ProfileInto(value(i), p, &sc)
+			c.Profs[i] = p
+			if c.keyed != nil {
+				c.Keys[i] = c.keyed.Key(p)
+				m = max(m, int(c.Keys[i].card))
+			}
+		}
+		maxCard[chunk] = m
+	})
+	c.maxCard = slices.Max(maxCard)
 	return c
 }
 

@@ -40,14 +40,16 @@ package sim
 // ProfileInto is the only way a profile is built. It appends into the slices
 // the Profile already owns and takes its working memory from a Scratch, so a
 // caller that keeps both (the live resolver's pooled query slots, the string
-// forms below) rebuilds a profile of slices and numbers without allocating;
-// NewProfile is the same call over a fresh Profile for build sides that keep
-// the result. Measures whose ProfileInto interns into a dictionary (token
-// sets, TF-IDF) also have a lookup-only ProfileQueryInto; QueryInto picks
-// it, so read paths never grow a dictionary. The string Funcs of the
-// built-in measures are Compare over two profiles (compare), and ProfiledOf
-// is total: a Func it does not know scores through an adapter that profiles
-// nothing.
+// forms below) rebuilds a profile of slices and numbers without allocating.
+// A column of profiles (a matcher's per-set column, a resolver's resident
+// one) comes from BuildProfileColumn (key.go), the one bulk build, on every
+// core; NewProfile is the single-value path, for a caller that keeps one
+// profile (a resolver's Add). Measures whose ProfileInto interns into a
+// dictionary (token sets, TF-IDF) also have a lookup-only ProfileQueryInto;
+// QueryInto picks it, so read paths never grow a dictionary. The string
+// Funcs of the built-in measures are Compare over two profiles (compare),
+// and ProfiledOf is total: a Func it does not know scores through an
+// adapter that profiles nothing.
 
 import (
 	"fmt"
@@ -141,7 +143,9 @@ type ProfiledSim interface {
 	// slices and sc's buffers; everything else in p is overwritten, and
 	// p.Raw is s (matchers and the resolver read values back from it). The
 	// contract permits interning into the process-global Terms dictionary
-	// (token and TF-IDF measures do); read paths profile via QueryInto.
+	// (token and TF-IDF measures do); read paths profile via QueryInto. A
+	// measure that interns is a QueryProfiler; any other runs ProfileInto
+	// on several goroutines at once in BuildProfileColumn.
 	//
 	//moma:interns
 	ProfileInto(s string, p *Profile, sc *Scratch)
@@ -163,7 +167,8 @@ type QueryProfiler interface {
 	ProfileQueryInto(s string, p *Profile, sc *Scratch)
 }
 
-// NewProfile is the build side: a fresh profile of s that the caller keeps.
+// NewProfile is the single-value build: a fresh profile of s that the
+// caller keeps. A column of values is built by BuildProfileColumn.
 func NewProfile(ps ProfiledSim, s string) *Profile {
 	w := pairPool.Get().(*pair)
 	p := new(Profile)
@@ -308,18 +313,78 @@ func (g ngramProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
 	}
 	sc.runes = appendRunes(sc.runes[:0], sc.norm, g.n-1)
 	n := len(sc.runes) - g.n + 1
-	grams := grow(p.Grams, n)[:n]
-	for i := range grams {
+	sc.hashes = grow(sc.hashes, n)[:n]
+	for i := range sc.hashes {
 		h := fnvOffset64
 		for _, r := range sc.runes[i : i+g.n] {
 			h ^= uint64(uint32(r))
 			h *= fnvPrime64
 		}
-		grams[i] = h
+		sc.hashes[i] = h
 	}
-	slices.Sort(grams)
-	p.Grams = slices.Compact(grams)
+	p.Grams = slices.Compact(sc.sortHashes(grow(p.Grams, n)[:n]))
 	p.sig = signatureOf(p.Grams)
+}
+
+// Hash sort bounds: a set shorter than minBucketSort, or one with a bucket
+// longer than maxBucket, is left to slices.Sort.
+const (
+	minBucketSort = 16
+	maxBucket     = 16
+)
+
+// sortHashes writes sc.hashes to dst, of the same length, in ascending
+// order. It buckets the hashes on their top bits, into more buckets than
+// there are hashes, then orders each bucket by one insertion pass over dst:
+// FNV hashes spread evenly, so a bucket holds about one, and a bucket is a
+// range of values, so no hash moves past its bucket's start. A short set,
+// or one with an oversized bucket (a gram repeated many times), goes to
+// slices.Sort instead, so no input is quadratic.
+func (sc *Scratch) sortHashes(dst []uint64) []uint64 {
+	if !sc.scatterHashes(dst) {
+		copy(dst, sc.hashes)
+		slices.Sort(dst)
+		return dst
+	}
+	for i := 1; i < len(dst); i++ {
+		h, j := dst[i], i
+		for ; j > 0 && dst[j-1] > h; j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = h
+	}
+	return dst
+}
+
+// scatterHashes writes sc.hashes to dst bucket by bucket, in bucket order,
+// by a counting pass over sc.buckets. It reports false, having written
+// nothing, for a set the bucket sort leaves to slices.Sort.
+func (sc *Scratch) scatterHashes(dst []uint64) bool {
+	src := sc.hashes
+	if len(src) < minBucketSort {
+		return false
+	}
+	shift := 64 - bits.Len(uint(len(src)))
+	count := grow(sc.buckets, 1<<(64-shift))[:1<<(64-shift)]
+	clear(count)
+	sc.buckets = count
+	for _, h := range src {
+		count[h>>shift]++
+	}
+	var start uint32
+	for b, c := range count {
+		if c > maxBucket {
+			return false
+		}
+		count[b] = start
+		start += c
+	}
+	for _, h := range src {
+		b := h >> shift
+		dst[count[b]] = h
+		count[b]++
+	}
+	return true
 }
 
 // Compare scores two gram sets by a merge-join over the sorted hashes, Dice

@@ -24,6 +24,10 @@ type Scratch struct {
 	norm  []byte // normalized value bytes
 	runes []rune // padded rune window for gram hashing
 	terms []term // the value's token occurrences (token-set and TF-IDF measures)
+	// hashes holds a value's gram hashes before sortHashes orders them into
+	// the profile, bucketed by buckets' counts.
+	hashes  []uint64
+	buckets []uint32
 }
 
 // term is one token occurrence: its byte range within Scratch.norm, its

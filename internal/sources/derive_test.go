@@ -556,9 +556,7 @@ const deriveInternChild = "SOURCES_DERIVE_INTERN_CHILD"
 
 // TestDeriveInternOrder: Generate interns ids into model.IDs in the order
 // the reference's per-row Adds interned them, one world after another. The
-// body runs in a fresh process, where the only ids interned before it are
-// those of smallDataset, this package's Generate(SmallConfig()) at init:
-// the first oracle world, so its order is checked too.
+// body runs in a fresh process, whose model.IDs is empty when it starts.
 func TestDeriveInternOrder(t *testing.T) {
 	if os.Getenv(deriveInternChild) == "" {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestDeriveInternOrder$")
@@ -567,6 +565,9 @@ func TestDeriveInternOrder(t *testing.T) {
 			t.Fatalf("child: %v\n%s", err, out)
 		}
 		return
+	}
+	if n := model.IDs.Len(); n != 0 {
+		t.Fatalf("the child starts with %d ids interned", n)
 	}
 	ref := model.NewIDDict()
 	for _, cfg := range oracleWorlds() {

@@ -129,7 +129,7 @@ func TestEmptyIndexSearch(t *testing.T) {
 		if got := q.Search("anything", 5); got.Len() != 0 || q.Docs() != 0 {
 			t.Errorf("%d attribute-less instances: Docs = %d, hits %v, want none", gs.Pubs.Len(), q.Docs(), got.IDs())
 		}
-		if got := q.CollectFor(smallDataset.DBLP.Pubs, "title", 5); got.Len() != 0 {
+		if got := q.CollectFor(smallDataset().DBLP.Pubs, "title", 5); got.Len() != 0 {
 			t.Errorf("CollectFor over an empty source returned %v", got.IDs())
 		}
 	}
@@ -209,7 +209,7 @@ func TestGSQueryPanicsWhenSetChanges(t *testing.T) {
 	gs.Pubs.AddNew("p6", map[string]string{"title": "view maintenance"})
 	for name, call := range map[string]func(){
 		"Search":     func() { q.Search("view", 3) },
-		"CollectFor": func() { q.CollectFor(smallDataset.DBLP.Pubs, "title", 3) },
+		"CollectFor": func() { q.CollectFor(smallDataset().DBLP.Pubs, "title", 3) },
 	} {
 		func() {
 			defer func() {
@@ -228,8 +228,8 @@ func TestGSSearchZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	q := NewGSQuery(smallDataset.GS)
-	title := smallDataset.DBLP.Pubs.At(0).Attr("title")
+	q := NewGSQuery(smallDataset().GS)
+	title := smallDataset().DBLP.Pubs.At(0).Attr("title")
 	hits := 0
 	search := func() {
 		sc := q.scratch.Get().(*searchScratch)
@@ -247,8 +247,8 @@ func TestGSSearchZeroAllocs(t *testing.T) {
 // TestGSQueryConcurrentSearch runs the same queries from several goroutines
 // at once (go test -race) and expects the sequential answers.
 func TestGSQueryConcurrentSearch(t *testing.T) {
-	q := NewGSQuery(smallDataset.GS)
-	queries := sampleQueries(smallDataset, 40)
+	q := NewGSQuery(smallDataset().GS)
+	queries := sampleQueries(smallDataset(), 40)
 	want := make([][]model.ID, len(queries))
 	for i, query := range queries {
 		want[i] = searchIDs(q, query, 7)

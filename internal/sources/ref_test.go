@@ -252,7 +252,7 @@ var paperDataset = sync.OnceValue(func() *Dataset { return Generate(PaperConfig(
 func TestGSQueryMatchesReference(t *testing.T) {
 	t.Parallel() // beside TestGenerateManySeeds, the other long one
 	t.Run("small", func(t *testing.T) {
-		checkAgainstRef(t, smallDataset.GS, smallDataset.DBLP.Pubs, sampleQueries(smallDataset, 200))
+		checkAgainstRef(t, smallDataset().GS, smallDataset().DBLP.Pubs, sampleQueries(smallDataset(), 200))
 	})
 	t.Run("quarter", func(t *testing.T) {
 		d := Generate(quarterConfig())

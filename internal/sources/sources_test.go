@@ -2,13 +2,16 @@ package sources
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/model"
 )
 
-// smallDataset is shared across tests; generation is deterministic.
-var smallDataset = Generate(SmallConfig())
+// smallDataset is shared across tests; generation is deterministic. It is
+// built on first use, so a test binary that runs none of its tests (one
+// -run, a fuzz worker, a re-executed child) does not generate it.
+var smallDataset = sync.OnceValue(func() *Dataset { return Generate(SmallConfig()) })
 
 func TestDeterminism(t *testing.T) {
 	a := Generate(SmallConfig())
@@ -36,9 +39,9 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.Seed = 43
 	other := Generate(cfg)
-	if other.DBLP.Pubs.Len() == smallDataset.DBLP.Pubs.Len() {
+	if other.DBLP.Pubs.Len() == smallDataset().DBLP.Pubs.Len() {
 		// Sizes may coincide; compare first titles too.
-		a := smallDataset.DBLP.Pubs.Get(smallDataset.DBLP.Pubs.IDs()[0]).Attr("title")
+		a := smallDataset().DBLP.Pubs.Get(smallDataset().DBLP.Pubs.IDs()[0]).Attr("title")
 		b := other.DBLP.Pubs.Get(other.DBLP.Pubs.IDs()[0]).Attr("title")
 		if a == b {
 			t.Error("different seeds should produce different worlds")
@@ -47,7 +50,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 }
 
 func TestWorldShape(t *testing.T) {
-	d := smallDataset
+	d := smallDataset()
 	w := d.World
 	if len(w.Venues) == 0 || len(w.Pubs) == 0 || len(w.Authors) == 0 {
 		t.Fatal("world is empty")
@@ -84,7 +87,7 @@ func TestWorldShape(t *testing.T) {
 }
 
 func TestEveryAuthorPublishes(t *testing.T) {
-	w := smallDataset.World
+	w := smallDataset().World
 	used := make(map[int]bool)
 	for _, p := range w.Pubs {
 		for _, a := range p.Authors {
@@ -99,7 +102,7 @@ func TestEveryAuthorPublishes(t *testing.T) {
 }
 
 func TestDBLPShape(t *testing.T) {
-	d := smallDataset
+	d := smallDataset()
 	if d.DBLP.Pubs.Len() != len(d.World.Pubs) {
 		t.Errorf("DBLP pubs = %d, want %d (complete source)", d.DBLP.Pubs.Len(), len(d.World.Pubs))
 	}
@@ -144,7 +147,7 @@ func TestDBLPShape(t *testing.T) {
 }
 
 func TestCoAuthorSymmetric(t *testing.T) {
-	co := smallDataset.DBLP.CoAuthor
+	co := smallDataset().DBLP.CoAuthor
 	for _, c := range co.Correspondences() {
 		if !co.Has(c.Range, c.Domain) {
 			t.Fatalf("co-author mapping not symmetric for %v", c)
@@ -174,7 +177,7 @@ func TestACMDropsVLDBYears(t *testing.T) {
 }
 
 func TestACMAttributesUseNameNotTitle(t *testing.T) {
-	d := smallDataset
+	d := smallDataset()
 	d.ACM.Pubs.Each(func(in *model.Instance) bool {
 		if !in.HasAttr("name") || in.HasAttr("title") {
 			t.Errorf("ACM pub %s should use 'name' (Figure 1), got %v", in.ID, in)
@@ -187,7 +190,7 @@ func TestACMAttributesUseNameNotTitle(t *testing.T) {
 }
 
 func TestPerfectMappingsConsistent(t *testing.T) {
-	d := smallDataset
+	d := smallDataset()
 	p := d.Perfect
 	if p.PubDBLPACM.Len() != d.ACM.Pubs.Len() {
 		t.Errorf("perfect DBLP-ACM size %d != ACM pubs %d", p.PubDBLPACM.Len(), d.ACM.Pubs.Len())
@@ -219,7 +222,7 @@ func TestPerfectMappingsConsistent(t *testing.T) {
 }
 
 func TestGSDirtiness(t *testing.T) {
-	d := smallDataset
+	d := smallDataset()
 	// GS has more entries than DBLP (duplicates + noise).
 	if d.GS.Pubs.Len() <= d.DBLP.Pubs.Len() {
 		t.Error("GS should be larger than DBLP")
@@ -253,7 +256,7 @@ func TestGSDirtiness(t *testing.T) {
 }
 
 func TestGSLinksLowRecall(t *testing.T) {
-	d := smallDataset
+	d := smallDataset()
 	recall := float64(d.GSLinksACM.Len()) / float64(d.Perfect.PubGSACM.Len())
 	if recall < 0.1 || recall > 0.35 {
 		t.Errorf("GS link recall = %v, want ~%v", recall, d.Cfg.GSLinkRecall)
@@ -269,7 +272,7 @@ func TestGSLinksLowRecall(t *testing.T) {
 func TestMergedTwinsInGS(t *testing.T) {
 	// Some GS entries must correspond to two DBLP publications (the merged
 	// conference+journal versions of Figure 7).
-	d := smallDataset
+	d := smallDataset()
 	found := false
 	perGS := make(map[uint32]int)
 	d.Perfect.PubDBLPGS.EachOrd(func(_, gs uint32, _ float64) bool {
@@ -283,7 +286,7 @@ func TestMergedTwinsInGS(t *testing.T) {
 }
 
 func TestVenueNamingDivergence(t *testing.T) {
-	d := smallDataset
+	d := smallDataset()
 	// DBLP and ACM venue names for the same venue must differ wildly.
 	var c struct{ dblp, acm string }
 	for _, corr := range d.Perfect.VenueDBLPACM.Correspondences() {
@@ -303,7 +306,7 @@ func TestVenueNamingDivergence(t *testing.T) {
 }
 
 func TestGSQuerySearch(t *testing.T) {
-	d := smallDataset
+	d := smallDataset()
 	q := NewGSQuery(d.GS)
 	if q.Docs() != d.GS.Pubs.Len() {
 		t.Errorf("Docs = %d, want %d", q.Docs(), d.GS.Pubs.Len())
@@ -327,7 +330,7 @@ func TestGSQuerySearch(t *testing.T) {
 }
 
 func TestGSQueryCollectFor(t *testing.T) {
-	d := smallDataset
+	d := smallDataset()
 	q := NewGSQuery(d.GS)
 	sub := d.DBLP.Pubs.Subset(d.DBLP.Pubs.IDs()[:20])
 	got := q.CollectFor(sub, "title", 5)

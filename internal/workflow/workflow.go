@@ -127,6 +127,12 @@ func NhMatch(name, asso1, same, asso2 string, g mapping.PathAgg, sel ...mapping.
 // Engine is the namespace of Figure 3 and the executor of workflows over
 // it: the mapping repository, the results of the steps it ran, and the
 // object sets registered by name. It is safe for concurrent use.
+//
+// The definition check sees a repository mapping change only through the
+// store's generation, which the store's writes move. A caller that changes
+// a *mapping.Mapping from Repo.Get or Mapping in place bypasses the store,
+// so a held step that read it is served as if nothing had changed: write a
+// changed mapping back with Repo.Put, PutDelta or DropTouching instead.
 type Engine struct {
 	Repo *store.Store
 
