@@ -70,7 +70,11 @@
 // resolver's Add) comes from sim.NewProfile. Read paths rebuild pooled
 // profiles through the lookup-only sim.QueryInto, which never grows a term
 // dictionary and, for every measure whose profile holds only slices and
-// numbers, allocates nothing once its buffers are warm.
+// numbers, allocates nothing once its buffers are warm. A column of
+// blocking tokens (a set's token-blocking column, a resolver's members)
+// comes the same way from sim.Dict.TokenColumn, which numbers new terms in
+// the order a serial walk meets them, and the inverted index over it from
+// index.BuildOrds; a resolver's Add tokenizes and indexes its one value.
 //
 // Profiles are read-only between builds, so a matcher's workers (GOMAXPROCS
 // of them) score them concurrently without locks.

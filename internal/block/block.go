@@ -170,16 +170,7 @@ func column[T any](set *model.ObjectSet, kind colKind, attr string, build func()
 // tokenColumn returns the set's interned token column of one attribute.
 func tokenColumn(set *model.ObjectSet, attr string) Tokens {
 	return column(set, colTokens, attr, func() Tokens {
-		col := make(Tokens, 0, set.Len())
-		set.Each(func(in *model.Instance) bool {
-			var toks []uint32
-			if v := in.Attr(attr); v != "" {
-				toks = sim.Terms.TokenIDs(v)
-			}
-			col = append(col, toks)
-			return true
-		})
-		return col
+		return sim.Terms.TokenColumn(set.Len(), func(ord int) string { return set.At(ord).Attr(attr) })
 	})
 }
 
@@ -196,14 +187,8 @@ func (t TokenBlocking) PairsEach(a, b *model.ObjectSet, yield func(Pair) bool) {
 func (t TokenBlocking) Probe(a, b *model.ObjectSet) RangeProbe {
 	colA, colB := tokenColumn(a, t.AttrA), tokenColumn(b, t.AttrB)
 	return tokenProbe{
-		colA: colA,
-		ix: column(b, colIndex, t.AttrB, func() *index.Ords {
-			ix := index.NewOrds()
-			for ord, toks := range colB {
-				ix.Add(ord, toks)
-			}
-			return ix
-		}),
+		colA:      colA,
+		ix:        column(b, colIndex, t.AttrB, func() *index.Ords { return index.BuildOrds(colB) }),
 		minShared: max(t.MinShared, 1),
 	}
 }

@@ -15,6 +15,13 @@
 // its private dictionary — and every Add, Remove and probe after that hashes
 // uint32s instead of strings.
 //
+// A whole column is indexed at once by BuildOrds — a set's blocking column,
+// a resolver's members at NewResolver and after a compaction — which sorts
+// the column's (token, ordinal) postings instead of appending them one by
+// one, and lays every posting list out in one shared array. Each list is
+// capped at its own end, so a later Add that grows it copies it out and a
+// Remove shifts entries only inside it: no list writes into its neighbour.
+//
 // Ranked keyword retrieval is not here: the one place that needs it, the
 // Google Scholar simulation, carries its own weighted postings
 // (sources.GSQuery).
@@ -27,6 +34,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
+
+	"repro/internal/par"
 )
 
 // Ords is an inverted index over dense document ordinals — a probe's scratch
@@ -44,6 +53,65 @@ type Ords struct {
 // NewOrds returns an empty ordinal index.
 func NewOrds() *Ords {
 	return &Ords{postings: make(map[uint32][]int32)}
+}
+
+// BuildOrds returns the index that NewOrds and one Add per row of col, in
+// ordinal order, build: row ord holds document ord's tokens, and a token
+// repeated within a row counts once. It is the bulk build of a whole
+// column, on every core: the (token, ordinal) postings are sorted by token
+// with par.SortKeyRows, which is stable and so keeps each token's ordinals
+// ascending, and the lists are laid out in one slab, the repeats dropped,
+// under a postings map sized once. Its scratch grows with the column's
+// postings, not with the largest token ID, which may come from the
+// process-wide dictionary.
+func BuildOrds(col [][]uint32) *Ords {
+	x := &Ords{}
+	plan := par.Split(len(col), 0)
+	offs := make([]int, plan.Chunks()+1) // chunk c's postings start at offs[c]
+	for c := range plan.Chunks() {
+		lo, hi := plan.Bounds(c)
+		offs[c+1] = offs[c]
+		for ord := lo; ord < hi; ord++ {
+			if len(col[ord]) > 0 {
+				offs[c+1] += len(col[ord])
+				x.docs++
+				x.slots = ord + 1
+			}
+		}
+	}
+	pairs := make([]par.KeyRow, offs[plan.Chunks()])
+	plan.Run(func(c, lo, hi int) {
+		at := offs[c]
+		for ord, toks := range col[lo:hi] {
+			for _, tok := range toks {
+				pairs[at] = par.KeyRow{Key: uint64(tok), Row: uint32(lo + ord)}
+				at++
+			}
+		}
+	})
+	pairs, _ = par.SortKeyRows(pairs, nil, 0)
+	terms, postings := 0, 0
+	for i, p := range pairs {
+		if i == 0 || p.Key != pairs[i-1].Key {
+			terms++
+		}
+		if i == 0 || p != pairs[i-1] {
+			postings++
+		}
+	}
+	x.postings = make(map[uint32][]int32, terms)
+	slab := make([]int32, 0, postings)
+	for lo := 0; lo < len(pairs); {
+		start, hi := len(slab), lo
+		for ; hi < len(pairs) && pairs[hi].Key == pairs[lo].Key; hi++ {
+			if hi == lo || pairs[hi].Row != pairs[hi-1].Row {
+				slab = append(slab, int32(pairs[hi].Row))
+			}
+		}
+		x.postings[uint32(pairs[lo].Key)] = slab[start:len(slab):len(slab)]
+		lo = hi
+	}
+	return x
 }
 
 // Docs returns the number of indexed documents.

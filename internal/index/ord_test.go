@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -455,4 +456,150 @@ func TestEachCandidateConcurrentProbes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// addEach is BuildOrds' oracle: NewOrds and one Add per row, in ordinal
+// order.
+func addEach(col [][]uint32) *Ords {
+	x := NewOrds()
+	for ord, toks := range col {
+		x.Add(ord, toks)
+	}
+	return x
+}
+
+// checkBuildOrds builds col with BuildOrds at GOMAXPROCS w and compares it
+// with addEach's index: postings, Docs, Terms and slots, and the candidates
+// of the given queries.
+func checkBuildOrds(t *testing.T, col [][]uint32, w int, queries [][]uint32) *Ords {
+	t.Helper()
+	want := addEach(col)
+	var got *Ords
+	atGOMAXPROCS(w, func() { got = BuildOrds(col) })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("at %d workers: BuildOrds gives %v (slots %d), Add %v (slots %d), or other postings", w, got, got.slots, want, want.slots)
+	}
+	for _, list := range got.postings {
+		if cap(list) != len(list) {
+			t.Fatalf("at %d workers: a posting list of %d has capacity %d", w, len(list), cap(list))
+		}
+	}
+	for _, q := range queries {
+		for minShared := 1; minShared <= 2; minShared++ {
+			if g, w := collectOrds(got, q, minShared), collectOrds(want, q, minShared); !slices.Equal(g, w) {
+				t.Fatalf("query %v minShared=%d: BuildOrds yields %v, Add %v", q, minShared, g, w)
+			}
+		}
+	}
+	return got
+}
+
+// atGOMAXPROCS runs f at GOMAXPROCS n, the worker count of the bulk build.
+func atGOMAXPROCS(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// TestBuildOrdsPartitionInvariant: BuildOrds is the Add loop's index at
+// GOMAXPROCS 8, 3, 2 and 1 over 8·2048 rows, among them empty rows, rows
+// repeating a token and tokens whose IDs differ in their high bits.
+func TestBuildOrdsPartitionInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	col := make([][]uint32, 8*2048)
+	for ord := range col {
+		if ord%7 == 3 {
+			continue
+		}
+		toks := make([]uint32, 1+rng.Intn(8))
+		for i := range toks {
+			toks[i] = uint32(rng.Intn(300)) << (rng.Intn(3) * 10)
+		}
+		if ord%5 == 0 {
+			toks = append(toks, toks[0], toks[len(toks)-1])
+		}
+		col[ord] = toks
+	}
+	for _, w := range []int{8, 3, 2, 1} {
+		checkBuildOrds(t, col, w, col[:20])
+	}
+	if x := BuildOrds(nil); x.Docs() != 0 || x.Terms() != 0 || x.postings == nil {
+		t.Fatalf("an empty column builds %v", x)
+	}
+}
+
+// FuzzBuildOrdsMatchesAdd: BuildOrds against NewOrds and Add in ordinal
+// order, at GOMAXPROCS 1 and 3, over a column of up to 6 143 rows cycling
+// through rows read from data (empty rows and repeated tokens among them,
+// token IDs spread over 22 bits). A tail of Adds and Removes read from the
+// rest of data then runs on both indexes, which must stay equal: a list
+// that grows is copied out of the slab, and one that shrinks stays in its
+// own window.
+func FuzzBuildOrdsMatchesAdd(f *testing.F) {
+	f.Add([]byte{5, // six rows
+		3, 1, 2, 3, // row: 1 2 3
+		0,             // an empty row
+		4, 2, 2, 5, 2, // row: 2 2 5 2
+		1, 9,
+		2, 4, 1,
+		3, 7, 7, 7,
+		5, // tail: five ops
+		0, 1, 1, 2, 3, 4, 2, 0, 9, 7, 5, 1, 3, 3, 0, 8}, uint16(4500))
+	f.Add([]byte{1, 2, 0, 0}, uint16(70))
+	f.Add([]byte{}, uint16(0))
+	f.Fuzz(func(t *testing.T, data []byte, rows uint16) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		tokens := func(n int) []uint32 {
+			if n == 0 {
+				return nil
+			}
+			toks := make([]uint32, n)
+			for i := range toks {
+				toks[i] = uint32(next()%23) * 0x2f1d3
+			}
+			return toks
+		}
+		base := make([][]uint32, 1+next()%16)
+		for i := range base {
+			base[i] = tokens(next() % 7)
+		}
+		col := make([][]uint32, int(rows)%6144)
+		for ord := range col {
+			col[ord] = base[ord%len(base)]
+		}
+		var got *Ords
+		for _, w := range []int{1, 3} {
+			got = checkBuildOrds(t, col, w, base)
+		}
+		want := addEach(col)
+		docToks := slices.Clone(col)
+		for ops := next() % 48; ops > 0; ops-- {
+			op, ord := next(), (next()*97+next())%(len(col)+8)
+			if ord >= len(docToks) {
+				docToks = append(docToks, make([][]uint32, ord+1-len(docToks))...)
+			}
+			got.Remove(ord, docToks[ord])
+			want.Remove(ord, docToks[ord])
+			docToks[ord] = nil
+			if op%3 > 0 {
+				docToks[ord] = tokens(1 + next()%6)
+				got.Add(ord, docToks[ord])
+				want.Add(ord, docToks[ord])
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("after the same Adds and Removes, the bulk-built index is %v, the added one %v, or their postings differ", got, want)
+		}
+		for _, q := range base {
+			if g, w := collectOrds(got, q, 1), collectOrds(want, q, 1); !slices.Equal(g, w) {
+				t.Fatalf("after the tail, query %v yields %v, the added index %v", q, g, w)
+			}
+		}
+	})
 }

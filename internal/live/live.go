@@ -10,8 +10,11 @@
 // ordinal (sim.ProfileColumn) — for a set measure with a dense, pointer-free
 // filter key per slot beside the profiles, which most candidates are
 // rejected on without a profile read — and per-column TF-IDF corpora.
-// NewResolver builds each column in one bulk build (sim.BuildProfileColumn,
-// on every core unless the measure interns); Add profiles one value.
+// NewResolver builds all of it in bulk, on every core: the blocking tokens
+// in one column (sim.Dict.TokenColumn), the index in one build over them
+// (index.BuildOrds) and each profile column in one build
+// (sim.BuildProfileColumn, serial when the measure interns); Add tokenizes,
+// indexes and profiles one value.
 // Resolve then blocks, scores and thresholds one query record against the
 // set in time proportional to its candidates, not to the set; Add and Remove
 // update the resident structures in place instead of re-matching.
@@ -37,8 +40,9 @@
 // id — and leaves only the slot's entries in the per-slot arrays (a zero
 // filter key, which rejects nothing, where the profile's key was); once
 // tombstones outnumber the live instances (past a small floor) it compacts
-// those arrays and rebuilds the blocking index in place, so resident memory
-// stays proportional to the live set under unbounded churn.
+// those arrays, copies the live blocking tokens into one fresh array and
+// rebuilds the blocking index over them in one bulk build, so resident
+// memory stays proportional to the live set under unbounded churn.
 //
 // Blocking tokens are interned in a dictionary private to the resolver
 // (sim.Dict): Add interns the arriving instance's blocking tokens, and
@@ -160,7 +164,6 @@ func NewResolver(set *model.ObjectSet, cfg Config) (*Resolver, error) {
 		minShared: cfg.MinShared,
 		slots:     make(map[model.ID]int, set.Len()),
 		dict:      sim.NewDict(),
-		ix:        index.NewOrds(),
 	}
 	if r.minShared < 1 {
 		r.minShared = 1
@@ -193,15 +196,15 @@ func NewResolver(set *model.ObjectSet, cfg Config) (*Resolver, error) {
 	r.scorer = sim.NewWeighted(measures, weights, cfg.Threshold)
 	r.filter = r.scorer.RowFilter()
 	// Bulk build: slot i is the set's ordinal i. The serial pass gives out
-	// the slots, interns the blocking tokens and registers every corpus
-	// document; then each column is built whole, a corpus column over its
-	// complete corpus — the per-arrival reprofile of Add would make a TFIDF
-	// construction O(n²).
+	// the slots and registers every corpus document; then the blocking
+	// tokens, the index over them and each column are built whole, a corpus
+	// column over its complete corpus — the per-arrival reprofile of Add
+	// would make a TFIDF construction O(n²).
 	n := set.Len()
-	r.ids, r.alive, r.blockToks = make([]model.ID, n), make([]bool, n), make([][]uint32, n)
+	r.ids, r.alive = make([]model.ID, n), make([]bool, n)
 	for slot := range n {
 		in := set.At(slot)
-		r.placeLocked(in, slot)
+		r.slots[in.ID], r.ids[slot], r.alive[slot] = slot, in.ID, true
 		for i := range r.cols {
 			if c := &r.cols[i]; c.corpus != nil {
 				if v := in.Attr(c.cfg.SetAttr); v != "" {
@@ -210,6 +213,11 @@ func NewResolver(set *model.ObjectSet, cfg Config) (*Resolver, error) {
 			}
 		}
 	}
+	r.liveCount = n
+	addsTotal.Add(uint64(n))
+	instancesLive.Add(int64(n))
+	r.blockToks = r.dict.TokenColumn(n, func(ord int) string { return set.At(ord).Attr(cfg.BlockSetAttr) })
+	r.ix = index.BuildOrds(r.blockToks)
 	for i := range r.cols {
 		c := &r.cols[i]
 		c.col = sim.BuildProfileColumn(c.ps, n, func(ord int) string { return set.At(ord).Attr(c.cfg.SetAttr) })
@@ -478,7 +486,8 @@ func (r *Resolver) addLocked(in *model.Instance) {
 }
 
 // placeLocked makes in the live instance of slot and indexes its blocking
-// tokens, under a held write lock.
+// tokens, under a held write lock: the one-instance form of NewResolver's
+// bulk build.
 //
 // Callers hold mu.
 func (r *Resolver) placeLocked(in *model.Instance, slot int) {
@@ -528,10 +537,11 @@ const compactMinDead = 64
 // compactLocked reclaims tombstoned slots under a held write lock: live
 // slots move down in insertion order (so candidate streams keep yielding in
 // the original arrival order), per-slot arrays are reallocated at the live
-// size (releasing the grown backing arrays), and the blocking index is
-// rebuilt over the new ordinals. Profiles and corpus statistics move
-// untouched — only slot numbers change — and each profile's key moves with
-// it.
+// size (releasing the grown backing arrays), the live blocking tokens are
+// copied into one fresh slab (releasing the bulk build's, which tombstones
+// would otherwise pin), and the blocking index is rebuilt over the new
+// ordinals in one bulk build. Profiles and corpus statistics move untouched
+// — only slot numbers change — and each profile's key moves with it.
 //
 // Callers hold mu.
 func (r *Resolver) compactLocked() {
@@ -544,7 +554,11 @@ func (r *Resolver) compactLocked() {
 	for i := range r.cols {
 		cols[i] = sim.NewProfileColumn(r.cols[i].ps, n)
 	}
-	ix := index.NewOrds()
+	postings := 0
+	for _, toks := range r.blockToks {
+		postings += len(toks) // tombstones hold none
+	}
+	slab := make([]uint32, 0, postings)
 	for slot := range r.ids {
 		if !r.alive[slot] {
 			continue
@@ -552,16 +566,18 @@ func (r *Resolver) compactLocked() {
 		w := len(ids)
 		ids = append(ids, r.ids[slot])
 		alive = append(alive, true)
-		blockToks = append(blockToks, r.blockToks[slot])
+		var toks []uint32
+		if start := len(slab); len(r.blockToks[slot]) > 0 {
+			slab = append(slab, r.blockToks[slot]...)
+			toks = slab[start:len(slab):len(slab)]
+		}
+		blockToks = append(blockToks, toks)
 		for i := range r.cols {
 			cols[i].Append(r.cols[i].col.Profs[slot])
 		}
 		r.slots[r.ids[slot]] = w
-		if toks := r.blockToks[slot]; len(toks) > 0 {
-			ix.Add(w, toks)
-		}
 	}
-	r.ids, r.alive, r.blockToks, r.ix = ids, alive, blockToks, ix
+	r.ids, r.alive, r.blockToks, r.ix = ids, alive, blockToks, index.BuildOrds(blockToks)
 	for i := range r.cols {
 		r.cols[i].col = cols[i]
 	}

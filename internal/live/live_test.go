@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/index"
 	"repro/internal/mapping"
 	"repro/internal/match"
 	"repro/internal/model"
@@ -700,12 +701,57 @@ func TestChurnCompaction(t *testing.T) {
 	}
 }
 
-// TestNewResolverPartitionInvariant: a resolver's bulk-built columns, and
-// so its answers, are the same at every GOMAXPROCS; 4 200 members are two
-// chunks of the bulk profile build from two workers on.
+// checkBlockingSide compares two resolvers' blocking tokens, index
+// postings, Stats and private dictionaries.
+func checkBlockingSide(t *testing.T, what string, got, want *Resolver) {
+	t.Helper()
+	if !reflect.DeepEqual(got.blockToks, want.blockToks) {
+		t.Fatalf("%s: the blocking tokens differ", what)
+	}
+	if !reflect.DeepEqual(got.ix, want.ix) {
+		t.Fatalf("%s: the blocking index %v differs from %v, or a posting list does", what, got.ix, want.ix)
+	}
+	if g, w := got.Stats(), want.Stats(); g != w {
+		t.Fatalf("%s: Stats %+v, want %+v", what, g, w)
+	}
+	if g, w := got.dict.Len(), want.dict.Len(); g != w {
+		t.Fatalf("%s: %d blocking terms, want %d", what, g, w)
+	}
+	for _, toks := range want.blockToks {
+		for _, id := range toks {
+			if g, w := got.dict.Str(id), want.dict.Str(id); g != w {
+				t.Fatalf("%s: blocking term %d is %q, want %q", what, id, g, w)
+			}
+		}
+	}
+}
+
+// TestNewResolverPartitionInvariant: a resolver's bulk-built state, and so
+// its answers, are the same at every GOMAXPROCS; 4 200 members are two
+// chunks of the bulk builds from two workers on, and the later chunks meet
+// blocking tokens the first never did. The blocking side — tokens, index,
+// private dictionary — is also the per-arrival build's: a resolver over an
+// empty set that Adds every member in order. That reference scores no
+// TF-IDF column, whose per-arrival reprofile is quadratic; the blocking side
+// does not depend on the columns.
 func TestNewResolverPartitionInvariant(t *testing.T) {
 	queries, set := syntheticSets(4200)
 	queries = queries.Subset(queries.IDs()[:30])
+	for _, ord := range []int{7, 2500, 4100} { // blocking values repeating their tokens
+		in := set.At(ord).Clone()
+		in.SetAttr("name", in.Attr("name")+" -- "+in.Attr("name"))
+		set.Add(in)
+	}
+	ref, err := NewResolver(model.NewObjectSet(set.LDS()), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.Each(func(in *model.Instance) bool {
+		if err := ref.Add(in); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
 	cfg := testConfig()
 	cfg.Columns = append(cfg.Columns, Column{QueryAttr: "title", SetAttr: "name", TFIDF: true, Weight: 1})
 	var first *Resolver
@@ -718,6 +764,7 @@ func TestNewResolverPartitionInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkKeysAligned(t, r)
+		checkBlockingSide(t, fmt.Sprintf("GOMAXPROCS %d against Add per member", procs), r, ref)
 		m, err := r.ResolveSet(queries)
 		if err != nil {
 			t.Fatal(err)
@@ -756,6 +803,42 @@ func TestRemoveClearsBulkProfile(t *testing.T) {
 	r.Remove("g005")
 	if !reflect.DeepEqual(*p, sim.Profile{}) {
 		t.Fatalf("the removed profile still holds %+v", *p)
+	}
+}
+
+// TestCompactionRebuildsBlockingSide: compaction copies the live blocking
+// tokens out of the bulk build's slab, so the tombstones' share of it is
+// released, and its index is the bulk build over the new slots.
+func TestCompactionRebuildsBlockingSide(t *testing.T) {
+	_, set := syntheticSets(240)
+	r, err := NewResolver(set, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bulk := make(map[*uint32]bool)
+	for _, toks := range r.blockToks {
+		for i := range toks {
+			bulk[&toks[i]] = true
+		}
+	}
+	for _, id := range set.IDs()[:121] { // the 121st tombstone outnumbers the live
+		r.Remove(id)
+	}
+	if st := r.Stats(); st.Slots != st.Live || st.Live != 119 {
+		t.Fatalf("compaction never ran: %+v", st)
+	}
+	for slot, toks := range r.blockToks {
+		if len(toks) == 0 {
+			t.Fatalf("slot %d lost its blocking tokens", slot)
+		}
+		for i := range toks {
+			if bulk[&toks[i]] {
+				t.Fatalf("slot %d's blocking tokens still live in the bulk build's slab", slot)
+			}
+		}
+	}
+	if want := index.BuildOrds(r.blockToks); !reflect.DeepEqual(r.ix, want) {
+		t.Fatalf("the compacted index %v is not the bulk build %v over its slots", r.ix, want)
 	}
 }
 

@@ -147,3 +147,80 @@ func FuzzSortHashesMatchesSort(f *testing.F) {
 		}
 	})
 }
+
+// tokenColumnMatchesTokenIDs checks TokenColumn at GOMAXPROCS w against
+// TokenIDs value by value, each on a fresh dictionary: equal rows, every
+// row capped at its end, and the two dictionaries numbering the same terms
+// alike.
+func tokenColumnMatchesTokenIDs(t *testing.T, values []string, w int) {
+	t.Helper()
+	ref, d := NewDict(), NewDict()
+	want := make([][]uint32, len(values))
+	for i, v := range values {
+		want[i] = ref.TokenIDs(v)
+	}
+	var got [][]uint32
+	atGOMAXPROCS(w, func() { got = d.TokenColumn(len(values), func(i int) string { return values[i] }) })
+	if len(got) != len(values) {
+		t.Fatalf("at %d workers: %d rows for %d values", w, len(got), len(values))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("at %d workers: row %d of %q is %v, TokenIDs gives %v", w, i, values[i], got[i], want[i])
+		}
+		if cap(got[i]) != len(got[i]) {
+			t.Fatalf("at %d workers: row %d has capacity %d past its %d tokens", w, i, cap(got[i]), len(got[i]))
+		}
+		for _, id := range want[i] {
+			if d.Str(id) != ref.Str(id) {
+				t.Fatalf("at %d workers: term %d is %q, TokenIDs assigned it to %q", w, id, d.Str(id), ref.Str(id))
+			}
+		}
+	}
+	if d.Len() != ref.Len() {
+		t.Fatalf("at %d workers: %d terms, TokenIDs interns %d", w, d.Len(), ref.Len())
+	}
+}
+
+// TestTokenColumnPartitionInvariant: the bulk token column is the serial
+// TokenIDs loop's, IDs included, at GOMAXPROCS 8, 3, 2 and 1, where 8·2048
+// values give par.Split eight chunks and each chunk first meets tokens of
+// its own.
+func TestTokenColumnPartitionInvariant(t *testing.T) {
+	values := columnValues(8*2048, "tcol")
+	for i := 4; i < len(values); i += 9 {
+		values[i] += " -- " + values[i] // every token of the value twice
+	}
+	for _, w := range []int{8, 3, 2, 1} {
+		tokenColumnMatchesTokenIDs(t, values, w)
+	}
+	if got := NewDict().TokenColumn(0, nil); len(got) != 0 {
+		t.Fatalf("an empty column has %d rows", len(got))
+	}
+}
+
+// FuzzTokenColumnMatchesTokenIDs: TokenColumn against TokenIDs per value on
+// fuzzed values (one per line of text; blanks, multi-byte text, separator
+// runs and repeated tokens among the seeds), cycled up to rows values so
+// that up to three chunks build at once. Every third value gains a token
+// first seen at its ordinal, so later chunks intern terms the earlier ones
+// never met.
+func FuzzTokenColumnMatchesTokenIDs(f *testing.F) {
+	f.Add("mapping based object matching\n\n   \nschema--view__selection//problem\nångström 界 ÅNGSTRÖM\nview view\tview", uint16(4400))
+	f.Add("a-_/ -b", uint16(4200))
+	f.Add("", uint16(1))
+	f.Add("x\ny y\n\n", uint16(40))
+	f.Fuzz(func(t *testing.T, text string, rows uint16) {
+		lines := strings.Split(text, "\n")
+		values := make([]string, int(rows)%4500)
+		for i := range values {
+			values[i] = lines[i%len(lines)]
+			if i%3 == 0 {
+				values[i] += fmt.Sprintf(" w%d", i/5)
+			}
+		}
+		for _, w := range []int{1, 3} {
+			tokenColumnMatchesTokenIDs(t, values, w)
+		}
+	})
+}

@@ -33,11 +33,12 @@ package sim
 // A Dict is append-only: an ID, once assigned, names the same string for
 // the dictionary's lifetime, so IDs may be cached in long-lived structures
 // (profiles, posting lists, resident columns) without invalidation. IDs are
-// assigned in first-seen order and are meaningful only within their
-// dictionary; they are not comparable across dictionaries and not stable
-// across processes. Memory grows with the distinct-token vocabulary and is
-// never reclaimed — bounded in practice, since vocabularies grow
-// sublinearly with the data.
+// assigned in first-seen order — the bulk column build (TokenColumn)
+// tokenizes on every core and keeps that order — and are meaningful only
+// within their dictionary; they are not comparable across dictionaries and
+// not stable across processes. Memory grows with the distinct-token
+// vocabulary and is never reclaimed — bounded in practice, since
+// vocabularies grow sublinearly with the data.
 //
 // # Where strings still appear
 //
@@ -61,6 +62,8 @@ package sim
 import (
 	"strings"
 	"sync"
+
+	"repro/internal/par"
 )
 
 const (
@@ -178,8 +181,8 @@ func (d *Dict) Len() int {
 
 // TokenIDs tokenizes s (Tokens semantics: Normalize, split on spaces) and
 // interns each token in order, duplicates preserved. It is the fused
-// tokenize-and-intern entry point of the blocking and indexing layers; the
-// intermediate []string of Tokens is never materialized.
+// tokenize-and-intern entry point for one value (TokenColumn is the one for
+// a column); the intermediate []string of Tokens is never materialized.
 func (d *Dict) TokenIDs(s string) []uint32 {
 	n := Normalize(s)
 	if n == "" {
@@ -196,4 +199,65 @@ func (d *Dict) TokenIDs(s string) []uint32 {
 		}
 	}
 	return out
+}
+
+// TokenColumn is TokenIDs over the values of ordinals 0..n-1, built on every
+// core: row i equals TokenIDs(value(i)), and the dictionary assigns IDs
+// exactly as the serial loop over the values would. value must be safe to
+// call from several goroutines.
+//
+// Each chunk of par.Split(n, 0) numbers its distinct tokens in a chunk-local
+// vocabulary, in the order it first meets them, and writes its rows into
+// one slab of those numbers. Then the chunks intern their vocabularies one
+// after another, in chunk order — the global first-seen order — and rewrite
+// their slabs to dictionary IDs in place. So the shard locks are taken once
+// per distinct token of a chunk, not once per occurrence. A row is a capped
+// window of its chunk's slab, so appending to it copies.
+func (d *Dict) TokenColumn(n int, value func(ord int) string) [][]uint32 {
+	col := make([][]uint32, n)
+	plan := par.Split(n, 0)
+	vocabs, slabs := make([][]string, plan.Chunks()), make([][]uint32, plan.Chunks())
+	plan.Run(func(c, lo, hi int) {
+		local := make(map[string]uint32)
+		ends := make([]int, hi-lo)
+		var norm []byte
+		var vocab []string
+		var slab []uint32
+		for i := range ends {
+			norm = appendNormalized(norm[:0], value(lo+i))
+			for start := 0; start < len(norm); {
+				end := tokenEnd(norm, start)
+				id, ok := local[string(norm[start:end])]
+				if !ok {
+					id = uint32(len(vocab))
+					tok := string(norm[start:end])
+					local[tok], vocab = id, append(vocab, tok)
+				}
+				slab = append(slab, id)
+				start = end + 1
+			}
+			ends[i] = len(slab)
+		}
+		start := 0
+		for i, end := range ends {
+			if end > start {
+				col[lo+i] = slab[start:end:end]
+			}
+			start = end
+		}
+		vocabs[c], slabs[c] = vocab, slab
+	})
+	ids := make([][]uint32, len(vocabs))
+	for c, vocab := range vocabs {
+		ids[c] = make([]uint32, len(vocab))
+		for i, tok := range vocab {
+			ids[c][i] = d.ID(tok)
+		}
+	}
+	plan.Run(func(c, _, _ int) {
+		for i, local := range slabs[c] {
+			slabs[c][i] = ids[c][local]
+		}
+	})
+	return col
 }
