@@ -28,7 +28,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"os"
@@ -256,7 +258,9 @@ func detectTitleAttr(set *moma.ObjectSet) string {
 
 // loadCSVWorld registers every object-set CSV of a moma-gen output
 // directory under "<Source>.<Type>" and every mapping CSV under its file
-// stem. Files are classified by their metadata row.
+// stem. Each file is read once and decoded by the reader its metadata row
+// names (#objects or #mapping); a file naming neither fails with both
+// readers' errors.
 func loadCSVWorld(sys *moma.System, dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -267,37 +271,46 @@ func loadCSVWorld(sys *moma.System, dir string) error {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".csv") {
 			continue
 		}
-		path := filepath.Join(dir, e.Name())
-		f, err := os.Open(path)
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return err
 		}
-		set, serr := moma.ReadObjectSetCSV(f)
-		f.Close() //moma:errsink-ok read-only fd, contents already parsed
-		if serr == nil {
+		switch csvTag(data) {
+		case "#objects":
+			set, err := moma.ReadObjectSetCSV(bytes.NewReader(data))
+			if err != nil {
+				return fmt.Errorf("%s: %w", e.Name(), err)
+			}
 			name := string(set.LDS().Source) + "." + string(set.LDS().Type)
 			if err := sys.AddObjectSet(name, set); err != nil {
 				return fmt.Errorf("%s: %w", e.Name(), err)
 			}
 			nSets++
-			continue
-		}
-		// Not an object set; try the mapping format.
-		f, err = os.Open(path)
-		if err != nil {
-			return err
-		}
-		m, merr := moma.ReadMappingCSV(f)
-		f.Close() //moma:errsink-ok read-only fd, contents already parsed
-		if merr != nil {
+		case "#mapping":
+			m, err := moma.ReadMappingCSV(bytes.NewReader(data))
+			if err != nil {
+				return fmt.Errorf("%s: %w", e.Name(), err)
+			}
+			if err := sys.AddMapping(strings.TrimSuffix(e.Name(), ".csv"), m); err != nil {
+				return fmt.Errorf("%s: %w", e.Name(), err)
+			}
+			nMaps++
+		default:
+			_, serr := moma.ReadObjectSetCSV(bytes.NewReader(data))
+			_, merr := moma.ReadMappingCSV(bytes.NewReader(data))
 			return fmt.Errorf("%s: neither object set (%v) nor mapping (%v)", e.Name(), serr, merr)
 		}
-		stem := strings.TrimSuffix(e.Name(), ".csv")
-		if err := sys.AddMapping(stem, m); err != nil {
-			return fmt.Errorf("%s: %w", e.Name(), err)
-		}
-		nMaps++
 	}
 	fmt.Printf("moma-serve: loaded %d object sets and %d mappings from %s\n", nSets, nMaps, dir)
 	return nil
+}
+
+// csvTag returns the first field of a world file's metadata row, or "" when
+// that row does not parse.
+func csvTag(data []byte) string {
+	row, err := csv.NewReader(bytes.NewReader(data)).Read()
+	if err != nil {
+		return ""
+	}
+	return row[0]
 }

@@ -96,11 +96,19 @@ func TestLoadCSVWorld(t *testing.T) {
 		}
 	}
 
-	bad := t.TempDir()
-	writeFile(t, filepath.Join(bad, "junk.csv"), []byte("hello,world\n1,2\n"))
-	err := loadCSVWorld(moma.NewSystem(), bad)
-	if err == nil || !strings.Contains(err.Error(), "junk.csv: neither object set") {
-		t.Fatalf("loadCSVWorld(junk) = %v, want the neither-set-nor-mapping error", err)
+	// A file is decoded by the reader its metadata row names, so a broken
+	// object set reports its own fault; only a file naming neither format
+	// gets both readers' errors.
+	for _, tc := range []struct{ file, data, want string }{
+		{"junk.csv", "hello,world\n1,2\n", "junk.csv: neither object set (store: objects csv: bad metadata row [hello world]) nor mapping (store: mapping csv: bad metadata row [hello world])"},
+		{"pubs.csv", "#objects,Publication@DBLP\nid,title\n,untitled\n", "pubs.csv: store: objects csv line 3: empty id"},
+		{"same.csv", "#mapping,Publication@DBLP,Publication@ACM,same\ndomain,range,sim\na,b,high\n", `same.csv: store: mapping csv line 3: bad sim "high"`},
+	} {
+		bad := t.TempDir()
+		writeFile(t, filepath.Join(bad, tc.file), []byte(tc.data))
+		if err := loadCSVWorld(moma.NewSystem(), bad); err == nil || err.Error() != tc.want {
+			t.Errorf("loadCSVWorld(%s) = %v, want %s", tc.file, err, tc.want)
+		}
 	}
 }
 

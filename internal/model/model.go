@@ -152,6 +152,19 @@ type ObjectSet struct {
 // NewObjectSet returns an empty object set for the given LDS.
 func NewObjectSet(lds LDS) *ObjectSet { return newObjectSet(lds, 0) }
 
+// NewObjectSetOf returns the set that one Add per instance of ins, in
+// order, builds from an empty one: a repeated id keeps its first slot and
+// its last instance, and Version() is len(ins). The set sizes its map and
+// slices once and keeps its own copy of the pointers, so later writes to
+// ins change nothing it holds.
+func NewObjectSetOf(lds LDS, ins []*Instance) *ObjectSet {
+	s := newObjectSet(lds, len(ins))
+	for _, in := range ins {
+		s.Add(in)
+	}
+	return s
+}
+
 // newObjectSet returns an empty object set with room for n instances.
 func newObjectSet(lds LDS, n int) *ObjectSet {
 	return &ObjectSet{lds: lds, pos: make(map[ID]int, n), order: make([]ID, 0, n), ins: make([]*Instance, 0, n)}

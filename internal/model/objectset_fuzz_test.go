@@ -186,3 +186,42 @@ func checkSet(t *testing.T, what string, s *ObjectSet, m *setModel) {
 		}
 	}
 }
+
+// TestNewObjectSetOfMatchesAdd holds the bulk constructor to one Add per
+// instance: over random id sequences with repeats, the same slots,
+// instances, IndexOf answers, IDs() order and Version(), and a set that
+// does not see later writes to the caller's slice.
+func TestNewObjectSetOfMatchesAdd(t *testing.T) {
+	lds := LDS{"S", Publication}
+	for round := range 50 {
+		ins := make([]*Instance, round%9)
+		for i := range ins {
+			ins[i] = &Instance{ID: fuzzIDs[(i*7+round)%5], Attrs: map[string]string{"i": fmt.Sprint(i)}}
+		}
+		s := NewObjectSetOf(lds, ins)
+		byAdd := NewObjectSet(lds)
+		var m setModel
+		for _, in := range ins {
+			byAdd.Add(in)
+			m.add(in)
+		}
+		check := func(what string) {
+			t.Helper()
+			checkSet(t, what, s, &m)
+			if s.LDS() != lds || s.Version() != byAdd.Version() || !slices.Equal(s.IDs(), byAdd.IDs()) {
+				t.Fatalf("%s: LDS %v, version %d, ids %v; one Add per row: %v, %d, %v",
+					what, s.LDS(), s.Version(), s.IDs(), lds, byAdd.Version(), byAdd.IDs())
+			}
+			for _, id := range fuzzIDs {
+				if got, want := s.IndexOf(id), byAdd.IndexOf(id); got != want {
+					t.Fatalf("%s: IndexOf(%s) = %d, one Add per row %d", what, id, got, want)
+				}
+			}
+		}
+		check(fmt.Sprintf("round %d", round))
+		for i := range ins {
+			ins[i] = &Instance{ID: "absent"}
+		}
+		check(fmt.Sprintf("round %d after writes to the caller's slice", round))
+	}
+}
