@@ -74,7 +74,7 @@
 // blocking tokens (a set's token-blocking column, a resolver's members)
 // comes the same way from sim.Dict.TokenColumn, which numbers new terms in
 // the order a serial walk meets them, and the inverted index over it from
-// index.BuildOrds; a resolver's Add tokenizes and indexes its one value.
+// block.NewIndex; a resolver's Add tokenizes and indexes its one value.
 //
 // Profiles are read-only between builds, so a matcher's workers (GOMAXPROCS
 // of them) score them concurrently without locks.
@@ -374,8 +374,8 @@
 // invariant breaks:
 //
 //  4. Columnar integrity: parallel columns move together — Mapping's, the
-//     match kernel's and ResolveSet's dom/rng/sim, Resolver's
-//     ids/alive/blockToks and the per-slot profiles with their filter keys,
+//     match kernel's and ResolveSet's dom/rng/sim, Resolver's ids/alive,
+//     its block.Index's rows and the per-slot profiles with their filter keys,
 //     a sim.Dict shard's strs/keys. Held by mapping.FromColumns (panics on
 //     unequal lengths), the eps-0 differential oracles of internal/mapping
 //     (TestDifferential*) and internal/match (TestStreamed*MatchesMaterialized),

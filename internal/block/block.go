@@ -11,6 +11,25 @@
 // the paper's query-based candidate generation. Within restricts token
 // blocking to the pairs of a mapping, for a workflow step that reads a
 // matcher's result on those pairs only.
+//
+// Index is token blocking's inverted index, and the online resolver's: it
+// keys postings by dense ordinals — an ObjectSet's insertion ordinals in
+// TokenBlocking, a live Resolver's slot numbers online — and keeps the
+// token rows it indexes, so it alone knows which tokens an ordinal is
+// indexed under. Tokens are interned term IDs (sim.Dict): the caller
+// tokenizes and interns once — batch blocking into the global sim.Terms, a
+// live Resolver into its private dictionary — and every update and probe
+// after that hashes uint32s instead of strings. NewIndex builds a whole
+// column at once; candidate probes stream ordinals in ascending order,
+// which is the producing set's insertion order. TokenBlocking keeps one
+// index per set version in the set's column store and only reads it. Set
+// writes the index's rows in place, so only the owner of those rows calls
+// it: the live Resolver, which also rebuilds its index without the removed
+// rows (Compact).
+//
+// Ranked keyword retrieval is not here: the one place that needs it, the
+// Google Scholar simulation, carries its own weighted postings
+// (sources.GSQuery).
 package block
 
 import (
@@ -18,7 +37,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/index"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -150,7 +168,7 @@ type colKind int
 const (
 	colTokens colKind = iota // Tokens: the interned token column
 	colNorm                  // []string: sim.Normalize of every value
-	colIndex                 // *index.Ords over the token column
+	colIndex                 // *Index over the token column
 )
 
 // Invalidated counts a column the store dropped because its set changed.
@@ -188,14 +206,14 @@ func (t TokenBlocking) Probe(a, b *model.ObjectSet) RangeProbe {
 	colA, colB := tokenColumn(a, t.AttrA), tokenColumn(b, t.AttrB)
 	return tokenProbe{
 		colA:      colA,
-		ix:        column(b, colIndex, t.AttrB, func() *index.Ords { return index.BuildOrds(colB) }),
+		ix:        column(b, colIndex, t.AttrB, func() *Index { return NewIndex(colB) }),
 		minShared: max(t.MinShared, 1),
 	}
 }
 
 type tokenProbe struct {
 	colA      Tokens
-	ix        *index.Ords
+	ix        *Index
 	minShared int
 }
 

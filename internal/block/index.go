@@ -1,34 +1,6 @@
-// Package index provides Ords, the inverted index behind candidate
-// generation: which documents share at least so many distinct tokens with a
-// probe.
-//
-// Ords keys postings by dense int ordinals — an ObjectSet's insertion-order
-// ordinals in batch token blocking, a live Resolver's slot numbers online —
-// and supports incremental Add and Remove, so one resident structure serves
-// both the batch blocking path (built once per object-set version and kept
-// in the set's column store) and the online resolution path (updated per
-// arriving instance, never rebuilt). Candidate probes stream ordinals in
-// ascending order, which is the producing set's insertion order.
-//
-// Tokens are interned term IDs (sim.Dict): the caller tokenizes and interns
-// once — batch blocking into the global sim.Terms, a live Resolver into
-// its private dictionary — and every Add, Remove and probe after that hashes
-// uint32s instead of strings.
-//
-// A whole column is indexed at once by BuildOrds — a set's blocking column,
-// a resolver's members at NewResolver and after a compaction — which sorts
-// the column's (token, ordinal) postings instead of appending them one by
-// one, and lays every posting list out in one shared array. Each list is
-// capped at its own end, so a later Add that grows it copies it out and a
-// Remove shifts entries only inside it: no list writes into its neighbour.
-//
-// Ranked keyword retrieval is not here: the one place that needs it, the
-// Google Scholar simulation, carries its own weighted postings
-// (sources.GSQuery).
-package index
+package block
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -38,51 +10,48 @@ import (
 	"repro/internal/par"
 )
 
-// Ords is an inverted index over dense document ordinals — a probe's scratch
-// is sized by the largest ordinal ever added, so ordinals should count up
-// from 0 without large gaps. The zero value is not usable; call NewOrds.
-// Methods are not safe for concurrent use; callers that share an Ords (the
-// live Resolver) synchronize around it (EachCandidate is read-only and safe
-// under a shared read lock).
-type Ords struct {
+// Index is an inverted index over dense document ordinals that keeps its
+// rows: row ord is the token slice document ord is indexed under, nil for
+// none. A probe's scratch is sized by the number of rows, so ordinals should
+// count up from 0 without large gaps. The zero value is not usable; call
+// NewIndex. Methods are not safe for concurrent use; callers that share an
+// Index (the live Resolver) synchronize around it (EachCandidate is
+// read-only and safe under a shared read lock).
+type Index struct {
+	rows     Tokens
 	postings map[uint32][]int32
-	docs     int
-	slots    int // one past the largest ordinal ever added; Remove never lowers it
+	docs     int // rows with at least one token
 }
 
-// NewOrds returns an empty ordinal index.
-func NewOrds() *Ords {
-	return &Ords{postings: make(map[uint32][]int32)}
-}
-
-// BuildOrds returns the index that NewOrds and one Add per row of col, in
-// ordinal order, build: row ord holds document ord's tokens, and a token
-// repeated within a row counts once. It is the bulk build of a whole
+// NewIndex returns the index over rows: row ord holds document ord's tokens,
+// and a token repeated within a row counts once. The index keeps rows, not a
+// copy; NewIndex(nil) is the empty index. It is the bulk build of a whole
 // column, on every core: the (token, ordinal) postings are sorted by token
 // with par.SortKeyRows, which is stable and so keeps each token's ordinals
 // ascending, and the lists are laid out in one slab, the repeats dropped,
-// under a postings map sized once. Its scratch grows with the column's
-// postings, not with the largest token ID, which may come from the
-// process-wide dictionary.
-func BuildOrds(col [][]uint32) *Ords {
-	x := &Ords{}
-	plan := par.Split(len(col), 0)
+// under a postings map sized once. Each list is capped at its own end, so a
+// later Set that grows it copies it out and one that shrinks it shifts
+// entries only inside it: no list writes into its neighbour. The scratch
+// grows with the column's postings, not with the largest token ID, which may
+// come from the process-wide dictionary.
+func NewIndex(rows Tokens) *Index {
+	x := &Index{rows: rows}
+	plan := par.Split(len(rows), 0)
 	offs := make([]int, plan.Chunks()+1) // chunk c's postings start at offs[c]
 	for c := range plan.Chunks() {
 		lo, hi := plan.Bounds(c)
 		offs[c+1] = offs[c]
-		for ord := lo; ord < hi; ord++ {
-			if len(col[ord]) > 0 {
-				offs[c+1] += len(col[ord])
+		for _, toks := range rows[lo:hi] {
+			if len(toks) > 0 {
+				offs[c+1] += len(toks)
 				x.docs++
-				x.slots = ord + 1
 			}
 		}
 	}
 	pairs := make([]par.KeyRow, offs[plan.Chunks()])
 	plan.Run(func(c, lo, hi int) {
 		at := offs[c]
-		for ord, toks := range col[lo:hi] {
+		for ord, toks := range rows[lo:hi] {
 			for _, tok := range toks {
 				pairs[at] = par.KeyRow{Key: uint64(tok), Row: uint32(lo + ord)}
 				at++
@@ -114,34 +83,51 @@ func BuildOrds(col [][]uint32) *Ords {
 	return x
 }
 
-// Docs returns the number of indexed documents.
-func (x *Ords) Docs() int { return x.docs }
+// Docs returns the number of indexed documents: rows with a token.
+func (x *Index) Docs() int { return x.docs }
 
 // Terms returns the number of distinct tokens with at least one posting.
-func (x *Ords) Terms() int { return len(x.postings) }
+func (x *Index) Terms() int { return len(x.postings) }
 
 // PostingLen returns the number of documents indexed under tok.
-func (x *Ords) PostingLen(tok uint32) int { return len(x.postings[tok]) }
+func (x *Index) PostingLen(tok uint32) int { return len(x.postings[tok]) }
 
-// Add indexes the document with the given ordinal under the distinct term
-// IDs of toks. Posting lists stay sorted: appends are O(1) for monotonically
-// increasing ordinals (the common case — set iteration order, resolver slot
-// allocation order) and fall back to a binary-search insert otherwise.
-// Adding an ordinal that is already present under a token is a no-op for
-// that token, so a token repeated in toks counts once and re-adding a
-// document with its previous tokens is harmless.
-func (x *Ords) Add(ord int, toks []uint32) {
+// Set makes toks row ord, nil for none: the document's postings move from
+// the tokens it was indexed under to the distinct tokens of toks, and the
+// rows grow to ord+1 when shorter. Set writes the rows NewIndex was given
+// and keeps toks, so only the owner of both calls it — a live Resolver, on
+// its private rows; a set's cached blocking index is read-only. Posting
+// lists stay sorted: appends are O(1) for ascending ordinals (the resolver's
+// slot allocation order) and fall back to a binary-search insert otherwise.
+func (x *Index) Set(ord int, toks []uint32) {
+	for len(x.rows) <= ord {
+		x.rows = append(x.rows, nil)
+	}
+	o := int32(ord)
+	if old := x.rows[ord]; len(old) > 0 {
+		x.docs--
+		for _, tok := range old {
+			list := x.postings[tok]
+			at := sort.Search(len(list), func(i int) bool { return list[i] >= o })
+			if at >= len(list) || list[at] != o {
+				continue // a repeated token, gone the first time
+			}
+			if list = append(list[:at], list[at+1:]...); len(list) == 0 {
+				delete(x.postings, tok)
+			} else {
+				x.postings[tok] = list
+			}
+		}
+	}
+	x.rows[ord] = toks
 	if len(toks) == 0 {
 		return
 	}
-	x.slots = max(x.slots, ord+1)
-	o := int32(ord)
-	added := false
+	x.docs++
 	for _, tok := range toks {
 		list := x.postings[tok]
 		if n := len(list); n == 0 || list[n-1] < o {
 			x.postings[tok] = append(list, o)
-			added = true
 			continue
 		}
 		at := sort.Search(len(list), func(i int) bool { return list[i] >= o })
@@ -152,40 +138,34 @@ func (x *Ords) Add(ord int, toks []uint32) {
 		copy(list[at+1:], list[at:])
 		list[at] = o
 		x.postings[tok] = list
-		added = true
-	}
-	if added {
-		x.docs++
 	}
 }
 
-// Remove deletes the document's postings. toks must be the token slice the
-// ordinal was added with (callers keep it; the live Resolver stores one
-// token slice per slot anyway, for exactly this purpose). A token repeated
-// in toks finds its posting gone the second time.
-func (x *Ords) Remove(ord int, toks []uint32) {
-	if len(toks) == 0 {
-		return
+// Compact returns the index over the rows keep marks, one entry per row,
+// renumbered in order: the k-th kept row becomes row k. The kept tokens are
+// copied into one fresh array, so the result shares no storage with x's
+// rows, and the rows of the documents left out go with x.
+func (x *Index) Compact(keep []bool) *Index {
+	kept, postings := 0, 0
+	for ord, toks := range x.rows {
+		if keep[ord] {
+			kept++
+			postings += len(toks)
+		}
 	}
-	o := int32(ord)
-	removed := false
-	for _, tok := range toks {
-		list := x.postings[tok]
-		at := sort.Search(len(list), func(i int) bool { return list[i] >= o })
-		if at >= len(list) || list[at] != o {
+	rows := make(Tokens, 0, kept)
+	slab := make([]uint32, 0, postings)
+	for ord, toks := range x.rows {
+		if !keep[ord] {
 			continue
 		}
-		list = append(list[:at], list[at+1:]...)
-		removed = true
-		if len(list) == 0 {
-			delete(x.postings, tok)
-		} else {
-			x.postings[tok] = list
+		if start := len(slab); len(toks) > 0 {
+			slab = append(slab, toks...)
+			toks = slab[start:len(slab):len(slab)]
 		}
+		rows = append(rows, toks)
 	}
-	if removed {
-		x.docs--
-	}
+	return NewIndex(rows)
 }
 
 // probe is the working memory of one EachCandidate call; cnt and seen are
@@ -203,8 +183,8 @@ var probePool = sync.Pool{New: func() any { return new(probe) }}
 // EachCandidate streams the ordinals of documents sharing at least minShared
 // distinct tokens with toks, in ascending ordinal order, stopping early when
 // yield returns false. The scratch comes from a pool and holds 2 bytes + 1
-// bit per slot of the largest index it has served (≈ 212 KB at 100 000
-// slots, per goroutine probing at once); a warm probe allocates nothing,
+// bit per row of the largest index it has served (≈ 212 KB at 100 000
+// rows, per goroutine probing at once); a warm probe allocates nothing,
 // which TestEachCandidateZeroAllocs pins. Counts saturate at 65 535; a larger
 // minShared is served as that.
 //
@@ -217,20 +197,21 @@ var probePool = sync.Pool{New: func() any { return new(probe) }}
 // lists set aside, which the ascending walk goes through once. A list is set
 // aside when it is over four times as long as all the shorter lists together
 // — a lookup costs about what counting and walking four entries does.
-func (x *Ords) EachCandidate(toks []uint32, minShared int, yield func(ord int) bool) {
+func (x *Index) EachCandidate(toks []uint32, minShared int, yield func(ord int) bool) {
 	minShared = max(minShared, 1)
 	pb := probePool.Get().(*probe)
 	if cap(pb.toks) < len(toks) {
 		pb.toks, pb.lists = make([]uint32, len(toks)), make([][]int32, len(toks))
 	}
-	// The headroom keeps an index growing slot by slot from regrowing the
+	// The headroom keeps an index growing row by row from regrowing the
 	// scratch per probe, and fresh counters are as zero as the ones they
 	// replace.
-	if len(pb.cnt) < x.slots {
-		n := x.slots + x.slots/4
+	rows := len(x.rows)
+	if len(pb.cnt) < rows {
+		n := rows + rows/4
 		pb.cnt, pb.seen = make([]uint16, n), make([]uint64, (n+63)/64)
 	}
-	lists, cnt, seen := pb.lists[:0], pb.cnt, pb.seen[:(x.slots+63)/64]
+	lists, cnt, seen := pb.lists[:0], pb.cnt, pb.seen[:(rows+63)/64]
 	w := len(seen) // the scratch is zero below word w: all of it until the count, what the walk has passed after
 	defer func() {
 		for ; w < len(seen); w++ {
@@ -309,9 +290,4 @@ func seek(list []int32, ord int32) []int32 {
 	lo := bound / 2
 	at, _ := slices.BinarySearch(list[lo:min(bound, len(list))], ord)
 	return list[lo+at:]
-}
-
-// String summarizes the index.
-func (x *Ords) String() string {
-	return fmt.Sprintf("ords{docs: %d, terms: %d}", x.docs, len(x.postings))
 }

@@ -1,4 +1,4 @@
-package index
+package block
 
 import (
 	"math"
@@ -41,7 +41,7 @@ func sharing(docToks [][]uint32, q []uint32, minShared int) []int {
 	return out
 }
 
-func collectOrds(x *Ords, toks []uint32, minShared int) []int {
+func collectOrds(x *Index, toks []uint32, minShared int) []int {
 	var out []int
 	x.EachCandidate(toks, minShared, func(ord int) bool {
 		out = append(out, ord)
@@ -50,11 +50,8 @@ func collectOrds(x *Ords, toks []uint32, minShared int) []int {
 	return out
 }
 
-func TestOrdsCandidates(t *testing.T) {
-	x := NewOrds()
-	x.Add(0, ids("view", "selection", "problem"))
-	x.Add(1, ids("view", "maintenance"))
-	x.Add(2, ids("query", "optimization"))
+func TestIndexCandidates(t *testing.T) {
+	x := NewIndex(Tokens{ids("view", "selection", "problem"), ids("view", "maintenance"), ids("query", "optimization")})
 
 	if got := collectOrds(x, ids("view", "selection"), 1); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Fatalf("minShared=1: got %v", got)
@@ -71,16 +68,14 @@ func TestOrdsCandidates(t *testing.T) {
 	}
 }
 
-func TestOrdsRemove(t *testing.T) {
-	x := NewOrds()
-	toks1 := ids("a", "b")
-	toks2 := ids("b", "c")
-	x.Add(0, toks1)
-	x.Add(1, toks2)
+func TestIndexSetRemovesAndReplaces(t *testing.T) {
+	x := NewIndex(nil)
+	x.Set(0, ids("a", "b"))
+	x.Set(1, ids("b", "c"))
 	if x.Docs() != 2 {
 		t.Fatalf("docs = %d, want 2", x.Docs())
 	}
-	x.Remove(0, toks1)
+	x.Set(0, nil)
 	if x.Docs() != 1 {
 		t.Fatalf("docs after remove = %d, want 1", x.Docs())
 	}
@@ -88,31 +83,38 @@ func TestOrdsRemove(t *testing.T) {
 		t.Fatalf("after remove: got %v", got)
 	}
 	// Removing again is a no-op.
-	x.Remove(0, toks1)
-	if x.Docs() != 1 {
+	x.Set(0, nil)
+	if x.Docs() != 1 || x.PostingLen(ids("b")[0]) != 1 {
 		t.Fatalf("docs after double remove = %d, want 1", x.Docs())
 	}
-	// Re-add at the same ordinal (replace flow: Remove then Add).
-	x.Add(0, ids("c", "d"))
+	// Re-add at the same ordinal, then replace it: its old tokens let go.
+	x.Set(0, ids("c", "d"))
 	if got := collectOrds(x, ids("c"), 1); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Fatalf("after re-add: got %v", got)
 	}
-}
-
-func TestOrdsOutOfOrderAdd(t *testing.T) {
-	x := NewOrds()
-	x.Add(5, ids("t"))
-	x.Add(1, ids("t"))
-	x.Add(3, ids("t"))
-	if got := collectOrds(x, ids("t"), 1); !reflect.DeepEqual(got, []int{1, 3, 5}) {
-		t.Fatalf("out-of-order adds must keep postings sorted: got %v", got)
+	x.Set(0, ids("a", "c"))
+	if got := collectOrds(x, ids("d"), 1); got != nil || x.Docs() != 2 {
+		t.Fatalf("after replace: %d docs, the old token yields %v", x.Docs(), got)
 	}
 }
 
-// TestOrdsMatchesIndexCandidates pins the candidates of an index over real
+func TestIndexOutOfOrderSet(t *testing.T) {
+	x := NewIndex(nil)
+	x.Set(5, ids("t"))
+	x.Set(1, ids("t"))
+	x.Set(3, ids("t"))
+	if got := collectOrds(x, ids("t"), 1); !reflect.DeepEqual(got, []int{1, 3, 5}) {
+		t.Fatalf("out-of-order sets must keep postings sorted: got %v", got)
+	}
+	if len(x.rows) != 6 || x.Docs() != 3 {
+		t.Fatalf("%d rows and %d docs, want 6 and 3", len(x.rows), x.Docs())
+	}
+}
+
+// TestIndexRandomCandidates pins the candidates of an index over real
 // interned terms against the direct count, on random documents over a small
 // uniform vocabulary: posting lists of like length, none set aside.
-func TestOrdsMatchesIndexCandidates(t *testing.T) {
+func TestIndexRandomCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vocab := ids("data", "view", "query", "match", "join", "web", "graph", "xml", "mining", "cache")
 	randToks := func() []uint32 {
@@ -122,11 +124,11 @@ func TestOrdsMatchesIndexCandidates(t *testing.T) {
 		}
 		return out
 	}
-	x := NewOrds()
+	x := NewIndex(nil)
 	docToks := make([][]uint32, 60)
 	for d := range docToks {
 		docToks[d] = randToks()
-		x.Add(d, docToks[d])
+		x.Set(d, docToks[d])
 	}
 	for probe := 0; probe < 50; probe++ {
 		q := randToks()
@@ -147,7 +149,7 @@ func TestOrdsMatchesIndexCandidates(t *testing.T) {
 func TestEachCandidateSkewedMatchesCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	const docs = 400
-	x := NewOrds()
+	x := NewIndex(nil)
 	docToks := make([][]uint32, docs)
 	for d := range docToks {
 		var toks []uint32
@@ -161,10 +163,10 @@ func TestEachCandidateSkewedMatchesCount(t *testing.T) {
 			toks = append(toks, uint32(2+rng.Intn(60)))
 		}
 		docToks[d] = toks
-		x.Add(d, toks)
+		x.Set(d, toks)
 	}
 	for d := 0; d < docs; d += 7 {
-		x.Remove(d, docToks[d])
+		x.Set(d, nil)
 		docToks[d] = nil
 	}
 	for probe := 0; probe < 300; probe++ {
@@ -195,10 +197,11 @@ func TestEachCandidateSkewedMatchesCount(t *testing.T) {
 	}
 }
 
-func TestOrdsRealTokens(t *testing.T) {
-	x := NewOrds()
-	x.Add(0, sim.Terms.TokenIDs("A Formal Perspective on the View Selection Problem"))
-	x.Add(1, sim.Terms.TokenIDs("The View Selection Problem Revisited"))
+func TestIndexRealTokens(t *testing.T) {
+	x := NewIndex(Tokens{
+		sim.Terms.TokenIDs("A Formal Perspective on the View Selection Problem"),
+		sim.Terms.TokenIDs("The View Selection Problem Revisited"),
+	})
 	got := collectOrds(x, sim.Terms.TokenIDs("view selection"), 2)
 	if !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Fatalf("got %v", got)
@@ -214,10 +217,10 @@ func TestEachCandidateZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	x := NewOrds()
+	x := NewIndex(nil)
 	grow := func(to int) {
-		for i := x.slots; i < to; i++ {
-			x.Add(i, []uint32{uint32(i % 7), uint32(i % 11), uint32(i % 13), 99})
+		for i := len(x.rows); i < to; i++ {
+			x.Set(i, []uint32{uint32(i % 7), uint32(i % 11), uint32(i % 13), 99})
 		}
 	}
 	toks := []uint32{3, 5, 99, 99}
@@ -233,20 +236,20 @@ func TestEachCandidateZeroAllocs(t *testing.T) {
 		grow(size)
 		probe() // the one growth: AllocsPerRun's own warm-up call would hide it
 		if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
-			t.Errorf("%d slots: EachCandidate allocates %.0f times per run, want 0", size, allocs)
+			t.Errorf("%d rows: EachCandidate allocates %.0f times per run, want 0", size, allocs)
 		}
 		if n == 0 {
 			t.Fatal("probe matched nothing; fixture broken")
 		}
 	}
-	// Slot-by-slot growth, the live resolver's: the scratch's headroom must
+	// Row-by-row growth, the live resolver's: the scratch's headroom must
 	// absorb it, not regrow per probe.
 	grows := testing.AllocsPerRun(200, func() {
-		grow(x.slots + 1)
+		grow(len(x.rows) + 1)
 		probe()
 	})
-	if grows > 1 { // Add's own appends average well under one allocation
-		t.Errorf("a probe after every added slot allocates %.2f times per run: the scratch regrows per probe", grows)
+	if grows > 1 { // Set's own appends average well under one allocation
+		t.Errorf("a probe after every added row allocates %.2f times per run: the scratch regrows per probe", grows)
 	}
 }
 
@@ -268,8 +271,8 @@ func scratchIsZero(t *testing.T, when string) {
 	}
 }
 
-// FuzzEachCandidateMatchesCount expands a byte string into adds (in and out
-// of ordinal order, replacing), removes, a query with repeated and unknown
+// FuzzEachCandidateMatchesCount expands a byte string into Sets (in and out
+// of ordinal order, replacing, removing), a query with repeated and unknown
 // tokens, minShared 1-4 and an optional early stop, and checks the yielded
 // sequence against the direct count — also for the probe right after an
 // early stop and after a recovered panic in yield, when the scratch must be
@@ -299,20 +302,18 @@ func FuzzEachCandidateMatchesCount(f *testing.F) {
 			data = data[1:]
 			return int(b)
 		}
-		x := NewOrds()
+		x := NewIndex(nil)
 		docToks := make([][]uint32, 200)
 		for ops := next() % 64; ops > 0; ops-- {
 			op, ord := next(), next()%len(docToks)
-			x.Remove(ord, docToks[ord])
 			docToks[ord] = nil
 			if op%4 > 0 {
-				toks := make([]uint32, 1+next()%6)
-				for i := range toks {
-					toks[i] = uint32(next() % 12)
+				docToks[ord] = make([]uint32, 1+next()%6)
+				for i := range docToks[ord] {
+					docToks[ord][i] = uint32(next() % 12)
 				}
-				docToks[ord] = toks
-				x.Add(ord, toks)
 			}
+			x.Set(ord, docToks[ord])
 		}
 		q := make([]uint32, next()%10)
 		for i := range q {
@@ -351,9 +352,9 @@ func FuzzEachCandidateMatchesCount(f *testing.F) {
 // scan took).
 func TestEachCandidateDedupsLongQueries(t *testing.T) {
 	const terms = 40000
-	x := NewOrds()
+	x := NewIndex(nil)
 	for d := 0; d < 2000; d++ {
-		x.Add(d, []uint32{uint32(d), uint32(d + 1), uint32(terms + d%3)})
+		x.Set(d, []uint32{uint32(d), uint32(d + 1), uint32(terms + d%3)})
 	}
 	distinct := make([]uint32, terms)
 	for i := range distinct {
@@ -373,15 +374,15 @@ func TestEachCandidateDedupsLongQueries(t *testing.T) {
 			t.Fatalf("minShared=%d: %d candidates, want %d; fixture broken", minShared, len(want), wantLen)
 		}
 	}
-	// Add and Remove take the same slices: a repeated token is indexed once.
-	y := NewOrds()
-	y.Add(0, repeated)
+	// A repeated token is indexed once, and let go once.
+	y := NewIndex(nil)
+	y.Set(0, repeated)
 	if y.Docs() != 1 || y.PostingLen(7) != 1 {
-		t.Fatalf("after Add of repeated tokens: docs %d, postings of one token %d, want 1 and 1", y.Docs(), y.PostingLen(7))
+		t.Fatalf("after Set of repeated tokens: docs %d, postings of one token %d, want 1 and 1", y.Docs(), y.PostingLen(7))
 	}
-	y.Remove(0, repeated)
+	y.Set(0, nil)
 	if y.Docs() != 0 || y.Terms() != 0 {
-		t.Fatalf("after Remove of repeated tokens: docs %d, terms %d, want 0 and 0", y.Docs(), y.Terms())
+		t.Fatalf("after removing repeated tokens: docs %d, terms %d, want 0 and 0", y.Docs(), y.Terms())
 	}
 }
 
@@ -394,10 +395,7 @@ func TestEachCandidateCountSaturates(t *testing.T) {
 		for i := range toks {
 			toks[i] = uint32(i)
 		}
-		x := NewOrds()
-		x.Add(0, toks)
-		x.Add(1, toks[:2])
-		x.Add(2, toks[5:6])
+		x := NewIndex(Tokens{toks, toks[:2], toks[5:6]})
 		for minShared, want := range map[int][]int{1: {0, 1, 2}, 2: {0, 1}, 3: {0}, math.MaxUint16: {0}, math.MaxUint16 + 9: nil} {
 			if got := collectOrds(x, toks, minShared); !slices.Equal(got, want) {
 				t.Errorf("%d lists, minShared=%d: got %v, want %v", lists, minShared, got, want)
@@ -409,14 +407,13 @@ func TestEachCandidateCountSaturates(t *testing.T) {
 
 // TestEachCandidateSmallIndexAfterLarge probes a small index with a scratch
 // the pool last sized for a large one: the walk must stay within the small
-// index's slots and leave the rest of the scratch alone.
+// index's rows and leave the rest of the scratch alone.
 func TestEachCandidateSmallIndexAfterLarge(t *testing.T) {
-	large, small := NewOrds(), NewOrds()
-	for d := 0; d < 10000; d++ {
-		large.Add(d, []uint32{1, uint32(2 + d%5)})
+	rows := make(Tokens, 10000)
+	for d := range rows {
+		rows[d] = []uint32{1, uint32(2 + d%5)}
 	}
-	small.Add(0, []uint32{1, 2})
-	small.Add(2, []uint32{1, 3})
+	large, small := NewIndex(rows), NewIndex(Tokens{{1, 2}, nil, {1, 3}})
 	for round := 0; round < 3; round++ {
 		if got := collectOrds(large, []uint32{1, 2}, 2); len(got) != 2000 {
 			t.Fatalf("large index: %d candidates, want 2000", len(got))
@@ -433,12 +430,11 @@ func TestEachCandidateSmallIndexAfterLarge(t *testing.T) {
 // scratch is its own, so every probe is exact (and -race stays silent).
 func TestEachCandidateConcurrentProbes(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	x := NewOrds()
 	docToks := make([][]uint32, 3000)
 	for d := range docToks {
 		docToks[d] = []uint32{0, uint32(1 + rng.Intn(40)), uint32(1 + rng.Intn(40)), uint32(1 + rng.Intn(40))}
-		x.Add(d, docToks[d])
 	}
+	x := NewIndex(docToks)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		q := []uint32{0, uint32(1 + rng.Intn(40)), uint32(1 + rng.Intn(40)), uint32(1 + rng.Intn(40)), 99}
@@ -458,26 +454,34 @@ func TestEachCandidateConcurrentProbes(t *testing.T) {
 	wg.Wait()
 }
 
-// addEach is BuildOrds' oracle: NewOrds and one Add per row, in ordinal
-// order.
-func addEach(col [][]uint32) *Ords {
-	x := NewOrds()
-	for ord, toks := range col {
-		x.Add(ord, toks)
+// equalIndex reports whether two indexes hold the same rows, postings and
+// Docs; a nil row, or a nil column of rows, equals an empty one.
+func equalIndex(a, b *Index) bool {
+	return a.docs == b.docs && reflect.DeepEqual(a.postings, b.postings) &&
+		slices.EqualFunc(a.rows, b.rows, slices.Equal[[]uint32])
+}
+
+// setEach is NewIndex's oracle: the empty index and one Set per row, in
+// ordinal order.
+func setEach(rows Tokens) *Index {
+	x := NewIndex(nil)
+	for ord, toks := range rows {
+		x.Set(ord, toks)
 	}
 	return x
 }
 
-// checkBuildOrds builds col with BuildOrds at GOMAXPROCS w and compares it
-// with addEach's index: postings, Docs, Terms and slots, and the candidates
-// of the given queries.
-func checkBuildOrds(t *testing.T, col [][]uint32, w int, queries [][]uint32) *Ords {
+// checkNewIndex builds rows with NewIndex at GOMAXPROCS w and compares it
+// with setEach's index: rows, postings and Docs, and the candidates of the
+// given queries.
+func checkNewIndex(t *testing.T, rows Tokens, w int, queries [][]uint32) *Index {
 	t.Helper()
-	want := addEach(col)
-	var got *Ords
-	atGOMAXPROCS(w, func() { got = BuildOrds(col) })
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("at %d workers: BuildOrds gives %v (slots %d), Add %v (slots %d), or other postings", w, got, got.slots, want, want.slots)
+	want := setEach(rows)
+	var got *Index
+	atGOMAXPROCS(w, func() { got = NewIndex(rows) })
+	if !equalIndex(got, want) {
+		t.Fatalf("at %d workers: NewIndex gives %d docs and %d terms, Set %d and %d, or other postings",
+			w, got.Docs(), got.Terms(), want.Docs(), want.Terms())
 	}
 	for _, list := range got.postings {
 		if cap(list) != len(list) {
@@ -487,7 +491,7 @@ func checkBuildOrds(t *testing.T, col [][]uint32, w int, queries [][]uint32) *Or
 	for _, q := range queries {
 		for minShared := 1; minShared <= 2; minShared++ {
 			if g, w := collectOrds(got, q, minShared), collectOrds(want, q, minShared); !slices.Equal(g, w) {
-				t.Fatalf("query %v minShared=%d: BuildOrds yields %v, Add %v", q, minShared, g, w)
+				t.Fatalf("query %v minShared=%d: NewIndex yields %v, Set %v", q, minShared, g, w)
 			}
 		}
 	}
@@ -500,13 +504,13 @@ func atGOMAXPROCS(n int, f func()) {
 	f()
 }
 
-// TestBuildOrdsPartitionInvariant: BuildOrds is the Add loop's index at
+// TestNewIndexPartitionInvariant: NewIndex is the Set loop's index at
 // GOMAXPROCS 8, 3, 2 and 1 over 8·2048 rows, among them empty rows, rows
 // repeating a token and tokens whose IDs differ in their high bits.
-func TestBuildOrdsPartitionInvariant(t *testing.T) {
+func TestNewIndexPartitionInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	col := make([][]uint32, 8*2048)
-	for ord := range col {
+	rows := make(Tokens, 8*2048)
+	for ord := range rows {
 		if ord%7 == 3 {
 			continue
 		}
@@ -517,24 +521,26 @@ func TestBuildOrdsPartitionInvariant(t *testing.T) {
 		if ord%5 == 0 {
 			toks = append(toks, toks[0], toks[len(toks)-1])
 		}
-		col[ord] = toks
+		rows[ord] = toks
 	}
 	for _, w := range []int{8, 3, 2, 1} {
-		checkBuildOrds(t, col, w, col[:20])
+		checkNewIndex(t, rows, w, rows[:20])
 	}
-	if x := BuildOrds(nil); x.Docs() != 0 || x.Terms() != 0 || x.postings == nil {
-		t.Fatalf("an empty column builds %v", x)
+	if x := NewIndex(nil); x.Docs() != 0 || x.Terms() != 0 || x.postings == nil {
+		t.Fatalf("the empty index has %d docs and %d terms, or no postings map", x.Docs(), x.Terms())
 	}
 }
 
-// FuzzBuildOrdsMatchesAdd: BuildOrds against NewOrds and Add in ordinal
-// order, at GOMAXPROCS 1 and 3, over a column of up to 6 143 rows cycling
-// through rows read from data (empty rows and repeated tokens among them,
-// token IDs spread over 22 bits). A tail of Adds and Removes read from the
-// rest of data then runs on both indexes, which must stay equal: a list
-// that grows is copied out of the slab, and one that shrinks stays in its
-// own window.
-func FuzzBuildOrdsMatchesAdd(f *testing.F) {
+// FuzzNewIndexMatchesSet: NewIndex against the empty index and Set in
+// ordinal order, at GOMAXPROCS 1 and 3, over a column of up to 6 143 rows
+// cycling through rows read from data (empty rows and repeated tokens among
+// them, token IDs spread over 22 bits). A tail of Sets read from the rest of
+// data — replacing, removing, past the last row — then runs on both
+// indexes, which must stay equal: a list that grows is copied out of the
+// slab, and one that shrinks stays in its own window. Both must also agree
+// with the direct count over the fuzzer's own rows: candidates, Docs and
+// each token's posting count.
+func FuzzNewIndexMatchesSet(f *testing.F) {
 	f.Add([]byte{5, // six rows
 		3, 1, 2, 3, // row: 1 2 3
 		0,             // an empty row
@@ -555,13 +561,14 @@ func FuzzBuildOrdsMatchesAdd(f *testing.F) {
 			data = data[1:]
 			return int(b)
 		}
+		const vocab = 23
 		tokens := func(n int) []uint32 {
 			if n == 0 {
 				return nil
 			}
 			toks := make([]uint32, n)
 			for i := range toks {
-				toks[i] = uint32(next()%23) * 0x2f1d3
+				toks[i] = uint32(next()%vocab) * 0x2f1d3
 			}
 			return toks
 		}
@@ -569,37 +576,104 @@ func FuzzBuildOrdsMatchesAdd(f *testing.F) {
 		for i := range base {
 			base[i] = tokens(next() % 7)
 		}
-		col := make([][]uint32, int(rows)%6144)
+		col := make(Tokens, int(rows)%6144)
 		for ord := range col {
 			col[ord] = base[ord%len(base)]
 		}
-		var got *Ords
-		for _, w := range []int{1, 3} {
-			got = checkBuildOrds(t, col, w, base)
-		}
-		want := addEach(col)
 		docToks := slices.Clone(col)
+		var got *Index
+		for _, w := range []int{1, 3} {
+			got = checkNewIndex(t, col, w, base)
+		}
+		want := setEach(col)
 		for ops := next() % 48; ops > 0; ops-- {
 			op, ord := next(), (next()*97+next())%(len(col)+8)
 			if ord >= len(docToks) {
 				docToks = append(docToks, make([][]uint32, ord+1-len(docToks))...)
 			}
-			got.Remove(ord, docToks[ord])
-			want.Remove(ord, docToks[ord])
 			docToks[ord] = nil
 			if op%3 > 0 {
 				docToks[ord] = tokens(1 + next()%6)
-				got.Add(ord, docToks[ord])
-				want.Add(ord, docToks[ord])
+			}
+			got.Set(ord, docToks[ord])
+			want.Set(ord, docToks[ord])
+		}
+		if !equalIndex(got, want) {
+			t.Fatalf("after the same Sets, the bulk-built index has %d docs and %d terms, the set one %d and %d, or their postings differ",
+				got.Docs(), got.Terms(), want.Docs(), want.Terms())
+		}
+		docs := 0
+		for _, toks := range docToks {
+			if len(toks) > 0 {
+				docs++
 			}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("after the same Adds and Removes, the bulk-built index is %v, the added one %v, or their postings differ", got, want)
-		}
-		for _, q := range base {
-			if g, w := collectOrds(got, q, 1), collectOrds(want, q, 1); !slices.Equal(g, w) {
-				t.Fatalf("after the tail, query %v yields %v, the added index %v", q, g, w)
+		for _, x := range []*Index{got, want} {
+			if x.Docs() != docs {
+				t.Fatalf("after the tail: %d docs, the rows hold %d", x.Docs(), docs)
+			}
+			for tok := range uint32(vocab) {
+				tok *= 0x2f1d3
+				if g, w := x.PostingLen(tok), len(sharing(docToks, []uint32{tok}, 1)); g != w {
+					t.Fatalf("after the tail: token %d has %d postings, %d rows hold it", tok, g, w)
+				}
+			}
+			for _, q := range base {
+				for minShared := 1; minShared <= 2; minShared++ {
+					if g, w := collectOrds(x, q, minShared), sharing(docToks, q, minShared); !slices.Equal(g, w) {
+						t.Fatalf("after the tail, query %v minShared=%d yields %v, the direct count %v", q, minShared, g, w)
+					}
+				}
 			}
 		}
 	})
+}
+
+// TestIndexCompact: Compact is NewIndex over the kept rows in order — after
+// Sets that replaced, removed and grew rows too — and no compacted row
+// shares storage with the rows it was copied from.
+func TestIndexCompact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	rows := make(Tokens, 500)
+	for ord := range rows {
+		if ord%9 == 4 {
+			continue
+		}
+		rows[ord] = make([]uint32, 1+rng.Intn(5))
+		for i := range rows[ord] {
+			rows[ord][i] = uint32(rng.Intn(80))
+		}
+	}
+	x := NewIndex(rows)
+	for ord := 0; ord < 520; ord += 13 {
+		x.Set(ord, []uint32{uint32(rng.Intn(80)), 7})
+	}
+	x.Set(3, nil)
+	for _, share := range []int{0, 2, 10} {
+		keep := make([]bool, len(x.rows))
+		var kept Tokens
+		for ord, toks := range x.rows {
+			if keep[ord] = rng.Intn(10) < share; keep[ord] {
+				kept = append(kept, toks)
+			}
+		}
+		old := make(map[*uint32]bool)
+		for _, toks := range x.rows {
+			for i := range toks {
+				old[&toks[i]] = true
+			}
+		}
+		c := x.Compact(keep)
+		if want := NewIndex(kept); !equalIndex(c, want) {
+			t.Fatalf("keeping %d of 10: Compact has %d docs and %d terms, NewIndex over the kept rows %d and %d, or other rows or postings",
+				share, c.Docs(), c.Terms(), want.Docs(), want.Terms())
+		}
+		for ord, toks := range c.rows {
+			for i := range toks {
+				if old[&toks[i]] {
+					t.Fatalf("keeping %d of 10: compacted row %d shares storage with the old rows", share, ord)
+				}
+			}
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -211,9 +212,65 @@ func TestParseScript(t *testing.T) {
 	for _, bad := range []string{
 		"", "write:wal:x:enospc", "frob:wal:0:enospc", "write:wal:0:nope",
 		"write:wal:0", "sync:wal:0:torn", "write:wal:0:short:abc",
+		// Fields the injector would ignore: n on a kind without a byte
+		// count, a byte kind on an op without bytes, failafter's after.
+		"sync:snapshot:0:eio:4096", "rename:x:0:torn:7", "write:wal:0:enospc!:1", "write:wal:0:err:0",
+		"sync:x:0:failafter:4096", "rename:x:0:short:3", "create:x:0:short",
+		"write:wal:6:failafter:4096",
 	} {
 		if _, err := ParseScript(bad); err == nil {
 			t.Errorf("ParseScript(%q) should fail", bad)
 		}
 	}
+}
+
+// FuzzParseScript: ParseScript never panics, every rule it accepts is one
+// the injector carries out as written, and a script is accepted exactly
+// when each of its rules is accepted alone, as the same rules in order.
+func FuzzParseScript(f *testing.F) {
+	for _, seed := range []string{
+		"write:wal.jsonl:6:enospc!", "sync:snapshot:0:eio", "rename:snapshot:0:torn",
+		"write:wal.jsonl:0:failafter:4096", "write::2:short:5, rename:x:1:torn!",
+		"sync:snapshot:0:eio:4096", "rename:x:0:torn:7", "sync:x:0:failafter:4096",
+		"write:wal:6:failafter:4096", " , ", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, script string) {
+		rules, err := ParseScript(script)
+		for _, r := range rules {
+			byteKind := r.Kind == KindShortWrite || r.Kind == KindFailAfter
+			switch {
+			case r.After < 0 || r.N < 0:
+				t.Fatalf("%q: rule %+v has a negative count", script, r)
+			case r.N != 0 && !byteKind:
+				t.Fatalf("%q: rule %+v has n without a byte kind", script, r)
+			case byteKind && r.Op != OpWrite:
+				t.Fatalf("%q: rule %+v has a byte kind on %s", script, r, r.Op)
+			case r.Kind == KindTornRename && r.Op != OpRename:
+				t.Fatalf("%q: rule %+v is torn on %s", script, r, r.Op)
+			case r.Kind == KindFailAfter && (r.After != 0 || !r.Sticky):
+				t.Fatalf("%q: failafter rule %+v is not sticky from the first write", script, r)
+			}
+		}
+		var alone []Rule
+		ok := false
+		for _, part := range strings.Split(script, ",") {
+			if strings.TrimSpace(part) == "" {
+				continue
+			}
+			one, err := ParseScript(part)
+			if err != nil {
+				ok = false
+				break
+			}
+			ok, alone = true, append(alone, one...)
+		}
+		if ok != (err == nil) {
+			t.Fatalf("%q: accepted %v, but each rule alone accepted %v (error %v)", script, err == nil, ok, err)
+		}
+		if ok && !reflect.DeepEqual(rules, alone) {
+			t.Fatalf("%q: parses to %+v, its rules alone to %+v", script, rules, alone)
+		}
+	})
 }

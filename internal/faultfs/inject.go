@@ -415,6 +415,11 @@ func (f *injFile) Name() string { return f.f.Name() }
 // with a trailing "!" marking the rule sticky (failafter is inherently
 // sticky); n is the byte count for short and failafter.
 //
+// A rule the injector would not carry out as written is rejected: n on any
+// kind but short and failafter, short or failafter on any op but write,
+// torn on any op but rename, and failafter with after other than 0 (its
+// byte budget, not a count of operations, decides when it fires).
+//
 // Examples:
 //
 //	write:wal.jsonl:6:enospc!        the 7th wal write and all later ones fail ENOSPC
@@ -447,18 +452,27 @@ func ParseScript(script string) ([]Rule, error) {
 		if !ok {
 			return nil, fmt.Errorf("faultfs: bad rule %q: unknown kind %q", part, kindName)
 		}
+		byteKind := spec.kind == KindShortWrite || spec.kind == KindFailAfter
 		var n int64
 		if len(fields) == 5 {
+			if !byteKind {
+				return nil, fmt.Errorf("faultfs: bad rule %q: n applies to short and failafter only", part)
+			}
 			n, err = strconv.ParseInt(fields[4], 10, 64)
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("faultfs: bad rule %q: n %q must be a non-negative integer", part, fields[4])
 			}
 		}
+		switch {
+		case byteKind && op != OpWrite:
+			return nil, fmt.Errorf("faultfs: bad rule %q: %s applies to write only", part, kindName)
+		case spec.kind == KindTornRename && op != OpRename:
+			return nil, fmt.Errorf("faultfs: bad rule %q: torn applies to rename only", part)
+		case spec.kind == KindFailAfter && after != 0:
+			return nil, fmt.Errorf("faultfs: bad rule %q: failafter takes after 0 (its byte budget decides when it fires)", part)
+		}
 		if spec.kind == KindFailAfter {
 			sticky = true
-		}
-		if spec.kind == KindTornRename && op != OpRename {
-			return nil, fmt.Errorf("faultfs: bad rule %q: torn applies to rename only", part)
 		}
 		rules = append(rules, Rule{
 			Op: op, Path: fields[1], After: after,

@@ -5,14 +5,15 @@
 // instance against a known source would rebuild the token inverted index and
 // re-score the whole set. A Resolver instead registers an ObjectSet once and
 // keeps its derived structures resident: an incremental ordinal inverted
-// index over the blocking attribute (index.Ords, the same structure the
-// batch token blocking keeps), similarity-profile columns indexed by slot
-// ordinal (sim.ProfileColumn) — for a set measure with a dense, pointer-free
-// filter key per slot beside the profiles, which most candidates are
-// rejected on without a profile read — and per-column TF-IDF corpora.
+// index over the blocking attribute that holds each slot's blocking tokens
+// (block.Index, the same structure the batch token blocking keeps),
+// similarity-profile columns indexed by slot ordinal (sim.ProfileColumn) —
+// for a set measure with a dense, pointer-free filter key per slot beside
+// the profiles, which most candidates are rejected on without a profile
+// read — and per-column TF-IDF corpora.
 // NewResolver builds all of it in bulk, on every core: the blocking tokens
 // in one column (sim.Dict.TokenColumn), the index in one build over them
-// (index.BuildOrds) and each profile column in one build
+// (block.NewIndex) and each profile column in one build
 // (sim.BuildProfileColumn, serial when the measure interns); Add tokenizes,
 // indexes and profiles one value.
 // Resolve then blocks, scores and thresholds one query record against the
@@ -40,9 +41,9 @@
 // id — and leaves only the slot's entries in the per-slot arrays (a zero
 // filter key, which rejects nothing, where the profile's key was); once
 // tombstones outnumber the live instances (past a small floor) it compacts
-// those arrays, copies the live blocking tokens into one fresh array and
-// rebuilds the blocking index over them in one bulk build, so resident
-// memory stays proportional to the live set under unbounded churn.
+// those arrays and the blocking index (block.Index.Compact, which copies
+// the live blocking tokens into one fresh array), so resident memory stays
+// proportional to the live set under unbounded churn.
 //
 // Blocking tokens are interned in a dictionary private to the resolver
 // (sim.Dict): Add interns the arriving instance's blocking tokens, and
@@ -59,7 +60,7 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/index"
+	"repro/internal/block"
 	"repro/internal/mapping"
 	"repro/internal/match"
 	"repro/internal/model"
@@ -108,8 +109,8 @@ type colState struct {
 	ps     sim.ProfiledSim // the column's measure
 	corpus *sim.TFIDF      // non-nil for TFIDF columns
 
-	// col holds one profile per slot (the Resolver's ids, alive and
-	// blockToks are its sibling columns), nil for tombstones, and a set
+	// col holds one profile per slot (the Resolver's ids and alive, and its
+	// index's rows, are its sibling columns), nil for tombstones, and a set
 	// measure's dense filter keys beside them (the zero key for tombstones).
 	// A profile's Raw is the slot's value: corpus removal and reprofiling
 	// read it back.
@@ -134,9 +135,10 @@ type Resolver struct {
 	slots     map[model.ID]int // id -> slot, alive instances only; guarded by mu
 	alive     []bool           // slot liveness; guarded by mu
 	liveCount int              // guarded by mu
-	blockToks [][]uint32       // slot -> interned blocking-attribute tokens (index removal); guarded by mu
 	dict      *sim.Dict        // private term dictionary of the blocking index
-	ix        *index.Ords
+	// ix indexes the blocking tokens of every slot, which it keeps as its
+	// rows (nil for tombstones and empty values); guarded by mu.
+	ix *block.Index
 }
 
 // NewResolver registers the object set under the configuration and builds
@@ -216,8 +218,7 @@ func NewResolver(set *model.ObjectSet, cfg Config) (*Resolver, error) {
 	r.liveCount = n
 	addsTotal.Add(uint64(n))
 	instancesLive.Add(int64(n))
-	r.blockToks = r.dict.TokenColumn(n, func(ord int) string { return set.At(ord).Attr(cfg.BlockSetAttr) })
-	r.ix = index.BuildOrds(r.blockToks)
+	r.ix = block.NewIndex(r.dict.TokenColumn(n, func(ord int) string { return set.At(ord).Attr(cfg.BlockSetAttr) }))
 	for i := range r.cols {
 		c := &r.cols[i]
 		c.col = sim.BuildProfileColumn(c.ps, n, func(ord int) string { return set.At(ord).Attr(c.cfg.SetAttr) })
@@ -456,7 +457,6 @@ func (r *Resolver) addLocked(in *model.Instance) {
 		slot = len(r.ids)
 		r.ids = append(r.ids, "")
 		r.alive = append(r.alive, false)
-		r.blockToks = append(r.blockToks, nil)
 		for i := range r.cols {
 			r.cols[i].col.Append(nil)
 		}
@@ -497,13 +497,7 @@ func (r *Resolver) placeLocked(in *model.Instance, slot int) {
 	r.liveCount++
 	addsTotal.Inc()
 	instancesLive.Add(1)
-	if v := in.Attr(r.cfg.BlockSetAttr); v != "" {
-		toks := r.dict.TokenIDs(v)
-		r.blockToks[slot] = toks
-		r.ix.Add(slot, toks)
-	} else {
-		r.blockToks[slot] = nil
-	}
+	r.ix.Set(slot, r.dict.TokenIDs(in.Attr(r.cfg.BlockSetAttr)))
 }
 
 // Remove tombstones the instance: its index postings disappear, its corpus
@@ -537,11 +531,11 @@ const compactMinDead = 64
 // compactLocked reclaims tombstoned slots under a held write lock: live
 // slots move down in insertion order (so candidate streams keep yielding in
 // the original arrival order), per-slot arrays are reallocated at the live
-// size (releasing the grown backing arrays), the live blocking tokens are
-// copied into one fresh slab (releasing the bulk build's, which tombstones
-// would otherwise pin), and the blocking index is rebuilt over the new
-// ordinals in one bulk build. Profiles and corpus statistics move untouched
-// — only slot numbers change — and each profile's key moves with it.
+// size (releasing the grown backing arrays), and the blocking index is
+// compacted alike (block.Index.Compact: the live blocking tokens move into
+// one fresh slab, releasing the bulk build's, which tombstones would
+// otherwise pin). Profiles and corpus statistics move untouched — only
+// slot numbers change — and each profile's key moves with it.
 //
 // Callers hold mu.
 func (r *Resolver) compactLocked() {
@@ -549,16 +543,10 @@ func (r *Resolver) compactLocked() {
 	n := r.liveCount
 	ids := make([]model.ID, 0, n)
 	alive := make([]bool, 0, n)
-	blockToks := make([][]uint32, 0, n)
 	cols := make([]sim.ProfileColumn, len(r.cols))
 	for i := range r.cols {
 		cols[i] = sim.NewProfileColumn(r.cols[i].ps, n)
 	}
-	postings := 0
-	for _, toks := range r.blockToks {
-		postings += len(toks) // tombstones hold none
-	}
-	slab := make([]uint32, 0, postings)
 	for slot := range r.ids {
 		if !r.alive[slot] {
 			continue
@@ -566,18 +554,13 @@ func (r *Resolver) compactLocked() {
 		w := len(ids)
 		ids = append(ids, r.ids[slot])
 		alive = append(alive, true)
-		var toks []uint32
-		if start := len(slab); len(r.blockToks[slot]) > 0 {
-			slab = append(slab, r.blockToks[slot]...)
-			toks = slab[start:len(slab):len(slab)]
-		}
-		blockToks = append(blockToks, toks)
 		for i := range r.cols {
 			cols[i].Append(r.cols[i].col.Profs[slot])
 		}
 		r.slots[r.ids[slot]] = w
 	}
-	r.ids, r.alive, r.blockToks, r.ix = ids, alive, blockToks, index.BuildOrds(blockToks)
+	r.ix = r.ix.Compact(r.alive)
+	r.ids, r.alive = ids, alive
 	for i := range r.cols {
 		r.cols[i].col = cols[i]
 	}
@@ -597,10 +580,7 @@ func (r *Resolver) dropSlotLocked(slot int, reprofile bool) {
 	r.ids[slot] = ""
 	r.liveCount--
 	instancesLive.Add(-1)
-	if toks := r.blockToks[slot]; len(toks) > 0 {
-		r.ix.Remove(slot, toks)
-		r.blockToks[slot] = nil
-	}
+	r.ix.Set(slot, nil)
 	for i := range r.cols {
 		c := &r.cols[i]
 		p := c.col.Profs[slot]

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/block"
-	"repro/internal/index"
 	"repro/internal/mapping"
 	"repro/internal/match"
 	"repro/internal/model"
@@ -701,15 +700,13 @@ func TestChurnCompaction(t *testing.T) {
 	}
 }
 
-// checkBlockingSide compares two resolvers' blocking tokens, index
-// postings, Stats and private dictionaries.
-func checkBlockingSide(t *testing.T, what string, got, want *Resolver) {
+// checkBlockingSide compares two resolvers' blocking indexes (the tokens
+// of every slot and the postings), Stats and private dictionaries, whose
+// terms are the tokens of set's blocking values.
+func checkBlockingSide(t *testing.T, what string, got, want *Resolver, set *model.ObjectSet) {
 	t.Helper()
-	if !reflect.DeepEqual(got.blockToks, want.blockToks) {
-		t.Fatalf("%s: the blocking tokens differ", what)
-	}
 	if !reflect.DeepEqual(got.ix, want.ix) {
-		t.Fatalf("%s: the blocking index %v differs from %v, or a posting list does", what, got.ix, want.ix)
+		t.Fatalf("%s: the blocking tokens or a posting list differ", what)
 	}
 	if g, w := got.Stats(), want.Stats(); g != w {
 		t.Fatalf("%s: Stats %+v, want %+v", what, g, w)
@@ -717,13 +714,15 @@ func checkBlockingSide(t *testing.T, what string, got, want *Resolver) {
 	if g, w := got.dict.Len(), want.dict.Len(); g != w {
 		t.Fatalf("%s: %d blocking terms, want %d", what, g, w)
 	}
-	for _, toks := range want.blockToks {
-		for _, id := range toks {
-			if g, w := got.dict.Str(id), want.dict.Str(id); g != w {
-				t.Fatalf("%s: blocking term %d is %q, want %q", what, id, g, w)
+	set.Each(func(in *model.Instance) bool {
+		for _, tok := range sim.Tokens(in.Attr(want.cfg.BlockSetAttr)) {
+			g, _ := got.dict.Lookup(tok)
+			if w, _ := want.dict.Lookup(tok); g != w {
+				t.Fatalf("%s: blocking term %q is %d, want %d", what, tok, g, w)
 			}
 		}
-	}
+		return true
+	})
 }
 
 // TestNewResolverPartitionInvariant: a resolver's bulk-built state, and so
@@ -764,7 +763,7 @@ func TestNewResolverPartitionInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkKeysAligned(t, r)
-		checkBlockingSide(t, fmt.Sprintf("GOMAXPROCS %d against Add per member", procs), r, ref)
+		checkBlockingSide(t, fmt.Sprintf("GOMAXPROCS %d against Add per member", procs), r, ref, set)
 		m, err := r.ResolveSet(queries)
 		if err != nil {
 			t.Fatal(err)
@@ -806,39 +805,28 @@ func TestRemoveClearsBulkProfile(t *testing.T) {
 	}
 }
 
-// TestCompactionRebuildsBlockingSide: compaction copies the live blocking
-// tokens out of the bulk build's slab, so the tombstones' share of it is
-// released, and its index is the bulk build over the new slots.
+// TestCompactionRebuildsBlockingSide: after compaction the blocking index
+// is the bulk build over the survivors' tokens, slot by slot in arrival
+// order. (block's TestIndexCompact pins that the compacted rows no longer
+// share the bulk build's storage.)
 func TestCompactionRebuildsBlockingSide(t *testing.T) {
 	_, set := syntheticSets(240)
 	r, err := NewResolver(set, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bulk := make(map[*uint32]bool)
-	for _, toks := range r.blockToks {
-		for i := range toks {
-			bulk[&toks[i]] = true
-		}
-	}
 	for _, id := range set.IDs()[:121] { // the 121st tombstone outnumbers the live
 		r.Remove(id)
 	}
-	if st := r.Stats(); st.Slots != st.Live || st.Live != 119 {
-		t.Fatalf("compaction never ran: %+v", st)
+	if st := r.Stats(); st.Slots != st.Live || st.Live != 119 || st.IndexedDocs != 119 {
+		t.Fatalf("compaction never ran, or a slot lost its blocking tokens: %+v", st)
 	}
-	for slot, toks := range r.blockToks {
-		if len(toks) == 0 {
-			t.Fatalf("slot %d lost its blocking tokens", slot)
-		}
-		for i := range toks {
-			if bulk[&toks[i]] {
-				t.Fatalf("slot %d's blocking tokens still live in the bulk build's slab", slot)
-			}
-		}
+	var rows block.Tokens
+	for _, id := range set.IDs()[121:] {
+		rows = append(rows, r.dict.TokenIDs(set.Get(id).Attr(r.cfg.BlockSetAttr)))
 	}
-	if want := index.BuildOrds(r.blockToks); !reflect.DeepEqual(r.ix, want) {
-		t.Fatalf("the compacted index %v is not the bulk build %v over its slots", r.ix, want)
+	if !reflect.DeepEqual(r.ix, block.NewIndex(rows)) {
+		t.Fatal("the compacted index is not the bulk build over the survivors' tokens")
 	}
 }
 

@@ -3,7 +3,7 @@ package live
 import "repro/internal/obs"
 
 // Stage indexes of the resolve trace. The candidate probe inside
-// index.Ords.EachCandidate is fused with scoring (candidates are scored as
+// block.Index.EachCandidate is fused with scoring (candidates are scored as
 // they stream out of the posting merge), so the trace attributes token
 // lookup to "block", query profiling to "profile", and the fused
 // probe-and-score loop — gathering and sorting postings included — to

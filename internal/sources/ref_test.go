@@ -14,9 +14,9 @@ import (
 )
 
 // refIndex is the model.ID-keyed TF-IDF index GSQuery searched through until
-// it got its own postings (internal/index.Index: Add, AddInstance and Search,
-// unchanged but for the lookup call, the guard noted in addIDs and a heap
-// capacity that tolerates any k). It is the oracle of the differential tests:
+// it got its own postings (the former internal/index.Index: Add, AddInstance
+// and Search, unchanged but for the lookup call, the guard noted in addIDs
+// and a heap capacity that tolerates any k). It is the oracle of the differential tests:
 // the paper tables depend on exactly which documents every query returns, in
 // which order.
 type refIndex struct {
