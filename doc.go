@@ -47,16 +47,16 @@
 // candidate pairs, but a match input only contains n+m distinct attribute
 // values. So a measure is a sim.ProfiledSim, one type with two methods:
 // ProfileInto preprocesses one value — normalization, tokenization, hashed
-// character n-gram sets, TF-IDF vectors — into a caller-owned sim.Profile,
-// reusing the profile's arrays and a sim.Scratch, and Compare scores two
-// profiles. There is no other way to build a profile and no second
-// implementation of a measure: the built-in sim.Funcs are Compare over the
-// profiles of their two arguments, AttributeMatcher, MultiAttributeMatcher
-// and LiveResolver score every configuration through sim.ProfiledOf(Sim),
-// and ProfiledOf is total — a sim.Func it does not know (a custom closure,
-// NumericProximity) becomes a measure whose profile is the raw value and
-// whose Compare calls the function. A sim.Func is the one way a matcher
-// column names its measure; one table in package sim gives each of the 18
+// character n-gram sets, TF-IDF vectors — and appends it as the next slot
+// of a profile column (sim.ProfileColumn), taking its working memory from a
+// sim.Scratch, and Compare scores two slots (sim.Ref). There is no other
+// way to build a profile and no second implementation of a measure: the
+// built-in sim.Funcs are Compare over the profiles of their two arguments,
+// AttributeMatcher, MultiAttributeMatcher and LiveResolver score every
+// configuration through sim.ProfiledOf(Sim), and ProfiledOf is total — a
+// sim.Func it does not know (a custom closure, NumericProximity) becomes a
+// measure whose profile is the raw value and whose Compare calls the
+// function. A sim.Func is the one way a matcher column names its measure; one table in package sim gives each of the 18
 // built-ins its name (sim.Lookup, which scripts and tuning read) and its
 // measure. TF-IDF cosine is the one measure no sim.Func names, because its
 // profiles depend on a corpus: match.TFIDFAttribute builds a corpus from
@@ -64,19 +64,39 @@
 // resident one. Only the built-ins' profile columns are kept in a set's
 // column store; corpus-backed and opaque-Func columns build per match.
 //
+// A column holds what its measure reads and nothing else, in pointer-free
+// slabs every slot of the column shares: an n-gram set is its hashes in one
+// []uint64 slab, a token set its term IDs in a []uint32 slab, the character
+// and token-sequence measures their runes in a []rune slab, a TF-IDF vector
+// its weighted terms in a slab of terms with its norm beside, and a slot
+// names its part of its slab by a span; a Soundex code, a year or an
+// equality measure's string is one entry of a per-slot array. So a resident
+// title costs its grams, a span and a filter key — no per-value struct, no
+// per-value allocation, nothing for the collector to trace
+// (TestProfileColumnResidentBytes). A single value's profile — a query, a
+// string form's operand, a matcher's stand-in for absent ids — is a
+// one-slot column, sim.Profile.
+//
 // A column of profiles (a matcher's per-set column, a resolver's resident
 // one) comes from sim.BuildProfileColumn, which splits the values over the
-// workers unless the measure interns; one value kept on its own (a
-// resolver's Add) comes from sim.NewProfile. Read paths rebuild pooled
-// profiles through the lookup-only sim.QueryInto, which never grows a term
-// dictionary and, for every measure whose profile holds only slices and
-// numbers, allocates nothing once its buffers are warm. A column of
+// workers unless the measure interns: it sizes the slab once from the
+// values' rune counts, lets each worker fill its own part, and closes the
+// parts up in place, so the build never holds a second copy. A resolver's
+// Add profiles one value into the slab's tail (ProfileColumn.Append, Set),
+// so it never copies the bulk the build sized; a tombstone lets go of its
+// payload (Drop), a tail whose payloads were mostly dropped again is
+// rewritten alone, and compaction is one rewrite of the slab (Compact). Read paths rebuild pooled one-slot profiles through
+// the lookup-only sim.QueryInto, which never grows a term dictionary and,
+// for every measure that builds no string (all but EqualFold and Soundex),
+// allocates nothing once its buffers are warm. The differential oracle of
+// the layout is the per-value profile it replaced, kept in the tests
+// (FuzzProfileColumnMatchesReference). A column of
 // blocking tokens (a set's token-blocking column, a resolver's members)
 // comes the same way from sim.Dict.TokenColumn, which numbers new terms in
 // the order a serial walk meets them, and the inverted index over it from
 // block.NewIndex; a resolver's Add tokenizes and indexes its one value.
 //
-// Profiles are read-only between builds, so a matcher's workers (GOMAXPROCS
+// Columns are read-only between builds, so a matcher's workers (GOMAXPROCS
 // of them) score them concurrently without locks.
 //
 // A matcher keeps only the pairs that reach its threshold, so Compare takes
@@ -86,10 +106,11 @@
 // 128-bit set signatures, and abandon the merge of what is left;
 // Levenshtein rejects on lengths before its bit-vector kernel runs). No
 // Compare profiles or allocates: the character-level and token-sequence
-// measures read one rune profile in place (TestCompareZeroAllocs). The set measures' size and signature test
-// reads only a 24-byte filter key per profile (sim.Key: length, cardinality,
-// signature), and every profile column of a set measure keeps those keys in
-// a dense, pointer-free array beside its profiles (sim.ProfileColumn).
+// measures read a slot's runes in place (TestCompareZeroAllocs). The set
+// measures' size and signature test reads only a 24-byte filter key per
+// profile (sim.Key: length, cardinality, signature), and every profile
+// column of a set measure keeps those keys in a dense, pointer-free array
+// beside its slab (sim.ProfileColumn.Keys).
 // AttributeMatcher passes its threshold; MultiAttributeMatcher and
 // LiveResolver share sim.Weighted, which derives each column's floor from
 // the weights still to come — fixed for its first column. The
@@ -106,7 +127,7 @@
 // (match.Scan: probe → filter → score → keep) that it shares with the live
 // resolver: a row (a domain instance, a query) builds its key test once
 // (sim.RowFilter, from a table made per match call or resolver), and only
-// the candidates whose keys pass it reach a profile. block.CrossProduct and
+// the candidates whose keys pass it reach a slab. block.CrossProduct and
 // TokenBlocking stream A-major — all candidates of one domain instance,
 // range ordinals ascending, before any of the next — so besides PairsEach
 // (one id pair at a time; Pairs remains as a materializing wrapper) they
@@ -376,14 +397,17 @@
 //  4. Columnar integrity: parallel columns move together — Mapping's, the
 //     match kernel's and ResolveSet's dom/rng/sim, Resolver's ids/alive,
 //     its block.Index's rows and the per-slot profiles with their filter keys,
-//     a sim.Dict shard's strs/keys. Held by mapping.FromColumns (panics on
-//     unequal lengths), the eps-0 differential oracles of internal/mapping
+//     a profile column's spans, per-slot arrays and keys under Append, Set,
+//     Drop and Compact, a sim.Dict shard's strs/keys. Held by
+//     mapping.FromColumns (panics on unequal lengths), the eps-0
+//     differential oracles of internal/mapping
 //     (TestDifferential*) and internal/match (TestStreamed*MatchesMaterialized),
 //     live's TestResolveMatchesBatch (ResolveSet and its batch twin against
 //     the exhaustive oracle, insertion order included), and the
 //     key-alignment check after the churn of TestChurnCompaction,
 //     TestCompactionPreservesRemoveAndReplace, TestAddReplace and
-//     TestTFIDFIncrementalMatchesRebuild, and FuzzQueryIntoMatchesProfileInto.
+//     TestTFIDFIncrementalMatchesRebuild, FuzzQueryIntoMatchesProfileInto
+//     and FuzzProfileColumnMatchesReference.
 //  5. Lock discipline: a field commented `// guarded by mu` is touched only
 //     while its sibling mutex is held (xxxLocked helpers say "Callers hold
 //     mu"). Held by `go test -race` over one concurrent test per type:

@@ -186,6 +186,27 @@ func TestSeedScheduleDeterministic(t *testing.T) {
 	}
 }
 
+// TestInjectRejectsInvalidRules: Inject takes only the rules ParseScript
+// would accept, so a rule built in code cannot schedule a fault that is not
+// carried out as written.
+func TestInjectRejectsInvalidRules(t *testing.T) {
+	for _, r := range []Rule{
+		{Op: OpWrite, After: 6, Kind: KindFailAfter, N: 4}, // failafter fires on its budget, not after 6 writes
+		{Kind: KindErr, N: 9},                              // n on a kind without a byte count
+		{Op: OpSync, Kind: KindShortWrite},                 // a short sync
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Inject(%+v) accepted a rule the injector would not carry out as written", r)
+				}
+			}()
+			NewInjector(nil).Inject(r)
+		}()
+	}
+	NewInjector(nil).Inject(Rule{Op: OpWrite, Kind: KindFailAfter, N: 4}, Rule{Op: OpRename, Kind: KindTornRename})
+}
+
 func TestParseScript(t *testing.T) {
 	rules, err := ParseScript("write:wal.jsonl:6:enospc!, sync:snapshot:0:eio, rename:snapshot:0:torn, write::0:failafter:4096")
 	if err != nil {

@@ -153,14 +153,47 @@ func NewInjector(base FS) *Injector {
 
 // Inject appends rules to the schedule. Rules added while the store is
 // already open only see operations issued after the call — tests arm
-// faults mid-workload this way.
+// faults mid-workload this way. It panics on a rule the injector would not
+// carry out as written (the rules ParseScript rejects): a schedule that
+// silently differs from the one written tests nothing.
 func (in *Injector) Inject(rules ...Rule) {
+	for i := range rules {
+		if err := rules[i].validate(); err != nil {
+			panic(fmt.Sprintf("faultfs: Inject(%+v): %v", rules[i], err))
+		}
+	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	for i := range rules {
 		r := rules[i]
 		in.rules = append(in.rules, &r)
 	}
+}
+
+// validate reports why the injector would not carry r out as written: an op
+// or kind out of range, a negative count, n on a kind without a byte count,
+// a byte kind on an op without bytes, torn on any op but rename, or
+// failafter with after other than 0 (its byte budget, not a count of
+// operations, decides when it fires).
+func (r *Rule) validate() error {
+	byteKind := r.Kind == KindShortWrite || r.Kind == KindFailAfter
+	switch {
+	case int(r.Op) >= len(opNames):
+		return fmt.Errorf("unknown op %d", r.Op)
+	case r.Kind > KindTornRename:
+		return fmt.Errorf("unknown kind %d", r.Kind)
+	case r.After < 0 || r.N < 0:
+		return fmt.Errorf("after %d and n %d must be non-negative", r.After, r.N)
+	case r.N != 0 && !byteKind:
+		return fmt.Errorf("n applies to short and failafter only")
+	case byteKind && r.Op != OpWrite:
+		return fmt.Errorf("short and failafter apply to write only")
+	case r.Kind == KindTornRename && r.Op != OpRename:
+		return fmt.Errorf("torn applies to rename only")
+	case r.Kind == KindFailAfter && r.After != 0:
+		return fmt.Errorf("failafter takes after 0 (its byte budget decides when it fires)")
+	}
+	return nil
 }
 
 // ClearFaults drops every rule and the seeded schedule; subsequent
@@ -452,10 +485,11 @@ func ParseScript(script string) ([]Rule, error) {
 		if !ok {
 			return nil, fmt.Errorf("faultfs: bad rule %q: unknown kind %q", part, kindName)
 		}
-		byteKind := spec.kind == KindShortWrite || spec.kind == KindFailAfter
 		var n int64
 		if len(fields) == 5 {
-			if !byteKind {
+			// An explicit n, even 0, is a field the injector would ignore
+			// on a kind without a byte count.
+			if spec.kind != KindShortWrite && spec.kind != KindFailAfter {
 				return nil, fmt.Errorf("faultfs: bad rule %q: n applies to short and failafter only", part)
 			}
 			n, err = strconv.ParseInt(fields[4], 10, 64)
@@ -463,21 +497,17 @@ func ParseScript(script string) ([]Rule, error) {
 				return nil, fmt.Errorf("faultfs: bad rule %q: n %q must be a non-negative integer", part, fields[4])
 			}
 		}
-		switch {
-		case byteKind && op != OpWrite:
-			return nil, fmt.Errorf("faultfs: bad rule %q: %s applies to write only", part, kindName)
-		case spec.kind == KindTornRename && op != OpRename:
-			return nil, fmt.Errorf("faultfs: bad rule %q: torn applies to rename only", part)
-		case spec.kind == KindFailAfter && after != 0:
-			return nil, fmt.Errorf("faultfs: bad rule %q: failafter takes after 0 (its byte budget decides when it fires)", part)
-		}
 		if spec.kind == KindFailAfter {
 			sticky = true
 		}
-		rules = append(rules, Rule{
+		r := Rule{
 			Op: op, Path: fields[1], After: after,
 			Kind: spec.kind, N: n, Err: spec.err, Sticky: sticky,
-		})
+		}
+		if err := r.validate(); err != nil {
+			return nil, fmt.Errorf("faultfs: bad rule %q: %v", part, err)
+		}
+		rules = append(rules, r)
 	}
 	if len(rules) == 0 {
 		return nil, fmt.Errorf("faultfs: empty fault script")

@@ -7,15 +7,17 @@
 // keeps its derived structures resident: an incremental ordinal inverted
 // index over the blocking attribute that holds each slot's blocking tokens
 // (block.Index, the same structure the batch token blocking keeps),
-// similarity-profile columns indexed by slot ordinal (sim.ProfileColumn) —
-// for a set measure with a dense, pointer-free filter key per slot beside
-// the profiles, which most candidates are rejected on without a profile
-// read — and per-column TF-IDF corpora.
+// similarity-profile columns indexed by slot ordinal (sim.ProfileColumn:
+// each slot's payload a span of one pointer-free slab per column — a
+// title's trigram hashes, say — and for a set measure a dense filter key
+// per slot beside it, which most candidates are rejected on without a slab
+// read) and per-column TF-IDF corpora, with the value each slot registered
+// in its corpus.
 // NewResolver builds all of it in bulk, on every core: the blocking tokens
 // in one column (sim.Dict.TokenColumn), the index in one build over them
 // (block.NewIndex) and each profile column in one build
 // (sim.BuildProfileColumn, serial when the measure interns); Add tokenizes,
-// indexes and profiles one value.
+// indexes and profiles one value, its payload in each slab's tail.
 // Resolve then blocks, scores and thresholds one query record against the
 // set in time proportional to its candidates, not to the set; Add and Remove
 // update the resident structures in place instead of re-matching.
@@ -37,13 +39,17 @@
 // A Resolver is safe for concurrent use: Resolve takes a read lock, Add and
 // Remove a write lock, so a serving process interleaves lookups and updates
 // freely. Slots are append-only with tombstones. Remove lets go of
-// everything the instance brought — postings, blocking tokens, profiles, its
-// id — and leaves only the slot's entries in the per-slot arrays (a zero
-// filter key, which rejects nothing, where the profile's key was); once
-// tombstones outnumber the live instances (past a small floor) it compacts
-// those arrays and the blocking index (block.Index.Compact, which copies
-// the live blocking tokens into one fresh array), so resident memory stays
-// proportional to the live set under unbounded churn.
+// everything the instance brought — postings, blocking tokens, profile
+// payloads, its id — and leaves only the slot's entries in the per-slot
+// arrays (an empty span and a zero filter key, which rejects nothing,
+// where the profile was); once tombstones outnumber the live instances
+// (past a small floor) it compacts those arrays, each profile column and
+// the blocking index, each in one rewrite of its slab
+// (sim.ProfileColumn.Compact, block.Index.Compact), so resident memory
+// stays proportional to the live set under unbounded churn. The payloads
+// of members added and removed again, and a replaced slot's old one, are
+// reclaimed by their column, which rewrites its slab's tail (or the whole
+// slab) once such payloads outnumber the live ones there.
 //
 // Blocking tokens are interned in a dictionary private to the resolver
 // (sim.Dict): Add interns the arriving instance's blocking tokens, and
@@ -110,11 +116,14 @@ type colState struct {
 	corpus *sim.TFIDF      // non-nil for TFIDF columns
 
 	// col holds one profile per slot (the Resolver's ids and alive, and its
-	// index's rows, are its sibling columns), nil for tombstones, and a set
-	// measure's dense filter keys beside them (the zero key for tombstones).
-	// A profile's Raw is the slot's value: corpus removal and reprofiling
-	// read it back.
+	// index's rows, are its sibling columns), the empty one for tombstones,
+	// and a set measure's dense filter keys beside them (the zero key for
+	// tombstones).
 	col sim.ProfileColumn
+	// docs holds, for a TFIDF column, the value each slot registered in the
+	// corpus ("" for none and for tombstones): corpus removal and the
+	// reprofile read it back.
+	docs []string
 }
 
 // Resolver holds one registered object set in resident, incrementally
@@ -204,6 +213,11 @@ func NewResolver(set *model.ObjectSet, cfg Config) (*Resolver, error) {
 	// would make a TFIDF construction O(n²).
 	n := set.Len()
 	r.ids, r.alive = make([]model.ID, n), make([]bool, n)
+	for i := range r.cols {
+		if c := &r.cols[i]; c.corpus != nil {
+			c.docs = make([]string, n)
+		}
+	}
 	for slot := range n {
 		in := set.At(slot)
 		r.slots[in.ID], r.ids[slot], r.alive[slot] = slot, in.ID, true
@@ -211,6 +225,7 @@ func NewResolver(set *model.ObjectSet, cfg Config) (*Resolver, error) {
 			if c := &r.cols[i]; c.corpus != nil {
 				if v := in.Attr(c.cfg.SetAttr); v != "" {
 					c.corpus.Add(v)
+					c.docs[slot] = v
 				}
 			}
 		}
@@ -269,7 +284,7 @@ func (r *Resolver) ResolveAppend(q *model.Instance, dst []Match) []Match {
 }
 
 // resolveScratch holds the per-resolve working memory: the query's token
-// IDs and normalization buffer and one Profile slot and filter key per
+// IDs and normalization buffer and one one-slot profile and filter key per
 // column. Pooled so concurrent warm resolves neither contend nor allocate.
 type resolveScratch struct {
 	norm  []byte
@@ -344,7 +359,7 @@ func (r *Resolver) scoreLocked(q *model.Instance, asMember bool, scratch *resolv
 			attr = c.cfg.SetAttr
 		}
 		sim.QueryInto(c.ps, q.Attr(attr), &profs[i], &scratch.sc)
-		keys[i] = c.col.KeyOf(&profs[i])
+		keys[i] = profs[i].Key()
 	}
 	sp.Mark(stageProfile)
 	scan := match.Scan{
@@ -352,9 +367,8 @@ func (r *Resolver) scoreLocked(q *model.Instance, asMember bool, scratch *resolv
 		RowKeys: keys,
 		Keys:    r.cols[0].col.Keys,
 		Score: func(_, ord int) (float64, bool) {
-			s := r.scorer.Score(func(i int) (a, b *sim.Profile, ka, kb *sim.Key) {
-				b, kb = r.cols[i].col.At(ord)
-				return &profs[i], b, &keys[i], kb
+			s := r.scorer.Score(func(i int) (a, b sim.Ref) {
+				return profs[i].Ref(), r.cols[i].col.At(ord)
 			})
 			return s, s >= r.cfg.Threshold
 		},
@@ -450,35 +464,39 @@ func (r *Resolver) addLocked(in *model.Instance) {
 		droppedCorpus = make([]bool, len(r.cols))
 		for i := range r.cols {
 			c := &r.cols[i]
-			droppedCorpus[i] = c.corpus != nil && r.alive[slot] && c.col.Profs[slot].Raw != ""
+			droppedCorpus[i] = c.corpus != nil && r.alive[slot] && c.docs[slot] != ""
 		}
 		r.dropSlotLocked(slot, false)
 	} else {
 		slot = len(r.ids)
 		r.ids = append(r.ids, "")
 		r.alive = append(r.alive, false)
-		for i := range r.cols {
-			r.cols[i].col.Append(nil)
-		}
 	}
 	r.placeLocked(in, slot)
 	for i := range r.cols {
 		c := &r.cols[i]
 		v := in.Attr(c.cfg.SetAttr)
 		if c.corpus != nil {
+			if !replacing {
+				c.docs = append(c.docs, "")
+			}
 			changed := droppedCorpus != nil && droppedCorpus[i]
 			if v != "" {
 				c.corpus.Add(v)
+				c.docs[slot] = v
 				changed = true
 			}
 			if changed {
 				// Every resident vector is stale once the corpus has moved.
-				c.col.Set(slot, &sim.Profile{Raw: v})
 				r.reprofileLocked(c)
 				continue
 			}
 		}
-		c.col.Set(slot, sim.NewProfile(c.ps, v))
+		if replacing {
+			c.col.Set(slot, v)
+		} else {
+			c.col.Append(v)
+		}
 	}
 	// A member beyond the key table extends it here, under the write lock,
 	// so that no resolve builds one; a longer query is tested past its end.
@@ -531,11 +549,12 @@ const compactMinDead = 64
 // compactLocked reclaims tombstoned slots under a held write lock: live
 // slots move down in insertion order (so candidate streams keep yielding in
 // the original arrival order), per-slot arrays are reallocated at the live
-// size (releasing the grown backing arrays), and the blocking index is
-// compacted alike (block.Index.Compact: the live blocking tokens move into
-// one fresh slab, releasing the bulk build's, which tombstones would
-// otherwise pin). Profiles and corpus statistics move untouched — only
-// slot numbers change — and each profile's key moves with it.
+// size (releasing the grown backing arrays), and each profile column and
+// the blocking index are compacted alike, each in one rewrite of its slab
+// (sim.ProfileColumn.Compact, block.Index.Compact: the live payloads move
+// into one fresh slab, releasing the bulk build's, which tombstones would
+// otherwise pin). Profiles and corpus statistics move untouched — only slot
+// numbers change — and each profile's key moves with it.
 //
 // Callers hold mu.
 func (r *Resolver) compactLocked() {
@@ -543,27 +562,28 @@ func (r *Resolver) compactLocked() {
 	n := r.liveCount
 	ids := make([]model.ID, 0, n)
 	alive := make([]bool, 0, n)
-	cols := make([]sim.ProfileColumn, len(r.cols))
-	for i := range r.cols {
-		cols[i] = sim.NewProfileColumn(r.cols[i].ps, n)
-	}
 	for slot := range r.ids {
-		if !r.alive[slot] {
-			continue
+		if r.alive[slot] {
+			r.slots[r.ids[slot]] = len(ids)
+			ids = append(ids, r.ids[slot])
+			alive = append(alive, true)
 		}
-		w := len(ids)
-		ids = append(ids, r.ids[slot])
-		alive = append(alive, true)
-		for i := range r.cols {
-			cols[i].Append(r.cols[i].col.Profs[slot])
+	}
+	for i := range r.cols {
+		c := &r.cols[i]
+		c.col = c.col.Compact(r.alive)
+		if c.docs != nil {
+			docs := make([]string, 0, n)
+			for slot, doc := range c.docs {
+				if r.alive[slot] {
+					docs = append(docs, doc)
+				}
+			}
+			c.docs = docs
 		}
-		r.slots[r.ids[slot]] = w
 	}
 	r.ix = r.ix.Compact(r.alive)
 	r.ids, r.alive = ids, alive
-	for i := range r.cols {
-		r.cols[i].col = cols[i]
-	}
 }
 
 // dropSlotLocked reverses a slot's contributions under a held write lock.
@@ -583,14 +603,10 @@ func (r *Resolver) dropSlotLocked(slot int, reprofile bool) {
 	r.ix.Set(slot, nil)
 	for i := range r.cols {
 		c := &r.cols[i]
-		p := c.col.Profs[slot]
-		raw := p.Raw
-		// A bulk-built profile is an element of its column's backing array,
-		// which outlives it: clearing the element frees the profile's slices.
-		*p = sim.Profile{}
-		c.col.Set(slot, nil)
-		if c.corpus != nil && raw != "" {
-			c.corpus.Remove(raw)
+		c.col.Drop(slot)
+		if c.corpus != nil && c.docs[slot] != "" {
+			c.corpus.Remove(c.docs[slot])
+			c.docs[slot] = ""
 			if reprofile {
 				r.reprofileLocked(c)
 			}
@@ -598,18 +614,15 @@ func (r *Resolver) dropSlotLocked(slot int, reprofile bool) {
 	}
 }
 
-// reprofileLocked rebuilds a corpus-backed column's profiles after the
-// corpus changed: TF-IDF weights of every document shift with any
-// document-frequency change, so cached vectors are rebuilt eagerly — reads
-// stay lock-free and exact.
+// reprofileLocked rebuilds a corpus-backed column after the corpus changed:
+// TF-IDF weights of every document shift with any document-frequency
+// change, so the column is rebuilt from the slots' documents eagerly —
+// reads stay lock-free and exact. A tombstone's document is empty, and so
+// is its profile, as Drop leaves it.
 //
 // Callers hold mu.
 func (r *Resolver) reprofileLocked(c *colState) {
-	for slot, p := range c.col.Profs {
-		if r.alive[slot] {
-			c.col.Set(slot, sim.NewProfile(c.ps, p.Raw))
-		}
-	}
+	c.col = sim.BuildProfileColumn(c.ps, len(c.docs), func(slot int) string { return c.docs[slot] })
 }
 
 // Stats summarizes the resident state.

@@ -123,19 +123,19 @@ func oracleConfigs() map[string]Config {
 
 // checkKeysAligned asserts that the resolver's filter keys follow its
 // profiles: every live slot's key is the one its measure computes from the
-// slot's profile, and every tombstone's key is zero. A stale key would
-// reject a pair its profiles score above the floor.
-func checkKeysAligned(t *testing.T, r *Resolver) {
+// slot's value, member(id) the instance added last under id, and every
+// tombstone's key is zero. A stale key would reject a pair its profiles
+// score above the floor.
+func checkKeysAligned(t *testing.T, r *Resolver, member func(model.ID) *model.Instance) {
 	t.Helper()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for i := range r.cols {
 		c := &r.cols[i]
-		if len(c.col.Profs) != len(r.ids) {
-			t.Fatalf("column %d holds %d profiles for %d slots", i, len(c.col.Profs), len(r.ids))
+		if c.col.Len() != len(r.ids) {
+			t.Fatalf("column %d holds %d profiles for %d slots", i, c.col.Len(), len(r.ids))
 		}
-		keyed, ok := c.ps.(sim.Keyed)
-		if !ok {
+		if _, ok := c.ps.(sim.Keyed); !ok {
 			if c.col.Keys != nil {
 				t.Fatalf("column %d: a measure without keys has a key column", i)
 			}
@@ -147,12 +147,22 @@ func checkKeysAligned(t *testing.T, r *Resolver) {
 		for slot, k := range c.col.Keys {
 			var want sim.Key
 			if r.alive[slot] {
-				want = keyed.Key(c.col.Profs[slot])
+				want = sim.NewProfile(c.ps, member(r.ids[slot]).Attr(c.cfg.SetAttr)).Key()
 			}
 			if k != want {
 				t.Fatalf("column %d slot %d (alive %v): key %+v, want %+v", i, slot, r.alive[slot], k, want)
 			}
 		}
+	}
+}
+
+// replacing is set.Get with repl in place of the member of its id.
+func replacing(set *model.ObjectSet, repl *model.Instance) func(model.ID) *model.Instance {
+	return func(id model.ID) *model.Instance {
+		if id == repl.ID {
+			return repl
+		}
+		return set.Get(id)
 	}
 }
 
@@ -396,7 +406,7 @@ func TestAddReplace(t *testing.T) {
 	if r.Len() != set.Len() {
 		t.Fatalf("replace must not grow the live count: %d != %d", r.Len(), set.Len())
 	}
-	checkKeysAligned(t, r)
+	checkKeysAligned(t, r, replacing(set, repl))
 	got := r.Resolve(q)
 	if len(got) != 1 || got[0].ID != victim {
 		t.Fatalf("replacement must match the query, got %v", got)
@@ -552,7 +562,7 @@ func TestAddBeyondKeyTable(t *testing.T) {
 			}
 			return true
 		})
-		checkKeysAligned(t, r)
+		checkKeysAligned(t, r, members.Get)
 		if name == "fixture" && hits == 0 {
 			t.Fatalf("%s: no query matched the long member; the fixture does not reach it", name)
 		}
@@ -584,7 +594,7 @@ func TestTFIDFIncrementalMatchesRebuild(t *testing.T) {
 			r.Remove(id)
 		}
 	}
-	checkKeysAligned(t, r)
+	checkKeysAligned(t, r, set.Get)
 	survivors := set.Filter(func(in *model.Instance) bool {
 		i := set.IndexOf(in.ID)
 		return i%4 != 0
@@ -677,7 +687,7 @@ func TestChurnCompaction(t *testing.T) {
 	if st := r.Stats(); st.Live != live {
 		t.Fatalf("post-churn live = %d, want %d", st.Live, live)
 	}
-	checkKeysAligned(t, r)
+	checkKeysAligned(t, r, set.Get)
 	// Compaction must be invisible to resolution: same answers, same order
 	// as a resolver freshly built over the surviving members.
 	fresh, err := NewResolver(set, cfg)
@@ -762,7 +772,7 @@ func TestNewResolverPartitionInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkKeysAligned(t, r)
+		checkKeysAligned(t, r, set.Get)
 		checkBlockingSide(t, fmt.Sprintf("GOMAXPROCS %d against Add per member", procs), r, ref, set)
 		m, err := r.ResolveSet(queries)
 		if err != nil {
@@ -777,7 +787,7 @@ func TestNewResolverPartitionInvariant(t *testing.T) {
 		}
 		for i := range r.cols {
 			got, base := &r.cols[i].col, &first.cols[i].col
-			if !reflect.DeepEqual(got.Profs, base.Profs) || !reflect.DeepEqual(got.Keys, base.Keys) || got.MaxCard() != base.MaxCard() {
+			if !reflect.DeepEqual(*got, *base) {
 				t.Fatalf("column %d at GOMAXPROCS %d differs from the build at 1", i, procs)
 			}
 		}
@@ -788,20 +798,22 @@ func TestNewResolverPartitionInvariant(t *testing.T) {
 }
 
 // TestRemoveClearsBulkProfile: a bulk-built profile lives in its column's
-// backing array, which outlives it, so Remove clears it there.
+// slab, which outlives it, so Remove lets go of it there: the slot reads as
+// the empty value, with the zero key.
 func TestRemoveClearsBulkProfile(t *testing.T) {
 	_, set := syntheticSets(60)
 	r, err := NewResolver(set, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := r.cols[0].col.Profs[r.slots["g005"]]
-	if len(p.Grams) == 0 {
+	c, slot := &r.cols[0], r.slots["g005"]
+	empty := sim.NewProfile(c.ps, "")
+	if c.col.Key(slot) == (sim.Key{}) || c.ps.Compare(c.col.At(slot), empty.Ref(), 0) == 1 {
 		t.Fatal("g005 has no trigram profile")
 	}
 	r.Remove("g005")
-	if !reflect.DeepEqual(*p, sim.Profile{}) {
-		t.Fatalf("the removed profile still holds %+v", *p)
+	if c.col.Key(slot) != (sim.Key{}) || c.ps.Compare(c.col.At(slot), empty.Ref(), 0) != 1 {
+		t.Fatalf("the removed profile still holds a value (key %+v)", c.col.Key(slot))
 	}
 }
 
@@ -858,7 +870,7 @@ func TestCompactionPreservesRemoveAndReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Remove(surviving[7])
-	checkKeysAligned(t, r)
+	checkKeysAligned(t, r, replacing(set, repl))
 	survivors := set.Filter(func(in *model.Instance) bool {
 		if in.ID == surviving[7] {
 			return false

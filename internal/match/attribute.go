@@ -59,16 +59,20 @@ func (m *Attribute) match(a, b *model.ObjectSet, ps sim.ProfiledSim) (*mapping.M
 	if keyed != nil {
 		filter = keyed.RowFilter(m.Threshold)
 	}
+	var missingA, missingB []bool
+	if m.SkipMissing {
+		missingA, missingB = missingValues(a, m.AttrA), missingValues(b, m.AttrB)
+	}
 	return blockScore(a, b, m.Blocker, func(ia, ib int) (float64, bool) {
-		pa, pb, ka, kb := col.at(ia, ib)
-		if m.SkipMissing && (pa.Raw == "" || pb.Raw == "") {
+		if m.SkipMissing && (missing(missingA, ia) || missing(missingB, ib)) {
 			return 0, false
 		}
+		pa, pb := col.at(ia, ib)
 		// A set measure's keys have passed the scan's filter: what is left
 		// is the merge.
 		var s float64
 		if keyed != nil {
-			s = keyed.Merge(pa, pb, ka, kb, m.Threshold)
+			s = keyed.Merge(pa, pb, m.Threshold)
 		} else {
 			s = ps.Compare(pa, pb, m.Threshold)
 		}
@@ -76,38 +80,47 @@ func (m *Attribute) match(a, b *model.ObjectSet, ps sim.ProfiledSim) (*mapping.M
 	}, filter, &col), nil
 }
 
+// missingValues flags the ordinals of set whose attr is absent or empty.
+func missingValues(set *model.ObjectSet, attr string) []bool {
+	flags := make([]bool, set.Len())
+	for i := range flags {
+		flags[i] = set.At(i).Attr(attr) == ""
+	}
+	return flags
+}
+
+// missing reports whether ordinal i is flagged, or an id absent from its
+// input (a negative ordinal), which reads as the empty value.
+func missing(flags []bool, i int) bool { return i < 0 || flags[i] }
+
 // scoreColumn is one attribute comparison ready to score: the measure's
 // profile columns of both inputs, aligned with ObjectSet ordinals.
 type scoreColumn struct {
 	colA, colB sim.ProfileColumn
 	// empty stands in for ids absent from the inputs, which blockers may
 	// emit: they score as the empty value.
-	empty    *sim.Profile
-	emptyKey sim.Key
+	empty sim.Ref
 }
 
 func newScoreColumn(a, b *model.ObjectSet, attrA, attrB string, ps sim.ProfiledSim) scoreColumn {
-	c := scoreColumn{
+	return scoreColumn{
 		colA:  profileColumn(a, attrA, ps),
 		colB:  profileColumn(b, attrB, ps),
-		empty: sim.NewProfile(ps, ""),
+		empty: sim.NewProfile(ps, "").Ref(),
 	}
-	c.emptyKey = c.colA.KeyOf(c.empty)
-	return c
 }
 
-// at returns the profiles at the two ordinals and their keys (nil for a
-// measure without keys); a negative ordinal (IndexOf of an id absent from
-// the input) reads as the empty value.
-func (c *scoreColumn) at(ia, ib int) (pa, pb *sim.Profile, ka, kb *sim.Key) {
-	pa, pb, ka, kb = c.empty, c.empty, &c.emptyKey, &c.emptyKey
+// at returns the slots at the two ordinals; a negative ordinal (IndexOf of
+// an id absent from the input) reads as the empty value.
+func (c *scoreColumn) at(ia, ib int) (a, b sim.Ref) {
+	a, b = c.empty, c.empty
 	if ia >= 0 {
-		pa, ka = c.colA.At(ia)
+		a = c.colA.At(ia)
 	}
 	if ib >= 0 {
-		pb, kb = c.colB.At(ib)
+		b = c.colB.At(ib)
 	}
-	return pa, pb, ka, kb
+	return a, b
 }
 
 // profilesKey keys a similarity-profile column in a set's column store
@@ -213,7 +226,7 @@ func (m *MultiAttribute) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) 
 	}
 	weighted := sim.NewWeighted(measures, weights, m.Threshold)
 	return blockScore(a, b, m.Blocker, func(ia, ib int) (float64, bool) {
-		s := weighted.Score(func(i int) (pa, pb *sim.Profile, ka, kb *sim.Key) { return cols[i].at(ia, ib) })
+		s := weighted.Score(func(i int) (pa, pb sim.Ref) { return cols[i].at(ia, ib) })
 		return s, s >= m.Threshold
 	}, weighted.RowFilter(), &cols[0]), nil
 }

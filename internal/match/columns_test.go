@@ -42,14 +42,14 @@ func TestProfileColumnHitsAndInvalidation(t *testing.T) {
 	if got := t0.since(); got != (profileTraffic{hits: 1, misses: 1}) {
 		t.Fatalf("build then reuse counted %+v", got)
 	}
-	if len(c1.Profs) != set.Len() || &c1.Profs[0] != &c2.Profs[0] || &c1.Keys[0] != &c2.Keys[0] {
+	if c1.Len() != set.Len() || &c1.Keys[0] != &c2.Keys[0] {
 		t.Fatal("store must serve the same column slices")
 	}
 
 	// A different measure keys a different column.
 	ps2 := sim.ProfiledOf(sim.Bigram)
 	profileColumn(set, "title", ps2)
-	if c := profileColumn(set, "title", ps); &c.Profs[0] != &c1.Profs[0] {
+	if c := profileColumn(set, "title", ps); &c.Keys[0] != &c1.Keys[0] {
 		t.Fatal("a distinct measure must not displace the first column")
 	}
 	if got := t0.since(); got != (profileTraffic{hits: 2, misses: 2}) {
@@ -63,15 +63,15 @@ func TestProfileColumnHitsAndInvalidation(t *testing.T) {
 	if got := t0.since(); got != (profileTraffic{hits: 2, misses: 3, invalidations: 2}) {
 		t.Fatalf("Touch must invalidate: %+v", got)
 	}
-	if c3.Profs[0].Raw != "changed title zero" || c3.Keys[0] != c3.KeyOf(c3.Profs[0]) {
-		t.Fatalf("rebuilt column did not pick up the mutation: %q", c3.Profs[0].Raw)
+	if want := sim.NewProfile(ps, "changed title zero"); ps.Compare(c3.At(0), want.Ref(), 0) != 1 || c3.Keys[0] != want.Key() {
+		t.Fatal("rebuilt column did not pick up the mutation")
 	}
 
 	// Membership change (Add) invalidates too.
 	set.AddNew("pX", map[string]string{"title": "a fresh arrival"})
 	c4 := profileColumn(set, "title", ps)
-	if got := t0.since(); got.misses != 4 || len(c4.Profs) != set.Len() || len(c4.Keys) != set.Len() {
-		t.Fatalf("Add must invalidate: %+v, len=%d/%d want %d", got, len(c4.Profs), len(c4.Keys), set.Len())
+	if got := t0.since(); got.misses != 4 || c4.Len() != set.Len() || len(c4.Keys) != set.Len() {
+		t.Fatalf("Add must invalidate: %+v, len=%d/%d want %d", got, c4.Len(), len(c4.Keys), set.Len())
 	}
 }
 
@@ -88,9 +88,6 @@ func TestProfileColumnTracksCorpusVersion(t *testing.T) {
 	ps := corpus.Profiled()
 	t0 := profileTrafficNow()
 	stale := profileColumn(set, "title", ps)
-	if c := profileColumn(set, "title", ps); &c.Profs[0] == &stale.Profs[0] {
-		t.Fatal("a corpus-backed column must build on every call")
-	}
 	corpus.Add("a brand new document shifting every idf")
 	c := profileColumn(set, "title", ps)
 	if got := t0.since(); got != (profileTraffic{}) {
@@ -99,40 +96,36 @@ func TestProfileColumnTracksCorpusVersion(t *testing.T) {
 	if c.Keys != nil {
 		t.Fatal("a TF-IDF column has no filter keys")
 	}
-	// The profiles built after the Add must reflect the new statistics.
+	// The profiles built after the Add must reflect the new statistics:
+	// against one query vector each scores as a fresh build's, and not as
+	// the one built before.
 	fresh := buildProfileColumn(set, "title", ps)
-	for i, p := range fresh.Profs {
-		if got, want := c.Profs[i].WeightNorm2, p.WeightNorm2; got != want {
-			t.Fatalf("profile %d has norm %v, fresh build %v", i, got, want)
+	q := sim.NewProfile(ps, "profile column title 1")
+	for i := range fresh.Len() {
+		if got, want := ps.Compare(c.At(i), q.Ref(), 0), ps.Compare(fresh.At(i), q.Ref(), 0); got != want {
+			t.Fatalf("profile %d scores %v, fresh build %v", i, got, want)
 		}
-		if c.Profs[i].WeightNorm2 == stale.Profs[i].WeightNorm2 {
-			t.Fatalf("profile %d kept its norm across a corpus change", i)
+		if i == 0 && ps.Compare(c.At(i), q.Ref(), 0) == ps.Compare(stale.At(i), q.Ref(), 0) {
+			t.Fatalf("profile %d scores as it did before the corpus changed", i)
 		}
 	}
 }
 
-// uncomparableSim wraps a profiled measure in a dynamic type that cannot be
-// a map key; it must bypass the store rather than panic.
+// uncomparableSim wraps a keyed measure in a dynamic type that cannot be a
+// map key; it must bypass the store rather than panic.
 type uncomparableSim struct {
-	inner sim.ProfiledSim
-	pad   []int
-}
-
-func (u uncomparableSim) ProfileInto(s string, p *sim.Profile, sc *sim.Scratch) {
-	u.inner.ProfileInto(s, p, sc)
-}
-func (u uncomparableSim) Compare(a, b *sim.Profile, floor float64) float64 {
-	return u.inner.Compare(a, b, floor)
+	sim.Keyed
+	pad []int
 }
 
 func TestProfileColumnSkipsUncomparableMeasures(t *testing.T) {
 	set := profColumnSet(5)
 	inner := sim.ProfiledOf(sim.Trigram)
-	ps := uncomparableSim{inner: inner, pad: []int{1}}
+	ps := uncomparableSim{Keyed: inner.(sim.Keyed), pad: []int{1}}
 	t0 := profileTrafficNow()
 	c1 := profileColumn(set, "title", ps)
 	c2 := profileColumn(set, "title", ps)
-	if &c1.Profs[0] == &c2.Profs[0] {
+	if &c1.Keys[0] == &c2.Keys[0] {
 		t.Fatal("uncomparable measures must build on every call")
 	}
 	if got := t0.since(); got != (profileTraffic{}) {

@@ -269,7 +269,7 @@ func TestTFIDFMatchesExhaustive(t *testing.T) {
 		corpus.AddAll(sortedAttrValues(in.b, "name"))
 		cosine := func(x, y string) float64 {
 			ps := corpus.Profiled()
-			return ps.Compare(sim.NewProfile(ps, x), sim.NewProfile(ps, y), 0)
+			return ps.Compare(sim.NewProfile(ps, x).Ref(), sim.NewProfile(ps, y).Ref(), 0)
 		}
 		for _, bl := range kernelBlockers("title", "name") {
 			want := materializedReference(in.a, in.b, bl, "title", "name", cosine, 0.2, false)
@@ -332,7 +332,7 @@ func comparedPruned(a, b *model.ObjectSet, bl block.Blocker, attrA, attrB string
 		if skipMissing && (va == "" || vb == "") {
 			continue
 		}
-		if ps.Compare(sim.NewProfile(ps, va), sim.NewProfile(ps, vb), threshold) < 0 {
+		if ps.Compare(sim.NewProfile(ps, va).Ref(), sim.NewProfile(ps, vb).Ref(), threshold) < 0 {
 			pruned++
 		}
 	}
@@ -353,17 +353,12 @@ func weightedPruned(a, b *model.ObjectSet, bl block.Blocker, pairs []AttrPair, t
 	var pruned uint64
 	for _, p := range block.Pairs(orCross(bl), a, b) {
 		ia, ib := a.Get(p.A), b.Get(p.B)
-		s := perPair.Score(func(i int) (pa, pb *sim.Profile, ka, kb *sim.Key) {
+		s := perPair.Score(func(i int) (pa, pb sim.Ref) {
 			va, vb := "", ""
 			if i > 0 {
 				va, vb = ia.Attr(pairs[i-1].AttrA), ib.Attr(pairs[i-1].AttrB)
 			}
-			pa, pb = sim.NewProfile(measures[i], va), sim.NewProfile(measures[i], vb)
-			if k, ok := measures[i].(sim.Keyed); ok {
-				kpa, kpb := k.Key(pa), k.Key(pb)
-				ka, kb = &kpa, &kpb
-			}
-			return pa, pb, ka, kb
+			return sim.NewProfile(measures[i], va).Ref(), sim.NewProfile(measures[i], vb).Ref()
 		})
 		if s < 0 {
 			pruned++

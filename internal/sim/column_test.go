@@ -47,17 +47,18 @@ func columnValues(n int, tag string) []string {
 }
 
 // TestBuildProfileColumnPartitionInvariant: the bulk builder's column is
-// the serial build's — each profile NewProfile's, the keys KeyOf's and
-// MaxCard their largest cardinality — at GOMAXPROCS 8, 3, 2 and 1, where
-// 8·2048 values give par.Split eight chunks. A measure that interns (a
-// QueryProfiler) numbers the values' new terms in ordinal order at every
-// width.
+// the serial build's — each slot what Append makes of its value, the keys
+// and MaxCard alike, the slab closed up without gaps — at GOMAXPROCS 8, 3, 2
+// and 1, where 8·2048 values give par.Split eight chunks. A measure that
+// interns (a QueryProfiler) numbers the values' new terms in ordinal order
+// at every width.
 func TestBuildProfileColumnPartitionInvariant(t *testing.T) {
 	const n = 8 * 2048
 	measures := map[string]ProfiledSim{
 		"Trigram":     ProfiledOf(Trigram),
 		"TokenDice":   ProfiledOf(TokenDice),
 		"Levenshtein": ProfiledOf(Levenshtein),
+		"Soundex":     ProfiledOf(SoundexSim),
 	}
 	for name, ps := range measures {
 		tag := "pcol" + strings.ToLower(name)
@@ -73,15 +74,15 @@ func TestBuildProfileColumnPartitionInvariant(t *testing.T) {
 				}
 				want = NewProfileColumn(ps, n)
 				for _, v := range values {
-					want.Append(NewProfile(ps, v))
+					want.Append(v)
 				}
 			}
-			if len(got.Profs) != n {
-				t.Fatalf("%s at %d workers: %d profiles, want %d", name, w, len(got.Profs), n)
+			if got.Len() != n || slabLen(&got) != slabLen(&want) {
+				t.Fatalf("%s at %d workers: %d slots over %d slab elements, serially %d over %d", name, w, got.Len(), slabLen(&got), n, slabLen(&want))
 			}
-			for i := range got.Profs {
-				if !reflect.DeepEqual(got.Profs[i], want.Profs[i]) {
-					t.Fatalf("%s at %d workers: profile %d of %q is %+v, serially %+v", name, w, i, values[i], got.Profs[i], want.Profs[i])
+			for i := range n {
+				if g, s := viewSlot(ps, &got, i), viewSlot(ps, &want, i); !sameProfile(g, s) {
+					t.Fatalf("%s at %d workers: slot %d of %q is %+v, serially %+v", name, w, i, values[i], g, s)
 				}
 			}
 			if !slices.Equal(got.Keys, want.Keys) || got.MaxCard() != want.MaxCard() {

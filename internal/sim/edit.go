@@ -220,7 +220,7 @@ func jaroWinklerRunes(ra, rb []rune) float64 {
 
 // nextToken cuts the first token off the runes of a normalized value, whose
 // tokens are separated by single spaces: the runes of Tokens(s) in order
-// are exactly the tokens nextToken walks off Profile.Runes.
+// are exactly the tokens nextToken walks off a slot's runes.
 func nextToken(rs []rune) (tok, rest []rune) {
 	if i := slices.Index(rs, ' '); i >= 0 {
 		return rs[:i], rs[i+1:]

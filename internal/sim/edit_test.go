@@ -104,10 +104,10 @@ func FuzzLevenshteinMatchesDP(f *testing.F) {
 		if got, want := runeDistance(a, b), editDistanceDP([]rune(a), []rune(b)); got != want {
 			t.Fatalf("editDistance(%q, %q) = %d, DP %d", a, b, got, want)
 		}
-		pa, pb := NewProfile(ProfiledOf(Levenshtein), a), NewProfile(ProfiledOf(Levenshtein), b)
+		pa, pb := NewProfile(ProfiledOf(Levenshtein), a).Ref(), NewProfile(ProfiledOf(Levenshtein), b).Ref()
 		want := 1.0
-		if maxLen := max(len(pa.Runes), len(pb.Runes)); maxLen > 0 {
-			want = editSim(editDistanceDP(pa.Runes, pb.Runes), maxLen)
+		if maxLen := max(len(pa.runes()), len(pb.runes())); maxLen > 0 {
+			want = editSim(editDistanceDP(pa.runes(), pb.runes()), maxLen)
 		}
 		if got := ProfiledOf(Levenshtein).Compare(pa, pb, 0); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("Levenshtein(%q, %q) = %v, DP %v", a, b, got, want)

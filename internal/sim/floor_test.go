@@ -13,14 +13,14 @@ import (
 // bound derived with different rounding than the score would show.
 func checkFloor(t *testing.T, name string, ps ProfiledSim, a, b *Profile, floors ...float64) {
 	t.Helper()
-	exact := ps.Compare(a, b, 0)
+	exact := ps.Compare(a.Ref(), b.Ref(), 0)
 	floors = append(floors, exact, math.Nextafter(exact, -1), math.Nextafter(exact, 2))
 	for _, floor := range floors {
-		got := ps.Compare(a, b, floor)
+		got := ps.Compare(a.Ref(), b.Ref(), floor)
 		if (got >= floor) != (exact >= floor) {
-			t.Errorf("%s(%q, %q) floor %v: bounded %v and exact %v fall on different sides", name, a.Raw, b.Raw, floor, got, exact)
+			t.Errorf("%s(%s, %s) floor %v: bounded %v and exact %v fall on different sides", name, show(a), show(b), floor, got, exact)
 		} else if got >= floor && math.Float64bits(got) != math.Float64bits(exact) {
-			t.Errorf("%s(%q, %q) floor %v: bounded %v, exact %v", name, a.Raw, b.Raw, floor, got, exact)
+			t.Errorf("%s(%s, %s) floor %v: bounded %v, exact %v", name, show(a), show(b), floor, got, exact)
 		}
 	}
 }
@@ -32,7 +32,7 @@ var floors = []float64{math.Inf(-1), -1, 0, 0.25, 0.5, 2.0 / 3, 0.7, 0.75, 0.82,
 // TestCompareFloorExactSets is the property on the set measures' own
 // representation, where adversarial sets are easy to state: empty,
 // one-element, identical, disjoint, nested, interleaved, with and without
-// members that can intersect nothing (ExtraTokens), and random ones of
+// members that can intersect nothing (unknown query tokens), and random ones of
 // random sizes. Dice 3/4 at floor 0.75 and Jaccard 1/3 of three at 2/3's
 // neighbours are among the generated cases.
 func TestCompareFloorExactSets(t *testing.T) {
@@ -65,7 +65,7 @@ func TestCompareFloorExactSets(t *testing.T) {
 	for _, sa := range sets {
 		for _, sb := range sets {
 			for name, ps := range gramMeasures {
-				checkFloor(t, "ngram-"+name, ps, &Profile{Grams: sa}, &Profile{Grams: sb}, floors...)
+				checkFloor(t, "ngram-"+name, ps, gramProfile(sa, signature{}), gramProfile(sb, signature{}), floors...)
 			}
 			ta, tb := make([]uint32, len(sa)), make([]uint32, len(sb))
 			for i, v := range sa {
@@ -77,8 +77,8 @@ func TestCompareFloorExactSets(t *testing.T) {
 			for _, extra := range [][2]int{{0, 0}, {1, 0}, {0, 3}, {2, 2}} {
 				for name, ps := range tokenMeasures {
 					checkFloor(t, "token-"+name, ps,
-						&Profile{SortedTokenIDs: ta, ExtraTokens: extra[0]},
-						&Profile{SortedTokenIDs: tb, ExtraTokens: extra[1]}, floors...)
+						tokenProfile(ta, extra[0], signature{}),
+						tokenProfile(tb, extra[1], signature{}), floors...)
 				}
 			}
 		}
@@ -178,20 +178,16 @@ func TestWeightedMatchesUnboundedMean(t *testing.T) {
 			total += w
 		}
 		as, bs := make([]*Profile, k), make([]*Profile, k)
-		kas, kbs := make([]Key, k), make([]Key, k)
 		var sum float64
 		for i, ps := range measures {
 			as[i] = NewProfile(ps, values[rng.Intn(len(values))])
 			bs[i] = NewProfile(ps, values[rng.Intn(len(values))])
-			if kd, ok := ps.(Keyed); ok {
-				kas[i], kbs[i] = kd.Key(as[i]), kd.Key(bs[i])
-			}
-			sum += weights[i] * ps.Compare(as[i], bs[i], 0)
+			sum += weights[i] * ps.Compare(as[i].Ref(), bs[i].Ref(), 0)
 		}
 		exact := sum / total
 		for _, threshold := range []float64{-1, 0, 0.3, 0.5, 0.75, 0.82, 1, 1.5, exact, math.Nextafter(exact, -1), math.Nextafter(exact, 2)} {
-			got := NewWeighted(measures, weights, threshold).Score(func(i int) (a, b *Profile, ka, kb *Key) {
-				return as[i], bs[i], &kas[i], &kbs[i]
+			got := NewWeighted(measures, weights, threshold).Score(func(i int) (a, b Ref) {
+				return as[i].Ref(), bs[i].Ref()
 			})
 			stoppedSeen = stoppedSeen || got < 0
 			if (got >= threshold) != (exact >= threshold) {

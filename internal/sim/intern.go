@@ -14,10 +14,10 @@ package sim
 //
 // Terms is the process-global default dictionary. It backs every structure
 // that crosses package or object-set boundaries: the profiled token-set
-// measures (Profile.SortedTokenIDs), TF-IDF corpora and document vectors
-// (Profile.TermIDs), the batch blocking caches (block.Tokens columns and
-// their ordinal indexes), and sources.GSQuery postings. Sharing one dictionary
-// means a column interned once compares against any index or profile in the
+// measures (a token column's slab of IDs), TF-IDF corpora and document
+// vectors (a TF-IDF column's slab of terms), the batch blocking caches
+// (block.Tokens columns and their ordinal indexes), and sources.GSQuery
+// postings. Sharing one dictionary means a column interned once compares against any index or profile in the
 // process without translation. A live Resolver additionally owns a private
 // Dict (created by live.NewResolver) for its blocking index, so that
 // per-resolver vocabulary is released with the resolver; its scored column
@@ -44,9 +44,9 @@ package sim
 //
 // Token-sequence measures (Monge-Elkan, PersonName) score tokens with
 // character-level measures (Jaro-Winkler over runes), which interning cannot
-// replace; they read the tokens in place from the value's rune profile
-// (Profile.Runes), not from the dictionary. TF-IDF vectors keep a per-term uint64 content key (Dict.Key) alongside
-// the ID: the cosine merge must visit common terms in an order that is a
+// replace; they read the tokens in place from the value's runes (a rune
+// column's slab), not from the dictionary. TF-IDF vectors keep a per-term
+// uint64 content key (Dict.Key) alongside the ID: the cosine merge must visit common terms in an order that is a
 // pure function of the term set — not of dictionary insertion order, which
 // differs between an incrementally-grown and a freshly-built corpus — for
 // the floating-point dot product to be bit-identical across both. Sorting

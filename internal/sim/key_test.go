@@ -7,7 +7,7 @@ import (
 
 // The key test is setSim's size and signature test moved onto two Keys. The
 // references below are that test as it read inline in setSim, on the
-// profiles' own fields, and keyRejects, the same test in closed form over
+// profiles' sets, and keyRejects, the same test in closed form over
 // two keys; the fuzz targets hold the row filter to both and compareKeyed —
 // the key test, then the merge — to Compare alone.
 
@@ -56,34 +56,34 @@ var keyedMeasures = []struct {
 // two neighbours, where minOverlap's rounding correction decides.
 func checkKeyReject(t *testing.T, name string, ps Keyed, tokens, dice bool, a, b *Profile, floor float64) {
 	t.Helper()
-	exact := ps.Compare(a, b, 0)
-	ka, kb := ps.Key(a), ps.Key(b)
+	ra, rb := a.Ref(), b.Ref()
+	exact := ps.Compare(ra, rb, 0)
+	ka, kb := a.Key(), b.Key()
 	for _, floor := range []float64{floor, exact, math.Nextafter(exact, -1), math.Nextafter(exact, 2)} {
 		var want bool
 		if tokens {
-			want = stopsBeforeMerge(a.SortedTokenIDs, b.SortedTokenIDs, &a.sig, &b.sig,
-				len(a.SortedTokenIDs)+a.ExtraTokens, len(b.SortedTokenIDs)+b.ExtraTokens, dice, floor)
+			want = stopsBeforeMerge(ra.toks(), rb.toks(), &ka.sig, &kb.sig, int(ka.card), int(kb.card), dice, floor)
 		} else {
-			want = stopsBeforeMerge(a.Grams, b.Grams, &a.sig, &b.sig, len(a.Grams), len(b.Grams), dice, floor)
+			want = stopsBeforeMerge(ra.grams(), rb.grams(), &ka.sig, &kb.sig, len(ra.grams()), len(rb.grams()), dice, floor)
 		}
 		rejects := keyRejects(&ka, &kb, dice, floor)
 		if rejects != want {
-			t.Errorf("%s(%q, %q) floor %v: keys reject %v, setSim's size and signature test %v", name, a.Raw, b.Raw, floor, rejects, want)
+			t.Errorf("%s(%s, %s) floor %v: keys reject %v, setSim's size and signature test %v", name, show(a), show(b), floor, rejects, want)
 		}
 		untabulated, tabulated := ps.RowFilter(floor), ps.RowFilter(floor)
 		tabulated.Cover(int(ka.card + kb.card))
 		for _, f := range []RowFilter{untabulated, tabulated} {
 			if f.Row(ka); f.Rejects(&kb) != rejects {
-				t.Errorf("%s(%q, %q) floor %v: the row filter (table %d) rejects %v, the closed form %v", name, a.Raw, b.Raw, floor, len(f.need), !rejects, rejects)
+				t.Errorf("%s(%s, %s) floor %v: the row filter (table %d) rejects %v, the closed form %v", name, show(a), show(b), floor, len(f.need), !rejects, rejects)
 			}
 		}
-		direct := ps.Compare(a, b, floor)
-		viaKeys := compareKeyed(ps, a, b, &ka, &kb, floor)
+		direct := ps.Compare(ra, rb, floor)
+		viaKeys := compareKeyed(ps, ra, rb, floor)
 		if math.Float64bits(viaKeys) != math.Float64bits(direct) {
-			t.Errorf("%s(%q, %q) floor %v: compareKeyed %v, Compare %v", name, a.Raw, b.Raw, floor, viaKeys, direct)
+			t.Errorf("%s(%s, %s) floor %v: compareKeyed %v, Compare %v", name, show(a), show(b), floor, viaKeys, direct)
 		}
 		if rejects && viaKeys != stopped {
-			t.Errorf("%s(%q, %q) floor %v: the keys reject but compareKeyed scored %v", name, a.Raw, b.Raw, floor, viaKeys)
+			t.Errorf("%s(%s, %s) floor %v: the keys reject but compareKeyed scored %v", name, show(a), show(b), floor, viaKeys)
 		}
 	}
 }
@@ -100,8 +100,7 @@ func setProfiles(raw []byte, extra int) (grams, tokens *Profile) {
 	for i, v := range g {
 		ids[i] = uint32(v)
 	}
-	return &Profile{Raw: string(raw), Grams: g, sig: signatureOf(g)},
-		&Profile{Raw: string(raw), SortedTokenIDs: ids, ExtraTokens: extra, sig: signatureOf(ids)}
+	return gramProfile(g, signatureOf(g)), tokenProfile(ids, extra, signatureOf(ids))
 }
 
 // FuzzKeyRejectMatchesCompare: for all four set measures, the key test
@@ -150,7 +149,7 @@ func TestKeyOfEmptyRejectsNothing(t *testing.T) {
 	var zero Key
 	for _, m := range keyedMeasures {
 		for _, v := range append(scratchValues(), profileEdgeCases...) {
-			k := m.ps.Key(NewProfile(m.ps, v))
+			k := NewProfile(m.ps, v).Key()
 			for _, floor := range floors {
 				if keyRejects(&zero, &k, m.dice, floor) || keyRejects(&k, &zero, m.dice, floor) {
 					t.Fatalf("%s: the zero key rejected against %q at floor %v", m.name, v, floor)
@@ -164,7 +163,7 @@ func TestKeyOfEmptyRejectsNothing(t *testing.T) {
 				}
 			}
 		}
-		if k := m.ps.Key(NewProfile(m.ps, "")); k != zero {
+		if k := NewProfile(m.ps, "").Key(); k != zero {
 			t.Errorf("%s: the empty value's key is %+v, want the zero key", m.name, k)
 		}
 	}

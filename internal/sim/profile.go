@@ -4,10 +4,10 @@ package sim
 //
 // A match workflow evaluates O(n·m) candidate pairs over only n+m distinct
 // attribute values, so every measure is split in two: ProfileInto derives,
-// once per value, whatever the measure reads (rune slice, interned token
-// set, hashed character n-gram set, TF-IDF weight vector, Soundex code,
-// parsed year) into a caller-owned Profile, and Compare scores two profiles
-// read-only — safe for concurrent workers.
+// once per value, whatever the measure reads (runes, interned token set,
+// hashed character n-gram set, TF-IDF weight vector, Soundex code, parsed
+// year) and appends it as the next slot of a profile column (column.go),
+// and Compare scores two slots read-only — safe for concurrent workers.
 //
 // A matcher keeps only the pairs that reach its threshold, so Compare takes
 // a floor, the least score its caller still has a use for, and the contract
@@ -25,31 +25,33 @@ package sim
 //
 // No Compare profiles anything: the character-level measures (Levenshtein,
 // Jaro, Jaro-Winkler, the affixes) and the token-sequence measures
-// (Monge-Elkan, PersonName) all read the one rune profile, the latter token
-// by token, and none of them allocates once its pooled buffers have grown.
+// (Monge-Elkan, PersonName) all read a slot's runes in place, the latter
+// token by token, and none of them allocates once its pooled buffers have
+// grown.
 //
 // The set measures' size and signature filters read nothing but a 24-byte
-// Key per profile (key.go), so they are Keyed: a ProfileColumn keeps the
-// keys of its profiles in a dense array beside them, the candidate loop
-// checks a pair's keys against its row's filter (RowFilter) before it
-// reads either profile, and Keyed.Merge scores the pairs that pass. Compare
-// is that filter, untabulated, over keys it builds from the profiles, then
-// Merge, so the results and the pruned counts are Compare's, and each pair
-// is checked once.
+// Key per slot (key.go), so they are Keyed: their ProfileInto writes each
+// slot's key into the column's dense key array, the candidate loop checks a
+// pair's keys against its row's filter (RowFilter) before it reads either
+// slab, and Keyed.Merge scores the pairs that pass. Compare is that filter,
+// untabulated, then Merge, so the results and the pruned counts are
+// Compare's, and each pair is checked once.
 //
-// ProfileInto is the only way a profile is built. It appends into the slices
-// the Profile already owns and takes its working memory from a Scratch, so a
-// caller that keeps both (the live resolver's pooled query slots, the string
-// forms below) rebuilds a profile of slices and numbers without allocating.
-// A column of profiles (a matcher's per-set column, a resolver's resident
-// one) comes from BuildProfileColumn (key.go), the one bulk build, on every
-// core; NewProfile is the single-value path, for a caller that keeps one
-// profile (a resolver's Add). Measures whose ProfileInto interns into a
-// dictionary (token sets, TF-IDF) also have a lookup-only ProfileQueryInto;
-// QueryInto picks it, so read paths never grow a dictionary. The string
-// Funcs of the built-in measures are Compare over two profiles (compare),
-// and ProfiledOf is total: a Func it does not know scores through an
-// adapter that profiles nothing.
+// ProfileInto is the only way a profile is built. It appends into the
+// arrays the column already owns and takes its working memory from a
+// Scratch, so a caller that keeps both (the live resolver's pooled query
+// slots, the string forms below) rebuilds a one-slot Profile without
+// allocating. A column of profiles (a matcher's per-set column, a
+// resolver's resident one) comes from BuildProfileColumn (column.go), the
+// one bulk build, on every core; NewProfile is the single-value path, for a
+// caller that keeps one profile (a matcher's stand-in for absent ids,
+// tuning's features), and ProfileColumn.Append and Set profile one value
+// into a kept column (a resolver's Add). Measures whose ProfileInto interns
+// into a dictionary (token sets, TF-IDF) also have a lookup-only
+// ProfileQueryInto; QueryInto picks it, so read paths never grow a
+// dictionary. The string Funcs of the built-in measures are Compare over two
+// profiles (compare), and ProfiledOf is total: a Func it does not know
+// scores through an adapter whose profile is the raw value.
 
 import (
 	"fmt"
@@ -60,54 +62,19 @@ import (
 	"sync"
 )
 
-// Profile caches the derived forms of one attribute value. Only the fields
-// the producing ProfiledSim reads are populated; a profile is read-only
-// between two ProfileInto calls on it.
-type Profile struct {
-	// Raw is the original attribute value.
-	Raw string
-	// NormSpace is NormalizeSpace(Raw) (case-folding equality).
-	NormSpace string
-	// Runes is []rune(Normalize(Raw)): the edit-distance, Jaro and affix
-	// measures read it whole, the token-sequence measures (Monge-Elkan,
-	// person names) token by token, since Tokens(Raw) is its runes split at
-	// each space.
-	Runes []rune
-	// SortedTokenIDs is the sorted, deduplicated token-ID set (interned in
-	// Terms) for the token-overlap measures. ExtraTokens counts distinct
-	// tokens of the value that are absent from the dictionary — produced
-	// only by the lookup-only ProfileQueryInto, where unknown tokens cannot
-	// intersect anything but still belong to the set cardinality.
-	SortedTokenIDs []uint32
-	ExtraTokens    int
-	// Grams is the sorted, deduplicated FNV-1a hash set of the padded
-	// character n-grams (n fixed by the producing measure).
-	Grams []uint64
-	// sig is the signature of whichever of the two sets above p holds.
-	sig signature
-	// TermIDs/TermKeys/Weights is the TF-IDF document vector: term IDs
-	// (Terms dict) with their content keys (Dict.Key), sorted by key, and
-	// the aligned tf-idf weights; WeightNorm2 is the squared Euclidean
-	// norm. The content-key order makes the cosine dot product independent
-	// of dictionary insertion order (see intern.go).
-	TermIDs     []uint32
-	TermKeys    []uint64
-	Weights     []float64
-	WeightNorm2 float64
-	// Code is the Soundex code of the first token.
-	Code string
-	// Year is the parsed integer value; YearOK reports parse success.
-	Year   int
-	YearOK bool
-}
+// Profile is the profile of one value: a one-slot ProfileColumn. It is the
+// query side of a comparison — a resolver's pooled query slot (QueryInto),
+// the string forms' pooled operands, a matcher's stand-in for ids absent
+// from its inputs — and it rebuilds in place without allocating once its
+// arrays have grown; a run of values is a ProfileColumn.
+type Profile struct{ col ProfileColumn }
 
-// reset readies p for a rebuild from s: every scalar is cleared and every
-// buffer slice is cut to length 0 with its capacity kept, so whichever
-// measure fills p next appends into arrays p already owns.
-func (p *Profile) reset(s string) {
-	*p = Profile{Raw: s, Runes: p.Runes[:0], SortedTokenIDs: p.SortedTokenIDs[:0], Grams: p.Grams[:0],
-		TermIDs: p.TermIDs[:0], TermKeys: p.TermKeys[:0], Weights: p.Weights[:0]}
-}
+// Ref returns the profile's slot.
+func (p *Profile) Ref() Ref { return Ref{&p.col, 0} }
+
+// Key returns the profile's filter key: the zero Key when the measure is
+// not Keyed.
+func (p *Profile) Key() Key { return p.col.Key(0) }
 
 // signature is a 128-bit bitmap of a set: each element sets the one bit a
 // mixed hash of it selects. A bit set in A's signature and not in B's is an
@@ -137,23 +104,29 @@ func (s *signature) lacking(o *signature) (n int) {
 }
 
 // ProfiledSim is a similarity measure: a per-value profiling stage and a
-// pair-scoring stage.
+// pair-scoring stage. The built-in measures, the TF-IDF cosine and the
+// adapter of any other Func (ProfiledOf) are all there are: a column's
+// layout is the measure's.
 type ProfiledSim interface {
-	// ProfileInto rebuilds p as this measure's profile of s, reusing p's
-	// slices and sc's buffers; everything else in p is overwritten, and
-	// p.Raw is s (matchers and the resolver read values back from it). The
+	// ProfileInto appends the measure's profile of s to c, a column of this
+	// measure, as its next slot, taking its working memory from sc. The
 	// contract permits interning into the process-global Terms dictionary
 	// (token and TF-IDF measures do); read paths profile via QueryInto. A
 	// measure that interns is a QueryProfiler; any other runs ProfileInto
-	// on several goroutines at once in BuildProfileColumn.
+	// on several goroutines at once in BuildProfileColumn, each into its
+	// own window of the column.
 	//
 	//moma:interns
-	ProfileInto(s string, p *Profile, sc *Scratch)
-	// Compare scores two profiles built by this measure, exactly whenever
+	ProfileInto(s string, c *ProfileColumn, sc *Scratch)
+	// Compare scores two slots of this measure's columns, exactly whenever
 	// the score is >= floor; otherwise it returns some value < floor,
 	// negative when it stopped early (see the package comment above). It
 	// must be pure and safe for concurrent use.
-	Compare(a, b *Profile, floor float64) float64
+	Compare(a, b Ref, floor float64) float64
+	// layout is what a slot of the measure's column holds (column.go) and,
+	// for a slab the measure fills on several goroutines, the most elements
+	// a value's payload takes beyond the value's runes.
+	layout() (l layout, pad int)
 }
 
 // QueryProfiler is implemented by the measures whose ProfileInto interns
@@ -164,35 +137,36 @@ type ProfiledSim interface {
 // its weight (TF-IDF norms).
 type QueryProfiler interface {
 	ProfiledSim
-	ProfileQueryInto(s string, p *Profile, sc *Scratch)
+	ProfileQueryInto(s string, c *ProfileColumn, sc *Scratch)
 }
 
-// NewProfile is the single-value build: a fresh profile of s that the
-// caller keeps. A column of values is built by BuildProfileColumn.
+// NewProfile is the single-value build: a fresh profile of s, interning as
+// the measure does, that the caller keeps. A column of values is built by
+// BuildProfileColumn.
 func NewProfile(ps ProfiledSim, s string) *Profile {
-	w := pairPool.Get().(*pair)
-	p := new(Profile)
-	ps.ProfileInto(s, p, &w.sc)
-	pairPool.Put(w)
+	p := &Profile{NewProfileColumn(ps, 1)}
+	p.col.Append(s)
 	return p
 }
 
 // QueryInto is the read side: it rebuilds p as the profile of a query value
 // without growing any dictionary — an unbounded stream of distinct queries
 // leaves Terms untouched — and, once p and sc have reached the working-set
-// high-water mark, without allocating for the measures whose profile holds
-// only slices and numbers.
+// high-water mark, without allocating for the measures that build no string
+// (all but EqualFold and Soundex).
 func QueryInto(ps ProfiledSim, s string, p *Profile, sc *Scratch) {
+	lay, _ := ps.layout()
+	p.col.reset(lay)
 	if qp, ok := ps.(QueryProfiler); ok {
-		qp.ProfileQueryInto(s, p, sc)
+		qp.ProfileQueryInto(s, &p.col, sc)
 		return
 	}
 	//moma:dictgrowth-ok only measures without ProfileQueryInto reach this call, and none of them interns (pinned by TestProfiledFallbacksDoNotIntern)
-	ps.ProfileInto(s, p, sc)
+	ps.ProfileInto(s, &p.col, sc)
 }
 
 // pair is the pooled working memory of the calls that bring none of their
-// own: a string-form call uses all of it, NewProfile the scratch.
+// own: a string-form call uses all of it, a column's Append the scratch.
 type pair struct {
 	a, b Profile
 	sc   Scratch
@@ -207,9 +181,12 @@ var pairPool = sync.Pool{New: func() any { return new(pair) }}
 // every call.
 func compare[P ProfiledSim](ps P, a, b string) float64 {
 	w := pairPool.Get().(*pair)
-	ps.ProfileInto(a, &w.a, &w.sc)
-	ps.ProfileInto(b, &w.b, &w.sc)
-	s := ps.Compare(&w.a, &w.b, 0)
+	lay, _ := ps.layout()
+	w.a.col.reset(lay)
+	w.b.col.reset(lay)
+	ps.ProfileInto(a, &w.a.col, &w.sc)
+	ps.ProfileInto(b, &w.b.col, &w.sc)
+	s := ps.Compare(w.a.Ref(), w.b.Ref(), 0)
 	pairPool.Put(w)
 	return s
 }
@@ -285,9 +262,13 @@ func builtin(fn Func) (int, bool) {
 // uncomparable, which keeps its columns out of the per-set column store.
 type funcProfiled struct{ fn Func }
 
-func (funcProfiled) ProfileInto(s string, p *Profile, _ *Scratch) { p.reset(s) }
+func (funcProfiled) layout() (layout, int) { return strSlot, 0 }
 
-func (f funcProfiled) Compare(a, b *Profile, _ float64) float64 { return f.fn(a.Raw, b.Raw) }
+func (funcProfiled) ProfileInto(s string, c *ProfileColumn, _ *Scratch) {
+	c.strs = append(c.strs, s)
+}
+
+func (f funcProfiled) Compare(a, b Ref, _ float64) float64 { return f.fn(a.str(), b.str()) }
 
 // --- hashed character n-grams -------------------------------------------
 
@@ -301,29 +282,36 @@ type ngramProfiled struct {
 	dice bool
 }
 
+// A value of r runes has at most r+n-1 padded n-grams.
+func (g ngramProfiled) layout() (layout, int) { return gramSlab, max(g.n-1, 0) }
+
 // ProfileInto hashes the character n-grams of the normalized value, padded
 // with n-1 leading and trailing sentinels so that prefixes and suffixes
-// carry weight, into the sorted, deduplicated 64-bit FNV-1a set Grams. Gram
-// strings are never materialized.
-func (g ngramProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
-	p.reset(s)
+// carry weight, into the sorted, deduplicated 64-bit FNV-1a set the slot
+// spans in grams, and keys it. Gram strings are never materialized.
+func (g ngramProfiled) ProfileInto(s string, c *ProfileColumn, sc *Scratch) {
+	lo, t := c.grams.end(), &c.grams.tail
+	k := len(*t)
 	sc.norm = appendNormalized(sc.norm[:0], s)
-	if g.n < 1 || len(sc.norm) == 0 {
-		return
-	}
-	sc.runes = appendRunes(sc.runes[:0], sc.norm, g.n-1)
-	n := len(sc.runes) - g.n + 1
-	sc.hashes = grow(sc.hashes, n)[:n]
-	for i := range sc.hashes {
-		h := fnvOffset64
-		for _, r := range sc.runes[i : i+g.n] {
-			h ^= uint64(uint32(r))
-			h *= fnvPrime64
+	if g.n >= 1 && len(sc.norm) > 0 {
+		sc.runes = appendRunes(sc.runes[:0], sc.norm, g.n-1)
+		n := len(sc.runes) - g.n + 1
+		sc.hashes = grow(sc.hashes, n)[:n]
+		for i := range sc.hashes {
+			h := fnvOffset64
+			for _, r := range sc.runes[i : i+g.n] {
+				h ^= uint64(uint32(r))
+				h *= fnvPrime64
+			}
+			sc.hashes[i] = h
 		}
-		sc.hashes[i] = h
+		*t = slices.Grow(*t, n)
+		set := slices.Compact(sc.sortHashes((*t)[k : k+n]))
+		*t = (*t)[:k+len(set)]
 	}
-	p.Grams = slices.Compact(sc.sortHashes(grow(p.Grams, n)[:n]))
-	p.sig = signatureOf(p.Grams)
+	set := (*t)[k:]
+	c.pushSpan(lo, c.grams.end())
+	c.pushKey(Key{n: uint32(len(set)), card: uint32(len(set)), sig: signatureOf(set)})
 }
 
 // Hash sort bounds: a set shorter than minBucketSort, or one with a bucket
@@ -389,12 +377,11 @@ func (sc *Scratch) scatterHashes(dst []uint64) bool {
 
 // Compare scores two gram sets by a merge-join over the sorted hashes, Dice
 // or Jaccard (setSim), behind the key test; the floor bounds both.
-func (g ngramProfiled) Compare(a, b *Profile, floor float64) float64 {
-	ka, kb := g.Key(a), g.Key(b)
-	if g.RowFilter(floor).rejects(&ka, &kb) {
+func (g ngramProfiled) Compare(a, b Ref, floor float64) float64 {
+	if g.RowFilter(floor).rejects(a.key(), b.key()) {
 		return stopped
 	}
-	return g.Merge(a, b, &ka, &kb, floor)
+	return g.Merge(a, b, floor)
 }
 
 // --- token-set measures --------------------------------------------------
@@ -403,60 +390,64 @@ type tokenProfiled struct {
 	dice bool
 }
 
+func (tokenProfiled) layout() (layout, int) { return tokenSlab, 0 }
+
 // ProfileInto interns the value's tokens into Terms.
-func (t tokenProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
+func (t tokenProfiled) ProfileInto(s string, c *ProfileColumn, sc *Scratch) {
 	sc.scanTerms(s)
 	sc.internTerms()
-	t.fill(s, p, sc)
+	t.fill(c, sc)
 }
 
 // ProfileQueryInto implements QueryProfiler: unknown tokens are counted, not
 // interned — they can intersect nothing, but Jaccard and Dice divide by the
 // set sizes, which must include them.
-func (t tokenProfiled) ProfileQueryInto(s string, p *Profile, sc *Scratch) {
+func (t tokenProfiled) ProfileQueryInto(s string, c *ProfileColumn, sc *Scratch) {
 	sc.scanTerms(s)
-	t.fill(s, p, sc)
+	t.fill(c, sc)
 }
 
 // fill builds the token set from the scanned terms: one ID per distinct
-// known token, one count per distinct unknown one.
-func (tokenProfiled) fill(s string, p *Profile, sc *Scratch) {
-	p.reset(s)
+// known token in toks, one count per distinct unknown one in the key's
+// cardinality.
+func (tokenProfiled) fill(c *ProfileColumn, sc *Scratch) {
 	sc.sortTerms()
-	ids := grow(p.SortedTokenIDs, len(sc.terms))[:len(sc.terms)]
-	k := 0
+	lo, k, extra := c.toks.end(), len(c.toks.tail), 0
 	for i := 0; i < len(sc.terms); i = sc.runEnd(i) {
 		if t := sc.terms[i]; t.known {
-			ids[k] = t.id
-			k++
+			c.toks.tail = append(c.toks.tail, t.id)
 		} else {
-			p.ExtraTokens++
+			extra++
 		}
 	}
-	slices.Sort(ids[:k])
-	p.SortedTokenIDs = ids[:k]
-	p.sig = signatureOf(p.SortedTokenIDs)
+	ids := c.toks.tail[k:]
+	slices.Sort(ids)
+	c.pushSpan(lo, c.toks.end())
+	c.pushKey(Key{n: uint32(len(ids)), card: uint32(len(ids) + extra), sig: signatureOf(ids)})
 }
 
 // Compare scores two token-ID sets by a merge-join (setSim) behind the key
-// test; unknown query tokens enlarge the set sizes through ExtraTokens
-// without being materialized.
-func (t tokenProfiled) Compare(a, b *Profile, floor float64) float64 {
-	ka, kb := t.Key(a), t.Key(b)
-	if t.RowFilter(floor).rejects(&ka, &kb) {
+// test; unknown query tokens enlarge the set sizes through the key's
+// cardinality without being materialized.
+func (t tokenProfiled) Compare(a, b Ref, floor float64) float64 {
+	if t.RowFilter(floor).rejects(a.key(), b.key()) {
 		return stopped
 	}
-	return t.Merge(a, b, &ka, &kb, floor)
+	return t.Merge(a, b, floor)
 }
 
 // --- equality measures ---------------------------------------------------
 
 type equalProfiled struct{}
 
-func (equalProfiled) ProfileInto(s string, p *Profile, _ *Scratch) { p.reset(s) }
+func (equalProfiled) layout() (layout, int) { return strSlot, 0 }
 
-func (equalProfiled) Compare(a, b *Profile, _ float64) float64 {
-	if a.Raw == b.Raw {
+func (equalProfiled) ProfileInto(s string, c *ProfileColumn, _ *Scratch) {
+	c.strs = append(c.strs, s)
+}
+
+func (equalProfiled) Compare(a, b Ref, _ float64) float64 {
+	if a.str() == b.str() {
 		return 1
 	}
 	return 0
@@ -464,13 +455,14 @@ func (equalProfiled) Compare(a, b *Profile, _ float64) float64 {
 
 type equalFoldProfiled struct{}
 
-func (equalFoldProfiled) ProfileInto(s string, p *Profile, _ *Scratch) {
-	p.reset(s)
-	p.NormSpace = NormalizeSpace(s)
+func (equalFoldProfiled) layout() (layout, int) { return strSlot, 0 }
+
+func (equalFoldProfiled) ProfileInto(s string, c *ProfileColumn, _ *Scratch) {
+	c.strs = append(c.strs, NormalizeSpace(s))
 }
 
-func (equalFoldProfiled) Compare(a, b *Profile, _ float64) float64 {
-	if strings.EqualFold(a.NormSpace, b.NormSpace) {
+func (equalFoldProfiled) Compare(a, b Ref, _ float64) float64 {
+	if strings.EqualFold(a.str(), b.str()) {
 		return 1
 	}
 	return 0
@@ -479,13 +471,17 @@ func (equalFoldProfiled) Compare(a, b *Profile, _ float64) float64 {
 // --- rune measures: edit distance and affixes ------------------------------
 
 // runeProfiled is the profiling stage the character-level and
-// token-sequence measures share: the runes of the normalized value.
+// token-sequence measures share: the runes of the normalized value, whose
+// tokens are its runes split at each space (Tokens).
 type runeProfiled struct{}
 
-func (runeProfiled) ProfileInto(s string, p *Profile, sc *Scratch) {
-	p.reset(s)
+func (runeProfiled) layout() (layout, int) { return runeSlab, 0 }
+
+func (runeProfiled) ProfileInto(s string, c *ProfileColumn, sc *Scratch) {
 	sc.norm = appendNormalized(sc.norm[:0], s)
-	p.Runes = appendRunes(grow(p.Runes, len(sc.norm)), sc.norm, 0)
+	lo := c.runes.end()
+	c.runes.tail = appendRunes(c.runes.tail, sc.norm, 0)
+	c.pushSpan(lo, c.runes.end())
 }
 
 type levenshteinProfiled struct{ runeProfiled }
@@ -494,8 +490,8 @@ type levenshteinProfiled struct{ runeProfiled }
 // 1 - dist(a', b') / max(len(a'), len(b')). The distance is at least the
 // difference of the lengths, which settles a pair whose lengths alone put it
 // under the floor without running the bit-vector kernel (editDistance).
-func (levenshteinProfiled) Compare(a, b *Profile, floor float64) float64 {
-	ra, rb := a.Runes, b.Runes
+func (levenshteinProfiled) Compare(a, b Ref, floor float64) float64 {
+	ra, rb := a.runes(), b.runes()
 	maxLen := max(len(ra), len(rb))
 	if maxLen == 0 {
 		return 1
@@ -513,11 +509,11 @@ type jaroProfiled struct {
 	winkler bool
 }
 
-func (j jaroProfiled) Compare(a, b *Profile, _ float64) float64 {
+func (j jaroProfiled) Compare(a, b Ref, _ float64) float64 {
 	if j.winkler {
-		return jaroWinklerRunes(a.Runes, b.Runes)
+		return jaroWinklerRunes(a.runes(), b.runes())
 	}
-	return jaroRunes(a.Runes, b.Runes)
+	return jaroRunes(a.runes(), b.runes())
 }
 
 type affixMode int
@@ -536,8 +532,8 @@ type affixProfiled struct {
 // Compare scores the longest common prefix and/or suffix relative to the
 // shorter value, max(lcp, lcs) / min(len(a), len(b)), scanning the profiled
 // runes in place.
-func (m affixProfiled) Compare(a, b *Profile, _ float64) float64 {
-	ra, rb := a.Runes, b.Runes
+func (m affixProfiled) Compare(a, b Ref, _ float64) float64 {
+	ra, rb := a.runes(), b.runes()
 	if len(ra) == 0 && len(rb) == 0 {
 		return 1
 	}
@@ -566,55 +562,71 @@ func (m affixProfiled) Compare(a, b *Profile, _ float64) float64 {
 // --- token-sequence measures ---------------------------------------------
 
 // The token-sequence measures profile as the rune measures do and walk the
-// tokens of Runes in place (nextToken).
+// tokens of the runes in place (nextToken).
 
 type mongeElkanProfiled struct{ runeProfiled }
 
 // Compare is the symmetric Monge-Elkan similarity, the mean of its two
 // directions.
-func (mongeElkanProfiled) Compare(a, b *Profile, _ float64) float64 {
-	return clamp01((mongeElkanRunes(a.Runes, b.Runes) + mongeElkanRunes(b.Runes, a.Runes)) / 2)
+func (mongeElkanProfiled) Compare(a, b Ref, _ float64) float64 {
+	ra, rb := a.runes(), b.runes()
+	return clamp01((mongeElkanRunes(ra, rb) + mongeElkanRunes(rb, ra)) / 2)
 }
 
 type personNameProfiled struct{ runeProfiled }
 
-func (personNameProfiled) Compare(a, b *Profile, _ float64) float64 {
-	return personNameRunes(a.Runes, b.Runes)
+func (personNameProfiled) Compare(a, b Ref, _ float64) float64 {
+	return personNameRunes(a.runes(), b.runes())
 }
 
 // --- phonetic and numeric measures ---------------------------------------
 
+// soundexProfiled keeps the Soundex code of a value's first token, four
+// bytes, all zero for a value without one.
 type soundexProfiled struct{}
 
-func (soundexProfiled) ProfileInto(s string, p *Profile, _ *Scratch) {
-	p.reset(s)
-	p.Code = Soundex(s)
+func (soundexProfiled) layout() (layout, int) { return codeSlot, 0 }
+
+func (soundexProfiled) ProfileInto(s string, c *ProfileColumn, _ *Scratch) {
+	var code [4]byte
+	copy(code[:], Soundex(s))
+	c.codes = append(c.codes, code)
 }
 
-func (soundexProfiled) Compare(a, b *Profile, _ float64) float64 {
-	if a.Code == "" || b.Code == "" {
+func (soundexProfiled) Compare(a, b Ref, _ float64) float64 {
+	ca, cb := a.code(), b.code()
+	if ca[0] == 0 || cb[0] == 0 {
 		return 0
 	}
-	if a.Code == b.Code {
+	if ca == cb {
 		return 1
 	}
 	return 0
 }
 
+// yearProfiled keeps the parsed year of a value, noYear when it does not
+// parse.
 type yearProfiled struct {
 	exact bool
 }
 
-func (yearProfiled) ProfileInto(s string, p *Profile, _ *Scratch) {
-	p.reset(s)
-	p.Year, p.YearOK = parseYearInt(s)
+func (yearProfiled) layout() (layout, int) { return yearSlot, 0 }
+
+func (yearProfiled) ProfileInto(s string, c *ProfileColumn, _ *Scratch) {
+	y, ok := parseYearInt(s)
+	if !ok {
+		c.years = append(c.years, noYear)
+		return
+	}
+	c.years = append(c.years, int64(y))
 }
 
-func (p yearProfiled) Compare(a, b *Profile, _ float64) float64 {
-	if !a.YearOK || !b.YearOK {
+func (p yearProfiled) Compare(a, b Ref, _ float64) float64 {
+	ya, yb := a.year(), b.year()
+	if ya == noYear || yb == noYear {
 		return 0
 	}
-	switch d := a.Year - b.Year; {
+	switch d := ya - yb; {
 	case d == 0:
 		return 1
 	case !p.exact && (d == 1 || d == -1):

@@ -67,7 +67,7 @@ func TestProfiledMatchesFunc(t *testing.T) {
 			for i, a := range profileEdgeCases {
 				for j, b := range profileEdgeCases {
 					want := fn(a, b)
-					got := ps.Compare(profiles[i], profiles[j], 0)
+					got := ps.Compare(profiles[i].Ref(), profiles[j].Ref(), 0)
 					if got != want {
 						t.Errorf("%s(%q, %q): profiled %v, string %v", name, a, b, got, want)
 					}
@@ -89,7 +89,7 @@ func TestProfiledOfUnknownFunc(t *testing.T) {
 		}
 		for _, a := range profileEdgeCases {
 			for _, b := range profileEdgeCases {
-				if got, want := ps.Compare(NewProfile(ps, a), NewProfile(ps, b), 0), fn(a, b); got != want {
+				if got, want := ps.Compare(NewProfile(ps, a).Ref(), NewProfile(ps, b).Ref(), 0), fn(a, b); got != want {
 					t.Fatalf("adapter(%q, %q) = %v, Func = %v", a, b, got, want)
 				}
 			}
@@ -148,7 +148,7 @@ func TestTFIDFMatchesStringReference(t *testing.T) {
 				if got := corpus.Cosine(a, b); got != want {
 					t.Errorf("%s: Cosine(%q, %q) = %v, string reference %v", label, a, b, got, want)
 				}
-				if got := ps.Compare(profiles[i], profiles[j], 0); got != want {
+				if got := ps.Compare(profiles[i].Ref(), profiles[j].Ref(), 0); got != want {
 					t.Errorf("%s: profiled(%q, %q) = %v, string reference %v", label, a, b, got, want)
 				}
 			}
@@ -166,14 +166,13 @@ func TestTFIDFMatchesStringReference(t *testing.T) {
 
 // TestTokenMeasureVectorsMatchStrings asserts the interned token-set
 // profiles carry exactly the token sets the string path computes: resolving
-// SortedTokenIDs back through the dictionary equals uniqueSorted(Tokens(s))
+// the slot's token IDs back through the dictionary equals uniqueSorted(Tokens(s))
 // as a set.
 func TestTokenMeasureVectorsMatchStrings(t *testing.T) {
 	ps := ProfiledOf(TokenJaccard)
 	for _, s := range profileEdgeCases {
-		prof := NewProfile(ps, s)
 		got := map[string]bool{}
-		for _, id := range prof.SortedTokenIDs {
+		for _, id := range NewProfile(ps, s).Ref().toks() {
 			got[Terms.Str(id)] = true
 		}
 		want := map[string]bool{}
@@ -181,11 +180,11 @@ func TestTokenMeasureVectorsMatchStrings(t *testing.T) {
 			want[tok] = true
 		}
 		if len(got) != len(want) {
-			t.Fatalf("SortedTokenIDs(%q): %v != %v", s, got, want)
+			t.Fatalf("token IDs(%q): %v != %v", s, got, want)
 		}
 		for tok := range want {
 			if !got[tok] {
-				t.Fatalf("SortedTokenIDs(%q) misses %q", s, tok)
+				t.Fatalf("token IDs(%q) miss %q", s, tok)
 			}
 		}
 	}
@@ -271,7 +270,7 @@ func TestHashedGramsMirrorNgrams(t *testing.T) {
 	for _, n := range []int{2, 3, 4} {
 		for _, s := range profileEdgeCases {
 			want := len(ngrams(s, n))
-			got := len(NewProfile(ngramProfiled{n: n}, s).Grams)
+			got := len(NewProfile(ngramProfiled{n: n}, s).Ref().grams())
 			if got != want {
 				t.Errorf("|grams(%q, %d)|: hashed %d, strings %d", s, n, got, want)
 			}

@@ -103,9 +103,9 @@ func TestYearFormsAgree(t *testing.T) {
 		for _, a := range vals {
 			for _, b := range vals {
 				str := m.fn(a, b)
-				built := ps.Compare(NewProfile(ps, a), NewProfile(ps, b), 0)
+				built := ps.Compare(NewProfile(ps, a).Ref(), NewProfile(ps, b).Ref(), 0)
 				QueryInto(ps, a, &q, &sc)
-				online := ps.Compare(&q, NewProfile(ps, b), 0)
+				online := ps.Compare(q.Ref(), NewProfile(ps, b).Ref(), 0)
 				if str != built || built != online {
 					t.Errorf("%s(%q, %q): string %v, built profiles %v, query profile %v", m.name, a, b, str, built, online)
 				}
@@ -161,13 +161,13 @@ func FuzzQueryIntoMatchesProfileInto(f *testing.F) {
 		before := Terms.Len()
 		for name, ps := range measures {
 			QueryInto(ps, q, &p, &sc)
-			online[name] = ps.Compare(&p, stored[name], 0)
+			online[name] = ps.Compare(p.Ref(), stored[name].Ref(), 0)
 		}
 		if got := Terms.Len(); got != before {
 			t.Fatalf("QueryInto(%q) grew the dictionary %d -> %d", q, before, got)
 		}
 		for name, ps := range measures {
-			built := ps.Compare(NewProfile(ps, q), stored[name], 0)
+			built := ps.Compare(NewProfile(ps, q).Ref(), stored[name].Ref(), 0)
 			if math.Float64bits(online[name]) != math.Float64bits(built) {
 				t.Errorf("%s: QueryInto(%q) vs %q = %v, built profile %v", name, q, v, online[name], built)
 			}
@@ -178,7 +178,7 @@ func FuzzQueryIntoMatchesProfileInto(f *testing.F) {
 // TestProfileIntoReusesBuffers pins the point of the into-scratch primitive:
 // once the scratch and profile buffers reach their high-water mark,
 // rebuilding a query profile allocates nothing — for every measure whose
-// profile holds only slices and numbers, including the unknown-token dedup
+// profile keeps no string it builds, including the unknown-token dedup
 // of the token-set and TF-IDF measures and the rune profile the
 // character-level and token-sequence measures share, as the live resolver's
 // pooled query slots rebuild them.
@@ -229,15 +229,12 @@ func TestCompareZeroAllocs(t *testing.T) {
 	long := strings.Repeat("rahm e thor a ", 22)[:300]
 	checked := 0
 	check := func(name string, ps ProfiledSim, x, y string) {
-		var a, b Profile
-		var sc Scratch
-		ps.ProfileInto(x, &a, &sc)
-		ps.ProfileInto(y, &b, &sc)
-		score := ps.Compare(&a, &b, 0)
+		a, b := NewProfile(ps, x).Ref(), NewProfile(ps, y).Ref()
+		score := ps.Compare(a, b, 0)
 		for _, floor := range []float64{0, min(1, score+0.25)} {
-			allocs := testing.AllocsPerRun(100, func() { ps.Compare(&a, &b, floor) })
+			allocs := testing.AllocsPerRun(100, func() { ps.Compare(a, b, floor) })
 			if allocs != 0 {
-				t.Errorf("%s: Compare(%d runes, %d runes) at floor %.2f allocates %.0f times per run, want 0", name, len(a.Runes), len(b.Runes), floor, allocs)
+				t.Errorf("%s: Compare(%q, %q) at floor %.2f allocates %.0f times per run, want 0", name, x, y, floor, allocs)
 			}
 		}
 	}

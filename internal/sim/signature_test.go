@@ -90,7 +90,7 @@ func TestSignatureBoundsOverlap(t *testing.T) {
 				tighter++
 			}
 			for name, ps := range map[string]ProfiledSim{"dice": ProfiledOf(Trigram), "jaccard": ProfiledOf(TrigramJaccard)} {
-				checkFloor(t, "ngram-"+name, ps, &Profile{Grams: a, sig: sa}, &Profile{Grams: b, sig: sb}, bounded...)
+				checkFloor(t, "ngram-"+name, ps, gramProfile(a, sa), gramProfile(b, sb), bounded...)
 			}
 			ta, tb := make([]uint32, len(a)), make([]uint32, len(b))
 			for i, v := range a {
@@ -104,8 +104,7 @@ func TestSignatureBoundsOverlap(t *testing.T) {
 			for _, extra := range []int{0, 3} { // unknown query tokens: in the cardinality, not in the signature
 				for name, ps := range map[string]ProfiledSim{"dice": tokenProfiled{dice: true}, "jaccard": tokenProfiled{}} {
 					checkFloor(t, "token-"+name, ps,
-						&Profile{SortedTokenIDs: ta, ExtraTokens: extra, sig: sta},
-						&Profile{SortedTokenIDs: tb, sig: stb}, bounded...)
+						tokenProfile(ta, extra, sta), tokenProfile(tb, 0, stb), bounded...)
 				}
 			}
 		}
@@ -126,12 +125,14 @@ var setMeasures = map[string]ProfiledSim{
 // reject pairs it must not.
 func checkSignature(t *testing.T, name string, p *Profile) {
 	t.Helper()
-	want := signatureOf(p.Grams)
-	if len(p.SortedTokenIDs) > 0 {
-		want = signatureOf(p.SortedTokenIDs)
+	var want signature
+	if p.col.lay == gramSlab {
+		want = signatureOf(p.Ref().grams())
+	} else {
+		want = signatureOf(p.Ref().toks())
 	}
-	if p.sig != want {
-		t.Errorf("%s(%q): signature %x, want %x of the set it holds", name, p.Raw, p.sig, want)
+	if sig := p.Key().sig; sig != want {
+		t.Errorf("%s(%s): signature %x, want %x of the set it holds", name, show(p), sig, want)
 	}
 }
 
@@ -147,10 +148,12 @@ func TestSignatureFollowsReusedProfile(t *testing.T) {
 		for _, v := range values {
 			QueryInto(ps, v, &q, &sc) // first: a later ProfileInto would intern v's tokens
 			checkSignature(t, name+"/query", &q)
-			ps.ProfileInto(v, &p, &sc)
+			lay, _ := ps.layout()
+			p.col.reset(lay)
+			ps.ProfileInto(v, &p.col, &sc)
 			checkSignature(t, name, &p)
-			if fresh := NewProfile(ps, v); fresh.sig != p.sig {
-				t.Errorf("%s(%q): reused profile's signature %x, fresh profile's %x", name, v, p.sig, fresh.sig)
+			if fresh := NewProfile(ps, v); fresh.Key().sig != p.Key().sig {
+				t.Errorf("%s(%q): reused profile's signature %x, fresh profile's %x", name, v, p.Key().sig, fresh.Key().sig)
 			}
 		}
 	}
@@ -174,10 +177,11 @@ func FuzzSignatureBound(f *testing.F) {
 			QueryInto(ps, b+" "+a+" stale", &q, &sc)
 			QueryInto(ps, a, &q, &sc)
 			checkSignature(t, name, &q)
-			if len(q.Grams)+len(pb.Grams) > 0 { // the measure's set is the one the signatures are of
-				checkBound(t, name, q.Grams, pb.Grams, &q.sig, &pb.sig)
+			qk, bk := q.Key(), pb.Key()
+			if q.col.lay == gramSlab { // the measure's set is the one the signatures are of
+				checkBound(t, name, q.Ref().grams(), pb.Ref().grams(), &qk.sig, &bk.sig)
 			} else {
-				checkBound(t, name, q.SortedTokenIDs, pb.SortedTokenIDs, &q.sig, &pb.sig)
+				checkBound(t, name, q.Ref().toks(), pb.Ref().toks(), &qk.sig, &bk.sig)
 			}
 			checkFloor(t, name, ps, &q, pb, floor, 0)
 		}

@@ -94,8 +94,8 @@ const stopped = -1.0
 // setSim is the Dice (2·|A∩B| / (|A|+|B|)) or Jaccard (|A∩B| / |A∪B|)
 // coefficient of two sets given as sorted, deduplicated slices with their
 // keys (key.go). A key's cardinality exceeds its slice's length when the set
-// has members that can intersect nothing (Profile.ExtraTokens). Two empty
-// sets are identical (1); one empty set never matches (0).
+// has members that can intersect nothing (a query's unknown tokens). Two
+// empty sets are identical (1); one empty set never matches (0).
 //
 // A positive floor bounds the work: need is an overlap no larger than the
 // least whose coefficient reaches floor (minOverlap). The callers have

@@ -16,9 +16,9 @@ import "math"
 // floating-point dot product is bit-identical however the corpus (or the
 // dictionary) was grown; see intern.go.
 //
-// The corpus keeps no document vectors: a vector lives in the Profile its
-// measure built, and callers that score many pairs hold those profiles (a
-// matcher's profile columns, the live resolver's resident slots). Add and
+// The corpus keeps no document vectors: a vector lives in the profile column
+// its measure built, and callers that score many pairs hold those columns (a
+// matcher's, the live resolver's resident ones). Add and
 // Remove must not run concurrently with profiling or with each other; each
 // shifts the idf of every term, which stales every profile built before.
 type TFIDF struct {
@@ -48,8 +48,8 @@ func (t *TFIDF) AddAll(docs []string) {
 
 // Remove unregisters one previously Added document, reversing its document
 // frequencies. Removing a document that was never added corrupts the
-// statistics; callers track membership (the live Resolver keeps one raw
-// value per slot for exactly this purpose).
+// statistics; callers track membership (the live Resolver keeps the value
+// each slot registered for exactly this purpose).
 func (t *TFIDF) Remove(doc string) {
 	t.docs--
 	for _, id := range uniqueSorted(Terms.TokenIDs(doc)) {
@@ -93,35 +93,35 @@ type tfidfProfiled struct {
 	_ [0]func()
 }
 
+func (tfidfProfiled) layout() (layout, int) { return termSlab, 0 }
+
 // ProfileInto interns the value's tokens into Terms.
-func (p tfidfProfiled) ProfileInto(s string, pr *Profile, sc *Scratch) {
+func (p tfidfProfiled) ProfileInto(s string, c *ProfileColumn, sc *Scratch) {
 	sc.scanTerms(s)
 	sc.internTerms()
-	p.fill(s, pr, sc)
+	p.fill(c, sc)
 }
 
 // ProfileQueryInto implements QueryProfiler: the vector is built with
 // lookups only, so scoring a stream of distinct query records never grows
 // the dictionary.
-func (p tfidfProfiled) ProfileQueryInto(s string, pr *Profile, sc *Scratch) {
+func (p tfidfProfiled) ProfileQueryInto(s string, c *ProfileColumn, sc *Scratch) {
 	sc.scanTerms(s)
-	p.fill(s, pr, sc)
+	p.fill(c, sc)
 }
 
 // fill builds the tf-idf weight vector from the scanned terms, in content-
 // key order. Terms absent from the dictionary cannot match any corpus term
-// and are left out of the merge lists, but their weights still enter the
-// norm — in the same canonical order and with the same maximal idf an
-// interned build gives them (a token unknown to the dictionary has document
-// frequency zero in every corpus fed from it) — so a lookup-only vector
-// scores bit-identically to an interned one.
-func (p tfidfProfiled) fill(s string, pr *Profile, sc *Scratch) {
-	pr.reset(s)
+// and are left out of the slab, but their weights still enter the norm — in
+// the same canonical order and with the same maximal idf an interned build
+// gives them (a token unknown to the dictionary has document frequency zero
+// in every corpus fed from it) — so a lookup-only vector scores
+// bit-identically to an interned one.
+func (p tfidfProfiled) fill(c *ProfileColumn, sc *Scratch) {
 	sc.sortTerms()
-	n := len(sc.terms)
-	ids, keys, weights := grow(pr.TermIDs, n)[:n], grow(pr.TermKeys, n)[:n], grow(pr.Weights, n)[:n]
-	k := 0
-	for i := 0; i < n; {
+	lo := c.terms.end()
+	var v tfVec
+	for i := 0; i < len(sc.terms); {
 		j := sc.runEnd(i)
 		t := sc.terms[i]
 		df := 0
@@ -129,52 +129,52 @@ func (p tfidfProfiled) fill(s string, pr *Profile, sc *Scratch) {
 			df = p.t.docFreq[t.id]
 		}
 		w := (1 + math.Log(float64(j-i))) * p.t.idf(df)
-		pr.WeightNorm2 += w * w
+		v.norm2 += w * w
+		v.n++
 		if t.known {
-			ids[k], keys[k], weights[k] = t.id, t.key, w
-			k++
-		} else {
-			pr.ExtraTokens++
+			c.terms.tail = append(c.terms.tail, tfTerm{key: t.key, w: w, id: t.id})
 		}
 		i = j
 	}
-	pr.TermIDs, pr.TermKeys, pr.Weights = ids[:k], keys[:k], weights[:k]
+	c.pushSpan(lo, c.terms.end())
+	c.vecs = append(c.vecs, v)
 }
 
 // Compare is the cosine of two document vectors. The merge walks both term
 // lists in content-key order comparing integers; only a 64-bit key collision
 // between distinct terms (in practice never) falls back to a string
-// comparison to keep the order deterministic. ExtraTokens counts a side's
-// un-interned terms (lookup-only query vectors), so the emptiness
+// comparison to keep the order deterministic. A vector's term count includes
+// its un-interned terms (lookup-only query vectors), so the emptiness
 // short-circuits see the document's true term count.
-func (tfidfProfiled) Compare(a, b *Profile, _ float64) float64 {
-	na, nb := len(a.TermIDs)+a.ExtraTokens, len(b.TermIDs)+b.ExtraTokens
-	if na == 0 && nb == 0 {
+func (tfidfProfiled) Compare(a, b Ref, _ float64) float64 {
+	ta, va := a.terms()
+	tb, vb := b.terms()
+	if va.n == 0 && vb.n == 0 {
 		return 1
 	}
-	if na == 0 || nb == 0 {
+	if va.n == 0 || vb.n == 0 {
 		return 0
 	}
 	var dot float64
 	i, j := 0, 0
-	for i < len(a.TermIDs) && j < len(b.TermIDs) {
-		switch {
-		case a.TermIDs[i] == b.TermIDs[j]:
-			dot += a.Weights[i] * b.Weights[j]
+	for i < len(ta) && j < len(tb) {
+		switch x, y := &ta[i], &tb[j]; {
+		case x.id == y.id:
+			dot += x.w * y.w
 			i++
 			j++
-		case a.TermKeys[i] < b.TermKeys[j]:
+		case x.key < y.key:
 			i++
-		case a.TermKeys[i] > b.TermKeys[j]:
+		case x.key > y.key:
 			j++
-		case Terms.Str(a.TermIDs[i]) < Terms.Str(b.TermIDs[j]):
+		case Terms.Str(x.id) < Terms.Str(y.id):
 			i++
 		default:
 			j++
 		}
 	}
-	if a.WeightNorm2 == 0 || b.WeightNorm2 == 0 {
+	if va.norm2 == 0 || vb.norm2 == 0 {
 		return 0
 	}
-	return clamp01(dot / (math.Sqrt(a.WeightNorm2) * math.Sqrt(b.WeightNorm2)))
+	return clamp01(dot / (math.Sqrt(va.norm2) * math.Sqrt(vb.norm2)))
 }

@@ -139,7 +139,7 @@ func TestTFIDFInterleavedAddRemoveCompare(t *testing.T) {
 				if got := corpus.Cosine(a, b); got != want {
 					t.Fatalf("step %d: Cosine(%q, %q) = %v, fresh corpus %v (stale cache?)", step, a, b, got, want)
 				}
-				if got := ps.Compare(pa, NewProfile(ps, b), 0); got != want {
+				if got := ps.Compare(pa.Ref(), NewProfile(ps, b).Ref(), 0); got != want {
 					t.Fatalf("step %d: profiled(%q, %q) = %v, fresh corpus %v", step, a, b, got, want)
 				}
 			}

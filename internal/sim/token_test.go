@@ -187,7 +187,7 @@ func FuzzTokenMeasuresMatchReference(f *testing.F) {
 			{"MongeElkan", ProfiledOf(MongeElkanJaroWinkler), refMongeElkanJaroWinkler},
 		}
 		for _, m := range measures {
-			got := m.ps.Compare(NewProfile(m.ps, a), NewProfile(m.ps, b), 0)
+			got := m.ps.Compare(NewProfile(m.ps, a).Ref(), NewProfile(m.ps, b).Ref(), 0)
 			if want := m.ref(a, b); math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("%s(%q, %q) = %v, reference %v", m.name, a, b, got, want)
 			}

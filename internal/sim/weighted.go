@@ -66,14 +66,13 @@ func (wt *Weighted) RowFilter() RowFilter {
 }
 
 // Score returns the weighted mean of the columns' similarities, exactly
-// whenever it reaches the threshold. at yields the two profiles of column i
-// and their keys (ProfileColumn.At; read only when the column's measure is
-// Keyed) and is not retained. Below the threshold the result is some value
-// under it, negative when a bound ended the candidate before every column
-// was scored in full. A later Keyed column checks the keys before either
-// profile is read (compareKeyed), the first merges (RowFilter): the result
-// is what Compare returns.
-func (wt *Weighted) Score(at func(i int) (a, b *Profile, ka, kb *Key)) float64 {
+// whenever it reaches the threshold. at yields the two slots of column i
+// (ProfileColumn.At, Profile.Ref) and is not retained. Below the threshold
+// the result is some value under it, negative when a bound ended the
+// candidate before every column was scored in full. A later Keyed column
+// checks the keys before either slab is read (compareKeyed), the first
+// merges (RowFilter): the result is what Compare returns.
+func (wt *Weighted) Score(at func(i int) (a, b Ref)) float64 {
 	var sum float64
 	for i := range wt.cols {
 		c := &wt.cols[i]
@@ -81,15 +80,15 @@ func (wt *Weighted) Score(at func(i int) (a, b *Profile, ka, kb *Key)) float64 {
 		if floor > 1 {
 			return stopped
 		}
-		a, b, ka, kb := at(i)
+		a, b := at(i)
 		var s float64
 		switch {
 		case c.keyed == nil:
 			s = c.ps.Compare(a, b, floor)
 		case i == 0:
-			s = c.keyed.Merge(a, b, ka, kb, floor)
+			s = c.keyed.Merge(a, b, floor)
 		default:
-			s = compareKeyed(c.keyed, a, b, ka, kb, floor)
+			s = compareKeyed(c.keyed, a, b, floor)
 		}
 		// A column short of its floor ends the candidate, except the last
 		// one when it was scored in full: nothing is left to save, so the

@@ -166,7 +166,7 @@ func (fe *FeatureExtractor) Extract(a, b *model.Instance) []float64 {
 
 // scorer returns a pairScorer with nothing profiled yet.
 func (fe *FeatureExtractor) scorer() *pairScorer {
-	return &pairScorer{fe: fe, domain: map[*model.Instance][]sim.Profile{}, rng: map[*model.Instance][]sim.Profile{}}
+	return &pairScorer{fe: fe, domain: map[*model.Instance][]*sim.Profile{}, rng: map[*model.Instance][]*sim.Profile{}}
 }
 
 // pairScorer computes feature vectors of the pairs of one call: it profiles
@@ -174,22 +174,21 @@ func (fe *FeatureExtractor) scorer() *pairScorer {
 // on a side, and scores every pair of profiles in full (floor 0).
 type pairScorer struct {
 	fe          *FeatureExtractor
-	domain, rng map[*model.Instance][]sim.Profile
-	sc          sim.Scratch
+	domain, rng map[*model.Instance][]*sim.Profile
 }
 
 func (s *pairScorer) features(a, b *model.Instance) []float64 {
 	pa, pb := s.profiles(a, true), s.profiles(b, false)
 	out := make([]float64, len(s.fe.fns))
 	for i, f := range s.fe.fns {
-		out[i] = f.ps.Compare(&pa[i], &pb[i], 0)
+		out[i] = f.ps.Compare(pa[i].Ref(), pb[i].Ref(), 0)
 	}
 	return out
 }
 
 // profiles returns the profiles of in's values on the domain or the range
 // side, one per comparison.
-func (s *pairScorer) profiles(in *model.Instance, domain bool) []sim.Profile {
+func (s *pairScorer) profiles(in *model.Instance, domain bool) []*sim.Profile {
 	cache := s.rng
 	if domain {
 		cache = s.domain
@@ -197,13 +196,13 @@ func (s *pairScorer) profiles(in *model.Instance, domain bool) []sim.Profile {
 	if ps, ok := cache[in]; ok {
 		return ps
 	}
-	ps := make([]sim.Profile, len(s.fe.fns))
+	ps := make([]*sim.Profile, len(s.fe.fns))
 	for i, f := range s.fe.fns {
 		attr := f.attrB
 		if domain {
 			attr = f.attrA
 		}
-		f.ps.ProfileInto(in.Attr(attr), &ps[i], &s.sc)
+		ps[i] = sim.NewProfile(f.ps, in.Attr(attr))
 	}
 	cache[in] = ps
 	return ps
