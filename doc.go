@@ -74,8 +74,7 @@
 // title costs its grams, a span and a filter key — no per-value struct, no
 // per-value allocation, nothing for the collector to trace
 // (TestProfileColumnResidentBytes). A single value's profile — a query, a
-// string form's operand, a matcher's stand-in for absent ids — is a
-// one-slot column, sim.Profile.
+// string form's operand — is a one-slot column, sim.Profile.
 //
 // A column of profiles (a matcher's per-set column, a resolver's resident
 // one) comes from sim.BuildProfileColumn, which splits the values over the
@@ -127,28 +126,26 @@
 // (match.Scan: probe → filter → score → keep) that it shares with the live
 // resolver: a row (a domain instance, a query) builds its key test once
 // (sim.RowFilter, from a table made per match call or resolver), and only
-// the candidates whose keys pass it reach a slab. block.CrossProduct and
-// TokenBlocking stream A-major — all candidates of one domain instance,
-// range ordinals ascending, before any of the next — so besides PairsEach
-// (one id pair at a time; Pairs remains as a materializing wrapper) they
-// expose a row probe over ordinals (block.RangeBlocker). The kernel builds
-// what a match shares once — token columns, the index over the range input
-// (a probe of it counts posting entries per ordinal; nothing is sorted), the
-// O(n+m) profile columns keyed by ObjectSet.IndexOf ordinals, the key table
-// — cuts the domain ordinals into contiguous ranges of near-equal probe cost
-// (par.SplitBy) and runs the rows of each range on one goroutine, appending
-// kept correspondences to pointer-free (dom, rng, sim) columns. Ranges
-// concatenated in order are the blocker's stream order — no hand-off, no
-// sequence number, no sort — and bulk-load into the result
+// the candidates whose keys pass it reach a slab. Every block.Blocker is a
+// row probe over ordinals that streams A-major — all candidates of one
+// domain instance, range ordinals ascending, before any of the next;
+// block.PairsEach turns it into id pairs, and Pairs materializes those.
+// CrossProduct and TokenBlocking probe as they go; SortedNeighborhood and
+// Within (token blocking restricted to the pairs of a mapping) list their
+// pairs by row when the probe is built. The kernel builds what a match
+// shares once — the probe with its token columns and index over the range
+// input (a probe of it counts posting entries per ordinal; nothing is
+// sorted), the O(n+m) profile columns keyed by ObjectSet.IndexOf ordinals,
+// the key table — cuts the domain ordinals into contiguous ranges of
+// near-equal probe cost (par.SplitBy) and runs the rows of each range on one
+// goroutine, appending kept correspondences to pointer-free (dom, rng, sim)
+// columns. Ranges concatenated in order are the probe's order — no
+// hand-off, no sequence number, no sort — and bulk-load into the result
 // (mapping.FromColumns). The candidate set, potentially O(n·m) pairs, never
 // exists in memory as a whole, and results are bit-identical to scoring the
 // materialized pair list, mapping insertion order included, at any worker
-// count. A blocker without the row probe (block.SortedNeighborhood, whose
-// window order is not A-major; block.Within, token blocking restricted to
-// the pairs of a mapping, in that mapping's order; one of your own, which
-// may repeat pairs or name unknown ids) is scored by the same loop, one
-// candidate per row, as one stream of ids. The kernel's worker count is
-// GOMAXPROCS; no matcher field or engine setting overrides it.
+// count. The kernel's worker count is GOMAXPROCS; no matcher field or
+// engine setting overrides it.
 //
 // # Online resolution
 //

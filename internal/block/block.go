@@ -12,6 +12,12 @@
 // blocking to the pairs of a mapping, for a workflow step that reads a
 // matcher's result on those pairs only.
 //
+// Every Blocker is a row probe over ordinals (RangeProbe): it streams one
+// A instance's candidates at a time, in A-major order, and PairsEach turns
+// that stream into id pairs. The cross product and token blocking probe as
+// they go; sorted neighborhood and Within list their pairs when the probe
+// is built, since neither finds them in A order.
+//
 // Index is token blocking's inverted index, and the online resolver's: it
 // keys postings by dense ordinals — an ObjectSet's insertion ordinals in
 // TokenBlocking, a live Resolver's slot numbers online — and keeps the
@@ -47,38 +53,26 @@ type Pair struct {
 	A, B model.ID
 }
 
-// Blocker generates candidate pairs between two object sets.
+// Blocker generates candidate pairs between two object sets as a row probe
+// over ordinals. Its candidates are A-major: every pair of a's instance i
+// comes before any pair of instance i+1, B ordinals ascend within one
+// instance, no pair repeats and every ordinal names an instance of its input
+// (model.ObjectSet.IndexOf). The candidates of a contiguous range of A's
+// ordinals are then a contiguous piece of the whole, which lets the batch
+// matchers score ranges in parallel and concatenate the results in order.
+// A candidate set can be orders of magnitude larger than the kept
+// correspondences; a probe streams it, so the match core's memory follows
+// the output, not the candidates.
 type Blocker interface {
-	// PairsEach streams deduplicated candidate pairs in deterministic order
-	// to yield, one pair at a time, without materializing the full candidate
-	// set. Iteration stops early when yield returns false. A candidate set
-	// can be orders of magnitude larger than the kept correspondences, so
-	// streaming keeps the match core's memory proportional to the output,
-	// not to the candidates.
-	PairsEach(a, b *model.ObjectSet, yield func(Pair) bool)
+	// Probe builds what every range shares — token columns, the index over
+	// b, a sorted neighbourhood's pair lists — once, and returns the probe
+	// the ranges run on.
+	Probe(a, b *model.ObjectSet) RangeProbe
 	// String names the strategy for reports.
 	String() string
 }
 
-// RangeBlocker is the optional ordinal form of a Blocker whose stream is
-// A-major: every pair of a's instance i comes before any pair of instance
-// i+1, B ordinals ascend within one instance, no pair repeats and every
-// ordinal names an instance of its input (model.ObjectSet.IndexOf). The
-// stream over a contiguous range of A's ordinals is then a contiguous piece
-// of the whole, which lets the batch matchers score ranges in parallel and
-// concatenate the results in stream order. CrossProduct and TokenBlocking
-// are RangeBlockers; SortedNeighborhood (window order), Within (its
-// mapping's order) and blockers outside this package that build Pairs by
-// hand are not.
-type RangeBlocker interface {
-	Blocker
-	// Probe builds what every range shares — token columns, the index over
-	// b — once, and returns the probe the ranges run on. PairsEach is the
-	// probe over all of a with the ordinals resolved to ids.
-	Probe(a, b *model.ObjectSet) RangeProbe
-}
-
-// RangeProbe streams a RangeBlocker's candidates over ordinals only, one A
+// RangeProbe streams a Blocker's candidates over ordinals only, one A
 // ordinal (a row) at a time. It is read-only: goroutines may probe disjoint
 // ranges at once.
 type RangeProbe interface {
@@ -90,9 +84,10 @@ type RangeProbe interface {
 	Row(ordA int, yield func(ordB int) bool)
 }
 
-// pairsEach is PairsEach of a RangeBlocker.
-func pairsEach(rb RangeBlocker, a, b *model.ObjectSet, yield func(Pair) bool) {
-	p, more := rb.Probe(a, b), true
+// PairsEach streams bl's candidates over a and b as id pairs, in probe
+// order, stopping early when yield returns false.
+func PairsEach(bl Blocker, a, b *model.ObjectSet, yield func(Pair) bool) {
+	p, more := bl.Probe(a, b), true
 	for ordA := 0; ordA < a.Len() && more; ordA++ {
 		p.Row(ordA, func(ordB int) bool {
 			more = yield(Pair{A: a.IDAt(ordA), B: b.IDAt(ordB)})
@@ -101,25 +96,56 @@ func pairsEach(rb RangeBlocker, a, b *model.ObjectSet, yield func(Pair) bool) {
 	}
 }
 
-// Pairs materializes the candidate sequence bl.PairsEach streams.
+// Pairs materializes the candidate sequence PairsEach streams.
 func Pairs(bl Blocker, a, b *model.ObjectSet) []Pair {
 	var out []Pair
-	bl.PairsEach(a, b, func(p Pair) bool {
+	PairsEach(bl, a, b, func(p Pair) bool {
 		out = append(out, p)
 		return true
 	})
 	return out
 }
 
+// listProbe is a probe over pairs listed up front: row ordA's candidates are
+// ordB[off[ordA]:off[ordA+1]], ascending, and a row's cost is its length.
+type listProbe struct {
+	off  []int
+	ordB []uint32
+}
+
+// newListProbe lists distinct pairs — each an A ordinal (of an input of nA
+// instances) in the high 32 bits and a B ordinal in the low (pairKey) — by
+// row, B ascending. It sorts pairs in place.
+func newListProbe(nA int, pairs []uint64) listProbe {
+	slices.Sort(pairs)
+	p := listProbe{off: make([]int, nA+1), ordB: make([]uint32, len(pairs))}
+	for i, pair := range pairs {
+		p.off[pair>>32+1]++
+		p.ordB[i] = uint32(pair)
+	}
+	for i := range nA {
+		p.off[i+1] += p.off[i]
+	}
+	return p
+}
+
+func (p listProbe) Cost(ordA int) int { return p.off[ordA+1] - p.off[ordA] }
+
+func (p listProbe) Row(ordA int, yield func(ordB int) bool) {
+	for _, ordB := range p.ordB[p.off[ordA]:p.off[ordA+1]] {
+		if !yield(int(ordB)) {
+			return
+		}
+	}
+}
+
+// pairKey packs an ordinal pair for newListProbe.
+func pairKey(ordA, ordB int) uint64 { return uint64(ordA)<<32 | uint64(ordB) }
+
 // CrossProduct compares every instance of a with every instance of b.
 type CrossProduct struct{}
 
-// PairsEach implements Blocker.
-func (c CrossProduct) PairsEach(a, b *model.ObjectSet, yield func(Pair) bool) {
-	pairsEach(c, a, b, yield)
-}
-
-// Probe implements RangeBlocker.
+// Probe implements Blocker.
 func (CrossProduct) Probe(a, b *model.ObjectSet) RangeProbe { return crossProbe(b.Len()) }
 
 // crossProbe is the cross product with a range input of that many instances.
@@ -192,13 +218,12 @@ func tokenColumn(set *model.ObjectSet, attr string) Tokens {
 	})
 }
 
-// PairsEach implements Blocker. Candidates stream in ascending B-ordinal
-// order (the range set's insertion order) within each A instance.
+// PairsEach is PairsEach(t, a, b, yield) as a method.
 func (t TokenBlocking) PairsEach(a, b *model.ObjectSet, yield func(Pair) bool) {
-	pairsEach(t, a, b, yield)
+	PairsEach(t, a, b, yield)
 }
 
-// Probe implements RangeBlocker: a's token column probes an ordinal inverted
+// Probe implements Blocker: a's token column probes an ordinal inverted
 // index over b's. Columns and index live in the sets' column stores, so
 // matchers sharing a blocking attribute tokenize and index once per set
 // version, not once per match.
@@ -237,11 +262,12 @@ func (t TokenBlocking) String() string {
 	return fmt.Sprintf("token-blocking(%s~%s, shared>=%d)", t.AttrA, t.AttrB, t.MinShared)
 }
 
-// Within is token blocking restricted to the pairs of a mapping. It streams,
-// in Pairs' order, the correspondences whose ids both inputs hold and whose
-// values share at least Tokens.MinShared distinct tokens: exactly the pairs
-// Tokens.PairsEach streams that Pairs holds. A matcher whose result is read
-// only on the pairs of another mapping scores those pairs and no others.
+// Within is token blocking restricted to the pairs of a mapping. It lists
+// the correspondences whose ids both inputs hold and whose values share at
+// least Tokens.MinShared distinct tokens: exactly the pairs Tokens streams
+// that Pairs holds, in the same order. A matcher whose result is read only
+// on the pairs of another mapping scores those pairs and no others. Its
+// probe holds at most one entry per correspondence of Pairs.
 type Within struct {
 	// Pairs is a *mapping.Mapping; naming only the two methods read keeps
 	// blocking from importing the mapping layer it feeds.
@@ -252,24 +278,26 @@ type Within struct {
 	Tokens TokenBlocking
 }
 
-// PairsEach implements Blocker. It reads the token columns Tokens.Probe
-// reads and tests each pair by merging its two values' distinct tokens.
-func (w Within) PairsEach(a, b *model.ObjectSet, yield func(Pair) bool) {
+// Probe implements Blocker. It reads the token columns Tokens.Probe reads
+// and tests each pair by merging its two values' distinct tokens.
+func (w Within) Probe(a, b *model.ObjectSet) RangeProbe {
 	colA, colB := tokenColumn(a, w.Tokens.AttrA), tokenColumn(b, w.Tokens.AttrB)
 	minShared := max(w.Tokens.MinShared, 1)
 	ids := w.Pairs.Dict().All()
 	var x, y []uint32
+	var pairs []uint64
 	w.Pairs.EachOrd(func(dom, rng uint32, _ float64) bool {
 		ordA, ordB := a.IndexOf(ids[dom]), b.IndexOf(ids[rng])
 		if ordA < 0 || ordB < 0 {
 			return true
 		}
 		x, y = distinct(x, colA[ordA]), distinct(y, colB[ordB])
-		if shared(x, y) < minShared {
-			return true
+		if shared(x, y) >= minShared {
+			pairs = append(pairs, pairKey(ordA, ordB))
 		}
-		return yield(Pair{A: ids[dom], B: ids[rng]})
+		return true
 	})
+	return newListProbe(a.Len(), pairs)
 }
 
 // distinct returns toks' distinct values, sorted, in buf's storage.
@@ -303,16 +331,20 @@ func (w Within) String() string {
 
 // SortedNeighborhood sorts the union of both inputs by a normalized key
 // derived from the blocking attributes and pairs instances from different
-// inputs within a sliding window of the given size.
+// inputs within a sliding window of the given size. Its probe lists every
+// pair up front: at most (|a|+|b|)·(w−1) of them for a window of w =
+// max(Window, 2).
 type SortedNeighborhood struct {
 	AttrA  string
 	AttrB  string
 	Window int
 }
 
-// PairsEach implements Blocker. Instances whose blocking attribute is
-// missing or normalizes to the empty string are skipped entirely: an empty
-// sort key carries no evidence of similarity, yet it would cluster all
+// Probe implements Blocker: every pair of positions of the sorted union
+// from different inputs and less than Window apart (at least 2), listed
+// once under its A ordinal. Instances whose blocking attribute is missing
+// or normalizes to the empty string are skipped entirely: an empty sort key
+// carries no evidence of similarity, yet it would cluster all
 // attribute-less instances at the front of the sort and pair them with each
 // other inside the window, producing spurious candidates.
 //
@@ -321,14 +353,12 @@ type SortedNeighborhood struct {
 // sorted-neighborhood matchers, or re-matching a stored set — sort
 // precomputed keys instead of re-normalizing every raw attribute value per
 // match.
-func (s SortedNeighborhood) PairsEach(a, b *model.ObjectSet, yield func(Pair) bool) {
-	w := s.Window
-	if w < 2 {
-		w = 2
-	}
+func (s SortedNeighborhood) Probe(a, b *model.ObjectSet) RangeProbe {
+	w := max(s.Window, 2)
 	type entry struct {
 		key  string
 		id   model.ID
+		ord  int
 		from int // 0 = a, 1 = b
 	}
 	keysA := normColumn(a, s.AttrA)
@@ -336,12 +366,12 @@ func (s SortedNeighborhood) PairsEach(a, b *model.ObjectSet, yield func(Pair) bo
 	entries := make([]entry, 0, len(keysA)+len(keysB))
 	for ord, key := range keysA {
 		if key != "" {
-			entries = append(entries, entry{key: key, id: a.IDAt(ord), from: 0})
+			entries = append(entries, entry{key: key, id: a.IDAt(ord), ord: ord, from: 0})
 		}
 	}
 	for ord, key := range keysB {
 		if key != "" {
-			entries = append(entries, entry{key: key, id: b.IDAt(ord), from: 1})
+			entries = append(entries, entry{key: key, id: b.IDAt(ord), ord: ord, from: 1})
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool {
@@ -353,28 +383,19 @@ func (s SortedNeighborhood) PairsEach(a, b *model.ObjectSet, yield func(Pair) bo
 		}
 		return entries[i].id < entries[j].id
 	})
-	// No dedup set is needed: every instance contributes exactly one entry,
-	// so a cross-set pair corresponds to one position pair (x, y) and is
-	// emitted only at anchor x — the stream is duplicate-free by
-	// construction and holds no per-pair state.
-	for i := range entries {
-		hi := i + w
-		if hi > len(entries) {
-			hi = len(entries)
-		}
-		for j := i + 1; j < hi; j++ {
-			if entries[i].from == entries[j].from {
-				continue
-			}
-			p := Pair{A: entries[i].id, B: entries[j].id}
-			if entries[i].from == 1 {
-				p = Pair{A: entries[j].id, B: entries[i].id}
-			}
-			if !yield(p) {
-				return
+	var pairs []uint64
+	for i, x := range entries {
+		for _, y := range entries[i+1 : i+min(w, len(entries)-i)] {
+			switch {
+			case x.from == y.from: // one input: not a candidate
+			case x.from == 0:
+				pairs = append(pairs, pairKey(x.ord, y.ord))
+			default:
+				pairs = append(pairs, pairKey(y.ord, x.ord))
 			}
 		}
 	}
+	return newListProbe(a.Len(), pairs)
 }
 
 // normColumn returns the set's sort-key column: entry i is sim.Normalize of

@@ -1,10 +1,16 @@
 package block
 
 import (
+	"cmp"
+	"fmt"
 	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/sim"
 )
 
 var (
@@ -48,14 +54,15 @@ func TestCrossProduct(t *testing.T) {
 }
 
 // TestPairOrdinals pins the ordinal contract of the range probes: the
-// ordinals a RangeBlocker's probe streams are the IndexOf ordinals of the
-// ids its PairsEach streams, pair for pair. SortedNeighborhood streams in
-// window order and must not claim the A-major form.
+// ordinals a blocker's probe streams are the IndexOf ordinals of the ids
+// PairsEach streams, pair for pair.
 func TestPairOrdinals(t *testing.T) {
 	a, b := blockFixture()
-	for _, bl := range []RangeBlocker{
+	for _, bl := range []Blocker{
 		CrossProduct{},
 		TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 1},
+		SortedNeighborhood{AttrA: "title", AttrB: "title", Window: 3},
+		everyThird(a, b),
 	} {
 		want := Pairs(bl, a, b)
 		if len(want) == 0 {
@@ -72,9 +79,6 @@ func TestPairOrdinals(t *testing.T) {
 		if i != len(want) {
 			t.Errorf("%s: probe streams %d pairs, PairsEach %d", bl, i, len(want))
 		}
-	}
-	if _, ok := Blocker(SortedNeighborhood{}).(RangeBlocker); ok {
-		t.Error("SortedNeighborhood is not A-major and must not be a RangeBlocker")
 	}
 }
 
@@ -148,6 +152,109 @@ func TestSortedNeighborhoodFullWindowIsCrossProduct(t *testing.T) {
 	if len(distinct) != 9 {
 		t.Errorf("window covering everything should produce all 9 pairs, got %d distinct of %d", len(distinct), len(pairs))
 	}
+}
+
+// windowOrderPairs is sorted neighborhood as a stream in window order, the
+// form it had before its probe: it sorts the union of a and b as Probe
+// does and yields each cross-input pair of positions less than the window
+// apart at its first position. FuzzSortedNeighborhoodMatchesWindowOrder
+// holds the probe to it.
+func windowOrderPairs(s SortedNeighborhood, a, b *model.ObjectSet) []Pair {
+	w := max(s.Window, 2)
+	type entry struct {
+		key  string
+		id   model.ID
+		from int // 0 = a, 1 = b
+	}
+	var entries []entry
+	for from, side := range []struct {
+		set  *model.ObjectSet
+		attr string
+	}{{a, s.AttrA}, {b, s.AttrB}} {
+		side.set.Each(func(in *model.Instance) bool {
+			if key := sim.Normalize(in.Attr(side.attr)); key != "" {
+				entries = append(entries, entry{key: key, id: in.ID, from: from})
+			}
+			return true
+		})
+	}
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].key != entries[j].key {
+			return entries[i].key < entries[j].key
+		}
+		if entries[i].from != entries[j].from {
+			return entries[i].from < entries[j].from
+		}
+		return entries[i].id < entries[j].id
+	})
+	var out []Pair
+	for i := range entries {
+		for j := i + 1; j < min(i+w, len(entries)); j++ {
+			if entries[i].from == entries[j].from {
+				continue
+			}
+			p := Pair{A: entries[i].id, B: entries[j].id}
+			if entries[i].from == 1 {
+				p = Pair{A: entries[j].id, B: entries[i].id}
+			}
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// FuzzSortedNeighborhoodMatchesWindowOrder holds sorted neighborhood's probe
+// to the window-order stream: over random windows (below the clamp of 2
+// too), empty, blank and missing keys, keys equal within and across the
+// inputs, and a = b, the probe streams the reference's pairs sorted A-major
+// — by A ordinal, then B ordinal — none lost and none repeated.
+func FuzzSortedNeighborhoodMatchesWindowOrder(f *testing.F) {
+	f.Add([]byte{5, 3, 4, 2, 2, 0, 3, 2, 2, 0, 7, 1, 1, 4, 2, 1, 6, 0, 2, 3, 3, 1, 0, 5, 1, 2, 2, 4, 1, 0})
+	f.Add([]byte{1, 0, 6, 2, 1, 1, 2, 3, 3, 0, 2, 2, 5, 5, 1, 4})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			v := data[0]
+			data = data[1:]
+			return int(v)
+		}
+		words := []string{"w0", "W0", "w1", "w1.", "w2", "x", "!!"}
+		value := func() string {
+			ws := make([]string, next()%3)
+			for i := range ws {
+				ws[i] = words[next()%len(words)]
+			}
+			return strings.Join(ws, " ")
+		}
+		attrs := func() map[string]string {
+			if next()%6 == 5 {
+				return nil
+			}
+			return map[string]string{"title": value(), "name": value()}
+		}
+		sn := SortedNeighborhood{AttrA: "title", AttrB: "name", Window: next()%12 - 2}
+		a, b := model.NewObjectSet(dblpPub), model.NewObjectSet(acmPub)
+		for i := range next() % 9 {
+			a.AddNew(model.ID(fmt.Sprintf("p%d", i)), attrs())
+		}
+		if next()%4 == 0 {
+			b = a
+		} else {
+			for i := range next() % 9 {
+				b.AddNew(model.ID(fmt.Sprintf("p%d", i)), attrs())
+			}
+		}
+		want := windowOrderPairs(sn, a, b)
+		slices.SortFunc(want, func(x, y Pair) int {
+			return cmp.Or(cmp.Compare(a.IndexOf(x.A), a.IndexOf(y.A)), cmp.Compare(b.IndexOf(x.B), b.IndexOf(y.B)))
+		})
+		if got := Pairs(sn, a, b); !slices.Equal(got, want) {
+			t.Fatalf("%s over %d and %d instances:\n got %v\nwant %v", sn, a.Len(), b.Len(), got, want)
+		}
+	})
 }
 
 func TestReductionRatio(t *testing.T) {

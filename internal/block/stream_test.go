@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/mapping"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -37,22 +38,34 @@ func streamFixture(n int) (*model.ObjectSet, *model.ObjectSet) {
 // collectEach drains PairsEach into a slice.
 func collectEach(bl Blocker, a, b *model.ObjectSet) []Pair {
 	var out []Pair
-	bl.PairsEach(a, b, func(p Pair) bool {
+	PairsEach(bl, a, b, func(p Pair) bool {
 		out = append(out, p)
 		return true
 	})
 	return out
 }
 
-// streamBlockers returns one instance of each built-in strategy.
-func streamBlockers() []Blocker {
+// streamBlockers returns instances of each built-in strategy over a and b.
+func streamBlockers(a, b *model.ObjectSet) []Blocker {
 	return []Blocker{
 		CrossProduct{},
 		TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 1},
 		TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 2},
 		SortedNeighborhood{AttrA: "title", AttrB: "title", Window: 4},
 		SortedNeighborhood{AttrA: "title", AttrB: "title", Window: 9},
+		everyThird(a, b),
 	}
+}
+
+// everyThird is token blocking within every third pair of a × b.
+func everyThird(a, b *model.ObjectSet) Within {
+	pairs := mapping.NewSame(a.LDS(), b.LDS())
+	for i, p := range Pairs(CrossProduct{}, a, b) {
+		if i%3 == 0 {
+			pairs.Add(p.A, p.B, 1)
+		}
+	}
+	return Within{Pairs: pairs, Tokens: TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 1}}
 }
 
 // TestPairsEachMatchesPairsSequence is the streaming/slice equivalence
@@ -62,7 +75,7 @@ func streamBlockers() []Blocker {
 func TestPairsEachMatchesPairsSequence(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 40} {
 		a, b := streamFixture(n)
-		for _, bl := range streamBlockers() {
+		for _, bl := range streamBlockers(a, b) {
 			want := Pairs(bl, a, b)
 			got := collectEach(bl, a, b)
 			if len(got) == 0 && len(want) == 0 {
@@ -80,14 +93,14 @@ func TestPairsEachMatchesPairsSequence(t *testing.T) {
 // immediately for every blocker.
 func TestPairsEachStopsEarly(t *testing.T) {
 	a, b := streamFixture(25)
-	for _, bl := range streamBlockers() {
+	for _, bl := range streamBlockers(a, b) {
 		total := len(Pairs(bl, a, b))
 		if total < 3 {
 			t.Fatalf("%s: fixture too small (%d pairs)", bl, total)
 		}
 		stopAfter := total / 2
 		var got []Pair
-		bl.PairsEach(a, b, func(p Pair) bool {
+		PairsEach(bl, a, b, func(p Pair) bool {
 			got = append(got, p)
 			return len(got) < stopAfter
 		})
@@ -167,7 +180,7 @@ func pairsRange(p RangeProbe, lo, hi int, yield func(ordA, ordB int) bool) {
 }
 
 // TestRangeProbePartitionsStream is the property the batch kernel is built
-// on: for every RangeBlocker, the probe's streams over any contiguous cut of
+// on: for every blocker, the probe's streams over any contiguous cut of
 // A's ordinals, concatenated in order, are the whole stream; a range stops
 // as soon as yield says so; and Cost bounds what a row's probe streams.
 func TestRangeProbePartitionsStream(t *testing.T) {
@@ -183,11 +196,7 @@ func TestRangeProbePartitionsStream(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 40} {
 		a, b := streamFixture(n)
 		a.AddNew("a-missing", nil)
-		for _, bl := range []RangeBlocker{
-			CrossProduct{},
-			TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 1},
-			TokenBlocking{AttrA: "title", AttrB: "title", MinShared: 2},
-		} {
+		for _, bl := range streamBlockers(a, b) {
 			probe := bl.Probe(a, b)
 			whole := collect(probe, 0, a.Len())
 			for _, cuts := range [][]int{{0}, {a.Len()}, {1}, {a.Len() / 2}, {a.Len() / 3, a.Len() / 3, 2 * a.Len() / 3}} {

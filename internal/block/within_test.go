@@ -12,9 +12,9 @@ import (
 
 // FuzzWithinMatchesTokenBlocking holds Within to its definition: over random
 // small sets — repeated tokens, empty and missing values — and a mapping that
-// also names ids neither input holds, Within.PairsEach streams exactly the
-// pairs TokenBlocking.PairsEach streams that the mapping holds, in the
-// mapping's order, and stops when yield says so.
+// also names ids neither input holds, Within streams exactly the pairs
+// TokenBlocking streams that the mapping holds, in token blocking's order,
+// and stops when yield says so.
 func FuzzWithinMatchesTokenBlocking(f *testing.F) {
 	f.Add([]byte{
 		3, 4, // 3 instances in a, 4 in b
@@ -59,20 +59,19 @@ func FuzzWithinMatchesTokenBlocking(f *testing.F) {
 		tokens := TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1 + next()%3}
 		within := Within{Pairs: pairs, Tokens: tokens}
 
-		blocked := pairIDs(Pairs(tokens, a, b))
 		var want []Pair
-		pairs.Each(func(c mapping.Correspondence) {
-			if p := (Pair{A: c.Domain, B: c.Range}); blocked[p] {
+		for _, p := range Pairs(tokens, a, b) {
+			if pairs.Has(p.A, p.B) {
 				want = append(want, p)
 			}
-		})
+		}
 		got := Pairs(within, a, b)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s:\n got %v\nwant %v", within, got, want)
 		}
 		if stop := next() % 8; stop > 0 && stop < len(want) {
 			var first []Pair
-			within.PairsEach(a, b, func(p Pair) bool {
+			PairsEach(within, a, b, func(p Pair) bool {
 				first = append(first, p)
 				return len(first) < stop
 			})

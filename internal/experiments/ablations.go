@@ -113,7 +113,7 @@ func AblationBlocking(s *Setting) (*TableResult, error) {
 		// Candidate sets run to hundreds of thousands of pairs: count them
 		// and the true pairs among them off the stream.
 		pairs, hits := 0, 0
-		b.PairsEach(s.D.DBLP.Pubs, s.D.ACM.Pubs, func(p block.Pair) bool {
+		block.PairsEach(b, s.D.DBLP.Pubs, s.D.ACM.Pubs, func(p block.Pair) bool {
 			pairs++
 			if truth[p] {
 				hits++

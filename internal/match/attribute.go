@@ -64,7 +64,7 @@ func (m *Attribute) match(a, b *model.ObjectSet, ps sim.ProfiledSim) (*mapping.M
 		missingA, missingB = missingValues(a, m.AttrA), missingValues(b, m.AttrB)
 	}
 	return blockScore(a, b, m.Blocker, func(ia, ib int) (float64, bool) {
-		if m.SkipMissing && (missing(missingA, ia) || missing(missingB, ib)) {
+		if m.SkipMissing && (missingA[ia] || missingB[ib]) {
 			return 0, false
 		}
 		pa, pb := col.at(ia, ib)
@@ -89,39 +89,18 @@ func missingValues(set *model.ObjectSet, attr string) []bool {
 	return flags
 }
 
-// missing reports whether ordinal i is flagged, or an id absent from its
-// input (a negative ordinal), which reads as the empty value.
-func missing(flags []bool, i int) bool { return i < 0 || flags[i] }
-
 // scoreColumn is one attribute comparison ready to score: the measure's
 // profile columns of both inputs, aligned with ObjectSet ordinals.
 type scoreColumn struct {
 	colA, colB sim.ProfileColumn
-	// empty stands in for ids absent from the inputs, which blockers may
-	// emit: they score as the empty value.
-	empty sim.Ref
 }
 
 func newScoreColumn(a, b *model.ObjectSet, attrA, attrB string, ps sim.ProfiledSim) scoreColumn {
-	return scoreColumn{
-		colA:  profileColumn(a, attrA, ps),
-		colB:  profileColumn(b, attrB, ps),
-		empty: sim.NewProfile(ps, "").Ref(),
-	}
+	return scoreColumn{colA: profileColumn(a, attrA, ps), colB: profileColumn(b, attrB, ps)}
 }
 
-// at returns the slots at the two ordinals; a negative ordinal (IndexOf of
-// an id absent from the input) reads as the empty value.
-func (c *scoreColumn) at(ia, ib int) (a, b sim.Ref) {
-	a, b = c.empty, c.empty
-	if ia >= 0 {
-		a = c.colA.At(ia)
-	}
-	if ib >= 0 {
-		b = c.colB.At(ib)
-	}
-	return a, b
-}
+// at returns the slots at the two ordinals.
+func (c *scoreColumn) at(ia, ib int) (a, b sim.Ref) { return c.colA.At(ia), c.colB.At(ib) }
 
 // profilesKey keys a similarity-profile column in a set's column store
 // (model.Column). The measure is part of the key because a profile's content

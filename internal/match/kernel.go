@@ -34,8 +34,8 @@ type Scan struct {
 	keys []sim.Key // Keys unless the row's filter is off
 }
 
-// Row starts row ordA. A row without a key (an id absent from its input
-// has a negative ordinal) reads as the empty set, which rejects nothing.
+// Row starts row ordA. A row without a key (RowKeys is nil for a column
+// that keeps none) reads as the empty set, which rejects nothing.
 func (s *Scan) Row(ordA int) {
 	var a sim.Key
 	if uint(ordA) < uint(len(s.RowKeys)) {
@@ -49,8 +49,8 @@ func (s *Scan) Row(ordA int) {
 }
 
 // Candidate runs candidate ordB of the current row through the loop and
-// returns true, as a probe's yield. A negative ordinal (an id absent from
-// its input) passes the filter.
+// returns true, as a probe's yield. A candidate without a key passes the
+// filter.
 func (s *Scan) Candidate(ordB int) bool {
 	s.Pairs++
 	if uint(ordB) < uint(len(s.keys)) && s.Filter.Rejects(&s.keys[ordB]) {
@@ -76,11 +76,11 @@ func flush(s *Scan) {
 
 // blockScore is the block → score kernel of the batch matchers: it runs the
 // blocker's candidates over a and b (nil means the cross product) through a
-// Scan of score and returns the kept ones as a same-mapping, in stream order
+// Scan of score and returns the kept ones as a same-mapping, in probe order
 // at every worker count. col is the filtered column, its keys tested by
 // filter, tabulated here for every pair of them.
 //
-// A block.RangeBlocker is A-major, so A's ordinals are cut into contiguous
+// A blocker's probe is A-major, so A's ordinals are cut into contiguous
 // ranges of near-equal probe cost, and each range runs its rows — Scan.Row,
 // then the probe's candidates of that row into Scan.Candidate — on one
 // goroutine, into pointer-free columns of its own over model.IDs ordinals.
@@ -89,31 +89,13 @@ func flush(s *Scan) {
 // mapping's pair index stays lazy. What the ranges share (the probe, the
 // ordinal translations, the profile columns and the key table) exists
 // before the first starts and is only read after.
-//
-// Any other blocker may stream in any order, repeat a pair or name an id
-// neither input holds: it runs as one range of one-candidate rows, into the
-// id-level AddMax.
 func blockScore(a, b *model.ObjectSet, blocker block.Blocker, score func(ordA, ordB int) (float64, bool), filter sim.RowFilter, col *scoreColumn) *mapping.Mapping {
 	if blocker == nil {
 		blocker = block.CrossProduct{}
 	}
 	filter.Cover(col.colA.MaxCard() + col.colB.MaxCard())
 	proto := Scan{Filter: filter, RowKeys: col.colA.Keys, Keys: col.colB.Keys, Score: score}
-	rb, ok := blocker.(block.RangeBlocker)
-	if !ok {
-		out := mapping.NewSame(a.LDS(), b.LDS())
-		var p block.Pair
-		s := proto
-		s.Sink = func(_, _ int, v float64) { out.AddMax(p.A, p.B, v) }
-		blocker.PairsEach(a, b, func(next block.Pair) bool {
-			p = next
-			s.Row(a.IndexOf(p.A))
-			return s.Candidate(b.IndexOf(p.B))
-		})
-		flush(&s)
-		return out
-	}
-	probe := rb.Probe(a, b)
+	probe := blocker.Probe(a, b)
 	plan := par.SplitBy(a.Len(), 0, probe.Cost)
 	domOrds, rngOrds := model.IDs.SetOrds(a), model.IDs.SetOrds(b)
 	type kept struct {

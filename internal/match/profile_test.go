@@ -71,13 +71,14 @@ func withMissing(a, b *model.ObjectSet) {
 // with a closure around a built-in scores through the adapter and must emit
 // the exact mapping — similarities and insertion order — the built-in
 // measure emits, with and without SkipMissing, behind a token blocker and
-// behind a blocker that emits missing values and ids absent from the inputs.
+// behind the cross product, which pairs the instances that lack the
+// attribute too.
 func TestAttributeAdapterParity(t *testing.T) {
 	a, b := syntheticPubs(40)
 	withMissing(a, b)
 	for _, bl := range []block.Blocker{
 		block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
-		alienBlocker{},
+		block.CrossProduct{},
 	} {
 		for _, skip := range []bool{false, true} {
 			for _, fn := range []struct {
@@ -110,7 +111,7 @@ func TestAttributeAdapterParity(t *testing.T) {
 }
 
 // TestMultiAttributeAdapterParity covers the weighted combination with
-// adapter and built-in pairs mixed, including ids absent from the inputs.
+// adapter and built-in pairs mixed.
 func TestMultiAttributeAdapterParity(t *testing.T) {
 	a, b := syntheticPubs(40)
 	withMissing(a, b)
@@ -123,7 +124,7 @@ func TestMultiAttributeAdapterParity(t *testing.T) {
 	}
 	for _, bl := range []block.Blocker{
 		block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
-		alienBlocker{},
+		block.CrossProduct{},
 	} {
 		build := func(wrap func(sim.Func) sim.Func) *MultiAttribute {
 			return &MultiAttribute{Pairs: pairs(wrap), Threshold: 0.4, Blocker: bl}
@@ -139,27 +140,6 @@ func TestMultiAttributeAdapterParity(t *testing.T) {
 		mappingsIdentical(t, adapter, builtin, fmt.Sprintf("multi behind %s", bl))
 	}
 }
-
-// alienBlocker emits pairs whose IDs are absent from the inputs, the way a
-// stale pair cache would; they score as the empty value instead of
-// dereferencing a missing profile.
-type alienBlocker struct{}
-
-func (alienBlocker) PairsEach(a, b *model.ObjectSet, yield func(block.Pair) bool) {
-	pairs := append(block.Pairs(block.CrossProduct{}, a, b), block.Pair{A: "ghost-a", B: "ghost-b"})
-	if a.Len() > 0 && b.Len() > 0 {
-		pairs = append(pairs,
-			block.Pair{A: "ghost-a", B: b.IDAt(0)},
-			block.Pair{A: a.IDAt(0), B: "ghost-b"})
-	}
-	for _, p := range pairs {
-		if !yield(p) {
-			return
-		}
-	}
-}
-
-func (alienBlocker) String() string { return "alien" }
 
 // TestAttributeProfiledParallelRace runs the profiled matchers at
 // GOMAXPROCS 8 over a blocked candidate set; under -race this proves the

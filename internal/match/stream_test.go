@@ -16,8 +16,8 @@ import (
 // materializedReference is the scoring path the kernel must equal:
 // materialize the blocker's full pair slice, score it sequentially and in
 // full over raw strings, and insert kept pairs in order through the id-level
-// AddMax. The matchers must be bit-identical to this, including mapping
-// insertion order. An id absent from its input reads as the empty value.
+// Add. The matchers must be bit-identical to this, including mapping
+// insertion order.
 func materializedReference(a, b *model.ObjectSet, blocker block.Blocker, attrA, attrB string, fn sim.Func, threshold float64, skipMissing bool) *mapping.Mapping {
 	out := mapping.NewSame(a.LDS(), b.LDS())
 	for _, p := range block.Pairs(orCross(blocker), a, b) {
@@ -26,7 +26,7 @@ func materializedReference(a, b *model.ObjectSet, blocker block.Blocker, attrA, 
 			continue
 		}
 		if s := fn(va, vb); s >= threshold {
-			out.AddMax(p.A, p.B, s)
+			out.Add(p.A, p.B, s)
 		}
 	}
 	return out
@@ -67,41 +67,25 @@ func matchAt(t *testing.T, procs int, m Matcher, a, b *model.ObjectSet) *mapping
 	return got
 }
 
-// repeatBlocker streams another blocker's pairs with repeats: every fifth
-// pair twice in a row and the first ten once more at the end. Its kept
-// pairs must each appear once, where they first occurred.
-type repeatBlocker struct{ inner block.Blocker }
-
-func (r repeatBlocker) PairsEach(a, b *model.ObjectSet, yield func(block.Pair) bool) {
-	pairs := block.Pairs(r.inner, a, b)
-	for i, p := range pairs {
-		if !yield(p) || i%5 == 0 && !yield(p) {
-			return
-		}
-	}
-	for _, p := range pairs[:min(10, len(pairs))] {
-		if !yield(p) {
-			return
-		}
-	}
-}
-
-func (r repeatBlocker) String() string { return "repeat(" + r.inner.String() + ")" }
-
-// kernelBlockers is every way candidates reach the kernel: the nil default,
-// the two A-major built-ins on their range probes, and the single-stream
-// path behind SortedNeighborhood (not A-major), a blocker naming ids absent
-// from the inputs and one that repeats pairs.
-func kernelBlockers(attrA, attrB string) []block.Blocker {
+// kernelBlockers is every way candidates reach the kernel over a and b:
+// the nil default and each built-in's probe — the two that probe as they
+// go and the two that list their pairs up front, Within over every third
+// pair of a × b.
+func kernelBlockers(a, b *model.ObjectSet, attrA, attrB string) []block.Blocker {
 	token := block.TokenBlocking{AttrA: attrA, AttrB: attrB, MinShared: 1}
+	pairs := mapping.NewSame(a.LDS(), b.LDS())
+	for i, p := range block.Pairs(block.CrossProduct{}, a, b) {
+		if i%3 == 0 {
+			pairs.Add(p.A, p.B, 1)
+		}
+	}
 	return []block.Blocker{
 		nil,
 		block.CrossProduct{},
 		token,
 		block.TokenBlocking{AttrA: attrA, AttrB: attrB, MinShared: 2},
 		block.SortedNeighborhood{AttrA: attrA, AttrB: attrB, Window: 5},
-		alienBlocker{},
-		repeatBlocker{token},
+		block.Within{Pairs: pairs, Tokens: token},
 	}
 }
 
@@ -148,13 +132,12 @@ func (c matchCounts) since() matchCounts {
 // checkKernel runs m over (a, b) at every GOMAXPROCS of kernelProcs and holds
 // each run to the oracle's mapping — correspondences, similarities (eps 0)
 // and insertion order — and to the counters' meaning: every candidate the
-// blocker streams is counted once, whatever the width, and a stream without repeats
-// keeps exactly the result's rows. It returns each run's counts.
+// blocker streams is counted once, whatever the width, and the kept ones are
+// exactly the result's rows. It returns each run's counts.
 func checkKernel(t *testing.T, label string, m Matcher, bl block.Blocker, a, b *model.ObjectSet, want *mapping.Mapping) []matchCounts {
 	t.Helper()
 	var runs []matchCounts
 	streamed := len(block.Pairs(orCross(bl), a, b))
-	_, repeats := bl.(repeatBlocker)
 	for _, procs := range kernelProcs {
 		at := fmt.Sprintf("%s at GOMAXPROCS %d", label, procs)
 		c0 := matchCountsNow()
@@ -164,7 +147,7 @@ func checkKernel(t *testing.T, label string, m Matcher, bl block.Blocker, a, b *
 		if int(counts.pairs) != streamed {
 			t.Errorf("%s: %d pairs counted, the blocker streams %d", at, counts.pairs, streamed)
 		}
-		if !repeats && int(counts.kept) != got.Len() {
+		if int(counts.kept) != got.Len() {
 			t.Errorf("%s: %d pairs counted as kept, the mapping holds %d", at, counts.kept, got.Len())
 		}
 		if counts.kept+counts.pruned > counts.pairs {
@@ -181,7 +164,7 @@ func checkKernel(t *testing.T, label string, m Matcher, bl block.Blocker, a, b *
 // into single rows.
 func TestKernelSplitsTheFixtures(t *testing.T) {
 	inputs := kernelInputs()
-	for _, bl := range []block.RangeBlocker{
+	for _, bl := range []block.Blocker{
 		block.CrossProduct{},
 		block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 1},
 		block.TokenBlocking{AttrA: "title", AttrB: "name", MinShared: 2},
@@ -203,7 +186,7 @@ func TestKernelSplitsTheFixtures(t *testing.T) {
 // matcher must return the reference's exact mapping.
 func TestStreamedAttributeMatchesMaterialized(t *testing.T) {
 	for _, in := range kernelInputs() {
-		for _, bl := range kernelBlockers("title", "name") {
+		for _, bl := range kernelBlockers(in.a, in.b, "title", "name") {
 			for _, skip := range []bool{false, true} {
 				if skip && !in.missing {
 					continue // nothing for SkipMissing to skip
@@ -235,7 +218,7 @@ func weightedReference(a, b *model.ObjectSet, blocker block.Blocker, pairs []Att
 			sum += ap.Weight * ap.Sim(ia.Attr(ap.AttrA), ib.Attr(ap.AttrB))
 		}
 		if s := sum / total; s >= threshold {
-			out.AddMax(p.A, p.B, s)
+			out.Add(p.A, p.B, s)
 		}
 	}
 	return out
@@ -250,7 +233,7 @@ func TestStreamedMultiAttributeMatchesMaterialized(t *testing.T) {
 		{AttrA: "year", AttrB: "year", Sim: sim.YearSim, Weight: 2},
 	}
 	for _, in := range kernelInputs() {
-		for _, bl := range kernelBlockers("title", "name") {
+		for _, bl := range kernelBlockers(in.a, in.b, "title", "name") {
 			want := weightedReference(in.a, in.b, bl, pairs, 0.4)
 			m := &MultiAttribute{Pairs: pairs, Threshold: 0.4, Blocker: bl}
 			checkKernel(t, fmt.Sprintf("multi: %s, %v", in.label, bl), m, bl, in.a, in.b, want)
@@ -271,7 +254,7 @@ func TestTFIDFMatchesExhaustive(t *testing.T) {
 			ps := corpus.Profiled()
 			return ps.Compare(sim.NewProfile(ps, x).Ref(), sim.NewProfile(ps, y).Ref(), 0)
 		}
-		for _, bl := range kernelBlockers("title", "name") {
+		for _, bl := range kernelBlockers(in.a, in.b, "title", "name") {
 			want := materializedReference(in.a, in.b, bl, "title", "name", cosine, 0.2, false)
 			m := &TFIDFAttribute{AttrA: "title", AttrB: "name", Threshold: 0.2, Blocker: bl}
 			checkKernel(t, fmt.Sprintf("tfidf: %s, %v", in.label, bl), m, bl, in.a, in.b, want)
@@ -390,7 +373,7 @@ func TestKernelEdgeShapes(t *testing.T) {
 	withMissing(a, b)
 	b.AddNew("a-blank", map[string]string{"name": "", "year": "2001"})
 	b.AddNew("a-spaces", map[string]string{"name": "  ", "year": "1999"})
-	for _, bl := range kernelBlockers("title", "name") {
+	for _, bl := range kernelBlockers(a, b, "title", "name") {
 		for _, cfg := range []struct {
 			threshold float64
 			skip      bool

@@ -188,7 +188,14 @@ func number(v any) (float64, bool) {
 	case float64:
 		return x, true
 	case string:
-		f, err := strconv.ParseFloat(strings.TrimSpace(x), 64)
+		// Only these bytes start a float ParseFloat accepts (digits, a sign,
+		// a point, inf, nan); ids and words fail here without the error
+		// value ParseFloat would allocate.
+		s := strings.TrimSpace(x)
+		if s == "" || strings.IndexByte("0123456789+-.iInN", s[0]) < 0 {
+			return 0, false
+		}
+		f, err := strconv.ParseFloat(s, 64)
 		return f, err == nil
 	default:
 		return 0, false

@@ -1,10 +1,12 @@
 package script
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/mapping"
 	"repro/internal/model"
+	"repro/internal/race"
 )
 
 func evalConstraint(t *testing.T, src string, corr mapping.Correspondence, d, r *model.Instance) bool {
@@ -172,6 +174,37 @@ func TestConstraintSelection(t *testing.T) {
 	}
 }
 
+// TestConstraintSelectionAllocs pins what a constraint costs on ids that
+// are not numbers: no failed number parse allocates, so a row of
+// [domain.id]<>[range.id] allocates only its two operands.
+func TestConstraintSelectionAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const rows = 10000
+	dSet, rSet := model.NewObjectSet(dblpPub), model.NewObjectSet(acmPub)
+	m := mapping.NewSame(dblpPub, acmPub)
+	for i := range rows {
+		d, r := model.ID(fmt.Sprintf("p%d", i)), model.ID(fmt.Sprintf("q%d", i%97))
+		dSet.AddNew(d, nil)
+		if !rSet.Has(r) {
+			rSet.AddNew(r, nil)
+		}
+		m.Add(d, r, 0.5)
+	}
+	c, err := ParseConstraint("[domain.id]<>[range.id]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := c.Selection(dSet, rSet)
+	if got := sel.Apply(m); got.Len() != rows {
+		t.Fatalf("selection kept %d of %d rows", got.Len(), rows)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { sel.Apply(m) }); allocs > 2*rows+64 {
+		t.Errorf("Apply over %d rows allocates %.0f times, want at most %d", rows, allocs, 2*rows+64)
+	}
+}
+
 func TestConstraintMissingAttributeComparesEmpty(t *testing.T) {
 	corr := mapping.Correspondence{Domain: "a", Range: "b"}
 	d := model.NewInstance("a", nil)
@@ -222,10 +255,15 @@ func FuzzConstraintMatchesReference(f *testing.F) {
 		withYear("2002"),
 		model.NewInstance("r", map[string]string{"year": "NaN", "kind": "journal", "a": "x", "id": "1"}),
 	}
+	// Operands at the edge of what ParseFloat reads as a number.
+	for _, op := range []string{"inf", "-Inf", "+.5", ".", "-", "nan", "0x1p-2", "1_0", " 1e3 ", ""} {
+		instances = append(instances, model.NewInstance("o", map[string]string{"year": op, "a": op, "b": op, "id": op}))
+	}
 	corrs := []mapping.Correspondence{
 		{Domain: "a", Range: "b", Sim: 0.75},
 		{Domain: "1", Range: " 2 ", Sim: 0},
 		{Domain: "x", Range: "x", Sim: 1},
+		{Domain: "inf", Range: "+.5", Sim: 0.5},
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		got, gerr := ParseConstraint(src)

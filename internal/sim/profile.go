@@ -44,9 +44,9 @@ package sim
 // allocating. A column of profiles (a matcher's per-set column, a
 // resolver's resident one) comes from BuildProfileColumn (column.go), the
 // one bulk build, on every core; NewProfile is the single-value path, for a
-// caller that keeps one profile (a matcher's stand-in for absent ids,
-// tuning's features), and ProfileColumn.Append and Set profile one value
-// into a kept column (a resolver's Add). Measures whose ProfileInto interns
+// caller that keeps one profile (tuning's features), and
+// ProfileColumn.Append and Set profile one value into a kept column (a
+// resolver's Add). Measures whose ProfileInto interns
 // into a dictionary (token sets, TF-IDF) also have a lookup-only
 // ProfileQueryInto; QueryInto picks it, so read paths never grow a
 // dictionary. The string Funcs of the built-in measures are Compare over two
@@ -64,9 +64,8 @@ import (
 
 // Profile is the profile of one value: a one-slot ProfileColumn. It is the
 // query side of a comparison — a resolver's pooled query slot (QueryInto),
-// the string forms' pooled operands, a matcher's stand-in for ids absent
-// from its inputs — and it rebuilds in place without allocating once its
-// arrays have grown; a run of values is a ProfileColumn.
+// the string forms' pooled operands — and it rebuilds in place without
+// allocating once its arrays have grown; a run of values is a ProfileColumn.
 type Profile struct{ col ProfileColumn }
 
 // Ref returns the profile's slot.

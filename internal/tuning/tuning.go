@@ -219,11 +219,10 @@ func BuildExamples(fe *FeatureExtractor, a, b *model.ObjectSet, bl block.Blocker
 	}
 	sc := fe.scorer()
 	var out []Example
-	candidates(bl).PairsEach(a, b, func(p block.Pair) bool {
-		ia, ib := a.Get(p.A), b.Get(p.B)
-		if ia != nil && ib != nil && covered[p.A] {
+	block.PairsEach(candidates(bl), a, b, func(p block.Pair) bool {
+		if covered[p.A] {
 			out = append(out, Example{
-				Features: sc.features(ia, ib),
+				Features: sc.features(a.Get(p.A), b.Get(p.B)),
 				Match:    training.Has(p.A, p.B),
 			})
 		}
@@ -401,12 +400,8 @@ func (tm *TreeMatcher) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 	}
 	out := mapping.NewSame(a.LDS(), b.LDS())
 	sc := tm.Extractor.scorer()
-	candidates(tm.Blocker).PairsEach(a, b, func(p block.Pair) bool {
-		ia, ib := a.Get(p.A), b.Get(p.B)
-		if ia == nil || ib == nil {
-			return true
-		}
-		feats := sc.features(ia, ib)
+	block.PairsEach(candidates(tm.Blocker), a, b, func(p block.Pair) bool {
+		feats := sc.features(a.Get(p.A), b.Get(p.B))
 		if tm.Tree.Predict(feats) {
 			var sum float64
 			for _, f := range feats {
