@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	moma "repro"
 	"repro/internal/sources"
 )
 
@@ -461,32 +460,26 @@ func buildPayloads(cfg sources.Config, source, queryAttr string, limit int) ([][
 	}
 	var payloads [][]byte
 	var values []string
-	var err error
-	src.Pubs.Each(func(in *moma.Instance) bool {
+	for i := range src.Pubs.Len() {
 		// Source sets differ in their title attribute name; send the value
 		// under the attribute the server's resolvers read.
-		v := in.Attr("title")
+		v := src.Pubs.Attr(i, "title")
 		if v == "" {
-			v = in.Attr("name")
+			v = src.Pubs.Attr(i, "name")
 		}
 		if v == "" {
-			return true
+			continue
 		}
-		var b []byte
-		b, err = json.Marshal(resolveRequest{
-			ID:    string(in.ID),
+		b, err := json.Marshal(resolveRequest{
+			ID:    string(src.Pubs.IDAt(i)),
 			Attrs: map[string]string{queryAttr: v},
 			Limit: limit,
 		})
 		if err != nil {
-			return false
+			return nil, nil, err
 		}
 		payloads = append(payloads, b)
 		values = append(values, v)
-		return true
-	})
-	if err != nil {
-		return nil, nil, err
 	}
 	if len(payloads) == 0 {
 		return nil, nil, fmt.Errorf("source %s has no usable query records", source)

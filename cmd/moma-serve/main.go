@@ -246,14 +246,10 @@ func pickSets(sys *moma.System, flagVal string) []string {
 // detectTitleAttr picks the title-bearing attribute of a set: DBLP and GS
 // publications use "title", ACM uses "name".
 func detectTitleAttr(set *moma.ObjectSet) string {
-	attr := "title"
-	set.Each(func(in *moma.Instance) bool {
-		if !in.HasAttr("title") && in.HasAttr("name") {
-			attr = "name"
-		}
-		return false // first instance decides
-	})
-	return attr
+	if set.Len() > 0 && !set.HasAttr(0, "title") && set.HasAttr(0, "name") {
+		return "name" // the first instance decides
+	}
+	return "title"
 }
 
 // loadCSVWorld registers every object-set CSV of a moma-gen output

@@ -182,11 +182,15 @@
 // drives it with synthetic query traffic and reports throughput and latency
 // percentiles.
 // Batch token blocking shares the same structures, and keeps them with the
-// data: every ObjectSet owns one small store of derived columns
-// (model.Column) holding its token columns, sort-key columns, ordinal
-// inverted indexes and similarity-profile columns under typed keys. A
-// column is built at most once per set version, so matchers sharing inputs
-// stop rebuilding it, and Add or Touch on the set drops them all. Only the
+// data. An ObjectSet keeps its members' attribute values as columns, one
+// value column per attribute name read by ordinal (Attr, HasAttr), with no
+// instance or map per member; At, Get and Each copy a member out. Every
+// ObjectSet also owns one small store of derived columns (model.Column)
+// holding its token columns, sort-key columns, ordinal inverted indexes
+// and similarity-profile columns under typed keys, each built from those
+// value columns. A column is built at most once per set version, so
+// matchers sharing inputs stop rebuilding it, and Add, SetAttr or Remove
+// on the set drops them all. Only the
 // set refers to its store, so a column lives exactly as long as its set and
 // matchers over different sets share no lock. The store is bounded per set,
 // oldest column first — which contains the one key source that never

@@ -214,7 +214,7 @@ func column[T any](set *model.ObjectSet, kind colKind, attr string, build func()
 // tokenColumn returns the set's interned token column of one attribute.
 func tokenColumn(set *model.ObjectSet, attr string) Tokens {
 	return column(set, colTokens, attr, func() Tokens {
-		return sim.Terms.TokenColumn(set.Len(), func(ord int) string { return set.At(ord).Attr(attr) })
+		return sim.Terms.TokenColumn(set.Len(), func(ord int) string { return set.Attr(ord, attr) })
 	})
 }
 
@@ -402,11 +402,10 @@ func (s SortedNeighborhood) Probe(a, b *model.ObjectSet) RangeProbe {
 // instance i's attribute value.
 func normColumn(set *model.ObjectSet, attr string) []string {
 	return column(set, colNorm, attr, func() []string {
-		col := make([]string, 0, set.Len())
-		set.Each(func(in *model.Instance) bool {
-			col = append(col, sim.Normalize(in.Attr(attr)))
-			return true
-		})
+		col := make([]string, set.Len())
+		for i := range col {
+			col[i] = sim.Normalize(set.Attr(i, attr))
+		}
 		return col
 	})
 }

@@ -45,16 +45,15 @@ func TestNormColumn(t *testing.T) {
 		t.Fatal("building the key column must not evict the token column")
 	}
 
-	// Touch invalidates.
+	// SetAttr invalidates.
 	inv := blockInvalidations.Load()
-	set.At(0).SetAttr("title", "A Different Value")
-	set.Touch()
+	set.SetAttr(0, "title", "A Different Value")
 	c4 := normColumn(set, "title")
 	if c4[0] != sim.Normalize("A Different Value") {
-		t.Fatalf("stale key served after Touch: %q", c4[0])
+		t.Fatalf("stale key served after SetAttr: %q", c4[0])
 	}
 	if got := blockInvalidations.Load() - inv; got != 2 {
-		t.Errorf("Touch dropped a token and a key column, counted %d invalidations", got)
+		t.Errorf("SetAttr dropped a token and a key column, counted %d invalidations", got)
 	}
 }
 

@@ -148,7 +148,10 @@ func CompareGrouped(got, perfect *mapping.Mapping, group GroupFunc) map[string]R
 // the given object set (e.g. venue kind).
 func AttrGroup(set *model.ObjectSet, attr string) GroupFunc {
 	return func(id model.ID) string {
-		return set.Get(id).Attr(attr)
+		if i := set.IndexOf(id); i >= 0 {
+			return set.Attr(i, attr)
+		}
+		return ""
 	}
 }
 

@@ -113,20 +113,14 @@ func ExtensionSelfTuning(s *Setting) (*TableResult, error) {
 		kA = 2
 	}
 	sampleA := sampleSet(s.D.DBLP.Pubs, kA)
-	sampleB := model.NewObjectSet(s.D.ACM.Pubs.LDS())
-	sampleA.Each(func(in *model.Instance) bool {
-		for _, c := range s.D.Perfect.PubDBLPACM.ForDomain(in.ID) {
-			if other := s.D.ACM.Pubs.Get(c.Range); other != nil {
-				sampleB.Add(other)
-			}
+	var idsB []model.ID
+	for i := range sampleA.Len() {
+		for _, c := range s.D.Perfect.PubDBLPACM.ForDomain(sampleA.IDAt(i)) {
+			idsB = append(idsB, c.Range)
 		}
-		return true
-	})
-	distractors := sampleSet(s.D.ACM.Pubs, kA)
-	distractors.Each(func(in *model.Instance) bool {
-		sampleB.Add(in)
-		return true
-	})
+	}
+	idsB = append(idsB, sampleSet(s.D.ACM.Pubs, kA).IDs()...)
+	sampleB := s.D.ACM.Pubs.Subset(idsB)
 	training := s.D.Perfect.PubDBLPACM.Filter(func(c mapping.Correspondence) bool {
 		return sampleA.Has(c.Domain) && sampleB.Has(c.Range)
 	})
@@ -198,14 +192,9 @@ func ExtensionSelfTuning(s *Setting) (*TableResult, error) {
 
 // sampleSet keeps every kth instance of a set.
 func sampleSet(set *model.ObjectSet, k int) *model.ObjectSet {
-	out := model.NewObjectSet(set.LDS())
-	i := 0
-	set.Each(func(in *model.Instance) bool {
-		if i%k == 0 {
-			out.Add(in)
-		}
-		i++
-		return true
-	})
-	return out
+	var ids []model.ID
+	for i := 0; i < set.Len(); i += k {
+		ids = append(ids, set.IDAt(i))
+	}
+	return set.Subset(ids)
 }

@@ -234,14 +234,15 @@ RETURN $Result
 		ranked = ranked[:k]
 	}
 	var out []DuplicateCandidate
+	authors := s.D.DBLP.Authors
 	for _, r := range ranked {
 		co, _ := coAuthSim.Sim(r.c.Domain, r.c.Range)
 		name, _ := nameSim.Sim(r.c.Domain, r.c.Range)
 		paths := mapping.NumPaths(s.D.DBLP.CoAuthor, s.D.DBLP.CoAuthor, r.c.Domain, r.c.Range)
 		out = append(out, DuplicateCandidate{
 			A: r.c.Domain, B: r.c.Range,
-			NameA:         s.D.DBLP.Authors.Get(r.c.Domain).Attr("name"),
-			NameB:         s.D.DBLP.Authors.Get(r.c.Range).Attr("name"),
+			NameA:         authors.Attr(authors.IndexOf(r.c.Domain), "name"),
+			NameB:         authors.Attr(authors.IndexOf(r.c.Range), "name"),
 			CoAuthorSim:   co,
 			SharedCoAuths: paths,
 			NameSim:       name,

@@ -116,25 +116,24 @@ func (f *Fuser) Run() *model.ObjectSet {
 		}
 	}
 	out := f.base.Clone()
-	out.Each(func(in *model.Instance) bool {
+	for i := range out.Len() {
 		for k, src := range f.sources {
-			corrs := byDomain[k][in.ID]
+			corrs := byDomain[k][out.IDAt(i)]
 			for _, rule := range src.rules {
 				var values []string
 				for _, c := range corrs {
 					if c.Sim < rule.MinSim {
 						continue
 					}
-					if other := src.set.Get(c.Range); other != nil {
-						values = append(values, other.Attr(rule.FromAttr))
+					if j := src.set.IndexOf(c.Range); j >= 0 {
+						values = append(values, src.set.Attr(j, rule.FromAttr))
 					}
 				}
 				if v, ok := rule.Agg(values); ok {
-					in.SetAttr(rule.ToAttr, v)
+					out.SetAttr(i, rule.ToAttr, v)
 				}
 			}
 		}
-		return true
-	})
+	}
 	return out
 }

@@ -137,11 +137,12 @@ func TestFusePreferenceOrderBySim(t *testing.T) {
 }
 
 // runPerInstance is the Run loop that fetched each base instance's rows with
-// ForDomain and sorted them by similarity descending, then range id; Run is
-// held to it.
+// ForDomain and sorted them by similarity descending, then range id, and
+// set the fused values on a copy of the instance; Run is held to it.
 func runPerInstance(f *Fuser) *model.ObjectSet {
-	out := f.base.Clone()
-	out.Each(func(in *model.Instance) bool {
+	out := model.NewObjectSet(f.base.LDS())
+	f.base.Each(func(in *model.Instance) bool {
+		defer out.Add(in)
 		for _, src := range f.sources {
 			corrs := src.m.ForDomain(in.ID)
 			sort.Slice(corrs, func(i, j int) bool {

@@ -219,11 +219,11 @@ func NewResolver(set *model.ObjectSet, cfg Config) (*Resolver, error) {
 		}
 	}
 	for slot := range n {
-		in := set.At(slot)
-		r.slots[in.ID], r.ids[slot], r.alive[slot] = slot, in.ID, true
+		id := set.IDAt(slot)
+		r.slots[id], r.ids[slot], r.alive[slot] = slot, id, true
 		for i := range r.cols {
 			if c := &r.cols[i]; c.corpus != nil {
-				if v := in.Attr(c.cfg.SetAttr); v != "" {
+				if v := set.Attr(slot, c.cfg.SetAttr); v != "" {
 					c.corpus.Add(v)
 					c.docs[slot] = v
 				}
@@ -233,10 +233,10 @@ func NewResolver(set *model.ObjectSet, cfg Config) (*Resolver, error) {
 	r.liveCount = n
 	addsTotal.Add(uint64(n))
 	instancesLive.Add(int64(n))
-	r.ix = block.NewIndex(r.dict.TokenColumn(n, func(ord int) string { return set.At(ord).Attr(cfg.BlockSetAttr) }))
+	r.ix = block.NewIndex(r.dict.TokenColumn(n, func(ord int) string { return set.Attr(ord, cfg.BlockSetAttr) }))
 	for i := range r.cols {
 		c := &r.cols[i]
-		c.col = sim.BuildProfileColumn(c.ps, n, func(ord int) string { return set.At(ord).Attr(c.cfg.SetAttr) })
+		c.col = sim.BuildProfileColumn(c.ps, n, func(ord int) string { return set.Attr(ord, c.cfg.SetAttr) })
 	}
 	r.filter.Cover(2 * r.cols[0].col.MaxCard())
 	return r, nil
@@ -396,10 +396,19 @@ func (r *Resolver) ResolveSet(queries *model.ObjectSet) (*mapping.Mapping, error
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var dst []Match // reused across the queries
-	queries.Each(func(q *model.Instance) bool {
+	// q is reused across the queries too: it holds the query attributes a
+	// resolve reads, an absent one as "", which reads the same.
+	q := &model.Instance{Attrs: make(map[string]string, len(r.cols)+1)}
+	for ord := range queries.Len() {
+		q.ID = queries.IDAt(ord)
+		q.Attrs[r.cfg.BlockQueryAttr] = queries.Attr(ord, r.cfg.BlockQueryAttr)
+		for i := range r.cols {
+			a := r.cols[i].cfg.QueryAttr
+			q.Attrs[a] = queries.Attr(ord, a)
+		}
 		dst = r.resolveLocked(q, false, dst[:0])
 		if len(dst) == 0 {
-			return true
+			continue
 		}
 		d := model.IDs.Ord(q.ID)
 		for _, m := range dst {
@@ -407,8 +416,7 @@ func (r *Resolver) ResolveSet(queries *model.ObjectSet) (*mapping.Mapping, error
 			rng = append(rng, model.IDs.Ord(m.ID))
 			sims = append(sims, min(max(m.Sim, 0), 1))
 		}
-		return true
-	})
+	}
 	return mapping.FromColumns(queries.LDS(), r.lds, model.SameMappingType, dom, rng, sims), nil
 }
 

@@ -84,7 +84,7 @@ func (m *Attribute) match(a, b *model.ObjectSet, ps sim.ProfiledSim) (*mapping.M
 func missingValues(set *model.ObjectSet, attr string) []bool {
 	flags := make([]bool, set.Len())
 	for i := range flags {
-		flags[i] = set.At(i).Attr(attr) == ""
+		flags[i] = set.Attr(i, attr) == ""
 	}
 	return flags
 }
@@ -140,7 +140,7 @@ func profileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim) sim.Pr
 // buildProfileColumn does the actual profile build. The column is never
 // mutated after this returns, so readers need no locks.
 func buildProfileColumn(set *model.ObjectSet, attr string, ps sim.ProfiledSim) sim.ProfileColumn {
-	return sim.BuildProfileColumn(ps, set.Len(), func(i int) string { return set.At(i).Attr(attr) })
+	return sim.BuildProfileColumn(ps, set.Len(), func(i int) string { return set.Attr(i, attr) })
 }
 
 // AttrPair configures one attribute comparison of the multi-attribute

@@ -56,12 +56,11 @@ func TestProfileColumnHitsAndInvalidation(t *testing.T) {
 		t.Fatalf("distinct measure should build its own column once: %+v", got)
 	}
 
-	// In-place mutation + Touch invalidates both columns.
-	set.At(0).SetAttr("title", "changed title zero")
-	set.Touch()
+	// SetAttr invalidates both columns.
+	set.SetAttr(0, "title", "changed title zero")
 	c3 := profileColumn(set, "title", ps)
 	if got := t0.since(); got != (profileTraffic{hits: 2, misses: 3, invalidations: 2}) {
-		t.Fatalf("Touch must invalidate: %+v", got)
+		t.Fatalf("SetAttr must invalidate: %+v", got)
 	}
 	if want := sim.NewProfile(ps, "changed title zero"); ps.Compare(c3.At(0), want.Ref(), 0) != 1 || c3.Keys[0] != want.Key() {
 		t.Fatal("rebuilt column did not pick up the mutation")

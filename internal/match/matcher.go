@@ -45,12 +45,11 @@ func requireSameType(a, b *model.ObjectSet) error {
 // sorted, for corpus construction.
 func sortedAttrValues(set *model.ObjectSet, attr string) []string {
 	var vals []string
-	set.Each(func(in *model.Instance) bool {
-		if v := in.Attr(attr); v != "" {
+	for i := range set.Len() {
+		if v := set.Attr(i, attr); v != "" {
 			vals = append(vals, v)
 		}
-		return true
-	})
+	}
 	sort.Strings(vals)
 	return vals
 }

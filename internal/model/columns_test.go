@@ -46,7 +46,7 @@ func TestColumnBuildsOncePerVersion(t *testing.T) {
 		t.Fatal("a different key is a different column")
 	}
 
-	// Add and Touch each drop everything, once, calling Invalidated on the
+	// Add and SetAttr each drop everything, once, calling Invalidated on the
 	// keys that have it.
 	Column(set, countedKey{"a"}, build)
 	Column(set, countedKey{"b"}, build)
@@ -62,9 +62,9 @@ func TestColumnBuildsOncePerVersion(t *testing.T) {
 	if hit || c3[0] != 2 {
 		t.Fatalf("column after Add = %v (hit=%v), want a rebuild over 2 instances", c3, hit)
 	}
-	set.Touch()
+	set.SetAttr(0, "k", "v")
 	if _, hit := Column(set, testKey{"len"}, build); hit {
-		t.Fatal("Touch must drop the set's columns")
+		t.Fatal("SetAttr must drop the set's columns")
 	}
 	if countedInvalidations != 2 {
 		t.Fatal("keys dropped earlier must not be invalidated again")
@@ -123,7 +123,7 @@ func TestColumnConcurrent(t *testing.T) {
 		if len(set.cols.vals) != keys {
 			t.Fatalf("round %d: store holds %d columns, want %d", round, len(set.cols.vals), keys)
 		}
-		set.Touch() // next round: a new version, new canonical columns
+		set.AddNew("x", nil) // next round: a new version, new canonical columns
 	}
 }
 

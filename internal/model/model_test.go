@@ -283,9 +283,9 @@ func TestObjectSetClone(t *testing.T) {
 	s := NewObjectSet(LDS{"DBLP", Publication})
 	s.AddNew("p1", map[string]string{"k": "v"})
 	c := s.Clone()
-	c.Get("p1").SetAttr("k", "w")
-	if s.Get("p1").Attr("k") != "v" {
-		t.Error("Clone must deep-copy instances")
+	c.SetAttr(0, "k", "w")
+	if s.Attr(0, "k") != "v" || c.Attr(0, "k") != "w" {
+		t.Error("Clone must copy the values")
 	}
 }
 

@@ -19,7 +19,11 @@ type ConstraintExpr struct {
 // nil; attribute references on nil instances yield empty strings (id
 // references still work through the correspondence).
 func (c *ConstraintExpr) Eval(corr mapping.Correspondence, domain, rng *model.Instance) (bool, error) {
-	r := row{corr: corr, domain: domain, rng: rng}
+	return c.eval(row{corr: corr, domain: side{in: domain}, rng: side{in: rng}})
+}
+
+// eval evaluates the constraint for one row.
+func (c *ConstraintExpr) eval(r row) (bool, error) {
 	v, err := r.value(c.root)
 	if err != nil {
 		return false, err
@@ -48,14 +52,7 @@ type constraintSelection struct {
 
 func (s *constraintSelection) Apply(m *mapping.Mapping) *mapping.Mapping {
 	return m.Filter(func(corr mapping.Correspondence) bool {
-		var din, rin *model.Instance
-		if s.domainSet != nil {
-			din = s.domainSet.Get(corr.Domain)
-		}
-		if s.rangeSet != nil {
-			rin = s.rangeSet.Get(corr.Range)
-		}
-		ok, err := s.expr.Eval(corr, din, rin)
+		ok, err := s.expr.eval(row{corr: corr, domain: member(s.domainSet, corr.Domain), rng: member(s.rangeSet, corr.Range)})
 		return err == nil && ok
 	})
 }
@@ -78,11 +75,37 @@ func setVersion(set *model.ObjectSet) string {
 	return fmt.Sprintf("%s#%d", set.LDS(), set.Version())
 }
 
-// row is what a constraint reads: one correspondence and its instances.
+// row is what a constraint reads: one correspondence and its two sides.
 type row struct {
 	corr   mapping.Correspondence
-	domain *model.Instance
-	rng    *model.Instance
+	domain side
+	rng    side
+}
+
+// side is the instance on one side of a row: a set member, read by
+// ordinal, or a standalone instance. A side with neither reads every
+// attribute as "".
+type side struct {
+	set *model.ObjectSet
+	ord int
+	in  *model.Instance
+}
+
+// member is the side of id in set, which may be nil or lack the id.
+func member(set *model.ObjectSet, id model.ID) side {
+	if set != nil {
+		if i := set.IndexOf(id); i >= 0 {
+			return side{set: set, ord: i}
+		}
+	}
+	return side{}
+}
+
+func (s side) attr(name string) string {
+	if s.set != nil {
+		return s.set.Attr(s.ord, name)
+	}
+	return s.in.Attr(name)
 }
 
 // value evaluates e to a float64, a string or a bool. Both operands of a
@@ -104,7 +127,7 @@ func (r *row) value(e Expr) (any, error) {
 		case "sim":
 			return r.corr.Sim, nil
 		}
-		return in.Attr(e.Attr), nil
+		return in.attr(e.Attr), nil
 	case *Abs:
 		v, err := r.value(e.X)
 		if err != nil {

@@ -257,6 +257,14 @@ type ResolveResponse struct {
 	TookUS  int64        `json:"took_us"`
 }
 
+// MaxSetAttrs bounds the attribute names of a served set that an add may
+// bring it to. The set keeps a value column per name, one entry per member,
+// so a name costs every member a slot; an add that names more, or that
+// would take a set past it with names the set does not hold yet, answers
+// 400 and changes nothing. A set loaded with more names keeps them, and
+// adds that use only those still succeed.
+const MaxSetAttrs = 64
+
 // AddInstanceRequest adds a record to a set's live view.
 type AddInstanceRequest struct {
 	ID    string            `json:"id"`
@@ -396,7 +404,12 @@ func (s *Server) handleAddInstance(w http.ResponseWriter, r *http.Request) (int,
 	if req.ID == "" {
 		return http.StatusBadRequest, fmt.Errorf("id must not be empty")
 	}
-	in := model.NewInstance(model.ID(req.ID), req.Attrs)
+	if len(req.Attrs) > MaxSetAttrs {
+		return http.StatusBadRequest, fmt.Errorf("%d attributes; an instance may have at most %d", len(req.Attrs), MaxSetAttrs)
+	}
+	// No copy: the resolver keeps no reference to in, and Add copies its
+	// values into the set's columns.
+	in := &model.Instance{ID: model.ID(req.ID), Attrs: req.Attrs}
 
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
@@ -404,6 +417,10 @@ func (s *Server) handleAddInstance(w http.ResponseWriter, r *http.Request) (int,
 	// don't start mutating for a caller that has already given up.
 	if code, err := deadlineStatus(r); code != 0 {
 		return code, err
+	}
+	if fresh := newAttrNames(sv.set, req.Attrs); fresh > 0 && sv.set.AttrCount()+fresh > MaxSetAttrs {
+		return http.StatusBadRequest, fmt.Errorf("set %q has %d attribute names; %d new ones would pass the limit of %d",
+			setName, sv.set.AttrCount(), fresh, MaxSetAttrs)
 	}
 	// A re-add replaces the instance: its correspondences in the delta
 	// mapping describe the previous attribute values and must not survive.
@@ -444,6 +461,17 @@ func (s *Server) handleAddInstance(w http.ResponseWriter, r *http.Request) (int,
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return http.StatusOK, nil
+}
+
+// newAttrNames counts the names of attrs that no member of set has.
+func newAttrNames(set *model.ObjectSet, attrs map[string]string) int {
+	n := 0
+	for name := range attrs {
+		if !set.AttrKnown(name) {
+			n++
+		}
+	}
+	return n
 }
 
 func (s *Server) handleRemoveInstance(w http.ResponseWriter, r *http.Request) (int, error) {

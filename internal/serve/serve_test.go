@@ -118,6 +118,49 @@ func TestResolveLimitAndRanking(t *testing.T) {
 	}
 }
 
+// TestAddRejectsAttributeFlood pins MaxSetAttrs: an add that names more
+// attributes than a set may hold, or that would take the set past the limit
+// with names it does not hold yet, answers 400 and leaves the set's
+// attribute columns and members as they were; an add within the limit, and
+// a later one that reuses its names, succeed.
+func TestAddRejectsAttributeFlood(t *testing.T) {
+	srv, sys := testServer(t)
+	h := srv.Handler()
+	set, _ := sys.ObjectSetByName("ACM.Publication")
+	names := func(from, n int) map[string]string {
+		attrs := map[string]string{"title": "mapping based object matching"}
+		for i := range n {
+			attrs[fmt.Sprintf("a%d", from+i)] = ""
+		}
+		return attrs
+	}
+	held := set.AttrCount() // title and year
+	for _, c := range []struct {
+		what  string
+		attrs map[string]string
+		code  int
+		count int
+	}{
+		{"more names than a set may hold", names(0, 80000), http.StatusBadRequest, held},
+		{"names up to the limit", names(0, MaxSetAttrs-held), http.StatusOK, MaxSetAttrs},
+		{"one new name past the limit", names(MaxSetAttrs, 1), http.StatusBadRequest, MaxSetAttrs},
+		{"the held names again", names(0, MaxSetAttrs-held), http.StatusOK, MaxSetAttrs},
+	} {
+		version := set.Version()
+		rec := doJSON(t, h, "POST", "/sets/ACM.Publication/instances", AddInstanceRequest{ID: "wide", Attrs: c.attrs, NoResolve: true}, nil)
+		if rec.Code != c.code || set.AttrCount() != c.count {
+			t.Fatalf("%s: %d (%s), set holds %d attribute names; want %d and %d", c.what, rec.Code, rec.Body.String(), set.AttrCount(), c.code, c.count)
+		}
+		if c.code != http.StatusOK && set.Version() != version {
+			t.Fatalf("%s: a rejected add moved the set's version %d to %d", c.what, version, set.Version())
+		}
+	}
+	// The names only "wide" held go with it.
+	if rec := doJSON(t, h, "DELETE", "/sets/ACM.Publication/instances/wide", nil, nil); rec.Code != http.StatusOK || set.AttrCount() != held {
+		t.Fatalf("remove = %d, set holds %d attribute names; want 200 and %d", rec.Code, set.AttrCount(), held)
+	}
+}
+
 func TestAddInstanceRecordsDelta(t *testing.T) {
 	srv, sys := testServer(t)
 	var resp AddInstanceResponse

@@ -193,42 +193,73 @@ func venueDBLPID(v *VenueTruth) model.ID {
 // renderAuthors joins author display names.
 func renderAuthors(names []string) string { return strings.Join(names, ", ") }
 
+// venueAttrs are the attributes of a venue, DBLP's and ACM's alike.
+var venueAttrs = []string{"name", "kind", "series", "year"}
+
+// members collects the members of one set as value columns, in the order
+// they are added, for model.NewObjectSetFromColumns.
+type members struct {
+	names []string
+	ids   []model.ID
+	vals  [][]string
+	has   [][]bool
+}
+
+func newMembers(names ...string) *members {
+	return &members{names: names, vals: make([][]string, len(names)), has: make([][]bool, len(names))}
+}
+
+// add appends the member id holding vals, one per name, all present.
+func (m *members) add(id model.ID, vals ...string) {
+	m.ids = append(m.ids, id)
+	for c, v := range vals {
+		m.vals[c], m.has[c] = append(m.vals[c], v), append(m.has[c], true)
+	}
+}
+
+// lack makes the member added last lack the attribute names[c].
+func (m *members) lack(c int) {
+	last := len(m.ids) - 1
+	m.vals[c][last], m.has[c][last] = "", false
+}
+
+// set returns the set of the members over lds.
+func (m *members) set(lds model.LDS) *model.ObjectSet {
+	return model.NewObjectSetFromColumns(lds, m.ids, m.names, m.vals, m.has)
+}
+
 // deriveDBLP materializes the curated, complete DBLP source.
 func (dd *deriver) deriveDBLP() *Source {
 	w := dd.w
 	s := &Source{
 		Name:     "DBLP",
-		Pubs:     model.NewObjectSet(DBLPPub),
-		Authors:  model.NewObjectSet(DBLPAut),
-		Venues:   model.NewObjectSet(DBLPVen),
 		CoAuthor: mapping.New(DBLPAut, DBLPAut, "CoAuthor"),
 	}
+	venues, authors := newMembers(venueAttrs...), newMembers("name")
 	for _, v := range w.Venues {
 		id := venueDBLPID(v)
 		dd.dblpVen[v.Idx].id = id
-		s.Venues.Add(&model.Instance{ID: id, Attrs: map[string]string{
-			"name":   v.DBLPName(),
-			"kind":   string(v.Kind),
-			"series": v.Series,
-			"year":   fmt.Sprint(v.Year),
-		}})
+		venues.add(id, v.DBLPName(), string(v.Kind), v.Series, fmt.Sprint(v.Year))
 	}
+	s.Venues = venues.set(DBLPVen)
 	for _, a := range w.Authors {
 		id := model.ID(fmt.Sprintf("dblp:a:%05d", a.Idx))
 		dd.dblpAut[a.Idx].id = id
-		s.Authors.Add(&model.Instance{ID: id, Attrs: map[string]string{"name": a.Name()}})
+		authors.add(id, a.Name())
 		if a.DupSpelling != "" {
 			alt := model.ID(fmt.Sprintf("dblp:a:%05db", a.Idx))
 			dd.dblpAlt[a.Idx].id = alt
-			s.Authors.Add(&model.Instance{ID: alt, Attrs: map[string]string{"name": a.DupSpelling}})
+			authors.add(alt, a.DupSpelling)
 		}
 	}
+	s.Authors = authors.set(DBLPAut)
 	venPub, pubVen := newRows(len(w.Pubs)), newRows(len(w.Pubs))
 	autPub, pubAut := newRows(0), newRows(0)
 	perVenue := make([]int, len(w.Venues))
 	dupSeen := make([]int, len(w.Authors)) // alternating spelling assignment per dup author
 	var names []string
 	var auts []*idSlot
+	pubs := newMembers("title", "year", "pages", "authors", "venue", "kind")
 	for _, p := range w.Pubs {
 		ven := &dd.dblpVen[p.Venue.Idx]
 		perVenue[p.Venue.Idx]++
@@ -252,19 +283,14 @@ func (dd *deriver) deriveDBLP() *Source {
 			names = append(names, name)
 			auts = append(auts, aut)
 		}
-		s.Pubs.Add(&model.Instance{ID: pub.id, Attrs: map[string]string{
-			"title":   p.Title,
-			"year":    fmt.Sprint(p.Year),
-			"pages":   fmt.Sprintf("%d-%d", p.PageFrom, p.PageTo),
-			"authors": renderAuthors(names),
-			"venue":   p.Venue.DBLPName(),
-			"kind":    string(p.Venue.Kind),
-		}})
+		pubs.add(pub.id, p.Title, fmt.Sprint(p.Year), fmt.Sprintf("%d-%d", p.PageFrom, p.PageTo),
+			renderAuthors(names), p.Venue.DBLPName(), string(p.Venue.Kind))
 		v := ven.ordinal()
 		venPub.add(v, pub.ordinal())
 		pubVen.add(pub.ordinal(), v)
 		addAuthors(autPub, pubAut, s.CoAuthor, pub, auts)
 	}
+	s.Pubs = pubs.set(DBLPPub)
 	s.VenuePub = venPub.mapping(DBLPVen, DBLPPub, "VenuePub")
 	s.PubVenue = pubVen.mapping(DBLPPub, DBLPVen, "PubVenue")
 	s.AuthorPub = autPub.mapping(DBLPAut, DBLPPub, "AuthorPub")
@@ -292,9 +318,6 @@ func (dd *deriver) deriveACM() *Source {
 	w := dd.w
 	s := &Source{
 		Name:     "ACM",
-		Pubs:     model.NewObjectSet(ACMPub),
-		Authors:  model.NewObjectSet(ACMAut),
-		Venues:   model.NewObjectSet(ACMVen),
 		CoAuthor: mapping.New(ACMAut, ACMAut, "CoAuthor"),
 	}
 	droppedYear := make(map[int]bool)
@@ -304,29 +327,27 @@ func (dd *deriver) deriveACM() *Source {
 	venueDropped := func(v *VenueTruth) bool {
 		return v.Kind == Conference && v.Series == "VLDB" && droppedYear[v.Year]
 	}
+	venues, authors := newMembers(venueAttrs...), newMembers("name")
 	for _, v := range w.Venues {
 		if venueDropped(v) {
 			continue
 		}
 		id := model.ID(fmt.Sprintf("V-%06d", 600000+v.Idx))
 		dd.acmVen[v.Idx].id = id
-		s.Venues.Add(&model.Instance{ID: id, Attrs: map[string]string{
-			"name":   v.ACMName(),
-			"kind":   string(v.Kind),
-			"series": v.Series,
-			"year":   fmt.Sprint(v.Year),
-		}})
+		venues.add(id, v.ACMName(), string(v.Kind), v.Series, fmt.Sprint(v.Year))
 	}
+	s.Venues = venues.set(ACMVen)
 	for _, a := range w.Authors {
 		id := model.ID(fmt.Sprintf("A-%05d", a.Idx))
 		dd.acmAut[a.Idx].id = id
-		s.Authors.Add(&model.Instance{ID: id, Attrs: map[string]string{"name": a.Name()}})
+		authors.add(id, a.Name())
 		if a.ACMVariant != "" {
 			vid := model.ID(fmt.Sprintf("A-%05dv", a.Idx))
 			dd.acmVar[a.Idx].id = vid
-			s.Authors.Add(&model.Instance{ID: vid, Attrs: map[string]string{"name": a.ACMVariant}})
+			authors.add(vid, a.ACMVariant)
 		}
 	}
+	s.Authors = authors.set(ACMAut)
 
 	// Select included publications: everything outside dropped venues,
 	// then trim randomly to the exact target.
@@ -354,6 +375,7 @@ func (dd *deriver) deriveACM() *Source {
 	autPub, pubAut := newRows(0), newRows(0)
 	var names []string
 	var auts []*idSlot
+	pubs := newMembers("name", "year", "citations", "authors", "venue", "kind")
 	for _, p := range included {
 		pub := &dd.acmPub[p.Idx]
 		pub.id = model.ID(fmt.Sprintf("P-%06d", 600000+p.Idx))
@@ -374,19 +396,14 @@ func (dd *deriver) deriveACM() *Source {
 		}
 		citations := p.Citations + dd.rng.Intn(3)
 		ven := &dd.acmVen[p.Venue.Idx]
-		s.Pubs.Add(&model.Instance{ID: pub.id, Attrs: map[string]string{
-			"name":      title,
-			"year":      fmt.Sprint(p.Year),
-			"citations": fmt.Sprint(citations),
-			"authors":   renderAuthors(names),
-			"venue":     p.Venue.ACMName(),
-			"kind":      string(p.Venue.Kind),
-		}})
+		pubs.add(pub.id, title, fmt.Sprint(p.Year), fmt.Sprint(citations),
+			renderAuthors(names), p.Venue.ACMName(), string(p.Venue.Kind))
 		v := ven.ordinal()
 		venPub.add(v, pub.ordinal())
 		pubVen.add(pub.ordinal(), v)
 		addAuthors(autPub, pubAut, s.CoAuthor, pub, auts)
 	}
+	s.Pubs = pubs.set(ACMPub)
 	s.VenuePub = venPub.mapping(ACMVen, ACMPub, "VenuePub")
 	s.PubVenue = pubVen.mapping(ACMPub, ACMVen, "PubVenue")
 	s.AuthorPub = autPub.mapping(ACMAut, ACMPub, "AuthorPub")
@@ -436,11 +453,10 @@ func (dd *deriver) deriveACM() *Source {
 // low-recall link mapping to ACM.
 func (dd *deriver) deriveGS() (*Source, *mapping.Mapping) {
 	w := dd.w
-	s := &Source{
-		Name:    "GS",
-		Pubs:    model.NewObjectSet(GSPub),
-		Authors: model.NewObjectSet(GSAut),
-	}
+	s := &Source{Name: "GS"}
+	// A noise document has no venue or citations, and some entries lack
+	// their year.
+	pubs, authors := newMembers("title", "authors", "venue", "citations", "year"), newMembers("name")
 	autPub, pubAut := newRows(0), newRows(0)
 	links, pubDBLPGS, pubGSACM := newRows(0), newRows(0), newRows(0)
 
@@ -451,7 +467,7 @@ func (dd *deriver) deriveGS() (*Source, *mapping.Mapping) {
 		}
 		a := &idSlot{id: model.ID(fmt.Sprintf("gs:a:%06d", len(gsAuthors)))}
 		gsAuthors[name] = a
-		s.Authors.Add(&model.Instance{ID: a.id, Attrs: map[string]string{"name": name}})
+		authors.add(a.id, name)
 		return a
 	}
 
@@ -475,16 +491,11 @@ func (dd *deriver) deriveGS() (*Source, *mapping.Mapping) {
 			names = append(names, n)
 			auts = append(auts, authorID(n))
 		}
-		attrs := map[string]string{
-			"title":     title,
-			"authors":   renderAuthors(names),
-			"venue":     mangleVenue(dd.rng, p.Venue),
-			"citations": fmt.Sprint(p.Citations + dd.rng.Intn(15)),
+		venue := mangleVenue(dd.rng, p.Venue)
+		pubs.add(entry.id, title, renderAuthors(names), venue, fmt.Sprint(p.Citations+dd.rng.Intn(15)), fmt.Sprint(p.Year))
+		if dd.rng.Float64() < w.Cfg.GSMissingYearRate {
+			pubs.lack(4)
 		}
-		if dd.rng.Float64() >= w.Cfg.GSMissingYearRate {
-			attrs["year"] = fmt.Sprint(p.Year)
-		}
-		s.Pubs.Add(&model.Instance{ID: entry.id, Attrs: attrs})
 		for i, a := range auts {
 			// Two authors can share one initial-only name; their pair is
 			// one row, at the first one's position.
@@ -538,7 +549,7 @@ func (dd *deriver) deriveGS() (*Source, *mapping.Mapping) {
 	// Noise documents: unrelated crawled references.
 	noise := w.Cfg.GSNoiseDocs
 	if w.Cfg.GSTargetPublications > 0 {
-		noise = w.Cfg.GSTargetPublications - s.Pubs.Len()
+		noise = w.Cfg.GSTargetPublications - len(pubs.ids)
 		if noise < 0 {
 			noise = 0
 		}
@@ -548,19 +559,22 @@ func (dd *deriver) deriveGS() (*Source, *mapping.Mapping) {
 		first := firstNames[dd.rng.Intn(len(firstNames))]
 		last := lastNames[dd.rng.Intn(len(lastNames))]
 		name := gsAuthorName(first + " " + last)
-		attrs := map[string]string{
-			"title":   noiseTitle(dd.rng),
-			"authors": name,
-		}
+		title, year := noiseTitle(dd.rng), ""
 		if dd.rng.Float64() < 0.7 {
-			attrs["year"] = fmt.Sprint(1980 + dd.rng.Intn(26))
+			year = fmt.Sprint(1980 + dd.rng.Intn(26))
 		}
-		s.Pubs.Add(&model.Instance{ID: doc.id, Attrs: attrs})
+		pubs.add(doc.id, title, name, "", "", year)
+		pubs.lack(2)
+		pubs.lack(3)
+		if year == "" {
+			pubs.lack(4)
+		}
 		ao := authorID(name).ordinal()
 		autPub.add(ao, doc.ordinal())
 		pubAut.add(doc.ordinal(), ao)
 	}
 
+	s.Pubs, s.Authors = pubs.set(GSPub), authors.set(GSAut)
 	s.AuthorPub = autPub.mapping(GSAut, GSPub, "AuthorPub")
 	s.PubAuthor = pubAut.mapping(GSPub, GSAut, "PubAuthor")
 	dd.perfect.PubDBLPGS = pubDBLPGS.mapping(DBLPPub, GSPub, model.SameMappingType)

@@ -58,8 +58,7 @@ func NewGSQuery(gs *Source) *GSQuery {
 	q.scratch.New = func() any { return &searchScratch{acc: make([]float64, n)} }
 	var toks []uint32
 	for ord := 0; ord < n; ord++ {
-		in := gs.Pubs.At(ord)
-		title, authors := in.Attr("title"), in.Attr("authors")
+		title, authors := gs.Pubs.Attr(ord, "title"), gs.Pubs.Attr(ord, "authors")
 		if title == "" && authors == "" {
 			continue
 		}
@@ -183,31 +182,31 @@ func (q *GSQuery) siftDown(acc []float64, h []int32, i int) {
 //
 //moma:readpath
 func (q *GSQuery) Search(query string, k int) *model.ObjectSet {
-	out := model.NewObjectSet(q.pubs.LDS())
 	sc := q.scratch.Get().(*searchScratch)
-	for _, ord := range q.search(sc, query, k) {
-		out.Add(q.pubs.At(int(ord)))
+	top := q.search(sc, query, k)
+	ords := make([]int, len(top))
+	for i, ord := range top {
+		ords[i] = int(ord)
 	}
 	q.scratch.Put(sc)
-	return out
+	return q.pubs.Pick(ords)
 }
 
 // CollectFor simulates the paper's data acquisition: one title query per
-// publication of the driving set, unioned into a GS working set. k bounds
-// the results kept per query.
+// publication of the driving set, unioned into a GS working set in the
+// order the results are first seen. k bounds the results kept per query.
 //
 //moma:readpath
 func (q *GSQuery) CollectFor(driving *model.ObjectSet, titleAttr string, k int) *model.ObjectSet {
-	out := model.NewObjectSet(q.pubs.LDS())
 	sc := q.scratch.Get().(*searchScratch)
-	driving.Each(func(in *model.Instance) bool {
-		for _, ord := range q.search(sc, in.Attr(titleAttr), k) {
-			out.Add(q.pubs.At(int(ord)))
+	var ords []int
+	for i := range driving.Len() {
+		for _, ord := range q.search(sc, driving.Attr(i, titleAttr), k) {
+			ords = append(ords, int(ord))
 		}
-		return true
-	})
+	}
 	q.scratch.Put(sc)
-	return out
+	return q.pubs.Pick(ords)
 }
 
 // Docs reports the total number of indexed GS documents (the source size,

@@ -8,7 +8,6 @@ import (
 	"io/fs"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 
 	"repro/internal/mapping"
@@ -36,7 +35,7 @@ import (
 // rest is cut at record starts into par.Split chunks that encoding/csv
 // decodes on every core, joined in file order (decodeBody). The result and
 // every error are those of one serial pass: an object set is built once
-// from its instances in row order, and a mapping's ids intern in row order,
+// from its value columns in row order, and a mapping's ids intern in row order,
 // domain before range, as one Add per row interns them. Both formats reject
 // a quoted \r\n, which encoding/csv reads as \n, naming its line.
 
@@ -117,44 +116,26 @@ func readMappingCSV(r io.Reader, split func(n int) par.Plan) (*mapping.Mapping, 
 }
 
 // WriteObjectSetCSV writes the object set with a deterministic column
-// order: id first, then all attribute names seen across instances, sorted.
+// order: id first, then every attribute name that at least one instance
+// has, sorted. An absent attribute writes as an empty cell.
 func WriteObjectSetCSV(w io.Writer, set *model.ObjectSet) error {
-	attrSet := make(map[string]bool)
-	set.Each(func(in *model.Instance) bool {
-		for k := range in.Attrs {
-			attrSet[k] = true
-		}
-		return true
-	})
-	attrs := make([]string, 0, len(attrSet))
-	for k := range attrSet {
-		attrs = append(attrs, k)
-	}
-	sort.Strings(attrs)
-
+	attrs := set.AttrNames()
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"#objects", set.LDS().String()}); err != nil {
 		return err
 	}
-	header := append([]string{"id"}, attrs...)
-	if err := cw.Write(header); err != nil {
+	rec := append([]string{"id"}, attrs...)
+	if err := cw.Write(rec); err != nil {
 		return err
 	}
-	var werr error
-	set.Each(func(in *model.Instance) bool {
-		rec := make([]string, 0, len(header))
-		rec = append(rec, string(in.ID))
-		for _, a := range attrs {
-			rec = append(rec, in.Attr(a))
+	for i := range set.Len() {
+		rec[0] = string(set.IDAt(i))
+		for c, a := range attrs {
+			rec[1+c] = set.Attr(i, a)
 		}
 		if err := cw.Write(rec); err != nil {
-			werr = err
-			return false
+			return err
 		}
-		return true
-	})
-	if werr != nil {
-		return werr
 	}
 	cw.Flush()
 	return cw.Error()
@@ -164,8 +145,8 @@ func WriteObjectSetCSV(w io.Writer, set *model.ObjectSet) error {
 // rejects, naming the column or line, what WriteObjectSetCSV could not
 // write back as read: a header naming a column twice, an empty id, and a
 // quoted \r\n, which encoding/csv reads as \n. The rows decode on every
-// core (decodeBody), each into an instance owning one attribute map of its
-// non-empty cells, and the set is built once from them in row order.
+// core (decodeBody) and the set is built once from them in row order, one
+// value column per attribute column: an empty cell is an absent value.
 func ReadObjectSetCSV(r io.Reader) (*model.ObjectSet, error) {
 	return readObjectSetCSV(r, splitBody)
 }
@@ -198,28 +179,27 @@ func readObjectSetCSV(r io.Reader, split func(n int) par.Plan) (*model.ObjectSet
 			return nil, fmt.Errorf("store: objects csv: column %d repeats %q", i+1, name)
 		}
 	}
-	ins, err := decodeBody(in, "objects", len(header), split, func(rec []string) (*model.Instance, string) {
+	rows, err := decodeBody(in, "objects", len(header), split, func(rec []string) ([]string, string) {
 		if rec[0] == "" {
 			return nil, "empty id"
 		}
-		n := 0
-		for _, v := range rec[1:] {
-			if v != "" {
-				n++
-			}
-		}
-		attrs := make(map[string]string, n)
-		for i, v := range rec[1:] {
-			if v != "" {
-				attrs[header[i+1]] = v
-			}
-		}
-		return &model.Instance{ID: model.ID(rec[0]), Attrs: attrs}, ""
+		return slices.Clone(rec), ""
 	})
 	if err != nil {
 		return nil, err
 	}
-	return model.NewObjectSetOf(lds, ins), nil
+	ids := make([]model.ID, len(rows))
+	vals, has := make([][]string, len(header)-1), make([][]bool, len(header)-1)
+	for c := range vals {
+		vals[c], has[c] = make([]string, len(rows)), make([]bool, len(rows))
+	}
+	for r, rec := range rows {
+		ids[r] = model.ID(rec[0])
+		for c, v := range rec[1:] {
+			vals[c][r], has[c][r] = v, v != ""
+		}
+	}
+	return model.NewObjectSetFromColumns(lds, ids, header[1:], vals, has), nil
 }
 
 // csvInput is a CSV file read whole, with a reader over its first rows: the

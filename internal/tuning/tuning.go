@@ -161,51 +161,56 @@ func NewFeatureExtractor(comparisons [][3]string) (*FeatureExtractor, error) {
 
 // Extract computes the feature vector for one pair.
 func (fe *FeatureExtractor) Extract(a, b *model.Instance) []float64 {
-	return fe.scorer().features(a, b)
+	return fe.compare(fe.profiles(a.Attr, true), fe.profiles(b.Attr, false))
 }
 
-// scorer returns a pairScorer with nothing profiled yet.
-func (fe *FeatureExtractor) scorer() *pairScorer {
-	return &pairScorer{fe: fe, domain: map[*model.Instance][]*sim.Profile{}, rng: map[*model.Instance][]*sim.Profile{}}
+// profiles returns the profiles of one record's values on the domain or
+// the range side, one per comparison; attr reads the record.
+func (fe *FeatureExtractor) profiles(attr func(string) string, domain bool) []*sim.Profile {
+	ps := make([]*sim.Profile, len(fe.fns))
+	for i, f := range fe.fns {
+		name := f.attrB
+		if domain {
+			name = f.attrA
+		}
+		ps[i] = sim.NewProfile(f.ps, attr(name))
+	}
+	return ps
 }
 
-// pairScorer computes feature vectors of the pairs of one call: it profiles
-// an instance's attribute values once, the first time the instance appears
-// on a side, and scores every pair of profiles in full (floor 0).
-type pairScorer struct {
-	fe          *FeatureExtractor
-	domain, rng map[*model.Instance][]*sim.Profile
-}
-
-func (s *pairScorer) features(a, b *model.Instance) []float64 {
-	pa, pb := s.profiles(a, true), s.profiles(b, false)
-	out := make([]float64, len(s.fe.fns))
-	for i, f := range s.fe.fns {
+// compare scores every pair of profiles in full (floor 0).
+func (fe *FeatureExtractor) compare(pa, pb []*sim.Profile) []float64 {
+	out := make([]float64, len(fe.fns))
+	for i, f := range fe.fns {
 		out[i] = f.ps.Compare(pa[i].Ref(), pb[i].Ref(), 0)
 	}
 	return out
 }
 
-// profiles returns the profiles of in's values on the domain or the range
-// side, one per comparison.
-func (s *pairScorer) profiles(in *model.Instance, domain bool) []*sim.Profile {
-	cache := s.rng
-	if domain {
-		cache = s.domain
+// scorer returns a pairScorer over a and b with nothing profiled yet.
+func (fe *FeatureExtractor) scorer(a, b *model.ObjectSet) *pairScorer {
+	return &pairScorer{fe: fe, a: a, b: b, domain: make([][]*sim.Profile, a.Len()), rng: make([][]*sim.Profile, b.Len())}
+}
+
+// pairScorer computes feature vectors of the pairs of one call: it profiles
+// a member's attribute values once, the first time its ordinal appears on
+// a side.
+type pairScorer struct {
+	fe          *FeatureExtractor
+	a, b        *model.ObjectSet
+	domain, rng [][]*sim.Profile // by ordinal, nil until profiled
+}
+
+// features returns the feature vector of the pair of ids.
+func (s *pairScorer) features(ida, idb model.ID) []float64 {
+	ia, ib := s.a.IndexOf(ida), s.b.IndexOf(idb)
+	if s.domain[ia] == nil {
+		s.domain[ia] = s.fe.profiles(func(name string) string { return s.a.Attr(ia, name) }, true)
 	}
-	if ps, ok := cache[in]; ok {
-		return ps
+	if s.rng[ib] == nil {
+		s.rng[ib] = s.fe.profiles(func(name string) string { return s.b.Attr(ib, name) }, false)
 	}
-	ps := make([]*sim.Profile, len(s.fe.fns))
-	for i, f := range s.fe.fns {
-		attr := f.attrB
-		if domain {
-			attr = f.attrA
-		}
-		ps[i] = sim.NewProfile(f.ps, in.Attr(attr))
-	}
-	cache[in] = ps
-	return ps
+	return s.fe.compare(s.domain[ia], s.rng[ib])
 }
 
 // BuildExamples labels the blocker's candidate pairs (nil means the cross
@@ -217,12 +222,12 @@ func BuildExamples(fe *FeatureExtractor, a, b *model.ObjectSet, bl block.Blocker
 	for _, id := range training.DomainIDs() {
 		covered[id] = true
 	}
-	sc := fe.scorer()
+	sc := fe.scorer(a, b)
 	var out []Example
 	block.PairsEach(candidates(bl), a, b, func(p block.Pair) bool {
 		if covered[p.A] {
 			out = append(out, Example{
-				Features: sc.features(a.Get(p.A), b.Get(p.B)),
+				Features: sc.features(p.A, p.B),
 				Match:    training.Has(p.A, p.B),
 			})
 		}
@@ -399,9 +404,9 @@ func (tm *TreeMatcher) Match(a, b *model.ObjectSet) (*mapping.Mapping, error) {
 		return nil, fmt.Errorf("tuning: %s is not trained", tm)
 	}
 	out := mapping.NewSame(a.LDS(), b.LDS())
-	sc := tm.Extractor.scorer()
+	sc := tm.Extractor.scorer(a, b)
 	block.PairsEach(candidates(tm.Blocker), a, b, func(p block.Pair) bool {
-		feats := sc.features(a.Get(p.A), b.Get(p.B))
+		feats := sc.features(p.A, p.B)
 		if tm.Tree.Predict(feats) {
 			var sum float64
 			for _, f := range feats {
