@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/block"
 	"repro/internal/eval"
@@ -224,15 +224,14 @@ RETURN $Result
 		seen[key] = true
 		ranked = append(ranked, scored{c: c, key: key})
 	})
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].c.Sim != ranked[j].c.Sim {
-			return ranked[i].c.Sim > ranked[j].c.Sim
+	// The keys are distinct, so breaking a tie on key[0] by key[1] makes the
+	// order total and the cut well defined.
+	ranked = model.Top(ranked, k, func(a, b scored) int {
+		if c := model.CompareRank(a.c.Sim, a.key[0], b.c.Sim, b.key[0]); c != 0 {
+			return c
 		}
-		return ranked[i].key[0] < ranked[j].key[0]
+		return cmp.Compare(a.key[1], b.key[1])
 	})
-	if len(ranked) > k {
-		ranked = ranked[:k]
-	}
 	var out []DuplicateCandidate
 	authors := s.D.DBLP.Authors
 	for _, r := range ranked {

@@ -45,10 +45,10 @@
 package mapping
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -474,17 +474,15 @@ func (m *Mapping) RemoveTouching(id model.ID) int {
 }
 
 // Sorted returns the correspondences sorted canonically: domain ascending,
-// similarity descending, range ascending. It does not mutate the mapping.
+// then by model.CompareRank over the range ids. It does not mutate the
+// mapping.
 func (m *Mapping) Sorted() []Correspondence {
 	out := m.Correspondences()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Domain != out[j].Domain {
-			return out[i].Domain < out[j].Domain
+	slices.SortFunc(out, func(a, b Correspondence) int {
+		if c := cmp.Compare(a.Domain, b.Domain); c != 0 {
+			return c
 		}
-		if out[i].Sim != out[j].Sim {
-			return out[i].Sim > out[j].Sim
-		}
-		return out[i].Range < out[j].Range
+		return model.CompareRank(a.Sim, a.Range, b.Sim, b.Range)
 	})
 	return out
 }

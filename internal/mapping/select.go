@@ -1,11 +1,11 @@
 package mapping
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/par"
 )
 
@@ -81,17 +81,11 @@ func (b BestN) Apply(m *Mapping) *Mapping {
 	if b.N <= 0 {
 		return NewWithDict(m.Domain(), m.Range(), m.Type(), m.dict)
 	}
-	cut := func(sims []float64) int {
-		if len(sims) > b.N {
-			return b.N
-		}
-		return len(sims)
-	}
 	switch b.Side {
 	case DomainSide:
-		return selectPerGroup(m, true, cut, b.Workers)
+		return selectPerGroup(m, true, b.N, nil, b.Workers)
 	case RangeSide:
-		return selectPerGroup(m, false, cut, b.Workers)
+		return selectPerGroup(m, false, b.N, nil, b.Workers)
 	case BothSides:
 		dom := BestN{N: b.N, Side: DomainSide, Workers: b.Workers}.Apply(m)
 		rng := BestN{N: b.N, Side: RangeSide, Workers: b.Workers}.Apply(m)
@@ -122,30 +116,17 @@ type Best1Delta struct {
 
 // Apply implements Selection.
 func (b Best1Delta) Apply(m *Mapping) *Mapping {
-	// Groups arrive sorted by similarity descending, so "within tolerance
-	// of the best" is a prefix.
-	cut := func(sims []float64) int {
-		if len(sims) == 0 {
-			return 0
-		}
-		best := sims[0]
-		limit := best - b.D
+	floor := func(best float64) float64 {
 		if b.Relative {
-			limit = best * (1 - b.D)
+			return best * (1 - b.D)
 		}
-		n := 0
-		for _, s := range sims {
-			if s >= limit {
-				n++
-			}
-		}
-		return n
+		return best - b.D
 	}
 	switch b.Side {
 	case DomainSide:
-		return selectPerGroup(m, true, cut, 0)
+		return selectPerGroup(m, true, math.MaxInt, floor, 0)
 	case RangeSide:
-		return selectPerGroup(m, false, cut, 0)
+		return selectPerGroup(m, false, math.MaxInt, floor, 0)
 	case BothSides:
 		dom := Best1Delta{D: b.D, Relative: b.Relative, Side: DomainSide}.Apply(m)
 		rng := Best1Delta{D: b.D, Relative: b.Relative, Side: RangeSide}.Apply(m)
@@ -163,16 +144,17 @@ func (b Best1Delta) String() string {
 	return fmt.Sprintf("Best-1+%.2f(%s,%s)", b.D, mode, b.Side)
 }
 
-// selectPerGroup groups rows by domain (or range) ordinal, sorts each
-// group by similarity descending (ties by the other end's id ascending),
-// and keeps the prefix of cut(sims) survivors per group. Groups appear in
-// the order of their first rows, each with its survivors in sorted order.
+// selectPerGroup groups rows by domain (or range) ordinal, ranks each
+// group by model.CompareRank over the other end's ids, and keeps its best n;
+// with a floor, only those of them with a similarity at or above
+// floor(the group's best). Groups appear in the order of their first rows,
+// each with its survivors in rank order.
 //
 // The grouping is a stable radix sort of the key column, so a group's rows
 // stay in row order and its first row comes first. Each group is then
-// sorted and cut in place on one worker, which marks the survivors at the
+// ranked and cut in place on one worker, which marks the survivors at the
 // group's first row; one pass over the rows in order gathers the output.
-func selectPerGroup(m *Mapping, byDomain bool, cut func(sims []float64) int, workers int) (out *Mapping) {
+func selectPerGroup(m *Mapping, byDomain bool, n int, floor func(best float64) float64, workers int) (out *Mapping) {
 	defer func(start time.Time) {
 		observeOp("select", par.Workers(workers), start, out.Len())
 	}(time.Now())
@@ -181,14 +163,9 @@ func selectPerGroup(m *Mapping, byDomain bool, cut func(sims []float64) int, wor
 		keyCol, otherCol = m.rng, m.dom
 	}
 	ids := m.dict.All()
+	// A group holds each other-end ordinal once, so this order is total.
 	bySim := func(a, b par.KeyRow) int {
-		if sa, sb := m.sim[a.Row], m.sim[b.Row]; sa != sb {
-			if sa > sb {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(ids[otherCol[a.Row]], ids[otherCol[b.Row]])
+		return model.CompareRank(m.sim[a.Row], ids[otherCol[a.Row]], m.sim[b.Row], ids[otherCol[b.Row]])
 	}
 
 	bufs := sortBufs{workers: workers}
@@ -197,16 +174,18 @@ func selectPerGroup(m *Mapping, byDomain bool, cut func(sims []float64) int, wor
 	// group's offset in sorted and its survivor count, packed; 0 elsewhere.
 	head := make([]uint64, len(m.sim))
 	eachRun(sorted, workers, func() func(lo, hi int) {
-		var sims []float64
 		return func(lo, hi int) {
-			group := sorted[lo:hi]
-			first := group[0].Row
-			slices.SortStableFunc(group, bySim)
-			sims = sims[:0]
-			for _, r := range group {
-				sims = append(sims, m.sim[r.Row])
+			first := sorted[lo].Row
+			top := model.Top(sorted[lo:hi], n, bySim)
+			k := len(top)
+			if floor != nil {
+				// The group is ranked, so the rows at or above the floor
+				// are a prefix.
+				least := floor(m.sim[top[0].Row])
+				for k = 0; k < len(top) && m.sim[top[k].Row] >= least; k++ {
+				}
 			}
-			if k := cut(sims); k > 0 {
+			if k > 0 {
 				head[first] = uint64(lo)<<32 | uint64(k)
 			}
 		}

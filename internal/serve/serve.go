@@ -42,14 +42,12 @@
 package serve
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -245,7 +243,8 @@ type ResolveRequest struct {
 	ID string `json:"id,omitempty"`
 	// Attrs are the record's attribute values.
 	Attrs map[string]string `json:"attrs"`
-	// Limit caps the returned matches to the top-n by similarity (0 = all).
+	// Limit caps the returned matches to the top-n by similarity (0 = all;
+	// a negative limit is rejected).
 	Limit int `json:"limit,omitempty"`
 }
 
@@ -369,6 +368,9 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) (int, err
 	if len(req.Attrs) == 0 {
 		return http.StatusBadRequest, fmt.Errorf("attrs must not be empty")
 	}
+	if req.Limit < 0 {
+		return http.StatusBadRequest, fmt.Errorf("bad limit %d (want a non-negative integer)", req.Limit)
+	}
 	if code, err := deadlineStatus(r); code != 0 {
 		return code, err
 	}
@@ -379,10 +381,11 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) (int, err
 	t0 := time.Now()
 	*buf = sv.res.ResolveAppend(&q, (*buf)[:0])
 	took := time.Since(t0)
-	matches := rank(*buf)
-	if req.Limit > 0 && len(matches) > req.Limit {
-		matches = matches[:req.Limit]
+	limit := req.Limit
+	if limit == 0 {
+		limit = len(*buf)
 	}
+	matches := model.Top(*buf, limit, byRank)
 	writeJSON(w, http.StatusOK, ResolveResponse{
 		Set:     setName,
 		QueryID: req.ID,
@@ -457,7 +460,7 @@ func (s *Server) handleAddInstance(w http.ResponseWriter, r *http.Request) (int,
 			// their retry is a replace, which resolves and records again.
 			return storageStatus(w, fmt.Errorf("recording delta: %w", err))
 		}
-		resp.Matches, resp.Mapping = rank(matches), sv.delta
+		resp.Matches, resp.Mapping = model.Top(matches, len(matches), byRank), sv.delta
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return http.StatusOK, nil
@@ -581,18 +584,9 @@ func (s *Server) recordDeltaLocked(sv *served, id model.ID, matches []live.Match
 // online same-mapping deltas.
 const deltaMappingPrefix = "live."
 
-// rank sorts matches in place by similarity descending (ties by id). The
-// resolver returns set insertion order; an API consumer wants the best
-// first.
-func rank(matches []live.Match) []live.Match {
-	slices.SortFunc(matches, func(a, b live.Match) int {
-		if c := cmp.Compare(b.Sim, a.Sim); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-	return matches
-}
+// byRank orders matches best first. The resolver returns set insertion
+// order; an API consumer wants the best first.
+func byRank(a, b live.Match) int { return model.CompareRank(a.Sim, a.ID, b.Sim, b.ID) }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -2,16 +2,20 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	moma "repro"
+	"repro/internal/live"
+	"repro/internal/model"
 	"repro/internal/race"
 )
 
@@ -106,15 +110,85 @@ func TestResolveEndpoint(t *testing.T) {
 	}
 }
 
+// TestResolveLimitAndRanking: a resolve answers best first, ties by id, and
+// a limit-k answer is the first k rows of the unlimited one. A negative
+// limit is a 400, as it is on GET /mappings.
 func TestResolveLimitAndRanking(t *testing.T) {
-	srv, _ := testServer(t)
-	var resp ResolveResponse
-	doJSON(t, srv.Handler(), "POST", "/sets/ACM.Publication/resolve", ResolveRequest{
-		Attrs: map[string]string{"title": "object matching with schema matching"},
-		Limit: 1,
+	h := wireServer(t, Options{}).Handler()
+	resolve := func(limit int) []live.Match {
+		var resp ResolveResponse
+		rec := doJSON(t, h, "POST", "/sets/ACM.Publication/resolve", ResolveRequest{
+			Attrs: map[string]string{"title": "mapping based object matching"},
+			Limit: limit,
+		}, &resp)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("limit %d: resolve = %d: %s", limit, rec.Code, rec.Body.String())
+		}
+		return resp.Matches
+	}
+	all := resolve(0)
+	if len(all) < 3 {
+		t.Fatalf("want at least 3 matches to rank, got %+v", all)
+	}
+	if !bestFirst(all) || all[0].Sim != all[1].Sim {
+		t.Fatalf("matches not best first with a tie by id: %+v", all)
+	}
+	for k := 1; k <= len(all)+1; k++ {
+		if got := resolve(k); !slices.Equal(got, all[:min(k, len(all))]) {
+			t.Fatalf("limit %d = %+v, want the first %d of %+v", k, got, k, all)
+		}
+	}
+	rec := doJSON(t, h, "POST", "/sets/ACM.Publication/resolve", ResolveRequest{
+		Attrs: map[string]string{"title": "mapping based object matching"},
+		Limit: -3,
+	}, nil)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("limit -3 = %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// bestFirst reports whether ms is in similarity descending order, ties by
+// ascending id.
+func bestFirst(ms []live.Match) bool {
+	for i := 1; i < len(ms); i++ {
+		if a, b := ms[i-1], ms[i]; a.Sim < b.Sim || a.Sim == b.Sim && a.ID >= b.ID {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAddRanksResponseNotDelta: an arrival's add response is best first,
+// while the delta it records keeps the resolver's row order, the set's
+// insertion order.
+func TestAddRanksResponseNotDelta(t *testing.T) {
+	srv := wireServer(t, Options{})
+	h := srv.Handler()
+	var resp AddInstanceResponse
+	rec := doJSON(t, h, "POST", "/sets/ACM.Publication/instances", AddInstanceRequest{
+		ID:    "n1",
+		Attrs: map[string]string{"title": "mapping based object matching"},
 	}, &resp)
-	if len(resp.Matches) > 1 {
-		t.Fatalf("limit ignored: %+v", resp.Matches)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("add = %d: %s", rec.Code, rec.Body.String())
+	}
+	set, _ := srv.sys.ObjectSetByName("ACM.Publication")
+	inSetOrder := slices.Clone(resp.Matches)
+	slices.SortFunc(inSetOrder, func(a, b live.Match) int { return cmp.Compare(set.IndexOf(a.ID), set.IndexOf(b.ID)) })
+	if len(resp.Matches) < 2 || slices.Equal(inSetOrder, resp.Matches) || !bestFirst(resp.Matches) {
+		t.Fatalf("want at least 2 matches, best first, in an order unlike the set's: %+v", resp.Matches)
+	}
+	var mresp MappingResponse
+	doJSON(t, h, "GET", "/mappings/live.ACM.Publication", nil, &mresp)
+	rows := make([]live.Match, len(mresp.Correspondences))
+	for i, c := range mresp.Correspondences {
+		if c.Domain != "n1" {
+			t.Fatalf("delta row %+v is not the arrival's", c)
+		}
+		rows[i] = live.Match{ID: model.ID(c.Range), Sim: c.Sim}
+	}
+	if !slices.Equal(rows, inSetOrder) {
+		t.Fatalf("delta rows %+v, want the resolver's order %+v", rows, inSetOrder)
 	}
 }
 

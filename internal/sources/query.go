@@ -41,8 +41,7 @@ type searchScratch struct {
 	norm    []byte
 	toks    []uint32
 	acc     []float64 // score per ordinal
-	touched []int32   // ordinals with a non-zero acc
-	top     []int32
+	touched []int32   // ordinals with a non-zero acc; search ranks them in place
 }
 
 // NewGSQuery builds the search index over the GS publication titles and
@@ -126,55 +125,14 @@ func (q *GSQuery) search(sc *searchScratch, query string, k int) []int32 {
 	for _, ord := range touched {
 		acc[ord] /= math.Sqrt(float64(q.docLen[ord]) + 1)
 	}
-	// top is a heap of at most k ordinals with the worst of them at the root,
-	// which the rest of touched has to beat; taking the root off repeatedly
-	// then leaves top sorted best first.
-	n := min(k, len(touched))
-	top := append(sc.top[:0], touched[:n]...)
-	for i := n/2 - 1; i >= 0; i-- {
-		q.siftDown(acc, top, i)
-	}
-	for _, ord := range touched[n:] {
-		if q.worse(acc, top[0], ord) {
-			top[0] = ord
-			q.siftDown(acc, top, 0)
-		}
-	}
-	for last := n - 1; last > 0; last-- {
-		top[0], top[last] = top[last], top[0]
-		q.siftDown(acc, top[:last], 0)
-	}
+	top := model.Top(touched, k, func(a, b int32) int {
+		return model.CompareRank(acc[a], q.pubs.IDAt(int(a)), acc[b], q.pubs.IDAt(int(b)))
+	})
 	for _, ord := range touched {
 		acc[ord] = 0
 	}
-	sc.touched, sc.top = touched, top
+	sc.touched = touched
 	return top
-}
-
-// worse reports whether document a ranks below document b.
-func (q *GSQuery) worse(acc []float64, a, b int32) bool {
-	if acc[a] != acc[b] {
-		return acc[a] < acc[b]
-	}
-	return q.pubs.IDAt(int(a)) > q.pubs.IDAt(int(b))
-}
-
-// siftDown restores the worst-at-the-root heap order of h below position i.
-func (q *GSQuery) siftDown(acc []float64, h []int32, i int) {
-	for {
-		child := 2*i + 1
-		if child >= len(h) {
-			return
-		}
-		if r := child + 1; r < len(h) && q.worse(acc, h[r], h[child]) {
-			child = r
-		}
-		if !q.worse(acc, h[child], h[i]) {
-			return
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
 }
 
 // Search returns the top-k publication instances for a keyword query, best
